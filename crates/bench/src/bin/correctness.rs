@@ -7,14 +7,14 @@
 use abrr::prelude::*;
 use abrr::scenarios::{self, Scenario};
 use abrr_bench::{header, Args, Experiment, FlagSpec};
-use netsim::{Engine, WireMode};
+use netsim::{RunConfig, Time};
 
 const FLAGS: &[FlagSpec] = &[];
 
 const OSC_BUDGET: u64 = 100_000;
 
-fn verdict(s: &Scenario, mode: Mode, engine: Engine, wire: WireMode) -> String {
-    let (sim, out) = s.run_wire(mode.clone(), OSC_BUDGET, engine, wire);
+fn verdict(s: &Scenario, mode: Mode, cfg: RunConfig) -> String {
+    let (sim, out) = s.run(mode.clone(), cfg);
     if !out.quiesced {
         return format!("OSCILLATES (>{} events)", out.events);
     }
@@ -29,8 +29,14 @@ fn verdict(s: &Scenario, mode: Mode, engine: Engine, wire: WireMode) -> String {
 fn main() {
     let args = Args::parse("correctness", FLAGS);
     let exp = Experiment::from_args(&args);
-    let engine = args.engine();
-    let wire = exp.wire;
+    let cfg = RunConfig {
+        engine: exp.engine,
+        wire: exp.wire,
+        limits: RunLimits {
+            max_events: OSC_BUDGET,
+            max_time: Time::MAX,
+        },
+    };
     header(
         "§2.3 — oscillation / loop / efficiency audit",
         "gadgets: RFC3345-style MED oscillation; cyclic-IGP topology oscillation",
@@ -43,15 +49,11 @@ fn main() {
             Mode::Tbrr { multipath: false },
             Mode::Tbrr { multipath: true },
         ] {
-            println!(
-                "  {:<22} {}",
-                format!("{mode:?}"),
-                verdict(&s, mode, engine, wire)
-            );
+            println!("  {:<22} {}", format!("{mode:?}"), verdict(&s, mode, cfg));
         }
         // Path-efficiency audit for ABRR vs full mesh.
-        let (ab, o1) = s.run_wire(Mode::Abrr, OSC_BUDGET, engine, wire);
-        let (mesh, o2) = s.run_wire(Mode::FullMesh, OSC_BUDGET, engine, wire);
+        let (ab, o1) = s.run(Mode::Abrr, cfg);
+        let (mesh, o2) = s.run(Mode::FullMesh, cfg);
         if o1.quiesced && o2.quiesced {
             let spec = s.spec(Mode::Abrr);
             let report = audit::compare_exits(&ab, &spec, &mesh, &s.routers, &s.prefixes);

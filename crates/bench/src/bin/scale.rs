@@ -1,25 +1,25 @@
 //! Scaling harness: wall-clock, peak RSS, and event throughput for the
 //! two heaviest workloads (fig7-style churn and resilience-style ARR
 //! failover), under any engine. Emits one JSON object per run —
-//! printed to stdout and appended to `--out FILE` when given — so
-//! `scripts/bench.sh` can collect a `BENCH_<date>.json` comparing the
-//! sequential, epoch-parallel, and AP-sharded engines at several
-//! worker counts, and a pre-optimization baseline build.
+//! printed to stdout and appended to `--out FILE` when given. The
+//! `BENCH_2026-08-*.json` records were collected from these rows; the
+//! regression benchmark proper lives in `benchmark/` (BENCHMARK.json),
+//! and `scripts/ci.sh` uses this bin as its scale smoke.
 //!
 //! Peak RSS is read from `VmHWM` in `/proc/self/status` (Linux-only;
 //! reported as 0 elsewhere), so each invocation measures exactly one
 //! workload — run the bin once per configuration.
 //!
 //! Run: `cargo run --release -p abrr-bench --bin scale --
-//!       [--workload churn|failover] [--engine seq|epoch|sharded]
-//!       [--threads N] [--prefixes N] [--minutes M] [--rate EPS]
+//!       [--workload churn|failover] [--engine seq|epoch:N|sharded:N]
+//!       [--prefixes N] [--minutes M] [--rate EPS]
 //!       [--seed S] [--aps N] [--label L] [--out FILE]`
 
 use abrr::prelude::*;
 use abrr_bench::pipeline::JsonRow;
 use abrr_bench::{
-    flag, peak_rss_kb, run_churn_streaming, run_sim_engine, Args, Experiment, FlagSpec,
-    SETTLE_BUDGET_US,
+    converge_snapshot, flag, peak_rss_kb, run_churn, run_churn_streaming, Args, Experiment,
+    FlagSpec, SETTLE_BUDGET_US,
 };
 use faults::{compile, FaultKind, FaultSchedule};
 use netsim::Engine;
@@ -85,13 +85,7 @@ fn churn_workload(
         ..Default::default()
     };
     let spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
-    let mut sim = abrr::build_sim(spec);
-    regen::replay(&mut sim, &churn::initial_snapshot(model), 1_000);
-    let settle = RunLimits {
-        max_events: u64::MAX,
-        max_time: SETTLE_BUDGET_US,
-    };
-    let out1 = run_sim_engine(&mut sim, settle, engine);
+    let (mut sim, out1) = converge_snapshot(spec, model, 1_000, engine);
     let cfg = ChurnConfig {
         duration_us: minutes * 60_000_000,
         events_per_sec: rate,
@@ -100,16 +94,7 @@ fn churn_workload(
     let out2 = if stream {
         run_churn_streaming(&mut sim, model, &cfg, 1, engine)
     } else {
-        let deadline = sim.now() + cfg.duration_us + SETTLE_BUDGET_US;
-        regen::replay(&mut sim, &churn::generate(model, &cfg), 1);
-        run_sim_engine(
-            &mut sim,
-            RunLimits {
-                max_events: u64::MAX,
-                max_time: deadline,
-            },
-            engine,
-        )
+        run_churn(&mut sim, model, &cfg, 1, engine)
     };
     Measured {
         events: out1.events + out2.events,
@@ -135,13 +120,7 @@ fn failover_workload(
         ..Default::default()
     };
     let spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
-    let mut sim = abrr::build_sim(spec.clone());
-    regen::replay(&mut sim, &churn::initial_snapshot(model), 1_000);
-    let settle = RunLimits {
-        max_events: u64::MAX,
-        max_time: SETTLE_BUDGET_US,
-    };
-    let out1 = run_sim_engine(&mut sim, settle, engine);
+    let (mut sim, out1) = converge_snapshot(spec.clone(), model, 1_000, engine);
     let cfg = ChurnConfig {
         seed,
         duration_us: minutes * 60_000_000,
@@ -158,13 +137,12 @@ fn failover_workload(
         },
     );
     compile(&sched, &spec, &mut sim).expect("schedule compiles");
-    let out2 = run_sim_engine(
-        &mut sim,
+    let out2 = sim.run_engine(
+        engine,
         RunLimits {
             max_events: u64::MAX,
             max_time: t0 + cfg.duration_us + SETTLE_BUDGET_US,
         },
-        engine,
     );
     Measured {
         events: out1.events + out2.events,
@@ -209,13 +187,6 @@ fn main() {
         .str("label", &label)
         .str("engine", engine.name())
         .usize("threads", engine.workers())
-        .usize(
-            "shards",
-            match engine {
-                Engine::Sharded(n) => n,
-                _ => 0,
-            },
-        )
         .usize("prefixes", n_prefixes)
         .usize("aps", n_aps)
         .u64("minutes", minutes)

@@ -21,7 +21,7 @@
 //!
 //! Run: `cargo run --release -p abrr-bench --bin scenario --
 //!       [--dir D] [--fuzz N] [--seed N] [--shrink-dir D]
-//!       [--overlays PATH] [--threads N]`
+//!       [--overlays PATH] [--engine NAME[:N]]`
 
 use abrr_bench::pipeline::{col, lcol, t, u, Table};
 use abrr_bench::{flag, Args, Experiment, FlagSpec};

@@ -5,8 +5,8 @@
 //! flags up front, unknown `--keys` and unparseable values are hard
 //! errors (exit 2 with the generated flag list), and `--help` prints
 //! that list. The previous lenient parser silently fell back to the
-//! default on both mistakes, so `--thread 4` ran sequentially without a
-//! word; that failure mode is gone.
+//! default on both mistakes, so a mistyped flag ran with defaults
+//! without a word; that failure mode is gone.
 
 use netsim::Engine;
 use std::collections::BTreeMap;
@@ -31,16 +31,10 @@ pub const fn flag(name: &'static str, value: &'static str, help: &'static str) -
 /// Flags every binary accepts on top of its own declarations.
 const COMMON: &[FlagSpec] = &[
     flag(
-        "threads",
-        "N",
-        "worker count: 0 selects the sequential engine (default), N >= 1 the \
-         epoch-parallel engine on N workers (see --engine to pick explicitly)",
-    ),
-    flag(
         "engine",
-        "NAME",
-        "engine override: seq | epoch | sharded (default: derived from --threads); \
-         epoch/sharded use --threads workers/shards (at least 1)",
+        "NAME[:N]",
+        "execution engine: seq (default) | epoch:N | sharded:N, on N >= 1 \
+         workers; all three produce identical results",
     ),
     flag(
         "obs",
@@ -76,7 +70,7 @@ pub struct Args {
 
 impl Args {
     /// Parses `std::env::args` against `flags` (plus the common
-    /// `--threads`/`--help`). Unknown flags, positional arguments, and
+    /// `--engine`/`--help`). Unknown flags, positional arguments, and
     /// missing values exit with status 2 and the flag list; `--help`
     /// prints the list and exits 0.
     pub fn parse(bin: &'static str, flags: &'static [FlagSpec]) -> Args {
@@ -88,16 +82,20 @@ impl Args {
                 }
                 args
             }
-            Err(e) => {
-                let probe = Args {
-                    bin,
-                    flags,
-                    map: BTreeMap::new(),
-                };
-                eprintln!("{bin}: {e}\n\n{}", probe.usage());
-                std::process::exit(2);
+            Err(e) => Args {
+                bin,
+                flags,
+                map: BTreeMap::new(),
             }
+            .exit_usage(&e),
         }
+    }
+
+    /// Reports a command-line error with the generated flag list and
+    /// exits with status 2.
+    fn exit_usage(&self, error: &str) -> ! {
+        eprintln!("{}: {error}\n\n{}", self.bin, self.usage());
+        std::process::exit(2);
     }
 
     fn try_parse(
@@ -178,10 +176,7 @@ impl Args {
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.checked(key) {
             Ok(v) => v.unwrap_or(default),
-            Err(e) => {
-                eprintln!("{}: {e}\n\n{}", self.bin, self.usage());
-                std::process::exit(2);
-            }
+            Err(e) => self.exit_usage(&e),
         }
     }
 
@@ -197,38 +192,26 @@ impl Args {
         self.map.get(key).map(|s| s.as_str())
     }
 
-    /// The `--threads` knob shared by every bench bin: `0` (default)
-    /// selects the sequential engine, `n >= 1` the epoch-parallel
-    /// engine on `n` workers (`1` = epoch engine inline — useful for
-    /// verifying the parallel path without concurrency). `--engine`
-    /// overrides the engine *kind* while `--threads` still sets the
-    /// worker/shard count.
-    pub fn threads(&self) -> usize {
-        self.get("threads", 0usize)
+    fn checked_engine(&self) -> Result<Engine, String> {
+        match self.map.get("engine") {
+            None => Ok(Engine::Seq),
+            Some(v) => Engine::parse(v).ok_or_else(|| {
+                format!(
+                    "invalid value `{v}` for `--engine` \
+                     (expected seq | epoch:N | sharded:N with N >= 1)"
+                )
+            }),
+        }
     }
 
-    /// The engine selected by `--engine`/`--threads` (shared by every
-    /// bench bin). Without `--engine` the historical `--threads`
-    /// convention applies; with it, `seq`/`epoch`/`sharded` force the
-    /// engine kind and `--threads` (clamped to >= 1 for the concurrent
-    /// engines) sets the worker/shard count. Unknown names exit 2.
+    /// The engine selected by `--engine` (shared by every bench bin;
+    /// default [`Engine::Seq`]). A parallel engine must name its worker
+    /// count: a bare `epoch`/`sharded`, a zero or non-numeric count and
+    /// unknown names all exit 2 — nothing falls back to the sequential
+    /// loop silently.
     pub fn engine(&self) -> Engine {
-        let threads = self.threads();
-        match self.map.get("engine").map(|s| s.as_str()) {
-            None => Engine::from_threads(threads),
-            Some("seq") => Engine::Seq,
-            Some("epoch") => Engine::Epoch(threads.max(1)),
-            Some("sharded") => Engine::Sharded(threads.max(1)),
-            Some(other) => {
-                eprintln!(
-                    "{}: invalid value `{other}` for `--engine` \
-                     (expected seq | epoch | sharded)\n\n{}",
-                    self.bin,
-                    self.usage()
-                );
-                std::process::exit(2);
-            }
-        }
+        self.checked_engine()
+            .unwrap_or_else(|e| self.exit_usage(&e))
     }
 
     /// The `--obs` knob shared by every bench bin: turns on the
@@ -245,13 +228,9 @@ impl Args {
         match self.map.get("wire").map(|s| s.as_str()) {
             None => netsim::WireMode::Off,
             Some(s) => netsim::WireMode::parse(s).unwrap_or_else(|| {
-                eprintln!(
-                    "{}: invalid value `{s}` for `--wire` \
-                     (expected off | verify | bytes)\n\n{}",
-                    self.bin,
-                    self.usage()
-                );
-                std::process::exit(2);
+                self.exit_usage(&format!(
+                    "invalid value `{s}` for `--wire` (expected off | verify | bytes)"
+                ))
             }),
         }
     }
@@ -262,13 +241,10 @@ impl Args {
     pub fn pcap(&self) -> Option<String> {
         let path = self.map.get("pcap").cloned()?;
         if !self.wire().encodes() {
-            eprintln!(
-                "{}: `--pcap` requires `--wire verify` or `--wire bytes` \
-                 (structs-only sessions produce no wire frames)\n\n{}",
-                self.bin,
-                self.usage()
+            self.exit_usage(
+                "`--pcap` requires `--wire verify` or `--wire bytes` \
+                 (structs-only sessions produce no wire frames)",
             );
-            std::process::exit(2);
         }
         Some(path)
     }
@@ -289,8 +265,10 @@ mod tests {
 
     #[test]
     fn typo_is_an_error_not_a_silent_default() {
-        // The motivating bug: `--thread 4` used to run sequentially.
-        assert!(parse(&["--thread", "4"]).unwrap_err().contains("--thread"));
+        // The motivating bug: a misspelt flag used to run with defaults.
+        assert!(parse(&["--prefixs", "4"])
+            .unwrap_err()
+            .contains("--prefixs"));
     }
 
     #[test]
@@ -301,10 +279,10 @@ mod tests {
 
     #[test]
     fn declared_flags_parse() {
-        let args = parse(&["--prefixes", "42", "--balanced", "--threads", "2"]).unwrap();
+        let args = parse(&["--prefixes", "42", "--balanced", "--engine", "epoch:2"]).unwrap();
         assert_eq!(args.checked::<usize>("prefixes").unwrap(), Some(42));
         assert!(args.flag("balanced"));
-        assert_eq!(args.threads(), 2);
+        assert_eq!(args.engine(), Engine::Epoch(2));
     }
 
     #[test]
@@ -327,8 +305,7 @@ mod tests {
         for name in [
             "--prefixes <N>",
             "--balanced",
-            "--threads <N>",
-            "--engine <NAME>",
+            "--engine <NAME[:N]>",
             "--wire <MODE>",
             "--pcap <FILE>",
             "--help",
@@ -357,32 +334,36 @@ mod tests {
     }
 
     #[test]
-    fn engine_resolves_from_threads_and_override() {
+    fn engine_resolves_from_one_flag() {
+        let engine = |v: &str| parse(&["--engine", v]).unwrap().checked_engine();
         assert_eq!(parse(&[]).unwrap().engine(), Engine::Seq);
-        assert_eq!(
-            parse(&["--threads", "2"]).unwrap().engine(),
-            Engine::Epoch(2)
-        );
-        assert_eq!(
-            parse(&["--engine", "seq", "--threads", "8"])
+        assert_eq!(engine("seq"), Ok(Engine::Seq));
+        assert_eq!(engine("epoch:1"), Ok(Engine::Epoch(1)));
+        assert_eq!(engine("epoch:8"), Ok(Engine::Epoch(8)));
+        assert_eq!(engine("sharded:4"), Ok(Engine::Sharded(4)));
+    }
+
+    /// `--engine sharded` used to clamp to one worker, which runs the
+    /// sequential loop without saying so. Each of these is an error.
+    #[test]
+    fn engine_without_a_worker_count_is_an_error_not_seq() {
+        for bad in [
+            "epoch",       // bare parallel engine
+            "sharded",     // bare parallel engine
+            "sharded:",    // empty count
+            "sharded:two", // non-numeric count
+            "epoch:0",     // zero workers
+            "sharded:0",   // zero workers
+            "epoch:2x",    // trailing garbage
+            "sharded:2:3", // trailing garbage
+            "seq:2",       // seq takes no count
+            "par:2",       // unknown name
+        ] {
+            let err = parse(&["--engine", bad])
                 .unwrap()
-                .engine(),
-            Engine::Seq
-        );
-        assert_eq!(
-            parse(&["--engine", "epoch"]).unwrap().engine(),
-            Engine::Epoch(1)
-        );
-        assert_eq!(
-            parse(&["--engine", "sharded", "--threads", "4"])
-                .unwrap()
-                .engine(),
-            Engine::Sharded(4)
-        );
-        // Sharded with the default --threads 0 still gets one shard.
-        assert_eq!(
-            parse(&["--engine", "sharded"]).unwrap().engine(),
-            Engine::Sharded(1)
-        );
+                .checked_engine()
+                .unwrap_err();
+            assert!(err.contains(bad) && err.contains("epoch:N"), "{bad}: {err}");
+        }
     }
 }

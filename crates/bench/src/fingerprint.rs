@@ -15,11 +15,11 @@
 //! GOLDEN_BLESS=1 cargo test -p abrr-bench --test golden_regression
 //! ```
 
-use crate::{run_churn, run_sim_engine, SETTLE_BUDGET_US};
+use crate::SETTLE_BUDGET_US;
 use abrr::{BgpNode, NetworkSpec};
 use bgp_types::RouterId;
 use faults::{compile, FaultKind, FaultSchedule};
-use netsim::{Engine, RunLimits, Sim, WireMode};
+use netsim::{RunConfig, RunLimits, Sim, Time, WireMode};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use workload::specs::{self, SpecOptions};
@@ -97,46 +97,39 @@ fn golden_model() -> Tier1Model {
 }
 
 /// A named golden scenario: builds, runs, and fingerprints one
-/// configuration under the chosen engine and wire mode.
+/// configuration.
 pub struct GoldenScenario {
     /// Scenario (and golden file) name.
     pub name: &'static str,
-    run: fn(Engine, WireMode) -> String,
+    run: fn(RunConfig) -> String,
 }
 
 impl GoldenScenario {
-    /// Runs the scenario under the engine selected by the historical
-    /// `threads` convention and returns its fingerprint text.
-    pub fn run(&self, threads: usize) -> String {
-        self.run_engine(Engine::from_threads(threads))
-    }
-
-    /// Runs the scenario under `engine` and returns its fingerprint
-    /// text.
-    pub fn run_engine(&self, engine: Engine) -> String {
-        self.run_wire(engine, WireMode::Off)
-    }
-
-    /// Runs the scenario under `engine` with sessions in `wire` mode.
-    /// The wire-mode differential gate (`tests/wire_mode.rs`, `ci.sh`)
-    /// requires the result to be byte-identical to [`Self::run_engine`]
-    /// for every mode: wire transport must be behaviorally invisible.
-    pub fn run_wire(&self, engine: Engine, wire: WireMode) -> String {
-        (self.run)(engine, wire)
+    /// Runs the scenario under `cfg` and returns its fingerprint text.
+    /// The result must be byte-identical for every engine
+    /// (`tests/engine_equivalence.rs`) and every wire mode
+    /// (`tests/wire_mode.rs`): scheduling and wire transport are both
+    /// behaviorally invisible. `cfg.limits` caps each scripted segment.
+    pub fn run(&self, cfg: RunConfig) -> String {
+        (self.run)(cfg)
     }
 }
 
-fn converge(spec: &Arc<NetworkSpec>, model: &Tier1Model, engine: Engine) -> Sim<BgpNode> {
+/// Runs `sim` to `deadline` (or `cfg.limits`, whichever is tighter).
+fn run_until(sim: &mut Sim<BgpNode>, cfg: RunConfig, deadline: Time) {
+    sim.run_engine(
+        cfg.engine,
+        RunLimits {
+            max_events: cfg.limits.max_events,
+            max_time: deadline.min(cfg.limits.max_time),
+        },
+    );
+}
+
+fn converge(spec: &Arc<NetworkSpec>, model: &Tier1Model, cfg: RunConfig) -> Sim<BgpNode> {
     let mut sim = abrr::build_sim(spec.clone());
     regen::replay(&mut sim, &churn::initial_snapshot(model), 1_000);
-    run_sim_engine(
-        &mut sim,
-        RunLimits {
-            max_events: u64::MAX,
-            max_time: SETTLE_BUDGET_US,
-        },
-        engine,
-    );
+    run_until(&mut sim, cfg, SETTLE_BUDGET_US);
     sim
 }
 
@@ -145,50 +138,52 @@ fn wired(mut spec: NetworkSpec, wire: WireMode) -> Arc<NetworkSpec> {
     Arc::new(spec)
 }
 
-fn fig6_abrr(engine: Engine, wire: WireMode) -> String {
+fn fig6_abrr(cfg: RunConfig) -> String {
     let model = golden_model();
     let opts = SpecOptions {
         mrai_us: 1_000_000,
         ..Default::default()
     };
-    let spec = wired(specs::abrr_spec(&model, 4, 2, &opts), wire);
-    let sim = converge(&spec, &model, engine);
+    let spec = wired(specs::abrr_spec(&model, 4, 2, &opts), cfg.wire);
+    let sim = converge(&spec, &model, cfg);
     fingerprint("fig6_abrr_4aps", &sim, &spec)
 }
 
-fn fig6_tbrr(engine: Engine, wire: WireMode) -> String {
+fn fig6_tbrr(cfg: RunConfig) -> String {
     let model = golden_model();
     let opts = SpecOptions {
         mrai_us: 1_000_000,
         ..Default::default()
     };
-    let spec = wired(specs::tbrr_spec(&model, 2, false, &opts), wire);
-    let sim = converge(&spec, &model, engine);
+    let spec = wired(specs::tbrr_spec(&model, 2, false, &opts), cfg.wire);
+    let sim = converge(&spec, &model, cfg);
     fingerprint("fig6_tbrr", &sim, &spec)
 }
 
-fn fig7_churn(engine: Engine, wire: WireMode) -> String {
+fn fig7_churn(cfg: RunConfig) -> String {
     let model = golden_model();
     let opts = SpecOptions {
         mrai_us: 1_000_000,
         ..Default::default()
     };
-    let spec = wired(specs::abrr_spec(&model, 4, 2, &opts), wire);
-    let mut sim = converge(&spec, &model, engine);
-    let cfg = ChurnConfig {
+    let spec = wired(specs::abrr_spec(&model, 4, 2, &opts), cfg.wire);
+    let mut sim = converge(&spec, &model, cfg);
+    let churn_cfg = ChurnConfig {
         duration_us: 60_000_000,
         events_per_sec: 2.0,
         ..ChurnConfig::default()
     };
-    run_churn(&mut sim, &model, &cfg, 1, engine);
+    let deadline = sim.now() + churn_cfg.duration_us + SETTLE_BUDGET_US;
+    regen::replay(&mut sim, &churn::generate(&model, &churn_cfg), 1);
+    run_until(&mut sim, cfg, deadline);
     fingerprint("fig7_churn_abrr", &sim, &spec)
 }
 
-fn resilience_arr_kill(engine: Engine, wire: WireMode) -> String {
+fn resilience_arr_kill(cfg: RunConfig) -> String {
     let model = golden_model();
     let opts = SpecOptions::default();
-    let spec = wired(specs::abrr_spec(&model, 4, 2, &opts), wire);
-    let mut sim = converge(&spec, &model, engine);
+    let spec = wired(specs::abrr_spec(&model, 4, 2, &opts), cfg.wire);
+    let mut sim = converge(&spec, &model, cfg);
     let mut sched = FaultSchedule::new(11);
     sched.push(
         sim.now() + 1_000_000,
@@ -198,14 +193,7 @@ fn resilience_arr_kill(engine: Engine, wire: WireMode) -> String {
     );
     compile(&sched, &spec, &mut sim).expect("schedule compiles");
     let deadline = sim.now() + SETTLE_BUDGET_US;
-    run_sim_engine(
-        &mut sim,
-        RunLimits {
-            max_events: u64::MAX,
-            max_time: deadline,
-        },
-        engine,
-    );
+    run_until(&mut sim, cfg, deadline);
     fingerprint("resilience_arr_kill", &sim, &spec)
 }
 

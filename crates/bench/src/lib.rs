@@ -27,19 +27,6 @@ use workload::{churn, regen, ChurnConfig, Tier1Model};
 /// testbed measured a running system, and report non-quiescence.
 pub const SETTLE_BUDGET_US: Time = 300_000_000;
 
-/// Runs `sim` under `engine` (see [`Args::engine`]). All engines
-/// produce bit-identical results by construction; this helper exists so
-/// every bin exposes the same knobs.
-pub fn run_sim_engine(sim: &mut Sim<BgpNode>, limits: RunLimits, engine: Engine) -> RunOutcome {
-    sim.run_engine(engine, limits)
-}
-
-/// Runs `sim` under the engine selected by the historical `threads`
-/// convention (0 = sequential, N >= 1 = epoch-parallel).
-pub fn run_sim(sim: &mut Sim<BgpNode>, limits: RunLimits, threads: usize) -> RunOutcome {
-    run_sim_engine(sim, limits, Engine::from_threads(threads))
-}
-
 /// Aggregate over a fleet of RRs: min/avg/max of a per-node metric.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MinAvgMax {
@@ -129,13 +116,12 @@ pub fn converge_snapshot(
 ) -> (Sim<BgpNode>, RunOutcome) {
     let mut sim = abrr::build_sim(spec);
     regen::replay(&mut sim, &churn::initial_snapshot(model), speedup);
-    let out = run_sim_engine(
-        &mut sim,
+    let out = sim.run_engine(
+        engine,
         RunLimits {
             max_events: u64::MAX,
             max_time: SETTLE_BUDGET_US,
         },
-        engine,
     );
     (sim, out)
 }
@@ -152,13 +138,12 @@ pub fn run_churn(
     let trace = churn::generate(model, cfg);
     let deadline = sim.now() + cfg.duration_us / speedup.max(1) + SETTLE_BUDGET_US;
     regen::replay(sim, &trace, speedup);
-    run_sim_engine(
-        sim,
+    sim.run_engine(
+        engine,
         RunLimits {
             max_events: u64::MAX,
             max_time: deadline,
         },
-        engine,
     )
 }
 
@@ -199,26 +184,24 @@ pub fn run_churn_streaming(
         if done {
             break;
         }
-        let out = run_sim_engine(
-            sim,
+        let out = sim.run_engine(
+            engine,
             RunLimits {
                 max_events: u64::MAX,
                 max_time: t0 + window_end / speedup,
             },
-            engine,
         );
         events += out.events;
         window_end += workload::churn::STREAM_CHUNK_US;
     }
     // Settle past the last record.
     let deadline = t0 + cfg.duration_us / speedup + SETTLE_BUDGET_US;
-    let out = run_sim_engine(
-        sim,
+    let out = sim.run_engine(
+        engine,
         RunLimits {
             max_events: u64::MAX,
             max_time: deadline,
         },
-        engine,
     );
     RunOutcome {
         quiesced: out.quiesced,

@@ -4,7 +4,7 @@
 //! Every experiment is the same machine with different knobs:
 //!
 //! ```text
-//! spec ── workload ── engine (--threads) ── auditors ── typed rows ── emitters
+//! spec ── workload ── engine (--engine) ── auditors ── typed rows ── emitters
 //! ```
 //!
 //! * **spec** — a [`Tier1Config`] from the binary's declared CLI knobs
@@ -12,8 +12,8 @@
 //! * **workload** — the initial RIB snapshot and optional churn/probe
 //!   traces ([`Experiment::converge`], [`Run::churn`]);
 //! * **engine** — sequential, epoch-parallel, or AP-sharded, selected
-//!   once by `--engine`/`--threads` and threaded through every run of
-//!   the binary;
+//!   once by `--engine` and threaded through every run of the
+//!   binary;
 //! * **auditors** — forwarding-loop and quiescence checks on the
 //!   converged state ([`Run::count_loops`], [`Run::require_quiesced`]);
 //! * **typed rows / emitters** — [`Table`] (fixed-width text) and
@@ -23,8 +23,7 @@
 //! knobs, which rows.
 
 use crate::{
-    converge_snapshot, counter_delta, fleet_stats, run_churn, run_sim_engine, Args, FleetStats,
-    SETTLE_BUDGET_US,
+    converge_snapshot, counter_delta, fleet_stats, run_churn, Args, FleetStats, SETTLE_BUDGET_US,
 };
 use abrr::{BgpNode, NetworkSpec, UpdateCounters};
 use bgp_types::{Ipv4Prefix, RouterId};
@@ -54,8 +53,8 @@ pub fn tier1_config(args: &Args, base: Tier1Config) -> Tier1Config {
 }
 
 /// One experiment invocation: the header has been printed and the
-/// engine chosen. All runs spawned from it share the
-/// `--engine`/`--threads` setting.
+/// engine chosen. All runs spawned from it share the `--engine`
+/// setting.
 pub struct Experiment {
     /// The engine every run of this invocation executes on.
     pub engine: Engine,
@@ -72,7 +71,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// Prints the standard experiment header and fixes the engine
-    /// choice from `--engine`/`--threads`. With `--obs`, turns on the
+    /// choice from `--engine`. With `--obs`, turns on the
     /// metrics registry and engine profiling for the whole invocation.
     pub fn start(args: &Args, title: &str, detail: &str) -> Experiment {
         crate::header(title, detail);
@@ -216,13 +215,12 @@ impl Run {
     /// Engine stage: advances simulated time to `t` (time-sliced
     /// sampling loops).
     pub fn advance_to(&mut self, t: Time) -> &RunOutcome {
-        self.outcome = run_sim_engine(
-            &mut self.sim,
+        self.outcome = self.sim.run_engine(
+            self.engine,
             RunLimits {
                 max_events: u64::MAX,
                 max_time: t,
             },
-            self.engine,
         );
         self.refresh_obs_gauges();
         &self.outcome

@@ -3,9 +3,9 @@
 //! The files under `tests/golden/` (workspace root) were recorded from
 //! the pre-role-split `BgpNode` — the monolithic engine — and gate the
 //! roles/ decomposition: the refactored engine must reproduce every
-//! per-node RIB size, Loc-RIB hash, and update counter byte-for-byte,
-//! under both the sequential engine and the deterministic parallel
-//! engine.
+//! per-node RIB size, Loc-RIB hash, and update counter byte-for-byte
+//! under the sequential engine (`engine_equivalence.rs` holds the
+//! parallel engines to the same files).
 //!
 //! Re-bless (after an intentional behavior change only):
 //!
@@ -41,7 +41,7 @@ fn fingerprints_match_golden() {
     let mut failures = Vec::new();
     for scn in scenarios() {
         let path = dir.join(format!("{}.txt", scn.name));
-        let actual = scn.run(0);
+        let actual = scn.run(Default::default());
         if bless {
             std::fs::write(&path, &actual).expect("write golden");
             eprintln!("blessed {}", path.display());
@@ -58,64 +58,4 @@ fn fingerprints_match_golden() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-/// The same scenarios under the parallel engine must match the same
-/// goldens — the engines are bit-identical by construction, so one set
-/// of files gates both.
-#[test]
-fn parallel_engine_matches_golden() {
-    if std::env::var("GOLDEN_BLESS").is_ok() {
-        return; // blessing is done by the sequential test
-    }
-    let dir = golden_dir();
-    for scn in scenarios() {
-        let path = dir.join(format!("{}.txt", scn.name));
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
-        let actual = scn.run(2);
-        assert_eq!(
-            expected,
-            actual,
-            "scenario {} diverged under the parallel engine ({})",
-            scn.name,
-            diff_head(&expected, &actual)
-        );
-    }
-}
-
-/// Worker-count sweep over all three engines: the storage layer must be
-/// invisible to scheduling — every engine at 1, 2, and 8 workers
-/// reproduces the same goldens byte-for-byte.
-#[test]
-fn all_engines_match_golden_across_worker_counts() {
-    if std::env::var("GOLDEN_BLESS").is_ok() {
-        return; // blessing is done by the sequential test
-    }
-    use netsim::Engine;
-    let engines = [
-        Engine::Seq,
-        Engine::Epoch(1),
-        Engine::Epoch(2),
-        Engine::Epoch(8),
-        Engine::Sharded(1),
-        Engine::Sharded(2),
-        Engine::Sharded(8),
-    ];
-    let dir = golden_dir();
-    for scn in scenarios() {
-        let path = dir.join(format!("{}.txt", scn.name));
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
-        for engine in engines {
-            let actual = scn.run_engine(engine);
-            assert_eq!(
-                expected,
-                actual,
-                "scenario {} diverged under {engine:?} ({})",
-                scn.name,
-                diff_head(&expected, &actual)
-            );
-        }
-    }
 }

@@ -20,14 +20,22 @@
 use abrr::scenarios::small_reference;
 use abrr::spec::Mode;
 use abrr_bench::fingerprint::golden_dir;
-use netsim::{Engine, WireMode};
+use netsim::{Engine, RunConfig, RunLimits, Time, WireMode};
 
 /// Runs the reference scenario in verify wire mode with the pcap sink
 /// enabled and returns the rendered capture file.
 fn capture(engine: Engine) -> Vec<u8> {
     obs::pcap::reset();
     obs::pcap::enable();
-    let (_, outcome) = small_reference().run_wire(Mode::Abrr, 1_000_000, engine, WireMode::Verify);
+    let cfg = RunConfig {
+        engine,
+        wire: WireMode::Verify,
+        limits: RunLimits {
+            max_events: 1_000_000,
+            max_time: Time::MAX,
+        },
+    };
+    let (_, outcome) = small_reference().run(Mode::Abrr, cfg);
     assert!(
         outcome.quiesced,
         "small_reference did not quiesce on {}",

@@ -48,7 +48,7 @@ fn dsl_fingerprint(stem: &str, mode: ModeSpec) -> String {
     let loaded = scenario::load_path(&path)
         .unwrap_or_else(|e| panic!("{} failed to load: {e:?}", path.display()));
     let run = loaded
-        .run(mode, 0, true)
+        .run(mode, true, Default::default())
         .unwrap_or_else(|e| panic!("{stem} failed to run: {e}"));
     assert!(
         run.outcome.quiesced,
@@ -58,7 +58,14 @@ fn dsl_fingerprint(stem: &str, mode: ModeSpec) -> String {
 }
 
 fn rust_fingerprint(stem: &str, scn: &Scenario, mode: ModeSpec) -> String {
-    let (sim, outcome) = scn.run(mode_of(mode), 1_000_000);
+    let budget = netsim::RunConfig {
+        limits: netsim::RunLimits {
+            max_events: 1_000_000,
+            max_time: netsim::Time::MAX,
+        },
+        ..Default::default()
+    };
+    let (sim, outcome) = scn.run(mode_of(mode), budget);
     assert!(
         outcome.quiesced,
         "{stem} (Rust constructor) did not quiesce under {mode:?}"
@@ -128,7 +135,7 @@ fn tier1_reference_reproduces_fig6_goldens() {
         (ModeSpec::Tbrr, "fig6_tbrr"),
     ] {
         let run = loaded
-            .run(mode, 0, true)
+            .run(mode, true, Default::default())
             .unwrap_or_else(|e| panic!("tier1_reference failed to run: {e}"));
         let actual = fingerprint(golden, &run.sim, &run.spec);
         let gpath = golden_dir().join(format!("{golden}.txt"));

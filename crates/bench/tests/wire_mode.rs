@@ -16,7 +16,7 @@
 //! state; a single test function serializes the runs by construction.
 
 use abrr_bench::fingerprint::scenarios;
-use netsim::{Engine, WireMode};
+use netsim::{Engine, RunConfig, WireMode};
 
 /// One scenario run under one engine and wire mode, with fresh obs
 /// state, returning (fingerprint, trace JSONL).
@@ -27,7 +27,11 @@ fn run_traced(
 ) -> (String, String) {
     obs::trace::reset();
     obs::trace::set_spec("trace");
-    let fp = scenario.run_wire(engine, wire);
+    let fp = scenario.run(RunConfig {
+        engine,
+        wire,
+        ..Default::default()
+    });
     let trace = obs::trace::drain_jsonl();
     obs::trace::set_spec("off");
     (fp, trace)

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod counters;
 pub mod msg;
 pub mod node;
 pub mod roles;
@@ -66,9 +65,9 @@ pub mod scenarios;
 pub mod spec;
 pub mod wire;
 
-pub use counters::UpdateCounters;
 pub use msg::{BgpMsg, ExternalEvent, SessionMsg, WireFrame};
 pub use node::{BgpNode, Selected};
+pub use obs::counters::UpdateCounters;
 pub use spec::{build_sim, AbrrLoopPrevention, ClusterSpec, LatencyModel, Mode, NetworkSpec};
 
 /// Convenient glob-import surface for examples and experiments.

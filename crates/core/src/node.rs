@@ -17,11 +17,11 @@
 //! 3. **Lifecycle**: input batching, session up/down/restart fan-out,
 //!    and the §2.2 AP-reassignment choreography across roles.
 
-use crate::counters::UpdateCounters;
 use crate::msg::{BgpMsg, ExternalEvent, Plane, SessionMsg};
 use crate::roles::{AdvertiseEnv, ArrRole, BorderRole, Chassis, ClientRole, Role, Rx, TrrRole};
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
+use crate::UpdateCounters;
 use bgp_rib::{best_path, Candidate, PathSet};
 use bgp_types::{ApId, Ipv4Prefix, PathAttributes, PathId, RouteSource, RouterId};
 use netsim::{Ctx, Protocol};

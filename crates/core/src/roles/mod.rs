@@ -38,11 +38,11 @@ pub use border::BorderRole;
 pub use client::ClientRole;
 pub use trr::TrrRole;
 
-use crate::counters::UpdateCounters;
 use crate::msg::{BgpMsg, Plane, SessionMsg};
 use crate::node::Selected;
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
+use crate::UpdateCounters;
 use bgp_rib::{best_path, AdjRibOut, Candidate, PathSet, PrefixSlab};
 use bgp_types::{ApId, Ipv4Prefix, NextHop, PathAttributes, RouterId};
 use netsim::{Ctx, Mrai, MraiVerdict};

@@ -171,53 +171,19 @@ impl Scenario {
         }
     }
 
-    /// Builds, feeds, and runs the scenario under `mode`; returns the
-    /// sim and the run outcome. `max_events` bounds oscillations.
+    /// Builds, feeds, and runs the scenario under `mode` with the
+    /// engine, session wire mode and limits of `cfg`; returns the sim
+    /// and the run outcome. Every engine and wire mode produces the
+    /// same outcome — the differential oracles assert exactly that — so
+    /// `cfg.limits.max_events` is the knob that matters: it bounds
+    /// oscillations.
     pub fn run(
         &self,
         mode: Mode,
-        max_events: u64,
-    ) -> (netsim::Sim<crate::node::BgpNode>, netsim::RunOutcome) {
-        self.run_threaded(mode, max_events, 0)
-    }
-
-    /// Like [`Scenario::run`], but selecting the engine via the
-    /// historical `threads` convention: `threads == 0` runs the
-    /// sequential event loop, `threads >= 1` the epoch-parallel
-    /// engine. Outcomes are identical either way.
-    pub fn run_threaded(
-        &self,
-        mode: Mode,
-        max_events: u64,
-        threads: usize,
-    ) -> (netsim::Sim<crate::node::BgpNode>, netsim::RunOutcome) {
-        self.run_engine(mode, max_events, netsim::Engine::from_threads(threads))
-    }
-
-    /// Like [`Scenario::run`], but under an explicit [`netsim::Engine`].
-    /// All engines produce identical outcomes.
-    pub fn run_engine(
-        &self,
-        mode: Mode,
-        max_events: u64,
-        engine: netsim::Engine,
-    ) -> (netsim::Sim<crate::node::BgpNode>, netsim::RunOutcome) {
-        self.run_wire(mode, max_events, engine, netsim::WireMode::Off)
-    }
-
-    /// Like [`Scenario::run_engine`], but with sessions in the given
-    /// [`netsim::WireMode`]. Wire transport is behaviorally invisible,
-    /// so outcomes are identical across modes too — which is exactly
-    /// what the differential wire oracles assert.
-    pub fn run_wire(
-        &self,
-        mode: Mode,
-        max_events: u64,
-        engine: netsim::Engine,
-        wire: netsim::WireMode,
+        cfg: netsim::RunConfig,
     ) -> (netsim::Sim<crate::node::BgpNode>, netsim::RunOutcome) {
         let mut spec = self.spec(mode);
-        spec.wire_mode = wire;
+        spec.wire_mode = cfg.wire;
         let spec = Arc::new(spec);
         let mut sim = crate::spec::build_sim(spec);
         for (router, ev) in &self.feeds {
@@ -226,11 +192,7 @@ impl Scenario {
         for (at, router, ev) in &self.events {
             sim.schedule_external(*at, *router, ev.clone());
         }
-        let limits = netsim::RunLimits {
-            max_events,
-            max_time: u64::MAX,
-        };
-        let outcome = sim.run_engine(engine, limits);
+        let outcome = sim.run_engine(cfg.engine, cfg.limits);
         (sim, outcome)
     }
 }
@@ -379,12 +341,22 @@ mod tests {
     use super::*;
     use crate::audit;
 
-    const OSC_BUDGET: u64 = 50_000;
+    /// Sequential, struct mode, 50 000 events to tell oscillation from
+    /// convergence.
+    fn osc_budget() -> netsim::RunConfig {
+        netsim::RunConfig {
+            limits: netsim::RunLimits {
+                max_events: 50_000,
+                max_time: Time::MAX,
+            },
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn med_gadget_oscillates_under_tbrr() {
         let s = med_gadget();
-        let (_, outcome) = s.run(Mode::Tbrr { multipath: false }, OSC_BUDGET);
+        let (_, outcome) = s.run(Mode::Tbrr { multipath: false }, osc_budget());
         assert!(
             !outcome.quiesced,
             "single-path TBRR must oscillate on the MED gadget (got {} events)",
@@ -395,7 +367,7 @@ mod tests {
     #[test]
     fn med_gadget_converges_under_abrr() {
         let s = med_gadget();
-        let (sim, outcome) = s.run(Mode::Abrr, OSC_BUDGET);
+        let (sim, outcome) = s.run(Mode::Abrr, osc_budget());
         assert!(outcome.quiesced, "ABRR must converge on the MED gadget");
         // And picks loop-free paths.
         let spec = s.spec(Mode::Abrr);
@@ -405,14 +377,14 @@ mod tests {
     #[test]
     fn med_gadget_converges_under_full_mesh() {
         let s = med_gadget();
-        let (_, outcome) = s.run(Mode::FullMesh, OSC_BUDGET);
+        let (_, outcome) = s.run(Mode::FullMesh, osc_budget());
         assert!(outcome.quiesced);
     }
 
     #[test]
     fn topology_gadget_oscillates_under_tbrr() {
         let s = topology_gadget();
-        let (_, outcome) = s.run(Mode::Tbrr { multipath: false }, OSC_BUDGET);
+        let (_, outcome) = s.run(Mode::Tbrr { multipath: false }, osc_budget());
         assert!(
             !outcome.quiesced,
             "single-path TBRR must oscillate on the topology gadget"
@@ -422,7 +394,7 @@ mod tests {
     #[test]
     fn topology_gadget_converges_under_abrr() {
         let s = topology_gadget();
-        let (sim, outcome) = s.run(Mode::Abrr, OSC_BUDGET);
+        let (sim, outcome) = s.run(Mode::Abrr, osc_budget());
         assert!(outcome.quiesced);
         // Every client exits via its IGP-nearest border (C1 stays local
         // etc.; RR1 prefers C2's exit — and that's fine, no loop).
@@ -433,8 +405,8 @@ mod tests {
     #[test]
     fn topology_gadget_matches_full_mesh_exits() {
         let s = topology_gadget();
-        let (abrr_sim, o1) = s.run(Mode::Abrr, OSC_BUDGET);
-        let (mesh_sim, o2) = s.run(Mode::FullMesh, OSC_BUDGET);
+        let (abrr_sim, o1) = s.run(Mode::Abrr, osc_budget());
+        let (mesh_sim, o2) = s.run(Mode::FullMesh, osc_budget());
         assert!(o1.quiesced && o2.quiesced);
         let spec = s.spec(Mode::Abrr);
         let report = audit::compare_exits(&abrr_sim, &spec, &mesh_sim, &s.routers, &s.prefixes);
@@ -452,8 +424,8 @@ mod tests {
         // router's own eBGP route — border B must exit via A, exactly
         // as under full mesh, not stick to its own MED-looser route.
         let s = med_gadget();
-        let (ab, o1) = s.run(Mode::Abrr, OSC_BUDGET);
-        let (fm, o2) = s.run(Mode::FullMesh, OSC_BUDGET);
+        let (ab, o1) = s.run(Mode::Abrr, osc_budget());
+        let (fm, o2) = s.run(Mode::FullMesh, osc_budget());
         assert!(o1.quiesced && o2.quiesced);
         for r in &s.routers {
             assert_eq!(
@@ -485,7 +457,7 @@ mod tests {
             Mode::Tbrr { multipath: false },
             Mode::Tbrr { multipath: true },
         ] {
-            let (_, outcome) = s.run(mode.clone(), OSC_BUDGET);
+            let (_, outcome) = s.run(mode.clone(), osc_budget());
             assert!(outcome.quiesced, "{mode:?} did not converge");
         }
     }

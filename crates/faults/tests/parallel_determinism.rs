@@ -1,19 +1,20 @@
 //! Engine-equivalence regression: a faulted ABRR scenario — snapshot
 //! load, churn, session flap, router crash, permanent ARR failure —
 //! must produce *bit-identical* results under the sequential event loop
-//! and the deterministic parallel engine at any worker count. Compared
-//! per run: every router's full Loc-RIB (prefix, exit, attributes),
+//! and both policies of the parallel window loop at any worker count.
+//! Compared per run: every router's full Loc-RIB (prefix, exit, attributes),
 //! per-node send/receive counters, the run outcome (event count, end
 //! time, quiescence), and the resilience audit verdict.
 //!
 //! This is the guardrail for the conservative-synchronization design in
-//! netsim::parallel: if a code change breaks the epoch merge order (or
+//! netsim::window: if a code change breaks the window merge order (or
 //! any node callback grows cross-node state), this test fails before
 //! any experiment silently drifts.
 
 use abrr::prelude::*;
 use bgp_types::{FxHasher, RouterId};
 use faults::{compile, FaultKind, FaultSchedule, ResilienceProbe};
+use netsim::Engine;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use workload::specs::{self, SpecOptions};
@@ -52,9 +53,9 @@ struct Observed {
     loops: u64,
 }
 
-/// Builds the faulted scenario and runs it to quiescence under the
-/// selected engine (`None` = sequential `Sim::run`).
-fn run_scenario(threads: Option<usize>) -> Observed {
+/// Builds the faulted scenario and runs it to quiescence under
+/// `engine`.
+fn run_scenario(engine: Engine) -> Observed {
     let m = model();
     let opts = SpecOptions {
         mrai_us: 0,
@@ -64,8 +65,8 @@ fn run_scenario(threads: Option<usize>) -> Observed {
     let mut sim = abrr::build_sim(spec.clone());
     regen::replay(&mut sim, &churn::initial_snapshot(&m), 1_000);
 
-    // Churn overlapping the fault window keeps the parallel epochs busy
-    // while global (session/node) events interleave.
+    // Churn overlapping the fault window keeps the parallel windows
+    // busy while global (session/node) events interleave.
     let churn_cfg = ChurnConfig {
         seed: 7,
         duration_us: 20_000_000,
@@ -96,10 +97,7 @@ fn run_scenario(threads: Option<usize>) -> Observed {
     sched.push(12_000_000, FaultKind::ArrFailure { arr: victim_arr });
     compile(&sched, &spec, &mut sim).expect("schedule compiles");
 
-    let outcome = match threads {
-        None => sim.run_to_quiescence(),
-        Some(t) => sim.run_parallel_to_quiescence(t),
-    };
+    let outcome = sim.run_engine(engine, RunLimits::default());
 
     let survivors: Vec<RouterId> = spec
         .all_nodes()
@@ -118,28 +116,30 @@ fn run_scenario(threads: Option<usize>) -> Observed {
 }
 
 #[test]
-fn parallel_engine_matches_sequential_on_faulted_run() {
-    let seq = run_scenario(None);
+fn parallel_engines_match_sequential_on_faulted_run() {
+    let seq = run_scenario(Engine::Seq);
     assert!(seq.outcome.quiesced, "scenario must drain");
-    for threads in [1usize, 2, 8] {
-        let par = run_scenario(Some(threads));
-        assert_eq!(
-            seq.outcome, par.outcome,
-            "run outcome diverged at {threads} threads"
-        );
-        assert_eq!(
-            seq.stats, par.stats,
-            "node send/recv counters diverged at {threads} threads"
-        );
-        assert_eq!(
-            seq.ribs, par.ribs,
-            "RIB fingerprints diverged at {threads} threads"
-        );
-        assert_eq!(
-            (seq.blackholed, seq.loops),
-            (par.blackholed, par.loops),
-            "resilience audit diverged at {threads} threads"
-        );
+    for workers in [1, 2, 8] {
+        for engine in [Engine::Epoch(workers), Engine::Sharded(workers)] {
+            let par = run_scenario(engine);
+            assert_eq!(
+                seq.outcome, par.outcome,
+                "run outcome diverged under {engine:?}"
+            );
+            assert_eq!(
+                seq.stats, par.stats,
+                "node send/recv counters diverged under {engine:?}"
+            );
+            assert_eq!(
+                seq.ribs, par.ribs,
+                "RIB fingerprints diverged under {engine:?}"
+            );
+            assert_eq!(
+                (seq.blackholed, seq.loops),
+                (par.blackholed, par.loops),
+                "resilience audit diverged under {engine:?}"
+            );
+        }
     }
 }
 
@@ -147,8 +147,8 @@ fn parallel_engine_matches_sequential_on_faulted_run() {
 fn sequential_rerun_is_reproducible() {
     // Sanity floor for the comparison above: the scenario itself is
     // deterministic run-to-run under one engine.
-    let a = run_scenario(None);
-    let b = run_scenario(None);
+    let a = run_scenario(Engine::Seq);
+    let b = run_scenario(Engine::Seq);
     assert_eq!(a.outcome, b.outcome);
     assert_eq!(a.ribs, b.ribs);
 }

@@ -15,25 +15,24 @@
 //! a single `(time, seq)`-ordered event heap, nodes as state machines
 //! implementing [`Protocol`], and all I/O expressed as messages.
 //!
-//! Three execution engines share that state: the sequential loop
-//! [`Sim::run`] (the oracle); the conservative epoch-parallel engine
-//! [`Sim::run_parallel`] (see [`parallel`]), which drains each
-//! same-timestamp epoch across a worker pool and merges results in
-//! sequential order; and the AP-sharded engine [`Sim::run_sharded`]
-//! (see [`sharded`]), which batches prefix-plane events into
-//! multi-timestamp lookahead windows routed to per-shard workers,
-//! fencing only at session-semantic boundaries. All three produce
-//! bit-identical outputs, selectable per run via [`Engine`].
+//! Three execution engines share that state, selected per run by
+//! [`Sim::run_engine`]: the sequential loop [`Sim::run`] (the oracle),
+//! and two scheduling policies of one parallel window loop (see
+//! [`window`]) — [`Engine::Epoch`], which drains each same-timestamp
+//! epoch across a worker pool, and [`Engine::Sharded`], which batches
+//! prefix-plane events into multi-timestamp lookahead windows routed to
+//! per-shard workers, fencing only at session-semantic boundaries. All
+//! three produce bit-identical outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mrai;
-pub mod parallel;
-pub mod sharded;
 pub mod sim;
+pub mod window;
 
 pub use mrai::{Mrai, MraiVerdict};
 pub use sim::{
-    Ctx, Engine, ExternalClass, NodeStats, Protocol, RunLimits, RunOutcome, Sim, Time, WireMode,
+    Ctx, Engine, ExternalClass, NodeStats, Protocol, RunConfig, RunLimits, RunOutcome, Sim, Time,
+    WireMode,
 };

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 /// Simulated time in microseconds.
 pub type Time = u64;
 
-/// How the sharded engine ([`Sim::run_sharded`]) treats an external
+/// How the sharded engine ([`Engine::Sharded`]) treats an external
 /// event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExternalClass {
@@ -82,38 +82,47 @@ impl WireMode {
     }
 }
 
-/// Selects one of the execution engines sharing a [`Sim`]'s state. All
-/// three produce bit-identical outcomes, traces, and fingerprints; they
-/// differ only in how work is scheduled onto OS threads.
+/// Selects one of the execution engines sharing a [`Sim`]'s state
+/// ([`Sim::run_engine`]). All three produce bit-identical outcomes,
+/// traces, and fingerprints; they differ only in how work is scheduled
+/// onto OS threads. The two parallel engines are scheduling policies of
+/// one window loop (see [`crate::window`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// The sequential oracle loop ([`Sim::run`]).
     Seq,
-    /// Conservative per-timestamp epochs on N workers
-    /// ([`Sim::run_parallel`]).
+    /// Conservative per-timestamp epochs on N workers: zero lookahead,
+    /// global events as the only fences, tasks routed by node id.
     Epoch(usize),
-    /// AP-sharded multi-timestamp windows with session-boundary fences
-    /// on N shard workers ([`Sim::run_sharded`]).
+    /// AP-sharded multi-timestamp windows on N shard workers: per-node
+    /// lookahead, protocol-declared fences, AP shard hints.
     Sharded(usize),
 }
 
 impl Engine {
-    /// The historical `--threads` convention: 0 selects the sequential
-    /// engine, N >= 1 the epoch-parallel engine on N workers.
-    pub fn from_threads(threads: usize) -> Engine {
-        if threads == 0 {
-            Engine::Seq
-        } else {
-            Engine::Epoch(threads)
-        }
-    }
-
     /// Stable engine name (`"seq"`, `"epoch"`, `"sharded"`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Seq => "seq",
             Engine::Epoch(_) => "epoch",
             Engine::Sharded(_) => "sharded",
+        }
+    }
+
+    /// Parses an engine as written on a command line (`--engine`):
+    /// `seq`, `epoch:N` or `sharded:N` with `N >= 1` workers. A
+    /// parallel engine always names its worker count, so nothing can
+    /// silently fall back to the sequential loop.
+    pub fn parse(s: &str) -> Option<Engine> {
+        if s == "seq" {
+            return Some(Engine::Seq);
+        }
+        let (kind, workers) = s.split_once(':')?;
+        let workers = workers.parse().ok().filter(|&n: &usize| n >= 1)?;
+        match kind {
+            "epoch" => Some(Engine::Epoch(workers)),
+            "sharded" => Some(Engine::Sharded(workers)),
+            _ => None,
         }
     }
 
@@ -161,12 +170,12 @@ pub trait Protocol {
     fn on_restart(&mut self, _ctx: &mut Ctx<Self::Msg>) {}
 
     /// Classifies an external event about to be injected into this node
-    /// for the sharded engine ([`Sim::run_sharded`]): prefix-plane
+    /// for the sharded engine ([`Engine::Sharded`]): prefix-plane
     /// events batch freely inside a window; session-plane events fence.
     /// The default treats every external as prefix-plane work with a
     /// neutral shard hint — correct for any protocol, since fencing is
     /// only *required* for events whose handler rewrites cross-prefix
-    /// routing structure (see `crate::sharded`).
+    /// routing structure (see `crate::window`).
     fn classify_external(&self, _ev: &Self::External) -> ExternalClass {
         ExternalClass::Prefix { shard_hint: 0 }
     }
@@ -228,8 +237,8 @@ impl<M> Ctx<M> {
         self.actions.push(Action::SetTimer { at, token });
     }
 
-    /// Builds a context for a parallel-epoch worker, reusing `actions`
-    /// as the collection buffer.
+    /// Builds a context for a window worker, reusing `actions` as the
+    /// collection buffer.
     pub(crate) fn for_worker(now: Time, node: RouterId, actions: Vec<Action<M>>) -> Self {
         Ctx { now, node, actions }
     }
@@ -299,6 +308,35 @@ impl Default for RunLimits {
         RunLimits {
             max_events: 10_000_000,
             max_time: Time::MAX,
+        }
+    }
+}
+
+/// How to run a scenario: the one knob set every scenario-level `run`
+/// entry point takes (`abrr::scenarios::Scenario::run`, the scenario
+/// DSL's `Loaded::run`, the bench goldens). The default is the
+/// sequential engine over in-memory structs with no caller limit.
+#[derive(Clone, Copy, Debug)]
+pub struct RunConfig {
+    /// Execution engine.
+    pub engine: Engine,
+    /// Session transport, written into the spec the sim is built from.
+    pub wire: WireMode,
+    /// Caps on every run segment, on top of whatever budget the
+    /// scenario itself declares. The default imposes none — unlike
+    /// [`RunLimits::default`], which guards against oscillation.
+    pub limits: RunLimits,
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            engine: Engine::Seq,
+            wire: WireMode::Off,
+            limits: RunLimits {
+                max_events: u64::MAX,
+                max_time: Time::MAX,
+            },
         }
     }
 }
@@ -558,7 +596,7 @@ impl<P: Protocol> Sim<P> {
             self.now = at;
             events += 1;
             // Stamp the trace dispatch context with this entry's
-            // (time, id) — the parallel engine stamps the same pairs,
+            // (time, id) — the window workers stamp the same pairs,
             // which is what makes merged traces byte-identical.
             obs::trace::set_dispatch(at, entry.id);
             self.dispatch_event(entry.ev);
@@ -583,7 +621,7 @@ impl<P: Protocol> Sim<P> {
     }
 
     /// Mirrors run-level totals into the metrics registry (one batched
-    /// add per run — never per event). Shared by both engines.
+    /// add per run — never per event). Shared by every engine.
     pub(crate) fn record_run_metrics(&self, events: u64) {
         if !obs::metrics::enabled() {
             return;
@@ -599,8 +637,8 @@ impl<P: Protocol> Sim<P> {
     }
 
     /// Applies a single event at the current time. Shared by the
-    /// sequential loop and (for global events) the parallel engine in
-    /// [`crate::parallel`].
+    /// sequential loop and (for fences) the window loop in
+    /// [`crate::window`].
     pub(crate) fn dispatch_event(&mut self, ev: Event<P>) {
         match ev {
             Event::Deliver { from, to, msg } => {
@@ -704,9 +742,11 @@ impl<P: Protocol> Sim<P> {
         self.action_buf = actions;
     }
 
-    /// Applies one collected action emitted by node `from` at `self.now`.
-    /// Shared by [`Sim::with_node`] and the parallel-epoch merge.
-    pub(crate) fn apply_action(&mut self, from: RouterId, action: Action<P::Msg>) {
+    /// Applies one collected action emitted by node `from` at `self.now`
+    /// and returns when the event it pushed fires (`None`: a send
+    /// dropped for want of a session). Shared by [`Sim::with_node`] and
+    /// the window merge, which checks the time against its window.
+    pub(crate) fn apply_action(&mut self, from: RouterId, action: Action<P::Msg>) -> Option<Time> {
         match action {
             Action::Send { to, msg } => {
                 if let Some(&lat) = self.session_latency(from, to) {
@@ -726,13 +766,18 @@ impl<P: Protocol> Sim<P> {
                             })
                             .record(lat);
                     }
-                    self.push(self.now + lat, Event::Deliver { from, to, msg });
+                    let at = self.now + lat;
+                    self.push(at, Event::Deliver { from, to, msg });
+                    Some(at)
                 } else {
                     self.dropped += 1;
+                    None
                 }
             }
             Action::SetTimer { at, token } => {
-                self.push(at.max(self.now), Event::Timer { node: from, token });
+                let at = at.max(self.now);
+                self.push(at, Event::Timer { node: from, token });
+                Some(at)
             }
         }
     }

@@ -1,116 +1,128 @@
-//! AP-sharded parallel execution with session-boundary fences.
+//! The parallel engines: one window loop, two scheduling policies.
 //!
-//! [`Sim::run_sharded`] is the second parallel engine. Where
-//! [`Sim::run_parallel`] barriers every node at every timestamp, this
-//! engine exploits the structure ABRR itself provides: prefix-plane
-//! events (UPDATE/WITHDRAW deliveries, MRAI flush timers, per-prefix
-//! decision recomputations) in different Address Partitions never
-//! interact, so per-AP work can run ahead across *multiple* timestamps
-//! on its own shard worker. Only *session-plane* events — session
-//! up/down, node crash/restart, and protocol-declared externals like
-//! session resets and AP reassignment — synchronize: they act as
-//! fences at which every shard rendezvouses before the shared session
-//! and role structure changes.
+//! [`Sim::run_engine`] runs [`Engine::Epoch`] and [`Engine::Sharded`] on
+//! the same driver: one worker pool and one collect → partition →
+//! execute → merge loop, bit-identical to [`Sim::run`]. The loop
+//! alternates between two states:
 //!
-//! Concretely, the loop alternates between two states:
+//! * **Fence**: the head event mutates state shared by every node — a
+//!   *global* event (session up/down, node crash/restart) or, under the
+//!   sharded policy, an external the protocol classifies as
+//!   [`ExternalClass::Fence`]. It runs sequentially through the exact
+//!   [`Sim::run`] dispatch path, after the previous window has fully
+//!   merged.
+//! * **Window**: the head is a pure per-node callback (delivery, timer,
+//!   prefix-plane external). The engine pops a *window* of pure events
+//!   spanning as many timestamps as the lookahead horizon allows,
+//!   partitions it by node, runs the per-node tasks concurrently, and
+//!   merges the collected actions back in exact sequential order.
 //!
-//! * **Fence**: the head event is global (`parallel::is_global`) or
-//!   an external the protocol classifies as [`ExternalClass::Fence`].
-//!   It runs sequentially through the exact [`Sim::run`] dispatch path.
-//! * **Window**: the head is pure. The engine pops a *window* of pure
-//!   events spanning as many timestamps as the lookahead horizon
-//!   allows, partitions it by node, routes each node task to a shard
-//!   worker chosen by AP affinity ([`Protocol::msg_shard`] /
-//!   [`ExternalClass::Prefix`] hints), executes tasks concurrently,
-//!   and merges the collected actions back in exact sequential order.
-//!
-//! # The lookahead horizon (why multi-timestamp windows are safe)
+//! # Why a window is safe (the determinism argument)
 //!
 //! The sequential engine processes events in `(time, id)` order, and
 //! ids double as tie-breaks *and* trace keys, so equivalence requires
-//! replaying the exact id-assignment schedule. A window is safe exactly
-//! when no action emitted by a window event can precede any window
-//! event in that order. Let `lead(n)` be a lower bound on how far into
-//! the future node `n`'s callbacks can schedule anything:
+//! replaying the exact id-assignment schedule. Three facts make the
+//! callbacks of one window order-independent:
 //!
-//! ```text
-//! lead(n) = min( min latency of any session incident to n,
-//!                n.timer_lead() )
-//! ```
+//! 1. **Callbacks only touch their own node.** A [`Protocol`] callback
+//!    receives `&mut self` and a [`Ctx`] that *collects* actions; it
+//!    cannot read or write another node, the session table, the event
+//!    queue, or the counters.
+//! 2. **Same-node events stay ordered.** Events targeting one node are
+//!    handled by one task in ascending `(time, id)` order, preserving
+//!    per-session FIFO and timer ordering.
+//! 3. **No action lands inside the window.** Let `lead(n)` be a lower
+//!    bound on how far into the future node `n`'s callbacks can
+//!    schedule anything:
 //!
-//! A callback running at time `t` on node `n` can only push events at
-//! `t' >= t + lead(n)` (sends arrive after session latency; timers obey
-//! the [`Protocol::timer_lead`] promise). The collection loop
-//! maintains `horizon = min over collected events e of (t_e +
-//! lead(node_e))` and admits the next heap head only while `head.at <=
-//! horizon`. For any two window events `e_i`, `e_j`: if `e_j` was
-//! admitted after `e_i` then `t_j <= t_i + lead(node_i)` by the
-//! horizon check, and if before, then `t_i >= t_j` since the heap pops
-//! in nondecreasing time. Either way every push from `e_i` lands at
-//! `t' >= t_j`; and at `t' == t_j` the push's fresh sequence id is
-//! larger than `e_j`'s. So the window is **exactly the next |window|
-//! events of the sequential schedule** — no speculation, no rollback.
-//! Merging actions in ascending window order (with `now` set to each
-//! originating event's time) then reproduces the sequential engine's
-//! pushes, ids, counters, and trace stamps verbatim.
+//!    ```text
+//!    lead(n) = min( min latency of any session incident to n,
+//!                   n.timer_lead() )
+//!    ```
 //!
-//! With the default `timer_lead() == 0` the horizon collapses to the
-//! head timestamp and windows degenerate to per-timestamp epochs —
-//! sound for any protocol, including ones that set same-instant
-//! timers. BGP nodes promise real leads (processing delay, strictly
-//! future MRAI flushes), and with MRAI off a window stretches to the
-//! minimum session latency — classic conservative-DES lookahead.
+//!    A callback running at time `t` on node `n` can only push events
+//!    at `t' >= t + lead(n)` (sends arrive after session latency; timers
+//!    obey the [`Protocol::timer_lead`] promise). The collection loop
+//!    maintains `horizon = min over collected events e of (t_e +
+//!    lead(node_e))` and admits the next heap head only while `head.at
+//!    <= horizon`. For any two window events `e_i`, `e_j`: if `e_j` was
+//!    admitted after `e_i` then `t_j <= t_i + lead(node_i)` by the
+//!    horizon check, and if before, then `t_i >= t_j` since the heap
+//!    pops in nondecreasing time. Either way every push from `e_i`
+//!    lands at `t' >= t_j`; and at `t' == t_j` the push's fresh
+//!    sequence id is larger than `e_j`'s.
 //!
-//! # Why fences are where they are
+//! So the window is **exactly the next |window| events of the
+//! sequential schedule** — no speculation, no rollback — and applying
+//! the collected actions in ascending window order (with `now` set to
+//! each originating event's time) reproduces the sequential engine's
+//! pushes, ids, counters, and trace stamps verbatim. Fact 3 rests on a
+//! promise the engine cannot derive, so the merge *checks* it: a push
+//! that lands before the window's last event panics, naming the node.
 //!
-//! Global events mutate the session table and the `down` set that
-//! every in-window drop decision and `lead` bound reads. Protocol
-//! fences (see `abrr`'s classification) cover externals whose handlers
-//! rewrite *cross-prefix* routing structure: a session reset purges
-//! and resyncs entire peer state; an AP reassignment rewrites peer
-//! groups and the managed table for every prefix of the AP; a
-//! transition cutover re-evaluates every covered prefix. Running those
-//! inside a window would interleave one shard's structural rewrite
-//! with other shards' per-prefix work — the sharded engine instead
-//! drains all shards, applies the change on the sequential path, and
-//! reopens windows against the new structure.
+//! # The two policies
 //!
-//! Shard routing itself (`hint % shards`, falling back to the node id)
-//! is deliberately only a locality lever: correctness comes from
+//! * **[`Engine::Epoch`]** takes `lead ≡ 0`. The horizon collapses to
+//!   the head timestamp, so a window is the maximal run of pure
+//!   same-timestamp events — sound for any protocol, including ones
+//!   that set same-instant timers, as the corollary of the argument
+//!   above. Only global events fence, and tasks go to worker `node id
+//!   mod N`.
+//! * **[`Engine::Sharded`]** uses the real per-node `lead`. BGP nodes
+//!   promise one (processing delay, strictly future MRAI flushes), and
+//!   with MRAI off a window stretches to the minimum session latency —
+//!   classic conservative-DES lookahead. Protocol fences cover
+//!   externals whose handlers rewrite *cross-prefix* routing structure
+//!   (a session reset purges and resyncs entire peer state; an AP
+//!   reassignment rewrites peer groups and the managed table for every
+//!   prefix of the AP; a transition cutover re-evaluates every covered
+//!   prefix): the engine drains all workers, applies the change on the
+//!   sequential path, and reopens windows against the new structure.
+//!   Tasks are routed by the AP affinity hints of [`Protocol::msg_shard`]
+//!   / [`ExternalClass::Prefix`], since ABRR's prefix-plane work in
+//!   different Address Partitions never interacts.
+//!
+//! Routing is only ever a locality lever: correctness comes from
 //! per-node task serialization plus the canonical merge order, so a
 //! spanning prefix or a mis-hinted message costs locality, never
 //! determinism.
 
-use crate::parallel::{is_global, NodeEvent};
-use crate::sim::{Action, Ctx, Engine, Event, ExternalClass, Protocol, RunLimits, RunOutcome, Sim};
-use crate::Time;
+use crate::sim::{
+    Action, Ctx, Engine, Event, ExternalClass, Protocol, RunLimits, RunOutcome, Sim, Time,
+};
 use bgp_types::RouterId;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 
+/// One pure event routed to a node within a window.
+enum NodeEvent<P: Protocol> {
+    Msg { from: RouterId, msg: P::Msg },
+    Timer { token: u64 },
+    External { ev: P::External },
+}
+
 /// One popped window event before partitioning: `(node, at, id, event,
-/// shard hint)`. The hint is `Some` only for deliveries and externals
-/// that carried an [`ExternalClass::Prefix`] / [`Protocol::msg_shard`]
-/// affinity.
+/// shard hint)`. The hint is `Some` only under the sharded policy, for
+/// deliveries and externals.
 type WindowEntry<P> = (RouterId, Time, u64, NodeEvent<P>, Option<u64>);
 
-/// One node's events within a window, in ascending `(time, id)` order.
-/// Unlike the epoch engine's task, each event carries its own firing
-/// time: a window spans timestamps.
-struct WindowTask<P: Protocol> {
+/// The unit of work handed to a worker: one node plus all of its
+/// events in this window, in ascending `(time, id)` order.
+struct Task<P: Protocol> {
     slot: usize,
     node_id: RouterId,
     node: P,
     /// `(pos, at, id, event)`: `pos` indexes the window batch for the
     /// merge; `(at, id)` is the entry's canonical dispatch stamp.
     events: Vec<(u32, Time, u64, NodeEvent<P>)>,
-    /// Destination shard worker.
-    shard: usize,
+    /// Destination worker.
+    worker: usize,
 }
 
-/// A worker's result: the node moved back, one flat action buffer, and
+/// A worker's result: the node moved back, one flat action buffer (a
+/// single allocation per task instead of one per callback), and
 /// per-event `(pos, at, action count)` bounds for the ordered merge.
-struct WindowResult<P: Protocol> {
+struct TaskResult<P: Protocol> {
     slot: usize,
     node_id: RouterId,
     node: P,
@@ -118,14 +130,14 @@ struct WindowResult<P: Protocol> {
     bounds: Vec<(u32, Time, u32)>,
 }
 
-fn execute_window_task<P: Protocol>(task: WindowTask<P>) -> WindowResult<P> {
+fn execute<P: Protocol>(task: Task<P>) -> TaskResult<P> {
     let task_start = obs::profile::enabled().then(std::time::Instant::now);
-    let WindowTask {
+    let Task {
         slot,
         node_id,
         mut node,
         events,
-        shard: _,
+        worker: _,
     } = task;
     let mut actions: Vec<Action<P::Msg>> = Vec::new();
     let mut bounds = Vec::with_capacity(events.len());
@@ -146,7 +158,7 @@ fn execute_window_task<P: Protocol>(task: WindowTask<P>) -> WindowResult<P> {
     if let Some(t0) = task_start {
         obs::profile::add_task_ns(t0.elapsed().as_nanos() as u64);
     }
-    WindowResult {
+    TaskResult {
         slot,
         node_id,
         node,
@@ -156,55 +168,35 @@ fn execute_window_task<P: Protocol>(task: WindowTask<P>) -> WindowResult<P> {
 }
 
 impl<P: Protocol> Sim<P> {
-    /// Runs one of the three engines, selected at runtime. All produce
-    /// bit-identical results for the same limits.
+    /// Runs the event loop under `engine`. Every engine produces
+    /// results bit-identical to [`Sim::run`] with the same limits.
+    ///
+    /// [`Engine::Seq`] *is* [`Sim::run`], and so is a parallel engine
+    /// with a single worker — one worker gains nothing from the window
+    /// machinery, and `Sim::run` stamps the same dispatch ids, so obs
+    /// traces stay byte-identical.
     pub fn run_engine(&mut self, engine: Engine, limits: RunLimits) -> RunOutcome
     where
         P: Send,
         P::Msg: Send,
         P::External: Send,
     {
-        match engine {
-            Engine::Seq => self.run(limits),
-            Engine::Epoch(n) => self.run_parallel(n, limits),
-            Engine::Sharded(n) => self.run_sharded(n, limits),
-        }
-    }
-
-    /// Runs the event loop on `shards` shard workers with per-shard
-    /// task queues and session-boundary fences (see module docs),
-    /// producing results bit-identical to [`Sim::run`].
-    ///
-    /// `shards <= 1` runs the sequential loop directly — one worker
-    /// gains nothing from window machinery, and [`Sim::run`] stamps
-    /// the same dispatch ids, so obs traces stay byte-identical.
-    pub fn run_sharded(&mut self, shards: usize, limits: RunLimits) -> RunOutcome
-    where
-        P: Send,
-        P::Msg: Send,
-        P::External: Send,
-    {
-        if shards <= 1 {
+        let workers = engine.workers();
+        if workers <= 1 {
             return self.run(limits);
         }
-        // One task channel per shard (the "explicit cross-shard
-        // channels": the merge thread is the only producer, so
-        // session-plane effects reach a shard only between windows),
-        // one shared result channel back.
-        let mut task_txs: Vec<mpsc::Sender<WindowTask<P>>> = Vec::with_capacity(shards);
-        let mut task_rxs: Vec<mpsc::Receiver<WindowTask<P>>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            task_txs.push(tx);
-            task_rxs.push(rx);
-        }
-        let (res_tx, res_rx) = mpsc::channel::<WindowResult<P>>();
+        // One task channel per worker — the merge thread is the only
+        // producer, so shared state reaches a worker only between
+        // windows — and one shared result channel back.
+        let (task_txs, task_rxs): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| mpsc::channel::<Task<P>>()).unzip();
+        let (res_tx, res_rx) = mpsc::channel::<TaskResult<P>>();
         std::thread::scope(|s| {
             for rx in task_rxs {
                 let res_tx = res_tx.clone();
                 s.spawn(move || {
                     while let Ok(task) = rx.recv() {
-                        if res_tx.send(execute_window_task(task)).is_err() {
+                        if res_tx.send(execute(task)).is_err() {
                             break;
                         }
                     }
@@ -215,53 +207,39 @@ impl<P: Protocol> Sim<P> {
                     obs::trace::flush_local();
                 });
             }
-            let outcome = self.run_windows(shards, limits, &mut |tasks| {
-                let k = tasks.len();
-                for t in tasks {
-                    let shard = t.shard;
-                    task_txs[shard].send(t).expect("shard worker hung up");
-                }
-                (0..k)
-                    .map(|_| res_rx.recv().expect("shard worker panicked"))
-                    .collect()
-            });
-            // Hang up so the workers' recv() errors and they exit.
-            drop(task_txs);
-            outcome
+            // Moved into the closure so the senders hang up — and the
+            // workers' recv() errors and they exit — when it returns
+            // *or unwinds*; the scope joins the workers either way.
+            let task_txs = task_txs;
+            self.run_windows(engine, &task_txs, &res_rx, limits)
         })
     }
 
-    /// Convenience: [`Sim::run_sharded`] with default limits.
-    pub fn run_sharded_to_quiescence(&mut self, shards: usize) -> RunOutcome
-    where
-        P: Send,
-        P::Msg: Send,
-        P::External: Send,
-    {
-        self.run_sharded(shards, RunLimits::default())
-    }
-
-    /// Whether the head event synchronizes: a global event, or an
-    /// external the receiving protocol classifies as session-plane.
-    fn is_fence(&self, ev: &Event<P>) -> bool {
-        if is_global(ev) {
-            return true;
+    /// Whether the head event synchronizes: a global event, or (sharded
+    /// policy only) an external the receiving protocol classifies as
+    /// session-plane.
+    fn is_fence(&self, ev: &Event<P>, sharded: bool) -> bool {
+        match ev {
+            Event::SessionDown { .. }
+            | Event::SessionUp { .. }
+            | Event::NodeDown { .. }
+            | Event::NodeUp { .. } => true,
+            Event::External { node, ev } if sharded => self
+                .nodes
+                .get(node)
+                .is_some_and(|n| matches!(n.classify_external(ev), ExternalClass::Fence)),
+            _ => false,
         }
-        if let Event::External { node, ev } = ev {
-            if let Some(n) = self.nodes.get(node) {
-                return matches!(n.classify_external(ev), ExternalClass::Fence);
-            }
-        }
-        false
     }
 
     /// Per-node lookahead bounds: `min(min incident session latency,
-    /// timer_lead)`. Rebuilt after every fence (the only points where
-    /// sessions or node liveness change mid-run).
-    fn build_leads(&self, leads: &mut BTreeMap<RouterId, Time>) {
+    /// timer_lead)` under the sharded policy, 0 under the epoch policy.
+    /// Rebuilt after every fence (the only points where sessions or
+    /// node liveness change mid-run).
+    fn build_leads(&self, sharded: bool, leads: &mut BTreeMap<RouterId, Time>) {
         leads.clear();
         for (id, node) in &self.nodes {
-            leads.insert(*id, node.timer_lead());
+            leads.insert(*id, if sharded { node.timer_lead() } else { 0 });
         }
         for (&(a, b), &lat) in &self.sessions {
             for n in [a, b] {
@@ -272,15 +250,17 @@ impl<P: Protocol> Sim<P> {
         }
     }
 
-    /// The window loop shared by the pooled executor (and trivially
-    /// testable with an inline one). `exec` runs a set of tasks and
-    /// returns their results in any order.
+    /// The window loop. Tasks go out on `task_txs[task.worker]`; their
+    /// results come back on `res_rx` in any order.
     fn run_windows(
         &mut self,
-        shards: usize,
+        engine: Engine,
+        task_txs: &[mpsc::Sender<Task<P>>],
+        res_rx: &mpsc::Receiver<TaskResult<P>>,
         limits: RunLimits,
-        exec: &mut dyn FnMut(Vec<WindowTask<P>>) -> Vec<WindowResult<P>>,
     ) -> RunOutcome {
+        let sharded = matches!(engine, Engine::Sharded(_));
+        let workers = task_txs.len();
         let profiling = obs::profile::enabled();
         let run_start = profiling.then(std::time::Instant::now);
         if profiling {
@@ -306,10 +286,10 @@ impl<P: Protocol> Sim<P> {
             if profiling {
                 max_queue = max_queue.max(self.heap.len());
             }
-            if self.is_fence(&head.ev) {
-                // Session-plane: all shards have rendezvoused (the
-                // previous window fully merged), so mutate shared
-                // state on the exact sequential path.
+            if self.is_fence(&head.ev, sharded) {
+                // Every worker has rendezvoused (the previous window
+                // fully merged), so mutate shared state on the exact
+                // sequential path.
                 let entry = self.heap.pop().expect("peeked entry vanished");
                 self.now = at;
                 events += 1;
@@ -320,7 +300,7 @@ impl<P: Protocol> Sim<P> {
                 continue;
             }
             if leads_stale {
-                self.build_leads(&mut leads);
+                self.build_leads(sharded, &mut leads);
                 leads_stale = false;
             }
             // Collect a window: pure events in heap order while the
@@ -334,7 +314,7 @@ impl<P: Protocol> Sim<P> {
                 if head.at > horizon
                     || head.at > limits.max_time
                     || events >= limits.max_events
-                    || self.is_fence(&head.ev)
+                    || self.is_fence(&head.ev, sharded)
                 {
                     break;
                 }
@@ -342,7 +322,7 @@ impl<P: Protocol> Sim<P> {
                 let t = entry.at;
                 events += 1;
                 window_end = t;
-                match entry.ev {
+                let (node, ev, hint) = match entry.ev {
                     Event::Deliver { from, to, msg } => {
                         if self.down.contains(&to) {
                             self.dropped += 1;
@@ -351,37 +331,38 @@ impl<P: Protocol> Sim<P> {
                         if let Some(stats) = self.stats.get_mut(&to) {
                             stats.received += 1;
                         }
-                        let hint = self.nodes.get(&to).map(|n| n.msg_shard(&msg));
-                        horizon = horizon.min(t.saturating_add(lead_of(&leads, to)));
-                        batch.push((to, t, entry.id, NodeEvent::Msg { from, msg }, hint));
+                        let host = self.nodes.get(&to).filter(|_| sharded);
+                        let hint = host.map(|n| n.msg_shard(&msg));
+                        (to, NodeEvent::Msg { from, msg }, hint)
                     }
                     Event::Timer { node, token } => {
                         if self.down.contains(&node) {
                             continue;
                         }
-                        horizon = horizon.min(t.saturating_add(lead_of(&leads, node)));
-                        batch.push((node, t, entry.id, NodeEvent::Timer { token }, None));
+                        (node, NodeEvent::Timer { token }, None)
                     }
                     Event::External { node, ev } => {
                         if self.down.contains(&node) {
                             self.dropped += 1;
                             continue;
                         }
-                        // is_fence() returned false for this entry, so
-                        // the classification is Prefix (or the node is
-                        // absent and the callback will no-op anyway).
-                        let hint = self
-                            .nodes
-                            .get(&node)
-                            .map(|n| match n.classify_external(&ev) {
-                                ExternalClass::Prefix { shard_hint } => shard_hint,
-                                ExternalClass::Fence => 0,
-                            });
-                        horizon = horizon.min(t.saturating_add(lead_of(&leads, node)));
-                        batch.push((node, t, entry.id, NodeEvent::External { ev }, hint));
+                        // Not a fence, so the classification is Prefix
+                        // (or the node is absent and the callback will
+                        // no-op anyway).
+                        let host = self.nodes.get(&node).filter(|_| sharded);
+                        let hint = host.map(|n| match n.classify_external(&ev) {
+                            ExternalClass::Prefix { shard_hint } => shard_hint,
+                            ExternalClass::Fence => 0,
+                        });
+                        (node, NodeEvent::External { ev }, hint)
                     }
                     _ => unreachable!("global event in pure window"),
-                }
+                };
+                // Absent nodes host no callbacks (the partition below
+                // no-ops them), so they cannot schedule anything.
+                let lead = leads.get(&node).copied().unwrap_or(Time::MAX);
+                horizon = horizon.min(t.saturating_add(lead));
+                batch.push((node, t, entry.id, ev, hint));
             }
             self.now = window_end;
             let n = batch.len();
@@ -390,9 +371,9 @@ impl<P: Protocol> Sim<P> {
             }
             // Partition by node, preserving ascending event order
             // within each task; the first explicit hint of a node's
-            // events picks its shard, falling back to the node id.
+            // events picks its worker, falling back to the node id.
             let mut slot_of: BTreeMap<RouterId, usize> = BTreeMap::new();
-            let mut tasks: Vec<WindowTask<P>> = Vec::new();
+            let mut tasks: Vec<Task<P>> = Vec::new();
             for (pos, (node_id, t, id, ev, hint)) in batch.into_iter().enumerate() {
                 let slot = match slot_of.get(&node_id) {
                     Some(&s) => s,
@@ -404,12 +385,12 @@ impl<P: Protocol> Sim<P> {
                             continue;
                         };
                         let s = tasks.len();
-                        tasks.push(WindowTask {
+                        tasks.push(Task {
                             slot: s,
                             node_id,
                             node,
                             events: Vec::new(),
-                            shard: (node_id.0 as usize) % shards,
+                            worker: (node_id.0 as usize) % workers,
                         });
                         slot_of.insert(node_id, s);
                         s
@@ -417,7 +398,7 @@ impl<P: Protocol> Sim<P> {
                 };
                 if tasks[slot].events.is_empty() {
                     if let Some(h) = hint {
-                        tasks[slot].shard = (h as usize) % shards;
+                        tasks[slot].worker = (h as usize) % workers;
                     }
                 }
                 tasks[slot].events.push((pos as u32, t, id, ev));
@@ -427,15 +408,17 @@ impl<P: Protocol> Sim<P> {
                 max_window_batch = max_window_batch.max(n);
             }
             let k = tasks.len();
-            let results = exec(tasks);
-            assert_eq!(results.len(), k, "shard result missing");
+            for task in tasks {
+                task_txs[task.worker].send(task).expect("worker hung up");
+            }
             // Re-key results by slot, hand the nodes back, and build
             // the pos -> (slot, time, action count) index.
             let mut per_pos: Vec<(u32, Time, u32)> = vec![(0, 0, 0); n];
             let mut iters: Vec<Option<std::vec::IntoIter<Action<P::Msg>>>> =
                 (0..k).map(|_| None).collect();
             let mut from_of: Vec<RouterId> = vec![RouterId(0); k];
-            for r in results {
+            for _ in 0..k {
+                let r = res_rx.recv().expect("worker panicked");
                 for &(pos, t, count) in &r.bounds {
                     per_pos[pos as usize] = (r.slot as u32 + 1, t, count);
                 }
@@ -457,7 +440,16 @@ impl<P: Protocol> Sim<P> {
                 let it = iters[slot].as_mut().expect("result slot unfilled");
                 for _ in 0..count {
                     let action = it.next().expect("action bounds out of sync");
-                    self.apply_action(from, action);
+                    let lands = self.apply_action(from, action);
+                    // The lookahead promise, checked: anything earlier
+                    // belongs before an event this window already ran.
+                    assert!(
+                        lands.is_none_or(|at| at >= window_end),
+                        "node {from:?} scheduled an event at t={lands:?} from its callback at \
+                         t={t}, inside a window that runs to t={window_end}: its \
+                         Protocol::timer_lead() promise of {} us does not hold",
+                        self.nodes[&from].timer_lead()
+                    );
                 }
             }
             self.now = window_end;
@@ -466,8 +458,8 @@ impl<P: Protocol> Sim<P> {
         self.record_run_metrics(events);
         if let Some(t0) = run_start {
             obs::profile::run_finished(obs::profile::RunProfile {
-                engine: "sharded",
-                threads: shards,
+                engine: engine.name(),
+                threads: workers,
                 wall_ns: t0.elapsed().as_nanos() as u64,
                 events,
                 epochs: windows,
@@ -485,22 +477,25 @@ impl<P: Protocol> Sim<P> {
     }
 }
 
-/// Lead for a node; absent nodes host no callbacks (the task partition
-/// no-ops them), so they cannot schedule anything.
-fn lead_of(leads: &BTreeMap<RouterId, Time>, node: RouterId) -> Time {
-    leads.get(&node).copied().unwrap_or(Time::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::NodeStats;
 
-    /// Same fixture as the epoch-engine tests: echoes every received
-    /// number minus one to both ring neighbours, with same-instant
-    /// self-timer cascades. `timer_lead` stays at the default 0, so
-    /// windows degenerate to per-timestamp epochs — the sound fallback
-    /// the engine must get right before lookahead buys anything.
+    /// Every Gossip test runs under each of these against `Sim::run`.
+    const ENGINES: [Engine; 4] = [
+        Engine::Epoch(2),
+        Engine::Epoch(8),
+        Engine::Sharded(2),
+        Engine::Sharded(8),
+    ];
+
+    /// Echoes every received number minus one to both ring neighbours,
+    /// with same-instant self-timer cascades, to generate deep
+    /// same-timestamp fan-out across many nodes. `timer_lead` stays at
+    /// the default 0, so the sharded policy's windows degenerate to
+    /// per-timestamp epochs too — the sound fallback the loop must get
+    /// right before lookahead buys anything.
     struct Gossip {
         peers: Vec<RouterId>,
         sum: u64,
@@ -523,6 +518,8 @@ mod tests {
 
         fn on_external(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
             if ev >= 100 {
+                // Start a same-instant self-timer cascade of length
+                // `ev - 100`.
                 ctx.set_timer(ctx.now(), (ev - 100) as u64);
                 return;
             }
@@ -533,6 +530,8 @@ mod tests {
 
         fn on_timer(&mut self, ctx: &mut Ctx<u32>, token: u64) {
             self.sum += token;
+            // Same-timestamp self-timer chain exercises intra-window
+            // event creation.
             if token > 0 {
                 ctx.set_timer(ctx.now(), token - 1);
             }
@@ -578,18 +577,18 @@ mod tests {
         sim
     }
 
-    type Fingerprint = (Vec<(RouterId, u64, Vec<(RouterId, u32)>)>, u64, Time);
+    type Fingerprint = (
+        Vec<(RouterId, u64, Vec<(RouterId, u32)>, NodeStats)>,
+        u64,
+        Time,
+    );
 
     fn fingerprint(sim: &Sim<Gossip>) -> Fingerprint {
         let nodes = sim
             .nodes()
-            .map(|(id, g)| (id, g.sum, g.log.clone()))
+            .map(|(id, g)| (id, g.sum, g.log.clone(), sim.stats(id)))
             .collect();
         (nodes, sim.dropped_messages(), sim.now())
-    }
-
-    fn stats_of(sim: &Sim<Gossip>) -> Vec<(RouterId, NodeStats)> {
-        sim.nodes().map(|(id, _)| (id, sim.stats(id))).collect()
     }
 
     fn seed(sim: &mut Sim<Gossip>) {
@@ -604,121 +603,117 @@ mod tests {
         sim.schedule_external(80, RouterId(0), 3);
     }
 
-    #[test]
-    fn sharded_matches_sequential_uniform_latency() {
-        let mut seq = ring(8, |_| 10);
-        seed(&mut seq);
-        let out_seq = seq.run_to_quiescence();
-
-        for shards in [1, 2, 8] {
-            let mut sh = ring(8, |_| 10);
-            seed(&mut sh);
-            let out_sh = sh.run_sharded(shards, RunLimits::default());
-            assert_eq!(out_seq, out_sh, "outcome differs at {shards} shards");
+    /// Runs `drive` on a fresh `build()` sim under `Engine::Seq` (which
+    /// is `Sim::run`) and under each of [`ENGINES`], requiring identical
+    /// outcomes and node state (logs, sums, counters, drops, clock).
+    fn assert_engines_match(
+        build: impl Fn() -> Sim<Gossip>,
+        drive: impl Fn(&mut Sim<Gossip>, Engine) -> RunOutcome,
+    ) {
+        let mut seq = build();
+        let out_seq = drive(&mut seq, Engine::Seq);
+        for engine in ENGINES {
+            let mut par = build();
+            let out_par = drive(&mut par, engine);
+            assert_eq!(out_seq, out_par, "outcome differs under {engine:?}");
             assert_eq!(
                 fingerprint(&seq),
-                fingerprint(&sh),
-                "state differs at {shards} shards"
+                fingerprint(&par),
+                "state differs under {engine:?}"
             );
-            assert_eq!(stats_of(&seq), stats_of(&sh));
         }
     }
 
-    #[test]
-    fn sharded_matches_sequential_skewed_latency() {
-        let mut seq = ring(8, |i| 7 + 13 * (i as Time));
-        seed(&mut seq);
-        seq.run_to_quiescence();
-
-        let mut sh = ring(8, |i| 7 + 13 * (i as Time));
-        seed(&mut sh);
-        sh.run_sharded(4, RunLimits::default());
-        assert_eq!(fingerprint(&seq), fingerprint(&sh));
-        assert_eq!(stats_of(&seq), stats_of(&sh));
+    fn seeded_ring(n: u32, latency_of: impl Fn(u32) -> Time) -> Sim<Gossip> {
+        let mut sim = ring(n, latency_of);
+        seed(&mut sim);
+        sim
     }
 
     #[test]
-    fn sharded_respects_event_limit_identically() {
+    fn matches_sequential_uniform_latency() {
+        // Uniform latency: large same-timestamp windows.
+        assert_engines_match(
+            || seeded_ring(8, |_| 10),
+            |sim, engine| sim.run_engine(engine, RunLimits::default()),
+        );
+    }
+
+    #[test]
+    fn matches_sequential_skewed_latency() {
+        // Distinct latencies: windows shrink to single events — the
+        // degenerate case must still match exactly.
+        assert_engines_match(
+            || seeded_ring(8, |i| 7 + 13 * (i as Time)),
+            |sim, engine| sim.run_engine(engine, RunLimits::default()),
+        );
+    }
+
+    #[test]
+    fn respects_event_limit_identically() {
         let limits = RunLimits {
             max_events: 37,
             max_time: Time::MAX,
         };
-        let mut seq = ring(6, |_| 5);
-        seed(&mut seq);
-        let out_seq = seq.run(limits);
-        assert!(!out_seq.quiesced);
-
-        let mut sh = ring(6, |_| 5);
-        seed(&mut sh);
-        let out_sh = sh.run_sharded(3, limits);
-        assert_eq!(out_seq, out_sh);
-        assert_eq!(fingerprint(&seq), fingerprint(&sh));
+        assert_engines_match(
+            || seeded_ring(6, |_| 5),
+            |sim, engine| {
+                let out = sim.run_engine(engine, limits);
+                assert!(!out.quiesced);
+                out
+            },
+        );
     }
 
     #[test]
-    fn sharded_respects_time_limit_identically() {
+    fn respects_time_limit_identically() {
         let limits = RunLimits {
             max_events: u64::MAX,
             max_time: 45,
         };
-        let mut seq = ring(6, |_| 5);
-        seed(&mut seq);
-        let out_seq = seq.run(limits);
-
-        let mut sh = ring(6, |_| 5);
-        seed(&mut sh);
-        let out_sh = sh.run_sharded(3, limits);
-        assert_eq!(out_seq, out_sh);
-        assert_eq!(fingerprint(&seq), fingerprint(&sh));
+        assert_engines_match(
+            || seeded_ring(6, |_| 5),
+            |sim, engine| sim.run_engine(engine, limits),
+        );
     }
 
     #[test]
     fn same_timestamp_timer_chains_match() {
-        let seed_timers = |sim: &mut Sim<Gossip>| {
-            sim.schedule_external(0, RouterId(0), 2);
-            sim.schedule_external(10, RouterId(1), 105);
-            sim.schedule_external(10, RouterId(2), 103);
-            sim.schedule_external(15, RouterId(1), 0);
-        };
-        let mut seq = ring(4, |_| 10);
-        seed_timers(&mut seq);
-        seq.run_to_quiescence();
-        assert!(seq.node(RouterId(1)).sum >= 15);
-
-        let mut sh = ring(4, |_| 10);
-        seed_timers(&mut sh);
-        sh.run_sharded(8, RunLimits::default());
-        assert_eq!(fingerprint(&seq), fingerprint(&sh));
+        // Self-timer cascades at a single instant interleaved with
+        // message traffic: events created *during* a window's merge
+        // must be drained at the same timestamp in id order.
+        assert_engines_match(
+            || {
+                let mut sim = ring(4, |_| 10);
+                sim.schedule_external(0, RouterId(0), 2);
+                sim.schedule_external(10, RouterId(1), 105); // cascade of 5 at t=10
+                sim.schedule_external(10, RouterId(2), 103); // cascade of 3 at t=10
+                sim.schedule_external(15, RouterId(1), 0);
+                sim
+            },
+            |sim, engine| {
+                let out = sim.run_engine(engine, RunLimits::default());
+                assert!(sim.node(RouterId(1)).sum >= 15);
+                out
+            },
+        );
     }
 
     #[test]
-    fn run_can_continue_after_run_sharded() {
-        let mut a = ring(8, |_| 10);
-        seed(&mut a);
-        a.run_to_quiescence();
-
-        let mut b = ring(8, |_| 10);
-        seed(&mut b);
+    fn sequential_run_can_continue_after_engine_run() {
+        // The engines share all state; interleaving them mid-stream
+        // must behave like one continuous run.
         let limits = RunLimits {
             max_events: 25,
             max_time: Time::MAX,
         };
-        b.run_sharded(4, limits);
-        b.run_to_quiescence();
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
-    #[test]
-    fn run_engine_selects_all_three() {
-        let mut seq = ring(8, |_| 10);
-        seed(&mut seq);
-        seq.run_engine(Engine::Seq, RunLimits::default());
-        for engine in [Engine::Epoch(2), Engine::Sharded(2)] {
-            let mut other = ring(8, |_| 10);
-            seed(&mut other);
-            other.run_engine(engine, RunLimits::default());
-            assert_eq!(fingerprint(&seq), fingerprint(&other), "{engine:?}");
-        }
+        assert_engines_match(
+            || seeded_ring(8, |_| 10),
+            |sim, engine| {
+                sim.run_engine(engine, limits);
+                sim.run_to_quiescence()
+            },
+        );
     }
 
     /// A protocol with a real lookahead promise: every timer it sets is
@@ -847,15 +842,15 @@ mod tests {
         let out_seq = seq.run_to_quiescence();
         assert!(out_seq.quiesced);
 
-        for shards in [2, 8] {
-            let mut sh = paced_ring(7);
-            seed_paced(&mut sh);
-            let out_sh = sh.run_sharded(shards, RunLimits::default());
-            assert_eq!(out_seq, out_sh, "outcome differs at {shards} shards");
+        for engine in ENGINES {
+            let mut par = paced_ring(7);
+            seed_paced(&mut par);
+            let out_par = par.run_engine(engine, RunLimits::default());
+            assert_eq!(out_seq, out_par, "outcome differs under {engine:?}");
             assert_eq!(
                 paced_print(&seq),
-                paced_print(&sh),
-                "state differs at {shards} shards"
+                paced_print(&par),
+                "state differs under {engine:?}"
             );
         }
     }
@@ -865,15 +860,15 @@ mod tests {
         // Sanity that the Paced fixture exercises windows wider than
         // one timestamp (otherwise the test above proves nothing new):
         // profile the run and check a window batched events from more
-        // than one instant — max batch > max events at any timestamp.
+        // than one instant — fewer windows than non-fence events.
         obs::profile::set_enabled(true);
         obs::profile::take_runs();
         let mut sh = paced_ring(7);
         seed_paced(&mut sh);
-        // 5 shards: no other test in this binary runs sharded at 5, so
-        // the profile below is unambiguous even if tests race on the
+        // 5 workers: no other test in this binary runs at 5, so the
+        // profile below is unambiguous even if tests race on the
         // global profile store while profiling is enabled.
-        sh.run_sharded(5, RunLimits::default());
+        sh.run_engine(Engine::Sharded(5), RunLimits::default());
         obs::profile::set_enabled(false);
         let runs = obs::profile::take_runs();
         let prof = runs
@@ -885,5 +880,38 @@ mod tests {
             prof.epochs < prof.events - prof.fences,
             "windows never batched: {prof:?}"
         );
+    }
+
+    /// Promises a 10 us timer lead and then sets a timer 1 us out.
+    struct UnderReports;
+
+    impl Protocol for UnderReports {
+        type Msg = ();
+        type External = ();
+
+        fn on_message(&mut self, _: &mut Ctx<()>, _: RouterId, _: ()) {}
+
+        fn on_external(&mut self, ctx: &mut Ctx<()>, _: ()) {
+            ctx.set_timer(ctx.now() + 1, 0);
+        }
+
+        fn timer_lead(&self) -> Time {
+            10
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Protocol::timer_lead() promise of 10 us does not hold")]
+    fn under_reported_lead_panics_instead_of_diverging() {
+        let mut sim = Sim::new();
+        sim.add_node(RouterId(0), UnderReports);
+        sim.add_node(RouterId(1), UnderReports);
+        sim.add_session(RouterId(0), RouterId(1), 10);
+        // The promised lead puts t=0 and t=5 in one window; node 0's
+        // timer then lands at t=1, before the t=5 event that already
+        // ran — `Sim::run` would have fired it in between.
+        sim.schedule_external(0, RouterId(0), ());
+        sim.schedule_external(5, RouterId(1), ());
+        sim.run_engine(Engine::Sharded(2), RunLimits::default());
     }
 }

@@ -1,11 +1,11 @@
 //! Per-node update counters, mirroring the quantities of paper §4.2.
 //!
-//! Migrated here from `crates/core/src/counters.rs` (which re-exports
-//! this type unchanged) so the observability layer owns all update
-//! accounting. The struct itself stays a plain always-on value type —
-//! the paper's results are computed from it, so it is never gated
-//! behind the metrics enable flag; the registry carries *mirrors* of
-//! these counts (plus the new per-node series) when enabled.
+//! The observability layer owns all update accounting (`abrr`
+//! re-exports the type at its crate root). The struct itself stays a
+//! plain always-on value type — the paper's results are computed from
+//! it, so it is never gated behind the metrics enable flag; the
+//! registry carries *mirrors* of these counts (plus the new per-node
+//! series) when enabled.
 
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +68,13 @@ mod tests {
             ebgp_events: 6,
             ebgp_exported: 7,
         };
-        a.merge(&a.clone());
+        // Copy (counter windows), Eq (golden comparisons), Default
+        // (baselines) and Debug are what downstream code relies on.
+        let before = a;
+        assert_eq!(before, a);
+        assert_ne!(before, UpdateCounters::default());
+        assert!(format!("{a:?}").contains("received: 1"));
+        a.merge(&before);
         assert_eq!(a.received, 2);
         assert_eq!(a.generated, 4);
         assert_eq!(a.transmitted, 6);

@@ -14,7 +14,7 @@
 //! different order), and gauges must be single-writer per
 //! `(metric, node)` label (a node's callbacks always run on one thread
 //! per epoch). Wall-clock anything goes in [`crate::profile`] instead.
-//! `crates/bench/tests/obs_determinism.rs` holds the line: sequential
+//! `crates/bench/tests/engine_equivalence.rs` holds the line: sequential
 //! and 8-worker runs must produce equal [`snapshot`]s.
 //!
 //! # Reset semantics

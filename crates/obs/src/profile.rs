@@ -27,11 +27,11 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Profile of one engine run (one `Sim::run` / `Sim::run_parallel`
+/// Profile of one engine run (one `Sim::run` / `Sim::run_engine`
 /// call).
 #[derive(Clone, Debug, Default)]
 pub struct RunProfile {
-    /// `"seq"`, `"par"`, or `"sharded"`.
+    /// `"seq"`, `"epoch"`, or `"sharded"`.
     pub engine: &'static str,
     /// Worker threads (0 for the sequential engine).
     pub threads: usize,
@@ -39,11 +39,11 @@ pub struct RunProfile {
     pub wall_ns: u64,
     /// Events processed.
     pub events: u64,
-    /// Parallel epochs (or sharded windows) executed (0 for the
-    /// sequential engine).
+    /// Windows executed (0 for the sequential engine); under the
+    /// epoch engine a window is one same-timestamp epoch.
     pub epochs: u64,
-    /// Synchronization fences dispatched sequentially (sharded engine
-    /// only; 0 elsewhere).
+    /// Synchronization fences dispatched sequentially (0 for the
+    /// sequential engine).
     pub fences: u64,
     /// Largest event-queue depth observed.
     pub max_queue: usize,
@@ -101,23 +101,21 @@ pub fn render_runs(profiles: &[RunProfile]) -> String {
             p.engine, p.threads, p.events, p.max_queue
         )
         .expect("write to String");
-        if p.engine == "par" || p.engine == "sharded" {
-            let util = if p.wall_ns > 0 && p.threads > 0 {
+        if p.threads > 0 {
+            let util = if p.wall_ns > 0 {
                 p.task_ns as f64 / (p.wall_ns as f64 * p.threads as f64)
             } else {
                 0.0
             };
             write!(
                 out,
-                " epochs={} max_batch={} utilization={:.0}%",
+                " epochs={} max_batch={} utilization={:.0}% fences={}",
                 p.epochs,
                 p.max_epoch_batch,
-                util * 100.0
+                util * 100.0,
+                p.fences
             )
             .expect("write to String");
-            if p.engine == "sharded" {
-                write!(out, " fences={}", p.fences).expect("write to String");
-            }
         }
         out.push('\n');
     }
@@ -134,7 +132,7 @@ mod tests {
         run_started();
         add_task_ns(500);
         run_finished(RunProfile {
-            engine: "par",
+            engine: "epoch",
             threads: 2,
             wall_ns: 1_000,
             events: 10,
@@ -149,7 +147,7 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].task_ns, 500, "task accumulator folded in");
         let text = render_runs(&runs);
-        assert!(text.contains("engine=par"), "{text}");
+        assert!(text.contains("engine=epoch"), "{text}");
         assert!(text.contains("utilization=25%"), "{text}");
         assert!(take_runs().is_empty());
     }

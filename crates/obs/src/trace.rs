@@ -5,7 +5,7 @@
 //! The simulator dispatches every event from a heap entry with a unique
 //! `(time, sequence-id)` pair, and the parallel engine provably pops
 //! and pushes the same entries with the same ids as the sequential one
-//! (see `netsim::parallel`). Both engines therefore stamp a *dispatch
+//! (see `netsim::window`). Both engines therefore stamp a *dispatch
 //! context* `(t, seq)` before invoking each protocol callback — the
 //! sequential loop on the main thread, the parallel engine inside each
 //! worker task. Every trace event recorded during a callback inherits
@@ -22,7 +22,7 @@
 //! take phase 0 with a global sequence number. Both engines thus
 //! produce the same **multiset** of keyed events; [`drain_jsonl`] sorts
 //! by key and renders — byte-identical output, proven by
-//! `crates/bench/tests/obs_determinism.rs` on the golden scenarios.
+//! `crates/bench/tests/engine_equivalence.rs` on the golden scenarios.
 //!
 //! # Cost when disabled
 //!
@@ -34,7 +34,7 @@
 //!
 //! Each thread appends to a thread-local ring buffer that flushes into
 //! a global sink when full and on thread exit; worker threads are
-//! scoped (joined before `run_parallel` returns), so no event can be
+//! scoped (joined before `run_engine` returns), so no event can be
 //! lost. [`drain_jsonl`] flushes the calling thread, sorts the sink,
 //! and renders.
 

@@ -30,7 +30,7 @@ use crate::compile::{Loaded, RunReport};
 use crate::schema::{Check, ModeSpec, Verdict};
 use abrr::audit;
 use bgp_types::{Ipv4Prefix, RouterId};
-use netsim::Engine;
+use netsim::{Engine, RunConfig, WireMode};
 use std::sync::Mutex;
 
 /// One failed oracle.
@@ -112,7 +112,11 @@ fn fail(report: &mut ScenarioReport, mode: ModeSpec, oracle: &str, msg: impl Int
 
 fn run_one(loaded: &Loaded, check: &Check, engine: Engine, report: &mut ScenarioReport) {
     let mode = check.mode;
-    let run = match loaded.run_engine(mode, engine, true) {
+    let primary = RunConfig {
+        engine,
+        ..Default::default()
+    };
+    let run = match loaded.run(mode, true, primary) {
         Ok(r) => r,
         Err(e) => {
             fail(report, mode, "run", e);
@@ -202,7 +206,7 @@ fn run_one(loaded: &Loaded, check: &Check, engine: Engine, report: &mut Scenario
     }
 
     if check.matches_full_mesh {
-        match loaded.run_engine(ModeSpec::FullMesh, engine, false) {
+        match loaded.run(ModeSpec::FullMesh, false, primary) {
             Err(e) => fail(report, mode, "matches_full_mesh", e),
             Ok(mesh) => {
                 if !settled || !mesh.outcome.quiesced {
@@ -330,15 +334,60 @@ fn live_prefixes(loaded: &Loaded, run: &RunReport) -> Vec<Ipv4Prefix> {
     }
 }
 
-/// The cross-engine oracle: the sequential oracle, the epoch-parallel
-/// engine (2 workers), and the AP-sharded engine (2 shards) must agree
-/// on outcome, selections, and byte-identical obs traces (DESIGN.md
-/// §10, §12).
+/// One faulted run of `mode` under `cfg` with its obs trace captured.
+/// The caller holds [`OBS_GUARD`].
+fn run_traced(
+    loaded: &Loaded,
+    mode: ModeSpec,
+    cfg: RunConfig,
+) -> Result<(RunReport, String), String> {
+    obs::trace::reset();
+    obs::trace::set_spec("trace");
+    let run = loaded.run(mode, true, cfg);
+    let trace = obs::trace::drain_jsonl();
+    obs::trace::reset();
+    run.map(|r| (r, trace))
+}
+
+/// The differential core of the `engines_agree` and `wire` oracles: two
+/// run configurations of one scenario must agree on outcome,
+/// selections, and byte-identical obs traces.
+fn same_run(
+    (a, a_trace): &(RunReport, String),
+    a_name: &str,
+    (b, b_trace): &(RunReport, String),
+    b_name: &str,
+    routers: &[RouterId],
+    prefixes: &[Ipv4Prefix],
+) -> Result<(), String> {
+    if a.outcome != b.outcome {
+        return Err(format!(
+            "outcomes diverge: {a_name} {:?} vs {b_name} {:?}",
+            a.outcome, b.outcome
+        ));
+    }
+    if !audit::selections_equal(&a.sim, &b.sim, routers, prefixes) {
+        return Err(format!("selections diverge between {a_name} and {b_name}"));
+    }
+    if a_trace != b_trace {
+        let first_diff = a_trace
+            .lines()
+            .zip(b_trace.lines())
+            .position(|(x, y)| x != y);
+        return Err(format!(
+            "obs traces diverge between {a_name} and {b_name} \
+             ({} vs {} events, first difference at line {first_diff:?})",
+            a_trace.lines().count(),
+            b_trace.lines().count()
+        ));
+    }
+    Ok(())
+}
+
 /// The wire-mode differential oracle (DESIGN.md §14): running the
 /// scenario with every session message round-tripped through the BGP
-/// byte codec (encode-decode-verify mode) must change *nothing* —
-/// identical outcome, identical selections, byte-identical obs trace —
-/// on both the sequential and the AP-sharded engine. Codec bugs either
+/// byte codec (encode-decode-verify mode) must change *nothing* on
+/// either the sequential or the AP-sharded engine. Codec bugs either
 /// hard-fail inside the verify round-trip or surface here as a diff.
 fn wire_invisible(
     loaded: &Loaded,
@@ -347,46 +396,31 @@ fn wire_invisible(
     prefixes: &[Ipv4Prefix],
 ) -> Result<(), String> {
     let _guard = OBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let run_traced =
-        |engine: Engine, wire: netsim::WireMode| -> Result<(RunReport, String), String> {
-            obs::trace::reset();
-            obs::trace::set_spec("trace");
-            let run = loaded.run_wire(mode, engine, true, wire);
-            let trace = obs::trace::drain_jsonl();
-            obs::trace::reset();
-            run.map(|r| (r, trace))
-        };
     for engine in [Engine::Seq, Engine::Sharded(2)] {
         let name = engine.name();
-        let (s, s_trace) = run_traced(engine, netsim::WireMode::Off)?;
-        let (w, w_trace) = run_traced(engine, netsim::WireMode::Verify)?;
-        if s.outcome != w.outcome {
-            return Err(format!(
-                "outcomes diverge on {name}: struct {:?} vs verify-wire {:?}",
-                s.outcome, w.outcome
-            ));
-        }
-        if !audit::selections_equal(&s.sim, &w.sim, routers, prefixes) {
-            return Err(format!(
-                "selections diverge between struct and verify-wire modes on {name}"
-            ));
-        }
-        if s_trace != w_trace {
-            let lines_s = s_trace.lines().count();
-            let lines_w = w_trace.lines().count();
-            let first_diff = s_trace
-                .lines()
-                .zip(w_trace.lines())
-                .position(|(a, b)| a != b);
-            return Err(format!(
-                "obs traces diverge between struct and verify-wire modes on {name} \
-                 ({lines_s} vs {lines_w} events, first difference at line {first_diff:?})"
-            ));
-        }
+        let run = |wire| {
+            let cfg = RunConfig {
+                engine,
+                wire,
+                ..Default::default()
+            };
+            run_traced(loaded, mode, cfg)
+        };
+        same_run(
+            &run(WireMode::Off)?,
+            &format!("struct mode on {name}"),
+            &run(WireMode::Verify)?,
+            &format!("verify-wire mode on {name}"),
+            routers,
+            prefixes,
+        )?;
     }
     Ok(())
 }
 
+/// The cross-engine oracle: the sequential oracle, the epoch-parallel
+/// engine (2 workers), and the AP-sharded engine (2 shards) must agree
+/// (DESIGN.md §10, §12).
 fn engines_agree(
     loaded: &Loaded,
     mode: ModeSpec,
@@ -394,41 +428,17 @@ fn engines_agree(
     prefixes: &[Ipv4Prefix],
 ) -> Result<(), String> {
     let _guard = OBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let run_traced = |engine: Engine| -> Result<(RunReport, String), String> {
-        obs::trace::reset();
-        obs::trace::set_spec("trace");
-        let run = loaded.run_engine(mode, engine, true);
-        let trace = obs::trace::drain_jsonl();
-        obs::trace::reset();
-        run.map(|r| (r, trace))
+    let run = |engine| {
+        let cfg = RunConfig {
+            engine,
+            ..Default::default()
+        };
+        run_traced(loaded, mode, cfg)
     };
-    let (seq, seq_trace) = run_traced(Engine::Seq)?;
+    let seq = run(Engine::Seq)?;
     for engine in [Engine::Epoch(2), Engine::Sharded(2)] {
-        let name = engine.name();
-        let (other, other_trace) = run_traced(engine)?;
-        if seq.outcome != other.outcome {
-            return Err(format!(
-                "outcomes diverge: seq {:?} vs {name} {:?}",
-                seq.outcome, other.outcome
-            ));
-        }
-        if !audit::selections_equal(&seq.sim, &other.sim, routers, prefixes) {
-            return Err(format!(
-                "selections diverge between the seq and {name} engines"
-            ));
-        }
-        if seq_trace != other_trace {
-            let lines_a = seq_trace.lines().count();
-            let lines_b = other_trace.lines().count();
-            let first_diff = seq_trace
-                .lines()
-                .zip(other_trace.lines())
-                .position(|(a, b)| a != b);
-            return Err(format!(
-                "obs traces diverge between seq and {name} \
-                 ({lines_a} vs {lines_b} events, first difference at line {first_diff:?})"
-            ));
-        }
+        let other = run(engine)?;
+        same_run(&seq, "seq", &other, engine.name(), routers, prefixes)?;
     }
     Ok(())
 }

@@ -12,7 +12,7 @@ use abrr::scenarios::{Scenario, ScenarioTuning};
 use abrr::spec::{AbrrLoopPrevention, ClusterSpec, LatencyModel, Mode};
 use abrr::{BgpNode, NetworkSpec};
 use bgp_types::{ApId, AsPath, Asn, Ipv4Prefix, NextHop, PathAttributes, RouterId};
-use netsim::{Engine, RunLimits, RunOutcome, Sim};
+use netsim::{RunConfig, RunLimits, RunOutcome, Sim};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -318,47 +318,24 @@ impl Loaded {
         }
     }
 
-    /// Runs one mode under the engine selected by the historical
-    /// `threads` convention (0 = sequential, N >= 1 = epoch-parallel).
+    /// Runs one mode: builds the sim (sessions in `cfg.wire` mode),
+    /// schedules the workload, compiles the fault schedule, and runs
+    /// under `cfg.engine` to the file's budget, capped by `cfg.limits`.
+    /// `with_faults: false` runs the fault-free twin (the full-mesh
+    /// equivalence oracle).
     pub fn run(
         &self,
         mode: ModeSpec,
-        threads: usize,
         with_faults: bool,
-    ) -> Result<RunReport, String> {
-        self.run_engine(mode, Engine::from_threads(threads), with_faults)
-    }
-
-    /// Runs one mode: builds the sim, schedules the workload, compiles
-    /// the fault schedule, runs to the budget under `engine`.
-    /// `with_faults: false` runs the fault-free twin (the full-mesh
-    /// equivalence oracle).
-    pub fn run_engine(
-        &self,
-        mode: ModeSpec,
-        engine: Engine,
-        with_faults: bool,
-    ) -> Result<RunReport, String> {
-        self.run_wire(mode, engine, with_faults, netsim::WireMode::Off)
-    }
-
-    /// Like [`Loaded::run_engine`], but with sessions in the given
-    /// [`netsim::WireMode`] — the `wire` oracle runs the same scenario
-    /// in struct and encode-decode-verify modes and diffs the results.
-    pub fn run_wire(
-        &self,
-        mode: ModeSpec,
-        engine: Engine,
-        with_faults: bool,
-        wire: netsim::WireMode,
+        cfg: RunConfig,
     ) -> Result<RunReport, String> {
         let budget = self.file().budget;
         let limits = RunLimits {
-            max_events: budget.max_events,
-            max_time: budget.max_time_us,
+            max_events: budget.max_events.min(cfg.limits.max_events),
+            max_time: budget.max_time_us.min(cfg.limits.max_time),
         };
         let mut bare = self.spec(mode);
-        bare.wire_mode = wire;
+        bare.wire_mode = cfg.wire;
         let spec = Arc::new(bare);
         let mut sim = abrr::build_sim(spec.clone());
         match self {
@@ -388,7 +365,7 @@ impl Loaded {
                 regen::replay(&mut sim, &churn::initial_snapshot(&t.model), 1_000);
             }
         }
-        let outcome = sim.run_engine(engine, limits);
+        let outcome = sim.run_engine(cfg.engine, limits);
         Ok(RunReport { spec, sim, outcome })
     }
 }

@@ -4,7 +4,7 @@
 //! Everything lives in ONE `#[test]`: `engines_agree` captures the
 //! global obs trace stream, so no other simulation may run while a
 //! capture is in flight (same constraint as
-//! `crates/bench/tests/obs_determinism.rs`).
+//! `crates/bench/tests/engine_equivalence.rs`).
 
 use netsim::Engine;
 use scenario::shrink::shrink;

@@ -35,7 +35,9 @@ fn show(loaded: &Loaded) {
         ModeSpec::Abrr,
         ModeSpec::FullMesh,
     ] {
-        let run = loaded.run(mode, 0, true).expect("scenario runs");
+        let run = loaded
+            .run(mode, true, Default::default())
+            .expect("scenario runs");
         if run.outcome.quiesced {
             let loops = audit::count_loops(&run.sim, &run.spec, &prefixes);
             let exits: Vec<String> = routers
@@ -78,8 +80,12 @@ fn main() {
 
     // Check ABRR == full-mesh exits on both gadgets.
     for g in &gadgets {
-        let ab = g.run(ModeSpec::Abrr, 0, true).expect("abrr runs");
-        let fm = g.run(ModeSpec::FullMesh, 0, true).expect("full mesh runs");
+        let ab = g
+            .run(ModeSpec::Abrr, true, Default::default())
+            .expect("abrr runs");
+        let fm = g
+            .run(ModeSpec::FullMesh, true, Default::default())
+            .expect("full mesh runs");
         assert!(ab.outcome.quiesced && fm.outcome.quiesced);
         let rep = audit::compare_exits(&ab.sim, &ab.spec, &fm.sim, &g.routers(), &g.prefixes());
         println!(

@@ -20,33 +20,31 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
-echo "== engine determinism (sequential vs parallel 1/2/8)"
+echo "== engine equivalence (seq vs epoch/sharded at 1/2/8 workers)"
+# Gates both policies of the window loop byte-for-byte against the
+# sequential oracle: protocol-level fixtures (incl. the checked
+# lookahead promise), a faulted BGP run, and every golden scenario's
+# fingerprint, obs trace and metrics snapshot.
+cargo test -q -p netsim window
 cargo test -q -p faults --test parallel_determinism
-cargo test -q -p netsim parallel
-
-echo "== sharded engine: golden fingerprints + obs traces at 2/8 shards"
-# Gates the AP-sharded engine byte-for-byte against the sequential
-# oracle on every golden scenario, plus the single-worker fast paths.
-cargo test -q -p netsim sharded
-cargo test -q -p abrr-bench --test sharded_determinism
+cargo test -q -p abrr-bench --test engine_equivalence
 
 echo "== golden RIB-fingerprint regression (role engines vs recorded)"
 # Observability defaults off here, so this doubles as the gate that the
 # disabled obs path cannot drift golden results.
 cargo test -q -p abrr-bench --test golden_regression
 
-echo "== observability: unit tests + engine trace/metric equivalence"
+echo "== observability: unit tests"
 cargo test -q -p obs
-cargo test -q -p abrr-bench --test obs_determinism
 
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== scale smoke (epoch + sharded, ~15 s)"
 cargo build --release -p abrr-bench --bin scale
-./target/release/scale --workload churn --threads 2 --prefixes 200 --minutes 1
-./target/release/scale --workload failover --threads 2 --prefixes 200 --minutes 1
-./target/release/scale --workload churn --engine sharded --threads 2 --prefixes 200 --minutes 1
+./target/release/scale --workload churn --engine epoch:2 --prefixes 200 --minutes 1
+./target/release/scale --workload failover --engine epoch:2 --prefixes 200 --minutes 1
+./target/release/scale --workload churn --engine sharded:2 --prefixes 200 --minutes 1
 
 echo "== tier1-scale smoke (20K prefixes, sharded engine, streamed churn, RSS budget)"
 # Exercises the arena/trie storage and the streaming churn driver at a
@@ -54,7 +52,7 @@ echo "== tier1-scale smoke (20K prefixes, sharded engine, streamed churn, RSS bu
 # budget (the compact-storage regression tripwire; ~4x headroom over the
 # recorded baseline so topology tweaks don't flake it).
 TIER1_OUT=$(mktemp)
-./target/release/scale --workload churn --engine sharded --threads 2 \
+./target/release/scale --workload churn --engine sharded:2 \
   --prefixes 20000 --minutes 1 --stream --out "$TIER1_OUT"
 TIER1_RSS_KB=$(sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "$TIER1_OUT")
 TIER1_QUIESCED=$(sed -n 's/.*"quiesced":\(true\|false\).*/\1/p' "$TIER1_OUT")
