@@ -18,8 +18,7 @@
 use abrr::prelude::*;
 use abrr_bench::pipeline::JsonRow;
 use abrr_bench::{
-    converge_snapshot, flag, peak_rss_kb, run_churn, run_churn_streaming, Args, Experiment,
-    FlagSpec, SETTLE_BUDGET_US,
+    converge_snapshot, flag, peak_rss_kb, run_churn, Args, Experiment, FlagSpec, SETTLE_BUDGET_US,
 };
 use faults::{compile, FaultKind, FaultSchedule};
 use netsim::Engine;
@@ -53,12 +52,6 @@ const FLAGS: &[FlagSpec] = &[
         "FILE",
         "append the JSON row to FILE as well as stdout",
     ),
-    flag(
-        "stream",
-        "",
-        "drive the churn workload from the streaming trace iterator \
-         (bounded memory; trace never materializes)",
-    ),
 ];
 
 struct Measured {
@@ -78,7 +71,6 @@ fn churn_workload(
     minutes: u64,
     rate: f64,
     engine: Engine,
-    stream: bool,
 ) -> Measured {
     let opts = SpecOptions {
         mrai_us: 1_000_000,
@@ -91,11 +83,7 @@ fn churn_workload(
         events_per_sec: rate,
         ..ChurnConfig::default()
     };
-    let out2 = if stream {
-        run_churn_streaming(&mut sim, model, &cfg, 1, engine)
-    } else {
-        run_churn(&mut sim, model, &cfg, 1, engine)
-    };
+    let out2 = run_churn(&mut sim, model, &cfg, 1, engine);
     Measured {
         events: out1.events + out2.events,
         quiesced: out2.quiesced,
@@ -170,11 +158,10 @@ fn main() {
     let n_prefixes = cfg.n_prefixes;
     let model = Tier1Model::generate(cfg);
 
-    let stream = args.flag("stream");
     let t = Instant::now();
     let m = match workload.as_str() {
         "failover" => failover_workload(&model, n_aps, minutes, rate, seed, engine),
-        "churn" => churn_workload(&model, n_aps, minutes, rate, engine, stream),
+        "churn" => churn_workload(&model, n_aps, minutes, rate, engine),
         other => panic!("unknown --workload {other} (expected churn|failover)"),
     };
     let wall = t.elapsed();
@@ -195,7 +182,6 @@ fn main() {
         .u64("events", m.events)
         .f64("events_per_sec", eps, 0)
         .u64("peak_rss_kb", peak_rss_kb())
-        .bool("streamed", stream)
         .bool("quiesced", m.quiesced)
         .u64("sim_end_us", m.sim_end_us)
         .u64("intern_hits", istats.hits)

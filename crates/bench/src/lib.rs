@@ -147,69 +147,6 @@ pub fn run_churn(
     )
 }
 
-/// Streaming variant of [`run_churn`]: the trace is produced by
-/// [`workload::ChurnStream`] and scheduled window by window, with the
-/// engine run between windows, so neither the trace nor the event queue
-/// ever holds more than one window of the feed. This is what makes
-/// two-week traces at Tier-1 prefix counts possible without
-/// materializing them (the stream is statistically the same workload as
-/// `generate`, not byte-identical — see its docs).
-pub fn run_churn_streaming(
-    sim: &mut Sim<BgpNode>,
-    model: &Tier1Model,
-    cfg: &ChurnConfig,
-    speedup: u64,
-    engine: Engine,
-) -> RunOutcome {
-    let speedup = speedup.max(1);
-    let t0 = sim.now();
-    let mut events = 0u64;
-    let mut stream = workload::ChurnStream::new(model, cfg.clone());
-    // Drive in trace-time windows: schedule every record below the
-    // window boundary, then run the sim up to that boundary. Stream
-    // order is sorted, so one held-back record suffices.
-    let mut window_end = workload::churn::STREAM_CHUNK_US;
-    let mut pending: Option<workload::TraceRecord> = None;
-    loop {
-        let mut scheduled = false;
-        while let Some(r) = pending.take().or_else(|| stream.next()) {
-            if r.t_us >= window_end {
-                pending = Some(r);
-                break;
-            }
-            regen::schedule(sim, t0, speedup, &r);
-            scheduled = true;
-        }
-        let done = pending.is_none() && !scheduled;
-        if done {
-            break;
-        }
-        let out = sim.run_engine(
-            engine,
-            RunLimits {
-                max_events: u64::MAX,
-                max_time: t0 + window_end / speedup,
-            },
-        );
-        events += out.events;
-        window_end += workload::churn::STREAM_CHUNK_US;
-    }
-    // Settle past the last record.
-    let deadline = t0 + cfg.duration_us / speedup + SETTLE_BUDGET_US;
-    let out = sim.run_engine(
-        engine,
-        RunLimits {
-            max_events: u64::MAX,
-            max_time: deadline,
-        },
-    );
-    RunOutcome {
-        quiesced: out.quiesced,
-        events: events + out.events,
-        end_time: out.end_time,
-    }
-}
-
 /// Peak resident set size of this process in kB (`VmHWM` from
 /// `/proc/self/status`; 0 on platforms without procfs). Shared by the
 /// `scale` bin and the figure bins' `--out` JSON rows.

@@ -204,14 +204,6 @@ impl Run {
         &self.outcome
     }
 
-    /// Workload stage: drives a churn trace from the streaming iterator
-    /// (bounded memory; see [`crate::run_churn_streaming`]) and settles.
-    pub fn churn_streaming(&mut self, model: &Tier1Model, cfg: &ChurnConfig) -> &RunOutcome {
-        self.outcome = crate::run_churn_streaming(&mut self.sim, model, cfg, 1, self.engine);
-        self.refresh_obs_gauges();
-        &self.outcome
-    }
-
     /// Engine stage: advances simulated time to `t` (time-sliced
     /// sampling loops).
     pub fn advance_to(&mut self, t: Time) -> &RunOutcome {

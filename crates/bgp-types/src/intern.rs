@@ -266,10 +266,11 @@ mod tests {
         drop(a);
         purge();
         // After the purge the next intern must re-allocate (miss), not
-        // resurrect a dead weak reference.
+        // resurrect a dead weak reference. The miss counter is global,
+        // so parallel tests may add their own misses on top of ours.
         let before = stats().misses;
         let b = intern(unique);
-        assert_eq!(stats().misses, before + 1);
+        assert!(stats().misses > before);
         assert_eq!(Arc::strong_count(&b), 1);
     }
 

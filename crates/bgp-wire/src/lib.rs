@@ -20,16 +20,12 @@
 
 pub mod attr;
 pub mod error;
-pub mod fsm;
 pub mod message;
 pub mod nlri;
 pub mod open;
 pub mod update;
 
 pub use error::WireError;
-pub use fsm::{
-    Action as FsmAction, DownReason, Negotiated, SessionConfig, SessionFsm, State as FsmState,
-};
 pub use message::{Message, MessageType, HEADER_LEN, MARKER, MAX_MESSAGE_LEN};
 pub use nlri::Nlri;
 pub use open::{AddPathMode, Capability, OpenMessage};

@@ -85,9 +85,9 @@ impl Nlri {
 
     /// Zero-copy iteration over an NLRI block: elements are decoded
     /// lazily straight off the borrowed slice, with no intermediate
-    /// `Vec` — the hot path for byte-mode sessions and the criterion
-    /// codec bench. [`Nlri`] is `Copy`, so each yielded element is a
-    /// pair of machine words, never an allocation.
+    /// `Vec` — the hot path for byte-mode sessions. [`Nlri`] is
+    /// `Copy`, so each yielded element is a pair of machine words,
+    /// never an allocation.
     pub fn iter(block: &[u8], add_paths: bool) -> NlriIter<'_> {
         NlriIter {
             rest: block,

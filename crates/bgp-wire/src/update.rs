@@ -119,19 +119,21 @@ impl UpdateMessage {
     /// transmission-bandwidth accounting). Pure arithmetic — no
     /// encoding happens.
     pub fn encoded_body_len(&self, cfg: CodecConfig) -> usize {
-        let wlen: usize = self
-            .withdrawn
-            .iter()
-            .map(|n| n.encoded_len(cfg.add_paths))
-            .sum();
-        let alen = self
-            .attrs
-            .as_ref()
-            .map(attr::encoded_attrs_len)
-            .unwrap_or(0);
-        let nlen: usize = self.nlri.iter().map(|n| n.encoded_len(cfg.add_paths)).sum();
-        2 + wlen + 2 + alen + nlen
+        body_len(&self.withdrawn, self.attrs.as_ref(), &self.nlri, cfg)
     }
+}
+
+/// [`UpdateMessage::encoded_body_len`] from borrowed parts, for callers
+/// that only want to measure an UPDATE they have not built.
+pub fn body_len(
+    withdrawn: &[Nlri],
+    attrs: Option<&PathAttributes>,
+    nlri: &[Nlri],
+    cfg: CodecConfig,
+) -> usize {
+    let block = |ns: &[Nlri]| -> usize { ns.iter().map(|n| n.encoded_len(cfg.add_paths)).sum() };
+    let alen = attrs.map(attr::encoded_attrs_len).unwrap_or(0);
+    2 + block(withdrawn) + 2 + alen + block(nlri)
 }
 
 #[cfg(test)]

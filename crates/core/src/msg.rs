@@ -1,7 +1,7 @@
 //! iBGP messages and external (eBGP/operator) events.
 
 use bgp_rib::PathSet;
-use bgp_types::{ApId, Asn, Ipv4Prefix, PathAttributes};
+use bgp_types::{ApId, Asn, Ipv4Prefix, PathAttributes, PathId};
 use bgp_wire::{CodecConfig, Nlri, UpdateMessage};
 use std::sync::Arc;
 
@@ -65,40 +65,69 @@ impl BgpMsg {
     /// UPDATEs, as on a real wire. A withdrawal is a single UPDATE with
     /// one withdrawn NLRI.
     pub fn wire_bytes(&self, add_paths: bool) -> usize {
-        let cfg = if add_paths {
-            CodecConfig::with_add_paths()
-        } else {
-            CodecConfig::plain()
+        let cfg = CodecConfig { add_paths };
+        self.updates(add_paths)
+            .iter()
+            .map(|u| bgp_wire::HEADER_LEN + u.body_len(cfg))
+            .sum()
+    }
+
+    /// The UPDATEs this logical update becomes on the wire — the one
+    /// walk both the accounting above and [`crate::wire::encode_frame`]
+    /// take. A withdrawal is one UPDATE with one withdrawn NLRI (path
+    /// id 0 under add-paths); an announcement is one UPDATE per
+    /// distinct attribute object, in first-occurrence order.
+    pub(crate) fn updates(&self, add_paths: bool) -> Vec<UpdateParts<'_>> {
+        let nlri = |id: PathId| {
+            if add_paths {
+                Nlri::with_path_id(self.prefix, id)
+            } else {
+                Nlri::plain(self.prefix)
+            }
         };
         if self.paths.is_empty() {
-            let nlri = if add_paths {
-                Nlri::with_path_id(self.prefix, bgp_types::PathId(0))
-            } else {
-                Nlri::plain(self.prefix)
-            };
-            let u = UpdateMessage::withdraw(vec![nlri]);
-            return bgp_wire::HEADER_LEN + u.encoded_body_len(cfg);
+            return vec![UpdateParts {
+                attrs: None,
+                nlri: vec![nlri(PathId(0))],
+            }];
         }
-        // Group paths by identical attributes.
-        let mut groups: Vec<(&Arc<PathAttributes>, Vec<Nlri>)> = Vec::new();
+        let mut groups: Vec<UpdateParts<'_>> = Vec::new();
         for (id, attrs) in self.paths.iter() {
-            let nlri = if add_paths {
-                Nlri::with_path_id(self.prefix, *id)
-            } else {
-                Nlri::plain(self.prefix)
-            };
-            match groups.iter_mut().find(|(a, _)| *a == attrs) {
-                Some((_, v)) => v.push(nlri),
-                None => groups.push((attrs, vec![nlri])),
+            match groups.iter_mut().find(|g| g.attrs == Some(attrs)) {
+                Some(g) => g.nlri.push(nlri(*id)),
+                None => groups.push(UpdateParts {
+                    attrs: Some(attrs),
+                    nlri: vec![nlri(*id)],
+                }),
             }
         }
         groups
-            .into_iter()
-            .map(|(attrs, nlri)| {
-                let u = UpdateMessage::announce((**attrs).clone(), nlri);
-                bgp_wire::HEADER_LEN + u.encoded_body_len(cfg)
-            })
-            .sum()
+    }
+}
+
+/// One UPDATE of a [`BgpMsg`]'s wire image, still borrowing the
+/// message's attributes: `attrs` is `None` for the withdrawal UPDATE,
+/// whose `nlri` is then the withdrawn-routes block.
+pub(crate) struct UpdateParts<'a> {
+    attrs: Option<&'a Arc<PathAttributes>>,
+    nlri: Vec<Nlri>,
+}
+
+impl UpdateParts<'_> {
+    /// Encoded body length, without building the message.
+    fn body_len(&self, cfg: CodecConfig) -> usize {
+        match self.attrs {
+            Some(a) => bgp_wire::update::body_len(&[], Some(a), &self.nlri, cfg),
+            None => bgp_wire::update::body_len(&self.nlri, None, &[], cfg),
+        }
+    }
+
+    /// The owned message the codec encodes.
+    pub(crate) fn into_message(self) -> UpdateMessage {
+        match self.attrs {
+            Some(a) => UpdateMessage::announce((**a).clone(), self.nlri),
+            None => UpdateMessage::withdraw(self.nlri),
+        }
     }
 }
 

@@ -31,18 +31,35 @@ use std::sync::Arc;
 /// Peer-group ids used by every node. One RIB-Out copy exists per group
 /// (paper Appendix A accounting).
 pub mod group {
+    use crate::msg::Plane;
+
     /// Full-mesh advertisement group (all other routers).
     pub const MESH: u32 = 0;
+    /// Ids reserved for each per-AP family below. `base + ap` stays
+    /// inside its family — and the families stay disjoint — only for
+    /// AP ids below this; `NetworkSpec::validate` rejects larger ones.
+    pub const AP_STRIDE: u32 = 1000;
+    /// ABRR client → the ARRs of one AP: `CLIENT_TO_ARRS + ap`.
+    pub const CLIENT_TO_ARRS: u32 = 1000;
+    /// ARR → all clients, for one AP: `ARR_TO_CLIENTS + ap`.
+    pub const ARR_TO_CLIENTS: u32 = CLIENT_TO_ARRS + AP_STRIDE;
     /// TBRR client → its TRRs.
-    pub const CLIENT_TO_TRRS: u32 = 3000;
+    pub const CLIENT_TO_TRRS: u32 = ARR_TO_CLIENTS + AP_STRIDE;
     /// TRR → its clients.
     pub const TRR_TO_CLIENTS: u32 = 4000;
     /// TRR → other TRRs.
     pub const TRR_TO_PEERS: u32 = 4001;
-    /// ABRR client → the ARRs of one AP: `CLIENT_TO_ARRS + ap`.
-    pub const CLIENT_TO_ARRS: u32 = 1000;
-    /// ARR → all clients, for one AP: `ARR_TO_CLIENTS + ap`.
-    pub const ARR_TO_CLIENTS: u32 = 2000;
+
+    /// The plane a group's updates travel on.
+    pub fn plane_of(g: u32) -> Plane {
+        if g == MESH {
+            Plane::Mesh
+        } else if (CLIENT_TO_ARRS..ARR_TO_CLIENTS + AP_STRIDE).contains(&g) {
+            Plane::Abrr
+        } else {
+            Plane::Tbrr
+        }
+    }
 }
 
 /// The route a node has selected for a prefix (Loc-RIB value).
@@ -301,15 +318,17 @@ impl BgpNode {
     }
 
     /// Publishes this node's per-role Adj-RIB-In occupancy (plus
-    /// Loc-RIB and RIB-Out sizes) as per-node gauges in the obs
-    /// registry. No-op when metrics are disabled. Called at report
-    /// time by the bench pipeline — deliberately not on the hot path,
-    /// since occupancy is a state snapshot, not a flow.
+    /// Loc-RIB and RIB-Out sizes) and its [`UpdateCounters`] totals as
+    /// per-node gauges in the obs registry. No-op when metrics are
+    /// disabled. Called at report time by the bench pipeline —
+    /// deliberately not on the hot path: occupancy is a state snapshot,
+    /// and the update counts already live in the always-on struct.
     pub fn record_obs_gauges(&self) {
         if !obs::metrics::enabled() {
             return;
         }
         let n = Some(self.ch.id.0);
+        self.ch.counters.publish(n);
         let set = |name: &str, v: usize| {
             obs::metrics::gauge(name, n).set(v as u64);
         };
@@ -579,9 +598,6 @@ impl BgpNode {
                 InputKind::Unexpected => {
                     // Misconfiguration: drop, but never loop.
                     self.ch.counters.loop_prevented += 1;
-                    if let Some(h) = self.ch.obs() {
-                        h.loop_prevented.inc();
-                    }
                 }
             }
         }
@@ -595,9 +611,6 @@ impl Protocol for BgpNode {
 
     fn on_message(&mut self, ctx: &mut Ctx<SessionMsg>, from: RouterId, msg: SessionMsg) {
         self.ch.counters.received += 1;
-        if let Some(h) = self.ch.obs() {
-            h.received.inc();
-        }
         // Byte-mode ingress: parse the session burst back into the
         // logical update before any protocol processing — a real
         // speaker parses off the TCP stream as bytes arrive. A decode

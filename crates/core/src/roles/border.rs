@@ -91,9 +91,6 @@ impl BorderRole {
         attrs: Arc<PathAttributes>,
     ) {
         ch.counters.ebgp_events += 1;
-        if let Some(h) = ch.obs() {
-            h.ebgp_events.inc();
-        }
         let mut a = (*attrs).clone();
         a.next_hop = NextHop(ch.id.0);
         a.originator_id = None;
@@ -121,9 +118,6 @@ impl BorderRole {
         peer_addr: u32,
     ) -> bool {
         ch.counters.ebgp_events += 1;
-        if let Some(h) = ch.obs() {
-            h.ebgp_events.inc();
-        }
         let mut removed = false;
         let mut now_empty = false;
         if let Some(m) = self.ebgp_in.get_mut(&prefix) {
@@ -199,9 +193,6 @@ impl Role for BorderRole {
                 matches!(env.sel.map(|s| s.source), Some(RouteSource::Ebgp { .. })) as u64;
             let exported = n_sessions.saturating_sub(learned_here);
             ch.counters.ebgp_exported += exported;
-            if let Some(h) = ch.obs() {
-                h.ebgp_exported.add(exported);
-            }
         }
     }
 

@@ -53,19 +53,11 @@ use std::sync::Arc;
 /// first time metrics are enabled so the hot paths never pay a
 /// registry lock — only one relaxed enabled-load plus an atomic add.
 ///
-/// The counter mirrors shadow [`UpdateCounters`] fields (which stay
-/// the always-on source of truth for results); the histograms are new
-/// per-node series the plain counters cannot express. All ops are
-/// commutative atomic adds, so sequential and parallel engine runs
-/// produce identical snapshots.
+/// These are per-node series the always-on [`UpdateCounters`] cannot
+/// express (those are published from the struct itself, by
+/// `BgpNode::record_obs_gauges`). All ops are commutative atomic adds,
+/// so sequential and parallel engine runs produce identical snapshots.
 pub(crate) struct ObsHandles {
-    pub(crate) received: obs::Counter,
-    pub(crate) generated: obs::Counter,
-    pub(crate) transmitted: obs::Counter,
-    pub(crate) bytes_transmitted: obs::Counter,
-    pub(crate) loop_prevented: obs::Counter,
-    pub(crate) ebgp_events: obs::Counter,
-    pub(crate) ebgp_exported: obs::Counter,
     /// Updates flushed together by one MRAI timer expiry (§4.2 update
     /// batching — the mechanism behind "one combined outbound update").
     pub(crate) mrai_batch: obs::Histogram,
@@ -85,13 +77,6 @@ impl ObsHandles {
     fn new(id: RouterId) -> ObsHandles {
         let n = Some(id.0);
         ObsHandles {
-            received: obs::metrics::counter("core.updates.received", n),
-            generated: obs::metrics::counter("core.updates.generated", n),
-            transmitted: obs::metrics::counter("core.updates.transmitted", n),
-            bytes_transmitted: obs::metrics::counter("core.updates.bytes_transmitted", n),
-            loop_prevented: obs::metrics::counter("core.updates.loop_prevented", n),
-            ebgp_events: obs::metrics::counter("core.ebgp.events", n),
-            ebgp_exported: obs::metrics::counter("core.ebgp.exported", n),
             mrai_batch: obs::metrics::histogram("core.mrai.batch", n, obs::metrics::COUNT_BOUNDS),
             mrai_defer_us: obs::metrics::histogram(
                 "core.mrai.defer_us",
@@ -300,16 +285,8 @@ impl Chassis {
     /// tests demand byte-identical fingerprints and obs traces.
     pub(crate) fn do_send(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId, msg: BgpMsg) {
         self.counters.transmitted += 1;
-        let bytes = if self.spec.account_bytes {
-            let b = msg.wire_bytes(true) as u64;
-            self.counters.bytes_transmitted += b;
-            b
-        } else {
-            0
-        };
-        if let Some(h) = self.obs() {
-            h.transmitted.inc();
-            h.bytes_transmitted.add(bytes);
+        if self.spec.account_bytes {
+            self.counters.bytes_transmitted += msg.wire_bytes(true) as u64;
         }
         obs::event!(Core, Trace, "core.send", node = self.id.0,
             "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix));
@@ -381,9 +358,6 @@ impl Chassis {
             return;
         }
         self.counters.generated += 1;
-        if let Some(h) = self.obs() {
-            h.generated.inc();
-        }
         let full: Arc<PathSet> = Arc::new(paths);
         let empty: Arc<PathSet> = Arc::new(Vec::new());
         // Only members that originated one of the paths need a filtered
@@ -431,18 +405,6 @@ impl Chassis {
     /// session, and the (group id, prefix) walk order is the
     /// deterministic on-the-wire order.
     pub(crate) fn resync_peer(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId) {
-        let plane_of_group = |g: u32| -> Plane {
-            if g == crate::node::group::MESH {
-                Plane::Mesh
-            } else if (crate::node::group::CLIENT_TO_ARRS
-                ..crate::node::group::ARR_TO_CLIENTS + 1000)
-                .contains(&g)
-            {
-                Plane::Abrr
-            } else {
-                Plane::Tbrr
-            }
-        };
         let mut to_send: Vec<BgpMsg> = Vec::new();
         for (g, prefix, set) in self.out.export_walk(peer) {
             let effective: PathSet = set
@@ -454,7 +416,7 @@ impl Chassis {
                 to_send.push(BgpMsg {
                     prefix: *prefix,
                     paths: Arc::new(effective),
-                    plane: plane_of_group(g),
+                    plane: crate::node::group::plane_of(g),
                 });
             }
         }

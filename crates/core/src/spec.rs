@@ -2,7 +2,7 @@
 //! out, and construction of a ready-to-run simulator.
 
 use crate::msg::ExternalEvent;
-use crate::node::BgpNode;
+use crate::node::{group, BgpNode};
 use bgp_rib::DecisionConfig;
 use bgp_types::{ApId, ApMap, Asn, RouterId};
 use igp::{IgpOracle, Topology};
@@ -373,8 +373,13 @@ impl NetworkSpec {
             }
         }
         if let Some(map) = &self.ap_map {
-            if map.len() > 1000 {
-                problems.push("at most 1000 APs supported (peer-group id space)".into());
+            let outside = |p: &&bgp_types::Partition| u32::from(p.id.0) >= group::AP_STRIDE;
+            if let Some(part) = map.partitions().iter().find(outside) {
+                problems.push(format!(
+                    "{} is outside the peer-group id space (AP ids must be below {})",
+                    part.id,
+                    group::AP_STRIDE
+                ));
             }
         }
         if self.routers.is_empty() {
@@ -534,6 +539,27 @@ mod tests {
         spec.arrs.insert(ApId(0), vec![r(1)]);
         // AP1 has no ARRs.
         assert!(!spec.validate().is_empty());
+    }
+
+    #[test]
+    fn validate_catches_ap_id_outside_group_space() {
+        use bgp_types::{AddressRange, Partition};
+        let topo = topo4();
+        let mut spec = NetworkSpec::full_mesh(&topo, Asn(65000));
+        spec.mode = Mode::Abrr;
+        let half = |id, first, last| Partition {
+            id: ApId(id),
+            ranges: vec![AddressRange::new(first, last)],
+        };
+        spec.ap_map = Some(ApMap::new(vec![
+            half(0, 0, u32::MAX / 2),
+            half(1000, u32::MAX / 2 + 1, u32::MAX),
+        ]));
+        spec.arrs.insert(ApId(0), vec![r(1)]);
+        spec.arrs.insert(ApId(1000), vec![r(2)]);
+        let problems = spec.validate();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("peer-group id space"));
     }
 
     #[test]

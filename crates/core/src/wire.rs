@@ -24,8 +24,8 @@
 
 use crate::msg::{BgpMsg, Plane, WireFrame};
 use bgp_rib::PathSet;
-use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
-use bgp_wire::{AddPathMode, CodecConfig, Message, Nlri, OpenMessage, UpdateMessage, WireError};
+use bgp_types::{Ipv4Prefix, RouterId};
+use bgp_wire::{AddPathMode, CodecConfig, Message, OpenMessage, WireError};
 use bytes::BytesMut;
 use std::sync::Arc;
 
@@ -67,29 +67,13 @@ pub fn session_codec() -> CodecConfig {
 }
 
 /// Encodes one logical update into its wire image: the concatenated
-/// RFC 4271 UPDATE burst described in [`WireFrame`]. Mirrors
-/// [`BgpMsg::wire_bytes`] byte-for-byte.
+/// RFC 4271 UPDATE burst described in [`WireFrame`] — the UPDATEs
+/// [`BgpMsg::wire_bytes`] measures, encoded.
 pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
     let cfg = session_codec();
     let mut out = BytesMut::with_capacity(64);
-    if msg.paths.is_empty() {
-        let u = UpdateMessage::withdraw(vec![Nlri::with_path_id(msg.prefix, PathId(0))]);
-        Message::Update(u).encode(&mut out, cfg)?;
-    } else {
-        // Group by identical attribute object, first-occurrence order —
-        // the same walk wire_bytes() does.
-        let mut groups: Vec<(&Arc<PathAttributes>, Vec<Nlri>)> = Vec::new();
-        for (id, attrs) in msg.paths.iter() {
-            let nlri = Nlri::with_path_id(msg.prefix, *id);
-            match groups.iter_mut().find(|(a, _)| *a == attrs) {
-                Some((_, v)) => v.push(nlri),
-                None => groups.push((attrs, vec![nlri])),
-            }
-        }
-        for (attrs, nlri) in groups {
-            let u = UpdateMessage::announce((**attrs).clone(), nlri);
-            Message::Update(u).encode(&mut out, cfg)?;
-        }
+    for u in msg.updates(cfg.add_paths) {
+        Message::Update(u.into_message()).encode(&mut out, cfg)?;
     }
     Ok(WireFrame {
         prefix: msg.prefix,
@@ -227,7 +211,7 @@ pub fn withdraw_frame(prefix: Ipv4Prefix, plane: Plane) -> Result<WireFrame, Wir
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::{AsPath, Asn, NextHop};
+    use bgp_types::{AsPath, Asn, NextHop, PathAttributes, PathId};
 
     fn pfx(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()

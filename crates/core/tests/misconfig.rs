@@ -77,6 +77,56 @@ fn reflected_marker_stops_re_reflection() {
 }
 
 #[test]
+fn published_update_metrics_equal_update_counters() {
+    // The obs registry must report what the always-on `UpdateCounters`
+    // hold — including the counts only a misconfiguration produces.
+    obs::metrics::reset();
+    obs::metrics::set_enabled(true);
+    let mut sim = misconfigured_trio_with(AbrrLoopPrevention::ReflectedBit);
+    sim.schedule_external(
+        0,
+        RouterId(1),
+        ExternalEvent::EbgpAnnounce {
+            prefix: pfx("10.0.0.0/8"),
+            peer_as: Asn(7018),
+            peer_addr: 9001,
+            attrs: Arc::new(PathAttributes::ebgp(
+                AsPath::sequence([Asn(7018)]),
+                NextHop(9001),
+            )),
+        },
+    );
+    assert!(sim.run_to_quiescence().quiesced);
+    let mut want = UpdateCounters::default();
+    for (_, node) in sim.nodes() {
+        node.record_obs_gauges();
+        want.merge(node.counters());
+    }
+    let snap = obs::metrics::snapshot();
+    obs::metrics::set_enabled(false);
+    assert!(want.loop_prevented > 0 && want.generated > 0);
+    for (name, want) in [
+        ("core.updates.received", want.received),
+        ("core.updates.generated", want.generated),
+        ("core.updates.transmitted", want.transmitted),
+        ("core.updates.bytes_transmitted", want.bytes_transmitted),
+        ("core.updates.loop_prevented", want.loop_prevented),
+        ("core.ebgp.events", want.ebgp_events),
+        ("core.ebgp.exported", want.ebgp_exported),
+    ] {
+        let published: u64 = snap
+            .iter()
+            .filter(|((n, _), _)| n == name)
+            .map(|(_, v)| match v {
+                obs::MetricValue::Counter(v) | obs::MetricValue::Gauge(v) => *v,
+                obs::MetricValue::Histogram { .. } => panic!("{name} is a histogram"),
+            })
+            .sum();
+        assert_eq!(published, want, "{name}");
+    }
+}
+
+#[test]
 fn without_marker_more_messages_flow_but_replace_set_converges() {
     // The ablation: without the marker a single update *is* re-reflected
     // (the paper notes a single looping update dies as "old news"; the

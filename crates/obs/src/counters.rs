@@ -3,9 +3,9 @@
 //! The observability layer owns all update accounting (`abrr`
 //! re-exports the type at its crate root). The struct itself stays a
 //! plain always-on value type — the paper's results are computed from
-//! it, so it is never gated behind the metrics enable flag; the
-//! registry carries *mirrors* of these counts (plus the new per-node
-//! series) when enabled.
+//! it, so it is never gated behind the metrics enable flag;
+//! [`UpdateCounters::publish`] copies it into the registry at report
+//! time.
 
 use serde::{Deserialize, Serialize};
 
@@ -50,6 +50,23 @@ impl UpdateCounters {
         self.loop_prevented += other.loop_prevented;
         self.ebgp_events += other.ebgp_events;
         self.ebgp_exported += other.ebgp_exported;
+    }
+
+    /// Sets the per-node gauges `core.updates.*` / `core.ebgp.*` to
+    /// this counter set's current totals (inert with metrics disabled,
+    /// like every registry write).
+    pub fn publish(&self, node: Option<u32>) {
+        for (name, v) in [
+            ("core.updates.received", self.received),
+            ("core.updates.generated", self.generated),
+            ("core.updates.transmitted", self.transmitted),
+            ("core.updates.bytes_transmitted", self.bytes_transmitted),
+            ("core.updates.loop_prevented", self.loop_prevented),
+            ("core.ebgp.events", self.ebgp_events),
+            ("core.ebgp.exported", self.ebgp_exported),
+        ] {
+            crate::metrics::gauge(name, node).set(v);
+        }
     }
 }
 

@@ -7,8 +7,9 @@
 //! * topology: dangling link endpoints, unknown routers/RRs, overlaps
 //!   between the router and RR sets;
 //! * clusters: unknown TRRs/clients, duplicate ids;
-//! * APs: duplicate ids, inverted or overlapping ranges, ARR
-//!   assignments naming unknown APs or non-RR routers;
+//! * APs: duplicate ids, ids outside the peer-group id space, inverted
+//!   or overlapping ranges, ARR assignments naming unknown APs or
+//!   non-RR routers;
 //! * workload: feeds from unknown routers, withdraws of never-announced
 //!   routes, cutovers of unknown APs, and the §2.4 accept-set rule —
 //!   a Transition scenario may not strand a spanning prefix with only
@@ -231,11 +232,19 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             "ABRR/transition checks need at least one RR",
         ));
     }
-    if let Some(ApScheme::Uniform(0)) = g.aps {
-        errs.push(ScenarioError::at(
+    // AP ids index per-AP peer-group families of `AP_STRIDE` ids each;
+    // a larger id would silently alias another family's group.
+    let ap_id_bound = abrr::node::group::AP_STRIDE;
+    match g.aps {
+        Some(ApScheme::Uniform(0)) => errs.push(ScenarioError::at(
             "$.network.aps.uniform",
             "need at least one AP",
-        ));
+        )),
+        Some(ApScheme::Uniform(n)) if u32::from(n) > ap_id_bound => errs.push(ScenarioError::at(
+            "$.network.aps.uniform",
+            format!("at most {ap_id_bound} APs supported (peer-group id space)"),
+        )),
+        _ => {}
     }
     if let Some(ApScheme::Explicit(ranges)) = &g.aps {
         let mut ids = BTreeSet::new();
@@ -245,6 +254,15 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
                 errs.push(ScenarioError::at(
                     &path,
                     format!("duplicate AP id {}", r.id),
+                ));
+            }
+            if u32::from(r.id) >= ap_id_bound {
+                errs.push(ScenarioError::at(
+                    format!("{path}.id"),
+                    format!(
+                        "AP id {} is outside the peer-group id space (must be below {ap_id_bound})",
+                        r.id
+                    ),
                 ));
             }
             if r.first > r.last {

@@ -92,6 +92,26 @@ fn overlapping_ap_assignment() {
 }
 
 #[test]
+fn ap_id_aliasing_another_peer_group() {
+    // Group ids are `base + ap` with 1000 ids per family, so AP 1000's
+    // client→ARR group would be AP 0's ARR→client group.
+    let src = base().replace(
+        "\"rrs\": [1]",
+        r#""rrs": [1],
+        "aps": {"explicit": [
+          {"id": 0, "first": "0.0.0.0", "last": "127.255.255.255"},
+          {"id": 1000, "first": "128.0.0.0", "last": "255.255.255.255"}
+        ]},
+        "arrs": [{"ap": 0, "arrs": [1]}, {"ap": 1000, "arrs": [1]}]"#,
+    );
+    assert_error(
+        &src,
+        "$.network.aps.explicit[1].id",
+        "outside the peer-group id space",
+    );
+}
+
+#[test]
 fn spanning_prefix_accept_set_violation() {
     // Under uniform-3 APs, 0.0.0.0/1 crosses the AP0/AP1 boundary;
     // cutting over only AP 0 while a Transition check is active

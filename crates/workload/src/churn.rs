@@ -188,11 +188,10 @@ fn push_event(
 /// Generates a churn trace against a model's peer prefixes. Records are
 /// sorted by arrival time.
 ///
-/// This materializes the whole trace; for long traces at Tier-1 prefix
-/// counts use [`ChurnStream`], which yields the same *kind* of trace in
-/// bounded memory (the two are separately seeded record streams, not
-/// byte-identical — this function's output is pinned by the golden
-/// fingerprint tests).
+/// The trace is `duration × events_per_sec` routing events whatever the
+/// prefix count, so it is materialized: at the largest recorded scale
+/// it is well under 1 % of the run's peak RSS (CHANGES.md, PR 15). The
+/// output is pinned by the golden fingerprint tests.
 pub fn generate(model: &Tier1Model, cfg: &ChurnConfig) -> Vec<TraceRecord> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let peer_prefixes = peer_prefix_indices(model);
@@ -216,141 +215,6 @@ pub fn generate(model: &Tier1Model, cfg: &ChurnConfig) -> Vec<TraceRecord> {
     }
     records.sort_by_key(|r| r.t_us);
     records
-}
-
-/// Default [`ChurnStream`] window length: one simulated minute. Flap
-/// re-announces reach at most ~10 s + jitter past their event's base
-/// time, so the carry buffer holds roughly one window of records.
-pub const STREAM_CHUNK_US: Time = 60_000_000;
-
-/// A streaming churn trace: yields time-sorted [`TraceRecord`]s without
-/// ever materializing the full trace (paper §4's two-week feed at 400K+
-/// prefixes does not fit a `Vec`).
-///
-/// Time is cut into fixed windows. Each window draws its share of
-/// routing events from its own RNG (derived from `cfg.seed` and the
-/// window index), so the stream is deterministic, seekable in
-/// principle, and independent of how many windows were consumed before.
-/// Records spilling past a window boundary (jitter, flap re-announces)
-/// wait in a carry buffer until every earlier window has emitted; peak
-/// buffering is a couple of windows of records, not the trace.
-///
-/// Statistically this is the same trace process as [`generate`] — same
-/// per-event record shapes, same hot-prefix skew, same total event
-/// count for a given config — but not the same byte sequence (the
-/// event times are drawn per window rather than globally).
-pub struct ChurnStream<'a> {
-    model: &'a Tier1Model,
-    cfg: ChurnConfig,
-    peer_prefixes: Vec<usize>,
-    hot_count: usize,
-    chunk_us: Time,
-    /// Index of the next window to draw.
-    next_chunk: u64,
-    n_chunks: u64,
-    /// Generated but not yet emittable (a later record of the current
-    /// window could still sort before them — only records older than
-    /// the *next* window's start are safe).
-    carry: Vec<TraceRecord>,
-    /// Sorted records safe to emit, drained front-first.
-    ready: std::collections::VecDeque<TraceRecord>,
-    /// High-water mark of `carry` + `ready` (memory-bound telemetry).
-    max_buffered: usize,
-}
-
-impl<'a> ChurnStream<'a> {
-    /// A stream over `model` with the default window length.
-    pub fn new(model: &'a Tier1Model, cfg: ChurnConfig) -> ChurnStream<'a> {
-        Self::with_chunk(model, cfg, STREAM_CHUNK_US)
-    }
-
-    /// A stream with an explicit window length (tests use small windows
-    /// to exercise the carry logic).
-    pub fn with_chunk(model: &'a Tier1Model, cfg: ChurnConfig, chunk_us: Time) -> ChurnStream<'a> {
-        let peer_prefixes = peer_prefix_indices(model);
-        let hot_count = (peer_prefixes.len() / 10).max(1);
-        let chunk_us = chunk_us.max(1);
-        let n_chunks = if peer_prefixes.is_empty() {
-            0
-        } else {
-            cfg.duration_us.div_ceil(chunk_us)
-        };
-        ChurnStream {
-            model,
-            cfg,
-            peer_prefixes,
-            hot_count,
-            chunk_us,
-            next_chunk: 0,
-            n_chunks,
-            carry: Vec::new(),
-            ready: std::collections::VecDeque::new(),
-            max_buffered: 0,
-        }
-    }
-
-    /// Largest number of records ever buffered at once. For a healthy
-    /// stream this is a few windows' worth, independent of duration.
-    pub fn max_buffered(&self) -> usize {
-        self.max_buffered
-    }
-
-    /// Cumulative routing-event target at trace time `t` — the prefix
-    /// sums are exact so the whole stream carries the same event count
-    /// as [`generate`] for the same config.
-    fn event_target(&self, t: Time) -> usize {
-        (t.min(self.cfg.duration_us) as f64 / 1e6 * self.cfg.events_per_sec) as usize
-    }
-
-    /// Draws window `k` into the carry buffer, then moves everything
-    /// older than the next window's start to the ready queue.
-    fn draw_chunk(&mut self, k: u64) {
-        let start = k * self.chunk_us;
-        let end = ((k + 1) * self.chunk_us).min(self.cfg.duration_us);
-        let n_events = self.event_target(end) - self.event_target(start);
-        // Window RNG: decorrelate consecutive seeds with a splitmix-style
-        // odd multiplier.
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for _ in 0..n_events {
-            let t = rng.gen_range(start..end);
-            let mut recs = Vec::new();
-            push_event(
-                &mut rng,
-                self.model,
-                &self.cfg,
-                &self.peer_prefixes,
-                self.hot_count,
-                t,
-                &mut recs,
-            );
-            self.carry.extend(recs);
-        }
-        self.max_buffered = self.max_buffered.max(self.carry.len() + self.ready.len());
-        // Everything before the next window's start is final: window
-        // k+1 onward only draws base times >= that boundary.
-        let horizon = if k + 1 < self.n_chunks {
-            (k + 1) * self.chunk_us
-        } else {
-            Time::MAX
-        };
-        self.carry.sort_by_key(|r| r.t_us);
-        let split = self.carry.partition_point(|r| r.t_us < horizon);
-        self.ready.extend(self.carry.drain(..split));
-    }
-}
-
-impl Iterator for ChurnStream<'_> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        while self.ready.is_empty() && self.next_chunk < self.n_chunks {
-            let k = self.next_chunk;
-            self.next_chunk += 1;
-            self.draw_chunk(k);
-        }
-        self.ready.pop_front()
-    }
 }
 
 /// The initial RIB snapshot as a list of announce records at t=0
@@ -429,76 +293,6 @@ mod tests {
         let m = model();
         let cfg = ChurnConfig::default();
         assert_eq!(generate(&m, &cfg), generate(&m, &cfg));
-    }
-
-    #[test]
-    fn stream_is_sorted_deterministic_and_bounded() {
-        let m = model();
-        let cfg = ChurnConfig::default();
-        let a: Vec<TraceRecord> = ChurnStream::new(&m, cfg.clone()).collect();
-        let b: Vec<TraceRecord> = ChurnStream::new(&m, cfg.clone()).collect();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        for w in a.windows(2) {
-            assert!(w[0].t_us <= w[1].t_us);
-        }
-        let max_t = a.iter().map(|r| r.t_us).max().unwrap();
-        assert!(max_t <= cfg.duration_us + 11_000_000);
-    }
-
-    #[test]
-    fn stream_matches_generate_event_count_and_mix() {
-        // Same event-count target as the materializing generator and a
-        // comparable record volume (records per event vary with RNG
-        // draws, so only the event allocation is exact).
-        let m = model();
-        let cfg = ChurnConfig::default();
-        let full = generate(&m, &cfg);
-        let streamed: Vec<TraceRecord> = ChurnStream::new(&m, cfg.clone()).collect();
-        let lo = full.len() / 2;
-        let hi = full.len() * 2;
-        assert!(
-            (lo..=hi).contains(&streamed.len()),
-            "stream produced {} records vs {} materialized",
-            streamed.len(),
-            full.len()
-        );
-        assert!(streamed
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::Withdraw { .. })));
-    }
-
-    #[test]
-    fn stream_buffering_is_windowed_not_whole_trace() {
-        let m = model();
-        // A long trace with small windows: the high-water mark must stay
-        // a small multiple of a window's records, far below the total.
-        let cfg = ChurnConfig {
-            duration_us: 3_600_000_000, // 1 simulated hour
-            ..ChurnConfig::default()
-        };
-        let mut s = ChurnStream::with_chunk(&m, cfg, 60_000_000);
-        let total = s.by_ref().count();
-        assert!(total > 1000);
-        assert!(
-            s.max_buffered() < total / 4,
-            "buffered {} of {} records — not streaming",
-            s.max_buffered(),
-            total
-        );
-    }
-
-    #[test]
-    fn stream_chunk_size_changes_trace_but_not_volume_scale() {
-        // Windowing is a memory knob, not a workload knob: different
-        // chunk sizes draw different byte sequences but the same event
-        // allocation.
-        let m = model();
-        let cfg = ChurnConfig::default();
-        let a: Vec<TraceRecord> = ChurnStream::with_chunk(&m, cfg.clone(), 30_000_000).collect();
-        let b: Vec<TraceRecord> = ChurnStream::with_chunk(&m, cfg.clone(), 120_000_000).collect();
-        let lo = a.len() / 2;
-        assert!(b.len() >= lo && a.len() >= b.len() / 2);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! * [`churn`] — a two-week-style update trace with cross-PoP arrival
 //!   jitter (the racing the paper identifies as the cause of TBRR's
 //!   extra client updates, §4.2).
-//! * [`abrt`] — a compact project-native binary trace format.
 //! * [`mrt`] — an RFC 6396 MRT reader/writer (BGP4MP + TABLE_DUMP_V2),
 //!   replaying RouteViews/RIPE-RIS-style dumps through the pipeline.
 //! * [`regen`] — the *route regenerator* (paper §4: "a simple pseudo
@@ -24,12 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod abrt;
 pub mod churn;
 pub mod mrt;
 pub mod regen;
 pub mod specs;
 pub mod tier1;
 
-pub use churn::{ChurnConfig, ChurnStream, TraceEvent, TraceRecord};
+pub use churn::{ChurnConfig, TraceEvent, TraceRecord};
 pub use tier1::{PrefixKind, PrefixPlan, RoutePlan, Tier1Config, Tier1Model};

@@ -9,38 +9,31 @@ use netsim::Sim;
 /// Schedules every record into `sim`, accelerating time by `speedup`
 /// (paper §4 replayed both in realtime and ~20× faster and found <3%
 /// difference in update counts — a comparison reproduced in the
-/// integration tests). `speedup` = 1 preserves trace timing.
+/// integration tests): trace time `t_us` maps to sim time
+/// `now + t_us / speedup`, so `speedup` = 1 preserves trace timing.
 pub fn replay(sim: &mut Sim<BgpNode>, records: &[TraceRecord], speedup: u64) {
     let speedup = speedup.max(1);
     let t0 = sim.now();
     for r in records {
-        schedule(sim, t0, speedup, r);
+        let ev = match &r.event {
+            TraceEvent::Announce {
+                prefix,
+                peer_as,
+                peer_addr,
+                attrs,
+            } => ExternalEvent::EbgpAnnounce {
+                prefix: *prefix,
+                peer_as: *peer_as,
+                peer_addr: *peer_addr,
+                attrs: attrs.clone(),
+            },
+            TraceEvent::Withdraw { prefix, peer_addr } => ExternalEvent::EbgpWithdraw {
+                prefix: *prefix,
+                peer_addr: *peer_addr,
+            },
+        };
+        sim.schedule_external(t0 + r.t_us / speedup, r.router, ev);
     }
-}
-
-/// Schedules one trace record into `sim`: trace time `t_us` maps to sim
-/// time `t0 + t_us / speedup`. The unit of both [`replay`] and the
-/// streaming drivers that interleave scheduling with engine runs.
-pub fn schedule(sim: &mut Sim<BgpNode>, t0: netsim::Time, speedup: u64, r: &TraceRecord) {
-    let at = t0 + r.t_us / speedup.max(1);
-    let ev = match &r.event {
-        TraceEvent::Announce {
-            prefix,
-            peer_as,
-            peer_addr,
-            attrs,
-        } => ExternalEvent::EbgpAnnounce {
-            prefix: *prefix,
-            peer_as: *peer_as,
-            peer_addr: *peer_addr,
-            attrs: attrs.clone(),
-        },
-        TraceEvent::Withdraw { prefix, peer_addr } => ExternalEvent::EbgpWithdraw {
-            prefix: *prefix,
-            peer_addr: *peer_addr,
-        },
-    };
-    sim.schedule_external(at, r.router, ev);
 }
 
 #[cfg(test)]

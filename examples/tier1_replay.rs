@@ -1,14 +1,15 @@
 //! The paper's §4 pipeline, end to end: generate a synthetic Tier-1
-//! model, write its churn trace to a native `.abrt` trace file on
-//! disk (use the `mrt_replay` binary for RFC 6396 MRT), read it back
-//! with the route regenerator, replay it into ABRR and TBRR
-//! simulations, and print the comparative update/RIB statistics.
+//! model, write its churn trace to an RFC 6396 MRT file on disk (the
+//! paper's own trace format), read it back for the route regenerator,
+//! replay it into ABRR and TBRR simulations, and print the comparative
+//! update/RIB statistics.
 //!
 //! Run with: `cargo run --release --example tier1_replay`
 
 use std::sync::Arc;
+use workload::mrt::{self, MrtImportConfig};
 use workload::specs::{self, SpecOptions};
-use workload::{abrt, churn, regen, ChurnConfig, Tier1Config, Tier1Model};
+use workload::{churn, regen, ChurnConfig, Tier1Config, Tier1Model};
 
 fn main() {
     // 1. The model (a scaled-down Tier-1: see DESIGN.md for the
@@ -40,14 +41,26 @@ fn main() {
             ..ChurnConfig::default()
         },
     );
-    let path = std::env::temp_dir().join("abrr_tier1_trace.abrt");
+    let path = std::env::temp_dir().join("abrr_tier1_trace.mrt");
     let mut f = std::fs::File::create(&path).expect("create trace file");
-    abrt::write_trace(&mut f, &trace).expect("write trace");
+    mrt::write_mrt(&mut f, &trace).expect("write trace");
     let mut f = std::fs::File::open(&path).expect("open trace file");
-    let replayed = abrt::read_trace(&mut f).expect("read trace");
+    // An empty router list trusts each record's local IP as the router
+    // id `write_mrt` stored there. Import times are relative to the
+    // first update, so the whole trace shifts by that record's offset.
+    let import = mrt::read_mrt(&mut f, &MrtImportConfig::default()).expect("read trace");
+    let replayed = import.records;
+    assert_eq!(import.stats.skipped_malformed, 0);
     assert_eq!(replayed.len(), trace.len());
+    let shift = trace.first().map_or(0, |r| r.t_us);
+    for (a, b) in trace.iter().zip(&replayed) {
+        assert_eq!(
+            (a.t_us - shift, a.router, &a.event),
+            (b.t_us, b.router, &b.event)
+        );
+    }
     println!(
-        "trace: {} records written to {} and read back",
+        "trace: {} records written to {} as BGP4MP_ET and read back identical",
         trace.len(),
         path.display()
     );

@@ -17,25 +17,29 @@ cargo clippy --workspace -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test -q"
-cargo test -q
-
-echo "== engine equivalence (seq vs epoch/sharded at 1/2/8 workers)"
-# Gates both policies of the window loop byte-for-byte against the
-# sequential oracle: protocol-level fixtures (incl. the checked
-# lookahead promise), a faulted BGP run, and every golden scenario's
-# fingerprint, obs trace and metrics snapshot.
-cargo test -q -p netsim window
-cargo test -q -p faults --test parallel_determinism
-cargo test -q -p abrr-bench --test engine_equivalence
-
-echo "== golden RIB-fingerprint regression (role engines vs recorded)"
-# Observability defaults off here, so this doubles as the gate that the
-# disabled obs path cannot drift golden results.
-cargo test -q -p abrr-bench --test golden_regression
-
-echo "== observability: unit tests"
-cargo test -q -p obs
+echo "== cargo test --workspace -q"
+# Every suite of every crate (a superset of Tier-1's root-package
+# `cargo test -q`), including the gates earlier revisions ran one by one:
+# - engine equivalence (seq vs epoch/sharded at 1/2/8 workers): both
+#   policies of the window loop byte-for-byte against the sequential
+#   oracle — netsim `window` fixtures (incl. the checked lookahead
+#   promise), faults/tests/parallel_determinism.rs, and
+#   bench/tests/engine_equivalence.rs (every golden scenario's
+#   fingerprint, obs trace and metrics snapshot).
+# - golden RIB-fingerprint regression (bench/tests/golden_regression.rs):
+#   observability defaults off there, so it doubles as the gate that the
+#   disabled obs path cannot drift golden results.
+# - observability unit tests (obs).
+# - wire mode (DESIGN.md §14): bgp-wire codec round-trip and corner-case
+#   proptests; bench/tests/wire_mode.rs (every golden scenario in
+#   encode-decode-verify and bytes-only modes reproduces struct mode's
+#   fingerprints and obs traces on seq + sharded); the pcap golden
+#   (bench/tests/pcap_golden.rs); the MRT reader fixtures
+#   (workload/tests/mrt_fixtures.rs).
+# No suite takes more than ~25 s, so none is split off as `#[ignore]`.
+TEST_T0=$SECONDS
+cargo test --workspace -q
+echo "workspace tests: $((SECONDS - TEST_T0)) s wall"
 
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -46,14 +50,14 @@ cargo build --release -p abrr-bench --bin scale
 ./target/release/scale --workload failover --engine epoch:2 --prefixes 200 --minutes 1
 ./target/release/scale --workload churn --engine sharded:2 --prefixes 200 --minutes 1
 
-echo "== tier1-scale smoke (20K prefixes, sharded engine, streamed churn, RSS budget)"
-# Exercises the arena/trie storage and the streaming churn driver at a
-# bounded Tier-1 scale: must complete, quiesce, and stay under a peak-RSS
-# budget (the compact-storage regression tripwire; ~4x headroom over the
-# recorded baseline so topology tweaks don't flake it).
+echo "== tier1-scale smoke (20K prefixes, sharded engine, RSS budget)"
+# Exercises the arena/trie storage at a bounded Tier-1 scale: must
+# complete, quiesce, and stay under a peak-RSS budget (the
+# compact-storage regression tripwire; ~4x headroom over the recorded
+# baseline so topology tweaks don't flake it).
 TIER1_OUT=$(mktemp)
 ./target/release/scale --workload churn --engine sharded:2 \
-  --prefixes 20000 --minutes 1 --stream --out "$TIER1_OUT"
+  --prefixes 20000 --minutes 1 --out "$TIER1_OUT"
 TIER1_RSS_KB=$(sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "$TIER1_OUT")
 TIER1_QUIESCED=$(sed -n 's/.*"quiesced":\(true\|false\).*/\1/p' "$TIER1_OUT")
 rm -f "$TIER1_OUT"
@@ -68,20 +72,13 @@ if [ -z "$TIER1_RSS_KB" ] || [ "$TIER1_RSS_KB" -gt "$TIER1_RSS_BUDGET_KB" ]; the
 fi
 echo "tier1-scale smoke OK: peak RSS ${TIER1_RSS_KB} kB (budget ${TIER1_RSS_BUDGET_KB} kB)"
 
-echo "== wire mode: codec suites, golden differential sweep, pcap golden, MRT"
-# The byte-level wire mode (DESIGN.md §14). Codec round-trip and
-# corner-case proptests; every golden scenario in encode-decode-verify
-# and bytes-only modes must reproduce struct mode's fingerprints and
-# obs traces byte-for-byte on the seq + sharded engines; the pcap dump
-# of the small reference scenario must match its blessed golden; the
-# MRT reader fixtures must parse/skip exactly as recorded. The codec
-# throughput bench must compile (rate itself is recorded out-of-band
-# in BENCH_*.json, not timed in CI).
-cargo test -q -p bgp-wire
-cargo test -q -p abrr-bench --test wire_mode
-cargo test -q -p abrr-bench --test pcap_golden
-cargo test -q -p workload --test mrt_fixtures
-cargo bench -p abrr-bench --bench codec --no-run
+echo "== examples on the codec and the MRT trace format (~5 s)"
+# wire_session asserts the OPEN capabilities and add-paths UPDATEs
+# survive the codec; tier1_replay asserts its churn trace survives
+# BGP4MP_ET export -> import record for record before replaying it.
+cargo build --release --examples
+./target/release/examples/wire_session
+./target/release/examples/tier1_replay
 
 echo "== scenario corpus + fixed-seed fuzz smoke"
 # Runs every gadget in examples/scenarios/ against its declared oracle
