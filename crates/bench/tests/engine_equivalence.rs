@@ -20,6 +20,10 @@
 //! Everything lives in one `#[test]` because the obs layer is global
 //! state; a single test function serializes the runs by construction
 //! (this file is its own test binary, hence its own process).
+//!
+//! `#[ignore]`d: at ~25 s it is the slowest suite by a factor of two
+//! and would hold Tier-1's `cargo test -q` past two minutes from a cold
+//! build. `scripts/ci.sh` runs it with `-- --ignored`.
 
 use abrr_bench::fingerprint::{golden_dir, scenarios, GoldenScenario};
 use netsim::{Engine, RunConfig};
@@ -73,6 +77,7 @@ fn assert_traces_equal(name: &str, engine: Engine, reference: &str, got: &str) {
 }
 
 #[test]
+#[ignore = "~25 s; scripts/ci.sh runs it with -- --ignored"]
 fn every_engine_matches_goldens_traces_and_metrics() {
     if std::env::var("GOLDEN_BLESS").is_ok() {
         return; // blessing is done by golden_regression.rs

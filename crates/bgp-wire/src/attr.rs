@@ -48,40 +48,61 @@ pub mod flags {
     pub const EXT_LEN: u8 = 0x10;
 }
 
-fn put_attr(out: &mut BytesMut, flag: u8, code: u8, body: &[u8]) {
-    if body.len() > 255 {
+/// Writes an attribute's flag, type and length octets; the caller
+/// appends exactly `len` body bytes.
+fn put_attr_header(out: &mut BytesMut, flag: u8, code: u8, len: usize) {
+    if len > 255 {
         out.put_u8(flag | flags::EXT_LEN);
         out.put_u8(code);
-        out.put_u16(body.len() as u16);
+        out.put_u16(len as u16);
     } else {
         out.put_u8(flag);
         out.put_u8(code);
-        out.put_u8(body.len() as u8);
+        out.put_u8(len as u8);
     }
+}
+
+/// Encoded size of an attribute with a `len`-byte body.
+fn attr_len(len: usize) -> usize {
+    (if len > 255 { 4 } else { 3 }) + len
+}
+
+fn put_attr(out: &mut BytesMut, flag: u8, code: u8, body: &[u8]) {
+    put_attr_header(out, flag, code, body.len());
     out.put_slice(body);
 }
 
-fn encode_as_path(path: &AsPath) -> Vec<u8> {
-    let mut body = Vec::new();
+/// Encoded size of an AS_PATH attribute body. RFC 4271 limits a
+/// segment to 255 ASes, so longer ones are split; an empty segment
+/// still costs its two header octets.
+fn as_path_len(path: &AsPath) -> usize {
+    path.segments
+        .iter()
+        .map(|seg| {
+            let n = seg.asns().len();
+            2 * n.div_ceil(255).max(1) + 4 * n
+        })
+        .sum()
+}
+
+fn put_as_path(out: &mut BytesMut, path: &AsPath) {
     for seg in &path.segments {
         let (ty, asns) = match seg {
             AsSegment::Set(v) => (1u8, v),
             AsSegment::Sequence(v) => (2u8, v),
         };
-        // RFC limits a segment to 255 ASes; long paths are split.
         for chunk in asns.chunks(255) {
-            body.push(ty);
-            body.push(chunk.len() as u8);
+            out.put_u8(ty);
+            out.put_u8(chunk.len() as u8);
             for a in chunk {
-                body.extend_from_slice(&a.0.to_be_bytes());
+                out.put_u32(a.0);
             }
         }
         if asns.is_empty() {
-            body.push(ty);
-            body.push(0);
+            out.put_u8(ty);
+            out.put_u8(0);
         }
     }
-    body
 }
 
 fn decode_as_path(mut body: &[u8]) -> Result<AsPath, WireError> {
@@ -125,18 +146,17 @@ fn category_bits(ty: u8) -> Option<u8> {
 }
 
 /// Encodes the full attribute block (without the two-byte total-length
-/// field, which belongs to the UPDATE message).
+/// field, which belongs to the UPDATE message) straight into `out`:
+/// every body length is arithmetic, so nothing is staged.
 pub fn encode_attrs(attrs: &PathAttributes, out: &mut BytesMut) {
-    // ORIGIN
     put_attr(out, flags::TRANSITIVE, code::ORIGIN, &[attrs.origin.code()]);
-    // AS_PATH
-    put_attr(
+    put_attr_header(
         out,
         flags::TRANSITIVE,
         code::AS_PATH,
-        &encode_as_path(&attrs.as_path),
+        as_path_len(&attrs.as_path),
     );
-    // NEXT_HOP
+    put_as_path(out, &attrs.as_path);
     put_attr(
         out,
         flags::TRANSITIVE,
@@ -150,16 +170,15 @@ pub fn encode_attrs(attrs: &PathAttributes, out: &mut BytesMut) {
         put_attr(out, flags::TRANSITIVE, code::LOCAL_PREF, &lp.to_be_bytes());
     }
     if !attrs.communities.is_empty() {
-        let mut body = Vec::with_capacity(attrs.communities.len() * 4);
-        for c in &attrs.communities {
-            body.extend_from_slice(&c.0.to_be_bytes());
-        }
-        put_attr(
+        put_attr_header(
             out,
             flags::OPTIONAL | flags::TRANSITIVE,
             code::COMMUNITIES,
-            &body,
+            attrs.communities.len() * 4,
         );
+        for c in &attrs.communities {
+            out.put_u32(c.0);
+        }
     }
     if let Some(OriginatorId(oid)) = attrs.originator_id {
         put_attr(
@@ -170,40 +189,43 @@ pub fn encode_attrs(attrs: &PathAttributes, out: &mut BytesMut) {
         );
     }
     if !attrs.cluster_list.is_empty() {
-        let mut body = Vec::with_capacity(attrs.cluster_list.len() * 4);
+        put_attr_header(
+            out,
+            flags::OPTIONAL,
+            code::CLUSTER_LIST,
+            attrs.cluster_list.len() * 4,
+        );
         for c in &attrs.cluster_list {
-            body.extend_from_slice(&c.0.to_be_bytes());
+            out.put_u32(c.0);
         }
-        put_attr(out, flags::OPTIONAL, code::CLUSTER_LIST, &body);
     }
     if !attrs.ext_communities.is_empty() {
-        let mut body = Vec::with_capacity(attrs.ext_communities.len() * 8);
-        for c in &attrs.ext_communities {
-            body.extend_from_slice(&c.0);
-        }
-        put_attr(
+        put_attr_header(
             out,
             flags::OPTIONAL | flags::TRANSITIVE,
             code::EXT_COMMUNITIES,
-            &body,
+            attrs.ext_communities.len() * 8,
         );
+        for c in &attrs.ext_communities {
+            out.put_slice(&c.0);
+        }
     }
 }
 
-/// Size in bytes [`encode_attrs`] would produce.
+/// Size in bytes [`encode_attrs`] would produce. Pure arithmetic — the
+/// §4.2 byte accounting calls this on every transmitted update.
 pub fn encoded_attrs_len(attrs: &PathAttributes) -> usize {
-    let mut b = BytesMut::new();
-    encode_attrs(attrs, &mut b);
-    b.len()
-}
-
-/// Decodes an attribute block and hands the result to the global
-/// attribute interner ([`bgp_types::intern()`]): identical attribute
-/// sets decoded from different messages share one allocation, exactly
-/// like the struct path, so byte-mode sessions keep the struct path's
-/// memory profile (paper Appendix A attribute sharing).
-pub fn decode_attrs_interned(buf: &[u8]) -> Result<std::sync::Arc<PathAttributes>, WireError> {
-    decode_attrs(buf).map(bgp_types::intern)
+    let fixed4 = |present: bool| if present { attr_len(4) } else { 0 };
+    let list = |n: usize, width: usize| if n == 0 { 0 } else { attr_len(n * width) };
+    attr_len(1)
+        + attr_len(as_path_len(&attrs.as_path))
+        + attr_len(4)
+        + fixed4(attrs.med.is_some())
+        + fixed4(attrs.local_pref.is_some())
+        + list(attrs.communities.len(), 4)
+        + fixed4(attrs.originator_id.is_some())
+        + list(attrs.cluster_list.len(), 4)
+        + list(attrs.ext_communities.len(), 8)
 }
 
 /// Decodes an attribute block into [`PathAttributes`].

@@ -81,45 +81,44 @@ impl Message {
         }
     }
 
-    /// Encodes the message with header into `out`.
+    /// Encodes the message with header into `out`; `out` is left as it
+    /// was on error.
     pub fn encode(&self, out: &mut BytesMut, cfg: CodecConfig) -> Result<(), WireError> {
-        let mut body = BytesMut::new();
-        match self {
-            Message::Open(o) => o.encode_body(&mut body),
-            Message::Update(u) => u.encode_body(&mut body, cfg)?,
-            Message::Notification {
-                code,
-                subcode,
-                data,
-            } => {
-                body.put_u8(*code);
-                body.put_u8(*subcode);
-                body.put_slice(data);
+        frame(out, self.message_type(), |out| {
+            match self {
+                Message::Open(o) => o.encode_body(out),
+                Message::Update(u) => u.encode_body(out, cfg)?,
+                Message::Notification {
+                    code,
+                    subcode,
+                    data,
+                } => {
+                    out.put_u8(*code);
+                    out.put_u8(*subcode);
+                    out.put_slice(data);
+                }
+                Message::Keepalive => {}
             }
-            Message::Keepalive => {}
-        }
-        let total = HEADER_LEN + body.len();
-        if total > MAX_MESSAGE_LEN {
-            return Err(WireError::TooLong("message"));
-        }
-        out.put_slice(&MARKER);
-        out.put_u16(total as u16);
-        out.put_u8(self.message_type().code());
-        out.put_slice(&body);
-        Ok(())
-    }
-
-    /// Encoded total length (header + body) in bytes.
-    pub fn encoded_len(&self, cfg: CodecConfig) -> Result<usize, WireError> {
-        let mut b = BytesMut::new();
-        self.encode(&mut b, cfg)?;
-        Ok(b.len())
+            Ok(())
+        })
     }
 
     /// Decodes one message from the front of `buf`, advancing it.
     /// Returns `Ok(None)` when the buffer holds less than a full
     /// message (stream framing).
     pub fn decode(buf: &mut BytesMut, cfg: CodecConfig) -> Result<Option<Message>, WireError> {
+        let mut rest: &[u8] = buf;
+        let res = Message::decode_slice(&mut rest, cfg);
+        let used = buf.len() - rest.len();
+        buf.advance(used);
+        res
+    }
+
+    /// The message parser: [`Message::decode`] over a borrowed slice,
+    /// for callers that already hold the whole burst. Nothing is
+    /// copied; `buf` is advanced past a message as soon as its header
+    /// checks out, so it is consumed even when its body is malformed.
+    pub fn decode_slice(buf: &mut &[u8], cfg: CodecConfig) -> Result<Option<Message>, WireError> {
         if buf.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -134,11 +133,12 @@ impl Message {
             return Ok(None);
         }
         let ty = MessageType::from_code(buf[18]).ok_or(WireError::BadMessageType(buf[18]))?;
-        buf.advance(HEADER_LEN);
-        let body = buf.split_to(total - HEADER_LEN);
+        let (msg, rest) = buf.split_at(total);
+        *buf = rest;
+        let body = &msg[HEADER_LEN..];
         let msg = match ty {
-            MessageType::Open => Message::Open(OpenMessage::decode_body(&body)?),
-            MessageType::Update => Message::Update(UpdateMessage::decode_body(&body, cfg)?),
+            MessageType::Open => Message::Open(OpenMessage::decode_body(body)?),
+            MessageType::Update => Message::Update(UpdateMessage::decode_body(body, cfg)?),
             MessageType::Notification => {
                 need("notification body", body.len(), 2)?;
                 Message::Notification {
@@ -156,6 +156,33 @@ impl Message {
         };
         Ok(Some(msg))
     }
+}
+
+/// Appends the common header for `ty` with the length left open, runs
+/// `body`, then patches the total length in. On error — from `body` or
+/// because the message outgrew [`MAX_MESSAGE_LEN`] — `out` is rolled
+/// back to where it started.
+pub(crate) fn frame(
+    out: &mut BytesMut,
+    ty: MessageType,
+    body: impl FnOnce(&mut BytesMut) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let start = out.len();
+    out.put_slice(&MARKER);
+    out.put_u16(0);
+    out.put_u8(ty.code());
+    let res = body(out).and_then(|()| {
+        let total = out.len() - start;
+        if total > MAX_MESSAGE_LEN {
+            return Err(WireError::TooLong("message"));
+        }
+        out[start + 16..start + 18].copy_from_slice(&(total as u16).to_be_bytes());
+        Ok(())
+    });
+    if res.is_err() {
+        out.truncate(start);
+    }
+    res
 }
 
 #[cfg(test)]

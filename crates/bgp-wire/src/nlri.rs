@@ -74,15 +74,6 @@ impl Nlri {
         })
     }
 
-    /// Decodes a run of NLRI elements until `buf` is exhausted.
-    pub fn decode_all(mut buf: impl Buf, add_paths: bool) -> Result<Vec<Nlri>, WireError> {
-        let mut out = Vec::new();
-        while buf.has_remaining() {
-            out.push(Nlri::decode(&mut buf, add_paths)?);
-        }
-        Ok(out)
-    }
-
     /// Zero-copy iteration over an NLRI block: elements are decoded
     /// lazily straight off the borrowed slice, with no intermediate
     /// `Vec` — the hot path for byte-mode sessions. [`Nlri`] is
@@ -181,11 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn decode_all_consumes_everything() {
+    fn iter_consumes_everything() {
         let mut b = BytesMut::new();
         Nlri::plain(pfx("10.0.0.0/8")).encode(&mut b, false);
         Nlri::plain(pfx("11.0.0.0/8")).encode(&mut b, false);
-        let v = Nlri::decode_all(b.freeze(), false).unwrap();
+        let v: Vec<Nlri> = Nlri::iter(&b, false).collect::<Result<_, _>>().unwrap();
         assert_eq!(v.len(), 2);
     }
 }

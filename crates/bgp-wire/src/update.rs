@@ -2,6 +2,7 @@
 
 use crate::attr;
 use crate::error::{need, WireError};
+use crate::message::{frame, MessageType};
 use crate::nlri::Nlri;
 use crate::CodecConfig;
 use bgp_types::PathAttributes;
@@ -43,45 +44,10 @@ impl UpdateMessage {
         }
     }
 
-    /// Encodes the UPDATE body (after the common header).
-    ///
-    /// Block lengths are computed up front (both blocks have exact
-    /// arithmetic sizes), so everything is written straight into `out`
-    /// — no per-message scratch buffers on the encode path.
+    /// Encodes the UPDATE body (after the common header). On error
+    /// `out` may hold part of it; [`encode`] rolls the message back.
     pub fn encode_body(&self, out: &mut BytesMut, cfg: CodecConfig) -> Result<(), WireError> {
-        // Withdrawn routes block.
-        let wlen: usize = self
-            .withdrawn
-            .iter()
-            .map(|n| n.encoded_len(cfg.add_paths))
-            .sum();
-        if wlen > u16::MAX as usize {
-            return Err(WireError::TooLong("withdrawn routes"));
-        }
-        out.put_u16(wlen as u16);
-        for n in &self.withdrawn {
-            n.encode(out, cfg.add_paths);
-        }
-        // Path attributes block.
-        let alen = match &self.attrs {
-            Some(attrs) => attr::encoded_attrs_len(attrs),
-            None if !self.nlri.is_empty() => {
-                return Err(WireError::MalformedAttributes("NLRI without attributes"));
-            }
-            None => 0,
-        };
-        if alen > u16::MAX as usize {
-            return Err(WireError::TooLong("path attributes"));
-        }
-        out.put_u16(alen as u16);
-        if let Some(attrs) = &self.attrs {
-            attr::encode_attrs(attrs, out);
-        }
-        // NLRI block runs to end of message.
-        for n in &self.nlri {
-            n.encode(out, cfg.add_paths);
-        }
-        Ok(())
+        encode_body(out, &self.withdrawn, self.attrs.as_ref(), &self.nlri, cfg)
     }
 
     /// Decodes an UPDATE body.
@@ -114,17 +80,68 @@ impl UpdateMessage {
             nlri,
         })
     }
-
-    /// Size of the encoded body in bytes (used for the paper's §4.2
-    /// transmission-bandwidth accounting). Pure arithmetic — no
-    /// encoding happens.
-    pub fn encoded_body_len(&self, cfg: CodecConfig) -> usize {
-        body_len(&self.withdrawn, self.attrs.as_ref(), &self.nlri, cfg)
-    }
 }
 
-/// [`UpdateMessage::encoded_body_len`] from borrowed parts, for callers
-/// that only want to measure an UPDATE they have not built.
+/// The UPDATE encoder: one whole message (header included) appended to
+/// `out` from borrowed parts, in a single pass. `out` is left as it was
+/// on error.
+pub fn encode(
+    out: &mut BytesMut,
+    withdrawn: &[Nlri],
+    attrs: Option<&PathAttributes>,
+    nlri: &[Nlri],
+    cfg: CodecConfig,
+) -> Result<(), WireError> {
+    frame(out, MessageType::Update, |out| {
+        encode_body(out, withdrawn, attrs, nlri, cfg)
+    })
+}
+
+/// Writes a two-octet length placeholder, runs `block`, then patches in
+/// the number of bytes `block` appended.
+fn length_prefixed(
+    out: &mut BytesMut,
+    what: &'static str,
+    block: impl FnOnce(&mut BytesMut),
+) -> Result<(), WireError> {
+    let at = out.len();
+    out.put_u16(0);
+    block(out);
+    let len = u16::try_from(out.len() - at - 2).map_err(|_| WireError::TooLong(what))?;
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+fn encode_body(
+    out: &mut BytesMut,
+    withdrawn: &[Nlri],
+    attrs: Option<&PathAttributes>,
+    nlri: &[Nlri],
+    cfg: CodecConfig,
+) -> Result<(), WireError> {
+    if attrs.is_none() && !nlri.is_empty() {
+        return Err(WireError::MalformedAttributes("NLRI without attributes"));
+    }
+    length_prefixed(out, "withdrawn routes", |out| {
+        for n in withdrawn {
+            n.encode(out, cfg.add_paths);
+        }
+    })?;
+    length_prefixed(out, "path attributes", |out| {
+        if let Some(attrs) = attrs {
+            attr::encode_attrs(attrs, out);
+        }
+    })?;
+    // NLRI block runs to end of message.
+    for n in nlri {
+        n.encode(out, cfg.add_paths);
+    }
+    Ok(())
+}
+
+/// Size in bytes of the body [`encode`] would write after the header —
+/// the paper's §4.2 transmission-bandwidth accounting. Pure arithmetic:
+/// nothing is encoded.
 pub fn body_len(
     withdrawn: &[Nlri],
     attrs: Option<&PathAttributes>,
@@ -242,9 +259,10 @@ mod tests {
                 .collect(),
         );
         let cfg = CodecConfig::with_add_paths();
-        assert!(many.encoded_body_len(cfg) > one.encoded_body_len(cfg));
+        let len = |u: &UpdateMessage| body_len(&u.withdrawn, u.attrs.as_ref(), &u.nlri, cfg);
+        assert!(len(&many) > len(&one));
         assert_eq!(
-            many.encoded_body_len(cfg) - one.encoded_body_len(cfg),
+            len(&many) - len(&one),
             9 * (4 + 1 + 1) // 9 extra NLRI of (path-id + len + 1 prefix byte)
         );
     }

@@ -12,7 +12,12 @@
 //! * withdrawn + reachable NLRI in one UPDATE, plain and add-paths;
 //! * 4-octet AS numbers (> 65535) throughout the AS_PATH;
 //! * truncation at *every* cut point of a valid body, and single-byte
-//!   mutation of valid framed messages: typed errors, never panics.
+//!   mutation of valid framed messages: typed errors, never panics;
+//! * the message parser's two entry shapes (`Message::decode` over a
+//!   stream buffer, `Message::decode_slice` over a borrowed burst)
+//!   agreeing on result and bytes consumed at every truncation point of
+//!   a multi-UPDATE burst, at every framing-error boundary, and on
+//!   arbitrary bytes.
 
 use bgp_types::{
     AsPath, AsSegment, Asn, ClusterId, Community, Ipv4Prefix, LocalPref, Med, NextHop, Origin,
@@ -317,6 +322,104 @@ proptest! {
     }
 }
 
+// ------------------------------------- one parser, two entry shapes
+
+/// One decode step through both entry shapes of the message parser —
+/// the `&mut BytesMut` stream wrapper and the borrowed slice — which
+/// must agree on the result and on the bytes consumed.
+fn decode_both(data: &[u8], cfg: CodecConfig) -> (Result<Option<Message>, WireError>, usize) {
+    let mut stream = BytesMut::from(data);
+    let via_stream = Message::decode(&mut stream, cfg);
+    let mut rest = data;
+    let via_slice = Message::decode_slice(&mut rest, cfg);
+    assert_eq!(via_stream, via_slice, "entry shapes disagree on the result");
+    assert_eq!(&stream[..], rest, "entry shapes disagree on bytes consumed");
+    (via_slice, data.len() - rest.len())
+}
+
+/// A session burst as `core::wire` builds one — UPDATEs back to back —
+/// with the offset at which each message ends.
+fn burst(cfg: CodecConfig) -> (Vec<Message>, BytesMut, Vec<usize>) {
+    let rich = rich_update(cfg);
+    let msgs = vec![
+        Message::Update(rich.clone()),
+        Message::Update(UpdateMessage::withdraw(rich.withdrawn.clone())),
+        Message::Update(UpdateMessage::announce(base_attrs(), rich.nlri)),
+    ];
+    let mut bytes = BytesMut::new();
+    let mut ends = Vec::new();
+    for m in &msgs {
+        m.encode(&mut bytes, cfg).unwrap();
+        ends.push(bytes.len());
+    }
+    (msgs, bytes, ends)
+}
+
+/// Cutting a multi-UPDATE burst at *every* point: the messages wholly
+/// before the cut decode in order, the partial tail is `Ok(None)` with
+/// nothing consumed (stream framing — never an error), in both shapes.
+#[test]
+fn burst_truncated_at_every_point_frames_identically() {
+    for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
+        let (msgs, bytes, ends) = burst(cfg);
+        for cut in 0..=bytes.len() {
+            let mut data = &bytes[..cut];
+            let whole = ends.iter().filter(|&&e| e <= cut).count();
+            for m in &msgs[..whole] {
+                let (got, used) = decode_both(data, cfg);
+                assert_eq!(got, Ok(Some(m.clone())), "cut at {cut}");
+                data = &data[used..];
+            }
+            assert_eq!(decode_both(data, cfg), (Ok(None), 0), "cut at {cut}");
+        }
+    }
+}
+
+/// Where each framing error fires and what it consumes: a header error
+/// (marker, length, type) leaves the buffer untouched; a malformed body
+/// consumes exactly its own message, so the next one still decodes.
+#[test]
+fn framing_errors_fire_at_fixed_boundaries() {
+    let cfg = CodecConfig::with_add_paths();
+    let (msgs, bytes, ends) = burst(cfg);
+    let second = ends[0];
+    let mutated = |at: usize, with: &[u8]| {
+        let mut v = bytes.to_vec();
+        v[second + at..second + at + with.len()].copy_from_slice(with);
+        v
+    };
+    for (bad, want) in [
+        (mutated(3, &[0]), WireError::BadMarker),
+        (mutated(16, &18u16.to_be_bytes()), WireError::BadLength(18)),
+        (
+            mutated(16, &4097u16.to_be_bytes()),
+            WireError::BadLength(4097),
+        ),
+        (mutated(18, &[9]), WireError::BadMessageType(9)),
+    ] {
+        assert_eq!(decode_both(&bad, cfg), (Ok(Some(msgs[0].clone())), second));
+        assert_eq!(decode_both(&bad[second..], cfg), (Err(want), 0));
+    }
+    // The withdrawn-routes length of the second message overruns its body.
+    let bad = mutated(19, &0xFFFFu16.to_be_bytes());
+    let body = ends[1] - second - 19;
+    assert_eq!(
+        decode_both(&bad[second..], cfg),
+        (
+            Err(WireError::Truncated {
+                what: "withdrawn block",
+                needed: 0xFFFF,
+                have: body - 2
+            }),
+            ends[1] - second
+        )
+    );
+    assert_eq!(
+        decode_both(&bad[ends[1]..], cfg),
+        (Ok(Some(msgs[2].clone())), ends[2] - ends[1])
+    );
+}
+
 // --------------------------------------- truncation + mutation sweeps
 
 /// A representative UPDATE exercising every block: withdrawn routes,
@@ -393,10 +496,35 @@ proptest! {
         Message::Update(rich_update(cfg)).encode(&mut b, cfg).unwrap();
         let pos = pos_seed as usize % b.len();
         b[pos] ^= xor;
-        let _ = Message::decode(&mut b.clone(), cfg);
+        let _ = decode_both(&b, cfg);
         // The opposite codec config on the same mutated bytes.
         let other = if add_paths { CodecConfig::plain() } else { CodecConfig::with_add_paths() };
-        let _ = Message::decode(&mut b, other);
+        let _ = decode_both(&b, other);
+    }
+
+    /// Arbitrary bytes behind a plausible header (uniform bytes die on
+    /// the marker check): whatever the parser makes of them, both entry
+    /// shapes make the same of them.
+    #[test]
+    fn arbitrary_bytes_frame_identically_in_both_shapes(
+        marker_ok in any::<bool>(),
+        len in 0u16..600,
+        ty in 0u8..6,
+        data in prop::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let mut b = BytesMut::new();
+        b.put_slice(&[if marker_ok { 0xFF } else { 0xFE }; 16]);
+        b.put_u16(len);
+        b.put_u8(ty);
+        b.put_slice(&data);
+        for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
+            let mut rest = &b[..];
+            // Walk the stream the way a session does, until it stalls.
+            while let (Ok(Some(_)), used) = decode_both(rest, cfg) {
+                rest = &rest[used..];
+            }
+            let _ = decode_both(&data, cfg);
+        }
     }
 
     /// Arbitrary bytes through the body-level entry points (below the
@@ -408,9 +536,8 @@ proptest! {
     ) {
         for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
             let _ = UpdateMessage::decode_body(&data, cfg);
-            let _ = Nlri::decode_all(&data[..], cfg.add_paths);
+            let _ = Nlri::iter(&data, cfg.add_paths).collect::<Result<Vec<_>, _>>();
         }
         let _ = attr::decode_attrs(&data);
-        let _ = attr::decode_attrs_interned(&data);
     }
 }

@@ -5,6 +5,7 @@ use bgp_types::{
     AsPath, AsSegment, Asn, ClusterId, Community, ExtCommunity, Ipv4Prefix, LocalPref, Med,
     NextHop, Origin, OriginatorId, PathAttributes, PathId,
 };
+use bgp_wire::update::body_len;
 use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage};
 use bytes::BytesMut;
 use proptest::prelude::*;
@@ -33,17 +34,54 @@ fn arb_as_path() -> impl Strategy<Value = AsPath> {
     })
 }
 
+/// AS paths the round-trip generator avoids because the encoder does
+/// not preserve their shape: empty segments, segments past the 255-AS
+/// limit (split on the wire), and the sizes either side of the
+/// 255-byte body where `EXT_LEN` switches on (63 / 64 ASes).
+fn arb_extreme_as_path() -> impl Strategy<Value = AsPath> {
+    prop::collection::vec(
+        (
+            any::<bool>(),
+            prop::sample::select(vec![0usize, 1, 2, 63, 64, 254, 255, 256, 300, 510, 511]),
+            any::<u32>(),
+        ),
+        0..4,
+    )
+    .prop_map(|segs| AsPath {
+        segments: segs
+            .into_iter()
+            .map(|(is_set, n, base)| {
+                let asns = (0..n as u32).map(|i| Asn(base.wrapping_add(i))).collect();
+                if is_set {
+                    AsSegment::Set(asns)
+                } else {
+                    AsSegment::Sequence(asns)
+                }
+            })
+            .collect(),
+    })
+}
+
 fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
+    arb_attrs_with(arb_as_path(), 4)
+}
+
+/// Every optional attribute present or absent, list attributes up to
+/// `max_list` elements long.
+fn arb_attrs_with(
+    as_path: impl Strategy<Value = AsPath>,
+    max_list: usize,
+) -> impl Strategy<Value = PathAttributes> {
     (
         0u8..3,
-        arb_as_path(),
+        as_path,
         any::<u32>(),
         prop::option::of(any::<u32>()),
         prop::option::of(any::<u32>()),
-        prop::collection::vec(any::<u32>(), 0..4),
-        prop::collection::vec(any::<[u8; 8]>(), 0..3),
+        prop::collection::vec(any::<u32>(), 0..max_list),
+        prop::collection::vec(any::<[u8; 8]>(), 0..max_list),
         prop::option::of(any::<u32>()),
-        prop::collection::vec(any::<u32>(), 0..4),
+        prop::collection::vec(any::<u32>(), 0..max_list),
     )
         .prop_map(
             |(origin, as_path, nh, med, lp, comms, ext, oid, clist)| PathAttributes {
@@ -79,6 +117,16 @@ proptest! {
         prop_assert_eq!(d, attrs);
     }
 
+    /// `encoded_attrs_len` is arithmetic; it must agree with the
+    /// encoder on every attribute set, including the AS paths and list
+    /// lengths that cross the 255-AS and `EXT_LEN` boundaries.
+    #[test]
+    fn attrs_len_matches_encoder(attrs in arb_attrs_with(arb_extreme_as_path(), 72)) {
+        let mut b = BytesMut::new();
+        bgp_wire::attr::encode_attrs(&attrs, &mut b);
+        prop_assert_eq!(bgp_wire::attr::encoded_attrs_len(&attrs), b.len());
+    }
+
     #[test]
     fn update_roundtrip_plain(
         attrs in arb_attrs(),
@@ -93,6 +141,7 @@ proptest! {
         let cfg = CodecConfig::plain();
         let mut b = BytesMut::new();
         u.encode_body(&mut b, cfg).unwrap();
+        prop_assert_eq!(body_len(&u.withdrawn, u.attrs.as_ref(), &u.nlri, cfg), b.len());
         let d = UpdateMessage::decode_body(&b, cfg).unwrap();
         prop_assert_eq!(d, u);
     }
@@ -111,6 +160,7 @@ proptest! {
         let cfg = CodecConfig::with_add_paths();
         let mut b = BytesMut::new();
         u.encode_body(&mut b, cfg).unwrap();
+        prop_assert_eq!(body_len(&u.withdrawn, u.attrs.as_ref(), &u.nlri, cfg), b.len());
         let d = UpdateMessage::decode_body(&b, cfg).unwrap();
         prop_assert_eq!(d, u);
     }

@@ -2,7 +2,8 @@
 
 use bgp_rib::PathSet;
 use bgp_types::{ApId, Asn, Ipv4Prefix, PathAttributes, PathId};
-use bgp_wire::{CodecConfig, Nlri, UpdateMessage};
+use bgp_wire::{CodecConfig, Nlri, WireError};
+use bytes::BytesMut;
 use std::sync::Arc;
 
 /// Which iBGP plane a message belongs to. During the §2.4 transition a
@@ -32,11 +33,12 @@ pub enum Plane {
 pub struct BgpMsg {
     /// Destination prefix the update is about.
     pub prefix: Ipv4Prefix,
-    /// The complete new path set; empty = withdraw. Shared so that one
-    /// generated update fanned out to a whole peer group costs one
-    /// allocation, not one per member (paper §3.3: generating an update
-    /// is the expensive part, transmitting it is cheap — the code
-    /// should have the same cost profile).
+    /// The complete new path set; empty = withdraw. Shared: a fan-out
+    /// hands every member that receives the same set the same `Arc`
+    /// (paper §3.3: generating an update is the expensive part,
+    /// transmitting it is cheap), and the byte transport keys its
+    /// one-image-per-set packing on that identity
+    /// (`Chassis::advertise_group`).
     pub paths: Arc<PathSet>,
     /// The session plane this update travels on.
     pub plane: Plane,
@@ -68,7 +70,7 @@ impl BgpMsg {
         let cfg = CodecConfig { add_paths };
         self.updates(add_paths)
             .iter()
-            .map(|u| bgp_wire::HEADER_LEN + u.body_len(cfg))
+            .map(|u| u.encoded_len(cfg))
             .sum()
     }
 
@@ -114,20 +116,24 @@ pub(crate) struct UpdateParts<'a> {
 }
 
 impl UpdateParts<'_> {
-    /// Encoded body length, without building the message.
-    fn body_len(&self, cfg: CodecConfig) -> usize {
+    /// The UPDATE's (withdrawn, attributes, announced) blocks.
+    fn blocks(&self) -> (&[Nlri], Option<&PathAttributes>, &[Nlri]) {
         match self.attrs {
-            Some(a) => bgp_wire::update::body_len(&[], Some(a), &self.nlri, cfg),
-            None => bgp_wire::update::body_len(&self.nlri, None, &[], cfg),
+            Some(a) => (&[], Some(a), &self.nlri),
+            None => (&self.nlri, None, &[]),
         }
     }
 
-    /// The owned message the codec encodes.
-    pub(crate) fn into_message(self) -> UpdateMessage {
-        match self.attrs {
-            Some(a) => UpdateMessage::announce((**a).clone(), self.nlri),
-            None => UpdateMessage::withdraw(self.nlri),
-        }
+    /// Encoded length, header included, without building the message.
+    pub(crate) fn encoded_len(&self, cfg: CodecConfig) -> usize {
+        let (withdrawn, attrs, nlri) = self.blocks();
+        bgp_wire::HEADER_LEN + bgp_wire::update::body_len(withdrawn, attrs, nlri, cfg)
+    }
+
+    /// Appends the encoded UPDATE (header included) to `out`.
+    pub(crate) fn encode(&self, out: &mut BytesMut, cfg: CodecConfig) -> Result<(), WireError> {
+        let (withdrawn, attrs, nlri) = self.blocks();
+        bgp_wire::update::encode(out, withdrawn, attrs, nlri, cfg)
     }
 }
 
@@ -146,9 +152,10 @@ pub struct WireFrame {
     pub prefix: Ipv4Prefix,
     /// The session plane the burst travels on.
     pub plane: Plane,
-    /// Concatenated encoded UPDATE messages (headers included). Shared
-    /// so peer-group fan-out clones are refcount bumps, mirroring the
-    /// `Arc<PathSet>` economics of the struct path.
+    /// Concatenated encoded UPDATE messages (headers included). Shared:
+    /// every member of a fan-out that is sent the same path set holds
+    /// this same allocation (update-group packing); each receiver
+    /// still parses it for itself.
     pub bytes: Arc<Vec<u8>>,
 }
 

@@ -744,7 +744,7 @@ impl Protocol for BgpNode {
                 "peer" => peer.0, "n" => batch.len());
         }
         for (_prefix, msg) in batch {
-            self.ch.do_send(ctx, peer, msg);
+            self.ch.do_send(ctx, peer, msg, None);
         }
     }
 

@@ -3,7 +3,7 @@
 //! §3.4 reduced-storage policy, and advertises the router's best route
 //! up to its reflectors (or the full mesh).
 
-use super::{with_default_local_pref, AdvertiseEnv, Chassis, Role, Rx};
+use super::{with_default_local_pref, AdvertiseEnv, Chassis, Images, Role, Rx};
 use crate::msg::{BgpMsg, Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
@@ -276,6 +276,7 @@ impl Role for ClientRole {
             }
             _ => {
                 if ch.spec.mode.has_abrr() {
+                    let mut images = Images::new();
                     for ap in ch.aps_for_prefix(&prefix) {
                         let g = group::CLIENT_TO_ARRS + ap.0 as u32;
                         let changed = ch.out.set_paths(g, prefix, adv.clone());
@@ -298,6 +299,7 @@ impl Role for ClientRole {
                                         paths: adv_shared.clone(),
                                         plane: Plane::Abrr,
                                     },
+                                    Some(&mut images),
                                 );
                             }
                         }

@@ -38,7 +38,7 @@ pub use border::BorderRole;
 pub use client::ClientRole;
 pub use trr::TrrRole;
 
-use crate::msg::{BgpMsg, Plane, SessionMsg};
+use crate::msg::{BgpMsg, Plane, SessionMsg, WireFrame};
 use crate::node::Selected;
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
@@ -65,8 +65,11 @@ pub(crate) struct ObsHandles {
     pub(crate) mrai_defer_us: obs::Histogram,
     /// Candidate-set size entering the decision process.
     pub(crate) decision_candidates: obs::Histogram,
-    /// Session bursts encoded at egress (wire mode on).
+    /// Session bursts put on a session at egress (wire mode on).
     pub(crate) wire_encoded: obs::Counter,
+    /// Wire images actually encoded; below `wire_encoded` by what
+    /// update-group packing shared (see [`Images`]).
+    pub(crate) wire_images_encoded: obs::Counter,
     /// Session bursts decoded at ingress (`Bytes` mode).
     pub(crate) wire_decoded: obs::Counter,
     /// Bytes parsed off the session at ingress (`Bytes` mode).
@@ -89,11 +92,21 @@ impl ObsHandles {
                 obs::metrics::COUNT_BOUNDS,
             ),
             wire_encoded: obs::metrics::counter("core.wire.encoded", n),
+            wire_images_encoded: obs::metrics::counter("core.wire.images_encoded", n),
             wire_decoded: obs::metrics::counter("core.wire.decoded", n),
             wire_bytes_decoded: obs::metrics::counter("core.wire.bytes_decoded", n),
         }
     }
 }
+
+/// Update-group packing: the wire images one fan-out has encoded so
+/// far, keyed by the frame's prefix and plane plus the identity of the
+/// shared path set. It lives on the stack of the fan-out that creates
+/// the sharing and is handed down to [`Chassis::do_send`], so every
+/// member sent the same `Arc<PathSet>` is sent the same bytes and the
+/// set is encoded once. Nothing outlives the fan-out: an MRAI-deferred
+/// copy is encoded when it is flushed.
+pub(crate) type Images = Vec<(Arc<PathSet>, WireFrame)>;
 
 /// The infrastructure shared by every role of one router: identity and
 /// spec, the per-peer-group Adj-RIB-Out, the Loc-RIB, update
@@ -256,7 +269,16 @@ impl Chassis {
     // Transmission with MRAI
     // ------------------------------------------------------------------
 
-    pub(crate) fn transmit(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId, msg: BgpMsg) {
+    /// Offers `msg` to `peer`'s MRAI pacer and sends it if it may go
+    /// now. `images` is the enclosing fan-out's packing state, `None`
+    /// for a send that is not part of one.
+    pub(crate) fn transmit(
+        &mut self,
+        ctx: &mut Ctx<SessionMsg>,
+        peer: RouterId,
+        msg: BgpMsg,
+        images: Option<&mut Images>,
+    ) {
         if peer == self.id {
             return;
         }
@@ -264,7 +286,7 @@ impl Chassis {
         let mrai = self.mrai.entry(peer).or_insert_with(|| Mrai::new(interval));
         let now = ctx.now();
         match mrai.offer(now, (msg.plane, msg.prefix), msg) {
-            MraiVerdict::SendNow(msg) => self.do_send(ctx, peer, msg),
+            MraiVerdict::SendNow(msg) => self.do_send(ctx, peer, msg, images),
             MraiVerdict::Deferred {
                 flush_at,
                 need_timer,
@@ -283,7 +305,13 @@ impl Chassis {
     /// Accounting and the `core.send` trace event are identical across
     /// modes — that invariance is what lets the wire-mode differential
     /// tests demand byte-identical fingerprints and obs traces.
-    pub(crate) fn do_send(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId, msg: BgpMsg) {
+    pub(crate) fn do_send(
+        &mut self,
+        ctx: &mut Ctx<SessionMsg>,
+        peer: RouterId,
+        msg: BgpMsg,
+        images: Option<&mut Images>,
+    ) {
         self.counters.transmitted += 1;
         if self.spec.account_bytes {
             self.counters.bytes_transmitted += msg.wire_bytes(true) as u64;
@@ -301,6 +329,7 @@ impl Chassis {
                     Ok(frame) => {
                         if let Some(h) = self.obs() {
                             h.wire_encoded.inc();
+                            h.wire_images_encoded.inc();
                         }
                         obs::pcap::record(ctx.now(), self.id.0, peer.0, &frame.bytes);
                         ctx.send(peer, SessionMsg::Struct(msg));
@@ -316,25 +345,45 @@ impl Chassis {
                     }
                 }
             }
-            netsim::WireMode::Bytes => match wire::encode_frame(&msg) {
-                Ok(frame) => {
-                    if let Some(h) = self.obs() {
-                        h.wire_encoded.inc();
-                    }
-                    obs::pcap::record(ctx.now(), self.id.0, peer.0, &frame.bytes);
-                    ctx.send(peer, SessionMsg::Wire(frame));
+            netsim::WireMode::Bytes => {
+                let frame = self.image(peer, msg, images);
+                if let Some(h) = self.obs() {
+                    h.wire_encoded.inc();
                 }
-                Err(e) => {
-                    obs::event!(Wire, Error, "wire.encode_fail", node = self.id.0,
-                        "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix),
-                        "err" => format!("{e}"));
-                    panic!(
-                        "wire encode failed at node {} -> {}: {e}",
-                        self.id.0, peer.0
-                    );
-                }
-            },
+                obs::pcap::record(ctx.now(), self.id.0, peer.0, &frame.bytes);
+                ctx.send(peer, SessionMsg::Wire(frame));
+            }
         }
+    }
+
+    /// The wire image of `msg`: the one this fan-out already encoded
+    /// for the same path set, else a fresh encode that `images`
+    /// remembers for the members still to come.
+    fn image(&mut self, peer: RouterId, msg: BgpMsg, images: Option<&mut Images>) -> WireFrame {
+        let packed = images.as_deref().and_then(|imgs| {
+            imgs.iter().find(|(paths, f)| {
+                Arc::ptr_eq(paths, &msg.paths) && f.prefix == msg.prefix && f.plane == msg.plane
+            })
+        });
+        if let Some((_, frame)) = packed {
+            return frame.clone();
+        }
+        let frame = wire::encode_frame(&msg).unwrap_or_else(|e| {
+            obs::event!(Wire, Error, "wire.encode_fail", node = self.id.0,
+                "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix),
+                "err" => format!("{e}"));
+            panic!(
+                "wire encode failed at node {} -> {}: {e}",
+                self.id.0, peer.0
+            );
+        });
+        if let Some(h) = self.obs() {
+            h.wire_images_encoded.inc();
+        }
+        if let Some(imgs) = images {
+            imgs.push((msg.paths, frame.clone()));
+        }
+        frame
     }
 
     /// Writes `paths` into RIB-Out `g` for `prefix`; on change, counts a
@@ -367,6 +416,7 @@ impl Chassis {
             .filter_map(|(_, a)| a.originator_id.map(|o| o.0))
             .collect();
         let members = self.out.members(g).to_vec();
+        let mut images = Images::new();
         for m in members {
             if m == self.id {
                 // Internal logical pass: the ARR function of this very
@@ -394,6 +444,7 @@ impl Chassis {
                     paths: effective,
                     plane,
                 },
+                Some(&mut images),
             );
         }
     }
@@ -421,7 +472,7 @@ impl Chassis {
             }
         }
         for msg in to_send {
-            self.transmit(ctx, peer, msg);
+            self.transmit(ctx, peer, msg, None);
         }
     }
 

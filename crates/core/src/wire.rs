@@ -22,9 +22,9 @@
 //! behaviour-identical to delivering the original (see
 //! `AdjRibIn::set_paths`), and the verify oracle compares against it.
 
-use crate::msg::{BgpMsg, Plane, WireFrame};
+use crate::msg::{BgpMsg, WireFrame};
 use bgp_rib::PathSet;
-use bgp_types::{Ipv4Prefix, RouterId};
+use bgp_types::RouterId;
 use bgp_wire::{AddPathMode, CodecConfig, Message, OpenMessage, WireError};
 use bytes::BytesMut;
 use std::sync::Arc;
@@ -71,14 +71,15 @@ pub fn session_codec() -> CodecConfig {
 /// [`BgpMsg::wire_bytes`] measures, encoded.
 pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
     let cfg = session_codec();
-    let mut out = BytesMut::with_capacity(64);
-    for u in msg.updates(cfg.add_paths) {
-        Message::Update(u.into_message()).encode(&mut out, cfg)?;
+    let updates = msg.updates(cfg.add_paths);
+    let mut out = BytesMut::with_capacity(updates.iter().map(|u| u.encoded_len(cfg)).sum());
+    for u in &updates {
+        u.encode(&mut out, cfg)?;
     }
     Ok(WireFrame {
         prefix: msg.prefix,
         plane: msg.plane,
-        bytes: Arc::new(out.to_vec()),
+        bytes: Arc::new(out.into()),
     })
 }
 
@@ -88,11 +89,11 @@ pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
 /// path set is sorted by path id (canonical form — see module docs).
 pub fn decode_frame(frame: &WireFrame) -> Result<BgpMsg, WireFault> {
     let cfg = session_codec();
-    let mut buf = BytesMut::from(&frame.bytes[..]);
+    let mut buf: &[u8] = &frame.bytes;
     let mut paths: PathSet = Vec::new();
     let mut withdrawn = false;
     let mut saw_update = false;
-    while let Some(m) = Message::decode(&mut buf, cfg)? {
+    while let Some(m) = Message::decode_slice(&mut buf, cfg)? {
         let u = match m {
             Message::Update(u) => u,
             _ => return Err(WireFault::Contract("non-UPDATE message in session burst")),
@@ -203,15 +204,11 @@ pub fn open_roundtrip(asn: u32, router: RouterId) -> Result<(), WireFault> {
     Ok(())
 }
 
-/// A pure withdrawal's frame, exposed for tests and benches.
-pub fn withdraw_frame(prefix: Ipv4Prefix, plane: Plane) -> Result<WireFrame, WireFault> {
-    encode_frame(&BgpMsg::withdraw(prefix, plane))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::{AsPath, Asn, NextHop, PathAttributes, PathId};
+    use crate::msg::Plane;
+    use bgp_types::{AsPath, Asn, Ipv4Prefix, NextHop, PathAttributes, PathId};
 
     fn pfx(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -319,6 +316,74 @@ mod tests {
     fn open_oracle_passes_for_2_and_4_octet_asn() {
         open_roundtrip(65000, RouterId(4)).unwrap();
         open_roundtrip(4_200_000_000, RouterId(9)).unwrap();
+    }
+
+    /// Attribute sets across the encoder's size boundaries (empty
+    /// segments and segments past 255 ASes, `EXT_LEN` on and off, every
+    /// optional attribute present or absent), small enough that an
+    /// UPDATE still fits.
+    fn arb_attrs() -> impl proptest::Strategy<Value = Arc<PathAttributes>> {
+        use bgp_types::{AsSegment, ClusterId, Community, ExtCommunity, LocalPref, Med};
+        use proptest::prelude::*;
+        (
+            prop::collection::vec(
+                (
+                    any::<bool>(),
+                    prop::sample::select(vec![0usize, 1, 5, 63, 64, 255, 256, 300]),
+                    any::<u32>(),
+                ),
+                0..3,
+            ),
+            any::<u32>(),
+            prop::option::of(any::<u32>()),
+            prop::option::of(any::<u32>()),
+            prop::option::of(any::<u32>()),
+            prop::collection::vec(any::<u32>(), 0..70),
+            prop::collection::vec(any::<u32>(), 0..70),
+            prop::collection::vec(any::<[u8; 8]>(), 0..40),
+        )
+            .prop_map(|(segs, nh, med, lp, oid, comms, clist, ext)| {
+                let segments = segs
+                    .into_iter()
+                    .map(|(is_set, n, base)| {
+                        let asns = (0..n as u32).map(|i| Asn(base.wrapping_add(i))).collect();
+                        if is_set {
+                            AsSegment::Set(asns)
+                        } else {
+                            AsSegment::Sequence(asns)
+                        }
+                    })
+                    .collect();
+                let mut a = PathAttributes::ebgp(AsPath { segments }, NextHop(nh));
+                a.med = med.map(Med);
+                a.local_pref = lp.map(LocalPref);
+                a.originator_id = oid.map(bgp_types::OriginatorId);
+                a.communities = comms.into_iter().map(Community).collect();
+                a.cluster_list = clist.into_iter().map(ClusterId).collect();
+                a.ext_communities = ext.into_iter().map(ExtCommunity).collect();
+                Arc::new(a)
+            })
+    }
+
+    proptest::proptest! {
+        /// The §4.2 accounting is arithmetic; it must equal the length
+        /// of the image the encoder produces, for any path set —
+        /// shared and distinct attribute objects, and the withdrawal.
+        #[test]
+        fn wire_bytes_is_the_encoded_length(
+            pool in proptest::collection::vec(arb_attrs(), 1..4),
+            picks in proptest::collection::vec(proptest::any::<u32>(), 0..8),
+        ) {
+            let paths = picks
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (PathId(i as u32), pool[*k as usize % pool.len()].clone()))
+                .collect();
+            let m = msg(paths);
+            let frame = encode_frame(&m).unwrap();
+            assert_eq!(m.wire_bytes(true), frame.bytes.len());
+            assert_eq!(decode_frame(&frame).unwrap().paths.len(), m.paths.len());
+        }
     }
 
     #[test]
