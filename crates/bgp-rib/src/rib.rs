@@ -25,9 +25,10 @@
 //!   process's tie-breaking and is part of the determinism contract);
 //! * path sets stay sorted by [`PathId`] via `normalize`.
 
-use crate::store::PrefixSlab;
+use crate::store::{HeapBytes, PrefixSlab};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// The set of paths advertised for one prefix on one session, keyed by
@@ -43,6 +44,11 @@ pub fn normalize(mut set: PathSet) -> PathSet {
     set.sort_by_key(|(id, _)| *id);
     set.dedup_by(|a, b| a.0 == b.0);
     set
+}
+
+/// Heap bytes a path set owns: its buffer, not the shared attributes.
+fn path_set_bytes(set: &PathSet) -> usize {
+    set.capacity() * size_of::<(PathId, Arc<PathAttributes>)>()
 }
 
 /// Adj-RIB-In: received routes, stored prefix-major.
@@ -210,6 +216,23 @@ impl AdjRibIn {
         (self.table.index_nodes(), self.table.slot_capacity())
     }
 
+    /// Heap bytes of the table plus every slot's peer `Vec` and the
+    /// `PathSet`s in it (see [`HeapBytes`]). Walks the table: for
+    /// reports, not the hot path.
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let paths = self.table.iter().map(|(_, slot)| {
+            slot.capacity() * size_of::<(RouterId, PathSet)>()
+                + slot
+                    .iter()
+                    .map(|(_, set)| path_set_bytes(set))
+                    .sum::<usize>()
+        });
+        HeapBytes {
+            paths: paths.sum(),
+            ..self.table.heap_bytes()
+        }
+    }
+
     /// Peers with a session (possibly route-less after withdrawals).
     pub fn peers(&self) -> impl Iterator<Item = RouterId> + '_ {
         self.peers.iter().copied()
@@ -243,19 +266,20 @@ impl<T: Clone + PartialEq> LocRib<T> {
     /// Sets the selection for `prefix`; `None` removes it. Returns
     /// `true` when the stored value changed.
     pub fn set(&mut self, prefix: Ipv4Prefix, value: Option<T>) -> bool {
-        match value {
-            Some(v) => match self.table.get_mut(&prefix) {
-                Some(slot) if *slot == v => false,
-                Some(slot) => {
-                    *slot = v;
-                    true
-                }
-                None => {
-                    self.table.insert(prefix, v);
-                    true
-                }
-            },
-            None => self.table.remove(&prefix).is_some(),
+        let Some(v) = value else {
+            return self.table.remove(&prefix).is_some();
+        };
+        let mut new = Some(v);
+        let slot = self
+            .table
+            .get_or_insert_with(prefix, || new.take().expect("called once"));
+        match new {
+            None => true, // moved into a fresh slot
+            Some(v) if *slot == v => false,
+            Some(v) => {
+                *slot = v;
+                true
+            }
         }
     }
 
@@ -299,6 +323,12 @@ impl<T: Clone + PartialEq> LocRib<T> {
     /// Live trie nodes + allocated slots (occupancy gauge pair).
     pub fn occupancy(&self) -> (usize, usize) {
         (self.table.index_nodes(), self.table.slot_capacity())
+    }
+
+    /// Heap bytes of the table; a selection is taken to own nothing
+    /// beyond its slot (see [`HeapBytes`]).
+    pub fn heap_bytes(&self) -> HeapBytes {
+        self.table.heap_bytes()
     }
 }
 
@@ -367,20 +397,15 @@ impl AdjRibOut {
                 None => false,
             }
         } else {
-            match g.table.get_mut(&prefix) {
-                Some(slot) if *slot == paths => false,
-                Some(slot) => {
-                    self.entries -= slot.len();
-                    self.entries += paths.len();
-                    *slot = paths;
-                    true
-                }
-                None => {
-                    self.entries += paths.len();
-                    g.table.insert(prefix, paths);
-                    true
-                }
+            // A fresh slot is empty, which `paths` is not.
+            let slot = g.table.get_or_insert_with(prefix, Vec::new);
+            if *slot == paths {
+                return false;
             }
+            self.entries -= slot.len();
+            self.entries += paths.len();
+            *slot = paths;
+            true
         }
     }
 
@@ -441,6 +466,17 @@ impl AdjRibOut {
         self.groups.values().fold((0, 0), |(n, s), g| {
             (n + g.table.index_nodes(), s + g.table.slot_capacity())
         })
+    }
+
+    /// Heap bytes of every group's table plus the `PathSet` in each
+    /// slot (see [`HeapBytes`]). Walks the tables: for reports, not the
+    /// hot path.
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let group = |g: &GroupOut| HeapBytes {
+            paths: g.table.iter().map(|(_, set)| path_set_bytes(set)).sum(),
+            ..g.table.heap_bytes()
+        };
+        self.groups.values().map(group).sum()
     }
 
     /// Drops every stored route while keeping the group definitions: a

@@ -24,6 +24,51 @@
 //!   by prefix.
 
 use bgp_types::{Ipv4Prefix, PrefixTrie};
+use std::iter::Sum;
+use std::mem::size_of;
+use std::ops::Add;
+
+/// Heap bytes owned by RIB storage, by structure — the
+/// `core.store.{index,slot,path}_bytes` gauges. Capacities, not
+/// lengths, so the parts sum to what the allocator handed out; sums
+/// across tables with `+` or `Iterator::sum`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeapBytes {
+    /// Trie index arenas and their free lists.
+    pub index: usize,
+    /// Slot arenas and their free lists.
+    pub slots: usize,
+    /// What the slot values own: per-slot peer `Vec`s and `PathSet`s.
+    /// The `PathAttributes` behind the `Arc`s are shared fleet-wide and
+    /// excluded; so are the small `BTreeSet`/`BTreeMap`s of peers and
+    /// groups.
+    pub paths: usize,
+}
+
+impl HeapBytes {
+    /// All three parts.
+    pub fn total(&self) -> usize {
+        self.index + self.slots + self.paths
+    }
+}
+
+impl Add for HeapBytes {
+    type Output = HeapBytes;
+
+    fn add(self, o: HeapBytes) -> HeapBytes {
+        HeapBytes {
+            index: self.index + o.index,
+            slots: self.slots + o.slots,
+            paths: self.paths + o.paths,
+        }
+    }
+}
+
+impl Sum for HeapBytes {
+    fn sum<I: Iterator<Item = HeapBytes>>(iter: I) -> HeapBytes {
+        iter.fold(HeapBytes::default(), Add::add)
+    }
+}
 
 /// A map from [`Ipv4Prefix`] to `T`: trie-indexed, slab-backed, with
 /// ordered iteration and range queries. See the module docs for the
@@ -73,31 +118,25 @@ impl<T> PrefixSlab<T> {
         self.slots.len()
     }
 
+    /// Heap bytes held by the index and the slot arena with its free
+    /// list (capacities: what the allocator was asked for). Whatever
+    /// the values own beyond their inline size is the caller's to add,
+    /// as [`HeapBytes::paths`].
+    pub fn heap_bytes(&self) -> HeapBytes {
+        HeapBytes {
+            index: self.index.heap_bytes(),
+            slots: self.slots.capacity() * size_of::<Option<(Ipv4Prefix, T)>>()
+                + self.free.capacity() * size_of::<u32>(),
+            paths: 0,
+        }
+    }
+
     /// Inserts `value` at `prefix`, returning the displaced value if any.
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
-        match self.index.get(&prefix) {
-            Some(&h) => {
-                let slot = self.slots[h as usize]
-                    .as_mut()
-                    .expect("indexed slot is live");
-                Some(std::mem::replace(&mut slot.1, value))
-            }
-            None => {
-                let h = match self.free.pop() {
-                    Some(h) => {
-                        self.slots[h as usize] = Some((prefix, value));
-                        h
-                    }
-                    None => {
-                        let h = self.slots.len() as u32;
-                        self.slots.push(Some((prefix, value)));
-                        h
-                    }
-                };
-                self.index.insert(prefix, h);
-                None
-            }
-        }
+        let mut value = Some(value);
+        let slot = self.get_or_insert_with(prefix, || value.take().expect("called once"));
+        // Still here: the prefix had a slot, which did not take it.
+        value.map(|v| std::mem::replace(slot, v))
     }
 
     /// Removes and returns the value at `prefix`; its slot is recycled.
@@ -120,16 +159,29 @@ impl<T> PrefixSlab<T> {
         self.slots[h as usize].as_mut().map(|(_, v)| v)
     }
 
-    /// Returns the entry for `prefix`, inserting `default()` if absent.
+    /// Returns the entry for `prefix`, inserting `default()` if absent:
+    /// one index walk, hit or miss.
     pub fn get_or_insert_with(
         &mut self,
         prefix: Ipv4Prefix,
         default: impl FnOnce() -> T,
     ) -> &mut T {
-        if self.index.get(&prefix).is_none() {
-            self.insert(prefix, default());
-        }
-        self.get_mut(&prefix).expect("just inserted")
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        let h = *self.index.get_or_insert_with(prefix, || {
+            let slot = Some((prefix, default()));
+            match free.pop() {
+                Some(h) => {
+                    slots[h as usize] = slot;
+                    h
+                }
+                None => {
+                    slots.push(slot);
+                    (slots.len() - 1) as u32
+                }
+            }
+        });
+        let slot = self.slots[h as usize].as_mut();
+        &mut slot.expect("indexed slot is live").1
     }
 
     /// Longest-prefix match for a destination address.

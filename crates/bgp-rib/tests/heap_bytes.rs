@@ -1,0 +1,175 @@
+//! `heap_bytes()` against a counting allocator: the byte gauges must
+//! account for what the RIB tables really hold, freshly built and after
+//! churn, to within 2 % — the slack being the small `BTreeSet` /
+//! `BTreeMap` of peers and groups, which the gauges leave out.
+//!
+//! The shape is a generated Tier-1 table's: 1 000 /24s scattered over
+//! the address space, three peers (or peer groups) each. Attributes are
+//! created before a measurement starts; the tables share them by `Arc`.
+
+use bgp_rib::{AdjRibIn, AdjRibOut, HeapBytes, LocRib, PathSet};
+use bgp_types::{Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Bytes this thread has allocated and not freed. Per thread, so
+    /// that tests running side by side do not see each other.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(delta: isize) {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the bookkeeping touches no allocator
+// state and does not allocate (a `const` thread-local `Cell`).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize));
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as isize - layout.size() as isize);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+fn scattered_slash24s(n: usize) -> Vec<Ipv4Prefix> {
+    let mut x = 20101220u64;
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let p = Ipv4Prefix::new((x >> 32) as u32, 24);
+        if !out.contains(&p) {
+            out.push(p);
+        }
+    }
+    out
+}
+
+fn attrs(n: u32) -> Vec<Arc<PathAttributes>> {
+    (0..n)
+        .map(|i| Arc::new(PathAttributes::local(NextHop(i))))
+        .collect()
+}
+
+/// `k` paths, ids from 1, attributes cycling from `i`.
+fn paths(attrs: &[Arc<PathAttributes>], i: usize, k: usize) -> PathSet {
+    (0..k)
+        .map(|j| (PathId(j as u32 + 1), attrs[(i + j) % attrs.len()].clone()))
+        .collect()
+}
+
+#[track_caller]
+fn assert_accounts_for(reported: HeapBytes, measured: isize, what: &str) {
+    let (reported, measured) = (reported.total() as f64, measured as f64);
+    assert!(
+        (reported - measured).abs() <= 0.02 * measured,
+        "{what}: heap_bytes() {reported} vs {measured} live bytes"
+    );
+}
+
+#[test]
+fn adj_rib_in_accounts_for_its_heap() {
+    let prefixes = scattered_slash24s(1000);
+    let attrs = attrs(16);
+    let peers = [RouterId(7), RouterId(3), RouterId(11)];
+    let before = live();
+    let mut rib = AdjRibIn::new();
+    for (i, p) in prefixes.iter().enumerate() {
+        for (k, peer) in peers.iter().enumerate() {
+            rib.set_paths(*peer, *p, paths(&attrs, i, 1 + (i + k) % 3));
+        }
+    }
+    assert_eq!(rib.known_prefixes().len(), 1000);
+    assert_accounts_for(rib.heap_bytes(), live() - before, "built");
+    // Churn: replace sets with longer and shorter ones, withdraw a
+    // third of the prefixes from every peer, re-insert half of those.
+    for round in 0..3 {
+        for (i, p) in prefixes.iter().enumerate() {
+            for (k, peer) in peers.iter().enumerate() {
+                match (i + round) % 3 {
+                    0 => rib.withdraw(*peer, *p),
+                    _ => {
+                        rib.set_paths(*peer, *p, paths(&attrs, i + round, 1 + (i + k + round) % 4))
+                    }
+                };
+            }
+        }
+        for (i, p) in prefixes.iter().enumerate().filter(|(i, _)| i % 6 == 0) {
+            rib.set_single(peers[i % 3], *p, attrs[i % 16].clone());
+        }
+    }
+    assert!(rib.known_prefixes().len() < 1000);
+    assert_accounts_for(rib.heap_bytes(), live() - before, "churned");
+}
+
+#[test]
+fn loc_rib_accounts_for_its_heap() {
+    let prefixes = scattered_slash24s(1000);
+    let attrs = attrs(16);
+    let before = live();
+    let mut rib: LocRib<Arc<PathAttributes>> = LocRib::new();
+    for (i, p) in prefixes.iter().enumerate() {
+        rib.set(*p, Some(attrs[i % 16].clone()));
+    }
+    assert_accounts_for(rib.heap_bytes(), live() - before, "built");
+    for round in 0..3 {
+        for (i, p) in prefixes.iter().enumerate() {
+            let v = ((i + round) % 3 != 0).then(|| attrs[(i + round) % 16].clone());
+            rib.set(*p, v);
+        }
+    }
+    assert!(rib.len() < 1000);
+    assert_accounts_for(rib.heap_bytes(), live() - before, "churned");
+}
+
+#[test]
+fn adj_rib_out_accounts_for_its_heap() {
+    let prefixes = scattered_slash24s(1000);
+    let attrs = attrs(16);
+    let before = live();
+    let mut rib = AdjRibOut::new();
+    for g in 0..3 {
+        rib.define_group(g, vec![RouterId(g), RouterId(g + 10)]);
+    }
+    for (i, p) in prefixes.iter().enumerate() {
+        for g in 0..3 {
+            rib.set_paths(g, *p, paths(&attrs, i, 1 + (i + g as usize) % 3));
+        }
+    }
+    assert_accounts_for(rib.heap_bytes(), live() - before, "built");
+    for round in 0..3 {
+        for (i, p) in prefixes.iter().enumerate() {
+            for g in 0..3 {
+                let k = (i + round + g as usize) % 4; // 0 withdraws
+                rib.set_paths(g, *p, paths(&attrs, i + round, k));
+            }
+        }
+    }
+    assert_accounts_for(rib.heap_bytes(), live() - before, "churned");
+}

@@ -16,8 +16,9 @@
 //!   (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF, communities, extended
 //!   communities, ORIGINATOR_ID, CLUSTER_LIST).
 //! * [`Route`] — a prefix plus its attributes plus provenance.
-//! * [`PrefixTrie`] — a binary (radix) trie keyed by prefix, used for RIBs
-//!   and longest-prefix matching.
+//! * [`PrefixTrie`] — a path-compressed binary trie keyed by prefix (at
+//!   most two nodes per stored prefix), the index under every RIB table
+//!   and the longest-prefix matcher.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

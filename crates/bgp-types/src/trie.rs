@@ -1,44 +1,58 @@
-//! A binary prefix trie keyed by [`Ipv4Prefix`].
+//! A path-compressed binary prefix trie keyed by [`Ipv4Prefix`].
 //!
-//! Used for RIB tables and longest-prefix matching. The design follows
-//! the classic uncompressed binary trie: one node per prefix bit. Nodes
-//! live in a single arena `Vec` and link to children by `u32` index
-//! (with a free list for recycling), so a trie of N prefixes is a
-//! handful of contiguous allocations rather than one `Box` per bit.
-//! For the dense, sequential /24 blocks that Tier-1 RIB tables hold,
-//! sibling prefixes share their whole covering chain and the arena
-//! stays cache-friendly; RIB-scale experiments in this repo hold a few
-//! hundred thousand prefixes, where the uncompressed layout is entirely
-//! adequate and trivially correct.
+//! The index under every RIB table, and the longest-prefix matcher.
+//! It is a Patricia trie: a node carries the whole prefix it stands
+//! for, and a link skips every bit at which nothing branches, so only
+//! two kinds of node exist — a stored prefix, or a valueless branch
+//! with two children at the longest prefix both share. The root
+//! (`0.0.0.0/0`, arena index 0) is always present. A trie of N prefixes
+//! therefore has at most 2N + 1 nodes *whatever the address
+//! distribution*, and a walk makes about log₂ N dependent loads rather
+//! than one per prefix bit. That independence is the point: the Tier-1
+//! tables this repo generates scatter their /24s over the whole address
+//! space, where one node per bit costs 14.3 nodes per prefix (measured:
+//! 21 404 nodes for a 1 500-prefix table) and made the index, held
+//! three times over by every router, the largest term of the live heap
+//! (EXPERIMENTS.md "Where the bytes were: the prefix index").
+//!
+//! Nodes live in a single arena `Vec` and link to children by `u32`
+//! index, with a free list for recycling, so a trie is two contiguous
+//! allocations and long churn does not grow the arena.
 //!
 //! Determinism contract: iteration is always in lexicographic
 //! `(addr, len)` order — identical to `Ipv4Prefix`'s derived `Ord` —
-//! regardless of insertion order, removals, or free-list state. Range
+//! regardless of insertion order, removals, or free-list state. It is
+//! the pre-order walk, child 0 before child 1: a node's prefix strictly
+//! covers its children's, so it shares their leading address bits with
+//! zeros below and a shorter length (it sorts first), and everything
+//! under child 0 has a 0 where everything under child 1 has a 1. Range
 //! iteration ([`PrefixTrie::iter_overlapping`]) preserves that order
 //! while pruning non-overlapping subtrees.
 
 use crate::prefix::Ipv4Prefix;
 use std::fmt;
+use std::mem::size_of;
 
 /// Arena null-link sentinel.
 const NONE: u32 = u32::MAX;
 
 #[derive(Clone)]
 struct Node<T> {
+    /// The prefix this node stands for: the path is not implied by the
+    /// links, which skip bits.
+    prefix: Ipv4Prefix,
     value: Option<T>,
+    /// Indexed by the first bit below `prefix.len()`.
     children: [u32; 2],
 }
 
 impl<T> Node<T> {
-    fn empty() -> Self {
+    fn new(prefix: Ipv4Prefix) -> Self {
         Node {
+            prefix,
             value: None,
             children: [NONE, NONE],
         }
-    }
-
-    fn is_leaf_empty(&self) -> bool {
-        self.value.is_none() && self.children[0] == NONE && self.children[1] == NONE
     }
 }
 
@@ -56,7 +70,8 @@ impl<T> Node<T> {
 /// ```
 #[derive(Clone)]
 pub struct PrefixTrie<T> {
-    /// Node arena; index 0 is always the root.
+    /// Node arena; index 0 is always the root, `0.0.0.0/0`. Every other
+    /// live node carries a value or has two children.
     nodes: Vec<Node<T>>,
     /// Recycled arena slots available for reuse.
     free: Vec<u32>,
@@ -73,7 +88,7 @@ impl<T> PrefixTrie<T> {
     /// Creates an empty trie.
     pub fn new() -> Self {
         PrefixTrie {
-            nodes: vec![Node::empty()],
+            nodes: vec![Node::new(Ipv4Prefix::DEFAULT)],
             free: Vec::new(),
             len: 0,
         }
@@ -89,52 +104,86 @@ impl<T> PrefixTrie<T> {
         self.len == 0
     }
 
-    /// Number of live arena nodes (interior + valued), an occupancy
-    /// measure for observability: bytes ≈ `node_count * size_of::<Node>`.
+    /// Number of live arena nodes (stored prefixes, valueless branches
+    /// and the root), an occupancy measure for observability: at most
+    /// `2 * len() + 1`.
     pub fn node_count(&self) -> usize {
         self.nodes.len() - self.free.len()
     }
 
-    fn alloc(&mut self) -> u32 {
+    /// Heap bytes held by the arena and the free list (capacity, not
+    /// length: what the allocator was asked for).
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<Node<T>>() + self.free.capacity() * size_of::<u32>()
+    }
+
+    fn alloc(&mut self, prefix: Ipv4Prefix) -> u32 {
+        let node = Node::new(prefix);
         if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = Node::empty();
+            self.nodes[i as usize] = node;
             i
         } else {
-            let i = self.nodes.len() as u32;
-            self.nodes.push(Node::empty());
-            i
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
         }
     }
 
-    /// Walks to the node for `prefix`, allocating missing interior
-    /// nodes, and returns its arena index.
+    /// Walks to the node for `prefix`, creating it if missing, and
+    /// returns its arena index. A created node is valueless: the caller
+    /// stores a value before returning.
     fn walk_alloc(&mut self, prefix: Ipv4Prefix) -> u32 {
+        // Invariant: `nodes[idx].prefix` covers `prefix`.
         let mut idx = 0u32;
-        for i in 0..prefix.len() {
-            let b = prefix.bit(i) as usize;
+        loop {
+            let at = self.nodes[idx as usize].prefix;
+            if at.len() == prefix.len() {
+                return idx;
+            }
+            let b = prefix.bit(at.len()) as usize;
             let child = self.nodes[idx as usize].children[b];
-            idx = if child == NONE {
-                let c = self.alloc();
-                self.nodes[idx as usize].children[b] = c;
-                c
-            } else {
-                child
-            };
+            if child == NONE {
+                let leaf = self.alloc(prefix);
+                self.nodes[idx as usize].children[b] = leaf;
+                return leaf;
+            }
+            let below = self.nodes[child as usize].prefix;
+            if below.contains(&prefix) {
+                idx = child;
+                continue;
+            }
+            // `prefix` parts from the child's prefix after `c` common
+            // bits (`at.len() < c < below.len()`): a node at the common
+            // `c`-bit prefix takes the child's place above it. That node
+            // is `prefix` itself when `prefix` covers the child, and
+            // otherwise a valueless branch with a new leaf on its other
+            // side.
+            let c = ((below.addr() ^ prefix.addr()).leading_zeros() as u8).min(prefix.len());
+            let mid = self.alloc(Ipv4Prefix::new(prefix.addr(), c));
+            self.nodes[mid as usize].children[below.bit(c) as usize] = child;
+            self.nodes[idx as usize].children[b] = mid;
+            if c == prefix.len() {
+                return mid;
+            }
+            let leaf = self.alloc(prefix);
+            self.nodes[mid as usize].children[prefix.bit(c) as usize] = leaf;
+            return leaf;
         }
-        idx
     }
 
-    /// Walks to the node for `prefix` without allocating.
+    /// Walks to the node for `prefix` without allocating. Skipped bits
+    /// are checked once, by the comparison at the end.
     fn walk(&self, prefix: &Ipv4Prefix) -> Option<u32> {
         let mut idx = 0u32;
-        for i in 0..prefix.len() {
-            let b = prefix.bit(i) as usize;
-            idx = self.nodes[idx as usize].children[b];
+        loop {
+            let at = self.nodes[idx as usize].prefix;
+            if at.len() >= prefix.len() {
+                return (at == *prefix).then_some(idx);
+            }
+            idx = self.nodes[idx as usize].children[prefix.bit(at.len()) as usize];
             if idx == NONE {
                 return None;
             }
         }
-        Some(idx)
     }
 
     /// Inserts `value` at `prefix`, returning the previous value if any.
@@ -174,67 +223,83 @@ impl<T> PrefixTrie<T> {
         node.value.as_mut().expect("just inserted")
     }
 
-    /// Removes and returns the value at `prefix`, pruning empty branches
-    /// (pruned arena slots go on the free list for reuse).
+    /// Removes and returns the value at `prefix`. A node left without a
+    /// value and with fewer than two children is spliced out and its
+    /// arena slot goes on the free list for reuse.
     pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<T> {
-        // Record the root-to-node path so empty branches can be pruned
-        // bottom-up without recursion.
-        let mut path = [0u32; 33];
-        let mut idx = 0u32;
-        for i in 0..prefix.len() {
-            let b = prefix.bit(i) as usize;
-            idx = self.nodes[idx as usize].children[b];
-            if idx == NONE {
+        let (mut grand, mut parent, mut idx) = (NONE, NONE, 0u32);
+        loop {
+            let at = self.nodes[idx as usize].prefix;
+            if at.len() >= prefix.len() {
+                if at != *prefix {
+                    return None;
+                }
+                break;
+            }
+            let child = self.nodes[idx as usize].children[prefix.bit(at.len()) as usize];
+            if child == NONE {
                 return None;
             }
-            path[(i + 1) as usize] = idx;
+            (grand, parent, idx) = (parent, idx, child);
         }
         let out = self.nodes[idx as usize].value.take()?;
         self.len -= 1;
-        for depth in (1..=prefix.len()).rev() {
-            let node = path[depth as usize];
-            if !self.nodes[node as usize].is_leaf_empty() {
-                break;
-            }
-            let parent = path[(depth - 1) as usize];
-            let b = prefix.bit(depth - 1) as usize;
-            self.nodes[parent as usize].children[b] = NONE;
-            self.free.push(node);
-        }
+        // Splicing out a childless node costs its parent a child, so
+        // the parent gets the same test; the grandparent only ever sees
+        // one child replaced by another, so one level suffices.
+        self.splice_out(idx, parent);
+        self.splice_out(parent, grand);
         Some(out)
+    }
+
+    /// Unlinks `idx` if it no longer earns its place — no value and
+    /// fewer than two children — handing its only child, if any, to
+    /// `parent`. The root stays whatever it holds.
+    fn splice_out(&mut self, idx: u32, parent: u32) {
+        if parent == NONE || self.nodes[idx as usize].value.is_some() {
+            return;
+        }
+        let ([only, NONE] | [NONE, only]) = self.nodes[idx as usize].children else {
+            return;
+        };
+        for link in &mut self.nodes[parent as usize].children {
+            if *link == idx {
+                *link = only;
+            }
+        }
+        self.free.push(idx);
     }
 
     /// Longest-prefix match for a destination address: the most specific
     /// stored prefix covering `addr`.
     pub fn longest_match(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
         let mut idx = 0u32;
-        let mut best: Option<(Ipv4Prefix, &T)> = None;
-        let mut depth: u8 = 0;
+        // The node, not its (prefix, value): one word to carry down.
+        let mut best: Option<&Node<T>> = None;
         loop {
             let node = &self.nodes[idx as usize];
-            if let Some(v) = &node.value {
-                best = Some((Ipv4Prefix::new(addr, depth), v));
-            }
-            if depth == 32 {
+            // The link followed here skipped bits: only the node's own
+            // prefix says whether it still covers `addr`.
+            if !node.prefix.contains_addr(addr) {
                 break;
             }
-            let b = ((addr >> (31 - depth)) & 1) as usize;
-            idx = node.children[b];
+            if node.value.is_some() {
+                best = Some(node);
+            }
+            if node.prefix.len() == 32 {
+                break;
+            }
+            idx = node.children[((addr >> (31 - node.prefix.len())) & 1) as usize];
             if idx == NONE {
                 break;
             }
-            depth += 1;
         }
-        best
+        best.and_then(|n| n.value.as_ref().map(|v| (n.prefix, v)))
     }
 
     /// Iterates all `(prefix, value)` pairs in trie (lexicographic) order.
     pub fn iter(&self) -> Iter<'_, T> {
-        Iter {
-            trie: self,
-            stack: vec![(0, 0u32, 0u8)],
-            range: None,
-        }
+        self.iter_overlapping(0, u32::MAX)
     }
 
     /// Iterates pairs whose prefix overlaps the address range
@@ -245,17 +310,55 @@ impl<T> PrefixTrie<T> {
     pub fn iter_overlapping(&self, range_start: u32, range_end: u32) -> Iter<'_, T> {
         Iter {
             trie: self,
-            stack: vec![(0, 0u32, 0u8)],
-            range: Some((range_start, range_end)),
+            stack: vec![0],
+            range: (range_start, range_end),
         }
     }
 
     /// Removes all entries.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.nodes.push(Node::empty());
+        self.nodes.push(Node::new(Ipv4Prefix::DEFAULT));
         self.free.clear();
         self.len = 0;
+    }
+
+    /// Panics unless the structure is well formed: the root is
+    /// `0.0.0.0/0` at index 0; every other reachable node has a value or
+    /// two children; a child is strictly longer than, contained in, and
+    /// on the right bit of its parent; reachable + free = arena length;
+    /// `node_count() <= 2 * len() + 1`. For tests.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        assert_eq!(self.nodes[0].prefix, Ipv4Prefix::DEFAULT, "root prefix");
+        let (mut reachable, mut valued) = (0usize, 0usize);
+        let mut stack = vec![0u32];
+        while let Some(idx) = stack.pop() {
+            let node = &self.nodes[idx as usize];
+            let at = node.prefix;
+            reachable += 1;
+            valued += node.value.is_some() as usize;
+            assert!(
+                idx == 0 || node.value.is_some() || !node.children.contains(&NONE),
+                "{at}: valueless with fewer than two children"
+            );
+            for (b, &child) in node.children.iter().enumerate() {
+                if child == NONE {
+                    continue;
+                }
+                let below = self.nodes[child as usize].prefix;
+                assert!(
+                    below.len() > at.len()
+                        && at.contains(&below)
+                        && below.bit(at.len()) as usize == b,
+                    "{below} misplaced as child {b} of {at}"
+                );
+                stack.push(child);
+            }
+        }
+        assert_eq!(valued, self.len, "len");
+        assert_eq!(reachable + self.free.len(), self.nodes.len(), "arena leak");
+        assert!(self.node_count() <= 2 * self.len + 1, "2N + 1 bound");
     }
 }
 
@@ -263,53 +366,35 @@ impl<T> PrefixTrie<T> {
 /// address range.
 pub struct Iter<'a, T> {
     trie: &'a PrefixTrie<T>,
-    // (node index, accumulated address bits, depth)
-    stack: Vec<(u32, u32, u8)>,
-    // Inclusive [start, end] address-range restriction, if any.
-    range: Option<(u32, u32)>,
-}
-
-impl<'a, T> Iter<'a, T> {
-    /// Whether the subtree rooted at `(addr, depth)` — whose address
-    /// span is exactly the span of the prefix `addr/depth` — can hold
-    /// anything overlapping the restriction range.
-    fn span_overlaps(&self, addr: u32, depth: u8) -> bool {
-        match self.range {
-            None => true,
-            Some((start, end)) => {
-                let span_end = if depth >= 32 {
-                    addr
-                } else {
-                    addr | (u32::MAX >> depth)
-                };
-                addr <= end && span_end >= start
-            }
-        }
-    }
+    /// Arena indices of subtrees still to visit, next one last.
+    stack: Vec<u32>,
+    /// Inclusive `[start, end]` address-range restriction.
+    range: (u32, u32),
 }
 
 impl<'a, T> Iterator for Iter<'a, T> {
     type Item = (Ipv4Prefix, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some((idx, addr, depth)) = self.stack.pop() {
+        let (start, end) = self.range;
+        while let Some(idx) = self.stack.pop() {
             let node = &self.trie.nodes[idx as usize];
-            // Push children right-then-left so the left (0) branch pops first.
-            if depth < 32 {
-                if node.children[1] != NONE {
-                    let caddr = addr | (0x8000_0000 >> depth);
-                    if self.span_overlaps(caddr, depth + 1) {
-                        self.stack.push((node.children[1], caddr, depth + 1));
+            // Push children right-then-left so the left (0) branch pops
+            // first. A subtree spans exactly its root's own prefix — not
+            // the one bit below the parent that the link stands for — so
+            // that is what is tested against the range.
+            for &child in node.children.iter().rev() {
+                if child != NONE {
+                    let span = self.trie.nodes[child as usize].prefix;
+                    if span.first_addr() <= end && span.last_addr() >= start {
+                        self.stack.push(child);
                     }
-                }
-                if node.children[0] != NONE && self.span_overlaps(addr, depth + 1) {
-                    self.stack.push((node.children[0], addr, depth + 1));
                 }
             }
             if let Some(v) = &node.value {
-                // A prefix's own span equals its subtree span, so the
-                // subtree test above already proved overlap.
-                return Some((Ipv4Prefix::new(addr, depth), v));
+                // Pushed only if its span overlapped (the root's always
+                // does), and a prefix's span is its subtree's span.
+                return Some((node.prefix, v));
             }
         }
         None
@@ -460,8 +545,138 @@ mod tests {
         assert!(t.get(&p("10.0.0.0/8")).is_some());
         // Root must not have dangling deep children: /24 unreachable now.
         assert!(t.get(&p("10.1.2.0/24")).is_none());
-        // Pruned slots are recycled: 16 freed nodes (/9../24 chain).
-        assert_eq!(t.node_count(), 9); // root + 8 bits of 10/8
+        // Only the root and the /8 are left; the /24's node is freed.
+        assert_eq!(t.node_count(), 2);
+        t.check_invariants();
+    }
+
+    #[test]
+    fn covering_prefix_inserted_above_existing_node() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.1.2.0/24"), 24);
+        t.insert(p("10.0.0.0/8"), 8); // spliced between the root and the /24
+        t.check_invariants();
+        assert_eq!(t.node_count(), 3);
+        assert_eq!(t.get(&p("10.0.0.0/8")), Some(&8));
+        assert_eq!(t.get(&p("10.1.2.0/24")), Some(&24));
+        assert_eq!(t.longest_match(0x0A010203).map(|(_, v)| *v), Some(24));
+        assert_eq!(t.longest_match(0x0A020000).map(|(_, v)| *v), Some(8));
+        let order: Vec<_> = t.iter().map(|(p, _)| p).collect();
+        assert_eq!(order, vec![p("10.0.0.0/8"), p("10.1.2.0/24")]);
+    }
+
+    #[test]
+    fn divergence_at_first_and_last_bit() {
+        // Bit 0: the two leaves hang directly off the root.
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.0.0.0/8"), 0);
+        t.insert(p("192.0.0.0/8"), 1);
+        t.check_invariants();
+        assert_eq!(t.node_count(), 3);
+        // Bit 31: a valueless /31 branch over two host routes.
+        let mut t = PrefixTrie::new();
+        t.insert(p("1.2.3.4/32"), 4);
+        t.insert(p("1.2.3.5/32"), 5);
+        t.check_invariants();
+        assert_eq!(t.node_count(), 4);
+        assert_eq!(t.get(&p("1.2.3.4/31")), None);
+        assert_eq!(t.longest_match(0x01020305).map(|(_, v)| *v), Some(5));
+        assert_eq!(t.longest_match(0x01020306), None);
+        // A skipped bit must not match: 1.2.3.4/32 is reached from the
+        // root in one link, and 9.2.3.4 differs from it only above.
+        assert_eq!(t.longest_match(0x09020304), None);
+    }
+
+    #[test]
+    fn shortest_and_longest_keys() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("255.255.255.255/32"), 32);
+        t.insert(Ipv4Prefix::DEFAULT, 0);
+        t.insert(p("0.0.0.0/32"), 1);
+        t.check_invariants();
+        assert_eq!(t.node_count(), 3); // the root holds the /0 itself
+        assert_eq!(t.longest_match(0).map(|(_, v)| *v), Some(1));
+        assert_eq!(t.longest_match(u32::MAX).map(|(_, v)| *v), Some(32));
+        assert_eq!(t.longest_match(7).map(|(_, v)| *v), Some(0));
+        assert_eq!(t.remove(&Ipv4Prefix::DEFAULT), Some(0));
+        t.check_invariants();
+        assert_eq!(t.node_count(), 3); // the root is never freed
+        assert_eq!(t.longest_match(7), None);
+    }
+
+    #[test]
+    fn removal_merges_through_valueless_parent() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.0.0.0/8"), 8);
+        t.insert(p("10.1.2.0/24"), 2);
+        t.insert(p("10.1.3.0/24"), 3); // valueless 10.1.2.0/23 branch
+        assert_eq!(t.node_count(), 5);
+        // The /23 is left with one child: it goes too, and the /8 links
+        // straight to the surviving /24.
+        assert_eq!(t.remove(&p("10.1.2.0/24")), Some(2));
+        t.check_invariants();
+        assert_eq!(t.node_count(), 3);
+        assert_eq!(t.get(&p("10.1.3.0/24")), Some(&3));
+        assert_eq!(t.longest_match(0x0A010200).map(|(_, v)| *v), Some(8));
+    }
+
+    #[test]
+    fn removed_value_with_two_children_stays_as_branch() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.1.2.0/23"), 23);
+        t.insert(p("10.1.2.0/24"), 2);
+        t.insert(p("10.1.3.0/24"), 3);
+        assert_eq!(t.node_count(), 4);
+        assert_eq!(t.remove(&p("10.1.2.0/23")), Some(23));
+        t.check_invariants();
+        assert_eq!(t.node_count(), 4);
+        assert_eq!(t.get(&p("10.1.2.0/23")), None);
+        assert_eq!(t.remove(&p("10.1.2.0/23")), None);
+        assert_eq!(t.len(), 2);
+        // Re-inserting finds the branch node instead of allocating.
+        t.insert(p("10.1.2.0/23"), 9);
+        assert_eq!(t.node_count(), 4);
+    }
+
+    #[test]
+    fn churn_reuses_freed_indices() {
+        let mut t = PrefixTrie::new();
+        for i in 0..64u32 {
+            t.insert(Ipv4Prefix::new(i.wrapping_mul(0x9E37_79B9), 24), i);
+        }
+        let nodes = t.node_count();
+        let mut bytes = 0;
+        for round in 0..50u32 {
+            for i in 0..64u32 {
+                let q = Ipv4Prefix::new(i.wrapping_mul(0x9E37_79B9), 24);
+                assert_eq!(t.remove(&q), Some(i + round));
+                t.check_invariants();
+                assert_eq!(t.insert(q, i + round + 1), None);
+            }
+            if round == 0 {
+                bytes = t.heap_bytes(); // the free list exists from here on
+            }
+        }
+        t.check_invariants();
+        assert_eq!(t.node_count(), nodes);
+        assert_eq!(t.heap_bytes(), bytes, "the arena grew under churn");
+    }
+
+    #[test]
+    fn scattered_table_stays_within_two_nodes_per_prefix() {
+        // The shape of a generated Tier-1 table (`workload::tier1`):
+        // /24s scattered over the whole address space. One node per
+        // prefix bit took about 21 400 nodes for these 1 500 prefixes.
+        let mut x = 20101220u64;
+        let mut t = PrefixTrie::new();
+        while t.len() < 1500 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            t.insert(Ipv4Prefix::new((x >> 32) as u32, 24), ());
+        }
+        t.check_invariants();
+        assert!(t.node_count() <= 3001, "{} nodes", t.node_count());
     }
 
     #[test]

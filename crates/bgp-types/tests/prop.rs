@@ -8,6 +8,20 @@ fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Prefix::new(addr, len))
 }
 
+/// Trie keys: half uniformly random (two of them part within a few
+/// bits of the root), half from a 64-address by 9-length family, so
+/// that operations also hit stored keys, their covers and their
+/// siblings, at both ends of the bit range.
+fn arb_trie_key() -> impl Strategy<Value = Ipv4Prefix> {
+    (any::<u32>(), 0u8..=32, any::<bool>()).prop_map(|(addr, len, dense)| {
+        if !dense {
+            return Ipv4Prefix::new(addr, len);
+        }
+        let lens = [0, 1, 2, 8, 23, 24, 30, 31, 32];
+        Ipv4Prefix::new(addr & 0xC100_0103, lens[len as usize % lens.len()])
+    })
+}
+
 proptest! {
     /// Construction always canonicalizes: no host bits below the mask.
     #[test]
@@ -42,22 +56,35 @@ proptest! {
     }
 
     /// The trie behaves exactly like a BTreeMap under a random workload
-    /// of inserts and removals, and longest_match agrees with a linear
-    /// scan.
+    /// of every mutating operation, stays well formed after each one,
+    /// and longest_match and range iteration agree with a linear scan.
     #[test]
     fn trie_models_map(
-        ops in prop::collection::vec((arb_prefix(), any::<bool>(), any::<u16>()), 1..200),
-        probes in prop::collection::vec(any::<u32>(), 10)
+        ops in prop::collection::vec((arb_trie_key(), 0u8..5, any::<u16>()), 1..200),
+        probes in prop::collection::vec(any::<u32>(), 10),
+        ranges in prop::collection::vec((any::<u32>(), any::<u32>()), 6)
     ) {
         let mut trie = PrefixTrie::new();
         let mut model: BTreeMap<Ipv4Prefix, u16> = BTreeMap::new();
-        for (p, is_insert, v) in ops {
-            if is_insert {
-                prop_assert_eq!(trie.insert(p, v), model.insert(p, v));
-            } else {
-                prop_assert_eq!(trie.remove(&p), model.remove(&p));
+        for (p, op, v) in ops {
+            match op {
+                0 | 1 => prop_assert_eq!(trie.insert(p, v), model.insert(p, v)),
+                2 => prop_assert_eq!(trie.remove(&p), model.remove(&p)),
+                3 => {
+                    let slot = trie.get_or_insert_with(p, || v);
+                    prop_assert_eq!(*slot, *model.entry(p).or_insert(v));
+                }
+                _ => {
+                    let slot = trie.get_mut(&p);
+                    prop_assert_eq!(slot.as_deref(), model.get(&p));
+                    if let Some(slot) = slot {
+                        *slot = v;
+                        model.insert(p, v);
+                    }
+                }
             }
             prop_assert_eq!(trie.len(), model.len());
+            trie.check_invariants();
         }
         for (p, v) in &model {
             prop_assert_eq!(trie.get(p), Some(v));
@@ -66,8 +93,9 @@ proptest! {
         let from_trie: Vec<(Ipv4Prefix, u16)> = trie.iter().map(|(p, v)| (p, *v)).collect();
         let from_model: Vec<(Ipv4Prefix, u16)> = model.iter().map(|(p, v)| (*p, *v)).collect();
         prop_assert_eq!(from_trie, from_model);
-        // Longest-match agrees with brute force.
-        for probe in probes {
+        // Longest-match agrees with brute force. The stored keys' own
+        // addresses are probed too: a random address matches little.
+        for probe in probes.into_iter().chain(model.keys().map(|p| p.last_addr())) {
             let brute = model
                 .iter()
                 .filter(|(p, _)| p.contains_addr(probe))
@@ -75,6 +103,19 @@ proptest! {
                 .map(|(p, v)| (*p, *v));
             let got = trie.longest_match(probe).map(|(p, v)| (p, *v));
             prop_assert_eq!(got, brute);
+        }
+        // Pruned range iteration agrees with filtering the model, for
+        // random ranges and for each stored key's own first address.
+        let points = model.keys().map(|p| (p.first_addr(), p.first_addr()));
+        for (a, b) in ranges.into_iter().chain(points.collect::<Vec<_>>()) {
+            let (s, e) = (a.min(b), a.max(b));
+            let pruned: Vec<Ipv4Prefix> = trie.iter_overlapping(s, e).map(|(p, _)| p).collect();
+            let filtered: Vec<Ipv4Prefix> = model
+                .keys()
+                .filter(|p| p.first_addr() <= e && p.last_addr() >= s)
+                .copied()
+                .collect();
+            prop_assert_eq!(pruned, filtered, "range {:#x}..={:#x}", s, e);
         }
     }
 

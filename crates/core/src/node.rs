@@ -22,7 +22,7 @@ use crate::roles::{AdvertiseEnv, ArrRole, BorderRole, Chassis, ClientRole, Role,
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path, Candidate, PathSet};
+use bgp_rib::{best_path, Candidate, HeapBytes, PathSet};
 use bgp_types::{ApId, Ipv4Prefix, PathAttributes, PathId, RouteSource, RouterId};
 use netsim::{Ctx, Protocol};
 use std::collections::BTreeSet;
@@ -338,22 +338,46 @@ impl BgpNode {
         set("core.rib_in.ebgp", self.ebgp_entries());
         set("core.loc_rib", self.loc_rib_len());
         set("core.rib_out", self.rib_out_size());
-        // Storage-internals occupancy over the arena-backed tables:
-        // live trie index nodes and allocated value slots, summed over
-        // every role RIB plus the Loc-RIB and the per-group RIB-Out.
-        // Makes the memory story auditable, not just entry counts.
-        let (mut nodes, mut slots) = (0usize, 0usize);
-        for role in self.roles() {
-            let (rn, rs) = role.occupancy();
-            nodes += rn;
-            slots += rs;
+        for (name, v) in self.store_gauges() {
+            set(name, v);
         }
-        for (n2, s2) in [self.ch.loc_rib.occupancy(), self.ch.out.occupancy()] {
-            nodes += n2;
-            slots += s2;
+    }
+
+    /// The `core.store.*` gauges — storage internals of the arena-backed
+    /// tables: live trie index nodes, allocated value slots, and the
+    /// heap bytes of the index arenas, the slot arenas and the path
+    /// sets the slots own. Summed over *every* table this node keeps:
+    /// each role's RIBs, the Loc-RIB, the per-group RIB-Out and the
+    /// selection-change counts (a third full-table index per router).
+    /// Makes the memory story auditable, not just entry counts.
+    fn store_gauges(&self) -> [(&'static str, usize); 5] {
+        let ch = &self.ch;
+        let changes = &ch.selection_changes;
+        let tables = self
+            .roles()
+            .map(|role| (role.occupancy(), role.heap_bytes()))
+            .into_iter()
+            .chain([
+                (ch.loc_rib.occupancy(), ch.loc_rib.heap_bytes()),
+                (ch.out.occupancy(), ch.out.heap_bytes()),
+                (
+                    (changes.index_nodes(), changes.slot_capacity()),
+                    changes.heap_bytes(),
+                ),
+            ]);
+        let (mut nodes, mut slots, mut bytes) = (0, 0, HeapBytes::default());
+        for ((n, s), b) in tables {
+            nodes += n;
+            slots += s;
+            bytes = bytes + b;
         }
-        set("core.store.index_nodes", nodes);
-        set("core.store.slots", slots);
+        [
+            ("core.store.index_nodes", nodes),
+            ("core.store.slots", slots),
+            ("core.store.index_bytes", bytes.index),
+            ("core.store.slot_bytes", bytes.slots),
+            ("core.store.path_bytes", bytes.paths),
+        ]
     }
 
     /// The ARR-role paths currently stored from `peer` for `prefix`.
@@ -790,5 +814,51 @@ impl Protocol for BgpNode {
             lead = lead.min(1);
         }
         lead
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `core.store.*` gauges must cover every table a node owns,
+    /// the selection-change counts included (they were left out once:
+    /// a third of the fleet's index nodes went unreported).
+    #[test]
+    fn store_gauges_sum_every_table_the_node_owns() {
+        let (sim, outcome) =
+            crate::scenarios::small_reference().run(Mode::Abrr, netsim::RunConfig::default());
+        assert!(outcome.quiesced);
+        for (_, node) in sim.nodes() {
+            let ch = &node.ch;
+            let changes = &ch.selection_changes;
+            assert!(changes.index_nodes() > 1, "every router selected something");
+            let mut occupancy = vec![
+                ch.loc_rib.occupancy(),
+                ch.out.occupancy(),
+                (changes.index_nodes(), changes.slot_capacity()),
+            ];
+            occupancy.extend(node.roles().map(|role| role.occupancy()));
+            let bytes = ch.loc_rib.heap_bytes()
+                + ch.out.heap_bytes()
+                + changes.heap_bytes()
+                + node.roles().map(|role| role.heap_bytes()).into_iter().sum();
+            let want = [
+                (
+                    "core.store.index_nodes",
+                    occupancy.iter().map(|o| o.0).sum(),
+                ),
+                ("core.store.slots", occupancy.iter().map(|o| o.1).sum()),
+                ("core.store.index_bytes", bytes.index),
+                ("core.store.slot_bytes", bytes.slots),
+                ("core.store.path_bytes", bytes.paths),
+            ];
+            assert_eq!(node.store_gauges(), want);
+            // Path-compressed indices: at most two nodes per live slot
+            // plus one root per table — 4 roles (the client's has two
+            // tables), Loc-RIB, selection changes, and one per group.
+            let tables = 7 + ch.out.group_ids().count();
+            assert!(want[0].1 <= 2 * want[1].1 + tables, "{want:?}");
+        }
     }
 }

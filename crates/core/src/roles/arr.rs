@@ -8,7 +8,7 @@ use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{AbrrLoopPrevention, Mode, NetworkSpec};
-use bgp_rib::{AdjRibIn, Candidate, CandidateBatch, PathSet};
+use bgp_rib::{AdjRibIn, Candidate, CandidateBatch, HeapBytes, PathSet};
 use bgp_types::{intern, ApId, ClusterId, Ipv4Prefix, OriginatorId, PathId, RouteSource, RouterId};
 use netsim::Ctx;
 
@@ -265,6 +265,10 @@ impl Role for ArrRole {
 
     fn occupancy(&self) -> (usize, usize) {
         self.arr_in.occupancy()
+    }
+
+    fn heap_bytes(&self) -> HeapBytes {
+        self.arr_in.heap_bytes()
     }
 
     fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {

@@ -9,7 +9,7 @@
 
 use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::SessionMsg;
-use bgp_rib::{Candidate, PrefixSlab};
+use bgp_rib::{Candidate, HeapBytes, PrefixSlab};
 use bgp_types::{intern, Asn, Ipv4Prefix, NextHop, PathAttributes, RouteSource, RouterId};
 use netsim::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
@@ -225,6 +225,11 @@ impl Role for BorderRole {
 
     fn occupancy(&self) -> (usize, usize) {
         (self.ebgp_in.index_nodes(), self.ebgp_in.slot_capacity())
+    }
+
+    fn heap_bytes(&self) -> HeapBytes {
+        // The per-prefix session maps are `BTreeMap`s: not counted.
+        self.ebgp_in.heap_bytes()
     }
 
     fn drop_peer(&mut self, _peer: RouterId) -> Vec<Ipv4Prefix> {

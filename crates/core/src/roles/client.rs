@@ -7,7 +7,7 @@ use super::{with_default_local_pref, AdvertiseEnv, Chassis, Images, Role, Rx};
 use crate::msg::{BgpMsg, Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
-use bgp_rib::{best_path, AdjRibIn, Candidate, PathSet};
+use bgp_rib::{best_path, AdjRibIn, Candidate, HeapBytes, PathSet};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouteSource, RouterId};
 use netsim::Ctx;
 use std::sync::Arc;
@@ -344,6 +344,10 @@ impl Role for ClientRole {
         let (n1, s1) = self.client_in.occupancy();
         let (n2, s2) = self.client_in_tbrr.occupancy();
         (n1 + n2, s1 + s2)
+    }
+
+    fn heap_bytes(&self) -> HeapBytes {
+        self.client_in.heap_bytes() + self.client_in_tbrr.heap_bytes()
     }
 
     fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {

@@ -43,7 +43,7 @@ use crate::node::Selected;
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path, AdjRibOut, Candidate, PathSet, PrefixSlab};
+use bgp_rib::{best_path, AdjRibOut, Candidate, HeapBytes, PathSet, PrefixSlab};
 use bgp_types::{ApId, Ipv4Prefix, NextHop, PathAttributes, RouterId};
 use netsim::{Ctx, Mrai, MraiVerdict};
 use std::collections::{BTreeMap, BTreeSet};
@@ -567,6 +567,10 @@ pub trait Role {
     /// `(trie index nodes, allocated value slots)` across this role's
     /// storage — the occupancy pair behind the `core.store.*` gauges.
     fn occupancy(&self) -> (usize, usize);
+
+    /// Heap bytes across this role's storage — the
+    /// `core.store.*_bytes` gauges.
+    fn heap_bytes(&self) -> HeapBytes;
 
     /// Drops everything learned from `peer` (RFC 4271 §6 teardown).
     /// Returns the affected prefixes.

@@ -6,7 +6,7 @@ use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
-use bgp_rib::{best_as_level, best_path, AdjRibIn, Candidate, PathSet};
+use bgp_rib::{best_as_level, best_path, AdjRibIn, Candidate, HeapBytes, PathSet};
 use bgp_types::{
     intern, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouteSource, RouterId,
 };
@@ -252,6 +252,10 @@ impl Role for TrrRole {
 
     fn occupancy(&self) -> (usize, usize) {
         self.trr_in.occupancy()
+    }
+
+    fn heap_bytes(&self) -> HeapBytes {
+        self.trr_in.heap_bytes()
     }
 
     fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
