@@ -1,6 +1,6 @@
 //! The BGP best-path decision process (RFC 4271 §9.1.2.2; paper Table 2).
 
-use bgp_types::{Asn, Med, NextHop, PathAttributes, RouteSource};
+use bgp_types::{Asn, Med, NextHop, PathAttributes, RouteSource, RouterId};
 
 /// Internal alias used by the MED grouping pass.
 type MedKey = Med;
@@ -49,6 +49,15 @@ pub struct Candidate {
 }
 
 impl Candidate {
+    /// A route learned over iBGP from `peer`.
+    pub fn ibgp(peer: RouterId, attrs: &Arc<PathAttributes>) -> Candidate {
+        Candidate {
+            attrs: attrs.clone(),
+            source: RouteSource::Ibgp { peer },
+            neighbor_id: peer.0,
+        }
+    }
+
     /// The neighbouring AS for MED grouping: the leftmost AS of AS_PATH.
     /// `None` for locally-originated routes (empty path), which are
     /// never MED-compared against anything.

@@ -27,5 +27,5 @@ pub mod store;
 
 pub use batch::CandidateBatch;
 pub use decision::{best_as_level, best_path, Candidate, DecisionConfig, IgpMetric, MedMode};
-pub use rib::{normalize, AdjRibIn, AdjRibOut, ExportWalk, LocRib, PathSet};
+pub use rib::{normalize, AdjRibIn, AdjRibOut, ExportWalk, LocRib, PathSet, RibInEntry};
 pub use store::{HeapBytes, PrefixSlab};

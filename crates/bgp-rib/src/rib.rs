@@ -11,24 +11,25 @@
 //!
 //! Storage: every per-prefix table is a trie-indexed, slab-backed
 //! [`PrefixSlab`] (see [`crate::store`] for the layout and the single
-//! key-ordering policy). The old tables mixed `BTreeMap` peer keys with
-//! `FxHashMap` prefix keys and re-sorted snapshots at order-observable
-//! APIs; now *one* invariant covers everything:
+//! key-ordering policy). *One* invariant covers everything:
 //!
 //! * prefixes iterate in lexicographic `(addr, len)` order, straight
 //!   off the trie index — [`AdjRibIn::known_prefixes`],
 //!   [`AdjRibIn::drop_peer`], [`AdjRibOut::iter_group`] and
 //!   [`LocRib::iter`] need no explicit sorts;
-//! * peers within a prefix slot are kept sorted by [`RouterId`], so
-//!   [`AdjRibIn::all_paths`] yields candidates in exactly the peer-id
-//!   order the old `BTreeMap` produced (that order reaches the decision
-//!   process's tie-breaking and is part of the determinism contract);
-//! * path sets stay sorted by [`PathId`] via `normalize`.
+//! * an Adj-RIB-In slot is one flat run of [`RibInEntry`]s kept sorted
+//!   by ([`RouterId`], [`PathId`]), so [`AdjRibIn::all_paths`] yields
+//!   candidates in that order (it reaches the decision process's
+//!   tie-breaking and is part of the determinism contract);
+//! * RIB-Out path sets stay sorted by [`PathId`] via `normalize`.
 
+use crate::decision::Candidate;
 use crate::store::{HeapBytes, PrefixSlab};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::size_of;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The set of paths advertised for one prefix on one session, keyed by
@@ -37,18 +38,48 @@ use std::sync::Arc;
 pub type PathSet = Vec<(PathId, Arc<PathAttributes>)>;
 
 /// Canonicalises a path set: sorted by [`PathId`], duplicates dropped.
-/// Every stored set passes through here, which is what makes path sets
-/// order-insensitive on receipt — the wire codec's decode path relies
-/// on this to deliver path-id-sorted sets without changing behaviour.
+/// Every stored set passes through here unless it already is canonical,
+/// which is what makes path sets order-insensitive on receipt — the
+/// wire codec's decode path relies on this to deliver path-id-sorted
+/// sets without changing behaviour.
 pub fn normalize(mut set: PathSet) -> PathSet {
     set.sort_by_key(|(id, _)| *id);
     set.dedup_by(|a, b| a.0 == b.0);
     set
 }
 
-/// Heap bytes a path set owns: its buffer, not the shared attributes.
-fn path_set_bytes(set: &PathSet) -> usize {
-    set.capacity() * size_of::<(PathId, Arc<PathAttributes>)>()
+/// A path set as the tables take it: an owned [`PathSet`], whose `Arc`s
+/// move in, or a borrowed slice, whose `Arc`s are cloned only if the
+/// set is stored.
+type PathsIn<'a> = Cow<'a, [(PathId, Arc<PathAttributes>)]>;
+
+/// [`normalize`] for a set that usually is canonical already (every
+/// set this codebase builds is), and is then left where it lies.
+fn canonical(paths: PathsIn<'_>) -> PathsIn<'_> {
+    if paths.windows(2).all(|w| w[0].0 < w[1].0) {
+        paths
+    } else {
+        Cow::Owned(normalize(paths.into_owned()))
+    }
+}
+
+/// One stored Adj-RIB-In route: the peer it came from, its add-paths
+/// id, and the shared attributes — 16 bytes.
+pub type RibInEntry = (RouterId, PathId, Arc<PathAttributes>);
+
+/// A slot of at most this many entries is allocated to fit exactly; a
+/// longer one grows amortised. A rule on the slot's own length: short
+/// slots are a client's (one route per ARR of the AP, hundreds of
+/// thousands of slots — slack is the cost), long ones a reflector's
+/// (appended to peer after peer — reallocation is; exact fit everywhere
+/// cost the TBRR load 5–13 % of its throughput). DESIGN.md §13.
+const EXACT_FIT_MAX: usize = 4;
+
+/// Where `peer`'s entries sit in a slot (sorted by peer, so contiguous).
+fn run_of(slot: &[RibInEntry], peer: RouterId) -> Range<usize> {
+    let lo = slot.partition_point(|e| e.0 < peer);
+    let hi = lo + slot[lo..].partition_point(|e| e.0 == peer);
+    lo..hi
 }
 
 /// Adj-RIB-In: received routes, stored prefix-major.
@@ -59,17 +90,16 @@ fn path_set_bytes(set: &PathSet) -> usize {
 /// such routes to the clients with each update"). A plain single-path
 /// session is the one-element special case.
 ///
-/// One slab slot per prefix holds the per-peer path sets sorted by
-/// peer id; [`AdjRibIn::all_paths`] therefore yields candidates in
-/// (peer id, path id) order — byte-identical to the old peer-major
-/// `BTreeMap` layout — while the per-prefix hot path (one update =
-/// one slot probe) no longer touches every peer's table.
+/// One slab slot per prefix holds every peer's routes as one flat run
+/// of [`RibInEntry`]s sorted by (peer id, path id): a peer's set is a
+/// contiguous sub-run, [`AdjRibIn::all_paths`] is a slice walk in
+/// candidate order, and one update is one slot probe plus an in-place
+/// splice. There is no per-peer container: a route costs its 16 bytes.
 #[derive(Clone, Debug, Default)]
 pub struct AdjRibIn {
-    table: PrefixSlab<Vec<(RouterId, PathSet)>>,
-    /// Sessions that ever spoke (withdrawals included) and were not
-    /// dropped — mirrors the old layout where even a no-op withdrawal
-    /// materialized the peer's (empty) table.
+    table: PrefixSlab<Vec<RibInEntry>>,
+    /// Sessions that ever spoke (no-op withdrawals included) and were
+    /// not dropped.
     peers: BTreeSet<RouterId>,
     entries: usize,
 }
@@ -81,48 +111,56 @@ impl AdjRibIn {
     }
 
     /// Replaces the path set for `(peer, prefix)`. An empty `paths` is a
-    /// withdrawal. Returns `true` when the stored set changed.
-    pub fn set_paths(&mut self, peer: RouterId, prefix: Ipv4Prefix, paths: PathSet) -> bool {
-        let paths = normalize(paths);
-        // Register the session even on a no-op withdrawal, matching the
-        // old `tables.entry(peer).or_default()` behavior that `peers()`
-        // exposes.
+    /// withdrawal. Returns `true` when the stored set changed. Takes an
+    /// owned [`PathSet`], whose `Arc`s move into the table, or a
+    /// borrowed slice, whose `Arc`s are cloned only if it is stored.
+    pub fn set_paths<'a>(
+        &mut self,
+        peer: RouterId,
+        prefix: Ipv4Prefix,
+        paths: impl Into<PathsIn<'a>>,
+    ) -> bool {
+        let paths = canonical(paths.into());
         self.peers.insert(peer);
         if paths.is_empty() {
             let Some(slot) = self.table.get_mut(&prefix) else {
                 return false;
             };
-            match slot.binary_search_by_key(&peer, |(r, _)| *r) {
-                Ok(i) => {
-                    let (_, old) = slot.remove(i);
-                    self.entries -= old.len();
-                    if slot.is_empty() {
-                        self.table.remove(&prefix);
-                    }
-                    true
-                }
-                Err(_) => false,
+            let run = run_of(slot, peer);
+            if run.is_empty() {
+                return false;
             }
+            self.entries -= run.len();
+            slot.drain(run);
+            if slot.is_empty() {
+                self.table.remove(&prefix);
+            }
+            return true;
+        }
+        let slot = self.table.get_or_insert_with(prefix, Vec::new);
+        let run = run_of(slot, peer);
+        let stored = slot[run.clone()].iter().map(|(_, id, a)| (id, a));
+        if stored.eq(paths.iter().map(|(id, a)| (id, a))) {
+            return false;
+        }
+        let extra = paths.len().saturating_sub(run.len());
+        if slot.len() + extra <= EXACT_FIT_MAX {
+            slot.reserve_exact(extra);
         } else {
-            let slot = self.table.get_or_insert_with(prefix, Vec::new);
-            match slot.binary_search_by_key(&peer, |(r, _)| *r) {
-                Ok(i) => {
-                    if slot[i].1 == paths {
-                        false
-                    } else {
-                        self.entries -= slot[i].1.len();
-                        self.entries += paths.len();
-                        slot[i].1 = paths;
-                        true
-                    }
-                }
-                Err(i) => {
-                    self.entries += paths.len();
-                    slot.insert(i, (peer, paths));
-                    true
-                }
+            slot.reserve(extra);
+        }
+        self.entries = self.entries - run.len() + paths.len();
+        // `splice` overwrites the old run in place and moves the tail
+        // once for the difference in length.
+        match paths {
+            Cow::Borrowed(set) => {
+                slot.splice(run, set.iter().map(|(id, a)| (peer, *id, a.clone())));
+            }
+            Cow::Owned(set) => {
+                slot.splice(run, set.into_iter().map(|(id, a)| (peer, id, a)));
             }
         }
+        true
     }
 
     /// Replaces with a single path (plain session convenience); path id 0.
@@ -137,7 +175,7 @@ impl AdjRibIn {
 
     /// Withdraws all paths for `(peer, prefix)`.
     pub fn withdraw(&mut self, peer: RouterId, prefix: Ipv4Prefix) -> bool {
-        self.set_paths(peer, prefix, Vec::new())
+        self.set_paths(peer, prefix, &[][..])
     }
 
     /// Drops everything learned from `peer` (session reset). Returns the
@@ -150,29 +188,26 @@ impl AdjRibIn {
         let entries = &mut self.entries;
         self.table.retain(
             |p, slot| {
-                if let Ok(i) = slot.binary_search_by_key(&peer, |(r, _)| *r) {
-                    let (_, old) = slot.remove(i);
-                    *entries -= old.len();
-                    dropped.push(*p);
-                    !slot.is_empty()
-                } else {
-                    true
+                let run = run_of(slot, peer);
+                if run.is_empty() {
+                    return true;
                 }
+                *entries -= run.len();
+                slot.drain(run);
+                dropped.push(*p);
+                !slot.is_empty()
             },
             |_, _| {},
         );
         dropped
     }
 
-    /// The path set for `(peer, prefix)`, empty slice if none.
-    pub fn paths(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[(PathId, Arc<PathAttributes>)] {
+    /// The entries stored for `(peer, prefix)` in path-id order — the
+    /// peer's sub-run of the slot — empty slice if none.
+    pub fn paths(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
         self.table
             .get(prefix)
-            .and_then(|slot| {
-                slot.binary_search_by_key(&peer, |(r, _)| *r)
-                    .ok()
-                    .map(|i| slot[i].1.as_slice())
-            })
+            .map(|slot| &slot[run_of(slot, peer)])
             .unwrap_or(&[])
     }
 
@@ -186,7 +221,17 @@ impl AdjRibIn {
             .get(prefix)
             .into_iter()
             .flatten()
-            .flat_map(|(peer, set)| set.iter().map(move |(id, a)| (*peer, *id, a)))
+            .map(|(peer, id, a)| (*peer, *id, a))
+    }
+
+    /// Every route stored for `prefix` as an iBGP decision candidate,
+    /// in (peer id, path id) order.
+    pub fn candidates<'a>(
+        &'a self,
+        prefix: &'a Ipv4Prefix,
+    ) -> impl Iterator<Item = Candidate> + 'a {
+        self.all_paths(prefix)
+            .map(|(peer, _, attrs)| Candidate::ibgp(peer, attrs))
     }
 
     /// Every prefix known from any peer, in prefix order (the trie
@@ -216,19 +261,13 @@ impl AdjRibIn {
         (self.table.index_nodes(), self.table.slot_capacity())
     }
 
-    /// Heap bytes of the table plus every slot's peer `Vec` and the
-    /// `PathSet`s in it (see [`HeapBytes`]). Walks the table: for
-    /// reports, not the hot path.
+    /// Heap bytes of the table plus every slot's run of entries, at its
+    /// capacity (see [`HeapBytes`]). Walks the table: for reports, not
+    /// the hot path.
     pub fn heap_bytes(&self) -> HeapBytes {
-        let paths = self.table.iter().map(|(_, slot)| {
-            slot.capacity() * size_of::<(RouterId, PathSet)>()
-                + slot
-                    .iter()
-                    .map(|(_, set)| path_set_bytes(set))
-                    .sum::<usize>()
-        });
+        let runs = self.table.iter().map(|(_, slot)| slot.capacity());
         HeapBytes {
-            paths: paths.sum(),
+            paths: runs.sum::<usize>() * size_of::<RibInEntry>(),
             ..self.table.heap_bytes()
         }
     }
@@ -239,20 +278,31 @@ impl AdjRibIn {
     }
 }
 
-/// Loc-RIB: the router's selected route per prefix.
+/// Loc-RIB: the router's selected route per prefix, and how many times
+/// that selection has changed (the oscillation-diagnostic signal: a
+/// converged network's counts stop growing).
 ///
 /// Backed by a [`PrefixSlab`]; [`LocRib::lookup`] is a real trie walk
 /// (longest-prefix match in one descent) and [`LocRib::iter`] streams
 /// straight off the ordered index with no snapshot sort.
+///
+/// A slot is `(selection, changes)`. A withdrawn prefix keeps its slot,
+/// with no selection, because its count must survive: the slot is a
+/// tombstone that [`LocRib::len`], [`LocRib::get`], [`LocRib::iter`],
+/// [`LocRib::iter_overlapping`] and [`LocRib::lookup`] do not see. Only
+/// a prefix that was selected at least once has a slot.
 #[derive(Clone, Debug)]
 pub struct LocRib<T> {
-    table: PrefixSlab<T>,
+    table: PrefixSlab<(Option<T>, u32)>,
+    /// Slots holding a selection.
+    live: usize,
 }
 
 impl<T> Default for LocRib<T> {
     fn default() -> Self {
         LocRib {
             table: PrefixSlab::new(),
+            live: 0,
         }
     }
 }
@@ -264,50 +314,66 @@ impl<T: Clone + PartialEq> LocRib<T> {
     }
 
     /// Sets the selection for `prefix`; `None` removes it. Returns
-    /// `true` when the stored value changed.
+    /// `true` when the stored value changed, which is also when the
+    /// prefix's change count goes up.
     pub fn set(&mut self, prefix: Ipv4Prefix, value: Option<T>) -> bool {
-        let Some(v) = value else {
-            return self.table.remove(&prefix).is_some();
+        let slot = match value {
+            Some(_) => self.table.get_or_insert_with(prefix, || (None, 0)),
+            // Withdrawing what was never selected leaves no trace.
+            None => match self.table.get_mut(&prefix) {
+                Some(slot) => slot,
+                None => return false,
+            },
         };
-        let mut new = Some(v);
-        let slot = self
-            .table
-            .get_or_insert_with(prefix, || new.take().expect("called once"));
-        match new {
-            None => true, // moved into a fresh slot
-            Some(v) if *slot == v => false,
-            Some(v) => {
-                *slot = v;
-                true
-            }
+        if slot.0 == value {
+            return false;
         }
+        self.live = self.live + value.is_some() as usize - slot.0.is_some() as usize;
+        *slot = (value, slot.1.saturating_add(1));
+        true
     }
 
     /// The current selection for `prefix`.
     pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&T> {
-        self.table.get(prefix)
+        self.table.get(prefix)?.0.as_ref()
+    }
+
+    /// How many times the selection for `prefix` has changed,
+    /// withdrawals included.
+    pub fn changes(&self, prefix: &Ipv4Prefix) -> u32 {
+        self.table.get(prefix).map_or(0, |slot| slot.1)
+    }
+
+    /// Iterates `(prefix, change count)` over every prefix ever
+    /// selected, withdrawn ones included, in prefix order.
+    pub fn iter_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u32)> {
+        self.table.iter().map(|(p, slot)| (p, slot.1))
     }
 
     /// Longest-prefix match against a destination address (single trie
-    /// descent).
+    /// descent). A withdrawn prefix does not match: the address falls
+    /// through to the next shorter selected cover.
     pub fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
-        self.table.longest_match(addr)
+        let (p, slot) = self
+            .table
+            .longest_match_where(addr, |slot| slot.0.is_some())?;
+        slot.0.as_ref().map(|v| (p, v))
     }
 
     /// Number of selected prefixes.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.live
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.live == 0
     }
 
     /// Iterates `(prefix, selection)` in prefix order, streamed from
     /// the trie index (no snapshot sort).
     pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
-        self.table.iter()
+        self.iter_overlapping(0, u32::MAX)
     }
 
     /// Iterates selections overlapping the inclusive address range, in
@@ -317,10 +383,13 @@ impl<T: Clone + PartialEq> LocRib<T> {
         range_start: u32,
         range_end: u32,
     ) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
-        self.table.iter_overlapping(range_start, range_end)
+        self.table
+            .iter_overlapping(range_start, range_end)
+            .filter_map(|(p, slot)| slot.0.as_ref().map(|v| (p, v)))
     }
 
-    /// Live trie nodes + allocated slots (occupancy gauge pair).
+    /// Live trie nodes + allocated slots (occupancy gauge pair),
+    /// tombstones included.
     pub fn occupancy(&self) -> (usize, usize) {
         (self.table.index_nodes(), self.table.slot_capacity())
     }
@@ -384,9 +453,15 @@ impl AdjRibOut {
     /// Replaces the advertised path set for `prefix` in `group`. Empty
     /// set = withdrawal. Returns `true` when the stored set changed —
     /// i.e. when an update had to be *generated* (the expensive
-    /// operation per paper §4.2).
-    pub fn set_paths(&mut self, group: u32, prefix: Ipv4Prefix, paths: PathSet) -> bool {
-        let paths = normalize(paths);
+    /// operation per paper §4.2). Takes an owned [`PathSet`] or a
+    /// borrowed slice; an unchanged set costs a comparison.
+    pub fn set_paths<'a>(
+        &mut self,
+        group: u32,
+        prefix: Ipv4Prefix,
+        paths: impl Into<PathsIn<'a>>,
+    ) -> bool {
+        let paths = canonical(paths.into());
         let g = self.groups.entry(group).or_default();
         if paths.is_empty() {
             match g.table.remove(&prefix) {
@@ -399,12 +474,12 @@ impl AdjRibOut {
         } else {
             // A fresh slot is empty, which `paths` is not.
             let slot = g.table.get_or_insert_with(prefix, Vec::new);
-            if *slot == paths {
+            if slot[..] == paths[..] {
                 return false;
             }
             self.entries -= slot.len();
             self.entries += paths.len();
-            *slot = paths;
+            *slot = paths.into_owned();
             true
         }
     }
@@ -473,7 +548,8 @@ impl AdjRibOut {
     /// hot path.
     pub fn heap_bytes(&self) -> HeapBytes {
         let group = |g: &GroupOut| HeapBytes {
-            paths: g.table.iter().map(|(_, set)| path_set_bytes(set)).sum(),
+            paths: g.table.iter().map(|(_, set)| set.capacity()).sum::<usize>()
+                * size_of::<(PathId, Arc<PathAttributes>)>(),
             ..g.table.heap_bytes()
         };
         self.groups.values().map(group).sum()
@@ -665,6 +741,46 @@ mod tests {
         assert!(rib.set(pfx("10.1.0.0/16"), None));
         assert!(!rib.set(pfx("10.1.0.0/16"), None));
         assert_eq!(rib.len(), 1);
+    }
+
+    #[test]
+    fn loc_rib_withdrawn_prefix_keeps_its_count_and_nothing_else() {
+        let mut rib: LocRib<u32> = LocRib::new();
+        let (wide, narrow) = (pfx("10.1.0.0/16"), pfx("10.1.2.0/24"));
+        let addr = 0x0A010203;
+        assert!(rib.set(wide, Some(16)));
+        assert!(rib.set(narrow, Some(24)));
+        assert_eq!(rib.lookup(addr), Some((narrow, &24)));
+        assert_eq!((rib.len(), rib.changes(&narrow)), (2, 1));
+        // Withdrawn: a tombstone no reader sees, except for the count.
+        assert!(rib.set(narrow, None));
+        assert_eq!(rib.lookup(addr), Some((wide, &16)), "falls through");
+        assert_eq!(rib.get(&narrow), None);
+        assert_eq!(rib.len(), 1);
+        assert_eq!(rib.iter().collect::<Vec<_>>(), vec![(&wide, &16)]);
+        assert_eq!(rib.iter_overlapping(addr, addr).count(), 1);
+        assert_eq!(rib.changes(&narrow), 2);
+        assert_eq!(
+            rib.iter_changes().collect::<Vec<_>>(),
+            vec![(&wide, 1), (&narrow, 2)]
+        );
+        // Re-announced into the same slot.
+        let slots = rib.occupancy().1;
+        assert!(rib.set(narrow, Some(7)));
+        assert_eq!((rib.len(), rib.changes(&narrow)), (2, 3));
+        assert_eq!(rib.lookup(addr), Some((narrow, &7)));
+        assert_eq!(rib.occupancy().1, slots);
+    }
+
+    #[test]
+    fn loc_rib_withdrawing_the_unknown_leaves_no_trace() {
+        let mut rib: LocRib<u32> = LocRib::new();
+        let p = pfx("10.0.0.0/8");
+        assert!(!rib.set(p, None));
+        assert_eq!(rib.changes(&p), 0);
+        assert_eq!(rib.iter_changes().count(), 0);
+        assert_eq!(rib.occupancy(), (1, 0), "the index root, no slot");
+        assert!(rib.is_empty());
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub struct HeapBytes {
     pub index: usize,
     /// Slot arenas and their free lists.
     pub slots: usize,
-    /// What the slot values own: per-slot peer `Vec`s and `PathSet`s.
+    /// What the slot values own: an Adj-RIB-In slot's run of entries, a
+    /// RIB-Out slot's `PathSet`.
     /// The `PathAttributes` behind the `Arc`s are shared fleet-wide and
     /// excluded; so are the small `BTreeSet`/`BTreeMap`s of peers and
     /// groups.
@@ -184,20 +185,30 @@ impl<T> PrefixSlab<T> {
         &mut slot.expect("indexed slot is live").1
     }
 
-    /// Longest-prefix match for a destination address.
-    pub fn longest_match(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
-        let (p, &h) = self.index.longest_match(addr)?;
-        self.slots[h as usize].as_ref().map(|(_, v)| (p, v))
+    /// Longest-prefix match for a destination address among the values
+    /// `pred` accepts; a rejected prefix falls through to the next
+    /// shorter cover.
+    pub fn longest_match_where(
+        &self,
+        addr: u32,
+        pred: impl Fn(&T) -> bool,
+    ) -> Option<(Ipv4Prefix, &T)> {
+        let (p, &h) = self
+            .index
+            .longest_match_where(addr, |&h| pred(self.slot(h).1))?;
+        Some((p, self.slot(h).1))
+    }
+
+    /// The live slot behind an index handle.
+    fn slot(&self, h: u32) -> (&Ipv4Prefix, &T) {
+        let slot = self.slots[h as usize].as_ref();
+        let (p, v) = slot.expect("indexed slot is live");
+        (p, v)
     }
 
     /// Iterates `(prefix, value)` in lexicographic prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
-        self.index.iter().map(|(_, &h)| {
-            let (p, v) = self.slots[h as usize]
-                .as_ref()
-                .expect("indexed slot is live");
-            (p, v)
-        })
+        self.iter_overlapping(0, u32::MAX)
     }
 
     /// Iterates entries overlapping the inclusive address range, in the
@@ -209,12 +220,7 @@ impl<T> PrefixSlab<T> {
     ) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
         self.index
             .iter_overlapping(range_start, range_end)
-            .map(|(_, &h)| {
-                let (p, v) = self.slots[h as usize]
-                    .as_ref()
-                    .expect("indexed slot is live");
-                (p, v)
-            })
+            .map(|(_, &h)| self.slot(h))
     }
 
     /// Removes all entries, retaining the slot arena's capacity.
@@ -317,9 +323,12 @@ mod tests {
         let mut s: PrefixSlab<u8> = PrefixSlab::new();
         s.insert(p("10.0.0.0/8"), 8);
         s.insert(p("10.1.0.0/16"), 16);
-        assert_eq!(s.longest_match(0x0A010203).map(|(_, v)| *v), Some(16));
-        assert_eq!(s.longest_match(0x0AFF0000).map(|(_, v)| *v), Some(8));
-        assert_eq!(s.longest_match(0x0B000000), None);
+        let any = |addr| s.longest_match_where(addr, |_| true).map(|(_, v)| *v);
+        assert_eq!(any(0x0A010203), Some(16));
+        assert_eq!(any(0x0AFF0000), Some(8));
+        assert_eq!(any(0x0B000000), None);
+        let coarse = s.longest_match_where(0x0A010203, |v| *v < 16);
+        assert_eq!(coarse, Some((p("10.0.0.0/8"), &8)), "falls through");
     }
 
     #[test]

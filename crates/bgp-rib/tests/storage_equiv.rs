@@ -111,7 +111,12 @@ enum RibOp {
         peer: u8,
         addr: u32,
         len: u8,
+        /// `(path id, attribute version)`, as drawn: unsorted, with
+        /// duplicate ids, and of any length up to 6 — so one sequence
+        /// mixes same-length, growing and shrinking replaces.
         ids: Vec<(u8, u8)>,
+        /// Hand the set over as a borrowed slice, not an owned `Vec`.
+        borrowed: bool,
     },
     Withdraw {
         peer: u8,
@@ -131,9 +136,10 @@ fn rib_op() -> impl Strategy<Value = RibOp> {
         0u8..5,
         0u32..48,
         prop::sample::select(vec![8u8, 12, 16, 24, 32]),
-        prop::collection::vec((0u8..4, 0u8..3), 0..4),
+        prop::collection::vec((0u8..6, 0u8..3), 0..7),
+        any::<bool>(),
     )
-        .prop_map(|(kind, peer, x, len, ids)| {
+        .prop_map(|(kind, peer, x, len, ids, borrowed)| {
             let addr = x << 26;
             match kind {
                 0..=3 => RibOp::Set {
@@ -141,11 +147,21 @@ fn rib_op() -> impl Strategy<Value = RibOp> {
                     addr,
                     len,
                     ids,
+                    borrowed,
                 },
                 4 | 5 => RibOp::Withdraw { peer, addr, len },
                 _ => RibOp::DropPeer { peer },
             }
         })
+}
+
+/// The Adj-RIB-In's unit of storage: a route costs this, no container.
+#[test]
+fn adj_rib_in_entry_is_16_bytes() {
+    assert_eq!(
+        std::mem::size_of::<(RouterId, PathId, Arc<PathAttributes>)>(),
+        16
+    );
 }
 
 proptest! {
@@ -155,10 +171,15 @@ proptest! {
         let mut reference = RefRibIn::default();
         for op in &ops {
             match op {
-                RibOp::Set { peer, addr, len, ids } => {
+                RibOp::Set { peer, addr, len, ids, borrowed } => {
                     let peer = RouterId(10 + *peer as u32);
                     let p = Ipv4Prefix::new(*addr, *len);
-                    let a = real.set_paths(peer, p, path_set(ids));
+                    let set = path_set(ids);
+                    let a = if *borrowed {
+                        real.set_paths(peer, p, &set[..])
+                    } else {
+                        real.set_paths(peer, p, set)
+                    };
                     let b = reference.set_paths(peer, p, path_set(ids));
                     prop_assert_eq!(a, b, "set_paths change bit diverged");
                 }
@@ -184,13 +205,17 @@ proptest! {
                     .all_paths(&p)
                     .map(|(r, id, a)| (r, id, a.next_hop.0))
                     .collect();
+                // The slot is one run, strictly sorted by (peer, path id).
+                prop_assert!(
+                    got.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+                    "slot order for {}: {:?}", p, got
+                );
                 prop_assert_eq!(got, reference.all_paths(&p), "all_paths order for {}", p);
                 for peer in reference.peers() {
-                    let got: Vec<(PathId, u32)> = real
-                        .paths(peer, &p)
-                        .iter()
-                        .map(|(id, a)| (*id, a.next_hop.0))
-                        .collect();
+                    let run = real.paths(peer, &p);
+                    prop_assert!(run.iter().all(|(r, _, _)| *r == peer));
+                    let got: Vec<(PathId, u32)> =
+                        run.iter().map(|(_, id, a)| (*id, a.next_hop.0)).collect();
                     prop_assert_eq!(got, reference.paths(peer, &p));
                 }
             }
@@ -221,6 +246,9 @@ proptest! {
     )) {
         let mut real: LocRib<u32> = LocRib::new();
         let mut reference: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
+        // What `Chassis::selection_changes` used to be: a count per
+        // prefix, bumped on every change, withdrawals included.
+        let mut changes: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
         for ((x, len), val) in &ops {
             let p = Ipv4Prefix::new(*x << 26, *len);
             let a = real.set(p, *val);
@@ -229,6 +257,13 @@ proptest! {
                 None => reference.remove(&p).is_some(),
             };
             prop_assert_eq!(a, b, "set change bit diverged at {}", p);
+            if b {
+                *changes.entry(p).or_default() += 1;
+            }
+            prop_assert_eq!(real.len(), reference.len());
+            let counted: Vec<(Ipv4Prefix, u32)> = real.iter_changes().map(|(p, c)| (*p, c)).collect();
+            let want: Vec<(Ipv4Prefix, u32)> = changes.iter().map(|(p, c)| (*p, *c)).collect();
+            prop_assert_eq!(counted, want, "change counts diverged");
             let got: Vec<(Ipv4Prefix, u32)> = real.iter().map(|(p, v)| (*p, *v)).collect();
             let want: Vec<(Ipv4Prefix, u32)> = reference.iter().map(|(p, v)| (*p, *v)).collect();
             prop_assert_eq!(got, want, "iteration order diverged");

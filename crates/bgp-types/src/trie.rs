@@ -11,7 +11,7 @@
 //! than one per prefix bit. That independence is the point: the Tier-1
 //! tables this repo generates scatter their /24s over the whole address
 //! space, where one node per bit costs 14.3 nodes per prefix (measured:
-//! 21 404 nodes for a 1 500-prefix table) and made the index, held
+//! 21 404 nodes for a 1 500-prefix table) and made the index, then held
 //! three times over by every router, the largest term of the live heap
 //! (EXPERIMENTS.md "Where the bytes were: the prefix index").
 //!
@@ -273,6 +273,17 @@ impl<T> PrefixTrie<T> {
     /// Longest-prefix match for a destination address: the most specific
     /// stored prefix covering `addr`.
     pub fn longest_match(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
+        self.longest_match_where(addr, |_| true)
+    }
+
+    /// Longest-prefix match among the stored values `pred` accepts: a
+    /// rejected prefix is passed over as if it were not stored, so the
+    /// match falls through to the next shorter cover.
+    pub fn longest_match_where(
+        &self,
+        addr: u32,
+        pred: impl Fn(&T) -> bool,
+    ) -> Option<(Ipv4Prefix, &T)> {
         let mut idx = 0u32;
         // The node, not its (prefix, value): one word to carry down.
         let mut best: Option<&Node<T>> = None;
@@ -283,7 +294,7 @@ impl<T> PrefixTrie<T> {
             if !node.prefix.contains_addr(addr) {
                 break;
             }
-            if node.value.is_some() {
+            if node.value.as_ref().is_some_and(&pred) {
                 best = Some(node);
             }
             if node.prefix.len() == 32 {

@@ -57,7 +57,8 @@ proptest! {
 
     /// The trie behaves exactly like a BTreeMap under a random workload
     /// of every mutating operation, stays well formed after each one,
-    /// and longest_match and range iteration agree with a linear scan.
+    /// and longest_match (plain and filtered) and range iteration agree
+    /// with a linear scan.
     #[test]
     fn trie_models_map(
         ops in prop::collection::vec((arb_trie_key(), 0u8..5, any::<u16>()), 1..200),
@@ -102,6 +103,16 @@ proptest! {
                 .max_by_key(|(p, _)| p.len())
                 .map(|(p, v)| (*p, *v));
             let got = trie.longest_match(probe).map(|(p, v)| (p, *v));
+            prop_assert_eq!(got, brute);
+            // With a predicate, a rejected prefix is as good as absent
+            // (odd values stand for the Loc-RIB's withdrawn slots).
+            let live = |v: &u16| v & 1 == 0;
+            let brute = model
+                .iter()
+                .filter(|(p, v)| p.contains_addr(probe) && live(v))
+                .max_by_key(|(p, _)| p.len())
+                .map(|(p, v)| (*p, *v));
+            let got = trie.longest_match_where(probe, live).map(|(p, v)| (p, *v));
             prop_assert_eq!(got, brute);
         }
         // Pruned range iteration agrees with filtering the model, for

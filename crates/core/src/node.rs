@@ -22,8 +22,8 @@ use crate::roles::{AdvertiseEnv, ArrRole, BorderRole, Chassis, ClientRole, Role,
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path, Candidate, HeapBytes, PathSet};
-use bgp_types::{ApId, Ipv4Prefix, PathAttributes, PathId, RouteSource, RouterId};
+use bgp_rib::{best_path, Candidate, HeapBytes, RibInEntry};
+use bgp_types::{ApId, Ipv4Prefix, PathAttributes, RouteSource, RouterId};
 use netsim::{Ctx, Protocol};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -275,13 +275,9 @@ impl BgpNode {
         self.border.ebgp_entries()
     }
 
-    /// The client-role paths currently stored from `peer` for `prefix`
-    /// (post-reduction; test/audit hook).
-    pub fn client_paths_from(
-        &self,
-        peer: RouterId,
-        prefix: &Ipv4Prefix,
-    ) -> &[(PathId, Arc<PathAttributes>)] {
+    /// The client-role entries currently stored from `peer` for
+    /// `prefix` (post-reduction; test/audit hook).
+    pub fn client_paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
         self.client.paths_from(peer, prefix)
     }
 
@@ -289,13 +285,13 @@ impl BgpNode {
     /// the oscillation-diagnostic signal (a converged network's counts
     /// stop growing; an oscillating prefix's counts grow forever).
     pub fn selection_changes(&self, prefix: &Ipv4Prefix) -> u64 {
-        self.ch.selection_changes.get(prefix).copied().unwrap_or(0)
+        self.ch.loc_rib.changes(prefix) as u64
     }
 
     /// Iterates per-prefix selection-change counts, in prefix order
-    /// (streamed off the slab's trie index; no snapshot sort).
+    /// (streamed off the Loc-RIB's trie index; no snapshot sort).
     pub fn all_selection_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u64)> {
-        self.ch.selection_changes.iter().map(|(p, c)| (p, *c))
+        self.ch.loc_rib.iter_changes().map(|(p, c)| (p, c as u64))
     }
 
     /// §3.2/§3.4 extension accessor: the best pre-installed backup exit
@@ -347,12 +343,11 @@ impl BgpNode {
     /// tables: live trie index nodes, allocated value slots, and the
     /// heap bytes of the index arenas, the slot arenas and the path
     /// sets the slots own. Summed over *every* table this node keeps:
-    /// each role's RIBs, the Loc-RIB, the per-group RIB-Out and the
-    /// selection-change counts (a third full-table index per router).
+    /// each role's RIBs, the Loc-RIB (whose slots also hold the
+    /// selection-change counts) and the per-group RIB-Out.
     /// Makes the memory story auditable, not just entry counts.
     fn store_gauges(&self) -> [(&'static str, usize); 5] {
         let ch = &self.ch;
-        let changes = &ch.selection_changes;
         let tables = self
             .roles()
             .map(|role| (role.occupancy(), role.heap_bytes()))
@@ -360,10 +355,6 @@ impl BgpNode {
             .chain([
                 (ch.loc_rib.occupancy(), ch.loc_rib.heap_bytes()),
                 (ch.out.occupancy(), ch.out.heap_bytes()),
-                (
-                    (changes.index_nodes(), changes.slot_capacity()),
-                    changes.heap_bytes(),
-                ),
             ]);
         let (mut nodes, mut slots, mut bytes) = (0, 0, HeapBytes::default());
         for ((n, s), b) in tables {
@@ -380,12 +371,8 @@ impl BgpNode {
         ]
     }
 
-    /// The ARR-role paths currently stored from `peer` for `prefix`.
-    pub fn arr_paths_from(
-        &self,
-        peer: RouterId,
-        prefix: &Ipv4Prefix,
-    ) -> &[(PathId, Arc<PathAttributes>)] {
+    /// The ARR-role entries currently stored from `peer` for `prefix`.
+    pub fn arr_paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
         self.arr.paths_from(peer, prefix)
     }
 
@@ -454,9 +441,7 @@ impl BgpNode {
         if let Some(h) = self.ch.obs() {
             h.decision_candidates.record(cands.len() as u64);
         }
-        let before = self.ch.loc_rib.get(&prefix).cloned();
-        let sel = self.ch.select(prefix, &cands);
-        let sel_changed = sel != before;
+        let (sel, sel_changed) = self.ch.select(prefix, &cands);
         let (exit_cands, _) = cands.split_at(n_exit);
         let mut env = AdvertiseEnv {
             sel: sel.as_ref(),
@@ -587,14 +572,17 @@ impl BgpNode {
     /// queue run": when several updates for one routing event are
     /// queued together (the common case at an ARR, §4.2), they produce
     /// one combined recomputation — and one combined outbound update.
-    fn process_batch(&mut self, ctx: &mut Ctx<SessionMsg>, batch: Vec<(RouterId, BgpMsg)>) {
+    fn process_batch(
+        &mut self,
+        ctx: &mut Ctx<SessionMsg>,
+        batch: impl IntoIterator<Item = (RouterId, BgpMsg)>,
+    ) {
         for (from, msg) in batch {
             let BgpMsg {
                 prefix,
                 paths,
                 plane,
             } = msg;
-            let paths: PathSet = Arc::try_unwrap(paths).unwrap_or_else(|a| (*a).clone());
             let kind = self.classify(from, plane, &prefix);
             let rx = Rx {
                 from,
@@ -662,7 +650,7 @@ impl Protocol for BgpNode {
         };
         let delay = self.ch.spec.proc_delay(self.ch.id);
         if delay == 0 {
-            self.process_batch(ctx, vec![(from, msg)]);
+            self.process_batch(ctx, std::iter::once((from, msg)));
         } else {
             if self.inbox.is_empty() {
                 ctx.set_timer(ctx.now() + delay, Self::INBOX_TOKEN);
@@ -821,9 +809,7 @@ impl Protocol for BgpNode {
 mod tests {
     use super::*;
 
-    /// The `core.store.*` gauges must cover every table a node owns,
-    /// the selection-change counts included (they were left out once:
-    /// a third of the fleet's index nodes went unreported).
+    /// The `core.store.*` gauges must cover every table a node owns.
     #[test]
     fn store_gauges_sum_every_table_the_node_owns() {
         let (sim, outcome) =
@@ -831,17 +817,14 @@ mod tests {
         assert!(outcome.quiesced);
         for (_, node) in sim.nodes() {
             let ch = &node.ch;
-            let changes = &ch.selection_changes;
-            assert!(changes.index_nodes() > 1, "every router selected something");
-            let mut occupancy = vec![
-                ch.loc_rib.occupancy(),
-                ch.out.occupancy(),
-                (changes.index_nodes(), changes.slot_capacity()),
-            ];
+            assert!(
+                ch.loc_rib.occupancy().0 > 1,
+                "every router selected something"
+            );
+            let mut occupancy = vec![ch.loc_rib.occupancy(), ch.out.occupancy()];
             occupancy.extend(node.roles().map(|role| role.occupancy()));
             let bytes = ch.loc_rib.heap_bytes()
                 + ch.out.heap_bytes()
-                + changes.heap_bytes()
                 + node.roles().map(|role| role.heap_bytes()).into_iter().sum();
             let want = [
                 (
@@ -856,8 +839,8 @@ mod tests {
             assert_eq!(node.store_gauges(), want);
             // Path-compressed indices: at most two nodes per live slot
             // plus one root per table — 4 roles (the client's has two
-            // tables), Loc-RIB, selection changes, and one per group.
-            let tables = 7 + ch.out.group_ids().count();
+            // tables), Loc-RIB, and one per group.
+            let tables = 6 + ch.out.group_ids().count();
             assert!(want[0].1 <= 2 * want[1].1 + tables, "{want:?}");
         }
     }

@@ -8,9 +8,12 @@ use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{AbrrLoopPrevention, Mode, NetworkSpec};
-use bgp_rib::{AdjRibIn, Candidate, CandidateBatch, HeapBytes, PathSet};
-use bgp_types::{intern, ApId, ClusterId, Ipv4Prefix, OriginatorId, PathId, RouteSource, RouterId};
+use bgp_rib::{AdjRibIn, Candidate, CandidateBatch, HeapBytes, PathSet, RibInEntry};
+use bgp_types::{
+    intern, ApId, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouterId,
+};
 use netsim::Ctx;
+use std::sync::Arc;
 
 /// The ARR function of a router: the managed-route table for its
 /// address partitions.
@@ -61,11 +64,7 @@ impl ArrRole {
     }
 
     /// The managed paths currently stored from `peer` for `prefix`.
-    pub(crate) fn paths_from(
-        &self,
-        peer: RouterId,
-        prefix: &Ipv4Prefix,
-    ) -> &[(PathId, std::sync::Arc<bgp_types::PathAttributes>)] {
+    pub(crate) fn paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
         self.arr_in.paths(peer, prefix)
     }
 
@@ -76,7 +75,7 @@ impl ArrRole {
         ch: &mut Chassis,
         ctx: &mut Ctx<SessionMsg>,
         prefix: Ipv4Prefix,
-        paths: PathSet,
+        paths: &[(PathId, Arc<PathAttributes>)],
     ) {
         if self.arr_in.set_paths(ch.id, prefix, paths) {
             self.recompute(ch, ctx, prefix);
@@ -94,18 +93,10 @@ impl ArrRole {
         ctx: &mut Ctx<SessionMsg>,
         prefix: Ipv4Prefix,
     ) {
-        let cands: Vec<Candidate> = self
-            .arr_in
-            .all_paths(&prefix)
-            .map(|(peer, _pid, attrs)| Candidate {
-                attrs: attrs.clone(),
-                source: RouteSource::Ibgp { peer },
-                neighbor_id: peer.0,
-            })
-            .collect();
+        let cands: Vec<Candidate> = self.arr_in.candidates(&prefix).collect();
         self.batch.load(&cands);
         let surv = self.batch.survivors(&ch.spec.decision);
-        let set: PathSet = surv
+        let set: Arc<PathSet> = surv
             .iter()
             .map(|&i| {
                 let c = &cands[i];
@@ -127,7 +118,8 @@ impl ArrRole {
                 }
                 (PathId(a.originator_id.expect("set").0), intern(a))
             })
-            .collect();
+            .collect::<PathSet>()
+            .into();
         for ap in self.arr_aps.clone() {
             if !ch.ap_covers(ap, &prefix) {
                 continue;
@@ -146,7 +138,7 @@ impl ArrRole {
         let g = group::ARR_TO_CLIENTS + ap.0 as u32;
         let prefixes: Vec<Ipv4Prefix> = ch.out.iter_group(g).map(|(p, _)| *p).collect();
         for p in prefixes {
-            ch.advertise_group(ctx, g, p, Plane::Abrr, Vec::new(), |_| false);
+            ch.advertise_group(ctx, g, p, Plane::Abrr, Arc::default(), |_| false);
         }
         ch.out.reset_group(g, Vec::new());
         self.arr_aps.retain(|a| *a != ap);
@@ -208,7 +200,7 @@ impl Role for ArrRole {
             ch.counters.loop_prevented += 1;
             return false;
         }
-        self.arr_in.set_paths(from, prefix, paths)
+        self.arr_in.set_paths(from, prefix, &paths[..])
     }
 
     fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
@@ -223,16 +215,8 @@ impl Role for ArrRole {
             && (ch.spec.mode == Mode::Abrr || ch.use_abrr_for(prefix))
             && self.arr_aps.iter().any(|ap| ch.ap_covers(*ap, prefix))
         {
-            for (peer, _pid, attrs) in self.arr_in.all_paths(prefix) {
-                if peer == ch.id {
-                    continue;
-                }
-                cands.push(Candidate {
-                    attrs: attrs.clone(),
-                    source: RouteSource::Ibgp { peer },
-                    neighbor_id: peer.0,
-                });
-            }
+            let managed = self.arr_in.candidates(prefix);
+            cands.extend(managed.filter(|c| c.neighbor_id != ch.id.0));
         }
     }
 
@@ -253,10 +237,6 @@ impl Role for ArrRole {
 
     fn rib_in_entries(&self) -> usize {
         self.arr_in.num_entries()
-    }
-
-    fn known_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.arr_in.known_prefixes()
     }
 
     fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {

@@ -200,12 +200,6 @@ impl Role for BorderRole {
         self.ebgp_entries()
     }
 
-    fn known_prefixes(&self) -> Vec<Ipv4Prefix> {
-        let mut v: Vec<Ipv4Prefix> = self.ebgp_in.iter().map(|(p, _)| *p).collect();
-        v.extend(self.local_prefixes.iter().copied());
-        v
-    }
-
     fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
         let mut v: Vec<Ipv4Prefix> = self
             .ebgp_in

@@ -3,12 +3,14 @@
 //! §3.4 reduced-storage policy, and advertises the router's best route
 //! up to its reflectors (or the full mesh).
 
-use super::{with_default_local_pref, AdvertiseEnv, Chassis, Images, Role, Rx};
+use super::{
+    originated_by, with_default_local_pref, without, AdvertiseEnv, Chassis, Images, Role, Rx,
+};
 use crate::msg::{BgpMsg, Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
-use bgp_rib::{best_path, AdjRibIn, Candidate, HeapBytes, PathSet};
-use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouteSource, RouterId};
+use bgp_rib::{best_path, AdjRibIn, Candidate, HeapBytes, PathSet, RibInEntry};
+use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
 use netsim::Ctx;
 use std::sync::Arc;
 
@@ -79,13 +81,9 @@ impl ClientRole {
         &self.my_trrs
     }
 
-    /// The stored paths from `peer` for `prefix` (post-reduction),
+    /// The stored entries from `peer` for `prefix` (post-reduction),
     /// whichever plane holds them.
-    pub(crate) fn paths_from(
-        &self,
-        peer: RouterId,
-        prefix: &Ipv4Prefix,
-    ) -> &[(PathId, Arc<PathAttributes>)] {
+    pub(crate) fn paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
         let mesh_abrr = self.client_in.paths(peer, prefix);
         if mesh_abrr.is_empty() {
             self.client_in_tbrr.paths(peer, prefix)
@@ -101,19 +99,11 @@ impl ClientRole {
         prefix: &Ipv4Prefix,
         primary: RouterId,
     ) -> Vec<Candidate> {
-        let mut cands: Vec<Candidate> = Vec::new();
-        for rib in [&self.client_in, &self.client_in_tbrr] {
-            for (peer, _pid, attrs) in rib.all_paths(prefix) {
-                if RouterId(attrs.next_hop.0) != primary {
-                    cands.push(Candidate {
-                        attrs: attrs.clone(),
-                        source: RouteSource::Ibgp { peer },
-                        neighbor_id: peer.0,
-                    });
-                }
-            }
-        }
-        cands
+        [&self.client_in, &self.client_in_tbrr]
+            .into_iter()
+            .flat_map(|rib| rib.candidates(prefix))
+            .filter(|c| RouterId(c.attrs.next_hop.0) != primary)
+            .collect()
     }
 
     /// Drops reflected routes learned from `arr` for prefixes covered by
@@ -133,13 +123,10 @@ impl ClientRole {
         for r in ch.ap_ranges(ap) {
             covered.extend(self.client_in.known_prefixes_in(r.start(), r.end()));
         }
-        let mut affected = Vec::new();
-        for p in covered {
-            if !self.client_in.paths(arr, &p).is_empty() && self.client_in.withdraw(arr, p) {
-                affected.push(p);
-            }
-        }
-        affected
+        // Probe first: a withdrawal registers the session, even a no-op.
+        let rib = &mut self.client_in;
+        covered.retain(|p| !rib.paths(arr, p).is_empty() && rib.withdraw(arr, *p));
+        covered.into_iter().collect()
     }
 }
 
@@ -154,21 +141,13 @@ impl Role for ClientRole {
             paths,
             own_ever,
         } = rx;
-        let before = paths.len();
-        let mut paths: PathSet = paths
-            .into_iter()
-            .filter(|(_, a)| a.originator_id.map(|o| o.0) != Some(ch.id.0))
-            .collect();
-        ch.counters.loop_prevented += (before - paths.len()) as u64;
-        if paths.len() > 1 && !own_ever {
-            let cands: Vec<Candidate> = paths
-                .iter()
-                .map(|(_, a)| Candidate {
-                    attrs: a.clone(),
-                    source: RouteSource::Ibgp { peer: from },
-                    neighbor_id: from.0,
-                })
-                .collect();
+        // Loop prevention: our own routes reflected back are dropped.
+        let kept = without(&paths, |a| originated_by(a, ch.id));
+        ch.counters.loop_prevented += (paths.len() - kept.len()) as u64;
+        let pair; // the reduced set when a backup is kept beside the best
+        let stored: &[(PathId, Arc<PathAttributes>)] = if kept.len() > 1 && !own_ever {
+            let cands: Vec<Candidate> =
+                kept.iter().map(|(_, a)| Candidate::ibgp(from, a)).collect();
             let igp = ch.igp_metric_fn();
             let best = best_path(&cands, &ch.spec.decision, &igp);
             // §3.2/§3.4 extension: optionally retain the runner-up as a
@@ -181,38 +160,29 @@ impl Role for ClientRole {
                         .filter(|(i, _)| *i != b)
                         .map(|(_, c)| c.clone())
                         .collect();
-                    best_path(&rest, &ch.spec.decision, &igp).map(|j| {
-                        // Map back to the original index.
-                        let mut k = 0;
-                        let mut orig = 0;
-                        for i in 0..cands.len() {
-                            if i == b {
-                                continue;
-                            }
-                            if k == j {
-                                orig = i;
-                                break;
-                            }
-                            k += 1;
-                        }
-                        orig
-                    })
+                    // `rest` is `cands` without index `b`: map back.
+                    best_path(&rest, &ch.spec.decision, &igp)
+                        .map(|j| if j >= b { j + 1 } else { j })
                 })
             } else {
                 None
             };
-            drop(igp);
-            paths = match (best, backup) {
-                (Some(i), Some(j)) => vec![paths[i].clone(), paths[j].clone()],
-                (Some(i), None) => vec![paths[i].clone()],
-                (None, _) => Vec::new(),
-            };
-        }
+            match (best, backup) {
+                (Some(i), Some(j)) => {
+                    pair = [kept[i].clone(), kept[j].clone()];
+                    &pair
+                }
+                (Some(i), None) => &kept[i..=i],
+                (None, _) => &[],
+            }
+        } else {
+            &kept
+        };
         let rib = match plane {
             Plane::Tbrr => &mut self.client_in_tbrr,
             Plane::Mesh | Plane::Abrr => &mut self.client_in,
         };
-        rib.set_paths(from, prefix, paths)
+        rib.set_paths(from, prefix, stored)
     }
 
     fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
@@ -225,13 +195,7 @@ impl Role for ClientRole {
             Mode::Transition => use_abrr,
         };
         if accept_mesh_abrr {
-            for (peer, _pid, attrs) in self.client_in.all_paths(prefix) {
-                cands.push(Candidate {
-                    attrs: attrs.clone(),
-                    source: RouteSource::Ibgp { peer },
-                    neighbor_id: peer.0,
-                });
-            }
+            cands.extend(self.client_in.candidates(prefix));
         }
         // TBRR-plane routes: accepted in TBRR mode, or pre-cutover in
         // transition.
@@ -241,13 +205,7 @@ impl Role for ClientRole {
             _ => false,
         };
         if accept_tbrr {
-            for (peer, _pid, attrs) in self.client_in_tbrr.all_paths(prefix) {
-                cands.push(Candidate {
-                    attrs: attrs.clone(),
-                    source: RouteSource::Ibgp { peer },
-                    neighbor_id: peer.0,
-                });
-            }
+            cands.extend(self.client_in_tbrr.candidates(prefix));
         }
     }
 
@@ -263,13 +221,12 @@ impl Role for ClientRole {
         prefix: Ipv4Prefix,
         env: &mut AdvertiseEnv<'_>,
     ) {
-        let adv: PathSet = match env.sel {
+        let adv: Arc<PathSet> = Arc::new(match env.sel {
             Some(s) if s.source.is_other_learned() => {
                 vec![(PathId(ch.id.0), with_default_local_pref(&s.attrs))]
             }
             _ => Vec::new(),
-        };
-        let adv_shared: Arc<PathSet> = Arc::new(adv.clone());
+        });
         match ch.spec.mode {
             Mode::FullMesh => {
                 ch.advertise_group(ctx, group::MESH, prefix, Plane::Mesh, adv, |_| false);
@@ -279,7 +236,7 @@ impl Role for ClientRole {
                     let mut images = Images::new();
                     for ap in ch.aps_for_prefix(&prefix) {
                         let g = group::CLIENT_TO_ARRS + ap.0 as u32;
-                        let changed = ch.out.set_paths(g, prefix, adv.clone());
+                        let changed = ch.out.set_paths(g, prefix, &adv[..]);
                         if !changed {
                             continue;
                         }
@@ -288,7 +245,7 @@ impl Role for ClientRole {
                             if arr == ch.id {
                                 // Logical pass to our own ARR function.
                                 if let Some(own_arr) = env.arr.as_deref_mut() {
-                                    own_arr.input_internal(ch, ctx, prefix, (*adv_shared).clone());
+                                    own_arr.input_internal(ch, ctx, prefix, &adv);
                                 }
                             } else {
                                 ch.transmit(
@@ -296,7 +253,7 @@ impl Role for ClientRole {
                                     arr,
                                     BgpMsg {
                                         prefix,
-                                        paths: adv_shared.clone(),
+                                        paths: adv.clone(),
                                         plane: Plane::Abrr,
                                     },
                                     Some(&mut images),
@@ -321,12 +278,6 @@ impl Role for ClientRole {
 
     fn rib_in_entries(&self) -> usize {
         self.client_in.num_entries() + self.client_in_tbrr.num_entries()
-    }
-
-    fn known_prefixes(&self) -> Vec<Ipv4Prefix> {
-        let mut v = self.client_in.known_prefixes();
-        v.extend(self.client_in_tbrr.known_prefixes());
-        v
     }
 
     fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {

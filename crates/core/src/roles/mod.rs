@@ -43,9 +43,10 @@ use crate::node::Selected;
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path, AdjRibOut, Candidate, HeapBytes, PathSet, PrefixSlab};
-use bgp_types::{ApId, Ipv4Prefix, NextHop, PathAttributes, RouterId};
+use bgp_rib::{best_path, AdjRibOut, Candidate, HeapBytes, PathSet};
+use bgp_types::{ApId, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use netsim::{Ctx, Mrai, MraiVerdict};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -121,12 +122,9 @@ pub struct Chassis {
     /// Adj-RIB-Out, one copy per peer group (paper Appendix A
     /// accounting). Shared: each role writes its own group ids.
     pub(crate) out: AdjRibOut,
-    /// Selected routes.
+    /// Selected routes, each with the count of times the selection
+    /// changed (oscillation diagnostics).
     pub(crate) loc_rib: bgp_rib::LocRib<Selected>,
-    /// Per-prefix best-route change counts (oscillation diagnostics).
-    /// Slab-backed so diagnostics iterate in prefix order without a
-    /// snapshot sort.
-    pub(crate) selection_changes: PrefixSlab<u64>,
     /// Update accounting.
     pub(crate) counters: UpdateCounters,
     /// Per-peer MRAI pacing, keyed by (plane, prefix).
@@ -156,7 +154,6 @@ impl Chassis {
             spec,
             out: AdjRibOut::new(),
             loc_rib: bgp_rib::LocRib::new(),
-            selection_changes: PrefixSlab::new(),
             counters: UpdateCounters::default(),
             mrai: BTreeMap::new(),
             accept_abrr,
@@ -245,8 +242,12 @@ impl Chassis {
     }
 
     /// Picks the best candidate and updates the Loc-RIB. Returns the
-    /// winner (cloned) if any.
-    pub(crate) fn select(&mut self, prefix: Ipv4Prefix, cands: &[Candidate]) -> Option<Selected> {
+    /// winner (cloned) if any, and whether the selection changed.
+    pub(crate) fn select(
+        &mut self,
+        prefix: Ipv4Prefix,
+        cands: &[Candidate],
+    ) -> (Option<Selected>, bool) {
         let igp = self.igp_metric_fn();
         let best = best_path(cands, &self.spec.decision, &igp);
         drop(igp);
@@ -255,14 +256,14 @@ impl Chassis {
             source: cands[i].source,
             neighbor_id: cands[i].neighbor_id,
         });
-        if self.loc_rib.set(prefix, selected.clone()) {
-            *self.selection_changes.get_or_insert_with(prefix, || 0) += 1;
+        let changed = self.loc_rib.set(prefix, selected.clone());
+        if changed {
             obs::event!(Core, Debug, "core.select", node = self.id.0,
                 "prefix" => format!("{prefix:?}"),
                 "cands" => cands.len(),
                 "some" => selected.is_some());
         }
-        selected
+        (selected, changed)
     }
 
     // ------------------------------------------------------------------
@@ -386,7 +387,7 @@ impl Chassis {
         frame
     }
 
-    /// Writes `paths` into RIB-Out `g` for `prefix`; on change, counts a
+    /// Writes `full` into RIB-Out `g` for `prefix`; on change, counts a
     /// generation and transmits each member its *effective* set: the
     /// group set minus routes that originated at the member, and empty
     /// for a member matched by `suppress` (the Table 1 "not returned to
@@ -400,21 +401,14 @@ impl Chassis {
         g: u32,
         prefix: Ipv4Prefix,
         plane: Plane,
-        paths: PathSet,
+        full: Arc<PathSet>,
         suppress: impl Fn(RouterId) -> bool,
     ) {
-        if !self.out.set_paths(g, prefix, paths.clone()) {
+        if !self.out.set_paths(g, prefix, &full[..]) {
             return;
         }
         self.counters.generated += 1;
-        let full: Arc<PathSet> = Arc::new(paths);
         let empty: Arc<PathSet> = Arc::new(Vec::new());
-        // Only members that originated one of the paths need a filtered
-        // copy; everyone else shares the one full set.
-        let originators: Vec<u32> = full
-            .iter()
-            .filter_map(|(_, a)| a.originator_id.map(|o| o.0))
-            .collect();
         let members = self.out.members(g).to_vec();
         let mut images = Images::new();
         for m in members {
@@ -424,17 +418,15 @@ impl Chassis {
                 // handled by the caller).
                 continue;
             }
+            // Only a member that originated one of the paths needs a
+            // filtered copy; everyone else shares the one full set.
             let effective: Arc<PathSet> = if suppress(m) {
                 empty.clone()
-            } else if originators.contains(&m.0) {
-                Arc::new(
-                    full.iter()
-                        .filter(|(_, a)| a.originator_id.map(|o| o.0) != Some(m.0))
-                        .cloned()
-                        .collect(),
-                )
             } else {
-                full.clone()
+                match without(&full, |a| originated_by(a, m)) {
+                    Cow::Borrowed(_) => full.clone(),
+                    Cow::Owned(rest) => Arc::new(rest),
+                }
             };
             self.transmit(
                 ctx,
@@ -458,15 +450,11 @@ impl Chassis {
     pub(crate) fn resync_peer(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId) {
         let mut to_send: Vec<BgpMsg> = Vec::new();
         for (g, prefix, set) in self.out.export_walk(peer) {
-            let effective: PathSet = set
-                .iter()
-                .filter(|(_, a)| a.originator_id.map(|o| o.0) != Some(peer.0))
-                .cloned()
-                .collect();
+            let effective = without(set, |a| originated_by(a, peer));
             if !effective.is_empty() {
                 to_send.push(BgpMsg {
                     prefix: *prefix,
-                    paths: Arc::new(effective),
+                    paths: Arc::new(effective.into_owned()),
                     plane: crate::node::group::plane_of(g),
                 });
             }
@@ -483,7 +471,6 @@ impl Chassis {
         self.out.clear_routes();
         self.loc_rib = bgp_rib::LocRib::new();
         self.mrai.clear();
-        self.selection_changes.clear();
     }
 }
 
@@ -496,8 +483,10 @@ pub struct Rx {
     pub(crate) plane: Plane,
     /// Destination prefix.
     pub(crate) prefix: Ipv4Prefix,
-    /// The complete new path set (empty = withdraw).
-    pub(crate) paths: PathSet,
+    /// The complete new path set (empty = withdraw), shared with every
+    /// other receiver of the fan-out that sent it: roles read it and
+    /// copy only what they store.
+    pub(crate) paths: Arc<PathSet>,
     /// Whether this router has *ever* originated `prefix` or learned it
     /// over eBGP (border-role stickiness). The client role stores the
     /// full received set for such prefixes instead of its reduced best
@@ -554,9 +543,6 @@ pub trait Role {
     /// accounting).
     fn rib_in_entries(&self) -> usize;
 
-    /// Every prefix this role currently holds state for.
-    fn known_prefixes(&self) -> Vec<Ipv4Prefix>;
-
     /// The prefixes this role holds state for that overlap the
     /// inclusive address range `[range_start, range_end]`, in prefix
     /// order. The incremental path for Address-Partition choreography:
@@ -579,6 +565,25 @@ pub trait Role {
     /// Crash-restart with RIB loss: runtime state is gone,
     /// configuration survives.
     fn on_restart(&mut self);
+}
+
+/// A path set minus the routes `reject` matches (loop prevention, "not
+/// returned to the originator"). Nearly every set has none, and is then
+/// read where it lies: the copy is made only when something is dropped.
+pub(crate) fn without(
+    paths: &[(PathId, Arc<PathAttributes>)],
+    reject: impl Fn(&PathAttributes) -> bool,
+) -> Cow<'_, [(PathId, Arc<PathAttributes>)]> {
+    if paths.iter().any(|(_, a)| reject(a)) {
+        Cow::Owned(paths.iter().filter(|(_, a)| !reject(a)).cloned().collect())
+    } else {
+        Cow::Borrowed(paths)
+    }
+}
+
+/// Whether `a` was injected into iBGP by router `r`.
+pub(crate) fn originated_by(a: &PathAttributes, r: RouterId) -> bool {
+    a.originator_id.map(|o| o.0) == Some(r.0)
 }
 
 /// Prepares an attribute set for iBGP injection: LOCAL_PREF defaulted.

@@ -2,7 +2,7 @@
 //! route reflection with cluster-list/originator-id loop prevention, in
 //! single-path and multi-path (Appendix A.3) variants.
 
-use super::{AdvertiseEnv, Chassis, Role, Rx};
+use super::{originated_by, without, AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
@@ -54,9 +54,10 @@ impl TrrRole {
         &self.trr_clusters
     }
 
-    /// Builds the TRR's reflected version of a route: ORIGINATOR_ID set
-    /// to the injecting router, our cluster id(s) prepended.
-    fn reflect_attrs(&self, c: &Candidate) -> Arc<PathAttributes> {
+    /// Builds the TRR's reflected version of a route — ORIGINATOR_ID set
+    /// to the injecting router, our cluster id(s) prepended — under the
+    /// originator's path id.
+    fn reflected(&self, c: &Candidate) -> (PathId, Arc<PathAttributes>) {
         let mut a = (*c.attrs).clone();
         if a.local_pref.is_none() {
             a.local_pref = Some(bgp_types::LocalPref::DEFAULT);
@@ -67,7 +68,7 @@ impl TrrRole {
         for cid in self.trr_clusters.iter().rev() {
             a.cluster_list.insert(0, ClusterId(*cid));
         }
-        intern(a)
+        (PathId(a.originator_id.expect("set").0), intern(a))
     }
 
     /// TRR advertisement per Table 1 (single-path) or Appendix A.3
@@ -91,13 +92,7 @@ impl TrrRole {
             // go to clients; the client-side best AS-level routes go to
             // other TRRs.
             let surv = best_as_level(cands, &ch.spec.decision);
-            let to_clients: PathSet = surv
-                .iter()
-                .map(|&i| {
-                    let a = self.reflect_attrs(&cands[i]);
-                    (PathId(a.originator_id.expect("set").0), a)
-                })
-                .collect();
+            let to_clients: PathSet = surv.iter().map(|&i| self.reflected(&cands[i])).collect();
             let client_side: Vec<Candidate> = cands
                 .iter()
                 .filter(|c| from_client_side(c))
@@ -106,17 +101,14 @@ impl TrrRole {
             let surv_cs = best_as_level(&client_side, &ch.spec.decision);
             let to_peers: PathSet = surv_cs
                 .iter()
-                .map(|&i| {
-                    let a = self.reflect_attrs(&client_side[i]);
-                    (PathId(a.originator_id.expect("set").0), a)
-                })
+                .map(|&i| self.reflected(&client_side[i]))
                 .collect();
             ch.advertise_group(
                 ctx,
                 group::TRR_TO_CLIENTS,
                 prefix,
                 Plane::Tbrr,
-                to_clients,
+                Arc::new(to_clients),
                 |_| false,
             );
             ch.advertise_group(
@@ -124,18 +116,17 @@ impl TrrRole {
                 group::TRR_TO_PEERS,
                 prefix,
                 Plane::Tbrr,
-                to_peers,
+                Arc::new(to_peers),
                 |_| false,
             );
         } else {
             // Single-path TBRR: reflect the single best route. If it was
             // learned from a client (or eBGP/local), it goes to both
             // clients and TRRs; if from a non-client, to clients only.
-            let (to_clients, to_peers, sender): (PathSet, PathSet, Option<RouterId>) = match best {
+            let (to_clients, to_peers, sender) = match best {
                 Some(i) => {
                     let c = &cands[i];
-                    let a = self.reflect_attrs(c);
-                    let entry = vec![(PathId(a.originator_id.expect("set").0), a)];
+                    let entry = Arc::new(vec![self.reflected(c)]);
                     let sender = match c.source {
                         RouteSource::Ibgp { peer } => Some(peer),
                         _ => None,
@@ -143,10 +134,10 @@ impl TrrRole {
                     if from_client_side(c) {
                         (entry.clone(), entry, sender)
                     } else {
-                        (entry, Vec::new(), sender)
+                        (entry, Arc::default(), sender)
                     }
                 }
-                None => (Vec::new(), Vec::new(), None),
+                None => (Arc::default(), Arc::default(), None),
             };
             // "not returned to sender": skip the client we learned the
             // best route from (originator filtering inside
@@ -183,32 +174,21 @@ impl Role for TrrRole {
             paths,
             ..
         } = rx;
-        let before = paths.len();
-        let kept: PathSet = paths
-            .into_iter()
-            .filter(|(_, a)| {
-                let cluster_loop = a
-                    .cluster_list
-                    .iter()
-                    .any(|c| self.trr_clusters.contains(&c.0));
-                let self_origin = a.originator_id.map(|o| o.0) == Some(ch.id.0);
-                !(cluster_loop || self_origin)
-            })
-            .collect();
-        ch.counters.loop_prevented += (before - kept.len()) as u64;
+        let kept = without(&paths, |a| {
+            let cluster_loop = a
+                .cluster_list
+                .iter()
+                .any(|c| self.trr_clusters.contains(&c.0));
+            cluster_loop || originated_by(a, ch.id)
+        });
+        ch.counters.loop_prevented += (paths.len() - kept.len()) as u64;
         self.trr_in.set_paths(from, prefix, kept)
     }
 
     fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
         // A TRR's forwarding view includes its TRR-role table.
         if !self.trr_clusters.is_empty() && !ch.use_abrr_for(prefix) {
-            for (peer, _pid, attrs) in self.trr_in.all_paths(prefix) {
-                cands.push(Candidate {
-                    attrs: attrs.clone(),
-                    source: RouteSource::Ibgp { peer },
-                    neighbor_id: peer.0,
-                });
-            }
+            cands.extend(self.trr_in.candidates(prefix));
         }
     }
 
@@ -225,13 +205,7 @@ impl Role for TrrRole {
         env: &mut AdvertiseEnv<'_>,
     ) {
         let mut tbrr_cands: Vec<Candidate> = env.exit_cands.to_vec();
-        for (peer, _pid, attrs) in self.trr_in.all_paths(&prefix) {
-            tbrr_cands.push(Candidate {
-                attrs: attrs.clone(),
-                source: RouteSource::Ibgp { peer },
-                neighbor_id: peer.0,
-            });
-        }
+        tbrr_cands.extend(self.trr_in.candidates(&prefix));
         let igp = ch.igp_metric_fn();
         let best = best_path(&tbrr_cands, &ch.spec.decision, &igp);
         drop(igp);
@@ -240,10 +214,6 @@ impl Role for TrrRole {
 
     fn rib_in_entries(&self) -> usize {
         self.trr_in.num_entries()
-    }
-
-    fn known_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.trr_in.known_prefixes()
     }
 
     fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {

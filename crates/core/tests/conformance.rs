@@ -80,7 +80,7 @@ fn arr_does_not_return_route_to_sender() {
         1
     );
     // And the delivered route carries the reflected marker + originator.
-    let (_, attrs) = &sim.node(RouterId(4)).client_paths_from(RouterId(1), &p)[0];
+    let (_, _, attrs) = &sim.node(RouterId(4)).client_paths_from(RouterId(1), &p)[0];
     assert!(attrs.is_abrr_reflected());
     assert_eq!(attrs.originator_id.map(|o| o.0), Some(3));
 }
@@ -181,7 +181,7 @@ fn worse_as_level_route_is_not_reflected() {
     // Client 2 (= ARR of AP1, client of AP0) sees only the short route.
     let paths = sim.node(RouterId(2)).client_paths_from(RouterId(1), &p);
     assert_eq!(paths.len(), 1);
-    assert_eq!(paths[0].1.as_path.path_len(), 1);
+    assert_eq!(paths[0].2.as_path.path_len(), 1);
     // Router 4's own eBGP route loses step 2 (longer AS path) before
     // the eBGP-over-iBGP step is ever reached: it exits via router 3.
     assert_eq!(
@@ -209,7 +209,7 @@ fn tbrr_single_path_reflection_rules() {
     // through TRR1 then TRR2.
     let paths = sim.node(RouterId(5)).client_paths_from(RouterId(2), &p);
     assert_eq!(paths.len(), 1);
-    let attrs = &paths[0].1;
+    let attrs = &paths[0].2;
     assert_eq!(attrs.originator_id.map(|o| o.0), Some(3));
     assert_eq!(
         attrs.cluster_list.iter().map(|c| c.0).collect::<Vec<_>>(),

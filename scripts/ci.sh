@@ -60,16 +60,17 @@ echo "== tier1-scale smoke (20K prefixes, sharded engine, RSS budget)"
 # Exercises the arena/trie storage at a bounded Tier-1 scale: must
 # complete, quiesce, and stay under a peak-RSS budget (the
 # compact-storage regression tripwire). The budget is 1.3x the
-# 1 895 948 kB this run measured with the path-compressed prefix index
-# (PR 20); with one index node per prefix bit it took 2 961 660 kB, so
-# reverting to that layout fails here.
+# 1 398 900 kB this run measured with flat 16-byte Adj-RIB-In entries
+# and the selection-change count in the Loc-RIB slot (PR 21); with the
+# nested per-peer sets and the third per-router table it took
+# 1 895 948 kB, so reverting to that layout fails here.
 TIER1_OUT=$(mktemp)
 ./target/release/scale --workload churn --engine sharded:2 \
   --prefixes 20000 --minutes 1 --out "$TIER1_OUT"
 TIER1_RSS_KB=$(sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "$TIER1_OUT")
 TIER1_QUIESCED=$(sed -n 's/.*"quiesced":\(true\|false\).*/\1/p' "$TIER1_OUT")
 rm -f "$TIER1_OUT"
-TIER1_RSS_BUDGET_KB=2464000 # 1.3 x 1 895 948 kB
+TIER1_RSS_BUDGET_KB=1818000 # 1.3 x 1 398 900 kB
 if [ "$TIER1_QUIESCED" != "true" ]; then
   echo "tier1-scale smoke: did not quiesce" >&2
   exit 1
