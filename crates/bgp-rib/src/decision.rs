@@ -1,9 +1,6 @@
 //! The BGP best-path decision process (RFC 4271 §9.1.2.2; paper Table 2).
 
-use bgp_types::{Asn, Med, NextHop, PathAttributes, RouteSource, RouterId};
-
-/// Internal alias used by the MED grouping pass.
-type MedKey = Med;
+use bgp_types::{Asn, NextHop, PathAttributes, RouteSource, RouterId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -105,69 +102,127 @@ impl<F: Fn(NextHop) -> Option<u32>> IgpMetric for F {
     }
 }
 
-/// Applies decision steps 1–3 (highest LOCAL_PREF, shortest AS_PATH,
-/// lowest ORIGIN), returning surviving indices into `cands`.
-fn as_level_steps_1_to_3(cands: &[Candidate], survivors: &mut Vec<usize>) {
-    // Step 1: highest local pref.
-    let best_lp = survivors
-        .iter()
-        .map(|&i| cands[i].attrs.effective_local_pref())
-        .max()
-        .expect("non-empty");
-    survivors.retain(|&i| cands[i].attrs.effective_local_pref() == best_lp);
-    // Step 2: shortest AS path.
-    let best_len = survivors
-        .iter()
-        .map(|&i| cands[i].attrs.as_path.path_len())
-        .min()
-        .expect("non-empty");
-    survivors.retain(|&i| cands[i].attrs.as_path.path_len() == best_len);
-    // Step 3: lowest origin.
-    let best_origin = survivors
-        .iter()
-        .map(|&i| cands[i].attrs.origin)
-        .min()
-        .expect("non-empty");
-    survivors.retain(|&i| cands[i].attrs.origin == best_origin);
+/// How many candidates' keys fit on the stack; a longer set spills to
+/// one heap buffer and runs the same elimination there.
+const INLINE_KEYS: usize = 32;
+
+/// Everything the decision process reads of one candidate, extracted
+/// once so the elimination compares plain integers side by side
+/// instead of chasing an `Arc<PathAttributes>` per step.
+#[derive(Clone, Copy, Default)]
+struct Key {
+    local_pref: u32,
+    path_len: usize,
+    /// ORIGIN's wire code, which orders as the decision does.
+    origin: u8,
+    med: u32,
+    /// The neighbouring AS whose MEDs this one is comparable with.
+    med_group: Option<Asn>,
+    /// Step 4's verdict within `med_group`, once its minimum is known.
+    med_keep: Option<bool>,
+    ebgp: bool,
+    igp_metric: u32,
+    cluster_len: usize,
+    router_id: u32,
+    peer_addr: u32,
+    /// Position in the caller's slice.
+    index: usize,
 }
 
-/// Applies step 4 (lowest MED) with the configured comparison scope:
-/// within each MED group, only routes tying for the group's lowest MED
-/// survive.
-fn med_step(cands: &[Candidate], survivors: &mut Vec<usize>, mode: MedMode) {
-    match mode {
-        MedMode::AlwaysCompare => {
-            let best = survivors
-                .iter()
-                .map(|&i| cands[i].attrs.effective_med())
-                .min()
-                .expect("non-empty");
-            survivors.retain(|&i| cands[i].attrs.effective_med() == best);
+/// Extracts the keys of every candidate with a reachable next hop (RFC
+/// 4271 §9.1.2: the rest never enter the decision), in input order,
+/// asking `igp` once per candidate, and hands them to `decide`.
+fn with_keys<R>(
+    cands: &[Candidate],
+    igp: &impl IgpMetric,
+    decide: impl FnOnce(&mut [Key]) -> R,
+) -> R {
+    let mut inline = [Key::default(); INLINE_KEYS];
+    let mut spill = Vec::new();
+    let keys = if cands.len() <= INLINE_KEYS {
+        &mut inline[..]
+    } else {
+        spill.resize(cands.len(), Key::default());
+        &mut spill[..]
+    };
+    let mut n = 0;
+    for (index, c) in cands.iter().enumerate() {
+        let Some(igp_metric) = igp.metric(c.attrs.next_hop) else {
+            continue;
+        };
+        keys[n] = Key {
+            local_pref: c.attrs.effective_local_pref().0,
+            path_len: c.attrs.as_path.path_len(),
+            origin: c.attrs.origin.code(),
+            med: c.attrs.effective_med().0,
+            med_group: c.med_group(),
+            med_keep: None,
+            ebgp: c.ranks_as_ebgp(),
+            igp_metric,
+            cluster_len: c.attrs.cluster_list.len(),
+            router_id: c.effective_router_id(),
+            peer_addr: c.peer_addr(),
+            index,
+        };
+        n += 1;
+    }
+    decide(&mut keys[..n])
+}
+
+/// Keeps the keys `keep` accepts at the front of `keys`, in order, and
+/// returns that front.
+fn retain(keys: &mut [Key], keep: impl Fn(&Key) -> bool) -> &mut [Key] {
+    let mut kept = 0;
+    for i in 0..keys.len() {
+        if keep(&keys[i]) {
+            keys[kept] = keys[i];
+            kept += 1;
         }
+    }
+    &mut keys[..kept]
+}
+
+/// One elimination step: keeps the keys tying for the lowest `rank`.
+fn keep_lowest<T: Ord>(keys: &mut [Key], rank: impl Fn(&Key) -> T) -> &mut [Key] {
+    if keys.len() <= 1 {
+        return keys;
+    }
+    let best = keys.iter().map(&rank).min().expect("non-empty");
+    retain(keys, |k| rank(k) == best)
+}
+
+/// Decision steps 1–4 (highest LOCAL_PREF, shortest AS_PATH, lowest
+/// ORIGIN, lowest MED within the configured scope) over extracted
+/// keys; the survivors are the returned front of `keys`, in input order.
+fn as_level_steps<'k>(keys: &'k mut [Key], cfg: &DecisionConfig) -> &'k mut [Key] {
+    let keys = keep_lowest(keys, |k| std::cmp::Reverse(k.local_pref));
+    let keys = keep_lowest(keys, |k| k.path_len);
+    let keys = keep_lowest(keys, |k| k.origin);
+    match cfg.med {
+        MedMode::AlwaysCompare => keep_lowest(keys, |k| k.med),
         MedMode::SameNeighborAs => {
             // Deterministic-MED style: within each neighbour-AS group
-            // only the group's minimum MED survives. One pass to find
-            // the minima, one pass to filter (local routes, which have
-            // no group, are never MED-eliminated).
-            let mut min_by_group: std::collections::BTreeMap<Asn, crate::decision::MedKey> =
-                std::collections::BTreeMap::new();
-            for &i in survivors.iter() {
-                if let Some(g) = cands[i].med_group() {
-                    let med = cands[i].attrs.effective_med();
-                    min_by_group
-                        .entry(g)
-                        .and_modify(|m| {
-                            if med < *m {
-                                *m = med;
-                            }
-                        })
-                        .or_insert(med);
+            // only routes tying for the group's lowest MED survive
+            // (local routes, which have no group, are never
+            // MED-eliminated). Each group is settled the first time one
+            // of its members comes up: one scan for its minimum, one to
+            // mark its members — two passes per distinct group, and no
+            // map to hold the minima.
+            for i in 0..keys.len() {
+                let (Some(group), None) = (keys[i].med_group, keys[i].med_keep) else {
+                    continue;
+                };
+                let in_group = |k: &Key| k.med_group == Some(group);
+                let lowest = keys[i..]
+                    .iter()
+                    .filter(|k| in_group(k))
+                    .map(|k| k.med)
+                    .min();
+                for k in keys[i..].iter_mut().filter(|k| in_group(k)) {
+                    k.med_keep = Some(Some(k.med) == lowest);
                 }
             }
-            survivors.retain(|&i| match cands[i].med_group() {
-                None => true,
-                Some(g) => cands[i].attrs.effective_med() == min_by_group[&g],
-            });
+            retain(keys, |k| k.med_keep != Some(false))
         }
     }
 }
@@ -176,13 +231,12 @@ fn med_step(cands: &[Candidate], survivors: &mut Vec<usize>, mode: MedMode) {
 /// 1–4 (paper §2.1, Table 2). Returns indices into `cands`, in input
 /// order. This is the route set an ARR advertises to every client.
 pub fn best_as_level(cands: &[Candidate], cfg: &DecisionConfig) -> Vec<usize> {
-    if cands.is_empty() {
-        return Vec::new();
-    }
-    let mut survivors: Vec<usize> = (0..cands.len()).collect();
-    as_level_steps_1_to_3(cands, &mut survivors);
-    med_step(cands, &mut survivors, cfg.med);
-    survivors
+    // Steps 1–4 never look at the IGP: every next hop counts as reachable.
+    let everywhere = |_: NextHop| Some(0);
+    with_keys(cands, &everywhere, |keys| {
+        let survivors = as_level_steps(keys, cfg);
+        survivors.iter().map(|k| k.index).collect()
+    })
 }
 
 /// Runs the full decision process (steps 1–8) and returns the index of
@@ -195,45 +249,24 @@ pub fn best_as_level(cands: &[Candidate], cfg: &DecisionConfig) -> Vec<usize> {
 ///    hop, (6.5 RFC 4456: shorter CLUSTER_LIST, if configured),
 ///    7. lowest router id (ORIGINATOR_ID substitutes), 8. lowest peer
 ///    address.
+///
+/// Allocates nothing for up to 32 candidates, and one buffer beyond.
 pub fn best_path(cands: &[Candidate], cfg: &DecisionConfig, igp: &impl IgpMetric) -> Option<usize> {
-    // Reachability filter precedes everything (RFC 4271 §9.1.2).
-    let mut survivors: Vec<usize> = (0..cands.len())
-        .filter(|&i| igp.metric(cands[i].attrs.next_hop).is_some())
-        .collect();
-    if survivors.is_empty() {
-        return None;
-    }
-    as_level_steps_1_to_3(cands, &mut survivors);
-    med_step(cands, &mut survivors, cfg.med);
-    // Step 5: eBGP-learned over iBGP-learned.
-    if survivors.iter().any(|&i| cands[i].ranks_as_ebgp()) {
-        survivors.retain(|&i| cands[i].ranks_as_ebgp());
-    }
-    // Step 6: lowest IGP metric to next hop.
-    let best_metric = survivors
-        .iter()
-        .map(|&i| igp.metric(cands[i].attrs.next_hop).expect("filtered"))
-        .min()
-        .expect("non-empty");
-    survivors.retain(|&i| igp.metric(cands[i].attrs.next_hop) == Some(best_metric));
-    // Step 6.5 (RFC 4456 §9): shorter CLUSTER_LIST.
-    if cfg.use_cluster_list_len {
-        let best_cl = survivors
-            .iter()
-            .map(|&i| cands[i].attrs.cluster_list.len())
-            .min()
-            .expect("non-empty");
-        survivors.retain(|&i| cands[i].attrs.cluster_list.len() == best_cl);
-    }
-    // Step 7: lowest router id (ORIGINATOR_ID substitutes).
-    let best_id = survivors
-        .iter()
-        .map(|&i| cands[i].effective_router_id())
-        .min()
-        .expect("non-empty");
-    survivors.retain(|&i| cands[i].effective_router_id() == best_id);
-    // Step 8: lowest peer address.
-    survivors.into_iter().min_by_key(|&i| cands[i].peer_addr())
+    with_keys(cands, igp, |keys| {
+        let keys = as_level_steps(keys, cfg);
+        // Step 5: eBGP-learned over iBGP-learned.
+        let keys = keep_lowest(keys, |k| !k.ebgp);
+        // Step 6: lowest IGP metric to next hop.
+        let mut keys = keep_lowest(keys, |k| k.igp_metric);
+        // Step 6.5 (RFC 4456 §9): shorter CLUSTER_LIST.
+        if cfg.use_cluster_list_len {
+            keys = keep_lowest(keys, |k| k.cluster_len);
+        }
+        // Step 7: lowest router id (ORIGINATOR_ID substitutes); step 8:
+        // lowest peer address; the earliest candidate breaks a full tie.
+        let best = keys.iter().min_by_key(|k| (k.router_id, k.peer_addr));
+        best.map(|k| k.index)
+    })
 }
 
 #[cfg(test)]

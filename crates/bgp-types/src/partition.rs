@@ -151,13 +151,19 @@ impl ApMap {
     }
 
     /// All APs responsible for `prefix` — every AP whose ranges the
-    /// prefix overlaps. A spanning prefix maps to several APs.
-    pub fn aps_for_prefix(&self, prefix: &Ipv4Prefix) -> Vec<ApId> {
+    /// prefix overlaps, in id order. A spanning prefix maps to several
+    /// APs. Walks the partitions; allocates nothing.
+    pub fn aps_covering(&self, prefix: &Ipv4Prefix) -> impl Iterator<Item = ApId> + '_ {
+        let prefix = *prefix;
         self.partitions
             .iter()
-            .filter(|p| p.covers(prefix))
+            .filter(move |p| p.covers(&prefix))
             .map(|p| p.id)
-            .collect()
+    }
+
+    /// [`ApMap::aps_covering`], collected.
+    pub fn aps_for_prefix(&self, prefix: &Ipv4Prefix) -> Vec<ApId> {
+        self.aps_covering(prefix).collect()
     }
 
     /// Looks up a partition by id.

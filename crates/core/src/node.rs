@@ -134,6 +134,9 @@ pub struct BgpNode {
     inbox: Vec<(RouterId, BgpMsg)>,
     /// Dirty-prefix worklist (see [`Worklist`]); empty between drains.
     dirty: Worklist,
+    /// The candidate buffer every [`BgpNode::recompute`] gathers into;
+    /// empty between decisions, its capacity kept.
+    cands: Vec<Candidate>,
 }
 
 impl BgpNode {
@@ -166,6 +169,7 @@ impl BgpNode {
             trr,
             inbox: Vec::new(),
             dirty: Worklist::default(),
+            cands: Vec::new(),
         }
     }
 
@@ -432,7 +436,7 @@ impl BgpNode {
     fn recompute(&mut self, ctx: &mut Ctx<SessionMsg>, prefix: Ipv4Prefix) {
         // Candidate gather, fixed order: border exits, client planes,
         // ARR managed view, TRR table. Order reaches tie-breaking.
-        let mut cands: Vec<Candidate> = Vec::new();
+        let mut cands = std::mem::take(&mut self.cands);
         self.border.reselect(&self.ch, &prefix, &mut cands);
         let n_exit = cands.len();
         self.client.reselect(&self.ch, &prefix, &mut cands);
@@ -463,6 +467,8 @@ impl BgpNode {
         if is_pure_trr_plane {
             self.trr.advertise(&mut self.ch, ctx, prefix, &mut env);
         }
+        cands.clear();
+        self.cands = cands;
     }
 
     /// RFC 4271 §6 session teardown: flush pacing state and queued input
@@ -648,7 +654,7 @@ impl Protocol for BgpNode {
                 }
             },
         };
-        let delay = self.ch.spec.proc_delay(self.ch.id);
+        let delay = self.ch.proc_delay;
         if delay == 0 {
             self.process_batch(ctx, std::iter::once((from, msg)));
         } else {
@@ -793,7 +799,7 @@ impl Protocol for BgpNode {
         // pacer defers, which puts `flush_at` strictly after `now`
         // (integer µs, so at least now + 1). With neither configured
         // the node sets no timers at all.
-        let pd = self.ch.spec.proc_delay(self.ch.id);
+        let pd = self.ch.proc_delay;
         let mut lead = netsim::Time::MAX;
         if pd > 0 {
             lead = lead.min(pd);

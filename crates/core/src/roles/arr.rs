@@ -120,7 +120,7 @@ impl ArrRole {
             })
             .collect::<PathSet>()
             .into();
-        for ap in self.arr_aps.clone() {
+        for &ap in &self.arr_aps {
             if !ch.ap_covers(ap, &prefix) {
                 continue;
             }

@@ -234,7 +234,10 @@ impl Role for ClientRole {
             _ => {
                 if ch.spec.mode.has_abrr() {
                     let mut images = Images::new();
-                    for ap in ch.aps_for_prefix(&prefix) {
+                    // The loop body needs all of `ch`; the walk over the
+                    // partitions borrows only the spec.
+                    let spec = Arc::clone(&ch.spec);
+                    for ap in spec.aps_covering(&prefix) {
                         let g = group::CLIENT_TO_ARRS + ap.0 as u32;
                         let changed = ch.out.set_paths(g, prefix, &adv[..]);
                         if !changed {

@@ -135,6 +135,10 @@ pub struct Chassis {
     /// static assignment; treated as configuration, so it survives a
     /// crash-restart.
     pub(crate) arr_override: BTreeMap<ApId, Vec<RouterId>>,
+    /// This router's update-processing delay
+    /// ([`NetworkSpec::proc_delay`]): fixed by its roles, so worked out
+    /// once here rather than per received update.
+    pub(crate) proc_delay: netsim::Time,
     /// Lazily-built obs registry handles (see [`ObsHandles`]).
     obs: Option<ObsHandles>,
 }
@@ -151,6 +155,7 @@ impl Chassis {
         };
         Chassis {
             id,
+            proc_delay: spec.proc_delay(id),
             spec,
             out: AdjRibOut::new(),
             loc_rib: bgp_rib::LocRib::new(),
@@ -185,12 +190,8 @@ impl Chassis {
 
     /// Whether `r` is (currently) an ARR for an AP covering `prefix`.
     pub(crate) fn is_arr_for_prefix(&self, r: RouterId, prefix: &Ipv4Prefix) -> bool {
-        if self.arr_override.is_empty() {
-            return self.spec.is_arr_for_prefix(r, prefix);
-        }
-        self.aps_for_prefix(prefix)
-            .iter()
-            .any(|ap| self.arrs_of(*ap).contains(&r))
+        self.aps_covering(prefix)
+            .any(|ap| self.arrs_of(ap).contains(&r))
     }
 
     pub(crate) fn ap_covers(&self, ap: ApId, prefix: &Ipv4Prefix) -> bool {
@@ -204,21 +205,17 @@ impl Chassis {
 
     /// The address ranges of partition `ap` (empty when no AP map or
     /// unknown id) — the keys for pruned trie-range RIB queries.
-    pub(crate) fn ap_ranges(&self, ap: ApId) -> Vec<bgp_types::AddressRange> {
+    pub(crate) fn ap_ranges(&self, ap: ApId) -> &[bgp_types::AddressRange] {
         self.spec
             .ap_map
             .as_ref()
             .and_then(|m| m.partition(ap))
-            .map(|p| p.ranges.clone())
-            .unwrap_or_default()
+            .map_or(&[], |p| &p.ranges)
     }
 
-    pub(crate) fn aps_for_prefix(&self, prefix: &Ipv4Prefix) -> Vec<ApId> {
-        self.spec
-            .ap_map
-            .as_ref()
-            .map(|m| m.aps_for_prefix(prefix))
-            .unwrap_or_default()
+    /// The APs covering `prefix`, in id order (none without an AP map).
+    pub(crate) fn aps_covering(&self, prefix: &Ipv4Prefix) -> impl Iterator<Item = ApId> + '_ {
+        self.spec.aps_covering(prefix)
     }
 
     /// Transition rule (§2.4): ABRR routes for `prefix` are accepted
@@ -228,17 +225,19 @@ impl Chassis {
         match self.spec.mode {
             Mode::Abrr => true,
             Mode::Transition => {
-                let aps = self.aps_for_prefix(prefix);
-                !aps.is_empty() && aps.iter().all(|ap| self.accept_abrr.contains(ap))
+                let mut aps = self.aps_covering(prefix).peekable();
+                aps.peek().is_some() && aps.all(|ap| self.accept_abrr.contains(&ap))
             }
             _ => false,
         }
     }
 
+    /// The IGP metric from this router to a next hop. Resolves the
+    /// router's own SPF row here, once per decision, so each candidate
+    /// costs one lookup in it.
     pub(crate) fn igp_metric_fn(&self) -> impl Fn(NextHop) -> Option<u32> + '_ {
-        let me = self.id;
-        let oracle = &self.spec.oracle;
-        move |nh: NextHop| oracle.distance(me, RouterId(nh.0))
+        let row = self.spec.oracle.tree(self.id);
+        move |nh: NextHop| row?.distance(RouterId(nh.0))
     }
 
     /// Picks the best candidate and updates the Loc-RIB. Returns the

@@ -202,6 +202,14 @@ impl NetworkSpec {
             .collect()
     }
 
+    /// The APs covering `prefix`, in id order (none without an AP map).
+    pub fn aps_covering(&self, prefix: &bgp_types::Ipv4Prefix) -> impl Iterator<Item = ApId> + '_ {
+        let prefix = *prefix;
+        self.ap_map
+            .iter()
+            .flat_map(move |m| m.aps_covering(&prefix))
+    }
+
     /// The ARRs responsible for `ap`.
     pub fn arrs_of(&self, ap: ApId) -> &[RouterId] {
         self.arrs.get(&ap).map(|v| v.as_slice()).unwrap_or(&[])
@@ -210,16 +218,6 @@ impl NetworkSpec {
     /// Whether `r` is an ARR for any AP.
     pub fn is_arr(&self, r: RouterId) -> bool {
         self.arrs.values().any(|v| v.contains(&r))
-    }
-
-    /// Whether `r` is an ARR for an AP covering `prefix`.
-    pub fn is_arr_for_prefix(&self, r: RouterId, prefix: &bgp_types::Ipv4Prefix) -> bool {
-        let Some(map) = &self.ap_map else {
-            return false;
-        };
-        map.aps_for_prefix(prefix)
-            .iter()
-            .any(|ap| self.arrs_of(*ap).contains(&r))
     }
 
     /// Cluster ids `r` reflects for.
@@ -526,8 +524,8 @@ mod tests {
         assert!(spec.is_arr(r(1)));
         assert!(!spec.is_arr(r(3)));
         assert_eq!(spec.all_arrs(), vec![r(1), r(2)]);
-        let p: bgp_types::Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-        assert!(spec.is_arr_for_prefix(r(1), &p)); // 10/8 in first half
+        assert_eq!(spec.arrs_of(ApId(1)), [r(2)]);
+        assert!(spec.arrs_of(ApId(2)).is_empty());
     }
 
     #[test]

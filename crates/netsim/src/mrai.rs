@@ -81,16 +81,15 @@ impl<K: Ord, M> Mrai<K, M> {
         }
     }
 
-    /// Drains the pending buffer at flush time. The caller transmits the
-    /// returned updates (in key order). Restarts the interval if
-    /// anything was sent.
-    pub fn flush(&mut self, now: Time) -> Vec<(K, M)> {
+    /// Drains the pending buffer at flush time: the caller takes the
+    /// buffer itself and transmits its updates (iteration is in key
+    /// order). Restarts the interval if anything was sent.
+    pub fn flush(&mut self, now: Time) -> BTreeMap<K, M> {
         self.timer_pending = false;
-        if self.pending.is_empty() {
-            return Vec::new();
+        if !self.pending.is_empty() {
+            self.ready_at = now + self.interval;
         }
-        self.ready_at = now + self.interval;
-        std::mem::take(&mut self.pending).into_iter().collect()
+        std::mem::take(&mut self.pending)
     }
 
     /// Number of buffered updates.
@@ -136,12 +135,12 @@ mod tests {
             }
         );
         let flushed = m.flush(100);
-        assert_eq!(flushed, vec![(2, "b"), (3, "c")]);
+        assert_eq!(flushed, BTreeMap::from([(2, "b"), (3, "c")]));
         // Interval restarted at flush: next offer is deferred again.
         assert!(matches!(m.offer(150, 4, "d"), MraiVerdict::Deferred { .. }));
         // After the new interval expires with an empty buffer...
         let flushed = m.flush(200);
-        assert_eq!(flushed, vec![(4, "d")]);
+        assert_eq!(flushed, BTreeMap::from([(4, "d")]));
         assert_eq!(m.offer(301, 5, "e"), MraiVerdict::SendNow("e"));
     }
 
@@ -155,7 +154,7 @@ mod tests {
         m.offer(2, 7, 20);
         m.offer(3, 7, 30);
         assert_eq!(m.pending_len(), 1);
-        assert_eq!(m.flush(100), vec![(7, 30)]);
+        assert_eq!(m.flush(100), BTreeMap::from([(7, 30)]));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use bgp_types::RouterId;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Simulated time in microseconds.
 pub type Time = u64;
@@ -389,17 +389,41 @@ impl<P: Protocol> Ord for Entry<P> {
     }
 }
 
+/// Everything the simulator keeps per node, in one place, so an event
+/// finds its node, its counters and its liveness with one lookup.
+pub(crate) struct Slot<P> {
+    pub(crate) id: RouterId,
+    /// The protocol state, borrowed where it lies by every sequential
+    /// callback. `None` only while a window of [`crate::window`] has
+    /// the node out on a worker thread.
+    pub(crate) node: Option<P>,
+    pub(crate) stats: NodeStats,
+    /// False between a crash and the matching restart.
+    pub(crate) up: bool,
+}
+
+impl<P> Slot<P> {
+    /// The node, which is home whenever the sequential path runs.
+    pub(crate) fn node(&self) -> &P {
+        self.node.as_ref().expect("node is out on a window worker")
+    }
+
+    fn node_mut(&mut self) -> &mut P {
+        self.node.as_mut().expect("node is out on a window worker")
+    }
+}
+
 /// The simulator: nodes, sessions, and the event heap.
 pub struct Sim<P: Protocol> {
-    pub(crate) nodes: BTreeMap<RouterId, P>,
+    /// One slot per node, sorted by id: a binary search per event, and
+    /// id order for every iteration.
+    pub(crate) slots: Vec<Slot<P>>,
     pub(crate) sessions: BTreeMap<(RouterId, RouterId), Time>,
     pub(crate) heap: BinaryHeap<Entry<P>>,
     pub(crate) seq: u64,
     pub(crate) now: Time,
-    pub(crate) stats: BTreeMap<RouterId, NodeStats>,
     pub(crate) dropped: u64,
     pub(crate) started: bool,
-    pub(crate) down: BTreeSet<RouterId>,
     /// Pooled action buffer reused across sequential callbacks so the
     /// event loop does not allocate a fresh `Vec` per callback.
     action_buf: Vec<Action<P::Msg>>,
@@ -415,32 +439,44 @@ impl<P: Protocol> Sim<P> {
     /// Creates an empty simulator at time 0.
     pub fn new() -> Self {
         Sim {
-            nodes: BTreeMap::new(),
+            slots: Vec::new(),
             sessions: BTreeMap::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             now: 0,
-            stats: BTreeMap::new(),
             dropped: 0,
             started: false,
-            down: BTreeSet::new(),
             action_buf: Vec::new(),
         }
     }
 
     /// Adds a node. Panics on duplicate ids.
     pub fn add_node(&mut self, id: RouterId, node: P) {
-        let prev = self.nodes.insert(id, node);
-        assert!(prev.is_none(), "duplicate node {id:?}");
-        self.stats.insert(id, NodeStats::default());
+        let Err(at) = self.slots.binary_search_by_key(&id, |s| s.id) else {
+            panic!("duplicate node {id:?}");
+        };
+        self.slots.insert(
+            at,
+            Slot {
+                id,
+                node: Some(node),
+                stats: NodeStats::default(),
+                up: true,
+            },
+        );
+    }
+
+    /// The index of `id`'s slot.
+    pub(crate) fn slot_of(&self, id: RouterId) -> Option<usize> {
+        self.slots.binary_search_by_key(&id, |s| s.id).ok()
     }
 
     /// Establishes a bidirectional session with symmetric one-way
     /// latency. Both endpoints must already exist.
     pub fn add_session(&mut self, a: RouterId, b: RouterId, latency: Time) {
         assert!(a != b, "self-session");
-        assert!(self.nodes.contains_key(&a), "unknown node {a:?}");
-        assert!(self.nodes.contains_key(&b), "unknown node {b:?}");
+        assert!(self.contains_node(a), "unknown node {a:?}");
+        assert!(self.contains_node(b), "unknown node {b:?}");
         let key = if a < b { (a, b) } else { (b, a) };
         self.sessions.insert(key, latency);
     }
@@ -509,20 +545,20 @@ impl<P: Protocol> Sim<P> {
 
     /// Whether `node` is currently up (not crashed).
     pub fn is_node_up(&self, node: RouterId) -> bool {
-        !self.down.contains(&node)
+        self.slot_of(node).is_none_or(|i| self.slots[i].up)
     }
 
     /// Injects an external event at absolute time `at`.
     pub fn schedule_external(&mut self, at: Time, node: RouterId, ev: P::External) {
-        assert!(self.nodes.contains_key(&node), "unknown node {node:?}");
+        assert!(self.contains_node(node), "unknown node {node:?}");
         self.push(at.max(self.now), Event::External { node, ev });
     }
 
     /// Schedules a session failure at `at`: in-flight messages are
     /// discarded and both surviving endpoints get `on_session_down`.
     pub fn schedule_session_down(&mut self, at: Time, a: RouterId, b: RouterId) {
-        assert!(self.nodes.contains_key(&a), "unknown node {a:?}");
-        assert!(self.nodes.contains_key(&b), "unknown node {b:?}");
+        assert!(self.contains_node(a), "unknown node {a:?}");
+        assert!(self.contains_node(b), "unknown node {b:?}");
         self.push(at.max(self.now), Event::SessionDown { a, b });
     }
 
@@ -531,8 +567,8 @@ impl<P: Protocol> Sim<P> {
     /// endpoint is down at that time.
     pub fn schedule_session_up(&mut self, at: Time, a: RouterId, b: RouterId, latency: Time) {
         assert!(a != b, "self-session");
-        assert!(self.nodes.contains_key(&a), "unknown node {a:?}");
-        assert!(self.nodes.contains_key(&b), "unknown node {b:?}");
+        assert!(self.contains_node(a), "unknown node {a:?}");
+        assert!(self.contains_node(b), "unknown node {b:?}");
         self.push(at.max(self.now), Event::SessionUp { a, b, latency });
     }
 
@@ -541,7 +577,7 @@ impl<P: Protocol> Sim<P> {
     /// and timers are discarded, and events addressed to it are dropped
     /// until a matching [`Sim::schedule_node_up`].
     pub fn schedule_node_down(&mut self, at: Time, node: RouterId) {
-        assert!(self.nodes.contains_key(&node), "unknown node {node:?}");
+        assert!(self.contains_node(node), "unknown node {node:?}");
         self.push(at.max(self.now), Event::NodeDown { node });
     }
 
@@ -549,7 +585,7 @@ impl<P: Protocol> Sim<P> {
     /// `on_restart` (its protocol must reset lost state) but no
     /// sessions — schedule those separately.
     pub fn schedule_node_up(&mut self, at: Time, node: RouterId) {
-        assert!(self.nodes.contains_key(&node), "unknown node {node:?}");
+        assert!(self.contains_node(node), "unknown node {node:?}");
         self.push(at.max(self.now), Event::NodeUp { node });
     }
 
@@ -565,9 +601,8 @@ impl<P: Protocol> Sim<P> {
             return;
         }
         self.started = true;
-        let ids: Vec<RouterId> = self.nodes.keys().copied().collect();
-        for id in ids {
-            self.with_node(id, |node, ctx| node.on_start(ctx));
+        for i in 0..self.slots.len() {
+            self.with_slot(i, |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -638,31 +673,33 @@ impl<P: Protocol> Sim<P> {
 
     /// Applies a single event at the current time. Shared by the
     /// sequential loop and (for fences) the window loop in
-    /// [`crate::window`].
+    /// [`crate::window`]. An event addressed to a node that was never
+    /// added is a no-op.
     pub(crate) fn dispatch_event(&mut self, ev: Event<P>) {
         match ev {
             Event::Deliver { from, to, msg } => {
-                if self.down.contains(&to) {
+                let Some(i) = self.slot_of(to) else { return };
+                let slot = &mut self.slots[i];
+                if !slot.up {
                     self.dropped += 1;
                     return;
                 }
-                if let Some(stats) = self.stats.get_mut(&to) {
-                    stats.received += 1;
-                }
-                self.with_node(to, |node, ctx| node.on_message(ctx, from, msg));
+                slot.stats.received += 1;
+                self.with_slot(i, |node, ctx| node.on_message(ctx, from, msg));
             }
             Event::Timer { node, token } => {
-                if self.down.contains(&node) {
-                    return;
+                let Some(i) = self.slot_of(node) else { return };
+                if self.slots[i].up {
+                    self.with_slot(i, |n, ctx| n.on_timer(ctx, token));
                 }
-                self.with_node(node, |n, ctx| n.on_timer(ctx, token));
             }
             Event::External { node, ev } => {
-                if self.down.contains(&node) {
+                let Some(i) = self.slot_of(node) else { return };
+                if !self.slots[i].up {
                     self.dropped += 1;
                     return;
                 }
-                self.with_node(node, |n, ctx| n.on_external(ctx, ev));
+                self.with_slot(i, |n, ctx| n.on_external(ctx, ev));
             }
             Event::SessionDown { a, b } => {
                 if self.has_session(a, b) {
@@ -670,24 +707,23 @@ impl<P: Protocol> Sim<P> {
                         "a" => a.0, "b" => b.0);
                     self.remove_session(a, b);
                     for (me, peer) in [(a.min(b), a.max(b)), (a.max(b), a.min(b))] {
-                        if !self.down.contains(&me) {
-                            self.with_node(me, |n, ctx| n.on_session_down(ctx, peer));
-                        }
+                        self.with_up_node(me, |n, ctx| n.on_session_down(ctx, peer));
                     }
                 }
             }
             Event::SessionUp { a, b, latency } => {
-                if !self.down.contains(&a) && !self.down.contains(&b) && !self.has_session(a, b) {
+                if self.is_node_up(a) && self.is_node_up(b) && !self.has_session(a, b) {
                     obs::event!(Netsim, Info, "netsim.session_up",
                         "a" => a.0, "b" => b.0, "latency_us" => latency);
                     self.add_session(a, b, latency);
                     for (me, peer) in [(a.min(b), a.max(b)), (a.max(b), a.min(b))] {
-                        self.with_node(me, |n, ctx| n.on_session_up(ctx, peer));
+                        self.with_up_node(me, |n, ctx| n.on_session_up(ctx, peer));
                     }
                 }
             }
             Event::NodeDown { node } => {
-                if self.down.insert(node) {
+                let Some(i) = self.slot_of(node) else { return };
+                if std::mem::replace(&mut self.slots[i].up, false) {
                     obs::event!(Netsim, Info, "netsim.node_down", node = node.0);
                     self.drop_node_events(node);
                     let torn: Vec<(RouterId, RouterId)> = self
@@ -699,16 +735,15 @@ impl<P: Protocol> Sim<P> {
                     for (x, y) in torn {
                         self.sessions.remove(&(x, y));
                         let peer = if x == node { y } else { x };
-                        if !self.down.contains(&peer) {
-                            self.with_node(peer, |n, ctx| n.on_session_down(ctx, node));
-                        }
+                        self.with_up_node(peer, |n, ctx| n.on_session_down(ctx, node));
                     }
                 }
             }
             Event::NodeUp { node } => {
-                if self.down.remove(&node) {
+                let Some(i) = self.slot_of(node) else { return };
+                if !std::mem::replace(&mut self.slots[i].up, true) {
                     obs::event!(Netsim, Info, "netsim.node_up", node = node.0);
-                    self.with_node(node, |n, ctx| n.on_restart(ctx));
+                    self.with_slot(i, |n, ctx| n.on_restart(ctx));
                 }
             }
         }
@@ -719,40 +754,49 @@ impl<P: Protocol> Sim<P> {
         self.run(RunLimits::default())
     }
 
-    fn with_node(&mut self, id: RouterId, f: impl FnOnce(&mut P, &mut Ctx<P::Msg>)) {
-        // Reuse the pooled buffer instead of allocating per callback.
-        let mut buf = std::mem::take(&mut self.action_buf);
-        buf.clear();
+    /// Runs `f` on node `id` if it exists and is up (the session hooks,
+    /// which address a node by id rather than by a slot already found).
+    fn with_up_node(&mut self, id: RouterId, f: impl FnOnce(&mut P, &mut Ctx<P::Msg>)) {
+        if let Some(i) = self.slot_of(id).filter(|&i| self.slots[i].up) {
+            self.with_slot(i, f);
+        }
+    }
+
+    /// Runs one callback on the node in slot `i`, borrowed where it
+    /// lies, then applies the actions it collected. The actions wait
+    /// for the callback to return: applying one needs the heap, the
+    /// session table and the sender's counters while the callback
+    /// holds the slot table, and the window engine replays the same
+    /// collected form in merge order.
+    fn with_slot(&mut self, i: usize, f: impl FnOnce(&mut P, &mut Ctx<P::Msg>)) {
+        let slot = &mut self.slots[i];
         let mut ctx = Ctx {
             now: self.now,
-            node: id,
-            actions: buf,
+            node: slot.id,
+            // The pooled buffer: no allocation per callback.
+            actions: std::mem::take(&mut self.action_buf),
         };
-        // Temporarily remove the node so effects can be applied to self.
-        let Some(mut node) = self.nodes.remove(&id) else {
-            self.action_buf = ctx.actions;
-            return;
-        };
-        f(&mut node, &mut ctx);
-        self.nodes.insert(id, node);
+        f(slot.node_mut(), &mut ctx);
         let mut actions = ctx.actions;
         for action in actions.drain(..) {
-            self.apply_action(id, action);
+            self.apply_action(i, action);
         }
         self.action_buf = actions;
     }
 
-    /// Applies one collected action emitted by node `from` at `self.now`
-    /// and returns when the event it pushed fires (`None`: a send
-    /// dropped for want of a session). Shared by [`Sim::with_node`] and
-    /// the window merge, which checks the time against its window.
-    pub(crate) fn apply_action(&mut self, from: RouterId, action: Action<P::Msg>) -> Option<Time> {
+    /// Applies one collected action emitted by the node in slot `from`
+    /// at `self.now` and returns when the event it pushed fires
+    /// (`None`: a send dropped for want of a session). Shared by
+    /// [`Sim::with_slot`] and the window merge, which checks the time
+    /// against its window.
+    pub(crate) fn apply_action(&mut self, from: usize, action: Action<P::Msg>) -> Option<Time> {
+        let slot = &mut self.slots[from];
+        let from = slot.id;
         match action {
             Action::Send { to, msg } => {
-                if let Some(&lat) = self.session_latency(from, to) {
-                    if let Some(stats) = self.stats.get_mut(&from) {
-                        stats.transmitted += 1;
-                    }
+                let key = if from < to { (from, to) } else { (to, from) };
+                if let Some(&lat) = self.sessions.get(&key) {
+                    slot.stats.transmitted += 1;
                     if obs::metrics::enabled() {
                         static SEND_LAT: std::sync::OnceLock<obs::Histogram> =
                             std::sync::OnceLock::new();
@@ -782,11 +826,6 @@ impl<P: Protocol> Sim<P> {
         }
     }
 
-    fn session_latency(&self, a: RouterId, b: RouterId) -> Option<&Time> {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.sessions.get(&key)
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
@@ -797,27 +836,31 @@ impl<P: Protocol> Sim<P> {
     /// # Panics
     /// Panics for unknown ids; see [`Sim::contains_node`].
     pub fn node(&self, id: RouterId) -> &P {
-        &self.nodes[&id]
+        let i = self.slot_of(id).expect("unknown node");
+        self.slots[i].node()
     }
 
     /// Whether a node with this id exists.
     pub fn contains_node(&self, id: RouterId) -> bool {
-        self.nodes.contains_key(&id)
+        self.slot_of(id).is_some()
     }
 
     /// Mutable access to a node (configuration between runs).
     pub fn node_mut(&mut self, id: RouterId) -> &mut P {
-        self.nodes.get_mut(&id).expect("unknown node")
+        let i = self.slot_of(id).expect("unknown node");
+        self.slots[i].node_mut()
     }
 
-    /// Iterates `(id, node)`.
+    /// Iterates `(id, node)` in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (RouterId, &P)> {
-        self.nodes.iter().map(|(k, v)| (*k, v))
+        self.slots.iter().map(|s| (s.id, s.node()))
     }
 
     /// Per-node counters.
     pub fn stats(&self, id: RouterId) -> NodeStats {
-        self.stats.get(&id).copied().unwrap_or_default()
+        self.slot_of(id)
+            .map(|i| self.slots[i].stats)
+            .unwrap_or_default()
     }
 
     /// Messages dropped: sends without a session, in-flight messages

@@ -88,7 +88,7 @@
 //! determinism.
 
 use crate::sim::{
-    Action, Ctx, Engine, Event, ExternalClass, Protocol, RunLimits, RunOutcome, Sim, Time,
+    Action, Ctx, Engine, Event, ExternalClass, Protocol, RunLimits, RunOutcome, Sim, Slot, Time,
 };
 use bgp_types::RouterId;
 use std::collections::BTreeMap;
@@ -101,15 +101,18 @@ enum NodeEvent<P: Protocol> {
     External { ev: P::External },
 }
 
-/// One popped window event before partitioning: `(node, at, id, event,
-/// shard hint)`. The hint is `Some` only under the sharded policy, for
-/// deliveries and externals.
-type WindowEntry<P> = (RouterId, Time, u64, NodeEvent<P>, Option<u64>);
+/// One popped window event before partitioning: `(node's slot, at, id,
+/// event, shard hint)`. The hint is `Some` only under the sharded
+/// policy, for deliveries and externals.
+type WindowEntry<P> = (usize, Time, u64, NodeEvent<P>, Option<u64>);
 
 /// The unit of work handed to a worker: one node plus all of its
 /// events in this window, in ascending `(time, id)` order.
 struct Task<P: Protocol> {
     slot: usize,
+    /// Index of the node's slot in the simulator's table, where the
+    /// node goes back after the window.
+    home: usize,
     node_id: RouterId,
     node: P,
     /// `(pos, at, id, event)`: `pos` indexes the window batch for the
@@ -124,7 +127,7 @@ struct Task<P: Protocol> {
 /// per-event `(pos, at, action count)` bounds for the ordered merge.
 struct TaskResult<P: Protocol> {
     slot: usize,
-    node_id: RouterId,
+    home: usize,
     node: P,
     actions: Vec<Action<P::Msg>>,
     bounds: Vec<(u32, Time, u32)>,
@@ -134,6 +137,7 @@ fn execute<P: Protocol>(task: Task<P>) -> TaskResult<P> {
     let task_start = obs::profile::enabled().then(std::time::Instant::now);
     let Task {
         slot,
+        home,
         node_id,
         mut node,
         events,
@@ -160,7 +164,7 @@ fn execute<P: Protocol>(task: Task<P>) -> TaskResult<P> {
     }
     TaskResult {
         slot,
-        node_id,
+        home,
         node,
         actions,
         bounds,
@@ -224,28 +228,26 @@ impl<P: Protocol> Sim<P> {
             | Event::SessionUp { .. }
             | Event::NodeDown { .. }
             | Event::NodeUp { .. } => true,
-            Event::External { node, ev } if sharded => self
-                .nodes
-                .get(node)
-                .is_some_and(|n| matches!(n.classify_external(ev), ExternalClass::Fence)),
+            Event::External { node, ev } if sharded => self.slot_of(*node).is_some_and(|i| {
+                let class = self.slots[i].node().classify_external(ev);
+                matches!(class, ExternalClass::Fence)
+            }),
             _ => false,
         }
     }
 
-    /// Per-node lookahead bounds: `min(min incident session latency,
-    /// timer_lead)` under the sharded policy, 0 under the epoch policy.
-    /// Rebuilt after every fence (the only points where sessions or
-    /// node liveness change mid-run).
-    fn build_leads(&self, sharded: bool, leads: &mut BTreeMap<RouterId, Time>) {
+    /// Per-node lookahead bounds, indexed like the slot table:
+    /// `min(min incident session latency, timer_lead)` under the
+    /// sharded policy, 0 under the epoch policy. Rebuilt after every
+    /// fence (the only points where sessions or node liveness change
+    /// mid-run).
+    fn build_leads(&self, sharded: bool, leads: &mut Vec<Time>) {
         leads.clear();
-        for (id, node) in &self.nodes {
-            leads.insert(*id, if sharded { node.timer_lead() } else { 0 });
-        }
+        let lead = |s: &Slot<P>| if sharded { s.node().timer_lead() } else { 0 };
+        leads.extend(self.slots.iter().map(lead));
         for (&(a, b), &lat) in &self.sessions {
-            for n in [a, b] {
-                if let Some(l) = leads.get_mut(&n) {
-                    *l = (*l).min(lat);
-                }
+            for i in [a, b].into_iter().filter_map(|n| self.slot_of(n)) {
+                leads[i] = leads[i].min(lat);
             }
         }
     }
@@ -273,7 +275,7 @@ impl<P: Protocol> Sim<P> {
         let mut fences = 0u64;
         let mut max_queue = 0usize;
         let mut max_window_batch = 0usize;
-        let mut leads: BTreeMap<RouterId, Time> = BTreeMap::new();
+        let mut leads: Vec<Time> = Vec::new();
         let mut leads_stale = true;
         let quiesced = 'run: loop {
             let Some(head) = self.heap.peek() else {
@@ -322,47 +324,42 @@ impl<P: Protocol> Sim<P> {
                 let t = entry.at;
                 events += 1;
                 window_end = t;
-                let (node, ev, hint) = match entry.ev {
-                    Event::Deliver { from, to, msg } => {
-                        if self.down.contains(&to) {
-                            self.dropped += 1;
-                            continue;
-                        }
-                        if let Some(stats) = self.stats.get_mut(&to) {
-                            stats.received += 1;
-                        }
-                        let host = self.nodes.get(&to).filter(|_| sharded);
-                        let hint = host.map(|n| n.msg_shard(&msg));
-                        (to, NodeEvent::Msg { from, msg }, hint)
-                    }
-                    Event::Timer { node, token } => {
-                        if self.down.contains(&node) {
-                            continue;
-                        }
-                        (node, NodeEvent::Timer { token }, None)
-                    }
-                    Event::External { node, ev } => {
-                        if self.down.contains(&node) {
-                            self.dropped += 1;
-                            continue;
-                        }
-                        // Not a fence, so the classification is Prefix
-                        // (or the node is absent and the callback will
-                        // no-op anyway).
-                        let host = self.nodes.get(&node).filter(|_| sharded);
-                        let hint = host.map(|n| match n.classify_external(&ev) {
-                            ExternalClass::Prefix { shard_hint } => shard_hint,
-                            ExternalClass::Fence => 0,
-                        });
-                        (node, NodeEvent::External { ev }, hint)
-                    }
+                // One lookup per event finds the node, its liveness
+                // and its counters. A node that was never added hosts
+                // no callbacks, so its events are processed as no-ops.
+                let (home, ev) = match entry.ev {
+                    Event::Deliver { from, to, msg } => (to, NodeEvent::Msg { from, msg }),
+                    Event::Timer { node, token } => (node, NodeEvent::Timer { token }),
+                    Event::External { node, ev } => (node, NodeEvent::External { ev }),
                     _ => unreachable!("global event in pure window"),
                 };
-                // Absent nodes host no callbacks (the partition below
-                // no-ops them), so they cannot schedule anything.
-                let lead = leads.get(&node).copied().unwrap_or(Time::MAX);
-                horizon = horizon.min(t.saturating_add(lead));
-                batch.push((node, t, entry.id, ev, hint));
+                let Some(home) = self.slot_of(home) else {
+                    continue;
+                };
+                let slot = &mut self.slots[home];
+                if !slot.up {
+                    // A crashed node's timers died with it; anything
+                    // else addressed to it counts as dropped.
+                    if !matches!(ev, NodeEvent::Timer { .. }) {
+                        self.dropped += 1;
+                    }
+                    continue;
+                }
+                if matches!(ev, NodeEvent::Msg { .. }) {
+                    slot.stats.received += 1;
+                }
+                let host = Some(slot.node()).filter(|_| sharded);
+                let hint = match &ev {
+                    NodeEvent::Msg { msg, .. } => host.map(|n| n.msg_shard(msg)),
+                    NodeEvent::Timer { .. } => None,
+                    // Not a fence, so the classification is Prefix.
+                    NodeEvent::External { ev } => host.map(|n| match n.classify_external(ev) {
+                        ExternalClass::Prefix { shard_hint } => shard_hint,
+                        ExternalClass::Fence => 0,
+                    }),
+                };
+                horizon = horizon.min(t.saturating_add(leads[home]));
+                batch.push((home, t, entry.id, ev, hint));
             }
             self.now = window_end;
             let n = batch.len();
@@ -372,30 +369,22 @@ impl<P: Protocol> Sim<P> {
             // Partition by node, preserving ascending event order
             // within each task; the first explicit hint of a node's
             // events picks its worker, falling back to the node id.
-            let mut slot_of: BTreeMap<RouterId, usize> = BTreeMap::new();
+            let mut task_of: BTreeMap<usize, usize> = BTreeMap::new();
             let mut tasks: Vec<Task<P>> = Vec::new();
-            for (pos, (node_id, t, id, ev, hint)) in batch.into_iter().enumerate() {
-                let slot = match slot_of.get(&node_id) {
-                    Some(&s) => s,
-                    None => {
-                        // A node can be absent only if a callback host
-                        // was never registered; mirror `with_node`'s
-                        // silent no-op in that case.
-                        let Some(node) = self.nodes.remove(&node_id) else {
-                            continue;
-                        };
-                        let s = tasks.len();
-                        tasks.push(Task {
-                            slot: s,
-                            node_id,
-                            node,
-                            events: Vec::new(),
-                            worker: (node_id.0 as usize) % workers,
-                        });
-                        slot_of.insert(node_id, s);
-                        s
-                    }
-                };
+            for (pos, (home, t, id, ev, hint)) in batch.into_iter().enumerate() {
+                let slot = *task_of.entry(home).or_insert_with(|| {
+                    let host = &mut self.slots[home];
+                    let node_id = host.id;
+                    tasks.push(Task {
+                        slot: tasks.len(),
+                        home,
+                        node_id,
+                        node: host.node.take().expect("node already out on a worker"),
+                        events: Vec::new(),
+                        worker: (node_id.0 as usize) % workers,
+                    });
+                    tasks.len() - 1
+                });
                 if tasks[slot].events.is_empty() {
                     if let Some(h) = hint {
                         tasks[slot].worker = (h as usize) % workers;
@@ -416,14 +405,14 @@ impl<P: Protocol> Sim<P> {
             let mut per_pos: Vec<(u32, Time, u32)> = vec![(0, 0, 0); n];
             let mut iters: Vec<Option<std::vec::IntoIter<Action<P::Msg>>>> =
                 (0..k).map(|_| None).collect();
-            let mut from_of: Vec<RouterId> = vec![RouterId(0); k];
+            let mut from_of: Vec<usize> = vec![0; k];
             for _ in 0..k {
                 let r = res_rx.recv().expect("worker panicked");
                 for &(pos, t, count) in &r.bounds {
                     per_pos[pos as usize] = (r.slot as u32 + 1, t, count);
                 }
-                self.nodes.insert(r.node_id, r.node);
-                from_of[r.slot] = r.node_id;
+                self.slots[r.home].node = Some(r.node);
+                from_of[r.slot] = r.home;
                 iters[r.slot] = Some(r.actions.into_iter());
             }
             // Merge: apply every callback's actions in ascending window
@@ -445,10 +434,11 @@ impl<P: Protocol> Sim<P> {
                     // belongs before an event this window already ran.
                     assert!(
                         lands.is_none_or(|at| at >= window_end),
-                        "node {from:?} scheduled an event at t={lands:?} from its callback at \
+                        "node {:?} scheduled an event at t={lands:?} from its callback at \
                          t={t}, inside a window that runs to t={window_end}: its \
                          Protocol::timer_lead() promise of {} us does not hold",
-                        self.nodes[&from].timer_lead()
+                        self.slots[from].id,
+                        self.slots[from].node().timer_lead()
                     );
                 }
             }

@@ -2,7 +2,7 @@
 //! lifecycle, external-event clamping, and run-resume semantics.
 
 use bgp_types::RouterId;
-use netsim::{Ctx, Protocol, RunLimits, Sim};
+use netsim::{Ctx, Engine, Protocol, RunLimits, Sim};
 
 /// Echoes each received number back after a fixed think-time.
 struct Echo {
@@ -162,4 +162,81 @@ fn contains_node_and_unknown_stats() {
     assert!(sim.contains_node(RouterId(1)));
     assert!(!sim.contains_node(RouterId(99)));
     assert_eq!(sim.stats(RouterId(99)), netsim::NodeStats::default());
+}
+
+/// A node as large as a real router (a `BgpNode` is 1 384 bytes) that
+/// notes where it is every time a callback runs on it.
+struct Resident {
+    next: RouterId,
+    seen_at: std::collections::BTreeSet<usize>,
+    calls: u32,
+    _bulk: [u8; 1024],
+}
+
+impl Resident {
+    fn note(&mut self) {
+        self.seen_at.insert(self as *const Self as usize);
+        self.calls += 1;
+    }
+}
+
+impl Protocol for Resident {
+    type Msg = u32;
+    type External = u32;
+
+    fn on_message(&mut self, ctx: &mut Ctx<u32>, _from: RouterId, hops_left: u32) {
+        self.note();
+        if hops_left > 0 {
+            ctx.set_timer(ctx.now() + 1, (hops_left - 1) as u64);
+        }
+    }
+
+    fn on_external(&mut self, ctx: &mut Ctx<u32>, hops_left: u32) {
+        self.note();
+        ctx.send(self.next, hops_left);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<u32>, token: u64) {
+        self.note();
+        ctx.send(self.next, token as u32);
+    }
+}
+
+/// The sequential engine runs every callback on the node where the
+/// simulator keeps it: the address a node sees never changes across
+/// events, and it is the address `Sim::node` hands out afterwards. A
+/// dispatch that moved the node out and back for the callback would
+/// show the callback a temporary instead.
+#[test]
+fn callbacks_run_in_place() {
+    assert!(std::mem::size_of::<Resident>() >= 1024);
+    const NODES: u32 = 4;
+    let mut sim: Sim<Resident> = Sim::new();
+    for i in 0..NODES {
+        sim.add_node(
+            RouterId(i),
+            Resident {
+                next: RouterId((i + 1) % NODES),
+                seen_at: Default::default(),
+                calls: 0,
+                _bulk: [0; 1024],
+            },
+        );
+    }
+    for i in 0..NODES {
+        sim.add_session(RouterId(i), RouterId((i + 1) % NODES), 10);
+    }
+    sim.schedule_external(0, RouterId(0), 60);
+    let out = sim.run_engine(Engine::Seq, RunLimits::default());
+    assert!(out.quiesced);
+    assert!(out.events >= 100, "only {} events", out.events);
+    for (id, node) in sim.nodes() {
+        assert!(node.calls >= 25, "{id:?} ran {} callbacks", node.calls);
+        let home = node as *const Resident as usize;
+        assert_eq!(
+            node.seen_at.iter().copied().collect::<Vec<_>>(),
+            vec![home],
+            "{id:?} ran callbacks somewhere other than its slot"
+        );
+    }
 }

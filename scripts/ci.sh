@@ -47,6 +47,15 @@ cargo test --workspace -q
 cargo test -q -p abrr-bench --test engine_equivalence -- --ignored
 echo "workspace tests: $((SECONDS - TEST_T0)) s wall"
 
+echo "== benchmark package builds against crates/ and passes its smoke test (~1 min)"
+# benchmark/ is a stand-alone package, not a workspace member, so
+# nothing above compiles it: an API change under crates/ that breaks
+# benchmark/src/kernels.rs would otherwise surface only at the next
+# benchmark run. Shares the workspace's target directory, as
+# benchmark/run.sh does.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
+cargo test --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
