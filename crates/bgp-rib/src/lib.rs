@@ -27,5 +27,7 @@ pub mod store;
 
 pub use batch::CandidateBatch;
 pub use decision::{best_as_level, best_path, Candidate, DecisionConfig, IgpMetric, MedMode};
-pub use rib::{normalize, AdjRibIn, AdjRibOut, ExportWalk, LocRib, PathSet, RibInEntry};
-pub use store::{HeapBytes, PrefixSlab};
+pub use rib::{
+    normalize, AdjRibIn, AdjRibOut, ExportWalk, LocColumn, LocRib, PathSet, RibInColumn, RibInEntry,
+};
+pub use store::{HeapBytes, PrefixId, PrefixIndex, PrefixSlab};

@@ -9,22 +9,27 @@
 //! at experiment scale (hundreds of thousands of prefixes × dozens of
 //! routers) this is the difference between megabytes and gigabytes.
 //!
-//! Storage: every per-prefix table is a trie-indexed, slab-backed
-//! [`PrefixSlab`] (see [`crate::store`] for the layout and the single
-//! key-ordering policy). *One* invariant covers everything:
+//! Storage (see [`crate::store`] for the layouts and the single
+//! key-ordering policy): a router's full tables are id-keyed columns —
+//! [`RibInColumn`], [`LocColumn`] — over the one [`PrefixIndex`] it
+//! owns; [`AdjRibIn`] and [`LocRib`] are the same columns behind a
+//! private index, for a caller that holds a single table; the sparse
+//! [`AdjRibOut`] groups stay on [`PrefixSlab`]. *One* invariant covers
+//! everything:
 //!
 //! * prefixes iterate in lexicographic `(addr, len)` order, straight
-//!   off the trie index — [`AdjRibIn::known_prefixes`],
-//!   [`AdjRibIn::drop_peer`], [`AdjRibOut::iter_group`] and
-//!   [`LocRib::iter`] need no explicit sorts;
-//! * an Adj-RIB-In slot is one flat run of [`RibInEntry`]s kept sorted
-//!   by ([`RouterId`], [`PathId`]), so [`AdjRibIn::all_paths`] yields
-//!   candidates in that order (it reaches the decision process's
+//!   off a trie — [`RibInColumn::known_prefixes_in`],
+//!   [`AdjRibOut::iter_group`] and [`LocColumn::iter`] need
+//!   no explicit sorts, and [`RibInColumn::drop_peer`] sorts the one
+//!   list it gathers in id order;
+//! * an Adj-RIB-In row is one flat run of [`RibInEntry`]s kept sorted
+//!   by ([`RouterId`], [`PathId`]), so [`RibInColumn::all_paths`]
+//!   yields candidates in that order (it reaches the decision process's
 //!   tie-breaking and is part of the determinism contract);
 //! * RIB-Out path sets stay sorted by [`PathId`] via `normalize`.
 
 use crate::decision::Candidate;
-use crate::store::{HeapBytes, PrefixSlab};
+use crate::store::{HeapBytes, PrefixId, PrefixIndex, PrefixSlab};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -82,7 +87,16 @@ fn run_of(slot: &[RibInEntry], peer: RouterId) -> Range<usize> {
     lo..hi
 }
 
-/// Adj-RIB-In: received routes, stored prefix-major.
+/// Takes `run` out of a row; an emptied row gives its allocation back.
+fn remove_run(slot: &mut Vec<RibInEntry>, run: Range<usize>) {
+    slot.drain(run);
+    if slot.is_empty() {
+        *slot = Vec::new();
+    }
+}
+
+/// One Adj-RIB-In as a column over a router's [`PrefixIndex`]: row
+/// `id` holds every peer's routes for that prefix.
 ///
 /// Replace-set semantics per (peer, prefix): each update carries the
 /// complete new path set for the prefix (paper §3.4: "should there be a
@@ -90,40 +104,48 @@ fn run_of(slot: &[RibInEntry], peer: RouterId) -> Range<usize> {
 /// such routes to the clients with each update"). A plain single-path
 /// session is the one-element special case.
 ///
-/// One slab slot per prefix holds every peer's routes as one flat run
-/// of [`RibInEntry`]s sorted by (peer id, path id): a peer's set is a
-/// contiguous sub-run, [`AdjRibIn::all_paths`] is a slice walk in
-/// candidate order, and one update is one slot probe plus an in-place
-/// splice. There is no per-peer container: a route costs its 16 bytes.
+/// A row is one flat run of [`RibInEntry`]s sorted by (peer id, path
+/// id): a peer's set is a contiguous sub-run, [`RibInColumn::all_paths`]
+/// is a slice walk in candidate order, and one update is an array index
+/// plus an in-place splice. There is no per-peer container and no
+/// stored prefix: a route costs its 16 bytes, a row its `Vec` header.
+/// The column grows to the highest id written; a prefix it holds
+/// nothing for is an empty row or none at all — both read as empty.
 #[derive(Clone, Debug, Default)]
-pub struct AdjRibIn {
-    table: PrefixSlab<Vec<RibInEntry>>,
+pub struct RibInColumn {
+    rows: Vec<Vec<RibInEntry>>,
     /// Sessions that ever spoke (no-op withdrawals included) and were
     /// not dropped.
     peers: BTreeSet<RouterId>,
     entries: usize,
 }
 
-impl AdjRibIn {
-    /// Creates an empty Adj-RIB-In.
+impl RibInColumn {
+    /// Creates an empty column.
     pub fn new() -> Self {
-        AdjRibIn::default()
+        RibInColumn::default()
     }
 
-    /// Replaces the path set for `(peer, prefix)`. An empty `paths` is a
+    #[inline]
+    fn row(&self, id: PrefixId) -> &[RibInEntry] {
+        self.rows.get(id as usize).map_or(&[], |slot| slot)
+    }
+
+    /// Replaces the path set for `(peer, id)`. An empty `paths` is a
     /// withdrawal. Returns `true` when the stored set changed. Takes an
     /// owned [`PathSet`], whose `Arc`s move into the table, or a
     /// borrowed slice, whose `Arc`s are cloned only if it is stored.
     pub fn set_paths<'a>(
         &mut self,
         peer: RouterId,
-        prefix: Ipv4Prefix,
+        id: PrefixId,
         paths: impl Into<PathsIn<'a>>,
     ) -> bool {
         let paths = canonical(paths.into());
         self.peers.insert(peer);
+        let i = id as usize;
         if paths.is_empty() {
-            let Some(slot) = self.table.get_mut(&prefix) else {
+            let Some(slot) = self.rows.get_mut(i) else {
                 return false;
             };
             let run = run_of(slot, peer);
@@ -131,13 +153,13 @@ impl AdjRibIn {
                 return false;
             }
             self.entries -= run.len();
-            slot.drain(run);
-            if slot.is_empty() {
-                self.table.remove(&prefix);
-            }
+            remove_run(slot, run);
             return true;
         }
-        let slot = self.table.get_or_insert_with(prefix, Vec::new);
+        if i >= self.rows.len() {
+            self.rows.resize_with(i + 1, Vec::new);
+        }
+        let slot = &mut self.rows[i];
         let run = run_of(slot, peer);
         let stored = slot[run.clone()].iter().map(|(_, id, a)| (id, a));
         if stored.eq(paths.iter().map(|(id, a)| (id, a))) {
@@ -163,6 +185,141 @@ impl AdjRibIn {
         true
     }
 
+    /// Withdraws all paths for `(peer, id)`.
+    pub fn withdraw(&mut self, peer: RouterId, id: PrefixId) -> bool {
+        self.set_paths(peer, id, &[][..])
+    }
+
+    /// Drops everything learned from `peer` (session reset). Returns
+    /// the prefixes that were present, in prefix order: the rows are
+    /// scanned in id order and the hits sorted, so arrival order does
+    /// not show.
+    pub fn drop_peer(
+        &mut self,
+        index: &PrefixIndex,
+        peer: RouterId,
+    ) -> Vec<(Ipv4Prefix, PrefixId)> {
+        if !self.peers.remove(&peer) {
+            return Vec::new();
+        }
+        let mut dropped = Vec::new();
+        for (id, slot) in self.rows.iter_mut().enumerate() {
+            let run = run_of(slot, peer);
+            if !run.is_empty() {
+                self.entries -= run.len();
+                remove_run(slot, run);
+                dropped.push((*index.prefix(id as PrefixId), id as PrefixId));
+            }
+        }
+        dropped.sort_unstable();
+        dropped
+    }
+
+    /// The entries stored for `(peer, id)` in path-id order — the
+    /// peer's sub-run of the row — empty slice if none.
+    #[inline]
+    pub fn paths(&self, peer: RouterId, id: PrefixId) -> &[RibInEntry] {
+        let slot = self.row(id);
+        &slot[run_of(slot, peer)]
+    }
+
+    /// Iterates every `(peer, path id, attrs)` stored for `id`, in
+    /// (peer id, path id) order.
+    #[inline]
+    pub fn all_paths(
+        &self,
+        id: PrefixId,
+    ) -> impl Iterator<Item = (RouterId, PathId, &Arc<PathAttributes>)> + '_ {
+        self.row(id).iter().map(|(peer, id, a)| (*peer, *id, a))
+    }
+
+    /// Every route stored for `id` as an iBGP decision candidate, in
+    /// (peer id, path id) order.
+    #[inline]
+    pub fn candidates(&self, id: PrefixId) -> impl Iterator<Item = Candidate> + '_ {
+        self.all_paths(id)
+            .map(|(peer, _, attrs)| Candidate::ibgp(peer, attrs))
+    }
+
+    /// Prefixes known from any peer that overlap the inclusive address
+    /// range, in prefix order: a pruned walk of `index` filtered on the
+    /// column. Cost scales with the overlap, not the table — the
+    /// incremental path for Address-Partition reassignment.
+    pub fn known_prefixes_in<'a>(
+        &'a self,
+        index: &'a PrefixIndex,
+        range_start: u32,
+        range_end: u32,
+    ) -> impl Iterator<Item = (Ipv4Prefix, PrefixId)> + 'a {
+        index
+            .iter_overlapping(range_start, range_end)
+            .filter(|(_, id)| !self.row(*id).is_empty())
+            .map(|(p, id)| (*p, id))
+    }
+
+    /// Total stored route entries — the paper's RIB-In size metric
+    /// (one entry per (peer, prefix, path)).
+    pub fn num_entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Rows the column has grown to, empty ones included (occupancy
+    /// gauge).
+    pub fn slots(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Heap bytes of the row array plus every row's run of entries, at
+    /// capacity (see [`HeapBytes`]); the index is not the column's to
+    /// count. Walks the rows: for reports, not the hot path.
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let runs = self.rows.iter().map(Vec::capacity);
+        HeapBytes {
+            index: 0,
+            slots: self.rows.capacity() * size_of::<Vec<RibInEntry>>(),
+            paths: runs.sum::<usize>() * size_of::<RibInEntry>(),
+        }
+    }
+
+    /// Peers with a session (possibly route-less after withdrawals).
+    pub fn peers(&self) -> impl Iterator<Item = RouterId> + '_ {
+        self.peers.iter().copied()
+    }
+}
+
+/// A stand-alone, prefix-keyed Adj-RIB-In: a private [`PrefixIndex`]
+/// and one [`RibInColumn`] over it, each method "resolve, delegate".
+/// A router shares one index between its columns instead; this is the
+/// same table for a caller that holds only one.
+#[derive(Clone, Debug, Default)]
+pub struct AdjRibIn {
+    index: PrefixIndex,
+    column: RibInColumn,
+}
+
+impl AdjRibIn {
+    /// Creates an empty Adj-RIB-In.
+    pub fn new() -> Self {
+        AdjRibIn::default()
+    }
+
+    /// The id behind `prefix`, or one past every row: reads as empty.
+    #[inline]
+    fn id(&self, prefix: &Ipv4Prefix) -> PrefixId {
+        self.index.id(prefix).unwrap_or(PrefixId::MAX)
+    }
+
+    /// See [`RibInColumn::set_paths`].
+    pub fn set_paths<'a>(
+        &mut self,
+        peer: RouterId,
+        prefix: Ipv4Prefix,
+        paths: impl Into<PathsIn<'a>>,
+    ) -> bool {
+        let id = self.index.resolve(prefix);
+        self.column.set_paths(peer, id, paths)
+    }
+
     /// Replaces with a single path (plain session convenience); path id 0.
     pub fn set_single(
         &mut self,
@@ -178,153 +335,101 @@ impl AdjRibIn {
         self.set_paths(peer, prefix, &[][..])
     }
 
-    /// Drops everything learned from `peer` (session reset). Returns the
-    /// prefixes that were present, in prefix order.
+    /// See [`RibInColumn::drop_peer`].
     pub fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
-        if !self.peers.remove(&peer) {
-            return Vec::new();
-        }
-        let mut dropped = Vec::new();
-        let entries = &mut self.entries;
-        self.table.retain(
-            |p, slot| {
-                let run = run_of(slot, peer);
-                if run.is_empty() {
-                    return true;
-                }
-                *entries -= run.len();
-                slot.drain(run);
-                dropped.push(*p);
-                !slot.is_empty()
-            },
-            |_, _| {},
-        );
-        dropped
+        let dropped = self.column.drop_peer(&self.index, peer);
+        dropped.into_iter().map(|(p, _)| p).collect()
     }
 
-    /// The entries stored for `(peer, prefix)` in path-id order — the
-    /// peer's sub-run of the slot — empty slice if none.
+    /// See [`RibInColumn::paths`].
     pub fn paths(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
-        self.table
-            .get(prefix)
-            .map(|slot| &slot[run_of(slot, peer)])
-            .unwrap_or(&[])
+        self.column.paths(peer, self.id(prefix))
     }
 
-    /// Iterates every `(peer, path id, attrs)` stored for `prefix`, in
-    /// (peer id, path id) order.
+    /// See [`RibInColumn::all_paths`].
+    #[inline]
     pub fn all_paths<'a>(
         &'a self,
         prefix: &'a Ipv4Prefix,
     ) -> impl Iterator<Item = (RouterId, PathId, &'a Arc<PathAttributes>)> + 'a {
-        self.table
-            .get(prefix)
-            .into_iter()
-            .flatten()
-            .map(|(peer, id, a)| (*peer, *id, a))
+        self.column.all_paths(self.id(prefix))
     }
 
-    /// Every route stored for `prefix` as an iBGP decision candidate,
-    /// in (peer id, path id) order.
-    pub fn candidates<'a>(
-        &'a self,
-        prefix: &'a Ipv4Prefix,
-    ) -> impl Iterator<Item = Candidate> + 'a {
-        self.all_paths(prefix)
-            .map(|(peer, _, attrs)| Candidate::ibgp(peer, attrs))
-    }
-
-    /// Every prefix known from any peer, in prefix order (the trie
-    /// index is already deduplicated and ordered — no sort).
+    /// Every prefix known from any peer, in prefix order.
     pub fn known_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.table.iter().map(|(p, _)| *p).collect()
+        self.known_prefixes_in(0, u32::MAX)
     }
 
-    /// Prefixes known from any peer that overlap the inclusive address
-    /// range, in prefix order. Cost scales with the overlap, not the
-    /// table — the incremental path for Address-Partition reassignment.
+    /// See [`RibInColumn::known_prefixes_in`].
     pub fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
-        self.table
-            .iter_overlapping(range_start, range_end)
-            .map(|(p, _)| *p)
-            .collect()
+        let known = self
+            .column
+            .known_prefixes_in(&self.index, range_start, range_end);
+        known.map(|(p, _)| p).collect()
     }
 
-    /// Total stored route entries — the paper's RIB-In size metric
-    /// (one entry per (peer, prefix, path)).
+    /// See [`RibInColumn::num_entries`].
     pub fn num_entries(&self) -> usize {
-        self.entries
+        self.column.num_entries()
     }
 
-    /// Live trie nodes + allocated slots (occupancy gauge pair).
-    pub fn occupancy(&self) -> (usize, usize) {
-        (self.table.index_nodes(), self.table.slot_capacity())
-    }
-
-    /// Heap bytes of the table plus every slot's run of entries, at its
-    /// capacity (see [`HeapBytes`]). Walks the table: for reports, not
-    /// the hot path.
+    /// Heap bytes of the index and the column (see [`HeapBytes`]).
     pub fn heap_bytes(&self) -> HeapBytes {
-        let runs = self.table.iter().map(|(_, slot)| slot.capacity());
-        HeapBytes {
-            paths: runs.sum::<usize>() * size_of::<RibInEntry>(),
-            ..self.table.heap_bytes()
-        }
+        self.index.heap_bytes() + self.column.heap_bytes()
     }
 
-    /// Peers with a session (possibly route-less after withdrawals).
+    /// See [`RibInColumn::peers`].
     pub fn peers(&self) -> impl Iterator<Item = RouterId> + '_ {
-        self.peers.iter().copied()
+        self.column.peers()
     }
 }
 
-/// Loc-RIB: the router's selected route per prefix, and how many times
-/// that selection has changed (the oscillation-diagnostic signal: a
-/// converged network's counts stop growing).
+/// The Loc-RIB as a column over a router's [`PrefixIndex`]: the
+/// selected route per prefix, and how many times that selection has
+/// changed (the oscillation-diagnostic signal: a converged network's
+/// counts stop growing).
 ///
-/// Backed by a [`PrefixSlab`]; [`LocRib::lookup`] is a real trie walk
-/// (longest-prefix match in one descent) and [`LocRib::iter`] streams
-/// straight off the ordered index with no snapshot sort.
-///
-/// A slot is `(selection, changes)`. A withdrawn prefix keeps its slot,
-/// with no selection, because its count must survive: the slot is a
-/// tombstone that [`LocRib::len`], [`LocRib::get`], [`LocRib::iter`],
-/// [`LocRib::iter_overlapping`] and [`LocRib::lookup`] do not see. Only
-/// a prefix that was selected at least once has a slot.
+/// A row is `(selection, changes)`. A withdrawn prefix keeps its row,
+/// with no selection, because its count must survive: the row is a
+/// tombstone that [`LocColumn::len`], [`LocColumn::get`],
+/// [`LocColumn::iter`] and [`LocColumn::lookup`] do not
+/// see. A row the column merely grew past — never selected — has count
+/// zero and is seen by nothing at all.
 #[derive(Clone, Debug)]
-pub struct LocRib<T> {
-    table: PrefixSlab<(Option<T>, u32)>,
-    /// Slots holding a selection.
+pub struct LocColumn<T> {
+    rows: Vec<(Option<T>, u32)>,
+    /// Rows holding a selection.
     live: usize,
 }
 
-impl<T> Default for LocRib<T> {
+impl<T> Default for LocColumn<T> {
     fn default() -> Self {
-        LocRib {
-            table: PrefixSlab::new(),
+        LocColumn {
+            rows: Vec::new(),
             live: 0,
         }
     }
 }
 
-impl<T: Clone + PartialEq> LocRib<T> {
-    /// Creates an empty Loc-RIB.
+impl<T: Clone + PartialEq> LocColumn<T> {
+    /// Creates an empty column.
     pub fn new() -> Self {
-        LocRib::default()
+        LocColumn::default()
     }
 
-    /// Sets the selection for `prefix`; `None` removes it. Returns
-    /// `true` when the stored value changed, which is also when the
-    /// prefix's change count goes up.
-    pub fn set(&mut self, prefix: Ipv4Prefix, value: Option<T>) -> bool {
-        let slot = match value {
-            Some(_) => self.table.get_or_insert_with(prefix, || (None, 0)),
+    /// Sets the selection for `id`; `None` removes it. Returns `true`
+    /// when the stored value changed, which is also when the prefix's
+    /// change count goes up.
+    pub fn set(&mut self, id: PrefixId, value: Option<T>) -> bool {
+        let i = id as usize;
+        if i >= self.rows.len() {
             // Withdrawing what was never selected leaves no trace.
-            None => match self.table.get_mut(&prefix) {
-                Some(slot) => slot,
-                None => return false,
-            },
-        };
+            if value.is_none() {
+                return false;
+            }
+            self.rows.resize_with(i + 1, || (None, 0));
+        }
+        let slot = &mut self.rows[i];
         if slot.0 == value {
             return false;
         }
@@ -333,31 +438,35 @@ impl<T: Clone + PartialEq> LocRib<T> {
         true
     }
 
-    /// The current selection for `prefix`.
-    pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&T> {
-        self.table.get(prefix)?.0.as_ref()
+    /// The current selection for `id`.
+    pub fn get(&self, id: PrefixId) -> Option<&T> {
+        self.rows.get(id as usize)?.0.as_ref()
     }
 
-    /// How many times the selection for `prefix` has changed,
-    /// withdrawals included.
-    pub fn changes(&self, prefix: &Ipv4Prefix) -> u32 {
-        self.table.get(prefix).map_or(0, |slot| slot.1)
+    /// How many times the selection for `id` has changed, withdrawals
+    /// included.
+    pub fn changes(&self, id: PrefixId) -> u32 {
+        self.rows.get(id as usize).map_or(0, |slot| slot.1)
     }
 
     /// Iterates `(prefix, change count)` over every prefix ever
     /// selected, withdrawn ones included, in prefix order.
-    pub fn iter_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u32)> {
-        self.table.iter().map(|(p, slot)| (p, slot.1))
+    pub fn iter_changes<'a>(
+        &'a self,
+        index: &'a PrefixIndex,
+    ) -> impl Iterator<Item = (&'a Ipv4Prefix, u32)> {
+        index
+            .iter()
+            .map(|(p, id)| (p, self.changes(id)))
+            .filter(|(_, changes)| *changes > 0)
     }
 
     /// Longest-prefix match against a destination address (single trie
     /// descent). A withdrawn prefix does not match: the address falls
     /// through to the next shorter selected cover.
-    pub fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
-        let (p, slot) = self
-            .table
-            .longest_match_where(addr, |slot| slot.0.is_some())?;
-        slot.0.as_ref().map(|v| (p, v))
+    pub fn lookup(&self, index: &PrefixIndex, addr: u32) -> Option<(Ipv4Prefix, &T)> {
+        let (p, id) = index.longest_match_where(addr, |id| self.get(id).is_some())?;
+        self.get(id).map(|v| (p, v))
     }
 
     /// Number of selected prefixes.
@@ -371,33 +480,114 @@ impl<T: Clone + PartialEq> LocRib<T> {
     }
 
     /// Iterates `(prefix, selection)` in prefix order, streamed from
-    /// the trie index (no snapshot sort).
-    pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
-        self.iter_overlapping(0, u32::MAX)
+    /// `index` (no snapshot sort).
+    pub fn iter<'a>(
+        &'a self,
+        index: &'a PrefixIndex,
+    ) -> impl Iterator<Item = (&'a Ipv4Prefix, &'a T)> {
+        index
+            .iter()
+            .filter_map(|(p, id)| self.get(id).map(|v| (p, v)))
     }
 
-    /// Iterates selections overlapping the inclusive address range, in
-    /// prefix order.
-    pub fn iter_overlapping(
-        &self,
-        range_start: u32,
-        range_end: u32,
-    ) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
-        self.table
-            .iter_overlapping(range_start, range_end)
-            .filter_map(|(p, slot)| slot.0.as_ref().map(|v| (p, v)))
+    /// Rows the column has grown to, tombstones included (occupancy
+    /// gauge).
+    pub fn slots(&self) -> usize {
+        self.rows.len()
     }
 
-    /// Live trie nodes + allocated slots (occupancy gauge pair),
-    /// tombstones included.
-    pub fn occupancy(&self) -> (usize, usize) {
-        (self.table.index_nodes(), self.table.slot_capacity())
-    }
-
-    /// Heap bytes of the table; a selection is taken to own nothing
-    /// beyond its slot (see [`HeapBytes`]).
+    /// Heap bytes of the row array; a selection is taken to own nothing
+    /// beyond its row (see [`HeapBytes`]).
     pub fn heap_bytes(&self) -> HeapBytes {
-        self.table.heap_bytes()
+        HeapBytes {
+            slots: self.rows.capacity() * size_of::<(Option<T>, u32)>(),
+            ..HeapBytes::default()
+        }
+    }
+}
+
+/// A stand-alone, prefix-keyed Loc-RIB: a private [`PrefixIndex`] and
+/// one [`LocColumn`] over it (see [`AdjRibIn`] for the arrangement).
+#[derive(Clone, Debug)]
+pub struct LocRib<T> {
+    index: PrefixIndex,
+    column: LocColumn<T>,
+}
+
+impl<T> Default for LocRib<T> {
+    fn default() -> Self {
+        LocRib {
+            index: PrefixIndex::new(),
+            column: LocColumn::default(),
+        }
+    }
+}
+
+impl<T: Clone + PartialEq> LocRib<T> {
+    /// Creates an empty Loc-RIB.
+    pub fn new() -> Self {
+        LocRib::default()
+    }
+
+    /// The id behind `prefix`, or one past every row: reads as absent.
+    fn id(&self, prefix: &Ipv4Prefix) -> PrefixId {
+        self.index.id(prefix).unwrap_or(PrefixId::MAX)
+    }
+
+    /// See [`LocColumn::set`]. A prefix enters the index when it is
+    /// first selected, not when it is first withdrawn.
+    pub fn set(&mut self, prefix: Ipv4Prefix, value: Option<T>) -> bool {
+        let id = match value {
+            Some(_) => self.index.resolve(prefix),
+            None => self.id(&prefix),
+        };
+        self.column.set(id, value)
+    }
+
+    /// See [`LocColumn::get`].
+    pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&T> {
+        self.column.get(self.id(prefix))
+    }
+
+    /// See [`LocColumn::changes`].
+    pub fn changes(&self, prefix: &Ipv4Prefix) -> u32 {
+        self.column.changes(self.id(prefix))
+    }
+
+    /// See [`LocColumn::iter_changes`].
+    pub fn iter_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u32)> {
+        self.column.iter_changes(&self.index)
+    }
+
+    /// See [`LocColumn::lookup`].
+    pub fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
+        self.column.lookup(&self.index, addr)
+    }
+
+    /// Number of selected prefixes.
+    pub fn len(&self) -> usize {
+        self.column.len()
+    }
+
+    /// Whether empty.
+    pub fn is_empty(&self) -> bool {
+        self.column.is_empty()
+    }
+
+    /// See [`LocColumn::iter`].
+    pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
+        self.column.iter(&self.index)
+    }
+
+    /// Live index nodes + rows (occupancy gauge pair), tombstones
+    /// included.
+    pub fn occupancy(&self) -> (usize, usize) {
+        (self.index.index_nodes(), self.column.slots())
+    }
+
+    /// Heap bytes of the index and the column (see [`HeapBytes`]).
+    pub fn heap_bytes(&self) -> HeapBytes {
+        self.index.heap_bytes() + self.column.heap_bytes()
     }
 }
 
@@ -418,7 +608,8 @@ pub struct AdjRibOut {
 
 #[derive(Clone, Debug, Default)]
 struct GroupOut {
-    members: Vec<RouterId>,
+    /// Shared, so a fan-out holds the list by cloning a pointer.
+    members: Arc<[RouterId]>,
     table: PrefixSlab<PathSet>,
 }
 
@@ -431,23 +622,29 @@ impl AdjRibOut {
     /// Creates (or replaces) a peer group with the given members.
     pub fn define_group(&mut self, group: u32, members: Vec<RouterId>) {
         let g = self.groups.entry(group).or_default();
-        g.members = members;
+        g.members = members.into();
     }
 
     /// Adds a member to a group (e.g. a late-joining client).
     pub fn add_member(&mut self, group: u32, member: RouterId) {
         let g = self.groups.entry(group).or_default();
         if !g.members.contains(&member) {
-            g.members.push(member);
+            g.members = g.members.iter().copied().chain([member]).collect();
         }
     }
 
     /// Members of a group.
     pub fn members(&self, group: u32) -> &[RouterId] {
+        self.groups.get(&group).map_or(&[], |g| &g.members)
+    }
+
+    /// Members of a group, shared: for a caller that walks the list
+    /// while it mutates the RIB-Out.
+    pub fn members_shared(&self, group: u32) -> Arc<[RouterId]> {
         self.groups
             .get(&group)
-            .map(|g| g.members.as_slice())
-            .unwrap_or(&[])
+            .map(|g| g.members.clone())
+            .unwrap_or_default()
     }
 
     /// Replaces the advertised path set for `prefix` in `group`. Empty
@@ -573,7 +770,7 @@ impl AdjRibOut {
         let g = self.groups.entry(group).or_default();
         self.entries -= g.table.iter().map(|(_, v)| v.len()).sum::<usize>();
         g.table.clear();
-        g.members = members;
+        g.members = members.into();
     }
 }
 
@@ -758,7 +955,6 @@ mod tests {
         assert_eq!(rib.get(&narrow), None);
         assert_eq!(rib.len(), 1);
         assert_eq!(rib.iter().collect::<Vec<_>>(), vec![(&wide, &16)]);
-        assert_eq!(rib.iter_overlapping(addr, addr).count(), 1);
         assert_eq!(rib.changes(&narrow), 2);
         assert_eq!(
             rib.iter_changes().collect::<Vec<_>>(),

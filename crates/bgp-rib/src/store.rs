@@ -1,29 +1,35 @@
-//! Arena-backed prefix-keyed storage: the common substrate under every
-//! RIB table.
+//! Prefix-keyed storage: the common substrate under every RIB table.
 //!
-//! A [`PrefixSlab`] couples a [`PrefixTrie`] *index* (prefix → dense
-//! slot handle) with a contiguous slot arena holding the values. The
-//! trie gives ordered traversal, longest-prefix match, and range
-//! queries; the slab keeps the values themselves packed in a handful of
-//! large allocations instead of one hash-table bucket per prefix, and
-//! recycles freed slots through a free list so long churn runs do not
-//! grow the arena.
+//! Two arrangements, one [`PrefixTrie`] underneath both:
+//!
+//! * A [`PrefixIndex`] maps prefix → dense [`PrefixId`] and back. A
+//!   router keeps *one*, and its full tables (every Adj-RIB-In, the
+//!   Loc-RIB) are plain `Vec` columns indexed by that id
+//!   ([`crate::rib::RibInColumn`], [`crate::rib::LocColumn`]): one trie
+//!   walk per received update, array reads after it, and no table
+//!   carries an index or a stored prefix of its own. Ids are handed out
+//!   on first sight and never recycled; index and columns are dropped
+//!   together (a router restart).
+//! * A [`PrefixSlab`] couples a private trie (prefix → slot handle)
+//!   with a slot arena and a free list. It is what a *sparse* table
+//!   uses — the per-group Adj-RIB-Out and the eBGP Adj-RIB-In hold a
+//!   small share of a router's prefixes, where a dense column would
+//!   cost more than the small trie it saves (DESIGN.md §13).
 //!
 //! # Determinism contract
 //!
-//! This is the single key-ordering policy for all RIB storage (the old
-//! tables mixed `BTreeMap` and `FxHashMap` layers and re-sorted at the
-//! edges):
+//! This is the single key-ordering policy for all RIB storage:
 //!
-//! * [`PrefixSlab::iter`] and [`PrefixSlab::iter_overlapping`] always
-//!   yield prefixes in lexicographic `(addr, len)` order — the same
-//!   total order as `Ipv4Prefix`'s `Ord` — independent of insertion
-//!   history, removals, and free-list state. No caller needs to sort.
-//! * Slot handles are *internal*: they depend on allocation history and
-//!   must never leak into observable output. Every public API is keyed
-//!   by prefix.
+//! * [`PrefixIndex::iter`], [`PrefixSlab::iter`] and their
+//!   `iter_overlapping` always yield prefixes in lexicographic
+//!   `(addr, len)` order — the same total order as `Ipv4Prefix`'s
+//!   `Ord` — independent of insertion history. No caller needs to sort.
+//! * Prefix ids and slot handles depend on arrival order and must never
+//!   reach observable output: anything order-observable walks the trie
+//!   and filters on the column, and nothing prints an id.
 
 use bgp_types::{Ipv4Prefix, PrefixTrie};
+use std::fmt;
 use std::iter::Sum;
 use std::mem::size_of;
 use std::ops::Add;
@@ -68,6 +74,109 @@ impl Add for HeapBytes {
 impl Sum for HeapBytes {
     fn sum<I: Iterator<Item = HeapBytes>>(iter: I) -> HeapBytes {
         iter.fold(HeapBytes::default(), Add::add)
+    }
+}
+
+/// A prefix's dense id in one [`PrefixIndex`]: the row number in every
+/// column over that index. Arrival-order dependent — never output.
+pub type PrefixId = u32;
+
+/// One router's prefix index: a Patricia trie from prefix to dense
+/// [`PrefixId`], and the `Vec` that maps back. Grow-only: an id, once
+/// handed out, names its prefix until the whole index is dropped.
+#[derive(Clone, Default)]
+pub struct PrefixIndex {
+    ids: PrefixTrie<PrefixId>,
+    prefixes: Vec<Ipv4Prefix>,
+}
+
+impl PrefixIndex {
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        PrefixIndex::default()
+    }
+
+    /// Number of prefixes ever resolved.
+    pub fn len(&self) -> usize {
+        self.prefixes.len()
+    }
+
+    /// Whether no prefix was ever resolved.
+    pub fn is_empty(&self) -> bool {
+        self.prefixes.is_empty()
+    }
+
+    /// The id of `prefix`, handing out the next one on first sight: one
+    /// trie walk, hit or miss.
+    pub fn resolve(&mut self, prefix: Ipv4Prefix) -> PrefixId {
+        let prefixes = &mut self.prefixes;
+        *self.ids.get_or_insert_with(prefix, || {
+            prefixes.push(prefix);
+            (prefixes.len() - 1) as PrefixId
+        })
+    }
+
+    /// The id of `prefix` if it was ever resolved.
+    #[inline]
+    pub fn id(&self, prefix: &Ipv4Prefix) -> Option<PrefixId> {
+        self.ids.get(prefix).copied()
+    }
+
+    /// The prefix `id` names. Panics on an id this index never gave.
+    pub fn prefix(&self, id: PrefixId) -> &Ipv4Prefix {
+        &self.prefixes[id as usize]
+    }
+
+    /// Iterates `(prefix, id)` in lexicographic prefix order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, PrefixId)> {
+        self.iter_overlapping(0, u32::MAX)
+    }
+
+    /// Iterates the prefixes overlapping the inclusive address range,
+    /// in the same order as [`PrefixIndex::iter`], pruning disjoint
+    /// subtrees.
+    pub fn iter_overlapping(
+        &self,
+        range_start: u32,
+        range_end: u32,
+    ) -> impl Iterator<Item = (&Ipv4Prefix, PrefixId)> {
+        self.ids
+            .iter_overlapping(range_start, range_end)
+            .map(|(_, &id)| (self.prefix(id), id))
+    }
+
+    /// Longest-prefix match for a destination address among the ids
+    /// `pred` accepts; a rejected prefix falls through to the next
+    /// shorter cover.
+    pub fn longest_match_where(
+        &self,
+        addr: u32,
+        pred: impl Fn(PrefixId) -> bool,
+    ) -> Option<(Ipv4Prefix, PrefixId)> {
+        let (p, &id) = self.ids.longest_match_where(addr, |&id| pred(id))?;
+        Some((p, id))
+    }
+
+    /// Live trie nodes (an occupancy gauge; interior nodes included):
+    /// at most `2 * len() + 1`.
+    pub fn index_nodes(&self) -> usize {
+        self.ids.node_count()
+    }
+
+    /// Heap bytes of the trie arena and the id → prefix `Vec`, at their
+    /// capacities — all of it [`HeapBytes::index`].
+    pub fn heap_bytes(&self) -> HeapBytes {
+        HeapBytes {
+            index: self.ids.heap_bytes() + self.prefixes.capacity() * size_of::<Ipv4Prefix>(),
+            ..HeapBytes::default()
+        }
+    }
+}
+
+/// The prefixes in order — ids are not for printing.
+impl fmt::Debug for PrefixIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter().map(|(p, _)| p)).finish()
     }
 }
 
@@ -185,20 +294,6 @@ impl<T> PrefixSlab<T> {
         &mut slot.expect("indexed slot is live").1
     }
 
-    /// Longest-prefix match for a destination address among the values
-    /// `pred` accepts; a rejected prefix falls through to the next
-    /// shorter cover.
-    pub fn longest_match_where(
-        &self,
-        addr: u32,
-        pred: impl Fn(&T) -> bool,
-    ) -> Option<(Ipv4Prefix, &T)> {
-        let (p, &h) = self
-            .index
-            .longest_match_where(addr, |&h| pred(self.slot(h).1))?;
-        Some((p, self.slot(h).1))
-    }
-
     /// The live slot behind an index handle.
     fn slot(&self, h: u32) -> (&Ipv4Prefix, &T) {
         let slot = self.slots[h as usize].as_ref();
@@ -228,42 +323,6 @@ impl<T> PrefixSlab<T> {
         self.index.clear();
         self.free.clear();
         self.slots.clear();
-    }
-
-    /// Removes every entry for which `keep` returns `false`, passing
-    /// each removed value to `on_remove`. Visits entries in
-    /// lexicographic prefix order.
-    pub fn retain(
-        &mut self,
-        mut keep: impl FnMut(&Ipv4Prefix, &mut T) -> bool,
-        mut on_remove: impl FnMut(Ipv4Prefix, T),
-    ) {
-        // Two-pass: collect doomed prefixes (removal rewires the
-        // index), then remove them; index iteration gives prefix order.
-        let mut dead: Vec<Ipv4Prefix> = Vec::new();
-        for (_, &h) in self.index.iter() {
-            let (p, v) = self.slots[h as usize]
-                .as_mut()
-                .expect("indexed slot is live");
-            if !keep(p, v) {
-                dead.push(*p);
-            }
-        }
-        for p in dead {
-            if let Some(v) = self.remove(&p) {
-                on_remove(p, v);
-            }
-        }
-    }
-}
-
-impl<T> FromIterator<(Ipv4Prefix, T)> for PrefixSlab<T> {
-    fn from_iter<I: IntoIterator<Item = (Ipv4Prefix, T)>>(iter: I) -> Self {
-        let mut s = PrefixSlab::new();
-        for (p, v) in iter {
-            s.insert(p, v);
-        }
-        s
     }
 }
 
@@ -319,31 +378,38 @@ mod tests {
     }
 
     #[test]
-    fn longest_match() {
-        let mut s: PrefixSlab<u8> = PrefixSlab::new();
-        s.insert(p("10.0.0.0/8"), 8);
-        s.insert(p("10.1.0.0/16"), 16);
-        let any = |addr| s.longest_match_where(addr, |_| true).map(|(_, v)| *v);
-        assert_eq!(any(0x0A010203), Some(16));
-        assert_eq!(any(0x0AFF0000), Some(8));
-        assert_eq!(any(0x0B000000), None);
-        let coarse = s.longest_match_where(0x0A010203, |v| *v < 16);
-        assert_eq!(coarse, Some((p("10.0.0.0/8"), &8)), "falls through");
+    fn index_ids_are_dense_stable_and_ordered_by_prefix_not_arrival() {
+        let mut ix = PrefixIndex::new();
+        let arrivals = ["30.0.0.0/8", "10.0.0.0/8", "10.1.0.0/16", "20.0.0.0/8"];
+        for (i, x) in arrivals.iter().enumerate() {
+            assert_eq!(ix.resolve(p(x)), i as PrefixId, "first sight");
+        }
+        assert_eq!(ix.resolve(p("10.1.0.0/16")), 2, "seen before");
+        assert_eq!(ix.id(&p("20.0.0.0/8")), Some(3));
+        assert_eq!(ix.id(&p("40.0.0.0/8")), None, "looking does not assign");
+        assert_eq!((ix.len(), *ix.prefix(0)), (4, p("30.0.0.0/8")));
+        let order: Vec<PrefixId> = ix.iter().map(|(_, id)| id).collect();
+        assert_eq!(order, vec![1, 2, 3, 0]);
+        let hits: Vec<PrefixId> = ix
+            .iter_overlapping(0x0A000000, 0x14FFFFFF)
+            .map(|(_, id)| id)
+            .collect();
+        assert_eq!(hits, vec![1, 2, 3]);
+        assert_eq!(
+            format!("{ix:?}"),
+            "{10.0.0.0/8, 10.1.0.0/16, 20.0.0.0/8, 30.0.0.0/8}"
+        );
     }
 
     #[test]
-    fn retain_removes_in_order() {
-        let mut s: PrefixSlab<u32> = PrefixSlab::new();
-        for (i, x) in ["10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8"]
-            .iter()
-            .enumerate()
-        {
-            s.insert(p(x), i as u32);
-        }
-        let mut removed = Vec::new();
-        s.retain(|_, v| *v != 1, |p, _| removed.push(p));
-        assert_eq!(removed, vec![p("20.0.0.0/8")]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(&p("20.0.0.0/8")), None);
+    fn longest_match() {
+        let mut ix = PrefixIndex::new();
+        let (coarse, fine) = (ix.resolve(p("10.0.0.0/8")), ix.resolve(p("10.1.0.0/16")));
+        let any = |addr| ix.longest_match_where(addr, |_| true).map(|(_, id)| id);
+        assert_eq!(any(0x0A010203), Some(fine));
+        assert_eq!(any(0x0AFF0000), Some(coarse));
+        assert_eq!(any(0x0B000000), None);
+        let skipping = ix.longest_match_where(0x0A010203, |id| id != fine);
+        assert_eq!(skipping, Some((p("10.0.0.0/8"), coarse)), "falls through");
     }
 }

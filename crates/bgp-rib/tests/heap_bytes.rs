@@ -6,8 +6,16 @@
 //! The shape is a generated Tier-1 table's: 1 000 /24s scattered over
 //! the address space, three peers (or peer groups) each. Attributes are
 //! created before a measurement starts; the tables share them by `Arc`.
+//!
+//! The stand-alone tables are measured whole; the last test measures
+//! the parts a router holds — one `PrefixIndex`, an Adj-RIB-In column
+//! and a Loc-RIB column over it — each against its own bytes, so a
+//! gauge that counted the shared index in a column (or not at all)
+//! would show.
 
-use bgp_rib::{AdjRibIn, AdjRibOut, HeapBytes, LocRib, PathSet};
+use bgp_rib::{
+    AdjRibIn, AdjRibOut, HeapBytes, LocColumn, LocRib, PathSet, PrefixId, PrefixIndex, RibInColumn,
+};
 use bgp_types::{Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -172,4 +180,67 @@ fn adj_rib_out_accounts_for_its_heap() {
         }
     }
     assert_accounts_for(rib.heap_bytes(), live() - before, "churned");
+}
+
+#[test]
+fn index_and_columns_each_account_for_their_own_heap() {
+    let prefixes = scattered_slash24s(1000);
+    let attrs = attrs(16);
+    let peers = [RouterId(7), RouterId(3), RouterId(11)];
+    let mut ids: Vec<PrefixId> = Vec::with_capacity(prefixes.len());
+
+    let before = live();
+    let mut index = PrefixIndex::new();
+    ids.extend(prefixes.iter().map(|p| index.resolve(*p)));
+    let index_bytes = live() - before;
+    assert_accounts_for(index.heap_bytes(), index_bytes, "index built");
+    assert_eq!(index.heap_bytes().total(), index.heap_bytes().index);
+
+    let before_in = live();
+    let mut rib_in = RibInColumn::new();
+    for (i, id) in ids.iter().enumerate() {
+        for (k, peer) in peers.iter().enumerate() {
+            rib_in.set_paths(*peer, *id, paths(&attrs, i, 1 + (i + k) % 3));
+        }
+    }
+    let in_bytes = live() - before_in;
+    assert_accounts_for(rib_in.heap_bytes(), in_bytes, "rib-in column built");
+
+    let before_loc = live();
+    let mut loc: LocColumn<Arc<PathAttributes>> = LocColumn::new();
+    for (i, id) in ids.iter().enumerate() {
+        loc.set(*id, Some(attrs[i % 16].clone()));
+    }
+    let loc_bytes = live() - before_loc;
+    assert_accounts_for(loc.heap_bytes(), loc_bytes, "loc column built");
+    assert_eq!((rib_in.heap_bytes() + loc.heap_bytes()).index, 0);
+
+    // Churn (the stand-alone tables' rounds): the columns change under
+    // an index that, grow-only and fully grown, must not.
+    let before_churn = live();
+    for round in 0..3 {
+        for (i, p) in prefixes.iter().enumerate() {
+            let id = index.resolve(*p);
+            for (k, peer) in peers.iter().enumerate() {
+                match (i + round) % 3 {
+                    0 => rib_in.withdraw(*peer, id),
+                    _ => rib_in.set_paths(
+                        *peer,
+                        id,
+                        paths(&attrs, i + round, 1 + (i + k + round) % 4),
+                    ),
+                };
+            }
+            let v = ((i + round) % 3 != 0).then(|| attrs[(i + round) % 16].clone());
+            loc.set(id, v);
+        }
+    }
+    assert!(rib_in.known_prefixes_in(&index, 0, u32::MAX).count() < 1000 && loc.len() < 1000);
+    let grew = live() - before_churn;
+    assert_accounts_for(index.heap_bytes(), index_bytes, "index after churn");
+    assert_accounts_for(
+        rib_in.heap_bytes() + loc.heap_bytes(),
+        in_bytes + loc_bytes + grew,
+        "columns churned",
+    );
 }

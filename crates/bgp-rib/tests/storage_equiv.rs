@@ -1,5 +1,5 @@
-//! Storage-equivalence sweep: the trie/slab-backed RIBs must be
-//! observably identical to the plain map layout they replaced.
+//! Storage-equivalence sweep: the trie-indexed RIBs must be observably
+//! identical to the plain map layout they replaced.
 //!
 //! Each reference model here *is* the old layout — per-peer `BTreeMap`
 //! tables for Adj-RIB-In, one `BTreeMap` per group for Adj-RIB-Out, a
@@ -7,8 +7,14 @@
 //! sequences as the real structures. Equivalence covers return values
 //! (change detection) and every order-observable API, because iteration
 //! order reaches the decision process and the golden fingerprints.
+//!
+//! The Adj-RIB-In and the Loc-RIB are checked in both arrangements: the
+//! stand-alone tables ([`AdjRibIn`], [`LocRib`]) and, as a router holds
+//! them, two Adj-RIB-In columns and a Loc-RIB column over *one*
+//! [`PrefixIndex`]. The last test feeds one history to two such routers
+//! in two arrival orders: the prefix ids differ, nothing observable may.
 
-use bgp_rib::{AdjRibIn, AdjRibOut, LocRib, PathSet};
+use bgp_rib::{AdjRibIn, AdjRibOut, LocColumn, LocRib, PathSet, PrefixIndex, RibInColumn};
 use bgp_types::{intern, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -155,6 +161,346 @@ fn rib_op() -> impl Strategy<Value = RibOp> {
         })
 }
 
+/// A route as the comparisons see it: the next hop stands for the
+/// attribute object.
+type Route = (RouterId, PathId, u32);
+
+fn routes<'a>(it: impl Iterator<Item = (RouterId, PathId, &'a Arc<PathAttributes>)>) -> Vec<Route> {
+    it.map(|(r, id, a)| (r, id, a.next_hop.0)).collect()
+}
+
+/// An Adj-RIB-In under test, answering by prefix: the stand-alone table,
+/// or one column with the index it shares.
+trait RibIn {
+    fn set(&mut self, peer: RouterId, p: Ipv4Prefix, set: PathSet, borrowed: bool) -> bool;
+    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix>;
+    fn known_in(&self, start: u32, end: u32) -> Vec<Ipv4Prefix>;
+    fn entries(&self) -> usize;
+    fn all(&self, p: &Ipv4Prefix) -> Vec<Route>;
+    fn from(&self, peer: RouterId, p: &Ipv4Prefix) -> Vec<Route>;
+    fn peers(&self) -> BTreeSet<RouterId>;
+}
+
+impl RibIn for AdjRibIn {
+    fn set(&mut self, peer: RouterId, p: Ipv4Prefix, set: PathSet, borrowed: bool) -> bool {
+        if borrowed {
+            self.set_paths(peer, p, &set[..])
+        } else {
+            self.set_paths(peer, p, set)
+        }
+    }
+    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
+        AdjRibIn::drop_peer(self, peer)
+    }
+    fn known_in(&self, start: u32, end: u32) -> Vec<Ipv4Prefix> {
+        self.known_prefixes_in(start, end)
+    }
+    fn entries(&self) -> usize {
+        self.num_entries()
+    }
+    fn all(&self, p: &Ipv4Prefix) -> Vec<Route> {
+        routes(self.all_paths(p))
+    }
+    fn from(&self, peer: RouterId, p: &Ipv4Prefix) -> Vec<Route> {
+        routes(self.paths(peer, p).iter().map(|(r, id, a)| (*r, *id, a)))
+    }
+    fn peers(&self) -> BTreeSet<RouterId> {
+        AdjRibIn::peers(self).collect()
+    }
+}
+
+impl RibIn for (&mut PrefixIndex, &mut RibInColumn) {
+    fn set(&mut self, peer: RouterId, p: Ipv4Prefix, set: PathSet, borrowed: bool) -> bool {
+        // As `BgpNode::process_batch` does: an id on first sight, even
+        // for a withdrawal of something never announced.
+        let id = self.0.resolve(p);
+        if borrowed {
+            self.1.set_paths(peer, id, &set[..])
+        } else {
+            self.1.set_paths(peer, id, set)
+        }
+    }
+    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
+        let dropped = self.1.drop_peer(self.0, peer);
+        for (p, id) in &dropped {
+            assert_eq!(
+                self.0.id(p),
+                Some(*id),
+                "drop_peer paired {p} with another's id"
+            );
+        }
+        dropped.into_iter().map(|(p, _)| p).collect()
+    }
+    fn known_in(&self, start: u32, end: u32) -> Vec<Ipv4Prefix> {
+        let known = self.1.known_prefixes_in(self.0, start, end);
+        known.into_iter().map(|(p, _)| p).collect()
+    }
+    fn entries(&self) -> usize {
+        self.1.num_entries()
+    }
+    fn all(&self, p: &Ipv4Prefix) -> Vec<Route> {
+        self.0
+            .id(p)
+            .map_or(Vec::new(), |id| routes(self.1.all_paths(id)))
+    }
+    fn from(&self, peer: RouterId, p: &Ipv4Prefix) -> Vec<Route> {
+        let run = self.0.id(p).map_or(&[][..], |id| self.1.paths(peer, id));
+        routes(run.iter().map(|(r, id, a)| (*r, *id, a)))
+    }
+    fn peers(&self) -> BTreeSet<RouterId> {
+        self.1.peers().collect()
+    }
+}
+
+/// Applies `op` to the table and to its model; the change bits (or the
+/// dropped lists) must agree. Returns what a peer drop dropped.
+fn apply_rib_op(real: &mut impl RibIn, reference: &mut RefRibIn, op: &RibOp) -> Vec<Ipv4Prefix> {
+    match op {
+        RibOp::Set {
+            peer,
+            addr,
+            len,
+            ids,
+            borrowed,
+        } => {
+            let peer = RouterId(10 + *peer as u32);
+            let p = Ipv4Prefix::new(*addr, *len);
+            let a = real.set(peer, p, path_set(ids), *borrowed);
+            let b = reference.set_paths(peer, p, path_set(ids));
+            assert_eq!(a, b, "set_paths change bit diverged");
+        }
+        RibOp::Withdraw { peer, addr, len } => {
+            let peer = RouterId(10 + *peer as u32);
+            let p = Ipv4Prefix::new(*addr, *len);
+            let a = real.set(peer, p, Vec::new(), true);
+            let b = reference.set_paths(peer, p, Vec::new());
+            assert_eq!(a, b, "withdraw change bit diverged");
+        }
+        RibOp::DropPeer { peer } => {
+            let peer = RouterId(10 + *peer as u32);
+            let dropped = real.drop_peer(peer);
+            assert_eq!(
+                dropped,
+                reference.drop_peer(peer),
+                "drop_peer affected-set diverged"
+            );
+            return dropped;
+        }
+    }
+    Vec::new()
+}
+
+const RANGES: [(u32, u32); 4] = [
+    (0, u32::MAX),
+    (0, 1 << 28),
+    (3 << 28, 9 << 28),
+    (1 << 31, u32::MAX),
+];
+
+/// Full observable-state comparison of a table against its model.
+fn assert_rib_in_matches(real: &impl RibIn, reference: &RefRibIn) {
+    let known = real.known_in(0, u32::MAX);
+    assert_eq!(known, reference.known_prefixes());
+    assert_eq!(real.entries(), reference.num_entries());
+    for p in &known {
+        let got = real.all(p);
+        // The slot is one run, strictly sorted by (peer, path id).
+        assert!(
+            got.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "slot order for {p}: {got:?}"
+        );
+        assert_eq!(got, reference.all_paths(p), "all_paths order for {p}");
+        for peer in reference.peers() {
+            let run = real.from(peer, p);
+            assert!(run.iter().all(|(r, _, _)| *r == peer));
+            let got: Vec<(PathId, u32)> = run.iter().map(|(_, id, nh)| (*id, *nh)).collect();
+            assert_eq!(got, reference.paths(peer, p));
+        }
+    }
+    // Range queries must agree with the brute-force overlap filter
+    // (what the AP-reassignment paths rely on).
+    for (start, end) in RANGES {
+        let brute: Vec<Ipv4Prefix> = reference
+            .known_prefixes()
+            .into_iter()
+            .filter(|p| p.first_addr() <= end && p.last_addr() >= start)
+            .collect();
+        assert_eq!(real.known_in(start, end), brute);
+    }
+    // The peer registry only diverges from the reference in one
+    // documented way: no-op withdrawals register the session (the old
+    // `entry(peer).or_default()`), so real peers ⊇ reference.
+    let real_peers = real.peers();
+    assert!(reference.peers().iter().all(|p| real_peers.contains(p)));
+}
+
+/// The old Loc-RIB, and what `Chassis::selection_changes` used to be: a
+/// count per prefix, bumped on every change, withdrawals included.
+#[derive(Default)]
+struct RefLoc {
+    map: BTreeMap<Ipv4Prefix, u32>,
+    changes: BTreeMap<Ipv4Prefix, u32>,
+}
+
+/// A Loc-RIB under test, answering by prefix (see [`RibIn`]).
+trait Loc {
+    fn set(&mut self, p: Ipv4Prefix, v: Option<u32>) -> bool;
+    fn len(&self) -> usize;
+    fn selections(&self) -> Vec<(Ipv4Prefix, u32)>;
+    fn changes(&self) -> Vec<(Ipv4Prefix, u32)>;
+    fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, u32)>;
+}
+
+impl Loc for LocRib<u32> {
+    fn set(&mut self, p: Ipv4Prefix, v: Option<u32>) -> bool {
+        LocRib::set(self, p, v)
+    }
+    fn len(&self) -> usize {
+        LocRib::len(self)
+    }
+    fn selections(&self) -> Vec<(Ipv4Prefix, u32)> {
+        self.iter().map(|(p, v)| (*p, *v)).collect()
+    }
+    fn changes(&self) -> Vec<(Ipv4Prefix, u32)> {
+        self.iter_changes().map(|(p, c)| (*p, c)).collect()
+    }
+    fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, u32)> {
+        LocRib::lookup(self, addr).map(|(p, v)| (p, *v))
+    }
+}
+
+impl Loc for (&mut PrefixIndex, &mut LocColumn<u32>) {
+    fn set(&mut self, p: Ipv4Prefix, v: Option<u32>) -> bool {
+        let id = self.0.resolve(p);
+        self.1.set(id, v)
+    }
+    fn len(&self) -> usize {
+        self.1.len()
+    }
+    fn selections(&self) -> Vec<(Ipv4Prefix, u32)> {
+        self.1.iter(self.0).map(|(p, v)| (*p, *v)).collect()
+    }
+    fn changes(&self) -> Vec<(Ipv4Prefix, u32)> {
+        self.1.iter_changes(self.0).map(|(p, c)| (*p, c)).collect()
+    }
+    fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, u32)> {
+        self.1.lookup(self.0, addr).map(|(p, v)| (p, *v))
+    }
+}
+
+const PROBES: [u32; 5] = [0, 7 << 26, 13 << 26, 40 << 26, u32::MAX];
+
+/// One `set` on the table and on its model, then the full comparison.
+fn set_and_compare_loc(
+    real: &mut impl Loc,
+    reference: &mut RefLoc,
+    p: Ipv4Prefix,
+    val: Option<u32>,
+) {
+    let a = real.set(p, val);
+    let b = match val {
+        Some(v) => reference.map.insert(p, v) != Some(v),
+        None => reference.map.remove(&p).is_some(),
+    };
+    assert_eq!(a, b, "set change bit diverged at {p}");
+    if b {
+        *reference.changes.entry(p).or_default() += 1;
+    }
+    assert_eq!(real.len(), reference.map.len());
+    let want: Vec<(Ipv4Prefix, u32)> = reference.changes.iter().map(|(p, c)| (*p, *c)).collect();
+    assert_eq!(real.changes(), want, "change counts diverged");
+    let want: Vec<(Ipv4Prefix, u32)> = reference.map.iter().map(|(p, v)| (*p, *v)).collect();
+    assert_eq!(real.selections(), want, "iteration order diverged");
+    // Longest-prefix match against the brute-force scan.
+    for probe in PROBES {
+        let want = reference
+            .map
+            .iter()
+            .filter(|(p, _)| p.first_addr() <= probe && probe <= p.last_addr())
+            .max_by_key(|(p, _)| p.len())
+            .map(|(p, v)| (*p, *v));
+        assert_eq!(real.lookup(probe), want);
+    }
+}
+
+fn loc_op() -> impl Strategy<Value = (Ipv4Prefix, Option<u32>)> {
+    (
+        (0u32..48, prop::sample::select(vec![8u8, 12, 16, 24])),
+        prop::option::of(0u32..6),
+    )
+        .prop_map(|((x, len), val)| (Ipv4Prefix::new(x << 26, len), val))
+}
+
+/// What a router holds over its one index, less the roles around it.
+#[derive(Default)]
+struct Router {
+    index: PrefixIndex,
+    rib_in: [RibInColumn; 2],
+    loc: LocColumn<u32>,
+}
+
+/// An address inside 240.1.2.0/24, itself inside 240.1.0.0/16 — outside
+/// the generated pool, so only the scripted tail touches them.
+const NESTED_PROBE: u32 = 0xF001_0203;
+
+impl Router {
+    /// Everything order-observable about the first Adj-RIB-In and the
+    /// Loc-RIB, by prefix — no id in it.
+    fn observe(&mut self) -> impl PartialEq + std::fmt::Debug {
+        let Router { index, rib_in, loc } = self;
+        let rib = (&mut *index, &mut rib_in[0]);
+        let known: Vec<Vec<Ipv4Prefix>> =
+            RANGES.iter().map(|(s, e)| rib.known_in(*s, *e)).collect();
+        let paths: Vec<Vec<Route>> = known[0].iter().map(|p| rib.all(p)).collect();
+        let entries = rib.entries();
+        let loc = (&mut *index, loc);
+        let probes = PROBES.iter().chain(&[NESTED_PROBE]);
+        let lookups: Vec<_> = probes.map(|a| loc.lookup(*a)).collect();
+        (
+            known,
+            paths,
+            entries,
+            loc.len(),
+            loc.selections(),
+            loc.changes(),
+            lookups,
+        )
+    }
+}
+
+/// One step of a router's history.
+#[derive(Clone, Debug)]
+enum Op {
+    Rib(RibOp),
+    Loc(Ipv4Prefix, Option<u32>),
+}
+
+impl Op {
+    /// The prefix the step touches; a peer drop touches them all.
+    fn prefix(&self) -> Option<Ipv4Prefix> {
+        match self {
+            Op::Rib(RibOp::Set { addr, len, .. } | RibOp::Withdraw { addr, len, .. }) => {
+                Some(Ipv4Prefix::new(*addr, *len))
+            }
+            Op::Rib(RibOp::DropPeer { .. }) => None,
+            Op::Loc(p, _) => Some(*p),
+        }
+    }
+
+    /// Applies the step to the router (and to the model of its first
+    /// Adj-RIB-In); a peer drop returns its list.
+    fn apply(&self, r: &mut Router, model: &mut RefRibIn) -> Vec<Ipv4Prefix> {
+        let Router { index, rib_in, loc } = r;
+        match self {
+            Op::Rib(op) => apply_rib_op(&mut (index, &mut rib_in[0]), model, op),
+            Op::Loc(p, v) => {
+                (index, loc).set(*p, *v);
+                Vec::new()
+            }
+        }
+    }
+}
+
 /// The Adj-RIB-In's unit of storage: a route costs this, no container.
 #[test]
 fn adj_rib_in_entry_is_16_bytes() {
@@ -170,113 +516,84 @@ proptest! {
         let mut real = AdjRibIn::new();
         let mut reference = RefRibIn::default();
         for op in &ops {
-            match op {
-                RibOp::Set { peer, addr, len, ids, borrowed } => {
-                    let peer = RouterId(10 + *peer as u32);
-                    let p = Ipv4Prefix::new(*addr, *len);
-                    let set = path_set(ids);
-                    let a = if *borrowed {
-                        real.set_paths(peer, p, &set[..])
-                    } else {
-                        real.set_paths(peer, p, set)
-                    };
-                    let b = reference.set_paths(peer, p, path_set(ids));
-                    prop_assert_eq!(a, b, "set_paths change bit diverged");
-                }
-                RibOp::Withdraw { peer, addr, len } => {
-                    let peer = RouterId(10 + *peer as u32);
-                    let p = Ipv4Prefix::new(*addr, *len);
-                    let a = real.withdraw(peer, p);
-                    let b = reference.set_paths(peer, p, Vec::new());
-                    prop_assert_eq!(a, b, "withdraw change bit diverged");
-                }
-                RibOp::DropPeer { peer } => {
-                    let peer = RouterId(10 + *peer as u32);
-                    let a = real.drop_peer(peer);
-                    let b = reference.drop_peer(peer);
-                    prop_assert_eq!(a, b, "drop_peer affected-set diverged");
-                }
-            }
-            // Full observable-state comparison after every op.
-            prop_assert_eq!(real.known_prefixes(), reference.known_prefixes());
-            prop_assert_eq!(real.num_entries(), reference.num_entries());
-            for p in real.known_prefixes() {
-                let got: Vec<(RouterId, PathId, u32)> = real
-                    .all_paths(&p)
-                    .map(|(r, id, a)| (r, id, a.next_hop.0))
-                    .collect();
-                // The slot is one run, strictly sorted by (peer, path id).
-                prop_assert!(
-                    got.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
-                    "slot order for {}: {:?}", p, got
-                );
-                prop_assert_eq!(got, reference.all_paths(&p), "all_paths order for {}", p);
-                for peer in reference.peers() {
-                    let run = real.paths(peer, &p);
-                    prop_assert!(run.iter().all(|(r, _, _)| *r == peer));
-                    let got: Vec<(PathId, u32)> =
-                        run.iter().map(|(_, id, a)| (*id, a.next_hop.0)).collect();
-                    prop_assert_eq!(got, reference.paths(peer, &p));
-                }
-            }
-            // Range queries must agree with the brute-force overlap
-            // filter (what the AP-reassignment paths rely on).
-            for (start, end) in [(0u32, u32::MAX), (0, 1 << 28), (3 << 28, 9 << 28), (1 << 31, u32::MAX)] {
-                let brute: Vec<Ipv4Prefix> = reference
-                    .known_prefixes()
-                    .into_iter()
-                    .filter(|p| p.first_addr() <= end && p.last_addr() >= start)
-                    .collect();
-                prop_assert_eq!(real.known_prefixes_in(start, end), brute);
-            }
-        }
-        // The peer registry only diverges from the reference in one
-        // documented way: no-op withdrawals register the session (the
-        // old `entry(peer).or_default()`), so real peers ⊇ reference.
-        let real_peers: BTreeSet<RouterId> = real.peers().collect();
-        for p in reference.peers() {
-            prop_assert!(real_peers.contains(&p));
+            apply_rib_op(&mut real, &mut reference, op);
+            assert_rib_in_matches(&real, &reference);
         }
     }
 
     #[test]
-    fn loc_rib_equivalent_to_btreemap(ops in prop::collection::vec(
-        ((0u32..48, prop::sample::select(vec![8u8, 12, 16, 24])), prop::option::of(0u32..6)),
-        1..60,
-    )) {
+    fn loc_rib_equivalent_to_btreemap(ops in prop::collection::vec(loc_op(), 1..60)) {
         let mut real: LocRib<u32> = LocRib::new();
-        let mut reference: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
-        // What `Chassis::selection_changes` used to be: a count per
-        // prefix, bumped on every change, withdrawals included.
-        let mut changes: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
-        for ((x, len), val) in &ops {
-            let p = Ipv4Prefix::new(*x << 26, *len);
-            let a = real.set(p, *val);
-            let b = match val {
-                Some(v) => reference.insert(p, *v) != Some(*v),
-                None => reference.remove(&p).is_some(),
-            };
-            prop_assert_eq!(a, b, "set change bit diverged at {}", p);
-            if b {
-                *changes.entry(p).or_default() += 1;
-            }
-            prop_assert_eq!(real.len(), reference.len());
-            let counted: Vec<(Ipv4Prefix, u32)> = real.iter_changes().map(|(p, c)| (*p, c)).collect();
-            let want: Vec<(Ipv4Prefix, u32)> = changes.iter().map(|(p, c)| (*p, *c)).collect();
-            prop_assert_eq!(counted, want, "change counts diverged");
-            let got: Vec<(Ipv4Prefix, u32)> = real.iter().map(|(p, v)| (*p, *v)).collect();
-            let want: Vec<(Ipv4Prefix, u32)> = reference.iter().map(|(p, v)| (*p, *v)).collect();
-            prop_assert_eq!(got, want, "iteration order diverged");
-            // Longest-prefix match against the brute-force scan.
-            for probe in [0u32, 7 << 26, 13 << 26, 40 << 26, u32::MAX] {
-                let want = reference
-                    .iter()
-                    .filter(|(p, _)| p.first_addr() <= probe && probe <= p.last_addr())
-                    .max_by_key(|(p, _)| p.len())
-                    .map(|(p, v)| (*p, *v));
-                prop_assert_eq!(real.lookup(probe).map(|(p, v)| (p, *v)), want);
-            }
+        let mut reference = RefLoc::default();
+        for (p, val) in &ops {
+            set_and_compare_loc(&mut real, &mut reference, *p, *val);
         }
+    }
+
+    /// The arrangement a router runs: the same models, but the three
+    /// tables are columns over one index, so every op on one of them
+    /// hands out ids the other two must not be confused by.
+    #[test]
+    fn columns_on_one_index_equivalent_to_their_maps(ops in prop::collection::vec(
+        (0u8..3, rib_op(), loc_op()),
+        1..90,
+    )) {
+        let mut router = Router::default();
+        let mut ref_in = [RefRibIn::default(), RefRibIn::default()];
+        let mut ref_loc = RefLoc::default();
+        for (table, rib_op, (p, val)) in &ops {
+            let Router { index, rib_in, loc } = &mut router;
+            match *table as usize {
+                t @ (0 | 1) => {
+                    apply_rib_op(&mut (&mut *index, &mut rib_in[t]), &mut ref_in[t], rib_op);
+                }
+                _ => set_and_compare_loc(&mut (&mut *index, &mut *loc), &mut ref_loc, *p, *val),
+            }
+            // All three after every op, whichever one it touched.
+            for t in 0..2 {
+                assert_rib_in_matches(&(&mut *index, &mut rib_in[t]), &ref_in[t]);
+            }
+            let loc = (&mut *index, &mut *loc);
+            let want: Vec<(Ipv4Prefix, u32)> = ref_loc.map.iter().map(|(p, v)| (*p, *v)).collect();
+            prop_assert_eq!(loc.selections(), want);
+            prop_assert!(index.index_nodes() <= 2 * index.len() + 1);
+        }
+    }
+
+    /// Ids never leak. One history, two routers, two arrival orders:
+    /// between peer drops (which touch every prefix, so they stay put)
+    /// the second router takes the steps grouped by prefix, highest
+    /// prefix first — each prefix still sees its own steps in order, so
+    /// both end in the same state, having handed out different ids.
+    #[test]
+    fn ids_never_reach_an_order_observable_result(history in prop::collection::vec(
+        (any::<bool>(), rib_op(), loc_op()),
+        1..90,
+    )) {
+        let mut ops: Vec<Op> = history
+            .into_iter()
+            .map(|(rib, rib_op, (p, v))| if rib { Op::Rib(rib_op) } else { Op::Loc(p, v) })
+            .collect();
+        // Scripted tail: a withdrawn /24 under a live /16.
+        let (wide, narrow) = (Ipv4Prefix::new(0xF001_0000, 16), Ipv4Prefix::new(0xF001_0200, 24));
+        ops.extend([Op::Loc(wide, Some(16)), Op::Loc(narrow, Some(24)), Op::Loc(narrow, None)]);
+        let (mut a, mut b) = (Router::default(), Router::default());
+        let (mut model_a, mut model_b) = (RefRibIn::default(), RefRibIn::default());
+        for segment in ops.split_inclusive(|op| op.prefix().is_none()) {
+            let mut regrouped: Vec<&Op> = segment.iter().collect();
+            // Stable: a prefix's steps keep their order; the drop has
+            // no prefix and stays at the end.
+            regrouped.sort_by_key(|op| (op.prefix().is_none(), std::cmp::Reverse(op.prefix())));
+            let dropped_a: Vec<_> = segment.iter().map(|op| op.apply(&mut a, &mut model_a)).collect();
+            let mut dropped_b: Vec<_> =
+                regrouped.into_iter().map(|op| op.apply(&mut b, &mut model_b)).collect();
+            prop_assert_eq!(dropped_a.last(), dropped_b.last(), "drop_peer's list");
+            dropped_b.pop();
+            prop_assert!(dropped_b.iter().all(Vec::is_empty));
+            prop_assert_eq!(a.observe(), b.observe());
+        }
+        let at_probe = (&mut a.index, &mut a.loc).lookup(NESTED_PROBE);
+        prop_assert_eq!(at_probe, Some((wide, 16)), "falls through the withdrawn /24");
     }
 
     #[test]

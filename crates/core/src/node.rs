@@ -22,7 +22,7 @@ use crate::roles::{AdvertiseEnv, ArrRole, BorderRole, Chassis, ClientRole, Role,
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path, Candidate, HeapBytes, RibInEntry};
+use bgp_rib::{best_path, Candidate, HeapBytes, PrefixId, RibInEntry};
 use bgp_types::{ApId, Ipv4Prefix, PathAttributes, RouteSource, RouterId};
 use netsim::{Ctx, Protocol};
 use std::collections::BTreeSet;
@@ -94,12 +94,16 @@ impl Selected {
 /// passes exist nowhere in the shell; even the §2.2 AP choreography
 /// seeds the worklist from pruned trie-range queries
 /// ([`Role::known_prefixes_in`]) instead of full-table scans.
+///
+/// An entry carries the prefix's id in the router's index beside it, so
+/// the drain makes no trie walk; the prefix comes first, which keeps
+/// the drain in prefix order whatever order the ids were handed out in.
 #[derive(Default)]
 struct Worklist {
     /// Prefixes whose ARR-role managed table changed.
-    arr: BTreeSet<Ipv4Prefix>,
+    arr: BTreeSet<(Ipv4Prefix, PrefixId)>,
     /// Prefixes where another role's state changed.
-    other: BTreeSet<Ipv4Prefix>,
+    other: BTreeSet<(Ipv4Prefix, PrefixId)>,
 }
 
 /// How an incoming message is interpreted, per roles and mode.
@@ -239,17 +243,17 @@ impl BgpNode {
 
     /// The node's current selection for `prefix`.
     pub fn selected(&self, prefix: &Ipv4Prefix) -> Option<&Selected> {
-        self.ch.loc_rib.get(prefix)
+        self.ch.loc_rib.get(self.ch.index.id(prefix)?)
     }
 
     /// Iterates all selections.
     pub fn selections(&self) -> impl Iterator<Item = (&Ipv4Prefix, &Selected)> {
-        self.ch.loc_rib.iter()
+        self.ch.loc_rib.iter(&self.ch.index)
     }
 
     /// Longest-prefix match against the Loc-RIB (data-plane lookup).
     pub fn fib_lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &Selected)> {
-        self.ch.loc_rib.lookup(addr)
+        self.ch.loc_rib.lookup(&self.ch.index, addr)
     }
 
     /// Number of selected prefixes.
@@ -282,20 +286,23 @@ impl BgpNode {
     /// The client-role entries currently stored from `peer` for
     /// `prefix` (post-reduction; test/audit hook).
     pub fn client_paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
-        self.client.paths_from(peer, prefix)
+        let id = self.ch.index.id(prefix);
+        id.map_or(&[], |id| self.client.paths_from(peer, id))
     }
 
     /// How many times this node's selection for `prefix` has changed —
     /// the oscillation-diagnostic signal (a converged network's counts
     /// stop growing; an oscillating prefix's counts grow forever).
     pub fn selection_changes(&self, prefix: &Ipv4Prefix) -> u64 {
-        self.ch.loc_rib.changes(prefix) as u64
+        let id = self.ch.index.id(prefix);
+        id.map_or(0, |id| self.ch.loc_rib.changes(id) as u64)
     }
 
     /// Iterates per-prefix selection-change counts, in prefix order
-    /// (streamed off the Loc-RIB's trie index; no snapshot sort).
+    /// (streamed off the router's prefix index; no snapshot sort).
     pub fn all_selection_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u64)> {
-        self.ch.loc_rib.iter_changes().map(|(p, c)| (p, c as u64))
+        let counts = self.ch.loc_rib.iter_changes(&self.ch.index);
+        counts.map(|(p, c)| (p, c as u64))
     }
 
     /// §3.2/§3.4 extension accessor: the best pre-installed backup exit
@@ -305,8 +312,9 @@ impl BgpNode {
     /// holding full sets); enables fast re-route without an ARR round
     /// trip.
     pub fn backup_route(&self, prefix: &Ipv4Prefix) -> Option<Selected> {
-        let primary = self.selected(prefix)?.exit_router();
-        let cands = self.client.backup_candidates(prefix, primary);
+        let id = self.ch.index.id(prefix)?;
+        let primary = self.ch.loc_rib.get(id)?.exit_router();
+        let cands = self.client.backup_candidates(id, primary);
         let igp = self.ch.igp_metric_fn();
         let best = best_path(&cands, &self.ch.spec.decision, &igp)?;
         drop(igp);
@@ -343,12 +351,13 @@ impl BgpNode {
         }
     }
 
-    /// The `core.store.*` gauges — storage internals of the arena-backed
-    /// tables: live trie index nodes, allocated value slots, and the
-    /// heap bytes of the index arenas, the slot arenas and the path
-    /// sets the slots own. Summed over *every* table this node keeps:
-    /// each role's RIBs, the Loc-RIB (whose slots also hold the
-    /// selection-change counts) and the per-group RIB-Out.
+    /// The `core.store.*` gauges — storage internals of the tables:
+    /// live trie index nodes, allocated value slots, and the heap bytes
+    /// of the indices, the slot arrays and the path sets the slots own.
+    /// Summed over *everything* this node keeps: its one prefix index
+    /// (counted here, once — the columns over it report slots and paths
+    /// only), each role's tables, the Loc-RIB column (whose rows also
+    /// hold the selection-change counts) and the per-group RIB-Out.
     /// Makes the memory story auditable, not just entry counts.
     fn store_gauges(&self) -> [(&'static str, usize); 5] {
         let ch = &self.ch;
@@ -357,7 +366,8 @@ impl BgpNode {
             .map(|role| (role.occupancy(), role.heap_bytes()))
             .into_iter()
             .chain([
-                (ch.loc_rib.occupancy(), ch.loc_rib.heap_bytes()),
+                ((ch.index.index_nodes(), 0), ch.index.heap_bytes()),
+                ((0, ch.loc_rib.slots()), ch.loc_rib.heap_bytes()),
                 (ch.out.occupancy(), ch.out.heap_bytes()),
             ]);
         let (mut nodes, mut slots, mut bytes) = (0, 0, HeapBytes::default());
@@ -377,7 +387,8 @@ impl BgpNode {
 
     /// The ARR-role entries currently stored from `peer` for `prefix`.
     pub fn arr_paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
-        self.arr.paths_from(peer, prefix)
+        let id = self.ch.index.id(prefix);
+        id.map_or(&[], |id| self.arr.paths_from(peer, id))
     }
 
     // ------------------------------------------------------------------
@@ -433,21 +444,30 @@ impl BgpNode {
     // Unified recompute: decision + role advertisements
     // ------------------------------------------------------------------
 
-    fn recompute(&mut self, ctx: &mut Ctx<SessionMsg>, prefix: Ipv4Prefix) {
+    /// Resolves `prefix` in the router's index and recomputes it: the
+    /// entry for an event that names a prefix and did not arrive through
+    /// [`BgpNode::process_batch`].
+    fn recompute_prefix(&mut self, ctx: &mut Ctx<SessionMsg>, prefix: Ipv4Prefix) {
+        let id = self.ch.index.resolve(prefix);
+        self.recompute(ctx, prefix, id);
+    }
+
+    fn recompute(&mut self, ctx: &mut Ctx<SessionMsg>, prefix: Ipv4Prefix, id: PrefixId) {
         // Candidate gather, fixed order: border exits, client planes,
         // ARR managed view, TRR table. Order reaches tie-breaking.
         let mut cands = std::mem::take(&mut self.cands);
-        self.border.reselect(&self.ch, &prefix, &mut cands);
+        self.border.reselect(&self.ch, &prefix, id, &mut cands);
         let n_exit = cands.len();
-        self.client.reselect(&self.ch, &prefix, &mut cands);
-        self.arr.reselect(&self.ch, &prefix, &mut cands);
-        self.trr.reselect(&self.ch, &prefix, &mut cands);
+        self.client.reselect(&self.ch, &prefix, id, &mut cands);
+        self.arr.reselect(&self.ch, &prefix, id, &mut cands);
+        self.trr.reselect(&self.ch, &prefix, id, &mut cands);
         if let Some(h) = self.ch.obs() {
             h.decision_candidates.record(cands.len() as u64);
         }
-        let (sel, sel_changed) = self.ch.select(prefix, &cands);
+        let (sel, sel_changed) = self.ch.select(prefix, id, &cands);
         let (exit_cands, _) = cands.split_at(n_exit);
         let mut env = AdvertiseEnv {
+            id,
             sel: sel.as_ref(),
             sel_changed,
             exit_cands,
@@ -478,12 +498,10 @@ impl BgpNode {
     fn purge_peer(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId) {
         self.ch.mrai.remove(&peer);
         self.inbox.retain(|(from, _)| *from != peer);
-        let client_dropped = self.client.drop_peer(peer);
-        let trr_dropped = self.trr.drop_peer(peer);
-        self.dirty.other.extend(client_dropped);
-        self.dirty.other.extend(trr_dropped);
-        let arr_dropped = self.arr.drop_peer(peer);
-        self.dirty.arr.extend(arr_dropped);
+        let index = &self.ch.index;
+        self.dirty.other.extend(self.client.drop_peer(index, peer));
+        self.dirty.other.extend(self.trr.drop_peer(index, peer));
+        self.dirty.arr.extend(self.arr.drop_peer(index, peer));
         self.drain_dirty(ctx);
     }
 
@@ -495,11 +513,11 @@ impl BgpNode {
     /// rebuild.
     fn drain_dirty(&mut self, ctx: &mut Ctx<SessionMsg>) {
         let Worklist { arr, other } = std::mem::take(&mut self.dirty);
-        for p in &arr {
-            self.arr.recompute(&mut self.ch, ctx, *p);
+        for &(p, id) in &arr {
+            self.arr.recompute(&mut self.ch, ctx, p, id);
         }
-        for p in arr.into_iter().chain(other) {
-            self.recompute(ctx, p);
+        for (p, id) in arr.into_iter().chain(other) {
+            self.recompute(ctx, p, id);
         }
     }
 
@@ -550,10 +568,11 @@ impl BgpNode {
         // the AP's address ranges, not a full-table scan.
         todo.extend(self.prefixes_covered_by(ap));
         for p in todo {
+            let id = self.ch.index.resolve(p);
             if is_now_arr {
-                self.arr.recompute(&mut self.ch, ctx, p);
+                self.arr.recompute(&mut self.ch, ctx, p, id);
             }
-            self.recompute(ctx, p);
+            self.recompute(ctx, p, id);
         }
     }
 
@@ -565,7 +584,7 @@ impl BgpNode {
         let mut out: BTreeSet<Ipv4Prefix> = BTreeSet::new();
         for r in self.ch.ap_ranges(ap) {
             for role in self.roles() {
-                out.extend(role.known_prefixes_in(r.start(), r.end()));
+                out.extend(role.known_prefixes_in(&self.ch.index, r.start(), r.end()));
             }
         }
         out
@@ -590,27 +609,30 @@ impl BgpNode {
                 plane,
             } = msg;
             let kind = self.classify(from, plane, &prefix);
+            // The one trie walk this update costs: every table below is
+            // a column read at `id`.
+            let id = self.ch.index.resolve(prefix);
             let rx = Rx {
                 from,
                 plane,
-                prefix,
+                id,
                 paths,
                 own_ever: self.border.own_ever_contains(&prefix),
             };
             match kind {
                 InputKind::Client => {
                     if self.client.absorb(&mut self.ch, rx) {
-                        self.dirty.other.insert(prefix);
+                        self.dirty.other.insert((prefix, id));
                     }
                 }
                 InputKind::Arr => {
                     if self.arr.absorb(&mut self.ch, rx) {
-                        self.dirty.arr.insert(prefix);
+                        self.dirty.arr.insert((prefix, id));
                     }
                 }
                 InputKind::Trr => {
                     if self.trr.absorb(&mut self.ch, rx) {
-                        self.dirty.other.insert(prefix);
+                        self.dirty.other.insert((prefix, id));
                     }
                 }
                 InputKind::Unexpected => {
@@ -675,16 +697,16 @@ impl Protocol for BgpNode {
             } => {
                 self.border
                     .ebgp_announce(&mut self.ch, prefix, peer_as, peer_addr, attrs);
-                self.recompute(ctx, prefix);
+                self.recompute_prefix(ctx, prefix);
             }
             ExternalEvent::EbgpWithdraw { prefix, peer_addr } => {
                 if self.border.ebgp_withdraw(&mut self.ch, prefix, peer_addr) {
-                    self.recompute(ctx, prefix);
+                    self.recompute_prefix(ctx, prefix);
                 }
             }
             ExternalEvent::Local { prefix, announce } => {
                 if self.border.set_local(prefix, announce) {
-                    self.recompute(ctx, prefix);
+                    self.recompute_prefix(ctx, prefix);
                 }
             }
             ExternalEvent::SessionReset { peer } => {
@@ -699,7 +721,7 @@ impl Protocol for BgpNode {
                     // Re-evaluate every prefix the cutover AP covers —
                     // pruned trie-range gathering, not a full scan.
                     for p in self.prefixes_covered_by(ap) {
-                        self.recompute(ctx, p);
+                        self.recompute_prefix(ctx, p);
                     }
                 }
             }
@@ -729,6 +751,11 @@ impl Protocol for BgpNode {
         // groups, locally-originated prefixes, AP reassignments)
         // survives; everything learned at runtime is gone. Counters are
         // cumulative device statistics and deliberately survive too.
+        // The prefix index goes with the columns over it (`ch` and the
+        // roles each drop theirs here, in one step): no id handed out
+        // before the restart can address a row filled after it. Ids
+        // live nowhere else between events — queued input and paced
+        // output name prefixes.
         self.border.on_restart();
         self.client.on_restart();
         self.arr.on_restart();
@@ -739,7 +766,7 @@ impl Protocol for BgpNode {
         // come back are dropped by the simulator, but the Adj-RIB-Out
         // fills so re-established sessions resync from it.
         for p in self.border.local_prefixes() {
-            self.recompute(ctx, p);
+            self.recompute_prefix(ctx, p);
         }
     }
 
@@ -815,7 +842,8 @@ impl Protocol for BgpNode {
 mod tests {
     use super::*;
 
-    /// The `core.store.*` gauges must cover every table a node owns.
+    /// The `core.store.*` gauges must cover everything a node owns, and
+    /// the one index it shares between its columns exactly once.
     #[test]
     fn store_gauges_sum_every_table_the_node_owns() {
         let (sim, outcome) =
@@ -823,13 +851,17 @@ mod tests {
         assert!(outcome.quiesced);
         for (_, node) in sim.nodes() {
             let ch = &node.ch;
-            assert!(
-                ch.loc_rib.occupancy().0 > 1,
-                "every router selected something"
-            );
-            let mut occupancy = vec![ch.loc_rib.occupancy(), ch.out.occupancy()];
-            occupancy.extend(node.roles().map(|role| role.occupancy()));
-            let bytes = ch.loc_rib.heap_bytes()
+            assert!(!ch.loc_rib.is_empty(), "every router selected something");
+            // The index (nodes, no slots), then the tables over it
+            // (slots, no nodes), then the two on tries of their own.
+            let columns = [&node.client as &dyn Role, &node.arr, &node.trr];
+            let mut occupancy = vec![(ch.index.index_nodes(), 0), (0, ch.loc_rib.slots())];
+            occupancy.extend(columns.map(|role| role.occupancy()));
+            assert!(occupancy[1..].iter().all(|o| o.0 == 0), "{occupancy:?}");
+            let sparse = [node.border.occupancy(), ch.out.occupancy()];
+            occupancy.extend(sparse);
+            let bytes = ch.index.heap_bytes()
+                + ch.loc_rib.heap_bytes()
                 + ch.out.heap_bytes()
                 + node.roles().map(|role| role.heap_bytes()).into_iter().sum();
             let want = [
@@ -843,11 +875,105 @@ mod tests {
                 ("core.store.path_bytes", bytes.paths),
             ];
             assert_eq!(node.store_gauges(), want);
-            // Path-compressed indices: at most two nodes per live slot
-            // plus one root per table — 4 roles (the client's has two
-            // tables), Loc-RIB, and one per group.
-            let tables = 6 + ch.out.group_ids().count();
-            assert!(want[0].1 <= 2 * want[1].1 + tables, "{want:?}");
+            // Only the index says where the index bytes are.
+            let column_bytes: HeapBytes = columns.map(|role| role.heap_bytes()).into_iter().sum();
+            assert_eq!((column_bytes + ch.loc_rib.heap_bytes()).index, 0);
+            // Path-compressed: at most two nodes per prefix plus the
+            // root in the shared index, and per live slot plus one root
+            // per table in what stays on a slab — the eBGP table and
+            // one table per group.
+            assert!(ch.index.index_nodes() <= 2 * ch.index.len() + 1);
+            assert!(ch.loc_rib.slots() <= ch.index.len(), "no row without an id");
+            let tables = 1 + ch.out.group_ids().count();
+            let (nodes, slots) = (sparse[0].0 + sparse[1].0, sparse[0].1 + sparse[1].1);
+            assert!(nodes <= 2 * slots + tables, "{sparse:?}");
+            assert_eq!(want[0].1, ch.index.index_nodes() + nodes);
         }
+    }
+
+    /// Crash-restart drops the prefix index together with every column
+    /// over it: a restarted router re-converges to what a router that
+    /// never crashed holds, except for what the restart is documented
+    /// to lose — a prefix it has not heard of since is in no table and
+    /// not in its index, and its change counts start again.
+    #[test]
+    fn restart_drops_the_index_with_every_column_over_it() {
+        let mut scenario = crate::scenarios::small_reference();
+        let (border, victim) = (scenario.routers[8], scenario.routers[4]);
+        let live = scenario.prefixes.clone();
+        // A third prefix, withdrawn again before the crash: afterwards
+        // only the victim's pre-crash index could still name it.
+        let gone: Ipv4Prefix = "172.16.0.0/12".parse().unwrap();
+        let announce = ExternalEvent::EbgpAnnounce {
+            prefix: gone,
+            peer_as: bgp_types::Asn(7018),
+            peer_addr: 9003,
+            attrs: Arc::new(PathAttributes::ebgp(
+                bgp_types::AsPath::sequence([bgp_types::Asn(7018)]),
+                bgp_types::NextHop(9003),
+            )),
+        };
+        let withdraw = ExternalEvent::EbgpWithdraw {
+            prefix: gone,
+            peer_addr: 9003,
+        };
+        scenario.events = vec![(0, border, announce), (50_000, border, withdraw)];
+        let run = || {
+            let (sim, outcome) = scenario.run(Mode::Abrr, netsim::RunConfig::default());
+            assert!(outcome.quiesced);
+            sim
+        };
+        let prefixes_of = |n: &BgpNode| n.ch.index.iter().map(|(p, _)| *p).collect::<Vec<_>>();
+        let control = run();
+        let mut sim = run();
+        let before = sim.node(victim);
+        assert_eq!(prefixes_of(before), [live[0], gone, live[1]]);
+        assert!(
+            before.selection_changes(&gone) >= 2,
+            "selected, then withdrawn"
+        );
+
+        let at = sim.now() + 1;
+        let sessions: Vec<_> = sim
+            .sessions()
+            .filter(|((a, b), _)| *a == victim || *b == victim)
+            .collect();
+        sim.schedule_node_down(at, victim);
+        sim.schedule_node_up(at + 1_000, victim);
+        for ((a, b), latency) in sessions {
+            sim.schedule_session_up(at + 1_000, a, b, latency);
+        }
+        assert!(sim.run_to_quiescence().quiesced);
+
+        // The fleet is where it was, the victim included.
+        for (id, node) in sim.nodes() {
+            let want = control.node(id);
+            assert!(node.selections().eq(want.selections()), "node {id:?}");
+            assert_eq!(
+                (node.rib_in_size(), node.rib_out_size(), node.loc_rib_len()),
+                (want.rib_in_size(), want.rib_out_size(), want.loc_rib_len()),
+                "node {id:?}"
+            );
+        }
+        // What the restart loses: `gone` left no trace — no count, no
+        // row, no id — and the live prefixes count from the restart.
+        let after = sim.node(victim);
+        assert_eq!(prefixes_of(after), live, "exactly the prefixes seen since");
+        assert_eq!(after.selection_changes(&gone), 0);
+        assert!(control.node(victim).selection_changes(&gone) >= 2);
+        let counted: Vec<_> = after.all_selection_changes().map(|(p, _)| *p).collect();
+        assert_eq!(counted, live);
+        for p in &live {
+            let (now, uncrashed) = (
+                after.selection_changes(p),
+                control.node(victim).selection_changes(p),
+            );
+            assert!((1..=uncrashed).contains(&now), "{p}: {now} vs {uncrashed}");
+        }
+        // No stale id can address a fresh column: none has a row beyond
+        // the new index.
+        let rows = after.roles().map(|role| role.occupancy().1);
+        let n = after.ch.index.len();
+        assert!(after.ch.loc_rib.slots() <= n && rows[1..].iter().all(|r| *r <= 2 * n));
     }
 }

@@ -8,7 +8,9 @@ use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{AbrrLoopPrevention, Mode, NetworkSpec};
-use bgp_rib::{AdjRibIn, Candidate, CandidateBatch, HeapBytes, PathSet, RibInEntry};
+use bgp_rib::{
+    Candidate, CandidateBatch, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
+};
 use bgp_types::{
     intern, ApId, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouterId,
 };
@@ -19,7 +21,7 @@ use std::sync::Arc;
 /// address partitions.
 pub struct ArrRole {
     /// ARR-role Adj-RIB-In (managed routes).
-    arr_in: AdjRibIn,
+    arr_in: RibInColumn,
     /// APs this node reflects. Mutable at runtime (§2.2 reassignment).
     arr_aps: Vec<ApId>,
     /// Reusable struct-of-arrays scratch for the steps 1–4 survivor
@@ -32,7 +34,7 @@ pub struct ArrRole {
 impl ArrRole {
     pub(crate) fn new(id: RouterId, spec: &NetworkSpec) -> ArrRole {
         ArrRole {
-            arr_in: AdjRibIn::new(),
+            arr_in: RibInColumn::new(),
             arr_aps: spec.arr_aps_of(id),
             batch: CandidateBatch::new(),
         }
@@ -64,8 +66,8 @@ impl ArrRole {
     }
 
     /// The managed paths currently stored from `peer` for `prefix`.
-    pub(crate) fn paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
-        self.arr_in.paths(peer, prefix)
+    pub(crate) fn paths_from(&self, peer: RouterId, id: PrefixId) -> &[RibInEntry] {
+        self.arr_in.paths(peer, id)
     }
 
     /// Internal logical pass from this router's own client function
@@ -75,10 +77,11 @@ impl ArrRole {
         ch: &mut Chassis,
         ctx: &mut Ctx<SessionMsg>,
         prefix: Ipv4Prefix,
+        id: PrefixId,
         paths: &[(PathId, Arc<PathAttributes>)],
     ) {
-        if self.arr_in.set_paths(ch.id, prefix, paths) {
-            self.recompute(ch, ctx, prefix);
+        if self.arr_in.set_paths(ch.id, id, paths) {
+            self.recompute(ch, ctx, prefix, id);
             // No client recompute here: the caller is our own client
             // function, which already selected.
         }
@@ -92,8 +95,9 @@ impl ArrRole {
         ch: &mut Chassis,
         ctx: &mut Ctx<SessionMsg>,
         prefix: Ipv4Prefix,
+        id: PrefixId,
     ) {
-        let cands: Vec<Candidate> = self.arr_in.candidates(&prefix).collect();
+        let cands: Vec<Candidate> = self.arr_in.candidates(id).collect();
         self.batch.load(&cands);
         let surv = self.batch.survivors(&ch.spec.decision);
         let set: Arc<PathSet> = surv
@@ -138,7 +142,7 @@ impl ArrRole {
         let g = group::ARR_TO_CLIENTS + ap.0 as u32;
         let prefixes: Vec<Ipv4Prefix> = ch.out.iter_group(g).map(|(p, _)| *p).collect();
         for p in prefixes {
-            ch.advertise_group(ctx, g, p, Plane::Abrr, Arc::default(), |_| false);
+            ch.advertise_group(ctx, g, p, Plane::Abrr, ch.no_paths.clone(), |_| false);
         }
         ch.out.reset_group(g, Vec::new());
         self.arr_aps.retain(|a| *a != ap);
@@ -146,15 +150,16 @@ impl ArrRole {
         // Evict managed routes no remaining AP covers, gathering the
         // lost AP's prefixes by pruned trie-range walk (range overlap
         // is exactly `Partition::covers`), not a full-table scan.
-        let mut covered: std::collections::BTreeSet<Ipv4Prefix> = std::collections::BTreeSet::new();
+        let mut covered = std::collections::BTreeSet::new();
         for r in ch.ap_ranges(ap) {
-            covered.extend(self.arr_in.known_prefixes_in(r.start(), r.end()));
+            let known = self.arr_in.known_prefixes_in(&ch.index, r.start(), r.end());
+            covered.extend(known);
         }
-        for p in covered {
+        for (p, id) in covered {
             let still_served = self.arr_aps.iter().any(|a2| ch.ap_covers(*a2, &p));
             if !still_served {
                 for peer in &peers {
-                    self.arr_in.withdraw(*peer, p);
+                    self.arr_in.withdraw(*peer, id);
                 }
             }
         }
@@ -184,10 +189,7 @@ impl Role for ArrRole {
     /// the stamping ARR recognizes its own id.
     fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
         let Rx {
-            from,
-            prefix,
-            paths,
-            ..
+            from, id, paths, ..
         } = rx;
         let looped = match ch.spec.abrr_loop_prevention {
             AbrrLoopPrevention::ReflectedBit => paths.iter().any(|(_, a)| a.is_abrr_reflected()),
@@ -200,10 +202,16 @@ impl Role for ArrRole {
             ch.counters.loop_prevented += 1;
             return false;
         }
-        self.arr_in.set_paths(from, prefix, &paths[..])
+        self.arr_in.set_paths(from, id, &paths[..])
     }
 
-    fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
+    fn reselect(
+        &self,
+        ch: &Chassis,
+        prefix: &Ipv4Prefix,
+        id: PrefixId,
+        cands: &mut Vec<Candidate>,
+    ) {
         // An ARR's client function sees its managed routes internally
         // (the "logical pass" of §2.1) rather than via a session. Its
         // OWN advertisements are excluded: a router never receives its
@@ -215,13 +223,13 @@ impl Role for ArrRole {
             && (ch.spec.mode == Mode::Abrr || ch.use_abrr_for(prefix))
             && self.arr_aps.iter().any(|ap| ch.ap_covers(*ap, prefix))
         {
-            let managed = self.arr_in.candidates(prefix);
+            let managed = self.arr_in.candidates(id);
             cands.extend(managed.filter(|c| c.neighbor_id != ch.id.0));
         }
     }
 
     /// The ARR's advertisement depends only on its managed table, not
-    /// on the router's decision, so `env` is unused: this delegates to
+    /// on the router's decision, so `env` gives only the id: this delegates to
     /// `ArrRole::recompute`, which the shell drives whenever managed
     /// state changes (batch absorption, peer purge, AP reassignment,
     /// the internal logical pass) rather than on every decision.
@@ -230,32 +238,38 @@ impl Role for ArrRole {
         ch: &mut Chassis,
         ctx: &mut Ctx<SessionMsg>,
         prefix: Ipv4Prefix,
-        _env: &mut AdvertiseEnv<'_>,
+        env: &mut AdvertiseEnv<'_>,
     ) {
-        self.recompute(ch, ctx, prefix);
+        self.recompute(ch, ctx, prefix, env.id);
     }
 
     fn rib_in_entries(&self) -> usize {
         self.arr_in.num_entries()
     }
 
-    fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
-        self.arr_in.known_prefixes_in(range_start, range_end)
+    fn known_prefixes_in(
+        &self,
+        index: &PrefixIndex,
+        range_start: u32,
+        range_end: u32,
+    ) -> Vec<Ipv4Prefix> {
+        let known = self.arr_in.known_prefixes_in(index, range_start, range_end);
+        known.map(|(p, _)| p).collect()
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        self.arr_in.occupancy()
+        (0, self.arr_in.slots())
     }
 
     fn heap_bytes(&self) -> HeapBytes {
         self.arr_in.heap_bytes()
     }
 
-    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
-        self.arr_in.drop_peer(peer)
+    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
+        self.arr_in.drop_peer(index, peer)
     }
 
     fn on_restart(&mut self) {
-        self.arr_in = AdjRibIn::new();
+        self.arr_in = RibInColumn::new();
     }
 }

@@ -9,7 +9,7 @@
 
 use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::SessionMsg;
-use bgp_rib::{Candidate, HeapBytes, PrefixSlab};
+use bgp_rib::{Candidate, HeapBytes, PrefixId, PrefixIndex, PrefixSlab};
 use bgp_types::{intern, Asn, Ipv4Prefix, NextHop, PathAttributes, RouteSource, RouterId};
 use netsim::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,8 +29,12 @@ struct EbgpRoute {
 pub struct BorderRole {
     /// eBGP Adj-RIB-In: prefix → (peer_addr → route). The outer table
     /// is a trie-indexed slab (lexicographic prefix iteration, pruned
-    /// range queries); the inner map stays ordered because peer order
-    /// reaches the decision process's candidate list.
+    /// range queries) with an index of its own, not a column over the
+    /// router's: a border router learns a small share of the prefixes
+    /// it routes over eBGP, and a dense 24-byte row for each of them
+    /// would cost more than this small trie (DESIGN.md §13). The inner
+    /// map stays ordered because peer order reaches the decision
+    /// process's candidate list.
     ebgp_in: PrefixSlab<BTreeMap<u32, EbgpRoute>>,
     /// Distinct eBGP session addresses ever seen (sessions outlive the
     /// routes they advertise; used for export accounting).
@@ -151,7 +155,13 @@ impl Role for BorderRole {
         false
     }
 
-    fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
+    fn reselect(
+        &self,
+        ch: &Chassis,
+        prefix: &Ipv4Prefix,
+        _id: PrefixId,
+        cands: &mut Vec<Candidate>,
+    ) {
         if self.local_prefixes.contains(prefix) {
             cands.push(Candidate {
                 attrs: intern(PathAttributes::local(NextHop(ch.id.0))),
@@ -200,7 +210,12 @@ impl Role for BorderRole {
         self.ebgp_entries()
     }
 
-    fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
+    fn known_prefixes_in(
+        &self,
+        _index: &PrefixIndex,
+        range_start: u32,
+        range_end: u32,
+    ) -> Vec<Ipv4Prefix> {
         let mut v: Vec<Ipv4Prefix> = self
             .ebgp_in
             .iter_overlapping(range_start, range_end)
@@ -226,7 +241,7 @@ impl Role for BorderRole {
         self.ebgp_in.heap_bytes()
     }
 
-    fn drop_peer(&mut self, _peer: RouterId) -> Vec<Ipv4Prefix> {
+    fn drop_peer(&mut self, _index: &PrefixIndex, _peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
         // iBGP session teardown does not affect eBGP state.
         Vec::new()
     }

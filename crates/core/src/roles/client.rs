@@ -9,7 +9,9 @@ use super::{
 use crate::msg::{BgpMsg, Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
-use bgp_rib::{best_path, AdjRibIn, Candidate, HeapBytes, PathSet, RibInEntry};
+use bgp_rib::{
+    best_path, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
+};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
 use netsim::Ctx;
 use std::sync::Arc;
@@ -18,12 +20,13 @@ use std::sync::Arc;
 /// plane, reduced to best-per-peer for multi-path senders (§3.4), plus
 /// the client-side TBRR session configuration.
 pub struct ClientRole {
-    /// Client-role iBGP Adj-RIB-In for the mesh/ABRR planes.
-    client_in: AdjRibIn,
+    /// Client-role iBGP Adj-RIB-In for the mesh/ABRR planes (like every
+    /// role's table, a column over `Chassis::index`).
+    client_in: RibInColumn,
     /// Client-role Adj-RIB-In for the TBRR plane. Kept separate so the
     /// §2.4 transition can accept one plane per AP even when the same
     /// physical router is both an ARR and a TRR.
-    client_in_tbrr: AdjRibIn,
+    client_in_tbrr: RibInColumn,
     /// TBRR: this node's TRRs (client side), empty if none.
     my_trrs: Vec<RouterId>,
     /// Whether this router also runs the TRR function. Fixed at
@@ -36,8 +39,8 @@ pub struct ClientRole {
 impl ClientRole {
     pub(crate) fn new(id: RouterId, spec: &NetworkSpec) -> ClientRole {
         ClientRole {
-            client_in: AdjRibIn::new(),
-            client_in_tbrr: AdjRibIn::new(),
+            client_in: RibInColumn::new(),
+            client_in_tbrr: RibInColumn::new(),
             my_trrs: spec.trrs_of_client(id),
             is_trr_node: !spec.trr_clusters_of(id).is_empty(),
         }
@@ -83,10 +86,10 @@ impl ClientRole {
 
     /// The stored entries from `peer` for `prefix` (post-reduction),
     /// whichever plane holds them.
-    pub(crate) fn paths_from(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
-        let mesh_abrr = self.client_in.paths(peer, prefix);
+    pub(crate) fn paths_from(&self, peer: RouterId, id: PrefixId) -> &[RibInEntry] {
+        let mesh_abrr = self.client_in.paths(peer, id);
         if mesh_abrr.is_empty() {
-            self.client_in_tbrr.paths(peer, prefix)
+            self.client_in_tbrr.paths(peer, id)
         } else {
             mesh_abrr
         }
@@ -94,14 +97,10 @@ impl ClientRole {
 
     /// Candidates for a pre-installed backup exit: every stored route
     /// whose exit differs from `primary` (§3.2/§3.4 extension).
-    pub(crate) fn backup_candidates(
-        &self,
-        prefix: &Ipv4Prefix,
-        primary: RouterId,
-    ) -> Vec<Candidate> {
+    pub(crate) fn backup_candidates(&self, id: PrefixId, primary: RouterId) -> Vec<Candidate> {
         [&self.client_in, &self.client_in_tbrr]
             .into_iter()
-            .flat_map(|rib| rib.candidates(prefix))
+            .flat_map(|rib| rib.candidates(id))
             .filter(|c| RouterId(c.attrs.next_hop.0) != primary)
             .collect()
     }
@@ -119,14 +118,17 @@ impl ClientRole {
         // Gather the AP's covered prefixes by pruned trie-range walk
         // (range overlap is exactly `Partition::covers`), not a
         // full-table scan.
-        let mut covered: std::collections::BTreeSet<Ipv4Prefix> = std::collections::BTreeSet::new();
+        let mut covered = std::collections::BTreeSet::new();
         for r in ch.ap_ranges(ap) {
-            covered.extend(self.client_in.known_prefixes_in(r.start(), r.end()));
+            let known = self
+                .client_in
+                .known_prefixes_in(&ch.index, r.start(), r.end());
+            covered.extend(known);
         }
         // Probe first: a withdrawal registers the session, even a no-op.
         let rib = &mut self.client_in;
-        covered.retain(|p| !rib.paths(arr, p).is_empty() && rib.withdraw(arr, *p));
-        covered.into_iter().collect()
+        covered.retain(|&(_, id)| !rib.paths(arr, id).is_empty() && rib.withdraw(arr, id));
+        covered.into_iter().map(|(p, _)| p).collect()
     }
 }
 
@@ -137,7 +139,7 @@ impl Role for ClientRole {
         let Rx {
             from,
             plane,
-            prefix,
+            id,
             paths,
             own_ever,
         } = rx;
@@ -182,10 +184,16 @@ impl Role for ClientRole {
             Plane::Tbrr => &mut self.client_in_tbrr,
             Plane::Mesh | Plane::Abrr => &mut self.client_in,
         };
-        rib.set_paths(from, prefix, stored)
+        rib.set_paths(from, id, stored)
     }
 
-    fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
+    fn reselect(
+        &self,
+        ch: &Chassis,
+        prefix: &Ipv4Prefix,
+        id: PrefixId,
+        cands: &mut Vec<Candidate>,
+    ) {
         let use_abrr = ch.use_abrr_for(prefix);
         // Mesh/ABRR-plane routes: accepted except for a transition
         // router whose AP has not been cut over yet.
@@ -195,7 +203,7 @@ impl Role for ClientRole {
             Mode::Transition => use_abrr,
         };
         if accept_mesh_abrr {
-            cands.extend(self.client_in.candidates(prefix));
+            cands.extend(self.client_in.candidates(id));
         }
         // TBRR-plane routes: accepted in TBRR mode, or pre-cutover in
         // transition.
@@ -205,7 +213,7 @@ impl Role for ClientRole {
             _ => false,
         };
         if accept_tbrr {
-            cands.extend(self.client_in_tbrr.candidates(prefix));
+            cands.extend(self.client_in_tbrr.candidates(id));
         }
     }
 
@@ -221,12 +229,12 @@ impl Role for ClientRole {
         prefix: Ipv4Prefix,
         env: &mut AdvertiseEnv<'_>,
     ) {
-        let adv: Arc<PathSet> = Arc::new(match env.sel {
+        let adv: Arc<PathSet> = match env.sel {
             Some(s) if s.source.is_other_learned() => {
-                vec![(PathId(ch.id.0), with_default_local_pref(&s.attrs))]
+                Arc::new(vec![(PathId(ch.id.0), with_default_local_pref(&s.attrs))])
             }
-            _ => Vec::new(),
-        });
+            _ => ch.no_paths.clone(),
+        };
         match ch.spec.mode {
             Mode::FullMesh => {
                 ch.advertise_group(ctx, group::MESH, prefix, Plane::Mesh, adv, |_| false);
@@ -244,11 +252,11 @@ impl Role for ClientRole {
                             continue;
                         }
                         ch.counters.generated += 1;
-                        for arr in ch.out.members(g).to_vec() {
+                        for &arr in ch.out.members_shared(g).iter() {
                             if arr == ch.id {
                                 // Logical pass to our own ARR function.
                                 if let Some(own_arr) = env.arr.as_deref_mut() {
-                                    own_arr.input_internal(ch, ctx, prefix, &adv);
+                                    own_arr.input_internal(ch, ctx, prefix, env.id, &adv);
                                 }
                             } else {
                                 ch.transmit(
@@ -283,35 +291,36 @@ impl Role for ClientRole {
         self.client_in.num_entries() + self.client_in_tbrr.num_entries()
     }
 
-    fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
-        let mut v = self.client_in.known_prefixes_in(range_start, range_end);
-        v.extend(
-            self.client_in_tbrr
-                .known_prefixes_in(range_start, range_end),
-        );
-        v.sort();
+    fn known_prefixes_in(
+        &self,
+        index: &PrefixIndex,
+        range_start: u32,
+        range_end: u32,
+    ) -> Vec<Ipv4Prefix> {
+        let planes = [&self.client_in, &self.client_in_tbrr];
+        let known = planes.map(|rib| rib.known_prefixes_in(index, range_start, range_end));
+        let mut v: Vec<Ipv4Prefix> = known.into_iter().flatten().map(|(p, _)| p).collect();
+        v.sort_unstable();
         v.dedup();
         v
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        let (n1, s1) = self.client_in.occupancy();
-        let (n2, s2) = self.client_in_tbrr.occupancy();
-        (n1 + n2, s1 + s2)
+        (0, self.client_in.slots() + self.client_in_tbrr.slots())
     }
 
     fn heap_bytes(&self) -> HeapBytes {
         self.client_in.heap_bytes() + self.client_in_tbrr.heap_bytes()
     }
 
-    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
-        let mut affected = self.client_in.drop_peer(peer);
-        affected.extend(self.client_in_tbrr.drop_peer(peer));
+    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
+        let mut affected = self.client_in.drop_peer(index, peer);
+        affected.extend(self.client_in_tbrr.drop_peer(index, peer));
         affected
     }
 
     fn on_restart(&mut self) {
-        self.client_in = AdjRibIn::new();
-        self.client_in_tbrr = AdjRibIn::new();
+        self.client_in = RibInColumn::new();
+        self.client_in_tbrr = RibInColumn::new();
     }
 }

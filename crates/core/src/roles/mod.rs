@@ -43,7 +43,9 @@ use crate::node::Selected;
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path, AdjRibOut, Candidate, HeapBytes, PathSet};
+use bgp_rib::{
+    best_path, AdjRibOut, Candidate, HeapBytes, LocColumn, PathSet, PrefixId, PrefixIndex,
+};
 use bgp_types::{ApId, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use netsim::{Ctx, Mrai, MraiVerdict};
 use std::borrow::Cow;
@@ -110,9 +112,10 @@ impl ObsHandles {
 pub(crate) type Images = Vec<(Arc<PathSet>, WireFrame)>;
 
 /// The infrastructure shared by every role of one router: identity and
-/// spec, the per-peer-group Adj-RIB-Out, the Loc-RIB, update
-/// accounting, MRAI pacing, and the configuration that survives a
-/// crash-restart (transition accept-set, runtime AP reassignments).
+/// spec, the prefix index every full table is a column over, the
+/// per-peer-group Adj-RIB-Out, the Loc-RIB, update accounting, MRAI
+/// pacing, and the configuration that survives a crash-restart
+/// (transition accept-set, runtime AP reassignments).
 ///
 /// Roles receive `&mut Chassis` in every trait call; it is the only
 /// mutable state they share.
@@ -122,9 +125,16 @@ pub struct Chassis {
     /// Adj-RIB-Out, one copy per peer group (paper Appendix A
     /// accounting). Shared: each role writes its own group ids.
     pub(crate) out: AdjRibOut,
+    /// The router's one prefix index: prefix → dense id, resolved once
+    /// per received update. The Loc-RIB below and every role's
+    /// Adj-RIB-In are columns over it. Grow-only; dropped, with every
+    /// column, on restart.
+    pub(crate) index: PrefixIndex,
     /// Selected routes, each with the count of times the selection
     /// changed (oscillation diagnostics).
-    pub(crate) loc_rib: bgp_rib::LocRib<Selected>,
+    pub(crate) loc_rib: LocColumn<Selected>,
+    /// The empty path set, shared by every advertisement of nothing.
+    pub(crate) no_paths: Arc<PathSet>,
     /// Update accounting.
     pub(crate) counters: UpdateCounters,
     /// Per-peer MRAI pacing, keyed by (plane, prefix).
@@ -158,7 +168,9 @@ impl Chassis {
             proc_delay: spec.proc_delay(id),
             spec,
             out: AdjRibOut::new(),
-            loc_rib: bgp_rib::LocRib::new(),
+            index: PrefixIndex::new(),
+            loc_rib: LocColumn::new(),
+            no_paths: Arc::default(),
             counters: UpdateCounters::default(),
             mrai: BTreeMap::new(),
             accept_abrr,
@@ -245,6 +257,7 @@ impl Chassis {
     pub(crate) fn select(
         &mut self,
         prefix: Ipv4Prefix,
+        id: PrefixId,
         cands: &[Candidate],
     ) -> (Option<Selected>, bool) {
         let igp = self.igp_metric_fn();
@@ -255,7 +268,7 @@ impl Chassis {
             source: cands[i].source,
             neighbor_id: cands[i].neighbor_id,
         });
-        let changed = self.loc_rib.set(prefix, selected.clone());
+        let changed = self.loc_rib.set(id, selected.clone());
         if changed {
             obs::event!(Core, Debug, "core.select", node = self.id.0,
                 "prefix" => format!("{prefix:?}"),
@@ -407,10 +420,8 @@ impl Chassis {
             return;
         }
         self.counters.generated += 1;
-        let empty: Arc<PathSet> = Arc::new(Vec::new());
-        let members = self.out.members(g).to_vec();
         let mut images = Images::new();
-        for m in members {
+        for &m in self.out.members_shared(g).iter() {
             if m == self.id {
                 // Internal logical pass: the ARR function of this very
                 // router (only arises for client→own-ARR advertisement,
@@ -420,7 +431,7 @@ impl Chassis {
             // Only a member that originated one of the paths needs a
             // filtered copy; everyone else shares the one full set.
             let effective: Arc<PathSet> = if suppress(m) {
-                empty.clone()
+                self.no_paths.clone()
             } else {
                 match without(&full, |a| originated_by(a, m)) {
                     Cow::Borrowed(_) => full.clone(),
@@ -468,7 +479,8 @@ impl Chassis {
     /// counters survive.
     pub(crate) fn on_restart(&mut self) {
         self.out.clear_routes();
-        self.loc_rib = bgp_rib::LocRib::new();
+        self.index = PrefixIndex::new();
+        self.loc_rib = LocColumn::new();
         self.mrai.clear();
     }
 }
@@ -480,8 +492,9 @@ pub struct Rx {
     pub(crate) from: RouterId,
     /// The session plane the update arrived on.
     pub(crate) plane: Plane,
-    /// Destination prefix.
-    pub(crate) prefix: Ipv4Prefix,
+    /// The destination prefix, as its id in the router's index
+    /// (`Chassis::index`): the row of every column this update touches.
+    pub(crate) id: PrefixId,
     /// The complete new path set (empty = withdraw), shared with every
     /// other receiver of the fan-out that sent it: roles read it and
     /// copy only what they store.
@@ -497,6 +510,8 @@ pub struct Rx {
 /// The per-recompute context a role advertises from. Built once by the
 /// shell after the decision, then handed to each advertising role.
 pub struct AdvertiseEnv<'a> {
+    /// The prefix's id in the router's index.
+    pub(crate) id: PrefixId,
     /// The shell's new selection for the prefix (post-decision).
     pub(crate) sel: Option<&'a Selected>,
     /// Whether the selection changed in this recompute.
@@ -524,10 +539,11 @@ pub trait Role {
     /// recomputes affected prefixes).
     fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool;
 
-    /// Contributes this role's decision candidates for `prefix` to the
-    /// shell's reselection, applying the role's plane-acceptance rules
-    /// (transition §2.4 filtering, reflector plane gating).
-    fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>);
+    /// Contributes this role's decision candidates for `prefix` (row
+    /// `id` of its columns) to the shell's reselection, applying the
+    /// role's plane-acceptance rules (transition §2.4 filtering,
+    /// reflector plane gating).
+    fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, id: PrefixId, cands: &mut Vec<Candidate>);
 
     /// Emits this role's advertisements for `prefix` after a decision.
     fn advertise(
@@ -545,12 +561,20 @@ pub trait Role {
     /// The prefixes this role holds state for that overlap the
     /// inclusive address range `[range_start, range_end]`, in prefix
     /// order. The incremental path for Address-Partition choreography:
-    /// cost scales with the overlap (pruned trie-range walk), not the
-    /// table size.
-    fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix>;
+    /// cost scales with the overlap (pruned trie-range walk of `index`,
+    /// the router's, filtered on the role's columns), not the table
+    /// size.
+    fn known_prefixes_in(
+        &self,
+        index: &PrefixIndex,
+        range_start: u32,
+        range_end: u32,
+    ) -> Vec<Ipv4Prefix>;
 
     /// `(trie index nodes, allocated value slots)` across this role's
     /// storage — the occupancy pair behind the `core.store.*` gauges.
+    /// A column has slots and no nodes: the router's index is the
+    /// shell's to count.
     fn occupancy(&self) -> (usize, usize);
 
     /// Heap bytes across this role's storage — the
@@ -558,8 +582,8 @@ pub trait Role {
     fn heap_bytes(&self) -> HeapBytes;
 
     /// Drops everything learned from `peer` (RFC 4271 §6 teardown).
-    /// Returns the affected prefixes.
-    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix>;
+    /// Returns the affected prefixes, each with its id in `index`.
+    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)>;
 
     /// Crash-restart with RIB loss: runtime state is gone,
     /// configuration survives.

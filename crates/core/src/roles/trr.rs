@@ -6,7 +6,9 @@ use super::{originated_by, without, AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
-use bgp_rib::{best_as_level, best_path, AdjRibIn, Candidate, HeapBytes, PathSet};
+use bgp_rib::{
+    best_as_level, best_path, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn,
+};
 use bgp_types::{
     intern, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouteSource, RouterId,
 };
@@ -17,7 +19,7 @@ use std::sync::Arc;
 /// the clusters it serves.
 pub struct TrrRole {
     /// TRR-role Adj-RIB-In.
-    trr_in: AdjRibIn,
+    trr_in: RibInColumn,
     /// Cluster ids this node reflects.
     trr_clusters: Vec<u32>,
 }
@@ -25,7 +27,7 @@ pub struct TrrRole {
 impl TrrRole {
     pub(crate) fn new(id: RouterId, spec: &NetworkSpec) -> TrrRole {
         TrrRole {
-            trr_in: AdjRibIn::new(),
+            trr_in: RibInColumn::new(),
             trr_clusters: spec.trr_clusters_of(id),
         }
     }
@@ -82,7 +84,7 @@ impl TrrRole {
         cands: &[Candidate],
         best: Option<usize>,
     ) {
-        let my_clients = ch.out.members(group::TRR_TO_CLIENTS).to_vec();
+        let my_clients = ch.out.members_shared(group::TRR_TO_CLIENTS);
         let from_client_side = |c: &Candidate| match c.source {
             RouteSource::Ibgp { peer } => my_clients.contains(&peer),
             RouteSource::Ebgp { .. } | RouteSource::Local => true,
@@ -134,10 +136,10 @@ impl TrrRole {
                     if from_client_side(c) {
                         (entry.clone(), entry, sender)
                     } else {
-                        (entry, Arc::default(), sender)
+                        (entry, ch.no_paths.clone(), sender)
                     }
                 }
-                None => (Arc::default(), Arc::default(), None),
+                None => (ch.no_paths.clone(), ch.no_paths.clone(), None),
             };
             // "not returned to sender": skip the client we learned the
             // best route from (originator filtering inside
@@ -169,10 +171,7 @@ impl Role for TrrRole {
     /// ORIGINATOR_ID is us.
     fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
         let Rx {
-            from,
-            prefix,
-            paths,
-            ..
+            from, id, paths, ..
         } = rx;
         let kept = without(&paths, |a| {
             let cluster_loop = a
@@ -182,13 +181,19 @@ impl Role for TrrRole {
             cluster_loop || originated_by(a, ch.id)
         });
         ch.counters.loop_prevented += (paths.len() - kept.len()) as u64;
-        self.trr_in.set_paths(from, prefix, kept)
+        self.trr_in.set_paths(from, id, kept)
     }
 
-    fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
+    fn reselect(
+        &self,
+        ch: &Chassis,
+        prefix: &Ipv4Prefix,
+        id: PrefixId,
+        cands: &mut Vec<Candidate>,
+    ) {
         // A TRR's forwarding view includes its TRR-role table.
         if !self.trr_clusters.is_empty() && !ch.use_abrr_for(prefix) {
-            cands.extend(self.trr_in.candidates(prefix));
+            cands.extend(self.trr_in.candidates(id));
         }
     }
 
@@ -205,7 +210,7 @@ impl Role for TrrRole {
         env: &mut AdvertiseEnv<'_>,
     ) {
         let mut tbrr_cands: Vec<Candidate> = env.exit_cands.to_vec();
-        tbrr_cands.extend(self.trr_in.candidates(&prefix));
+        tbrr_cands.extend(self.trr_in.candidates(env.id));
         let igp = ch.igp_metric_fn();
         let best = best_path(&tbrr_cands, &ch.spec.decision, &igp);
         drop(igp);
@@ -216,23 +221,29 @@ impl Role for TrrRole {
         self.trr_in.num_entries()
     }
 
-    fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
-        self.trr_in.known_prefixes_in(range_start, range_end)
+    fn known_prefixes_in(
+        &self,
+        index: &PrefixIndex,
+        range_start: u32,
+        range_end: u32,
+    ) -> Vec<Ipv4Prefix> {
+        let known = self.trr_in.known_prefixes_in(index, range_start, range_end);
+        known.map(|(p, _)| p).collect()
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        self.trr_in.occupancy()
+        (0, self.trr_in.slots())
     }
 
     fn heap_bytes(&self) -> HeapBytes {
         self.trr_in.heap_bytes()
     }
 
-    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
-        self.trr_in.drop_peer(peer)
+    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
+        self.trr_in.drop_peer(index, peer)
     }
 
     fn on_restart(&mut self) {
-        self.trr_in = AdjRibIn::new();
+        self.trr_in = RibInColumn::new();
     }
 }
