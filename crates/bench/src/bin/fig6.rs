@@ -14,7 +14,9 @@
 //!       [--prefixes N] [--seed S] [--balanced]`
 
 use abrr_bench::pipeline::{col, f, lcol, t, JsonRow, Table};
-use abrr_bench::{flag, peak_rss_kb, tier1_config, Args, Experiment, FlagSpec, MinAvgMax};
+use abrr_bench::{
+    flag, peak_rss_kb, tier1_config, Args, Experiment, FlagSpec, MinAvgMax, AP_COUNTS,
+};
 use analysis::{BalRegression, Params};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,21 +47,6 @@ const FLAGS: &[FlagSpec] = &[
         "append one JSON row per config to FILE (adds wall/RSS columns)",
     ),
 ];
-
-/// Parses a `--aps 1,2,4` sweep list, defaulting to the paper's sweep.
-fn ap_sweep(args: &Args) -> Vec<usize> {
-    match args.map_get("aps") {
-        Some(s) => s
-            .split(',')
-            .map(|x| {
-                x.trim()
-                    .parse()
-                    .expect("--aps expects a comma-separated list of counts")
-            })
-            .collect(),
-        None => vec![1, 2, 4, 8, 16, 32],
-    }
-}
 
 fn row(table: &Table, config: String, stats: (MinAvgMax, MinAvgMax), theory: analysis::RibSizes) {
     let (rib_in, rib_out) = stats;
@@ -144,7 +131,7 @@ fn main() {
             .emit(out);
     };
 
-    for n_aps in ap_sweep(&args) {
+    for n_aps in args.list("aps", &[1, 2, 4, 8, 16, 32], AP_COUNTS) {
         let wall = Instant::now();
         let spec = Arc::new(specs::abrr_spec(&model, n_aps, 2, &opts));
         let arrs = spec.all_arrs();

@@ -15,7 +15,7 @@
 //!       [--file DUMP.mrt] [--export OUT.mrt] [--minutes M] [--speedup X]`
 
 use abrr_bench::pipeline::{col, f, lcol, t, u, JsonRow, Table};
-use abrr_bench::{flag, tier1_config, Args, Experiment, FlagSpec};
+use abrr_bench::{flag, tier1_config, Args, Experiment, FlagSpec, AP_COUNTS};
 use std::sync::Arc;
 use workload::churn::{self, ChurnConfig, TraceRecord};
 use workload::mrt::{self, MrtImportConfig};
@@ -67,7 +67,7 @@ fn main() {
             ..Tier1Config::default()
         },
     );
-    let n_aps: usize = args.get("aps", 4);
+    let n_aps = args.get_in("aps", 4, AP_COUNTS);
     let minutes: u64 = args.get("minutes", 2);
     let speedup: u64 = args.get("speedup", 20);
     let file = args.map_get("file").map(str::to_string);

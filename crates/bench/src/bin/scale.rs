@@ -18,7 +18,8 @@
 use abrr::prelude::*;
 use abrr_bench::pipeline::JsonRow;
 use abrr_bench::{
-    converge_snapshot, flag, peak_rss_kb, run_churn, Args, Experiment, FlagSpec, SETTLE_BUDGET_US,
+    converge_snapshot, flag, peak_rss_kb, run_churn, Args, Experiment, FlagSpec, AP_COUNTS,
+    SETTLE_BUDGET_US,
 };
 use faults::{compile, FaultKind, FaultSchedule};
 use netsim::Engine;
@@ -143,10 +144,10 @@ fn failover_workload(
 fn main() {
     let args = Args::parse("scale", FLAGS);
     let _obs = Experiment::from_args(&args);
-    let workload = args.map_get("workload").unwrap_or("churn").to_string();
+    let workload = args.choice("workload", "churn", &["churn", "failover"]);
     let engine = args.engine();
     let seed: u64 = args.get("seed", Tier1Config::default().seed);
-    let n_aps: usize = args.get("aps", 8);
+    let n_aps = args.get_in("aps", 8, AP_COUNTS);
     let minutes: u64 = args.get("minutes", 5);
     let rate: f64 = args.get("rate", 2.0);
     let label = args.map_get("label").unwrap_or("optimized").to_string();
@@ -159,10 +160,10 @@ fn main() {
     let model = Tier1Model::generate(cfg);
 
     let t = Instant::now();
-    let m = match workload.as_str() {
+    let m = match workload {
         "failover" => failover_workload(&model, n_aps, minutes, rate, seed, engine),
-        "churn" => churn_workload(&model, n_aps, minutes, rate, engine),
-        other => panic!("unknown --workload {other} (expected churn|failover)"),
+        // "churn": `choice` admits nothing else.
+        _ => churn_workload(&model, n_aps, minutes, rate, engine),
     };
     let wall = t.elapsed();
 
@@ -170,7 +171,7 @@ fn main() {
     let eps = m.events as f64 / wall.as_secs_f64().max(1e-9);
     let istats = m.intern;
     JsonRow::new()
-        .str("workload", &workload)
+        .str("workload", workload)
         .str("label", &label)
         .str("engine", engine.name())
         .usize("threads", engine.workers())

@@ -8,7 +8,7 @@
 //!   cargo run --release -p abrr-bench --bin show_rib -- --mode abrr --router 5 --verbose
 
 use abrr::prelude::*;
-use abrr_bench::{flag, header, tier1_config, Args, Experiment, FlagSpec};
+use abrr_bench::{flag, header, tier1_config, Args, Experiment, FlagSpec, AP_COUNTS};
 use std::sync::Arc;
 use workload::specs::{self, SpecOptions};
 use workload::{Tier1Config, Tier1Model};
@@ -39,8 +39,9 @@ const FLAGS: &[FlagSpec] = &[
 
 fn main() {
     let args = Args::parse("show_rib", FLAGS);
-    let mode: String = args.get("mode", "abrr".to_string());
-    let n_aps: usize = args.get("aps", 8);
+    let mode = args.choice("mode", "abrr", &["abrr", "tbrr", "tbrr-multi", "mesh"]);
+    let n_aps = args.get_in("aps", 8, AP_COUNTS);
+    let prefix: Option<Ipv4Prefix> = args.get_opt("prefix");
     let cfg = tier1_config(
         &args,
         Tier1Config {
@@ -62,15 +63,12 @@ fn main() {
         mrai_us: 0,
         ..Default::default()
     };
-    let spec = Arc::new(match mode.as_str() {
+    let spec = Arc::new(match mode {
         "abrr" => specs::abrr_spec(&model, n_aps, 2, &opts),
         "tbrr" => specs::tbrr_spec(&model, 2, false, &opts),
         "tbrr-multi" => specs::tbrr_spec(&model, 2, true, &opts),
-        "mesh" => specs::full_mesh_spec(&model, &opts),
-        other => {
-            eprintln!("unknown --mode {other} (abrr | tbrr | tbrr-multi | mesh)");
-            std::process::exit(2);
-        }
+        // "mesh": `choice` admits nothing else.
+        _ => specs::full_mesh_spec(&model, &opts),
     });
     let exp = Experiment::from_args(&args);
     let run = exp.converge(spec.clone(), &model);
@@ -79,8 +77,7 @@ fn main() {
         run.outcome.quiesced, run.outcome.events
     );
 
-    if let Some(pstr) = args.map_get("prefix") {
-        let prefix: Ipv4Prefix = pstr.parse().expect("bad --prefix");
+    if let Some(prefix) = prefix {
         show_prefix(&run.sim, &spec, &model, &prefix, args.flag("verbose"));
     } else if args.map_get("router").is_some() {
         let rid: u32 = args.get("router", 0);

@@ -10,6 +10,13 @@
 
 use netsim::Engine;
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
+
+/// The address-partition counts a spec can hold (`--aps`): AP ids index
+/// peer-group families of `AP_STRIDE` ids each, so ids stop below it.
+pub const AP_COUNTS: RangeInclusive<usize> = 1..=abrr::node::group::AP_STRIDE as usize;
 
 /// One declared `--name` flag of a binary.
 #[derive(Debug)]
@@ -158,26 +165,95 @@ impl Args {
         Self::lookup(self.flags, key).is_some()
     }
 
-    fn checked<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        debug_assert!(self.declared(key), "undeclared flag `--{key}` queried");
-        match self.map.get(key) {
-            None => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| {
-                format!(
-                    "invalid value `{v}` for `--{key}` (expected {})",
-                    std::any::type_name::<T>()
-                )
-            }),
-        }
+    fn checked<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.map_get(key).map(|v| parse_value(key, v)).transpose()
+    }
+
+    /// Every comma-separated element of `--key`, each parsed and inside
+    /// `range`.
+    fn checked_list<T: FromStr + PartialOrd + Display>(
+        &self,
+        key: &str,
+        range: &RangeInclusive<T>,
+    ) -> Result<Option<Vec<T>>, String> {
+        let Some(v) = self.map_get(key) else {
+            return Ok(None);
+        };
+        let element = |x: &str| within(key, parse_value(key, x.trim())?, range);
+        v.split(',')
+            .map(element)
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
+    fn checked_choice(
+        &self,
+        key: &str,
+        choices: &[&'static str],
+    ) -> Result<Option<&'static str>, String> {
+        let Some(v) = self.map_get(key) else {
+            return Ok(None);
+        };
+        let choice = choices.iter().find(|c| **c == v).copied();
+        choice.map(Some).ok_or_else(|| {
+            let expected = choices.join(" | ");
+            format!("invalid value `{v}` for `--{key}` (expected {expected})")
+        })
+    }
+
+    /// `result`'s value, or exit 2 with its error and the flag list.
+    fn or_exit<T>(&self, result: Result<T, String>) -> T {
+        result.unwrap_or_else(|e| self.exit_usage(&e))
     }
 
     /// Typed getter with default. Exits with status 2 if the given
     /// value does not parse as `T` — never silently falls back.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.checked(key) {
-            Ok(v) => v.unwrap_or(default),
-            Err(e) => self.exit_usage(&e),
-        }
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
+        self.get_opt(key).unwrap_or(default)
+    }
+
+    /// Typed getter without a default: `None` when the flag is absent.
+    /// Exits with status 2 if the given value does not parse as `T`.
+    pub fn get_opt<T: FromStr>(&self, key: &str) -> Option<T> {
+        self.or_exit(self.checked(key))
+    }
+
+    /// [`Args::get`] for a value that must also lie in `range`.
+    pub fn get_in<T: FromStr + PartialOrd + Display>(
+        &self,
+        key: &str,
+        default: T,
+        range: RangeInclusive<T>,
+    ) -> T {
+        let v = self
+            .checked(key)
+            .and_then(|v| v.map(|x| within(key, x, &range)).transpose());
+        self.or_exit(v).unwrap_or(default)
+    }
+
+    /// Comma-separated list getter with default (`--aps 1,2,4`). Exits
+    /// with status 2 unless every element parses as `T` and lies in
+    /// `range`.
+    pub fn list<T: FromStr + PartialOrd + Display + Clone>(
+        &self,
+        key: &str,
+        default: &[T],
+        range: RangeInclusive<T>,
+    ) -> Vec<T> {
+        let v = self.or_exit(self.checked_list(key, &range));
+        v.unwrap_or_else(|| default.to_vec())
+    }
+
+    /// One of `choices`, `default` when the flag is absent. Any other
+    /// value exits with status 2, naming the choices.
+    pub fn choice(
+        &self,
+        key: &str,
+        default: &'static str,
+        choices: &[&'static str],
+    ) -> &'static str {
+        let v = self.or_exit(self.checked_choice(key, choices));
+        v.unwrap_or(default)
     }
 
     /// Presence check for boolean flags.
@@ -210,8 +286,7 @@ impl Args {
     /// unknown names all exit 2 — nothing falls back to the sequential
     /// loop silently.
     pub fn engine(&self) -> Engine {
-        self.checked_engine()
-            .unwrap_or_else(|e| self.exit_usage(&e))
+        self.or_exit(self.checked_engine())
     }
 
     /// The `--obs` knob shared by every bench bin: turns on the
@@ -250,6 +325,28 @@ impl Args {
     }
 }
 
+/// `v` parsed as the value of `--key`.
+fn parse_value<T: FromStr>(key: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| {
+        let expected = std::any::type_name::<T>();
+        format!("invalid value `{v}` for `--{key}` (expected {expected})")
+    })
+}
+
+/// `x`, if it lies in `range`.
+fn within<T: PartialOrd + Display>(
+    key: &str,
+    x: T,
+    range: &RangeInclusive<T>,
+) -> Result<T, String> {
+    if range.contains(&x) {
+        Ok(x)
+    } else {
+        let (lo, hi) = (range.start(), range.end());
+        Err(format!("value {x} for `--{key}` is outside {lo}..={hi}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +354,11 @@ mod tests {
     const FLAGS: &[FlagSpec] = &[
         flag("prefixes", "N", "number of prefixes (default 3000)"),
         flag("balanced", "", "prefix-balanced APs"),
+        flag("aps", "LIST", "#AP sweep"),
+        flag("workload", "W", "churn | failover"),
+        flag("prefix", "P", "one prefix"),
     ];
+    const WORKLOADS: &[&str] = &["churn", "failover"];
 
     fn parse(argv: &[&str]) -> Result<Args, String> {
         Args::try_parse("test", FLAGS, argv.iter().map(|s| s.to_string()))
@@ -312,6 +413,78 @@ mod tests {
         ] {
             assert!(u.contains(name), "usage missing {name}:\n{u}");
         }
+    }
+
+    #[test]
+    fn aps_list_parses_with_its_default() {
+        let aps = |argv: &[&str]| parse(argv).unwrap().checked_list("aps", &AP_COUNTS);
+        assert_eq!(aps(&[]), Ok(None));
+        assert_eq!(aps(&["--aps", "1, 2,1000"]), Ok(Some(vec![1, 2, 1000])));
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.list("aps", &[1, 2], AP_COUNTS), vec![1, 2]);
+    }
+
+    /// `fig7 --aps 1,x` panicked on the element that does not parse.
+    #[test]
+    fn aps_list_with_a_bad_element_is_an_error() {
+        let args = parse(&["--aps", "1,x"]).unwrap();
+        let err = args.checked_list::<usize>("aps", &AP_COUNTS).unwrap_err();
+        assert!(err.contains("`x`") && err.contains("--aps"), "{err}");
+    }
+
+    /// `fig6 --aps 0` panicked in `ApMap::uniform`.
+    #[test]
+    fn zero_aps_is_an_error() {
+        let args = parse(&["--aps", "4,0"]).unwrap();
+        let err = args.checked_list::<usize>("aps", &AP_COUNTS).unwrap_err();
+        assert!(err.contains("value 0") && err.contains("1..=1000"), "{err}");
+    }
+
+    /// `fig6 --aps 2000` panicked in `NetworkSpec::validate`: AP ids
+    /// must stay below the peer-group stride.
+    #[test]
+    fn aps_beyond_the_group_stride_is_an_error() {
+        let args = parse(&["--aps", "2000"]).unwrap();
+        let err = args.checked_list::<usize>("aps", &AP_COUNTS).unwrap_err();
+        assert!(err.contains("value 2000"), "{err}");
+        let single = args
+            .checked::<usize>("aps")
+            .map(|v| within("aps", v.unwrap(), &AP_COUNTS));
+        assert!(single.unwrap().is_err(), "`get_in` checks the same range");
+    }
+
+    /// `scale --workload nope` panicked; `show_rib --mode nope` exited
+    /// without the flag list. Both now go through `choice`.
+    #[test]
+    fn unknown_choice_is_an_error() {
+        let choice = |argv: &[&str]| parse(argv).unwrap().checked_choice("workload", WORKLOADS);
+        assert_eq!(choice(&[]), Ok(None));
+        assert_eq!(choice(&["--workload", "failover"]), Ok(Some("failover")));
+        let err = choice(&["--workload", "nope"]).unwrap_err();
+        assert!(
+            err.contains("`nope`") && err.contains("churn | failover"),
+            "{err}"
+        );
+    }
+
+    /// `show_rib --prefix 10.0.0.0/33` panicked in the bin's `expect`.
+    #[test]
+    fn prefix_longer_than_32_is_an_error() {
+        use bgp_types::Ipv4Prefix;
+        let prefix = |v: &str| {
+            parse(&["--prefix", v])
+                .unwrap()
+                .checked::<Ipv4Prefix>("prefix")
+        };
+        assert_eq!(
+            prefix("10.0.0.0/8"),
+            Ok(Some("10.0.0.0/8".parse().unwrap()))
+        );
+        let err = prefix("10.0.0.0/33").unwrap_err();
+        assert!(
+            err.contains("10.0.0.0/33") && err.contains("--prefix"),
+            "{err}"
+        );
     }
 
     #[test]

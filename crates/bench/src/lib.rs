@@ -10,7 +10,7 @@ pub mod cli;
 pub mod fingerprint;
 pub mod pipeline;
 
-pub use cli::{flag, Args, FlagSpec};
+pub use cli::{flag, Args, FlagSpec, AP_COUNTS};
 pub use pipeline::{tier1_config, Experiment};
 
 use abrr::{BgpNode, NetworkSpec, UpdateCounters};

@@ -12,22 +12,22 @@
 //!   originated) are deliberately *not* part of this computation, per
 //!   the paper.
 //!
-//! The RIB structures ([`AdjRibIn`], [`LocRib`], [`AdjRibOut`]) follow
-//! the conceptual RIBs of RFC 4271 §3.2, with [`AdjRibOut`] organized
-//! into *peer groups* because the paper's RIB-Out accounting (Appendix
-//! A) assumes one RIB-Out copy per peer group.
+//! The RIB structures ([`RibInColumn`], [`LocColumn`], [`AdjRibOut`])
+//! follow the conceptual RIBs of RFC 4271 §3.2: the first two are
+//! columns over a router's one [`PrefixIndex`], and [`AdjRibOut`] is
+//! organized into *peer groups* because the paper's RIB-Out accounting
+//! (Appendix A) assumes one RIB-Out copy per peer group. [`compat`]
+//! holds what only the benchmark package still names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+pub mod compat;
 pub mod decision;
 pub mod rib;
 pub mod store;
 
-pub use batch::CandidateBatch;
+pub use compat::{AdjRibIn, CandidateBatch, LocRib};
 pub use decision::{best_as_level, best_path, Candidate, DecisionConfig, IgpMetric, MedMode};
-pub use rib::{
-    normalize, AdjRibIn, AdjRibOut, ExportWalk, LocColumn, LocRib, PathSet, RibInColumn, RibInEntry,
-};
-pub use store::{HeapBytes, PrefixId, PrefixIndex, PrefixSlab};
+pub use rib::{normalize, AdjRibOut, LocColumn, PathSet, RibInColumn, RibInEntry};
+pub use store::{HeapBytes, PrefixId, PrefixIndex};

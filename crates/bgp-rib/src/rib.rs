@@ -12,10 +12,8 @@
 //! Storage (see [`crate::store`] for the layouts and the single
 //! key-ordering policy): a router's full tables are id-keyed columns —
 //! [`RibInColumn`], [`LocColumn`] — over the one [`PrefixIndex`] it
-//! owns; [`AdjRibIn`] and [`LocRib`] are the same columns behind a
-//! private index, for a caller that holds a single table; the sparse
-//! [`AdjRibOut`] groups stay on [`PrefixSlab`]. *One* invariant covers
-//! everything:
+//! owns; each sparse [`AdjRibOut`] group is a private [`PrefixTrie`]
+//! holding its path sets. *One* invariant covers everything:
 //!
 //! * prefixes iterate in lexicographic `(addr, len)` order, straight
 //!   off a trie — [`RibInColumn::known_prefixes_in`],
@@ -29,8 +27,8 @@
 //! * RIB-Out path sets stay sorted by [`PathId`] via `normalize`.
 
 use crate::decision::Candidate;
-use crate::store::{HeapBytes, PrefixId, PrefixIndex, PrefixSlab};
-use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
+use crate::store::{HeapBytes, PrefixId, PrefixIndex};
+use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixTrie, RouterId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::size_of;
@@ -287,103 +285,6 @@ impl RibInColumn {
     }
 }
 
-/// A stand-alone, prefix-keyed Adj-RIB-In: a private [`PrefixIndex`]
-/// and one [`RibInColumn`] over it, each method "resolve, delegate".
-/// A router shares one index between its columns instead; this is the
-/// same table for a caller that holds only one.
-#[derive(Clone, Debug, Default)]
-pub struct AdjRibIn {
-    index: PrefixIndex,
-    column: RibInColumn,
-}
-
-impl AdjRibIn {
-    /// Creates an empty Adj-RIB-In.
-    pub fn new() -> Self {
-        AdjRibIn::default()
-    }
-
-    /// The id behind `prefix`, or one past every row: reads as empty.
-    #[inline]
-    fn id(&self, prefix: &Ipv4Prefix) -> PrefixId {
-        self.index.id(prefix).unwrap_or(PrefixId::MAX)
-    }
-
-    /// See [`RibInColumn::set_paths`].
-    pub fn set_paths<'a>(
-        &mut self,
-        peer: RouterId,
-        prefix: Ipv4Prefix,
-        paths: impl Into<PathsIn<'a>>,
-    ) -> bool {
-        let id = self.index.resolve(prefix);
-        self.column.set_paths(peer, id, paths)
-    }
-
-    /// Replaces with a single path (plain session convenience); path id 0.
-    pub fn set_single(
-        &mut self,
-        peer: RouterId,
-        prefix: Ipv4Prefix,
-        attrs: Arc<PathAttributes>,
-    ) -> bool {
-        self.set_paths(peer, prefix, vec![(PathId(0), attrs)])
-    }
-
-    /// Withdraws all paths for `(peer, prefix)`.
-    pub fn withdraw(&mut self, peer: RouterId, prefix: Ipv4Prefix) -> bool {
-        self.set_paths(peer, prefix, &[][..])
-    }
-
-    /// See [`RibInColumn::drop_peer`].
-    pub fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
-        let dropped = self.column.drop_peer(&self.index, peer);
-        dropped.into_iter().map(|(p, _)| p).collect()
-    }
-
-    /// See [`RibInColumn::paths`].
-    pub fn paths(&self, peer: RouterId, prefix: &Ipv4Prefix) -> &[RibInEntry] {
-        self.column.paths(peer, self.id(prefix))
-    }
-
-    /// See [`RibInColumn::all_paths`].
-    #[inline]
-    pub fn all_paths<'a>(
-        &'a self,
-        prefix: &'a Ipv4Prefix,
-    ) -> impl Iterator<Item = (RouterId, PathId, &'a Arc<PathAttributes>)> + 'a {
-        self.column.all_paths(self.id(prefix))
-    }
-
-    /// Every prefix known from any peer, in prefix order.
-    pub fn known_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.known_prefixes_in(0, u32::MAX)
-    }
-
-    /// See [`RibInColumn::known_prefixes_in`].
-    pub fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
-        let known = self
-            .column
-            .known_prefixes_in(&self.index, range_start, range_end);
-        known.map(|(p, _)| p).collect()
-    }
-
-    /// See [`RibInColumn::num_entries`].
-    pub fn num_entries(&self) -> usize {
-        self.column.num_entries()
-    }
-
-    /// Heap bytes of the index and the column (see [`HeapBytes`]).
-    pub fn heap_bytes(&self) -> HeapBytes {
-        self.index.heap_bytes() + self.column.heap_bytes()
-    }
-
-    /// See [`RibInColumn::peers`].
-    pub fn peers(&self) -> impl Iterator<Item = RouterId> + '_ {
-        self.column.peers()
-    }
-}
-
 /// The Loc-RIB as a column over a router's [`PrefixIndex`]: the
 /// selected route per prefix, and how many times that selection has
 /// changed (the oscillation-diagnostic signal: a converged network's
@@ -506,91 +407,6 @@ impl<T: Clone + PartialEq> LocColumn<T> {
     }
 }
 
-/// A stand-alone, prefix-keyed Loc-RIB: a private [`PrefixIndex`] and
-/// one [`LocColumn`] over it (see [`AdjRibIn`] for the arrangement).
-#[derive(Clone, Debug)]
-pub struct LocRib<T> {
-    index: PrefixIndex,
-    column: LocColumn<T>,
-}
-
-impl<T> Default for LocRib<T> {
-    fn default() -> Self {
-        LocRib {
-            index: PrefixIndex::new(),
-            column: LocColumn::default(),
-        }
-    }
-}
-
-impl<T: Clone + PartialEq> LocRib<T> {
-    /// Creates an empty Loc-RIB.
-    pub fn new() -> Self {
-        LocRib::default()
-    }
-
-    /// The id behind `prefix`, or one past every row: reads as absent.
-    fn id(&self, prefix: &Ipv4Prefix) -> PrefixId {
-        self.index.id(prefix).unwrap_or(PrefixId::MAX)
-    }
-
-    /// See [`LocColumn::set`]. A prefix enters the index when it is
-    /// first selected, not when it is first withdrawn.
-    pub fn set(&mut self, prefix: Ipv4Prefix, value: Option<T>) -> bool {
-        let id = match value {
-            Some(_) => self.index.resolve(prefix),
-            None => self.id(&prefix),
-        };
-        self.column.set(id, value)
-    }
-
-    /// See [`LocColumn::get`].
-    pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&T> {
-        self.column.get(self.id(prefix))
-    }
-
-    /// See [`LocColumn::changes`].
-    pub fn changes(&self, prefix: &Ipv4Prefix) -> u32 {
-        self.column.changes(self.id(prefix))
-    }
-
-    /// See [`LocColumn::iter_changes`].
-    pub fn iter_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u32)> {
-        self.column.iter_changes(&self.index)
-    }
-
-    /// See [`LocColumn::lookup`].
-    pub fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
-        self.column.lookup(&self.index, addr)
-    }
-
-    /// Number of selected prefixes.
-    pub fn len(&self) -> usize {
-        self.column.len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.column.is_empty()
-    }
-
-    /// See [`LocColumn::iter`].
-    pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
-        self.column.iter(&self.index)
-    }
-
-    /// Live index nodes + rows (occupancy gauge pair), tombstones
-    /// included.
-    pub fn occupancy(&self) -> (usize, usize) {
-        (self.index.index_nodes(), self.column.slots())
-    }
-
-    /// Heap bytes of the index and the column (see [`HeapBytes`]).
-    pub fn heap_bytes(&self) -> HeapBytes {
-        self.index.heap_bytes() + self.column.heap_bytes()
-    }
-}
-
 /// Adj-RIB-Out organized as peer groups: every member of a group
 /// receives the same routes, and the RIB-Out stores one copy per group
 /// (paper Appendix A's accounting; also how real routers exploit peer
@@ -610,7 +426,7 @@ pub struct AdjRibOut {
 struct GroupOut {
     /// Shared, so a fan-out holds the list by cloning a pointer.
     members: Arc<[RouterId]>,
-    table: PrefixSlab<PathSet>,
+    table: PrefixTrie<PathSet>,
 }
 
 impl AdjRibOut {
@@ -669,7 +485,7 @@ impl AdjRibOut {
                 None => false,
             }
         } else {
-            // A fresh slot is empty, which `paths` is not.
+            // A fresh entry is empty, which `paths` is not.
             let slot = g.table.get_or_insert_with(prefix, Vec::new);
             if slot[..] == paths[..] {
                 return false;
@@ -703,8 +519,8 @@ impl AdjRibOut {
 
     /// Iterates `(prefix, path set)` for one group in prefix order —
     /// this order reaches the wire during session resyncs, so it must
-    /// be deterministic. Streams off the trie index; no snapshot sort.
-    pub fn iter_group(&self, group: u32) -> impl Iterator<Item = (&Ipv4Prefix, &PathSet)> {
+    /// be deterministic. Streams off the group's trie; no snapshot sort.
+    pub fn iter_group(&self, group: u32) -> impl Iterator<Item = (Ipv4Prefix, &PathSet)> {
         self.groups
             .get(&group)
             .into_iter()
@@ -717,37 +533,34 @@ impl AdjRibOut {
     /// deterministic order a session resync puts routes on the wire.
     /// The cursor borrows the shared per-group tables; nothing is
     /// copied per session.
-    pub fn export_walk(&self, peer: RouterId) -> ExportWalk<'_> {
-        let mut groups: Vec<u32> = self
-            .groups
+    pub fn export_walk(
+        &self,
+        peer: RouterId,
+    ) -> impl Iterator<Item = (u32, Ipv4Prefix, &PathSet)> + '_ {
+        self.groups
             .iter()
-            .filter(|(_, g)| g.members.contains(&peer))
-            .map(|(id, _)| *id)
-            .collect();
-        groups.reverse(); // pop() from the back yields ascending ids
-        ExportWalk {
-            rib: self,
-            groups,
-            cur: None,
-        }
+            .filter(move |(_, g)| g.members.contains(&peer))
+            .flat_map(|(&gid, g)| g.table.iter().map(move |(p, set)| (gid, p, set)))
     }
 
-    /// Live trie nodes + allocated slots summed over groups (occupancy
-    /// gauge pair).
+    /// `(trie nodes, stored entries)` summed over the groups' tries
+    /// (occupancy gauge pair): at most `2 * entries + 1` nodes a group.
     pub fn occupancy(&self) -> (usize, usize) {
         self.groups.values().fold((0, 0), |(n, s), g| {
-            (n + g.table.index_nodes(), s + g.table.slot_capacity())
+            (n + g.table.node_count(), s + g.table.len())
         })
     }
 
-    /// Heap bytes of every group's table plus the `PathSet` in each
-    /// slot (see [`HeapBytes`]). Walks the tables: for reports, not the
-    /// hot path.
+    /// Heap bytes of every group's trie arena, path sets inline, as
+    /// [`HeapBytes::index`], plus what each `PathSet` owns as
+    /// [`HeapBytes::paths`]. Walks the tables: for reports, not the hot
+    /// path.
     pub fn heap_bytes(&self) -> HeapBytes {
         let group = |g: &GroupOut| HeapBytes {
+            index: g.table.heap_bytes(),
+            slots: 0,
             paths: g.table.iter().map(|(_, set)| set.capacity()).sum::<usize>()
                 * size_of::<(PathId, Arc<PathAttributes>)>(),
-            ..g.table.heap_bytes()
         };
         self.groups.values().map(group).sum()
     }
@@ -774,37 +587,6 @@ impl AdjRibOut {
     }
 }
 
-/// A per-session cursor over the peer-group-deduplicated export state:
-/// yields `(group, prefix, path set)` in (group id, prefix) order for
-/// every group the session's peer belongs to. See
-/// [`AdjRibOut::export_walk`].
-pub struct ExportWalk<'a> {
-    rib: &'a AdjRibOut,
-    /// Remaining group ids, descending (popped from the back).
-    groups: Vec<u32>,
-    /// Cursor position: current group and its table iterator.
-    cur: Option<(u32, GroupIter<'a>)>,
-}
-
-type GroupIter<'a> = Box<dyn Iterator<Item = (&'a Ipv4Prefix, &'a PathSet)> + 'a>;
-
-impl<'a> Iterator for ExportWalk<'a> {
-    type Item = (u32, &'a Ipv4Prefix, &'a PathSet);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some((gid, it)) = &mut self.cur {
-                if let Some((p, set)) = it.next() {
-                    return Some((*gid, p, set));
-                }
-                self.cur = None;
-            }
-            let gid = self.groups.pop()?;
-            self.cur = Some((gid, Box::new(self.rib.iter_group(gid))));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,11 +603,21 @@ mod tests {
         ))
     }
 
+    /// `prefix`'s row, resolved as a router resolves a received
+    /// update's: an id on first sight.
+    fn row(index: &mut PrefixIndex, prefix: &str) -> PrefixId {
+        index.resolve(pfx(prefix))
+    }
+
+    fn single(attrs: Arc<PathAttributes>) -> PathSet {
+        vec![(PathId(0), attrs)]
+    }
+
     #[test]
     fn rib_in_replace_set_semantics() {
-        let mut rib = AdjRibIn::new();
+        let (mut ix, mut rib) = (PrefixIndex::new(), RibInColumn::new());
         let peer = RouterId(1);
-        let p = pfx("10.0.0.0/8");
+        let p = row(&mut ix, "10.0.0.0/8");
         assert!(rib.set_paths(peer, p, vec![(PathId(1), attrs(1)), (PathId(2), attrs(2))]));
         assert_eq!(rib.num_entries(), 2);
         // Same set (different order) = no change.
@@ -833,7 +625,7 @@ mod tests {
         // Shrinking the set replaces wholesale.
         assert!(rib.set_paths(peer, p, vec![(PathId(2), attrs(2))]));
         assert_eq!(rib.num_entries(), 1);
-        assert_eq!(rib.paths(peer, &p).len(), 1);
+        assert_eq!(rib.paths(peer, p).len(), 1);
         // Withdraw.
         assert!(rib.withdraw(peer, p));
         assert!(!rib.withdraw(peer, p));
@@ -842,26 +634,26 @@ mod tests {
 
     #[test]
     fn rib_in_counts_across_peers() {
-        let mut rib = AdjRibIn::new();
-        let p = pfx("10.0.0.0/8");
-        rib.set_single(RouterId(1), p, attrs(1));
-        rib.set_single(RouterId(2), p, attrs(2));
-        rib.set_single(RouterId(2), pfx("11.0.0.0/8"), attrs(3));
+        let (mut ix, mut rib) = (PrefixIndex::new(), RibInColumn::new());
+        let (p, q) = (row(&mut ix, "10.0.0.0/8"), row(&mut ix, "11.0.0.0/8"));
+        rib.set_paths(RouterId(1), p, single(attrs(1)));
+        rib.set_paths(RouterId(2), p, single(attrs(2)));
+        rib.set_paths(RouterId(2), q, single(attrs(3)));
         assert_eq!(rib.num_entries(), 3);
-        assert_eq!(rib.all_paths(&p).count(), 2);
-        assert_eq!(rib.known_prefixes().len(), 2);
+        assert_eq!(rib.all_paths(p).count(), 2);
+        assert_eq!(rib.known_prefixes_in(&ix, 0, u32::MAX).count(), 2);
     }
 
     #[test]
     fn rib_in_drop_peer() {
-        let mut rib = AdjRibIn::new();
-        let p = pfx("10.0.0.0/8");
-        rib.set_single(RouterId(1), p, attrs(1));
-        rib.set_single(RouterId(2), p, attrs(2));
-        let dropped = rib.drop_peer(RouterId(1));
-        assert_eq!(dropped, vec![p]);
+        let (mut ix, mut rib) = (PrefixIndex::new(), RibInColumn::new());
+        let p = row(&mut ix, "10.0.0.0/8");
+        rib.set_paths(RouterId(1), p, single(attrs(1)));
+        rib.set_paths(RouterId(2), p, single(attrs(2)));
+        let dropped = rib.drop_peer(&ix, RouterId(1));
+        assert_eq!(dropped, vec![(pfx("10.0.0.0/8"), p)]);
         assert_eq!(rib.num_entries(), 1);
-        assert!(rib.drop_peer(RouterId(1)).is_empty());
+        assert!(rib.drop_peer(&ix, RouterId(1)).is_empty());
         // Peer 1 is forgotten; peer 2 still registered.
         assert_eq!(rib.peers().collect::<Vec<_>>(), vec![RouterId(2)]);
     }
@@ -871,24 +663,24 @@ mod tests {
         // A withdrawal from an unknown peer stores nothing but still
         // registers the session, matching the old layout where
         // `entry(peer).or_default()` materialized an empty table.
-        let mut rib = AdjRibIn::new();
-        assert!(!rib.withdraw(RouterId(7), pfx("10.0.0.0/8")));
+        let (mut ix, mut rib) = (PrefixIndex::new(), RibInColumn::new());
+        assert!(!rib.withdraw(RouterId(7), row(&mut ix, "10.0.0.0/8")));
         assert_eq!(rib.peers().collect::<Vec<_>>(), vec![RouterId(7)]);
-        assert_eq!(rib.num_entries(), 0);
+        assert_eq!((rib.num_entries(), rib.slots()), (0, 0));
     }
 
     #[test]
     fn rib_in_all_paths_ordered_by_peer_then_path_id() {
-        let mut rib = AdjRibIn::new();
-        let p = pfx("10.0.0.0/8");
+        let (mut ix, mut rib) = (PrefixIndex::new(), RibInColumn::new());
+        let p = row(&mut ix, "10.0.0.0/8");
         // Inserted high peer first: iteration must still be ascending.
         rib.set_paths(
             RouterId(9),
             p,
             vec![(PathId(2), attrs(2)), (PathId(1), attrs(1))],
         );
-        rib.set_single(RouterId(3), p, attrs(3));
-        let order: Vec<(RouterId, PathId)> = rib.all_paths(&p).map(|(r, id, _)| (r, id)).collect();
+        rib.set_paths(RouterId(3), p, single(attrs(3)));
+        let order: Vec<(RouterId, PathId)> = rib.all_paths(p).map(|(r, id, _)| (r, id)).collect();
         assert_eq!(
             order,
             vec![
@@ -901,25 +693,31 @@ mod tests {
 
     #[test]
     fn rib_in_known_prefixes_in_range() {
-        let mut rib = AdjRibIn::new();
-        rib.set_single(RouterId(1), pfx("10.0.0.0/8"), attrs(1));
-        rib.set_single(RouterId(1), pfx("20.0.0.0/8"), attrs(2));
-        rib.set_single(RouterId(2), pfx("30.0.0.0/8"), attrs(3));
+        let (mut ix, mut rib) = (PrefixIndex::new(), RibInColumn::new());
+        // Arrival order is not prefix order; the walk is.
+        for (peer, p) in [(2, "30.0.0.0/8"), (1, "20.0.0.0/8"), (1, "10.0.0.0/8")] {
+            let id = row(&mut ix, p);
+            rib.set_paths(RouterId(peer), id, single(attrs(peer)));
+        }
+        row(&mut ix, "20.1.0.0/16"); // indexed, but nothing stored
+        let known = |start, end| -> Vec<String> {
+            let hits = rib.known_prefixes_in(&ix, start, end);
+            hits.map(|(p, _)| p.to_string()).collect()
+        };
+        assert_eq!(known(0x14000000, 0x14FFFFFF), vec!["20.0.0.0/8"]);
         assert_eq!(
-            rib.known_prefixes_in(0x14000000, 0x14FFFFFF),
-            vec![pfx("20.0.0.0/8")]
+            known(0, u32::MAX),
+            vec!["10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8"]
         );
-        assert_eq!(rib.known_prefixes_in(0, u32::MAX).len(), 3);
     }
 
     #[test]
     fn rib_in_path_id_dedup() {
-        let mut rib = AdjRibIn::new();
-        let p = pfx("10.0.0.0/8");
+        let (mut ix, mut rib) = (PrefixIndex::new(), RibInColumn::new());
         // Duplicate path id in one set: only one survives normalization.
         rib.set_paths(
             RouterId(1),
-            p,
+            row(&mut ix, "10.0.0.0/8"),
             vec![(PathId(1), attrs(1)), (PathId(1), attrs(2))],
         );
         assert_eq!(rib.num_entries(), 1);
@@ -927,63 +725,69 @@ mod tests {
 
     #[test]
     fn loc_rib_set_get_lookup() {
-        let mut rib: LocRib<u32> = LocRib::new();
-        assert!(rib.set(pfx("10.0.0.0/8"), Some(1)));
-        assert!(!rib.set(pfx("10.0.0.0/8"), Some(1)));
-        assert!(rib.set(pfx("10.0.0.0/8"), Some(2)));
-        assert!(rib.set(pfx("10.1.0.0/16"), Some(3)));
-        assert_eq!(rib.lookup(0x0A010000).map(|(_, v)| *v), Some(3));
-        assert_eq!(rib.lookup(0x0AFF0000).map(|(_, v)| *v), Some(2));
-        assert_eq!(rib.lookup(0x0B000000), None);
-        assert!(rib.set(pfx("10.1.0.0/16"), None));
-        assert!(!rib.set(pfx("10.1.0.0/16"), None));
+        let (mut ix, mut rib) = (PrefixIndex::new(), LocColumn::<u32>::new());
+        let (p, q) = (row(&mut ix, "10.0.0.0/8"), row(&mut ix, "10.1.0.0/16"));
+        assert!(rib.set(p, Some(1)));
+        assert!(!rib.set(p, Some(1)));
+        assert!(rib.set(p, Some(2)));
+        assert!(rib.set(q, Some(3)));
+        assert_eq!(rib.lookup(&ix, 0x0A010000).map(|(_, v)| *v), Some(3));
+        assert_eq!(rib.lookup(&ix, 0x0AFF0000).map(|(_, v)| *v), Some(2));
+        assert_eq!(rib.lookup(&ix, 0x0B000000), None);
+        assert!(rib.set(q, None));
+        assert!(!rib.set(q, None));
         assert_eq!(rib.len(), 1);
     }
 
     #[test]
     fn loc_rib_withdrawn_prefix_keeps_its_count_and_nothing_else() {
-        let mut rib: LocRib<u32> = LocRib::new();
+        let (mut ix, mut rib) = (PrefixIndex::new(), LocColumn::<u32>::new());
         let (wide, narrow) = (pfx("10.1.0.0/16"), pfx("10.1.2.0/24"));
+        let (w, n) = (ix.resolve(wide), ix.resolve(narrow));
         let addr = 0x0A010203;
-        assert!(rib.set(wide, Some(16)));
-        assert!(rib.set(narrow, Some(24)));
-        assert_eq!(rib.lookup(addr), Some((narrow, &24)));
-        assert_eq!((rib.len(), rib.changes(&narrow)), (2, 1));
+        assert!(rib.set(w, Some(16)));
+        assert!(rib.set(n, Some(24)));
+        assert_eq!(rib.lookup(&ix, addr), Some((narrow, &24)));
+        assert_eq!((rib.len(), rib.changes(n)), (2, 1));
         // Withdrawn: a tombstone no reader sees, except for the count.
-        assert!(rib.set(narrow, None));
-        assert_eq!(rib.lookup(addr), Some((wide, &16)), "falls through");
-        assert_eq!(rib.get(&narrow), None);
+        assert!(rib.set(n, None));
+        assert_eq!(rib.lookup(&ix, addr), Some((wide, &16)), "falls through");
+        assert_eq!(rib.get(n), None);
         assert_eq!(rib.len(), 1);
-        assert_eq!(rib.iter().collect::<Vec<_>>(), vec![(&wide, &16)]);
-        assert_eq!(rib.changes(&narrow), 2);
+        assert_eq!(rib.iter(&ix).collect::<Vec<_>>(), vec![(&wide, &16)]);
+        assert_eq!(rib.changes(n), 2);
         assert_eq!(
-            rib.iter_changes().collect::<Vec<_>>(),
+            rib.iter_changes(&ix).collect::<Vec<_>>(),
             vec![(&wide, 1), (&narrow, 2)]
         );
-        // Re-announced into the same slot.
-        let slots = rib.occupancy().1;
-        assert!(rib.set(narrow, Some(7)));
-        assert_eq!((rib.len(), rib.changes(&narrow)), (2, 3));
-        assert_eq!(rib.lookup(addr), Some((narrow, &7)));
-        assert_eq!(rib.occupancy().1, slots);
+        // Re-announced into the same row.
+        let slots = rib.slots();
+        assert!(rib.set(n, Some(7)));
+        assert_eq!((rib.len(), rib.changes(n)), (2, 3));
+        assert_eq!(rib.lookup(&ix, addr), Some((narrow, &7)));
+        assert_eq!(rib.slots(), slots);
     }
 
     #[test]
     fn loc_rib_withdrawing_the_unknown_leaves_no_trace() {
-        let mut rib: LocRib<u32> = LocRib::new();
-        let p = pfx("10.0.0.0/8");
+        let (mut ix, mut rib) = (PrefixIndex::new(), LocColumn::<u32>::new());
+        // The router resolves a withdrawal's prefix like any other.
+        let p = row(&mut ix, "10.0.0.0/8");
         assert!(!rib.set(p, None));
-        assert_eq!(rib.changes(&p), 0);
-        assert_eq!(rib.iter_changes().count(), 0);
-        assert_eq!(rib.occupancy(), (1, 0), "the index root, no slot");
+        assert_eq!(rib.changes(p), 0);
+        assert_eq!(rib.iter_changes(&ix).count(), 0);
+        assert_eq!(rib.slots(), 0, "no row");
         assert!(rib.is_empty());
     }
 
     #[test]
     fn loc_rib_default_route() {
-        let mut rib: LocRib<&str> = LocRib::new();
-        rib.set(Ipv4Prefix::DEFAULT, Some("default"));
-        assert_eq!(rib.lookup(0xDEADBEEF).map(|(_, v)| *v), Some("default"));
+        let (mut ix, mut rib) = (PrefixIndex::new(), LocColumn::<&str>::new());
+        rib.set(ix.resolve(Ipv4Prefix::DEFAULT), Some("default"));
+        assert_eq!(
+            rib.lookup(&ix, 0xDEADBEEF).map(|(_, v)| *v),
+            Some("default")
+        );
     }
 
     #[test]
@@ -1036,7 +840,7 @@ mod tests {
         out.set_paths(3, pfx("5.0.0.0/8"), vec![(PathId(1), attrs(1))]);
         let walked: Vec<(u32, Ipv4Prefix)> = out
             .export_walk(RouterId(1))
-            .map(|(g, p, _)| (g, *p))
+            .map(|(g, p, _)| (g, p))
             .collect();
         // Groups ascending, prefixes ascending within each; group 3
         // (peer not a member) skipped.

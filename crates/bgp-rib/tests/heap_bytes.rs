@@ -7,15 +7,15 @@
 //! the address space, three peers (or peer groups) each. Attributes are
 //! created before a measurement starts; the tables share them by `Arc`.
 //!
-//! The stand-alone tables are measured whole; the last test measures
-//! the parts a router holds — one `PrefixIndex`, an Adj-RIB-In column
-//! and a Loc-RIB column over it — each against its own bytes, so a
-//! gauge that counted the shared index in a column (or not at all)
+//! The first three tests measure one table whole — an Adj-RIB-In or
+//! Loc-RIB column together with the index it is over, and the per-group
+//! Adj-RIB-Out, whose tries hold their path sets inline; the last
+//! measures the parts a router holds — one `PrefixIndex`, an Adj-RIB-In
+//! column and a Loc-RIB column over it — each against its own bytes, so
+//! a gauge that counted the shared index in a column (or not at all)
 //! would show.
 
-use bgp_rib::{
-    AdjRibIn, AdjRibOut, HeapBytes, LocColumn, LocRib, PathSet, PrefixId, PrefixIndex, RibInColumn,
-};
+use bgp_rib::{AdjRibOut, HeapBytes, LocColumn, PathSet, PrefixId, PrefixIndex, RibInColumn};
 use bgp_types::{Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -107,33 +107,39 @@ fn adj_rib_in_accounts_for_its_heap() {
     let attrs = attrs(16);
     let peers = [RouterId(7), RouterId(3), RouterId(11)];
     let before = live();
-    let mut rib = AdjRibIn::new();
+    let (mut index, mut rib) = (PrefixIndex::new(), RibInColumn::new());
+    let known =
+        |index: &PrefixIndex, rib: &RibInColumn| rib.known_prefixes_in(index, 0, u32::MAX).count();
     for (i, p) in prefixes.iter().enumerate() {
+        let id = index.resolve(*p);
         for (k, peer) in peers.iter().enumerate() {
-            rib.set_paths(*peer, *p, paths(&attrs, i, 1 + (i + k) % 3));
+            rib.set_paths(*peer, id, paths(&attrs, i, 1 + (i + k) % 3));
         }
     }
-    assert_eq!(rib.known_prefixes().len(), 1000);
-    assert_accounts_for(rib.heap_bytes(), live() - before, "built");
+    assert_eq!(known(&index, &rib), 1000);
+    let bytes = |index: &PrefixIndex, rib: &RibInColumn| index.heap_bytes() + rib.heap_bytes();
+    assert_accounts_for(bytes(&index, &rib), live() - before, "built");
     // Churn: replace sets with longer and shorter ones, withdraw a
     // third of the prefixes from every peer, re-insert half of those.
     for round in 0..3 {
         for (i, p) in prefixes.iter().enumerate() {
+            let id = index.resolve(*p);
             for (k, peer) in peers.iter().enumerate() {
                 match (i + round) % 3 {
-                    0 => rib.withdraw(*peer, *p),
+                    0 => rib.withdraw(*peer, id),
                     _ => {
-                        rib.set_paths(*peer, *p, paths(&attrs, i + round, 1 + (i + k + round) % 4))
+                        rib.set_paths(*peer, id, paths(&attrs, i + round, 1 + (i + k + round) % 4))
                     }
                 };
             }
         }
         for (i, p) in prefixes.iter().enumerate().filter(|(i, _)| i % 6 == 0) {
-            rib.set_single(peers[i % 3], *p, attrs[i % 16].clone());
+            let single = vec![(PathId(0), attrs[i % 16].clone())];
+            rib.set_paths(peers[i % 3], index.resolve(*p), single);
         }
     }
-    assert!(rib.known_prefixes().len() < 1000);
-    assert_accounts_for(rib.heap_bytes(), live() - before, "churned");
+    assert!(known(&index, &rib) < 1000);
+    assert_accounts_for(bytes(&index, &rib), live() - before, "churned");
 }
 
 #[test]
@@ -141,19 +147,21 @@ fn loc_rib_accounts_for_its_heap() {
     let prefixes = scattered_slash24s(1000);
     let attrs = attrs(16);
     let before = live();
-    let mut rib: LocRib<Arc<PathAttributes>> = LocRib::new();
+    let mut index = PrefixIndex::new();
+    let mut rib: LocColumn<Arc<PathAttributes>> = LocColumn::new();
     for (i, p) in prefixes.iter().enumerate() {
-        rib.set(*p, Some(attrs[i % 16].clone()));
+        rib.set(index.resolve(*p), Some(attrs[i % 16].clone()));
     }
-    assert_accounts_for(rib.heap_bytes(), live() - before, "built");
+    let bytes = |index: &PrefixIndex, rib: &LocColumn<_>| index.heap_bytes() + rib.heap_bytes();
+    assert_accounts_for(bytes(&index, &rib), live() - before, "built");
     for round in 0..3 {
         for (i, p) in prefixes.iter().enumerate() {
             let v = ((i + round) % 3 != 0).then(|| attrs[(i + round) % 16].clone());
-            rib.set(*p, v);
+            rib.set(index.resolve(*p), v);
         }
     }
     assert!(rib.len() < 1000);
-    assert_accounts_for(rib.heap_bytes(), live() - before, "churned");
+    assert_accounts_for(bytes(&index, &rib), live() - before, "churned");
 }
 
 #[test]
@@ -215,7 +223,7 @@ fn index_and_columns_each_account_for_their_own_heap() {
     assert_accounts_for(loc.heap_bytes(), loc_bytes, "loc column built");
     assert_eq!((rib_in.heap_bytes() + loc.heap_bytes()).index, 0);
 
-    // Churn (the stand-alone tables' rounds): the columns change under
+    // Churn (the whole-table tests' rounds): the columns change under
     // an index that, grow-only and fully grown, must not.
     let before_churn = live();
     for round in 0..3 {

@@ -8,13 +8,19 @@
 //! (change detection) and every order-observable API, because iteration
 //! order reaches the decision process and the golden fingerprints.
 //!
-//! The Adj-RIB-In and the Loc-RIB are checked in both arrangements: the
-//! stand-alone tables ([`AdjRibIn`], [`LocRib`]) and, as a router holds
-//! them, two Adj-RIB-In columns and a Loc-RIB column over *one*
-//! [`PrefixIndex`]. The last test feeds one history to two such routers
-//! in two arrival orders: the prefix ids differ, nothing observable may.
+//! The Adj-RIB-In and the Loc-RIB are checked as columns: one column
+//! over an index of its own, and, as a router holds them, two
+//! Adj-RIB-In columns and a Loc-RIB column over *one* [`PrefixIndex`].
+//! One test feeds one history to two such routers in two arrival
+//! orders: the prefix ids differ, nothing observable may. The last
+//! holds the benchmark's prefix-keyed adapters ([`AdjRibIn`],
+//! [`LocRib`], [`CandidateBatch`]) to the index + column path they
+//! wrap.
 
-use bgp_rib::{AdjRibIn, AdjRibOut, LocColumn, LocRib, PathSet, PrefixIndex, RibInColumn};
+use bgp_rib::{
+    best_as_level, AdjRibIn, AdjRibOut, CandidateBatch, DecisionConfig, LocColumn, LocRib, PathSet,
+    PrefixIndex, RibInColumn,
+};
 use bgp_types::{intern, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -169,8 +175,8 @@ fn routes<'a>(it: impl Iterator<Item = (RouterId, PathId, &'a Arc<PathAttributes
     it.map(|(r, id, a)| (r, id, a.next_hop.0)).collect()
 }
 
-/// An Adj-RIB-In under test, answering by prefix: the stand-alone table,
-/// or one column with the index it shares.
+/// An Adj-RIB-In under test, answering by prefix: one column with the
+/// index it is over.
 trait RibIn {
     fn set(&mut self, peer: RouterId, p: Ipv4Prefix, set: PathSet, borrowed: bool) -> bool;
     fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix>;
@@ -179,34 +185,6 @@ trait RibIn {
     fn all(&self, p: &Ipv4Prefix) -> Vec<Route>;
     fn from(&self, peer: RouterId, p: &Ipv4Prefix) -> Vec<Route>;
     fn peers(&self) -> BTreeSet<RouterId>;
-}
-
-impl RibIn for AdjRibIn {
-    fn set(&mut self, peer: RouterId, p: Ipv4Prefix, set: PathSet, borrowed: bool) -> bool {
-        if borrowed {
-            self.set_paths(peer, p, &set[..])
-        } else {
-            self.set_paths(peer, p, set)
-        }
-    }
-    fn drop_peer(&mut self, peer: RouterId) -> Vec<Ipv4Prefix> {
-        AdjRibIn::drop_peer(self, peer)
-    }
-    fn known_in(&self, start: u32, end: u32) -> Vec<Ipv4Prefix> {
-        self.known_prefixes_in(start, end)
-    }
-    fn entries(&self) -> usize {
-        self.num_entries()
-    }
-    fn all(&self, p: &Ipv4Prefix) -> Vec<Route> {
-        routes(self.all_paths(p))
-    }
-    fn from(&self, peer: RouterId, p: &Ipv4Prefix) -> Vec<Route> {
-        routes(self.paths(peer, p).iter().map(|(r, id, a)| (*r, *id, a)))
-    }
-    fn peers(&self) -> BTreeSet<RouterId> {
-        AdjRibIn::peers(self).collect()
-    }
 }
 
 impl RibIn for (&mut PrefixIndex, &mut RibInColumn) {
@@ -349,24 +327,6 @@ trait Loc {
     fn selections(&self) -> Vec<(Ipv4Prefix, u32)>;
     fn changes(&self) -> Vec<(Ipv4Prefix, u32)>;
     fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, u32)>;
-}
-
-impl Loc for LocRib<u32> {
-    fn set(&mut self, p: Ipv4Prefix, v: Option<u32>) -> bool {
-        LocRib::set(self, p, v)
-    }
-    fn len(&self) -> usize {
-        LocRib::len(self)
-    }
-    fn selections(&self) -> Vec<(Ipv4Prefix, u32)> {
-        self.iter().map(|(p, v)| (*p, *v)).collect()
-    }
-    fn changes(&self) -> Vec<(Ipv4Prefix, u32)> {
-        self.iter_changes().map(|(p, c)| (*p, c)).collect()
-    }
-    fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, u32)> {
-        LocRib::lookup(self, addr).map(|(p, v)| (p, *v))
-    }
 }
 
 impl Loc for (&mut PrefixIndex, &mut LocColumn<u32>) {
@@ -513,9 +473,10 @@ fn adj_rib_in_entry_is_16_bytes() {
 proptest! {
     #[test]
     fn adj_rib_in_equivalent_to_per_peer_btreemaps(ops in prop::collection::vec(rib_op(), 1..80)) {
-        let mut real = AdjRibIn::new();
+        let (mut index, mut column) = (PrefixIndex::new(), RibInColumn::new());
         let mut reference = RefRibIn::default();
         for op in &ops {
+            let mut real = (&mut index, &mut column);
             apply_rib_op(&mut real, &mut reference, op);
             assert_rib_in_matches(&real, &reference);
         }
@@ -523,10 +484,10 @@ proptest! {
 
     #[test]
     fn loc_rib_equivalent_to_btreemap(ops in prop::collection::vec(loc_op(), 1..60)) {
-        let mut real: LocRib<u32> = LocRib::new();
+        let (mut index, mut column) = (PrefixIndex::new(), LocColumn::new());
         let mut reference = RefLoc::default();
         for (p, val) in &ops {
-            set_and_compare_loc(&mut real, &mut reference, *p, *val);
+            set_and_compare_loc(&mut (&mut index, &mut column), &mut reference, *p, *val);
         }
     }
 
@@ -628,7 +589,7 @@ proptest! {
         }
         // Per-group iteration order.
         for g in 0..3u32 {
-            let got: Vec<Ipv4Prefix> = real.iter_group(g).map(|(p, _)| *p).collect();
+            let got: Vec<Ipv4Prefix> = real.iter_group(g).map(|(p, _)| p).collect();
             let want: Vec<Ipv4Prefix> = reference[&g].keys().copied().collect();
             prop_assert_eq!(got, want, "iter_group order for group {}", g);
         }
@@ -641,7 +602,7 @@ proptest! {
         for peer in [RouterId(7), RouterId(8), RouterId(9)] {
             let got: Vec<(u32, Ipv4Prefix, usize)> = real
                 .export_walk(peer)
-                .map(|(g, p, set)| (g, *p, set.len()))
+                .map(|(g, p, set)| (g, p, set.len()))
                 .collect();
             let mut want = Vec::new();
             for (g, table) in &reference {
@@ -653,6 +614,46 @@ proptest! {
                 }
             }
             prop_assert_eq!(got, want, "export_walk diverged for {:?}", peer);
+        }
+    }
+
+    /// The benchmark's adapters, call for call, against the path they
+    /// wrap. One op sequence goes through `AdjRibIn` / `LocRib` and
+    /// through an index with its columns; after each op `set_paths`,
+    /// `num_entries`, `all_paths`, `set` and `lookup` must answer alike,
+    /// and a `CandidateBatch` loaded with the prefix's candidates must
+    /// keep what `best_as_level` keeps.
+    #[test]
+    fn compat_agrees_with_index_and_columns(ops in prop::collection::vec(
+        (rib_op(), loc_op()),
+        1..60,
+    )) {
+        let (mut rib, mut loc) = (AdjRibIn::new(), LocRib::<u32>::new());
+        let mut batch = CandidateBatch::new();
+        let Router { mut index, rib_in: [mut column, _], loc: mut loc_column } = Router::default();
+        let cfg = DecisionConfig::default();
+        for (rib_op, (lp, lv)) in &ops {
+            let set = match rib_op {
+                RibOp::Set { peer, addr, len, ids, .. } => Some((peer, addr, len, path_set(ids))),
+                RibOp::Withdraw { peer, addr, len } => Some((peer, addr, len, Vec::new())),
+                RibOp::DropPeer { .. } => None,
+            };
+            if let Some((peer, addr, len, set)) = set {
+                let (peer, p) = (RouterId(10 + *peer as u32), Ipv4Prefix::new(*addr, *len));
+                let id = index.resolve(p);
+                prop_assert_eq!(rib.set_paths(peer, p, set.clone()), column.set_paths(peer, id, set));
+                prop_assert_eq!(rib.num_entries(), column.num_entries());
+                prop_assert_eq!(routes(rib.all_paths(&p)), routes(column.all_paths(id)));
+                let cands: Vec<_> = column.candidates(id).collect();
+                batch.load(&cands);
+                prop_assert_eq!(batch.survivors(&cfg), best_as_level(&cands, &cfg));
+            }
+            let id = index.resolve(*lp);
+            prop_assert_eq!(loc.set(*lp, *lv), loc_column.set(id, *lv));
+            for probe in PROBES {
+                let want = loc_column.lookup(&index, probe).map(|(p, v)| (p, *v));
+                prop_assert_eq!(loc.lookup(probe).map(|(p, v)| (p, *v)), want);
+            }
         }
     }
 }

@@ -17,8 +17,8 @@
 //!   communities, ORIGINATOR_ID, CLUSTER_LIST).
 //! * [`Route`] — a prefix plus its attributes plus provenance.
 //! * [`PrefixTrie`] — a path-compressed binary trie keyed by prefix (at
-//!   most two nodes per stored prefix), the index under every RIB table
-//!   and the longest-prefix matcher.
+//!   most two nodes per stored prefix), the one prefix map under every
+//!   RIB table and the longest-prefix matcher.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

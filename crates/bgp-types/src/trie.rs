@@ -1,6 +1,8 @@
 //! A path-compressed binary prefix trie keyed by [`Ipv4Prefix`].
 //!
-//! The index under every RIB table, and the longest-prefix matcher.
+//! The one prefix map under every RIB table — a router's prefix index,
+//! and the sparse tables that hold their values in its nodes — and the
+//! longest-prefix matcher.
 //! It is a Patricia trie: a node carries the whole prefix it stands
 //! for, and a link skips every bit at which nothing branches, so only
 //! two kinds of node exist — a stored prefix, or a valueless branch
@@ -431,6 +433,8 @@ impl<T> FromIterator<(Ipv4Prefix, T)> for PrefixTrie<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -700,6 +704,77 @@ mod tests {
         assert!(t.node_count() <= high_water);
         assert_eq!(t.get(&p("10.1.3.0/24")), Some(&2));
         assert_eq!(t.get(&p("10.1.2.0/24")), None);
+    }
+
+    /// A value that records its own drop.
+    struct Tracked {
+        id: u32,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.drops.borrow_mut().push(self.id);
+        }
+    }
+
+    /// The trie owns real values (RIB-Out path sets, eBGP session maps),
+    /// not handles: each one it is given is handed back or dropped,
+    /// exactly once, whatever the op.
+    #[test]
+    fn owned_values_are_dropped_exactly_once() {
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let mut made = 0;
+        let mut make = || {
+            made += 1;
+            let drops = drops.clone();
+            Tracked { id: made, drops }
+        };
+        let dropped = || drops.borrow().clone();
+        let check = |t: &PrefixTrie<Tracked>, len| {
+            t.check_invariants();
+            assert_eq!(t.len(), len);
+        };
+        let mut t = PrefixTrie::new();
+        // Two /24s under a valueless /23 branch, under a /8.
+        for (i, x) in ["10.1.2.0/24", "10.1.3.0/24", "10.0.0.0/8"]
+            .iter()
+            .enumerate()
+        {
+            assert!(t.insert(p(x), make()).is_none());
+            check(&t, i + 1);
+        }
+        // Insert over an existing value hands the old one back.
+        let old = t.insert(p("10.1.2.0/24"), make()).expect("replaced");
+        assert_eq!((old.id, dropped()), (1, vec![]));
+        drop(old);
+        assert_eq!(dropped(), [1]);
+        check(&t, 3);
+        // `get_or_insert_with` makes a value on a miss only.
+        let hit = t.get_or_insert_with(p("10.1.3.0/24"), || unreachable!("a hit"));
+        assert_eq!(hit.id, 2);
+        assert_eq!(t.get_or_insert_with(p("192.168.0.0/16"), &mut make).id, 5);
+        check(&t, 4);
+        // Removing a /24 splices it and the /23 above it out; the
+        // value comes back, undropped.
+        let nodes = t.node_count();
+        let gone = t.remove(&p("10.1.3.0/24")).expect("stored");
+        assert_eq!((gone.id, t.node_count()), (2, nodes - 2));
+        assert_eq!(dropped(), [1]);
+        drop(gone);
+        check(&t, 3);
+        // A new leaf and its branch take the two freed nodes.
+        let arena = t.heap_bytes();
+        assert!(t.insert(p("10.1.4.0/24"), make()).is_none());
+        assert_eq!((t.heap_bytes(), t.node_count()), (arena, nodes));
+        check(&t, 4);
+        // `clear` drops all that is left, and dropping the trie nothing.
+        t.clear();
+        check(&t, 0);
+        drop(t);
+        let mut all = dropped();
+        all.sort_unstable();
+        assert_eq!(all, (1..=made).collect::<Vec<_>>(), "each once");
     }
 
     #[test]

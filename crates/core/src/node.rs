@@ -352,12 +352,14 @@ impl BgpNode {
     }
 
     /// The `core.store.*` gauges — storage internals of the tables:
-    /// live trie index nodes, allocated value slots, and the heap bytes
-    /// of the indices, the slot arrays and the path sets the slots own.
-    /// Summed over *everything* this node keeps: its one prefix index
-    /// (counted here, once — the columns over it report slots and paths
-    /// only), each role's tables, the Loc-RIB column (whose rows also
-    /// hold the selection-change counts) and the per-group RIB-Out.
+    /// live trie nodes; slots, which are column rows plus the entries
+    /// of the private tries; and the heap bytes of the trie arenas (a
+    /// private trie's values inline), the column row arrays and the
+    /// path sets both own. Summed over *everything* this node keeps:
+    /// its one prefix index (counted here, once — the columns over it
+    /// report slots and paths only), each role's tables, the Loc-RIB
+    /// column (whose rows also hold the selection-change counts) and
+    /// the per-group RIB-Out.
     /// Makes the memory story auditable, not just entry counts.
     fn store_gauges(&self) -> [(&'static str, usize); 5] {
         let ch = &self.ch;
@@ -506,8 +508,8 @@ impl BgpNode {
     }
 
     /// Drains the dirty-prefix worklist: one `ArrRole::recompute` per
-    /// ARR-dirty prefix (rebuilds the managed set via the SoA
-    /// `CandidateBatch` scan), then one shell decision per dirty
+    /// ARR-dirty prefix (rebuilds the managed set with
+    /// `best_as_level`), then one shell decision per dirty
     /// prefix, in prefix order. Mirrors the monolith's ordering: a
     /// prefix dirty on both lists is re-decided after its managed
     /// rebuild.
@@ -878,16 +880,20 @@ mod tests {
             // Only the index says where the index bytes are.
             let column_bytes: HeapBytes = columns.map(|role| role.heap_bytes()).into_iter().sum();
             assert_eq!((column_bytes + ch.loc_rib.heap_bytes()).index, 0);
-            // Path-compressed: at most two nodes per prefix plus the
-            // root in the shared index, and per live slot plus one root
-            // per table in what stays on a slab — the eBGP table and
-            // one table per group.
+            // Path-compressed: `node_count() <= 2 * len() + 1` for every
+            // trie — the shared index, and each private one, whose
+            // entries are its slots: the eBGP table and one per group.
             assert!(ch.index.index_nodes() <= 2 * ch.index.len() + 1);
             assert!(ch.loc_rib.slots() <= ch.index.len(), "no row without an id");
             let tables = 1 + ch.out.group_ids().count();
-            let (nodes, slots) = (sparse[0].0 + sparse[1].0, sparse[0].1 + sparse[1].1);
-            assert!(nodes <= 2 * slots + tables, "{sparse:?}");
+            let (nodes, entries) = (sparse[0].0 + sparse[1].0, sparse[0].1 + sparse[1].1);
+            assert!(nodes <= 2 * entries + tables, "{sparse:?}");
+            let out_entries = ch.out.group_ids().map(|g| ch.out.iter_group(g).count());
+            assert_eq!(sparse[1].1, out_entries.sum::<usize>(), "slots are entries");
             assert_eq!(want[0].1, ch.index.index_nodes() + nodes);
+            // A private trie has no row array: its arena is index bytes.
+            let sparse_bytes = node.border.heap_bytes() + ch.out.heap_bytes();
+            assert_eq!(sparse_bytes.slots, 0);
         }
     }
 

@@ -9,7 +9,7 @@ use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{AbrrLoopPrevention, Mode, NetworkSpec};
 use bgp_rib::{
-    Candidate, CandidateBatch, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
+    best_as_level, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
 };
 use bgp_types::{
     intern, ApId, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouterId,
@@ -24,11 +24,6 @@ pub struct ArrRole {
     arr_in: RibInColumn,
     /// APs this node reflects. Mutable at runtime (§2.2 reassignment).
     arr_aps: Vec<ApId>,
-    /// Reusable struct-of-arrays scratch for the steps 1–4 survivor
-    /// scan: one recompute per managed-route change makes this the
-    /// ARR's hottest decision path, so the scan runs over dense
-    /// columns instead of pointer-chased attributes.
-    batch: CandidateBatch,
 }
 
 impl ArrRole {
@@ -36,7 +31,6 @@ impl ArrRole {
         ArrRole {
             arr_in: RibInColumn::new(),
             arr_aps: spec.arr_aps_of(id),
-            batch: CandidateBatch::new(),
         }
     }
 
@@ -98,8 +92,7 @@ impl ArrRole {
         id: PrefixId,
     ) {
         let cands: Vec<Candidate> = self.arr_in.candidates(id).collect();
-        self.batch.load(&cands);
-        let surv = self.batch.survivors(&ch.spec.decision);
+        let surv = best_as_level(&cands, &ch.spec.decision);
         let set: Arc<PathSet> = surv
             .iter()
             .map(|&i| {
@@ -140,7 +133,7 @@ impl ArrRole {
     /// remaining role covers (a prefix can span APs).
     pub(crate) fn lose_ap(&mut self, ch: &mut Chassis, ctx: &mut Ctx<SessionMsg>, ap: ApId) {
         let g = group::ARR_TO_CLIENTS + ap.0 as u32;
-        let prefixes: Vec<Ipv4Prefix> = ch.out.iter_group(g).map(|(p, _)| *p).collect();
+        let prefixes: Vec<Ipv4Prefix> = ch.out.iter_group(g).map(|(p, _)| p).collect();
         for p in prefixes {
             ch.advertise_group(ctx, g, p, Plane::Abrr, ch.no_paths.clone(), |_| false);
         }

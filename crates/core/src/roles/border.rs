@@ -9,8 +9,10 @@
 
 use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::SessionMsg;
-use bgp_rib::{Candidate, HeapBytes, PrefixId, PrefixIndex, PrefixSlab};
-use bgp_types::{intern, Asn, Ipv4Prefix, NextHop, PathAttributes, RouteSource, RouterId};
+use bgp_rib::{Candidate, HeapBytes, PrefixId, PrefixIndex};
+use bgp_types::{
+    intern, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixTrie, RouteSource, RouterId,
+};
 use netsim::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -28,14 +30,14 @@ struct EbgpRoute {
 /// consults.
 pub struct BorderRole {
     /// eBGP Adj-RIB-In: prefix → (peer_addr → route). The outer table
-    /// is a trie-indexed slab (lexicographic prefix iteration, pruned
-    /// range queries) with an index of its own, not a column over the
-    /// router's: a border router learns a small share of the prefixes
-    /// it routes over eBGP, and a dense 24-byte row for each of them
-    /// would cost more than this small trie (DESIGN.md §13). The inner
-    /// map stays ordered because peer order reaches the decision
-    /// process's candidate list.
-    ebgp_in: PrefixSlab<BTreeMap<u32, EbgpRoute>>,
+    /// is a private trie holding the session maps in its nodes
+    /// (lexicographic prefix iteration, pruned range queries), not a
+    /// column over the router's index: a border router learns a small
+    /// share of the prefixes it routes over eBGP, and a dense 24-byte
+    /// row for each of them would cost more than this small trie
+    /// (DESIGN.md §13). The inner map stays ordered because peer order
+    /// reaches the decision process's candidate list.
+    ebgp_in: PrefixTrie<BTreeMap<u32, EbgpRoute>>,
     /// Distinct eBGP session addresses ever seen (sessions outlive the
     /// routes they advertise; used for export accounting).
     ebgp_sessions: BTreeSet<u32>,
@@ -54,7 +56,7 @@ pub struct BorderRole {
 impl BorderRole {
     pub(crate) fn new() -> BorderRole {
         BorderRole {
-            ebgp_in: PrefixSlab::new(),
+            ebgp_in: PrefixTrie::new(),
             ebgp_sessions: BTreeSet::new(),
             local_prefixes: BTreeSet::new(),
             own_ever: BTreeSet::new(),
@@ -219,7 +221,7 @@ impl Role for BorderRole {
         let mut v: Vec<Ipv4Prefix> = self
             .ebgp_in
             .iter_overlapping(range_start, range_end)
-            .map(|(p, _)| *p)
+            .map(|(p, _)| p)
             .collect();
         v.extend(
             self.local_prefixes
@@ -233,12 +235,16 @@ impl Role for BorderRole {
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        (self.ebgp_in.index_nodes(), self.ebgp_in.slot_capacity())
+        (self.ebgp_in.node_count(), self.ebgp_in.len())
     }
 
     fn heap_bytes(&self) -> HeapBytes {
-        // The per-prefix session maps are `BTreeMap`s: not counted.
-        self.ebgp_in.heap_bytes()
+        // The arena, each session map's header inline; the maps' own
+        // `BTreeMap` nodes are not counted.
+        HeapBytes {
+            index: self.ebgp_in.heap_bytes(),
+            ..HeapBytes::default()
+        }
     }
 
     fn drop_peer(&mut self, _index: &PrefixIndex, _peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {

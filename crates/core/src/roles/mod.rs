@@ -463,7 +463,7 @@ impl Chassis {
             let effective = without(set, |a| originated_by(a, peer));
             if !effective.is_empty() {
                 to_send.push(BgpMsg {
-                    prefix: *prefix,
+                    prefix,
                     paths: Arc::new(effective.into_owned()),
                     plane: crate::node::group::plane_of(g),
                 });
@@ -571,14 +571,16 @@ pub trait Role {
         range_end: u32,
     ) -> Vec<Ipv4Prefix>;
 
-    /// `(trie index nodes, allocated value slots)` across this role's
-    /// storage — the occupancy pair behind the `core.store.*` gauges.
-    /// A column has slots and no nodes: the router's index is the
-    /// shell's to count.
+    /// `(trie nodes, slots)` across this role's storage — the
+    /// occupancy pair behind the `core.store.*` gauges. A column counts
+    /// its rows as slots and has no nodes (the router's index is the
+    /// shell's to count); a private trie counts its nodes and, as
+    /// slots, its entries.
     fn occupancy(&self) -> (usize, usize);
 
     /// Heap bytes across this role's storage — the
-    /// `core.store.*_bytes` gauges.
+    /// `core.store.*_bytes` gauges. A private trie's arena, values
+    /// inline, is [`HeapBytes::index`].
     fn heap_bytes(&self) -> HeapBytes;
 
     /// Drops everything learned from `peer` (RFC 4271 §6 teardown).

@@ -20,7 +20,8 @@
 //! That is the *canonical* form: `bgp_rib::normalize` sorts every
 //! stored path set the same way, so delivering the canonical form is
 //! behaviour-identical to delivering the original (see
-//! `AdjRibIn::set_paths`), and the verify oracle compares against it.
+//! `RibInColumn::set_paths`, which every receiving role stores
+//! through), and the verify oracle compares against it.
 
 use crate::msg::{BgpMsg, WireFrame};
 use bgp_rib::PathSet;

@@ -47,6 +47,13 @@ cargo test --workspace -q
 cargo test -q -p abrr-bench --test engine_equivalence -- --ignored
 echo "workspace tests: $((SECONDS - TEST_T0)) s wall"
 
+echo "== results/ regenerated and diffed (~4 min)"
+# Every results/*.txt artefact from scripts/results.sh's one
+# (artefact, bin, flags) table, into a temp dir, diffed against the
+# checked-in file: a behaviour change that moves a published number
+# fails here. Not Tier-1: fig6 and fig7 take about a minute each.
+scripts/results.sh --check
+
 echo "== benchmark package builds against crates/ and passes its smoke test (~1 min)"
 # benchmark/ is a stand-alone package, not a workspace member, so
 # nothing above compiles it: an API change under crates/ that breaks
@@ -111,6 +118,6 @@ echo "== scenario corpus + fixed-seed fuzz smoke"
 # verdict.
 cargo build --release -p abrr-bench --bin scenario
 ./target/release/scenario --dir examples/scenarios --fuzz 25 --seed 2011 \
-  --shrink-dir results/shrunk --overlays results/table_overlays.txt
+  --shrink-dir results/shrunk
 
 echo "CI OK"
