@@ -12,14 +12,14 @@
 //! Storage (see [`crate::store`] for the layouts and the single
 //! key-ordering policy): a router's full tables are id-keyed columns —
 //! [`RibInColumn`], [`LocColumn`] — over the one [`PrefixIndex`] it
-//! owns; each sparse [`AdjRibOut`] group is a private [`PrefixTrie`]
+//! owns; each sparse [`AdjRibOut`] group is a private [`PrefixMap`]
 //! holding its path sets. *One* invariant covers everything:
 //!
-//! * prefixes iterate in lexicographic `(addr, len)` order, straight
-//!   off a trie — [`RibInColumn::known_prefixes_in`],
-//!   [`AdjRibOut::iter_group`] and [`LocColumn::iter`] need
-//!   no explicit sorts, and [`RibInColumn::drop_peer`] sorts the one
-//!   list it gathers in id order;
+//! * prefixes iterate in lexicographic `(addr, len)` order, sorted by
+//!   whoever collects them — the index for
+//!   [`RibInColumn::known_prefixes_in`] and [`LocColumn::iter`],
+//!   [`AdjRibOut::iter_group`] for a group, [`RibInColumn::drop_peer`]
+//!   for the list it gathers in id order — so hash order never shows;
 //! * an Adj-RIB-In row is one flat run of [`RibInEntry`]s kept sorted
 //!   by ([`RouterId`], [`PathId`]), so [`RibInColumn::all_paths`]
 //!   yields candidates in that order (it reaches the decision process's
@@ -27,8 +27,8 @@
 //! * RIB-Out path sets stay sorted by [`PathId`] via `normalize`.
 
 use crate::decision::Candidate;
-use crate::store::{HeapBytes, PrefixId, PrefixIndex};
-use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixTrie, RouterId};
+use crate::store::{map_bytes, HeapBytes, PrefixId, PrefixIndex};
+use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixMap, RouterId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::size_of;
@@ -240,9 +240,9 @@ impl RibInColumn {
     }
 
     /// Prefixes known from any peer that overlap the inclusive address
-    /// range, in prefix order: a pruned walk of `index` filtered on the
-    /// column. Cost scales with the overlap, not the table — the
-    /// incremental path for Address-Partition reassignment.
+    /// range, in prefix order: `index`'s sorted overlap filtered on the
+    /// column — the incremental path for Address-Partition
+    /// reassignment.
     pub fn known_prefixes_in<'a>(
         &'a self,
         index: &'a PrefixIndex,
@@ -362,9 +362,10 @@ impl<T: Clone + PartialEq> LocColumn<T> {
             .filter(|(_, changes)| *changes > 0)
     }
 
-    /// Longest-prefix match against a destination address (single trie
-    /// descent). A withdrawn prefix does not match: the address falls
-    /// through to the next shorter selected cover.
+    /// Longest-prefix match against a destination address (one index
+    /// probe per prefix length present). A withdrawn prefix does not
+    /// match: the address falls through to the next shorter selected
+    /// cover.
     pub fn lookup(&self, index: &PrefixIndex, addr: u32) -> Option<(Ipv4Prefix, &T)> {
         let (p, id) = index.longest_match_where(addr, |id| self.get(id).is_some())?;
         self.get(id).map(|v| (p, v))
@@ -380,8 +381,8 @@ impl<T: Clone + PartialEq> LocColumn<T> {
         self.live == 0
     }
 
-    /// Iterates `(prefix, selection)` in prefix order, streamed from
-    /// `index` (no snapshot sort).
+    /// Iterates `(prefix, selection)` in prefix order, as `index` sorts
+    /// it.
     pub fn iter<'a>(
         &'a self,
         index: &'a PrefixIndex,
@@ -426,7 +427,16 @@ pub struct AdjRibOut {
 struct GroupOut {
     /// Shared, so a fan-out holds the list by cloning a pointer.
     members: Arc<[RouterId]>,
-    table: PrefixTrie<PathSet>,
+    table: PrefixMap<PathSet>,
+}
+
+impl GroupOut {
+    /// The group's `(prefix, path set)`s, sorted by prefix.
+    fn sorted(&self) -> impl Iterator<Item = (Ipv4Prefix, &PathSet)> {
+        let mut v: Vec<(Ipv4Prefix, &PathSet)> = self.table.iter().map(|(p, s)| (*p, s)).collect();
+        v.sort_unstable_by_key(|e| e.0);
+        v.into_iter()
+    }
 }
 
 impl AdjRibOut {
@@ -486,7 +496,7 @@ impl AdjRibOut {
             }
         } else {
             // A fresh entry is empty, which `paths` is not.
-            let slot = g.table.get_or_insert_with(prefix, Vec::new);
+            let slot = g.table.entry(prefix).or_default();
             if slot[..] == paths[..] {
                 return false;
             }
@@ -519,20 +529,22 @@ impl AdjRibOut {
 
     /// Iterates `(prefix, path set)` for one group in prefix order —
     /// this order reaches the wire during session resyncs, so it must
-    /// be deterministic. Streams off the group's trie; no snapshot sort.
+    /// be deterministic. Sorts the group's table: for resyncs and AP
+    /// reassignment, not the per-event path.
     pub fn iter_group(&self, group: u32) -> impl Iterator<Item = (Ipv4Prefix, &PathSet)> {
         self.groups
             .get(&group)
             .into_iter()
-            .flat_map(|g| g.table.iter())
+            .flat_map(GroupOut::sorted)
     }
 
     /// Starts a per-session export cursor for `peer`: walks every group
     /// the peer belongs to in ascending group-id order, and within each
     /// group every `(prefix, path set)` in prefix order — the
     /// deterministic order a session resync puts routes on the wire.
-    /// The cursor borrows the shared per-group tables; nothing is
-    /// copied per session.
+    /// The cursor borrows the shared per-group path sets, sorting one
+    /// group's prefixes as it reaches the group; no path set is copied
+    /// per session.
     pub fn export_walk(
         &self,
         peer: RouterId,
@@ -540,26 +552,23 @@ impl AdjRibOut {
         self.groups
             .iter()
             .filter(move |(_, g)| g.members.contains(&peer))
-            .flat_map(|(&gid, g)| g.table.iter().map(move |(p, set)| (gid, p, set)))
+            .flat_map(|(&gid, g)| g.sorted().map(move |(p, set)| (gid, p, set)))
     }
 
-    /// `(trie nodes, stored entries)` summed over the groups' tries
-    /// (occupancy gauge pair): at most `2 * entries + 1` nodes a group.
-    pub fn occupancy(&self) -> (usize, usize) {
-        self.groups.values().fold((0, 0), |(n, s), g| {
-            (n + g.table.node_count(), s + g.table.len())
-        })
+    /// Prefixes stored, summed over the groups (occupancy gauge).
+    pub fn slots(&self) -> usize {
+        self.groups.values().map(|g| g.table.len()).sum()
     }
 
-    /// Heap bytes of every group's trie arena, path sets inline, as
-    /// [`HeapBytes::index`], plus what each `PathSet` owns as
-    /// [`HeapBytes::paths`]. Walks the tables: for reports, not the hot
-    /// path.
+    /// Heap bytes of every group's hashed table, path-set headers
+    /// inline, as [`HeapBytes::index`], plus what each `PathSet` owns
+    /// as [`HeapBytes::paths`]. Walks the tables: for reports, not the
+    /// hot path.
     pub fn heap_bytes(&self) -> HeapBytes {
         let group = |g: &GroupOut| HeapBytes {
-            index: g.table.heap_bytes(),
+            index: map_bytes(&g.table),
             slots: 0,
-            paths: g.table.iter().map(|(_, set)| set.capacity()).sum::<usize>()
+            paths: g.table.values().map(Vec::capacity).sum::<usize>()
                 * size_of::<(PathId, Arc<PathAttributes>)>(),
         };
         self.groups.values().map(group).sum()
@@ -581,7 +590,7 @@ impl AdjRibOut {
     /// membership changes at runtime (e.g. AP reassignment).
     pub fn reset_group(&mut self, group: u32, members: Vec<RouterId>) {
         let g = self.groups.entry(group).or_default();
-        self.entries -= g.table.iter().map(|(_, v)| v.len()).sum::<usize>();
+        self.entries -= g.table.values().map(Vec::len).sum::<usize>();
         g.table.clear();
         g.members = members.into();
     }

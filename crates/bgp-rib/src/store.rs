@@ -1,31 +1,45 @@
-//! Prefix-keyed storage: one map type, [`PrefixTrie`], in two roles.
+//! Prefix-keyed storage: one hashed map type, [`PrefixMap`], in two
+//! roles, and order from a sort wherever order is observed.
 //!
 //! * A [`PrefixIndex`] maps prefix → dense [`PrefixId`] and back. A
 //!   router keeps *one*, and its full tables (every Adj-RIB-In, the
 //!   Loc-RIB) are plain `Vec` columns indexed by that id
-//!   ([`crate::rib::RibInColumn`], [`crate::rib::LocColumn`]): one trie
-//!   walk per received update, array reads after it, and no table
-//!   carries an index or a stored prefix of its own. Ids are handed out
-//!   on first sight and never recycled; index and columns are dropped
-//!   together (a router restart).
+//!   ([`crate::rib::RibInColumn`], [`crate::rib::LocColumn`]): one
+//!   hashed probe per received update, array reads after it, and no
+//!   table carries an index or a stored prefix of its own. Ids are
+//!   handed out on first sight and never recycled; index and columns
+//!   are dropped together (a router restart).
 //! * A *sparse* table — the per-group Adj-RIB-Out, the eBGP Adj-RIB-In —
-//!   is a private `PrefixTrie<T>` holding its values in its nodes: it
+//!   is a private `PrefixMap<T>` holding its values in its buckets: it
 //!   covers a small share of a router's prefixes, where a dense column
-//!   would cost more than the small trie (DESIGN.md §13).
+//!   would cost more than the small map (DESIGN.md §13).
+//!
+//! Every per-event access is a point lookup, so the maps are hashed:
+//! no event pays for order. Longest-prefix match probes the lengths
+//! the index holds, longest first. [`PrefixMap`]'s hasher is
+//! [`bgp_types::PrefixHasher`], not Fx: Fx leaves a prefix's low hash
+//! bits to its length and host zeros and piles a Tier-1 table onto a
+//! few buckets (see `bgp_types::fxhash`). `PrefixTrie` stays in
+//! `bgp-types` for the benchmark's trie kernels only; no table here
+//! uses it.
 //!
 //! # Determinism contract
 //!
 //! This is the single key-ordering policy for all RIB storage:
 //!
-//! * [`PrefixIndex::iter`], [`PrefixTrie::iter`] and their
-//!   `iter_overlapping` always yield prefixes in lexicographic
-//!   `(addr, len)` order — the same total order as `Ipv4Prefix`'s
-//!   `Ord` — independent of insertion history. No caller needs to sort.
+//! * [`PrefixIndex::iter`], [`PrefixIndex::iter_overlapping`] and every
+//!   ordered walk of a sparse table ([`crate::rib::AdjRibOut::iter_group`],
+//!   [`crate::rib::AdjRibOut::export_walk`]) yield prefixes in
+//!   lexicographic `(addr, len)` order — `Ipv4Prefix`'s `Ord` — by
+//!   sorting what they collect, independent of insertion history. Hash
+//!   iteration order never reaches a result. The sort is paid by
+//!   reports, session resyncs and Address-Partition reassignment, never
+//!   per event.
 //! * Prefix ids depend on arrival order and must never reach observable
-//!   output: anything order-observable walks a trie and filters on the
-//!   column, and nothing prints an id.
+//!   output: anything order-observable sorts by prefix and filters on
+//!   the column, and nothing prints an id.
 
-use bgp_types::{Ipv4Prefix, PrefixTrie};
+use bgp_types::{Ipv4Prefix, PrefixMap};
 use std::fmt;
 use std::iter::Sum;
 use std::mem::size_of;
@@ -79,13 +93,16 @@ impl Sum for HeapBytes {
 /// column over that index. Arrival-order dependent — never output.
 pub type PrefixId = u32;
 
-/// One router's prefix index: a Patricia trie from prefix to dense
-/// [`PrefixId`], and the `Vec` that maps back. Grow-only: an id, once
-/// handed out, names its prefix until the whole index is dropped.
+/// One router's prefix index: a hashed map from prefix to dense
+/// [`PrefixId`], the `Vec` that maps back, and a mask of the prefix
+/// lengths present. Grow-only: an id, once handed out, names its
+/// prefix until the whole index is dropped.
 #[derive(Clone, Default)]
 pub struct PrefixIndex {
-    ids: PrefixTrie<PrefixId>,
+    ids: PrefixMap<PrefixId>,
     prefixes: Vec<Ipv4Prefix>,
+    /// Bit `l` set when a prefix of length `l` was resolved.
+    lens: u64,
 }
 
 impl PrefixIndex {
@@ -105,11 +122,13 @@ impl PrefixIndex {
     }
 
     /// The id of `prefix`, handing out the next one on first sight: one
-    /// trie walk, hit or miss.
+    /// hashed probe, hit or miss.
     pub fn resolve(&mut self, prefix: Ipv4Prefix) -> PrefixId {
         let prefixes = &mut self.prefixes;
-        *self.ids.get_or_insert_with(prefix, || {
+        let lens = &mut self.lens;
+        *self.ids.entry(prefix).or_insert_with(|| {
             prefixes.push(prefix);
+            *lens |= 1 << prefix.len();
             (prefixes.len() - 1) as PrefixId
         })
     }
@@ -125,50 +144,98 @@ impl PrefixIndex {
         &self.prefixes[id as usize]
     }
 
-    /// Iterates `(prefix, id)` in lexicographic prefix order.
+    /// Iterates `(prefix, id)` in lexicographic prefix order: a sort of
+    /// the whole index, for reports.
     pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, PrefixId)> {
         self.iter_overlapping(0, u32::MAX)
     }
 
     /// Iterates the prefixes overlapping the inclusive address range,
-    /// in the same order as [`PrefixIndex::iter`], pruning disjoint
-    /// subtrees.
+    /// in the same order as [`PrefixIndex::iter`]: one scan of the
+    /// index, then a sort of the overlap.
     pub fn iter_overlapping(
         &self,
         range_start: u32,
         range_end: u32,
     ) -> impl Iterator<Item = (&Ipv4Prefix, PrefixId)> {
-        self.ids
-            .iter_overlapping(range_start, range_end)
-            .map(|(_, &id)| (self.prefix(id), id))
+        let mut hits: Vec<(Ipv4Prefix, PrefixId)> = (0..)
+            .zip(&self.prefixes)
+            .filter(|(_, p)| p.first_addr() <= range_end && p.last_addr() >= range_start)
+            .map(|(id, p)| (*p, id))
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter().map(|(_, id)| (self.prefix(id), id))
     }
 
     /// Longest-prefix match for a destination address among the ids
     /// `pred` accepts; a rejected prefix falls through to the next
-    /// shorter cover.
+    /// shorter cover. One probe per prefix length present, longest
+    /// first.
     pub fn longest_match_where(
         &self,
         addr: u32,
         pred: impl Fn(PrefixId) -> bool,
     ) -> Option<(Ipv4Prefix, PrefixId)> {
-        let (p, &id) = self.ids.longest_match_where(addr, |&id| pred(id))?;
-        Some((p, id))
+        let mut lens = self.lens;
+        while lens != 0 {
+            let len = 63 - lens.leading_zeros();
+            lens ^= 1 << len;
+            let p = Ipv4Prefix::new(addr, len as u8);
+            if let Some(id) = self.id(&p).filter(|&id| pred(id)) {
+                return Some((p, id));
+            }
+        }
+        None
     }
 
-    /// Live trie nodes (an occupancy gauge; interior nodes included):
-    /// at most `2 * len() + 1`.
-    pub fn index_nodes(&self) -> usize {
-        self.ids.node_count()
-    }
-
-    /// Heap bytes of the trie arena and the id → prefix `Vec`, at their
+    /// Heap bytes of the hashed map and the id → prefix `Vec`, at their
     /// capacities — all of it [`HeapBytes::index`].
     pub fn heap_bytes(&self) -> HeapBytes {
         HeapBytes {
-            index: self.ids.heap_bytes() + self.prefixes.capacity() * size_of::<Ipv4Prefix>(),
+            index: map_bytes(&self.ids) + self.prefixes.capacity() * size_of::<Ipv4Prefix>(),
             ..HeapBytes::default()
         }
     }
+}
+
+/// Bytes a [`PrefixMap`]'s table allocation holds, as the standard
+/// library's SwissTable lays it out: one `(key, value)` slot and one
+/// control byte per bucket, the slots padded to the control group's
+/// alignment, and one trailing control group mirroring the first.
+/// What the entries own on the heap is not counted.
+///
+/// The map reports its usable capacity, not its bucket count; the two
+/// are tied — at most 7/8 of the buckets (all but one below 8) — and
+/// the bucket count is the power of two that capacity belongs to. A
+/// removal that leaves a tombstone lowers the capacity reported until
+/// the next rehash, so the smallest power of two whose capacity covers
+/// it is taken, which is exact unless tombstones fill nearly half the
+/// table.
+pub fn map_bytes<V>(map: &PrefixMap<V>) -> usize {
+    /// SwissTable control group width: SSE2 on x86, a word elsewhere.
+    const GROUP: usize = if cfg!(any(target_arch = "x86", target_arch = "x86_64")) {
+        16
+    } else {
+        8
+    };
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let usable = |buckets: usize| {
+        if buckets < 8 {
+            buckets - 1
+        } else {
+            buckets / 8 * 7
+        }
+    };
+    let mut buckets = 4;
+    while usable(buckets) < cap {
+        buckets *= 2;
+    }
+    let slot = size_of::<(Ipv4Prefix, V)>();
+    let align = GROUP.max(std::mem::align_of::<(Ipv4Prefix, V)>());
+    (buckets * slot).next_multiple_of(align) + buckets + GROUP
 }
 
 /// The prefixes in order — ids are not for printing.

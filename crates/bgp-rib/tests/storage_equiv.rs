@@ -1,4 +1,4 @@
-//! Storage-equivalence sweep: the trie-indexed RIBs must be observably
+//! Storage-equivalence sweep: the hash-indexed RIBs must be observably
 //! identical to the plain map layout they replaced.
 //!
 //! Each reference model here *is* the old layout — per-peer `BTreeMap`
@@ -12,14 +12,16 @@
 //! over an index of its own, and, as a router holds them, two
 //! Adj-RIB-In columns and a Loc-RIB column over *one* [`PrefixIndex`].
 //! One test feeds one history to two such routers in two arrival
-//! orders: the prefix ids differ, nothing observable may. The last
-//! holds the benchmark's prefix-keyed adapters ([`AdjRibIn`],
+//! orders: the prefix ids differ, nothing observable may. The index
+//! and the RIB-Out are hashed maps whose every ordered answer is a
+//! sort: two more tests build each in two arrival orders over prefixes
+//! of every length, /0 to /32. The last holds the benchmark's prefix-keyed adapters ([`AdjRibIn`],
 //! [`LocRib`], [`CandidateBatch`]) to the index + column path they
 //! wrap.
 
 use bgp_rib::{
     best_as_level, AdjRibIn, AdjRibOut, CandidateBatch, DecisionConfig, LocColumn, LocRib, PathSet,
-    PrefixIndex, RibInColumn,
+    PrefixId, PrefixIndex, RibInColumn,
 };
 use bgp_types::{intern, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use proptest::prelude::*;
@@ -391,6 +393,71 @@ fn loc_op() -> impl Strategy<Value = (Ipv4Prefix, Option<u32>)> {
         .prop_map(|((x, len), val)| (Ipv4Prefix::new(x << 26, len), val))
 }
 
+/// Prefixes of every length, /0 to /32: half scattered over the
+/// address space, half from a small pool so that they nest and repeat.
+fn any_prefix() -> impl Strategy<Value = Ipv4Prefix> {
+    (any::<bool>(), any::<u32>(), 0u32..64, 0u8..=32)
+        .prop_map(|(scatter, a, x, len)| Ipv4Prefix::new(if scatter { a } else { x << 26 }, len))
+}
+
+/// Index answers, by prefix — no id in them: `iter`, the overlap of
+/// each range, the longest match among `live` at each probe.
+type IndexAnswers = (
+    Vec<Ipv4Prefix>,
+    Vec<Vec<Ipv4Prefix>>,
+    Vec<Option<Ipv4Prefix>>,
+);
+
+fn index_observe(
+    index: &PrefixIndex,
+    ranges: &[(u32, u32)],
+    probes: &[u32],
+    live: &BTreeSet<Ipv4Prefix>,
+) -> IndexAnswers {
+    let pairs: Vec<(Ipv4Prefix, PrefixId)> = index.iter().map(|(p, id)| (*p, id)).collect();
+    for (p, id) in &pairs {
+        assert_eq!(index.id(p), Some(*id), "iter paired {p} with another's id");
+    }
+    let in_range = ranges.iter().map(|&(s, e)| {
+        let hits = index.iter_overlapping(s, e);
+        hits.map(|(p, _)| *p).collect()
+    });
+    let matches = probes.iter().map(|&a| {
+        let hit = index.longest_match_where(a, |id| live.contains(index.prefix(id)));
+        hit.map(|(p, id)| {
+            assert_eq!(index.id(&p), Some(id));
+            p
+        })
+    });
+    (
+        pairs.into_iter().map(|(p, _)| p).collect(),
+        in_range.collect(),
+        matches.collect(),
+    )
+}
+
+fn index_model(
+    set: &BTreeSet<Ipv4Prefix>,
+    ranges: &[(u32, u32)],
+    probes: &[u32],
+    live: &BTreeSet<Ipv4Prefix>,
+) -> IndexAnswers {
+    let overlaps = |p: &Ipv4Prefix, s, e| p.first_addr() <= e && p.last_addr() >= s;
+    let in_range = ranges.iter().map(|&(s, e)| {
+        let hits = set.iter().filter(|p| overlaps(p, s, e));
+        hits.copied().collect()
+    });
+    let matches = probes.iter().map(|&a| {
+        let covers = live.iter().filter(|p| p.contains_addr(a));
+        covers.max_by_key(|p| p.len()).copied()
+    });
+    (
+        set.iter().copied().collect(),
+        in_range.collect(),
+        matches.collect(),
+    )
+}
+
 /// What a router holds over its one index, less the roles around it.
 #[derive(Default)]
 struct Router {
@@ -517,7 +584,8 @@ proptest! {
             let loc = (&mut *index, &mut *loc);
             let want: Vec<(Ipv4Prefix, u32)> = ref_loc.map.iter().map(|(p, v)| (*p, *v)).collect();
             prop_assert_eq!(loc.selections(), want);
-            prop_assert!(index.index_nodes() <= 2 * index.len() + 1);
+            let ordered: Vec<Ipv4Prefix> = index.iter().map(|(p, _)| *p).collect();
+            prop_assert!(ordered.len() == index.len() && ordered.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -557,64 +625,122 @@ proptest! {
         prop_assert_eq!(at_probe, Some((wide, 16)), "falls through the withdrawn /24");
     }
 
+    /// Two arrival orders — as drawn, and each (group, prefix)'s steps
+    /// kept in order but regrouped by descending prefix — over prefixes
+    /// of every length: the hashed group tables differ in history, the
+    /// ordered walks may not.
     #[test]
     fn adj_rib_out_export_walk_equivalent_to_per_group_maps(ops in prop::collection::vec(
-        (0u8..3, (0u32..32, prop::sample::select(vec![12u8, 16, 24])), prop::collection::vec((0u8..3, 0u8..2), 0..3)),
-        1..60,
+        (0u8..3, any_prefix(), prop::collection::vec((0u8..3, 0u8..2), 0..3)),
+        1..120,
     )) {
         // Three groups with overlapping memberships; RouterId(7) is in
         // groups 0 and 2, RouterId(8) in 1 and 2.
         let members = [vec![RouterId(7)], vec![RouterId(8)], vec![RouterId(7), RouterId(8)]];
         let mut real = AdjRibOut::new();
+        let mut regrouped_real = AdjRibOut::new();
         let mut reference: BTreeMap<u32, BTreeMap<Ipv4Prefix, PathSet>> = BTreeMap::new();
         for (g, m) in members.iter().enumerate() {
             real.define_group(g as u32, m.clone());
+            regrouped_real.define_group(g as u32, m.clone());
             reference.insert(g as u32, BTreeMap::new());
         }
-        for (g, (x, len), ids) in &ops {
+        for (g, p, ids) in &ops {
             let g = *g as u32;
-            let p = Ipv4Prefix::new(*x << 26, *len);
             let set = RefRibIn::normalize(path_set(ids));
-            let a = real.set_paths(g, p, path_set(ids));
+            let a = real.set_paths(g, *p, path_set(ids));
             let table = reference.get_mut(&g).unwrap();
             let b = if set.is_empty() {
-                table.remove(&p).is_some()
-            } else if table.get(&p) == Some(&set) {
+                table.remove(p).is_some()
+            } else if table.get(p) == Some(&set) {
                 false
             } else {
-                table.insert(p, set);
+                table.insert(*p, set);
                 true
             };
             prop_assert_eq!(a, b, "group set_paths change bit diverged");
         }
-        // Per-group iteration order.
-        for g in 0..3u32 {
-            let got: Vec<Ipv4Prefix> = real.iter_group(g).map(|(p, _)| p).collect();
-            let want: Vec<Ipv4Prefix> = reference[&g].keys().copied().collect();
-            prop_assert_eq!(got, want, "iter_group order for group {}", g);
+        let mut regrouped: Vec<&(u8, Ipv4Prefix, Vec<(u8, u8)>)> = ops.iter().collect();
+        regrouped.sort_by_key(|(g, p, _)| (std::cmp::Reverse(*p), *g));
+        for (g, p, ids) in regrouped {
+            regrouped_real.set_paths(*g as u32, *p, path_set(ids));
         }
-        prop_assert_eq!(
-            real.num_entries(),
-            reference.values().flat_map(|t| t.values()).map(|s| s.len()).sum::<usize>()
-        );
-        // Export walks: (group, prefix) ascending over the peer's groups
-        // — the resync order every session cursor replays.
-        for peer in [RouterId(7), RouterId(8), RouterId(9)] {
-            let got: Vec<(u32, Ipv4Prefix, usize)> = real
-                .export_walk(peer)
-                .map(|(g, p, set)| (g, p, set.len()))
-                .collect();
-            let mut want = Vec::new();
+        let entries = reference.values().flat_map(|t| t.values()).map(|s| s.len()).sum::<usize>();
+        for real in [&real, &regrouped_real] {
+            // Per-group iteration order.
             for (g, table) in &reference {
-                if !members[*g as usize].contains(&peer) {
-                    continue;
-                }
-                for (p, set) in table {
-                    want.push((*g, *p, set.len()));
-                }
+                let got: Vec<(Ipv4Prefix, &PathSet)> = real.iter_group(*g).collect();
+                let want: Vec<(Ipv4Prefix, &PathSet)> = table.iter().map(|(p, s)| (*p, s)).collect();
+                prop_assert_eq!(got, want, "iter_group order for group {}", g);
             }
-            prop_assert_eq!(got, want, "export_walk diverged for {:?}", peer);
+            prop_assert_eq!(real.num_entries(), entries);
+            prop_assert_eq!(real.slots(), reference.values().map(BTreeMap::len).sum::<usize>());
+            // Export walks: (group, prefix) ascending over the peer's
+            // groups — the resync order every session cursor replays.
+            for peer in [RouterId(7), RouterId(8), RouterId(9)] {
+                let got: Vec<(u32, Ipv4Prefix, &PathSet)> = real.export_walk(peer).collect();
+                let want: Vec<(u32, Ipv4Prefix, &PathSet)> = reference
+                    .iter()
+                    .filter(|(g, _)| members[**g as usize].contains(&peer))
+                    .flat_map(|(g, t)| t.iter().map(move |(p, set)| (*g, *p, set)))
+                    .collect();
+                prop_assert_eq!(got, want, "export_walk diverged for {:?}", peer);
+            }
         }
+    }
+
+    /// The index alone, over prefixes of every length: one multiset in
+    /// two arrival orders, against a `BTreeSet` model — `iter`, range
+    /// queries over random ranges, and longest match under a random
+    /// predicate (standing for a Loc-RIB's selections).
+    #[test]
+    fn index_order_and_longest_match_survive_the_hash(
+        drawn in prop::collection::vec(any_prefix(), 0..200),
+        repeats in prop::collection::vec(any::<usize>(), 0..40),
+        dead in prop::collection::vec(any::<usize>(), 0..40),
+        ranges in prop::collection::vec((any::<u32>(), any::<u32>()), 0..8),
+        probes in prop::collection::vec(any::<u32>(), 0..16),
+    ) {
+        // The multiset: drawn, /0, a /32, a /16 with a /24 inside it,
+        // and some of them again.
+        let (default, host) = (Ipv4Prefix::DEFAULT, Ipv4Prefix::new(0x0A01_0203, 32));
+        let (wide, narrow) = (Ipv4Prefix::new(0xF001_0000, 16), Ipv4Prefix::new(0xF001_0200, 24));
+        let mut arrivals = drawn;
+        arrivals.extend([default, host, wide, narrow]);
+        let again: Vec<Ipv4Prefix> = repeats.iter().map(|i| arrivals[i % arrivals.len()]).collect();
+        arrivals.extend(again);
+        let set: BTreeSet<Ipv4Prefix> = arrivals.iter().copied().collect();
+        // Withdrawn: a random subset, the /32, and the /24 under the
+        // live /16.
+        let mut live = set.clone();
+        for i in &dead {
+            live.remove(&arrivals[i % arrivals.len()]);
+        }
+        live.insert(wide);
+        live.remove(&narrow);
+        live.remove(&host);
+
+        let mut ranges: Vec<(u32, u32)> = ranges.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
+        ranges.extend([(0, u32::MAX), (NESTED_PROBE, NESTED_PROBE), (0, 1 << 28)]);
+        let mut probes = probes;
+        probes.extend([NESTED_PROBE, host.addr()]);
+        probes.extend(set.iter().flat_map(|p| [p.first_addr(), p.last_addr()]).take(64));
+
+        let (mut a, mut b) = (PrefixIndex::new(), PrefixIndex::new());
+        for p in &arrivals {
+            a.resolve(*p);
+        }
+        for p in arrivals.iter().rev() {
+            b.resolve(*p);
+        }
+        prop_assert_eq!(a.len(), set.len());
+        let want = index_model(&set, &ranges, &probes, &live);
+        prop_assert_eq!(&index_observe(&a, &ranges, &probes, &live), &want);
+        prop_assert_eq!(&index_observe(&b, &ranges, &probes, &live), &want);
+        let at = |addr| a.longest_match_where(addr, |id| live.contains(a.prefix(id))).map(|m| m.0);
+        prop_assert_eq!(at(NESTED_PROBE), Some(wide), "falls through the withdrawn /24");
+        let everything = |addr| a.longest_match_where(addr, |_| true).map(|m| m.0);
+        prop_assert_eq!(everything(host.addr()), Some(host));
     }
 
     /// The benchmark's adapters, call for call, against the path they

@@ -1,12 +1,21 @@
-//! A fast, non-cryptographic hasher for hot-path tables.
+//! Fast, non-cryptographic hashers for hot-path tables.
 //!
-//! This is the FxHash algorithm used throughout rustc (a multiply-xor
-//! construction originally from Firefox). The default `SipHash` in
-//! `std::collections::HashMap` is HashDoS-resistant but costs ~3-4× more
-//! per lookup; simulator tables are keyed by trusted in-process values
-//! ([`crate::Ipv4Prefix`], [`crate::RouterId`], attribute sets), so the
+//! [`FxHasher`] is the FxHash algorithm used throughout rustc (a
+//! multiply-xor construction originally from Firefox). The default
+//! `SipHash` in `std::collections::HashMap` is HashDoS-resistant but
+//! costs ~3-4× more per lookup; simulator tables are keyed by trusted
+//! in-process values ([`crate::RouterId`], attribute sets), so the
 //! cheaper hash is appropriate. The crates.io `rustc-hash` crate is not
 //! vendored in this offline build, hence the local implementation.
+//!
+//! [`PrefixHasher`] is for [`crate::Ipv4Prefix`] keys ([`PrefixMap`]).
+//! Fx ends in a multiply, so its low bits — the ones a SwissTable takes
+//! its bucket from — depend only on the key's low bits, and a prefix's
+//! low bits are its length and the address's host zeros. On the
+//! generated Tier-1 tables (one length, /24s) Fx puts 1 500 prefixes on
+//! 32 bucket start positions and 409 340 on 2 048 of 524 288: a lookup
+//! in random order at that size measured 118 ns against 13 ns with a
+//! finalizer that mixes every input bit into every output bit.
 //!
 //! **Determinism note**: unlike `RandomState`, [`FxBuildHasher`] is
 //! stateless, so iteration order of an [`FxHashMap`] is stable for a
@@ -15,9 +24,14 @@
 //! iterating wherever order reaches an observable result (fingerprints,
 //! counters, emitted messages).
 
+use crate::prefix::Ipv4Prefix;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
+/// A prefix-keyed `HashMap` using [`PrefixHasher`]: the point-lookup
+/// map under a router's prefix index and its sparse prefix tables.
+/// Its iteration order is the hash's — sort before anything observes it.
+pub type PrefixMap<V> = HashMap<Ipv4Prefix, V, BuildHasherDefault<PrefixHasher>>;
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using [`FxHasher`].
@@ -88,6 +102,45 @@ impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.hash
+    }
+}
+
+/// The hasher for keys of at most 64 bits, [`crate::Ipv4Prefix`] above
+/// all: the written integers are packed into one `u64` (a prefix's
+/// `(addr, len)` is 40 bits, so distinct prefixes pack distinctly) and
+/// finished with MurmurHash3's 64-bit finalizer, whose every output bit
+/// depends on every input bit. Longer keys lose their leading bits.
+#[derive(Default, Clone)]
+pub struct PrefixHasher {
+    packed: u64,
+}
+
+impl Hasher for PrefixHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.packed = self.packed << 8 | i as u64;
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.packed = self.packed << 32 | i as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut k = self.packed;
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
     }
 }
 

@@ -16,9 +16,12 @@
 //!   (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF, communities, extended
 //!   communities, ORIGINATOR_ID, CLUSTER_LIST).
 //! * [`Route`] — a prefix plus its attributes plus provenance.
+//! * [`PrefixMap`] — the prefix-keyed hash map under every RIB table,
+//!   with [`PrefixHasher`], whose every output bit depends on every bit
+//!   of the prefix.
 //! * [`PrefixTrie`] — a path-compressed binary trie keyed by prefix (at
-//!   most two nodes per stored prefix), the one prefix map under every
-//!   RIB table and the longest-prefix matcher.
+//!   most two nodes per stored prefix); no RIB table uses it, the
+//!   benchmark's trie kernels time it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +39,7 @@ pub use asn::{AsPath, AsSegment, Asn};
 pub use attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PrefixHasher, PrefixMap};
 pub use intern::{intern, intern_arc, intern_str, resolve_symbol, InternStats, Symbol};
 pub use partition::{ApId, ApMap, Partition};
 pub use prefix::{AddressRange, Ipv4Prefix, PrefixParseError};

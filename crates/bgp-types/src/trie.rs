@@ -1,8 +1,7 @@
 //! A path-compressed binary prefix trie keyed by [`Ipv4Prefix`].
 //!
-//! The one prefix map under every RIB table — a router's prefix index,
-//! and the sparse tables that hold their values in its nodes — and the
-//! longest-prefix matcher.
+//! It held every RIB table until those moved to the hashed
+//! [`crate::PrefixMap`]; it stays for the benchmark's trie kernels.
 //! It is a Patricia trie: a node carries the whole prefix it stands
 //! for, and a link skips every bit at which nothing branches, so only
 //! two kinds of node exist — a stored prefix, or a valueless branch

@@ -92,11 +92,11 @@ impl Selected {
 /// after their managed set is rebuilt, mirroring the monolith order).
 /// Nothing outside the worklist is ever re-decided — whole-prefix-space
 /// passes exist nowhere in the shell; even the §2.2 AP choreography
-/// seeds the worklist from pruned trie-range queries
-/// ([`Role::known_prefixes_in`]) instead of full-table scans.
+/// seeds the worklist from range queries over the index
+/// ([`Role::known_prefixes_in`]), re-deciding only the covered prefixes.
 ///
 /// An entry carries the prefix's id in the router's index beside it, so
-/// the drain makes no trie walk; the prefix comes first, which keeps
+/// the drain makes no index probe; the prefix comes first, which keeps
 /// the drain in prefix order whatever order the ids were handed out in.
 #[derive(Default)]
 struct Worklist {
@@ -352,34 +352,32 @@ impl BgpNode {
     }
 
     /// The `core.store.*` gauges — storage internals of the tables:
-    /// live trie nodes; slots, which are column rows plus the entries
-    /// of the private tries; and the heap bytes of the trie arenas (a
-    /// private trie's values inline), the column row arrays and the
-    /// path sets both own. Summed over *everything* this node keeps:
+    /// slots, which are column rows plus the entries of the private
+    /// maps; and the heap bytes of the hashed tables (a private map's
+    /// values inline), the column row arrays and the path sets both
+    /// own. Summed over *everything* this node keeps:
     /// its one prefix index (counted here, once — the columns over it
     /// report slots and paths only), each role's tables, the Loc-RIB
     /// column (whose rows also hold the selection-change counts) and
     /// the per-group RIB-Out.
     /// Makes the memory story auditable, not just entry counts.
-    fn store_gauges(&self) -> [(&'static str, usize); 5] {
+    fn store_gauges(&self) -> [(&'static str, usize); 4] {
         let ch = &self.ch;
         let tables = self
             .roles()
-            .map(|role| (role.occupancy(), role.heap_bytes()))
+            .map(|role| (role.slots(), role.heap_bytes()))
             .into_iter()
             .chain([
-                ((ch.index.index_nodes(), 0), ch.index.heap_bytes()),
-                ((0, ch.loc_rib.slots()), ch.loc_rib.heap_bytes()),
-                (ch.out.occupancy(), ch.out.heap_bytes()),
+                (0, ch.index.heap_bytes()),
+                (ch.loc_rib.slots(), ch.loc_rib.heap_bytes()),
+                (ch.out.slots(), ch.out.heap_bytes()),
             ]);
-        let (mut nodes, mut slots, mut bytes) = (0, 0, HeapBytes::default());
-        for ((n, s), b) in tables {
-            nodes += n;
+        let (mut slots, mut bytes) = (0, HeapBytes::default());
+        for (s, b) in tables {
             slots += s;
             bytes = bytes + b;
         }
         [
-            ("core.store.index_nodes", nodes),
             ("core.store.slots", slots),
             ("core.store.index_bytes", bytes.index),
             ("core.store.slot_bytes", bytes.slots),
@@ -566,8 +564,8 @@ impl BgpNode {
 
         // Re-run every covered prefix: the client function re-feeds the
         // (possibly new) ARRs, and a gaining ARR reflects its managed
-        // set as it arrives. Seeded by pruned trie-range queries over
-        // the AP's address ranges, not a full-table scan.
+        // set as it arrives. Seeded by range queries over the AP's
+        // address ranges: only covered prefixes are re-decided.
         todo.extend(self.prefixes_covered_by(ap));
         for p in todo {
             let id = self.ch.index.resolve(p);
@@ -579,7 +577,7 @@ impl BgpNode {
     }
 
     /// Every known prefix covered by `ap`, gathered incrementally: one
-    /// pruned trie-range walk per AP address range per role. Exact —
+    /// range query per AP address range per role. Exact —
     /// `Partition::covers` is "overlaps any range", which is precisely
     /// the union of the per-range overlap queries.
     fn prefixes_covered_by(&self, ap: ApId) -> BTreeSet<Ipv4Prefix> {
@@ -611,8 +609,8 @@ impl BgpNode {
                 plane,
             } = msg;
             let kind = self.classify(from, plane, &prefix);
-            // The one trie walk this update costs: every table below is
-            // a column read at `id`.
+            // The one index probe this update costs: every table below
+            // is a column read at `id`.
             let id = self.ch.index.resolve(prefix);
             let rx = Rx {
                 from,
@@ -721,7 +719,7 @@ impl Protocol for BgpNode {
             ExternalEvent::CutoverAp(ap) => {
                 if self.ch.accept_abrr.insert(ap) {
                     // Re-evaluate every prefix the cutover AP covers —
-                    // pruned trie-range gathering, not a full scan.
+                    // gathered by range query, nothing else re-decided.
                     for p in self.prefixes_covered_by(ap) {
                         self.recompute_prefix(ctx, p);
                     }
@@ -854,46 +852,38 @@ mod tests {
         for (_, node) in sim.nodes() {
             let ch = &node.ch;
             assert!(!ch.loc_rib.is_empty(), "every router selected something");
-            // The index (nodes, no slots), then the tables over it
-            // (slots, no nodes), then the two on tries of their own.
+            // The index (bytes, no slots), the columns over it (rows),
+            // then the two private maps (entries).
             let columns = [&node.client as &dyn Role, &node.arr, &node.trr];
-            let mut occupancy = vec![(ch.index.index_nodes(), 0), (0, ch.loc_rib.slots())];
-            occupancy.extend(columns.map(|role| role.occupancy()));
-            assert!(occupancy[1..].iter().all(|o| o.0 == 0), "{occupancy:?}");
-            let sparse = [node.border.occupancy(), ch.out.occupancy()];
-            occupancy.extend(sparse);
+            let rows = ch.loc_rib.slots() + columns.map(|role| role.slots()).iter().sum::<usize>();
+            let sparse = [node.border.slots(), ch.out.slots()];
             let bytes = ch.index.heap_bytes()
                 + ch.loc_rib.heap_bytes()
                 + ch.out.heap_bytes()
                 + node.roles().map(|role| role.heap_bytes()).into_iter().sum();
             let want = [
-                (
-                    "core.store.index_nodes",
-                    occupancy.iter().map(|o| o.0).sum(),
-                ),
-                ("core.store.slots", occupancy.iter().map(|o| o.1).sum()),
+                ("core.store.slots", rows + sparse[0] + sparse[1]),
                 ("core.store.index_bytes", bytes.index),
                 ("core.store.slot_bytes", bytes.slots),
                 ("core.store.path_bytes", bytes.paths),
             ];
             assert_eq!(node.store_gauges(), want);
-            // Only the index says where the index bytes are.
+            // Only the index and the private maps say where index bytes
+            // are; the index owns nothing else.
             let column_bytes: HeapBytes = columns.map(|role| role.heap_bytes()).into_iter().sum();
             assert_eq!((column_bytes + ch.loc_rib.heap_bytes()).index, 0);
-            // Path-compressed: `node_count() <= 2 * len() + 1` for every
-            // trie — the shared index, and each private one, whose
-            // entries are its slots: the eBGP table and one per group.
-            assert!(ch.index.index_nodes() <= 2 * ch.index.len() + 1);
+            let index_bytes = ch.index.heap_bytes();
+            assert!(index_bytes.index > 0 && index_bytes.total() == index_bytes.index);
             assert!(ch.loc_rib.slots() <= ch.index.len(), "no row without an id");
-            let tables = 1 + ch.out.group_ids().count();
-            let (nodes, entries) = (sparse[0].0 + sparse[1].0, sparse[0].1 + sparse[1].1);
-            assert!(nodes <= 2 * entries + tables, "{sparse:?}");
-            let out_entries = ch.out.group_ids().map(|g| ch.out.iter_group(g).count());
-            assert_eq!(sparse[1].1, out_entries.sum::<usize>(), "slots are entries");
-            assert_eq!(want[0].1, ch.index.index_nodes() + nodes);
-            // A private trie has no row array: its arena is index bytes.
+            // A private map's slots are its prefixes.
+            let out_prefixes = ch.out.group_ids().map(|g| ch.out.iter_group(g).count());
+            assert_eq!(sparse[1], out_prefixes.sum::<usize>(), "slots are entries");
+            let ebgp = node.border.known_prefixes_in(&ch.index, 0, u32::MAX);
+            assert!(sparse[0] <= ebgp.len(), "{sparse:?}");
+            // A private map has no row array: its table is index bytes.
             let sparse_bytes = node.border.heap_bytes() + ch.out.heap_bytes();
             assert_eq!(sparse_bytes.slots, 0);
+            assert!(sparse[1] == 0 || ch.out.heap_bytes().index > 0);
         }
     }
 
@@ -978,7 +968,7 @@ mod tests {
         }
         // No stale id can address a fresh column: none has a row beyond
         // the new index.
-        let rows = after.roles().map(|role| role.occupancy().1);
+        let rows = after.roles().map(|role| role.slots());
         let n = after.ch.index.len();
         assert!(after.ch.loc_rib.slots() <= n && rows[1..].iter().all(|r| *r <= 2 * n));
     }

@@ -141,8 +141,8 @@ impl ArrRole {
         self.arr_aps.retain(|a| *a != ap);
         let peers: Vec<RouterId> = self.arr_in.peers().collect();
         // Evict managed routes no remaining AP covers, gathering the
-        // lost AP's prefixes by pruned trie-range walk (range overlap
-        // is exactly `Partition::covers`), not a full-table scan.
+        // lost AP's prefixes by range query (range overlap is exactly
+        // `Partition::covers`).
         let mut covered = std::collections::BTreeSet::new();
         for r in ch.ap_ranges(ap) {
             let known = self.arr_in.known_prefixes_in(&ch.index, r.start(), r.end());
@@ -250,8 +250,8 @@ impl Role for ArrRole {
         known.map(|(p, _)| p).collect()
     }
 
-    fn occupancy(&self) -> (usize, usize) {
-        (0, self.arr_in.slots())
+    fn slots(&self) -> usize {
+        self.arr_in.slots()
     }
 
     fn heap_bytes(&self) -> HeapBytes {

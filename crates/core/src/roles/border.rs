@@ -9,9 +9,9 @@
 
 use super::{AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::SessionMsg;
-use bgp_rib::{Candidate, HeapBytes, PrefixId, PrefixIndex};
+use bgp_rib::{store::map_bytes, Candidate, HeapBytes, PrefixId, PrefixIndex};
 use bgp_types::{
-    intern, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixTrie, RouteSource, RouterId,
+    intern, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixMap, RouteSource, RouterId,
 };
 use netsim::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,14 +30,15 @@ struct EbgpRoute {
 /// consults.
 pub struct BorderRole {
     /// eBGP Adj-RIB-In: prefix → (peer_addr → route). The outer table
-    /// is a private trie holding the session maps in its nodes
-    /// (lexicographic prefix iteration, pruned range queries), not a
-    /// column over the router's index: a border router learns a small
-    /// share of the prefixes it routes over eBGP, and a dense 24-byte
-    /// row for each of them would cost more than this small trie
-    /// (DESIGN.md §13). The inner map stays ordered because peer order
-    /// reaches the decision process's candidate list.
-    ebgp_in: PrefixTrie<BTreeMap<u32, EbgpRoute>>,
+    /// is a private hashed map holding the session maps in its buckets
+    /// — every `reselect` probes it, and only range queries, which
+    /// sort, need order — not a column over the router's index: a
+    /// border router learns a small share of the prefixes it routes
+    /// over eBGP, and a dense 24-byte row for each of them would cost
+    /// more than this small map (DESIGN.md §13). The inner map stays
+    /// ordered because peer order reaches the decision process's
+    /// candidate list.
+    ebgp_in: PrefixMap<BTreeMap<u32, EbgpRoute>>,
     /// Distinct eBGP session addresses ever seen (sessions outlive the
     /// routes they advertise; used for export accounting).
     ebgp_sessions: BTreeSet<u32>,
@@ -56,7 +57,7 @@ pub struct BorderRole {
 impl BorderRole {
     pub(crate) fn new() -> BorderRole {
         BorderRole {
-            ebgp_in: PrefixTrie::new(),
+            ebgp_in: PrefixMap::default(),
             ebgp_sessions: BTreeSet::new(),
             local_prefixes: BTreeSet::new(),
             own_ever: BTreeSet::new(),
@@ -66,7 +67,7 @@ impl BorderRole {
     /// Whether this router currently holds an eBGP or locally-originated
     /// route for `prefix` — i.e. whether it can act as the AS's exit.
     pub(crate) fn originates(&self, prefix: &Ipv4Prefix) -> bool {
-        self.local_prefixes.contains(prefix) || self.ebgp_in.get(prefix).is_some()
+        self.local_prefixes.contains(prefix) || self.ebgp_in.contains_key(prefix)
     }
 
     /// Whether `prefix` is in the sticky own-route set (see field docs).
@@ -76,7 +77,7 @@ impl BorderRole {
 
     /// eBGP Adj-RIB-In entries.
     pub(crate) fn ebgp_entries(&self) -> usize {
-        self.ebgp_in.iter().map(|(_, m)| m.len()).sum()
+        self.ebgp_in.values().map(BTreeMap::len).sum()
     }
 
     /// The configured local prefixes (cloned: callers re-originate while
@@ -104,15 +105,13 @@ impl BorderRole {
         a.ext_communities.retain(|c| !c.is_abrr_reflected());
         self.own_ever.insert(prefix);
         self.ebgp_sessions.insert(peer_addr);
-        self.ebgp_in
-            .get_or_insert_with(prefix, BTreeMap::new)
-            .insert(
-                peer_addr,
-                EbgpRoute {
-                    peer_as,
-                    attrs: intern(a),
-                },
-            );
+        self.ebgp_in.entry(prefix).or_default().insert(
+            peer_addr,
+            EbgpRoute {
+                peer_as,
+                attrs: intern(a),
+            },
+        );
     }
 
     /// eBGP withdraw. Returns whether a stored route was removed (the
@@ -218,31 +217,24 @@ impl Role for BorderRole {
         range_start: u32,
         range_end: u32,
     ) -> Vec<Ipv4Prefix> {
-        let mut v: Vec<Ipv4Prefix> = self
-            .ebgp_in
-            .iter_overlapping(range_start, range_end)
-            .map(|(p, _)| p)
-            .collect();
-        v.extend(
-            self.local_prefixes
-                .iter()
-                .filter(|p| p.first_addr() <= range_end && p.last_addr() >= range_start)
-                .copied(),
-        );
-        v.sort();
+        let overlaps =
+            |p: &&Ipv4Prefix| p.first_addr() <= range_end && p.last_addr() >= range_start;
+        let mut v: Vec<Ipv4Prefix> = self.ebgp_in.keys().filter(overlaps).copied().collect();
+        v.extend(self.local_prefixes.iter().filter(overlaps).copied());
+        v.sort_unstable();
         v.dedup();
         v
     }
 
-    fn occupancy(&self) -> (usize, usize) {
-        (self.ebgp_in.node_count(), self.ebgp_in.len())
+    fn slots(&self) -> usize {
+        self.ebgp_in.len()
     }
 
     fn heap_bytes(&self) -> HeapBytes {
-        // The arena, each session map's header inline; the maps' own
+        // The table, each session map's header inline; the maps' own
         // `BTreeMap` nodes are not counted.
         HeapBytes {
-            index: self.ebgp_in.heap_bytes(),
+            index: map_bytes(&self.ebgp_in),
             ..HeapBytes::default()
         }
     }

@@ -115,9 +115,8 @@ impl ClientRole {
         ap: bgp_types::ApId,
         arr: RouterId,
     ) -> Vec<Ipv4Prefix> {
-        // Gather the AP's covered prefixes by pruned trie-range walk
-        // (range overlap is exactly `Partition::covers`), not a
-        // full-table scan.
+        // Gather the AP's covered prefixes by range query (range
+        // overlap is exactly `Partition::covers`).
         let mut covered = std::collections::BTreeSet::new();
         for r in ch.ap_ranges(ap) {
             let known = self
@@ -305,8 +304,8 @@ impl Role for ClientRole {
         v
     }
 
-    fn occupancy(&self) -> (usize, usize) {
-        (0, self.client_in.slots() + self.client_in_tbrr.slots())
+    fn slots(&self) -> usize {
+        self.client_in.slots() + self.client_in_tbrr.slots()
     }
 
     fn heap_bytes(&self) -> HeapBytes {

@@ -216,7 +216,7 @@ impl Chassis {
     }
 
     /// The address ranges of partition `ap` (empty when no AP map or
-    /// unknown id) — the keys for pruned trie-range RIB queries.
+    /// unknown id) — the keys for range queries over the RIBs.
     pub(crate) fn ap_ranges(&self, ap: ApId) -> &[bgp_types::AddressRange] {
         self.spec
             .ap_map
@@ -561,9 +561,8 @@ pub trait Role {
     /// The prefixes this role holds state for that overlap the
     /// inclusive address range `[range_start, range_end]`, in prefix
     /// order. The incremental path for Address-Partition choreography:
-    /// cost scales with the overlap (pruned trie-range walk of `index`,
-    /// the router's, filtered on the role's columns), not the table
-    /// size.
+    /// `index`'s (the router's) sorted overlap, filtered on the role's
+    /// columns — one scan of the index, a sort of the overlap.
     fn known_prefixes_in(
         &self,
         index: &PrefixIndex,
@@ -571,15 +570,12 @@ pub trait Role {
         range_end: u32,
     ) -> Vec<Ipv4Prefix>;
 
-    /// `(trie nodes, slots)` across this role's storage — the
-    /// occupancy pair behind the `core.store.*` gauges. A column counts
-    /// its rows as slots and has no nodes (the router's index is the
-    /// shell's to count); a private trie counts its nodes and, as
-    /// slots, its entries.
-    fn occupancy(&self) -> (usize, usize);
+    /// Slots across this role's storage — the `core.store.slots`
+    /// gauge. A column counts its rows; a private map, its entries.
+    fn slots(&self) -> usize;
 
     /// Heap bytes across this role's storage — the
-    /// `core.store.*_bytes` gauges. A private trie's arena, values
+    /// `core.store.*_bytes` gauges. A private map's table, values
     /// inline, is [`HeapBytes::index`].
     fn heap_bytes(&self) -> HeapBytes;
 

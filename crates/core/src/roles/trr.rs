@@ -231,8 +231,8 @@ impl Role for TrrRole {
         known.map(|(p, _)| p).collect()
     }
 
-    fn occupancy(&self) -> (usize, usize) {
-        (0, self.trr_in.slots())
+    fn slots(&self) -> usize {
+        self.trr_in.slots()
     }
 
     fn heap_bytes(&self) -> HeapBytes {

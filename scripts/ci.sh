@@ -75,19 +75,21 @@ cargo build --release -p abrr-bench --bin scale
 echo "== tier1-scale smoke (20K prefixes, sharded engine, RSS budget)"
 # Exercises the RIB storage at a bounded Tier-1 scale: must complete,
 # quiesce, and stay under a peak-RSS budget (the compact-storage
-# regression tripwire). The budget is 1.15x the 1 208 780 kB this run
-# measured with one prefix index per router and id-keyed columns over
-# it (PR 24; a repeat read 1 207 952 kB — same-seed RSS repeats to
-# 0.1 %, which is what lets the margin be this thin). With one trie and
-# a stored prefix per table (PRs 20-21) it took 1 407 436 kB, so
-# reverting to that layout fails here; under the old 1.3x it would not.
+# regression tripwire). The budget is 1.10x the 1 062 404 kB this run
+# measured with prefix-hashed maps under the index and the sparse
+# tables (PR 27; a repeat read 1 063 124 kB — same-seed RSS repeats to
+# 0.1 %, which is what lets the margin be this thin). With Patricia
+# tries there (PRs 20-26) it took 1 212 800 kB (PR 24 recorded
+# 1 208 780), so reverting to them fails here; under the old
+# 1.15 x 1 208 780 = 1 390 000 it would not. Under `--engine seq` the
+# same run reads 962 800 kB (tries: 1 086 524).
 TIER1_OUT=$(mktemp)
 ./target/release/scale --workload churn --engine sharded:2 \
   --prefixes 20000 --minutes 1 --out "$TIER1_OUT"
 TIER1_RSS_KB=$(sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "$TIER1_OUT")
 TIER1_QUIESCED=$(sed -n 's/.*"quiesced":\(true\|false\).*/\1/p' "$TIER1_OUT")
 rm -f "$TIER1_OUT"
-TIER1_RSS_BUDGET_KB=1390000 # 1.15 x 1 208 780 kB
+TIER1_RSS_BUDGET_KB=1168600 # 1.10 x 1 062 404 kB
 if [ "$TIER1_QUIESCED" != "true" ]; then
   echo "tier1-scale smoke: did not quiesce" >&2
   exit 1
