@@ -409,9 +409,21 @@ impl JsonRow {
         JsonRow { parts: Vec::new() }
     }
 
-    /// String field (escapes quotes and backslashes).
+    /// String field, escaped as RFC 8259 §7 requires: quotes,
+    /// backslashes and every control character U+0000–U+001F.
     pub fn str(mut self, k: &str, v: &str) -> Self {
-        let escaped = v.replace('\\', "\\\\").replace('"', "\\\"");
+        let mut escaped = String::with_capacity(v.len());
+        for c in v.chars() {
+            match c {
+                '"' => escaped.push_str("\\\""),
+                '\\' => escaped.push_str("\\\\"),
+                '\n' => escaped.push_str("\\n"),
+                '\r' => escaped.push_str("\\r"),
+                '\t' => escaped.push_str("\\t"),
+                c if c < '\u{20}' => escaped.push_str(&format!("\\u{:04x}", c as u32)),
+                c => escaped.push(c),
+            }
+        }
         self.parts.push(format!("\"{k}\":\"{escaped}\""));
         self
     }
@@ -548,5 +560,16 @@ pub fn print_panel(p: &Panel) {
         } else {
             table.row(&[f(r.x, 0), f(r.abrr, 0), t("-"), t("-")]);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_row_escapes_control_characters() {
+        let row = JsonRow::new().str("label", "a\tb\n\"c\"\u{1}\\");
+        assert_eq!(row.to_line(), r#"{"label":"a\tb\n\"c\"\u0001\\"}"#);
     }
 }

@@ -12,14 +12,15 @@
 //! Storage (see [`crate::store`] for the layouts and the single
 //! key-ordering policy): a router's full tables are id-keyed columns —
 //! [`RibInColumn`], [`LocColumn`] — over the one [`PrefixIndex`] it
-//! owns; each sparse [`AdjRibOut`] group is a private [`PrefixMap`]
+//! owns; each sparse [`AdjRibOut`] group is a private [`PrefixTable`]
 //! holding its path sets. *One* invariant covers everything:
 //!
 //! * prefixes iterate in lexicographic `(addr, len)` order, sorted by
-//!   whoever collects them — the index for
-//!   [`RibInColumn::known_prefixes_in`] and [`LocColumn::iter`],
-//!   [`AdjRibOut::iter_group`] for a group, [`RibInColumn::drop_peer`]
-//!   for the list it gathers in id order — so hash order never shows;
+//!   [`PrefixTable`] — the index's for
+//!   [`RibInColumn::known_prefixes_in`] and [`LocColumn::iter`], a
+//!   group's for [`AdjRibOut::iter_group`] — or, for the list
+//!   [`RibInColumn::drop_peer`] gathers in id order, by that method, so
+//!   hash order never shows;
 //! * an Adj-RIB-In row is one flat run of [`RibInEntry`]s kept sorted
 //!   by ([`RouterId`], [`PathId`]), so [`RibInColumn::all_paths`]
 //!   yields candidates in that order (it reaches the decision process's
@@ -27,8 +28,8 @@
 //! * RIB-Out path sets stay sorted by [`PathId`] via `normalize`.
 
 use crate::decision::Candidate;
-use crate::store::{map_bytes, HeapBytes, PrefixId, PrefixIndex};
-use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixMap, RouterId};
+use crate::store::{HeapBytes, PrefixId, PrefixIndex};
+use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixTable, RouterId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::size_of;
@@ -427,16 +428,7 @@ pub struct AdjRibOut {
 struct GroupOut {
     /// Shared, so a fan-out holds the list by cloning a pointer.
     members: Arc<[RouterId]>,
-    table: PrefixMap<PathSet>,
-}
-
-impl GroupOut {
-    /// The group's `(prefix, path set)`s, sorted by prefix.
-    fn sorted(&self) -> impl Iterator<Item = (Ipv4Prefix, &PathSet)> {
-        let mut v: Vec<(Ipv4Prefix, &PathSet)> = self.table.iter().map(|(p, s)| (*p, s)).collect();
-        v.sort_unstable_by_key(|e| e.0);
-        v.into_iter()
-    }
+    table: PrefixTable<PathSet>,
 }
 
 impl AdjRibOut {
@@ -496,7 +488,7 @@ impl AdjRibOut {
             }
         } else {
             // A fresh entry is empty, which `paths` is not.
-            let slot = g.table.entry(prefix).or_default();
+            let slot = g.table.get_or_insert_with(prefix, PathSet::new);
             if slot[..] == paths[..] {
                 return false;
             }
@@ -535,7 +527,7 @@ impl AdjRibOut {
         self.groups
             .get(&group)
             .into_iter()
-            .flat_map(GroupOut::sorted)
+            .flat_map(|g| g.table.iter())
     }
 
     /// Starts a per-session export cursor for `peer`: walks every group
@@ -552,7 +544,7 @@ impl AdjRibOut {
         self.groups
             .iter()
             .filter(move |(_, g)| g.members.contains(&peer))
-            .flat_map(|(&gid, g)| g.sorted().map(move |(p, set)| (gid, p, set)))
+            .flat_map(|(&gid, g)| g.table.iter().map(move |(p, set)| (gid, p, set)))
     }
 
     /// Prefixes stored, summed over the groups (occupancy gauge).
@@ -566,7 +558,7 @@ impl AdjRibOut {
     /// hot path.
     pub fn heap_bytes(&self) -> HeapBytes {
         let group = |g: &GroupOut| HeapBytes {
-            index: map_bytes(&g.table),
+            index: g.table.heap_bytes(),
             slots: 0,
             paths: g.table.values().map(Vec::capacity).sum::<usize>()
                 * size_of::<(PathId, Arc<PathAttributes>)>(),

@@ -28,8 +28,8 @@ use crate::prefix::Ipv4Prefix;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A prefix-keyed `HashMap` using [`PrefixHasher`]: the point-lookup
-/// map under a router's prefix index and its sparse prefix tables.
+/// A prefix-keyed `HashMap` using [`PrefixHasher`]: the map inside
+/// [`crate::PrefixTable`], which every prefix-keyed RIB table is.
 /// Its iteration order is the hash's — sort before anything observes it.
 pub type PrefixMap<V> = HashMap<Ipv4Prefix, V, BuildHasherDefault<PrefixHasher>>;
 /// A `HashMap` using [`FxHasher`].

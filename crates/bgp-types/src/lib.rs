@@ -16,12 +16,11 @@
 //!   (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF, communities, extended
 //!   communities, ORIGINATOR_ID, CLUSTER_LIST).
 //! * [`Route`] — a prefix plus its attributes plus provenance.
-//! * [`PrefixMap`] — the prefix-keyed hash map under every RIB table,
-//!   with [`PrefixHasher`], whose every output bit depends on every bit
-//!   of the prefix.
-//! * [`PrefixTrie`] — a path-compressed binary trie keyed by prefix (at
-//!   most two nodes per stored prefix); no RIB table uses it, the
-//!   benchmark's trie kernels time it.
+//! * [`PrefixTable`] — the one prefix-keyed table under every RIB
+//!   table: a [`PrefixMap`] (hashed with [`PrefixHasher`], whose every
+//!   output bit depends on every bit of the prefix) plus the mask of the
+//!   prefix lengths present, for longest-prefix match. Order comes from
+//!   a sort, never from the hash.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,4 +43,4 @@ pub use intern::{intern, intern_arc, intern_str, resolve_symbol, InternStats, Sy
 pub use partition::{ApId, ApMap, Partition};
 pub use prefix::{AddressRange, Ipv4Prefix, PrefixParseError};
 pub use route::{PathAttributes, PathId, Route, RouteSource, RouterId};
-pub use trie::PrefixTrie;
+pub use trie::{PrefixTable, PrefixTrie};

@@ -97,7 +97,7 @@ impl Ipv4Prefix {
     }
 
     /// The value of the `i`-th bit of the network address (0 = most
-    /// significant). Used by the trie.
+    /// significant).
     #[inline]
     pub fn bit(&self, i: u8) -> bool {
         debug_assert!(i < 32);

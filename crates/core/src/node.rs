@@ -353,9 +353,9 @@ impl BgpNode {
 
     /// The `core.store.*` gauges — storage internals of the tables:
     /// slots, which are column rows plus the entries of the private
-    /// maps; and the heap bytes of the hashed tables (a private map's
-    /// values inline), the column row arrays and the path sets both
-    /// own. Summed over *everything* this node keeps:
+    /// tables; and the heap bytes of the hashed tables (a private
+    /// table's values inline), the column row arrays and the path sets
+    /// both own. Summed over *everything* this node keeps:
     /// its one prefix index (counted here, once — the columns over it
     /// report slots and paths only), each role's tables, the Loc-RIB
     /// column (whose rows also hold the selection-change counts) and
@@ -456,7 +456,7 @@ impl BgpNode {
         // Candidate gather, fixed order: border exits, client planes,
         // ARR managed view, TRR table. Order reaches tie-breaking.
         let mut cands = std::mem::take(&mut self.cands);
-        self.border.reselect(&self.ch, &prefix, id, &mut cands);
+        self.border.reselect(&self.ch, &prefix, &mut cands);
         let n_exit = cands.len();
         self.client.reselect(&self.ch, &prefix, id, &mut cands);
         self.arr.reselect(&self.ch, &prefix, id, &mut cands);
@@ -476,7 +476,7 @@ impl BgpNode {
         // Border first (eBGP export accounting), then the client
         // function, then the TRR function — monolith advertisement
         // order, which MRAI pacing observes.
-        self.border.advertise(&mut self.ch, ctx, prefix, &mut env);
+        self.border.advertise(&mut self.ch, &env);
         // Client-function advertisement (suppressed for TRR nodes in
         // TBRR mode: a TRR's eBGP/local routes flow via TRR rules).
         let is_pure_trr_plane = self.ch.spec.mode.has_tbrr() && !self.trr.clusters().is_empty();
@@ -853,7 +853,7 @@ mod tests {
             let ch = &node.ch;
             assert!(!ch.loc_rib.is_empty(), "every router selected something");
             // The index (bytes, no slots), the columns over it (rows),
-            // then the two private maps (entries).
+            // then the two private tables (entries).
             let columns = [&node.client as &dyn Role, &node.arr, &node.trr];
             let rows = ch.loc_rib.slots() + columns.map(|role| role.slots()).iter().sum::<usize>();
             let sparse = [node.border.slots(), ch.out.slots()];
@@ -868,19 +868,19 @@ mod tests {
                 ("core.store.path_bytes", bytes.paths),
             ];
             assert_eq!(node.store_gauges(), want);
-            // Only the index and the private maps say where index bytes
+            // Only the index and the private tables say where index bytes
             // are; the index owns nothing else.
             let column_bytes: HeapBytes = columns.map(|role| role.heap_bytes()).into_iter().sum();
             assert_eq!((column_bytes + ch.loc_rib.heap_bytes()).index, 0);
             let index_bytes = ch.index.heap_bytes();
             assert!(index_bytes.index > 0 && index_bytes.total() == index_bytes.index);
             assert!(ch.loc_rib.slots() <= ch.index.len(), "no row without an id");
-            // A private map's slots are its prefixes.
+            // A private table's slots are its prefixes.
             let out_prefixes = ch.out.group_ids().map(|g| ch.out.iter_group(g).count());
             assert_eq!(sparse[1], out_prefixes.sum::<usize>(), "slots are entries");
             let ebgp = node.border.known_prefixes_in(&ch.index, 0, u32::MAX);
             assert!(sparse[0] <= ebgp.len(), "{sparse:?}");
-            // A private map has no row array: its table is index bytes.
+            // A private table has no row array: its buckets are index bytes.
             let sparse_bytes = node.border.heap_bytes() + ch.out.heap_bytes();
             assert_eq!(sparse_bytes.slots, 0);
             assert!(sparse[1] == 0 || ch.out.heap_bytes().index > 0);

@@ -4,7 +4,7 @@
 //! clients, with the §2.3.2 reflected-bit / cluster-list loop
 //! prevention.
 
-use super::{AdvertiseEnv, Chassis, Role, Rx};
+use super::{Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{AbrrLoopPrevention, Mode, NetworkSpec};
@@ -172,15 +172,13 @@ impl ArrRole {
         ch.out
             .reset_group(group::ARR_TO_CLIENTS + ap.0 as u32, members);
     }
-}
 
-impl Role for ArrRole {
     /// ARR-role input arriving over a session, with §2.3.2 loop
     /// prevention: an update already reflected by an ARR must never be
     /// reflected again. The paper's single marker bit stops it at the
     /// first re-reflection; CLUSTER_LIST lets it circulate once before
     /// the stamping ARR recognizes its own id.
-    fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
+    pub(crate) fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
         let Rx {
             from, id, paths, ..
         } = rx;
@@ -198,7 +196,7 @@ impl Role for ArrRole {
         self.arr_in.set_paths(from, id, &paths[..])
     }
 
-    fn reselect(
+    pub(crate) fn reselect(
         &self,
         ch: &Chassis,
         prefix: &Ipv4Prefix,
@@ -221,21 +219,23 @@ impl Role for ArrRole {
         }
     }
 
-    /// The ARR's advertisement depends only on its managed table, not
-    /// on the router's decision, so `env` gives only the id: this delegates to
-    /// `ArrRole::recompute`, which the shell drives whenever managed
-    /// state changes (batch absorption, peer purge, AP reassignment,
-    /// the internal logical pass) rather than on every decision.
-    fn advertise(
+    /// Drops everything learned from `peer` (RFC 4271 §6 teardown).
+    /// Returns the affected prefixes, each with its id in `index`.
+    pub(crate) fn drop_peer(
         &mut self,
-        ch: &mut Chassis,
-        ctx: &mut Ctx<SessionMsg>,
-        prefix: Ipv4Prefix,
-        env: &mut AdvertiseEnv<'_>,
-    ) {
-        self.recompute(ch, ctx, prefix, env.id);
+        index: &PrefixIndex,
+        peer: RouterId,
+    ) -> Vec<(Ipv4Prefix, PrefixId)> {
+        self.arr_in.drop_peer(index, peer)
     }
 
+    /// Crash-restart with RIB loss: the Adj-RIB-In goes.
+    pub(crate) fn on_restart(&mut self) {
+        self.arr_in = RibInColumn::new();
+    }
+}
+
+impl Role for ArrRole {
     fn rib_in_entries(&self) -> usize {
         self.arr_in.num_entries()
     }
@@ -256,13 +256,5 @@ impl Role for ArrRole {
 
     fn heap_bytes(&self) -> HeapBytes {
         self.arr_in.heap_bytes()
-    }
-
-    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
-        self.arr_in.drop_peer(index, peer)
-    }
-
-    fn on_restart(&mut self) {
-        self.arr_in = RibInColumn::new();
     }
 }

@@ -4,16 +4,15 @@
 //! This role has no iBGP plane of its own — its inputs are operator and
 //! eBGP events delivered by the shell — but it seeds every other role's
 //! view: the exit candidates (local + eBGP routes) it contributes via
-//! [`Role::reselect`] are what the client, ARR, and TRR functions
-//! redistribute.
+//! `BorderRole::reselect` are what the client, ARR, and TRR functions
+//! redistribute. Its eBGP Adj-RIB-In is a private [`PrefixTable`]:
+//! point lookups per event, range queries sorted by the table.
 
-use super::{AdvertiseEnv, Chassis, Role, Rx};
-use crate::msg::SessionMsg;
-use bgp_rib::{store::map_bytes, Candidate, HeapBytes, PrefixId, PrefixIndex};
+use super::{AdvertiseEnv, Chassis, Role};
+use bgp_rib::{Candidate, HeapBytes, PrefixIndex};
 use bgp_types::{
-    intern, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixMap, RouteSource, RouterId,
+    intern, AddressRange, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixTable, RouteSource,
 };
-use netsim::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -30,15 +29,15 @@ struct EbgpRoute {
 /// consults.
 pub struct BorderRole {
     /// eBGP Adj-RIB-In: prefix → (peer_addr → route). The outer table
-    /// is a private hashed map holding the session maps in its buckets
-    /// — every `reselect` probes it, and only range queries, which
-    /// sort, need order — not a column over the router's index: a
-    /// border router learns a small share of the prefixes it routes
-    /// over eBGP, and a dense 24-byte row for each of them would cost
-    /// more than this small map (DESIGN.md §13). The inner map stays
+    /// is a private hashed table holding the session maps in its
+    /// buckets — every `reselect` probes it, and only range queries,
+    /// which it sorts, need order — not a column over the router's
+    /// index: a border router learns a small share of the prefixes it
+    /// routes over eBGP, and a dense 24-byte row for each of them would
+    /// cost more than this small table (DESIGN.md §13). The inner map stays
     /// ordered because peer order reaches the decision process's
     /// candidate list.
-    ebgp_in: PrefixMap<BTreeMap<u32, EbgpRoute>>,
+    ebgp_in: PrefixTable<BTreeMap<u32, EbgpRoute>>,
     /// Distinct eBGP session addresses ever seen (sessions outlive the
     /// routes they advertise; used for export accounting).
     ebgp_sessions: BTreeSet<u32>,
@@ -57,7 +56,7 @@ pub struct BorderRole {
 impl BorderRole {
     pub(crate) fn new() -> BorderRole {
         BorderRole {
-            ebgp_in: PrefixMap::default(),
+            ebgp_in: PrefixTable::new(),
             ebgp_sessions: BTreeSet::new(),
             local_prefixes: BTreeSet::new(),
             own_ever: BTreeSet::new(),
@@ -67,7 +66,7 @@ impl BorderRole {
     /// Whether this router currently holds an eBGP or locally-originated
     /// route for `prefix` — i.e. whether it can act as the AS's exit.
     pub(crate) fn originates(&self, prefix: &Ipv4Prefix) -> bool {
-        self.local_prefixes.contains(prefix) || self.ebgp_in.contains_key(prefix)
+        self.local_prefixes.contains(prefix) || self.ebgp_in.get(prefix).is_some()
     }
 
     /// Whether `prefix` is in the sticky own-route set (see field docs).
@@ -105,13 +104,15 @@ impl BorderRole {
         a.ext_communities.retain(|c| !c.is_abrr_reflected());
         self.own_ever.insert(prefix);
         self.ebgp_sessions.insert(peer_addr);
-        self.ebgp_in.entry(prefix).or_default().insert(
-            peer_addr,
-            EbgpRoute {
-                peer_as,
-                attrs: intern(a),
-            },
-        );
+        self.ebgp_in
+            .get_or_insert_with(prefix, BTreeMap::new)
+            .insert(
+                peer_addr,
+                EbgpRoute {
+                    peer_as,
+                    attrs: intern(a),
+                },
+            );
     }
 
     /// eBGP withdraw. Returns whether a stored route was removed (the
@@ -145,24 +146,10 @@ impl BorderRole {
             self.local_prefixes.remove(&prefix)
         }
     }
-}
 
-impl Role for BorderRole {
-    fn absorb(&mut self, _ch: &mut Chassis, _rx: Rx) -> bool {
-        // The border role has no iBGP plane; classification never
-        // routes an update here. Its inputs arrive as external events
-        // via the inherent methods above.
-        debug_assert!(false, "border role received iBGP input");
-        false
-    }
-
-    fn reselect(
-        &self,
-        ch: &Chassis,
-        prefix: &Ipv4Prefix,
-        _id: PrefixId,
-        cands: &mut Vec<Candidate>,
-    ) {
+    /// Contributes the exit candidates for `prefix`: the local route,
+    /// then the eBGP routes in peer-address order.
+    pub(crate) fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
         if self.local_prefixes.contains(prefix) {
             cands.push(Candidate {
                 attrs: intern(PathAttributes::local(NextHop(ch.id.0))),
@@ -184,13 +171,8 @@ impl Role for BorderRole {
         }
     }
 
-    fn advertise(
-        &mut self,
-        ch: &mut Chassis,
-        _ctx: &mut Ctx<SessionMsg>,
-        _prefix: Ipv4Prefix,
-        env: &mut AdvertiseEnv<'_>,
-    ) {
+    /// Counts the eBGP exports a changed selection causes.
+    pub(crate) fn advertise(&self, ch: &mut Chassis, env: &AdvertiseEnv<'_>) {
         // Table 1, "Client → eBGP Neighbor: all best routes (not
         // returned to sender)". External peers are not simulated; count
         // the exports a border router would emit: one per eBGP session,
@@ -207,6 +189,16 @@ impl Role for BorderRole {
         }
     }
 
+    /// Crash-restart: eBGP-learned state is runtime; the configured
+    /// local prefixes survive, and stickiness resets to exactly them.
+    pub(crate) fn on_restart(&mut self) {
+        self.ebgp_in.clear();
+        self.ebgp_sessions.clear();
+        self.own_ever = self.local_prefixes.clone();
+    }
+}
+
+impl Role for BorderRole {
     fn rib_in_entries(&self) -> usize {
         self.ebgp_entries()
     }
@@ -217,13 +209,14 @@ impl Role for BorderRole {
         range_start: u32,
         range_end: u32,
     ) -> Vec<Ipv4Prefix> {
-        let overlaps =
-            |p: &&Ipv4Prefix| p.first_addr() <= range_end && p.last_addr() >= range_start;
-        let mut v: Vec<Ipv4Prefix> = self.ebgp_in.keys().filter(overlaps).copied().collect();
-        v.extend(self.local_prefixes.iter().filter(overlaps).copied());
-        v.sort_unstable();
-        v.dedup();
-        v
+        let range = AddressRange::new(range_start, range_end);
+        let local = self
+            .local_prefixes
+            .iter()
+            .filter(|p| range.overlaps_prefix(p));
+        let ebgp = self.ebgp_in.iter_overlapping(range_start, range_end);
+        let known: BTreeSet<Ipv4Prefix> = ebgp.map(|(p, _)| p).chain(local.copied()).collect();
+        known.into_iter().collect()
     }
 
     fn slots(&self) -> usize {
@@ -234,21 +227,8 @@ impl Role for BorderRole {
         // The table, each session map's header inline; the maps' own
         // `BTreeMap` nodes are not counted.
         HeapBytes {
-            index: map_bytes(&self.ebgp_in),
+            index: self.ebgp_in.heap_bytes(),
             ..HeapBytes::default()
         }
-    }
-
-    fn drop_peer(&mut self, _index: &PrefixIndex, _peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
-        // iBGP session teardown does not affect eBGP state.
-        Vec::new()
-    }
-
-    fn on_restart(&mut self) {
-        // eBGP-learned state is runtime; the configured local prefixes
-        // survive, and stickiness resets to exactly them.
-        self.ebgp_in.clear();
-        self.ebgp_sessions.clear();
-        self.own_ever = self.local_prefixes.clone();
     }
 }

@@ -129,12 +129,10 @@ impl ClientRole {
         covered.retain(|&(_, id)| !rib.paths(arr, id).is_empty() && rib.withdraw(arr, id));
         covered.into_iter().map(|(p, _)| p).collect()
     }
-}
 
-impl Role for ClientRole {
     /// Client-role receive: reduce multi-path sets to our single best
     /// (paper §3.4) and store per sender.
-    fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
+    pub(crate) fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
         let Rx {
             from,
             plane,
@@ -186,7 +184,7 @@ impl Role for ClientRole {
         rib.set_paths(from, id, stored)
     }
 
-    fn reselect(
+    pub(crate) fn reselect(
         &self,
         ch: &Chassis,
         prefix: &Ipv4Prefix,
@@ -221,7 +219,7 @@ impl Role for ClientRole {
     /// best route iff it is other-learned; withdraw otherwise. The
     /// hand-off to this router's *own* ARR function travels through
     /// `AdvertiseEnv::arr` (§2.1's logical pass), not a session.
-    fn advertise(
+    pub(crate) fn advertise(
         &mut self,
         ch: &mut Chassis,
         ctx: &mut Ctx<SessionMsg>,
@@ -286,6 +284,26 @@ impl Role for ClientRole {
         }
     }
 
+    /// Drops everything learned from `peer` (RFC 4271 §6 teardown).
+    /// Returns the affected prefixes, each with its id in `index`.
+    pub(crate) fn drop_peer(
+        &mut self,
+        index: &PrefixIndex,
+        peer: RouterId,
+    ) -> Vec<(Ipv4Prefix, PrefixId)> {
+        let mut affected = self.client_in.drop_peer(index, peer);
+        affected.extend(self.client_in_tbrr.drop_peer(index, peer));
+        affected
+    }
+
+    /// Crash-restart with RIB loss: both planes' Adj-RIB-Ins go.
+    pub(crate) fn on_restart(&mut self) {
+        self.client_in = RibInColumn::new();
+        self.client_in_tbrr = RibInColumn::new();
+    }
+}
+
+impl Role for ClientRole {
     fn rib_in_entries(&self) -> usize {
         self.client_in.num_entries() + self.client_in_tbrr.num_entries()
     }
@@ -310,16 +328,5 @@ impl Role for ClientRole {
 
     fn heap_bytes(&self) -> HeapBytes {
         self.client_in.heap_bytes() + self.client_in_tbrr.heap_bytes()
-    }
-
-    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
-        let mut affected = self.client_in.drop_peer(index, peer);
-        affected.extend(self.client_in_tbrr.drop_peer(index, peer));
-        affected
-    }
-
-    fn on_restart(&mut self) {
-        self.client_in = RibInColumn::new();
-        self.client_in_tbrr = RibInColumn::new();
     }
 }

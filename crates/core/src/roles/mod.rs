@@ -3,8 +3,9 @@
 //! The paper's roles are *functions within a router* (§2.1): a
 //! data-plane router is a client for every AP; any router may
 //! additionally be an ARR for some APs or a TRR for some clusters. This
-//! module gives each function its own engine behind the shared [`Role`]
-//! trait; [`crate::node::BgpNode`] is the thin shell that owns the
+//! module gives each function its own engine, and the shared [`Role`]
+//! trait holds what the shell reads from all of them alike;
+//! [`crate::node::BgpNode`] is the thin shell that owns the
 //! [`crate::spec::NetworkSpec`], classifies inputs by plane + peer
 //! group, and routes them to its role set.
 //!
@@ -117,8 +118,8 @@ pub(crate) type Images = Vec<(Arc<PathSet>, WireFrame)>;
 /// pacing, and the configuration that survives a crash-restart
 /// (transition accept-set, runtime AP reassignments).
 ///
-/// Roles receive `&mut Chassis` in every trait call; it is the only
-/// mutable state they share.
+/// Roles receive `&mut Chassis` in every call that mutates; it is the
+/// only mutable state they share.
 pub struct Chassis {
     pub(crate) id: RouterId,
     pub(crate) spec: Arc<NetworkSpec>,
@@ -526,34 +527,16 @@ pub struct AdvertiseEnv<'a> {
     pub(crate) arr: Option<&'a mut ArrRole>,
 }
 
-/// One protocol function of a router (paper Table 1 column), owning its
-/// own Adj-RIB-In state and advertisement rules.
+/// What the shell reads from every protocol function of a router
+/// (paper Table 1 column) alike, through `BgpNode::roles()`: RIB
+/// accounting and the Address-Partition range query.
 ///
-/// The shell drives every role through this trait: `absorb` applies
-/// classified input, `reselect` contributes decision candidates,
-/// `advertise` emits the role's updates after a decision, and the
-/// remaining methods are RIB accounting and lifecycle.
+/// Input, decision and advertisement are not here. Each role has the
+/// ones it takes part in as inherent methods — `absorb`, `reselect`,
+/// `advertise`, `drop_peer`, `on_restart` — and the shell calls them
+/// role by role, in the fixed order that reaches tie-breaking and
+/// MRAI pacing.
 pub trait Role {
-    /// Applies a classified incoming replace-set to this role's
-    /// Adj-RIB-In. Returns whether stored state changed (the shell
-    /// recomputes affected prefixes).
-    fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool;
-
-    /// Contributes this role's decision candidates for `prefix` (row
-    /// `id` of its columns) to the shell's reselection, applying the
-    /// role's plane-acceptance rules (transition §2.4 filtering,
-    /// reflector plane gating).
-    fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, id: PrefixId, cands: &mut Vec<Candidate>);
-
-    /// Emits this role's advertisements for `prefix` after a decision.
-    fn advertise(
-        &mut self,
-        ch: &mut Chassis,
-        ctx: &mut Ctx<SessionMsg>,
-        prefix: Ipv4Prefix,
-        env: &mut AdvertiseEnv<'_>,
-    );
-
     /// Adj-RIB-In entries held by this role (the paper's RIB-In
     /// accounting).
     fn rib_in_entries(&self) -> usize;
@@ -571,21 +554,13 @@ pub trait Role {
     ) -> Vec<Ipv4Prefix>;
 
     /// Slots across this role's storage — the `core.store.slots`
-    /// gauge. A column counts its rows; a private map, its entries.
+    /// gauge. A column counts its rows; a private table, its entries.
     fn slots(&self) -> usize;
 
     /// Heap bytes across this role's storage — the
-    /// `core.store.*_bytes` gauges. A private map's table, values
-    /// inline, is [`HeapBytes::index`].
+    /// `core.store.*_bytes` gauges. A private table's buckets, values
+    /// inline, are [`HeapBytes::index`].
     fn heap_bytes(&self) -> HeapBytes;
-
-    /// Drops everything learned from `peer` (RFC 4271 §6 teardown).
-    /// Returns the affected prefixes, each with its id in `index`.
-    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)>;
-
-    /// Crash-restart with RIB loss: runtime state is gone,
-    /// configuration survives.
-    fn on_restart(&mut self);
 }
 
 /// A path set minus the routes `reject` matches (loop prevention, "not

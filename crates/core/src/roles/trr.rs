@@ -163,13 +163,11 @@ impl TrrRole {
             );
         }
     }
-}
 
-impl Role for TrrRole {
     /// TRR-role input, with RFC 4456 loop prevention: drop routes whose
     /// CLUSTER_LIST carries one of our cluster ids or whose
     /// ORIGINATOR_ID is us.
-    fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
+    pub(crate) fn absorb(&mut self, ch: &mut Chassis, rx: Rx) -> bool {
         let Rx {
             from, id, paths, ..
         } = rx;
@@ -184,7 +182,7 @@ impl Role for TrrRole {
         self.trr_in.set_paths(from, id, kept)
     }
 
-    fn reselect(
+    pub(crate) fn reselect(
         &self,
         ch: &Chassis,
         prefix: &Ipv4Prefix,
@@ -202,7 +200,7 @@ impl Role for TrrRole {
     /// TRR this *is* the set the router just selected from, since its
     /// client-role tables are provably empty), pick the plane-local
     /// best, and reflect.
-    fn advertise(
+    pub(crate) fn advertise(
         &mut self,
         ch: &mut Chassis,
         ctx: &mut Ctx<SessionMsg>,
@@ -217,6 +215,23 @@ impl Role for TrrRole {
         self.reflect(ch, ctx, prefix, &tbrr_cands, best);
     }
 
+    /// Drops everything learned from `peer` (RFC 4271 §6 teardown).
+    /// Returns the affected prefixes, each with its id in `index`.
+    pub(crate) fn drop_peer(
+        &mut self,
+        index: &PrefixIndex,
+        peer: RouterId,
+    ) -> Vec<(Ipv4Prefix, PrefixId)> {
+        self.trr_in.drop_peer(index, peer)
+    }
+
+    /// Crash-restart with RIB loss: the Adj-RIB-In goes.
+    pub(crate) fn on_restart(&mut self) {
+        self.trr_in = RibInColumn::new();
+    }
+}
+
+impl Role for TrrRole {
     fn rib_in_entries(&self) -> usize {
         self.trr_in.num_entries()
     }
@@ -237,13 +252,5 @@ impl Role for TrrRole {
 
     fn heap_bytes(&self) -> HeapBytes {
         self.trr_in.heap_bytes()
-    }
-
-    fn drop_peer(&mut self, index: &PrefixIndex, peer: RouterId) -> Vec<(Ipv4Prefix, PrefixId)> {
-        self.trr_in.drop_peer(index, peer)
-    }
-
-    fn on_restart(&mut self) {
-        self.trr_in = RibInColumn::new();
     }
 }
