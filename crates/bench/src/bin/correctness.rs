@@ -30,7 +30,6 @@ fn main() {
     let args = Args::parse("correctness", FLAGS);
     let exp = Experiment::from_args(&args);
     let cfg = RunConfig {
-        engine: exp.engine,
         wire: exp.wire,
         limits: RunLimits {
             max_events: OSC_BUDGET,

@@ -7,7 +7,7 @@
 //! experiment kills one ARR (redundancy 2), one TRR (of a 2-TRR
 //! cluster, the comparable deployed config), and — since a full mesh
 //! has no RR to lose — one border router, under the scaled two-week
-//! churn trace, and reports per engine:
+//! churn trace, and reports per scheme:
 //!
 //!   * reconvergence time — quiet failover (no churn): simulated time
 //!     from the kill until the event queue drains; and under churn:

@@ -1,6 +1,6 @@
 //! Scaling harness: wall-clock, peak RSS, and event throughput for the
 //! two heaviest workloads (fig7-style churn and resilience-style ARR
-//! failover), under any engine. Emits one JSON object per run —
+//! failover). Emits one JSON object per run —
 //! printed to stdout and appended to `--out FILE` when given. The
 //! `BENCH_2026-08-*.json` records were collected from these rows; the
 //! regression benchmark proper lives in `benchmark/` (BENCHMARK.json),
@@ -11,8 +11,7 @@
 //! workload — run the bin once per configuration.
 //!
 //! Run: `cargo run --release -p abrr-bench --bin scale --
-//!       [--workload churn|failover] [--engine seq|epoch:N|sharded:N]
-//!       [--prefixes N] [--minutes M] [--rate EPS]
+//!       [--workload churn|failover] [--prefixes N] [--minutes M] [--rate EPS]
 //!       [--seed S] [--aps N] [--label L] [--out FILE]`
 
 use abrr::prelude::*;
@@ -22,7 +21,6 @@ use abrr_bench::{
     SETTLE_BUDGET_US,
 };
 use faults::{compile, FaultKind, FaultSchedule};
-use netsim::Engine;
 use std::sync::Arc;
 use std::time::Instant;
 use workload::specs::{self, SpecOptions};
@@ -66,25 +64,19 @@ struct Measured {
 }
 
 /// Converged snapshot load + scaled churn trace (the fig7 workload).
-fn churn_workload(
-    model: &Tier1Model,
-    n_aps: usize,
-    minutes: u64,
-    rate: f64,
-    engine: Engine,
-) -> Measured {
+fn churn_workload(model: &Tier1Model, n_aps: usize, minutes: u64, rate: f64) -> Measured {
     let opts = SpecOptions {
         mrai_us: 1_000_000,
         ..Default::default()
     };
     let spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
-    let (mut sim, out1) = converge_snapshot(spec, model, 1_000, engine);
+    let (mut sim, out1) = converge_snapshot(spec, model, 1_000);
     let cfg = ChurnConfig {
         duration_us: minutes * 60_000_000,
         events_per_sec: rate,
         ..ChurnConfig::default()
     };
-    let out2 = run_churn(&mut sim, model, &cfg, 1, engine);
+    let out2 = run_churn(&mut sim, model, &cfg, 1);
     Measured {
         events: out1.events + out2.events,
         quiesced: out2.quiesced,
@@ -102,14 +94,13 @@ fn failover_workload(
     minutes: u64,
     rate: f64,
     seed: u64,
-    engine: Engine,
 ) -> Measured {
     let opts = SpecOptions {
         mrai_us: 0,
         ..Default::default()
     };
     let spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
-    let (mut sim, out1) = converge_snapshot(spec.clone(), model, 1_000, engine);
+    let (mut sim, out1) = converge_snapshot(spec.clone(), model, 1_000);
     let cfg = ChurnConfig {
         seed,
         duration_us: minutes * 60_000_000,
@@ -126,13 +117,10 @@ fn failover_workload(
         },
     );
     compile(&sched, &spec, &mut sim).expect("schedule compiles");
-    let out2 = sim.run_engine(
-        engine,
-        RunLimits {
-            max_events: u64::MAX,
-            max_time: t0 + cfg.duration_us + SETTLE_BUDGET_US,
-        },
-    );
+    let out2 = sim.run(RunLimits {
+        max_events: u64::MAX,
+        max_time: t0 + cfg.duration_us + SETTLE_BUDGET_US,
+    });
     Measured {
         events: out1.events + out2.events,
         quiesced: out2.quiesced,
@@ -145,7 +133,6 @@ fn main() {
     let args = Args::parse("scale", FLAGS);
     let _obs = Experiment::from_args(&args);
     let workload = args.choice("workload", "churn", &["churn", "failover"]);
-    let engine = args.engine();
     let seed: u64 = args.get("seed", Tier1Config::default().seed);
     let n_aps = args.get_in("aps", 8, AP_COUNTS);
     let minutes: u64 = args.get("minutes", 5);
@@ -161,9 +148,9 @@ fn main() {
 
     let t = Instant::now();
     let m = match workload {
-        "failover" => failover_workload(&model, n_aps, minutes, rate, seed, engine),
+        "failover" => failover_workload(&model, n_aps, minutes, rate, seed),
         // "churn": `choice` admits nothing else.
-        _ => churn_workload(&model, n_aps, minutes, rate, engine),
+        _ => churn_workload(&model, n_aps, minutes, rate),
     };
     let wall = t.elapsed();
 
@@ -173,8 +160,6 @@ fn main() {
     JsonRow::new()
         .str("workload", workload)
         .str("label", &label)
-        .str("engine", engine.name())
-        .usize("threads", engine.workers())
         .usize("prefixes", n_prefixes)
         .usize("aps", n_aps)
         .u64("minutes", minutes)

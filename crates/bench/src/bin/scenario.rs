@@ -21,11 +21,10 @@
 //!
 //! Run: `cargo run --release -p abrr-bench --bin scenario --
 //!       [--dir D] [--fuzz N] [--seed N] [--shrink-dir D]
-//!       [--overlays PATH] [--engine NAME[:N]]`
+//!       [--overlays PATH]`
 
 use abrr_bench::pipeline::{col, lcol, t, u, Table};
 use abrr_bench::{flag, Args, Experiment, FlagSpec};
-use netsim::Engine;
 use scenario::schema::ModeSpec;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,7 +57,7 @@ fn sessions(spec: abrr::NetworkSpec) -> u64 {
     abrr::build_sim(Arc::new(spec)).num_sessions() as u64
 }
 
-fn corpus_stage(dir: &Path, engine: Engine) -> bool {
+fn corpus_stage(dir: &Path) -> bool {
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
         Ok(rd) => rd
             .filter_map(|e| e.ok())
@@ -97,7 +96,7 @@ fn corpus_stage(dir: &Path, engine: Engine) -> bool {
                 continue;
             }
         };
-        let report = scenario::run_checks(&loaded, engine);
+        let report = scenario::run_checks(&loaded);
         let verdict_ok = report.verdict_ok();
         ok &= verdict_ok;
         let verdict = match (verdict_ok, report.expect_fail) {
@@ -121,9 +120,9 @@ fn corpus_stage(dir: &Path, engine: Engine) -> bool {
     ok
 }
 
-fn fuzz_stage(seed: u64, cases: usize, shrink_dir: &Path, engine: Engine) -> bool {
+fn fuzz_stage(seed: u64, cases: usize, shrink_dir: &Path) -> bool {
     println!("\n# fuzz: {cases} cases from seed {seed}");
-    let outcome = scenario::fuzz(seed, cases, Some(shrink_dir), engine, |s, rep| {
+    let outcome = scenario::fuzz(seed, cases, Some(shrink_dir), |s, rep| {
         if !rep.all_green() {
             println!("  seed {s}: {} oracle failure(s)", rep.failures.len());
         }
@@ -161,9 +160,15 @@ fn fuzz_stage(seed: u64, cases: usize, shrink_dir: &Path, engine: Engine) -> boo
 
 /// §4.2 overlay comparison: configured iBGP session counts at tier-1
 /// scale, plus the constrained-connectivity gadget where the trimmed
-/// overlay breaks TBRR but not ABRR.
-fn overlays_stage(path: &str, corpus_dir: &Path) -> std::io::Result<()> {
+/// overlay breaks TBRR but not ABRR. A gadget that does not load is an
+/// error, and then nothing is written.
+fn overlays_stage(path: &str, corpus_dir: &Path) -> Result<(), String> {
     use std::fmt::Write as _;
+    let gadget_path = corpus_dir.join("constrained_connectivity.json");
+    let gadget = scenario::load_path(&gadget_path).map_err(|errs| {
+        let errs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
+        format!("{}: {}", gadget_path.display(), errs.join("; "))
+    })?;
     // Session counts are workload-independent; a tiny prefix table
     // keeps the model generation instant.
     let model = Tier1Model::generate(Tier1Config {
@@ -205,31 +210,29 @@ fn overlays_stage(path: &str, corpus_dir: &Path) -> std::io::Result<()> {
         .unwrap();
     }
     // The gadget: identical link_down trims in both planes.
-    let gadget = corpus_dir.join("constrained_connectivity.json");
-    if let Ok(loaded) = scenario::load_path(&gadget) {
-        let trims = loaded.file().faults.len() as u64;
-        let tbrr = sessions(loaded.spec(ModeSpec::Tbrr));
-        let abrr = sessions(loaded.spec(ModeSpec::Abrr));
-        writeln!(out).unwrap();
-        writeln!(
-            out,
-            "# constrained-connectivity gadget (same {trims} session(s) trimmed in both planes)"
-        )
-        .unwrap();
-        writeln!(out, "{:<28} {:>10}", "gadget TBRR configured", tbrr).unwrap();
-        writeln!(out, "{:<28} {:>10}", "gadget TBRR after trim", tbrr - trims).unwrap();
-        writeln!(out, "{:<28} {:>10}", "gadget ABRR configured", abrr).unwrap();
-        writeln!(out, "{:<28} {:>10}", "gadget ABRR after trim", abrr - trims).unwrap();
-        writeln!(
-            out,
-            "# verdict (see corpus): trimmed TBRR blackholes cluster 3; trimmed ABRR stays correct"
-        )
-        .unwrap();
+    let trims = gadget.file().faults.len() as u64;
+    let tbrr = sessions(gadget.spec(ModeSpec::Tbrr));
+    let abrr = sessions(gadget.spec(ModeSpec::Abrr));
+    writeln!(out).unwrap();
+    writeln!(
+        out,
+        "# constrained-connectivity gadget (same {trims} session(s) trimmed in both planes)"
+    )
+    .unwrap();
+    writeln!(out, "{:<28} {:>10}", "gadget TBRR configured", tbrr).unwrap();
+    writeln!(out, "{:<28} {:>10}", "gadget TBRR after trim", tbrr - trims).unwrap();
+    writeln!(out, "{:<28} {:>10}", "gadget ABRR configured", abrr).unwrap();
+    writeln!(out, "{:<28} {:>10}", "gadget ABRR after trim", abrr - trims).unwrap();
+    writeln!(
+        out,
+        "# verdict (see corpus): trimmed TBRR blackholes cluster 3; trimmed ABRR stays correct"
+    )
+    .unwrap();
+    if let Some(parent) = Path::new(path).parent() {
+        std::fs::create_dir_all(parent)
+            .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
     }
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, &out)?;
+    std::fs::write(path, &out).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("\n# overlays table written to {path}");
     print!("{out}");
     Ok(())
@@ -237,7 +240,7 @@ fn overlays_stage(path: &str, corpus_dir: &Path) -> std::io::Result<()> {
 
 fn main() {
     let args = Args::parse("scenario", FLAGS);
-    let exp = Experiment::start(
+    let _exp = Experiment::start(
         &args,
         "scenario corpus",
         "declarative scenario DSL: corpus verdicts, seeded fuzzer, overlay comparison",
@@ -249,7 +252,7 @@ fn main() {
     );
     let mut ok = true;
     if !args.flag("no-corpus") {
-        ok &= corpus_stage(&dir, exp.engine);
+        ok &= corpus_stage(&dir);
     }
     let cases: usize = args.get("fuzz", 0usize);
     if cases > 0 {
@@ -259,7 +262,7 @@ fn main() {
                 .unwrap_or("results/shrunk")
                 .to_string(),
         );
-        ok &= fuzz_stage(seed, cases, &shrink_dir, exp.engine);
+        ok &= fuzz_stage(seed, cases, &shrink_dir);
     }
     if let Some(path) = args.map_get("overlays") {
         if let Err(e) = overlays_stage(path, &dir) {

@@ -8,7 +8,6 @@
 //! default on both mistakes, so a mistyped flag ran with defaults
 //! without a word; that failure mode is gone.
 
-use netsim::Engine;
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
@@ -37,12 +36,6 @@ pub const fn flag(name: &'static str, value: &'static str, help: &'static str) -
 
 /// Flags every binary accepts on top of its own declarations.
 const COMMON: &[FlagSpec] = &[
-    flag(
-        "engine",
-        "NAME[:N]",
-        "execution engine: seq (default) | epoch:N | sharded:N, on N >= 1 \
-         workers; all three produce identical results",
-    ),
     flag(
         "obs",
         "",
@@ -77,9 +70,9 @@ pub struct Args {
 
 impl Args {
     /// Parses `std::env::args` against `flags` (plus the common
-    /// `--engine`/`--help`). Unknown flags, positional arguments, and
-    /// missing values exit with status 2 and the flag list; `--help`
-    /// prints the list and exits 0.
+    /// flags). Unknown flags, positional arguments, missing values and
+    /// output files that cannot be opened exit with status 2 and the
+    /// flag list; `--help` prints the list and exits 0.
     pub fn parse(bin: &'static str, flags: &'static [FlagSpec]) -> Args {
         match Self::try_parse(bin, flags, std::env::args().skip(1)) {
             Ok(args) => {
@@ -87,6 +80,10 @@ impl Args {
                     println!("{}", args.usage());
                     std::process::exit(0);
                 }
+                // A `--pcap` without a byte path exits before its file
+                // is created.
+                args.pcap();
+                args.or_exit(args.open_outputs());
                 args
             }
             Err(e) => Args {
@@ -268,27 +265,6 @@ impl Args {
         self.map.get(key).map(|s| s.as_str())
     }
 
-    fn checked_engine(&self) -> Result<Engine, String> {
-        match self.map.get("engine") {
-            None => Ok(Engine::Seq),
-            Some(v) => Engine::parse(v).ok_or_else(|| {
-                format!(
-                    "invalid value `{v}` for `--engine` \
-                     (expected seq | epoch:N | sharded:N with N >= 1)"
-                )
-            }),
-        }
-    }
-
-    /// The engine selected by `--engine` (shared by every bench bin;
-    /// default [`Engine::Seq`]). A parallel engine must name its worker
-    /// count: a bare `epoch`/`sharded`, a zero or non-numeric count and
-    /// unknown names all exit 2 — nothing falls back to the sequential
-    /// loop silently.
-    pub fn engine(&self) -> Engine {
-        self.or_exit(self.checked_engine())
-    }
-
     /// The `--obs` knob shared by every bench bin: turns on the
     /// metrics registry and engine profiling for this invocation
     /// (default off — the hot paths then pay only one relaxed atomic
@@ -308,6 +284,24 @@ impl Args {
                 ))
             }),
         }
+    }
+
+    /// Opens the files `--out` (append) and `--pcap` (truncate) name,
+    /// so an unwritable path is a flag error before the run instead of
+    /// a failure after it.
+    fn open_outputs(&self) -> Result<(), String> {
+        for (key, append) in [("out", true), ("pcap", false)] {
+            if let Some(path) = self.map.get(key) {
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(append)
+                    .write(!append)
+                    .truncate(!append)
+                    .open(path)
+                    .map_err(|e| format!("cannot open `{path}` for `--{key}`: {e}"))?;
+            }
+        }
+        Ok(())
     }
 
     /// The `--pcap` knob shared by every bench bin: the capture output
@@ -357,6 +351,7 @@ mod tests {
         flag("aps", "LIST", "#AP sweep"),
         flag("workload", "W", "churn | failover"),
         flag("prefix", "P", "one prefix"),
+        flag("out", "FILE", "append JSON rows to FILE"),
     ];
     const WORKLOADS: &[&str] = &["churn", "failover"];
 
@@ -380,10 +375,9 @@ mod tests {
 
     #[test]
     fn declared_flags_parse() {
-        let args = parse(&["--prefixes", "42", "--balanced", "--engine", "epoch:2"]).unwrap();
+        let args = parse(&["--prefixes", "42", "--balanced"]).unwrap();
         assert_eq!(args.checked::<usize>("prefixes").unwrap(), Some(42));
         assert!(args.flag("balanced"));
-        assert_eq!(args.engine(), Engine::Epoch(2));
     }
 
     #[test]
@@ -406,7 +400,6 @@ mod tests {
         for name in [
             "--prefixes <N>",
             "--balanced",
-            "--engine <NAME[:N]>",
             "--wire <MODE>",
             "--pcap <FILE>",
             "--help",
@@ -506,37 +499,23 @@ mod tests {
         assert_eq!(parse(&[]).unwrap().pcap(), None);
     }
 
+    /// The engine is not a user choice: every run is the sequential
+    /// loop, and `--engine` takes the unknown-flag exit-2 path.
     #[test]
-    fn engine_resolves_from_one_flag() {
-        let engine = |v: &str| parse(&["--engine", v]).unwrap().checked_engine();
-        assert_eq!(parse(&[]).unwrap().engine(), Engine::Seq);
-        assert_eq!(engine("seq"), Ok(Engine::Seq));
-        assert_eq!(engine("epoch:1"), Ok(Engine::Epoch(1)));
-        assert_eq!(engine("epoch:8"), Ok(Engine::Epoch(8)));
-        assert_eq!(engine("sharded:4"), Ok(Engine::Sharded(4)));
+    fn engine_is_an_unknown_flag() {
+        let err = parse(&["--engine", "seq"]).unwrap_err();
+        assert!(err.contains("unknown flag `--engine`"), "{err}");
     }
 
-    /// `--engine sharded` used to clamp to one worker, which runs the
-    /// sequential loop without saying so. Each of these is an error.
+    /// `--out` to an unopenable path panicked after the whole run; it
+    /// is now a flag error naming the flag and the OS error.
     #[test]
-    fn engine_without_a_worker_count_is_an_error_not_seq() {
-        for bad in [
-            "epoch",       // bare parallel engine
-            "sharded",     // bare parallel engine
-            "sharded:",    // empty count
-            "sharded:two", // non-numeric count
-            "epoch:0",     // zero workers
-            "sharded:0",   // zero workers
-            "epoch:2x",    // trailing garbage
-            "sharded:2:3", // trailing garbage
-            "seq:2",       // seq takes no count
-            "par:2",       // unknown name
-        ] {
-            let err = parse(&["--engine", bad])
-                .unwrap()
-                .checked_engine()
-                .unwrap_err();
-            assert!(err.contains(bad) && err.contains("epoch:N"), "{bad}: {err}");
-        }
+    fn unwritable_out_path_is_a_flag_error() {
+        let path = "/nonexistent-dir/x.json";
+        let err = parse(&["--out", path]).unwrap().open_outputs().unwrap_err();
+        assert!(
+            err.contains("--out") && err.contains(path) && err.contains("os error"),
+            "{err}"
+        );
     }
 }

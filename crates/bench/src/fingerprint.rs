@@ -105,10 +105,9 @@ pub struct GoldenScenario {
 }
 
 impl GoldenScenario {
-    /// Runs the scenario under `cfg` and returns its fingerprint text.
-    /// The result must be byte-identical for every engine
-    /// (`tests/engine_equivalence.rs`) and every wire mode
-    /// (`tests/wire_mode.rs`): scheduling and wire transport are both
+    /// Runs the scenario on [`Sim::run`] in `cfg.wire` mode and returns
+    /// its fingerprint text. The result must be byte-identical for
+    /// every wire mode (`tests/wire_mode.rs`): wire transport is
     /// behaviorally invisible. `cfg.limits` caps each scripted segment.
     pub fn run(&self, cfg: RunConfig) -> String {
         (self.run)(cfg)
@@ -117,13 +116,10 @@ impl GoldenScenario {
 
 /// Runs `sim` to `deadline` (or `cfg.limits`, whichever is tighter).
 fn run_until(sim: &mut Sim<BgpNode>, cfg: RunConfig, deadline: Time) {
-    sim.run_engine(
-        cfg.engine,
-        RunLimits {
-            max_events: cfg.limits.max_events,
-            max_time: deadline.min(cfg.limits.max_time),
-        },
-    );
+    sim.run(RunLimits {
+        max_events: cfg.limits.max_events,
+        max_time: deadline.min(cfg.limits.max_time),
+    });
 }
 
 fn converge(spec: &Arc<NetworkSpec>, model: &Tier1Model, cfg: RunConfig) -> Sim<BgpNode> {

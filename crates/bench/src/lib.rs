@@ -15,7 +15,7 @@ pub use pipeline::{tier1_config, Experiment};
 
 use abrr::{BgpNode, NetworkSpec, UpdateCounters};
 use bgp_types::RouterId;
-use netsim::{Engine, RunLimits, RunOutcome, Sim, Time};
+use netsim::{RunLimits, RunOutcome, Sim, Time};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use workload::{churn, regen, ChurnConfig, Tier1Model};
@@ -112,17 +112,13 @@ pub fn converge_snapshot(
     spec: Arc<NetworkSpec>,
     model: &Tier1Model,
     speedup: u64,
-    engine: Engine,
 ) -> (Sim<BgpNode>, RunOutcome) {
     let mut sim = abrr::build_sim(spec);
     regen::replay(&mut sim, &churn::initial_snapshot(model), speedup);
-    let out = sim.run_engine(
-        engine,
-        RunLimits {
-            max_events: u64::MAX,
-            max_time: SETTLE_BUDGET_US,
-        },
-    );
+    let out = sim.run(RunLimits {
+        max_events: u64::MAX,
+        max_time: SETTLE_BUDGET_US,
+    });
     (sim, out)
 }
 
@@ -133,18 +129,14 @@ pub fn run_churn(
     model: &Tier1Model,
     cfg: &ChurnConfig,
     speedup: u64,
-    engine: Engine,
 ) -> RunOutcome {
     let trace = churn::generate(model, cfg);
     let deadline = sim.now() + cfg.duration_us / speedup.max(1) + SETTLE_BUDGET_US;
     regen::replay(sim, &trace, speedup);
-    sim.run_engine(
-        engine,
-        RunLimits {
-            max_events: u64::MAX,
-            max_time: deadline,
-        },
-    )
+    sim.run(RunLimits {
+        max_events: u64::MAX,
+        max_time: deadline,
+    })
 }
 
 /// Peak resident set size of this process in kB (`VmHWM` from

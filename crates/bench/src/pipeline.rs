@@ -4,16 +4,15 @@
 //! Every experiment is the same machine with different knobs:
 //!
 //! ```text
-//! spec ── workload ── engine (--engine) ── auditors ── typed rows ── emitters
+//! spec ── workload ── sim ── auditors ── typed rows ── emitters
 //! ```
 //!
 //! * **spec** — a [`Tier1Config`] from the binary's declared CLI knobs
 //!   ([`tier1_config`]) and a `NetworkSpec` per scheme variant;
 //! * **workload** — the initial RIB snapshot and optional churn/probe
 //!   traces ([`Experiment::converge`], [`Run::churn`]);
-//! * **engine** — sequential, epoch-parallel, or AP-sharded, selected
-//!   once by `--engine` and threaded through every run of the
-//!   binary;
+//! * **sim** — the sequential event loop (`Sim::run`), in the
+//!   session wire mode `--wire` selects;
 //! * **auditors** — forwarding-loop and quiescence checks on the
 //!   converged state ([`Run::count_loops`], [`Run::require_quiesced`]);
 //! * **typed rows / emitters** — [`Table`] (fixed-width text) and
@@ -27,7 +26,7 @@ use crate::{
 };
 use abrr::{BgpNode, NetworkSpec, UpdateCounters};
 use bgp_types::{Ipv4Prefix, RouterId};
-use netsim::{Engine, RunLimits, RunOutcome, Sim, Time, WireMode};
+use netsim::{RunLimits, RunOutcome, Sim, Time, WireMode};
 use std::sync::Arc;
 use workload::{ChurnConfig, Tier1Config, Tier1Model};
 
@@ -53,11 +52,9 @@ pub fn tier1_config(args: &Args, base: Tier1Config) -> Tier1Config {
 }
 
 /// One experiment invocation: the header has been printed and the
-/// engine chosen. All runs spawned from it share the `--engine`
-/// setting.
+/// `--wire`, `--obs` and `--pcap` settings every run spawned from it
+/// shares are fixed.
 pub struct Experiment {
-    /// The engine every run of this invocation executes on.
-    pub engine: Engine,
     /// The session wire mode (`--wire`) applied to every spec this
     /// invocation converges.
     pub wire: WireMode,
@@ -70,15 +67,15 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Prints the standard experiment header and fixes the engine
-    /// choice from `--engine`. With `--obs`, turns on the
+    /// Prints the standard experiment header and fixes the shared
+    /// settings from `args`. With `--obs`, turns on the
     /// metrics registry and engine profiling for the whole invocation.
     pub fn start(args: &Args, title: &str, detail: &str) -> Experiment {
         crate::header(title, detail);
         Self::from_args(args)
     }
 
-    /// Engine and obs setup without the standard header, for utility
+    /// Wire, obs and pcap setup without the standard header, for utility
     /// binaries that own their output format.
     pub fn from_args(args: &Args) -> Experiment {
         let obs = args.obs();
@@ -91,7 +88,6 @@ impl Experiment {
             obs::pcap::enable();
         }
         Experiment {
-            engine: args.engine(),
             wire: args.wire(),
             obs,
             pcap,
@@ -106,17 +102,13 @@ impl Experiment {
         }
     }
 
-    /// Spec + workload + engine stages in one step: builds the sim for
+    /// Spec + workload + sim stages in one step: builds the sim for
     /// `spec` (in this invocation's `--wire` mode), replays the initial
     /// RIB snapshot, and settles it.
     pub fn converge(&self, mut spec: Arc<NetworkSpec>, model: &Tier1Model) -> Run {
         self.apply_wire(&mut spec);
-        let (sim, outcome) = converge_snapshot(spec, model, 1_000, self.engine);
-        let run = Run {
-            sim,
-            outcome,
-            engine: self.engine,
-        };
+        let (sim, outcome) = converge_snapshot(spec, model, 1_000);
+        let run = Run { sim, outcome };
         run.refresh_obs_gauges();
         run
     }
@@ -132,7 +124,10 @@ impl Drop for Experiment {
             let n = obs::pcap::pending_packets();
             match std::fs::write(&path, obs::pcap::drain_file()) {
                 Ok(()) => println!("# pcap: {n} packets -> {path}"),
-                Err(e) => println!("# pcap: failed to write {path}: {e}"),
+                Err(e) => {
+                    eprintln!("pcap: failed to write {path}: {e}");
+                    std::process::exit(1);
+                }
             }
         }
     }
@@ -178,7 +173,6 @@ pub struct Run {
     pub sim: Sim<BgpNode>,
     /// Outcome of the latest segment (converge/churn/advance).
     pub outcome: RunOutcome,
-    engine: Engine,
 }
 
 impl Run {
@@ -199,21 +193,18 @@ impl Run {
 
     /// Workload stage: replays a churn trace and settles.
     pub fn churn(&mut self, model: &Tier1Model, cfg: &ChurnConfig) -> &RunOutcome {
-        self.outcome = run_churn(&mut self.sim, model, cfg, 1, self.engine);
+        self.outcome = run_churn(&mut self.sim, model, cfg, 1);
         self.refresh_obs_gauges();
         &self.outcome
     }
 
-    /// Engine stage: advances simulated time to `t` (time-sliced
+    /// Sim stage: advances simulated time to `t` (time-sliced
     /// sampling loops).
     pub fn advance_to(&mut self, t: Time) -> &RunOutcome {
-        self.outcome = self.sim.run_engine(
-            self.engine,
-            RunLimits {
-                max_events: u64::MAX,
-                max_time: t,
-            },
-        );
+        self.outcome = self.sim.run(RunLimits {
+            max_events: u64::MAX,
+            max_time: t,
+        });
         self.refresh_obs_gauges();
         &self.outcome
     }
@@ -231,7 +222,7 @@ impl Run {
         }
     }
 
-    /// Engine stage: settles for the standard budget from now.
+    /// Sim stage: settles for the standard budget from now.
     pub fn settle(&mut self) -> &RunOutcome {
         let t = self.sim.now() + SETTLE_BUDGET_US;
         self.advance_to(t)
@@ -457,17 +448,22 @@ impl JsonRow {
     }
 
     /// Prints the line and, when `out` names a file, appends it there.
+    /// `Args` opened that file at startup; a write that fails anyway
+    /// exits 1.
     pub fn emit(&self, out: Option<&str>) {
         use std::io::Write as _;
         let line = self.to_line();
         println!("{line}");
         if let Some(path) = out {
-            let mut f = std::fs::OpenOptions::new()
+            let appended = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(path)
-                .expect("open --out file");
-            writeln!(f, "{line}").expect("append json line");
+                .and_then(|mut f| writeln!(f, "{line}"));
+            if let Err(e) = appended {
+                eprintln!("--out: failed to append to {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

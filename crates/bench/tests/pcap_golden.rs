@@ -6,8 +6,9 @@
 //! numbers are assigned after the global (t, phase, seq, k) sort. The
 //! contract pinned here: dumping the small-reference scenario in
 //! encode-decode-verify wire mode produces a **byte-identical** pcap
-//! file across repeated runs and across engines, equal to the blessed
-//! capture under `tests/golden/`.
+//! file across repeated runs, equal to the blessed capture under
+//! `tests/golden/`. The window engine's captures are held to the
+//! sequential loop's by `engine_equivalence.rs` (V4).
 //!
 //! Re-bless (after an intentional wire/format change only):
 //!
@@ -20,15 +21,14 @@
 use abrr::scenarios::small_reference;
 use abrr::spec::Mode;
 use abrr_bench::fingerprint::golden_dir;
-use netsim::{Engine, RunConfig, RunLimits, Time, WireMode};
+use netsim::{RunConfig, RunLimits, Time, WireMode};
 
 /// Runs the reference scenario in verify wire mode with the pcap sink
 /// enabled and returns the rendered capture file.
-fn capture(engine: Engine) -> Vec<u8> {
+fn capture() -> Vec<u8> {
     obs::pcap::reset();
     obs::pcap::enable();
     let cfg = RunConfig {
-        engine,
         wire: WireMode::Verify,
         limits: RunLimits {
             max_events: 1_000_000,
@@ -36,11 +36,7 @@ fn capture(engine: Engine) -> Vec<u8> {
         },
     };
     let (_, outcome) = small_reference().run(Mode::Abrr, cfg);
-    assert!(
-        outcome.quiesced,
-        "small_reference did not quiesce on {}",
-        engine.name()
-    );
+    assert!(outcome.quiesced, "small_reference did not quiesce");
     obs::trace::flush_local();
     let bytes = obs::pcap::drain_file();
     obs::pcap::reset();
@@ -48,21 +44,13 @@ fn capture(engine: Engine) -> Vec<u8> {
 }
 
 #[test]
-fn pcap_dump_is_byte_identical_across_runs_engines_and_golden() {
-    let reference = capture(Engine::Seq);
+fn pcap_dump_is_byte_identical_across_runs_and_golden() {
+    let reference = capture();
     assert!(
         reference.len() > 24,
         "capture holds only the pcap global header — no packets recorded"
     );
-    for engine in [Engine::Seq, Engine::Epoch(2), Engine::Sharded(2)] {
-        let again = capture(engine);
-        assert_eq!(
-            again,
-            reference,
-            "pcap bytes diverged on a repeat run under {}",
-            engine.name()
-        );
-    }
+    assert_eq!(capture(), reference, "pcap bytes diverged on a repeat run");
 
     let path = golden_dir().join("wire_small_reference.pcap");
     if std::env::var("GOLDEN_BLESS").is_ok() {

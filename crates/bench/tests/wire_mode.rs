@@ -6,8 +6,9 @@
 //! round-tripped through `bgp-wire` as a differential oracle) and
 //! bytes-only mode (sessions literally carry encoded bytes) must
 //! produce byte-identical fingerprints and byte-identical obs event
-//! traces compared to the struct-mode reference — on both the
-//! sequential engine and the AP-sharded engine. Any codec/semantics
+//! traces compared to the struct-mode reference. The window engine's
+//! side of the same contract is `engine_equivalence.rs` (V4). Any
+//! codec/semantics
 //! drift that the struct-level goldens structurally cannot see
 //! (mis-encoded attribute, lost path id, wrong NLRI packing) either
 //! hard-fails inside the verify oracle or lands here as a diff.
@@ -16,19 +17,17 @@
 //! state; a single test function serializes the runs by construction.
 
 use abrr_bench::fingerprint::scenarios;
-use netsim::{Engine, RunConfig, WireMode};
+use netsim::{RunConfig, WireMode};
 
-/// One scenario run under one engine and wire mode, with fresh obs
-/// state, returning (fingerprint, trace JSONL).
+/// One scenario run in one wire mode, with fresh obs state, returning
+/// (fingerprint, trace JSONL).
 fn run_traced(
     scenario: &abrr_bench::fingerprint::GoldenScenario,
-    engine: Engine,
     wire: WireMode,
 ) -> (String, String) {
     obs::trace::reset();
     obs::trace::set_spec("trace");
     let fp = scenario.run(RunConfig {
-        engine,
         wire,
         ..Default::default()
     });
@@ -39,7 +38,7 @@ fn run_traced(
 
 /// Reports the first differing line of two traces instead of dumping
 /// both multi-thousand-line strings.
-fn assert_trace_eq(name: &str, engine: Engine, wire: WireMode, got: &str, want: &str) {
+fn assert_trace_eq(name: &str, wire: WireMode, got: &str, want: &str) {
     if got == want {
         return;
     }
@@ -50,15 +49,13 @@ fn assert_trace_eq(name: &str, engine: Engine, wire: WireMode, got: &str, want: 
         .find(|(_, (a, b))| a != b);
     match diff {
         Some((i, (g, w))) => panic!(
-            "{name}: obs trace diverged in {} mode on {} at line {}:\n  struct: {w}\n  wire:   {g}",
+            "{name}: obs trace diverged in {} mode at line {}:\n  struct: {w}\n  wire:   {g}",
             wire.name(),
-            engine.name(),
             i + 1
         ),
         None => panic!(
-            "{name}: obs trace length diverged in {} mode on {} ({} vs {} lines)",
+            "{name}: obs trace length diverged in {} mode ({} vs {} lines)",
             wire.name(),
-            engine.name(),
             got.lines().count(),
             want.lines().count()
         ),
@@ -68,25 +65,22 @@ fn assert_trace_eq(name: &str, engine: Engine, wire: WireMode, got: &str, want: 
 #[test]
 fn wire_modes_are_behaviorally_invisible() {
     for scenario in scenarios() {
-        for engine in [Engine::Seq, Engine::Sharded(2)] {
-            let (fp_ref, trace_ref) = run_traced(&scenario, engine, WireMode::Off);
-            assert!(
-                !trace_ref.is_empty(),
-                "{}: struct-mode reference emitted no trace events",
-                scenario.name
+        let (fp_ref, trace_ref) = run_traced(&scenario, WireMode::Off);
+        assert!(
+            !trace_ref.is_empty(),
+            "{}: struct-mode reference emitted no trace events",
+            scenario.name
+        );
+        for wire in [WireMode::Verify, WireMode::Bytes] {
+            let (fp, trace) = run_traced(&scenario, wire);
+            assert_eq!(
+                fp,
+                fp_ref,
+                "{}: fingerprint diverged in {} mode",
+                scenario.name,
+                wire.name()
             );
-            for wire in [WireMode::Verify, WireMode::Bytes] {
-                let (fp, trace) = run_traced(&scenario, engine, wire);
-                assert_eq!(
-                    fp,
-                    fp_ref,
-                    "{}: fingerprint diverged in {} mode on {}",
-                    scenario.name,
-                    wire.name(),
-                    engine.name()
-                );
-                assert_trace_eq(scenario.name, engine, wire, &trace, &trace_ref);
-            }
+            assert_trace_eq(scenario.name, wire, &trace, &trace_ref);
         }
     }
 }

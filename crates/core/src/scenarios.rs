@@ -172,11 +172,10 @@ impl Scenario {
     }
 
     /// Builds, feeds, and runs the scenario under `mode` with the
-    /// engine, session wire mode and limits of `cfg`; returns the sim
-    /// and the run outcome. Every engine and wire mode produces the
-    /// same outcome — the differential oracles assert exactly that — so
-    /// `cfg.limits.max_events` is the knob that matters: it bounds
-    /// oscillations.
+    /// session wire mode and limits of `cfg`; returns the sim and the
+    /// run outcome. Every wire mode produces the same outcome — the
+    /// `wire` oracle asserts exactly that — so `cfg.limits.max_events`
+    /// is the knob that matters: it bounds oscillations.
     pub fn run(
         &self,
         mode: Mode,
@@ -192,7 +191,7 @@ impl Scenario {
         for (at, router, ev) in &self.events {
             sim.schedule_external(*at, *router, ev.clone());
         }
-        let outcome = sim.run_engine(cfg.engine, cfg.limits);
+        let outcome = sim.run(cfg.limits);
         (sim, outcome)
     }
 }
@@ -341,7 +340,7 @@ mod tests {
     use super::*;
     use crate::audit;
 
-    /// Sequential, struct mode, 50 000 events to tell oscillation from
+    /// Struct mode, 50 000 events to tell oscillation from
     /// convergence.
     fn osc_budget() -> netsim::RunConfig {
         netsim::RunConfig {

@@ -23,7 +23,7 @@
 //! The capstone experiment lives in `abrr-bench` (`--bin resilience`):
 //! kill one ARR (redundancy 2) vs one TRR vs one mesh router under
 //! churn and compare reconvergence time, update-storm size, and total
-//! blackhole duration per engine.
+//! blackhole duration per scheme.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -109,23 +109,6 @@ impl Engine {
         }
     }
 
-    /// Parses an engine as written on a command line (`--engine`):
-    /// `seq`, `epoch:N` or `sharded:N` with `N >= 1` workers. A
-    /// parallel engine always names its worker count, so nothing can
-    /// silently fall back to the sequential loop.
-    pub fn parse(s: &str) -> Option<Engine> {
-        if s == "seq" {
-            return Some(Engine::Seq);
-        }
-        let (kind, workers) = s.split_once(':')?;
-        let workers = workers.parse().ok().filter(|&n: &usize| n >= 1)?;
-        match kind {
-            "epoch" => Some(Engine::Epoch(workers)),
-            "sharded" => Some(Engine::Sharded(workers)),
-            _ => None,
-        }
-    }
-
     /// Worker count (0 for the sequential engine).
     pub fn workers(self) -> usize {
         match self {
@@ -314,12 +297,11 @@ impl Default for RunLimits {
 
 /// How to run a scenario: the one knob set every scenario-level `run`
 /// entry point takes (`abrr::scenarios::Scenario::run`, the scenario
-/// DSL's `Loaded::run`, the bench goldens). The default is the
-/// sequential engine over in-memory structs with no caller limit.
+/// DSL's `Loaded::run`, the bench goldens). Every one of them runs
+/// [`Sim::run`]; choosing an engine is [`Sim::run_engine`]'s business
+/// alone. The default is in-memory structs with no caller limit.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
-    /// Execution engine.
-    pub engine: Engine,
     /// Session transport, written into the spec the sim is built from.
     pub wire: WireMode,
     /// Caps on every run segment, on top of whatever budget the
@@ -331,7 +313,6 @@ pub struct RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
-            engine: Engine::Seq,
             wire: WireMode::Off,
             limits: RunLimits {
                 max_events: u64::MAX,

@@ -15,22 +15,21 @@
 //!   the twin, so this asserts *post-recovery* equivalence: every
 //!   fault a scenario injects must be survivable for this oracle to
 //!   hold.
-//! * **engines_agree** — the sequential engine, the epoch-parallel
-//!   engine (2 workers), and the AP-sharded engine (2 shards) produce
-//!   identical outcomes, identical selections, and byte-identical obs
-//!   traces.
 //! * **wire** — encode-decode-verify wire mode (every session message
 //!   round-tripped through the BGP byte codec as a differential
 //!   oracle) produces identical outcomes, selections, and
-//!   byte-identical obs traces vs struct mode, on the sequential and
-//!   AP-sharded engines (DESIGN.md §14).
+//!   byte-identical obs traces vs struct mode (DESIGN.md §14).
 //! * **exits** — pinned (router, prefix) → exit expectations.
+//!
+//! Every run is [`netsim::Sim::run`]. The window engine is not an
+//! oracle here: `crates/bench/tests/engine_equivalence.rs` holds it to
+//! the sequential loop on the corpus and the fuzzer's fixed seeds.
 
 use crate::compile::{Loaded, RunReport};
 use crate::schema::{Check, ModeSpec, Verdict};
 use abrr::audit;
 use bgp_types::{Ipv4Prefix, RouterId};
-use netsim::{Engine, RunConfig, WireMode};
+use netsim::{RunConfig, WireMode};
 use std::sync::Mutex;
 
 /// One failed oracle.
@@ -80,14 +79,12 @@ impl ScenarioReport {
     }
 }
 
-/// Serializes access to the global obs trace state (the engine
-/// equivalence oracle toggles tracing process-wide).
+/// Serializes access to the global obs trace state (the wire oracle
+/// toggles tracing process-wide).
 static OBS_GUARD: Mutex<()> = Mutex::new(());
 
-/// Runs every check of a loaded scenario. `engine` selects the engine
-/// for the primary runs; the engine-equivalence oracle always compares
-/// all three engines regardless.
-pub fn run_checks(loaded: &Loaded, engine: Engine) -> ScenarioReport {
+/// Runs every check of a loaded scenario.
+pub fn run_checks(loaded: &Loaded) -> ScenarioReport {
     let mut report = ScenarioReport {
         name: loaded.name().to_string(),
         expect_fail: loaded.file().expect_verdict == Verdict::Fail,
@@ -97,7 +94,7 @@ pub fn run_checks(loaded: &Loaded, engine: Engine) -> ScenarioReport {
     let checks = loaded.file().checks.clone();
     for check in &checks {
         report.checks_run += 1;
-        run_one(loaded, check, engine, &mut report);
+        run_one(loaded, check, &mut report);
     }
     report
 }
@@ -110,13 +107,9 @@ fn fail(report: &mut ScenarioReport, mode: ModeSpec, oracle: &str, msg: impl Int
     });
 }
 
-fn run_one(loaded: &Loaded, check: &Check, engine: Engine, report: &mut ScenarioReport) {
+fn run_one(loaded: &Loaded, check: &Check, report: &mut ScenarioReport) {
     let mode = check.mode;
-    let primary = RunConfig {
-        engine,
-        ..Default::default()
-    };
-    let run = match loaded.run(mode, true, primary) {
+    let run = match loaded.run(mode, true, RunConfig::default()) {
         Ok(r) => r,
         Err(e) => {
             fail(report, mode, "run", e);
@@ -206,7 +199,7 @@ fn run_one(loaded: &Loaded, check: &Check, engine: Engine, report: &mut Scenario
     }
 
     if check.matches_full_mesh {
-        match loaded.run(ModeSpec::FullMesh, false, primary) {
+        match loaded.run(ModeSpec::FullMesh, false, RunConfig::default()) {
             Err(e) => fail(report, mode, "matches_full_mesh", e),
             Ok(mesh) => {
                 if !settled || !mesh.outcome.quiesced {
@@ -250,12 +243,6 @@ fn run_one(loaded: &Loaded, check: &Check, engine: Engine, report: &mut Scenario
                     }
                 }
             }
-        }
-    }
-
-    if check.engines_agree {
-        if let Err(msg) = engines_agree(loaded, mode, &live_routers, &live_prefixes) {
-            fail(report, mode, "engines_agree", msg);
         }
     }
 
@@ -334,61 +321,31 @@ fn live_prefixes(loaded: &Loaded, run: &RunReport) -> Vec<Ipv4Prefix> {
     }
 }
 
-/// One faulted run of `mode` under `cfg` with its obs trace captured.
-/// The caller holds [`OBS_GUARD`].
+/// One faulted run of `mode` in `wire` mode with its obs trace
+/// captured. The caller holds [`OBS_GUARD`].
 fn run_traced(
     loaded: &Loaded,
     mode: ModeSpec,
-    cfg: RunConfig,
+    wire: WireMode,
 ) -> Result<(RunReport, String), String> {
     obs::trace::reset();
     obs::trace::set_spec("trace");
+    let cfg = RunConfig {
+        wire,
+        ..Default::default()
+    };
     let run = loaded.run(mode, true, cfg);
     let trace = obs::trace::drain_jsonl();
     obs::trace::reset();
     run.map(|r| (r, trace))
 }
 
-/// The differential core of the `engines_agree` and `wire` oracles: two
-/// run configurations of one scenario must agree on outcome,
-/// selections, and byte-identical obs traces.
-fn same_run(
-    (a, a_trace): &(RunReport, String),
-    a_name: &str,
-    (b, b_trace): &(RunReport, String),
-    b_name: &str,
-    routers: &[RouterId],
-    prefixes: &[Ipv4Prefix],
-) -> Result<(), String> {
-    if a.outcome != b.outcome {
-        return Err(format!(
-            "outcomes diverge: {a_name} {:?} vs {b_name} {:?}",
-            a.outcome, b.outcome
-        ));
-    }
-    if !audit::selections_equal(&a.sim, &b.sim, routers, prefixes) {
-        return Err(format!("selections diverge between {a_name} and {b_name}"));
-    }
-    if a_trace != b_trace {
-        let first_diff = a_trace
-            .lines()
-            .zip(b_trace.lines())
-            .position(|(x, y)| x != y);
-        return Err(format!(
-            "obs traces diverge between {a_name} and {b_name} \
-             ({} vs {} events, first difference at line {first_diff:?})",
-            a_trace.lines().count(),
-            b_trace.lines().count()
-        ));
-    }
-    Ok(())
-}
-
 /// The wire-mode differential oracle (DESIGN.md §14): running the
 /// scenario with every session message round-tripped through the BGP
-/// byte codec (encode-decode-verify mode) must change *nothing* on
-/// either the sequential or the AP-sharded engine. Codec bugs either
-/// hard-fail inside the verify round-trip or surface here as a diff.
+/// byte codec (encode-decode-verify mode) must change *nothing* —
+/// outcome, selections and the byte-identical obs trace. Codec bugs
+/// either hard-fail inside the verify round-trip or surface here as a
+/// diff.
 fn wire_invisible(
     loaded: &Loaded,
     mode: ModeSpec,
@@ -396,49 +353,28 @@ fn wire_invisible(
     prefixes: &[Ipv4Prefix],
 ) -> Result<(), String> {
     let _guard = OBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    for engine in [Engine::Seq, Engine::Sharded(2)] {
-        let name = engine.name();
-        let run = |wire| {
-            let cfg = RunConfig {
-                engine,
-                wire,
-                ..Default::default()
-            };
-            run_traced(loaded, mode, cfg)
-        };
-        same_run(
-            &run(WireMode::Off)?,
-            &format!("struct mode on {name}"),
-            &run(WireMode::Verify)?,
-            &format!("verify-wire mode on {name}"),
-            routers,
-            prefixes,
-        )?;
+    let (structs, structs_trace) = run_traced(loaded, mode, WireMode::Off)?;
+    let (wire, wire_trace) = run_traced(loaded, mode, WireMode::Verify)?;
+    if structs.outcome != wire.outcome {
+        return Err(format!(
+            "outcomes diverge: struct mode {:?} vs verify-wire mode {:?}",
+            structs.outcome, wire.outcome
+        ));
     }
-    Ok(())
-}
-
-/// The cross-engine oracle: the sequential oracle, the epoch-parallel
-/// engine (2 workers), and the AP-sharded engine (2 shards) must agree
-/// (DESIGN.md §10, §12).
-fn engines_agree(
-    loaded: &Loaded,
-    mode: ModeSpec,
-    routers: &[RouterId],
-    prefixes: &[Ipv4Prefix],
-) -> Result<(), String> {
-    let _guard = OBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let run = |engine| {
-        let cfg = RunConfig {
-            engine,
-            ..Default::default()
-        };
-        run_traced(loaded, mode, cfg)
-    };
-    let seq = run(Engine::Seq)?;
-    for engine in [Engine::Epoch(2), Engine::Sharded(2)] {
-        let other = run(engine)?;
-        same_run(&seq, "seq", &other, engine.name(), routers, prefixes)?;
+    if !audit::selections_equal(&structs.sim, &wire.sim, routers, prefixes) {
+        return Err("selections diverge between struct and verify-wire mode".to_string());
+    }
+    if structs_trace != wire_trace {
+        let first_diff = structs_trace
+            .lines()
+            .zip(wire_trace.lines())
+            .position(|(x, y)| x != y);
+        return Err(format!(
+            "obs traces diverge between struct and verify-wire mode \
+             ({} vs {} events, first difference at line {first_diff:?})",
+            structs_trace.lines().count(),
+            wire_trace.lines().count()
+        ));
     }
     Ok(())
 }

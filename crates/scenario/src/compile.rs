@@ -1,6 +1,6 @@
 //! Compiles a validated [`ScenarioFile`] into runnable structures —
 //! the very same [`abrr::scenarios::Scenario`] / [`abrr::NetworkSpec`]
-//! the hand-written Rust gadgets produce, so both engines, the
+//! the hand-written Rust gadgets produce, so the simulator, the
 //! auditors, and the golden fingerprints are shared between declarative
 //! and programmatic scenarios.
 
@@ -12,7 +12,7 @@ use abrr::scenarios::{Scenario, ScenarioTuning};
 use abrr::spec::{AbrrLoopPrevention, ClusterSpec, LatencyModel, Mode};
 use abrr::{BgpNode, NetworkSpec};
 use bgp_types::{ApId, AsPath, Asn, Ipv4Prefix, NextHop, PathAttributes, RouterId};
-use netsim::{RunConfig, RunLimits, RunOutcome, Sim};
+use netsim::{RunConfig, RunLimits, RunOutcome, Sim, WireMode};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -318,24 +318,20 @@ impl Loaded {
         }
     }
 
-    /// Runs one mode: builds the sim (sessions in `cfg.wire` mode),
-    /// schedules the workload, compiles the fault schedule, and runs
-    /// under `cfg.engine` to the file's budget, capped by `cfg.limits`.
-    /// `with_faults: false` runs the fault-free twin (the full-mesh
-    /// equivalence oracle).
-    pub fn run(
+    /// Builds one mode's sim without running it: the spec (sessions in
+    /// `wire` mode), the scheduled workload and, with `with_faults`,
+    /// the compiled fault schedule. `with_faults: false` builds the
+    /// fault-free twin (the full-mesh equivalence oracle).
+    /// [`Loaded::run`] is this followed by [`Sim::run`]; the engine
+    /// equivalence suite drives the same sim under the window engine.
+    pub fn build(
         &self,
         mode: ModeSpec,
         with_faults: bool,
-        cfg: RunConfig,
-    ) -> Result<RunReport, String> {
-        let budget = self.file().budget;
-        let limits = RunLimits {
-            max_events: budget.max_events.min(cfg.limits.max_events),
-            max_time: budget.max_time_us.min(cfg.limits.max_time),
-        };
+        wire: WireMode,
+    ) -> Result<(Arc<NetworkSpec>, Sim<BgpNode>), String> {
         let mut bare = self.spec(mode);
-        bare.wire_mode = cfg.wire;
+        bare.wire_mode = wire;
         let spec = Arc::new(bare);
         let mut sim = abrr::build_sim(spec.clone());
         match self {
@@ -365,7 +361,28 @@ impl Loaded {
                 regen::replay(&mut sim, &churn::initial_snapshot(&t.model), 1_000);
             }
         }
-        let outcome = sim.run_engine(cfg.engine, limits);
+        Ok((spec, sim))
+    }
+
+    /// The file's run budget, capped by `cap`.
+    pub fn limits(&self, cap: RunLimits) -> RunLimits {
+        let budget = self.file().budget;
+        RunLimits {
+            max_events: budget.max_events.min(cap.max_events),
+            max_time: budget.max_time_us.min(cap.max_time),
+        }
+    }
+
+    /// Runs one mode: [`Loaded::build`] in `cfg.wire` mode, then
+    /// [`Sim::run`] to the file's budget, capped by `cfg.limits`.
+    pub fn run(
+        &self,
+        mode: ModeSpec,
+        with_faults: bool,
+        cfg: RunConfig,
+    ) -> Result<RunReport, String> {
+        let (spec, mut sim) = self.build(mode, with_faults, cfg.wire)?;
+        let outcome = sim.run(self.limits(cfg.limits));
         Ok(RunReport { spec, sim, outcome })
     }
 }

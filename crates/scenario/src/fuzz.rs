@@ -6,16 +6,15 @@
 //! and writes it as a JSON corpus file, ready to be committed as a
 //! regression test. Every generated case declares the `wire` oracle,
 //! so each one also runs in encode-decode-verify wire mode and must be
-//! byte-identical (selections and obs traces) to struct mode on the
-//! seq and sharded engines. A fixed `(seed, cases)` pair is fully
-//! deterministic, which is what the CI smoke stage pins.
+//! byte-identical (selections and obs traces) to struct mode. A fixed
+//! `(seed, cases)` pair is fully deterministic, which is what the CI
+//! smoke stage pins.
 
 use crate::check::{run_checks, ScenarioReport};
 use crate::compile;
 use crate::gen::generate;
 use crate::schema::ScenarioFile;
 use crate::shrink::shrink;
-use netsim::Engine;
 use std::path::{Path, PathBuf};
 
 /// Shrink-run budget per failing case.
@@ -60,7 +59,6 @@ pub fn fuzz(
     seed: u64,
     cases: usize,
     shrink_dir: Option<&Path>,
-    engine: Engine,
     mut progress: impl FnMut(u64, &ScenarioReport),
 ) -> FuzzOutcome {
     let mut outcome = FuzzOutcome::default();
@@ -72,14 +70,14 @@ pub fn fuzz(
             "generator produced an invalid scenario for seed {case_seed}"
         );
         let loaded = compile::compile(file.clone());
-        let report = run_checks(&loaded, engine);
+        let report = run_checks(&loaded);
         outcome.cases += 1;
         outcome.checks_run += report.checks_run;
         progress(case_seed, &report);
         if report.all_green() {
             continue;
         }
-        let shrunk = shrink(&file, engine, SHRINK_BUDGET);
+        let shrunk = shrink(&file, SHRINK_BUDGET);
         let written_to = shrink_dir.and_then(|dir| {
             let path = dir.join(format!("shrunk-{case_seed}.json"));
             std::fs::create_dir_all(dir).ok()?;

@@ -7,7 +7,7 @@
 //! `faults` crate's types), and the invariants the run is expected to
 //! satisfy. The loader compiles a file into the very same
 //! [`abrr::scenarios::Scenario`] / [`abrr::NetworkSpec`] structures the
-//! Rust gadgets produce, so everything downstream — both engines, the
+//! Rust gadgets produce, so everything downstream — the simulator, the
 //! auditors, the golden fingerprints — is shared.
 //!
 //! Modules:
@@ -20,7 +20,7 @@
 //!   unknown nodes — targeted errors, never panics.
 //! * [`compile`] — model → runnable [`compile::Loaded`] scenario.
 //! * [`check`] — the oracle stack: quiescence, forwarding-loop and
-//!   blackhole audits, full-mesh exit equivalence, seq-vs-parallel
+//!   blackhole audits, full-mesh exit equivalence, struct-vs-wire
 //!   obs-trace equivalence, pinned exits.
 //! * [`gen`] — seeded random scenario generator.
 //! * [`mod@fuzz`] — generator + oracles + [`shrink`]: run many random

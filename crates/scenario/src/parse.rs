@@ -644,7 +644,6 @@ fn parse_check(c: &Cur) -> Result<Check, ScenarioError> {
         "no_loops",
         "no_blackholes",
         "matches_full_mesh",
-        "engines_agree",
         "wire",
         "exits",
     ])?;
@@ -693,7 +692,6 @@ fn parse_check(c: &Cur) -> Result<Check, ScenarioError> {
         no_loops: flag("no_loops")?,
         no_blackholes: flag("no_blackholes")?,
         matches_full_mesh: flag("matches_full_mesh")?,
-        engines_agree: flag("engines_agree")?,
         wire: flag("wire")?,
         exits,
     })

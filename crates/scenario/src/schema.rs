@@ -306,13 +306,10 @@ pub struct Check {
     pub no_blackholes: bool,
     /// Assert exits equal a fault-free full-mesh twin's.
     pub matches_full_mesh: bool,
-    /// Assert sequential and parallel engines produce identical
-    /// selections and byte-identical obs traces.
-    pub engines_agree: bool,
     /// Assert encode-decode-verify wire mode (every session message
     /// round-tripped through the BGP byte codec) is behaviorally
     /// invisible: identical outcomes, selections, and byte-identical
-    /// obs traces vs struct mode, on seq and sharded engines.
+    /// obs traces vs struct mode.
     pub wire: bool,
     /// Pinned (router, prefix) → exit expectations.
     pub exits: Vec<ExitExpect>,
@@ -327,7 +324,6 @@ impl Check {
             no_loops: false,
             no_blackholes: false,
             matches_full_mesh: false,
-            engines_agree: false,
             wire: false,
             exits: Vec::new(),
         }
@@ -676,9 +672,6 @@ fn check_value(c: &Check) -> Value {
     }
     if c.matches_full_mesh {
         e.push(("matches_full_mesh", Value::Bool(true)));
-    }
-    if c.engines_agree {
-        e.push(("engines_agree", Value::Bool(true)));
     }
     if c.wire {
         e.push(("wire", Value::Bool(true)));

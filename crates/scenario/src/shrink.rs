@@ -12,7 +12,6 @@ use crate::check::run_checks;
 use crate::compile;
 use crate::schema::*;
 use crate::validate::validate;
-use netsim::Engine;
 use std::collections::BTreeSet;
 
 /// A failing oracle's identity: (mode keyword, oracle name).
@@ -20,12 +19,12 @@ pub type FailureKey = (String, String);
 
 /// The failing (mode, oracle) pairs of a scenario, or `None` when it
 /// does not compile/validate (an invalid shrink candidate).
-pub fn failure_keys(file: &ScenarioFile, engine: Engine) -> Option<BTreeSet<FailureKey>> {
+pub fn failure_keys(file: &ScenarioFile) -> Option<BTreeSet<FailureKey>> {
     if !validate(file).is_empty() {
         return None;
     }
     let loaded = compile::compile(file.clone());
-    let report = run_checks(&loaded, engine);
+    let report = run_checks(&loaded);
     Some(
         report
             .failures
@@ -37,8 +36,8 @@ pub fn failure_keys(file: &ScenarioFile, engine: Engine) -> Option<BTreeSet<Fail
 
 /// Shrinks `file` while at least one of `targets` keeps failing.
 /// `budget` bounds the number of candidate runs.
-pub fn shrink(file: &ScenarioFile, engine: Engine, budget: usize) -> ScenarioFile {
-    let Some(targets) = failure_keys(file, engine) else {
+pub fn shrink(file: &ScenarioFile, budget: usize) -> ScenarioFile {
+    let Some(targets) = failure_keys(file) else {
         return file.clone();
     };
     if targets.is_empty() {
@@ -48,7 +47,7 @@ pub fn shrink(file: &ScenarioFile, engine: Engine, budget: usize) -> ScenarioFil
     let mut runs = 0usize;
     let still_fails = |candidate: &ScenarioFile, runs: &mut usize| -> bool {
         *runs += 1;
-        match failure_keys(candidate, engine) {
+        match failure_keys(candidate) {
             Some(keys) => keys.intersection(&targets).next().is_some(),
             None => false,
         }

@@ -1,12 +1,10 @@
 //! Runs the committed gadget corpus end-to-end and exercises the
 //! shrinker on the intentional-violation gadget.
 //!
-//! Everything lives in ONE `#[test]`: `engines_agree` captures the
+//! Everything lives in ONE `#[test]`: the `wire` oracle captures the
 //! global obs trace stream, so no other simulation may run while a
-//! capture is in flight (same constraint as
-//! `crates/bench/tests/engine_equivalence.rs`).
+//! capture is in flight.
 
-use netsim::Engine;
 use scenario::shrink::shrink;
 use scenario::{load_path, run_checks};
 use std::path::PathBuf;
@@ -38,7 +36,7 @@ fn corpus_verdicts_and_shrink() {
                 continue;
             }
         };
-        let report = run_checks(&loaded, Engine::Seq);
+        let report = run_checks(&loaded);
         if !report.verdict_ok() {
             problems.push(format!(
                 "{}: expect_fail={} but failures were {:#?}",
@@ -53,7 +51,7 @@ fn corpus_verdicts_and_shrink() {
     // --- the intentional blackhole must be caught and shrink --------
     let xfail = corpus_dir().join("xfail_blackhole.json");
     let loaded = load_path(&xfail).expect("xfail gadget loads");
-    let report = run_checks(&loaded, Engine::Seq);
+    let report = run_checks(&loaded);
     assert!(
         report
             .failures
@@ -64,7 +62,7 @@ fn corpus_verdicts_and_shrink() {
     );
 
     let original = loaded.file().clone();
-    let shrunk = shrink(&original, Engine::Seq, 200);
+    let shrunk = shrink(&original, 200);
     // The cruft (second feed, spare router, extra links, the session
     // flap) must be gone; the violation must survive.
     let size = |f: &scenario::ScenarioFile| {
@@ -96,7 +94,7 @@ fn corpus_verdicts_and_shrink() {
     // The shrunk scenario is itself a valid, still-failing corpus file.
     assert!(scenario::validate::validate(&shrunk).is_empty());
     let reloaded = scenario::load_str(&shrunk.to_json_pretty()).expect("shrunk file loads");
-    let report = run_checks(&reloaded, Engine::Seq);
+    let report = run_checks(&reloaded);
     assert!(
         !report.failures.is_empty(),
         "shrunk scenario no longer fails"

@@ -61,6 +61,17 @@ fn unknown_key_is_rejected_with_span() {
     assert_error(&src, "$", "unknown key `nmae`");
 }
 
+/// `engines_agree` was retired with the engine choice: a file that
+/// still declares it gets the typed unknown-key error at its check.
+#[test]
+fn retired_engines_agree_key_is_rejected_at_its_check() {
+    let src = base().replace(
+        r#""checks": [{"mode": "abrr", "quiesces": true}]"#,
+        r#""checks": [{"mode": "abrr", "quiesces": true}, {"mode": "abrr", "engines_agree": true}]"#,
+    );
+    assert_error(&src, "$.checks[1]", "unknown key `engines_agree`");
+}
+
 #[test]
 fn dangling_link_endpoint() {
     // Router 99 appears in a link but is neither a router nor an RR.

@@ -100,7 +100,7 @@ fn main() {
     // And the corpus verdicts themselves — the declared `checks` of
     // each file, the same thing CI's scenario stage runs.
     for g in &gadgets {
-        let report = scenario::run_checks(g, netsim::Engine::Seq);
+        let report = scenario::run_checks(g);
         assert!(report.all_green(), "corpus checks failed: {report:?}");
         println!(
             "{}: all {} declared corpus checks green",

@@ -31,6 +31,20 @@ if [ -n "$FENCED" ]; then
   exit 1
 fi
 
+echo "== the engine is chosen in netsim only"
+# Every layer above netsim runs `Sim::run`. The window engine is kept
+# for benchmark/, which times it, and bench/tests/engine_equivalence.rs
+# holds it to the sequential loop; nothing else may name it.
+ENGINE_USES=$(grep -rnE 'use netsim::(Engine\b|\{[^}]*\bEngine\b)|\bEngine::|\.run_engine\(' \
+  crates/*/src crates/*/tests examples tests 2>/dev/null |
+  grep -vE '^crates/netsim/' |
+  grep -vE '^crates/bench/tests/engine_equivalence\.rs:' || true)
+if [ -n "$ENGINE_USES" ]; then
+  echo "$ENGINE_USES" >&2
+  echo "netsim::Engine or run_engine used outside netsim and engine_equivalence.rs (see above)" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 
@@ -39,12 +53,13 @@ echo "== cargo test --workspace -q"
 # the same suites minus the vendored stand-ins' own unit tests (the
 # workspace's `default-members` are the root package and `crates/*`).
 # That includes the gates earlier revisions ran one by one:
-# - engine equivalence (seq vs epoch/sharded at 1/2/8 workers): both
-#   policies of the window loop byte-for-byte against the sequential
-#   oracle — netsim `window` fixtures (incl. the checked lookahead
-#   promise), faults/tests/parallel_determinism.rs, and
-#   bench/tests/engine_equivalence.rs (every golden scenario's
-#   fingerprint, obs trace and metrics snapshot).
+# - engine equivalence (seq vs epoch/sharded): both policies of the
+#   window loop byte-for-byte against the sequential oracle — netsim
+#   `window` fixtures (incl. the checked lookahead promise) and
+#   bench/tests/engine_equivalence.rs (a faulted ABRR run, MRAI-paced
+#   churn, TBRR load, both wire modes with pcap, the scenario corpus
+#   and the fuzzer's fixed seeds: fingerprint, outcome, obs trace,
+#   metrics snapshot).
 # - golden RIB-fingerprint regression (bench/tests/golden_regression.rs):
 #   observability defaults off there, so it doubles as the gate that the
 #   disabled obs path cannot drift golden results.
@@ -52,16 +67,12 @@ echo "== cargo test --workspace -q"
 # - wire mode (DESIGN.md §14): bgp-wire codec round-trip and corner-case
 #   proptests; bench/tests/wire_mode.rs (every golden scenario in
 #   encode-decode-verify and bytes-only modes reproduces struct mode's
-#   fingerprints and obs traces on seq + sharded); update-group packing
+#   fingerprints and obs traces); update-group packing
 #   (core/tests/wire_fanout.rs, bench/tests/wire_packing.rs); the pcap
 #   golden (bench/tests/pcap_golden.rs); the MRT reader fixtures
 #   (workload/tests/mrt_fixtures.rs).
-# bench/tests/engine_equivalence.rs (~25 s, twice the next slowest) is
-# `#[ignore]`d to keep Tier-1 near two minutes from a cold build; it
-# runs here, on its own line.
 TEST_T0=$SECONDS
 cargo test --workspace -q
-cargo test -q -p abrr-bench --test engine_equivalence -- --ignored
 echo "workspace tests: $((SECONDS - TEST_T0)) s wall"
 
 echo "== results/ regenerated and diffed (~4 min)"
@@ -83,30 +94,25 @@ cargo test --offline --manifest-path benchmark/Cargo.toml --target-dir target
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "== scale smoke (epoch + sharded, ~15 s)"
-cargo build --release -p abrr-bench --bin scale
-./target/release/scale --workload churn --engine epoch:2 --prefixes 200 --minutes 1
-./target/release/scale --workload failover --engine epoch:2 --prefixes 200 --minutes 1
-./target/release/scale --workload churn --engine sharded:2 --prefixes 200 --minutes 1
-
-echo "== tier1-scale smoke (20K prefixes, sharded engine, RSS budget)"
+echo "== tier1-scale smoke (20K prefixes, RSS budget)"
 # Exercises the RIB storage at a bounded Tier-1 scale: must complete,
 # quiesce, and stay under a peak-RSS budget (the compact-storage
-# regression tripwire). The budget is 1.10x the 1 062 404 kB this run
-# measured with prefix-hashed maps under the index and the sparse
-# tables (PR 27; a repeat read 1 063 124 kB — same-seed RSS repeats to
-# 0.1 %, which is what lets the margin be this thin). With Patricia
-# tries there (PRs 20-26) it took 1 212 800 kB (PR 24 recorded
-# 1 208 780), so reverting to them fails here; under the old
-# 1.15 x 1 208 780 = 1 390 000 it would not. Under `--engine seq` the
-# same run reads 962 800 kB (tries: 1 086 524).
+# regression tripwire). The budget is 1.10x the 961 448 kB this run
+# measured on the sequential loop (repeats read 961 420 and, inside a
+# full ci.sh run, 964 084 kB — same-seed RSS repeats to 0.3 %, which is
+# what lets the margin be this thin).
+# History: until the engine choice left the bench bins the smoke ran
+# `sharded:2`, at 1 062 404 kB with prefix-hashed maps (PR 27; the
+# same run on `seq` read 962 800 kB) and 1 212 800 kB with Patricia
+# tries (PRs 20-26; PR 24 recorded 1 208 780, and 1 086 524 on `seq`),
+# so reverting to tries fails here.
 TIER1_OUT=$(mktemp)
-./target/release/scale --workload churn --engine sharded:2 \
-  --prefixes 20000 --minutes 1 --out "$TIER1_OUT"
+./target/release/scale --workload churn --prefixes 20000 --minutes 1 \
+  --out "$TIER1_OUT"
 TIER1_RSS_KB=$(sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "$TIER1_OUT")
 TIER1_QUIESCED=$(sed -n 's/.*"quiesced":\(true\|false\).*/\1/p' "$TIER1_OUT")
 rm -f "$TIER1_OUT"
-TIER1_RSS_BUDGET_KB=1168600 # 1.10 x 1 062 404 kB
+TIER1_RSS_BUDGET_KB=1057600 # 1.10 x 961 448 kB
 if [ "$TIER1_QUIESCED" != "true" ]; then
   echo "tier1-scale smoke: did not quiesce" >&2
   exit 1
@@ -128,12 +134,11 @@ cargo build --release --examples
 echo "== scenario corpus + fixed-seed fuzz smoke"
 # Runs every gadget in examples/scenarios/ against its declared oracle
 # checks (xfail gadgets must be *caught*), then 25 generated scenarios
-# through the full oracle stack; every case's engines_agree oracle
-# compares the sequential, epoch-parallel, and AP-sharded engines, and
-# its wire oracle re-runs the case in encode-decode-verify wire mode,
-# which must match struct mode byte-for-byte.
+# through the full oracle stack; every case's wire oracle re-runs the
+# case in encode-decode-verify wire mode, which must match struct mode
+# byte-for-byte.
 # Fixed seed: a failure here is a regression in the generator, the
-# engines, or the auditors — never flake. Non-zero exit on any bad
+# simulator, or the auditors — never flake. Non-zero exit on any bad
 # verdict.
 cargo build --release -p abrr-bench --bin scenario
 ./target/release/scenario --dir examples/scenarios --fuzz 25 --seed 2011 \
