@@ -1,6 +1,6 @@
 //! The BGP best-path decision process (RFC 4271 §9.1.2.2; paper Table 2).
 
-use bgp_types::{Asn, NextHop, PathAttributes, RouteSource, RouterId};
+use bgp_types::{AsPath, Asn, NextHop, PathAttributes, RouteSource, RouterId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -55,36 +55,84 @@ impl Candidate {
         }
     }
 
+    /// This candidate as the decision process reads it.
+    pub fn route(&self) -> RouteRef<'_> {
+        RouteRef {
+            attrs: &self.attrs,
+            source: self.source,
+            neighbor_id: self.neighbor_id,
+        }
+    }
+
     /// The neighbouring AS for MED grouping: the leftmost AS of AS_PATH.
     /// `None` for locally-originated routes (empty path), which are
     /// never MED-compared against anything.
     pub fn med_group(&self) -> Option<Asn> {
-        self.attrs.as_path.first_as()
+        self.route().med_group()
     }
 
     /// Effective router id for step 7: ORIGINATOR_ID if present
     /// (RFC 4456 §9), else the advertising neighbor's BGP Identifier.
     pub fn effective_router_id(&self) -> u32 {
-        self.attrs
-            .originator_id
-            .map(|o| o.0)
-            .unwrap_or(self.neighbor_id)
+        self.route().effective_router_id()
     }
 
     /// Peer address for step 8. Local routes use the router's own id
     /// (they are in practice selected long before this step).
     pub fn peer_addr(&self) -> u32 {
-        match self.source {
-            RouteSource::Ebgp { peer_addr, .. } => peer_addr,
-            RouteSource::Ibgp { peer } => peer.0,
-            RouteSource::Local => self.neighbor_id,
-        }
+        self.route().peer_addr()
     }
 
     /// Whether step 5 treats this as eBGP-learned. Locally-originated
     /// routes rank with eBGP (they never lose step 5 to an iBGP route).
     pub fn ranks_as_ebgp(&self) -> bool {
         self.source.is_other_learned()
+    }
+}
+
+/// A route as the decision process reads it, borrowed from wherever it
+/// is stored: a [`Candidate`] ([`Candidate::route`]) or a table entry
+/// ([`RouteRef::ibgp`]). Deciding over these builds no candidate list
+/// and touches no reference count; the winner's `attrs` can still be
+/// cloned out.
+#[derive(Clone, Copy, Debug)]
+pub struct RouteRef<'a> {
+    /// The route's path attributes.
+    pub attrs: &'a Arc<PathAttributes>,
+    /// Provenance: eBGP / iBGP / local (drives steps 5 and 8).
+    pub source: RouteSource,
+    /// BGP Identifier of the advertising speaker (see
+    /// [`Candidate::neighbor_id`]).
+    pub neighbor_id: u32,
+}
+
+impl<'a> RouteRef<'a> {
+    /// A route learned over iBGP from `peer`.
+    pub fn ibgp(peer: RouterId, attrs: &'a Arc<PathAttributes>) -> RouteRef<'a> {
+        RouteRef {
+            attrs,
+            source: RouteSource::Ibgp { peer },
+            neighbor_id: peer.0,
+        }
+    }
+
+    fn med_group(&self) -> Option<Asn> {
+        self.attrs.as_path.first_as()
+    }
+
+    fn effective_router_id(&self) -> u32 {
+        self.attrs
+            .originator_id
+            .map(|o| o.0)
+            .unwrap_or(self.neighbor_id)
+    }
+
+    fn peer_addr(&self) -> u32 {
+        match self.source {
+            RouteSource::Ebgp { peer_addr, .. } => peer_addr,
+            RouteSource::Ibgp { peer } => peer.0,
+            RouteSource::Local => self.neighbor_id,
+        }
     }
 }
 
@@ -102,112 +150,154 @@ impl<F: Fn(NextHop) -> Option<u32>> IgpMetric for F {
     }
 }
 
-/// How many candidates' keys fit on the stack; a longer set spills to
-/// one heap buffer and runs the same elimination there.
+/// Sets of at most this many routes decide in a small stack array ...
+const SMALL_KEYS: usize = 8;
+/// ... and sets of at most this many in a larger one; a longer set
+/// decides in one heap buffer. A set initialises only the array of its
+/// size class, so the common two- to four-route set does not fill 32
+/// keys it never reads.
 const INLINE_KEYS: usize = 32;
 
-/// Everything the decision process reads of one candidate, extracted
-/// once so the elimination compares plain integers side by side
-/// instead of chasing an `Arc<PathAttributes>` per step.
+/// Everything the decision process reads of one route, extracted once
+/// so the elimination compares plain integers side by side instead of
+/// chasing a `PathAttributes` per step: steps 1–3 are one integer and
+/// steps 5–8 two, each ordered so that smaller is better. The two
+/// lengths saturate far above anything BGP can carry: one 65 535-byte
+/// attribute holds at most 16 383 ASNs or cluster ids.
 #[derive(Clone, Copy, Default)]
-struct Key {
-    local_pref: u32,
-    path_len: usize,
-    /// ORIGIN's wire code, which orders as the decision does.
-    origin: u8,
-    med: u32,
-    /// The neighbouring AS whose MEDs this one is comparable with.
+struct Key<'a> {
+    /// Steps 1–3: LOCAL_PREF inverted in the top 32 bits, the AS_PATH
+    /// length (saturated at 2^24 − 1) in the next 24, ORIGIN's wire
+    /// code — which orders as the decision does — in the low 8.
+    as_level: u64,
+    /// Steps 5–6.5: iBGP-learned in the top bit, the IGP metric in the
+    /// next 32, the CLUSTER_LIST length (saturated at 2^31 − 1; 0 when
+    /// the step is off) in the low 31.
+    exit: u64,
+    /// Steps 7–8: router id (ORIGINATOR_ID substitutes) in the top 32
+    /// bits, peer address in the low 32.
+    tie: u64,
+    /// Where step 4 finds the MED group, if it needs one (`None` only
+    /// in an unwritten buffer slot).
+    as_path: Option<&'a AsPath>,
+    /// The neighbouring AS whose MEDs this one is comparable with
+    /// (`None` for a local route), filled in by step 4 only when MEDs
+    /// differ: the leftmost AS is one more pointer away than anything
+    /// else the decision reads.
     med_group: Option<Asn>,
-    /// Step 4's verdict within `med_group`, once its minimum is known.
+    med: u32,
+    /// Position in the caller's sequence.
+    index: u32,
+    /// Step 4's verdict within the group, once its minimum is known.
     med_keep: Option<bool>,
-    ebgp: bool,
-    igp_metric: u32,
-    cluster_len: usize,
-    router_id: u32,
-    peer_addr: u32,
-    /// Position in the caller's slice.
-    index: usize,
 }
 
-/// Extracts the keys of every candidate with a reachable next hop (RFC
-/// 4271 §9.1.2: the rest never enter the decision), in input order,
-/// asking `igp` once per candidate, and hands them to `decide`.
-fn with_keys<R>(
-    cands: &[Candidate],
-    igp: &impl IgpMetric,
-    decide: impl FnOnce(&mut [Key]) -> R,
-) -> R {
-    let mut inline = [Key::default(); INLINE_KEYS];
-    let mut spill = Vec::new();
-    let keys = if cands.len() <= INLINE_KEYS {
-        &mut inline[..]
-    } else {
-        spill.resize(cands.len(), Key::default());
-        &mut spill[..]
-    };
-    let mut n = 0;
-    for (index, c) in cands.iter().enumerate() {
-        let Some(igp_metric) = igp.metric(c.attrs.next_hop) else {
-            continue;
+impl<'a> Key<'a> {
+    fn new(route: &RouteRef<'a>, igp_metric: u32, cfg: &DecisionConfig, index: usize) -> Key<'a> {
+        let a: &'a PathAttributes = route.attrs;
+        let path_len = a.as_path.path_len().min((1 << 24) - 1) as u64;
+        let cluster_len = if cfg.use_cluster_list_len {
+            a.cluster_list.len().min((1 << 31) - 1) as u64
+        } else {
+            0
         };
-        keys[n] = Key {
-            local_pref: c.attrs.effective_local_pref().0,
-            path_len: c.attrs.as_path.path_len(),
-            origin: c.attrs.origin.code(),
-            med: c.attrs.effective_med().0,
-            med_group: c.med_group(),
+        let ibgp = !route.source.is_other_learned() as u64;
+        Key {
+            as_level: (!a.effective_local_pref().0 as u64) << 32
+                | path_len << 8
+                | a.origin.code() as u64,
+            exit: ibgp << 63 | (igp_metric as u64) << 31 | cluster_len,
+            tie: (route.effective_router_id() as u64) << 32 | route.peer_addr() as u64,
+            as_path: Some(&a.as_path),
+            med_group: None,
+            med: a.effective_med().0,
+            index: index as u32,
             med_keep: None,
-            ebgp: c.ranks_as_ebgp(),
-            igp_metric,
-            cluster_len: c.attrs.cluster_list.len(),
-            router_id: c.effective_router_id(),
-            peer_addr: c.peer_addr(),
-            index,
-        };
-        n += 1;
-    }
-    decide(&mut keys[..n])
-}
-
-/// Keeps the keys `keep` accepts at the front of `keys`, in order, and
-/// returns that front.
-fn retain(keys: &mut [Key], keep: impl Fn(&Key) -> bool) -> &mut [Key] {
-    let mut kept = 0;
-    for i in 0..keys.len() {
-        if keep(&keys[i]) {
-            keys[kept] = keys[i];
-            kept += 1;
         }
     }
-    &mut keys[..kept]
 }
 
-/// One elimination step: keeps the keys tying for the lowest `rank`.
-fn keep_lowest<T: Ord>(keys: &mut [Key], rank: impl Fn(&Key) -> T) -> &mut [Key] {
+/// Extracts the keys of the routes with a reachable next hop (RFC 4271
+/// §9.1.2: the rest never enter the decision), in input order, asking
+/// `igp` once per route, runs steps 1–4 on them and hands the
+/// survivors, still in input order, to `decide`.
+fn decide_as_level<'a, R>(
+    routes: impl IntoIterator<Item = RouteRef<'a>>,
+    cfg: &DecisionConfig,
+    igp: &impl IgpMetric,
+    decide: impl FnOnce(&mut [Key<'a>]) -> R,
+) -> R {
+    let routes = routes.into_iter();
+    let (at_least, at_most) = routes.size_hint();
+    let keys = routes.enumerate().filter_map(|(index, route)| {
+        let metric = igp.metric(route.attrs.next_hop)?;
+        Some(Key::new(&route, metric, cfg, index))
+    });
+    // Only the buffer of the set's size class is initialised.
+    let (mut small, mut inline, mut spill);
+    let keys: &mut [Key<'a>] = match at_most {
+        Some(n) if n <= SMALL_KEYS => {
+            small = [Key::default(); SMALL_KEYS];
+            fill(&mut small, keys)
+        }
+        Some(n) if n <= INLINE_KEYS => {
+            inline = [Key::default(); INLINE_KEYS];
+            fill(&mut inline, keys)
+        }
+        _ => {
+            spill = Vec::with_capacity(at_least);
+            spill.extend(keys);
+            &mut spill
+        }
+    };
+    decide(as_level_steps(keys, cfg))
+}
+
+/// Writes `keys` to the front of `buf`, which the iterator's upper size
+/// bound says they fit, and returns that front. Internal iteration, so
+/// a chain of sources runs as one loop per source.
+fn fill<'k, 'a>(buf: &'k mut [Key<'a>], keys: impl Iterator<Item = Key<'a>>) -> &'k mut [Key<'a>] {
+    let n = keys.fold(0, |n, key| {
+        buf[n] = key;
+        n + 1
+    });
+    &mut buf[..n]
+}
+
+/// Decision steps 1–4 over extracted keys: steps 1–3 (highest
+/// LOCAL_PREF, shortest AS_PATH, lowest ORIGIN) as one minimum of
+/// `as_level`, then step 4 (lowest MED within the configured scope). The
+/// survivors are the returned front of `keys`, in input order.
+fn as_level_steps<'k, 'a>(keys: &'k mut [Key<'a>], cfg: &DecisionConfig) -> &'k mut [Key<'a>] {
     if keys.len() <= 1 {
         return keys;
     }
-    let best = keys.iter().map(&rank).min().expect("non-empty");
-    retain(keys, |k| rank(k) == best)
-}
-
-/// Decision steps 1–4 (highest LOCAL_PREF, shortest AS_PATH, lowest
-/// ORIGIN, lowest MED within the configured scope) over extracted
-/// keys; the survivors are the returned front of `keys`, in input order.
-fn as_level_steps<'k>(keys: &'k mut [Key], cfg: &DecisionConfig) -> &'k mut [Key] {
-    let keys = keep_lowest(keys, |k| std::cmp::Reverse(k.local_pref));
-    let keys = keep_lowest(keys, |k| k.path_len);
-    let keys = keep_lowest(keys, |k| k.origin);
+    let best = keys.iter().map(|k| k.as_level).min();
+    let keys = retain(keys, |k| Some(k.as_level) == best);
+    if keys.len() <= 1 {
+        return keys;
+    }
     match cfg.med {
-        MedMode::AlwaysCompare => keep_lowest(keys, |k| k.med),
+        MedMode::AlwaysCompare => {
+            let lowest = keys.iter().map(|k| k.med).min();
+            retain(keys, |k| Some(k.med) == lowest)
+        }
         MedMode::SameNeighborAs => {
             // Deterministic-MED style: within each neighbour-AS group
             // only routes tying for the group's lowest MED survive
             // (local routes, which have no group, are never
-            // MED-eliminated). Each group is settled the first time one
-            // of its members comes up: one scan for its minimum, one to
+            // MED-eliminated). Equal MEDs eliminate nothing, whatever
+            // the groups, so the groups are looked up only when MEDs
+            // differ. Each group is then settled the first time one of
+            // its members comes up: one scan for its minimum, one to
             // mark its members — two passes per distinct group, and no
             // map to hold the minima.
+            if keys.iter().all(|k| k.med == keys[0].med) {
+                return keys;
+            }
+            for k in keys.iter_mut() {
+                k.med_group = k.as_path.and_then(AsPath::first_as);
+            }
             for i in 0..keys.len() {
                 let (Some(group), None) = (keys[i].med_group, keys[i].med_keep) else {
                     continue;
@@ -227,15 +317,36 @@ fn as_level_steps<'k>(keys: &'k mut [Key], cfg: &DecisionConfig) -> &'k mut [Key
     }
 }
 
+/// Keeps the keys `keep` accepts at the front of `keys`, in order, and
+/// returns that front.
+fn retain<'k, 'a>(keys: &'k mut [Key<'a>], keep: impl Fn(&Key) -> bool) -> &'k mut [Key<'a>] {
+    let mut kept = 0;
+    for i in 0..keys.len() {
+        if keep(&keys[i]) {
+            keys[kept] = keys[i];
+            kept += 1;
+        }
+    }
+    &mut keys[..kept]
+}
+
 /// Computes the *best AS-level routes*: the survivors of decision steps
 /// 1–4 (paper §2.1, Table 2). Returns indices into `cands`, in input
 /// order. This is the route set an ARR advertises to every client.
 pub fn best_as_level(cands: &[Candidate], cfg: &DecisionConfig) -> Vec<usize> {
+    best_as_level_of(cands.iter().map(Candidate::route), cfg)
+}
+
+/// [`best_as_level`] over borrowed routes: returns positions in the
+/// sequence `routes` yields, in order.
+pub fn best_as_level_of<'a>(
+    routes: impl IntoIterator<Item = RouteRef<'a>>,
+    cfg: &DecisionConfig,
+) -> Vec<usize> {
     // Steps 1–4 never look at the IGP: every next hop counts as reachable.
     let everywhere = |_: NextHop| Some(0);
-    with_keys(cands, &everywhere, |keys| {
-        let survivors = as_level_steps(keys, cfg);
-        survivors.iter().map(|k| k.index).collect()
+    decide_as_level(routes, cfg, &everywhere, |survivors| {
+        survivors.iter().map(|k| k.index as usize).collect()
     })
 }
 
@@ -252,20 +363,22 @@ pub fn best_as_level(cands: &[Candidate], cfg: &DecisionConfig) -> Vec<usize> {
 ///
 /// Allocates nothing for up to 32 candidates, and one buffer beyond.
 pub fn best_path(cands: &[Candidate], cfg: &DecisionConfig, igp: &impl IgpMetric) -> Option<usize> {
-    with_keys(cands, igp, |keys| {
-        let keys = as_level_steps(keys, cfg);
-        // Step 5: eBGP-learned over iBGP-learned.
-        let keys = keep_lowest(keys, |k| !k.ebgp);
-        // Step 6: lowest IGP metric to next hop.
-        let mut keys = keep_lowest(keys, |k| k.igp_metric);
-        // Step 6.5 (RFC 4456 §9): shorter CLUSTER_LIST.
-        if cfg.use_cluster_list_len {
-            keys = keep_lowest(keys, |k| k.cluster_len);
-        }
-        // Step 7: lowest router id (ORIGINATOR_ID substitutes); step 8:
-        // lowest peer address; the earliest candidate breaks a full tie.
-        let best = keys.iter().min_by_key(|k| (k.router_id, k.peer_addr));
-        best.map(|k| k.index)
+    best_path_of(cands.iter().map(Candidate::route), cfg, igp)
+}
+
+/// [`best_path`] over borrowed routes: returns a position in the
+/// sequence `routes` yields. The buffer is sized by the sequence's
+/// upper size bound, so an iterator without one decides on the heap.
+pub fn best_path_of<'a>(
+    routes: impl IntoIterator<Item = RouteRef<'a>>,
+    cfg: &DecisionConfig,
+    igp: &impl IgpMetric,
+) -> Option<usize> {
+    decide_as_level(routes, cfg, igp, |survivors| {
+        // Steps 5–8 as one lexicographic minimum; the earliest
+        // candidate breaks a full tie.
+        let best = survivors.iter().min_by_key(|k| (k.exit, k.tie));
+        best.map(|k| k.index as usize)
     })
 }
 

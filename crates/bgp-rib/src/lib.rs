@@ -28,6 +28,9 @@ pub mod rib;
 pub mod store;
 
 pub use compat::{AdjRibIn, CandidateBatch, LocRib};
-pub use decision::{best_as_level, best_path, Candidate, DecisionConfig, IgpMetric, MedMode};
+pub use decision::{
+    best_as_level, best_as_level_of, best_path, best_path_of, Candidate, DecisionConfig, IgpMetric,
+    MedMode, RouteRef,
+};
 pub use rib::{normalize, AdjRibOut, LocColumn, PathSet, RibInColumn, RibInEntry};
 pub use store::{HeapBytes, PrefixId, PrefixIndex};

@@ -31,7 +31,7 @@ use crate::decision::Candidate;
 use crate::store::{HeapBytes, PrefixId, PrefixIndex};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixTable, RouterId};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::Arc;
@@ -114,8 +114,9 @@ fn remove_run(slot: &mut Vec<RibInEntry>, run: Range<usize>) {
 pub struct RibInColumn {
     rows: Vec<Vec<RibInEntry>>,
     /// Sessions that ever spoke (no-op withdrawals included) and were
-    /// not dropped.
-    peers: BTreeSet<RouterId>,
+    /// not dropped, sorted: a handful per router, and every update
+    /// looks its sender up here.
+    peers: Vec<RouterId>,
     entries: usize,
 }
 
@@ -125,8 +126,10 @@ impl RibInColumn {
         RibInColumn::default()
     }
 
+    /// Every entry stored for `id`, in (peer id, path id) order — the
+    /// row itself, for callers that index back into it.
     #[inline]
-    fn row(&self, id: PrefixId) -> &[RibInEntry] {
+    pub fn row(&self, id: PrefixId) -> &[RibInEntry] {
         self.rows.get(id as usize).map_or(&[], |slot| slot)
     }
 
@@ -141,7 +144,9 @@ impl RibInColumn {
         paths: impl Into<PathsIn<'a>>,
     ) -> bool {
         let paths = canonical(paths.into());
-        self.peers.insert(peer);
+        if let Err(at) = self.peers.binary_search(&peer) {
+            self.peers.insert(at, peer);
+        }
         let i = id as usize;
         if paths.is_empty() {
             let Some(slot) = self.rows.get_mut(i) else {
@@ -198,9 +203,10 @@ impl RibInColumn {
         index: &PrefixIndex,
         peer: RouterId,
     ) -> Vec<(Ipv4Prefix, PrefixId)> {
-        if !self.peers.remove(&peer) {
+        let Ok(at) = self.peers.binary_search(&peer) else {
             return Vec::new();
-        }
+        };
+        self.peers.remove(at);
         let mut dropped = Vec::new();
         for (id, slot) in self.rows.iter_mut().enumerate() {
             let run = run_of(slot, peer);

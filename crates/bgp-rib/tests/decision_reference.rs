@@ -3,9 +3,12 @@
 //! ordered map for the MED groups, the IGP asked at every step), kept
 //! verbatim as the oracle, and a differential test that holds
 //! `bgp_rib::best_path` / `best_as_level` to it: same winner, same
-//! survivor list, on sets that cross the 32-key inline capacity.
+//! survivor list, on sets that cross the 8- and 32-key stack buffers.
+//! The borrowed-route entry points (`best_path_of` / `best_as_level_of`)
+//! must answer exactly as the `&[Candidate]` ones, fed from a slice and
+//! from a sequence that knows only an upper bound on its length.
 
-use bgp_rib::{Candidate, DecisionConfig, IgpMetric, MedMode};
+use bgp_rib::{Candidate, DecisionConfig, IgpMetric, MedMode, RouteRef};
 use bgp_types::{
     AsPath, Asn, ClusterId, LocalPref, Med, NextHop, Origin, OriginatorId, PathAttributes,
     RouteSource, RouterId,
@@ -202,6 +205,34 @@ fn igp(nh: NextHop) -> Option<u32> {
     (nh.0 != 0).then_some(nh.0 % 2)
 }
 
+/// The candidates as borrowed routes, field by field.
+fn borrowed(cands: &[Candidate]) -> impl Iterator<Item = RouteRef<'_>> + Clone {
+    cands.iter().map(|c| RouteRef {
+        attrs: &c.attrs,
+        source: c.source,
+        neighbor_id: c.neighbor_id,
+    })
+}
+
+/// Asserts the borrowed-route entry points agree with the slice ones,
+/// and returns the slice ones' `(survivors, winner)`.
+fn decide(
+    cands: &[Candidate],
+    cfg: &DecisionConfig,
+    igp: &impl IgpMetric,
+) -> (Vec<usize>, Option<usize>) {
+    let survivors = bgp_rib::best_as_level(cands, cfg);
+    let winner = bgp_rib::best_path(cands, cfg, igp);
+    let routes = borrowed(cands);
+    // `filter` keeps the upper size bound and drops the lower one.
+    let unsized_routes = || routes.clone().filter(|_| true);
+    assert_eq!(bgp_rib::best_as_level_of(routes.clone(), cfg), survivors);
+    assert_eq!(bgp_rib::best_as_level_of(unsized_routes(), cfg), survivors);
+    assert_eq!(bgp_rib::best_path_of(routes.clone(), cfg, igp), winner);
+    assert_eq!(bgp_rib::best_path_of(unsized_routes(), cfg, igp), winner);
+    (survivors, winner)
+}
+
 fn configs() -> impl Iterator<Item = DecisionConfig> {
     [MedMode::SameNeighborAs, MedMode::AlwaysCompare]
         .into_iter()
@@ -221,13 +252,14 @@ proptest! {
         cands in (0usize..49).prop_flat_map(|n| prop::collection::vec(arb_candidate(), n..n + 1))
     ) {
         for cfg in configs() {
+            let (survivors, winner) = decide(&cands, &cfg, &igp);
             prop_assert_eq!(
-                bgp_rib::best_as_level(&cands, &cfg),
+                survivors,
                 reference::best_as_level(&cands, &cfg),
                 "survivors, {:?}", cfg
             );
             prop_assert_eq!(
-                bgp_rib::best_path(&cands, &cfg, &igp),
+                winner,
                 reference::best_path(&cands, &cfg, &igp),
                 "winner, {:?}", cfg
             );
@@ -235,24 +267,19 @@ proptest! {
     }
 }
 
-/// The sizes either side of the capacity, every config, with all next
+/// The sizes either side of both stack buffers, every config, with all next
 /// hops reachable so the whole set reaches the elimination.
 #[test]
 fn capacity_boundary_matches_reference() {
     let mut rng = proptest::TestRng::seed(proptest::seed_of("capacity_boundary"));
     let alive = |_: NextHop| Some(7);
-    for n in [31usize, 32, 33, 48] {
+    for n in [7usize, 8, 9, 31, 32, 33, 48] {
         for _ in 0..32 {
             let cands = prop::collection::vec(arb_candidate(), n..n + 1).generate(&mut rng);
             for cfg in configs() {
-                assert_eq!(
-                    bgp_rib::best_as_level(&cands, &cfg),
-                    reference::best_as_level(&cands, &cfg)
-                );
-                assert_eq!(
-                    bgp_rib::best_path(&cands, &cfg, &alive),
-                    reference::best_path(&cands, &cfg, &alive)
-                );
+                let (survivors, winner) = decide(&cands, &cfg, &alive);
+                assert_eq!(survivors, reference::best_as_level(&cands, &cfg));
+                assert_eq!(winner, reference::best_path(&cands, &cfg, &alive));
             }
         }
     }

@@ -408,6 +408,10 @@ type IndexAnswers = (
     Vec<Option<Ipv4Prefix>>,
 );
 
+/// One generated RIB-Out write: group, prefix, and the `(path id,
+/// attribute)` picks of its path set.
+type GroupOp = (u8, Ipv4Prefix, Vec<(u8, u8)>);
+
 fn index_observe(
     index: &PrefixIndex,
     ranges: &[(u32, u32)],
@@ -660,7 +664,7 @@ proptest! {
             };
             prop_assert_eq!(a, b, "group set_paths change bit diverged");
         }
-        let mut regrouped: Vec<&(u8, Ipv4Prefix, Vec<(u8, u8)>)> = ops.iter().collect();
+        let mut regrouped: Vec<&GroupOp> = ops.iter().collect();
         regrouped.sort_by_key(|(g, p, _)| (std::cmp::Reverse(*p), *g));
         for (g, p, ids) in regrouped {
             regrouped_real.set_paths(*g as u32, *p, path_set(ids));

@@ -138,9 +138,10 @@ pub struct BgpNode {
     inbox: Vec<(RouterId, BgpMsg)>,
     /// Dirty-prefix worklist (see [`Worklist`]); empty between drains.
     dirty: Worklist,
-    /// The candidate buffer every [`BgpNode::recompute`] gathers into;
-    /// empty between decisions, its capacity kept.
-    cands: Vec<Candidate>,
+    /// The buffer every [`BgpNode::recompute`] gathers the border's
+    /// exit candidates into; empty between decisions, its capacity
+    /// kept.
+    exits: Vec<Candidate>,
 }
 
 impl BgpNode {
@@ -173,7 +174,7 @@ impl BgpNode {
             trr,
             inbox: Vec::new(),
             dirty: Worklist::default(),
-            cands: Vec::new(),
+            exits: Vec::new(),
         }
     }
 
@@ -454,23 +455,25 @@ impl BgpNode {
 
     fn recompute(&mut self, ctx: &mut Ctx<SessionMsg>, prefix: Ipv4Prefix, id: PrefixId) {
         // Candidate gather, fixed order: border exits, client planes,
-        // ARR managed view, TRR table. Order reaches tie-breaking.
-        let mut cands = std::mem::take(&mut self.cands);
-        self.border.reselect(&self.ch, &prefix, &mut cands);
-        let n_exit = cands.len();
-        self.client.reselect(&self.ch, &prefix, id, &mut cands);
-        self.arr.reselect(&self.ch, &prefix, id, &mut cands);
-        self.trr.reselect(&self.ch, &prefix, id, &mut cands);
+        // ARR managed view, TRR table. Order reaches tie-breaking. Only
+        // the exits are collected; the rest are decided where they lie.
+        let mut exits = std::mem::take(&mut self.exits);
+        self.border.reselect(&self.ch, &prefix, &mut exits);
+        let routes = exits
+            .iter()
+            .map(Candidate::route)
+            .chain(self.client.routes(&self.ch, &prefix, id))
+            .chain(self.arr.routes(&self.ch, &prefix, id))
+            .chain(self.trr.routes(&self.ch, &prefix, id));
         if let Some(h) = self.ch.obs() {
-            h.decision_candidates.record(cands.len() as u64);
+            h.decision_candidates.record(routes.clone().count() as u64);
         }
-        let (sel, sel_changed) = self.ch.select(prefix, id, &cands);
-        let (exit_cands, _) = cands.split_at(n_exit);
+        let (sel, sel_changed) = self.ch.select(prefix, id, routes);
         let mut env = AdvertiseEnv {
             id,
             sel: sel.as_ref(),
             sel_changed,
-            exit_cands,
+            exit_cands: &exits,
             arr: Some(&mut self.arr),
         };
         // Border first (eBGP export accounting), then the client
@@ -487,8 +490,8 @@ impl BgpNode {
         if is_pure_trr_plane {
             self.trr.advertise(&mut self.ch, ctx, prefix, &mut env);
         }
-        cands.clear();
-        self.cands = cands;
+        exits.clear();
+        self.exits = exits;
     }
 
     /// RFC 4271 §6 session teardown: flush pacing state and queued input

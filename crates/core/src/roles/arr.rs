@@ -4,12 +4,12 @@
 //! clients, with the §2.3.2 reflected-bit / cluster-list loop
 //! prevention.
 
-use super::{Chassis, Role, Rx};
+use super::{ibgp_routes, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{AbrrLoopPrevention, Mode, NetworkSpec};
 use bgp_rib::{
-    best_as_level, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
+    best_as_level_of, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry, RouteRef,
 };
 use bgp_types::{
     intern, ApId, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouterId,
@@ -91,17 +91,18 @@ impl ArrRole {
         prefix: Ipv4Prefix,
         id: PrefixId,
     ) {
-        let cands: Vec<Candidate> = self.arr_in.candidates(id).collect();
-        let surv = best_as_level(&cands, &ch.spec.decision);
+        // Decided where the routes lie: no candidate list.
+        let row = self.arr_in.row(id);
+        let surv = best_as_level_of(ibgp_routes(row), &ch.spec.decision);
         let set: Arc<PathSet> = surv
             .iter()
             .map(|&i| {
-                let c = &cands[i];
-                let mut a = (*c.attrs).clone();
+                let (peer, _, attrs) = &row[i];
+                let mut a = PathAttributes::clone(attrs);
                 // Stamp provenance so clients can tie-break by true
                 // originator and so the sender-exclusion works.
                 if a.originator_id.is_none() {
-                    a.originator_id = Some(OriginatorId(c.neighbor_id));
+                    a.originator_id = Some(OriginatorId(peer.0));
                 }
                 match ch.spec.abrr_loop_prevention {
                     AbrrLoopPrevention::ReflectedBit => {
@@ -196,13 +197,14 @@ impl ArrRole {
         self.arr_in.set_paths(from, id, &paths[..])
     }
 
-    pub(crate) fn reselect(
-        &self,
+    /// The managed routes the ARR function contributes to `prefix`'s
+    /// decision.
+    pub(crate) fn routes<'a>(
+        &'a self,
         ch: &Chassis,
         prefix: &Ipv4Prefix,
         id: PrefixId,
-        cands: &mut Vec<Candidate>,
-    ) {
+    ) -> impl Iterator<Item = RouteRef<'a>> + Clone + 'a {
         // An ARR's client function sees its managed routes internally
         // (the "logical pass" of §2.1) rather than via a session. Its
         // OWN advertisements are excluded: a router never receives its
@@ -210,13 +212,12 @@ impl ArrRole {
         // considering the echo here can wedge the node on a stale copy
         // of a route it has since withdrawn (its real eBGP/local routes
         // already entered the candidate set via the border role).
-        if ch.spec.mode.has_abrr()
+        let managed = ch.spec.mode.has_abrr()
             && (ch.spec.mode == Mode::Abrr || ch.use_abrr_for(prefix))
-            && self.arr_aps.iter().any(|ap| ch.ap_covers(*ap, prefix))
-        {
-            let managed = self.arr_in.candidates(id);
-            cands.extend(managed.filter(|c| c.neighbor_id != ch.id.0));
-        }
+            && self.arr_aps.iter().any(|ap| ch.ap_covers(*ap, prefix));
+        let me = ch.id;
+        let row = if managed { self.arr_in.row(id) } else { &[] };
+        ibgp_routes(row).filter(move |r| r.neighbor_id != me.0)
     }
 
     /// Drops everything learned from `peer` (RFC 4271 §6 teardown).

@@ -4,13 +4,15 @@
 //! up to its reflectors (or the full mesh).
 
 use super::{
-    originated_by, with_default_local_pref, without, AdvertiseEnv, Chassis, Images, Role, Rx,
+    ibgp_routes, originated_by, with_default_local_pref, without, AdvertiseEnv, Chassis, Images,
+    Role, Rx,
 };
 use crate::msg::{BgpMsg, Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
 use bgp_rib::{
-    best_path, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
+    best_path_of, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
+    RouteRef,
 };
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
 use netsim::Ctx;
@@ -145,23 +147,18 @@ impl ClientRole {
         ch.counters.loop_prevented += (paths.len() - kept.len()) as u64;
         let pair; // the reduced set when a backup is kept beside the best
         let stored: &[(PathId, Arc<PathAttributes>)] = if kept.len() > 1 && !own_ever {
-            let cands: Vec<Candidate> =
-                kept.iter().map(|(_, a)| Candidate::ibgp(from, a)).collect();
+            // The routes are decided where they lie: no candidate list.
+            let routes = kept.iter().map(|(_, a)| RouteRef::ibgp(from, a));
             let igp = ch.igp_metric_fn();
-            let best = best_path(&cands, &ch.spec.decision, &igp);
+            let best = best_path_of(routes.clone(), &ch.spec.decision, &igp);
             // §3.2/§3.4 extension: optionally retain the runner-up as a
             // pre-installed fast-reroute backup.
             let backup = if ch.spec.clients_keep_backups {
                 best.and_then(|b| {
-                    let rest: Vec<Candidate> = cands
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != b)
-                        .map(|(_, c)| c.clone())
-                        .collect();
-                    // `rest` is `cands` without index `b`: map back.
-                    best_path(&rest, &ch.spec.decision, &igp)
-                        .map(|j| if j >= b { j + 1 } else { j })
+                    let rest = routes.enumerate().filter(|(i, _)| *i != b);
+                    // `rest` is the routes without index `b`: map back.
+                    best_path_of(rest.map(|(_, r)| r), &ch.spec.decision, &igp)
+                        .map(|j| j + usize::from(j >= b))
                 })
             } else {
                 None
@@ -184,13 +181,15 @@ impl ClientRole {
         rib.set_paths(from, id, stored)
     }
 
-    pub(crate) fn reselect(
-        &self,
+    /// The routes the client function contributes to `prefix`'s
+    /// decision: each accepted plane's stored routes, mesh/ABRR plane
+    /// first.
+    pub(crate) fn routes<'a>(
+        &'a self,
         ch: &Chassis,
         prefix: &Ipv4Prefix,
         id: PrefixId,
-        cands: &mut Vec<Candidate>,
-    ) {
+    ) -> impl Iterator<Item = RouteRef<'a>> + Clone + 'a {
         let use_abrr = ch.use_abrr_for(prefix);
         // Mesh/ABRR-plane routes: accepted except for a transition
         // router whose AP has not been cut over yet.
@@ -199,9 +198,6 @@ impl ClientRole {
             Mode::Tbrr { .. } => false,
             Mode::Transition => use_abrr,
         };
-        if accept_mesh_abrr {
-            cands.extend(self.client_in.candidates(id));
-        }
         // TBRR-plane routes: accepted in TBRR mode, or pre-cutover in
         // transition.
         let accept_tbrr = match ch.spec.mode {
@@ -209,9 +205,9 @@ impl ClientRole {
             Mode::Transition => !use_abrr,
             _ => false,
         };
-        if accept_tbrr {
-            cands.extend(self.client_in_tbrr.candidates(id));
-        }
+        let plane = |accept: bool, rib: &'a RibInColumn| if accept { rib.row(id) } else { &[] };
+        ibgp_routes(plane(accept_mesh_abrr, &self.client_in))
+            .chain(ibgp_routes(plane(accept_tbrr, &self.client_in_tbrr)))
     }
 
     /// The client function's advertisement step (Table 1 rows

@@ -45,7 +45,8 @@ use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
 use bgp_rib::{
-    best_path, AdjRibOut, Candidate, HeapBytes, LocColumn, PathSet, PrefixId, PrefixIndex,
+    best_path_of, AdjRibOut, Candidate, HeapBytes, LocColumn, PathSet, PrefixId, PrefixIndex,
+    RibInEntry, RouteRef,
 };
 use bgp_types::{ApId, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use netsim::{Ctx, Mrai, MraiVerdict};
@@ -253,27 +254,31 @@ impl Chassis {
         move |nh: NextHop| row?.distance(RouterId(nh.0))
     }
 
-    /// Picks the best candidate and updates the Loc-RIB. Returns the
-    /// winner (cloned) if any, and whether the selection changed.
-    pub(crate) fn select(
+    /// Picks the best of `routes` and updates the Loc-RIB. Returns the
+    /// winner (its attributes cloned out) if any, and whether the
+    /// selection changed.
+    pub(crate) fn select<'a>(
         &mut self,
         prefix: Ipv4Prefix,
         id: PrefixId,
-        cands: &[Candidate],
+        routes: impl Iterator<Item = RouteRef<'a>> + Clone,
     ) -> (Option<Selected>, bool) {
         let igp = self.igp_metric_fn();
-        let best = best_path(cands, &self.spec.decision, &igp);
+        let best = best_path_of(routes.clone(), &self.spec.decision, &igp);
         drop(igp);
-        let selected = best.map(|i| Selected {
-            attrs: cands[i].attrs.clone(),
-            source: cands[i].source,
-            neighbor_id: cands[i].neighbor_id,
+        let selected = best.map(|i| {
+            let r = route_at(&routes, i);
+            Selected {
+                attrs: r.attrs.clone(),
+                source: r.source,
+                neighbor_id: r.neighbor_id,
+            }
         });
         let changed = self.loc_rib.set(id, selected.clone());
         if changed {
             obs::event!(Core, Debug, "core.select", node = self.id.0,
                 "prefix" => format!("{prefix:?}"),
-                "cands" => cands.len(),
+                "cands" => routes.count(),
                 "some" => selected.is_some());
         }
         (selected, changed)
@@ -508,6 +513,23 @@ pub struct Rx {
     pub(crate) own_ever: bool,
 }
 
+/// The route at position `i` of `routes`: a position a decision over
+/// the same sequence returned.
+pub(crate) fn route_at<'a>(
+    routes: &(impl Iterator<Item = RouteRef<'a>> + Clone),
+    i: usize,
+) -> RouteRef<'a> {
+    let route = routes.clone().nth(i);
+    route.expect("a decision's position lies in its sequence")
+}
+
+/// Stored iBGP routes as borrowed decision inputs, in stored order.
+pub(crate) fn ibgp_routes(entries: &[RibInEntry]) -> impl Iterator<Item = RouteRef<'_>> + Clone {
+    entries
+        .iter()
+        .map(|(peer, _, attrs)| RouteRef::ibgp(*peer, attrs))
+}
+
 /// The per-recompute context a role advertises from. Built once by the
 /// shell after the decision, then handed to each advertising role.
 pub struct AdvertiseEnv<'a> {
@@ -532,10 +554,10 @@ pub struct AdvertiseEnv<'a> {
 /// accounting and the Address-Partition range query.
 ///
 /// Input, decision and advertisement are not here. Each role has the
-/// ones it takes part in as inherent methods — `absorb`, `reselect`,
-/// `advertise`, `drop_peer`, `on_restart` — and the shell calls them
-/// role by role, in the fixed order that reaches tie-breaking and
-/// MRAI pacing.
+/// ones it takes part in as inherent methods — `absorb`, `routes` (the
+/// border's `reselect`), `advertise`, `drop_peer`, `on_restart` — and
+/// the shell calls them role by role, in the fixed order that reaches
+/// tie-breaking and MRAI pacing.
 pub trait Role {
     /// Adj-RIB-In entries held by this role (the paper's RIB-In
     /// accounting).

@@ -2,12 +2,13 @@
 //! route reflection with cluster-list/originator-id loop prevention, in
 //! single-path and multi-path (Appendix A.3) variants.
 
-use super::{originated_by, without, AdvertiseEnv, Chassis, Role, Rx};
+use super::{ibgp_routes, originated_by, route_at, without, AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
 use bgp_rib::{
-    best_as_level, best_path, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn,
+    best_as_level_of, best_path_of, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex,
+    RibInColumn, RouteRef,
 };
 use bgp_types::{
     intern, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouteSource, RouterId,
@@ -59,13 +60,13 @@ impl TrrRole {
     /// Builds the TRR's reflected version of a route — ORIGINATOR_ID set
     /// to the injecting router, our cluster id(s) prepended — under the
     /// originator's path id.
-    fn reflected(&self, c: &Candidate) -> (PathId, Arc<PathAttributes>) {
-        let mut a = (*c.attrs).clone();
+    fn reflected(&self, r: RouteRef<'_>) -> (PathId, Arc<PathAttributes>) {
+        let mut a = PathAttributes::clone(r.attrs);
         if a.local_pref.is_none() {
             a.local_pref = Some(bgp_types::LocalPref::DEFAULT);
         }
         if a.originator_id.is_none() {
-            a.originator_id = Some(OriginatorId(c.neighbor_id));
+            a.originator_id = Some(OriginatorId(r.neighbor_id));
         }
         for cid in self.trr_clusters.iter().rev() {
             a.cluster_list.insert(0, ClusterId(*cid));
@@ -74,18 +75,18 @@ impl TrrRole {
     }
 
     /// TRR advertisement per Table 1 (single-path) or Appendix A.3
-    /// (multi-path). `cands` is the TBRR-plane candidate set; `best`
+    /// (multi-path). `routes` is the TBRR-plane candidate set; `best`
     /// the TRR's own selection among them.
-    fn reflect(
-        &mut self,
+    fn reflect<'a>(
+        &self,
         ch: &mut Chassis,
         ctx: &mut Ctx<SessionMsg>,
         prefix: Ipv4Prefix,
-        cands: &[Candidate],
+        routes: impl Iterator<Item = RouteRef<'a>> + Clone,
         best: Option<usize>,
     ) {
         let my_clients = ch.out.members_shared(group::TRR_TO_CLIENTS);
-        let from_client_side = |c: &Candidate| match c.source {
+        let from_client_side = |r: &RouteRef| match r.source {
             RouteSource::Ibgp { peer } => my_clients.contains(&peer),
             RouteSource::Ebgp { .. } | RouteSource::Local => true,
         };
@@ -93,17 +94,16 @@ impl TrrRole {
             // Multi-path TBRR (Appendix A.3): all best AS-level routes
             // go to clients; the client-side best AS-level routes go to
             // other TRRs.
-            let surv = best_as_level(cands, &ch.spec.decision);
-            let to_clients: PathSet = surv.iter().map(|&i| self.reflected(&cands[i])).collect();
-            let client_side: Vec<Candidate> = cands
+            let surv = best_as_level_of(routes.clone(), &ch.spec.decision);
+            let to_clients: PathSet = surv
                 .iter()
-                .filter(|c| from_client_side(c))
-                .cloned()
+                .map(|&i| self.reflected(route_at(&routes, i)))
                 .collect();
-            let surv_cs = best_as_level(&client_side, &ch.spec.decision);
+            let client_side = routes.filter(|r| from_client_side(r));
+            let surv_cs = best_as_level_of(client_side.clone(), &ch.spec.decision);
             let to_peers: PathSet = surv_cs
                 .iter()
-                .map(|&i| self.reflected(&client_side[i]))
+                .map(|&i| self.reflected(route_at(&client_side, i)))
                 .collect();
             ch.advertise_group(
                 ctx,
@@ -127,13 +127,13 @@ impl TrrRole {
             // clients and TRRs; if from a non-client, to clients only.
             let (to_clients, to_peers, sender) = match best {
                 Some(i) => {
-                    let c = &cands[i];
-                    let entry = Arc::new(vec![self.reflected(c)]);
-                    let sender = match c.source {
+                    let r = route_at(&routes, i);
+                    let entry = Arc::new(vec![self.reflected(r)]);
+                    let sender = match r.source {
                         RouteSource::Ibgp { peer } => Some(peer),
                         _ => None,
                     };
-                    if from_client_side(c) {
+                    if from_client_side(&r) {
                         (entry.clone(), entry, sender)
                     } else {
                         (entry, ch.no_paths.clone(), sender)
@@ -182,17 +182,16 @@ impl TrrRole {
         self.trr_in.set_paths(from, id, kept)
     }
 
-    pub(crate) fn reselect(
-        &self,
+    /// The routes the TRR function contributes to `prefix`'s decision:
+    /// a TRR's forwarding view includes its TRR-role table.
+    pub(crate) fn routes<'a>(
+        &'a self,
         ch: &Chassis,
         prefix: &Ipv4Prefix,
         id: PrefixId,
-        cands: &mut Vec<Candidate>,
-    ) {
-        // A TRR's forwarding view includes its TRR-role table.
-        if !self.trr_clusters.is_empty() && !ch.use_abrr_for(prefix) {
-            cands.extend(self.trr_in.candidates(id));
-        }
+    ) -> impl Iterator<Item = RouteRef<'a>> + Clone + 'a {
+        let on = !self.trr_clusters.is_empty() && !ch.use_abrr_for(prefix);
+        ibgp_routes(if on { self.trr_in.row(id) } else { &[] })
     }
 
     /// TRR-function advertisement from the TBRR plane: rebuild the
@@ -207,12 +206,12 @@ impl TrrRole {
         prefix: Ipv4Prefix,
         env: &mut AdvertiseEnv<'_>,
     ) {
-        let mut tbrr_cands: Vec<Candidate> = env.exit_cands.to_vec();
-        tbrr_cands.extend(self.trr_in.candidates(env.id));
+        let exits = env.exit_cands.iter().map(Candidate::route);
+        let routes = exits.chain(ibgp_routes(self.trr_in.row(env.id)));
         let igp = ch.igp_metric_fn();
-        let best = best_path(&tbrr_cands, &ch.spec.decision, &igp);
+        let best = best_path_of(routes.clone(), &ch.spec.decision, &igp);
         drop(igp);
-        self.reflect(ch, ctx, prefix, &tbrr_cands, best);
+        self.reflect(ch, ctx, prefix, routes, best);
     }
 
     /// Drops everything learned from `peer` (RFC 4271 §6 teardown).

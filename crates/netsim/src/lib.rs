@@ -12,7 +12,7 @@
 //!
 //! Design follows the event-driven philosophy of smoltcp and the
 //! actor/message-passing structure of Tokio services, but synchronously:
-//! a single `(time, seq)`-ordered event heap, nodes as state machines
+//! a single `(time, seq)`-ordered event queue, nodes as state machines
 //! implementing [`Protocol`], and all I/O expressed as messages.
 //!
 //! Three execution engines share that state, selected per run by
@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod mrai;
+mod queue;
 pub mod sim;
 pub mod window;
 

@@ -1,8 +1,7 @@
 //! The event loop, sessions, timers, and per-node statistics.
 
+use crate::queue::EventQueue;
 use bgp_types::RouterId;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
 
 /// Simulated time in microseconds.
 pub type Time = u64;
@@ -335,45 +334,10 @@ pub struct RunOutcome {
     pub end_time: Time,
 }
 
-/// A scheduled event: its firing time, a tie-breaking sequence id, and
-/// the payload carried inline. Earlier `(at, id)` pairs order first, so
-/// the `BinaryHeap` (a max-heap) gets a reversed comparison.
-///
-/// Carrying the payload in the heap entry (instead of a side
-/// `BTreeMap<u64, Event>` keyed by id) saves an ordered-map insert and
-/// remove per event — a measurable share of the event-loop cost at
-/// Tier-1 churn volumes.
-pub(crate) struct Entry<P: Protocol> {
-    pub(crate) at: Time,
-    pub(crate) id: u64,
-    pub(crate) ev: Event<P>,
-}
-
-impl<P: Protocol> PartialEq for Entry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
-    }
-}
-
-impl<P: Protocol> Eq for Entry<P> {}
-
-impl<P: Protocol> PartialOrd for Entry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<P: Protocol> Ord for Entry<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed so the max-heap pops the earliest (at, id) first.
-        other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
-    }
-}
-
 /// Everything the simulator keeps per node, in one place, so an event
-/// finds its node, its counters and its liveness with one lookup.
+/// finds its node, its counters, its liveness and its sessions with one
+/// lookup. The node's id lives apart, in [`Sim`]'s `ids`.
 pub(crate) struct Slot<P> {
-    pub(crate) id: RouterId,
     /// The protocol state, borrowed where it lies by every sequential
     /// callback. `None` only while a window of [`crate::window`] has
     /// the node out on a worker thread.
@@ -381,9 +345,33 @@ pub(crate) struct Slot<P> {
     pub(crate) stats: NodeStats,
     /// False between a crash and the matching restart.
     pub(crate) up: bool,
+    /// The node's sessions as `(peer, one-way latency)`, sorted by
+    /// peer; each session is listed at both ends. A send finds its
+    /// latency here, in the sender's own slot.
+    pub(crate) sessions: Vec<(RouterId, Time)>,
 }
 
 impl<P> Slot<P> {
+    /// The latency of the session to `peer`, if there is one.
+    pub(crate) fn latency_to(&self, peer: RouterId) -> Option<Time> {
+        let i = self.sessions.binary_search_by_key(&peer, |&(p, _)| p);
+        i.ok().map(|i| self.sessions[i].1)
+    }
+
+    /// Adds the session to `peer`, or re-times it.
+    fn connect(&mut self, peer: RouterId, latency: Time) {
+        match self.sessions.binary_search_by_key(&peer, |&(p, _)| p) {
+            Ok(i) => self.sessions[i].1 = latency,
+            Err(i) => self.sessions.insert(i, (peer, latency)),
+        }
+    }
+
+    /// Removes the session to `peer`; whether there was one.
+    fn disconnect(&mut self, peer: RouterId) -> bool {
+        let i = self.sessions.binary_search_by_key(&peer, |&(p, _)| p);
+        i.map(|i| self.sessions.remove(i)).is_ok()
+    }
+
     /// The node, which is home whenever the sequential path runs.
     pub(crate) fn node(&self) -> &P {
         self.node.as_ref().expect("node is out on a window worker")
@@ -394,14 +382,16 @@ impl<P> Slot<P> {
     }
 }
 
-/// The simulator: nodes, sessions, and the event heap.
+/// The simulator: nodes, sessions, and the event queue.
 pub struct Sim<P: Protocol> {
-    /// One slot per node, sorted by id: a binary search per event, and
-    /// id order for every iteration.
+    /// Every node's id, sorted: the binary search an event makes to
+    /// find its node reads these 4-byte ids, not the slots.
+    pub(crate) ids: Vec<RouterId>,
+    /// One slot per node, indexed like `ids`, so in id order for every
+    /// iteration.
     pub(crate) slots: Vec<Slot<P>>,
-    pub(crate) sessions: BTreeMap<(RouterId, RouterId), Time>,
-    pub(crate) heap: BinaryHeap<Entry<P>>,
-    pub(crate) seq: u64,
+    /// Pending events in `(time, id)` order; the queue numbers them.
+    pub(crate) queue: EventQueue<Event<P>>,
     pub(crate) now: Time,
     pub(crate) dropped: u64,
     pub(crate) started: bool,
@@ -420,10 +410,9 @@ impl<P: Protocol> Sim<P> {
     /// Creates an empty simulator at time 0.
     pub fn new() -> Self {
         Sim {
+            ids: Vec::new(),
             slots: Vec::new(),
-            sessions: BTreeMap::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::default(),
             now: 0,
             dropped: 0,
             started: false,
@@ -433,23 +422,24 @@ impl<P: Protocol> Sim<P> {
 
     /// Adds a node. Panics on duplicate ids.
     pub fn add_node(&mut self, id: RouterId, node: P) {
-        let Err(at) = self.slots.binary_search_by_key(&id, |s| s.id) else {
+        let Err(at) = self.ids.binary_search(&id) else {
             panic!("duplicate node {id:?}");
         };
+        self.ids.insert(at, id);
         self.slots.insert(
             at,
             Slot {
-                id,
                 node: Some(node),
                 stats: NodeStats::default(),
                 up: true,
+                sessions: Vec::new(),
             },
         );
     }
 
     /// The index of `id`'s slot.
     pub(crate) fn slot_of(&self, id: RouterId) -> Option<usize> {
-        self.slots.binary_search_by_key(&id, |s| s.id).ok()
+        self.ids.binary_search(&id).ok()
     }
 
     /// Establishes a bidirectional session with symmetric one-way
@@ -458,8 +448,10 @@ impl<P: Protocol> Sim<P> {
         assert!(a != b, "self-session");
         assert!(self.contains_node(a), "unknown node {a:?}");
         assert!(self.contains_node(b), "unknown node {b:?}");
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.sessions.insert(key, latency);
+        for (me, peer) in [(a, b), (b, a)] {
+            let i = self.slot_of(me).expect("checked above");
+            self.slots[i].connect(peer, latency);
+        }
     }
 
     /// Removes a session (session failure). In-flight messages on the
@@ -468,8 +460,11 @@ impl<P: Protocol> Sim<P> {
     /// hooks do **not** fire; use [`Sim::schedule_session_down`] for a
     /// failure the endpoints react to.
     pub fn remove_session(&mut self, a: RouterId, b: RouterId) {
-        let key = if a < b { (a, b) } else { (b, a) };
-        if self.sessions.remove(&key).is_some() {
+        let (Some(i), Some(j)) = (self.slot_of(a), self.slot_of(b)) else {
+            return;
+        };
+        if self.slots[i].disconnect(b) {
+            self.slots[j].disconnect(a);
             self.drop_in_flight(a, b);
         }
     }
@@ -478,7 +473,7 @@ impl<P: Protocol> Sim<P> {
     /// direction), counting them as dropped.
     fn drop_in_flight(&mut self, a: RouterId, b: RouterId) {
         let mut dropped = 0u64;
-        self.heap.retain(|e| match &e.ev {
+        self.queue.retain(|ev| match ev {
             Event::Deliver { from, to, .. }
                 if (*from == a && *to == b) || (*from == b && *to == a) =>
             {
@@ -496,7 +491,7 @@ impl<P: Protocol> Sim<P> {
     /// with the router.
     fn drop_node_events(&mut self, node: RouterId) {
         let mut dropped = 0u64;
-        self.heap.retain(|e| match &e.ev {
+        self.queue.retain(|ev| match ev {
             Event::Deliver { from, to, .. } if *from == node || *to == node => {
                 dropped += 1;
                 false
@@ -509,19 +504,22 @@ impl<P: Protocol> Sim<P> {
 
     /// Whether a session between `a` and `b` exists.
     pub fn has_session(&self, a: RouterId, b: RouterId) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.sessions.contains_key(&key)
+        self.slot_of(a)
+            .is_some_and(|i| self.slots[i].latency_to(b).is_some())
     }
 
     /// Number of sessions.
     pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
+        self.slots.iter().map(|s| s.sessions.len()).sum::<usize>() / 2
     }
 
     /// Iterates `((a, b), latency)` over established sessions, with
-    /// `a < b`.
+    /// `a < b`, in `(a, b)` order.
     pub fn sessions(&self) -> impl Iterator<Item = ((RouterId, RouterId), Time)> + '_ {
-        self.sessions.iter().map(|(k, v)| (*k, *v))
+        self.ids.iter().zip(&self.slots).flat_map(|(&a, slot)| {
+            let later = slot.sessions.iter().filter(move |&&(b, _)| a < b);
+            later.map(move |&(b, latency)| ((a, b), latency))
+        })
     }
 
     /// Whether `node` is currently up (not crashed).
@@ -532,7 +530,8 @@ impl<P: Protocol> Sim<P> {
     /// Injects an external event at absolute time `at`.
     pub fn schedule_external(&mut self, at: Time, node: RouterId, ev: P::External) {
         assert!(self.contains_node(node), "unknown node {node:?}");
-        self.push(at.max(self.now), Event::External { node, ev });
+        self.queue
+            .push(at.max(self.now), Event::External { node, ev });
     }
 
     /// Schedules a session failure at `at`: in-flight messages are
@@ -540,7 +539,8 @@ impl<P: Protocol> Sim<P> {
     pub fn schedule_session_down(&mut self, at: Time, a: RouterId, b: RouterId) {
         assert!(self.contains_node(a), "unknown node {a:?}");
         assert!(self.contains_node(b), "unknown node {b:?}");
-        self.push(at.max(self.now), Event::SessionDown { a, b });
+        self.queue
+            .push(at.max(self.now), Event::SessionDown { a, b });
     }
 
     /// Schedules a session (re-)establishment at `at`: the session is
@@ -550,7 +550,8 @@ impl<P: Protocol> Sim<P> {
         assert!(a != b, "self-session");
         assert!(self.contains_node(a), "unknown node {a:?}");
         assert!(self.contains_node(b), "unknown node {b:?}");
-        self.push(at.max(self.now), Event::SessionUp { a, b, latency });
+        self.queue
+            .push(at.max(self.now), Event::SessionUp { a, b, latency });
     }
 
     /// Schedules a router crash at `at`: every session of the node is
@@ -559,7 +560,7 @@ impl<P: Protocol> Sim<P> {
     /// until a matching [`Sim::schedule_node_up`].
     pub fn schedule_node_down(&mut self, at: Time, node: RouterId) {
         assert!(self.contains_node(node), "unknown node {node:?}");
-        self.push(at.max(self.now), Event::NodeDown { node });
+        self.queue.push(at.max(self.now), Event::NodeDown { node });
     }
 
     /// Schedules a router restart at `at`: the node comes back with
@@ -567,13 +568,7 @@ impl<P: Protocol> Sim<P> {
     /// sessions — schedule those separately.
     pub fn schedule_node_up(&mut self, at: Time, node: RouterId) {
         assert!(self.contains_node(node), "unknown node {node:?}");
-        self.push(at.max(self.now), Event::NodeUp { node });
-    }
-
-    fn push(&mut self, at: Time, ev: Event<P>) {
-        let id = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, id, ev });
+        self.queue.push(at.max(self.now), Event::NodeUp { node });
     }
 
     /// Calls `on_start` on every node (once).
@@ -599,23 +594,22 @@ impl<P: Protocol> Sim<P> {
         let mut events = 0u64;
         let mut max_queue = 0usize;
         let mut quiesced = true;
-        while let Some(head) = self.heap.peek() {
-            let at = head.at;
+        while let Some(at) = self.queue.peek_time() {
             if events >= limits.max_events || at > limits.max_time {
                 quiesced = false;
                 break;
             }
             if profiling {
-                max_queue = max_queue.max(self.heap.len());
+                max_queue = max_queue.max(self.queue.len());
             }
-            let entry = self.heap.pop().expect("peeked entry vanished");
+            let (at, id, ev) = self.queue.pop().expect("peeked event vanished");
             self.now = at;
             events += 1;
-            // Stamp the trace dispatch context with this entry's
+            // Stamp the trace dispatch context with this event's
             // (time, id) — the window workers stamp the same pairs,
             // which is what makes merged traces byte-identical.
-            obs::trace::set_dispatch(at, entry.id);
-            self.dispatch_event(entry.ev);
+            obs::trace::set_dispatch(at, id);
+            self.dispatch_event(ev);
         }
         obs::trace::clear_dispatch();
         self.record_run_metrics(events);
@@ -707,15 +701,12 @@ impl<P: Protocol> Sim<P> {
                 if std::mem::replace(&mut self.slots[i].up, false) {
                     obs::event!(Netsim, Info, "netsim.node_down", node = node.0);
                     self.drop_node_events(node);
-                    let torn: Vec<(RouterId, RouterId)> = self
-                        .sessions
-                        .keys()
-                        .copied()
-                        .filter(|&(x, y)| x == node || y == node)
-                        .collect();
-                    for (x, y) in torn {
-                        self.sessions.remove(&(x, y));
-                        let peer = if x == node { y } else { x };
+                    // Peer by peer, in id order: each session is gone
+                    // at both ends before that peer hears of it.
+                    for (peer, _) in std::mem::take(&mut self.slots[i].sessions) {
+                        if let Some(j) = self.slot_of(peer) {
+                            self.slots[j].disconnect(node);
+                        }
                         self.with_up_node(peer, |n, ctx| n.on_session_down(ctx, node));
                     }
                 }
@@ -745,19 +736,18 @@ impl<P: Protocol> Sim<P> {
 
     /// Runs one callback on the node in slot `i`, borrowed where it
     /// lies, then applies the actions it collected. The actions wait
-    /// for the callback to return: applying one needs the heap, the
-    /// session table and the sender's counters while the callback
-    /// holds the slot table, and the window engine replays the same
-    /// collected form in merge order.
+    /// for the callback to return: applying one needs the queue and
+    /// the sender's sessions and counters while the callback holds the
+    /// slot table, and the window engine replays the same collected
+    /// form in merge order.
     fn with_slot(&mut self, i: usize, f: impl FnOnce(&mut P, &mut Ctx<P::Msg>)) {
-        let slot = &mut self.slots[i];
         let mut ctx = Ctx {
             now: self.now,
-            node: slot.id,
+            node: self.ids[i],
             // The pooled buffer: no allocation per callback.
             actions: std::mem::take(&mut self.action_buf),
         };
-        f(slot.node_mut(), &mut ctx);
+        f(self.slots[i].node_mut(), &mut ctx);
         let mut actions = ctx.actions;
         for action in actions.drain(..) {
             self.apply_action(i, action);
@@ -770,14 +760,12 @@ impl<P: Protocol> Sim<P> {
     /// (`None`: a send dropped for want of a session). Shared by
     /// [`Sim::with_slot`] and the window merge, which checks the time
     /// against its window.
-    pub(crate) fn apply_action(&mut self, from: usize, action: Action<P::Msg>) -> Option<Time> {
-        let slot = &mut self.slots[from];
-        let from = slot.id;
+    pub(crate) fn apply_action(&mut self, slot: usize, action: Action<P::Msg>) -> Option<Time> {
+        let from = self.ids[slot];
         match action {
             Action::Send { to, msg } => {
-                let key = if from < to { (from, to) } else { (to, from) };
-                if let Some(&lat) = self.sessions.get(&key) {
-                    slot.stats.transmitted += 1;
+                if let Some(lat) = self.slots[slot].latency_to(to) {
+                    self.slots[slot].stats.transmitted += 1;
                     if obs::metrics::enabled() {
                         static SEND_LAT: std::sync::OnceLock<obs::Histogram> =
                             std::sync::OnceLock::new();
@@ -792,7 +780,7 @@ impl<P: Protocol> Sim<P> {
                             .record(lat);
                     }
                     let at = self.now + lat;
-                    self.push(at, Event::Deliver { from, to, msg });
+                    self.queue.push(at, Event::Deliver { from, to, msg });
                     Some(at)
                 } else {
                     self.dropped += 1;
@@ -801,7 +789,7 @@ impl<P: Protocol> Sim<P> {
             }
             Action::SetTimer { at, token } => {
                 let at = at.max(self.now);
-                self.push(at, Event::Timer { node: from, token });
+                self.queue.push(at, Event::Timer { node: from, token });
                 Some(at)
             }
         }
@@ -834,7 +822,10 @@ impl<P: Protocol> Sim<P> {
 
     /// Iterates `(id, node)` in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (RouterId, &P)> {
-        self.slots.iter().map(|s| (s.id, s.node()))
+        self.ids
+            .iter()
+            .zip(&self.slots)
+            .map(|(&id, s)| (id, s.node()))
     }
 
     /// Per-node counters.
@@ -1143,6 +1134,124 @@ mod tests {
         // Only the post-restart message arrived.
         assert_eq!(sim.node(RouterId(2)).received, vec![77]);
         assert!(sim.is_node_up(RouterId(2)));
+    }
+
+    /// What a [`Probe`] is told to do from outside.
+    enum Poke {
+        Send(RouterId, u32),
+        Timer(Time),
+        Note,
+    }
+
+    /// Logs every callback, with its node, into one log shared by the
+    /// whole sim, so the log is the dispatch order.
+    struct Probe {
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u32, &'static str)>>>,
+    }
+
+    impl Probe {
+        fn note(&self, ctx: &Ctx<u32>, what: &'static str) {
+            self.log.borrow_mut().push((ctx.me().0, what));
+        }
+    }
+
+    impl Protocol for Probe {
+        type Msg = u32;
+        type External = Poke;
+
+        fn on_message(&mut self, ctx: &mut Ctx<u32>, _from: RouterId, _msg: u32) {
+            self.note(ctx, "message");
+        }
+
+        fn on_external(&mut self, ctx: &mut Ctx<u32>, ev: Poke) {
+            self.note(ctx, "external");
+            match ev {
+                Poke::Send(to, msg) => ctx.send(to, msg),
+                Poke::Timer(at) => ctx.set_timer(at, 0),
+                Poke::Note => {}
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<u32>, _token: u64) {
+            self.note(ctx, "timer");
+        }
+
+        fn on_session_down(&mut self, ctx: &mut Ctx<u32>, _peer: RouterId) {
+            self.note(ctx, "session_down");
+        }
+
+        fn on_session_up(&mut self, ctx: &mut Ctx<u32>, _peer: RouterId) {
+            self.note(ctx, "session_up");
+        }
+
+        fn on_restart(&mut self, ctx: &mut Ctx<u32>) {
+            self.note(ctx, "restart");
+        }
+    }
+
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<(u32, &'static str)>>>;
+
+    /// Nodes 1..=n sharing one log.
+    fn probes(n: u32) -> (Sim<Probe>, Log) {
+        let log = Log::default();
+        let mut sim = Sim::new();
+        for i in 1..=n {
+            sim.add_node(RouterId(i), Probe { log: log.clone() });
+        }
+        (sim, log)
+    }
+
+    #[test]
+    fn equal_timestamps_dispatch_in_push_order_across_event_kinds() {
+        let (mut sim, log) = probes(4);
+        sim.add_session(RouterId(1), RouterId(2), 10);
+        sim.add_session(RouterId(2), RouterId(3), 10);
+        sim.add_session(RouterId(3), RouterId(4), 10);
+        // Scheduled before the run, so pushed first at t=10 ...
+        sim.schedule_external(0, RouterId(1), Poke::Send(RouterId(2), 7));
+        sim.schedule_session_up(10, RouterId(1), RouterId(3), 5);
+        sim.schedule_external(10, RouterId(2), Poke::Note);
+        sim.schedule_node_down(10, RouterId(4));
+        sim.schedule_session_down(10, RouterId(2), RouterId(3));
+        sim.schedule_node_up(10, RouterId(4));
+        // ... and the t=0 external's delivery and timer after them.
+        sim.schedule_external(0, RouterId(1), Poke::Timer(10));
+        assert!(sim.run_to_quiescence().quiesced);
+        assert_eq!(
+            log.borrow()[2..],
+            [
+                (1, "session_up"),
+                (3, "session_up"),
+                (2, "external"),
+                (3, "session_down"), // node 4 crashed
+                (2, "session_down"),
+                (3, "session_down"),
+                (4, "restart"),
+                (2, "message"),
+                (1, "timer"),
+            ]
+        );
+    }
+
+    #[test]
+    fn crash_drops_in_flight_both_ways_and_its_timers_uncounted() {
+        let (mut sim, log) = probes(3);
+        sim.add_session(RouterId(1), RouterId(2), 100);
+        sim.add_session(RouterId(1), RouterId(3), 100);
+        sim.schedule_external(0, RouterId(1), Poke::Send(RouterId(2), 1));
+        sim.schedule_external(0, RouterId(2), Poke::Send(RouterId(1), 2));
+        sim.schedule_external(0, RouterId(1), Poke::Send(RouterId(3), 3));
+        sim.schedule_external(0, RouterId(2), Poke::Timer(200));
+        sim.schedule_node_down(50, RouterId(2));
+        // An external for the crashed node is dropped at its time.
+        sim.schedule_external(60, RouterId(2), Poke::Note);
+        let out = sim.run_to_quiescence();
+        assert!(out.quiesced);
+        // Two deliveries and the external; the timer died uncounted.
+        assert_eq!(sim.dropped_messages(), 3);
+        let after_crash: Vec<_> = log.borrow()[4..].to_vec();
+        assert_eq!(after_crash, [(1, "session_down"), (3, "message")]);
+        assert_eq!(sim.now(), 100);
     }
 
     #[test]

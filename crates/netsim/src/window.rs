@@ -26,7 +26,7 @@
 //!
 //! 1. **Callbacks only touch their own node.** A [`Protocol`] callback
 //!    receives `&mut self` and a [`Ctx`] that *collects* actions; it
-//!    cannot read or write another node, the session table, the event
+//!    cannot read or write another node, the session lists, the event
 //!    queue, or the counters.
 //! 2. **Same-node events stay ordered.** Events targeting one node are
 //!    handled by one task in ascending `(time, id)` order, preserving
@@ -44,10 +44,10 @@
 //!    at `t' >= t + lead(n)` (sends arrive after session latency; timers
 //!    obey the [`Protocol::timer_lead`] promise). The collection loop
 //!    maintains `horizon = min over collected events e of (t_e +
-//!    lead(node_e))` and admits the next heap head only while `head.at
+//!    lead(node_e))` and admits the next queue head only while `head.at
 //!    <= horizon`. For any two window events `e_i`, `e_j`: if `e_j` was
 //!    admitted after `e_i` then `t_j <= t_i + lead(node_i)` by the
-//!    horizon check, and if before, then `t_i >= t_j` since the heap
+//!    horizon check, and if before, then `t_i >= t_j` since the queue
 //!    pops in nondecreasing time. Either way every push from `e_i`
 //!    lands at `t' >= t_j`; and at `t' == t_j` the push's fresh
 //!    sequence id is larger than `e_j`'s.
@@ -243,13 +243,14 @@ impl<P: Protocol> Sim<P> {
     /// mid-run).
     fn build_leads(&self, sharded: bool, leads: &mut Vec<Time>) {
         leads.clear();
-        let lead = |s: &Slot<P>| if sharded { s.node().timer_lead() } else { 0 };
+        let lead = |s: &Slot<P>| {
+            let timer = if sharded { s.node().timer_lead() } else { 0 };
+            s.sessions
+                .iter()
+                .map(|&(_, lat)| lat)
+                .fold(timer, Time::min)
+        };
         leads.extend(self.slots.iter().map(lead));
-        for (&(a, b), &lat) in &self.sessions {
-            for i in [a, b].into_iter().filter_map(|n| self.slot_of(n)) {
-                leads[i] = leads[i].min(lat);
-            }
-        }
     }
 
     /// The window loop. Tasks go out on `task_txs[task.worker]`; their
@@ -278,26 +279,25 @@ impl<P: Protocol> Sim<P> {
         let mut leads: Vec<Time> = Vec::new();
         let mut leads_stale = true;
         let quiesced = 'run: loop {
-            let Some(head) = self.heap.peek() else {
+            let Some((at, head)) = self.queue.peek() else {
                 break 'run true;
             };
-            let at = head.at;
             if events >= limits.max_events || at > limits.max_time {
                 break 'run false;
             }
             if profiling {
-                max_queue = max_queue.max(self.heap.len());
+                max_queue = max_queue.max(self.queue.len());
             }
-            if self.is_fence(&head.ev, sharded) {
+            if self.is_fence(head, sharded) {
                 // Every worker has rendezvoused (the previous window
                 // fully merged), so mutate shared state on the exact
                 // sequential path.
-                let entry = self.heap.pop().expect("peeked entry vanished");
+                let (at, id, ev) = self.queue.pop().expect("peeked event vanished");
                 self.now = at;
                 events += 1;
                 fences += 1;
-                obs::trace::set_dispatch(at, entry.id);
-                self.dispatch_event(entry.ev);
+                obs::trace::set_dispatch(at, id);
+                self.dispatch_event(ev);
                 leads_stale = true;
                 continue;
             }
@@ -305,29 +305,28 @@ impl<P: Protocol> Sim<P> {
                 self.build_leads(sharded, &mut leads);
                 leads_stale = false;
             }
-            // Collect a window: pure events in heap order while the
+            // Collect a window: pure events in queue order while the
             // lookahead horizon allows, replicating the sequential
             // engine's per-event drop bookkeeping (drops count as
             // processed events).
             let mut batch: Vec<WindowEntry<P>> = Vec::new();
             let mut horizon = Time::MAX;
             let mut window_end = at;
-            while let Some(head) = self.heap.peek() {
-                if head.at > horizon
-                    || head.at > limits.max_time
+            while let Some((t, head)) = self.queue.peek() {
+                if t > horizon
+                    || t > limits.max_time
                     || events >= limits.max_events
-                    || self.is_fence(&head.ev, sharded)
+                    || self.is_fence(head, sharded)
                 {
                     break;
                 }
-                let entry = self.heap.pop().expect("peeked entry vanished");
-                let t = entry.at;
+                let (t, id, ev) = self.queue.pop().expect("peeked event vanished");
                 events += 1;
                 window_end = t;
                 // One lookup per event finds the node, its liveness
                 // and its counters. A node that was never added hosts
                 // no callbacks, so its events are processed as no-ops.
-                let (home, ev) = match entry.ev {
+                let (home, ev) = match ev {
                     Event::Deliver { from, to, msg } => (to, NodeEvent::Msg { from, msg }),
                     Event::Timer { node, token } => (node, NodeEvent::Timer { token }),
                     Event::External { node, ev } => (node, NodeEvent::External { ev }),
@@ -359,7 +358,7 @@ impl<P: Protocol> Sim<P> {
                     }),
                 };
                 horizon = horizon.min(t.saturating_add(leads[home]));
-                batch.push((home, t, entry.id, ev, hint));
+                batch.push((home, t, id, ev, hint));
             }
             self.now = window_end;
             let n = batch.len();
@@ -373,13 +372,15 @@ impl<P: Protocol> Sim<P> {
             let mut tasks: Vec<Task<P>> = Vec::new();
             for (pos, (home, t, id, ev, hint)) in batch.into_iter().enumerate() {
                 let slot = *task_of.entry(home).or_insert_with(|| {
-                    let host = &mut self.slots[home];
-                    let node_id = host.id;
+                    let node_id = self.ids[home];
                     tasks.push(Task {
                         slot: tasks.len(),
                         home,
                         node_id,
-                        node: host.node.take().expect("node already out on a worker"),
+                        node: self.slots[home]
+                            .node
+                            .take()
+                            .expect("node already out on a worker"),
                         events: Vec::new(),
                         worker: (node_id.0 as usize) % workers,
                     });
@@ -437,7 +438,7 @@ impl<P: Protocol> Sim<P> {
                         "node {:?} scheduled an event at t={lands:?} from its callback at \
                          t={t}, inside a window that runs to t={window_end}: its \
                          Protocol::timer_lead() promise of {} us does not hold",
-                        self.slots[from].id,
+                        self.ids[from],
                         self.slots[from].node().timer_lead()
                     );
                 }
