@@ -1,25 +1,42 @@
 //! §2.3 correctness claims, executed: the MED and topology oscillation
-//! gadgets under every scheme; forwarding-loop and path-efficiency
-//! audits; and the loop-prevention ablation (reflected marker vs none).
+//! gadgets (the corpus files `examples/scenarios/{med,topology}_gadget.json`)
+//! under every scheme, with forwarding-loop and path-efficiency audits.
+//! The loop-prevention ablation (reflected marker vs cluster list vs
+//! none) is exercised by `crates/core/tests/misconfig.rs`.
 //!
 //! Run: `cargo run --release -p abrr-bench --bin correctness`
 
 use abrr::prelude::*;
-use abrr::scenarios::{self, Scenario};
 use abrr_bench::{header, Args, Experiment, FlagSpec};
-use netsim::{RunConfig, Time};
+use netsim::{Time, WireMode};
+use scenario::compile::mode_of;
+use scenario::schema::ModeSpec;
+use scenario::Loaded;
+use std::sync::Arc;
 
 const FLAGS: &[FlagSpec] = &[];
 
-const OSC_BUDGET: u64 = 100_000;
+const OSC_BUDGET: RunLimits = RunLimits {
+    max_events: 100_000,
+    max_time: Time::MAX,
+};
 
-fn verdict(s: &Scenario, mode: Mode, cfg: RunConfig) -> String {
-    let (sim, out) = s.run(mode.clone(), cfg);
+/// Builds one mode of a corpus gadget and runs it to [`OSC_BUDGET`] —
+/// the bin's own budget, not the file's.
+fn run(s: &Loaded, mode: ModeSpec, wire: WireMode) -> (Arc<NetworkSpec>, Sim<BgpNode>, RunOutcome) {
+    let (spec, mut sim) = s
+        .build(mode, true, wire)
+        .unwrap_or_else(|e| panic!("{}: {e}", s.name()));
+    let out = sim.run(OSC_BUDGET);
+    (spec, sim, out)
+}
+
+fn verdict(s: &Loaded, mode: ModeSpec, wire: WireMode) -> String {
+    let (spec, sim, out) = run(s, mode, wire);
     if !out.quiesced {
         return format!("OSCILLATES (>{} events)", out.events);
     }
-    let spec = s.spec(mode);
-    let loops = audit::count_loops(&sim, &spec, &s.prefixes);
+    let loops = audit::count_loops(&sim, &spec, &s.prefixes());
     format!(
         "converges ({} events, {} forwarding loops)",
         out.events, loops
@@ -29,33 +46,27 @@ fn verdict(s: &Scenario, mode: Mode, cfg: RunConfig) -> String {
 fn main() {
     let args = Args::parse("correctness", FLAGS);
     let exp = Experiment::from_args(&args);
-    let cfg = RunConfig {
-        wire: exp.wire,
-        limits: RunLimits {
-            max_events: OSC_BUDGET,
-            max_time: Time::MAX,
-        },
-    };
     header(
         "§2.3 — oscillation / loop / efficiency audit",
         "gadgets: RFC3345-style MED oscillation; cyclic-IGP topology oscillation",
     );
-    for s in [scenarios::med_gadget(), scenarios::topology_gadget()] {
-        println!("\n## {}", s.name);
+    for stem in ["med_gadget", "topology_gadget"] {
+        let s = scenario::load_corpus(stem).unwrap_or_else(|e| panic!("{stem}: {e:?}"));
+        println!("\n## {}", s.name());
         for mode in [
-            Mode::FullMesh,
-            Mode::Abrr,
-            Mode::Tbrr { multipath: false },
-            Mode::Tbrr { multipath: true },
+            ModeSpec::FullMesh,
+            ModeSpec::Abrr,
+            ModeSpec::Tbrr,
+            ModeSpec::TbrrMultipath,
         ] {
-            println!("  {:<22} {}", format!("{mode:?}"), verdict(&s, mode, cfg));
+            let label = format!("{:?}", mode_of(mode));
+            println!("  {label:<22} {}", verdict(&s, mode, exp.wire));
         }
         // Path-efficiency audit for ABRR vs full mesh.
-        let (ab, o1) = s.run(Mode::Abrr, cfg);
-        let (mesh, o2) = s.run(Mode::FullMesh, cfg);
+        let (spec, ab, o1) = run(&s, ModeSpec::Abrr, exp.wire);
+        let (_, mesh, o2) = run(&s, ModeSpec::FullMesh, exp.wire);
         if o1.quiesced && o2.quiesced {
-            let spec = s.spec(Mode::Abrr);
-            let report = audit::compare_exits(&ab, &spec, &mesh, &s.routers, &s.prefixes);
+            let report = audit::compare_exits(&ab, &spec, &mesh, &s.routers(), &s.prefixes());
             println!(
                 "  ABRR vs full-mesh exits: {}/{} match ({} mismatches)",
                 report.compared - report.mismatches.len(),

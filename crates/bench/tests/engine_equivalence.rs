@@ -439,11 +439,9 @@ fn check_loaded(name: &str, loaded: &scenario::Loaded, wire: WireMode) {
 #[test]
 fn v5_corpus_and_fuzz_seeds_match_seq() {
     let _obs = obs_guard();
-    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
     for name in ENGINES_AGREE_CORPUS {
-        let path = corpus.join(format!("{name}.json"));
-        let loaded = scenario::load_path(&path)
-            .unwrap_or_else(|e| panic!("{}: does not load: {e:?}", path.display()));
+        let loaded =
+            scenario::load_corpus(name).unwrap_or_else(|e| panic!("{name}: does not load: {e:?}"));
         check_loaded(name, &loaded, WireMode::Off);
     }
     for seed in FUZZ_SEED..FUZZ_SEED + FUZZ_CASES {

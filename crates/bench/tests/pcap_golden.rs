@@ -4,7 +4,8 @@
 //! deterministic framing: timestamps are simulated microseconds,
 //! addresses/MACs derive from router ids, and per-flow TCP sequence
 //! numbers are assigned after the global (t, phase, seq, k) sort. The
-//! contract pinned here: dumping the small-reference scenario in
+//! contract pinned here: dumping the small-reference scenario
+//! (`examples/scenarios/small_reference.json`) under ABRR in
 //! encode-decode-verify wire mode produces a **byte-identical** pcap
 //! file across repeated runs, equal to the blessed capture under
 //! `tests/golden/`. The window engine's captures are held to the
@@ -18,10 +19,9 @@
 //!
 //! One `#[test]` because the pcap sink is global state.
 
-use abrr::scenarios::small_reference;
-use abrr::spec::Mode;
 use abrr_bench::fingerprint::golden_dir;
 use netsim::{RunConfig, RunLimits, Time, WireMode};
+use scenario::schema::ModeSpec;
 
 /// Runs the reference scenario in verify wire mode with the pcap sink
 /// enabled and returns the rendered capture file.
@@ -35,8 +35,11 @@ fn capture() -> Vec<u8> {
             max_time: Time::MAX,
         },
     };
-    let (_, outcome) = small_reference().run(Mode::Abrr, cfg);
-    assert!(outcome.quiesced, "small_reference did not quiesce");
+    let run = scenario::load_corpus("small_reference")
+        .expect("small_reference.json loads")
+        .run(ModeSpec::Abrr, true, cfg)
+        .expect("small_reference runs");
+    assert!(run.outcome.quiesced, "small_reference did not quiesce");
     obs::trace::flush_local();
     let bytes = obs::pcap::drain_file();
     obs::pcap::reset();

@@ -1,17 +1,17 @@
-//! DSL-port golden regression.
+//! Corpus golden regression.
 //!
-//! The canonical gadgets used to exist only as Rust constructors in
-//! `abrr::scenarios`; the corpus under `examples/scenarios/` ports them
-//! to the declarative DSL. This suite pins the port in both directions:
+//! The corpus under `examples/scenarios/` is the only definition of the
+//! §2.3 gadgets and the small reference network. This suite pins what
+//! they compute:
 //!
-//!   * each ported gadget file must be *behaviorally identical* to its
-//!     Rust constructor — byte-equal fingerprints under every
-//!     converging mode;
-//!   * the DSL runs must reproduce golden fingerprint files under
-//!     `tests/golden/` (the gadget goldens are blessed from the DSL
-//!     runs; `tier1_reference.json` must reproduce the pre-existing
-//!     `fig6_*` goldens, which were recorded from the hand-built
-//!     tier-1 specs long before the DSL existed).
+//!   * each gadget run must reproduce its golden fingerprint under
+//!     `tests/golden/` in every converging mode — the ABRR goldens
+//!     `scenario_<stem>.txt`, the full-mesh and multipath-TBRR goldens
+//!     `scenario_<stem>_<mode>.txt` (all three were blessed while the
+//!     gadgets still had hand-written Rust twins, and matched them);
+//!   * `tier1_reference.json` must reproduce the pre-existing `fig6_*`
+//!     goldens, which were recorded from the hand-built tier-1 specs
+//!     long before the DSL existed.
 //!
 //! Re-bless (after an intentional behavior change only):
 //!
@@ -19,34 +19,20 @@
 //! GOLDEN_BLESS=1 cargo test -p abrr-bench --test scenario_golden
 //! ```
 
-use abrr::scenarios::Scenario;
 use abrr_bench::fingerprint::{fingerprint, golden_dir};
-use scenario::compile::mode_of;
 use scenario::schema::ModeSpec;
-use std::path::PathBuf;
 
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios")
-}
+/// The gadget files with goldens, by stem.
+const GADGETS: &[&str] = &["med_gadget", "topology_gadget", "small_reference"];
 
-/// The ported gadgets: DSL file stem + the Rust constructor it ports.
-fn ports() -> Vec<(&'static str, Scenario)> {
-    vec![
-        ("med_gadget", abrr::scenarios::med_gadget()),
-        ("topology_gadget", abrr::scenarios::topology_gadget()),
-        ("small_reference", abrr::scenarios::small_reference()),
-    ]
-}
-
-/// Modes under which every ported gadget converges (single-path TBRR
+/// Modes under which every gadget converges (single-path TBRR
 /// is excluded: `med_gadget` oscillates forever there by design, so
 /// its final state depends on the event budget, not the protocol).
 const MODES: &[ModeSpec] = &[ModeSpec::FullMesh, ModeSpec::Abrr, ModeSpec::TbrrMultipath];
 
-fn dsl_fingerprint(stem: &str, mode: ModeSpec) -> String {
-    let path = corpus_dir().join(format!("{stem}.json"));
-    let loaded = scenario::load_path(&path)
-        .unwrap_or_else(|e| panic!("{} failed to load: {e:?}", path.display()));
+fn dsl_fingerprint(stem: &str, name: &str, mode: ModeSpec) -> String {
+    let loaded =
+        scenario::load_corpus(stem).unwrap_or_else(|e| panic!("{stem}.json failed to load: {e:?}"));
     let run = loaded
         .run(mode, true, Default::default())
         .unwrap_or_else(|e| panic!("{stem} failed to run: {e}"));
@@ -54,44 +40,21 @@ fn dsl_fingerprint(stem: &str, mode: ModeSpec) -> String {
         run.outcome.quiesced,
         "{stem} did not quiesce under {mode:?}"
     );
-    fingerprint(stem, &run.sim, &run.spec)
+    fingerprint(name, &run.sim, &run.spec)
 }
 
-fn rust_fingerprint(stem: &str, scn: &Scenario, mode: ModeSpec) -> String {
-    let budget = netsim::RunConfig {
-        limits: netsim::RunLimits {
-            max_events: 1_000_000,
-            max_time: netsim::Time::MAX,
-        },
-        ..Default::default()
-    };
-    let (sim, outcome) = scn.run(mode_of(mode), budget);
-    assert!(
-        outcome.quiesced,
-        "{stem} (Rust constructor) did not quiesce under {mode:?}"
-    );
-    fingerprint(stem, &sim, &scn.spec(mode_of(mode)))
-}
-
-/// Every ported gadget file is behaviorally identical to the Rust
-/// constructor it replaces: same topology, roles, feeds, tuning ⇒
-/// byte-equal fingerprints.
-#[test]
-fn dsl_ports_match_rust_constructors() {
-    for (stem, scn) in ports() {
-        for &mode in MODES {
-            assert_eq!(
-                rust_fingerprint(stem, &scn, mode),
-                dsl_fingerprint(stem, mode),
-                "{stem} DSL port diverges from abrr::scenarios::{stem} under {mode:?}"
-            );
-        }
+/// The gadget fingerprint name for one mode: the bare stem under ABRR
+/// (the goldens that predate the other modes), `<stem>_<mode>` else.
+fn golden_name(stem: &str, mode: ModeSpec) -> String {
+    match mode {
+        ModeSpec::Abrr => stem.to_string(),
+        _ => format!("{stem}_{}", mode.keyword()),
     }
 }
 
 /// The DSL gadget runs reproduce the golden fingerprints under
-/// `tests/golden/scenario_*.txt` (ABRR plane — the mode every gadget
-/// exercises with the full oracle set).
+/// `tests/golden/scenario_<stem>[_<mode>].txt`, one per converging
+/// mode.
 #[test]
 fn dsl_gadgets_match_golden() {
     let dir = golden_dir();
@@ -99,20 +62,23 @@ fn dsl_gadgets_match_golden() {
     if bless {
         std::fs::create_dir_all(&dir).expect("create golden dir");
     }
-    for (stem, _) in ports() {
-        let path = dir.join(format!("scenario_{stem}.txt"));
-        let actual = dsl_fingerprint(stem, ModeSpec::Abrr);
-        if bless {
-            std::fs::write(&path, &actual).expect("write golden");
-            eprintln!("blessed {}", path.display());
-            continue;
+    for &stem in GADGETS {
+        for &mode in MODES {
+            let name = golden_name(stem, mode);
+            let path = dir.join(format!("scenario_{name}.txt"));
+            let actual = dsl_fingerprint(stem, &name, mode);
+            if bless {
+                std::fs::write(&path, &actual).expect("write golden");
+                eprintln!("blessed {}", path.display());
+                continue;
+            }
+            let expected = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
+            assert_eq!(
+                expected, actual,
+                "DSL scenario {stem} diverged from its golden fingerprint under {mode:?}"
+            );
         }
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
-        assert_eq!(
-            expected, actual,
-            "DSL scenario {stem} diverged from its golden fingerprint"
-        );
     }
 }
 
@@ -127,9 +93,8 @@ fn tier1_reference_reproduces_fig6_goldens() {
     if std::env::var("GOLDEN_BLESS").is_ok() {
         return; // fig6 goldens are owned by golden_regression.rs
     }
-    let path = corpus_dir().join("tier1_reference.json");
-    let loaded = scenario::load_path(&path)
-        .unwrap_or_else(|e| panic!("{} failed to load: {e:?}", path.display()));
+    let loaded = scenario::load_corpus("tier1_reference")
+        .unwrap_or_else(|e| panic!("tier1_reference.json failed to load: {e:?}"));
     for (mode, golden) in [
         (ModeSpec::Abrr, "fig6_abrr_4aps"),
         (ModeSpec::Tbrr, "fig6_tbrr"),

@@ -114,22 +114,6 @@ pub fn count_loops(sim: &Sim<BgpNode>, spec: &NetworkSpec, prefixes: &[Ipv4Prefi
         .sum()
 }
 
-/// The exit router every listed router selected for `prefix`
-/// (`None` = no route).
-pub fn exit_map(
-    sim: &Sim<BgpNode>,
-    routers: &[RouterId],
-    prefix: &Ipv4Prefix,
-) -> BTreeMap<RouterId, Option<RouterId>> {
-    routers
-        .iter()
-        .map(|r| {
-            let exit = sim.node(*r).selected(prefix).map(|s| s.exit_router());
-            (*r, exit)
-        })
-        .collect()
-}
-
 /// One exit disagreement between a scheme under test and the full-mesh
 /// oracle.
 #[derive(Clone, Debug, PartialEq, Eq)]

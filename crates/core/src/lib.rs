@@ -17,8 +17,9 @@
 //! All three run as [`BgpNode`] state machines over the deterministic
 //! [`netsim`] simulator; [`audit`] checks the paper's §2.3 correctness
 //! claims (no oscillations, no forwarding loops, no path
-//! inefficiencies) against actual simulation state, and [`scenarios`]
-//! packages the oscillation gadgets.
+//! inefficiencies) against actual simulation state. The oscillation
+//! gadgets live as scenario files in the `scenario` crate's corpus
+//! (`examples/scenarios/`).
 //!
 //! ## Quick start
 //!
@@ -61,7 +62,6 @@ pub mod audit;
 pub mod msg;
 pub mod node;
 pub mod roles;
-pub mod scenarios;
 pub mod spec;
 pub mod wire;
 

@@ -844,14 +844,53 @@ impl Protocol for BgpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_types::{ApMap, AsPath, Asn, NextHop};
+
+    fn feed(prefix: Ipv4Prefix, peer_as: u32, peer_addr: u32) -> ExternalEvent {
+        ExternalEvent::EbgpAnnounce {
+            prefix,
+            peer_as: Asn(peer_as),
+            peer_addr,
+            attrs: Arc::new(
+                PathAttributes::ebgp(AsPath::sequence([Asn(peer_as)]), NextHop(peer_addr))
+                    .with_med(0),
+            ),
+        }
+    }
+
+    /// The small reference network (`examples/scenarios/small_reference.json`)
+    /// under ABRR, run to quiescence: 3 PoPs × 3 routers, routers 1 and
+    /// 4 the ARRs of the one AP, 10.0.0.0/8 fed at routers 3 and 6 and
+    /// 192.168.0.0/16 at router 9, then `events`.
+    fn small_reference(events: &[(netsim::Time, RouterId, ExternalEvent)]) -> netsim::Sim<BgpNode> {
+        let view = igp::PopTopologyBuilder::new(3, 3).build();
+        let mut spec = NetworkSpec::full_mesh(&view.topo, Asn(65000));
+        spec.mode = Mode::Abrr;
+        spec.routers = view.routers();
+        spec.ap_map = Some(ApMap::uniform(1));
+        spec.arrs.insert(ApId(0), vec![RouterId(1), RouterId(4)]);
+        let mut sim = crate::spec::build_sim(Arc::new(spec));
+        let p1: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
+        let p2: Ipv4Prefix = "192.168.0.0/16".parse().unwrap();
+        for (router, prefix, peer_as, peer_addr) in [
+            (3, p1, 7018, 9001),
+            (6, p1, 3356, 9002),
+            (9, p2, 7018, 9003),
+        ] {
+            sim.schedule_external(0, RouterId(router), feed(prefix, peer_as, peer_addr));
+        }
+        for (at, router, ev) in events {
+            sim.schedule_external(*at, *router, ev.clone());
+        }
+        assert!(sim.run_to_quiescence().quiesced);
+        sim
+    }
 
     /// The `core.store.*` gauges must cover everything a node owns, and
     /// the one index it shares between its columns exactly once.
     #[test]
     fn store_gauges_sum_every_table_the_node_owns() {
-        let (sim, outcome) =
-            crate::scenarios::small_reference().run(Mode::Abrr, netsim::RunConfig::default());
-        assert!(outcome.quiesced);
+        let sim = small_reference(&[]);
         for (_, node) in sim.nodes() {
             let ch = &node.ch;
             assert!(!ch.loc_rib.is_empty(), "every router selected something");
@@ -897,31 +936,28 @@ mod tests {
     /// not in its index, and its change counts start again.
     #[test]
     fn restart_drops_the_index_with_every_column_over_it() {
-        let mut scenario = crate::scenarios::small_reference();
-        let (border, victim) = (scenario.routers[8], scenario.routers[4]);
-        let live = scenario.prefixes.clone();
+        let (border, victim) = (RouterId(9), RouterId(5));
+        let live: Vec<Ipv4Prefix> = ["10.0.0.0/8", "192.168.0.0/16"]
+            .map(|p| p.parse().unwrap())
+            .to_vec();
         // A third prefix, withdrawn again before the crash: afterwards
         // only the victim's pre-crash index could still name it.
         let gone: Ipv4Prefix = "172.16.0.0/12".parse().unwrap();
         let announce = ExternalEvent::EbgpAnnounce {
             prefix: gone,
-            peer_as: bgp_types::Asn(7018),
+            peer_as: Asn(7018),
             peer_addr: 9003,
             attrs: Arc::new(PathAttributes::ebgp(
-                bgp_types::AsPath::sequence([bgp_types::Asn(7018)]),
-                bgp_types::NextHop(9003),
+                AsPath::sequence([Asn(7018)]),
+                NextHop(9003),
             )),
         };
         let withdraw = ExternalEvent::EbgpWithdraw {
             prefix: gone,
             peer_addr: 9003,
         };
-        scenario.events = vec![(0, border, announce), (50_000, border, withdraw)];
-        let run = || {
-            let (sim, outcome) = scenario.run(Mode::Abrr, netsim::RunConfig::default());
-            assert!(outcome.quiesced);
-            sim
-        };
+        let events = [(0, border, announce), (50_000, border, withdraw)];
+        let run = || small_reference(&events);
         let prefixes_of = |n: &BgpNode| n.ch.index.iter().map(|(p, _)| *p).collect::<Vec<_>>();
         let control = run();
         let mut sim = run();

@@ -2,7 +2,6 @@
 //! exercised against live engines.
 
 use abrr::prelude::*;
-use abrr::scenarios;
 use std::sync::Arc;
 
 fn pfx(s: &str) -> Ipv4Prefix {
@@ -33,6 +32,31 @@ fn abrr_net() -> (Arc<NetworkSpec>, Sim<BgpNode>) {
     let spec = Arc::new(spec);
     let sim = build_sim(spec.clone());
     (spec, sim)
+}
+
+/// The MED gadget's TBRR network (`examples/scenarios/med_gadget.json`):
+/// TRRs 1 and 2, clusters {TRR 1; clients 3, 4} and {TRR 2; client 5}.
+fn med_gadget_tbrr(multipath: bool) -> Sim<BgpNode> {
+    let mut topo = igp::Topology::new();
+    for (a, b, metric) in [(1, 4, 1), (1, 3, 5), (1, 2, 4), (2, 5, 20)] {
+        topo.add_link(RouterId(a), RouterId(b), metric);
+    }
+    let mut spec = NetworkSpec::full_mesh(&topo, Asn(65000));
+    spec.mode = Mode::Tbrr { multipath };
+    spec.routers = vec![RouterId(3), RouterId(4), RouterId(5)];
+    spec.clusters = vec![
+        ClusterSpec {
+            id: 1,
+            trrs: vec![RouterId(1)],
+            clients: vec![RouterId(3), RouterId(4)],
+        },
+        ClusterSpec {
+            id: 2,
+            trrs: vec![RouterId(2)],
+            clients: vec![RouterId(5)],
+        },
+    ];
+    build_sim(Arc::new(spec))
 }
 
 #[test]
@@ -195,9 +219,7 @@ fn tbrr_single_path_reflection_rules() {
     // Scenario: cluster 1 = {TRR 1; clients 3,4}, cluster 2 = {TRR 2;
     // client 5}. Router 3 announces. TRR1 must reflect to 4 (not back
     // to 3) and to TRR2; TRR2 reflects to 5 but NOT back to TRR1.
-    let s = scenarios::med_gadget();
-    let spec = Arc::new(s.spec(Mode::Tbrr { multipath: false }));
-    let mut sim = build_sim(spec.clone());
+    let mut sim = med_gadget_tbrr(false);
     let p = pfx("10.0.0.0/8");
     sim.schedule_external(0, RouterId(3), feed(p, 7018, 9001));
     assert!(sim.run_to_quiescence().quiesced);
@@ -225,9 +247,7 @@ fn tbrr_single_path_reflection_rules() {
 
 #[test]
 fn tbrr_multipath_advertises_set_to_clients() {
-    let s = scenarios::med_gadget();
-    let spec = Arc::new(s.spec(Mode::Tbrr { multipath: true }));
-    let mut sim = build_sim(spec.clone());
+    let mut sim = med_gadget_tbrr(true);
     let p = pfx("10.0.0.0/8");
     // Equal AS-level routes at 3 and 5 (different clusters).
     sim.schedule_external(0, RouterId(3), feed(p, 7018, 9001));

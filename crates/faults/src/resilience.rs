@@ -132,15 +132,6 @@ impl ResilienceProbe {
     pub fn total_blackhole_us(&self) -> Time {
         self.blackhole_us.values().sum()
     }
-
-    /// Routers that accumulated any blackhole time, with their totals.
-    pub fn per_router_us(&self) -> BTreeMap<RouterId, Time> {
-        let mut m: BTreeMap<RouterId, Time> = BTreeMap::new();
-        for ((r, _), t) in &self.blackhole_us {
-            *m.entry(*r).or_insert(0) += t;
-        }
-        m
-    }
 }
 
 /// Post-fault RIB equivalence: once the faulted run has requiesced,

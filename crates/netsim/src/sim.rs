@@ -294,11 +294,10 @@ impl Default for RunLimits {
     }
 }
 
-/// How to run a scenario: the one knob set every scenario-level `run`
-/// entry point takes (`abrr::scenarios::Scenario::run`, the scenario
-/// DSL's `Loaded::run`, the bench goldens). Every one of them runs
-/// [`Sim::run`]; choosing an engine is [`Sim::run_engine`]'s business
-/// alone. The default is in-memory structs with no caller limit.
+/// How to run a scenario: the knob set the scenario DSL's one run
+/// entry point (`Loaded::run`) takes, and with it the bench goldens.
+/// It runs [`Sim::run`]; choosing an engine is [`Sim::run_engine`]'s
+/// business alone. The default is in-memory structs with no caller limit.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Session transport, written into the spec the sim is built from.

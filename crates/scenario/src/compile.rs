@@ -1,20 +1,19 @@
-//! Compiles a validated [`ScenarioFile`] into runnable structures —
-//! the very same [`abrr::scenarios::Scenario`] / [`abrr::NetworkSpec`]
-//! the hand-written Rust gadgets produce, so the simulator, the
-//! auditors, and the golden fingerprints are shared between declarative
-//! and programmatic scenarios.
+//! Compiles a validated [`ScenarioFile`] into a runnable [`Loaded`]
+//! scenario. This is the one place a gadget becomes an
+//! [`abrr::NetworkSpec`]: the corpus files under `examples/scenarios/`
+//! are the only definition of the §2.3 gadgets and the small reference
+//! network, and [`Loaded::build`] / [`Loaded::run`] their only run path.
 
 use crate::parse::{parse_str, ScenarioError};
 use crate::schema::*;
 use crate::validate::{build_ap_map, validate};
 use abrr::msg::ExternalEvent;
-use abrr::scenarios::{Scenario, ScenarioTuning};
 use abrr::spec::{AbrrLoopPrevention, ClusterSpec, LatencyModel, Mode};
 use abrr::{BgpNode, NetworkSpec};
-use bgp_types::{ApId, AsPath, Asn, Ipv4Prefix, NextHop, PathAttributes, RouterId};
+use bgp_types::{ApId, ApMap, AsPath, Asn, Ipv4Prefix, NextHop, PathAttributes, RouterId};
 use netsim::{RunConfig, RunLimits, RunOutcome, Sim, WireMode};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use workload::specs::{self, SpecOptions};
 use workload::{churn, regen, Tier1Config, Tier1Model};
@@ -31,8 +30,27 @@ pub enum Loaded {
 pub struct GadgetLoaded {
     /// The source file.
     pub file: ScenarioFile,
-    /// The compiled core scenario (feeds at t=0, timed events).
-    pub scenario: Scenario,
+    /// The IGP topology.
+    pub topo: igp::Topology,
+    /// Data-plane routers.
+    pub routers: Vec<RouterId>,
+    /// TBRR cluster layout (default: one cluster, every RR serving
+    /// every router).
+    pub clusters: Vec<ClusterSpec>,
+    /// Address partitions for ABRR modes (default: one AP covering the
+    /// whole address space).
+    pub ap_map: ApMap,
+    /// ARRs per AP for ABRR modes (default: every RR serves every AP).
+    pub arrs: BTreeMap<ApId, Vec<RouterId>>,
+    /// eBGP feeds injected at t=0: `(router, event)`.
+    pub feeds: Vec<(RouterId, ExternalEvent)>,
+    /// Later external events (announcements, withdrawals), each at its
+    /// own time: `(time, router, event)`.
+    pub events: Vec<(u64, RouterId, ExternalEvent)>,
+    /// The prefixes the feeds cover, sorted.
+    pub prefixes: Vec<Ipv4Prefix>,
+    /// The spec knobs the file sets.
+    pub knobs: SpecKnobs,
     /// The compiled fault schedule.
     pub schedule: faults::FaultSchedule,
     /// AP cutovers, broadcast to all nodes at run time (§2.4).
@@ -89,6 +107,16 @@ pub fn load_path(path: &Path) -> Result<Loaded, Vec<ScenarioError>> {
         )]
     })?;
     load_str(&text)
+}
+
+/// The committed corpus: `examples/scenarios/` at the workspace root.
+pub fn corpus_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios")
+}
+
+/// Loads the corpus file `<stem>.json` (see [`corpus_dir`]).
+pub fn load_corpus(stem: &str) -> Result<Loaded, Vec<ScenarioError>> {
+    load_path(&corpus_dir().join(format!("{stem}.json")))
 }
 
 /// Compiles an already-validated file. Panics only on files that did
@@ -167,35 +195,21 @@ fn compile_gadget(file: ScenarioFile, g: &GadgetNetwork) -> GadgetLoaded {
             })
             .collect()
     };
-    let ap_map = g
-        .aps
-        .as_ref()
-        .map(|_| build_ap_map(g).expect("validated AP scheme"));
-    let arrs: BTreeMap<ApId, Vec<RouterId>> = g
-        .arrs
-        .iter()
-        .map(|a| (ApId(a.ap), a.arrs.iter().map(|r| RouterId(*r)).collect()))
-        .collect();
-    let tuning = ScenarioTuning {
-        mrai_us: g.knobs.mrai_us,
-        clients_keep_backups: g.knobs.clients_keep_backups,
-        abrr_loop_prevention: match g.knobs.loop_prevention {
-            LoopPrevention::ReflectedBit => AbrrLoopPrevention::ReflectedBit,
-            LoopPrevention::ClusterList => AbrrLoopPrevention::ClusterList,
-            LoopPrevention::None => AbrrLoopPrevention::None,
-        },
-        latency: match g.knobs.latency {
-            Latency::Fixed(us) => LatencyModel::Fixed(us),
-            Latency::Igp {
-                base_us,
-                per_metric_us,
-            } => LatencyModel::IgpProportional {
-                base: base_us,
-                per_metric: per_metric_us,
-            },
-        },
-        rrs_are_clients: g.knobs.rrs_are_clients,
-        ..ScenarioTuning::default()
+    let ap_map = match g.aps {
+        Some(_) => build_ap_map(g).expect("validated AP scheme"),
+        None => ApMap::uniform(1),
+    };
+    let arrs: BTreeMap<ApId, Vec<RouterId>> = if g.arrs.is_empty() {
+        ap_map
+            .partitions()
+            .iter()
+            .map(|p| (p.id, rrs.clone()))
+            .collect()
+    } else {
+        g.arrs
+            .iter()
+            .map(|a| (ApId(a.ap), a.arrs.iter().map(|r| RouterId(*r)).collect()))
+            .collect()
     };
 
     let mut feeds: Vec<(RouterId, ExternalEvent)> = Vec::new();
@@ -242,24 +256,59 @@ fn compile_gadget(file: ScenarioFile, g: &GadgetNetwork) -> GadgetLoaded {
         .map(|c| (c.at, ApId(c.ap)))
         .collect();
 
-    let scenario = Scenario {
-        name: file.name.clone(),
-        topo,
-        routers,
-        rrs,
-        clusters,
-        feeds,
-        prefixes,
-        ap_map,
-        arrs,
-        tuning,
-        events,
-    };
     GadgetLoaded {
         file,
-        scenario,
+        topo,
+        routers,
+        clusters,
+        ap_map,
+        arrs,
+        feeds,
+        events,
+        prefixes,
+        knobs: g.knobs.clone(),
         schedule,
         cutovers,
+    }
+}
+
+impl GadgetLoaded {
+    /// The gadget's [`NetworkSpec`] under `mode`: the full-mesh
+    /// defaults (AS 65000, no MRAI, fixed 1 ms sessions, reflected-bit
+    /// loop prevention, RRs as clients, no processing delay, no byte
+    /// accounting) with the file's routers, its clusters in TBRR modes,
+    /// its AP map and ARRs in ABRR modes, and its spec knobs.
+    pub fn spec(&self, mode: Mode) -> NetworkSpec {
+        let mut spec = NetworkSpec::full_mesh(&self.topo, Asn(65000));
+        spec.routers = self.routers.clone();
+        if mode.has_abrr() {
+            spec.ap_map = Some(self.ap_map.clone());
+            spec.arrs = self.arrs.clone();
+        }
+        if mode.has_tbrr() {
+            spec.clusters = self.clusters.clone();
+        }
+        spec.mode = mode;
+        let k = &self.knobs;
+        spec.mrai_us = k.mrai_us;
+        spec.clients_keep_backups = k.clients_keep_backups;
+        spec.abrr_loop_prevention = match k.loop_prevention {
+            LoopPrevention::ReflectedBit => AbrrLoopPrevention::ReflectedBit,
+            LoopPrevention::ClusterList => AbrrLoopPrevention::ClusterList,
+            LoopPrevention::None => AbrrLoopPrevention::None,
+        };
+        spec.latency = match k.latency {
+            Latency::Fixed(us) => LatencyModel::Fixed(us),
+            Latency::Igp {
+                base_us,
+                per_metric_us,
+            } => LatencyModel::IgpProportional {
+                base: base_us,
+                per_metric: per_metric_us,
+            },
+        };
+        spec.rrs_are_clients = k.rrs_are_clients;
+        spec
     }
 }
 
@@ -280,7 +329,7 @@ impl Loaded {
     /// The routers the auditors walk (data-plane routers).
     pub fn routers(&self) -> Vec<RouterId> {
         match self {
-            Loaded::Gadget(g) => g.scenario.routers.clone(),
+            Loaded::Gadget(g) => g.routers.clone(),
             Loaded::Tier1(t) => t.model.routers.clone(),
         }
     }
@@ -288,7 +337,7 @@ impl Loaded {
     /// The prefixes the auditors check.
     pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
         match self {
-            Loaded::Gadget(g) => g.scenario.prefixes.clone(),
+            Loaded::Gadget(g) => g.prefixes.clone(),
             Loaded::Tier1(t) => t.model.sorted_prefixes(),
         }
     }
@@ -296,7 +345,7 @@ impl Loaded {
     /// Builds the [`NetworkSpec`] for one mode.
     pub fn spec(&self, mode: ModeSpec) -> NetworkSpec {
         match self {
-            Loaded::Gadget(g) => g.scenario.spec(mode_of(mode)),
+            Loaded::Gadget(g) => g.spec(mode_of(mode)),
             Loaded::Tier1(t) => {
                 let opts = SpecOptions {
                     mrai_us: t.params.mrai_us,
@@ -336,10 +385,10 @@ impl Loaded {
         let mut sim = abrr::build_sim(spec.clone());
         match self {
             Loaded::Gadget(g) => {
-                for (router, ev) in &g.scenario.feeds {
+                for (router, ev) in &g.feeds {
                     sim.schedule_external(0, *router, ev.clone());
                 }
-                for (at, router, ev) in &g.scenario.events {
+                for (at, router, ev) in &g.events {
                     sim.schedule_external(*at, *router, ev.clone());
                 }
                 // §2.4: a cutover is an AS-wide configuration step —

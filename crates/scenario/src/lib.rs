@@ -1,14 +1,14 @@
 //! Declarative scenario DSL for the ABRR reproduction.
 //!
-//! Every experiment in `abrr::scenarios` used to be a hand-written Rust
-//! function; this crate makes scenarios *data*. A scenario file (JSON,
-//! parsed by the vendored `serde` stub) describes a topology, role
-//! assignments, AP layout, eBGP workload, a fault schedule (the
-//! `faults` crate's types), and the invariants the run is expected to
-//! satisfy. The loader compiles a file into the very same
-//! [`abrr::scenarios::Scenario`] / [`abrr::NetworkSpec`] structures the
-//! Rust gadgets produce, so everything downstream — the simulator, the
-//! auditors, the golden fingerprints — is shared.
+//! Scenarios are *data*. A scenario file (JSON, parsed by the vendored
+//! `serde` stub) describes a topology, role assignments, AP layout,
+//! eBGP workload, a fault schedule (the `faults` crate's types), and
+//! the invariants the run is expected to satisfy. The corpus under
+//! `examples/scenarios/` is the only definition of the §2.3 MED and
+//! topology oscillation gadgets and of the small reference network;
+//! the loader compiles a file into an [`abrr::NetworkSpec`] plus its
+//! scheduled workload, so everything downstream — the simulator, the
+//! auditors, the golden fingerprints — runs the one definition.
 //!
 //! Modules:
 //!
@@ -39,7 +39,7 @@ pub mod shrink;
 pub mod validate;
 
 pub use check::{run_checks, CheckFailure, ScenarioReport};
-pub use compile::{load_path, load_str, Loaded};
+pub use compile::{corpus_dir, load_corpus, load_path, load_str, Loaded};
 pub use fuzz::{fuzz, FuzzFailure, FuzzOutcome};
 pub use parse::ScenarioError;
 pub use schema::ScenarioFile;

@@ -6,12 +6,8 @@
 //! capture is in flight.
 
 use scenario::shrink::shrink;
-use scenario::{load_path, run_checks};
+use scenario::{corpus_dir, load_path, run_checks};
 use std::path::PathBuf;
-
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios")
-}
 
 #[test]
 fn corpus_verdicts_and_shrink() {

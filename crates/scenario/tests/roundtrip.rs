@@ -32,7 +32,7 @@ fn generated_scenarios_validate() {
 
 #[test]
 fn corpus_files_roundtrip() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+    let dir = scenario::corpus_dir();
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("corpus dir exists") {
         let path = entry.expect("dir entry").path();

@@ -15,14 +15,9 @@
 use abrr::audit;
 use scenario::schema::ModeSpec;
 use scenario::Loaded;
-use std::path::Path;
 
 fn load(stem: &str) -> Loaded {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("examples/scenarios")
-        .join(format!("{stem}.json"));
-    scenario::load_path(&path)
-        .unwrap_or_else(|e| panic!("{} failed to load: {e:?}", path.display()))
+    scenario::load_corpus(stem).unwrap_or_else(|e| panic!("{stem}.json failed to load: {e:?}"))
 }
 
 fn show(loaded: &Loaded) {

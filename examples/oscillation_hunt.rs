@@ -15,15 +15,12 @@
 use abrr::audit;
 use scenario::schema::ModeSpec;
 use scenario::Loaded;
-use std::path::Path;
 use std::sync::Arc;
 use workload::{churn, regen};
 
 fn main() {
-    let path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/oscillation_hunt.json");
-    let loaded = scenario::load_path(&path)
-        .unwrap_or_else(|e| panic!("{} failed to load: {e:?}", path.display()));
+    let loaded = scenario::load_corpus("oscillation_hunt")
+        .unwrap_or_else(|e| panic!("oscillation_hunt.json failed to load: {e:?}"));
     let Loaded::Tier1(t1) = &loaded else {
         panic!("oscillation_hunt.json must be a tier1 scenario");
     };

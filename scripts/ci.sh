@@ -123,13 +123,16 @@ if [ -z "$TIER1_RSS_KB" ] || [ "$TIER1_RSS_KB" -gt "$TIER1_RSS_BUDGET_KB" ]; the
 fi
 echo "tier1-scale smoke OK: peak RSS ${TIER1_RSS_KB} kB (budget ${TIER1_RSS_BUDGET_KB} kB)"
 
-echo "== examples on the codec and the MRT trace format (~5 s)"
+echo "== examples on the codec, the MRT trace format and the gadgets (~5 s)"
 # wire_session asserts the OPEN capabilities and add-paths UPDATEs
 # survive the codec; tier1_replay asserts its churn trace survives
-# BGP4MP_ET export -> import record for record before replaying it.
+# BGP4MP_ET export -> import record for record before replaying it;
+# med_oscillation asserts ABRR == full-mesh exits and the declared
+# corpus checks on the MED and topology gadgets.
 cargo build --release --examples
 ./target/release/examples/wire_session
 ./target/release/examples/tier1_replay
+./target/release/examples/med_oscillation
 
 echo "== scenario corpus + fixed-seed fuzz smoke"
 # Runs every gadget in examples/scenarios/ against its declared oracle
