@@ -173,5 +173,7 @@ fn main() {
         .u64("intern_hits", istats.hits)
         .u64("intern_misses", istats.misses)
         .usize("intern_entries", istats.entries)
+        .usize("intern_slots", istats.slots)
+        .usize("intern_heap_bytes", istats.heap_bytes)
         .emit(args.map_get("out"));
 }

@@ -27,6 +27,7 @@
 use crate::prefix::Ipv4Prefix;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::{align_of, size_of};
 
 /// A prefix-keyed `HashMap` using [`PrefixHasher`]: the map inside
 /// [`crate::PrefixTable`], which every prefix-keyed RIB table is.
@@ -38,6 +39,46 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// The stateless `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// Bytes a `HashMap`'s allocation holds, as the standard library's
+/// SwissTable lays it out: one `(key, value)` slot and one control
+/// byte per bucket, the slots padded to the control group's alignment,
+/// and one trailing control group mirroring the first. What keys and
+/// values own on the heap is not counted.
+///
+/// The map reports its usable capacity, not its bucket count; the two
+/// are tied — at most 7/8 of the buckets (all but one below 8) — and
+/// the bucket count is the power of two that capacity belongs to. A
+/// removal that leaves a tombstone lowers the capacity reported until
+/// the next rehash, so the smallest power of two whose capacity covers
+/// it is taken, which is exact unless tombstones fill nearly half the
+/// table.
+pub(crate) fn table_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    /// SwissTable control group width: SSE2 on x86, a word elsewhere.
+    const GROUP: usize = if cfg!(any(target_arch = "x86", target_arch = "x86_64")) {
+        16
+    } else {
+        8
+    };
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let usable = |buckets: usize| {
+        if buckets < 8 {
+            buckets - 1
+        } else {
+            buckets / 8 * 7
+        }
+    };
+    let mut buckets = 4;
+    while usable(buckets) < cap {
+        buckets *= 2;
+    }
+    let slot = size_of::<(K, V)>();
+    let align = GROUP.max(align_of::<(K, V)>());
+    (buckets * slot).next_multiple_of(align) + buckets + GROUP
+}
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
@@ -131,6 +172,11 @@ impl Hasher for PrefixHasher {
     #[inline]
     fn write_u32(&mut self, i: u32) {
         self.packed = self.packed << 32 | i as u64;
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.packed = i;
     }
 
     #[inline]

@@ -13,17 +13,32 @@
 //! attribute set already live anywhere in the process, allocating only
 //! on first sight. The registry holds `Weak` references, so interning
 //! never keeps attributes alive — once every RIB entry referencing a set
-//! drops its `Arc`, the registry entry is dead and is reclaimed by the
-//! periodic sweep (or eagerly via [`purge`]).
+//! drops its `Arc`, the registry entry is dead.
+//!
+//! Layout: one flat slot per content hash, holding one inline `Weak`.
+//! The rare set whose hash equals a different live set's goes to a
+//! small collision list that every lookup also checks. A miss on a
+//! dead slot reuses it in place. Other dead slots are dropped by a
+//! sweep (or eagerly via [`purge`]) that runs once the calls since the
+//! last one reach the slot count it left, and at least 4 096: a sweep
+//! then costs about one slot visit per call, however many sets are
+//! live, and since a call adds at most one slot, the slots never exceed
+//! the `S` live ones the last sweep left plus `max(4 096, S)`. A
+//! lookup's result depends only on the live entries, never on when the
+//! last sweep ran.
 //!
 //! Determinism: interning is content-addressed and nothing in the
 //! simulator observes pointer identity, so replacing `Arc::new(a)` with
 //! `intern(a)` cannot change any computed result — only the allocation
 //! count and peak RSS.
 
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::{table_bytes, FxHashMap, FxHasher, PrefixHasher};
 use crate::route::PathAttributes;
-use std::hash::{Hash, Hasher};
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::mem::size_of;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 // ---------------------------------------------------------------------------
@@ -77,18 +92,22 @@ pub fn resolve_symbol(sym: Symbol) -> Arc<str> {
     tab.names[sym.0 as usize].clone()
 }
 
-/// How many interning operations between lazy sweeps of dead entries.
-const SWEEP_EVERY: u64 = 4096;
+/// The fewest interning calls between two sweeps of dead slots.
+const SWEEP_EVERY: usize = 4096;
 
-/// The registry is keyed by the attribute set's hash, with the rare
-/// collisions held in a per-hash bucket. Keying by hash instead of by a
+/// The registry: one slot per attribute-set hash, holding a `Weak` to
+/// the set interned under it. Keying by hash instead of by a
 /// `PathAttributes` clone matters for the module's whole purpose: a
 /// cloned key would re-duplicate every unique attribute set (AS_PATH
 /// vector included) inside the registry itself, giving back most of the
-/// memory interning saves.
+/// memory interning saves. The hash is an Fx digest, whose low bits are
+/// weak, so the table rehashes it with [`PrefixHasher`]'s finalizer.
 struct Registry {
-    table: FxHashMap<u64, Vec<Weak<PathAttributes>>>,
-    ops_since_sweep: u64,
+    slots: HashMap<u64, Weak<PathAttributes>, BuildHasherDefault<PrefixHasher>>,
+    /// Sets whose hash's slot already held a different live set.
+    collided: Vec<(u64, Weak<PathAttributes>)>,
+    /// Calls left until the next sweep.
+    until_sweep: usize,
     hits: u64,
     misses: u64,
 }
@@ -100,42 +119,100 @@ fn hash_of(attrs: &PathAttributes) -> u64 {
 }
 
 impl Registry {
-    fn sweep(&mut self) {
-        self.table.retain(|_, bucket| {
-            bucket.retain(|w| w.strong_count() > 0);
-            !bucket.is_empty()
-        });
-        self.ops_since_sweep = 0;
+    fn new() -> Self {
+        Registry {
+            slots: HashMap::default(),
+            collided: Vec::new(),
+            until_sweep: SWEEP_EVERY,
+            hits: 0,
+            misses: 0,
+        }
     }
 
-    /// Upgrades a live entry equal to `attrs`, if any.
-    fn lookup(&self, h: u64, attrs: &PathAttributes) -> Option<Arc<PathAttributes>> {
-        self.table
-            .get(&h)?
-            .iter()
-            .filter_map(Weak::upgrade)
-            .find(|a| **a == *attrs)
+    /// Live plus dead entries.
+    fn slot_count(&self) -> usize {
+        self.slots.len() + self.collided.len()
+    }
+
+    /// Drops the dead entries, then waits as many calls as there are
+    /// slots left (at least [`SWEEP_EVERY`]) before sweeping again, so a
+    /// call pays for about one slot visit however many sets are live.
+    fn sweep(&mut self) {
+        self.slots.retain(|_, w| w.strong_count() > 0);
+        self.collided.retain(|(_, w)| w.strong_count() > 0);
+        self.until_sweep = SWEEP_EVERY.max(self.slot_count());
+    }
+
+    /// The shared `Arc` for the live set equal to `attrs`, hashed to
+    /// `h`; or, on a miss, `attrs` itself, registered in `h`'s slot when
+    /// that slot is free or dead, and in the collision list otherwise.
+    fn lookup_or_insert<A>(&mut self, h: u64, attrs: A) -> Arc<PathAttributes>
+    where
+        A: Borrow<PathAttributes> + Into<Arc<PathAttributes>>,
+    {
+        self.until_sweep -= 1;
+        if self.until_sweep == 0 {
+            self.sweep();
+        }
+        let equal = |w: &Weak<PathAttributes>| w.upgrade().filter(|a| **a == *attrs.borrow());
+        let slot = self.slots.entry(h);
+        let held = match &slot {
+            Entry::Occupied(s) => s.get().upgrade(),
+            Entry::Vacant(_) => None,
+        };
+        let held_live = held.is_some();
+        let found = held.filter(|a| **a == *attrs.borrow()).or_else(|| {
+            self.collided
+                .iter()
+                .filter(|(ch, _)| *ch == h)
+                .find_map(|(_, w)| equal(w))
+        });
+        if let Some(shared) = found {
+            self.hits += 1;
+            return shared;
+        }
+        self.misses += 1;
+        let arc = attrs.into();
+        let weak = Arc::downgrade(&arc);
+        if held_live {
+            self.collided.push((h, weak));
+        } else {
+            slot.insert_entry(weak);
+        }
+        arc
     }
 
     fn live_entries(&self) -> usize {
-        self.table
-            .values()
-            .flatten()
-            .filter(|w| w.strong_count() > 0)
-            .count()
+        let live = |w: &Weak<PathAttributes>| w.strong_count() > 0;
+        self.slots.values().filter(|w| live(w)).count()
+            + self.collided.iter().filter(|(_, w)| live(w)).count()
+    }
+
+    /// The table and the collision list at capacity, plus the
+    /// `ArcInner` each slot's `Weak` keeps allocated — a dead slot's
+    /// too, until the sweep drops it.
+    fn heap_bytes(&self) -> usize {
+        const ARC_INNER: usize = 2 * size_of::<usize>() + size_of::<PathAttributes>();
+        table_bytes(&self.slots)
+            + self.collided.capacity() * size_of::<(u64, Weak<PathAttributes>)>()
+            + self.slot_count() * ARC_INNER
     }
 }
 
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            table: FxHashMap::default(),
-            ops_since_sweep: 0,
-            hits: 0,
-            misses: 0,
-        })
-    })
+    REGISTRY.get_or_init(|| Mutex::new(Registry::new()))
+}
+
+/// The one lookup-or-insert path behind [`intern`] and [`intern_arc`].
+/// The hash is taken before the lock.
+fn canonical<A>(attrs: A) -> Arc<PathAttributes>
+where
+    A: Borrow<PathAttributes> + Into<Arc<PathAttributes>>,
+{
+    let h = hash_of(attrs.borrow());
+    let mut reg = registry().lock().expect("attr interner poisoned");
+    reg.lookup_or_insert(h, attrs)
 }
 
 /// Returns a shared `Arc` for `attrs`, deduplicated process-wide by
@@ -143,38 +220,13 @@ fn registry() -> &'static Mutex<Registry> {
 /// same allocation (while at least one strong reference stays alive
 /// between them).
 pub fn intern(attrs: PathAttributes) -> Arc<PathAttributes> {
-    let mut reg = registry().lock().expect("attr interner poisoned");
-    reg.ops_since_sweep += 1;
-    if reg.ops_since_sweep >= SWEEP_EVERY {
-        reg.sweep();
-    }
-    let h = hash_of(&attrs);
-    if let Some(existing) = reg.lookup(h, &attrs) {
-        reg.hits += 1;
-        return existing;
-    }
-    reg.misses += 1;
-    let arc = Arc::new(attrs);
-    reg.table.entry(h).or_default().push(Arc::downgrade(&arc));
-    arc
+    canonical(attrs)
 }
 
 /// Interns an already-`Arc`ed attribute set: returns the canonical
 /// shared `Arc` if one exists, otherwise registers this one.
 pub fn intern_arc(attrs: Arc<PathAttributes>) -> Arc<PathAttributes> {
-    let mut reg = registry().lock().expect("attr interner poisoned");
-    reg.ops_since_sweep += 1;
-    if reg.ops_since_sweep >= SWEEP_EVERY {
-        reg.sweep();
-    }
-    let h = hash_of(&attrs);
-    if let Some(existing) = reg.lookup(h, &attrs) {
-        reg.hits += 1;
-        return existing;
-    }
-    reg.misses += 1;
-    reg.table.entry(h).or_default().push(Arc::downgrade(&attrs));
-    attrs
+    canonical(attrs)
 }
 
 /// Eagerly drops registry entries whose attribute sets are no longer
@@ -194,6 +246,15 @@ pub struct InternStats {
     pub misses: u64,
     /// Live (upgradable) registry entries at the time of the call.
     pub entries: usize,
+    /// Registry slots, live plus dead: `entries` plus what the next
+    /// sweep drops.
+    pub slots: usize,
+    /// Bytes the registry keeps allocated: its table and collision list
+    /// at capacity, plus one `ArcInner<PathAttributes>` per slot (a dead
+    /// slot's `Weak` keeps that allocation). The vectors a live set's
+    /// attributes own (AS_PATH, communities, CLUSTER_LIST) are not
+    /// counted.
+    pub heap_bytes: usize,
 }
 
 /// Snapshot of the interner counters.
@@ -203,6 +264,8 @@ pub fn stats() -> InternStats {
         hits: reg.hits,
         misses: reg.misses,
         entries: reg.live_entries(),
+        slots: reg.slot_count(),
+        heap_bytes: reg.heap_bytes(),
     }
 }
 
@@ -288,6 +351,131 @@ mod tests {
             let probe = attrs(0xBEEF_0000 + i).with_med(777);
             let arc = intern(probe);
             assert_eq!(Arc::strong_count(&arc), 1, "entry {i} was resurrected");
+        }
+    }
+
+    // The tests below drive a private `Registry` and pass the hash in,
+    // so they can force collisions and count slots exactly.
+
+    #[test]
+    fn colliding_sets_are_both_found_and_stay_distinct() {
+        let mut reg = Registry::new();
+        let a = reg.lookup_or_insert(7, attrs(1));
+        let b = reg.lookup_or_insert(7, attrs(2));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!((reg.slots.len(), reg.collided.len()), (1, 1));
+        assert!(Arc::ptr_eq(&reg.lookup_or_insert(7, attrs(1)), &a));
+        assert!(Arc::ptr_eq(
+            &reg.lookup_or_insert(7, Arc::new(attrs(2))),
+            &b
+        ));
+        assert_eq!((&*a, &*b), (&attrs(1), &attrs(2)));
+        assert_eq!((reg.hits, reg.misses), (2, 2));
+    }
+
+    #[test]
+    fn a_dead_slot_is_reused() {
+        let mut reg = Registry::new();
+        drop(reg.lookup_or_insert(9, attrs(1)));
+        let b = reg.lookup_or_insert(9, attrs(2));
+        assert_eq!(*b, attrs(2));
+        assert_eq!((reg.slots.len(), reg.collided.len()), (1, 0));
+        assert!(Arc::ptr_eq(&reg.lookup_or_insert(9, attrs(2)), &b));
+    }
+
+    #[test]
+    fn a_sweep_drops_dead_collision_entries_and_never_a_live_one() {
+        let mut reg = Registry::new();
+        // attrs(0) takes the slot, the rest collide with it.
+        let sets: Vec<_> = (0..4).map(|i| reg.lookup_or_insert(5, attrs(i))).collect();
+        assert_eq!((reg.slots.len(), reg.collided.len()), (1, 3));
+        // Keep 1 and 3; the slot's own set (0) dies with 2.
+        let kept = [sets[1].clone(), sets[3].clone()];
+        drop(sets);
+        reg.sweep();
+        assert_eq!((reg.slots.len(), reg.collided.len()), (0, 2));
+        assert_eq!(reg.live_entries(), 2);
+        assert!(Arc::ptr_eq(&reg.lookup_or_insert(5, attrs(1)), &kept[0]));
+        assert!(Arc::ptr_eq(&reg.lookup_or_insert(5, attrs(3)), &kept[1]));
+        // A new set under the hash takes the freed slot.
+        let fresh = reg.lookup_or_insert(5, attrs(4));
+        assert_eq!((reg.slots.len(), reg.collided.len()), (1, 2));
+        assert_eq!(*fresh, attrs(4));
+    }
+
+    #[test]
+    fn slots_stay_within_live_plus_the_sweep_period() {
+        let mut reg = Registry::new();
+        let long = SWEEP_EVERY;
+        let bound = long + SWEEP_EVERY.max(2 * long);
+        let step = |reg: &mut Registry, a: PathAttributes| {
+            let arc = reg.lookup_or_insert(hash_of(&a), a);
+            assert!(reg.slot_count() <= bound, "{} slots", reg.slot_count());
+            arc
+        };
+        let kept: Vec<_> = (0..long as u32).map(|i| step(&mut reg, attrs(i))).collect();
+        for i in 0..4 * long as u32 {
+            drop(step(&mut reg, attrs(0x1000_0000 + i)));
+        }
+        assert_eq!(reg.misses, 5 * long as u64);
+        for a in &kept {
+            assert!(Arc::ptr_eq(&step(&mut reg, (**a).clone()), a));
+        }
+    }
+
+    #[test]
+    fn heap_bytes_grow_with_the_slots() {
+        let mut reg = Registry::new();
+        let mut kept = Vec::new();
+        let mut last = reg.heap_bytes();
+        for n in [1u32, 100, 1_000] {
+            kept.extend(
+                (kept.len() as u32..n).map(|i| reg.lookup_or_insert(u64::from(i), attrs(i))),
+            );
+            let bytes = reg.heap_bytes();
+            assert!(bytes > last, "{bytes} bytes at {n} slots, {last} before");
+            assert!(bytes >= n as usize * size_of::<PathAttributes>());
+            last = bytes;
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random intern / drop / purge runs under a hash with four
+        /// values, against a model of the handles held: equal live
+        /// contents share one `Arc`, a returned set equals its input,
+        /// and a purge leaves exactly the live sets.
+        #[test]
+        fn registry_matches_a_model_under_a_weak_hash(
+            ops in prop::collection::vec((0u8..10, 0u32..12, 0usize..64), 1..120),
+        ) {
+            let mut reg = Registry::new();
+            let mut held: Vec<(u32, Arc<PathAttributes>)> = Vec::new();
+            for (op, key, pick) in ops {
+                match op {
+                    0..=5 => {
+                        let a = attrs(key);
+                        let arc = reg.lookup_or_insert(hash_of(&a) % 4, a.clone());
+                        prop_assert_eq!(&*arc, &a);
+                        if let Some((_, same)) = held.iter().find(|(k, _)| *k == key) {
+                            prop_assert!(Arc::ptr_eq(same, &arc));
+                        }
+                        held.push((key, arc));
+                    }
+                    6..=8 if !held.is_empty() => {
+                        held.swap_remove(pick % held.len());
+                    }
+                    _ => {
+                        reg.sweep();
+                        let mut live: Vec<u32> = held.iter().map(|(k, _)| *k).collect();
+                        live.sort_unstable();
+                        live.dedup();
+                        prop_assert_eq!(reg.live_entries(), live.len());
+                        prop_assert_eq!(reg.slot_count(), live.len());
+                    }
+                }
+            }
         }
     }
 }

@@ -20,10 +20,9 @@
 //! every table moved to hashing (DESIGN.md §13); it is renamed when the
 //! alias below goes.
 
-use crate::fxhash::PrefixMap;
+use crate::fxhash::{table_bytes, PrefixMap};
 use crate::prefix::Ipv4Prefix;
 use std::fmt;
-use std::mem::{align_of, size_of};
 
 /// A map from [`Ipv4Prefix`] to `V` with exact lookup, removal,
 /// longest-prefix match, and iteration in prefix order.
@@ -169,43 +168,10 @@ impl<V> PrefixTable<V> {
     }
 
     /// Bytes the table's allocation holds, as the standard library's
-    /// SwissTable lays it out: one `(key, value)` slot and one control
-    /// byte per bucket, the slots padded to the control group's
-    /// alignment, and one trailing control group mirroring the first.
-    /// What the values own on the heap is not counted.
-    ///
-    /// The map reports its usable capacity, not its bucket count; the
-    /// two are tied — at most 7/8 of the buckets (all but one below 8)
-    /// — and the bucket count is the power of two that capacity belongs
-    /// to. A removal that leaves a tombstone lowers the capacity
-    /// reported until the next rehash, so the smallest power of two
-    /// whose capacity covers it is taken, which is exact unless
-    /// tombstones fill nearly half the table.
+    /// SwissTable lays it out (`fxhash::table_bytes`). What the values
+    /// own on the heap is not counted.
     pub fn heap_bytes(&self) -> usize {
-        /// SwissTable control group width: SSE2 on x86, a word elsewhere.
-        const GROUP: usize = if cfg!(any(target_arch = "x86", target_arch = "x86_64")) {
-            16
-        } else {
-            8
-        };
-        let cap = self.map.capacity();
-        if cap == 0 {
-            return 0;
-        }
-        let usable = |buckets: usize| {
-            if buckets < 8 {
-                buckets - 1
-            } else {
-                buckets / 8 * 7
-            }
-        };
-        let mut buckets = 4;
-        while usable(buckets) < cap {
-            buckets *= 2;
-        }
-        let slot = size_of::<(Ipv4Prefix, V)>();
-        let align = GROUP.max(align_of::<(Ipv4Prefix, V)>());
-        (buckets * slot).next_multiple_of(align) + buckets + GROUP
+        table_bytes(&self.map)
     }
 }
 
