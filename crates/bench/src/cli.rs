@@ -1,23 +1,35 @@
-//! Strict typed CLI for the experiment binaries.
+//! Strict typed CLI for the `repro` experiments.
 //!
 //! The sanctioned crate set has no argument parser, so this is a tiny
-//! `--key value` reader — but a *strict* one: every binary declares its
-//! flags up front, unknown `--keys` and unparseable values are hard
-//! errors (exit 2 with the generated flag list), and `--help` prints
-//! that list. The previous lenient parser silently fell back to the
-//! default on both mistakes, so a mistyped flag ran with defaults
-//! without a word; that failure mode is gone.
+//! `--key value` reader — but a *strict* one: every experiment declares
+//! its flags up front, unknown `--keys`, unparseable values and values
+//! outside a getter's range are hard errors (exit 2 with the generated
+//! flag list), and `--help` prints that list. The previous lenient
+//! parser silently fell back to the default on both mistakes, so a
+//! mistyped flag ran with defaults without a word; that failure mode is
+//! gone.
+//!
+//! A flag's default is declared once, in the experiment's flag table
+//! ([`FlagSpec::or`]), and both the getters and `--help` read it there.
+//! The Tier-1 model flags (`--seed`, `--prefixes`, `--pops`, `--rpp`)
+//! default to the experiment's base [`Tier1Config`] instead.
 
+use crate::experiments::Def;
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::str::FromStr;
+use workload::Tier1Config;
 
 /// The address-partition counts a spec can hold (`--aps`): AP ids index
 /// peer-group families of `AP_STRIDE` ids each, so ids stop below it.
 pub const AP_COUNTS: RangeInclusive<usize> = 1..=abrr::node::group::AP_STRIDE as usize;
 
-/// One declared `--name` flag of a binary.
+/// The churn rates `--rate` accepts, in events per second: finite and
+/// positive (NaN and negative rates used to run with no churn at all).
+pub const RATES: RangeInclusive<f64> = 1e-6..=1e9;
+
+/// One declared `--name` flag of an experiment.
 #[derive(Debug)]
 pub struct FlagSpec {
     /// Flag name without the leading `--`.
@@ -25,16 +37,60 @@ pub struct FlagSpec {
     /// Value placeholder shown in the flag list (e.g. `"N"`). Empty
     /// declares a presence-only boolean that consumes no value.
     pub value: &'static str,
-    /// One-line description; include the default.
+    /// One-line description, without the default.
     pub help: &'static str,
+    /// The value an absent flag takes, shown by `--help`. Empty for none,
+    /// or for a Tier-1 model flag, whose default is the base model's.
+    pub default: &'static str,
 }
 
-/// Shorthand [`FlagSpec`] constructor for the per-binary flag tables.
+/// Shorthand [`FlagSpec`] constructor for the flag tables (no default).
 pub const fn flag(name: &'static str, value: &'static str, help: &'static str) -> FlagSpec {
-    FlagSpec { name, value, help }
+    FlagSpec {
+        name,
+        value,
+        help,
+        default: "",
+    }
 }
 
-/// Flags every binary accepts on top of its own declarations.
+impl FlagSpec {
+    /// This flag with `default` as the value it takes when absent.
+    pub const fn or(self, default: &'static str) -> FlagSpec {
+        FlagSpec { default, ..self }
+    }
+}
+
+/// `--seed`; defaults to the base model's.
+pub const SEED: FlagSpec = flag("seed", "S", "RNG seed the whole run derives from");
+/// `--prefixes`; defaults to the base model's.
+pub const PREFIXES: FlagSpec = flag("prefixes", "N", "routed prefixes in the model");
+/// `--pops`; defaults to the base model's.
+pub const POPS: FlagSpec = flag("pops", "P", "PoPs in the topology");
+/// `--rpp`; defaults to the base model's.
+pub const RPP: FlagSpec = flag("rpp", "R", "routers per PoP");
+/// `--minutes`, the simulated length of a generated churn trace.
+pub const MINUTES: FlagSpec = flag("minutes", "M", "churn-trace length in simulated minutes");
+/// `--rate`, read within [`RATES`].
+pub const RATE: FlagSpec = flag("rate", "EPS", "churn events per second");
+/// `--aps`, read within [`AP_COUNTS`].
+pub const APS: FlagSpec = flag(
+    "aps",
+    "N",
+    "address partitions (#APs); a comma-separated list where the experiment sweeps them",
+);
+/// `--mrai-secs`.
+pub const MRAI_SECS: FlagSpec = flag("mrai-secs", "S", "MRAI interval in seconds");
+/// `--out`, opened for appending when the flags are parsed.
+pub const OUT: FlagSpec = flag(
+    "out",
+    "FILE",
+    "append the JSON rows to FILE as well as stdout (adds wall/RSS columns)",
+);
+/// `--no-tbrr`.
+pub const NO_TBRR: FlagSpec = flag("no-tbrr", "", "skip the TBRR comparison configs");
+
+/// Flags every experiment accepts on top of its own declarations.
 const COMMON: &[FlagSpec] = &[
     flag(
         "obs",
@@ -59,47 +115,53 @@ const COMMON: &[FlagSpec] = &[
     flag("help", "", "print this flag list and exit"),
 ];
 
-/// Parsed arguments of one binary, validated against its declared
+/// Parsed arguments of one experiment, validated against its declared
 /// flag table.
 #[derive(Debug)]
 pub struct Args {
     bin: &'static str,
     flags: &'static [FlagSpec],
+    base: Tier1Config,
     map: BTreeMap<String, String>,
 }
 
 impl Args {
-    /// Parses `std::env::args` against `flags` (plus the common
-    /// flags). Unknown flags, positional arguments, missing values and
-    /// output files that cannot be opened exit with status 2 and the
-    /// flag list; `--help` prints the list and exits 0.
-    pub fn parse(bin: &'static str, flags: &'static [FlagSpec]) -> Args {
-        match Self::try_parse(bin, flags, std::env::args().skip(1)) {
-            Ok(args) => {
-                if args.map.contains_key("help") {
-                    println!("{}", args.usage());
-                    std::process::exit(0);
-                }
-                // A `--pcap` without a byte path exits before its file
-                // is created.
-                args.pcap();
-                args.or_exit(args.open_outputs());
-                args
-            }
-            Err(e) => Args {
-                bin,
-                flags,
-                map: BTreeMap::new(),
-            }
-            .exit_usage(&e),
+    /// Parses `argv` against `def`'s flags (plus the common flags).
+    /// Unknown flags, positional arguments, missing values, `--pcap`
+    /// without a byte path and output files that cannot be opened exit
+    /// with status 2 and the flag list; `--help` prints the list and
+    /// exits 0.
+    pub fn parse(def: &Def, argv: impl Iterator<Item = String>) -> Args {
+        let mut args = Args {
+            bin: def.name,
+            flags: def.flags,
+            base: (def.base)(),
+            map: BTreeMap::new(),
+        };
+        args.map = args.or_exit(Self::try_parse(def.name, def.flags, argv)).map;
+        if args.map.contains_key("help") {
+            println!("{}", args.usage());
+            std::process::exit(0);
         }
+        // A `--pcap` without a byte path exits before its file is
+        // created.
+        args.pcap();
+        args.or_exit(args.open_outputs());
+        args
     }
 
     /// Reports a command-line error with the generated flag list and
     /// exits with status 2.
     fn exit_usage(&self, error: &str) -> ! {
-        eprintln!("{}: {error}\n\n{}", self.bin, self.usage());
+        eprintln!("repro {}: {error}\n\n{}", self.bin, self.usage());
         std::process::exit(2);
+    }
+
+    /// Rejects the given value of `--key` for `reason`, a condition the
+    /// getters cannot check (exit 2 with the flag list).
+    pub fn reject(&self, key: &str, reason: &str) -> ! {
+        let v = self.map.get(key).map_or("", String::as_str);
+        self.exit_usage(&format!("invalid value `{v}` for `--{key}` ({reason})"))
     }
 
     fn try_parse(
@@ -125,17 +187,22 @@ impl Args {
             };
             map.insert(name.to_string(), value);
         }
-        Ok(Args { bin, flags, map })
+        Ok(Args {
+            bin,
+            flags,
+            base: Tier1Config::default(),
+            map,
+        })
     }
 
     fn lookup(flags: &'static [FlagSpec], name: &str) -> Option<&'static FlagSpec> {
         flags.iter().chain(COMMON.iter()).find(|f| f.name == name)
     }
 
-    /// The generated flag list for this binary.
+    /// The generated flag list for this experiment.
     pub fn usage(&self) -> String {
-        let mut s = format!("usage: {} [--key value ...]\nflags:\n", self.bin);
-        let rows: Vec<(String, &str)> = self
+        let mut s = format!("usage: repro {} [--key value ...]\nflags:\n", self.bin);
+        let rows: Vec<(String, String)> = self
             .flags
             .iter()
             .chain(COMMON.iter())
@@ -145,7 +212,11 @@ impl Args {
                 } else {
                     format!("--{} <{}>", f.name, f.value)
                 };
-                (head, f.help)
+                let help = match self.default_of(f) {
+                    Some(d) => format!("{} (default {d})", f.help),
+                    None => f.help.to_string(),
+                };
+                (head, help)
             })
             .collect();
         let w = rows.iter().map(|(h, _)| h.len()).max().unwrap_or(0);
@@ -156,14 +227,42 @@ impl Args {
         s
     }
 
-    /// Whether `key` is in this binary's declared flag table (used by
-    /// helpers that read a knob only where the binary exposes it).
-    pub fn declared(&self, key: &str) -> bool {
+    /// The value `f` takes when absent: its declared default, or the
+    /// base model's for a Tier-1 model flag.
+    fn default_of(&self, f: &FlagSpec) -> Option<String> {
+        let b = &self.base;
+        Some(match f.name {
+            _ if !f.default.is_empty() => f.default.to_string(),
+            "seed" => b.seed.to_string(),
+            "prefixes" => b.n_prefixes.to_string(),
+            "pops" => b.n_pops.to_string(),
+            "rpp" => b.routers_per_pop.to_string(),
+            _ => return None,
+        })
+    }
+
+    /// The declared default of `--key`, parsed. A flag read with a
+    /// default must declare one that parses: anything else is a bug in
+    /// the flag table.
+    fn default<T: FromStr>(&self, key: &str) -> T {
+        let spec = Self::lookup(self.flags, key);
+        let d = spec.and_then(|f| self.default_of(f));
+        let d = d.unwrap_or_else(|| panic!("`--{key}` is read with a default it does not declare"));
+        parse_value(key, &d).unwrap_or_else(|e| panic!("declared default: {e}"))
+    }
+
+    /// Whether `key` is in this experiment's declared flag table.
+    fn declared(&self, key: &str) -> bool {
         Self::lookup(self.flags, key).is_some()
     }
 
+    /// The value given for `--key`, if any.
+    fn given(&self, key: &str) -> Option<&str> {
+        self.map.get(key).map(|s| s.as_str())
+    }
+
     fn checked<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        self.map_get(key).map(|v| parse_value(key, v)).transpose()
+        self.given(key).map(|v| parse_value(key, v)).transpose()
     }
 
     /// Every comma-separated element of `--key`, each parsed and inside
@@ -173,14 +272,10 @@ impl Args {
         key: &str,
         range: &RangeInclusive<T>,
     ) -> Result<Option<Vec<T>>, String> {
-        let Some(v) = self.map_get(key) else {
+        let Some(v) = self.given(key) else {
             return Ok(None);
         };
-        let element = |x: &str| within(key, parse_value(key, x.trim())?, range);
-        v.split(',')
-            .map(element)
-            .collect::<Result<_, _>>()
-            .map(Some)
+        parse_list(key, v, range).map(Some)
     }
 
     fn checked_choice(
@@ -188,7 +283,7 @@ impl Args {
         key: &str,
         choices: &[&'static str],
     ) -> Result<Option<&'static str>, String> {
-        let Some(v) = self.map_get(key) else {
+        let Some(v) = self.given(key) else {
             return Ok(None);
         };
         let choice = choices.iter().find(|c| **c == v).copied();
@@ -203,15 +298,17 @@ impl Args {
         result.unwrap_or_else(|e| self.exit_usage(&e))
     }
 
-    /// Typed getter with default. Exits with status 2 if the given
-    /// value does not parse as `T` — never silently falls back.
-    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
-        self.get_opt(key).unwrap_or(default)
+    /// Typed getter: the given value, else the declared default. Exits
+    /// with status 2 if the given value does not parse as `T` — never
+    /// silently falls back.
+    pub fn get<T: FromStr>(&self, key: &str) -> T {
+        self.get_opt(key).unwrap_or_else(|| self.default(key))
     }
 
     /// Typed getter without a default: `None` when the flag is absent.
     /// Exits with status 2 if the given value does not parse as `T`.
     pub fn get_opt<T: FromStr>(&self, key: &str) -> Option<T> {
+        debug_assert!(self.declared(key), "undeclared flag `--{key}` queried");
         self.or_exit(self.checked(key))
     }
 
@@ -219,38 +316,44 @@ impl Args {
     pub fn get_in<T: FromStr + PartialOrd + Display>(
         &self,
         key: &str,
-        default: T,
         range: RangeInclusive<T>,
     ) -> T {
+        debug_assert!(self.declared(key), "undeclared flag `--{key}` queried");
         let v = self
             .checked(key)
             .and_then(|v| v.map(|x| within(key, x, &range)).transpose());
-        self.or_exit(v).unwrap_or(default)
+        self.or_exit(v).unwrap_or_else(|| self.default(key))
     }
 
-    /// Comma-separated list getter with default (`--aps 1,2,4`). Exits
-    /// with status 2 unless every element parses as `T` and lies in
-    /// `range`.
-    pub fn list<T: FromStr + PartialOrd + Display + Clone>(
+    /// Comma-separated list getter (`--aps 1,2,4`), else the declared
+    /// default list. Exits with status 2 unless every element parses as
+    /// `T` and lies in `range`.
+    pub fn list<T: FromStr + PartialOrd + Display>(
         &self,
         key: &str,
-        default: &[T],
         range: RangeInclusive<T>,
     ) -> Vec<T> {
+        debug_assert!(self.declared(key), "undeclared flag `--{key}` queried");
         let v = self.or_exit(self.checked_list(key, &range));
-        v.unwrap_or_else(|| default.to_vec())
+        v.unwrap_or_else(|| {
+            let d: String = self.default(key);
+            parse_list(key, &d, &range).unwrap_or_else(|e| panic!("declared default: {e}"))
+        })
     }
 
-    /// One of `choices`, `default` when the flag is absent. Any other
-    /// value exits with status 2, naming the choices.
-    pub fn choice(
-        &self,
-        key: &str,
-        default: &'static str,
-        choices: &[&'static str],
-    ) -> &'static str {
+    /// One of `choices`, the declared default when the flag is absent.
+    /// Any other value exits with status 2, naming the choices.
+    pub fn choice(&self, key: &str, choices: &[&'static str]) -> &'static str {
+        debug_assert!(self.declared(key), "undeclared flag `--{key}` queried");
         let v = self.or_exit(self.checked_choice(key, choices));
-        v.unwrap_or(default)
+        v.unwrap_or_else(|| {
+            let d = Self::lookup(self.flags, key).map_or("", |f| f.default);
+            assert!(
+                choices.contains(&d),
+                "`--{key}` declares no default among its choices"
+            );
+            d
+        })
     }
 
     /// Presence check for boolean flags.
@@ -259,13 +362,26 @@ impl Args {
         self.map.contains_key(key)
     }
 
-    /// Raw string getter.
-    pub fn map_get(&self, key: &str) -> Option<&str> {
-        debug_assert!(self.declared(key), "undeclared flag `--{key}` queried");
-        self.map.get(key).map(|s| s.as_str())
+    /// The experiment's base Tier-1 model with the `--seed`,
+    /// `--prefixes`, `--pops` and `--rpp` values given applied. An
+    /// experiment that pins a knob declares no flag for it, and an
+    /// undeclared flag is never given.
+    pub fn tier1(&self) -> Tier1Config {
+        let b = &self.base;
+        Tier1Config {
+            seed: self.given_or("seed", b.seed),
+            n_prefixes: self.given_or("prefixes", b.n_prefixes),
+            n_pops: self.given_or("pops", b.n_pops),
+            routers_per_pop: self.given_or("rpp", b.routers_per_pop),
+            ..b.clone()
+        }
     }
 
-    /// The `--obs` knob shared by every bench bin: turns on the
+    /// The given value of `--key`, else `base`.
+    fn given_or<T: FromStr>(&self, key: &str, base: T) -> T {
+        self.or_exit(self.checked(key)).unwrap_or(base)
+    }
+    /// The `--obs` knob shared by every experiment: turns on the
     /// metrics registry and engine profiling for this invocation
     /// (default off — the hot paths then pay only one relaxed atomic
     /// load per instrumentation site).
@@ -273,7 +389,7 @@ impl Args {
         self.flag("obs")
     }
 
-    /// The `--wire` knob shared by every bench bin (default
+    /// The `--wire` knob shared by every experiment (default
     /// [`netsim::WireMode::Off`]). Unknown mode names exit 2.
     pub fn wire(&self) -> netsim::WireMode {
         match self.map.get("wire").map(|s| s.as_str()) {
@@ -304,7 +420,7 @@ impl Args {
         Ok(())
     }
 
-    /// The `--pcap` knob shared by every bench bin: the capture output
+    /// The `--pcap` knob shared by every experiment: the capture output
     /// path, if requested. Exits 2 when combined with `--wire off`
     /// (there are no wire frames to capture without a byte path).
     pub fn pcap(&self) -> Option<String> {
@@ -325,6 +441,17 @@ fn parse_value<T: FromStr>(key: &str, v: &str) -> Result<T, String> {
         let expected = std::any::type_name::<T>();
         format!("invalid value `{v}` for `--{key}` (expected {expected})")
     })
+}
+
+/// Every comma-separated element of `v`, each parsed as the value of
+/// `--key` and inside `range`.
+fn parse_list<T: FromStr + PartialOrd + Display>(
+    key: &str,
+    v: &str,
+    range: &RangeInclusive<T>,
+) -> Result<Vec<T>, String> {
+    let element = |x: &str| within(key, parse_value(key, x.trim())?, range);
+    v.split(',').map(element).collect()
 }
 
 /// `x`, if it lies in `range`.
@@ -348,7 +475,7 @@ mod tests {
     const FLAGS: &[FlagSpec] = &[
         flag("prefixes", "N", "number of prefixes (default 3000)"),
         flag("balanced", "", "prefix-balanced APs"),
-        flag("aps", "LIST", "#AP sweep"),
+        flag("aps", "LIST", "#AP sweep").or("1,2"),
         flag("workload", "W", "churn | failover"),
         flag("prefix", "P", "one prefix"),
         flag("out", "FILE", "append JSON rows to FILE"),
@@ -414,7 +541,7 @@ mod tests {
         assert_eq!(aps(&[]), Ok(None));
         assert_eq!(aps(&["--aps", "1, 2,1000"]), Ok(Some(vec![1, 2, 1000])));
         let args = parse(&[]).unwrap();
-        assert_eq!(args.list("aps", &[1, 2], AP_COUNTS), vec![1, 2]);
+        assert_eq!(args.list("aps", AP_COUNTS), vec![1, 2]);
     }
 
     /// `fig7 --aps 1,x` panicked on the element that does not parse.

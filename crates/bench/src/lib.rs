@@ -1,24 +1,21 @@
-//! Shared harness for the experiment regenerator binaries: tiny CLI
-//! parsing, RR fleet statistics, and run helpers. Each binary under
-//! `src/bin/` regenerates one table or figure of the paper; see
+//! The paper's experiments and their shared harness: a strict CLI, the
+//! typed run pipeline, and RR fleet statistics. Each entry of
+//! [`experiments::ALL`] regenerates one table or figure of the paper (or
+//! is a tool around them) and runs as `repro <experiment>`; see
 //! DESIGN.md §4 for the index and EXPERIMENTS.md for recorded results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod experiments;
 pub mod fingerprint;
 pub mod pipeline;
 
-pub use cli::{flag, Args, FlagSpec, AP_COUNTS};
-pub use pipeline::{tier1_config, Experiment};
-
-use abrr::{BgpNode, NetworkSpec, UpdateCounters};
+use abrr::{BgpNode, UpdateCounters};
 use bgp_types::RouterId;
-use netsim::{RunLimits, RunOutcome, Sim, Time};
+use netsim::{Sim, Time};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use workload::{churn, regen, ChurnConfig, Tier1Model};
 
 /// Simulated time allowed for a network to settle after the last
 /// injected event. Single-path TBRR can oscillate *persistently* (the
@@ -106,42 +103,9 @@ pub fn counter_delta(a: &FleetStats, b: &FleetStats) -> UpdateCounters {
     out
 }
 
-/// Builds the sim, replays the initial RIB snapshot at high speed, and
-/// runs to quiescence. Returns the converged sim.
-pub fn converge_snapshot(
-    spec: Arc<NetworkSpec>,
-    model: &Tier1Model,
-    speedup: u64,
-) -> (Sim<BgpNode>, RunOutcome) {
-    let mut sim = abrr::build_sim(spec);
-    regen::replay(&mut sim, &churn::initial_snapshot(model), speedup);
-    let out = sim.run(RunLimits {
-        max_events: u64::MAX,
-        max_time: SETTLE_BUDGET_US,
-    });
-    (sim, out)
-}
-
-/// Replays a churn trace on an already-converged sim and runs to
-/// quiescence. Returns the outcome.
-pub fn run_churn(
-    sim: &mut Sim<BgpNode>,
-    model: &Tier1Model,
-    cfg: &ChurnConfig,
-    speedup: u64,
-) -> RunOutcome {
-    let trace = churn::generate(model, cfg);
-    let deadline = sim.now() + cfg.duration_us / speedup.max(1) + SETTLE_BUDGET_US;
-    regen::replay(sim, &trace, speedup);
-    sim.run(RunLimits {
-        max_events: u64::MAX,
-        max_time: deadline,
-    })
-}
-
 /// Peak resident set size of this process in kB (`VmHWM` from
 /// `/proc/self/status`; 0 on platforms without procfs). Shared by the
-/// `scale` bin and the figure bins' `--out` JSON rows.
+/// `scale` experiment and the figures' `--out` JSON rows.
 pub fn peak_rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -152,12 +116,6 @@ pub fn peak_rss_kb() -> u64 {
                 .and_then(|v| v.parse().ok())
         })
         .unwrap_or(0)
-}
-
-/// Prints a standard experiment header (seed/scale provenance).
-pub fn header(name: &str, detail: &str) {
-    println!("# {name}");
-    println!("# {detail}");
 }
 
 #[cfg(test)]

@@ -1,5 +1,4 @@
-//! The typed experiment pipeline shared by the binaries under
-//! `src/bin/`.
+//! The typed experiment pipeline every `repro` experiment runs on.
 //!
 //! Every experiment is the same machine with different knobs:
 //!
@@ -7,59 +6,42 @@
 //! spec ── workload ── sim ── auditors ── typed rows ── emitters
 //! ```
 //!
-//! * **spec** — a [`Tier1Config`] from the binary's declared CLI knobs
-//!   ([`tier1_config`]) and a `NetworkSpec` per scheme variant;
+//! * **spec** — a [`Tier1Config`](workload::Tier1Config) from the
+//!   experiment's declared CLI knobs ([`Args::tier1`]) and a
+//!   `NetworkSpec` per scheme variant;
 //! * **workload** — the initial RIB snapshot and optional churn/probe
 //!   traces ([`Experiment::converge`], [`Run::churn`]);
 //! * **sim** — the sequential event loop (`Sim::run`), in the
 //!   session wire mode `--wire` selects;
 //! * **auditors** — forwarding-loop and quiescence checks on the
-//!   converged state ([`Run::count_loops`], [`Run::require_quiesced`]);
-//! * **typed rows / emitters** — [`Table`] (fixed-width text) and
-//!   [`JsonRow`] (one JSON object per line) render the measurements.
+//!   converged state (`abrr::audit`, [`Run::require_quiesced`]);
+//! * **typed rows / emitters** — [`Table`] renders each row once as
+//!   fixed-width text and, for its keyed columns, as one JSON object.
 //!
-//! A binary is then a *declaration* of its sweep: which schemes, which
-//! knobs, which rows.
+//! An experiment is then a *declaration* of its sweep: which schemes,
+//! which knobs, which rows.
 
-use crate::{
-    converge_snapshot, counter_delta, fleet_stats, run_churn, Args, FleetStats, SETTLE_BUDGET_US,
-};
+use crate::cli::Args;
+use crate::experiments::Def;
+use crate::{counter_delta, fleet_stats, FleetStats, SETTLE_BUDGET_US};
 use abrr::{BgpNode, NetworkSpec, UpdateCounters};
-use bgp_types::{Ipv4Prefix, RouterId};
+use bgp_types::RouterId;
 use netsim::{RunLimits, RunOutcome, Sim, Time, WireMode};
 use std::sync::Arc;
-use workload::{ChurnConfig, Tier1Config, Tier1Model};
+use workload::{churn, regen, ChurnConfig, Tier1Model};
 
-/// Reads the standard Tier-1 model knobs (`--seed`, `--prefixes`,
-/// `--pops`, `--rpp`) from `args` on top of `base` — each only where
-/// the binary actually declares it, so a binary that pins its topology
-/// shape simply omits the flag.
-pub fn tier1_config(args: &Args, base: Tier1Config) -> Tier1Config {
-    let mut cfg = base;
-    if args.declared("seed") {
-        cfg.seed = args.get("seed", cfg.seed);
-    }
-    if args.declared("prefixes") {
-        cfg.n_prefixes = args.get("prefixes", cfg.n_prefixes);
-    }
-    if args.declared("pops") {
-        cfg.n_pops = args.get("pops", cfg.n_pops);
-    }
-    if args.declared("rpp") {
-        cfg.routers_per_pop = args.get("rpp", cfg.routers_per_pop);
-    }
-    cfg
-}
-
-/// One experiment invocation: the header has been printed and the
-/// `--wire`, `--obs` and `--pcap` settings every run spawned from it
-/// shares are fixed.
+/// One experiment invocation: its parsed flags plus the `--wire`,
+/// `--obs` and `--pcap` settings every run spawned from it shares.
 pub struct Experiment {
+    /// The experiment's parsed flags.
+    pub args: Args,
     /// The session wire mode (`--wire`) applied to every spec this
     /// invocation converges.
     pub wire: WireMode,
+    /// The experiment's one-line description, its header's title.
+    title: &'static str,
     /// Whether `--obs` turned the observability layer on; the
-    /// [`Drop`] impl then emits the [`obs_report`].
+    /// [`Drop`] impl then emits the obs report.
     obs: bool,
     /// `--pcap` output path; the [`Drop`] impl drains the capture
     /// there.
@@ -67,17 +49,11 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Prints the standard experiment header and fixes the shared
-    /// settings from `args`. With `--obs`, turns on the
-    /// metrics registry and engine profiling for the whole invocation.
-    pub fn start(args: &Args, title: &str, detail: &str) -> Experiment {
-        crate::header(title, detail);
-        Self::from_args(args)
-    }
-
-    /// Wire, obs and pcap setup without the standard header, for utility
-    /// binaries that own their output format.
-    pub fn from_args(args: &Args) -> Experiment {
+    /// Parses `argv` for `def` and fixes the shared settings. With
+    /// `--obs`, turns on the metrics registry and engine profiling for
+    /// the whole invocation.
+    pub fn new(def: &Def, argv: impl Iterator<Item = String>) -> Experiment {
+        let args = Args::parse(def, argv);
         let obs = args.obs();
         if obs {
             obs::metrics::set_enabled(true);
@@ -89,25 +65,34 @@ impl Experiment {
         }
         Experiment {
             wire: args.wire(),
+            args,
+            title: def.about,
             obs,
             pcap,
         }
     }
 
-    /// Applies this invocation's `--wire` mode to `spec`. A no-op in
-    /// the default off mode, so shared specs stay shared.
-    pub fn apply_wire(&self, spec: &mut Arc<NetworkSpec>) {
-        if spec.wire_mode != self.wire {
-            Arc::make_mut(spec).wire_mode = self.wire;
-        }
+    /// Prints the standard experiment header: the title, then `detail`
+    /// (seed/scale provenance).
+    pub fn header(&self, detail: &str) {
+        println!("# {}", self.title);
+        println!("# {detail}");
     }
 
     /// Spec + workload + sim stages in one step: builds the sim for
     /// `spec` (in this invocation's `--wire` mode), replays the initial
-    /// RIB snapshot, and settles it.
+    /// RIB snapshot at high speed, and settles it.
     pub fn converge(&self, mut spec: Arc<NetworkSpec>, model: &Tier1Model) -> Run {
-        self.apply_wire(&mut spec);
-        let (sim, outcome) = converge_snapshot(spec, model, 1_000);
+        // A no-op in the default off mode, so shared specs stay shared.
+        if spec.wire_mode != self.wire {
+            Arc::make_mut(&mut spec).wire_mode = self.wire;
+        }
+        let mut sim = abrr::build_sim(spec);
+        regen::replay(&mut sim, &churn::initial_snapshot(model), 1_000);
+        let outcome = sim.run(RunLimits {
+            max_events: u64::MAX,
+            max_time: SETTLE_BUDGET_US,
+        });
         let run = Run { sim, outcome };
         run.refresh_obs_gauges();
         run
@@ -137,7 +122,7 @@ impl Drop for Experiment {
 /// snapshot (per-node series summed into totals), the per-run engine
 /// profiles, and — when `ABRR_TRACE_FILE` names a path and tracing
 /// was enabled via `ABRR_TRACE` — the drained event trace as JSONL.
-pub fn obs_report() -> String {
+fn obs_report() -> String {
     use std::fmt::Write as _;
     let mut out = String::from("\n## obs_report\n");
     let snap = obs::metrics::snapshot();
@@ -191,11 +176,14 @@ impl Run {
         }
     }
 
-    /// Workload stage: replays a churn trace and settles.
+    /// Workload stage: replays a generated churn trace in real trace
+    /// time and runs until it quiesces or the standard budget past the
+    /// trace's end runs out.
     pub fn churn(&mut self, model: &Tier1Model, cfg: &ChurnConfig) -> &RunOutcome {
-        self.outcome = run_churn(&mut self.sim, model, cfg, 1);
-        self.refresh_obs_gauges();
-        &self.outcome
+        let trace = churn::generate(model, cfg);
+        let deadline = self.now() + cfg.duration_us + SETTLE_BUDGET_US;
+        regen::replay(&mut self.sim, &trace, 1);
+        self.advance_to(deadline)
     }
 
     /// Sim stage: advances simulated time to `t` (time-sliced
@@ -232,11 +220,6 @@ impl Run {
     pub fn now(&self) -> Time {
         self.sim.now()
     }
-
-    /// Auditor: forwarding-loop count over `prefixes` (paper §2.3).
-    pub fn count_loops(&self, spec: &NetworkSpec, prefixes: &[Ipv4Prefix]) -> usize {
-        abrr::audit::count_loops(&self.sim, spec, prefixes)
-    }
 }
 
 /// A baseline counter snapshot over a node fleet; [`Window::delta`]
@@ -256,17 +239,13 @@ impl Window {
     pub fn n(&self) -> f64 {
         self.nodes.len() as f64
     }
-
-    /// The baseline snapshot (RIB sizes at open time).
-    pub fn base(&self) -> &FleetStats {
-        &self.base
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Typed rows: fixed-width text tables.
+// Typed rows: one declaration, rendered as fixed-width text and as JSON.
 
 /// Column alignment within a [`Table`].
+#[derive(Clone, Copy)]
 pub enum Align {
     /// Left-aligned (labels).
     Left,
@@ -274,34 +253,56 @@ pub enum Align {
     Right,
 }
 
-/// One column of a [`Table`].
+/// One column of a [`Table`]: a text column, a JSON field, or both.
 pub struct Col {
     header: &'static str,
-    width: usize,
-    align: Align,
+    /// Width and alignment in the text table; `None` for a JSON-only
+    /// field.
+    text: Option<(usize, Align)>,
+    /// JSON key; `None` for a text-only column.
+    key: Option<&'static str>,
 }
 
-/// Right-aligned column (numeric).
+/// Right-aligned text column (numeric).
 pub const fn col(header: &'static str, width: usize) -> Col {
     Col {
         header,
-        width,
-        align: Align::Right,
+        text: Some((width, Align::Right)),
+        key: None,
     }
 }
 
-/// Left-aligned column (labels).
+/// Left-aligned text column (labels).
 pub const fn lcol(header: &'static str, width: usize) -> Col {
     Col {
         header,
-        width,
-        align: Align::Left,
+        text: Some((width, Align::Left)),
+        key: None,
+    }
+}
+
+/// JSON-only field (run metadata the text table leaves out).
+pub const fn key(key: &'static str) -> Col {
+    Col {
+        header: key,
+        text: None,
+        key: Some(key),
+    }
+}
+
+impl Col {
+    /// This text column, also emitted as the JSON field `key`.
+    pub const fn json(self, key: &'static str) -> Col {
+        Col {
+            key: Some(key),
+            ..self
+        }
     }
 }
 
 /// One typed cell of a table row.
 pub enum Cell {
-    /// Verbatim text.
+    /// Verbatim text (a JSON string).
     Text(String),
     /// Unsigned count.
     U(u64),
@@ -309,6 +310,8 @@ pub enum Cell {
     I(i64),
     /// Float rendered at the given precision.
     F(f64, usize),
+    /// Boolean.
+    B(bool),
 }
 
 /// Text cell.
@@ -338,12 +341,38 @@ impl Cell {
             Cell::U(v) => v.to_string(),
             Cell::I(v) => v.to_string(),
             Cell::F(v, p) => format!("{v:.p$}"),
+            Cell::B(v) => v.to_string(),
         }
+    }
+
+    /// The cell as a JSON value. Strings are escaped as RFC 8259 §7
+    /// requires: quotes, backslashes and every control character
+    /// U+0000–U+001F.
+    fn json(&self) -> String {
+        let Cell::Text(v) = self else {
+            return self.render();
+        };
+        let mut escaped = String::with_capacity(v.len() + 2);
+        escaped.push('"');
+        for c in v.chars() {
+            match c {
+                '"' => escaped.push_str("\\\""),
+                '\\' => escaped.push_str("\\\\"),
+                '\n' => escaped.push_str("\\n"),
+                '\r' => escaped.push_str("\\r"),
+                '\t' => escaped.push_str("\\t"),
+                c if c < '\u{20}' => escaped.push_str(&format!("\\u{:04x}", c as u32)),
+                c => escaped.push(c),
+            }
+        }
+        escaped.push('"');
+        escaped
     }
 }
 
-/// A fixed-width text table: the row emitter of the pipeline. Cells are
-/// typed; layout lives here so every binary prints the same way.
+/// A table of typed rows: the row emitter of the pipeline. Cells are
+/// typed; layout lives here so every experiment prints the same way,
+/// and a row is declared once for both its text and its JSON form.
 pub struct Table {
     cols: Vec<Col>,
 }
@@ -357,39 +386,53 @@ impl Table {
     /// Prints the header row, preceded by a blank line.
     pub fn header(&self) {
         println!();
-        self.row(
-            &self
-                .cols
-                .iter()
-                .map(|c| Cell::Text(c.header.to_string()))
-                .collect::<Vec<_>>(),
-        );
+        self.header_row();
     }
 
-    /// Prints one row; `cells` must match the column count.
+    /// Prints the header row alone.
+    pub fn header_row(&self) {
+        let cells: Vec<Cell> = self.cols.iter().map(|c| t(c.header)).collect();
+        self.row(&cells);
+    }
+
+    /// Prints one row's text columns; `cells` must match the column
+    /// count.
     pub fn row(&self, cells: &[Cell]) {
         assert_eq!(cells.len(), self.cols.len(), "row/column arity mismatch");
         let line: Vec<String> = cells
             .iter()
             .zip(&self.cols)
-            .map(|(cell, col)| {
+            .filter_map(|(cell, col)| {
+                let (w, align) = col.text?;
                 let s = cell.render();
-                let w = col.width;
-                match col.align {
+                Some(match align {
                     Align::Left => format!("{s:<w$}"),
                     Align::Right => format!("{s:>w$}"),
-                }
+                })
             })
             .collect();
         println!("{}", line.join(" ").trim_end());
     }
+
+    /// One row's keyed columns as a JSON object.
+    pub fn json(&self, cells: &[Cell]) -> JsonRow {
+        assert_eq!(cells.len(), self.cols.len(), "row/column arity mismatch");
+        let mut row = JsonRow::new();
+        for (cell, col) in cells.iter().zip(&self.cols) {
+            if let Some(k) = col.key {
+                row = row.cell(k, cell);
+            }
+        }
+        row
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Emitters: one JSON object per line (the `scale` bin's format).
+// Emitters: one JSON object per line.
 
 /// Ordered JSON-object builder: one measurement row, emitted as a
 /// single line to stdout and optionally appended to a file.
+#[derive(Default)]
 pub struct JsonRow {
     parts: Vec<String>,
 }
@@ -397,49 +440,18 @@ pub struct JsonRow {
 impl JsonRow {
     /// Empty object.
     pub fn new() -> JsonRow {
-        JsonRow { parts: Vec::new() }
+        JsonRow::default()
     }
 
-    /// String field, escaped as RFC 8259 §7 requires: quotes,
-    /// backslashes and every control character U+0000–U+001F.
-    pub fn str(mut self, k: &str, v: &str) -> Self {
-        let mut escaped = String::with_capacity(v.len());
-        for c in v.chars() {
-            match c {
-                '"' => escaped.push_str("\\\""),
-                '\\' => escaped.push_str("\\\\"),
-                '\n' => escaped.push_str("\\n"),
-                '\r' => escaped.push_str("\\r"),
-                '\t' => escaped.push_str("\\t"),
-                c if c < '\u{20}' => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-                c => escaped.push(c),
-            }
-        }
-        self.parts.push(format!("\"{k}\":\"{escaped}\""));
+    /// Field `k` holding `v`.
+    pub fn cell(mut self, k: &str, v: &Cell) -> Self {
+        self.parts.push(format!("\"{k}\":{}", v.json()));
         self
     }
 
-    /// Unsigned-integer field.
-    pub fn u64(mut self, k: &str, v: u64) -> Self {
-        self.parts.push(format!("\"{k}\":{v}"));
-        self
-    }
-
-    /// `usize` field.
-    pub fn usize(self, k: &str, v: usize) -> Self {
-        self.u64(k, v as u64)
-    }
-
-    /// Float field at `prec` decimal places.
-    pub fn f64(mut self, k: &str, v: f64, prec: usize) -> Self {
-        self.parts.push(format!("\"{k}\":{v:.prec$}"));
-        self
-    }
-
-    /// Boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> Self {
-        self.parts.push(format!("\"{k}\":{v}"));
-        self
+    /// String field.
+    pub fn str(self, k: &str, v: &str) -> Self {
+        self.cell(k, &t(v))
     }
 
     /// Renders the object as one line.
@@ -464,97 +476,6 @@ impl JsonRow {
                 eprintln!("--out: failed to append to {path}: {e}");
                 std::process::exit(1);
             }
-        }
-    }
-}
-
-impl Default for JsonRow {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The Figure 4/5 analytical sweep, shared by both binaries.
-
-/// One panel of the Figure 4/5 sweeps.
-pub struct Panel {
-    /// Panel caption.
-    pub title: &'static str,
-    /// Swept rows.
-    pub rows: Vec<analysis::SweepRow>,
-    /// Truncate the TBRR columns past this x (Figure 5 panel (b)).
-    pub truncate_tbrr_after: Option<f64>,
-}
-
-/// The paper's four panels — (a) routers, (b) APs/clusters, (c) RRs per
-/// AP/cluster, (d) peer ASes — for the given RIB metric.
-/// `extended_partitions` extends panel (b) to 400 and truncates its
-/// TBRR columns at 100 clusters ("the number of clusters is generally
-/// limited by the number of major PoPs"), as Figure 5 does.
-pub fn rib_panels(metric: analysis::Metric, extended_partitions: bool) -> Vec<Panel> {
-    let reg = analysis::BalRegression::PAPER;
-    let base = analysis::Params::paper_default(reg.eval(30.0));
-    let partition_xs: &[f64] = if extended_partitions {
-        &[5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0]
-    } else {
-        &[5.0, 10.0, 25.0, 50.0, 100.0, 200.0]
-    };
-    vec![
-        Panel {
-            title: "(a) # routers (RIB sizes are independent of it)",
-            rows: analysis::sweep(base, &[500.0, 1000.0, 2000.0, 4000.0], metric, |_, _| {}),
-            truncate_tbrr_after: None,
-        },
-        Panel {
-            title: if extended_partitions {
-                "(b) # APs / clusters (TBRR truncated at 100 clusters)"
-            } else {
-                "(b) # APs / clusters"
-            },
-            rows: analysis::sweep(base, partition_xs, metric, |p, x| {
-                p.partitions = x;
-                p.rrs = 2.0 * x;
-            }),
-            truncate_tbrr_after: if extended_partitions {
-                Some(100.0)
-            } else {
-                None
-            },
-        },
-        Panel {
-            title: "(c) # ARRs/TRRs per AP/cluster",
-            rows: analysis::sweep(base, &[1.0, 2.0, 3.0, 4.0, 6.0], metric, |p, x| {
-                p.rrs = x * p.partitions;
-            }),
-            truncate_tbrr_after: None,
-        },
-        Panel {
-            title: "(d) # peer ASes",
-            rows: analysis::sweep(base, &[5.0, 10.0, 20.0, 30.0, 40.0], metric, |p, x| {
-                p.bal = reg.eval(x);
-            }),
-            truncate_tbrr_after: None,
-        },
-    ]
-}
-
-/// Prints one Figure 4/5 panel as a typed-row table.
-pub fn print_panel(p: &Panel) {
-    println!("\n## {}", p.title);
-    let table = Table::new(vec![
-        col("x", 10),
-        col("ABRR", 14),
-        col("TBRR", 14),
-        col("TBRR-multi", 14),
-    ]);
-    table.row(&[t("x"), t("ABRR"), t("TBRR"), t("TBRR-multi")]);
-    for r in &p.rows {
-        let show_tbrr = p.truncate_tbrr_after.map(|tr| r.x <= tr).unwrap_or(true);
-        if show_tbrr {
-            table.row(&[f(r.x, 0), f(r.abrr, 0), f(r.tbrr, 0), f(r.tbrr_multi, 0)]);
-        } else {
-            table.row(&[f(r.x, 0), f(r.abrr, 0), t("-"), t("-")]);
         }
     }
 }

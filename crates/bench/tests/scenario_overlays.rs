@@ -1,4 +1,4 @@
-//! `scenario --overlays` end to end: a constrained-connectivity gadget
+//! `repro scenario --overlays` end to end: a constrained-connectivity gadget
 //! that does not load is an error, not a shorter table.
 
 use std::process::Command;
@@ -10,14 +10,15 @@ fn overlays_without_the_gadget_fail_and_write_nothing() {
     std::fs::create_dir_all(&empty).expect("create temp dirs");
     let table = tmp.join("table_overlays.txt");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("scenario")
         .arg("--no-corpus")
         .arg("--overlays")
         .arg(&table)
         .arg("--dir")
         .arg(&empty)
         .output()
-        .expect("run the scenario bin");
+        .expect("run repro scenario");
     let written = table.exists();
     std::fs::remove_dir_all(&tmp).expect("remove temp dirs");
 

@@ -20,7 +20,7 @@
 //!   observations, and post-fault RIB equivalence against a reference
 //!   run.
 //!
-//! The capstone experiment lives in `abrr-bench` (`--bin resilience`):
+//! The capstone experiment lives in `abrr-bench` (`repro resilience`):
 //! kill one ARR (redundancy 2) vs one TRR vs one mesh router under
 //! churn and compare reconvergence time, update-storm size, and total
 //! blackhole duration per scheme.

@@ -6,7 +6,7 @@
 //! oscillation gadget.
 //!
 //! Both gadgets are loaded from the scenario corpus — the same
-//! declarative files `cargo run -p abrr-bench --bin scenario` checks in
+//! declarative files `repro scenario` checks in
 //! CI — rather than hand-built topologies, so this example and the
 //! corpus verdicts can never drift apart.
 //!

@@ -76,10 +76,11 @@ cargo test --workspace -q
 echo "workspace tests: $((SECONDS - TEST_T0)) s wall"
 
 echo "== results/ regenerated and diffed (~4 min)"
-# Every results/*.txt artefact from scripts/results.sh's one
-# (artefact, bin, flags) table, into a temp dir, diffed against the
+# Every results/*.txt artefact from the (artefact, experiment, flags)
+# rows `repro list` prints, into a temp dir, diffed against the
 # checked-in file: a behaviour change that moves a published number
-# fails here. Not Tier-1: fig6 and fig7 take about a minute each.
+# fails here, and so does a results/ file no row writes or a row whose
+# file is missing. Not Tier-1: fig6 and fig7 take about a minute each.
 scripts/results.sh --check
 
 echo "== benchmark package builds against crates/ and passes its smoke test (~1 min)"
@@ -103,13 +104,13 @@ echo "== tier1-scale smoke (20K prefixes, RSS budget)"
 # thin).
 # History: the per-hash `Vec` interner before it read 962 528 /
 # 962 380 kB here (budget 1.10x 961 448 kB). Until the engine
-# choice left the bench bins the smoke ran
+# choice left the experiments the smoke ran
 # `sharded:2`, at 1 062 404 kB with prefix-hashed maps (PR 27; the
 # same run on `seq` read 962 800 kB) and 1 212 800 kB with Patricia
 # tries (PRs 20-26; PR 24 recorded 1 208 780, and 1 086 524 on `seq`),
 # so reverting to tries fails here.
 TIER1_OUT=$(mktemp)
-./target/release/scale --workload churn --prefixes 20000 --minutes 1 \
+./target/release/repro scale --workload churn --prefixes 20000 --minutes 1 \
   --out "$TIER1_OUT"
 TIER1_RSS_KB=$(sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "$TIER1_OUT")
 TIER1_QUIESCED=$(sed -n 's/.*"quiesced":\(true\|false\).*/\1/p' "$TIER1_OUT")
@@ -145,8 +146,7 @@ echo "== scenario corpus + fixed-seed fuzz smoke"
 # Fixed seed: a failure here is a regression in the generator, the
 # simulator, or the auditors — never flake. Non-zero exit on any bad
 # verdict.
-cargo build --release -p abrr-bench --bin scenario
-./target/release/scenario --dir examples/scenarios --fuzz 25 --seed 2011 \
+./target/release/repro scenario --dir examples/scenarios --fuzz 25 --seed 2011 \
   --shrink-dir results/shrunk
 
 echo "CI OK"
