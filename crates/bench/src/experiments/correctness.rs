@@ -8,8 +8,6 @@ use super::Def;
 use crate::pipeline::Experiment;
 use abrr::prelude::*;
 use netsim::{Time, WireMode};
-use scenario::compile::mode_of;
-use scenario::schema::ModeSpec;
 use scenario::Loaded;
 use std::sync::Arc;
 use workload::Tier1Config;
@@ -32,7 +30,7 @@ const OSC_BUDGET: RunLimits = RunLimits {
 /// the experiment's own budget, not the file's.
 fn run_gadget(
     s: &Loaded,
-    mode: ModeSpec,
+    mode: Mode,
     wire: WireMode,
 ) -> (Arc<NetworkSpec>, Sim<BgpNode>, RunOutcome) {
     let (spec, mut sim) = s
@@ -42,7 +40,7 @@ fn run_gadget(
     (spec, sim, out)
 }
 
-fn verdict(s: &Loaded, mode: ModeSpec, wire: WireMode) -> String {
+fn verdict(s: &Loaded, mode: Mode, wire: WireMode) -> String {
     let (spec, sim, out) = run_gadget(s, mode, wire);
     if !out.quiesced {
         return format!("OSCILLATES (>{} events)", out.events);
@@ -60,17 +58,17 @@ fn run(exp: &Experiment) {
         let s = scenario::load_corpus(stem).unwrap_or_else(|e| panic!("{stem}: {e:?}"));
         println!("\n## {}", s.name());
         for mode in [
-            ModeSpec::FullMesh,
-            ModeSpec::Abrr,
-            ModeSpec::Tbrr,
-            ModeSpec::TbrrMultipath,
+            Mode::FullMesh,
+            Mode::Abrr,
+            Mode::Tbrr { multipath: false },
+            Mode::Tbrr { multipath: true },
         ] {
-            let label = format!("{:?}", mode_of(mode));
+            let label = format!("{mode:?}");
             println!("  {label:<22} {}", verdict(&s, mode, exp.wire));
         }
         // Path-efficiency audit for ABRR vs full mesh.
-        let (spec, ab, o1) = run_gadget(&s, ModeSpec::Abrr, exp.wire);
-        let (_, mesh, o2) = run_gadget(&s, ModeSpec::FullMesh, exp.wire);
+        let (spec, ab, o1) = run_gadget(&s, Mode::Abrr, exp.wire);
+        let (_, mesh, o2) = run_gadget(&s, Mode::FullMesh, exp.wire);
         if o1.quiesced && o2.quiesced {
             let report = audit::compare_exits(&ab, &spec, &mesh, &s.routers(), &s.prefixes());
             println!(

@@ -22,7 +22,7 @@
 use super::Def;
 use crate::cli::{flag, SEED};
 use crate::pipeline::{col, lcol, t, u, Experiment, Table};
-use scenario::schema::ModeSpec;
+use abrr::Mode;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use workload::specs::{self, SpecOptions};
@@ -190,8 +190,8 @@ fn overlays_stage(path: &str, corpus_dir: &Path) -> Result<(), String> {
     }
     // The gadget: identical link_down trims in both planes.
     let trims = gadget.file().faults.len() as u64;
-    let tbrr = sessions(gadget.spec(ModeSpec::Tbrr));
-    let abrr = sessions(gadget.spec(ModeSpec::Abrr));
+    let tbrr = sessions(gadget.spec(Mode::Tbrr { multipath: false }));
+    let abrr = sessions(gadget.spec(Mode::Abrr));
     out += &format!(
         "\n# constrained-connectivity gadget (same {trims} session(s) trimmed in both planes)\n"
     );

@@ -345,27 +345,13 @@ impl Cell {
         }
     }
 
-    /// The cell as a JSON value. Strings are escaped as RFC 8259 §7
-    /// requires: quotes, backslashes and every control character
-    /// U+0000–U+001F.
+    /// The cell as a JSON value.
     fn json(&self) -> String {
         let Cell::Text(v) = self else {
             return self.render();
         };
         let mut escaped = String::with_capacity(v.len() + 2);
-        escaped.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => escaped.push_str("\\\""),
-                '\\' => escaped.push_str("\\\\"),
-                '\n' => escaped.push_str("\\n"),
-                '\r' => escaped.push_str("\\r"),
-                '\t' => escaped.push_str("\\t"),
-                c if c < '\u{20}' => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-                c => escaped.push(c),
-            }
-        }
-        escaped.push('"');
+        serde::json::encode_str(v, &mut escaped);
         escaped
     }
 }
@@ -488,5 +474,15 @@ mod tests {
     fn json_row_escapes_control_characters() {
         let row = JsonRow::new().str("label", "a\tb\n\"c\"\u{1}\\");
         assert_eq!(row.to_line(), r#"{"label":"a\tb\n\"c\"\u0001\\"}"#);
+        // Every control character, and text that needs no escape, reads
+        // back as itself.
+        let text: String = (0u8..0x20).map(char::from).chain("é/µs".chars()).collect();
+        let line = JsonRow::new().str("label", &text).to_line();
+        assert!(!line.chars().any(|c| c.is_control()), "{line}");
+        let back: serde::Value = serde::json::from_str(&line).expect("valid JSON");
+        assert_eq!(
+            back.get("label").and_then(|v| v.as_str()),
+            Some(text.as_str())
+        );
     }
 }

@@ -49,7 +49,6 @@ use abrr_bench::fingerprint::{fingerprint, golden_dir};
 use abrr_bench::SETTLE_BUDGET_US;
 use faults::{compile, FaultKind, FaultSchedule, ResilienceProbe};
 use netsim::{Engine, NodeStats, RunConfig, WireMode};
-use scenario::schema::ModeSpec;
 use std::sync::{Arc, Mutex, MutexGuard};
 use workload::specs::{self, SpecOptions};
 use workload::{churn, regen, ChurnConfig, Tier1Config, Tier1Model};
@@ -429,7 +428,7 @@ fn check_loaded(name: &str, loaded: &scenario::Loaded, wire: WireMode) {
     let name = format!("{name} in {} wire mode", wire.name());
     check_engines(&name, &[2], false, |engine| {
         let (spec, mut sim) = loaded
-            .build(ModeSpec::Abrr, true, wire)
+            .build(Mode::Abrr, true, wire)
             .unwrap_or_else(|e| panic!("{name}: does not build: {e}"));
         let outcome = sim.run_engine(engine, limits);
         (spec, sim, outcome)

@@ -19,9 +19,9 @@
 //!
 //! One `#[test]` because the pcap sink is global state.
 
+use abrr::Mode;
 use abrr_bench::fingerprint::golden_dir;
 use netsim::{RunConfig, RunLimits, Time, WireMode};
-use scenario::schema::ModeSpec;
 
 /// Runs the reference scenario in verify wire mode with the pcap sink
 /// enabled and returns the rendered capture file.
@@ -37,7 +37,7 @@ fn capture() -> Vec<u8> {
     };
     let run = scenario::load_corpus("small_reference")
         .expect("small_reference.json loads")
-        .run(ModeSpec::Abrr, true, cfg)
+        .run(Mode::Abrr, true, cfg)
         .expect("small_reference runs");
     assert!(run.outcome.quiesced, "small_reference did not quiesce");
     obs::trace::flush_local();

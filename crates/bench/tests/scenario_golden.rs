@@ -19,8 +19,9 @@
 //! GOLDEN_BLESS=1 cargo test -p abrr-bench --test scenario_golden
 //! ```
 
+use abrr::Mode;
 use abrr_bench::fingerprint::{fingerprint, golden_dir};
-use scenario::schema::ModeSpec;
+use scenario::schema::mode_keyword;
 
 /// The gadget files with goldens, by stem.
 const GADGETS: &[&str] = &["med_gadget", "topology_gadget", "small_reference"];
@@ -28,13 +29,13 @@ const GADGETS: &[&str] = &["med_gadget", "topology_gadget", "small_reference"];
 /// Modes under which every gadget converges (single-path TBRR
 /// is excluded: `med_gadget` oscillates forever there by design, so
 /// its final state depends on the event budget, not the protocol).
-const MODES: &[ModeSpec] = &[ModeSpec::FullMesh, ModeSpec::Abrr, ModeSpec::TbrrMultipath];
+const MODES: &[Mode] = &[Mode::FullMesh, Mode::Abrr, Mode::Tbrr { multipath: true }];
 
-fn dsl_fingerprint(stem: &str, name: &str, mode: ModeSpec) -> String {
+fn dsl_fingerprint(stem: &str, name: &str, mode: Mode) -> String {
     let loaded =
         scenario::load_corpus(stem).unwrap_or_else(|e| panic!("{stem}.json failed to load: {e:?}"));
     let run = loaded
-        .run(mode, true, Default::default())
+        .run(mode.clone(), true, Default::default())
         .unwrap_or_else(|e| panic!("{stem} failed to run: {e}"));
     assert!(
         run.outcome.quiesced,
@@ -45,10 +46,10 @@ fn dsl_fingerprint(stem: &str, name: &str, mode: ModeSpec) -> String {
 
 /// The gadget fingerprint name for one mode: the bare stem under ABRR
 /// (the goldens that predate the other modes), `<stem>_<mode>` else.
-fn golden_name(stem: &str, mode: ModeSpec) -> String {
+fn golden_name(stem: &str, mode: &Mode) -> String {
     match mode {
-        ModeSpec::Abrr => stem.to_string(),
-        _ => format!("{stem}_{}", mode.keyword()),
+        Mode::Abrr => stem.to_string(),
+        _ => format!("{stem}_{}", mode_keyword(mode)),
     }
 }
 
@@ -63,10 +64,10 @@ fn dsl_gadgets_match_golden() {
         std::fs::create_dir_all(&dir).expect("create golden dir");
     }
     for &stem in GADGETS {
-        for &mode in MODES {
+        for mode in MODES {
             let name = golden_name(stem, mode);
             let path = dir.join(format!("scenario_{name}.txt"));
-            let actual = dsl_fingerprint(stem, &name, mode);
+            let actual = dsl_fingerprint(stem, &name, mode.clone());
             if bless {
                 std::fs::write(&path, &actual).expect("write golden");
                 eprintln!("blessed {}", path.display());
@@ -96,11 +97,11 @@ fn tier1_reference_reproduces_fig6_goldens() {
     let loaded = scenario::load_corpus("tier1_reference")
         .unwrap_or_else(|e| panic!("tier1_reference.json failed to load: {e:?}"));
     for (mode, golden) in [
-        (ModeSpec::Abrr, "fig6_abrr_4aps"),
-        (ModeSpec::Tbrr, "fig6_tbrr"),
+        (Mode::Abrr, "fig6_abrr_4aps"),
+        (Mode::Tbrr { multipath: false }, "fig6_tbrr"),
     ] {
         let run = loaded
-            .run(mode, true, Default::default())
+            .run(mode.clone(), true, Default::default())
             .unwrap_or_else(|e| panic!("tier1_reference failed to run: {e}"));
         let actual = fingerprint(golden, &run.sim, &run.spec);
         let gpath = golden_dir().join(format!("{golden}.txt"));

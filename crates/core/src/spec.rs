@@ -51,7 +51,7 @@ impl Mode {
 /// A TBRR cluster: its id, reflectors, and client membership. A client
 /// may appear in several clusters (the Tier-1 AS the paper measured has
 /// ~20% of clients in two clusters, §4.2 footnote).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterSpec {
     /// The cluster id carried in CLUSTER_LIST.
     pub id: u32,
@@ -84,7 +84,7 @@ pub enum AbrrLoopPrevention {
 }
 
 /// How session latencies are assigned.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LatencyModel {
     /// Every session has the same one-way latency (µs).
     Fixed(Time),

@@ -39,6 +39,7 @@
 //! and renders.
 
 use crate::{Level, Subsystem, NUM_SUBSYSTEMS};
+use serde::json;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -345,35 +346,33 @@ pub(crate) fn next_key() -> (u64, u8, u64, u32) {
     })
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render(ev: &TraceEvent, out: &mut String) {
     use std::fmt::Write as _;
     write!(
         out,
-        "{{\"t\":{},\"ph\":{},\"seq\":{},\"k\":{},\"sub\":\"{}\",\"lvl\":\"{}\",\"ev\":\"{}\"",
+        "{{\"t\":{},\"ph\":{},\"seq\":{},\"k\":{},\"sub\":\"{}\",\"lvl\":\"{}\",\"ev\":",
         ev.t,
         ev.phase,
         ev.seq,
         ev.k,
         ev.sub.name(),
         ev.lvl.name(),
-        escape(ev.name),
     )
     .expect("write to String");
+    json::encode_str(ev.name, out);
     if let Some(n) = ev.node {
         write!(out, ",\"node\":{n}").expect("write to String");
     }
     for (key, val) in &ev.fields {
+        out.push(',');
+        json::encode_str(key, out);
+        out.push(':');
         match val {
-            FieldValue::U64(v) => write!(out, ",\"{}\":{v}", escape(key)),
-            FieldValue::I64(v) => write!(out, ",\"{}\":{v}", escape(key)),
-            FieldValue::Bool(v) => write!(out, ",\"{}\":{v}", escape(key)),
-            FieldValue::Str(v) => write!(out, ",\"{}\":\"{}\"", escape(key), escape(v)),
+            FieldValue::U64(v) => write!(out, "{v}").expect("write to String"),
+            FieldValue::I64(v) => write!(out, "{v}").expect("write to String"),
+            FieldValue::Bool(v) => write!(out, "{v}").expect("write to String"),
+            FieldValue::Str(v) => json::encode_str(v, out),
         }
-        .expect("write to String");
     }
     out.push('}');
     out.push('\n');
@@ -504,6 +503,23 @@ mod tests {
             r#"{"t":20,"ph":1,"seq":7,"k":0,"sub":"core","lvl":"debug","ev":"b","node":2,"x":1}"#
         );
         reset();
+    }
+
+    #[test]
+    fn control_characters_render_as_valid_json() {
+        let _g = guard();
+        reset();
+        set_spec("core=debug");
+        event!(Core, Debug, "multi", "s" => "line\nbreak\t\u{1}");
+        let out = drain_jsonl();
+        reset();
+        let line = out.strip_suffix('\n').expect("one line");
+        assert!(!line.contains('\n'), "{line}");
+        let v: serde::Value = serde::json::from_str(line).expect("valid JSON");
+        assert_eq!(
+            v.get("s").and_then(|s| s.as_str()),
+            Some("line\nbreak\t\u{1}")
+        );
     }
 
     #[test]

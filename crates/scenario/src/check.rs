@@ -26,8 +26,9 @@
 //! the sequential loop on the corpus and the fuzzer's fixed seeds.
 
 use crate::compile::{Loaded, RunReport};
-use crate::schema::{Check, ModeSpec, Verdict};
+use crate::schema::{mode_keyword, Check, Verdict};
 use abrr::audit;
+use abrr::spec::Mode;
 use bgp_types::{Ipv4Prefix, RouterId};
 use netsim::{RunConfig, WireMode};
 use std::sync::Mutex;
@@ -36,7 +37,7 @@ use std::sync::Mutex;
 #[derive(Clone, Debug)]
 pub struct CheckFailure {
     /// The mode the check ran under.
-    pub mode: ModeSpec,
+    pub mode: Mode,
     /// The oracle that failed (`quiesces`, `no_loops`, ...).
     pub oracle: String,
     /// Human-readable detail.
@@ -45,7 +46,13 @@ pub struct CheckFailure {
 
 impl std::fmt::Display for CheckFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}/{}] {}", self.mode.keyword(), self.oracle, self.msg)
+        write!(
+            f,
+            "[{}/{}] {}",
+            mode_keyword(&self.mode),
+            self.oracle,
+            self.msg
+        )
     }
 }
 
@@ -99,17 +106,17 @@ pub fn run_checks(loaded: &Loaded) -> ScenarioReport {
     report
 }
 
-fn fail(report: &mut ScenarioReport, mode: ModeSpec, oracle: &str, msg: impl Into<String>) {
+fn fail(report: &mut ScenarioReport, mode: &Mode, oracle: &str, msg: impl Into<String>) {
     report.failures.push(CheckFailure {
-        mode,
+        mode: mode.clone(),
         oracle: oracle.to_string(),
         msg: msg.into(),
     });
 }
 
 fn run_one(loaded: &Loaded, check: &Check, report: &mut ScenarioReport) {
-    let mode = check.mode;
-    let run = match loaded.run(mode, true, RunConfig::default()) {
+    let mode = &check.mode;
+    let run = match loaded.run(mode.clone(), true, RunConfig::default()) {
         Ok(r) => r,
         Err(e) => {
             fail(report, mode, "run", e);
@@ -199,7 +206,7 @@ fn run_one(loaded: &Loaded, check: &Check, report: &mut ScenarioReport) {
     }
 
     if check.matches_full_mesh {
-        match loaded.run(ModeSpec::FullMesh, false, RunConfig::default()) {
+        match loaded.run(Mode::FullMesh, false, RunConfig::default()) {
             Err(e) => fail(report, mode, "matches_full_mesh", e),
             Ok(mesh) => {
                 if !settled || !mesh.outcome.quiesced {
@@ -253,32 +260,19 @@ fn run_one(loaded: &Loaded, check: &Check, report: &mut ScenarioReport) {
     }
 
     for x in &check.exits {
-        let prefix: Ipv4Prefix = match x.prefix.parse() {
-            Ok(p) => p,
-            Err(e) => {
-                fail(
-                    report,
-                    mode,
-                    "exits",
-                    format!("bad prefix {}: {e}", x.prefix),
-                );
-                continue;
-            }
-        };
         let got = run
             .sim
-            .node(RouterId(x.router))
-            .selected(&prefix)
+            .node(x.router)
+            .selected(&x.prefix)
             .map(|s| s.exit_router());
-        let expected = x.exit.map(RouterId);
-        if got != expected {
+        if got != x.exit {
             fail(
                 report,
                 mode,
                 "exits",
                 format!(
                     "router {} exits {} via {:?}, expected {:?}",
-                    x.router, x.prefix, got, expected
+                    x.router.0, x.prefix, got, x.exit
                 ),
             );
         }
@@ -306,8 +300,8 @@ fn live_prefixes(loaded: &Loaded, run: &RunReport) -> Vec<Ipv4Prefix> {
                 .into_iter()
                 .filter(|p| {
                     w.feeds.iter().any(|f| {
-                        f.prefix.parse::<Ipv4Prefix>().ok().as_ref() == Some(p)
-                            && run.sim.is_node_up(RouterId(f.router))
+                        f.prefix == *p
+                            && run.sim.is_node_up(f.router)
                             && !w.withdraws.iter().any(|wd| {
                                 wd.router == f.router
                                     && wd.peer_addr == f.peer_addr
@@ -323,18 +317,14 @@ fn live_prefixes(loaded: &Loaded, run: &RunReport) -> Vec<Ipv4Prefix> {
 
 /// One faulted run of `mode` in `wire` mode with its obs trace
 /// captured. The caller holds [`OBS_GUARD`].
-fn run_traced(
-    loaded: &Loaded,
-    mode: ModeSpec,
-    wire: WireMode,
-) -> Result<(RunReport, String), String> {
+fn run_traced(loaded: &Loaded, mode: &Mode, wire: WireMode) -> Result<(RunReport, String), String> {
     obs::trace::reset();
     obs::trace::set_spec("trace");
     let cfg = RunConfig {
         wire,
         ..Default::default()
     };
-    let run = loaded.run(mode, true, cfg);
+    let run = loaded.run(mode.clone(), true, cfg);
     let trace = obs::trace::drain_jsonl();
     obs::trace::reset();
     run.map(|r| (r, trace))
@@ -348,7 +338,7 @@ fn run_traced(
 /// diff.
 fn wire_invisible(
     loaded: &Loaded,
-    mode: ModeSpec,
+    mode: &Mode,
     routers: &[RouterId],
     prefixes: &[Ipv4Prefix],
 ) -> Result<(), String> {

@@ -8,9 +8,9 @@ use crate::parse::{parse_str, ScenarioError};
 use crate::schema::*;
 use crate::validate::{build_ap_map, validate};
 use abrr::msg::ExternalEvent;
-use abrr::spec::{AbrrLoopPrevention, ClusterSpec, LatencyModel, Mode};
+use abrr::spec::{ClusterSpec, Mode};
 use abrr::{BgpNode, NetworkSpec};
-use bgp_types::{ApId, ApMap, AsPath, Asn, Ipv4Prefix, NextHop, PathAttributes, RouterId};
+use bgp_types::{ApId, ApMap, AsPath, Asn, Ipv4Prefix, PathAttributes, RouterId};
 use netsim::{RunConfig, RunLimits, RunOutcome, Sim, WireMode};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -77,17 +77,6 @@ pub struct RunReport {
     pub outcome: RunOutcome,
 }
 
-/// Maps a DSL mode keyword to the engine mode.
-pub fn mode_of(m: ModeSpec) -> Mode {
-    match m {
-        ModeSpec::FullMesh => Mode::FullMesh,
-        ModeSpec::Abrr => Mode::Abrr,
-        ModeSpec::Tbrr => Mode::Tbrr { multipath: false },
-        ModeSpec::TbrrMultipath => Mode::Tbrr { multipath: true },
-        ModeSpec::Transition => Mode::Transition,
-    }
-}
-
 /// Parses, validates, and compiles scenario JSON text.
 pub fn load_str(text: &str) -> Result<Loaded, Vec<ScenarioError>> {
     let file = parse_str(text).map_err(|e| vec![e])?;
@@ -147,8 +136,8 @@ pub fn compile(file: ScenarioFile) -> Loaded {
 }
 
 fn ebgp_attrs(f: &Feed) -> Arc<PathAttributes> {
-    let mut attrs = PathAttributes::ebgp(AsPath::sequence([Asn(f.peer_as)]), NextHop(f.peer_addr))
-        .with_med(f.med);
+    let mut attrs =
+        PathAttributes::ebgp(AsPath::sequence([Asn(f.peer_as)]), f.peer_addr).with_med(f.med);
     if let Some(lp) = f.local_pref {
         attrs = attrs.with_local_pref(lp);
     }
@@ -160,7 +149,7 @@ fn compile_gadget(file: ScenarioFile, g: &GadgetNetwork) -> GadgetLoaded {
         TopologySource::Links(links) => {
             let mut topo = igp::Topology::new();
             for l in links {
-                topo.add_link(RouterId(l.a), RouterId(l.b), l.metric);
+                topo.add_link(l.a, l.b, l.metric);
             }
             (topo, Vec::new())
         }
@@ -176,70 +165,56 @@ fn compile_gadget(file: ScenarioFile, g: &GadgetNetwork) -> GadgetLoaded {
     let routers: Vec<RouterId> = if g.routers.is_empty() {
         default_routers
     } else {
-        g.routers.iter().map(|r| RouterId(*r)).collect()
+        g.routers.clone()
     };
-    let rrs: Vec<RouterId> = g.rrs.iter().map(|r| RouterId(*r)).collect();
     let clusters: Vec<ClusterSpec> = if g.clusters.is_empty() {
         vec![ClusterSpec {
             id: 1,
-            trrs: rrs.clone(),
+            trrs: g.rrs.clone(),
             clients: routers.clone(),
         }]
     } else {
-        g.clusters
-            .iter()
-            .map(|c| ClusterSpec {
-                id: c.id,
-                trrs: c.trrs.iter().map(|r| RouterId(*r)).collect(),
-                clients: c.clients.iter().map(|r| RouterId(*r)).collect(),
-            })
-            .collect()
+        g.clusters.clone()
     };
-    let ap_map = match g.aps {
-        Some(_) => build_ap_map(g).expect("validated AP scheme"),
-        None => ApMap::uniform(1),
-    };
+    // `validate` rejects every scheme `build_ap_map` refuses; an
+    // unvalidated file falls back to the single full-space AP.
+    let ap_map = build_ap_map(g).unwrap_or_else(|| ApMap::uniform(1));
     let arrs: BTreeMap<ApId, Vec<RouterId>> = if g.arrs.is_empty() {
         ap_map
             .partitions()
             .iter()
-            .map(|p| (p.id, rrs.clone()))
+            .map(|p| (p.id, g.rrs.clone()))
             .collect()
     } else {
-        g.arrs
-            .iter()
-            .map(|a| (ApId(a.ap), a.arrs.iter().map(|r| RouterId(*r)).collect()))
-            .collect()
+        g.arrs.iter().map(|a| (a.ap, a.arrs.clone())).collect()
     };
 
     let mut feeds: Vec<(RouterId, ExternalEvent)> = Vec::new();
     let mut events: Vec<(u64, RouterId, ExternalEvent)> = Vec::new();
     let mut prefixes: Vec<Ipv4Prefix> = Vec::new();
     for f in &file.workload.feeds {
-        let prefix: Ipv4Prefix = f.prefix.parse().expect("validated prefix");
-        if !prefixes.contains(&prefix) {
-            prefixes.push(prefix);
+        if !prefixes.contains(&f.prefix) {
+            prefixes.push(f.prefix);
         }
         let ev = ExternalEvent::EbgpAnnounce {
-            prefix,
+            prefix: f.prefix,
             peer_as: Asn(f.peer_as),
-            peer_addr: f.peer_addr,
+            peer_addr: f.peer_addr.0,
             attrs: ebgp_attrs(f),
         };
         if f.at == 0 {
-            feeds.push((RouterId(f.router), ev));
+            feeds.push((f.router, ev));
         } else {
-            events.push((f.at, RouterId(f.router), ev));
+            events.push((f.at, f.router, ev));
         }
     }
     for w in &file.workload.withdraws {
-        let prefix: Ipv4Prefix = w.prefix.parse().expect("validated prefix");
         events.push((
             w.at,
-            RouterId(w.router),
+            w.router,
             ExternalEvent::EbgpWithdraw {
-                prefix,
-                peer_addr: w.peer_addr,
+                prefix: w.prefix,
+                peer_addr: w.peer_addr.0,
             },
         ));
     }
@@ -253,7 +228,7 @@ fn compile_gadget(file: ScenarioFile, g: &GadgetNetwork) -> GadgetLoaded {
         .workload
         .cutovers
         .iter()
-        .map(|c| (c.at, ApId(c.ap)))
+        .map(|c| (c.at, c.ap))
         .collect();
 
     GadgetLoaded {
@@ -266,7 +241,7 @@ fn compile_gadget(file: ScenarioFile, g: &GadgetNetwork) -> GadgetLoaded {
         feeds,
         events,
         prefixes,
-        knobs: g.knobs.clone(),
+        knobs: g.spec.clone(),
         schedule,
         cutovers,
     }
@@ -292,21 +267,8 @@ impl GadgetLoaded {
         let k = &self.knobs;
         spec.mrai_us = k.mrai_us;
         spec.clients_keep_backups = k.clients_keep_backups;
-        spec.abrr_loop_prevention = match k.loop_prevention {
-            LoopPrevention::ReflectedBit => AbrrLoopPrevention::ReflectedBit,
-            LoopPrevention::ClusterList => AbrrLoopPrevention::ClusterList,
-            LoopPrevention::None => AbrrLoopPrevention::None,
-        };
-        spec.latency = match k.latency {
-            Latency::Fixed(us) => LatencyModel::Fixed(us),
-            Latency::Igp {
-                base_us,
-                per_metric_us,
-            } => LatencyModel::IgpProportional {
-                base: base_us,
-                per_metric: per_metric_us,
-            },
-        };
+        spec.abrr_loop_prevention = k.loop_prevention;
+        spec.latency = k.latency;
         spec.rrs_are_clients = k.rrs_are_clients;
         spec
     }
@@ -343,24 +305,21 @@ impl Loaded {
     }
 
     /// Builds the [`NetworkSpec`] for one mode.
-    pub fn spec(&self, mode: ModeSpec) -> NetworkSpec {
+    pub fn spec(&self, mode: Mode) -> NetworkSpec {
         match self {
-            Loaded::Gadget(g) => g.spec(mode_of(mode)),
+            Loaded::Gadget(g) => g.spec(mode),
             Loaded::Tier1(t) => {
                 let opts = SpecOptions {
                     mrai_us: t.params.mrai_us,
                     ..Default::default()
                 };
                 match mode {
-                    ModeSpec::FullMesh => specs::full_mesh_spec(&t.model, &opts),
-                    ModeSpec::Abrr | ModeSpec::Transition => {
+                    Mode::FullMesh => specs::full_mesh_spec(&t.model, &opts),
+                    Mode::Abrr | Mode::Transition => {
                         specs::abrr_spec(&t.model, t.params.aps, t.params.arrs_per_ap, &opts)
                     }
-                    ModeSpec::Tbrr => {
-                        specs::tbrr_spec(&t.model, t.params.trrs_per_cluster, false, &opts)
-                    }
-                    ModeSpec::TbrrMultipath => {
-                        specs::tbrr_spec(&t.model, t.params.trrs_per_cluster, true, &opts)
+                    Mode::Tbrr { multipath } => {
+                        specs::tbrr_spec(&t.model, t.params.trrs_per_cluster, multipath, &opts)
                     }
                 }
             }
@@ -375,10 +334,11 @@ impl Loaded {
     /// equivalence suite drives the same sim under the window engine.
     pub fn build(
         &self,
-        mode: ModeSpec,
+        mode: Mode,
         with_faults: bool,
         wire: WireMode,
     ) -> Result<(Arc<NetworkSpec>, Sim<BgpNode>), String> {
+        let transition = mode == Mode::Transition;
         let mut bare = self.spec(mode);
         bare.wire_mode = wire;
         let spec = Arc::new(bare);
@@ -394,7 +354,7 @@ impl Loaded {
                 // §2.4: a cutover is an AS-wide configuration step —
                 // every node flips the AP at once. Only the transition
                 // plane understands the event.
-                if mode == ModeSpec::Transition {
+                if transition {
                     for (at, ap) in &g.cutovers {
                         for r in spec.all_nodes() {
                             sim.schedule_external(*at, r, ExternalEvent::CutoverAp(*ap));
@@ -424,12 +384,7 @@ impl Loaded {
 
     /// Runs one mode: [`Loaded::build`] in `cfg.wire` mode, then
     /// [`Sim::run`] to the file's budget, capped by `cfg.limits`.
-    pub fn run(
-        &self,
-        mode: ModeSpec,
-        with_faults: bool,
-        cfg: RunConfig,
-    ) -> Result<RunReport, String> {
+    pub fn run(&self, mode: Mode, with_faults: bool, cfg: RunConfig) -> Result<RunReport, String> {
         let (spec, mut sim) = self.build(mode, with_faults, cfg.wire)?;
         let outcome = sim.run(self.limits(cfg.limits));
         Ok(RunReport { spec, sim, outcome })

@@ -21,6 +21,8 @@
 //! corpus xfail gadgets and the shrinker acceptance test exercise.
 
 use crate::schema::*;
+use abrr::spec::Mode;
+use bgp_types::{Ipv4Prefix, NextHop, RouterId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,17 +31,17 @@ pub fn generate(seed: u64) -> ScenarioFile {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_rrs: u32 = rng.gen_range(1..=3u32);
     let n_borders: u32 = rng.gen_range(2..=6u32);
-    let rrs: Vec<u32> = (1..=n_rrs).collect();
-    let borders: Vec<u32> = (10..10 + n_borders).collect();
+    let rrs: Vec<RouterId> = (1..=n_rrs).map(RouterId).collect();
+    let borders: Vec<RouterId> = (10..10 + n_borders).map(RouterId).collect();
 
     // Connected topology: every border hangs off a random RR, the RRs
     // chain together, plus a few random extra links.
     let mut links: Vec<Link> = Vec::new();
     let mut have = std::collections::BTreeSet::new();
     let add = |links: &mut Vec<Link>,
-               have: &mut std::collections::BTreeSet<(u32, u32)>,
-               a: u32,
-               b: u32,
+               have: &mut std::collections::BTreeSet<(RouterId, RouterId)>,
+               a: RouterId,
+               b: RouterId,
                metric: u32| {
         let key = (a.min(b), a.max(b));
         if a != b && have.insert(key) {
@@ -55,7 +57,7 @@ pub fn generate(seed: u64) -> ScenarioFile {
         let metric = rng.gen_range(1..=10u32);
         add(&mut links, &mut have, w[0], w[1], metric);
     }
-    let all: Vec<u32> = rrs.iter().chain(borders.iter()).copied().collect();
+    let all: Vec<RouterId> = rrs.iter().chain(borders.iter()).copied().collect();
     for _ in 0..rng.gen_range(0..=3u32) {
         let a = all[rng.gen_range(0..all.len())];
         let b = all[rng.gen_range(0..all.len())];
@@ -70,7 +72,11 @@ pub fn generate(seed: u64) -> ScenarioFile {
     // Feeds: a few prefixes — including, sometimes, a spanning prefix
     // that crosses AP boundaries — each announced at 1..=3 borders
     // with a mix of ASes, MEDs and LOCAL_PREFs.
-    let pool = ["10.0.0.0/8", "0.0.0.0/1", "192.168.0.0/16"];
+    let pool = [
+        Ipv4Prefix::new(10 << 24, 8),
+        Ipv4Prefix::new(0, 1),
+        Ipv4Prefix::new(0xc0a8_0000, 16),
+    ];
     let n_prefixes = rng.gen_range(1..=3usize);
     let mut feeds: Vec<Feed> = Vec::new();
     let mut peer_addr = 9000u32;
@@ -91,9 +97,9 @@ pub fn generate(seed: u64) -> ScenarioFile {
             feeds.push(Feed {
                 at: 0,
                 router: *origin,
-                prefix: p.to_string(),
+                prefix: *p,
                 peer_as: 100 + 100 * rng.gen_range(0..2u32),
-                peer_addr,
+                peer_addr: NextHop(peer_addr),
                 med: rng.gen_range(0..=2u32),
                 local_pref: lp,
             });
@@ -101,8 +107,8 @@ pub fn generate(seed: u64) -> ScenarioFile {
     }
 
     // Recovery-guaranteed faults.
-    let feeding: std::collections::BTreeSet<u32> = feeds.iter().map(|f| f.router).collect();
-    let idle_borders: Vec<u32> = borders
+    let feeding: std::collections::BTreeSet<RouterId> = feeds.iter().map(|f| f.router).collect();
+    let idle_borders: Vec<RouterId> = borders
         .iter()
         .copied()
         .filter(|b| !feeding.contains(b))
@@ -120,8 +126,8 @@ pub fn generate(seed: u64) -> ScenarioFile {
                     faults.push(TimedFault {
                         at,
                         kind: faults::FaultKind::SessionFlap {
-                            a: bgp_types::RouterId(arr),
-                            b: bgp_types::RouterId(other),
+                            a: arr,
+                            b: other,
                             down_for: rng.gen_range(3_000..=12_000u64),
                         },
                     });
@@ -132,7 +138,7 @@ pub fn generate(seed: u64) -> ScenarioFile {
                 faults.push(TimedFault {
                     at,
                     kind: faults::FaultKind::RouterCrash {
-                        node: bgp_types::RouterId(node),
+                        node,
                         down_for: rng.gen_range(3_000..=12_000u64),
                     },
                 });
@@ -141,9 +147,7 @@ pub fn generate(seed: u64) -> ScenarioFile {
                 let arr = rrs[rng.gen_range(0..rrs.len())];
                 faults.push(TimedFault {
                     at,
-                    kind: faults::FaultKind::ArrFailure {
-                        arr: bgp_types::RouterId(arr),
-                    },
+                    kind: faults::FaultKind::ArrFailure { arr },
                 });
             }
             _ => {}
@@ -162,7 +166,7 @@ pub fn generate(seed: u64) -> ScenarioFile {
 
     let clients_keep_backups = rng.gen_bool(0.3);
     let abrr_check = Check {
-        mode: ModeSpec::Abrr,
+        mode: Mode::Abrr,
         quiesces: Some(true),
         no_loops: true,
         no_blackholes: true,
@@ -190,7 +194,7 @@ pub fn generate(seed: u64) -> ScenarioFile {
             clusters: Vec::new(),
             aps: Some(ApScheme::Uniform(n_aps)),
             arrs: Vec::new(),
-            knobs: SpecKnobs {
+            spec: SpecKnobs {
                 clients_keep_backups,
                 ..SpecKnobs::default()
             },

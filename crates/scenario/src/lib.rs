@@ -12,9 +12,12 @@
 //!
 //! Modules:
 //!
-//! * [`schema`] — the parsed scenario model ([`schema::ScenarioFile`]).
-//! * [`parse`] — JSON → model with path-tracked errors
-//!   (`workload.feeds[2].router: expected integer`).
+//! * [`schema`] — the parsed scenario model ([`schema::ScenarioFile`]),
+//!   which is also the one declaration of the file format: each
+//!   record lists its keys, their types and their defaults once.
+//! * [`parse`] — the codec those declarations drive: JSON ↔ model,
+//!   values typed as they are read, errors anchored to a JSON path
+//!   (`$.workload.feeds[2].router: expected a non-negative integer`).
 //! * [`validate`] — semantic validation: dangling link endpoints,
 //!   overlapping APs, §2.4 accept-set violations, faults referencing
 //!   unknown nodes — targeted errors, never panics.

@@ -1,13 +1,30 @@
-//! JSON → [`ScenarioFile`] with precise error spans.
+//! The scenario format's codec: JSON ↔ [`ScenarioFile`], driven by one
+//! declaration per record.
 //!
-//! The vendored `serde` stub reports *syntax* errors with byte offsets;
-//! this module layers *structural* errors on top, each carrying the
-//! JSON path of the offending value (`workload.feeds[2].router`).
-//! Unknown keys are rejected — a typoed `"no_lops"` is an error, not a
-//! silently ignored assertion.
+//! A record declares its keys once, in [`Record::fields`]:
+//! `o.req("router", &mut self.router)` for a required key,
+//! `o.opt("med", &mut self.med, 0)` for one with a default. The same
+//! method runs in both directions: reading fills the record from a JSON
+//! object, writing emits the object back, so the reader and the writer
+//! cannot drift apart. Plain records are declared with `record!`,
+//! whose field list *is* the key list; keyed enums (a topology, an AP
+//! scheme, a latency model, a fault kind) pick their variant with
+//! [`Obj::one_of`].
+//!
+//! Values are typed as they are read — prefixes become
+//! [`Ipv4Prefix`], router ids [`RouterId`], addresses [`NextHop`] or
+//! [`Ipv4Addr`] — and every structural error carries the JSON path of
+//! the offending value (`$.workload.feeds[2].router`). Only syntax
+//! errors, which the vendored `serde` stub reports, carry a byte offset
+//! instead. Unknown keys are rejected against the declared list: a
+//! typoed `"no_lops"` is an error, not a silently ignored assertion.
+//!
+//! This module is the only one that touches [`Value`]s.
 
-use crate::schema::*;
+use crate::schema::{Link, ScenarioFile};
+use bgp_types::{ApId, Ipv4Prefix, NextHop, RouterId};
 use serde::Value;
+use std::net::Ipv4Addr;
 
 /// A parse or validation error, anchored to a JSON path.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,658 +58,520 @@ impl std::error::Error for ScenarioError {}
 pub fn parse_str(text: &str) -> Result<ScenarioFile, ScenarioError> {
     let v: Value = serde::json::from_str(text)
         .map_err(|e| ScenarioError::at("$", format!("invalid JSON: {e}")))?;
-    parse_value(&v)
+    ScenarioFile::read(&v, "$")
 }
 
-/// Parses an already-decoded [`Value`] into the model.
-pub fn parse_value(v: &Value) -> Result<ScenarioFile, ScenarioError> {
-    let top = Cur::new(v);
-    top.keys(&[
-        "name",
-        "comment",
-        "network",
-        "workload",
-        "faults",
-        "checks",
-        "budget",
-        "expect_verdict",
-    ])?;
-    let name = top.req("name")?.str()?;
-    let comment = top.get("comment").map(|c| c.str()).transpose()?;
-    let network = parse_network(&top.req("network")?)?;
-    let workload = match top.get("workload") {
-        Some(w) => parse_workload(&w)?,
-        None => Workload::default(),
-    };
-    let faults = match top.get("faults") {
-        Some(f) => f.seq()?.iter().map(parse_fault).collect::<Result<_, _>>()?,
-        None => Vec::new(),
-    };
-    let checks = top
-        .req("checks")?
-        .seq()?
-        .iter()
-        .map(parse_check)
-        .collect::<Result<_, _>>()?;
-    let budget = match top.get("budget") {
-        Some(b) => {
-            b.keys(&["max_events", "max_time_us"])?;
-            Budget {
-                max_events: b
-                    .get("max_events")
-                    .map(|x| x.u64())
-                    .transpose()?
-                    .unwrap_or(DEFAULT_MAX_EVENTS),
-                max_time_us: b
-                    .get("max_time_us")
-                    .map(|x| x.u64())
-                    .transpose()?
-                    .unwrap_or(u64::MAX),
+impl ScenarioFile {
+    /// Renders the scenario as indented JSON (a valid corpus file).
+    pub fn to_json_pretty(&self) -> String {
+        let mut text = serde::json::to_string_pretty(&self.clone().write());
+        text.push('\n');
+        text
+    }
+}
+
+/// The value a record takes when every key is absent: its declared
+/// defaults. Only records whose keys are all optional have one.
+pub fn defaults<T: Record>() -> T {
+    T::read(&Value::Map(Vec::new()), "$").expect("every key of the record is optional")
+}
+
+/// One value of the format: read from the JSON value at a path, and
+/// written back.
+pub trait Field: Sized {
+    /// A placeholder that reading overwrites.
+    fn zero() -> Self;
+    /// Reads `v`, found at `path`.
+    fn read(v: &Value, path: &str) -> Result<Self, ScenarioError>;
+    /// Writes the value. Takes `&mut self` because a record's one
+    /// declaration ([`Record::fields`]) also serves the reader.
+    fn write(&mut self) -> Value;
+}
+
+/// A JSON object of the format, declared key by key.
+pub trait Record: Sized {
+    /// A placeholder that reading overwrites.
+    fn zero() -> Self;
+    /// Declares every key: reads each from `o`, or writes each to it.
+    fn fields(&mut self, o: &mut Obj);
+}
+
+impl<T: Record> Field for T {
+    fn zero() -> Self {
+        <T as Record>::zero()
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, ScenarioError> {
+        let mut record = <T as Record>::zero();
+        Obj::visit(v, path, |o| record.fields(o))?;
+        Ok(record)
+    }
+
+    fn write(&mut self) -> Value {
+        Value::Map(Obj::emit(|o| self.fields(o)))
+    }
+}
+
+/// Declares a record: the struct, and with it the record's keys. Each
+/// field's key is its name, and its mode says how the key is declared:
+/// `req`, `opt(default)`, `opt_always(default)` and `maybe` are the
+/// [`Obj`] methods of the same name, and `flat` fields are records
+/// whose keys sit in this record's object.
+macro_rules! record {
+    ($(#[$attr:meta])* pub struct $name:ident {
+        $($(#[$fattr:meta])* pub $field:ident: $ty:ty = $mode:ident $(($default:expr))?,)*
+    }) => {
+        $(#[$attr])*
+        pub struct $name {
+            $($(#[$fattr])* pub $field: $ty,)*
+        }
+
+        impl $crate::parse::Record for $name {
+            fn zero() -> Self {
+                $name { $($field: $crate::parse::Field::zero(),)* }
+            }
+
+            fn fields(&mut self, o: &mut $crate::parse::Obj) {
+                $(o.$mode(stringify!($field), &mut self.$field $(, $default)?);)*
             }
         }
-        None => Budget::default(),
     };
-    let expect_verdict = match top.get("expect_verdict") {
-        None => Verdict::Pass,
-        Some(x) => match x.str()?.as_str() {
-            "pass" => Verdict::Pass,
-            "fail" => Verdict::Fail,
-            other => {
-                return Err(x.err(format!(
-                    "unknown verdict `{other}` (expected `pass` or `fail`)"
-                )))
-            }
-        },
-    };
-    Ok(ScenarioFile {
-        name,
-        comment,
-        network,
-        workload,
-        faults,
-        checks,
-        budget,
-        expect_verdict,
-    })
 }
+pub(crate) use record;
 
-// ---------------------------------------------------------------------
-// Cursor: a Value plus the JSON path that leads to it.
-// ---------------------------------------------------------------------
-
-struct Cur<'a> {
-    v: &'a Value,
+/// One JSON object being read or written through its record's
+/// declaration.
+pub struct Obj<'a> {
+    /// The object's JSON path.
     path: String,
+    /// The entries being read; `None` when writing.
+    src: Option<&'a [(Value, Value)]>,
+    /// Every key declared so far (reading).
+    declared: Vec<&'static str>,
+    /// The first error (reading). Later keys are still declared, so the
+    /// unknown-key check stays exact, but no longer read.
+    err: Option<ScenarioError>,
+    /// The entries written so far (writing).
+    out: Vec<(Value, Value)>,
+    /// The keys of the last [`Obj::one_of`], and the one that is set.
+    cases: Vec<&'static str>,
+    tag: Option<&'static str>,
 }
 
-impl<'a> Cur<'a> {
-    fn new(v: &'a Value) -> Cur<'a> {
-        Cur {
-            v,
-            path: "$".to_string(),
+/// One variant of a keyed enum: its key, and its placeholder value.
+pub type Case<T> = (&'static str, fn() -> T);
+
+/// What a declared key finds.
+enum Slot<'a> {
+    /// Writing.
+    Write,
+    /// Reading: the key's value, if present.
+    Read(Option<&'a Value>),
+    /// Reading after an earlier error.
+    Skip,
+}
+
+impl<'a> Obj<'a> {
+    /// Reads the object `v` at `path` through `fields`. An unknown key
+    /// wins over any error inside the object, as it may explain it.
+    fn visit(
+        v: &'a Value,
+        path: &str,
+        fields: impl FnOnce(&mut Obj<'a>),
+    ) -> Result<(), ScenarioError> {
+        let entries = v
+            .as_map()
+            .ok_or_else(|| ScenarioError::at(path, "expected an object"))?;
+        let mut o = Obj::new(path.to_string(), Some(entries));
+        fields(&mut o);
+        for (k, _) in entries {
+            match k.as_str() {
+                Some(key) if o.declared.contains(&key) => {}
+                Some(key) => {
+                    return Err(o.error(format!(
+                        "unknown key `{key}` (expected one of: {})",
+                        o.declared.join(", ")
+                    )))
+                }
+                None => return Err(o.error("object keys must be strings")),
+            }
+        }
+        o.err.map_or(Ok(()), Err)
+    }
+
+    /// Writes an object through `fields`.
+    fn emit(fields: impl FnOnce(&mut Obj<'a>)) -> Vec<(Value, Value)> {
+        let mut o = Obj::new(String::new(), None);
+        fields(&mut o);
+        o.out
+    }
+
+    fn new(path: String, src: Option<&'a [(Value, Value)]>) -> Obj<'a> {
+        Obj {
+            path,
+            src,
+            declared: Vec::new(),
+            err: None,
+            out: Vec::new(),
+            cases: Vec::new(),
+            tag: None,
         }
     }
 
-    fn err(&self, msg: impl Into<String>) -> ScenarioError {
+    fn error(&self, msg: impl Into<String>) -> ScenarioError {
         ScenarioError::at(self.path.clone(), msg)
     }
 
-    fn map(&self) -> Result<&'a [(Value, Value)], ScenarioError> {
-        self.v
-            .as_map()
-            .ok_or_else(|| self.err("expected an object"))
-    }
-
-    /// Asserts this is an object whose keys all come from `allowed`.
-    fn keys(&self, allowed: &[&str]) -> Result<(), ScenarioError> {
-        for (k, _) in self.map()? {
-            match k.as_str() {
-                Some(key) if allowed.contains(&key) => {}
-                Some(key) => {
-                    return Err(self.err(format!(
-                        "unknown key `{key}` (expected one of: {})",
-                        allowed.join(", ")
-                    )))
-                }
-                None => return Err(self.err("object keys must be strings")),
-            }
+    fn fail(&mut self, msg: impl Into<String>) {
+        if self.err.is_none() {
+            self.err = Some(self.error(msg));
         }
-        Ok(())
     }
 
-    fn get(&self, key: &str) -> Option<Cur<'a>> {
-        let entries = self.v.as_map()?;
+    fn get(&self, key: &str) -> Option<&'a Value> {
+        let entries = self.src?;
         entries
             .iter()
             .find(|(k, _)| k.as_str() == Some(key))
-            .map(|(_, v)| Cur {
-                v,
-                path: format!("{}.{key}", self.path),
+            .map(|(_, v)| v)
+    }
+
+    /// Declares `key` and looks it up.
+    fn slot(&mut self, key: &'static str) -> Slot<'a> {
+        if self.src.is_none() {
+            return Slot::Write;
+        }
+        if !self.declared.contains(&key) {
+            self.declared.push(key);
+        }
+        match self.err {
+            Some(_) => Slot::Skip,
+            None => Slot::Read(self.get(key)),
+        }
+    }
+
+    fn read_into<T: Field>(&mut self, key: &str, v: &Value, into: &mut T) {
+        match T::read(v, &format!("{}.{key}", self.path)) {
+            Ok(x) => *into = x,
+            Err(e) => self.err = Some(e),
+        }
+    }
+
+    fn put(&mut self, key: &str, v: Value) {
+        self.out.push((Value::Str(key.to_string()), v));
+    }
+
+    /// A required key.
+    pub fn req<T: Field>(&mut self, key: &'static str, v: &mut T) {
+        match self.slot(key) {
+            Slot::Write => {
+                let w = v.write();
+                self.put(key, w);
+            }
+            Slot::Read(Some(x)) => self.read_into(key, x, v),
+            Slot::Read(None) => self.fail(format!("missing required key `{key}`")),
+            Slot::Skip => {}
+        }
+    }
+
+    /// An optional key: `default` when absent, and not written when
+    /// the value writes the same JSON as `default`.
+    pub fn opt<T: Field>(&mut self, key: &'static str, v: &mut T, default: T) {
+        self.optional(key, v, default, false);
+    }
+
+    /// An optional key that is written even at its `default`.
+    pub fn opt_always<T: Field>(&mut self, key: &'static str, v: &mut T, default: T) {
+        self.optional(key, v, default, true);
+    }
+
+    fn optional<T: Field>(&mut self, key: &'static str, v: &mut T, mut default: T, always: bool) {
+        match self.slot(key) {
+            Slot::Write => {
+                let w = v.write();
+                if always || w != default.write() {
+                    self.put(key, w);
+                }
+            }
+            Slot::Read(Some(x)) => self.read_into(key, x, v),
+            Slot::Read(None) => *v = default,
+            Slot::Skip => {}
+        }
+    }
+
+    /// An optional key whose absence is `None`.
+    pub fn maybe<T: Field>(&mut self, key: &'static str, v: &mut Option<T>) {
+        match (self.slot(key), v) {
+            (Slot::Write, Some(x)) => {
+                let w = x.write();
+                self.put(key, w);
+            }
+            (Slot::Read(Some(x)), v) => {
+                let mut read = T::zero();
+                self.read_into(key, x, &mut read);
+                *v = Some(read);
+            }
+            (Slot::Read(None), v) => *v = None,
+            _ => {}
+        }
+    }
+
+    /// A record whose keys sit in this object (`_key`, the field's
+    /// name, is not one of them).
+    pub fn flat<T: Record>(&mut self, _key: &'static str, v: &mut T) {
+        v.fields(self);
+    }
+
+    /// Declares a keyed enum: the variant is named by which of the
+    /// `cases`' keys is present, and [`Obj::case`] then reads or writes
+    /// the payload at that key. Reading with no case key present keeps
+    /// `v`'s variant, which either has keys of its own or fails at
+    /// [`Obj::case`]. Writing picks the case with `v`'s variant.
+    pub fn one_of<T>(&mut self, v: &mut T, cases: &[Case<T>]) {
+        self.cases = cases.iter().map(|(key, _)| *key).collect();
+        self.tag = None;
+        if self.src.is_none() {
+            let variant = std::mem::discriminant(v);
+            self.tag = cases
+                .iter()
+                .find(|(_, make)| std::mem::discriminant(&make()) == variant)
+                .map(|(key, _)| *key);
+            return;
+        }
+        let present: Vec<_> = cases
+            .iter()
+            .filter(|(key, _)| self.get(key).is_some())
+            .collect();
+        for (key, _) in cases {
+            self.slot(key);
+        }
+        match present.as_slice() {
+            [] => {}
+            [(key, make)] => {
+                *v = make();
+                self.tag = Some(key);
+            }
+            _ => self.fail(self.cases_msg()),
+        }
+    }
+
+    fn cases_msg(&self) -> String {
+        format!("expected exactly one of `{}`", self.cases.join("`, `"))
+    }
+
+    /// The payload of the [`Obj::one_of`] case that is set.
+    pub fn case<T: Field>(&mut self, v: &mut T) {
+        match self.tag {
+            Some(key) => self.req(key, v),
+            None => self.fail(self.cases_msg()),
+        }
+    }
+
+    /// The payload of the [`Obj::one_of`] case that is set, as an
+    /// object whose keys `fields` declares.
+    pub fn case_with(&mut self, fields: impl FnOnce(&mut Obj)) {
+        let Some(key) = self.tag else {
+            return self.fail(self.cases_msg());
+        };
+        match self.slot(key) {
+            Slot::Write => {
+                let w = Value::Map(Obj::emit(fields));
+                self.put(key, w);
+            }
+            Slot::Read(Some(x)) => {
+                if let Err(e) = Obj::visit(x, &format!("{}.{key}", self.path), fields) {
+                    self.err = Some(e);
+                }
+            }
+            Slot::Read(None) | Slot::Skip => {}
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Leaf values.
+// ---------------------------------------------------------------------
+
+fn expected(path: &str, what: &str) -> ScenarioError {
+    ScenarioError::at(path, format!("expected {what}"))
+}
+
+/// Implements [`Field`] for leaf types: each one's placeholder, how it
+/// reads from the JSON value `v` at `path`, and how it writes itself.
+macro_rules! leaf {
+    ($($t:ty: $zero:expr, |$v:ident, $path:ident| $read:expr, |$s:ident| $write:expr;)*) => {$(
+        impl $crate::parse::Field for $t {
+            fn zero() -> Self {
+                $zero
+            }
+
+            fn read($v: &serde::Value, $path: &str) -> Result<Self, $crate::ScenarioError> {
+                $read
+            }
+
+            fn write(&mut self) -> serde::Value {
+                let $s = self;
+                $write
+            }
+        }
+    )*};
+}
+pub(crate) use leaf;
+
+macro_rules! unsigned {
+    ($($t:ty),*) => {leaf! {$(
+        $t: 0, |v, path| {
+            let n = v.as_u64().ok_or_else(|| expected(path, "a non-negative integer"))?;
+            <$t>::try_from(n).map_err(|_| {
+                ScenarioError::at(path, format!("{n} does not fit in {} bits", <$t>::BITS))
             })
+        }, |n| Value::U64(*n as u64);
+    )*}};
+}
+unsigned!(u16, u32, u64, usize);
+
+leaf! {
+    bool: false,
+        |v, path| v.as_bool().ok_or_else(|| expected(path, "true or false")),
+        |b| Value::Bool(*b);
+    String: String::new(),
+        |v, path| v.as_str().map(str::to_string).ok_or_else(|| expected(path, "a string")),
+        |s| Value::Str(s.clone());
+    RouterId: RouterId(0), |v, path| u32::read(v, path).map(RouterId), |r| r.0.write();
+    ApId: ApId(0), |v, path| u16::read(v, path).map(ApId), |ap| ap.0.write();
+    Ipv4Prefix: Ipv4Prefix::DEFAULT,
+        |v, path| {
+            let text = String::read(v, path)?;
+            text.parse()
+                .map_err(|e| ScenarioError::at(path, format!("bad prefix `{text}`: {e}")))
+        },
+        |p| Value::Str(p.to_string());
+    // An address written as an integer ...
+    NextHop: NextHop(0), |v, path| read_addr(v, path).map(NextHop), |a| a.0.write();
+    // ... or as a dotted quad.
+    Ipv4Addr: Ipv4Addr::UNSPECIFIED,
+        |v, path| read_addr(v, path).map(Ipv4Addr::from),
+        |a| Value::Str(a.to_string());
+}
+
+/// An IPv4 address: a dotted-quad string or a raw integer.
+fn read_addr(v: &Value, path: &str) -> Result<u32, ScenarioError> {
+    if let Some(n) = v.as_u64() {
+        return u32::try_from(n)
+            .map_err(|_| ScenarioError::at(path, format!("{n} is not a 32-bit address")));
+    }
+    let text = v
+        .as_str()
+        .ok_or_else(|| expected(path, "a dotted-quad address or integer"))?;
+    let bad = || ScenarioError::at(path, format!("`{text}` is not a dotted-quad address"));
+    let octets: Vec<&str> = text.split('.').collect();
+    if octets.len() != 4 {
+        return Err(bad());
+    }
+    octets.iter().try_fold(0u32, |addr, o| {
+        Ok((addr << 8) | u32::from(o.parse::<u8>().map_err(|_| bad())?))
+    })
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn zero() -> Self {
+        Vec::new()
     }
 
-    fn req(&self, key: &str) -> Result<Cur<'a>, ScenarioError> {
-        self.map()?;
-        self.get(key)
-            .ok_or_else(|| self.err(format!("missing required key `{key}`")))
-    }
-
-    fn seq(&self) -> Result<Vec<Cur<'a>>, ScenarioError> {
-        let items = self
-            .v
-            .as_seq()
-            .ok_or_else(|| self.err("expected an array"))?;
-        Ok(items
+    fn read(v: &Value, path: &str) -> Result<Self, ScenarioError> {
+        let items = v.as_seq().ok_or_else(|| expected(path, "an array"))?;
+        items
             .iter()
             .enumerate()
-            .map(|(i, v)| Cur {
-                v,
-                path: format!("{}[{i}]", self.path),
-            })
-            .collect())
+            .map(|(i, item)| T::read(item, &format!("{path}[{i}]")))
+            .collect()
     }
 
-    fn str(&self) -> Result<String, ScenarioError> {
-        self.v
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| self.err("expected a string"))
-    }
-
-    fn u64(&self) -> Result<u64, ScenarioError> {
-        self.v
-            .as_u64()
-            .ok_or_else(|| self.err("expected a non-negative integer"))
-    }
-
-    fn u32(&self) -> Result<u32, ScenarioError> {
-        let n = self.u64()?;
-        u32::try_from(n).map_err(|_| self.err(format!("{n} does not fit in 32 bits")))
-    }
-
-    fn u16(&self) -> Result<u16, ScenarioError> {
-        let n = self.u64()?;
-        u16::try_from(n).map_err(|_| self.err(format!("{n} does not fit in 16 bits")))
-    }
-
-    fn usize(&self) -> Result<usize, ScenarioError> {
-        Ok(self.u64()? as usize)
-    }
-
-    fn boolean(&self) -> Result<bool, ScenarioError> {
-        self.v
-            .as_bool()
-            .ok_or_else(|| self.err("expected true or false"))
-    }
-
-    /// An IPv4 address: either a dotted quad string or a raw integer.
-    fn addr(&self) -> Result<u32, ScenarioError> {
-        if let Some(n) = self.v.as_u64() {
-            return u32::try_from(n).map_err(|_| self.err(format!("{n} is not a 32-bit address")));
-        }
-        let text = self
-            .v
-            .as_str()
-            .ok_or_else(|| self.err("expected a dotted-quad address or integer"))?;
-        let octets: Vec<&str> = text.split('.').collect();
-        if octets.len() != 4 {
-            return Err(self.err(format!("`{text}` is not a dotted-quad address")));
-        }
-        let mut addr: u32 = 0;
-        for o in octets {
-            let b: u32 = o
-                .parse::<u8>()
-                .map_err(|_| self.err(format!("`{text}` is not a dotted-quad address")))?
-                as u32;
-            addr = (addr << 8) | b;
-        }
-        Ok(addr)
+    fn write(&mut self) -> Value {
+        Value::Seq(self.iter_mut().map(Field::write).collect())
     }
 }
 
-// ---------------------------------------------------------------------
-// Section parsers.
-// ---------------------------------------------------------------------
+/// `null` is `None`.
+impl<T: Field> Field for Option<T> {
+    fn zero() -> Self {
+        None
+    }
 
-fn parse_network(n: &Cur) -> Result<Network, ScenarioError> {
-    n.keys(&[
-        "links", "pop_grid", "tier1", "routers", "rrs", "clusters", "aps", "arrs", "spec",
-    ])?;
-    if let Some(t) = n.get("tier1") {
-        for key in [
-            "links", "pop_grid", "routers", "rrs", "clusters", "aps", "arrs", "spec",
-        ] {
-            if n.get(key).is_some() {
-                return Err(n.err(format!("`tier1` networks do not take `{key}`")));
-            }
+    fn read(v: &Value, path: &str) -> Result<Self, ScenarioError> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::read(v, path).map(Some),
         }
-        t.keys(&[
-            "prefixes",
-            "pops",
-            "routers_per_pop",
-            "seed",
-            "aps",
-            "arrs_per_ap",
-            "trrs_per_cluster",
-            "mrai_us",
-        ])?;
-        let opt = |key: &str, dflt: usize| -> Result<usize, ScenarioError> {
-            t.get(key)
-                .map(|x| x.usize())
-                .transpose()
-                .map(|v| v.unwrap_or(dflt))
+    }
+
+    fn write(&mut self) -> Value {
+        self.as_mut().map_or(Value::Null, Field::write)
+    }
+}
+
+/// A link is a `[a, b, metric]` triple.
+impl Field for Link {
+    fn zero() -> Self {
+        Link {
+            a: RouterId(0),
+            b: RouterId(0),
+            metric: 0,
+        }
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, ScenarioError> {
+        let parts = v.as_seq().ok_or_else(|| expected(path, "an array"))?;
+        let [a, b, metric] = parts else {
+            return Err(expected(path, "a [a, b, metric] triple"));
         };
-        return Ok(Network::Tier1(Tier1Network {
-            prefixes: t.req("prefixes")?.usize()?,
-            pops: opt("pops", 13)?,
-            routers_per_pop: opt("routers_per_pop", 8)?,
-            seed: t
-                .get("seed")
-                .map(|x| x.u64())
-                .transpose()?
-                .unwrap_or(20101220),
-            aps: opt("aps", 13)?,
-            arrs_per_ap: opt("arrs_per_ap", 2)?,
-            trrs_per_cluster: opt("trrs_per_cluster", 2)?,
-            mrai_us: t
-                .get("mrai_us")
-                .map(|x| x.u64())
-                .transpose()?
-                .unwrap_or(1_000_000),
-        }));
+        let at = |i: usize| format!("{path}[{i}]");
+        Ok(Link {
+            a: RouterId::read(a, &at(0))?,
+            b: RouterId::read(b, &at(1))?,
+            metric: u32::read(metric, &at(2))?,
+        })
     }
 
-    let topology = match (n.get("links"), n.get("pop_grid")) {
-        (Some(links), None) => TopologySource::Links(
-            links
-                .seq()?
-                .iter()
-                .map(|l| {
-                    let parts = l.seq()?;
-                    if parts.len() != 3 {
-                        return Err(l.err("expected a [a, b, metric] triple"));
-                    }
-                    Ok(Link {
-                        a: parts[0].u32()?,
-                        b: parts[1].u32()?,
-                        metric: parts[2].u32()?,
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        (None, Some(pg)) => {
-            pg.keys(&["pops", "routers_per_pop"])?;
-            TopologySource::PopGrid {
-                pops: pg.req("pops")?.usize()?,
-                routers_per_pop: pg.req("routers_per_pop")?.usize()?,
-            }
-        }
-        (Some(_), Some(_)) => return Err(n.err("give `links` or `pop_grid`, not both")),
-        (None, None) => {
-            return Err(n.err("network needs a topology: `links`, `pop_grid`, or `tier1`"))
-        }
-    };
-    let ids = |key: &str| -> Result<Vec<u32>, ScenarioError> {
-        match n.get(key) {
-            None => Ok(Vec::new()),
-            Some(list) => list.seq()?.iter().map(|x| x.u32()).collect(),
-        }
-    };
-    let clusters = match n.get("clusters") {
-        None => Vec::new(),
-        Some(list) => list
-            .seq()?
-            .iter()
-            .map(|c| {
-                c.keys(&["id", "trrs", "clients"])?;
-                Ok(Cluster {
-                    id: c.req("id")?.u32()?,
-                    trrs: c
-                        .req("trrs")?
-                        .seq()?
-                        .iter()
-                        .map(|x| x.u32())
-                        .collect::<Result<_, _>>()?,
-                    clients: c
-                        .req("clients")?
-                        .seq()?
-                        .iter()
-                        .map(|x| x.u32())
-                        .collect::<Result<_, _>>()?,
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let aps = match n.get("aps") {
-        None => None,
-        Some(a) => {
-            a.keys(&["uniform", "explicit"])?;
-            match (a.get("uniform"), a.get("explicit")) {
-                (Some(u), None) => Some(ApScheme::Uniform(u.u16()?)),
-                (None, Some(list)) => Some(ApScheme::Explicit(
-                    list.seq()?
-                        .iter()
-                        .map(|r| {
-                            r.keys(&["id", "first", "last"])?;
-                            Ok(ApRange {
-                                id: r.req("id")?.u16()?,
-                                first: r.req("first")?.addr()?,
-                                last: r.req("last")?.addr()?,
-                            })
-                        })
-                        .collect::<Result<_, _>>()?,
-                )),
-                _ => return Err(a.err("aps takes exactly one of `uniform` or `explicit`")),
-            }
-        }
-    };
-    let arrs = match n.get("arrs") {
-        None => Vec::new(),
-        Some(list) => list
-            .seq()?
-            .iter()
-            .map(|e| {
-                e.keys(&["ap", "arrs"])?;
-                Ok(ApArrs {
-                    ap: e.req("ap")?.u16()?,
-                    arrs: e
-                        .req("arrs")?
-                        .seq()?
-                        .iter()
-                        .map(|x| x.u32())
-                        .collect::<Result<_, _>>()?,
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let knobs = match n.get("spec") {
-        None => SpecKnobs::default(),
-        Some(k) => parse_knobs(&k)?,
-    };
-    Ok(Network::Gadget(GadgetNetwork {
-        topology,
-        routers: ids("routers")?,
-        rrs: ids("rrs")?,
-        clusters,
-        aps,
-        arrs,
-        knobs,
-    }))
+    fn write(&mut self) -> Value {
+        Value::Seq(vec![self.a.write(), self.b.write(), self.metric.write()])
+    }
 }
 
-fn parse_knobs(k: &Cur) -> Result<SpecKnobs, ScenarioError> {
-    k.keys(&[
-        "mrai_us",
-        "clients_keep_backups",
-        "loop_prevention",
-        "latency",
-        "rrs_are_clients",
-    ])?;
-    let d = SpecKnobs::default();
-    Ok(SpecKnobs {
-        mrai_us: k
-            .get("mrai_us")
-            .map(|x| x.u64())
-            .transpose()?
-            .unwrap_or(d.mrai_us),
-        clients_keep_backups: k
-            .get("clients_keep_backups")
-            .map(|x| x.boolean())
-            .transpose()?
-            .unwrap_or(d.clients_keep_backups),
-        loop_prevention: match k.get("loop_prevention") {
-            None => d.loop_prevention,
-            Some(x) => match x.str()?.as_str() {
-                "reflected_bit" => LoopPrevention::ReflectedBit,
-                "cluster_list" => LoopPrevention::ClusterList,
-                "none" => LoopPrevention::None,
-                other => {
-                    return Err(x.err(format!(
-                        "unknown loop prevention `{other}` (expected reflected_bit, cluster_list, or none)"
-                    )))
-                }
-            },
-        },
-        latency: match k.get("latency") {
-            None => d.latency,
-            Some(l) => {
-                l.keys(&["fixed_us", "base_us", "per_metric_us"])?;
-                match (l.get("fixed_us"), l.get("base_us"), l.get("per_metric_us")) {
-                    (Some(f), None, None) => Latency::Fixed(f.u64()?),
-                    (None, Some(b), Some(p)) => Latency::Igp {
-                        base_us: b.u64()?,
-                        per_metric_us: p.u64()?,
-                    },
-                    _ => {
-                        return Err(l.err(
-                            "latency takes `fixed_us` alone, or `base_us` with `per_metric_us`",
-                        ))
-                    }
-                }
-            }
-        },
-        rrs_are_clients: k
-            .get("rrs_are_clients")
-            .map(|x| x.boolean())
-            .transpose()?
-            .unwrap_or(d.rrs_are_clients),
-    })
-}
-
-fn parse_workload(w: &Cur) -> Result<Workload, ScenarioError> {
-    w.keys(&["feeds", "withdraws", "cutovers"])?;
-    let feeds = match w.get("feeds") {
-        None => Vec::new(),
-        Some(list) => list
-            .seq()?
-            .iter()
-            .map(|f| {
-                f.keys(&[
-                    "at",
-                    "router",
-                    "prefix",
-                    "peer_as",
-                    "peer_addr",
-                    "med",
-                    "local_pref",
-                ])?;
-                Ok(Feed {
-                    at: f.get("at").map(|x| x.u64()).transpose()?.unwrap_or(0),
-                    router: f.req("router")?.u32()?,
-                    prefix: f.req("prefix")?.str()?,
-                    peer_as: f.req("peer_as")?.u32()?,
-                    peer_addr: f.req("peer_addr")?.addr()?,
-                    med: f.get("med").map(|x| x.u32()).transpose()?.unwrap_or(0),
-                    local_pref: f.get("local_pref").map(|x| x.u32()).transpose()?,
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let withdraws = match w.get("withdraws") {
-        None => Vec::new(),
-        Some(list) => list
-            .seq()?
-            .iter()
-            .map(|x| {
-                x.keys(&["at", "router", "prefix", "peer_addr"])?;
-                Ok(Withdraw {
-                    at: x.req("at")?.u64()?,
-                    router: x.req("router")?.u32()?,
-                    prefix: x.req("prefix")?.str()?,
-                    peer_addr: x.req("peer_addr")?.addr()?,
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let cutovers = match w.get("cutovers") {
-        None => Vec::new(),
-        Some(list) => list
-            .seq()?
-            .iter()
-            .map(|c| {
-                c.keys(&["at", "ap"])?;
-                Ok(Cutover {
-                    at: c.req("at")?.u64()?,
-                    ap: c.req("ap")?.u16()?,
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    Ok(Workload {
-        feeds,
-        withdraws,
-        cutovers,
-    })
-}
-
-const FAULT_KINDS: [&str; 7] = [
-    "session_flap",
-    "link_down",
-    "link_up",
-    "router_crash",
-    "router_down",
-    "arr_failure",
-    "ap_reassign",
-];
-
-fn parse_fault(f: &Cur) -> Result<TimedFault, ScenarioError> {
-    use bgp_types::{ApId, RouterId};
-    f.keys(&[
-        "at",
-        "session_flap",
-        "link_down",
-        "link_up",
-        "router_crash",
-        "router_down",
-        "arr_failure",
-        "ap_reassign",
-    ])?;
-    let at = f.req("at")?.u64()?;
-    let kinds: Vec<&str> = FAULT_KINDS
+/// Reads a keyword: a string naming one of `table`'s values.
+pub fn read_keyword<T: Clone>(
+    v: &Value,
+    path: &str,
+    table: &[(&str, T)],
+    what: &str,
+) -> Result<T, ScenarioError> {
+    let word = String::read(v, path)?;
+    table
         .iter()
-        .copied()
-        .filter(|k| f.get(k).is_some())
-        .collect();
-    let [kind] = kinds.as_slice() else {
-        return Err(f.err(format!(
-            "a fault takes `at` plus exactly one kind ({})",
-            FAULT_KINDS.join(", ")
-        )));
-    };
-    let body = f.get(kind).expect("kind present");
-    let rid =
-        |key: &str| -> Result<RouterId, ScenarioError> { Ok(RouterId(body.req(key)?.u32()?)) };
-    let kind = match *kind {
-        "session_flap" => {
-            body.keys(&["a", "b", "down_for"])?;
-            faults::FaultKind::SessionFlap {
-                a: rid("a")?,
-                b: rid("b")?,
-                down_for: body.req("down_for")?.u64()?,
-            }
-        }
-        "link_down" => {
-            body.keys(&["a", "b"])?;
-            faults::FaultKind::LinkDown {
-                a: rid("a")?,
-                b: rid("b")?,
-            }
-        }
-        "link_up" => {
-            body.keys(&["a", "b"])?;
-            faults::FaultKind::LinkUp {
-                a: rid("a")?,
-                b: rid("b")?,
-            }
-        }
-        "router_crash" => {
-            body.keys(&["node", "down_for"])?;
-            faults::FaultKind::RouterCrash {
-                node: rid("node")?,
-                down_for: body.req("down_for")?.u64()?,
-            }
-        }
-        "router_down" => {
-            body.keys(&["node"])?;
-            faults::FaultKind::RouterDown { node: rid("node")? }
-        }
-        "arr_failure" => {
-            body.keys(&["arr"])?;
-            faults::FaultKind::ArrFailure { arr: rid("arr")? }
-        }
-        "ap_reassign" => {
-            body.keys(&["ap", "arrs"])?;
-            faults::FaultKind::ApReassign {
-                ap: ApId(body.req("ap")?.u16()?),
-                arrs: body
-                    .req("arrs")?
-                    .seq()?
-                    .iter()
-                    .map(|x| Ok(RouterId(x.u32()?)))
-                    .collect::<Result<_, ScenarioError>>()?,
-            }
-        }
-        _ => unreachable!(),
-    };
-    Ok(TimedFault { at, kind })
+        .find(|(name, _)| *name == word)
+        .map(|(_, value)| value.clone())
+        .ok_or_else(|| {
+            let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+            ScenarioError::at(
+                path,
+                format!(
+                    "unknown {what} `{word}` (expected one of: {})",
+                    names.join(", ")
+                ),
+            )
+        })
 }
 
-fn parse_check(c: &Cur) -> Result<Check, ScenarioError> {
-    c.keys(&[
-        "mode",
-        "quiesces",
-        "no_loops",
-        "no_blackholes",
-        "matches_full_mesh",
-        "wire",
-        "exits",
-    ])?;
-    let mode_cur = c.req("mode")?;
-    let mode = match mode_cur.str()?.as_str() {
-        "full_mesh" => ModeSpec::FullMesh,
-        "abrr" => ModeSpec::Abrr,
-        "tbrr" => ModeSpec::Tbrr,
-        "tbrr_multipath" => ModeSpec::TbrrMultipath,
-        "transition" => ModeSpec::Transition,
-        other => {
-            return Err(mode_cur.err(format!(
-                "unknown mode `{other}` (expected full_mesh, abrr, tbrr, tbrr_multipath, or transition)"
-            )))
-        }
-    };
-    let flag = |key: &str| -> Result<bool, ScenarioError> {
-        c.get(key)
-            .map(|x| x.boolean())
-            .transpose()
-            .map(|v| v.unwrap_or(false))
-    };
-    let exits = match c.get("exits") {
-        None => Vec::new(),
-        Some(list) => list
-            .seq()?
-            .iter()
-            .map(|x| {
-                x.keys(&["router", "prefix", "exit"])?;
-                let exit_cur = x.req("exit")?;
-                Ok(ExitExpect {
-                    router: x.req("router")?.u32()?,
-                    prefix: x.req("prefix")?.str()?,
-                    exit: if exit_cur.v == &Value::Null {
-                        None
-                    } else {
-                        Some(exit_cur.u32()?)
-                    },
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    Ok(Check {
-        mode,
-        quiesces: c.get("quiesces").map(|x| x.boolean()).transpose()?,
-        no_loops: flag("no_loops")?,
-        no_blackholes: flag("no_blackholes")?,
-        matches_full_mesh: flag("matches_full_mesh")?,
-        wire: flag("wire")?,
-        exits,
-    })
+/// Writes `value`'s keyword.
+pub fn write_keyword<T: PartialEq>(value: &T, table: &[(&str, T)]) -> Value {
+    Value::Str(keyword(value, table).to_string())
+}
+
+/// `value`'s keyword in `table`, which names every value.
+pub fn keyword<'t, T: PartialEq>(value: &T, table: &[(&'t str, T)]) -> &'t str {
+    table
+        .iter()
+        .find(|(_, v)| v == value)
+        .map(|(name, _)| *name)
+        .expect("the keyword table names every value")
 }

@@ -12,6 +12,7 @@ use crate::check::run_checks;
 use crate::compile;
 use crate::schema::*;
 use crate::validate::validate;
+use bgp_types::RouterId;
 use std::collections::BTreeSet;
 
 /// A failing oracle's identity: (mode keyword, oracle name).
@@ -29,7 +30,7 @@ pub fn failure_keys(file: &ScenarioFile) -> Option<BTreeSet<FailureKey>> {
         report
             .failures
             .iter()
-            .map(|f| (f.mode.keyword().to_string(), f.oracle.clone()))
+            .map(|f| (mode_keyword(&f.mode).to_string(), f.oracle.clone()))
             .collect(),
     )
 }
@@ -141,7 +142,7 @@ fn candidates(file: &ScenarioFile) -> Vec<ScenarioFile> {
 }
 
 /// Removes router `r` and every structure that references it.
-fn drop_router(file: &ScenarioFile, r: u32) -> ScenarioFile {
+fn drop_router(file: &ScenarioFile, r: RouterId) -> ScenarioFile {
     let mut f = file.clone();
     let Network::Gadget(g2) = &mut f.network else {
         unreachable!();
@@ -168,12 +169,12 @@ fn drop_router(file: &ScenarioFile, r: u32) -> ScenarioFile {
     f
 }
 
-fn fault_touches(kind: &faults::FaultKind, r: u32) -> bool {
+fn fault_touches(kind: &faults::FaultKind, r: RouterId) -> bool {
     use faults::FaultKind::*;
     match kind {
-        SessionFlap { a, b, .. } | LinkDown { a, b } | LinkUp { a, b } => a.0 == r || b.0 == r,
-        RouterCrash { node, .. } | RouterDown { node } => node.0 == r,
-        ArrFailure { arr } => arr.0 == r,
-        ApReassign { arrs, .. } => arrs.iter().any(|x| x.0 == r),
+        SessionFlap { a, b, .. } | LinkDown { a, b } | LinkUp { a, b } => *a == r || *b == r,
+        RouterCrash { node, .. } | RouterDown { node } => *node == r,
+        ArrFailure { arr } => *arr == r,
+        ApReassign { arrs, .. } => arrs.contains(&r),
     }
 }

@@ -15,12 +15,24 @@
 //!   a Transition scenario may not strand a spanning prefix with only
 //!   *some* of its covering APs cut over;
 //! * faults: events referencing unknown nodes, ARR failures of
-//!   non-RRs, AP reassignments to non-RRs.
+//!   non-RRs, AP reassignments to non-RRs;
+//! * size: networks too large to build ([`MAX_ROUTERS`],
+//!   [`MAX_TIER1_PREFIXES`]) are rejected before anything is built.
 
 use crate::parse::ScenarioError;
 use crate::schema::*;
-use bgp_types::{AddressRange, ApId, ApMap, Ipv4Prefix, Partition, RouterId};
+use abrr::spec::Mode;
+use bgp_types::{AddressRange, ApId, ApMap, Partition, RouterId};
 use std::collections::BTreeSet;
+
+/// Most routers a `pop_grid` or `tier1` network may have
+/// (`pops × routers_per_pop`): the paper's >1000-router AS fits, a
+/// grid whose full mesh would exhaust memory does not.
+pub const MAX_ROUTERS: usize = 4_096;
+
+/// Most prefixes a `tier1` network may have: the paper's 416K-prefix
+/// table fits, one the model generator cannot hold in memory does not.
+pub const MAX_TIER1_PREFIXES: usize = 1 << 20;
 
 /// Builds the effective [`ApMap`] of a gadget network. `None` scheme
 /// means the single full-space AP the Rust gadgets use. Returns `None`
@@ -29,23 +41,22 @@ use std::collections::BTreeSet;
 pub fn build_ap_map(g: &GadgetNetwork) -> Option<ApMap> {
     match &g.aps {
         None => Some(ApMap::uniform(1)),
-        Some(ApScheme::Uniform(n)) => {
-            if *n == 0 {
-                return None;
-            }
-            Some(ApMap::uniform(*n as usize))
-        }
+        Some(ApScheme::Uniform(0)) => None,
+        Some(ApScheme::Uniform(n)) => Some(ApMap::uniform(*n as usize)),
         Some(ApScheme::Explicit(ranges)) => {
-            let ids: BTreeSet<u16> = ranges.iter().map(|r| r.id).collect();
-            if ids.len() != ranges.len() || ranges.iter().any(|r| r.first > r.last) {
+            let ids: BTreeSet<ApId> = ranges.iter().map(|r| r.id).collect();
+            if ranges.is_empty()
+                || ids.len() != ranges.len()
+                || ranges.iter().any(|r| r.first > r.last)
+            {
                 return None;
             }
             Some(ApMap::new(
                 ranges
                     .iter()
                     .map(|r| Partition {
-                        id: ApId(r.id),
-                        ranges: vec![AddressRange::new(r.first, r.last)],
+                        id: r.id,
+                        ranges: vec![AddressRange::new(r.first.into(), r.last.into())],
                     })
                     .collect(),
             ))
@@ -54,22 +65,26 @@ pub fn build_ap_map(g: &GadgetNetwork) -> Option<ApMap> {
 }
 
 /// All AP ids of a gadget network's scheme.
-pub fn ap_ids(g: &GadgetNetwork) -> BTreeSet<u16> {
+pub fn ap_ids(g: &GadgetNetwork) -> BTreeSet<ApId> {
     match &g.aps {
-        None => [0u16].into(),
-        Some(ApScheme::Uniform(n)) => (0..*n).collect(),
+        None => [ApId(0)].into(),
+        Some(ApScheme::Uniform(n)) => (0..*n).map(ApId).collect(),
         Some(ApScheme::Explicit(ranges)) => ranges.iter().map(|r| r.id).collect(),
     }
 }
 
 /// The router ids a PopGrid topology generates.
-pub fn pop_grid_routers(pops: usize, routers_per_pop: usize) -> Vec<u32> {
+pub fn pop_grid_routers(pops: usize, routers_per_pop: usize) -> Vec<RouterId> {
     igp::PopTopologyBuilder::new(pops, routers_per_pop)
         .build()
         .routers()
-        .iter()
-        .map(|r| r.0)
-        .collect()
+}
+
+/// Whether `pops × routers_per_pop` routers are at least one and at
+/// most [`MAX_ROUTERS`].
+fn router_count_ok(pops: usize, routers_per_pop: usize) -> bool {
+    pops.checked_mul(routers_per_pop)
+        .is_some_and(|n| (1..=MAX_ROUTERS).contains(&n))
 }
 
 /// Validates a parsed scenario, collecting every problem found.
@@ -91,27 +106,17 @@ pub fn validate(file: &ScenarioFile) -> Vec<ScenarioError> {
     errs
 }
 
-fn parse_prefix(text: &str, path: &str, errs: &mut Vec<ScenarioError>) -> Option<Ipv4Prefix> {
-    match text.parse::<Ipv4Prefix>() {
-        Ok(p) => Some(p),
-        Err(e) => {
-            errs.push(ScenarioError::at(path, format!("bad prefix `{text}`: {e}")));
-            None
-        }
-    }
-}
-
 fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<ScenarioError>) {
     // --- topology & roles -------------------------------------------
     let mut routers = g.routers.clone();
-    let topo_nodes: BTreeSet<u32> = match &g.topology {
+    let topo_nodes: BTreeSet<RouterId> = match &g.topology {
         TopologySource::Links(links) => {
             let mut nodes = BTreeSet::new();
             for (i, l) in links.iter().enumerate() {
                 if l.a == l.b {
                     errs.push(ScenarioError::at(
                         format!("$.network.links[{i}]"),
-                        format!("self-link at router {}", l.a),
+                        format!("self-link at router {}", l.a.0),
                     ));
                 }
                 if l.metric == 0 {
@@ -129,10 +134,10 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             pops,
             routers_per_pop,
         } => {
-            if *pops == 0 || *routers_per_pop == 0 {
+            if !router_count_ok(*pops, *routers_per_pop) {
                 errs.push(ScenarioError::at(
                     "$.network.pop_grid",
-                    "pops and routers_per_pop must be >= 1",
+                    format!("pops and routers_per_pop must be >= 1, with at most {MAX_ROUTERS} routers in all"),
                 ));
                 return;
             }
@@ -155,7 +160,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
         if !seen.insert(*r) {
             errs.push(ScenarioError::at(
                 "$.network.routers",
-                format!("router {r} listed twice"),
+                format!("router {} listed twice", r.0),
             ));
         }
     }
@@ -167,16 +172,16 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
         if !seen.insert(*r) {
             errs.push(ScenarioError::at(
                 "$.network.rrs",
-                format!("rr {r} listed twice"),
+                format!("rr {} listed twice", r.0),
             ));
         }
     }
-    let nodes: BTreeSet<u32> = routers.iter().chain(g.rrs.iter()).copied().collect();
+    let nodes: BTreeSet<RouterId> = routers.iter().chain(g.rrs.iter()).copied().collect();
     for r in &nodes {
         if !topo_nodes.contains(r) {
             errs.push(ScenarioError::at(
                 "$.network",
-                format!("router {r} does not appear in the topology"),
+                format!("router {} does not appear in the topology", r.0),
             ));
         }
     }
@@ -186,7 +191,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
                 if !nodes.contains(&end) {
                     errs.push(ScenarioError::at(
                         format!("$.network.links[{i}]"),
-                        format!("dangling link endpoint: router {end} is neither a data-plane router nor an RR"),
+                        format!("dangling link endpoint: router {} is neither a data-plane router nor an RR", end.0),
                     ));
                 }
             }
@@ -207,7 +212,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             if !g.rrs.contains(t) {
                 errs.push(ScenarioError::at(
                     &path,
-                    format!("TRR {t} is not in the rrs list"),
+                    format!("TRR {} is not in the rrs list", t.0),
                 ));
             }
         }
@@ -215,17 +220,14 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             if !nodes.contains(cl) {
                 errs.push(ScenarioError::at(
                     &path,
-                    format!("unknown client router {cl}"),
+                    format!("unknown client router {}", cl.0),
                 ));
             }
         }
     }
 
     // --- APs ---------------------------------------------------------
-    let uses_abrr = file
-        .checks
-        .iter()
-        .any(|c| matches!(c.mode, ModeSpec::Abrr | ModeSpec::Transition));
+    let uses_abrr = file.checks.iter().any(|c| c.mode.has_abrr());
     if uses_abrr && g.rrs.is_empty() {
         errs.push(ScenarioError::at(
             "$.network.rrs",
@@ -244,6 +246,10 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             "$.network.aps.uniform",
             format!("at most {ap_id_bound} APs supported (peer-group id space)"),
         )),
+        Some(ApScheme::Explicit(ref ranges)) if ranges.is_empty() => errs.push(ScenarioError::at(
+            "$.network.aps.explicit",
+            "need at least one AP",
+        )),
         _ => {}
     }
     if let Some(ApScheme::Explicit(ranges)) = &g.aps {
@@ -253,15 +259,15 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             if !ids.insert(r.id) {
                 errs.push(ScenarioError::at(
                     &path,
-                    format!("duplicate AP id {}", r.id),
+                    format!("duplicate AP id {}", r.id.0),
                 ));
             }
-            if u32::from(r.id) >= ap_id_bound {
+            if u32::from(r.id.0) >= ap_id_bound {
                 errs.push(ScenarioError::at(
                     format!("{path}.id"),
                     format!(
                         "AP id {} is outside the peer-group id space (must be below {ap_id_bound})",
-                        r.id
+                        r.id.0
                     ),
                 ));
             }
@@ -279,10 +285,10 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
                         format!("$.network.aps.explicit[{j}]"),
                         format!(
                             "overlapping AP assignment: AP {} and AP {} both cover addresses {}..={}",
-                            a.id,
-                            b.id,
-                            a.first.max(b.first),
-                            a.last.min(b.last),
+                            a.id.0,
+                            b.id.0,
+                            u32::from(a.first.max(b.first)),
+                            u32::from(a.last.min(b.last)),
                         ),
                     ));
                 }
@@ -294,22 +300,25 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     for (i, a) in g.arrs.iter().enumerate() {
         let path = format!("$.network.arrs[{i}]");
         if !known_aps.contains(&a.ap) {
-            errs.push(ScenarioError::at(&path, format!("unknown AP {}", a.ap)));
+            errs.push(ScenarioError::at(&path, format!("unknown AP {}", a.ap.0)));
         }
         if !seen_aps.insert(a.ap) {
             errs.push(ScenarioError::at(
                 &path,
-                format!("AP {} assigned twice", a.ap),
+                format!("AP {} assigned twice", a.ap.0),
             ));
         }
         if a.arrs.is_empty() {
-            errs.push(ScenarioError::at(&path, format!("AP {} has no ARRs", a.ap)));
+            errs.push(ScenarioError::at(
+                &path,
+                format!("AP {} has no ARRs", a.ap.0),
+            ));
         }
         for r in &a.arrs {
             if !g.rrs.contains(r) {
                 errs.push(ScenarioError::at(
                     &path,
-                    format!("ARR {r} is not in the rrs list"),
+                    format!("ARR {} is not in the rrs list", r.0),
                 ));
             }
         }
@@ -319,40 +328,34 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             if !seen_aps.contains(ap) {
                 errs.push(ScenarioError::at(
                     "$.network.arrs",
-                    format!("AP {ap} has no ARR assignment"),
+                    format!("AP {} has no ARR assignment", ap.0),
                 ));
             }
         }
     }
 
     // --- workload ----------------------------------------------------
-    let mut fed: Vec<(u32, Ipv4Prefix, u32, u64)> = Vec::new(); // router, prefix, peer, at
     for (i, f) in file.workload.feeds.iter().enumerate() {
-        let path = format!("$.workload.feeds[{i}]");
         if !routers.contains(&f.router) {
             errs.push(ScenarioError::at(
-                format!("{path}.router"),
-                format!("feed router {} is not a data-plane router", f.router),
+                format!("$.workload.feeds[{i}].router"),
+                format!("feed router {} is not a data-plane router", f.router.0),
             ));
-        }
-        if let Some(p) = parse_prefix(&f.prefix, &format!("{path}.prefix"), errs) {
-            fed.push((f.router, p, f.peer_addr, f.at));
         }
     }
     for (i, w) in file.workload.withdraws.iter().enumerate() {
-        let path = format!("$.workload.withdraws[{i}]");
-        let Some(p) = parse_prefix(&w.prefix, &format!("{path}.prefix"), errs) else {
-            continue;
-        };
-        let matching = fed.iter().find(|(r, fp, peer, at)| {
-            *r == w.router && *fp == p && *peer == w.peer_addr && *at < w.at
+        let announced = file.workload.feeds.iter().any(|f| {
+            f.router == w.router
+                && f.prefix == w.prefix
+                && f.peer_addr == w.peer_addr
+                && f.at < w.at
         });
-        if matching.is_none() {
+        if !announced {
             errs.push(ScenarioError::at(
-                path,
+                format!("$.workload.withdraws[{i}]"),
                 format!(
                     "withdraws {} at router {} from peer {} but no earlier feed announced it",
-                    w.prefix, w.router, w.peer_addr
+                    w.prefix, w.router.0, w.peer_addr.0
                 ),
             ));
         }
@@ -361,7 +364,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
         if !known_aps.contains(&c.ap) {
             errs.push(ScenarioError::at(
                 format!("$.workload.cutovers[{i}].ap"),
-                format!("unknown AP {}", c.ap),
+                format!("unknown AP {}", c.ap.0),
             ));
         }
     }
@@ -371,16 +374,16 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     // APs covering it are cut over. A Transition scenario that ends
     // with a spanning prefix only partially cut over leaves that prefix
     // in a state the checks cannot reason about — reject it.
-    let uses_transition = file.checks.iter().any(|c| c.mode == ModeSpec::Transition);
+    let uses_transition = file.checks.iter().any(|c| c.mode == Mode::Transition);
     if uses_transition && !file.workload.cutovers.is_empty() {
         if let Some(ap_map) = build_ap_map(g) {
-            let cut: BTreeSet<u16> = file.workload.cutovers.iter().map(|c| c.ap).collect();
+            let cut: BTreeSet<u16> = file.workload.cutovers.iter().map(|c| c.ap.0).collect();
             for (i, f) in file.workload.feeds.iter().enumerate() {
-                let Ok(p) = f.prefix.parse::<Ipv4Prefix>() else {
-                    continue;
-                };
-                let covering: BTreeSet<u16> =
-                    ap_map.aps_for_prefix(&p).iter().map(|id| id.0).collect();
+                let covering: BTreeSet<u16> = ap_map
+                    .aps_for_prefix(&f.prefix)
+                    .iter()
+                    .map(|id| id.0)
+                    .collect();
                 let cut_covering: BTreeSet<u16> = covering.intersection(&cut).copied().collect();
                 if !cut_covering.is_empty() && cut_covering.len() < covering.len() {
                     errs.push(ScenarioError::at(
@@ -399,7 +402,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     for (i, f) in file.faults.iter().enumerate() {
         let path = format!("$.faults[{i}]");
         let check_node = |id: RouterId, what: &str, errs: &mut Vec<ScenarioError>| {
-            if !nodes.contains(&id.0) {
+            if !nodes.contains(&id) {
                 errs.push(ScenarioError::at(
                     path.clone(),
                     format!("{what} references unknown node {}", id.0),
@@ -418,7 +421,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             faults::FaultKind::RouterCrash { node, .. } => check_node(*node, "router_crash", errs),
             faults::FaultKind::RouterDown { node } => check_node(*node, "router_down", errs),
             faults::FaultKind::ArrFailure { arr } => {
-                if !g.rrs.contains(&arr.0) {
+                if !g.rrs.contains(arr) {
                     errs.push(ScenarioError::at(
                         path.clone(),
                         format!("arr_failure targets router {}, which is not an RR", arr.0),
@@ -426,14 +429,14 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
                 }
             }
             faults::FaultKind::ApReassign { ap, arrs } => {
-                if !known_aps.contains(&ap.0) {
+                if !known_aps.contains(ap) {
                     errs.push(ScenarioError::at(
                         path.clone(),
                         format!("unknown AP {}", ap.0),
                     ));
                 }
                 for r in arrs {
-                    if !g.rrs.contains(&r.0) {
+                    if !g.rrs.contains(r) {
                         errs.push(ScenarioError::at(
                             path.clone(),
                             format!("ap_reassign target {} is not an RR", r.0),
@@ -451,27 +454,28 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             if !nodes.contains(&x.router) {
                 errs.push(ScenarioError::at(
                     format!("{path}.exits[{j}]"),
-                    format!("unknown router {}", x.router),
+                    format!("unknown router {}", x.router.0),
                 ));
             }
             if let Some(e) = x.exit {
                 if !nodes.contains(&e) {
                     errs.push(ScenarioError::at(
                         format!("{path}.exits[{j}]"),
-                        format!("unknown exit router {e}"),
+                        format!("unknown exit router {}", e.0),
                     ));
                 }
             }
-            parse_prefix(&x.prefix, &format!("{path}.exits[{j}].prefix"), errs);
         }
     }
 }
 
 fn validate_tier1(file: &ScenarioFile, t: &Tier1Network, errs: &mut Vec<ScenarioError>) {
-    if t.prefixes == 0 || t.pops == 0 || t.routers_per_pop == 0 {
+    if !(1..=MAX_TIER1_PREFIXES).contains(&t.prefixes)
+        || !router_count_ok(t.pops, t.routers_per_pop)
+    {
         errs.push(ScenarioError::at(
             "$.network.tier1",
-            "prefixes, pops, and routers_per_pop must be >= 1",
+            format!("prefixes, pops, and routers_per_pop must be >= 1, with at most {MAX_TIER1_PREFIXES} prefixes and {MAX_ROUTERS} routers"),
         ));
     }
     if t.aps == 0 || t.arrs_per_ap == 0 || t.trrs_per_cluster == 0 {
@@ -494,7 +498,7 @@ fn validate_tier1(file: &ScenarioFile, t: &Tier1Network, errs: &mut Vec<Scenario
         ));
     }
     for (i, c) in file.checks.iter().enumerate() {
-        if c.mode == ModeSpec::Transition {
+        if c.mode == Mode::Transition {
             errs.push(ScenarioError::at(
                 format!("$.checks[{i}].mode"),
                 "transition mode is not supported on tier1 networks",

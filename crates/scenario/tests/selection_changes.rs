@@ -7,10 +7,9 @@
 //! withdrawn (whose count outlives its selection).
 
 use abrr::audit::{self, OscillationSuspect};
-use abrr::{BgpNode, ExternalEvent};
+use abrr::{BgpNode, ExternalEvent, Mode};
 use bgp_types::{Ipv4Prefix, RouterId};
 use netsim::{RunConfig, RunLimits, Sim, Time, WireMode};
-use scenario::schema::ModeSpec;
 use scenario::Loaded;
 
 fn load(stem: &str) -> Loaded {
@@ -51,7 +50,7 @@ fn suspect(prefix: &str, total_changes: u64, hottest: u32) -> OscillationSuspect
 #[test]
 fn small_reference_counts_match_the_parent() {
     let s = load("small_reference");
-    let run = s.run(ModeSpec::Abrr, true, RunConfig::default()).unwrap();
+    let run = s.run(Mode::Abrr, true, RunConfig::default()).unwrap();
     assert!(run.outcome.quiesced);
     let sim = run.sim;
     assert_eq!(
@@ -85,7 +84,7 @@ fn small_reference_withdrawn_prefix_keeps_its_counts() {
     // (routers that hunted through the other ARR's copy lost it twice).
     let s = load("small_reference");
     let p2: Ipv4Prefix = "192.168.0.0/16".parse().unwrap();
-    let (_, mut sim) = s.build(ModeSpec::Abrr, true, WireMode::Off).unwrap();
+    let (_, mut sim) = s.build(Mode::Abrr, true, WireMode::Off).unwrap();
     sim.schedule_external(
         10_000_000,
         RouterId(9),
@@ -123,7 +122,7 @@ fn small_reference_withdrawn_prefix_keeps_its_counts() {
 #[test]
 fn med_gadget_counts_match_the_parent() {
     let s = load("med_gadget");
-    let run = s.run(ModeSpec::Abrr, true, RunConfig::default()).unwrap();
+    let run = s.run(Mode::Abrr, true, RunConfig::default()).unwrap();
     assert!(run.outcome.quiesced);
     assert_eq!(
         counts(&run.sim, &s.prefixes()),
@@ -149,7 +148,9 @@ fn med_gadget_counts_match_the_parent() {
         },
         ..Default::default()
     };
-    let run = s.run(ModeSpec::Tbrr, true, budget).unwrap();
+    let run = s
+        .run(Mode::Tbrr { multipath: false }, true, budget)
+        .unwrap();
     assert!(!run.outcome.quiesced);
     assert_eq!(
         counts(&run.sim, &s.prefixes()),

@@ -227,3 +227,42 @@ fn exit_expectation_unknown_router() {
     );
     assert_error(&src, "$.checks[0].exits[0]", "unknown router 55");
 }
+
+/// Size caps: a ~110-byte file must not make the loader build a
+/// network too large for memory. Each is rejected by the validator,
+/// before any topology or model exists.
+#[test]
+fn oversized_pop_grid_is_rejected_before_it_is_built() {
+    let src = r#"{"name": "big", "network": {"pop_grid": {"pops": 1, "routers_per_pop": 200000}},
+      "checks": [{"mode": "abrr"}]}"#;
+    assert_error(src, "$.network.pop_grid", "at most 4096 routers");
+    // pops × routers_per_pop overflows u64.
+    let src = src.replace("\"pops\": 1", "\"pops\": 18446744073709551615");
+    assert_error(&src, "$.network.pop_grid", "at most 4096 routers");
+}
+
+#[test]
+fn oversized_tier1_is_rejected_before_it_is_generated() {
+    let src = r#"{"name": "big", "network": {"tier1": {"prefixes": 4000000000}},
+      "checks": [{"mode": "abrr"}]}"#;
+    assert_error(src, "$.network.tier1", "at most 1048576 prefixes");
+    let src = r#"{"name": "big", "network": {"tier1": {"prefixes": 10, "pops": 4097, "routers_per_pop": 1}},
+      "checks": [{"mode": "abrr"}]}"#;
+    assert_error(src, "$.network.tier1", "4096 routers");
+}
+
+#[test]
+fn empty_explicit_ap_list_is_rejected() {
+    let src = base().replace("\"rrs\": [1]", r#""rrs": [1], "aps": {"explicit": []}"#);
+    assert_error(&src, "$.network.aps.explicit", "need at least one AP");
+}
+
+#[test]
+fn bad_prefix_is_rejected_at_its_path() {
+    let src = base().replace("10.0.0.0/8", "10.0.0.0/33");
+    assert_error(
+        &src,
+        "$.workload.feeds[0].prefix",
+        "bad prefix `10.0.0.0/33`",
+    );
+}

@@ -13,7 +13,8 @@
 //! Run with: `cargo run --example med_oscillation`
 
 use abrr::audit;
-use scenario::schema::ModeSpec;
+use abrr::Mode;
+use scenario::schema::mode_keyword;
 use scenario::Loaded;
 
 fn load(stem: &str) -> Loaded {
@@ -25,11 +26,12 @@ fn show(loaded: &Loaded) {
     let routers = loaded.routers();
     let prefixes = loaded.prefixes();
     for mode in [
-        ModeSpec::Tbrr,
-        ModeSpec::TbrrMultipath,
-        ModeSpec::Abrr,
-        ModeSpec::FullMesh,
+        Mode::Tbrr { multipath: false },
+        Mode::Tbrr { multipath: true },
+        Mode::Abrr,
+        Mode::FullMesh,
     ] {
+        let label = mode_keyword(&mode);
         let run = loaded
             .run(mode, true, Default::default())
             .expect("scenario runs");
@@ -50,15 +52,13 @@ fn show(loaded: &Loaded) {
                 })
                 .collect();
             println!(
-                "{:<24} CONVERGES in {:>6} events; loops={loops}; exits: {}",
-                format!("{mode:?}"),
+                "{label:<24} CONVERGES in {:>6} events; loops={loops}; exits: {}",
                 run.outcome.events,
                 exits.join(" ")
             );
         } else {
             println!(
-                "{:<24} OSCILLATES — still churning after {} events",
-                format!("{mode:?}"),
+                "{label:<24} OSCILLATES — still churning after {} events",
                 run.outcome.events
             );
         }
@@ -76,10 +76,10 @@ fn main() {
     // Check ABRR == full-mesh exits on both gadgets.
     for g in &gadgets {
         let ab = g
-            .run(ModeSpec::Abrr, true, Default::default())
+            .run(Mode::Abrr, true, Default::default())
             .expect("abrr runs");
         let fm = g
-            .run(ModeSpec::FullMesh, true, Default::default())
+            .run(Mode::FullMesh, true, Default::default())
             .expect("full mesh runs");
         assert!(ab.outcome.quiesced && fm.outcome.quiesced);
         let rep = audit::compare_exits(&ab.sim, &ab.spec, &fm.sim, &g.routers(), &g.prefixes());

@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example oscillation_hunt`
 
 use abrr::audit;
-use scenario::schema::ModeSpec;
+use abrr::Mode;
 use scenario::Loaded;
 use std::sync::Arc;
 use workload::{churn, regen};
@@ -55,7 +55,7 @@ fn main() {
 
     let tbrr = run(
         &format!("TBRR ({} clusters, single-path)", model.view.pops.len()),
-        Arc::new(loaded.spec(ModeSpec::Tbrr)),
+        Arc::new(loaded.spec(Mode::Tbrr { multipath: false })),
     );
     println!("top oscillation suspects under TBRR:");
     let suspects = audit::oscillation_suspects(&tbrr, 5);
@@ -73,7 +73,7 @@ fn main() {
             "ABRR ({} APs, {} ARRs each)",
             t1.params.aps, t1.params.arrs_per_ap
         ),
-        Arc::new(loaded.spec(ModeSpec::Abrr)),
+        Arc::new(loaded.spec(Mode::Abrr)),
     );
     println!("the same prefixes under ABRR:");
     for s in &suspects {

@@ -17,7 +17,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== benchmark-only names stay out of crates/*/src"
 # benchmark/src/kernels.rs still names what no router uses: the
 # adapters in bgp-rib/src/compat.rs and bgp-types' PrefixTrie alias of
-# PrefixTable. Until the kernels move off them (ROADMAP item 3), only
+# PrefixTable. Until the kernels move off them (ROADMAP item 2), only
 # their definitions may name them under crates/*/src: compat.rs, its
 # re-export, the alias line and its re-export. Tests may use them.
 FENCED=$(grep -rnE '\b(PrefixTrie|CandidateBatch|AdjRibIn|LocRib)\b|\bcompat::' crates/*/src |
@@ -42,6 +42,19 @@ ENGINE_USES=$(grep -rnE 'use netsim::(Engine\b|\{[^}]*\bEngine\b)|\bEngine::|\.r
 if [ -n "$ENGINE_USES" ]; then
   echo "$ENGINE_USES" >&2
   echo "netsim::Engine or run_engine used outside netsim and engine_equivalence.rs (see above)" >&2
+  exit 1
+fi
+
+echo "== the scenario format is read and written by its codec only"
+# Each scenario record declares its keys once (crates/scenario/src/
+# schema.rs), and the codec in crates/scenario/src/parse.rs both reads
+# and writes them; no other scenario module may walk JSON values, or it
+# would be a second, hand-kept copy of the format.
+FORMAT_USES=$(grep -rnE 'as_map\(|as_seq\(|Value::Map|Value::Seq|serde::json::' crates/scenario/src |
+  grep -vE '^crates/scenario/src/parse\.rs:' || true)
+if [ -n "$FORMAT_USES" ]; then
+  echo "$FORMAT_USES" >&2
+  echo "JSON values handled outside the scenario codec (see above)" >&2
   exit 1
 fi
 
