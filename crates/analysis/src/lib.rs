@@ -25,10 +25,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
-
 /// Input parameters of the Appendix A analysis.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Params {
     /// Total routable prefixes (paper figures use 400K).
     pub prefixes: f64,
@@ -60,7 +58,7 @@ impl Params {
 }
 
 /// RIB sizes for one scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RibSizes {
     /// Adj-RIB-In entries from managed routes.
     pub rib_in_managed: f64,
@@ -123,7 +121,7 @@ pub fn tbrr_multi(p: &Params) -> RibSizes {
 
 /// The fitted `F(#PASs)` regression: `bal = intercept + slope × x`
 /// (§3.1 fits "a regression line to the 'All Sources' curve").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BalRegression {
     /// Intercept (≈ #BAL with no peer ASes: customers + statics ≈ 1).
     pub intercept: f64,
@@ -186,7 +184,7 @@ impl BalRegression {
 /// with only its clients and other TRRs." Clients: ABRR needs
 /// #APs × redundancy sessions (20–30 at the recommended 10–15 APs);
 /// TBRR clients need ~2.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SessionCounts {
     /// Sessions per ARR.
     pub per_arr: f64,
@@ -215,7 +213,7 @@ pub fn sessions(routers: f64, aps: f64, clusters: f64, rrs_per: f64) -> SessionC
 }
 
 /// One row of a Figure 4/5-style sweep.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepRow {
     /// The swept parameter's value.
     pub x: f64,

@@ -26,9 +26,6 @@
 //! against the base column; the delta is the *redundancy-degradation*
 //! cost — with one of the AP's two ARRs (or the cluster's two TRRs)
 //! gone, clients wait on the slower surviving reflector alone.
-//!
-//! The fault schedule is round-tripped through JSON before compiling —
-//! the run below replays a *parsed* schedule.
 
 use super::Def;
 use crate::cli::{flag, MRAI_SECS, PREFIXES, SEED};
@@ -86,15 +83,11 @@ struct Report {
     final_blackholed: usize,
 }
 
-/// Schedules the scenario's kill at `at`, exercising the serde
-/// round-trip: the schedule that actually compiles is parsed back from
-/// its own JSON.
+/// Schedules the scenario's kill at `at`.
 fn schedule_kill(scn: &Scenario, seed: u64, at: netsim::Time, sim: &mut netsim::Sim<BgpNode>) {
     let mut sched = FaultSchedule::new(seed);
     sched.push(at, scn.kill.clone());
-    let parsed = FaultSchedule::from_json(&sched.to_json()).expect("schedule round-trips");
-    assert_eq!(parsed, sched);
-    compile(&parsed, &scn.spec, sim).expect("schedule compiles");
+    compile(&sched, &scn.spec, sim).expect("schedule compiles");
 }
 
 /// Everything except the victim.

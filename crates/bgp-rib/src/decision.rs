@@ -1,11 +1,10 @@
 //! The BGP best-path decision process (RFC 4271 §9.1.2.2; paper Table 2).
 
 use bgp_types::{AsPath, Asn, NextHop, PathAttributes, RouteSource, RouterId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// MED comparison scope.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MedMode {
     /// RFC 4271 default: MEDs are comparable only between routes learned
     /// from the same neighbouring AS.
@@ -15,7 +14,7 @@ pub enum MedMode {
 }
 
 /// Decision-process configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecisionConfig {
     /// MED comparison scope (step 4).
     pub med: MedMode,

@@ -1,10 +1,9 @@
 //! Autonomous-system numbers and AS_PATH values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 4-byte autonomous-system number (RFC 6793).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -20,7 +19,7 @@ impl fmt::Debug for Asn {
 }
 
 /// One segment of an AS_PATH (RFC 4271 §4.3 / §5.1.2).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum AsSegment {
     /// An ordered sequence of ASes (`AS_SEQUENCE`).
     Sequence(Vec<Asn>),
@@ -70,7 +69,7 @@ impl fmt::Debug for AsSegment {
 /// assert_eq!(p.path_len(), 3);
 /// assert_eq!(p.first_as(), Some(Asn(7018)));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath {
     /// The path segments, first segment nearest to the receiver.
     pub segments: Vec<AsSegment>,

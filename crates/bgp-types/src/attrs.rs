@@ -1,12 +1,11 @@
 //! Scalar path-attribute value types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The ORIGIN attribute (RFC 4271 §4.3). The ordering used by the
 /// decision process is IGP < EGP < Incomplete ("lowest origin type wins",
 /// decision step 3 in paper Table 2).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Origin {
     /// Route originated by an IGP (`0`).
     Igp,
@@ -40,11 +39,11 @@ impl Origin {
 /// The MULTI_EXIT_DISC attribute. Lower is preferred; only comparable
 /// between routes learned from the same neighbouring AS unless
 /// "always-compare-med" is configured.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Med(pub u32);
 
 /// The LOCAL_PREF attribute. Higher is preferred. iBGP-only.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct LocalPref(pub u32);
 
 impl LocalPref {
@@ -55,7 +54,7 @@ impl LocalPref {
 /// The BGP NEXT_HOP attribute — an IPv4 address identifying the exit
 /// point. In this reproduction next hops name border routers, and IGP
 /// metrics to them drive decision step 6.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NextHop(pub u32);
 
 impl fmt::Debug for NextHop {
@@ -72,7 +71,7 @@ impl fmt::Display for NextHop {
 }
 
 /// A standard 32-bit community value (RFC 1997).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Community(pub u32);
 
 impl Community {
@@ -96,7 +95,7 @@ impl fmt::Debug for Community {
 /// needed to break the loop is a single bit indicating that the update
 /// has been reflected by an ARR. In our implementation, we use this
 /// approach implemented as an extended community attribute."
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExtCommunity(pub [u8; 8]);
 
 impl ExtCommunity {
@@ -134,11 +133,11 @@ impl fmt::Debug for ExtCommunity {
 
 /// The ORIGINATOR_ID attribute (RFC 4456 §8): router ID of the router
 /// that injected the route into the AS, set by the first reflector.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct OriginatorId(pub u32);
 
 /// A cluster ID as carried in the CLUSTER_LIST attribute (RFC 4456 §8).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ClusterId(pub u32);
 
 #[cfg(test)]

@@ -6,11 +6,10 @@
 //! the ARRs for all such APs"). Different APs may overlap.
 
 use crate::prefix::{AddressRange, Ipv4Prefix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an Address Partition.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ApId(pub u16);
 
 impl fmt::Debug for ApId {
@@ -26,7 +25,7 @@ impl fmt::Display for ApId {
 }
 
 /// One Address Partition: an id plus the address ranges it covers.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     /// The partition's identifier.
     pub id: ApId,
@@ -54,7 +53,7 @@ impl Partition {
 /// let p: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();   // first quarter
 /// assert_eq!(m.aps_for_prefix(&p), vec![m.partitions()[0].id]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ApMap {
     partitions: Vec<Partition>,
 }

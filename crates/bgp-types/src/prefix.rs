@@ -1,6 +1,5 @@
 //! IPv4 prefixes and contiguous address ranges.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -16,7 +15,7 @@ use std::str::FromStr;
 /// assert!(p.contains_addr(0x0A010203));
 /// assert_eq!(p.to_string(), "10.1.2.0/24");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Prefix {
     addr: u32,
     len: u8,
@@ -60,12 +59,6 @@ impl Ipv4Prefix {
     #[inline]
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// True for the zero-length default route.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
     }
 
     /// The first address covered by the prefix.
@@ -185,7 +178,7 @@ impl FromStr for Ipv4Prefix {
 ///
 /// Address Partitions (paper §2.1) are defined as address ranges; a range
 /// need not align to a prefix boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AddressRange {
     start: u32,
     end: u32,

@@ -5,13 +5,12 @@ use crate::attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
 use crate::prefix::Ipv4Prefix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A router identity — the 32-bit BGP Identifier from the OPEN message.
 /// In this reproduction a router's ID doubles as its loopback address,
 /// so `RouterId` values also appear as [`NextHop`]s and peer addresses.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RouterId(pub u32);
 
 impl fmt::Debug for RouterId {
@@ -28,12 +27,12 @@ impl fmt::Display for RouterId {
 
 /// An add-paths path identifier (draft-ietf-idr-add-paths, now RFC 7911):
 /// disambiguates multiple routes for the same prefix on one session.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PathId(pub u32);
 
 /// The set of path attributes attached to a route. Only the attributes
 /// the paper's protocols manipulate are modelled.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PathAttributes {
     /// ORIGIN (mandatory).
     pub origin: Origin,
@@ -154,7 +153,7 @@ impl fmt::Debug for PathAttributes {
 /// Where a route was learned from. This is receiver-side provenance used
 /// by the decision process (step 5: eBGP over iBGP; step 8: lowest peer
 /// address) and by the advertisement rules in paper Table 1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RouteSource {
     /// Learned over an eBGP session from `peer_as` at `peer_addr`.
     Ebgp {
@@ -183,7 +182,7 @@ impl RouteSource {
 }
 
 /// A route: a destination prefix, its attributes, and its provenance.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     /// Destination prefix.
     pub prefix: Ipv4Prefix,

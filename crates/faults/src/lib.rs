@@ -7,7 +7,7 @@
 //! forwarding intact while sessions to the survivor carry on. This
 //! crate makes that claim testable:
 //!
-//! * [`schedule`] — [`FaultSchedule`]: seeded, serializable, replayable
+//! * [`schedule`] — [`FaultSchedule`]: seeded, replayable
 //!   descriptions of failures (session flaps, link loss, router
 //!   crash-restart with RIB loss, permanent ARR failure, runtime AP
 //!   reassignment).
@@ -16,9 +16,9 @@
 //!   fault-free ones.
 //! * [`resilience`] — auditors measuring what a fault costs the data
 //!   plane: per-router×prefix blackhole windows against a live
-//!   full-mesh-style reachability oracle, transient forwarding-loop
-//!   observations, and post-fault RIB equivalence against a reference
-//!   run.
+//!   full-mesh-style reachability oracle, and transient forwarding-loop
+//!   observations. Post-fault selections are compared against a
+//!   reference run with `abrr::audit::compare_exits`.
 //!
 //! The capstone experiment lives in `abrr-bench` (`repro resilience`):
 //! kill one ARR (redundancy 2) vs one TRR vs one mesh router under
@@ -33,5 +33,5 @@ pub mod resilience;
 pub mod schedule;
 
 pub use compile::{compile, CompileError};
-pub use resilience::{surviving_selection_mismatches, ResilienceProbe};
+pub use resilience::ResilienceProbe;
 pub use schedule::{Fault, FaultKind, FaultSchedule, RandomFaultConfig};

@@ -133,37 +133,3 @@ impl ResilienceProbe {
         self.blackhole_us.values().sum()
     }
 }
-
-/// Post-fault RIB equivalence: once the faulted run has requiesced,
-/// every *surviving* router must agree with the reference simulator
-/// (same engine or full mesh, fed the same surviving inputs) on its
-/// selected exit for every prefix. Returns the disagreements.
-pub fn surviving_selection_mismatches(
-    faulted: &Sim<BgpNode>,
-    reference: &Sim<BgpNode>,
-    spec: &NetworkSpec,
-    prefixes: &[Ipv4Prefix],
-) -> Vec<(RouterId, Ipv4Prefix)> {
-    let mut out = Vec::new();
-    for r in &spec.routers {
-        if !faulted.is_node_up(*r) || !reference.contains_node(*r) {
-            continue;
-        }
-        for p in prefixes {
-            let got = faulted.node(*r).selected(p).map(|s| s.exit_router());
-            let want = reference.node(*r).selected(p).map(|s| s.exit_router());
-            let equivalent = match (got, want) {
-                // Equal-cost exits are legitimate tie-break differences.
-                (Some(g), Some(w)) => {
-                    g == w || spec.oracle.distance(*r, g) == spec.oracle.distance(*r, w)
-                }
-                (None, None) => true,
-                _ => false,
-            };
-            if !equivalent {
-                out.push((*r, *p));
-            }
-        }
-    }
-    out
-}

@@ -1,9 +1,10 @@
-//! Fault schedules: declarative, seeded, serializable descriptions of
-//! *what goes wrong and when* in a simulated AS.
+//! Fault schedules: declarative, seeded descriptions of *what goes
+//! wrong and when* in a simulated AS.
 //!
 //! A [`FaultSchedule`] is plain data — it can be generated randomly
-//! from a seed, written to JSON, read back, and compiled onto any
-//! simulator with [`crate::compile()`]. Replaying the same schedule on
+//! from a seed or pushed by hand, and compiled onto any simulator with
+//! [`crate::compile()`]. Its one JSON spelling is the scenario format's
+//! fault record (`scenario::schema`). Replaying the same schedule on
 //! the same deterministic simulator reproduces the same run event for
 //! event, which is what makes resilience experiments comparable across
 //! engines (ABRR vs TBRR vs full mesh see the *same* outages).
@@ -12,10 +13,9 @@ use bgp_types::{ApId, RouterId};
 use netsim::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One kind of injected failure.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The iBGP session between `a` and `b` bounces: down at the fault
     /// time, re-established `down_for` µs later. Both endpoints purge
@@ -78,7 +78,7 @@ pub enum FaultKind {
 }
 
 /// A fault at an absolute simulation time.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fault {
     /// Injection time, µs.
     pub at: Time,
@@ -87,7 +87,7 @@ pub struct Fault {
 }
 
 /// A complete, replayable fault scenario.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Seed this schedule was generated from (0 for hand-written
     /// schedules); recorded so experiment output can cite it.
@@ -176,16 +176,6 @@ impl FaultSchedule {
         }
         s
     }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a schedule back from JSON.
-    pub fn from_json(s: &str) -> Result<FaultSchedule, serde::Error> {
-        serde::json::from_str(s)
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
+    fn push_keeps_time_order() {
         let mut s = FaultSchedule::new(7);
         s.push(
             5_000_000,
@@ -222,11 +212,7 @@ mod tests {
                 down_for: 30_000_000,
             },
         );
-        let json = s.to_json();
-        let back = FaultSchedule::from_json(&json).expect("parse");
-        assert_eq!(s, back);
-        // push kept time order.
-        let times: Vec<Time> = back.faults.iter().map(|f| f.at).collect();
+        let times: Vec<Time> = s.faults.iter().map(|f| f.at).collect();
         assert_eq!(times, vec![2_000_000, 5_000_000, 9_000_000, 9_000_000]);
     }
 

@@ -1,14 +1,13 @@
 //! The weighted undirected intra-AS topology graph.
 
 use bgp_types::RouterId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a link, assigned in insertion order.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct LinkId(pub u32);
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Link {
     a: RouterId,
     b: RouterId,
@@ -21,7 +20,7 @@ struct Link {
 /// Routers are identified by [`RouterId`]. Links carry a symmetric IGP
 /// metric and can be failed and restored, which invalidates computed
 /// SPF state (the caller re-runs SPF; see [`crate::spf`]).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     links: Vec<Link>,
     /// adjacency: router -> [(neighbor, link id)]

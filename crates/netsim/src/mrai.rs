@@ -96,11 +96,6 @@ impl<K: Ord, M> Mrai<K, M> {
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
-
-    /// Whether a flush timer is outstanding.
-    pub fn timer_pending(&self) -> bool {
-        self.timer_pending
-    }
 }
 
 #[cfg(test)]

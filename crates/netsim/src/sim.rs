@@ -813,12 +813,6 @@ impl<P: Protocol> Sim<P> {
         self.slot_of(id).is_some()
     }
 
-    /// Mutable access to a node (configuration between runs).
-    pub fn node_mut(&mut self, id: RouterId) -> &mut P {
-        let i = self.slot_of(id).expect("unknown node");
-        self.slots[i].node_mut()
-    }
-
     /// Iterates `(id, node)` in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (RouterId, &P)> {
         self.ids

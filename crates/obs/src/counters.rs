@@ -7,8 +7,6 @@
 //! [`UpdateCounters::publish`] copies it into the registry at report
 //! time.
 
-use serde::{Deserialize, Serialize};
-
 /// Update accounting for one node.
 ///
 /// The paper distinguishes three costs (§4.2): *received* updates,
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// an already-generated update, one per peer). `bytes_transmitted`
 /// backs the §4.2 bandwidth comparison (ABRR updates are ~10× longer
 /// but ~2.5× fewer).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateCounters {
     /// iBGP updates received (client + RR roles combined).
     pub received: u64,

@@ -7,12 +7,11 @@ use igp::{PopTopologyBuilder, PopView};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Model parameters. Defaults reproduce the paper's published
 /// statistics at a configurable prefix scale.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Tier1Config {
     /// RNG seed; everything derives deterministically from it.
     pub seed: u64,
@@ -53,7 +52,7 @@ impl Default for Tier1Config {
 }
 
 /// Where a prefix's routes come from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefixKind {
     /// Learned from one or more peer ASes.
     Peer,

@@ -58,6 +58,39 @@ if [ -n "$FORMAT_USES" ]; then
   exit 1
 fi
 
+echo "== one JSON model: serde is a Value and its codec"
+# JSON is read and written by walking serde::Value (the scenario codec,
+# obs traces, benchmark results). There is no trait-based mapping of
+# Rust types: a derived Deserialize would be a public parser that skips
+# every constructor invariant, and a derived Serialize a second,
+# unchecked spelling of a type.
+DERIVES=$(grep -rnE '\bderive\([^)]*\b(Serialize|Deserialize)\b|\bserde_derive\b|\btrait (Serialize|Deserialize)\b' \
+  crates vendor examples tests || true)
+if [ -n "$DERIVES" ]; then
+  echo "$DERIVES" >&2
+  echo "Serialize/Deserialize derives, traits or serde_derive (see above)" >&2
+  exit 1
+fi
+
+echo "== every declared dependency is used"
+# Each [dependencies] entry of crates/*/Cargo.toml must be named as a
+# path (`bgp_types::`, `serde::`) under its crate's src/ or tests/.
+# Dev-dependencies are not checked.
+UNUSED_DEPS=$(for manifest in crates/*/Cargo.toml; do
+  dir=${manifest%/Cargo.toml}
+  sed -n '/^\[dependencies\]/,/^\[/{/^[A-Za-z0-9_-]\+[ .=]/p}' "$manifest" |
+    sed 's/[ .=].*//' |
+    while read -r dep; do
+      grep -rqE "\b${dep//-/_}::" "$dir/src" "$dir/tests" 2>/dev/null ||
+        echo "$manifest: $dep"
+    done
+done)
+if [ -n "$UNUSED_DEPS" ]; then
+  echo "$UNUSED_DEPS" >&2
+  echo "declared dependencies no source or test file names (see above)" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 
