@@ -99,6 +99,7 @@ fn tier1_reference_reproduces_fig6_goldens() {
     for (mode, golden) in [
         (Mode::Abrr, "fig6_abrr_4aps"),
         (Mode::Tbrr { multipath: false }, "fig6_tbrr"),
+        (Mode::Tbrr { multipath: true }, "fig6_tbrr_multi"),
     ] {
         let run = loaded
             .run(mode.clone(), true, Default::default())

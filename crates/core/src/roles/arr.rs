@@ -98,12 +98,11 @@ impl ArrRole {
             .iter()
             .map(|&i| {
                 let (peer, _, attrs) = &row[i];
-                let mut a = PathAttributes::clone(attrs);
                 // Stamp provenance so clients can tie-break by true
                 // originator and so the sender-exclusion works.
-                if a.originator_id.is_none() {
-                    a.originator_id = Some(OriginatorId(peer.0));
-                }
+                let originator = attrs.originator_id.unwrap_or(OriginatorId(peer.0));
+                let mut a = PathAttributes::clone(attrs);
+                a.originator_id = Some(originator);
                 match ch.spec.abrr_loop_prevention {
                     AbrrLoopPrevention::ReflectedBit => {
                         a = a.with_abrr_reflected();
@@ -114,7 +113,7 @@ impl ArrRole {
                     }
                     AbrrLoopPrevention::None => {}
                 }
-                (PathId(a.originator_id.expect("set").0), intern(a))
+                (PathId(originator.0), intern(a))
             })
             .collect::<PathSet>()
             .into();

@@ -357,6 +357,9 @@ impl Chassis {
                         obs::event!(Wire, Error, "wire.verify_fail", node = self.id.0,
                             "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix),
                             "err" => format!("{e}"));
+                        // Invariant: the codec round-trips every
+                        // update; verify mode exists to stop on one
+                        // that does not.
                         panic!(
                             "wire verify failed at node {} -> {}: {e}",
                             self.id.0, peer.0
@@ -391,6 +394,8 @@ impl Chassis {
             obs::event!(Wire, Error, "wire.encode_fail", node = self.id.0,
                 "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix),
                 "err" => format!("{e}"));
+            // Invariant: every update the protocol builds is
+            // encodable; an encoder error is a bug to stop on.
             panic!(
                 "wire encode failed at node {} -> {}: {e}",
                 self.id.0, peer.0
@@ -520,6 +525,7 @@ pub(crate) fn route_at<'a>(
     i: usize,
 ) -> RouteRef<'a> {
     let route = routes.clone().nth(i);
+    // Invariant: `i` came from a decision over this very sequence.
     route.expect("a decision's position lies in its sequence")
 }
 

@@ -60,7 +60,13 @@ pub enum MrtError {
     Io(io::Error),
     /// The file cannot be a usable trace at all (e.g. empty, or a RIB
     /// entry references a peer index with no preceding index table).
-    Format(String),
+    Format {
+        /// Byte offset, in the input (or, when writing, the output), of
+        /// the record that failed.
+        offset: usize,
+        /// What was wrong with it.
+        reason: String,
+    },
 }
 
 impl From<io::Error> for MrtError {
@@ -73,7 +79,9 @@ impl std::fmt::Display for MrtError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MrtError::Io(e) => write!(f, "MRT I/O error: {e}"),
-            MrtError::Format(s) => write!(f, "MRT format error: {s}"),
+            MrtError::Format { offset, reason } => {
+                write!(f, "MRT format error at byte {offset}: {reason}")
+            }
         }
     }
 }
@@ -147,16 +155,19 @@ impl<'a> PeerMap<'a> {
     }
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], MrtError> {
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], String> {
     if buf.len() < n {
-        return Err(MrtError::Format(format!(
-            "truncated {what}: need {n}, have {}",
-            buf.len()
-        )));
+        return Err(format!("truncated {what}: need {n}, have {}", buf.len()));
     }
     let (head, rest) = buf.split_at(n);
     *buf = rest;
     Ok(head)
+}
+
+/// A big-endian `u16` taken off the front of `buf`.
+fn take_u16(buf: &mut &[u8], what: &'static str) -> Result<u16, String> {
+    let b = take(buf, 2, what)?;
+    Ok(u16::from_be_bytes([b[0], b[1]]))
 }
 
 /// Parses one BGP4MP(_ET) body into trace records.
@@ -167,7 +178,7 @@ fn parse_bgp4mp(
     peers: &mut PeerMap<'_>,
     out: &mut Vec<TraceRecord>,
     stats: &mut MrtStats,
-) -> Result<(), MrtError> {
+) -> Result<(), String> {
     let buf = &mut body;
     // Both layouts are `peer AS | local AS | ifindex u16 | AFI u16`
     // with 2-octet (MESSAGE) or 4-octet (MESSAGE_AS4) AS fields.
@@ -186,7 +197,7 @@ fn parse_bgp4mp(
                 u16::from_be_bytes([h[10], h[11]]),
             )
         }
-        _ => unreachable!("caller filters subtypes"),
+        _ => return Err(format!("BGP4MP subtype {subtype}")),
     };
     if afi != 1 {
         // IPv6 session: structurally fine, not replayable here.
@@ -252,12 +263,12 @@ fn parse_bgp4mp(
 }
 
 /// Parses a PEER_INDEX_TABLE body into the peer vector.
-fn parse_peer_index(mut body: &[u8]) -> Result<Vec<Peer>, MrtError> {
+fn parse_peer_index(mut body: &[u8]) -> Result<Vec<Peer>, String> {
     let buf = &mut body;
     let _collector = take(buf, 4, "collector id")?;
-    let nlen = u16::from_be_bytes(take(buf, 2, "view name len")?.try_into().unwrap()) as usize;
+    let nlen = take_u16(buf, "view name len")? as usize;
     let _name = take(buf, nlen, "view name")?;
-    let count = u16::from_be_bytes(take(buf, 2, "peer count")?.try_into().unwrap()) as usize;
+    let count = take_u16(buf, "peer count")? as usize;
     let mut peers = Vec::with_capacity(count);
     for _ in 0..count {
         let ptype = take(buf, 1, "peer type")?[0];
@@ -291,28 +302,26 @@ fn parse_rib_entry(
     peers: &mut PeerMap<'_>,
     out: &mut Vec<TraceRecord>,
     stats: &mut MrtStats,
-) -> Result<(), MrtError> {
+) -> Result<(), String> {
     let buf = &mut body;
     let _seq = take(buf, 4, "RIB sequence")?;
     let plen = take(buf, 1, "RIB prefix len")?[0];
     if plen > 32 {
-        return Err(MrtError::Format(format!("RIB prefix length {plen}")));
+        return Err(format!("RIB prefix length {plen}"));
     }
     let nbytes = (plen as usize).div_ceil(8);
     let praw = take(buf, nbytes, "RIB prefix")?;
     let mut octets = [0u8; 4];
     octets[..nbytes].copy_from_slice(praw);
     let prefix = Ipv4Prefix::new(u32::from_be_bytes(octets), plen);
-    let count = u16::from_be_bytes(take(buf, 2, "RIB entry count")?.try_into().unwrap()) as usize;
+    let count = take_u16(buf, "RIB entry count")? as usize;
     for _ in 0..count {
         let h = take(buf, 8, "RIB entry header")?;
         let peer_idx = u16::from_be_bytes([h[0], h[1]]) as usize;
         let alen = u16::from_be_bytes([h[6], h[7]]) as usize;
         let ablock = take(buf, alen, "RIB entry attributes")?;
         let Some(peer) = index.get(peer_idx) else {
-            return Err(MrtError::Format(format!(
-                "peer index {peer_idx} out of range"
-            )));
+            return Err(format!("peer index {peer_idx} out of range"));
         };
         let attrs: PathAttributes = match bgp_wire::attr::decode_attrs(ablock) {
             Ok(a) => a,
@@ -352,16 +361,19 @@ pub fn read_mrt(input: &mut impl Read, cfg: &MrtImportConfig) -> Result<MrtImpor
     let mut base_ts: Option<u64> = None;
 
     while !buf.is_empty() {
-        if buf.len() < 12 {
+        // Where this record starts, for a fatal error's offset.
+        let at = raw.len() - buf.len();
+        let Some((header, rest)) = buf.split_first_chunk::<12>() else {
             // Corrupt tail: header cut mid-record.
             stats.skipped_malformed += 1;
             break;
-        }
-        let ts = u32::from_be_bytes(buf[0..4].try_into().unwrap()) as u64;
-        let typ = u16::from_be_bytes(buf[4..6].try_into().unwrap());
-        let subtype = u16::from_be_bytes(buf[6..8].try_into().unwrap());
-        let len = u32::from_be_bytes(buf[8..12].try_into().unwrap()) as usize;
-        buf = &buf[12..];
+        };
+        let [t0, t1, t2, t3, y0, y1, s0, s1, l0, l1, l2, l3] = *header;
+        let ts = u32::from_be_bytes([t0, t1, t2, t3]) as u64;
+        let typ = u16::from_be_bytes([y0, y1]);
+        let subtype = u16::from_be_bytes([s0, s1]);
+        let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+        buf = rest;
         if buf.len() < len {
             stats.skipped_malformed += 1;
             break;
@@ -374,14 +386,11 @@ pub fn read_mrt(input: &mut impl Read, cfg: &MrtImportConfig) -> Result<MrtImpor
             (TYPE_BGP4MP | TYPE_BGP4MP_ET, BGP4MP_MESSAGE | BGP4MP_MESSAGE_AS4) => {
                 // BGP4MP_ET carries an extra µs field before the body.
                 let (us, body) = if typ == TYPE_BGP4MP_ET {
-                    if body.len() < 4 {
+                    let Some((us, body)) = body.split_first_chunk::<4>() else {
                         stats.skipped_malformed += 1;
                         continue;
-                    }
-                    (
-                        u32::from_be_bytes(body[0..4].try_into().unwrap()) as u64,
-                        &body[4..],
-                    )
+                    };
+                    (u32::from_be_bytes(*us) as u64, body)
                 } else {
                     (0, body)
                 };
@@ -399,9 +408,10 @@ pub fn read_mrt(input: &mut impl Read, cfg: &MrtImportConfig) -> Result<MrtImpor
             },
             (TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST) => {
                 if index.is_empty() {
-                    return Err(MrtError::Format(
-                        "RIB_IPV4_UNICAST before PEER_INDEX_TABLE".into(),
-                    ));
+                    return Err(MrtError::Format {
+                        offset: at,
+                        reason: "RIB_IPV4_UNICAST before PEER_INDEX_TABLE".into(),
+                    });
                 }
                 if parse_rib_entry(body, &index, &mut peers, &mut records, &mut stats).is_err() {
                     stats.skipped_malformed += 1;
@@ -411,7 +421,11 @@ pub fn read_mrt(input: &mut impl Read, cfg: &MrtImportConfig) -> Result<MrtImpor
         }
     }
     if stats.records_read == 0 {
-        return Err(MrtError::Format("no MRT records".into()));
+        // Nothing framed a record, so the first one, at 0, failed.
+        return Err(MrtError::Format {
+            offset: 0,
+            reason: "no MRT records".into(),
+        });
     }
     Ok(MrtImport { records, stats })
 }
@@ -444,7 +458,10 @@ pub fn write_mrt(out: &mut impl Write, records: &[TraceRecord]) -> Result<(), Mr
         let mut msg = BytesMut::new();
         Message::Update(update)
             .encode(&mut msg, CodecConfig::plain())
-            .map_err(|e| MrtError::Format(format!("unencodable record: {e}")))?;
+            .map_err(|e| MrtError::Format {
+                offset: file.len(),
+                reason: format!("unencodable record: {e}"),
+            })?;
         let body_len = 4 + 12 + 8 + msg.len(); // µs + AS4 header + addresses + message
         file.put_u32((r.t_us / 1_000_000) as u32);
         file.put_u16(TYPE_BGP4MP_ET);
@@ -533,7 +550,7 @@ mod tests {
     fn empty_input_is_an_error() {
         assert!(matches!(
             read_mrt(&mut &[][..], &MrtImportConfig::default()),
-            Err(MrtError::Format(_))
+            Err(MrtError::Format { offset: 0, .. })
         ));
     }
 }

@@ -321,7 +321,16 @@ fn rib_before_index_table_is_fatal() {
     let headless = &full[pit_len..];
     assert!(matches!(
         read_mrt(&mut &headless[..], &MrtImportConfig::default()),
-        Err(MrtError::Format(_))
+        Err(MrtError::Format { offset: 0, .. })
+    ));
+    // Behind a record the reader skips, the error points past it.
+    let mut skipped = BytesMut::new();
+    mrt_header(&mut skipped, 0, 11, 0, 5);
+    skipped.put_slice(&[0; 5]);
+    skipped.put_slice(headless);
+    assert!(matches!(
+        read_mrt(&mut &skipped[..], &MrtImportConfig::default()),
+        Err(MrtError::Format { offset: 17, .. })
     ));
 }
 

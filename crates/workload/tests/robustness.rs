@@ -6,22 +6,31 @@
 //! multi-byte edits, and each record's MRT length field set to 0 and
 //! to `u32::MAX`. Each input is read both with an empty router list
 //! (local IP as router id) and with a non-empty one (round-robin peer
-//! assignment).
+//! assignment), and every format error's byte offset must lie within
+//! the input.
 
 use bgp_types::RouterId;
 use proptest::prelude::*;
 use proptest::TestRng;
 use workload::mrt::{
-    read_mrt, MrtImportConfig, BGP4MP_MESSAGE, BGP4MP_MESSAGE_AS4, TDV2_PEER_INDEX_TABLE,
+    read_mrt, MrtError, MrtImportConfig, BGP4MP_MESSAGE, BGP4MP_MESSAGE_AS4, TDV2_PEER_INDEX_TABLE,
     TDV2_RIB_IPV4_UNICAST, TYPE_BGP4MP, TYPE_BGP4MP_ET, TYPE_TABLE_DUMP_V2,
 };
 
 /// Reads `bytes` under both peer-mapping configurations. Returning at
 /// all — `Ok` or `Err(MrtError)` — is the contract; a panic fails the
-/// test.
+/// test. A format error must point at a byte of the input (at 0 for
+/// an empty one).
 fn read(bytes: &[u8]) {
     for routers in [vec![], vec![RouterId(1), RouterId(2), RouterId(3)]] {
-        let _ = read_mrt(&mut &bytes[..], &MrtImportConfig { routers });
+        let read = read_mrt(&mut &bytes[..], &MrtImportConfig { routers });
+        if let Err(MrtError::Format { offset, reason }) = read {
+            assert!(
+                offset < bytes.len().max(1),
+                "{reason}: offset {offset} outside {} input bytes",
+                bytes.len()
+            );
+        }
     }
 }
 
