@@ -16,7 +16,7 @@
 //! ```
 
 use crate::SETTLE_BUDGET_US;
-use abrr::{BgpNode, NetworkSpec};
+use abrr::{BgpNode, Mode, NetworkSpec};
 use bgp_types::RouterId;
 use faults::{compile, FaultKind, FaultSchedule};
 use netsim::{RunConfig, RunLimits, Sim, Time, WireMode};
@@ -83,8 +83,9 @@ pub fn fingerprint(name: &str, sim: &Sim<BgpNode>, spec: &NetworkSpec) -> String
     out
 }
 
-/// The shared small-scale Tier-1 model every golden scenario runs on
-/// (kept tiny so the regression suite stays in test-time budget).
+/// The small-scale Tier-1 model the churn and fault goldens run on: the
+/// scale `tier1_reference.json` declares for the `fig6_*` goldens (kept
+/// tiny so the regression suite stays in test-time budget).
 fn golden_model() -> Tier1Model {
     Tier1Model::generate(Tier1Config {
         n_prefixes: 120,
@@ -132,39 +133,30 @@ fn wired(mut spec: NetworkSpec, wire: WireMode) -> Arc<NetworkSpec> {
     Arc::new(spec)
 }
 
+/// A `fig6_*` golden: the corpus's `tier1_reference.json` — the golden
+/// model's scale, 4 APs, 2 RRs per AP or cluster, 1 s MRAI — loaded
+/// and run under `mode`, its snapshot replayed into empty RIBs.
+fn tier1_reference(name: &str, mode: Mode, cfg: RunConfig) -> String {
+    let loaded = scenario::load_corpus("tier1_reference")
+        .unwrap_or_else(|e| panic!("tier1_reference.json failed to load: {e:?}"));
+    let run = loaded
+        .run(mode, true, cfg)
+        .unwrap_or_else(|e| panic!("tier1_reference failed to run: {e}"));
+    fingerprint(name, &run.sim, &run.spec)
+}
+
 fn fig6_abrr(cfg: RunConfig) -> String {
-    let model = golden_model();
-    let opts = SpecOptions {
-        mrai_us: 1_000_000,
-        ..Default::default()
-    };
-    let spec = wired(specs::abrr_spec(&model, 4, 2, &opts), cfg.wire);
-    let sim = converge(&spec, &model, cfg);
-    fingerprint("fig6_abrr_4aps", &sim, &spec)
+    tier1_reference("fig6_abrr_4aps", Mode::Abrr, cfg)
 }
 
 fn fig6_tbrr(cfg: RunConfig) -> String {
-    let model = golden_model();
-    let opts = SpecOptions {
-        mrai_us: 1_000_000,
-        ..Default::default()
-    };
-    let spec = wired(specs::tbrr_spec(&model, 2, false, &opts), cfg.wire);
-    let sim = converge(&spec, &model, cfg);
-    fingerprint("fig6_tbrr", &sim, &spec)
+    tier1_reference("fig6_tbrr", Mode::Tbrr { multipath: false }, cfg)
 }
 
 /// The paper's baseline, multi-path TBRR (Appendix A.3), on the same
-/// model and MRAI as `fig6_tbrr`.
+/// network as `fig6_tbrr`.
 fn fig6_tbrr_multi(cfg: RunConfig) -> String {
-    let model = golden_model();
-    let opts = SpecOptions {
-        mrai_us: 1_000_000,
-        ..Default::default()
-    };
-    let spec = wired(specs::tbrr_spec(&model, 2, true, &opts), cfg.wire);
-    let sim = converge(&spec, &model, cfg);
-    fingerprint("fig6_tbrr_multi", &sim, &spec)
+    tier1_reference("fig6_tbrr_multi", Mode::Tbrr { multipath: true }, cfg)
 }
 
 fn fig7_churn(cfg: RunConfig) -> String {

@@ -2,16 +2,13 @@
 //!
 //! The corpus under `examples/scenarios/` is the only definition of the
 //! §2.3 gadgets and the small reference network. This suite pins what
-//! they compute:
-//!
-//!   * each gadget run must reproduce its golden fingerprint under
-//!     `tests/golden/` in every converging mode — the ABRR goldens
-//!     `scenario_<stem>.txt`, the full-mesh and multipath-TBRR goldens
-//!     `scenario_<stem>_<mode>.txt` (all three were blessed while the
-//!     gadgets still had hand-written Rust twins, and matched them);
-//!   * `tier1_reference.json` must reproduce the pre-existing `fig6_*`
-//!     goldens, which were recorded from the hand-built tier-1 specs
-//!     long before the DSL existed.
+//! they compute: each gadget run must reproduce its golden fingerprint
+//! under `tests/golden/` in every converging mode — the ABRR goldens
+//! `scenario_<stem>.txt`, the full-mesh and multipath-TBRR goldens
+//! `scenario_<stem>_<mode>.txt` (all three were blessed while the
+//! gadgets still had hand-written Rust twins, and matched them).
+//! `tier1_reference.json` is the network of the `fig6_*` goldens, which
+//! `golden_regression.rs` runs (`abrr_bench::fingerprint::scenarios`).
 //!
 //! Re-bless (after an intentional behavior change only):
 //!
@@ -80,37 +77,5 @@ fn dsl_gadgets_match_golden() {
                 "DSL scenario {stem} diverged from its golden fingerprint under {mode:?}"
             );
         }
-    }
-}
-
-/// `tier1_reference.json` reproduces the *pre-DSL* goldens: its scale
-/// knobs equal the golden model (3 PoPs × 3, 120 prefixes) and its
-/// defaults (seed, 2 ARRs/AP, 2 TRRs/cluster, 1 s MRAI) equal the
-/// `fig6_*` spec options, so the loader must land on byte-identical
-/// converged state — the strongest possible check that the DSL compile
-/// path builds the same specs `workload::specs` does.
-#[test]
-fn tier1_reference_reproduces_fig6_goldens() {
-    if std::env::var("GOLDEN_BLESS").is_ok() {
-        return; // fig6 goldens are owned by golden_regression.rs
-    }
-    let loaded = scenario::load_corpus("tier1_reference")
-        .unwrap_or_else(|e| panic!("tier1_reference.json failed to load: {e:?}"));
-    for (mode, golden) in [
-        (Mode::Abrr, "fig6_abrr_4aps"),
-        (Mode::Tbrr { multipath: false }, "fig6_tbrr"),
-        (Mode::Tbrr { multipath: true }, "fig6_tbrr_multi"),
-    ] {
-        let run = loaded
-            .run(mode.clone(), true, Default::default())
-            .unwrap_or_else(|e| panic!("tier1_reference failed to run: {e}"));
-        let actual = fingerprint(golden, &run.sim, &run.spec);
-        let gpath = golden_dir().join(format!("{golden}.txt"));
-        let expected = std::fs::read_to_string(&gpath)
-            .unwrap_or_else(|e| panic!("missing golden file {} ({e})", gpath.display()));
-        assert_eq!(
-            expected, actual,
-            "tier1_reference.json under {mode:?} diverged from golden {golden}"
-        );
     }
 }

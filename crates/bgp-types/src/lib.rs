@@ -15,7 +15,6 @@
 //! * [`PathAttributes`] — the BGP path attributes relevant to the paper
 //!   (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF, communities, extended
 //!   communities, ORIGINATOR_ID, CLUSTER_LIST).
-//! * [`Route`] — a prefix plus its attributes plus provenance.
 //! * [`PrefixTable`] — the one prefix-keyed table under every RIB
 //!   table: a [`PrefixMap`] (hashed with [`PrefixHasher`], whose every
 //!   output bit depends on every bit of the prefix) plus the mask of the
@@ -42,5 +41,5 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PrefixHasher, Pr
 pub use intern::{intern, intern_arc, intern_str, resolve_symbol, InternStats, Symbol};
 pub use partition::{ApId, ApMap, Partition};
 pub use prefix::{AddressRange, Ipv4Prefix, PrefixParseError};
-pub use route::{PathAttributes, PathId, Route, RouteSource, RouterId};
+pub use route::{PathAttributes, PathId, RouteSource, RouterId};
 pub use trie::{PrefixTable, PrefixTrie};

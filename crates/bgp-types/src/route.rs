@@ -4,7 +4,6 @@ use crate::asn::{AsPath, Asn};
 use crate::attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
-use crate::prefix::Ipv4Prefix;
 use std::fmt;
 
 /// A router identity — the 32-bit BGP Identifier from the OPEN message.
@@ -178,34 +177,6 @@ impl RouteSource {
     /// may be advertised into iBGP.
     pub fn is_other_learned(&self) -> bool {
         !matches!(self, RouteSource::Ibgp { .. })
-    }
-}
-
-/// A route: a destination prefix, its attributes, and its provenance.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Route {
-    /// Destination prefix.
-    pub prefix: Ipv4Prefix,
-    /// Path attributes.
-    pub attrs: PathAttributes,
-    /// Where this route was learned.
-    pub source: RouteSource,
-}
-
-impl Route {
-    /// Convenience constructor.
-    pub fn new(prefix: Ipv4Prefix, attrs: PathAttributes, source: RouteSource) -> Self {
-        Route {
-            prefix,
-            attrs,
-            source,
-        }
-    }
-}
-
-impl fmt::Debug for Route {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {:?} via {:?}", self.prefix, self.attrs, self.source)
     }
 }
 

@@ -3,12 +3,12 @@
 //! AS_PATH is encoded with 4-octet AS numbers (RFC 6793 "NEW_AS_PATH
 //! everywhere" style, as negotiated by the 4-octet-AS capability).
 
-use crate::error::{need, WireError};
+use crate::error::WireError;
+use crate::read::{take, take_array, take_u16};
 use bgp_types::{
     AsPath, AsSegment, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin,
     OriginatorId, PathAttributes,
 };
-use bytes::{Buf, BufMut, BytesMut};
 
 /// Attribute type codes used by this codec.
 pub mod code {
@@ -50,15 +50,12 @@ pub mod flags {
 
 /// Writes an attribute's flag, type and length octets; the caller
 /// appends exactly `len` body bytes.
-fn put_attr_header(out: &mut BytesMut, flag: u8, code: u8, len: usize) {
+fn put_attr_header(out: &mut Vec<u8>, flag: u8, code: u8, len: usize) {
     if len > 255 {
-        out.put_u8(flag | flags::EXT_LEN);
-        out.put_u8(code);
-        out.put_u16(len as u16);
+        out.extend_from_slice(&[flag | flags::EXT_LEN, code]);
+        out.extend_from_slice(&(len as u16).to_be_bytes());
     } else {
-        out.put_u8(flag);
-        out.put_u8(code);
-        out.put_u8(len as u8);
+        out.extend_from_slice(&[flag, code, len as u8]);
     }
 }
 
@@ -67,9 +64,9 @@ fn attr_len(len: usize) -> usize {
     (if len > 255 { 4 } else { 3 }) + len
 }
 
-fn put_attr(out: &mut BytesMut, flag: u8, code: u8, body: &[u8]) {
+fn put_attr(out: &mut Vec<u8>, flag: u8, code: u8, body: &[u8]) {
     put_attr_header(out, flag, code, body.len());
-    out.put_slice(body);
+    out.extend_from_slice(body);
 }
 
 /// Encoded size of an AS_PATH attribute body. RFC 4271 limits a
@@ -85,37 +82,54 @@ fn as_path_len(path: &AsPath) -> usize {
         .sum()
 }
 
-fn put_as_path(out: &mut BytesMut, path: &AsPath) {
+fn put_as_path(out: &mut Vec<u8>, path: &AsPath) {
     for seg in &path.segments {
         let (ty, asns) = match seg {
             AsSegment::Set(v) => (1u8, v),
             AsSegment::Sequence(v) => (2u8, v),
         };
         for chunk in asns.chunks(255) {
-            out.put_u8(ty);
-            out.put_u8(chunk.len() as u8);
+            out.extend_from_slice(&[ty, chunk.len() as u8]);
             for a in chunk {
-                out.put_u32(a.0);
+                out.extend_from_slice(&a.0.to_be_bytes());
             }
         }
         if asns.is_empty() {
-            out.put_u8(ty);
-            out.put_u8(0);
+            out.extend_from_slice(&[ty, 0]);
         }
     }
 }
 
+/// `body` as its `N`-octet elements; `what` names the attribute whose
+/// length is malformed when they do not tile it.
+fn elements<'a, const N: usize>(
+    body: &'a [u8],
+    what: &'static str,
+) -> Result<&'a [[u8; N]], WireError> {
+    match body.as_chunks::<N>() {
+        (elems, []) => Ok(elems),
+        _ => Err(WireError::MalformedAttributes(what)),
+    }
+}
+
+/// A four-octet attribute body as a `u32`.
+fn four_octets(body: &[u8], what: &'static str) -> Result<u32, WireError> {
+    body.try_into()
+        .map(u32::from_be_bytes)
+        .map_err(|_| WireError::MalformedAttributes(what))
+}
+
 fn decode_as_path(mut body: &[u8]) -> Result<AsPath, WireError> {
     let mut segments = Vec::new();
-    while body.has_remaining() {
-        need("as-path segment header", body.remaining(), 2)?;
-        let ty = body.get_u8();
-        let count = body.get_u8() as usize;
-        need("as-path segment body", body.remaining(), count * 4)?;
-        let mut asns = Vec::with_capacity(count);
-        for _ in 0..count {
-            asns.push(Asn(body.get_u32()));
-        }
+    while !body.is_empty() {
+        let [ty, count] = take_array(&mut body, "as-path segment header")?;
+        let raw = take(&mut body, count as usize * 4, "as-path segment body")?;
+        let asns = raw
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|a| Asn(u32::from_be_bytes(*a)))
+            .collect();
         let seg = match ty {
             1 => AsSegment::Set(asns),
             2 => AsSegment::Sequence(asns),
@@ -148,7 +162,7 @@ fn category_bits(ty: u8) -> Option<u8> {
 /// Encodes the full attribute block (without the two-byte total-length
 /// field, which belongs to the UPDATE message) straight into `out`:
 /// every body length is arithmetic, so nothing is staged.
-pub fn encode_attrs(attrs: &PathAttributes, out: &mut BytesMut) {
+pub fn encode_attrs(attrs: &PathAttributes, out: &mut Vec<u8>) {
     put_attr(out, flags::TRANSITIVE, code::ORIGIN, &[attrs.origin.code()]);
     put_attr_header(
         out,
@@ -177,7 +191,7 @@ pub fn encode_attrs(attrs: &PathAttributes, out: &mut BytesMut) {
             attrs.communities.len() * 4,
         );
         for c in &attrs.communities {
-            out.put_u32(c.0);
+            out.extend_from_slice(&c.0.to_be_bytes());
         }
     }
     if let Some(OriginatorId(oid)) = attrs.originator_id {
@@ -196,7 +210,7 @@ pub fn encode_attrs(attrs: &PathAttributes, out: &mut BytesMut) {
             attrs.cluster_list.len() * 4,
         );
         for c in &attrs.cluster_list {
-            out.put_u32(c.0);
+            out.extend_from_slice(&c.0.to_be_bytes());
         }
     }
     if !attrs.ext_communities.is_empty() {
@@ -207,7 +221,7 @@ pub fn encode_attrs(attrs: &PathAttributes, out: &mut BytesMut) {
             attrs.ext_communities.len() * 8,
         );
         for c in &attrs.ext_communities {
-            out.put_slice(&c.0);
+            out.extend_from_slice(&c.0);
         }
     }
 }
@@ -243,90 +257,60 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
     let mut originator_id = None;
     let mut cluster_list = Vec::new();
 
-    while buf.has_remaining() {
-        need("attribute header", buf.remaining(), 2)?;
-        let flag = buf.get_u8();
-        let code = buf.get_u8();
+    while !buf.is_empty() {
+        let [flag, code] = take_array(&mut buf, "attribute header")?;
         if let Some(want) = category_bits(code) {
             if flag & (flags::OPTIONAL | flags::TRANSITIVE) != want {
                 return Err(WireError::BadAttributeFlags { code, flags: flag });
             }
         }
         let len = if flag & flags::EXT_LEN != 0 {
-            need("attribute ext length", buf.remaining(), 2)?;
-            buf.get_u16() as usize
+            take_u16(&mut buf, "attribute ext length")? as usize
         } else {
-            need("attribute length", buf.remaining(), 1)?;
-            buf.get_u8() as usize
+            let [len] = take_array(&mut buf, "attribute length")?;
+            len as usize
         };
-        need("attribute body", buf.remaining(), len)?;
-        let (body, rest) = buf.split_at(len);
-        buf = rest;
+        let body = take(&mut buf, len, "attribute body")?;
 
         match code {
             code::ORIGIN => {
-                if len != 1 {
+                let &[value] = body else {
                     return Err(WireError::MalformedAttributes("ORIGIN length"));
-                }
+                };
                 origin = Some(
-                    Origin::from_code(body[0])
+                    Origin::from_code(value)
                         .ok_or(WireError::MalformedAttributes("ORIGIN value"))?,
                 );
             }
             code::AS_PATH => {
                 as_path = Some(decode_as_path(body)?);
             }
-            code::NEXT_HOP => {
-                if len != 4 {
-                    return Err(WireError::MalformedAttributes("NEXT_HOP length"));
-                }
-                next_hop = Some(NextHop(u32::from_be_bytes(body.try_into().unwrap())));
-            }
-            code::MED => {
-                if len != 4 {
-                    return Err(WireError::MalformedAttributes("MED length"));
-                }
-                med = Some(Med(u32::from_be_bytes(body.try_into().unwrap())));
-            }
+            code::NEXT_HOP => next_hop = Some(NextHop(four_octets(body, "NEXT_HOP length")?)),
+            code::MED => med = Some(Med(four_octets(body, "MED length")?)),
             code::LOCAL_PREF => {
-                if len != 4 {
-                    return Err(WireError::MalformedAttributes("LOCAL_PREF length"));
-                }
-                local_pref = Some(LocalPref(u32::from_be_bytes(body.try_into().unwrap())));
+                local_pref = Some(LocalPref(four_octets(body, "LOCAL_PREF length")?));
             }
             code::ATOMIC_AGGREGATE | code::AGGREGATOR => {
                 // Parsed and ignored: not used by any engine in this repo.
             }
-            code::COMMUNITIES => {
-                if len % 4 != 0 {
-                    return Err(WireError::MalformedAttributes("COMMUNITIES length"));
-                }
-                for chunk in body.chunks_exact(4) {
-                    communities.push(Community(u32::from_be_bytes(chunk.try_into().unwrap())));
-                }
-            }
+            code::COMMUNITIES => communities.extend(
+                elements(body, "COMMUNITIES length")?
+                    .iter()
+                    .map(|c| Community(u32::from_be_bytes(*c))),
+            ),
             code::ORIGINATOR_ID => {
-                if len != 4 {
-                    return Err(WireError::MalformedAttributes("ORIGINATOR_ID length"));
-                }
-                originator_id = Some(OriginatorId(u32::from_be_bytes(body.try_into().unwrap())));
+                originator_id = Some(OriginatorId(four_octets(body, "ORIGINATOR_ID length")?));
             }
-            code::CLUSTER_LIST => {
-                if len % 4 != 0 {
-                    return Err(WireError::MalformedAttributes("CLUSTER_LIST length"));
-                }
-                for chunk in body.chunks_exact(4) {
-                    cluster_list.push(ClusterId(u32::from_be_bytes(chunk.try_into().unwrap())));
-                }
-            }
-            code::EXT_COMMUNITIES => {
-                if len % 8 != 0 {
-                    return Err(WireError::MalformedAttributes("EXT_COMMUNITIES length"));
-                }
-                for chunk in body.chunks_exact(8) {
-                    ext_communities.push(ExtCommunity(chunk.try_into().unwrap()));
-                }
-            }
+            code::CLUSTER_LIST => cluster_list.extend(
+                elements(body, "CLUSTER_LIST length")?
+                    .iter()
+                    .map(|c| ClusterId(u32::from_be_bytes(*c))),
+            ),
+            code::EXT_COMMUNITIES => ext_communities.extend(
+                elements(body, "EXT_COMMUNITIES length")?
+                    .iter()
+                    .map(|c| ExtCommunity(*c)),
+            ),
             other => {
                 if flag & flags::OPTIONAL == 0 {
                     return Err(WireError::UnrecognizedWellKnown(other));
@@ -371,7 +355,7 @@ mod tests {
     #[test]
     fn roundtrip_full() {
         let a = sample_attrs();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         encode_attrs(&a, &mut b);
         let d = decode_attrs(&b).unwrap();
         assert_eq!(d, a);
@@ -380,7 +364,7 @@ mod tests {
     #[test]
     fn roundtrip_minimal() {
         let a = PathAttributes::ebgp(AsPath::empty(), NextHop(1));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         encode_attrs(&a, &mut b);
         let d = decode_attrs(&b).unwrap();
         assert_eq!(d, a);
@@ -389,7 +373,7 @@ mod tests {
     #[test]
     fn missing_mandatory_is_error() {
         // Encode only an ORIGIN attribute.
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         put_attr(&mut b, flags::TRANSITIVE, code::ORIGIN, &[0]);
         assert!(matches!(
             decode_attrs(&b),
@@ -400,7 +384,7 @@ mod tests {
     #[test]
     fn unknown_optional_is_skipped() {
         let a = PathAttributes::ebgp(AsPath::sequence([Asn(1)]), NextHop(1));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         encode_attrs(&a, &mut b);
         // Append an unknown optional attribute (type 200).
         put_attr(&mut b, flags::OPTIONAL, 200, &[1, 2, 3]);
@@ -411,7 +395,7 @@ mod tests {
     #[test]
     fn unknown_well_known_is_error() {
         let a = PathAttributes::ebgp(AsPath::sequence([Asn(1)]), NextHop(1));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         encode_attrs(&a, &mut b);
         put_attr(&mut b, flags::TRANSITIVE, 99, &[0]);
         assert!(matches!(
@@ -425,7 +409,7 @@ mod tests {
         // 300 ASes => body > 255 bytes => EXT_LEN path must round-trip.
         let path = AsPath::sequence((0..300).map(Asn));
         let a = PathAttributes::ebgp(path.clone(), NextHop(1));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         encode_attrs(&a, &mut b);
         let d = decode_attrs(&b).unwrap();
         // Segment was chunked at 255 but total content is preserved.
@@ -443,7 +427,7 @@ mod tests {
     fn wrong_category_flags_are_error() {
         // MED is optional non-transitive; marking it well-known
         // (OPTIONAL bit clear) is an Attribute Flags Error.
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         encode_attrs(
             &PathAttributes::ebgp(AsPath::sequence([Asn(1)]), NextHop(1)),
             &mut b,
@@ -461,7 +445,7 @@ mod tests {
     #[test]
     fn truncated_attr_is_error() {
         let a = sample_attrs();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         encode_attrs(&a, &mut b);
         let cut = &b[..b.len() - 1];
         assert!(decode_attrs(cut).is_err());

@@ -70,12 +70,3 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// Convenience: check that `have >= needed` before slicing.
-pub(crate) fn need(what: &'static str, have: usize, needed: usize) -> Result<(), WireError> {
-    if have < needed {
-        Err(WireError::Truncated { what, needed, have })
-    } else {
-        Ok(())
-    }
-}

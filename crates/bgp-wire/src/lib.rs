@@ -23,6 +23,7 @@ pub mod error;
 pub mod message;
 pub mod nlri;
 pub mod open;
+mod read;
 pub mod update;
 
 pub use error::WireError;

@@ -1,11 +1,11 @@
 //! Top-level message framing: the 19-byte common header plus body
 //! (RFC 4271 §4.1).
 
-use crate::error::{need, WireError};
+use crate::error::WireError;
 use crate::open::OpenMessage;
+use crate::read::take_array;
 use crate::update::UpdateMessage;
 use crate::CodecConfig;
-use bytes::{Buf, BufMut, BytesMut};
 
 /// The all-ones 16-byte header marker.
 pub const MARKER: [u8; 16] = [0xFF; 16];
@@ -83,7 +83,7 @@ impl Message {
 
     /// Encodes the message with header into `out`; `out` is left as it
     /// was on error.
-    pub fn encode(&self, out: &mut BytesMut, cfg: CodecConfig) -> Result<(), WireError> {
+    pub fn encode(&self, out: &mut Vec<u8>, cfg: CodecConfig) -> Result<(), WireError> {
         frame(out, self.message_type(), |out| {
             match self {
                 Message::Open(o) => o.encode_body(out),
@@ -93,9 +93,9 @@ impl Message {
                     subcode,
                     data,
                 } => {
-                    out.put_u8(*code);
-                    out.put_u8(*subcode);
-                    out.put_slice(data);
+                    out.push(*code);
+                    out.push(*subcode);
+                    out.extend_from_slice(data);
                 }
                 Message::Keepalive => {}
             }
@@ -103,48 +103,38 @@ impl Message {
         })
     }
 
-    /// Decodes one message from the front of `buf`, advancing it.
-    /// Returns `Ok(None)` when the buffer holds less than a full
-    /// message (stream framing).
-    pub fn decode(buf: &mut BytesMut, cfg: CodecConfig) -> Result<Option<Message>, WireError> {
-        let mut rest: &[u8] = buf;
-        let res = Message::decode_slice(&mut rest, cfg);
-        let used = buf.len() - rest.len();
-        buf.advance(used);
-        res
-    }
-
-    /// The message parser: [`Message::decode`] over a borrowed slice,
-    /// for callers that already hold the whole burst. Nothing is
-    /// copied; `buf` is advanced past a message as soon as its header
-    /// checks out, so it is consumed even when its body is malformed.
-    pub fn decode_slice(buf: &mut &[u8], cfg: CodecConfig) -> Result<Option<Message>, WireError> {
-        if buf.len() < HEADER_LEN {
+    /// The message parser: decodes one message from the front of `buf`.
+    /// Returns `Ok(None)` when `buf` holds less than a full message
+    /// (stream framing), leaving it untouched. Nothing is copied; `buf`
+    /// is advanced past a message as soon as its header checks out, so
+    /// it is consumed even when its body is malformed.
+    pub fn decode(buf: &mut &[u8], cfg: CodecConfig) -> Result<Option<Message>, WireError> {
+        let Some(&[marker @ .., l0, l1, type_code]) = buf.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        if buf[..16] != MARKER {
+        };
+        if marker != MARKER {
             return Err(WireError::BadMarker);
         }
-        let total = u16::from_be_bytes([buf[16], buf[17]]) as usize;
+        let total = u16::from_be_bytes([l0, l1]) as usize;
         if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
             return Err(WireError::BadLength(total as u16));
         }
-        if buf.len() < total {
+        let Some((msg, rest)) = buf.split_at_checked(total) else {
             return Ok(None);
-        }
-        let ty = MessageType::from_code(buf[18]).ok_or(WireError::BadMessageType(buf[18]))?;
-        let (msg, rest) = buf.split_at(total);
+        };
+        let ty = MessageType::from_code(type_code).ok_or(WireError::BadMessageType(type_code))?;
         *buf = rest;
         let body = &msg[HEADER_LEN..];
         let msg = match ty {
             MessageType::Open => Message::Open(OpenMessage::decode_body(body)?),
             MessageType::Update => Message::Update(UpdateMessage::decode_body(body, cfg)?),
             MessageType::Notification => {
-                need("notification body", body.len(), 2)?;
+                let mut body = body;
+                let [code, subcode] = take_array(&mut body, "notification body")?;
                 Message::Notification {
-                    code: body[0],
-                    subcode: body[1],
-                    data: body[2..].to_vec(),
+                    code,
+                    subcode,
+                    data: body.to_vec(),
                 }
             }
             MessageType::Keepalive => {
@@ -163,14 +153,13 @@ impl Message {
 /// because the message outgrew [`MAX_MESSAGE_LEN`] — `out` is rolled
 /// back to where it started.
 pub(crate) fn frame(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     ty: MessageType,
-    body: impl FnOnce(&mut BytesMut) -> Result<(), WireError>,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     let start = out.len();
-    out.put_slice(&MARKER);
-    out.put_u16(0);
-    out.put_u8(ty.code());
+    out.extend_from_slice(&MARKER);
+    out.extend_from_slice(&[0, 0, ty.code()]);
     let res = body(out).and_then(|()| {
         let total = out.len() - start;
         if total > MAX_MESSAGE_LEN {
@@ -201,12 +190,12 @@ mod tests {
 
     #[test]
     fn keepalive_is_19_bytes() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         Message::Keepalive
             .encode(&mut b, CodecConfig::plain())
             .unwrap();
         assert_eq!(b.len(), 19);
-        let d = Message::decode(&mut b, CodecConfig::plain())
+        let d = Message::decode(&mut &b[..], CodecConfig::plain())
             .unwrap()
             .unwrap();
         assert_eq!(d, Message::Keepalive);
@@ -215,37 +204,37 @@ mod tests {
     #[test]
     fn stream_framing_two_messages() {
         let cfg = CodecConfig::plain();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         Message::Keepalive.encode(&mut b, cfg).unwrap();
         update().encode(&mut b, cfg).unwrap();
-        let m1 = Message::decode(&mut b, cfg).unwrap().unwrap();
-        let m2 = Message::decode(&mut b, cfg).unwrap().unwrap();
+        let mut buf = &b[..];
+        let m1 = Message::decode(&mut buf, cfg).unwrap().unwrap();
+        let m2 = Message::decode(&mut buf, cfg).unwrap().unwrap();
         assert_eq!(m1, Message::Keepalive);
         assert_eq!(m2, update());
-        assert!(Message::decode(&mut b, cfg).unwrap().is_none());
-        assert!(b.is_empty());
+        assert!(Message::decode(&mut buf, cfg).unwrap().is_none());
+        assert!(buf.is_empty());
     }
 
     #[test]
     fn partial_message_returns_none() {
         let cfg = CodecConfig::plain();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         update().encode(&mut b, cfg).unwrap();
-        let full = b.clone();
-        let mut partial = BytesMut::from(&full[..full.len() - 3]);
+        let mut partial = &b[..b.len() - 3];
         assert!(Message::decode(&mut partial, cfg).unwrap().is_none());
         // Buffer untouched by a partial decode.
-        assert_eq!(partial.len(), full.len() - 3);
+        assert_eq!(partial.len(), b.len() - 3);
     }
 
     #[test]
     fn bad_marker_is_error() {
         let cfg = CodecConfig::plain();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         Message::Keepalive.encode(&mut b, cfg).unwrap();
         b[0] = 0;
         assert!(matches!(
-            Message::decode(&mut b, cfg),
+            Message::decode(&mut &b[..], cfg),
             Err(WireError::BadMarker)
         ));
     }
@@ -253,11 +242,11 @@ mod tests {
     #[test]
     fn bad_type_is_error() {
         let cfg = CodecConfig::plain();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         Message::Keepalive.encode(&mut b, cfg).unwrap();
         b[18] = 9;
         assert!(matches!(
-            Message::decode(&mut b, cfg),
+            Message::decode(&mut &b[..], cfg),
             Err(WireError::BadMessageType(9))
         ));
     }
@@ -266,9 +255,9 @@ mod tests {
     fn open_roundtrip_through_framing() {
         let cfg = CodecConfig::plain();
         let o = Message::Open(OpenMessage::new(64512, 180, 42, Some(AddPathMode::Both)));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode(&mut b, cfg).unwrap();
-        let d = Message::decode(&mut b, cfg).unwrap().unwrap();
+        let d = Message::decode(&mut &b[..], cfg).unwrap().unwrap();
         assert_eq!(d, o);
     }
 
@@ -280,9 +269,9 @@ mod tests {
             subcode: 2,
             data: vec![1, 2, 3],
         };
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         n.encode(&mut b, cfg).unwrap();
-        let d = Message::decode(&mut b, cfg).unwrap().unwrap();
+        let d = Message::decode(&mut &b[..], cfg).unwrap().unwrap();
         assert_eq!(d, n);
     }
 }

@@ -1,9 +1,9 @@
 //! NLRI encoding: `<length, prefix>` per RFC 4271 §4.3, optionally
 //! preceded by a 4-octet path identifier per RFC 7911 §3.
 
-use crate::error::{need, WireError};
+use crate::error::WireError;
+use crate::read::{take, take_array, take_u32};
 use bgp_types::{Ipv4Prefix, PathId};
-use bytes::{Buf, BufMut, BytesMut};
 
 /// One NLRI element: a prefix, optionally tagged with an add-paths
 /// path identifier.
@@ -40,33 +40,30 @@ impl Nlri {
 
     /// Appends the wire form to `out`. When `add_paths` is set, an NLRI
     /// without a path id is encoded with path id 0.
-    pub fn encode(&self, out: &mut BytesMut, add_paths: bool) {
+    pub fn encode(&self, out: &mut Vec<u8>, add_paths: bool) {
         if add_paths {
-            out.put_u32(self.path_id.map(|p| p.0).unwrap_or(0));
+            out.extend_from_slice(&self.path_id.map_or(0, |p| p.0).to_be_bytes());
         }
-        out.put_u8(self.prefix.len());
+        out.push(self.prefix.len());
         let octets = self.prefix.addr_octets();
         let nbytes = (self.prefix.len() as usize).div_ceil(8);
-        out.put_slice(&octets[..nbytes]);
+        out.extend_from_slice(&octets[..nbytes]);
     }
 
-    /// Decodes one NLRI element from the front of `buf`.
-    pub fn decode(buf: &mut impl Buf, add_paths: bool) -> Result<Nlri, WireError> {
+    /// Decodes one NLRI element from the front of `buf`, advancing it.
+    pub fn decode(buf: &mut &[u8], add_paths: bool) -> Result<Nlri, WireError> {
         let path_id = if add_paths {
-            need("nlri path-id", buf.remaining(), 4)?;
-            Some(PathId(buf.get_u32()))
+            Some(PathId(take_u32(buf, "nlri path-id")?))
         } else {
             None
         };
-        need("nlri length", buf.remaining(), 1)?;
-        let len = buf.get_u8();
+        let [len] = take_array(buf, "nlri length")?;
         if len > 32 {
             return Err(WireError::InvalidNlri("prefix length > 32"));
         }
-        let nbytes = (len as usize).div_ceil(8);
-        need("nlri prefix", buf.remaining(), nbytes)?;
+        let raw = take(buf, (len as usize).div_ceil(8), "nlri prefix")?;
         let mut octets = [0u8; 4];
-        buf.copy_to_slice(&mut octets[..nbytes]);
+        octets[..raw.len()].copy_from_slice(raw);
         let addr = u32::from_be_bytes(octets);
         Ok(Nlri {
             path_id,
@@ -124,10 +121,10 @@ mod tests {
     fn plain_roundtrip() {
         for s in ["0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/15", "1.2.3.4/32"] {
             let n = Nlri::plain(pfx(s));
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             n.encode(&mut b, false);
             assert_eq!(b.len(), n.encoded_len(false));
-            let d = Nlri::decode(&mut b.freeze(), false).unwrap();
+            let d = Nlri::decode(&mut &b[..], false).unwrap();
             assert_eq!(d, n);
         }
     }
@@ -135,10 +132,10 @@ mod tests {
     #[test]
     fn add_paths_roundtrip() {
         let n = Nlri::with_path_id(pfx("10.0.0.0/9"), PathId(77));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         n.encode(&mut b, true);
         assert_eq!(b.len(), 4 + 1 + 2);
-        let d = Nlri::decode(&mut b.freeze(), true).unwrap();
+        let d = Nlri::decode(&mut &b[..], true).unwrap();
         assert_eq!(d, n);
     }
 
@@ -173,7 +170,7 @@ mod tests {
 
     #[test]
     fn iter_consumes_everything() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         Nlri::plain(pfx("10.0.0.0/8")).encode(&mut b, false);
         Nlri::plain(pfx("11.0.0.0/8")).encode(&mut b, false);
         let v: Vec<Nlri> = Nlri::iter(&b, false).collect::<Result<_, _>>().unwrap();

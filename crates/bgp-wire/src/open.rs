@@ -5,8 +5,8 @@
 //! (RFC 7911), which ABRR requires so ARRs can advertise all best
 //! AS-level routes (paper §1, §2.1).
 
-use crate::error::{need, WireError};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::error::WireError;
+use crate::read::{take, take_array};
 
 /// Add-paths send/receive mode (RFC 7911 §4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,43 +53,31 @@ pub enum Capability {
 }
 
 impl Capability {
-    fn encode(&self, out: &mut BytesMut) {
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Capability::MultiprotocolIpv4Unicast => {
-                out.put_u8(1);
-                out.put_u8(4);
-                out.put_u16(1); // AFI IPv4
-                out.put_u8(0); // reserved
-                out.put_u8(1); // SAFI unicast
-            }
+            // Code 1, length 4: AFI IPv4, reserved, SAFI unicast.
+            Capability::MultiprotocolIpv4Unicast => out.extend_from_slice(&[1, 4, 0, 1, 0, 1]),
             Capability::FourOctetAs(asn) => {
-                out.put_u8(65);
-                out.put_u8(4);
-                out.put_u32(*asn);
+                out.extend_from_slice(&[65, 4]);
+                out.extend_from_slice(&asn.to_be_bytes());
             }
+            // Code 69, length 4: AFI IPv4, SAFI unicast, send/receive.
             Capability::AddPathsIpv4Unicast(mode) => {
-                out.put_u8(69);
-                out.put_u8(4);
-                out.put_u16(1); // AFI IPv4
-                out.put_u8(1); // SAFI unicast
-                out.put_u8(mode.code());
+                out.extend_from_slice(&[69, 4, 0, 1, 1, mode.code()])
             }
             Capability::Other(code, val) => {
-                out.put_u8(*code);
-                out.put_u8(val.len() as u8);
-                out.put_slice(val);
+                out.extend_from_slice(&[*code, val.len() as u8]);
+                out.extend_from_slice(val);
             }
         }
     }
 
     fn decode(code: u8, val: &[u8]) -> Result<Capability, WireError> {
-        Ok(match code {
-            1 if val == [0, 1, 0, 1] => Capability::MultiprotocolIpv4Unicast,
-            65 if val.len() == 4 => {
-                Capability::FourOctetAs(u32::from_be_bytes(val.try_into().unwrap()))
-            }
-            69 if val.len() == 4 && val[..3] == [0, 1, 1] => {
-                let mode = AddPathMode::from_code(val[3])
+        Ok(match (code, val) {
+            (1, [0, 1, 0, 1]) => Capability::MultiprotocolIpv4Unicast,
+            (65, &[a, b, c, d]) => Capability::FourOctetAs(u32::from_be_bytes([a, b, c, d])),
+            (69, &[0, 1, 1, mode]) => {
+                let mode = AddPathMode::from_code(mode)
                     .ok_or(WireError::MalformedAttributes("add-paths mode"))?;
                 Capability::AddPathsIpv4Unicast(mode)
             }
@@ -158,58 +146,46 @@ impl OpenMessage {
     }
 
     /// Encodes the OPEN body (everything after the common header).
-    pub fn encode_body(&self, out: &mut BytesMut) {
-        out.put_u8(self.version);
-        out.put_u16(self.my_as);
-        out.put_u16(self.hold_time);
-        out.put_u32(self.bgp_id);
+    pub fn encode_body(&self, out: &mut Vec<u8>) {
+        out.push(self.version);
+        out.extend_from_slice(&self.my_as.to_be_bytes());
+        out.extend_from_slice(&self.hold_time.to_be_bytes());
+        out.extend_from_slice(&self.bgp_id.to_be_bytes());
         // Optional parameters: one parameter of type 2 (capabilities).
-        let mut caps = BytesMut::new();
+        let mut caps = Vec::new();
         for c in &self.capabilities {
             c.encode(&mut caps);
         }
         if caps.is_empty() {
-            out.put_u8(0);
+            out.push(0);
         } else {
-            out.put_u8((caps.len() + 2) as u8);
-            out.put_u8(2); // param type: capabilities
-            out.put_u8(caps.len() as u8);
-            out.put_slice(&caps);
+            // Parameter length, param type 2 (capabilities), its length.
+            out.extend_from_slice(&[(caps.len() + 2) as u8, 2, caps.len() as u8]);
+            out.extend_from_slice(&caps);
         }
     }
 
     /// Decodes an OPEN body.
     pub fn decode_body(mut buf: &[u8]) -> Result<OpenMessage, WireError> {
-        need("open fixed fields", buf.remaining(), 10)?;
-        let version = buf.get_u8();
+        let [version, a0, a1, h0, h1, i0, i1, i2, i3, opt_len] =
+            take_array(&mut buf, "open fixed fields")?;
         if version != 4 {
             return Err(WireError::UnsupportedVersion(version));
         }
-        let my_as = buf.get_u16();
-        let hold_time = buf.get_u16();
-        let bgp_id = buf.get_u32();
-        let opt_len = buf.get_u8() as usize;
-        need("open optional params", buf.remaining(), opt_len)?;
-        let mut params = &buf[..opt_len];
+        let my_as = u16::from_be_bytes([a0, a1]);
+        let hold_time = u16::from_be_bytes([h0, h1]);
+        let bgp_id = u32::from_be_bytes([i0, i1, i2, i3]);
+        let mut params = take(&mut buf, opt_len as usize, "open optional params")?;
         let mut capabilities = Vec::new();
-        while params.has_remaining() {
-            need("opt param header", params.remaining(), 2)?;
-            let ptype = params.get_u8();
-            let plen = params.get_u8() as usize;
-            need("opt param body", params.remaining(), plen)?;
-            let (body, rest) = params.split_at(plen);
-            params = rest;
+        while !params.is_empty() {
+            let [ptype, plen] = take_array(&mut params, "opt param header")?;
+            let mut caps = take(&mut params, plen as usize, "opt param body")?;
             if ptype != 2 {
                 continue; // non-capability parameter: ignore
             }
-            let mut caps = body;
-            while caps.has_remaining() {
-                need("capability header", caps.remaining(), 2)?;
-                let code = caps.get_u8();
-                let clen = caps.get_u8() as usize;
-                need("capability body", caps.remaining(), clen)?;
-                let (cbody, crest) = caps.split_at(clen);
-                caps = crest;
+            while !caps.is_empty() {
+                let [code, clen] = take_array(&mut caps, "capability header")?;
+                let cbody = take(&mut caps, clen as usize, "capability body")?;
                 capabilities.push(Capability::decode(code, cbody)?);
             }
         }
@@ -230,7 +206,7 @@ mod tests {
     #[test]
     fn roundtrip_with_add_paths() {
         let o = OpenMessage::new(64512, 180, 0x0A000001, Some(AddPathMode::Both));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         let d = OpenMessage::decode_body(&b).unwrap();
         assert_eq!(d, o);
@@ -243,7 +219,7 @@ mod tests {
         let o = OpenMessage::new(4_200_000_000, 180, 1, None);
         assert_eq!(o.my_as, AS_TRANS);
         assert_eq!(o.asn(), 4_200_000_000);
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         assert_eq!(OpenMessage::decode_body(&b).unwrap().asn(), 4_200_000_000);
     }
@@ -251,7 +227,7 @@ mod tests {
     #[test]
     fn rejects_wrong_version() {
         let o = OpenMessage::new(1, 180, 1, None);
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         let mut raw = b.to_vec();
         raw[0] = 3;
@@ -265,7 +241,7 @@ mod tests {
     fn unknown_capability_survives_roundtrip() {
         let mut o = OpenMessage::new(1, 90, 1, None);
         o.capabilities.push(Capability::Other(200, vec![9, 9]));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         let d = OpenMessage::decode_body(&b).unwrap();
         assert!(d.capabilities.contains(&Capability::Other(200, vec![9, 9])));
@@ -280,7 +256,7 @@ mod tests {
             bgp_id: 5,
             capabilities: vec![],
         };
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         assert_eq!(b.len(), 10);
         assert_eq!(OpenMessage::decode_body(&b).unwrap(), o);

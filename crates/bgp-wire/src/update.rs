@@ -1,12 +1,12 @@
 //! UPDATE message (RFC 4271 §4.3), add-paths aware.
 
 use crate::attr;
-use crate::error::{need, WireError};
+use crate::error::WireError;
 use crate::message::{frame, MessageType};
 use crate::nlri::Nlri;
+use crate::read::{take, take_u16};
 use crate::CodecConfig;
 use bgp_types::PathAttributes;
-use bytes::{Buf, BufMut, BytesMut};
 
 /// A BGP UPDATE: withdrawn routes, attributes, and announced NLRI.
 ///
@@ -46,24 +46,18 @@ impl UpdateMessage {
 
     /// Encodes the UPDATE body (after the common header). On error
     /// `out` may hold part of it; [`encode`] rolls the message back.
-    pub fn encode_body(&self, out: &mut BytesMut, cfg: CodecConfig) -> Result<(), WireError> {
+    pub fn encode_body(&self, out: &mut Vec<u8>, cfg: CodecConfig) -> Result<(), WireError> {
         encode_body(out, &self.withdrawn, self.attrs.as_ref(), &self.nlri, cfg)
     }
 
     /// Decodes an UPDATE body.
     pub fn decode_body(mut buf: &[u8], cfg: CodecConfig) -> Result<UpdateMessage, WireError> {
-        need("withdrawn length", buf.remaining(), 2)?;
-        let wlen = buf.get_u16() as usize;
-        need("withdrawn block", buf.remaining(), wlen)?;
-        let (wblock, rest) = buf.split_at(wlen);
-        buf = rest;
+        let wlen = take_u16(&mut buf, "withdrawn length")?;
+        let wblock = take(&mut buf, wlen as usize, "withdrawn block")?;
         let withdrawn = Nlri::iter(wblock, cfg.add_paths).collect::<Result<Vec<_>, _>>()?;
 
-        need("attributes length", buf.remaining(), 2)?;
-        let alen = buf.get_u16() as usize;
-        need("attributes block", buf.remaining(), alen)?;
-        let (ablock, rest) = buf.split_at(alen);
-        buf = rest;
+        let alen = take_u16(&mut buf, "attributes length")?;
+        let ablock = take(&mut buf, alen as usize, "attributes block")?;
 
         let nlri = Nlri::iter(buf, cfg.add_paths).collect::<Result<Vec<_>, _>>()?;
         let attrs = if alen > 0 {
@@ -86,7 +80,7 @@ impl UpdateMessage {
 /// `out` from borrowed parts, in a single pass. `out` is left as it was
 /// on error.
 pub fn encode(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     withdrawn: &[Nlri],
     attrs: Option<&PathAttributes>,
     nlri: &[Nlri],
@@ -100,12 +94,12 @@ pub fn encode(
 /// Writes a two-octet length placeholder, runs `block`, then patches in
 /// the number of bytes `block` appended.
 fn length_prefixed(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     what: &'static str,
-    block: impl FnOnce(&mut BytesMut),
+    block: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), WireError> {
     let at = out.len();
-    out.put_u16(0);
+    out.extend_from_slice(&[0, 0]);
     block(out);
     let len = u16::try_from(out.len() - at - 2).map_err(|_| WireError::TooLong(what))?;
     out[at..at + 2].copy_from_slice(&len.to_be_bytes());
@@ -113,7 +107,7 @@ fn length_prefixed(
 }
 
 fn encode_body(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     withdrawn: &[Nlri],
     attrs: Option<&PathAttributes>,
     nlri: &[Nlri],
@@ -169,7 +163,7 @@ mod tests {
     #[test]
     fn roundtrip_announce_plain() {
         let u = UpdateMessage::announce(attrs(), vec![Nlri::plain(pfx("10.0.0.0/8"))]);
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, CodecConfig::plain()).unwrap();
         let d = UpdateMessage::decode_body(&b, CodecConfig::plain()).unwrap();
         assert_eq!(d, u);
@@ -184,7 +178,7 @@ mod tests {
                 Nlri::with_path_id(pfx("10.0.0.0/8"), PathId(2)),
             ],
         );
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, CodecConfig::with_add_paths())
             .unwrap();
         let d = UpdateMessage::decode_body(&b, CodecConfig::with_add_paths()).unwrap();
@@ -194,7 +188,7 @@ mod tests {
     #[test]
     fn roundtrip_withdraw() {
         let u = UpdateMessage::withdraw(vec![Nlri::plain(pfx("10.0.0.0/8"))]);
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, CodecConfig::plain()).unwrap();
         let d = UpdateMessage::decode_body(&b, CodecConfig::plain()).unwrap();
         assert_eq!(d, u);
@@ -211,7 +205,7 @@ mod tests {
                 Nlri::plain(pfx("11.0.0.0/8")),
             ],
         };
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, CodecConfig::plain()).unwrap();
         let d = UpdateMessage::decode_body(&b, CodecConfig::plain()).unwrap();
         assert_eq!(d, u);
@@ -224,7 +218,7 @@ mod tests {
             attrs: None,
             nlri: vec![Nlri::plain(pfx("10.0.0.0/8"))],
         };
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         assert!(u.encode_body(&mut b, CodecConfig::plain()).is_err());
     }
 
@@ -236,7 +230,7 @@ mod tests {
             attrs(),
             vec![Nlri::with_path_id(pfx("10.0.0.0/8"), PathId(1))],
         );
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, CodecConfig::with_add_paths())
             .unwrap();
         if let Ok(d) = UpdateMessage::decode_body(&b, CodecConfig::plain()) {

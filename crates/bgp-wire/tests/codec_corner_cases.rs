@@ -13,11 +13,9 @@
 //! * 4-octet AS numbers (> 65535) throughout the AS_PATH;
 //! * truncation at *every* cut point of a valid body, and single-byte
 //!   mutation of valid framed messages: typed errors, never panics;
-//! * the message parser's two entry shapes (`Message::decode` over a
-//!   stream buffer, `Message::decode_slice` over a borrowed burst)
-//!   agreeing on result and bytes consumed at every truncation point of
-//!   a multi-UPDATE burst, at every framing-error boundary, and on
-//!   arbitrary bytes.
+//! * the message parser's result and the bytes it consumes — a whole
+//!   message or nothing — at every truncation point of a multi-UPDATE
+//!   burst, at every framing-error boundary, and on arbitrary bytes.
 
 use bgp_types::{
     AsPath, AsSegment, Asn, ClusterId, Community, Ipv4Prefix, LocalPref, Med, NextHop, Origin,
@@ -25,7 +23,6 @@ use bgp_types::{
 };
 use bgp_wire::attr::{self, code, flags};
 use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage, WireError, MAX_MESSAGE_LEN};
-use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
 
 fn pfx(s: &str) -> Ipv4Prefix {
@@ -53,7 +50,7 @@ fn nlri_packs_to_max_message_len_then_too_long() {
     for i in 0u32.. {
         nlri.push(Nlri::with_path_id(Ipv4Prefix::new(i, 32), PathId(i)));
         let u = UpdateMessage::announce(base_attrs(), nlri.clone());
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         match Message::Update(u.clone()).encode(&mut b, cfg) {
             Ok(()) => {
                 assert!(b.len() <= MAX_MESSAGE_LEN);
@@ -76,9 +73,9 @@ fn nlri_packs_to_max_message_len_then_too_long() {
         "densest packing stopped {} bytes short of the ceiling",
         MAX_MESSAGE_LEN - len
     );
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     Message::Update(u.clone()).encode(&mut b, cfg).unwrap();
-    let d = Message::decode(&mut b, cfg).unwrap().unwrap();
+    let d = Message::decode(&mut &b[..], cfg).unwrap().unwrap();
     assert_eq!(d, Message::Update(u));
 }
 
@@ -90,7 +87,7 @@ fn oversized_withdrawn_block_is_too_long() {
         .map(|i| Nlri::plain(Ipv4Prefix::new(i << 8, 32)))
         .collect();
     let u = UpdateMessage::withdraw(withdrawn);
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     assert!(matches!(
         u.encode_body(&mut b, CodecConfig::plain()),
         Err(WireError::TooLong("withdrawn routes"))
@@ -101,21 +98,21 @@ fn oversized_withdrawn_block_is_too_long() {
 
 /// Hand-encodes one attribute with an explicit flag byte, honouring
 /// the EXT_LEN bit's two-byte length field.
-fn raw_attr(out: &mut BytesMut, flag: u8, ty: u8, body: &[u8]) {
-    out.put_u8(flag);
-    out.put_u8(ty);
+fn raw_attr(out: &mut Vec<u8>, flag: u8, ty: u8, body: &[u8]) {
+    out.push(flag);
+    out.push(ty);
     if flag & flags::EXT_LEN != 0 {
-        out.put_u16(body.len() as u16);
+        out.extend_from_slice(&(body.len() as u16).to_be_bytes());
     } else {
-        out.put_u8(body.len() as u8);
+        out.push(body.len() as u8);
     }
-    out.put_slice(body);
+    out.extend_from_slice(body);
 }
 
 /// A minimal valid attribute block (the three mandatory attributes),
 /// to which a test attribute can be appended.
-fn mandatory_block() -> BytesMut {
-    let mut b = BytesMut::new();
+fn mandatory_block() -> Vec<u8> {
+    let mut b = Vec::new();
     attr::encode_attrs(
         &PathAttributes::ebgp(AsPath::sequence([Asn(1)]), NextHop(1)),
         &mut b,
@@ -297,11 +294,12 @@ proptest! {
                 attrs: Some(attrs.clone()),
                 nlri: announced.iter().enumerate().map(|(i, &p)| tag(i, p)).collect(),
             };
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             Message::Update(u.clone()).encode(&mut b, cfg).unwrap();
-            let d = Message::decode(&mut b, cfg).unwrap().unwrap();
+            let mut rest = &b[..];
+            let d = Message::decode(&mut rest, cfg).unwrap().unwrap();
             prop_assert_eq!(d, Message::Update(u));
-            prop_assert!(b.is_empty());
+            prop_assert!(rest.is_empty());
         }
     }
 
@@ -310,7 +308,7 @@ proptest! {
     #[test]
     fn four_octet_as_paths_roundtrip(as_path in arb_wide_as_path()) {
         let attrs = PathAttributes::ebgp(as_path.clone(), NextHop(1));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         attr::encode_attrs(&attrs, &mut b);
         let d = attr::decode_attrs(&b).unwrap();
         prop_assert_eq!(&d.as_path, &as_path);
@@ -322,31 +320,41 @@ proptest! {
     }
 }
 
-// ------------------------------------- one parser, two entry shapes
+// -------------------------------------------- the parser's framing
 
-/// One decode step through both entry shapes of the message parser —
-/// the `&mut BytesMut` stream wrapper and the borrowed slice — which
-/// must agree on the result and on the bytes consumed.
-fn decode_both(data: &[u8], cfg: CodecConfig) -> (Result<Option<Message>, WireError>, usize) {
-    let mut stream = BytesMut::from(data);
-    let via_stream = Message::decode(&mut stream, cfg);
+/// One decode step of the message parser, returning the result and the
+/// bytes consumed. Whatever the input, it consumes a whole message (the
+/// length its header declares) or nothing: all of a message it
+/// decodes, none of a partial one.
+fn decode_one(data: &[u8], cfg: CodecConfig) -> (Result<Option<Message>, WireError>, usize) {
     let mut rest = data;
-    let via_slice = Message::decode_slice(&mut rest, cfg);
-    assert_eq!(via_stream, via_slice, "entry shapes disagree on the result");
-    assert_eq!(&stream[..], rest, "entry shapes disagree on bytes consumed");
-    (via_slice, data.len() - rest.len())
+    let got = Message::decode(&mut rest, cfg);
+    let used = data.len() - rest.len();
+    let declared = match data.get(16..18) {
+        Some(&[hi, lo]) => u16::from_be_bytes([hi, lo]) as usize,
+        _ => 0,
+    };
+    match &got {
+        Ok(Some(_)) => assert_eq!(used, declared, "a decoded message is consumed whole"),
+        Ok(None) => assert_eq!(used, 0, "a partial message is left in place"),
+        Err(e) => assert!(
+            used == 0 || used == declared,
+            "{e:?} consumed {used} bytes of a {declared}-byte message"
+        ),
+    }
+    (got, used)
 }
 
 /// A session burst as `core::wire` builds one — UPDATEs back to back —
 /// with the offset at which each message ends.
-fn burst(cfg: CodecConfig) -> (Vec<Message>, BytesMut, Vec<usize>) {
+fn burst(cfg: CodecConfig) -> (Vec<Message>, Vec<u8>, Vec<usize>) {
     let rich = rich_update(cfg);
     let msgs = vec![
         Message::Update(rich.clone()),
         Message::Update(UpdateMessage::withdraw(rich.withdrawn.clone())),
         Message::Update(UpdateMessage::announce(base_attrs(), rich.nlri)),
     ];
-    let mut bytes = BytesMut::new();
+    let mut bytes = Vec::new();
     let mut ends = Vec::new();
     for m in &msgs {
         m.encode(&mut bytes, cfg).unwrap();
@@ -357,7 +365,7 @@ fn burst(cfg: CodecConfig) -> (Vec<Message>, BytesMut, Vec<usize>) {
 
 /// Cutting a multi-UPDATE burst at *every* point: the messages wholly
 /// before the cut decode in order, the partial tail is `Ok(None)` with
-/// nothing consumed (stream framing — never an error), in both shapes.
+/// nothing consumed (stream framing — never an error).
 #[test]
 fn burst_truncated_at_every_point_frames_identically() {
     for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
@@ -366,11 +374,11 @@ fn burst_truncated_at_every_point_frames_identically() {
             let mut data = &bytes[..cut];
             let whole = ends.iter().filter(|&&e| e <= cut).count();
             for m in &msgs[..whole] {
-                let (got, used) = decode_both(data, cfg);
+                let (got, used) = decode_one(data, cfg);
                 assert_eq!(got, Ok(Some(m.clone())), "cut at {cut}");
                 data = &data[used..];
             }
-            assert_eq!(decode_both(data, cfg), (Ok(None), 0), "cut at {cut}");
+            assert_eq!(decode_one(data, cfg), (Ok(None), 0), "cut at {cut}");
         }
     }
 }
@@ -397,14 +405,14 @@ fn framing_errors_fire_at_fixed_boundaries() {
         ),
         (mutated(18, &[9]), WireError::BadMessageType(9)),
     ] {
-        assert_eq!(decode_both(&bad, cfg), (Ok(Some(msgs[0].clone())), second));
-        assert_eq!(decode_both(&bad[second..], cfg), (Err(want), 0));
+        assert_eq!(decode_one(&bad, cfg), (Ok(Some(msgs[0].clone())), second));
+        assert_eq!(decode_one(&bad[second..], cfg), (Err(want), 0));
     }
     // The withdrawn-routes length of the second message overruns its body.
     let bad = mutated(19, &0xFFFFu16.to_be_bytes());
     let body = ends[1] - second - 19;
     assert_eq!(
-        decode_both(&bad[second..], cfg),
+        decode_one(&bad[second..], cfg),
         (
             Err(WireError::Truncated {
                 what: "withdrawn block",
@@ -415,7 +423,7 @@ fn framing_errors_fire_at_fixed_boundaries() {
         )
     );
     assert_eq!(
-        decode_both(&bad[ends[1]..], cfg),
+        decode_one(&bad[ends[1]..], cfg),
         (Ok(Some(msgs[2].clone())), ends[2] - ends[1])
     );
 }
@@ -456,7 +464,7 @@ fn rich_update(cfg: CodecConfig) -> UpdateMessage {
 fn truncation_at_every_cut_point_is_typed() {
     for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
         let u = rich_update(cfg);
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, cfg).unwrap();
         for cut in 0..b.len() {
             match UpdateMessage::decode_body(&b[..cut], cfg) {
@@ -492,38 +500,38 @@ proptest! {
         add_paths in any::<bool>(),
     ) {
         let cfg = if add_paths { CodecConfig::with_add_paths() } else { CodecConfig::plain() };
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         Message::Update(rich_update(cfg)).encode(&mut b, cfg).unwrap();
         let pos = pos_seed as usize % b.len();
         b[pos] ^= xor;
-        let _ = decode_both(&b, cfg);
+        let _ = decode_one(&b, cfg);
         // The opposite codec config on the same mutated bytes.
         let other = if add_paths { CodecConfig::plain() } else { CodecConfig::with_add_paths() };
-        let _ = decode_both(&b, other);
+        let _ = decode_one(&b, other);
     }
 
     /// Arbitrary bytes behind a plausible header (uniform bytes die on
-    /// the marker check): whatever the parser makes of them, both entry
-    /// shapes make the same of them.
+    /// the marker check): whatever the parser makes of them, it
+    /// consumes a whole message or nothing.
     #[test]
-    fn arbitrary_bytes_frame_identically_in_both_shapes(
+    fn arbitrary_bytes_frame_whole_messages_or_nothing(
         marker_ok in any::<bool>(),
         len in 0u16..600,
         ty in 0u8..6,
         data in prop::collection::vec(any::<u8>(), 0..600),
     ) {
-        let mut b = BytesMut::new();
-        b.put_slice(&[if marker_ok { 0xFF } else { 0xFE }; 16]);
-        b.put_u16(len);
-        b.put_u8(ty);
-        b.put_slice(&data);
+        let mut b = Vec::new();
+        b.extend_from_slice(&[if marker_ok { 0xFF } else { 0xFE }; 16]);
+        b.extend_from_slice(&len.to_be_bytes());
+        b.push(ty);
+        b.extend_from_slice(&data);
         for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
             let mut rest = &b[..];
             // Walk the stream the way a session does, until it stalls.
-            while let (Ok(Some(_)), used) = decode_both(rest, cfg) {
+            while let (Ok(Some(_)), used) = decode_one(rest, cfg) {
                 rest = &rest[used..];
             }
-            let _ = decode_both(&data, cfg);
+            let _ = decode_one(&data, cfg);
         }
     }
 

@@ -5,7 +5,6 @@
 use bgp_types::{AsPath, Asn, NextHop, PathAttributes};
 use bgp_wire::attr::{self, code, flags};
 use bgp_wire::{AddPathMode, Capability, OpenMessage, WireError};
-use bytes::BytesMut;
 use proptest::prelude::*;
 
 fn arb_mode() -> impl Strategy<Value = AddPathMode> {
@@ -57,9 +56,9 @@ fn raw_attr(flag: u8, ty: u8, body: &[u8]) -> Vec<u8> {
     out
 }
 
-fn minimal_attrs() -> (PathAttributes, BytesMut) {
+fn minimal_attrs() -> (PathAttributes, Vec<u8>) {
     let a = PathAttributes::ebgp(AsPath::sequence([Asn(7018)]), NextHop(0x0A000001));
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     attr::encode_attrs(&a, &mut b);
     (a, b)
 }
@@ -85,7 +84,7 @@ proptest! {
     /// round-trips byte-exactly through encode/decode.
     #[test]
     fn open_roundtrip(o in arb_open()) {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         let d = OpenMessage::decode_body(&b).unwrap();
         prop_assert_eq!(d, o);
@@ -102,7 +101,7 @@ proptest! {
         mode in prop::option::of(arb_mode()),
     ) {
         let o = OpenMessage::new(asn, hold, bgp_id, mode);
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         let d = OpenMessage::decode_body(&b).unwrap();
         prop_assert_eq!(&d, &o);
@@ -114,7 +113,7 @@ proptest! {
     /// panic or a silently short message.
     #[test]
     fn truncated_open_is_error(o in arb_open(), cut in 0usize..1000) {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         o.encode_body(&mut b);
         let keep = cut % b.len();
         prop_assert!(OpenMessage::decode_body(&b[..keep]).is_err());

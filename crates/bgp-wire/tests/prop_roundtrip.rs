@@ -7,7 +7,6 @@ use bgp_types::{
 };
 use bgp_wire::update::body_len;
 use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage};
-use bytes::BytesMut;
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
@@ -111,7 +110,7 @@ fn arb_nlri(add_paths: bool) -> impl Strategy<Value = Nlri> {
 proptest! {
     #[test]
     fn attrs_roundtrip(attrs in arb_attrs()) {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         bgp_wire::attr::encode_attrs(&attrs, &mut b);
         let d = bgp_wire::attr::decode_attrs(&b).unwrap();
         prop_assert_eq!(d, attrs);
@@ -122,7 +121,7 @@ proptest! {
     /// lengths that cross the 255-AS and `EXT_LEN` boundaries.
     #[test]
     fn attrs_len_matches_encoder(attrs in arb_attrs_with(arb_extreme_as_path(), 72)) {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         bgp_wire::attr::encode_attrs(&attrs, &mut b);
         prop_assert_eq!(bgp_wire::attr::encoded_attrs_len(&attrs), b.len());
     }
@@ -139,7 +138,7 @@ proptest! {
             nlri,
         };
         let cfg = CodecConfig::plain();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, cfg).unwrap();
         prop_assert_eq!(body_len(&u.withdrawn, u.attrs.as_ref(), &u.nlri, cfg), b.len());
         let d = UpdateMessage::decode_body(&b, cfg).unwrap();
@@ -158,7 +157,7 @@ proptest! {
             nlri,
         };
         let cfg = CodecConfig::with_add_paths();
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         u.encode_body(&mut b, cfg).unwrap();
         prop_assert_eq!(body_len(&u.withdrawn, u.attrs.as_ref(), &u.nlri, cfg), b.len());
         let d = UpdateMessage::decode_body(&b, cfg).unwrap();
@@ -179,13 +178,13 @@ proptest! {
             Message::Update(UpdateMessage::announce(attrs, nlri)),
             Message::Notification { code: 6, subcode: 0, data: vec![] },
         ];
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         for m in &msgs {
             m.encode(&mut b, cfg).unwrap();
         }
         // Truncate the stream mid-final-message.
         let keep = b.len() - cut.min(18);
-        let mut stream = BytesMut::from(&b[..keep]);
+        let mut stream = &b[..keep];
         let mut decoded = Vec::new();
         while let Some(m) = Message::decode(&mut stream, cfg).unwrap() {
             decoded.push(m);
@@ -198,10 +197,8 @@ proptest! {
     /// decode never panics on arbitrary bytes.
     #[test]
     fn decode_never_panics(data in prop::collection::vec(any::<u8>(), 0..200)) {
-        let mut b = BytesMut::from(&data[..]);
-        let _ = Message::decode(&mut b, CodecConfig::plain());
-        let mut b2 = BytesMut::from(&data[..]);
-        let _ = Message::decode(&mut b2, CodecConfig::with_add_paths());
+        let _ = Message::decode(&mut &data[..], CodecConfig::plain());
+        let _ = Message::decode(&mut &data[..], CodecConfig::with_add_paths());
         let _ = UpdateMessage::decode_body(&data, CodecConfig::plain());
         let _ = bgp_wire::attr::decode_attrs(&data);
     }

@@ -3,7 +3,6 @@
 use bgp_rib::PathSet;
 use bgp_types::{ApId, Asn, Ipv4Prefix, PathAttributes, PathId};
 use bgp_wire::{CodecConfig, Nlri, WireError};
-use bytes::BytesMut;
 use std::sync::Arc;
 
 /// Which iBGP plane a message belongs to. During the §2.4 transition a
@@ -131,7 +130,7 @@ impl UpdateParts<'_> {
     }
 
     /// Appends the encoded UPDATE (header included) to `out`.
-    pub(crate) fn encode(&self, out: &mut BytesMut, cfg: CodecConfig) -> Result<(), WireError> {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>, cfg: CodecConfig) -> Result<(), WireError> {
         let (withdrawn, attrs, nlri) = self.blocks();
         bgp_wire::update::encode(out, withdrawn, attrs, nlri, cfg)
     }

@@ -27,7 +27,6 @@ use crate::msg::{BgpMsg, WireFrame};
 use bgp_rib::PathSet;
 use bgp_types::RouterId;
 use bgp_wire::{AddPathMode, CodecConfig, Message, OpenMessage, WireError};
-use bytes::BytesMut;
 use std::sync::Arc;
 
 /// Why a received or round-tripped frame was rejected.
@@ -73,14 +72,14 @@ pub fn session_codec() -> CodecConfig {
 pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
     let cfg = session_codec();
     let updates = msg.updates(cfg.add_paths);
-    let mut out = BytesMut::with_capacity(updates.iter().map(|u| u.encoded_len(cfg)).sum());
+    let mut out = Vec::with_capacity(updates.iter().map(|u| u.encoded_len(cfg)).sum());
     for u in &updates {
         u.encode(&mut out, cfg)?;
     }
     Ok(WireFrame {
         prefix: msg.prefix,
         plane: msg.plane,
-        bytes: Arc::new(out.into()),
+        bytes: Arc::new(out),
     })
 }
 
@@ -94,7 +93,7 @@ pub fn decode_frame(frame: &WireFrame) -> Result<BgpMsg, WireFault> {
     let mut paths: PathSet = Vec::new();
     let mut withdrawn = false;
     let mut saw_update = false;
-    while let Some(m) = Message::decode_slice(&mut buf, cfg)? {
+    while let Some(m) = Message::decode(&mut buf, cfg)? {
         let u = match m {
             Message::Update(u) => u,
             _ => return Err(WireFault::Contract("non-UPDATE message in session burst")),
@@ -185,8 +184,9 @@ pub fn verify_roundtrip(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
 pub fn open_roundtrip(asn: u32, router: RouterId) -> Result<(), WireFault> {
     let open = OpenMessage::new(asn, 180, router.0, Some(AddPathMode::Both));
     let msg = Message::Open(open.clone());
-    let mut buf = BytesMut::new();
-    msg.encode(&mut buf, session_codec())?;
+    let mut bytes = Vec::new();
+    msg.encode(&mut bytes, session_codec())?;
+    let mut buf = &bytes[..];
     let back = Message::decode(&mut buf, session_codec())?
         .ok_or(WireFault::Contract("OPEN did not frame"))?;
     if !buf.is_empty() {
@@ -301,14 +301,14 @@ mod tests {
 
     #[test]
     fn keepalive_in_burst_is_contract_violation() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Message::Keepalive
             .encode(&mut buf, session_codec())
             .unwrap();
         let f = WireFrame {
             prefix: pfx("10.0.0.0/8"),
             plane: Plane::Mesh,
-            bytes: Arc::new(buf.to_vec()),
+            bytes: Arc::new(buf),
         };
         assert!(matches!(decode_frame(&f), Err(WireFault::Contract(_))));
     }

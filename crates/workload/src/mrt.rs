@@ -33,7 +33,6 @@
 use crate::churn::{TraceEvent, TraceRecord};
 use bgp_types::{Asn, Ipv4Prefix, PathAttributes, RouterId};
 use bgp_wire::{CodecConfig, Message, UpdateMessage};
-use bytes::{BufMut, BytesMut};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
@@ -209,9 +208,8 @@ fn parse_bgp4mp(
     let local_ip = u32::from_be_bytes([addrs[4], addrs[5], addrs[6], addrs[7]]);
     let router = peers.router_for(peer_ip, local_ip);
 
-    // The rest is one raw BGP message; frame and parse it.
-    let mut msg_buf = BytesMut::from(*buf);
-    let msg = match Message::decode(&mut msg_buf, CodecConfig::plain()) {
+    // The rest is one raw BGP message; frame and parse it in place.
+    let msg = match Message::decode(buf, CodecConfig::plain()) {
         Ok(Some(m)) => m,
         Ok(None) | Err(_) => {
             stats.skipped_malformed += 1;
@@ -436,7 +434,7 @@ pub fn read_mrt(input: &mut impl Read, cfg: &MrtImportConfig) -> Result<MrtImpor
 /// Used to build fixtures and to export generated churn for external
 /// MRT tooling.
 pub fn write_mrt(out: &mut impl Write, records: &[TraceRecord]) -> Result<(), MrtError> {
-    let mut file = BytesMut::new();
+    let mut file = Vec::new();
     for r in records {
         let (peer_as, peer_addr, update) = match &r.event {
             TraceEvent::Announce {
@@ -455,7 +453,7 @@ pub fn write_mrt(out: &mut impl Write, records: &[TraceRecord]) -> Result<(), Mr
                 UpdateMessage::withdraw(vec![bgp_wire::Nlri::plain(*prefix)]),
             ),
         };
-        let mut msg = BytesMut::new();
+        let mut msg = Vec::new();
         Message::Update(update)
             .encode(&mut msg, CodecConfig::plain())
             .map_err(|e| MrtError::Format {
@@ -463,18 +461,18 @@ pub fn write_mrt(out: &mut impl Write, records: &[TraceRecord]) -> Result<(), Mr
                 reason: format!("unencodable record: {e}"),
             })?;
         let body_len = 4 + 12 + 8 + msg.len(); // µs + AS4 header + addresses + message
-        file.put_u32((r.t_us / 1_000_000) as u32);
-        file.put_u16(TYPE_BGP4MP_ET);
-        file.put_u16(BGP4MP_MESSAGE_AS4);
-        file.put_u32(body_len as u32);
-        file.put_u32((r.t_us % 1_000_000) as u32);
-        file.put_u32(peer_as.0); // peer AS
-        file.put_u32(65000); // local AS
-        file.put_u16(0); // interface index
-        file.put_u16(1); // AFI: IPv4
-        file.put_u32(peer_addr); // peer IP
-        file.put_u32(r.router.0); // local IP = router id (see docs)
-        file.put_slice(&msg);
+        file.extend_from_slice(&((r.t_us / 1_000_000) as u32).to_be_bytes());
+        file.extend_from_slice(&TYPE_BGP4MP_ET.to_be_bytes());
+        file.extend_from_slice(&BGP4MP_MESSAGE_AS4.to_be_bytes());
+        file.extend_from_slice(&(body_len as u32).to_be_bytes());
+        file.extend_from_slice(&((r.t_us % 1_000_000) as u32).to_be_bytes());
+        file.extend_from_slice(&peer_as.0.to_be_bytes()); // peer AS
+        file.extend_from_slice(&65000u32.to_be_bytes()); // local AS
+        file.extend_from_slice(&0u16.to_be_bytes()); // interface index
+        file.extend_from_slice(&1u16.to_be_bytes()); // AFI: IPv4
+        file.extend_from_slice(&peer_addr.to_be_bytes()); // peer IP
+        file.extend_from_slice(&r.router.0.to_be_bytes()); // local IP = router id (see docs)
+        file.extend_from_slice(&msg);
     }
     out.write_all(&file)?;
     Ok(())

@@ -6,10 +6,9 @@
 use crate::tier1::Tier1Model;
 use abrr::{ClusterSpec, LatencyModel, Mode, NetworkSpec};
 use bgp_types::{ApMap, Asn, RouterId};
-use igp::{IgpOracle, Topology};
+use igp::Topology;
 use netsim::Time;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Base id for synthetic control-plane TRRs.
 pub const TRR_BASE_ID: u32 = 100_000;
@@ -104,30 +103,9 @@ pub fn tbrr_spec(
             clients: model.view.pops[p].clone(),
         })
         .collect();
-    NetworkSpec {
-        asn: Asn(65000),
-        mode: Mode::Tbrr { multipath },
-        routers: model.routers.clone(),
-        oracle: Arc::new(IgpOracle::compute(&topo)),
-        decision: Default::default(),
-        mrai_us: opts.mrai_us,
-        ap_map: None,
-        arrs: BTreeMap::new(),
-        clusters,
-        rrs_are_clients: true,
-        account_bytes: opts.account_bytes,
-        abrr_loop_prevention: abrr::AbrrLoopPrevention::ReflectedBit,
-        clients_keep_backups: false,
-        proc_delay_base_us: opts.proc_delay_base_us,
-        proc_delay_spread_us: opts.proc_delay_spread_us,
-        rr_proc_delay_base_us: opts.rr_proc_delay_base_us,
-        rr_proc_delay_spread_us: opts.rr_proc_delay_spread_us,
-        latency: LatencyModel::IgpProportional {
-            base: 1_000,
-            per_metric: 50,
-        },
-        wire_mode: netsim::WireMode::Off,
-    }
+    let mut spec = reflection_spec(model, &topo, Mode::Tbrr { multipath }, opts);
+    spec.clusters = clusters;
+    spec
 }
 
 /// Builds the ABRR spec: `n_aps` partitions, `arrs_per_ap` control-
@@ -156,35 +134,24 @@ pub fn abrr_spec(
                 .collect::<Vec<_>>(),
         );
     }
-    NetworkSpec {
-        asn: Asn(65000),
-        mode: Mode::Abrr,
-        routers: model.routers.clone(),
-        oracle: Arc::new(IgpOracle::compute(&topo)),
-        decision: Default::default(),
-        mrai_us: opts.mrai_us,
-        ap_map: Some(ap_map),
-        arrs,
-        clusters: Vec::new(),
-        rrs_are_clients: true,
-        account_bytes: opts.account_bytes,
-        abrr_loop_prevention: abrr::AbrrLoopPrevention::ReflectedBit,
-        clients_keep_backups: false,
-        proc_delay_base_us: opts.proc_delay_base_us,
-        proc_delay_spread_us: opts.proc_delay_spread_us,
-        rr_proc_delay_base_us: opts.rr_proc_delay_base_us,
-        rr_proc_delay_spread_us: opts.rr_proc_delay_spread_us,
-        latency: LatencyModel::IgpProportional {
-            base: 1_000,
-            per_metric: 50,
-        },
-        wire_mode: netsim::WireMode::Off,
-    }
+    let mut spec = reflection_spec(model, &topo, Mode::Abrr, opts);
+    spec.ap_map = Some(ap_map);
+    spec.arrs = arrs;
+    spec
 }
 
-/// Builds the full-mesh oracle spec over the model's routers.
+/// Builds the full-mesh oracle spec over the model's routers: AS 65000,
+/// `opts`' MRAI and byte accounting, IGP-proportional session latency.
+/// The four processing-delay fields stay at 0 whatever `opts` says,
+/// unlike [`abrr_spec`] and [`tbrr_spec`], which take them from `opts`.
 pub fn full_mesh_spec(model: &Tier1Model, opts: &SpecOptions) -> NetworkSpec {
-    let mut spec = NetworkSpec::full_mesh(&model.view.topo, Asn(65000));
+    mesh_over(&model.view.topo, opts)
+}
+
+/// [`NetworkSpec::full_mesh`] over `topo` with `opts`' MRAI and byte
+/// accounting and IGP-proportional session latency.
+fn mesh_over(topo: &Topology, opts: &SpecOptions) -> NetworkSpec {
+    let mut spec = NetworkSpec::full_mesh(topo, Asn(65000));
     spec.mrai_us = opts.mrai_us;
     spec.account_bytes = opts.account_bytes;
     spec.latency = LatencyModel::IgpProportional {
@@ -194,10 +161,30 @@ pub fn full_mesh_spec(model: &Tier1Model, opts: &SpecOptions) -> NetworkSpec {
     spec
 }
 
+/// The base both reflection schemes share: [`mesh_over`] the
+/// RR-extended `topo`, in `mode`, with the model's routers as the data
+/// plane and `opts`' processing delays.
+fn reflection_spec(
+    model: &Tier1Model,
+    topo: &Topology,
+    mode: Mode,
+    opts: &SpecOptions,
+) -> NetworkSpec {
+    let mut spec = mesh_over(topo, opts);
+    spec.mode = mode;
+    spec.routers = model.routers.clone();
+    spec.proc_delay_base_us = opts.proc_delay_base_us;
+    spec.proc_delay_spread_us = opts.proc_delay_spread_us;
+    spec.rr_proc_delay_base_us = opts.rr_proc_delay_base_us;
+    spec.rr_proc_delay_spread_us = opts.rr_proc_delay_spread_us;
+    spec
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tier1::Tier1Config;
+    use std::sync::Arc;
 
     fn model() -> Tier1Model {
         Tier1Model::generate(Tier1Config {

@@ -8,7 +8,6 @@
 
 use bgp_types::{AsPath, Asn, NextHop, PathAttributes, RouterId};
 use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage};
-use bytes::{BufMut, BytesMut};
 use workload::churn::TraceEvent;
 use workload::mrt::{
     read_mrt, MrtError, MrtImportConfig, BGP4MP_MESSAGE, BGP4MP_MESSAGE_AS4, TDV2_PEER_INDEX_TABLE,
@@ -37,11 +36,11 @@ fn check_fixture(name: &str, built: &[u8]) {
     );
 }
 
-fn mrt_header(out: &mut BytesMut, ts: u32, typ: u16, subtype: u16, len: usize) {
-    out.put_u32(ts);
-    out.put_u16(typ);
-    out.put_u16(subtype);
-    out.put_u32(len as u32);
+fn mrt_header(out: &mut Vec<u8>, ts: u32, typ: u16, subtype: u16, len: usize) {
+    out.extend_from_slice(&ts.to_be_bytes());
+    out.extend_from_slice(&typ.to_be_bytes());
+    out.extend_from_slice(&subtype.to_be_bytes());
+    out.extend_from_slice(&(len as u32).to_be_bytes());
 }
 
 fn attrs(asn: u32, next_hop: u32) -> PathAttributes {
@@ -60,97 +59,97 @@ fn bgp_update(attrs: Option<&PathAttributes>, announce: &[&str], withdraw: &[&st
             .map(|p| Nlri::plain(p.parse().unwrap()))
             .collect(),
     };
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     Message::Update(u)
         .encode(&mut b, CodecConfig::plain())
         .unwrap();
-    b.to_vec()
+    b
 }
 
 /// A BGP4MP mixed-subtype update trace: one AS4 record with a µs
 /// timestamp, one classic 2-octet-AS record, one KEEPALIVE (counted
 /// as unsupported), one withdraw.
 fn build_bgp4mp_fixture() -> Vec<u8> {
-    let mut f = BytesMut::new();
+    let mut f = Vec::new();
 
     // t=100s + 250000µs, AS4, peer 7018 announces 10.0.0.0/8.
     let msg = bgp_update(Some(&attrs(7018, 9001)), &["10.0.0.0/8"], &[]);
     let body_len = 4 + 12 + 8 + msg.len();
     mrt_header(&mut f, 100, TYPE_BGP4MP_ET, BGP4MP_MESSAGE_AS4, body_len);
-    f.put_u32(250_000); // µs
-    f.put_u32(7018); // peer AS (4 octets)
-    f.put_u32(65000); // local AS
-    f.put_u16(0); // ifindex
-    f.put_u16(1); // AFI IPv4
-    f.put_u32(0x0A010101); // peer IP 10.1.1.1
-    f.put_u32(3); // local IP = router 3
-    f.put_slice(&msg);
+    f.extend_from_slice(&250_000u32.to_be_bytes()); // µs
+    f.extend_from_slice(&7018u32.to_be_bytes()); // peer AS (4 octets)
+    f.extend_from_slice(&65000u32.to_be_bytes()); // local AS
+    f.extend_from_slice(&0u16.to_be_bytes()); // ifindex
+    f.extend_from_slice(&1u16.to_be_bytes()); // AFI IPv4
+    f.extend_from_slice(&0x0A010101u32.to_be_bytes()); // peer IP 10.1.1.1
+    f.extend_from_slice(&3u32.to_be_bytes()); // local IP = router 3
+    f.extend_from_slice(&msg);
 
     // t=101s, classic 2-octet subtype, peer 3356 announces 11.0.0.0/8.
     let msg = bgp_update(Some(&attrs(3356, 9002)), &["11.0.0.0/8"], &[]);
     let body_len = 8 + 8 + msg.len();
     mrt_header(&mut f, 101, TYPE_BGP4MP, BGP4MP_MESSAGE, body_len);
-    f.put_u16(3356); // peer AS (2 octets)
-    f.put_u16(65000); // local AS
-    f.put_u16(0);
-    f.put_u16(1);
-    f.put_u32(0x0A010102); // peer IP 10.1.1.2
-    f.put_u32(4); // local IP = router 4
-    f.put_slice(&msg);
+    f.extend_from_slice(&3356u16.to_be_bytes()); // peer AS (2 octets)
+    f.extend_from_slice(&65000u16.to_be_bytes()); // local AS
+    f.extend_from_slice(&0u16.to_be_bytes());
+    f.extend_from_slice(&1u16.to_be_bytes());
+    f.extend_from_slice(&0x0A010102u32.to_be_bytes()); // peer IP 10.1.1.2
+    f.extend_from_slice(&4u32.to_be_bytes()); // local IP = router 4
+    f.extend_from_slice(&msg);
 
     // t=102s, a KEEPALIVE — well-formed, not replayable.
-    let mut ka = BytesMut::new();
+    let mut ka = Vec::new();
     Message::Keepalive
         .encode(&mut ka, CodecConfig::plain())
         .unwrap();
     let body_len = 4 + 12 + 8 + ka.len();
     mrt_header(&mut f, 102, TYPE_BGP4MP_ET, BGP4MP_MESSAGE_AS4, body_len);
-    f.put_u32(0);
-    f.put_u32(7018);
-    f.put_u32(65000);
-    f.put_u16(0);
-    f.put_u16(1);
-    f.put_u32(0x0A010101);
-    f.put_u32(3);
-    f.put_slice(&ka);
+    f.extend_from_slice(&0u32.to_be_bytes());
+    f.extend_from_slice(&7018u32.to_be_bytes());
+    f.extend_from_slice(&65000u32.to_be_bytes());
+    f.extend_from_slice(&0u16.to_be_bytes());
+    f.extend_from_slice(&1u16.to_be_bytes());
+    f.extend_from_slice(&0x0A010101u32.to_be_bytes());
+    f.extend_from_slice(&3u32.to_be_bytes());
+    f.extend_from_slice(&ka);
 
     // t=103s, peer 7018 withdraws 10.0.0.0/8.
     let msg = bgp_update(None, &[], &["10.0.0.0/8"]);
     let body_len = 4 + 12 + 8 + msg.len();
     mrt_header(&mut f, 103, TYPE_BGP4MP_ET, BGP4MP_MESSAGE_AS4, body_len);
-    f.put_u32(500_000);
-    f.put_u32(7018);
-    f.put_u32(65000);
-    f.put_u16(0);
-    f.put_u16(1);
-    f.put_u32(0x0A010101);
-    f.put_u32(3);
-    f.put_slice(&msg);
+    f.extend_from_slice(&500_000u32.to_be_bytes());
+    f.extend_from_slice(&7018u32.to_be_bytes());
+    f.extend_from_slice(&65000u32.to_be_bytes());
+    f.extend_from_slice(&0u16.to_be_bytes());
+    f.extend_from_slice(&1u16.to_be_bytes());
+    f.extend_from_slice(&0x0A010101u32.to_be_bytes());
+    f.extend_from_slice(&3u32.to_be_bytes());
+    f.extend_from_slice(&msg);
 
-    f.to_vec()
+    f
 }
 
 /// A TABLE_DUMP_V2 snapshot: a peer index table with a 2-octet-AS and
 /// a 4-octet-AS peer, then two RIB_IPV4_UNICAST prefixes.
 fn build_table_dump_fixture() -> Vec<u8> {
-    let mut f = BytesMut::new();
+    let mut f = Vec::new();
 
     // PEER_INDEX_TABLE: collector id, view "test", 2 peers.
-    let mut pit = BytesMut::new();
-    pit.put_u32(0xC0000201); // collector BGP id
-    pit.put_u16(4);
-    pit.put_slice(b"test");
-    pit.put_u16(2);
+    let mut pit = Vec::new();
+    pit.extend_from_slice(&0xC0000201u32.to_be_bytes()); // collector BGP id
+    pit.extend_from_slice(&4u16.to_be_bytes());
+    pit.extend_from_slice(b"test");
+    pit.extend_from_slice(&2u16.to_be_bytes());
     // Peer 0: IPv4, 2-octet AS 7018, IP 10.1.1.1.
-    pit.put_u8(0x00);
-    pit.put_u32(0x0A010101); // BGP id
-    pit.put_u32(0x0A010101); // IP
-    pit.put_u16(7018);
+    pit.push(0x00);
+    pit.extend_from_slice(&0x0A010101u32.to_be_bytes()); // BGP id
+    pit.extend_from_slice(&0x0A010101u32.to_be_bytes()); // IP
+    pit.extend_from_slice(&7018u16.to_be_bytes());
     // Peer 1: IPv4, 4-octet AS 4200000000, IP 10.1.1.2.
-    pit.put_u8(0x02);
-    pit.put_u32(0x0A010102);
-    pit.put_u32(0x0A010102);
-    pit.put_u32(4_200_000_000);
+    pit.push(0x02);
+    pit.extend_from_slice(&0x0A010102u32.to_be_bytes());
+    pit.extend_from_slice(&0x0A010102u32.to_be_bytes());
+    pit.extend_from_slice(&4_200_000_000u32.to_be_bytes());
     mrt_header(
         &mut f,
         200,
@@ -158,32 +157,32 @@ fn build_table_dump_fixture() -> Vec<u8> {
         TDV2_PEER_INDEX_TABLE,
         pit.len(),
     );
-    f.put_slice(&pit);
+    f.extend_from_slice(&pit);
 
     // RIB_IPV4_UNICAST for 10.0.0.0/8: entries from both peers.
     let a0 = {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         bgp_wire::attr::encode_attrs(&attrs(7018, 9001), &mut b);
         b
     };
     let a1 = {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         bgp_wire::attr::encode_attrs(&attrs(4_200_000_000, 9002), &mut b);
         b
     };
-    let mut rib = BytesMut::new();
-    rib.put_u32(0); // sequence
-    rib.put_u8(8); // prefix len
-    rib.put_u8(10); // prefix bytes (1 for /8)
-    rib.put_u16(2); // entry count
-    rib.put_u16(0); // peer index 0
-    rib.put_u32(200); // originated time
-    rib.put_u16(a0.len() as u16);
-    rib.put_slice(&a0);
-    rib.put_u16(1); // peer index 1
-    rib.put_u32(200);
-    rib.put_u16(a1.len() as u16);
-    rib.put_slice(&a1);
+    let mut rib = Vec::new();
+    rib.extend_from_slice(&0u32.to_be_bytes()); // sequence
+    rib.push(8); // prefix len
+    rib.push(10); // prefix bytes (1 for /8)
+    rib.extend_from_slice(&2u16.to_be_bytes()); // entry count
+    rib.extend_from_slice(&0u16.to_be_bytes()); // peer index 0
+    rib.extend_from_slice(&200u32.to_be_bytes()); // originated time
+    rib.extend_from_slice(&(a0.len() as u16).to_be_bytes());
+    rib.extend_from_slice(&a0);
+    rib.extend_from_slice(&1u16.to_be_bytes()); // peer index 1
+    rib.extend_from_slice(&200u32.to_be_bytes());
+    rib.extend_from_slice(&(a1.len() as u16).to_be_bytes());
+    rib.extend_from_slice(&a1);
     mrt_header(
         &mut f,
         200,
@@ -191,18 +190,18 @@ fn build_table_dump_fixture() -> Vec<u8> {
         TDV2_RIB_IPV4_UNICAST,
         rib.len(),
     );
-    f.put_slice(&rib);
+    f.extend_from_slice(&rib);
 
     // RIB_IPV4_UNICAST for 192.168.0.0/16 from peer 0 only.
-    let mut rib = BytesMut::new();
-    rib.put_u32(1);
-    rib.put_u8(16);
-    rib.put_slice(&[192, 168]);
-    rib.put_u16(1);
-    rib.put_u16(0);
-    rib.put_u32(200);
-    rib.put_u16(a0.len() as u16);
-    rib.put_slice(&a0);
+    let mut rib = Vec::new();
+    rib.extend_from_slice(&1u32.to_be_bytes());
+    rib.push(16);
+    rib.extend_from_slice(&[192, 168]);
+    rib.extend_from_slice(&1u16.to_be_bytes());
+    rib.extend_from_slice(&0u16.to_be_bytes());
+    rib.extend_from_slice(&200u32.to_be_bytes());
+    rib.extend_from_slice(&(a0.len() as u16).to_be_bytes());
+    rib.extend_from_slice(&a0);
     mrt_header(
         &mut f,
         200,
@@ -210,9 +209,9 @@ fn build_table_dump_fixture() -> Vec<u8> {
         TDV2_RIB_IPV4_UNICAST,
         rib.len(),
     );
-    f.put_slice(&rib);
+    f.extend_from_slice(&rib);
 
-    f.to_vec()
+    f
 }
 
 /// The BGP4MP fixture with a garbage record spliced into the middle
@@ -224,7 +223,7 @@ fn build_malformed_fixture() -> Vec<u8> {
     let mut f = Vec::new();
     f.extend_from_slice(&good[..first_len]);
     // A framed record whose body is garbage (valid header, junk BGP).
-    let mut hdr = BytesMut::new();
+    let mut hdr = Vec::new();
     mrt_header(
         &mut hdr,
         100,
@@ -324,10 +323,10 @@ fn rib_before_index_table_is_fatal() {
         Err(MrtError::Format { offset: 0, .. })
     ));
     // Behind a record the reader skips, the error points past it.
-    let mut skipped = BytesMut::new();
+    let mut skipped = Vec::new();
     mrt_header(&mut skipped, 0, 11, 0, 5);
-    skipped.put_slice(&[0; 5]);
-    skipped.put_slice(headless);
+    skipped.extend_from_slice(&[0; 5]);
+    skipped.extend_from_slice(headless);
     assert!(matches!(
         read_mrt(&mut &skipped[..], &MrtImportConfig::default()),
         Err(MrtError::Format { offset: 17, .. })

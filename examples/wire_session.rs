@@ -9,20 +9,20 @@
 
 use bgp_types::{AsPath, Asn, Ipv4Prefix, NextHop, OriginatorId, PathAttributes, PathId};
 use bgp_wire::{AddPathMode, CodecConfig, Message, Nlri, OpenMessage, UpdateMessage};
-use bytes::BytesMut;
 
 /// Encodes `msg`, prints its wire size, and decodes it on the far side
 /// (a crude in-memory TCP: exactly one message per buffer). Returns
 /// the decoded message and the bytes it cost.
 fn across_the_wire(msg: &Message, cfg: CodecConfig) -> (Message, usize) {
-    let mut bytes = BytesMut::new();
+    let mut bytes = Vec::new();
     msg.encode(&mut bytes, cfg).expect("encodable message");
     let len = bytes.len();
     println!("  --> {:?} ({len} bytes on the wire)", msg.message_type());
-    let back = Message::decode(&mut bytes, cfg)
+    let mut rest = &bytes[..];
+    let back = Message::decode(&mut rest, cfg)
         .expect("well-formed bytes")
         .expect("one whole message");
-    assert!(bytes.is_empty(), "no trailing bytes");
+    assert!(rest.is_empty(), "no trailing bytes");
     (back, len)
 }
 

@@ -73,15 +73,22 @@ if [ -n "$DERIVES" ]; then
 fi
 
 echo "== every declared dependency is used"
-# Each [dependencies] entry of crates/*/Cargo.toml must be named as a
-# path (`bgp_types::`, `serde::`) under its crate's src/ or tests/.
-# Dev-dependencies are not checked.
-UNUSED_DEPS=$(for manifest in crates/*/Cargo.toml; do
-  dir=${manifest%/Cargo.toml}
+# Each [dependencies] entry of a crates/*/Cargo.toml must be named as a
+# path (`bgp_types::`, `serde::`) under its crate's src/ or tests/, and
+# each of the root package's under examples/ or tests/ (its only
+# sources). Dev-dependencies are not checked.
+UNUSED_DEPS=$(for manifest in Cargo.toml crates/*/Cargo.toml; do
+  if [ "$manifest" = Cargo.toml ]; then
+    sources="examples tests"
+  else
+    dir=${manifest%/Cargo.toml}
+    sources="$dir/src $dir/tests"
+  fi
   sed -n '/^\[dependencies\]/,/^\[/{/^[A-Za-z0-9_-]\+[ .=]/p}' "$manifest" |
     sed 's/[ .=].*//' |
     while read -r dep; do
-      grep -rqE "\b${dep//-/_}::" "$dir/src" "$dir/tests" 2>/dev/null ||
+      # shellcheck disable=SC2086 # $sources is a list of directories
+      grep -rqE "\b${dep//-/_}::" $sources 2>/dev/null ||
         echo "$manifest: $dep"
     done
 done)
