@@ -32,65 +32,14 @@
 //! `intern(a)` cannot change any computed result — only the allocation
 //! count and peak RSS.
 
-use crate::fxhash::{table_bytes, FxHashMap, FxHasher, PrefixHasher};
+use crate::fxhash::{table_bytes, FxHasher, PrefixHasher};
 use crate::route::PathAttributes;
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-
-// ---------------------------------------------------------------------------
-// String interning (metric keys, trace names)
-// ---------------------------------------------------------------------------
-
-/// A process-wide interned string, represented as a dense `u32` id.
-///
-/// Symbols are the key type of the observability metrics registry: a
-/// metric is recorded thousands of times but named once, so the hot
-/// path carries a copyable 4-byte id instead of a `String`, and key
-/// comparison is an integer compare. Ids are assigned in first-intern
-/// order and are stable for the lifetime of the process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Symbol(pub u32);
-
-struct SymbolTable {
-    by_name: FxHashMap<String, u32>,
-    names: Vec<Arc<str>>,
-}
-
-fn symbol_table() -> &'static Mutex<SymbolTable> {
-    static TABLE: OnceLock<Mutex<SymbolTable>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        Mutex::new(SymbolTable {
-            by_name: FxHashMap::default(),
-            names: Vec::new(),
-        })
-    })
-}
-
-/// Interns `name`, returning its process-wide [`Symbol`]. Two calls
-/// with equal strings return equal symbols.
-pub fn intern_str(name: &str) -> Symbol {
-    let mut tab = symbol_table().lock().expect("symbol table poisoned");
-    if let Some(&id) = tab.by_name.get(name) {
-        return Symbol(id);
-    }
-    let id = tab.names.len() as u32;
-    tab.names.push(Arc::from(name));
-    tab.by_name.insert(name.to_string(), id);
-    Symbol(id)
-}
-
-/// Resolves a [`Symbol`] back to its string (shared, zero-copy).
-///
-/// # Panics
-/// Panics if `sym` was not produced by [`intern_str`] in this process.
-pub fn resolve_symbol(sym: Symbol) -> Arc<str> {
-    let tab = symbol_table().lock().expect("symbol table poisoned");
-    tab.names[sym.0 as usize].clone()
-}
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
 /// The fewest interning calls between two sweeps of dead slots.
 const SWEEP_EVERY: usize = 4096;
@@ -199,9 +148,14 @@ impl Registry {
     }
 }
 
-fn registry() -> &'static Mutex<Registry> {
+fn registry() -> MutexGuard<'static, Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::new()))
+    REGISTRY
+        .get_or_init(|| Mutex::new(Registry::new()))
+        .lock()
+        // Invariant: nothing panics while the guard is held (the code
+        // under it compares, hashes and allocates), so it never poisons.
+        .expect("attr interner poisoned")
 }
 
 /// The one lookup-or-insert path behind [`intern`] and [`intern_arc`].
@@ -211,7 +165,7 @@ where
     A: Borrow<PathAttributes> + Into<Arc<PathAttributes>>,
 {
     let h = hash_of(attrs.borrow());
-    let mut reg = registry().lock().expect("attr interner poisoned");
+    let mut reg = registry();
     reg.lookup_or_insert(h, attrs)
 }
 
@@ -232,7 +186,7 @@ pub fn intern_arc(attrs: Arc<PathAttributes>) -> Arc<PathAttributes> {
 /// Eagerly drops registry entries whose attribute sets are no longer
 /// referenced anywhere. Returns the number of live entries remaining.
 pub fn purge() -> usize {
-    let mut reg = registry().lock().expect("attr interner poisoned");
+    let mut reg = registry();
     reg.sweep();
     reg.live_entries()
 }
@@ -259,7 +213,7 @@ pub struct InternStats {
 
 /// Snapshot of the interner counters.
 pub fn stats() -> InternStats {
-    let reg = registry().lock().expect("attr interner poisoned");
+    let reg = registry();
     InternStats {
         hits: reg.hits,
         misses: reg.misses,
@@ -274,17 +228,6 @@ mod tests {
     use super::*;
     use crate::asn::{AsPath, Asn};
     use crate::attrs::NextHop;
-
-    #[test]
-    fn symbols_dedup_and_resolve() {
-        let a = intern_str("obs.test.metric");
-        let b = intern_str("obs.test.metric");
-        assert_eq!(a, b);
-        let c = intern_str("obs.test.other");
-        assert_ne!(a, c);
-        assert_eq!(&*resolve_symbol(a), "obs.test.metric");
-        assert_eq!(&*resolve_symbol(c), "obs.test.other");
-    }
 
     fn attrs(nh: u32) -> PathAttributes {
         PathAttributes::ebgp(AsPath::sequence([Asn(100), Asn(200)]), NextHop(nh))

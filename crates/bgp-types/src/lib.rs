@@ -38,7 +38,7 @@ pub use attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PrefixHasher, PrefixMap};
-pub use intern::{intern, intern_arc, intern_str, resolve_symbol, InternStats, Symbol};
+pub use intern::{intern, intern_arc, InternStats};
 pub use partition::{ApId, ApMap, Partition};
 pub use prefix::{AddressRange, Ipv4Prefix, PrefixParseError};
 pub use route::{PathAttributes, PathId, RouteSource, RouterId};

@@ -228,15 +228,6 @@ pub enum ExternalEvent {
         /// Its new ARR set.
         arrs: Vec<bgp_types::RouterId>,
     },
-    /// The iBGP session to `peer` bounced and has re-established: drop
-    /// everything learned from the peer, re-run decisions, and re-send
-    /// our Adj-RIB-Out toward it (BGP re-advertises the full table on
-    /// session establishment). Schedule at *both* endpoints — see
-    /// [`crate::spec::schedule_session_reset`].
-    SessionReset {
-        /// The peer whose session bounced.
-        peer: bgp_types::RouterId,
-    },
 }
 
 #[cfg(test)]

@@ -338,7 +338,7 @@ impl BgpNode {
         }
         let n = Some(self.ch.id.0);
         self.ch.counters.publish(n);
-        let set = |name: &str, v: usize| {
+        let set = |name: &'static str, v: usize| {
             obs::metrics::gauge(name, n).set(v as u64);
         };
         set("core.rib_in.client", self.client_in_entries());
@@ -712,10 +712,6 @@ impl Protocol for BgpNode {
                     self.recompute_prefix(ctx, prefix);
                 }
             }
-            ExternalEvent::SessionReset { peer } => {
-                self.purge_peer(ctx, peer);
-                self.ch.resync_peer(ctx, peer);
-            }
             ExternalEvent::ReassignAp { ap, arrs } => {
                 self.reassign_ap(ctx, ap, arrs);
             }
@@ -805,13 +801,13 @@ impl Protocol for BgpNode {
             | ExternalEvent::Local { prefix, .. } => netsim::ExternalClass::Prefix {
                 shard_hint: self.shard_hint(prefix),
             },
-            // Session-plane: a reset purges and resyncs a whole peer; a
-            // reassignment rewrites peer groups and the managed table
-            // for every prefix of the AP; a cutover re-evaluates every
-            // covered prefix. All cross-prefix — they must fence.
-            ExternalEvent::SessionReset { .. }
-            | ExternalEvent::ReassignAp { .. }
-            | ExternalEvent::CutoverAp(_) => netsim::ExternalClass::Fence,
+            // Session-plane: a reassignment rewrites peer groups and the
+            // managed table for every prefix of the AP; a cutover
+            // re-evaluates every covered prefix. Both cross-prefix — they
+            // must fence.
+            ExternalEvent::ReassignAp { .. } | ExternalEvent::CutoverAp(_) => {
+                netsim::ExternalClass::Fence
+            }
         }
     }
 

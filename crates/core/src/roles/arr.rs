@@ -45,7 +45,7 @@ impl ArrRole {
             let co_arrs = ch.spec.arrs_of(*ap).to_vec();
             let members: Vec<RouterId> = ch
                 .spec
-                .client_role_nodes()
+                .all_nodes()
                 .into_iter()
                 .filter(|n| *n != ch.id && !co_arrs.contains(n))
                 .collect();
@@ -165,7 +165,7 @@ impl ArrRole {
         self.arr_aps.sort();
         let members: Vec<RouterId> = ch
             .spec
-            .client_role_nodes()
+            .all_nodes()
             .into_iter()
             .filter(|n| *n != ch.id && !new_arrs.contains(n))
             .collect();

@@ -1,7 +1,6 @@
 //! Network specification: who plays which role, how sessions are laid
 //! out, and construction of a ready-to-run simulator.
 
-use crate::msg::ExternalEvent;
 use crate::node::{group, BgpNode};
 use bgp_rib::DecisionConfig;
 use bgp_types::{ApId, ApMap, Asn, RouterId};
@@ -27,7 +26,7 @@ pub enum Mode {
     },
     /// §2.4 incremental transition: routers run both TBRR and ABRR
     /// session sets, initially accept TBRR routes for every AP, and cut
-    /// over AP-by-AP via [`ExternalEvent::CutoverAp`].
+    /// over AP-by-AP via [`crate::msg::ExternalEvent::CutoverAp`].
     Transition,
 }
 
@@ -122,10 +121,6 @@ pub struct NetworkSpec {
     pub arrs: BTreeMap<ApId, Vec<RouterId>>,
     /// TBRR clusters.
     pub clusters: Vec<ClusterSpec>,
-    /// Whether pure control-plane RRs also act as clients, maintaining
-    /// the full DFZ table (the paper's Appendix A accounting assumes
-    /// they do: "an ARR, in its role as a client").
-    pub rrs_are_clients: bool,
     /// Whether to compute wire-format byte counts on each transmission
     /// (costs CPU; enable for the §4.2 bandwidth experiment).
     pub account_bytes: bool,
@@ -180,7 +175,6 @@ impl NetworkSpec {
             ap_map: None,
             arrs: BTreeMap::new(),
             clusters: Vec::new(),
-            rrs_are_clients: true,
             account_bytes: false,
             abrr_loop_prevention: AbrrLoopPrevention::ReflectedBit,
             clients_keep_backups: false,
@@ -291,19 +285,6 @@ impl NetworkSpec {
         v
     }
 
-    /// Every node with the client role: the data-plane routers, plus
-    /// RRs when `rrs_are_clients`.
-    pub fn client_role_nodes(&self) -> Vec<RouterId> {
-        if self.rrs_are_clients {
-            self.all_nodes()
-        } else {
-            let mut v = self.routers.clone();
-            v.sort();
-            v.dedup();
-            v
-        }
-    }
-
     /// The update-processing delay for a node: base plus a
     /// deterministic per-node component in `[0, spread)`. RR-role nodes
     /// use the (typically much larger) RR parameters.
@@ -393,6 +374,8 @@ impl NetworkSpec {
 /// for transition).
 pub fn build_sim(spec: Arc<NetworkSpec>) -> Sim<BgpNode> {
     let problems = spec.validate();
+    // Invariant: specs are built in code (`workload::specs`) or compiled
+    // from an already validated scenario file, so a problem here is a bug.
     assert!(problems.is_empty(), "invalid spec: {problems:?}");
     let mut sim: Sim<BgpNode> = Sim::new();
     for id in spec.all_nodes() {
@@ -437,21 +420,6 @@ pub fn build_sim(spec: Arc<NetworkSpec>) -> Sim<BgpNode> {
     }
     sim
 }
-
-/// Schedules a session bounce between `a` and `b` at time `t`: both
-/// endpoints drop the peer's routes and re-synchronize their
-/// Adj-RIB-Out, as real BGP speakers do when a session re-establishes.
-pub fn schedule_session_reset(sim: &mut Sim<BgpNode>, t: Time, a: RouterId, b: RouterId) {
-    sim.schedule_external(t, a, ExternalEvent::SessionReset { peer: b });
-    sim.schedule_external(t, b, ExternalEvent::SessionReset { peer: a });
-}
-
-/// Convenience: the message/external types used by every engine sim.
-pub type EngineSim = Sim<BgpNode>;
-/// Message type alias (what sessions carry — see [`crate::msg::SessionMsg`]).
-pub type Msg = crate::msg::SessionMsg;
-/// External event alias.
-pub type External = ExternalEvent;
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
-//! Session bounce robustness: dropping a peer's routes and
-//! re-synchronizing the Adj-RIB-Out must restore the exact pre-reset
-//! steady state (BGP re-advertises its table on session establishment).
+//! Session bounce robustness: tearing a session down (both endpoints
+//! drop the peer's routes) and re-establishing it (both re-send their
+//! Adj-RIB-Out) must restore the exact pre-reset steady state (BGP
+//! re-advertises its table on session establishment).
 
 use abrr::prelude::*;
-use abrr::spec::schedule_session_reset;
 use std::sync::Arc;
 
 fn pfx(s: &str) -> Ipv4Prefix {
@@ -35,6 +35,13 @@ fn abrr_net() -> (Arc<NetworkSpec>, Sim<BgpNode>) {
     (spec, sim)
 }
 
+/// Bounces the `a`–`b` session through the simulator's session events:
+/// down at `t`, back up one microsecond later at the spec's latency.
+fn bounce(sim: &mut Sim<BgpNode>, spec: &NetworkSpec, t: u64, a: RouterId, b: RouterId) {
+    sim.schedule_session_down(t, a, b);
+    sim.schedule_session_up(t + 1, a, b, spec.session_latency(a, b));
+}
+
 fn snapshot(
     sim: &Sim<BgpNode>,
     routers: &[RouterId],
@@ -63,7 +70,7 @@ fn client_arr_session_bounce_restores_state() {
 
     // Bounce the session between a plain client and the AP0 ARR.
     let t = sim.now() + 1;
-    schedule_session_reset(&mut sim, t, routers[5], routers[0]);
+    bounce(&mut sim, &spec, t, routers[5], routers[0]);
     assert!(sim.run_to_quiescence().quiesced);
     let after = snapshot(&sim, &routers, &prefixes);
     assert_eq!(before, after, "steady state must survive a session bounce");
@@ -82,7 +89,7 @@ fn border_arr_session_bounce_restores_state() {
     assert!(before.iter().all(|e| e.is_some()));
 
     let t = sim.now() + 1;
-    schedule_session_reset(&mut sim, t, routers[2], routers[0]);
+    bounce(&mut sim, &spec, t, routers[2], routers[0]);
     assert!(sim.run_to_quiescence().quiesced);
     assert_eq!(snapshot(&sim, &routers, &[p]), before);
     // The redundant ARR (routers[3]) kept everyone routed throughout —
@@ -125,7 +132,7 @@ fn trr_trr_session_bounce_restores_state() {
     // Bounce the inter-cluster TRR-TRR session: cluster 2 loses the
     // route transiently, then the resync restores it.
     let t = sim.now() + 1;
-    schedule_session_reset(&mut sim, t, routers[0], routers[3]);
+    bounce(&mut sim, &spec, t, routers[0], routers[3]);
     assert!(sim.run_to_quiescence().quiesced);
     assert_eq!(snapshot(&sim, &clients, &[p]), before);
 }
@@ -141,7 +148,7 @@ fn reset_of_unrelated_session_changes_nothing_and_costs_little() {
     // routers[5] never advertised anything; bouncing its session to the
     // AP1 ARR must only trigger the ARR-side resync.
     let t = sim.now() + 1;
-    schedule_session_reset(&mut sim, t, routers[5], routers[1]);
+    bounce(&mut sim, &spec, t, routers[5], routers[1]);
     assert!(sim.run_to_quiescence().quiesced);
     assert_eq!(
         sim.stats(routers[5]).transmitted,

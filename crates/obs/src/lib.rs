@@ -12,8 +12,8 @@
 //!   (e.g. `ABRR_TRACE=debug` or `ABRR_TRACE=core=trace,netsim=info`)
 //!   or programmatically via [`trace::set_spec`].
 //! * [`metrics`] — a typed registry of counters, gauges and fixed-bucket
-//!   histograms, keyed by an interned [`bgp_types::Symbol`] plus an
-//!   optional node label. Only *deterministic* quantities go here
+//!   histograms, keyed by a static metric name plus an optional node
+//!   label. Only *deterministic* quantities go here
 //!   (protocol counts, sim-tick latencies, batch sizes, RIB occupancy):
 //!   every update is commutative or single-writer-per-label, so the
 //!   final [`metrics::snapshot`] is identical under both engines.

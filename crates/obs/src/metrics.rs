@@ -1,8 +1,8 @@
 //! Typed metrics registry: counters, gauges, fixed-bucket histograms.
 //!
-//! Keys are interned [`Symbol`]s plus an optional node label, so the
-//! hot path carries a 4-byte id and an `Option<u32>` instead of
-//! strings. Handles are cheap `Arc`s into the registry's cells;
+//! Keys are `&'static str` names plus an optional node label: every
+//! metric is named by a literal, so registering one copies no string.
+//! Handles are cheap `Arc`s into the registry's cells;
 //! recording is a relaxed atomic op guarded by one relaxed load of the
 //! global enable flag — effectively free when disabled.
 //!
@@ -23,10 +23,9 @@
 //! long-lived handles (including `static` ones in hot paths) stay
 //! valid across runs.
 
-use bgp_types::{intern_str, resolve_symbol, Symbol};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -58,6 +57,7 @@ struct HistogramCells {
     sum: AtomicU64,
 }
 
+#[derive(Clone)]
 enum Instrument {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
@@ -122,47 +122,55 @@ impl Histogram {
     }
 }
 
-/// A metric key: interned name plus optional node id.
-type MetricKey = (Symbol, Option<u32>);
+/// A metric key: name plus optional node id.
+type MetricKey = (&'static str, Option<u32>);
 
-fn registry() -> &'static Mutex<BTreeMap<MetricKey, Instrument>> {
+/// The registry, locked. Every critical section leaves the map valid
+/// (it inserts whole entries or reads atomics), so a panic elsewhere
+/// in a thread that held the lock leaves nothing to repair: recover
+/// the guard rather than disable metrics for the rest of the process.
+fn registry() -> MutexGuard<'static, BTreeMap<MetricKey, Instrument>> {
     static REGISTRY: OnceLock<Mutex<BTreeMap<MetricKey, Instrument>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
+    REGISTRY
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The instrument registered under `(name, node)`, registering `new()`
+/// first if there is none. The lock is released on return, so a
+/// caller's type mismatch panics without holding it.
+fn register(name: &'static str, node: Option<u32>, new: impl FnOnce() -> Instrument) -> Instrument {
+    registry().entry((name, node)).or_insert_with(new).clone()
+}
+
+/// A name is registered with one instrument type; asking for it as
+/// another is a bug at the call site.
+fn type_mismatch(name: &str) -> ! {
+    panic!("metric `{name}` already registered with another type")
 }
 
 /// Registers (or retrieves) the counter `name` for `node`.
-pub fn counter(name: &str, node: Option<u32>) -> Counter {
-    let key = (intern_str(name), node);
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    let inst = reg
-        .entry(key)
-        .or_insert_with(|| Instrument::Counter(Arc::new(AtomicU64::new(0))));
-    match inst {
-        Instrument::Counter(c) => Counter(c.clone()),
-        _ => panic!("metric `{name}` already registered with another type"),
+pub fn counter(name: &'static str, node: Option<u32>) -> Counter {
+    match register(name, node, || Instrument::Counter(Arc::default())) {
+        Instrument::Counter(c) => Counter(c),
+        _ => type_mismatch(name),
     }
 }
 
 /// Registers (or retrieves) the gauge `name` for `node`.
-pub fn gauge(name: &str, node: Option<u32>) -> Gauge {
-    let key = (intern_str(name), node);
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    let inst = reg
-        .entry(key)
-        .or_insert_with(|| Instrument::Gauge(Arc::new(AtomicU64::new(0))));
-    match inst {
-        Instrument::Gauge(g) => Gauge(g.clone()),
-        _ => panic!("metric `{name}` already registered with another type"),
+pub fn gauge(name: &'static str, node: Option<u32>) -> Gauge {
+    match register(name, node, || Instrument::Gauge(Arc::default())) {
+        Instrument::Gauge(g) => Gauge(g),
+        _ => type_mismatch(name),
     }
 }
 
 /// Registers (or retrieves) the histogram `name` for `node`, with
 /// `bounds` as its upper bucket bounds (plus an implicit overflow
 /// bucket).
-pub fn histogram(name: &str, node: Option<u32>, bounds: &'static [u64]) -> Histogram {
-    let key = (intern_str(name), node);
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    let inst = reg.entry(key).or_insert_with(|| {
+pub fn histogram(name: &'static str, node: Option<u32>, bounds: &'static [u64]) -> Histogram {
+    let inst = register(name, node, || {
         Instrument::Histogram(Arc::new(HistogramCells {
             bounds,
             buckets: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
@@ -172,13 +180,15 @@ pub fn histogram(name: &str, node: Option<u32>, bounds: &'static [u64]) -> Histo
     });
     match inst {
         Instrument::Histogram(h) => {
+            // Like the type, a histogram's bounds are fixed by its
+            // first registration; other bounds are a call-site bug.
             assert_eq!(
                 h.bounds, bounds,
                 "histogram `{name}` already registered with other bounds"
             );
-            Histogram(h.clone())
+            Histogram(h)
         }
-        _ => panic!("metric `{name}` already registered with another type"),
+        _ => type_mismatch(name),
     }
 }
 
@@ -208,9 +218,9 @@ pub type MetricsSnapshot = BTreeMap<(String, Option<u32>), MetricValue>;
 
 /// Snapshots every registered metric with names resolved.
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry().lock().expect("metrics registry poisoned");
-    reg.iter()
-        .map(|(&(sym, node), inst)| {
+    registry()
+        .iter()
+        .map(|(&(name, node), inst)| {
             let value = match inst {
                 Instrument::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
                 Instrument::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
@@ -225,7 +235,7 @@ pub fn snapshot() -> MetricsSnapshot {
                     sum: h.sum.load(Ordering::Relaxed),
                 },
             };
-            ((resolve_symbol(sym).to_string(), node), value)
+            ((name.to_string(), node), value)
         })
         .collect()
 }
@@ -233,8 +243,7 @@ pub fn snapshot() -> MetricsSnapshot {
 /// Zeroes every registered cell, keeping registrations (and therefore
 /// all live handles) valid. Does not change the enable flag.
 pub fn reset() {
-    let reg = registry().lock().expect("metrics registry poisoned");
-    for inst in reg.values() {
+    for inst in registry().values() {
         match inst {
             Instrument::Counter(c) | Instrument::Gauge(c) => c.store(0, Ordering::Relaxed),
             Instrument::Histogram(h) => {
@@ -266,6 +275,7 @@ pub fn render_snapshot(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, (total, is_hist)) in totals {
         let unit = if is_hist { " samples" } else { "" };
+        // Writing to a `String` cannot fail.
         writeln!(out, "  {name:<width$}  {total}{unit}").expect("write to String");
     }
     out
@@ -358,6 +368,20 @@ mod tests {
             Some(MetricValue::Counter(v)) => assert_eq!(*v, 2),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_caught_type_mismatch_leaves_the_registry_usable() {
+        let _g = guard();
+        counter("obs.test.mismatch", None);
+        let caught = std::panic::catch_unwind(|| gauge("obs.test.mismatch", None));
+        assert!(
+            caught.is_err(),
+            "a counter name asked for as a gauge panics"
+        );
+        counter("obs.test.after_mismatch", None);
+        let snap = snapshot();
+        assert!(snap.contains_key(&("obs.test.after_mismatch".to_string(), None)));
     }
 
     #[test]

@@ -250,9 +250,9 @@ fn compile_gadget(file: ScenarioFile, g: &GadgetNetwork) -> GadgetLoaded {
 impl GadgetLoaded {
     /// The gadget's [`NetworkSpec`] under `mode`: the full-mesh
     /// defaults (AS 65000, no MRAI, fixed 1 ms sessions, reflected-bit
-    /// loop prevention, RRs as clients, no processing delay, no byte
-    /// accounting) with the file's routers, its clusters in TBRR modes,
-    /// its AP map and ARRs in ABRR modes, and its spec knobs.
+    /// loop prevention, no processing delay, no byte accounting) with
+    /// the file's routers, its clusters in TBRR modes, its AP map and
+    /// ARRs in ABRR modes, and its `clients_keep_backups` knob.
     pub fn spec(&self, mode: Mode) -> NetworkSpec {
         let mut spec = NetworkSpec::full_mesh(&self.topo, Asn(65000));
         spec.routers = self.routers.clone();
@@ -264,12 +264,7 @@ impl GadgetLoaded {
             spec.clusters = self.clusters.clone();
         }
         spec.mode = mode;
-        let k = &self.knobs;
-        spec.mrai_us = k.mrai_us;
-        spec.clients_keep_backups = k.clients_keep_backups;
-        spec.abrr_loop_prevention = k.loop_prevention;
-        spec.latency = k.latency;
-        spec.rrs_are_clients = k.rrs_are_clients;
+        spec.clients_keep_backups = self.knobs.clients_keep_backups;
         spec
     }
 }

@@ -196,7 +196,6 @@ pub fn generate(seed: u64) -> ScenarioFile {
             arrs: Vec::new(),
             spec: SpecKnobs {
                 clients_keep_backups,
-                ..SpecKnobs::default()
             },
         }),
         workload: Workload {

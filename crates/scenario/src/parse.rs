@@ -8,7 +8,7 @@
 //! object, writing emits the object back, so the reader and the writer
 //! cannot drift apart. Plain records are declared with `record!`,
 //! whose field list *is* the key list; keyed enums (a topology, an AP
-//! scheme, a latency model, a fault kind) pick their variant with
+//! scheme, a fault kind) pick their variant with
 //! [`Obj::one_of`].
 //!
 //! Values are typed as they are read — prefixes become

@@ -12,7 +12,7 @@
 use crate::parse::{
     defaults, keyword, leaf, read_keyword, record, write_keyword, Field, Obj, Record,
 };
-use abrr::spec::{AbrrLoopPrevention, ClusterSpec, LatencyModel, Mode};
+use abrr::spec::{ClusterSpec, Mode};
 use bgp_types::{ApId, Ipv4Prefix, NextHop, RouterId};
 use std::net::Ipv4Addr;
 
@@ -220,61 +220,14 @@ record! {
     /// Spec tuning knobs (defaults match the canonical Rust gadgets).
     #[derive(Clone, Debug, PartialEq)]
     pub struct SpecKnobs {
-        /// Min route advertisement interval, µs.
-        pub mrai_us: u64 = opt(0),
         /// Clients retain full ARR advertisement sets (§3.4 trade-off).
         pub clients_keep_backups: bool = opt(false),
-        /// ABRR reflection loop-prevention flavor.
-        pub loop_prevention: AbrrLoopPrevention = opt(AbrrLoopPrevention::ReflectedBit),
-        /// Session latency model.
-        pub latency: LatencyModel = opt(LatencyModel::Fixed(1_000)),
-        /// RRs also hold the full table as clients.
-        pub rrs_are_clients: bool = opt(true),
     }
 }
 
 impl Default for SpecKnobs {
     fn default() -> Self {
         defaults()
-    }
-}
-
-const LOOP_PREVENTION: [(&str, AbrrLoopPrevention); 3] = [
-    ("reflected_bit", AbrrLoopPrevention::ReflectedBit),
-    ("cluster_list", AbrrLoopPrevention::ClusterList),
-    ("none", AbrrLoopPrevention::None),
-];
-
-leaf! {
-    AbrrLoopPrevention: AbrrLoopPrevention::ReflectedBit,
-        |v, path| read_keyword(v, path, &LOOP_PREVENTION, "loop prevention"),
-        |lp| write_keyword(lp, &LOOP_PREVENTION);
-}
-
-/// `{"fixed_us": n}`, or `{"base_us": b, "per_metric_us": m}`.
-impl Record for LatencyModel {
-    fn zero() -> Self {
-        LatencyModel::Fixed(0)
-    }
-
-    fn fields(&mut self, o: &mut Obj) {
-        o.one_of(
-            self,
-            &[
-                ("fixed_us", || LatencyModel::Fixed(0)),
-                ("base_us", || LatencyModel::IgpProportional {
-                    base: 0,
-                    per_metric: 0,
-                }),
-            ],
-        );
-        match self {
-            LatencyModel::Fixed(us) => o.case(us),
-            LatencyModel::IgpProportional { base, per_metric } => {
-                o.case(base);
-                o.req("per_metric_us", per_metric);
-            }
-        }
     }
 }
 

@@ -66,7 +66,7 @@ fn corpus_files_roundtrip() {
 const EVERY_KEY: [&str; 3] = [
     r#"{
       "name": "every-key-gadget",
-      "comment": "links topology, explicit APs, IGP latency, every fault kind",
+      "comment": "links topology, explicit APs, every fault kind",
       "network": {
         "links": [[1, 2, 3], [1, 10, 1], [2, 11, 4]],
         "routers": [10, 11],
@@ -78,11 +78,7 @@ const EVERY_KEY: [&str; 3] = [
         ]},
         "arrs": [{"ap": 0, "arrs": [1]}, {"ap": 1, "arrs": [2]}],
         "spec": {
-          "mrai_us": 5000,
-          "clients_keep_backups": true,
-          "loop_prevention": "cluster_list",
-          "latency": {"base_us": 100, "per_metric_us": 25},
-          "rrs_are_clients": false
+          "clients_keep_backups": true
         }
       },
       "workload": {
@@ -120,8 +116,7 @@ const EVERY_KEY: [&str; 3] = [
       "network": {
         "pop_grid": {"pops": 2, "routers_per_pop": 3},
         "rrs": [0],
-        "aps": {"uniform": 4},
-        "spec": {"loop_prevention": "none", "latency": {"fixed_us": 250}}
+        "aps": {"uniform": 4}
       },
       "checks": [{"mode": "abrr"}]
     }"#,
@@ -141,7 +136,7 @@ const KEYS: &str = "\
     name comment network workload faults checks budget expect_verdict links pop_grid tier1 \
     routers rrs clusters aps arrs spec pops routers_per_pop prefixes seed arrs_per_ap \
     trrs_per_cluster mrai_us id trrs clients uniform explicit first last ap \
-    clients_keep_backups loop_prevention latency rrs_are_clients fixed_us base_us per_metric_us \
+    clients_keep_backups \
     feeds withdraws cutovers at router prefix peer_as peer_addr med local_pref session_flap \
     link_down link_up router_crash router_down arr_failure ap_reassign a b down_for node arr \
     mode quiesces no_loops no_blackholes matches_full_mesh wire exits exit max_events \
@@ -152,8 +147,6 @@ const VALUES: &[&str] = &[
     "\"tbrr\"",
     "\"tbrr_multipath\"",
     "\"transition\"",
-    "\"cluster_list\"",
-    "\"none\"",
     "\"fail\"",
     "null",
 ];

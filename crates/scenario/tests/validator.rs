@@ -72,6 +72,25 @@ fn retired_engines_agree_key_is_rejected_at_its_check() {
     assert_error(&src, "$.checks[1]", "unknown key `engines_agree`");
 }
 
+/// The gadget `spec` block declares `clients_keep_backups` alone: a
+/// file that still sets one of the retired knobs gets the typed
+/// unknown-key error at `$.network.spec`.
+#[test]
+fn retired_spec_keys_are_rejected_at_the_spec_block() {
+    for (key, value) in [
+        ("mrai_us", "5000"),
+        ("loop_prevention", r#""cluster_list""#),
+        ("latency", r#"{"fixed_us": 250}"#),
+        ("rrs_are_clients", "false"),
+    ] {
+        let src = base().replace(
+            "\"rrs\": [1]",
+            &format!(r#""rrs": [1], "spec": {{"{key}": {value}}}"#),
+        );
+        assert_error(&src, "$.network.spec", &format!("unknown key `{key}`"));
+    }
+}
+
 #[test]
 fn dangling_link_endpoint() {
     // Router 99 appears in a link but is neither a router nor an RR.

@@ -15,6 +15,13 @@ pub const TRR_BASE_ID: u32 = 100_000;
 /// Base id for synthetic control-plane ARRs.
 pub const ARR_BASE_ID: u32 = 200_000;
 
+/// Base update-processing (work-queue) delay for border routers, µs.
+const PROC_DELAY_BASE_US: Time = 20_000;
+/// Per-node processing-delay spread for border routers, µs.
+const PROC_DELAY_SPREAD_US: Time = 50_000;
+/// Base processing delay for RRs, µs.
+const RR_PROC_DELAY_BASE_US: Time = 100_000;
+
 /// Common knobs for both schemes.
 #[derive(Clone, Debug)]
 pub struct SpecOptions {
@@ -25,12 +32,6 @@ pub struct SpecOptions {
     /// Balance APs by prefix count instead of uniform ranges
     /// (the §4.1 variance remedy).
     pub balanced_aps: bool,
-    /// Base update-processing (work-queue) delay for border routers, µs.
-    pub proc_delay_base_us: Time,
-    /// Per-node processing-delay spread for border routers, µs.
-    pub proc_delay_spread_us: Time,
-    /// Base processing delay for RRs, µs.
-    pub rr_proc_delay_base_us: Time,
     /// Per-node processing-delay spread for RRs, µs — models the
     /// unequal TRR processing times behind the paper's §4.2 races
     /// ("100's of ms to several seconds").
@@ -43,9 +44,6 @@ impl Default for SpecOptions {
             mrai_us: 5_000_000,
             account_bytes: false,
             balanced_aps: false,
-            proc_delay_base_us: 20_000,
-            proc_delay_spread_us: 50_000,
-            rr_proc_delay_base_us: 100_000,
             rr_proc_delay_spread_us: 1_500_000,
         }
     }
@@ -142,8 +140,9 @@ pub fn abrr_spec(
 
 /// Builds the full-mesh oracle spec over the model's routers: AS 65000,
 /// `opts`' MRAI and byte accounting, IGP-proportional session latency.
-/// The four processing-delay fields stay at 0 whatever `opts` says,
-/// unlike [`abrr_spec`] and [`tbrr_spec`], which take them from `opts`.
+/// The four processing-delay fields stay at 0, unlike [`abrr_spec`]
+/// and [`tbrr_spec`], which set them to this module's work-queue
+/// delays and `opts`' RR spread.
 pub fn full_mesh_spec(model: &Tier1Model, opts: &SpecOptions) -> NetworkSpec {
     mesh_over(&model.view.topo, opts)
 }
@@ -163,7 +162,7 @@ fn mesh_over(topo: &Topology, opts: &SpecOptions) -> NetworkSpec {
 
 /// The base both reflection schemes share: [`mesh_over`] the
 /// RR-extended `topo`, in `mode`, with the model's routers as the data
-/// plane and `opts`' processing delays.
+/// plane, this module's work-queue delays and `opts`' RR spread.
 fn reflection_spec(
     model: &Tier1Model,
     topo: &Topology,
@@ -173,9 +172,9 @@ fn reflection_spec(
     let mut spec = mesh_over(topo, opts);
     spec.mode = mode;
     spec.routers = model.routers.clone();
-    spec.proc_delay_base_us = opts.proc_delay_base_us;
-    spec.proc_delay_spread_us = opts.proc_delay_spread_us;
-    spec.rr_proc_delay_base_us = opts.rr_proc_delay_base_us;
+    spec.proc_delay_base_us = PROC_DELAY_BASE_US;
+    spec.proc_delay_spread_us = PROC_DELAY_SPREAD_US;
+    spec.rr_proc_delay_base_us = RR_PROC_DELAY_BASE_US;
     spec.rr_proc_delay_spread_us = opts.rr_proc_delay_spread_us;
     spec
 }

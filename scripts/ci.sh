@@ -73,10 +73,10 @@ if [ -n "$DERIVES" ]; then
 fi
 
 echo "== every declared dependency is used"
-# Each [dependencies] entry of a crates/*/Cargo.toml must be named as a
-# path (`bgp_types::`, `serde::`) under its crate's src/ or tests/, and
-# each of the root package's under examples/ or tests/ (its only
-# sources). Dev-dependencies are not checked.
+# Each [dependencies] and [dev-dependencies] entry of a
+# crates/*/Cargo.toml must be named as a path (`bgp_types::`,
+# `serde::`) under its crate's src/ or tests/, and each of the root
+# package's under examples/ or tests/ (its only sources).
 UNUSED_DEPS=$(for manifest in Cargo.toml crates/*/Cargo.toml; do
   if [ "$manifest" = Cargo.toml ]; then
     sources="examples tests"
@@ -84,8 +84,8 @@ UNUSED_DEPS=$(for manifest in Cargo.toml crates/*/Cargo.toml; do
     dir=${manifest%/Cargo.toml}
     sources="$dir/src $dir/tests"
   fi
-  sed -n '/^\[dependencies\]/,/^\[/{/^[A-Za-z0-9_-]\+[ .=]/p}' "$manifest" |
-    sed 's/[ .=].*//' |
+  awk '/^\[/ { deps = /^\[(dev-)?dependencies\]$/; next }
+       deps && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest" |
     while read -r dep; do
       # shellcheck disable=SC2086 # $sources is a list of directories
       grep -rqE "\b${dep//-/_}::" $sources 2>/dev/null ||

@@ -330,10 +330,6 @@ fn trace_speedup_changes_little() {
     let model = small_model();
     let opts = SpecOptions {
         mrai_us: 0,
-        proc_delay_base_us: 0,
-        proc_delay_spread_us: 0,
-        rr_proc_delay_base_us: 0,
-        rr_proc_delay_spread_us: 0,
         ..Default::default()
     };
     let churn_cfg = ChurnConfig {
@@ -342,8 +338,12 @@ fn trace_speedup_changes_little() {
         ..ChurnConfig::default()
     };
     let run = |speedup: u64| -> u64 {
-        let spec = Arc::new(specs::abrr_spec(&model, 4, 2, &opts));
-        let mut sim = converge(spec, &model);
+        let mut spec = specs::abrr_spec(&model, 4, 2, &opts);
+        spec.proc_delay_base_us = 0;
+        spec.proc_delay_spread_us = 0;
+        spec.rr_proc_delay_base_us = 0;
+        spec.rr_proc_delay_spread_us = 0;
+        let mut sim = converge(Arc::new(spec), &model);
         regen::replay(&mut sim, &churn::generate(&model, &churn_cfg), speedup);
         assert!(sim.run_to_quiescence().quiesced);
         model
