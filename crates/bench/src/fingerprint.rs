@@ -138,9 +138,13 @@ fn wired(mut spec: NetworkSpec, wire: WireMode) -> Arc<NetworkSpec> {
 /// and run under `mode`, its snapshot replayed into empty RIBs.
 fn tier1_reference(name: &str, mode: Mode, cfg: RunConfig) -> String {
     let loaded = scenario::load_corpus("tier1_reference")
+        // Invariant: the file ships in examples/scenarios/, whose
+        // corpus stage loads and validates every file.
         .unwrap_or_else(|e| panic!("tier1_reference.json failed to load: {e:?}"));
     let run = loaded
         .run(mode, true, cfg)
+        // Invariant: a Tier-1 corpus file has no fault schedule, the
+        // only thing a run can fail on.
         .unwrap_or_else(|e| panic!("tier1_reference failed to run: {e}"));
     fingerprint(name, &run.sim, &run.spec)
 }
@@ -190,6 +194,7 @@ fn resilience_arr_kill(cfg: RunConfig) -> String {
             arr: spec.all_arrs()[0],
         },
     );
+    // Invariant: the one fault kills an ARR the spec itself names.
     compile(&sched, &spec, &mut sim).expect("schedule compiles");
     let deadline = sim.now() + SETTLE_BUDGET_US;
     run_until(&mut sim, cfg, deadline);

@@ -53,8 +53,8 @@ pub struct HeapBytes {
     pub index: usize,
     /// Column row arrays.
     pub slots: usize,
-    /// What the rows and trie values own: an Adj-RIB-In row's run of
-    /// entries, a RIB-Out `PathSet`.
+    /// What the rows and table values own: an Adj-RIB-In row's run of
+    /// entries, a RIB-Out `PathSet`, the border's routes for a prefix.
     /// The `PathAttributes` behind the `Arc`s are shared fleet-wide and
     /// excluded; so are the small `BTreeSet`/`BTreeMap`s of peers and
     /// groups.

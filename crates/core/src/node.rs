@@ -350,6 +350,15 @@ impl BgpNode {
         for (name, v) in self.store_gauges() {
             set(name, v);
         }
+        set("core.mrai.pending_bytes", self.mrai_pending_bytes());
+    }
+
+    /// Heap bytes of the MRAI pacers' pending buffers — the
+    /// `core.mrai.pending_bytes` gauge. Not a table: a buffer holds
+    /// only what its session's interval has deferred, and a flush
+    /// hands it off whole.
+    fn mrai_pending_bytes(&self) -> usize {
+        self.ch.mrai.values().map(|m| m.heap_bytes()).sum()
     }
 
     /// The `core.store.*` gauges — storage internals of the tables:
@@ -787,7 +796,12 @@ impl Protocol for BgpNode {
             obs::event!(Core, Debug, "core.mrai.flush", node = self.ch.id.0,
                 "peer" => peer.0, "n" => batch.len());
         }
-        for (_prefix, msg) in batch {
+        for ((plane, prefix), paths) in batch {
+            let msg = BgpMsg {
+                prefix,
+                paths,
+                plane,
+            };
             self.ch.do_send(ctx, peer, msg, None);
         }
     }
@@ -840,6 +854,7 @@ impl Protocol for BgpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roles::Pacer;
     use bgp_types::{ApMap, AsPath, Asn, NextHop};
 
     fn feed(prefix: Ipv4Prefix, peer_as: u32, peer_addr: u32) -> ExternalEvent {
@@ -859,9 +874,20 @@ mod tests {
     /// 4 the ARRs of the one AP, 10.0.0.0/8 fed at routers 3 and 6 and
     /// 192.168.0.0/16 at router 9, then `events`.
     fn small_reference(events: &[(netsim::Time, RouterId, ExternalEvent)]) -> netsim::Sim<BgpNode> {
+        let mut sim = small_reference_sim(0, events);
+        assert!(sim.run_to_quiescence().quiesced);
+        sim
+    }
+
+    /// [`small_reference`] with an MRAI of `mrai_us`, not yet run.
+    fn small_reference_sim(
+        mrai_us: netsim::Time,
+        events: &[(netsim::Time, RouterId, ExternalEvent)],
+    ) -> netsim::Sim<BgpNode> {
         let view = igp::PopTopologyBuilder::new(3, 3).build();
         let mut spec = NetworkSpec::full_mesh(&view.topo, Asn(65000));
         spec.mode = Mode::Abrr;
+        spec.mrai_us = mrai_us;
         spec.routers = view.routers();
         spec.ap_map = Some(ApMap::uniform(1));
         spec.arrs.insert(ApId(0), vec![RouterId(1), RouterId(4)]);
@@ -878,7 +904,6 @@ mod tests {
         for (at, router, ev) in events {
             sim.schedule_external(*at, *router, ev.clone());
         }
-        assert!(sim.run_to_quiescence().quiesced);
         sim
     }
 
@@ -922,7 +947,46 @@ mod tests {
             let sparse_bytes = node.border.heap_bytes() + ch.out.heap_bytes();
             assert_eq!(sparse_bytes.slots, 0);
             assert!(sparse[1] == 0 || ch.out.heap_bytes().index > 0);
+            // The border's routes are path bytes, 16 per route: each
+            // prefix's `Vec` is sized exactly.
+            let ebgp = node.ebgp_entries();
+            assert_eq!(node.border.heap_bytes().paths, 16 * ebgp);
+            assert_eq!(ebgp > 0, [3, 6, 9].contains(&node.ch.id.0));
         }
+    }
+
+    /// `core.mrai.pending_bytes` counts what the pacers hold: buffers
+    /// while an interval defers updates, nothing once the last flush
+    /// has handed them off.
+    #[test]
+    fn mrai_gauge_counts_the_pending_buffers() {
+        let mut sim = small_reference_sim(1_000_000, &[]);
+        let limits = netsim::RunLimits {
+            max_time: 500_000,
+            ..netsim::RunLimits::default()
+        };
+        assert!(!sim.run(limits).quiesced);
+        let mut deferred = 0;
+        for (_, node) in sim.nodes() {
+            let pending: usize = node.ch.mrai.values().map(|m| m.pending_len()).sum();
+            assert!(node.mrai_pending_bytes() >= Pacer::ENTRY_BYTES * pending);
+            assert_eq!(node.mrai_pending_bytes() > 0, pending > 0);
+            deferred += pending;
+        }
+        assert!(deferred > 0, "an ARR defers its second update");
+        assert!(sim.run_to_quiescence().quiesced);
+        for (_, node) in sim.nodes() {
+            assert_eq!(node.mrai_pending_bytes(), 0);
+        }
+    }
+
+    /// A paced update is stored as its (plane, prefix) key and its
+    /// shared path set, nothing more: a field added to what
+    /// `Chassis::mrai` stores adds to every deferred update at a load's
+    /// peak.
+    #[test]
+    fn a_paced_update_is_24_bytes() {
+        assert_eq!(Pacer::ENTRY_BYTES, 24);
     }
 
     /// Crash-restart drops the prefix index together with every column

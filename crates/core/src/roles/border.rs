@@ -6,19 +6,23 @@
 //! view: the exit candidates (local + eBGP routes) it contributes via
 //! `BorderRole::reselect` are what the client, ARR, and TRR functions
 //! redistribute. Its eBGP Adj-RIB-In is a private [`PrefixTable`]:
-//! point lookups per event, range queries sorted by the table.
+//! point lookups per event, range queries sorted by the table. Each
+//! prefix's routes are one flat `Vec`, sorted by session address and
+//! sized exactly.
 
 use super::{AdvertiseEnv, Chassis, Role};
 use bgp_rib::{Candidate, HeapBytes, PrefixIndex};
 use bgp_types::{
     intern, AddressRange, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixTable, RouteSource,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// An eBGP-learned route held at a border router.
+/// An eBGP-learned route held at a border router: 16 bytes.
 #[derive(Clone, Debug)]
 struct EbgpRoute {
+    /// The eBGP session address it was learned on (unique per session).
+    peer_addr: u32,
     peer_as: Asn,
     attrs: Arc<PathAttributes>,
 }
@@ -28,16 +32,18 @@ struct EbgpRoute {
 /// the sticky own-route set the client role's §3.4 storage policy
 /// consults.
 pub struct BorderRole {
-    /// eBGP Adj-RIB-In: prefix → (peer_addr → route). The outer table
-    /// is a private hashed table holding the session maps in its
+    /// eBGP Adj-RIB-In: prefix → its routes. The outer table is a
+    /// private hashed table holding each prefix's `Vec` header in its
     /// buckets — every `reselect` probes it, and only range queries,
     /// which it sorts, need order — not a column over the router's
     /// index: a border router learns a small share of the prefixes it
     /// routes over eBGP, and a dense 24-byte row for each of them would
-    /// cost more than this small table (DESIGN.md §13). The inner map stays
-    /// ordered because peer order reaches the decision process's
-    /// candidate list.
-    ebgp_in: PrefixTable<BTreeMap<u32, EbgpRoute>>,
+    /// cost more than this small table (DESIGN.md §13). A prefix's
+    /// routes, one per session, are sorted by session address, because
+    /// peer order reaches the decision process's candidate list, and
+    /// sized exactly, because a prefix holds one or two: a B-tree kept
+    /// them in a 232-byte node (DESIGN.md §8).
+    ebgp_in: PrefixTable<Vec<EbgpRoute>>,
     /// Distinct eBGP session addresses ever seen (sessions outlive the
     /// routes they advertise; used for export accounting).
     ebgp_sessions: BTreeSet<u32>,
@@ -76,7 +82,7 @@ impl BorderRole {
 
     /// eBGP Adj-RIB-In entries.
     pub(crate) fn ebgp_entries(&self) -> usize {
-        self.ebgp_in.values().map(BTreeMap::len).sum()
+        self.ebgp_in.values().map(Vec::len).sum()
     }
 
     /// The configured local prefixes (cloned: callers re-originate while
@@ -104,15 +110,19 @@ impl BorderRole {
         a.ext_communities.retain(|c| !c.is_abrr_reflected());
         self.own_ever.insert(prefix);
         self.ebgp_sessions.insert(peer_addr);
-        self.ebgp_in
-            .get_or_insert_with(prefix, BTreeMap::new)
-            .insert(
-                peer_addr,
-                EbgpRoute {
-                    peer_as,
-                    attrs: intern(a),
-                },
-            );
+        let routes = self.ebgp_in.get_or_insert_with(prefix, Vec::new);
+        let route = EbgpRoute {
+            peer_addr,
+            peer_as,
+            attrs: intern(a),
+        };
+        match routes.binary_search_by_key(&peer_addr, |r| r.peer_addr) {
+            Ok(i) => routes[i] = route,
+            Err(i) => {
+                routes.reserve_exact(1);
+                routes.insert(i, route);
+            }
+        }
     }
 
     /// eBGP withdraw. Returns whether a stored route was removed (the
@@ -124,16 +134,19 @@ impl BorderRole {
         peer_addr: u32,
     ) -> bool {
         ch.counters.ebgp_events += 1;
-        let mut removed = false;
-        let mut now_empty = false;
-        if let Some(m) = self.ebgp_in.get_mut(&prefix) {
-            removed = m.remove(&peer_addr).is_some();
-            now_empty = m.is_empty();
-        }
-        if now_empty {
+        let Some(routes) = self.ebgp_in.get_mut(&prefix) else {
+            return false;
+        };
+        let Ok(i) = routes.binary_search_by_key(&peer_addr, |r| r.peer_addr) else {
+            return false;
+        };
+        routes.remove(i);
+        if routes.is_empty() {
             self.ebgp_in.remove(&prefix);
+        } else {
+            routes.shrink_to_fit();
         }
-        removed
+        true
     }
 
     /// Local origination toggle. Returns whether the configured set
@@ -157,17 +170,15 @@ impl BorderRole {
                 neighbor_id: ch.id.0,
             });
         }
-        if let Some(peers) = self.ebgp_in.get(prefix) {
-            for (peer_addr, r) in peers {
-                cands.push(Candidate {
-                    attrs: r.attrs.clone(),
-                    source: RouteSource::Ebgp {
-                        peer_as: r.peer_as,
-                        peer_addr: *peer_addr,
-                    },
-                    neighbor_id: *peer_addr,
-                });
-            }
+        for r in self.ebgp_in.get(prefix).into_iter().flatten() {
+            cands.push(Candidate {
+                attrs: r.attrs.clone(),
+                source: RouteSource::Ebgp {
+                    peer_as: r.peer_as,
+                    peer_addr: r.peer_addr,
+                },
+                neighbor_id: r.peer_addr,
+            });
         }
     }
 
@@ -224,11 +235,60 @@ impl Role for BorderRole {
     }
 
     fn heap_bytes(&self) -> HeapBytes {
-        // The table, each session map's header inline; the maps' own
-        // `BTreeMap` nodes are not counted.
+        // The table holds each prefix's `Vec` header inline; the routes
+        // behind it are what the prefix owns.
+        let routes = self.ebgp_in.values().map(Vec::capacity).sum::<usize>();
         HeapBytes {
             index: self.ebgp_in.heap_bytes(),
+            paths: routes * size_of::<EbgpRoute>(),
             ..HeapBytes::default()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::NetworkSpec;
+    use bgp_types::{AsPath, Med, RouterId};
+
+    fn ebgp(peer_as: u32, med: u32) -> Arc<PathAttributes> {
+        let path = AsPath::sequence([Asn(peer_as)]);
+        Arc::new(PathAttributes::ebgp(path, NextHop(peer_as)).with_med(med))
+    }
+
+    /// One route per session, yielded in session-address order whatever
+    /// order they arrived in, and the prefix gone with its last route.
+    #[test]
+    fn ebgp_routes_stay_sorted_by_session() {
+        let view = igp::PopTopologyBuilder::new(1, 1).build();
+        let spec = Arc::new(NetworkSpec::full_mesh(&view.topo, Asn(65000)));
+        let mut ch = Chassis::new(RouterId(1), spec);
+        let mut border = BorderRole::new();
+        let p: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
+        for addr in [30, 10, 20] {
+            border.ebgp_announce(&mut ch, p, Asn(addr), addr, ebgp(addr, 0));
+        }
+        assert!(border.ebgp_withdraw(&mut ch, p, 10));
+        // Session 20 re-announces with other attributes: a replacement.
+        border.ebgp_announce(&mut ch, p, Asn(20), 20, ebgp(20, 5));
+        let mut cands = Vec::new();
+        border.reselect(&ch, &p, &mut cands);
+        let sources: Vec<_> = cands.iter().map(|c| (c.neighbor_id, c.source)).collect();
+        let ebgp_from = |addr: u32| RouteSource::Ebgp {
+            peer_as: Asn(addr),
+            peer_addr: addr,
+        };
+        assert_eq!(sources, [(20, ebgp_from(20)), (30, ebgp_from(30))]);
+        assert_eq!(cands[0].attrs.med, Some(Med(5)));
+        assert_eq!(border.ebgp_entries(), 2);
+        assert_eq!(border.heap_bytes().paths, 2 * size_of::<EbgpRoute>());
+
+        assert!(!border.ebgp_withdraw(&mut ch, p, 10), "no route from 10");
+        assert!(border.originates(&p));
+        assert!(border.ebgp_withdraw(&mut ch, p, 20));
+        assert!(border.ebgp_withdraw(&mut ch, p, 30));
+        assert!(!border.originates(&p));
+        assert_eq!((border.slots(), border.heap_bytes().paths), (0, 0));
     }
 }

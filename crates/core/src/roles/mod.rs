@@ -113,6 +113,11 @@ impl ObsHandles {
 /// copy is encoded when it is flushed.
 pub(crate) type Images = Vec<(Arc<PathSet>, WireFrame)>;
 
+/// One session's MRAI pacer, keyed by (plane, prefix). A deferred
+/// update is kept as its path set alone, [`Mrai::ENTRY_BYTES`] = 24
+/// bytes with its key, and becomes a message again when it is flushed.
+pub(crate) type Pacer = Mrai<(Plane, Ipv4Prefix), Arc<PathSet>>;
+
 /// The infrastructure shared by every role of one router: identity and
 /// spec, the prefix index every full table is a column over, the
 /// per-peer-group Adj-RIB-Out, the Loc-RIB, update accounting, MRAI
@@ -139,8 +144,8 @@ pub struct Chassis {
     pub(crate) no_paths: Arc<PathSet>,
     /// Update accounting.
     pub(crate) counters: UpdateCounters,
-    /// Per-peer MRAI pacing, keyed by (plane, prefix).
-    pub(crate) mrai: BTreeMap<RouterId, Mrai<(Plane, Ipv4Prefix), BgpMsg>>,
+    /// Per-peer MRAI pacing.
+    pub(crate) mrai: BTreeMap<RouterId, Pacer>,
     /// Transition (§2.4): APs for which ABRR routes are accepted.
     pub(crate) accept_abrr: BTreeSet<ApId>,
     /// Runtime AP→ARR reassignments (paper §2.2). Overrides the spec's
@@ -304,8 +309,8 @@ impl Chassis {
         let interval = self.spec.mrai_us;
         let mrai = self.mrai.entry(peer).or_insert_with(|| Mrai::new(interval));
         let now = ctx.now();
-        match mrai.offer(now, (msg.plane, msg.prefix), msg) {
-            MraiVerdict::SendNow(msg) => self.do_send(ctx, peer, msg, images),
+        match mrai.offer(now, (msg.plane, msg.prefix), msg.paths) {
+            MraiVerdict::SendNow(paths) => self.do_send(ctx, peer, BgpMsg { paths, ..msg }, images),
             MraiVerdict::Deferred {
                 flush_at,
                 need_timer,

@@ -12,9 +12,21 @@
 //! interval are buffered per key, with later offers for the same key
 //! replacing earlier ones (implicit-withdraw coalescing); a flush timer
 //! drains the buffer when the interval expires.
+//!
+//! The buffer is a flat `Vec` of sorted runs laid end to end, not a
+//! B-tree: a router holds one pacer per session, and at a bulk load's
+//! peak their buffers hold more than a hundred thousand deferred
+//! updates, which B-tree nodes held at several times the bytes
+//! (DESIGN.md §8). Offers do not arrive in key order (a router's
+//! batches each restart from their lowest prefix; most inserts at the
+//! 20K-prefix scale land mid-buffer), so an insert never shifts the
+//! buffer: a key above the last one extends the last run, any other
+//! starts a new run, and a run that grows past half its predecessor is
+//! merged into it. Runs at least halve in length from one to the next,
+//! so a lookup binary-searches O(log n) runs and each update takes part
+//! in O(log n) merges.
 
 use crate::sim::Time;
-use std::collections::BTreeMap;
 
 /// What the caller should do with an offered update.
 #[derive(Debug, PartialEq, Eq)]
@@ -38,17 +50,26 @@ pub enum MraiVerdict<M> {
 pub struct Mrai<K: Ord, M> {
     interval: Time,
     ready_at: Time,
-    pending: BTreeMap<K, M>,
+    /// The deferred updates, at most one per key: sorted runs laid end
+    /// to end.
+    pending: Vec<(K, M)>,
+    /// Where each run but the first starts in `pending`. Each run is
+    /// at least twice as long as the next.
+    runs: Vec<usize>,
     timer_pending: bool,
 }
 
 impl<K: Ord, M> Mrai<K, M> {
+    /// Heap bytes of one deferred update.
+    pub const ENTRY_BYTES: usize = size_of::<(K, M)>();
+
     /// Creates a pacer with the given interval. Zero disables pacing.
     pub fn new(interval: Time) -> Self {
         Mrai {
             interval,
             ready_at: 0,
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
+            runs: Vec::new(),
             timer_pending: false,
         }
     }
@@ -72,7 +93,10 @@ impl<K: Ord, M> Mrai<K, M> {
             self.ready_at = now + self.interval;
             return MraiVerdict::SendNow(msg);
         }
-        self.pending.insert(key, msg);
+        match self.find(&key) {
+            Some(i) => self.pending[i].1 = msg,
+            None => self.append(key, msg),
+        }
         let need_timer = !self.timer_pending;
         self.timer_pending = true;
         MraiVerdict::Deferred {
@@ -82,12 +106,15 @@ impl<K: Ord, M> Mrai<K, M> {
     }
 
     /// Drains the pending buffer at flush time: the caller takes the
-    /// buffer itself and transmits its updates (iteration is in key
-    /// order). Restarts the interval if anything was sent.
-    pub fn flush(&mut self, now: Time) -> BTreeMap<K, M> {
+    /// buffer itself and transmits its updates, which are in key
+    /// order. Restarts the interval if anything was sent.
+    pub fn flush(&mut self, now: Time) -> Vec<(K, M)> {
         self.timer_pending = false;
         if !self.pending.is_empty() {
             self.ready_at = now + self.interval;
+        }
+        if !std::mem::take(&mut self.runs).is_empty() {
+            self.pending.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
         std::mem::take(&mut self.pending)
     }
@@ -96,11 +123,48 @@ impl<K: Ord, M> Mrai<K, M> {
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
+
+    /// Heap bytes of the pending buffer and its run starts, at
+    /// capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.pending.capacity() * Self::ENTRY_BYTES + self.runs.capacity() * size_of::<usize>()
+    }
+
+    /// The index of `key`'s pending update, if it has one.
+    fn find(&self, key: &K) -> Option<usize> {
+        let mut start = 0;
+        for end in self.runs.iter().copied().chain([self.pending.len()]) {
+            if let Ok(i) = self.pending[start..end].binary_search_by(|(k, _)| k.cmp(key)) {
+                return Some(start + i);
+            }
+            start = end;
+        }
+        None
+    }
+
+    /// Adds an update for a key with none pending, then merges the last
+    /// run into its predecessor while it is more than half as long.
+    fn append(&mut self, key: K, msg: M) {
+        if self.pending.last().is_some_and(|(last, _)| *last > key) {
+            self.runs.push(self.pending.len());
+        }
+        self.pending.push((key, msg));
+        while let Some(&last) = self.runs.last() {
+            let prev = self.runs.len().checked_sub(2).map_or(0, |j| self.runs[j]);
+            if 2 * (self.pending.len() - last) <= last - prev {
+                break;
+            }
+            self.runs.pop();
+            self.pending[prev..].sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn zero_interval_always_sends() {
@@ -130,12 +194,12 @@ mod tests {
             }
         );
         let flushed = m.flush(100);
-        assert_eq!(flushed, BTreeMap::from([(2, "b"), (3, "c")]));
+        assert_eq!(flushed, vec![(2, "b"), (3, "c")]);
         // Interval restarted at flush: next offer is deferred again.
         assert!(matches!(m.offer(150, 4, "d"), MraiVerdict::Deferred { .. }));
         // After the new interval expires with an empty buffer...
         let flushed = m.flush(200);
-        assert_eq!(flushed, BTreeMap::from([(4, "d")]));
+        assert_eq!(flushed, vec![(4, "d")]);
         assert_eq!(m.offer(301, 5, "e"), MraiVerdict::SendNow("e"));
     }
 
@@ -149,7 +213,7 @@ mod tests {
         m.offer(2, 7, 20);
         m.offer(3, 7, 30);
         assert_eq!(m.pending_len(), 1);
-        assert_eq!(m.flush(100), BTreeMap::from([(7, 30)]));
+        assert_eq!(m.flush(100), vec![(7, 30)]);
     }
 
     #[test]
@@ -173,5 +237,87 @@ mod tests {
             MraiVerdict::Deferred { .. }
         ));
         assert_eq!(m.flush(100).len(), 2);
+    }
+
+    /// The pacer as it was when its buffer was a `BTreeMap`: the
+    /// oracle the sorted runs must reproduce.
+    struct MapMrai {
+        interval: Time,
+        ready_at: Time,
+        pending: BTreeMap<u16, u32>,
+        timer_pending: bool,
+    }
+
+    impl MapMrai {
+        fn offer(&mut self, now: Time, key: u16, msg: u32) -> MraiVerdict<u32> {
+            if self.interval == 0 || (now >= self.ready_at && self.pending.is_empty()) {
+                self.ready_at = now + self.interval;
+                return MraiVerdict::SendNow(msg);
+            }
+            self.pending.insert(key, msg);
+            let need_timer = !self.timer_pending;
+            self.timer_pending = true;
+            MraiVerdict::Deferred {
+                flush_at: self.ready_at,
+                need_timer,
+            }
+        }
+
+        fn flush(&mut self, now: Time) -> BTreeMap<u16, u32> {
+            self.timer_pending = false;
+            if !self.pending.is_empty() {
+                self.ready_at = now + self.interval;
+            }
+            std::mem::take(&mut self.pending)
+        }
+    }
+
+    /// One step: advance the clock by the first field, then offer
+    /// (key, message) or, with `None`, flush. The key is reduced to
+    /// the test's key domain.
+    fn step() -> impl Strategy<Value = (Time, Option<(u16, u32)>)> {
+        // Offers 7 : flushes 1, so buffers grow to many runs.
+        (0u64..60, 0u8..8, any::<u16>(), any::<u32>())
+            .prop_map(|(dt, kind, key, msg)| (dt, (kind > 0).then_some((key, msg))))
+    }
+
+    proptest! {
+        /// Verdicts, flushed (key, message) lists in order and the
+        /// buffer length all match the map after every step, paced
+        /// and unpaced, over eight keys (they repeat) and over 1024
+        /// (offers land anywhere in the buffer). Each run stays at
+        /// least twice as long as the next, so n updates are in at
+        /// most log2(n + 1) runs.
+        #[test]
+        fn matches_the_btreemap_pacer(
+            interval in prop::sample::select(vec![0, 1, 25, 100]),
+            keys in prop::sample::select(vec![8u16, 1024]),
+            steps in prop::collection::vec(step(), 0..400),
+        ) {
+            let mut m: Mrai<u16, u32> = Mrai::new(interval);
+            let mut model = MapMrai {
+                interval,
+                ready_at: 0,
+                pending: BTreeMap::new(),
+                timer_pending: false,
+            };
+            let mut now = 0;
+            for (dt, action) in steps {
+                now += dt;
+                match action {
+                    Some((key, msg)) => {
+                        let key = key % keys;
+                        prop_assert_eq!(m.offer(now, key, msg), model.offer(now, key, msg));
+                    }
+                    None => {
+                        let want: Vec<_> = model.flush(now).into_iter().collect();
+                        prop_assert_eq!(m.flush(now), want);
+                    }
+                }
+                prop_assert_eq!(m.pending_len(), model.pending.len());
+                let runs = m.runs.len() + usize::from(!m.pending.is_empty());
+                prop_assert!((1 << runs) - 1 <= m.pending.len());
+            }
+        }
     }
 }

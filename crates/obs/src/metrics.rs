@@ -147,6 +147,8 @@ fn register(name: &'static str, node: Option<u32>, new: impl FnOnce() -> Instrum
 /// A name is registered with one instrument type; asking for it as
 /// another is a bug at the call site.
 fn type_mismatch(name: &str) -> ! {
+    // Invariant: each metric name is registered with one instrument
+    // type across the workspace.
     panic!("metric `{name}` already registered with another type")
 }
 
@@ -275,7 +277,7 @@ pub fn render_snapshot(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, (total, is_hist)) in totals {
         let unit = if is_hist { " samples" } else { "" };
-        // Writing to a `String` cannot fail.
+        // Invariant: writing to a `String` cannot fail.
         writeln!(out, "  {name:<width$}  {total}{unit}").expect("write to String");
     }
     out
