@@ -101,16 +101,15 @@ const COMMON: &[FlagSpec] = &[
     flag(
         "wire",
         "MODE",
-        "session wire mode: off (in-memory structs, default) | verify \
-         (encode-decode-verify: every UPDATE/OPEN round-trips through the BGP \
-         codec as a differential oracle) | bytes (bytes-only transport)",
+        "session wire mode: off (in-memory structs, default) | bytes \
+         (every UPDATE travels as RFC 4271 bytes its receiver decodes)",
     ),
     flag(
         "pcap",
         "FILE",
         "dump every session message as a classic pcap capture to FILE when the \
          experiment finishes (synthetic deterministic TCP/179 framing; \
-         requires --wire verify or bytes)",
+         requires --wire bytes)",
     ),
     flag("help", "", "print this flag list and exit"),
 ];
@@ -247,7 +246,11 @@ impl Args {
     fn default<T: FromStr>(&self, key: &str) -> T {
         let spec = Self::lookup(self.flags, key);
         let d = spec.and_then(|f| self.default_of(f));
+        // Invariant: a getter with a default reads only flags that
+        // declare one; `usage` prints every default for `--help`.
         let d = d.unwrap_or_else(|| panic!("`--{key}` is read with a default it does not declare"));
+        // Invariant: a declared default is a literal of the flag
+        // table, written to parse as the flag's type.
         parse_value(key, &d).unwrap_or_else(|e| panic!("declared default: {e}"))
     }
 
@@ -337,6 +340,8 @@ impl Args {
         let v = self.or_exit(self.checked_list(key, &range));
         v.unwrap_or_else(|| {
             let d: String = self.default(key);
+            // Invariant: a declared default list is a literal of the
+            // flag table, written to parse and lie in `range`.
             parse_list(key, &d, &range).unwrap_or_else(|e| panic!("declared default: {e}"))
         })
     }
@@ -396,7 +401,7 @@ impl Args {
             None => netsim::WireMode::Off,
             Some(s) => netsim::WireMode::parse(s).unwrap_or_else(|| {
                 self.exit_usage(&format!(
-                    "invalid value `{s}` for `--wire` (expected off | verify | bytes)"
+                    "invalid value `{s}` for `--wire` (expected off | bytes)"
                 ))
             }),
         }
@@ -425,9 +430,9 @@ impl Args {
     /// (there are no wire frames to capture without a byte path).
     pub fn pcap(&self) -> Option<String> {
         let path = self.map.get("pcap").cloned()?;
-        if !self.wire().encodes() {
+        if self.wire() != netsim::WireMode::Bytes {
             self.exit_usage(
-                "`--pcap` requires `--wire verify` or `--wire bytes` \
+                "`--pcap` requires `--wire bytes` \
                  (structs-only sessions produce no wire frames)",
             );
         }
@@ -611,17 +616,10 @@ mod tests {
     fn wire_mode_parses_with_off_default() {
         use netsim::WireMode;
         assert_eq!(parse(&[]).unwrap().wire(), WireMode::Off);
-        assert_eq!(
-            parse(&["--wire", "verify"]).unwrap().wire(),
-            WireMode::Verify
-        );
-        assert_eq!(
-            parse(&["--wire", "encode-decode-verify"]).unwrap().wire(),
-            WireMode::Verify
-        );
+        assert_eq!(parse(&["--wire", "off"]).unwrap().wire(), WireMode::Off);
         assert_eq!(parse(&["--wire", "bytes"]).unwrap().wire(), WireMode::Bytes);
-        // Valid --wire + --pcap combination resolves the path.
-        let args = parse(&["--wire", "verify", "--pcap", "/tmp/x.pcap"]).unwrap();
+        // `--pcap` pairs with `--wire bytes`: the path resolves.
+        let args = parse(&["--wire", "bytes", "--pcap", "/tmp/x.pcap"]).unwrap();
         assert_eq!(args.pcap().as_deref(), Some("/tmp/x.pcap"));
         assert_eq!(parse(&[]).unwrap().pcap(), None);
     }

@@ -37,6 +37,25 @@ fn bad_values_exit_2_naming_the_flag() {
     }
 }
 
+/// `--wire` takes `off` or `bytes`; any other mode, `verify` included,
+/// exits 2 with the flag list before a run starts.
+#[test]
+fn wire_verify_exits_2_with_the_flag_list() {
+    let out = repro(&["fig3", "--wire", "verify"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("`verify`") && first.contains("off | bytes"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("flags:") && stderr.contains("--wire <MODE>"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a run started: {stderr}");
+}
+
 /// `repro list` is the one table of published artefacts: it must name
 /// every file in `results/`, once.
 #[test]

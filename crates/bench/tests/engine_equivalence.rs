@@ -27,12 +27,11 @@
 //!   golden's recipe): the only regime where sharded windows span
 //!   timestamps.
 //! * **V3** — TBRR snapshot load (the `fig6_tbrr` golden's recipe).
-//! * **V4** — V1 in encode-decode-verify and in bytes-only wire mode,
-//!   with the pcap sink on.
+//! * **V4** — V1 in bytes wire mode, with the pcap sink on.
 //! * **V5** — every corpus file that once declared the retired
 //!   `engines_agree` check, plus the fuzzer smoke's fixed seeds, in
 //!   ABRR mode with faults, built by `Loaded::build`; the seeds in
-//!   struct and in encode-decode-verify wire mode.
+//!   struct and in bytes wire mode.
 //!
 //! V1–V4 run at {1, 2, 8} workers: 1 is the fast path that
 //! short-circuits to the sequential loop and must still stamp the same
@@ -400,10 +399,9 @@ fn v3_tbrr_load_matches_seq() {
 #[test]
 fn v4_wire_modes_and_pcap_match_seq() {
     let _obs = obs_guard();
-    for wire in [WireMode::Verify, WireMode::Bytes] {
-        let name = format!("V4 faulted ABRR in {} wire mode", wire.name());
-        check_engines(&name, &WORKERS, true, |e| faulted_abrr(wire, e));
-    }
+    check_engines("V4 faulted ABRR in bytes wire mode", &WORKERS, true, |e| {
+        faulted_abrr(WireMode::Bytes, e)
+    });
 }
 
 /// The corpus files that declared `engines_agree` before it was retired.
@@ -444,10 +442,10 @@ fn v5_corpus_and_fuzz_seeds_match_seq() {
         check_loaded(name, &loaded, WireMode::Off);
     }
     for seed in FUZZ_SEED..FUZZ_SEED + FUZZ_CASES {
-        // Every generated case declares the `wire` check, whose runs
-        // covered the window loop in verify mode too.
+        // Every generated case declares the `wire` check, so the
+        // window loop runs each in bytes mode too.
         let loaded = scenario::compile::compile(scenario::gen::generate(seed));
-        for wire in [WireMode::Off, WireMode::Verify] {
+        for wire in [WireMode::Off, WireMode::Bytes] {
             check_loaded(&format!("fuzz-{seed}"), &loaded, wire);
         }
     }

@@ -5,8 +5,8 @@
 //! addresses/MACs derive from router ids, and per-flow TCP sequence
 //! numbers are assigned after the global (t, phase, seq, k) sort. The
 //! contract pinned here: dumping the small-reference scenario
-//! (`examples/scenarios/small_reference.json`) under ABRR in
-//! encode-decode-verify wire mode produces a **byte-identical** pcap
+//! (`examples/scenarios/small_reference.json`) under ABRR in bytes
+//! wire mode produces a **byte-identical** pcap
 //! file across repeated runs, equal to the blessed capture under
 //! `tests/golden/`. The window engine's captures are held to the
 //! sequential loop's by `engine_equivalence.rs` (V4).
@@ -23,13 +23,13 @@ use abrr::Mode;
 use abrr_bench::fingerprint::golden_dir;
 use netsim::{RunConfig, RunLimits, Time, WireMode};
 
-/// Runs the reference scenario in verify wire mode with the pcap sink
+/// Runs the reference scenario in bytes wire mode with the pcap sink
 /// enabled and returns the rendered capture file.
 fn capture() -> Vec<u8> {
     obs::pcap::reset();
     obs::pcap::enable();
     let cfg = RunConfig {
-        wire: WireMode::Verify,
+        wire: WireMode::Bytes,
         limits: RunLimits {
             max_events: 1_000_000,
             max_time: Time::MAX,

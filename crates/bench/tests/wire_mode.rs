@@ -2,16 +2,14 @@
 //!
 //! The wire transport contract: routing every session message through
 //! the BGP byte codec must be *behaviorally invisible*. For every
-//! golden scenario, encode-decode-verify mode (each UPDATE/OPEN
-//! round-tripped through `bgp-wire` as a differential oracle) and
-//! bytes-only mode (sessions literally carry encoded bytes) must
-//! produce byte-identical fingerprints and byte-identical obs event
-//! traces compared to the struct-mode reference. The window engine's
-//! side of the same contract is `engine_equivalence.rs` (V4). Any
-//! codec/semantics
-//! drift that the struct-level goldens structurally cannot see
-//! (mis-encoded attribute, lost path id, wrong NLRI packing) either
-//! hard-fails inside the verify oracle or lands here as a diff.
+//! golden scenario, bytes mode (sessions carry encoded bytes, and each
+//! receiver acts on what it decoded) must produce a byte-identical
+//! fingerprint and a byte-identical obs event trace compared to the
+//! struct-mode reference. The window engine's side of the same
+//! contract is `engine_equivalence.rs` (V4). Any codec/semantics drift
+//! that the struct-level goldens structurally cannot see (mis-encoded
+//! attribute, lost path id, wrong NLRI packing) either hard-fails at
+//! encode or decode or lands here as a diff.
 //!
 //! Everything lives in one `#[test]` because the obs layer is global
 //! state; a single test function serializes the runs by construction.
@@ -38,7 +36,7 @@ fn run_traced(
 
 /// Reports the first differing line of two traces instead of dumping
 /// both multi-thousand-line strings.
-fn assert_trace_eq(name: &str, wire: WireMode, got: &str, want: &str) {
+fn assert_trace_eq(name: &str, got: &str, want: &str) {
     if got == want {
         return;
     }
@@ -49,13 +47,11 @@ fn assert_trace_eq(name: &str, wire: WireMode, got: &str, want: &str) {
         .find(|(_, (a, b))| a != b);
     match diff {
         Some((i, (g, w))) => panic!(
-            "{name}: obs trace diverged in {} mode at line {}:\n  struct: {w}\n  wire:   {g}",
-            wire.name(),
+            "{name}: obs trace diverged in bytes mode at line {}:\n  struct: {w}\n  wire:   {g}",
             i + 1
         ),
         None => panic!(
-            "{name}: obs trace length diverged in {} mode ({} vs {} lines)",
-            wire.name(),
+            "{name}: obs trace length diverged in bytes mode ({} vs {} lines)",
             got.lines().count(),
             want.lines().count()
         ),
@@ -71,16 +67,12 @@ fn wire_modes_are_behaviorally_invisible() {
             "{}: struct-mode reference emitted no trace events",
             scenario.name
         );
-        for wire in [WireMode::Verify, WireMode::Bytes] {
-            let (fp, trace) = run_traced(&scenario, wire);
-            assert_eq!(
-                fp,
-                fp_ref,
-                "{}: fingerprint diverged in {} mode",
-                scenario.name,
-                wire.name()
-            );
-            assert_trace_eq(scenario.name, wire, &trace, &trace_ref);
-        }
+        let (fp, trace) = run_traced(&scenario, WireMode::Bytes);
+        assert_eq!(
+            fp, fp_ref,
+            "{}: fingerprint diverged in bytes mode",
+            scenario.name
+        );
+        assert_trace_eq(scenario.name, &trace, &trace_ref);
     }
 }

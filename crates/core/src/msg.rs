@@ -144,7 +144,8 @@ impl UpdateParts<'_> {
 /// plane models which BGP session the bytes arrived on (a real router
 /// knows this from the TCP connection), and the prefix is the shard
 /// key the engines need *before* parsing (a real sharded speaker would
-/// peek the NLRI; the verify path asserts the decoded prefix matches).
+/// peek the NLRI; [`crate::wire::decode_frame`] rejects a burst whose
+/// NLRI is another prefix as a contract fault).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireFrame {
     /// Destination prefix the burst is about (shard/delivery metadata).
@@ -159,8 +160,8 @@ pub struct WireFrame {
 }
 
 /// What a session actually carries, by [`netsim::WireMode`]:
-/// in-memory structs (`Off`/`Verify` modes) or encoded byte bursts
-/// (`Bytes` mode). The two variants never mix within one run — the
+/// in-memory structs (`Off` mode) or encoded byte bursts (`Bytes`
+/// mode). The two variants never mix within one run — the
 /// spec's wire mode is global.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionMsg {

@@ -147,17 +147,7 @@ pub struct BgpNode {
 impl BgpNode {
     /// Creates a node and materializes its peer groups from the spec.
     pub fn new(id: RouterId, spec: Arc<NetworkSpec>) -> Self {
-        // With wire mode on, run the OPEN handshake oracle once at
-        // configuration time: the codec must round-trip the OPEN this
-        // router sends (4-octet AS + add-paths both ways) before any
-        // UPDATE can legally flow. Failure is a codec bug — fail hard.
-        if spec.wire_mode.encodes() {
-            if let Err(e) = wire::open_roundtrip(spec.asn.0, id) {
-                obs::event!(Wire, Error, "wire.open_fail", node = id.0,
-                    "err" => format!("{e}"));
-                panic!("wire OPEN oracle failed at node {}: {e}", id.0);
-            }
-        }
+        check_open(&spec, id);
         let mut ch = Chassis::new(id, spec.clone());
         let border = BorderRole::new();
         let client = ClientRole::new(id, &spec);
@@ -657,6 +647,22 @@ impl BgpNode {
     }
 }
 
+/// The OPEN handshake oracle, run in bytes mode when a router is
+/// configured and whenever one of its sessions re-establishes: the
+/// codec must round-trip the OPEN this router sends (4-octet AS +
+/// add-paths both ways) before any UPDATE can legally flow.
+fn check_open(spec: &NetworkSpec, id: RouterId) {
+    if spec.wire_mode != netsim::WireMode::Bytes {
+        return;
+    }
+    if let Err(e) = wire::open_roundtrip(spec.asn.0, id) {
+        obs::event!(Wire, Error, "wire.open_fail", node = id.0, "err" => format!("{e}"));
+        // Invariant: the codec round-trips the OPEN every router sends;
+        // a failure is a codec bug to stop on.
+        panic!("wire OPEN oracle failed at node {}: {e}", id.0);
+    }
+}
+
 impl Protocol for BgpNode {
     type Msg = SessionMsg;
     type External = ExternalEvent;
@@ -665,9 +671,7 @@ impl Protocol for BgpNode {
         self.ch.counters.received += 1;
         // Byte-mode ingress: parse the session burst back into the
         // logical update before any protocol processing — a real
-        // speaker parses off the TCP stream as bytes arrive. A decode
-        // failure is a codec bug (we encoded these bytes ourselves):
-        // emit a structured obs event, then fail hard.
+        // speaker parses off the TCP stream as bytes arrive.
         let msg = match msg {
             SessionMsg::Struct(m) => m,
             SessionMsg::Wire(frame) => match wire::decode_frame(&frame) {
@@ -681,6 +685,9 @@ impl Protocol for BgpNode {
                 Err(e) => {
                     obs::event!(Wire, Error, "wire.decode_fail", node = self.ch.id.0,
                         "peer" => from.0, "err" => format!("{e}"));
+                    // Invariant: every burst was encoded by a router of
+                    // this run, so a decode failure is a codec bug to
+                    // stop on (a structured obs event first).
                     panic!(
                         "wire decode failed at node {} from {}: {e}",
                         self.ch.id.0, from.0
@@ -741,15 +748,8 @@ impl Protocol for BgpNode {
     }
 
     fn on_session_up(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId) {
-        // Re-establishment replays the OPEN handshake; with wire mode
-        // on, re-run the codec oracle before resyncing the table.
-        if self.ch.spec.wire_mode.encodes() {
-            if let Err(e) = wire::open_roundtrip(self.ch.spec.asn.0, self.ch.id) {
-                obs::event!(Wire, Error, "wire.open_fail", node = self.ch.id.0,
-                    "peer" => peer.0, "err" => format!("{e}"));
-                panic!("wire OPEN oracle failed at node {}: {e}", self.ch.id.0);
-            }
-        }
+        // Re-establishment replays the OPEN handshake.
+        check_open(&self.ch.spec, self.ch.id);
         // BGP re-advertises the full table on session establishment.
         self.ch.resync_peer(ctx, peer);
     }

@@ -8,13 +8,13 @@
 //! redistribute. Its eBGP Adj-RIB-In is a private [`PrefixTable`]:
 //! point lookups per event, range queries sorted by the table. Each
 //! prefix's routes are one flat `Vec`, sorted by session address and
-//! sized exactly.
+//! sized exactly. The locally-originated and sticky own-route prefix
+//! sets are [`PrefixTable`]s too, so every per-prefix table here is
+//! in the `core.store.index_bytes` gauge.
 
 use super::{AdvertiseEnv, Chassis, Role};
 use bgp_rib::{Candidate, HeapBytes, PrefixIndex};
-use bgp_types::{
-    intern, AddressRange, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixTable, RouteSource,
-};
+use bgp_types::{intern, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixTable, RouteSource};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ pub struct BorderRole {
     /// routes they advertise; used for export accounting).
     ebgp_sessions: BTreeSet<u32>,
     /// Locally-originated prefixes.
-    local_prefixes: BTreeSet<Ipv4Prefix>,
+    local_prefixes: PrefixTable<()>,
     /// Prefixes this node has *ever* originated or learned over eBGP
     /// (sticky). For these, the client role stores the full received
     /// path set instead of its reduced best: a reduced set could drop
@@ -56,7 +56,7 @@ pub struct BorderRole {
     /// silently diverging from full-mesh semantics. Pure control-plane
     /// nodes never hit this and keep the paper's §3.4 one-best-per-RR
     /// storage, which is what the Appendix A client accounting counts.
-    own_ever: BTreeSet<Ipv4Prefix>,
+    own_ever: PrefixTable<()>,
 }
 
 impl BorderRole {
@@ -64,20 +64,20 @@ impl BorderRole {
         BorderRole {
             ebgp_in: PrefixTable::new(),
             ebgp_sessions: BTreeSet::new(),
-            local_prefixes: BTreeSet::new(),
-            own_ever: BTreeSet::new(),
+            local_prefixes: PrefixTable::new(),
+            own_ever: PrefixTable::new(),
         }
     }
 
     /// Whether this router currently holds an eBGP or locally-originated
     /// route for `prefix` — i.e. whether it can act as the AS's exit.
     pub(crate) fn originates(&self, prefix: &Ipv4Prefix) -> bool {
-        self.local_prefixes.contains(prefix) || self.ebgp_in.get(prefix).is_some()
+        self.local_prefixes.get(prefix).is_some() || self.ebgp_in.get(prefix).is_some()
     }
 
     /// Whether `prefix` is in the sticky own-route set (see field docs).
     pub(crate) fn own_ever_contains(&self, prefix: &Ipv4Prefix) -> bool {
-        self.own_ever.contains(prefix)
+        self.own_ever.get(prefix).is_some()
     }
 
     /// eBGP Adj-RIB-In entries.
@@ -85,10 +85,10 @@ impl BorderRole {
         self.ebgp_in.values().map(Vec::len).sum()
     }
 
-    /// The configured local prefixes (cloned: callers re-originate while
-    /// mutating the node).
+    /// The configured local prefixes, in prefix order (cloned: callers
+    /// re-originate while mutating the node).
     pub(crate) fn local_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.local_prefixes.iter().copied().collect()
+        self.local_prefixes.iter().map(|(p, _)| p).collect()
     }
 
     /// eBGP announce: next-hop-self, scrub iBGP-internal attributes that
@@ -108,7 +108,7 @@ impl BorderRole {
         a.originator_id = None;
         a.cluster_list.clear();
         a.ext_communities.retain(|c| !c.is_abrr_reflected());
-        self.own_ever.insert(prefix);
+        self.own_ever.insert(prefix, ());
         self.ebgp_sessions.insert(peer_addr);
         let routes = self.ebgp_in.get_or_insert_with(prefix, Vec::new);
         let route = EbgpRoute {
@@ -153,17 +153,17 @@ impl BorderRole {
     /// changed.
     pub(crate) fn set_local(&mut self, prefix: Ipv4Prefix, announce: bool) -> bool {
         if announce {
-            self.own_ever.insert(prefix);
-            self.local_prefixes.insert(prefix)
+            self.own_ever.insert(prefix, ());
+            self.local_prefixes.insert(prefix, ()).is_none()
         } else {
-            self.local_prefixes.remove(&prefix)
+            self.local_prefixes.remove(&prefix).is_some()
         }
     }
 
     /// Contributes the exit candidates for `prefix`: the local route,
     /// then the eBGP routes in peer-address order.
     pub(crate) fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
-        if self.local_prefixes.contains(prefix) {
+        if self.local_prefixes.get(prefix).is_some() {
             cands.push(Candidate {
                 attrs: intern(PathAttributes::local(NextHop(ch.id.0))),
                 source: RouteSource::Local,
@@ -220,14 +220,13 @@ impl Role for BorderRole {
         range_start: u32,
         range_end: u32,
     ) -> Vec<Ipv4Prefix> {
-        let range = AddressRange::new(range_start, range_end);
-        let local = self
-            .local_prefixes
-            .iter()
-            .filter(|p| range.overlaps_prefix(p));
+        let local = self.local_prefixes.iter_overlapping(range_start, range_end);
         let ebgp = self.ebgp_in.iter_overlapping(range_start, range_end);
-        let known: BTreeSet<Ipv4Prefix> = ebgp.map(|(p, _)| p).chain(local.copied()).collect();
-        known.into_iter().collect()
+        let mut known: Vec<Ipv4Prefix> =
+            ebgp.map(|(p, _)| p).chain(local.map(|(p, _)| p)).collect();
+        known.sort_unstable();
+        known.dedup();
+        known
     }
 
     fn slots(&self) -> usize {
@@ -236,10 +235,13 @@ impl Role for BorderRole {
 
     fn heap_bytes(&self) -> HeapBytes {
         // The table holds each prefix's `Vec` header inline; the routes
-        // behind it are what the prefix owns.
+        // behind it are what the prefix owns. The two prefix sets own
+        // nothing beyond their buckets.
         let routes = self.ebgp_in.values().map(Vec::capacity).sum::<usize>();
         HeapBytes {
-            index: self.ebgp_in.heap_bytes(),
+            index: self.ebgp_in.heap_bytes()
+                + self.local_prefixes.heap_bytes()
+                + self.own_ever.heap_bytes(),
             paths: routes * size_of::<EbgpRoute>(),
             ..HeapBytes::default()
         }
@@ -290,5 +292,40 @@ mod tests {
         assert!(border.ebgp_withdraw(&mut ch, p, 30));
         assert!(!border.originates(&p));
         assert_eq!((border.slots(), border.heap_bytes().paths), (0, 0));
+        // The sticky set outlives the routes, and its buckets are index
+        // bytes beside the two other tables'.
+        assert!(border.own_ever_contains(&p));
+        assert!(border.own_ever.heap_bytes() > 0);
+        let tables = [&border.local_prefixes, &border.own_ever].map(|t| t.heap_bytes());
+        assert_eq!(
+            border.heap_bytes().index,
+            border.ebgp_in.heap_bytes() + tables[0] + tables[1]
+        );
+    }
+
+    /// Local prefixes and the prefixes known in a range come out in
+    /// prefix order, once each, however they were added.
+    #[test]
+    fn local_and_known_prefixes_come_sorted() {
+        let view = igp::PopTopologyBuilder::new(1, 1).build();
+        let spec = Arc::new(NetworkSpec::full_mesh(&view.topo, Asn(65000)));
+        let mut ch = Chassis::new(RouterId(1), spec);
+        let mut border = BorderRole::new();
+        let pfx = |s: &str| -> Ipv4Prefix { s.parse().unwrap() };
+        let [a, b, c] = [pfx("10.0.0.0/8"), pfx("10.1.0.0/16"), pfx("192.168.0.0/16")];
+        for p in [c, a, b] {
+            assert!(border.set_local(p, true));
+        }
+        assert!(!border.set_local(a, true), "already configured");
+        border.ebgp_announce(&mut ch, b, Asn(7), 7, ebgp(7, 0));
+        assert_eq!(border.local_prefixes(), [a, b, c]);
+        let index = PrefixIndex::new();
+        assert_eq!(border.known_prefixes_in(&index, 0, u32::MAX), [a, b, c]);
+        let ten = (a.first_addr(), a.last_addr());
+        assert_eq!(border.known_prefixes_in(&index, ten.0, ten.1), [a, b]);
+        assert!(border.set_local(c, false));
+        border.on_restart();
+        assert!(!border.own_ever_contains(&c) && border.own_ever_contains(&b));
+        assert_eq!(border.local_prefixes(), [a, b]);
     }
 }

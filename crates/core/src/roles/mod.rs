@@ -344,34 +344,6 @@ impl Chassis {
             "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix));
         match self.spec.wire_mode {
             netsim::WireMode::Off => ctx.send(peer, SessionMsg::Struct(msg)),
-            netsim::WireMode::Verify => {
-                // Continuous differential oracle: encode, decode,
-                // compare; deliver the original struct so behaviour is
-                // bit-identical to `Off` while every update still
-                // exercises the codec both ways.
-                match wire::verify_roundtrip(&msg) {
-                    Ok(frame) => {
-                        if let Some(h) = self.obs() {
-                            h.wire_encoded.inc();
-                            h.wire_images_encoded.inc();
-                        }
-                        obs::pcap::record(ctx.now(), self.id.0, peer.0, &frame.bytes);
-                        ctx.send(peer, SessionMsg::Struct(msg));
-                    }
-                    Err(e) => {
-                        obs::event!(Wire, Error, "wire.verify_fail", node = self.id.0,
-                            "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix),
-                            "err" => format!("{e}"));
-                        // Invariant: the codec round-trips every
-                        // update; verify mode exists to stop on one
-                        // that does not.
-                        panic!(
-                            "wire verify failed at node {} -> {}: {e}",
-                            self.id.0, peer.0
-                        );
-                    }
-                }
-            }
             netsim::WireMode::Bytes => {
                 let frame = self.image(peer, msg, images);
                 if let Some(h) = self.obs() {
@@ -399,8 +371,9 @@ impl Chassis {
             obs::event!(Wire, Error, "wire.encode_fail", node = self.id.0,
                 "peer" => peer.0, "prefix" => format!("{:?}", msg.prefix),
                 "err" => format!("{e}"));
-            // Invariant: every update the protocol builds is
-            // encodable; an encoder error is a bug to stop on.
+            // Invariant: every update the protocol builds encodes, at
+            // the length `wire_bytes` states; an encoder error is a
+            // bug to stop on.
             panic!(
                 "wire encode failed at node {} -> {}: {e}",
                 self.id.0, peer.0

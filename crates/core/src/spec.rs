@@ -156,9 +156,8 @@ pub struct NetworkSpec {
     /// Session latency model.
     pub latency: LatencyModel,
     /// Session transport (see [`netsim::WireMode`]): `Off` passes
-    /// in-memory structs, `Verify` encodes→decodes→compares every
-    /// UPDATE/OPEN at the session boundary as a continuous differential
-    /// codec oracle, `Bytes` carries RFC 4271 bytes end-to-end.
+    /// in-memory structs, `Bytes` carries RFC 4271 bytes end-to-end
+    /// (and round-trips each router's OPEN through the codec first).
     pub wire_mode: netsim::WireMode,
 }
 

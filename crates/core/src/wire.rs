@@ -1,13 +1,11 @@
 //! Session-boundary codec bridge: [`BgpMsg`] ⇄ RFC 4271 bytes.
 //!
-//! When [`netsim::WireMode`] is not `Off`, every iBGP update crosses
-//! this module at the sending router's egress (encode) and — in
-//! `Bytes` mode — at the receiving router's ingress (decode). In
-//! `Verify` mode the encode→decode→compare round trip runs at egress
-//! as a continuous differential oracle: the decoded struct must equal
-//! the canonical form of the sent struct, byte length must match the
-//! §4.2 accounting in [`BgpMsg::wire_bytes`], and any divergence is a
-//! structured obs event followed by a hard failure.
+//! In [`netsim::WireMode::Bytes`] every iBGP update crosses this
+//! module at the sending router's egress (encode) and at the receiving
+//! router's ingress (decode), and the receiver acts on what it decoded.
+//! The encoder checks each image's length against the §4.2 accounting
+//! in [`BgpMsg::wire_bytes`]; a run in bytes mode must match the same
+//! run with structs, which is the codec's end-to-end oracle.
 //!
 //! The encoding mirrors `BgpMsg::wire_bytes` exactly: a withdrawal is
 //! one UPDATE with a single withdrawn NLRI; an announcement is one
@@ -21,7 +19,7 @@
 //! stored path set the same way, so delivering the canonical form is
 //! behaviour-identical to delivering the original (see
 //! `RibInColumn::set_paths`, which every receiving role stores
-//! through), and the verify oracle compares against it.
+//! through).
 
 use crate::msg::{BgpMsg, WireFrame};
 use bgp_rib::PathSet;
@@ -29,19 +27,16 @@ use bgp_types::RouterId;
 use bgp_wire::{AddPathMode, CodecConfig, Message, OpenMessage, WireError};
 use std::sync::Arc;
 
-/// Why a received or round-tripped frame was rejected.
+/// Why a frame could not be encoded, or a received frame was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireFault {
     /// The codec itself failed (truncated, malformed, oversized…).
     Codec(WireError),
     /// Bytes parsed, but their meaning broke the session contract
     /// (wrong prefix, unexpected message type, withdraw mixed with
-    /// announce…).
-    Contract(&'static str),
-    /// Verify mode: decoded struct differs from the canonical sent
-    /// struct, or the encoded length disagrees with
+    /// announce…), or an image's length disagrees with
     /// [`BgpMsg::wire_bytes`].
-    Mismatch(&'static str),
+    Contract(&'static str),
 }
 
 impl std::fmt::Display for WireFault {
@@ -49,7 +44,6 @@ impl std::fmt::Display for WireFault {
         match self {
             WireFault::Codec(e) => write!(f, "codec error: {e}"),
             WireFault::Contract(m) => write!(f, "contract violation: {m}"),
-            WireFault::Mismatch(m) => write!(f, "verify mismatch: {m}"),
         }
     }
 }
@@ -68,13 +62,22 @@ pub fn session_codec() -> CodecConfig {
 
 /// Encodes one logical update into its wire image: the concatenated
 /// RFC 4271 UPDATE burst described in [`WireFrame`] — the UPDATEs
-/// [`BgpMsg::wire_bytes`] measures, encoded.
+/// [`BgpMsg::wire_bytes`] measures, encoded. The image must be as long
+/// as that accounting (the sum of the UPDATEs' `encoded_len`, which
+/// sizes the buffer); an encoder that writes another length is a
+/// contract fault.
 pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
     let cfg = session_codec();
     let updates = msg.updates(cfg.add_paths);
-    let mut out = Vec::with_capacity(updates.iter().map(|u| u.encoded_len(cfg)).sum());
+    let len = updates.iter().map(|u| u.encoded_len(cfg)).sum();
+    let mut out = Vec::with_capacity(len);
     for u in &updates {
         u.encode(&mut out, cfg)?;
+    }
+    if out.len() != len {
+        return Err(WireFault::Contract(
+            "encoded length != wire_bytes accounting",
+        ));
     }
     Ok(WireFrame {
         prefix: msg.prefix,
@@ -146,36 +149,6 @@ pub fn decode_frame(frame: &WireFrame) -> Result<BgpMsg, WireFault> {
     })
 }
 
-/// The canonical (path-id-sorted, deduplicated) form of a message —
-/// what [`decode_frame`] reconstructs and what receivers store.
-pub fn canonical(msg: &BgpMsg) -> BgpMsg {
-    BgpMsg {
-        prefix: msg.prefix,
-        paths: Arc::new(bgp_rib::normalize((*msg.paths).clone())),
-        plane: msg.plane,
-    }
-}
-
-/// `Verify` mode's differential oracle, run at egress on every update:
-/// encode, decode, compare against the canonical sent form, and check
-/// the byte length against the §4.2 accounting. Returns the frame so
-/// the caller can feed the pcap dump.
-pub fn verify_roundtrip(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
-    let frame = encode_frame(msg)?;
-    if frame.bytes.len() != msg.wire_bytes(true) {
-        return Err(WireFault::Mismatch(
-            "encoded length != wire_bytes accounting",
-        ));
-    }
-    let decoded = decode_frame(&frame)?;
-    if decoded != canonical(msg) {
-        return Err(WireFault::Mismatch(
-            "decoded struct != canonical sent struct",
-        ));
-    }
-    Ok(frame)
-}
-
 /// OPEN-message oracle, run once per session endpoint when wire mode
 /// is on: build the OPEN this router would send (4-octet AS + add-paths
 /// both directions), round-trip it through the codec, and check the
@@ -197,10 +170,10 @@ pub fn open_roundtrip(asn: u32, router: RouterId) -> Result<(), WireFault> {
         _ => return Err(WireFault::Contract("OPEN decoded as non-OPEN")),
     };
     if decoded != open {
-        return Err(WireFault::Mismatch("OPEN round-trip differs"));
+        return Err(WireFault::Contract("OPEN round-trip differs"));
     }
     if decoded.add_paths_mode() != Some(AddPathMode::Both) {
-        return Err(WireFault::Mismatch("add-paths capability lost in OPEN"));
+        return Err(WireFault::Contract("add-paths capability lost in OPEN"));
     }
     Ok(())
 }
@@ -220,6 +193,16 @@ mod tests {
             AsPath::sequence([Asn(seed)]),
             NextHop(seed),
         ))
+    }
+
+    /// The canonical (path-id-sorted, deduplicated) form of a message —
+    /// what [`decode_frame`] reconstructs and what receivers store.
+    fn canonical(msg: &BgpMsg) -> BgpMsg {
+        BgpMsg {
+            prefix: msg.prefix,
+            paths: Arc::new(bgp_rib::normalize((*msg.paths).clone())),
+            plane: msg.plane,
+        }
     }
 
     fn msg(paths: PathSet) -> BgpMsg {
@@ -250,14 +233,18 @@ mod tests {
     #[test]
     fn withdraw_roundtrip() {
         let m = BgpMsg::withdraw(pfx("10.0.0.0/8"), Plane::Tbrr);
-        let frame = verify_roundtrip(&m).unwrap();
+        let frame = encode_frame(&m).unwrap();
         let d = decode_frame(&frame).unwrap();
         assert!(d.is_withdraw());
         assert_eq!(d.plane, Plane::Tbrr);
     }
 
+    /// Every message shape decodes to the canonical form of what was
+    /// sent, at the length the §4.2 accounting states: one path, shared
+    /// and distinct attributes out of path-id order, a 16-path set, and
+    /// the withdrawal.
     #[test]
-    fn verify_accepts_every_shape() {
+    fn every_shape_round_trips_to_canonical() {
         let shared = attrs(1);
         for paths in [
             vec![(PathId(1), shared.clone())],
@@ -265,7 +252,10 @@ mod tests {
             (1..=16).map(|i| (PathId(i), attrs(i % 3))).collect(),
             Vec::new(),
         ] {
-            verify_roundtrip(&msg(paths)).unwrap();
+            let m = msg(paths);
+            let frame = encode_frame(&m).unwrap();
+            assert_eq!(frame.bytes.len(), m.wire_bytes(true));
+            assert_eq!(decode_frame(&frame).unwrap(), canonical(&m));
         }
     }
 

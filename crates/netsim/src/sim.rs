@@ -30,37 +30,30 @@ pub enum ExternalClass {
 ///
 /// The simulator itself is transport-agnostic — a [`Protocol`]'s `Msg`
 /// type can be an in-memory struct, an encoded byte frame, or a sum of
-/// both. This knob names the three session transports the BGP stack
+/// both. This knob names the two session transports the BGP stack
 /// supports, so specs, CLIs, and oracles share one vocabulary:
 ///
 /// * [`WireMode::Off`] — sessions carry in-memory structs (the
 ///   historical behavior; zero codec cost).
-/// * [`WireMode::Verify`] — every message is encoded to RFC 4271 bytes
-///   and decoded back *at the sender*; the decoded struct must equal
-///   the sent struct (a continuous differential codec oracle), then
-///   the original struct is delivered. Behavior is bit-identical to
-///   `Off` unless the codec is broken — in which case the run fails
-///   loudly instead of silently diverging from the wire format.
 /// * [`WireMode::Bytes`] — sessions carry encoded bytes end-to-end;
 ///   the receiver decodes them before processing, exactly as a real
-///   speaker parses its TCP stream.
+///   speaker parses its TCP stream. Behavior is bit-identical to `Off`
+///   unless the codec is broken, so a run in each mode is the codec's
+///   end-to-end oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WireMode {
     /// Sessions carry in-memory structs (no codec on the path).
     #[default]
     Off,
-    /// Encode→decode→compare at the sender, then deliver the struct.
-    Verify,
     /// Sessions carry encoded bytes end-to-end.
     Bytes,
 }
 
 impl WireMode {
-    /// Stable mode name (`"off"`, `"verify"`, `"bytes"`).
+    /// Stable mode name (`"off"`, `"bytes"`).
     pub fn name(self) -> &'static str {
         match self {
             WireMode::Off => "off",
-            WireMode::Verify => "verify",
             WireMode::Bytes => "bytes",
         }
     }
@@ -69,15 +62,9 @@ impl WireMode {
     pub fn parse(s: &str) -> Option<WireMode> {
         match s {
             "off" => Some(WireMode::Off),
-            "verify" | "encode-decode-verify" => Some(WireMode::Verify),
-            "bytes" | "bytes-only" => Some(WireMode::Bytes),
+            "bytes" => Some(WireMode::Bytes),
             _ => None,
         }
-    }
-
-    /// Whether messages get encoded at all in this mode.
-    pub fn encodes(self) -> bool {
-        self != WireMode::Off
     }
 }
 

@@ -15,10 +15,10 @@
 //!   the twin, so this asserts *post-recovery* equivalence: every
 //!   fault a scenario injects must be survivable for this oracle to
 //!   hold.
-//! * **wire** — encode-decode-verify wire mode (every session message
-//!   round-tripped through the BGP byte codec as a differential
-//!   oracle) produces identical outcomes, selections, and
-//!   byte-identical obs traces vs struct mode (DESIGN.md §14).
+//! * **wire** — bytes wire mode (every session message encoded to RFC
+//!   4271 bytes, and the receiver acting on what it decoded) produces
+//!   identical outcomes, selections, and byte-identical obs traces vs
+//!   struct mode (DESIGN.md §14).
 //! * **exits** — pinned (router, prefix) → exit expectations.
 //!
 //! Every run is [`netsim::Sim::run`]. The window engine is not an
@@ -331,11 +331,10 @@ fn run_traced(loaded: &Loaded, mode: &Mode, wire: WireMode) -> Result<(RunReport
 }
 
 /// The wire-mode differential oracle (DESIGN.md §14): running the
-/// scenario with every session message round-tripped through the BGP
-/// byte codec (encode-decode-verify mode) must change *nothing* —
-/// outcome, selections and the byte-identical obs trace. Codec bugs
-/// either hard-fail inside the verify round-trip or surface here as a
-/// diff.
+/// scenario with every session carrying RFC 4271 bytes, which each
+/// receiver decodes and acts on, must change *nothing* — outcome,
+/// selections and the byte-identical obs trace. Codec bugs either
+/// hard-fail at encode or decode or surface here as a diff.
 fn wire_invisible(
     loaded: &Loaded,
     mode: &Mode,
@@ -344,15 +343,15 @@ fn wire_invisible(
 ) -> Result<(), String> {
     let _guard = OBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let (structs, structs_trace) = run_traced(loaded, mode, WireMode::Off)?;
-    let (wire, wire_trace) = run_traced(loaded, mode, WireMode::Verify)?;
+    let (wire, wire_trace) = run_traced(loaded, mode, WireMode::Bytes)?;
     if structs.outcome != wire.outcome {
         return Err(format!(
-            "outcomes diverge: struct mode {:?} vs verify-wire mode {:?}",
+            "outcomes diverge: struct mode {:?} vs bytes-wire mode {:?}",
             structs.outcome, wire.outcome
         ));
     }
     if !audit::selections_equal(&structs.sim, &wire.sim, routers, prefixes) {
-        return Err("selections diverge between struct and verify-wire mode".to_string());
+        return Err("selections diverge between struct and bytes-wire mode".to_string());
     }
     if structs_trace != wire_trace {
         let first_diff = structs_trace
@@ -360,7 +359,7 @@ fn wire_invisible(
             .zip(wire_trace.lines())
             .position(|(x, y)| x != y);
         return Err(format!(
-            "obs traces diverge between struct and verify-wire mode \
+            "obs traces diverge between struct and bytes-wire mode \
              ({} vs {} events, first difference at line {first_diff:?})",
             structs_trace.lines().count(),
             wire_trace.lines().count()

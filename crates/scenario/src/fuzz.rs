@@ -5,7 +5,7 @@
 //! where an oracle trips — shrinks the scenario to a minimal gadget
 //! and writes it as a JSON corpus file, ready to be committed as a
 //! regression test. Every generated case declares the `wire` oracle,
-//! so each one also runs in encode-decode-verify wire mode and must be
+//! so each one also runs in bytes wire mode and must be
 //! byte-identical (selections and obs traces) to struct mode. A fixed
 //! `(seed, cases)` pair is fully deterministic, which is what the CI
 //! smoke stage pins.

@@ -172,7 +172,7 @@ pub fn generate(seed: u64) -> ScenarioFile {
         no_blackholes: true,
         matches_full_mesh: true,
         // Every generated case is also a wire-codec differential: the
-        // same run in encode-decode-verify mode must be byte-identical
+        // same run in bytes wire mode must be byte-identical
         // (selections and obs traces).
         wire: true,
         exits: Vec::new(),

@@ -413,8 +413,8 @@ record! {
         pub no_blackholes: bool = opt(false),
         /// Assert exits equal a fault-free full-mesh twin's.
         pub matches_full_mesh: bool = opt(false),
-        /// Assert encode-decode-verify wire mode (every session message
-        /// round-tripped through the BGP byte codec) is behaviorally
+        /// Assert bytes wire mode (every session message carried as RFC
+        /// 4271 bytes and decoded by its receiver) is behaviorally
         /// invisible: identical outcomes, selections, and byte-identical
         /// obs traces vs struct mode.
         pub wire: bool = opt(false),

@@ -1,8 +1,8 @@
 //! Fixed-seed fuzzer smoke: every generated scenario must pass the
 //! full oracle stack (the generator only emits recovery-guaranteed
 //! fault schedules, so ABRR has no excuse). Every generated case
-//! declares `wire`, so each one also compares struct mode with
-//! encode-decode-verify wire mode. One `#[test]` because that oracle
+//! declares `wire`, so each one also compares struct mode with bytes
+//! wire mode. One `#[test]` because that oracle
 //! captures the global obs trace stream.
 
 use scenario::fuzz;

@@ -108,7 +108,8 @@ echo "== audited files: every panic site states its invariant"
 AUDITED="crates/bgp-wire/src/*.rs crates/core/src/wire.rs crates/core/src/msg.rs
   crates/core/src/roles/trr.rs crates/core/src/roles/arr.rs crates/core/src/roles/mod.rs
   crates/workload/src/mrt.rs crates/bench/src/fingerprint.rs crates/obs/src/metrics.rs
-  crates/bgp-types/src/intern.rs crates/core/src/spec.rs"
+  crates/bgp-types/src/intern.rs crates/core/src/spec.rs crates/core/src/node.rs
+  crates/core/src/roles/border.rs crates/scenario/src/check.rs crates/bench/src/cli.rs"
 # shellcheck disable=SC2086 # $AUDITED is a list of files and globs
 UNSTATED=$(awk '
   FNR == 1 { done = 0; incomment = 0 }
@@ -150,12 +151,13 @@ echo "== cargo test --workspace -q"
 #   disabled obs path cannot drift golden results.
 # - observability unit tests (obs).
 # - wire mode (DESIGN.md §14): bgp-wire codec round-trip and corner-case
-#   proptests; bench/tests/wire_mode.rs (every golden scenario in
-#   encode-decode-verify and bytes-only modes reproduces struct mode's
-#   fingerprints and obs traces); update-group packing
-#   (core/tests/wire_fanout.rs, bench/tests/wire_packing.rs); the pcap
-#   golden (bench/tests/pcap_golden.rs); the MRT reader fixtures
-#   (workload/tests/mrt_fixtures.rs).
+#   proptests; core's wire unit tests (every message shape decodes to
+#   the canonical form of what was sent, at its wire_bytes length);
+#   bench/tests/wire_mode.rs (every golden scenario in bytes mode
+#   reproduces struct mode's fingerprints and obs traces); update-group
+#   packing (core/tests/wire_fanout.rs, bench/tests/wire_packing.rs);
+#   the pcap golden (bench/tests/pcap_golden.rs); the MRT reader
+#   fixtures (workload/tests/mrt_fixtures.rs).
 TEST_T0=$SECONDS
 cargo test --workspace -q
 echo "workspace tests: $((SECONDS - TEST_T0)) s wall"
@@ -227,8 +229,7 @@ echo "== scenario corpus + fixed-seed fuzz smoke"
 # Runs every gadget in examples/scenarios/ against its declared oracle
 # checks (xfail gadgets must be *caught*), then 25 generated scenarios
 # through the full oracle stack; every case's wire oracle re-runs the
-# case in encode-decode-verify wire mode, which must match struct mode
-# byte-for-byte.
+# case in bytes wire mode, which must match struct mode byte-for-byte.
 # Fixed seed: a failure here is a regression in the generator, the
 # simulator, or the auditors — never flake. Non-zero exit on any bad
 # verdict.
