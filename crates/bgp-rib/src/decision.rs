@@ -37,10 +37,10 @@ impl Default for DecisionConfig {
 pub struct Candidate {
     /// The route's path attributes (shared, cheap to clone).
     pub attrs: Arc<PathAttributes>,
-    /// Provenance: eBGP / iBGP / local (drives steps 5 and 8).
+    /// Provenance: eBGP / iBGP (drives steps 5 and 8).
     pub source: RouteSource,
     /// BGP Identifier of the advertising speaker, used in step 7 when no
-    /// ORIGINATOR_ID is present. For a local route, the router's own id.
+    /// ORIGINATOR_ID is present.
     pub neighbor_id: u32,
 }
 
@@ -64,7 +64,7 @@ impl Candidate {
     }
 
     /// The neighbouring AS for MED grouping: the leftmost AS of AS_PATH.
-    /// `None` for locally-originated routes (empty path), which are
+    /// `None` for an empty path ([`PathAttributes::local`]), which is
     /// never MED-compared against anything.
     pub fn med_group(&self) -> Option<Asn> {
         self.route().med_group()
@@ -76,16 +76,9 @@ impl Candidate {
         self.route().effective_router_id()
     }
 
-    /// Peer address for step 8. Local routes use the router's own id
-    /// (they are in practice selected long before this step).
+    /// Peer address for step 8.
     pub fn peer_addr(&self) -> u32 {
         self.route().peer_addr()
-    }
-
-    /// Whether step 5 treats this as eBGP-learned. Locally-originated
-    /// routes rank with eBGP (they never lose step 5 to an iBGP route).
-    pub fn ranks_as_ebgp(&self) -> bool {
-        self.source.is_other_learned()
     }
 }
 
@@ -98,7 +91,7 @@ impl Candidate {
 pub struct RouteRef<'a> {
     /// The route's path attributes.
     pub attrs: &'a Arc<PathAttributes>,
-    /// Provenance: eBGP / iBGP / local (drives steps 5 and 8).
+    /// Provenance: eBGP / iBGP (drives steps 5 and 8).
     pub source: RouteSource,
     /// BGP Identifier of the advertising speaker (see
     /// [`Candidate::neighbor_id`]).
@@ -130,7 +123,6 @@ impl<'a> RouteRef<'a> {
         match self.source {
             RouteSource::Ebgp { peer_addr, .. } => peer_addr,
             RouteSource::Ibgp { peer } => peer.0,
-            RouteSource::Local => self.neighbor_id,
         }
     }
 }
@@ -180,7 +172,7 @@ struct Key<'a> {
     /// in an unwritten buffer slot).
     as_path: Option<&'a AsPath>,
     /// The neighbouring AS whose MEDs this one is comparable with
-    /// (`None` for a local route), filled in by step 4 only when MEDs
+    /// (`None` for an empty path), filled in by step 4 only when MEDs
     /// differ: the leftmost AS is one more pointer away than anything
     /// else the decision reads.
     med_group: Option<Asn>,
@@ -284,7 +276,7 @@ fn as_level_steps<'k, 'a>(keys: &'k mut [Key<'a>], cfg: &DecisionConfig) -> &'k 
         MedMode::SameNeighborAs => {
             // Deterministic-MED style: within each neighbour-AS group
             // only routes tying for the group's lowest MED survive
-            // (local routes, which have no group, are never
+            // (empty paths, which have no group, are never
             // MED-eliminated). Equal MEDs eliminate nothing, whatever
             // the groups, so the groups are looked up only when MEDs
             // differ. Each group is then settled the first time one of
@@ -593,7 +585,10 @@ mod tests {
     fn local_route_never_med_eliminated() {
         let local = Candidate {
             attrs: Arc::new(PathAttributes::local(NextHop(1)).with_med(1000)),
-            source: RouteSource::Local,
+            source: RouteSource::Ebgp {
+                peer_as: Asn(1),
+                peer_addr: 1,
+            },
             neighbor_id: 1,
         };
         let e = {

@@ -449,14 +449,6 @@ impl AdjRibOut {
         g.members = members.into();
     }
 
-    /// Adds a member to a group (e.g. a late-joining client).
-    pub fn add_member(&mut self, group: u32, member: RouterId) {
-        let g = self.groups.entry(group).or_default();
-        if !g.members.contains(&member) {
-            g.members = g.members.iter().copied().chain([member]).collect();
-        }
-    }
-
     /// Members of a group.
     pub fn members(&self, group: u32) -> &[RouterId] {
         self.groups.get(&group).map_or(&[], |g| &g.members)
@@ -828,9 +820,7 @@ mod tests {
     #[test]
     fn rib_out_group_membership() {
         let mut out = AdjRibOut::new();
-        out.define_group(0, vec![RouterId(1)]);
-        out.add_member(0, RouterId(2));
-        out.add_member(0, RouterId(2));
+        out.define_group(0, vec![RouterId(1), RouterId(2)]);
         assert_eq!(out.members(0), &[RouterId(1), RouterId(2)]);
         assert!(out.members(9).is_empty());
     }

@@ -15,7 +15,7 @@ fn arb_candidate(index: u32) -> impl Strategy<Value = Candidate> {
         1u32..6,                              // next hop (small => IGP ties)
         prop::option::of(0u32..4),            // med
         prop::option::of(prop::sample::select(vec![90u32, 100, 110])), // local pref
-        0u8..3,                               // source kind
+        0u8..2,                               // source kind
     )
         .prop_map(move |(origin, asns, nh, med, lp, kind)| {
             // Session addresses are unique in reality; derive the id
@@ -32,13 +32,10 @@ fn arb_candidate(index: u32) -> impl Strategy<Value = Candidate> {
                     peer_as: Asn(attrs.as_path.first_as().map(|a| a.0).unwrap_or(1)),
                     peer_addr: nid,
                 },
-                1 => RouteSource::Ibgp {
+                _ => RouteSource::Ibgp {
                     peer: RouterId(nid),
                 },
-                _ => RouteSource::Local,
             };
-            // Local routes carry an empty path in practice; keep the
-            // generated one (the decision must not assume otherwise).
             Candidate {
                 attrs: Arc::new(attrs),
                 source,

@@ -125,8 +125,9 @@ mod reference {
         as_level_steps_1_to_3(cands, &mut survivors);
         med_step(cands, &mut survivors, cfg.med);
         // Step 5: eBGP-learned over iBGP-learned.
-        if survivors.iter().any(|&i| cands[i].ranks_as_ebgp()) {
-            survivors.retain(|&i| cands[i].ranks_as_ebgp());
+        let ebgp = |&i: &usize| matches!(cands[i].source, RouteSource::Ebgp { .. });
+        if survivors.iter().any(ebgp) {
+            survivors.retain(ebgp);
         }
         // Step 6: lowest IGP metric to next hop.
         let best_metric = survivors
@@ -166,7 +167,7 @@ fn arb_candidate() -> impl Strategy<Value = Candidate> {
             prop::option::of(prop::sample::select(vec![100u32, 110])),
         ),
         (
-            0u8..3,                    // source kind
+            0u8..2,                    // source kind
             1u32..5,                   // neighbour id: repeats, so step 8 can tie
             prop::option::of(1u32..4), // ORIGINATOR_ID
             0usize..3,                 // CLUSTER_LIST length
@@ -186,10 +187,9 @@ fn arb_candidate() -> impl Strategy<Value = Candidate> {
                         peer_as: Asn(attrs.as_path.first_as().map_or(1, |a| a.0)),
                         peer_addr: 10 + nid,
                     },
-                    1 => RouteSource::Ibgp {
+                    _ => RouteSource::Ibgp {
                         peer: RouterId(nid),
                     },
-                    _ => RouteSource::Local,
                 };
                 Candidate {
                     attrs: Arc::new(attrs),

@@ -104,11 +104,14 @@ fn batch_reuse_across_loads_is_clean() {
 
 #[test]
 fn local_routes_survive_med_in_batch() {
-    // Locally-originated routes have no MED group and must never be
+    // A route with an empty path has no MED group and must never be
     // MED-eliminated — mirror of the scalar-path test.
     let local = Candidate {
         attrs: Arc::new(PathAttributes::local(NextHop(1)).with_med(1000)),
-        source: RouteSource::Local,
+        source: RouteSource::Ebgp {
+            peer_as: Asn(1),
+            peer_addr: 1,
+        },
         neighbor_id: 1,
     };
     let mut attrs = PathAttributes::ebgp(AsPath::empty(), NextHop(2));

@@ -228,11 +228,6 @@ impl AddressRange {
         p.first_addr() <= self.end && p.last_addr() >= self.start
     }
 
-    /// Whether the prefix is fully contained in the range.
-    pub fn contains_prefix(&self, p: &Ipv4Prefix) -> bool {
-        self.start <= p.first_addr() && p.last_addr() <= self.end
-    }
-
     /// Splits the full address space into `n` equal-size ranges (the
     /// "uniform address ranges" configuration of paper §4).
     pub fn split_uniform(n: usize) -> Vec<AddressRange> {
@@ -362,9 +357,7 @@ mod tests {
         let inside: Ipv4Prefix = "10.1.0.0/16".parse().unwrap();
         let outside: Ipv4Prefix = "11.0.0.0/16".parse().unwrap();
         let spanning: Ipv4Prefix = "10.0.0.0/7".parse().unwrap();
-        assert!(r.contains_prefix(&inside));
-        assert!(!r.contains_prefix(&outside));
-        assert!(!r.contains_prefix(&spanning));
+        assert!(r.overlaps_prefix(&inside));
         assert!(r.overlaps_prefix(&spanning));
         assert!(!r.overlaps_prefix(&outside));
     }

@@ -167,14 +167,12 @@ pub enum RouteSource {
         /// The iBGP peer the route arrived from.
         peer: RouterId,
     },
-    /// Locally originated (static / network statement).
-    Local,
 }
 
 impl RouteSource {
-    /// True when the route is eBGP-learned or locally originated — what
-    /// the paper calls an "other-learned" route (§2.2); only such routes
-    /// may be advertised into iBGP.
+    /// True when the route is eBGP-learned — what the paper calls an
+    /// "other-learned" route (§2.2); only such routes may be advertised
+    /// into iBGP.
     pub fn is_other_learned(&self) -> bool {
         !matches!(self, RouteSource::Ibgp { .. })
     }
@@ -218,7 +216,6 @@ mod tests {
 
     #[test]
     fn other_learned_classification() {
-        assert!(RouteSource::Local.is_other_learned());
         assert!(RouteSource::Ebgp {
             peer_as: Asn(1),
             peer_addr: 9

@@ -53,11 +53,6 @@ impl BgpMsg {
         }
     }
 
-    /// Whether this is a withdrawal.
-    pub fn is_withdraw(&self) -> bool {
-        self.paths.is_empty()
-    }
-
     /// Size of this logical update on the wire, in bytes, for the
     /// paper's §4.2 bandwidth accounting.
     ///
@@ -207,13 +202,6 @@ pub enum ExternalEvent {
         /// eBGP session address.
         peer_addr: u32,
     },
-    /// Originate (or stop originating) `prefix` locally.
-    Local {
-        /// The prefix.
-        prefix: Ipv4Prefix,
-        /// True to originate, false to stop.
-        announce: bool,
-    },
     /// Transition (§2.4): start accepting ABRR routes for this AP
     /// (while still accepting TBRR routes for APs not yet cut over).
     CutoverAp(ApId),
@@ -250,7 +238,7 @@ mod tests {
     #[test]
     fn withdraw_roundtrip_flag() {
         let m = BgpMsg::withdraw(pfx("10.0.0.0/8"), Plane::Abrr);
-        assert!(m.is_withdraw());
+        assert!(m.paths.is_empty());
         assert!(m.wire_bytes(true) >= bgp_wire::HEADER_LEN + 4);
     }
 

@@ -124,7 +124,7 @@ enum InputKind {
 pub struct BgpNode {
     /// Shared infrastructure: spec, RIB-Out, Loc-RIB, counters, MRAI.
     ch: Chassis,
-    /// eBGP ingestion, local origination, own-route stickiness.
+    /// eBGP ingestion, own-route stickiness.
     border: BorderRole,
     /// Per-plane client Adj-RIB-Ins + §3.4 storage policy.
     client: ClientRole,
@@ -208,10 +208,9 @@ impl BgpNode {
         !self.trr.clusters().is_empty()
     }
 
-    /// Whether this node currently holds an eBGP or locally-originated
-    /// route for `prefix` — i.e. whether it can act as the AS's exit
-    /// for it (resilience auditors use this as ground-truth
-    /// reachability).
+    /// Whether this node currently holds an eBGP route for `prefix` —
+    /// i.e. whether it can act as the AS's exit for it (resilience
+    /// auditors use this as ground-truth reachability).
     pub fn originates(&self, prefix: &Ipv4Prefix) -> bool {
         self.border.originates(prefix)
     }
@@ -240,11 +239,6 @@ impl BgpNode {
     /// Iterates all selections.
     pub fn selections(&self) -> impl Iterator<Item = (&Ipv4Prefix, &Selected)> {
         self.ch.loc_rib.iter(&self.ch.index)
-    }
-
-    /// Longest-prefix match against the Loc-RIB (data-plane lookup).
-    pub fn fib_lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &Selected)> {
-        self.ch.loc_rib.lookup(&self.ch.index, addr)
     }
 
     /// Number of selected prefixes.
@@ -457,7 +451,7 @@ impl BgpNode {
         // ARR managed view, TRR table. Order reaches tie-breaking. Only
         // the exits are collected; the rest are decided where they lie.
         let mut exits = std::mem::take(&mut self.exits);
-        self.border.reselect(&self.ch, &prefix, &mut exits);
+        self.border.reselect(&prefix, &mut exits);
         let routes = exits
             .iter()
             .map(Candidate::route)
@@ -723,11 +717,6 @@ impl Protocol for BgpNode {
                     self.recompute_prefix(ctx, prefix);
                 }
             }
-            ExternalEvent::Local { prefix, announce } => {
-                if self.border.set_local(prefix, announce) {
-                    self.recompute_prefix(ctx, prefix);
-                }
-            }
             ExternalEvent::ReassignAp { ap, arrs } => {
                 self.reassign_ap(ctx, ap, arrs);
             }
@@ -754,9 +743,9 @@ impl Protocol for BgpNode {
         self.ch.resync_peer(ctx, peer);
     }
 
-    fn on_restart(&mut self, ctx: &mut Ctx<SessionMsg>) {
+    fn on_restart(&mut self, _ctx: &mut Ctx<SessionMsg>) {
         // Crash-restart with RIB loss: configuration (roles, peer
-        // groups, locally-originated prefixes, AP reassignments)
+        // groups, AP reassignments)
         // survives; everything learned at runtime is gone. Counters are
         // cumulative device statistics and deliberately survive too.
         // The prefix index goes with the columns over it (`ch` and the
@@ -770,12 +759,6 @@ impl Protocol for BgpNode {
         self.trr.on_restart();
         self.ch.on_restart();
         self.inbox.clear();
-        // Re-originate configured prefixes; sends before the sessions
-        // come back are dropped by the simulator, but the Adj-RIB-Out
-        // fills so re-established sessions resync from it.
-        for p in self.border.local_prefixes() {
-            self.recompute_prefix(ctx, p);
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<SessionMsg>, token: u64) {
@@ -811,8 +794,7 @@ impl Protocol for BgpNode {
             // Prefix-plane: the handler touches exactly one prefix's
             // state, so it batches freely inside a sharded window.
             ExternalEvent::EbgpAnnounce { prefix, .. }
-            | ExternalEvent::EbgpWithdraw { prefix, .. }
-            | ExternalEvent::Local { prefix, .. } => netsim::ExternalClass::Prefix {
+            | ExternalEvent::EbgpWithdraw { prefix, .. } => netsim::ExternalClass::Prefix {
                 shard_hint: self.shard_hint(prefix),
             },
             // Session-plane: a reassignment rewrites peer groups and the

@@ -1,16 +1,15 @@
-//! Border role: eBGP ingestion, local origination, and own-route
-//! stickiness.
+//! Border role: eBGP ingestion and own-route stickiness.
 //!
-//! This role has no iBGP plane of its own — its inputs are operator and
-//! eBGP events delivered by the shell — but it seeds every other role's
-//! view: the exit candidates (local + eBGP routes) it contributes via
+//! This role has no iBGP plane of its own — its inputs are the eBGP
+//! events delivered by the shell — but it seeds every other role's
+//! view: the exit candidates (eBGP routes) it contributes via
 //! `BorderRole::reselect` are what the client, ARR, and TRR functions
 //! redistribute. Its eBGP Adj-RIB-In is a private [`PrefixTable`]:
 //! point lookups per event, range queries sorted by the table. Each
 //! prefix's routes are one flat `Vec`, sorted by session address and
-//! sized exactly. The locally-originated and sticky own-route prefix
-//! sets are [`PrefixTable`]s too, so every per-prefix table here is
-//! in the `core.store.index_bytes` gauge.
+//! sized exactly. The sticky own-route prefix set is a
+//! [`PrefixTable`] too, so every per-prefix table here is in the
+//! `core.store.index_bytes` gauge.
 
 use super::{AdvertiseEnv, Chassis, Role};
 use bgp_rib::{Candidate, HeapBytes, PrefixIndex};
@@ -28,9 +27,8 @@ struct EbgpRoute {
 }
 
 /// The border function of a router (paper Table 1, "Client ↔ eBGP
-/// Neighbor" rows): eBGP Adj-RIB-In, locally-originated prefixes, and
-/// the sticky own-route set the client role's §3.4 storage policy
-/// consults.
+/// Neighbor" rows): eBGP Adj-RIB-In and the sticky own-route set the
+/// client role's §3.4 storage policy consults.
 pub struct BorderRole {
     /// eBGP Adj-RIB-In: prefix → its routes. The outer table is a
     /// private hashed table holding each prefix's `Vec` header in its
@@ -47,11 +45,9 @@ pub struct BorderRole {
     /// Distinct eBGP session addresses ever seen (sessions outlive the
     /// routes they advertise; used for export accounting).
     ebgp_sessions: BTreeSet<u32>,
-    /// Locally-originated prefixes.
-    local_prefixes: PrefixTable<()>,
-    /// Prefixes this node has *ever* originated or learned over eBGP
-    /// (sticky). For these, the client role stores the full received
-    /// path set instead of its reduced best: a reduced set could drop
+    /// Prefixes this node has *ever* learned over eBGP (sticky). For
+    /// these, the client role stores the full received path set
+    /// instead of its reduced best: a reduced set could drop
     /// exactly the route that MED-eliminates one of our own routes,
     /// silently diverging from full-mesh semantics. Pure control-plane
     /// nodes never hit this and keep the paper's §3.4 one-best-per-RR
@@ -64,15 +60,14 @@ impl BorderRole {
         BorderRole {
             ebgp_in: PrefixTable::new(),
             ebgp_sessions: BTreeSet::new(),
-            local_prefixes: PrefixTable::new(),
             own_ever: PrefixTable::new(),
         }
     }
 
-    /// Whether this router currently holds an eBGP or locally-originated
-    /// route for `prefix` — i.e. whether it can act as the AS's exit.
+    /// Whether this router currently holds an eBGP route for `prefix` —
+    /// i.e. whether it can act as the AS's exit.
     pub(crate) fn originates(&self, prefix: &Ipv4Prefix) -> bool {
-        self.local_prefixes.get(prefix).is_some() || self.ebgp_in.get(prefix).is_some()
+        self.ebgp_in.get(prefix).is_some()
     }
 
     /// Whether `prefix` is in the sticky own-route set (see field docs).
@@ -83,12 +78,6 @@ impl BorderRole {
     /// eBGP Adj-RIB-In entries.
     pub(crate) fn ebgp_entries(&self) -> usize {
         self.ebgp_in.values().map(Vec::len).sum()
-    }
-
-    /// The configured local prefixes, in prefix order (cloned: callers
-    /// re-originate while mutating the node).
-    pub(crate) fn local_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.local_prefixes.iter().map(|(p, _)| p).collect()
     }
 
     /// eBGP announce: next-hop-self, scrub iBGP-internal attributes that
@@ -149,27 +138,9 @@ impl BorderRole {
         true
     }
 
-    /// Local origination toggle. Returns whether the configured set
-    /// changed.
-    pub(crate) fn set_local(&mut self, prefix: Ipv4Prefix, announce: bool) -> bool {
-        if announce {
-            self.own_ever.insert(prefix, ());
-            self.local_prefixes.insert(prefix, ()).is_none()
-        } else {
-            self.local_prefixes.remove(&prefix).is_some()
-        }
-    }
-
-    /// Contributes the exit candidates for `prefix`: the local route,
-    /// then the eBGP routes in peer-address order.
-    pub(crate) fn reselect(&self, ch: &Chassis, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
-        if self.local_prefixes.get(prefix).is_some() {
-            cands.push(Candidate {
-                attrs: intern(PathAttributes::local(NextHop(ch.id.0))),
-                source: RouteSource::Local,
-                neighbor_id: ch.id.0,
-            });
-        }
+    /// Contributes the exit candidates for `prefix`: the eBGP routes in
+    /// peer-address order.
+    pub(crate) fn reselect(&self, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
         for r in self.ebgp_in.get(prefix).into_iter().flatten() {
             cands.push(Candidate {
                 attrs: r.attrs.clone(),
@@ -200,12 +171,12 @@ impl BorderRole {
         }
     }
 
-    /// Crash-restart: eBGP-learned state is runtime; the configured
-    /// local prefixes survive, and stickiness resets to exactly them.
+    /// Crash-restart: eBGP-learned state is runtime, and stickiness
+    /// resets with it.
     pub(crate) fn on_restart(&mut self) {
         self.ebgp_in.clear();
         self.ebgp_sessions.clear();
-        self.own_ever = self.local_prefixes.clone();
+        self.own_ever = PrefixTable::new();
     }
 }
 
@@ -220,13 +191,10 @@ impl Role for BorderRole {
         range_start: u32,
         range_end: u32,
     ) -> Vec<Ipv4Prefix> {
-        let local = self.local_prefixes.iter_overlapping(range_start, range_end);
-        let ebgp = self.ebgp_in.iter_overlapping(range_start, range_end);
-        let mut known: Vec<Ipv4Prefix> =
-            ebgp.map(|(p, _)| p).chain(local.map(|(p, _)| p)).collect();
-        known.sort_unstable();
-        known.dedup();
-        known
+        self.ebgp_in
+            .iter_overlapping(range_start, range_end)
+            .map(|(p, _)| p)
+            .collect()
     }
 
     fn slots(&self) -> usize {
@@ -235,13 +203,11 @@ impl Role for BorderRole {
 
     fn heap_bytes(&self) -> HeapBytes {
         // The table holds each prefix's `Vec` header inline; the routes
-        // behind it are what the prefix owns. The two prefix sets own
-        // nothing beyond their buckets.
+        // behind it are what the prefix owns. The sticky set owns
+        // nothing beyond its buckets.
         let routes = self.ebgp_in.values().map(Vec::capacity).sum::<usize>();
         HeapBytes {
-            index: self.ebgp_in.heap_bytes()
-                + self.local_prefixes.heap_bytes()
-                + self.own_ever.heap_bytes(),
+            index: self.ebgp_in.heap_bytes() + self.own_ever.heap_bytes(),
             paths: routes * size_of::<EbgpRoute>(),
             ..HeapBytes::default()
         }
@@ -275,7 +241,7 @@ mod tests {
         // Session 20 re-announces with other attributes: a replacement.
         border.ebgp_announce(&mut ch, p, Asn(20), 20, ebgp(20, 5));
         let mut cands = Vec::new();
-        border.reselect(&ch, &p, &mut cands);
+        border.reselect(&p, &mut cands);
         let sources: Vec<_> = cands.iter().map(|c| (c.neighbor_id, c.source)).collect();
         let ebgp_from = |addr: u32| RouteSource::Ebgp {
             peer_as: Asn(addr),
@@ -293,39 +259,37 @@ mod tests {
         assert!(!border.originates(&p));
         assert_eq!((border.slots(), border.heap_bytes().paths), (0, 0));
         // The sticky set outlives the routes, and its buckets are index
-        // bytes beside the two other tables'.
+        // bytes beside the eBGP table's.
         assert!(border.own_ever_contains(&p));
         assert!(border.own_ever.heap_bytes() > 0);
-        let tables = [&border.local_prefixes, &border.own_ever].map(|t| t.heap_bytes());
         assert_eq!(
             border.heap_bytes().index,
-            border.ebgp_in.heap_bytes() + tables[0] + tables[1]
+            border.ebgp_in.heap_bytes() + border.own_ever.heap_bytes()
         );
     }
 
-    /// Local prefixes and the prefixes known in a range come out in
-    /// prefix order, once each, however they were added.
+    /// The prefixes known in a range come out in prefix order, once
+    /// each however many sessions announce them, and a restart clears
+    /// them and their stickiness.
     #[test]
-    fn local_and_known_prefixes_come_sorted() {
+    fn known_prefixes_come_sorted_and_once() {
         let view = igp::PopTopologyBuilder::new(1, 1).build();
         let spec = Arc::new(NetworkSpec::full_mesh(&view.topo, Asn(65000)));
         let mut ch = Chassis::new(RouterId(1), spec);
         let mut border = BorderRole::new();
         let pfx = |s: &str| -> Ipv4Prefix { s.parse().unwrap() };
         let [a, b, c] = [pfx("10.0.0.0/8"), pfx("10.1.0.0/16"), pfx("192.168.0.0/16")];
-        for p in [c, a, b] {
-            assert!(border.set_local(p, true));
+        for (p, addr) in [(c, 7), (a, 7), (b, 7), (b, 9), (a, 9)] {
+            border.ebgp_announce(&mut ch, p, Asn(addr), addr, ebgp(addr, 0));
         }
-        assert!(!border.set_local(a, true), "already configured");
-        border.ebgp_announce(&mut ch, b, Asn(7), 7, ebgp(7, 0));
-        assert_eq!(border.local_prefixes(), [a, b, c]);
         let index = PrefixIndex::new();
         assert_eq!(border.known_prefixes_in(&index, 0, u32::MAX), [a, b, c]);
         let ten = (a.first_addr(), a.last_addr());
         assert_eq!(border.known_prefixes_in(&index, ten.0, ten.1), [a, b]);
-        assert!(border.set_local(c, false));
+        assert!(border.ebgp_withdraw(&mut ch, c, 7));
+        assert!(border.own_ever_contains(&c), "sticky after the withdraw");
         border.on_restart();
-        assert!(!border.own_ever_contains(&c) && border.own_ever_contains(&b));
-        assert_eq!(border.local_prefixes(), [a, b]);
+        assert!(border.known_prefixes_in(&index, 0, u32::MAX).is_empty());
+        assert!([a, b, c].iter().all(|p| !border.own_ever_contains(p)));
     }
 }

@@ -488,8 +488,8 @@ pub struct Rx {
     /// other receiver of the fan-out that sent it: roles read it and
     /// copy only what they store.
     pub(crate) paths: Arc<PathSet>,
-    /// Whether this router has *ever* originated `prefix` or learned it
-    /// over eBGP (border-role stickiness). The client role stores the
+    /// Whether this router has *ever* learned `prefix` over eBGP
+    /// (border-role stickiness). The client role stores the
     /// full received set for such prefixes instead of its reduced best
     /// — a reduced set could drop exactly the route that MED-eliminates
     /// one of our own routes (see [`ClientRole`]).

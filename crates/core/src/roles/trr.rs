@@ -104,7 +104,7 @@ impl TrrRole {
         let my_clients = ch.out.members_shared(group::TRR_TO_CLIENTS);
         let from_client_side = |r: &RouteRef| match r.source {
             RouteSource::Ibgp { peer } => my_clients.contains(&peer),
-            RouteSource::Ebgp { .. } | RouteSource::Local => true,
+            RouteSource::Ebgp { .. } => true,
         };
         if ch.spec.mode.tbrr_multipath() {
             // Multi-path TBRR (Appendix A.3): all best AS-level routes

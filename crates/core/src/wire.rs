@@ -235,7 +235,7 @@ mod tests {
         let m = BgpMsg::withdraw(pfx("10.0.0.0/8"), Plane::Tbrr);
         let frame = encode_frame(&m).unwrap();
         let d = decode_frame(&frame).unwrap();
-        assert!(d.is_withdraw());
+        assert!(d.paths.is_empty());
         assert_eq!(d.plane, Plane::Tbrr);
     }
 

@@ -400,26 +400,3 @@ fn ebgp_ingress_scrubs_internal_attributes() {
     assert!(sel.attrs.cluster_list.is_empty());
     assert_eq!(sel.attrs.next_hop, NextHop(3), "next-hop-self applied");
 }
-
-#[test]
-fn local_origination_propagates() {
-    let (_spec, mut sim) = abrr_net();
-    let p = pfx("192.168.0.0/16"); // second half: AP1, ARR = router 2
-    sim.schedule_external(
-        0,
-        RouterId(4),
-        ExternalEvent::Local {
-            prefix: p,
-            announce: true,
-        },
-    );
-    assert!(sim.run_to_quiescence().quiesced);
-    assert_eq!(sim.node(RouterId(2)).arr_in_entries(), 1);
-    for r in [1u32, 2, 3] {
-        assert_eq!(
-            sim.node(RouterId(r)).selected(&p).unwrap().exit_router(),
-            RouterId(4),
-            "router {r}"
-        );
-    }
-}

@@ -263,7 +263,7 @@ fn suppressed_member() {
         assert!(Arc::ptr_eq(&only(*to).bytes, &reflected.bytes));
     }
     let back = only(r[1]);
-    assert!(wire::decode_frame(back).unwrap().is_withdraw());
+    assert!(wire::decode_frame(back).unwrap().paths.is_empty());
     let withdrawal = BgpMsg::withdraw(p, abrr::msg::Plane::Tbrr);
     assert_eq!(back.bytes, wire::encode_frame(&withdrawal).unwrap().bytes);
 

@@ -7,10 +7,9 @@
 //! forwarding intact while sessions to the survivor carry on. This
 //! crate makes that claim testable:
 //!
-//! * [`schedule`] — [`FaultSchedule`]: seeded, replayable
-//!   descriptions of failures (session flaps, link loss, router
-//!   crash-restart with RIB loss, permanent ARR failure, runtime AP
-//!   reassignment).
+//! * [`schedule`] — [`FaultSchedule`]: replayable descriptions of
+//!   failures (session flaps, link loss, router crash-restart with RIB
+//!   loss, permanent ARR failure, runtime AP reassignment).
 //! * [`compile`](compile()) — turns a schedule into pre-scheduled
 //!   `netsim` events, so fault runs are exactly as deterministic as
 //!   fault-free ones.
@@ -34,4 +33,4 @@ pub mod schedule;
 
 pub use compile::{compile, CompileError};
 pub use resilience::ResilienceProbe;
-pub use schedule::{Fault, FaultKind, FaultSchedule, RandomFaultConfig};
+pub use schedule::{Fault, FaultKind, FaultSchedule};

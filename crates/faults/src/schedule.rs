@@ -1,8 +1,8 @@
-//! Fault schedules: declarative, seeded descriptions of *what goes
+//! Fault schedules: declarative descriptions of *what goes
 //! wrong and when* in a simulated AS.
 //!
-//! A [`FaultSchedule`] is plain data — it can be generated randomly
-//! from a seed or pushed by hand, and compiled onto any simulator with
+//! A [`FaultSchedule`] is plain data — faults pushed by hand or read
+//! from a scenario file — compiled onto any simulator with
 //! [`crate::compile()`]. Its one JSON spelling is the scenario format's
 //! fault record (`scenario::schema`). Replaying the same schedule on
 //! the same deterministic simulator reproduces the same run event for
@@ -11,8 +11,6 @@
 
 use bgp_types::{ApId, RouterId};
 use netsim::Time;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One kind of injected failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,38 +87,11 @@ pub struct Fault {
 /// A complete, replayable fault scenario.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultSchedule {
-    /// Seed this schedule was generated from (0 for hand-written
-    /// schedules); recorded so experiment output can cite it.
+    /// Seed of the run this schedule belongs to (0 when none);
+    /// recorded so experiment output can cite it.
     pub seed: u64,
     /// The faults, in injection order.
     pub faults: Vec<Fault>,
-}
-
-/// Knobs for [`FaultSchedule::random`].
-#[derive(Clone, Debug)]
-pub struct RandomFaultConfig {
-    /// Number of faults to draw.
-    pub count: usize,
-    /// Faults are placed uniformly in `[start, start + window)`.
-    pub start: Time,
-    /// Placement window length, µs.
-    pub window: Time,
-    /// Session-flap outage length range, µs.
-    pub flap_down_for: (Time, Time),
-    /// Router-crash outage length range, µs.
-    pub crash_down_for: (Time, Time),
-}
-
-impl Default for RandomFaultConfig {
-    fn default() -> Self {
-        RandomFaultConfig {
-            count: 8,
-            start: 0,
-            window: 600_000_000,
-            flap_down_for: (5_000_000, 60_000_000),
-            crash_down_for: (30_000_000, 120_000_000),
-        }
-    }
 }
 
 impl FaultSchedule {
@@ -139,42 +110,6 @@ impl FaultSchedule {
         let idx = self.faults.partition_point(|f| f.at <= at);
         self.faults.insert(idx, Fault { at, kind });
         self
-    }
-
-    /// Draws a random mix of session flaps and router crash-restarts
-    /// against the given session set — the generic background-failure
-    /// workload. Deterministic in `seed`: the same seed, sessions, and
-    /// config produce the same schedule.
-    pub fn random(
-        seed: u64,
-        sessions: &[(RouterId, RouterId)],
-        cfg: &RandomFaultConfig,
-    ) -> FaultSchedule {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA017);
-        let mut s = FaultSchedule::new(seed);
-        if sessions.is_empty() {
-            return s;
-        }
-        for _ in 0..cfg.count {
-            let at = cfg.start + rng.gen_range(0..cfg.window.max(1));
-            let (a, b) = sessions[rng.gen_range(0..sessions.len())];
-            let kind = if rng.gen_bool(0.75) {
-                let (lo, hi) = cfg.flap_down_for;
-                FaultKind::SessionFlap {
-                    a,
-                    b,
-                    down_for: rng.gen_range(lo..hi.max(lo + 1)),
-                }
-            } else {
-                let (lo, hi) = cfg.crash_down_for;
-                FaultKind::RouterCrash {
-                    node: if rng.gen_bool(0.5) { a } else { b },
-                    down_for: rng.gen_range(lo..hi.max(lo + 1)),
-                }
-            };
-            s.push(at, kind);
-        }
-        s
     }
 }
 
@@ -214,18 +149,5 @@ mod tests {
         );
         let times: Vec<Time> = s.faults.iter().map(|f| f.at).collect();
         assert_eq!(times, vec![2_000_000, 5_000_000, 9_000_000, 9_000_000]);
-    }
-
-    #[test]
-    fn random_is_deterministic_in_seed() {
-        let sessions = vec![(r(1), r(2)), (r(2), r(3)), (r(1), r(3))];
-        let cfg = RandomFaultConfig::default();
-        let a = FaultSchedule::random(42, &sessions, &cfg);
-        let b = FaultSchedule::random(42, &sessions, &cfg);
-        let c = FaultSchedule::random(43, &sessions, &cfg);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.faults.len(), cfg.count);
-        assert!(a.faults.windows(2).all(|w| w[0].at <= w[1].at));
     }
 }

@@ -186,16 +186,23 @@ fn fault_run_is_deterministic() {
     let run = || {
         let (spec, mut sim) = converged_abrr(&m);
         let sessions: Vec<(RouterId, RouterId)> = sim.sessions().map(|(pair, _)| pair).collect();
-        let sched = FaultSchedule::random(
-            77,
-            &sessions,
-            &faults::RandomFaultConfig {
-                count: 6,
-                start: sim.now(),
-                window: 30_000_000,
-                ..Default::default()
-            },
-        );
+        // Session flaps and a crash in the same 30 s window, their
+        // outages overlapping.
+        let t0 = sim.now();
+        let mut sched = FaultSchedule::new(77);
+        for (i, at_s) in [(0, 2), (sessions.len() / 2, 9), (sessions.len() - 1, 17)] {
+            let (a, b) = sessions[i];
+            let down_for = 20_000_000;
+            sched.push(
+                t0 + at_s * 1_000_000,
+                FaultKind::SessionFlap { a, b, down_for },
+            );
+        }
+        let crash = FaultKind::RouterCrash {
+            node: sessions[0].1,
+            down_for: 45_000_000,
+        };
+        sched.push(t0 + 12_000_000, crash);
         compile(&sched, &spec, &mut sim).expect("compile");
         sim.run_to_quiescence();
         sim

@@ -3,28 +3,17 @@
 use bgp_types::RouterId;
 use std::collections::BTreeMap;
 
-/// Identifier of a link, assigned in insertion order.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct LinkId(pub u32);
-
-#[derive(Clone, Debug)]
-struct Link {
-    a: RouterId,
-    b: RouterId,
-    metric: u32,
-    up: bool,
-}
-
 /// An undirected weighted graph over routers.
 ///
 /// Routers are identified by [`RouterId`]. Links carry a symmetric IGP
-/// metric and can be failed and restored, which invalidates computed
-/// SPF state (the caller re-runs SPF; see [`crate::spf`]).
+/// metric and are fixed once added: faults act on BGP sessions and
+/// routers, never on the IGP.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
-    links: Vec<Link>,
-    /// adjacency: router -> [(neighbor, link id)]
-    adj: BTreeMap<RouterId, Vec<(RouterId, LinkId)>>,
+    /// Number of links added.
+    links: usize,
+    /// adjacency: router -> [(neighbor, link metric)], in link order
+    adj: BTreeMap<RouterId, Vec<(RouterId, u32)>>,
 }
 
 impl Topology {
@@ -43,19 +32,12 @@ impl Topology {
     ///
     /// # Panics
     /// Panics on self-loops or non-positive metrics.
-    pub fn add_link(&mut self, a: RouterId, b: RouterId, metric: u32) -> LinkId {
+    pub fn add_link(&mut self, a: RouterId, b: RouterId, metric: u32) {
         assert_ne!(a, b, "self-loop");
         assert!(metric > 0, "IGP metrics must be positive");
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(Link {
-            a,
-            b,
-            metric,
-            up: true,
-        });
-        self.adj.entry(a).or_default().push((b, id));
-        self.adj.entry(b).or_default().push((a, id));
-        id
+        self.links += 1;
+        self.adj.entry(a).or_default().push((b, metric));
+        self.adj.entry(b).or_default().push((a, metric));
     }
 
     /// All routers, in id order.
@@ -68,48 +50,14 @@ impl Topology {
         self.adj.len()
     }
 
-    /// Number of links (including failed ones).
+    /// Number of links.
     pub fn num_links(&self) -> usize {
-        self.links.len()
+        self.links
     }
 
-    /// Live neighbors of `r` with link metrics: `(neighbor, metric)`.
+    /// Neighbors of `r` with link metrics: `(neighbor, metric)`.
     pub fn neighbors(&self, r: RouterId) -> impl Iterator<Item = (RouterId, u32)> + '_ {
-        self.adj
-            .get(&r)
-            .into_iter()
-            .flatten()
-            .filter_map(move |(n, lid)| {
-                let link = &self.links[lid.0 as usize];
-                link.up.then_some((*n, link.metric))
-            })
-    }
-
-    /// Fails a link (both directions).
-    pub fn fail_link(&mut self, id: LinkId) {
-        self.links[id.0 as usize].up = false;
-    }
-
-    /// Restores a failed link.
-    pub fn restore_link(&mut self, id: LinkId) {
-        self.links[id.0 as usize].up = true;
-    }
-
-    /// Whether the link is up.
-    pub fn link_up(&self, id: LinkId) -> bool {
-        self.links[id.0 as usize].up
-    }
-
-    /// The endpoints and metric of a link.
-    pub fn link(&self, id: LinkId) -> (RouterId, RouterId, u32) {
-        let l = &self.links[id.0 as usize];
-        (l.a, l.b, l.metric)
-    }
-
-    /// Changes a link's metric (e.g. for traffic-engineering what-ifs).
-    pub fn set_metric(&mut self, id: LinkId, metric: u32) {
-        assert!(metric > 0, "IGP metrics must be positive");
-        self.links[id.0 as usize].metric = metric;
+        self.adj.get(&r).into_iter().flatten().copied()
     }
 
     /// Whether `r` exists in the topology.
@@ -139,18 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn fail_and_restore() {
-        let mut t = Topology::new();
-        let l = t.add_link(r(1), r(2), 10);
-        assert_eq!(t.neighbors(r(1)).count(), 1);
-        t.fail_link(l);
-        assert!(!t.link_up(l));
-        assert_eq!(t.neighbors(r(1)).count(), 0);
-        t.restore_link(l);
-        assert_eq!(t.neighbors(r(1)).count(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "self-loop")]
     fn rejects_self_loop() {
         Topology::new().add_link(r(1), r(1), 1);
@@ -168,13 +104,5 @@ mod tests {
         t.add_link(r(1), r(2), 10);
         t.add_link(r(1), r(2), 20);
         assert_eq!(t.neighbors(r(1)).count(), 2);
-    }
-
-    #[test]
-    fn set_metric() {
-        let mut t = Topology::new();
-        let l = t.add_link(r(1), r(2), 10);
-        t.set_metric(l, 3);
-        assert_eq!(t.link(l), (r(1), r(2), 3));
     }
 }

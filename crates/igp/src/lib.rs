@@ -6,8 +6,7 @@
 //! an all-pairs distance/next-hop cache, and a builder for the
 //! PoP-structured topologies the paper describes ISPs engineering
 //! ("intra-PoP distances are always shorter than inter-PoP distances",
-//! §1) — plus the ability to *violate* that rule, which is how the
-//! topology-based oscillation gadgets are constructed.
+//! §1) — plus the ability to *violate* that rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +15,6 @@ pub mod graph;
 pub mod pop;
 pub mod spf;
 
-pub use graph::{LinkId, Topology};
+pub use graph::Topology;
 pub use pop::{PopTopologyBuilder, PopView};
 pub use spf::{IgpOracle, SpfResult};

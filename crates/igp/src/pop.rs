@@ -5,8 +5,7 @@
 //! PoPs, and "set IGP metrics so that intra-PoP distances are always
 //! shorter than inter-PoP distances" (paper §1). The builder produces
 //! such topologies deterministically and can deliberately break the
-//! metric rule, which is the raw material for topology-based
-//! oscillation scenarios.
+//! metric rule by inverting the two metrics.
 
 use crate::graph::Topology;
 use bgp_types::RouterId;
@@ -22,9 +21,6 @@ pub struct PopTopologyBuilder {
     intra_metric: u32,
     inter_metric: u32,
     base_id: u32,
-    /// Extra long-haul links beyond the inter-PoP ring, as PoP index
-    /// pairs.
-    extra_pop_links: Vec<(usize, usize)>,
 }
 
 impl PopTopologyBuilder {
@@ -38,7 +34,6 @@ impl PopTopologyBuilder {
             intra_metric: 1,
             inter_metric: 100,
             base_id: 1,
-            extra_pop_links: Vec::new(),
         }
     }
 
@@ -62,14 +57,8 @@ impl PopTopologyBuilder {
         self
     }
 
-    /// Adds an extra long-haul link between two PoPs (by index).
-    pub fn extra_pop_link(mut self, a: usize, b: usize) -> Self {
-        self.extra_pop_links.push((a, b));
-        self
-    }
-
     /// Builds the topology: each PoP is a full mesh internally; PoPs are
-    /// connected in a ring (plus any extra links) through their first
+    /// connected in a ring through their first
     /// router ("gateway").
     pub fn build(self) -> PopView {
         let mut topo = Topology::new();
@@ -95,9 +84,6 @@ impl PopTopologyBuilder {
                 }
                 topo.add_link(pops[p][0], pops[q][0], self.inter_metric);
             }
-        }
-        for (a, b) in &self.extra_pop_links {
-            topo.add_link(pops[*a][0], pops[*b][0], self.inter_metric);
         }
         PopView { topo, pops }
     }
@@ -176,16 +162,6 @@ mod tests {
         assert_eq!(v.pop_of(RouterId(13)), Some(1));
         assert_eq!(v.pop_of(RouterId(99)), None);
         assert_eq!(v.routers().len(), 4);
-    }
-
-    #[test]
-    fn extra_pop_links() {
-        let v = PopTopologyBuilder::new(4, 1).extra_pop_link(0, 2).build();
-        // ring of 4 + 1 chord; no intra links with 1 router per PoP.
-        assert_eq!(v.topo.num_links(), 5);
-        let oracle = IgpOracle::compute(&v.topo);
-        // chord shortens 0 -> 2 to one hop.
-        assert_eq!(oracle.distance(v.pops[0][0], v.pops[2][0]), Some(100));
     }
 
     #[test]

@@ -112,24 +112,6 @@ impl IgpOracle {
     pub fn tree(&self, src: RouterId) -> Option<&SpfResult> {
         self.trees.get(&src)
     }
-
-    /// Walks IGP next hops from `src` to `dst`, returning the router
-    /// sequence including both endpoints; `None` if unreachable.
-    pub fn igp_path(&self, src: RouterId, dst: RouterId) -> Option<Vec<RouterId>> {
-        let mut path = vec![src];
-        let mut cur = src;
-        // An IGP path can't be longer than the router count.
-        let max = self.trees.len() + 1;
-        while cur != dst {
-            cur = self.next_hop(cur, dst)?;
-            path.push(cur);
-            if path.len() > max {
-                // Inconsistent trees would loop; treat as unreachable.
-                return None;
-            }
-        }
-        Some(path)
-    }
 }
 
 #[cfg(test)]
@@ -195,18 +177,23 @@ mod tests {
 
     #[test]
     fn igp_path_walk() {
+        // Walking next hops from 1 to 4 passes 3; a router reaches
+        // itself in no hop.
         let oracle = IgpOracle::compute(&square());
-        assert_eq!(oracle.igp_path(r(1), r(4)), Some(vec![r(1), r(3), r(4)]));
-        assert_eq!(oracle.igp_path(r(1), r(1)), Some(vec![r(1)]));
+        assert_eq!(oracle.next_hop(r(1), r(4)), Some(r(3)));
+        assert_eq!(oracle.next_hop(r(3), r(4)), Some(r(4)));
+        assert_eq!(oracle.next_hop(r(1), r(1)), Some(r(1)));
     }
 
     #[test]
     fn failure_changes_paths() {
-        let mut t = square();
-        let oracle = IgpOracle::compute(&t);
+        let oracle = IgpOracle::compute(&square());
         assert_eq!(oracle.distance(r(1), r(4)), Some(2));
-        // Fail 3-4 (link id 1): now 1->4 goes via 2 at cost 7.
-        t.fail_link(crate::graph::LinkId(1));
+        // The square without 3-4: now 1->4 goes via 2 at cost 7.
+        let mut t = Topology::new();
+        t.add_link(r(1), r(2), 2);
+        t.add_link(r(1), r(3), 1);
+        t.add_link(r(2), r(4), 5);
         let oracle = IgpOracle::compute(&t);
         assert_eq!(oracle.distance(r(1), r(4)), Some(7));
         assert_eq!(oracle.next_hop(r(1), r(4)), Some(r(2)));

@@ -59,6 +59,28 @@ fn reference_distances(topo: &Topology) -> BTreeMap<(RouterId, RouterId), u64> {
     d
 }
 
+/// Walks IGP next hops from `src` to `dst`, returning the router
+/// sequence including both endpoints; `None` if unreachable.
+fn igp_path(
+    oracle: &IgpOracle,
+    n_routers: usize,
+    src: RouterId,
+    dst: RouterId,
+) -> Option<Vec<RouterId>> {
+    let mut path = vec![src];
+    let mut cur = src;
+    while cur != dst {
+        cur = oracle.next_hop(cur, dst)?;
+        path.push(cur);
+        // An IGP path can't be longer than the router count; inconsistent
+        // trees would loop.
+        if path.len() > n_routers + 1 {
+            return None;
+        }
+    }
+    Some(path)
+}
+
 proptest! {
     /// Dijkstra distances equal Floyd–Warshall everywhere.
     #[test]
@@ -88,7 +110,8 @@ proptest! {
         for &a in &routers {
             for &b in &routers {
                 let Some(dist) = oracle.distance(a, b) else { continue };
-                let path = oracle.igp_path(a, b).expect("path exists when distance does");
+                let path = igp_path(&oracle, routers.len(), a, b)
+                    .expect("path exists when distance does");
                 prop_assert_eq!(*path.first().unwrap(), a);
                 prop_assert_eq!(*path.last().unwrap(), b);
                 // Sum the cheapest link metric along consecutive hops.
@@ -103,36 +126,6 @@ proptest! {
                     total += m as u64;
                 }
                 prop_assert_eq!(total, dist as u64, "{:?}->{:?} via {:?}", a, b, path);
-            }
-        }
-    }
-
-    /// Failing a link never *decreases* any distance; restoring it
-    /// returns the oracle to its original state.
-    #[test]
-    fn failure_monotonicity(topo in arb_topology(), link_idx in 0usize..40) {
-        let mut topo = topo;
-        if topo.num_links() == 0 { return Ok(()); }
-        let lid = igp::LinkId((link_idx % topo.num_links()) as u32);
-        let before = IgpOracle::compute(&topo);
-        topo.fail_link(lid);
-        let after = IgpOracle::compute(&topo);
-        let routers: Vec<RouterId> = topo.routers().collect();
-        for &a in &routers {
-            for &b in &routers {
-                match (before.distance(a, b), after.distance(a, b)) {
-                    (Some(x), Some(y)) => prop_assert!(y >= x),
-                    (Some(_), None) => {} // partitioned: fine
-                    (None, Some(_)) => prop_assert!(false, "failure created reachability"),
-                    (None, None) => {}
-                }
-            }
-        }
-        topo.restore_link(lid);
-        let restored = IgpOracle::compute(&topo);
-        for &a in &routers {
-            for &b in &routers {
-                prop_assert_eq!(before.distance(a, b), restored.distance(a, b));
             }
         }
     }

@@ -10,7 +10,7 @@ pub type Time = u64;
 /// event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExternalClass {
-    /// Prefix-plane work (route feeds, withdrawals, local origination):
+    /// Prefix-plane work (route feeds and withdrawals):
     /// a pure per-node callback the engine batches into windows. The
     /// hint steers the event's node task to a shard worker — events
     /// sharing a hint (e.g. an Address Partition id) land on the same

@@ -4,7 +4,7 @@
 //! load per call site, nothing else):
 //!
 //! * [`trace`] — structured event traces. Call sites use the
-//!   [`event!`]/[`span!`] macros; events carry a deterministic sort key
+//!   [`event!`] macro; events carry a deterministic sort key
 //!   derived from the simulator's `(time, heap-entry id)` dispatch
 //!   order, so the sequential engine and the parallel engine emit
 //!   **byte-identical** JSONL (see `trace` module docs for the
@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use counters::UpdateCounters;
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsSnapshot};
-pub use trace::{FieldValue, Span};
+pub use trace::FieldValue;
 
 /// Trace severity, ordered: a spec level admits itself and everything
 /// more severe.
@@ -155,35 +155,5 @@ macro_rules! event {
                 vec![$(($k, $crate::FieldValue::from($v))),*],
             );
         }
-    }};
-}
-
-/// Opens a [`Span`]: emits `<name>.enter` now and `<name>.exit` when
-/// the returned guard drops. The name must be a string literal (the
-/// `.enter`/`.exit` names are derived at compile time). Both ends carry
-/// the deterministic sort key, so spans nest correctly in the merged
-/// trace.
-///
-/// ```
-/// use obs::span;
-/// obs::trace::set_spec("bench=trace");
-/// {
-///     let _g = span!(Bench, Trace, "bench.phase", node = 1);
-/// } // emits bench.phase.exit here
-/// obs::trace::reset();
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($sub:ident, $lvl:ident, $name:literal $(, node = $node:expr)? $(,)?) => {{
-        #[allow(unused_mut, unused_assignments)]
-        let mut node: Option<u32> = None;
-        $(node = Some($node);)?
-        $crate::Span::enter(
-            $crate::Subsystem::$sub,
-            $crate::Level::$lvl,
-            concat!($name, ".enter"),
-            concat!($name, ".exit"),
-            node,
-        )
     }};
 }

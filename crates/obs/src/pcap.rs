@@ -58,6 +58,8 @@ impl LocalBuf {
         if !packets.is_empty() {
             sink()
                 .lock()
+                // Invariant: no section under this lock can panic (each pushes,
+                // extends, takes, clears or measures a `Vec`): it never poisons.
                 .expect("pcap sink poisoned")
                 .extend(packets.drain(..));
         }
@@ -131,6 +133,8 @@ pub fn flush_local() {
 /// Number of buffered packets (calling thread + sink), no drain.
 pub fn pending_packets() -> usize {
     let local = LOCAL.with(|l| l.packets.borrow().len());
+    // Invariant: no section under this lock can panic (each pushes,
+    // extends, takes, clears or measures a `Vec`): it never poisons.
     local + sink().lock().expect("pcap sink poisoned").len()
 }
 
@@ -138,6 +142,8 @@ pub fn pending_packets() -> usize {
 pub fn reset() {
     ENABLED.store(false, Ordering::Relaxed);
     LOCAL.with(|l| l.packets.borrow_mut().clear());
+    // Invariant: no section under this lock can panic (each pushes,
+    // extends, takes, clears or measures a `Vec`): it never poisons.
     sink().lock().expect("pcap sink poisoned").clear();
 }
 
@@ -171,6 +177,8 @@ fn ipv4_checksum(header: &[u8]) -> u16 {
 /// capture yields just the 24-byte global header.
 pub fn drain_file() -> Vec<u8> {
     flush_local();
+    // Invariant: no section under this lock can panic (each pushes,
+    // extends, takes, clears or measures a `Vec`): it never poisons.
     let mut packets: Vec<Packet> = std::mem::take(&mut *sink().lock().expect("pcap sink poisoned"));
     packets.sort_by_key(|p| (p.t, p.phase, p.seq, p.k));
 

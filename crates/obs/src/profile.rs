@@ -76,11 +76,15 @@ pub fn run_started() {
 /// worker accumulator).
 pub fn run_finished(mut profile: RunProfile) {
     profile.task_ns = TASK_NS.swap(0, Ordering::Relaxed);
+    // Invariant: no section under this lock can panic (each pushes,
+    // extends, takes, clears or measures a `Vec`): it never poisons.
     runs().lock().expect("profile store poisoned").push(profile);
 }
 
 /// Takes every recorded run profile (clearing the store).
 pub fn take_runs() -> Vec<RunProfile> {
+    // Invariant: no section under this lock can panic (each pushes,
+    // extends, takes, clears or measures a `Vec`): it never poisons.
     std::mem::take(&mut *runs().lock().expect("profile store poisoned"))
 }
 
@@ -100,6 +104,7 @@ pub fn render_runs(profiles: &[RunProfile]) -> String {
             "  run {i}: engine={} threads={} wall={wall_ms:.1}ms events={} ({ev_per_s:.0}/s) max_queue={}",
             p.engine, p.threads, p.events, p.max_queue
         )
+        // Invariant: writing to a `String` cannot fail.
         .expect("write to String");
         if p.threads > 0 {
             let util = if p.wall_ns > 0 {
@@ -115,6 +120,7 @@ pub fn render_runs(profiles: &[RunProfile]) -> String {
                 util * 100.0,
                 p.fences
             )
+            // Invariant: writing to a `String` cannot fail.
             .expect("write to String");
         }
         out.push('\n');

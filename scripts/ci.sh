@@ -17,7 +17,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== benchmark-only names stay out of crates/*/src"
 # benchmark/src/kernels.rs still names what no router uses: the
 # adapters in bgp-rib/src/compat.rs and bgp-types' PrefixTrie alias of
-# PrefixTable. Until the kernels move off them (ROADMAP item 2), only
+# PrefixTable. Until the kernels move off them (ROADMAP item 3), only
 # their definitions may name them under crates/*/src: compat.rs, its
 # re-export, the alias line and its re-export. Tests may use them.
 FENCED=$(grep -rnE '\b(PrefixTrie|CandidateBatch|AdjRibIn|LocRib)\b|\bcompat::' crates/*/src |
@@ -109,7 +109,8 @@ AUDITED="crates/bgp-wire/src/*.rs crates/core/src/wire.rs crates/core/src/msg.rs
   crates/core/src/roles/trr.rs crates/core/src/roles/arr.rs crates/core/src/roles/mod.rs
   crates/workload/src/mrt.rs crates/bench/src/fingerprint.rs crates/obs/src/metrics.rs
   crates/bgp-types/src/intern.rs crates/core/src/spec.rs crates/core/src/node.rs
-  crates/core/src/roles/border.rs crates/scenario/src/check.rs crates/bench/src/cli.rs"
+  crates/core/src/roles/border.rs crates/scenario/src/check.rs crates/bench/src/cli.rs
+  crates/obs/src/trace.rs crates/obs/src/pcap.rs crates/obs/src/profile.rs"
 # shellcheck disable=SC2086 # $AUDITED is a list of files and globs
 UNSTATED=$(awk '
   FNR == 1 { done = 0; incomment = 0 }
@@ -128,6 +129,34 @@ UNSTATED=$(awk '
 if [ -n "$UNSTATED" ]; then
   echo "$UNSTATED" >&2
   echo "unwrap/expect/panic!/unreachable! without an \`// Invariant:\` comment directly above (see above)" >&2
+  exit 1
+fi
+
+echo "== no public function lives for tests alone"
+# Every `pub fn` in the non-test code of crates/*/src (the lines before
+# a file's first `#[cfg(test)]`, as above) must be named as a word at
+# least twice in the non-test code of crates/*/src, examples/ and
+# benchmark/src: once where it is defined, once where it is called. A
+# public function only tests call is a capability no run has; it moves
+# into the test that needs it or goes. Exempt, one line each with its
+# reason: test hooks that read production state.
+TEST_HOOKS="
+arr_paths_from  misconfig.rs reads an ARR-plane Adj-RIB-In per peer
+golden_dir      four bench test suites locate tests/golden through it
+group_ids       node.rs's gauge test sums a RIB-Out's prefixes per group
+pending_len     mrai.rs's and node.rs's tests count a pacer's deferred updates
+"
+non_test() { awk 'FNR == 1 { done = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1 } !done' "$@"; }
+CRATE_SRC=$(find crates/*/src -name '*.rs' | sort)
+# shellcheck disable=SC2086 # $CRATE_SRC is a list of files
+TEST_ONLY=$(awk 'NR == FNR { n[$2] = $1; next } n[$1] < 2' \
+  <(non_test $CRATE_SRC $(find examples benchmark/src -name '*.rs' | sort) |
+    grep -oE '\b[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c) \
+  <(non_test $CRATE_SRC | sed -nE 's/.*\bpub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' | sort -u) |
+  grep -vxF -f <(awk 'NF { print $1 }' <<<"$TEST_HOOKS") || true)
+if [ -n "$TEST_ONLY" ]; then
+  echo "$TEST_ONLY" >&2
+  echo "public functions no non-test code calls (see above)" >&2
   exit 1
 fi
 
