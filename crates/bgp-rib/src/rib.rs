@@ -28,7 +28,7 @@
 //! * RIB-Out path sets stay sorted by [`PathId`] via `normalize`.
 
 use crate::decision::Candidate;
-use crate::store::{HeapBytes, PrefixId, PrefixIndex};
+use crate::store::{HeapBytes, Pages, PrefixId, PrefixIndex};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixTable, RouterId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -71,27 +71,114 @@ fn canonical(paths: PathsIn<'_>) -> PathsIn<'_> {
 /// id, and the shared attributes — 16 bytes.
 pub type RibInEntry = (RouterId, PathId, Arc<PathAttributes>);
 
-/// A slot of at most this many entries is allocated to fit exactly; a
-/// longer one grows amortised. A rule on the slot's own length: short
-/// slots are a client's (one route per ARR of the AP, hundreds of
-/// thousands of slots — slack is the cost), long ones a reflector's
-/// (appended to peer after peer — reallocation is; exact fit everywhere
-/// cost the TBRR load 5–13 % of its throughput). DESIGN.md §13.
+/// Entries an Adj-RIB-In row holds without a heap allocation: a
+/// client's row holds one route per ARR of the prefix's AP, and most
+/// APs have two ARRs (DESIGN.md §13).
+const INLINE: usize = 2;
+
+/// A spilled row of at most this many entries is allocated to fit
+/// exactly; a longer one grows amortised. A rule on the row's own
+/// length: short rows are a client's (one route per ARR of the AP,
+/// hundreds of thousands of rows — slack is the cost), long ones a
+/// reflector's (appended to peer after peer — reallocation is; exact
+/// fit everywhere cost the TBRR load 5–13 % of its throughput).
+/// DESIGN.md §13.
 const EXACT_FIT_MAX: usize = 4;
 
-/// Where `peer`'s entries sit in a slot (sorted by peer, so contiguous).
-fn run_of(slot: &[RibInEntry], peer: RouterId) -> Range<usize> {
-    let lo = slot.partition_point(|e| e.0 < peer);
-    let hi = lo + slot[lo..].partition_point(|e| e.0 == peer);
-    lo..hi
+/// One Adj-RIB-In row, sorted by (peer id, path id): up to [`INLINE`]
+/// entries inline, more in a `Vec` of their own — 40 bytes either way.
+#[derive(Clone, Debug, Default)]
+enum RibInRow {
+    #[default]
+    Empty,
+    One(RibInEntry),
+    Two([RibInEntry; INLINE]),
+    Spilled(Vec<RibInEntry>),
 }
 
-/// Takes `run` out of a row; an emptied row gives its allocation back.
-fn remove_run(slot: &mut Vec<RibInEntry>, run: Range<usize>) {
-    slot.drain(run);
-    if slot.is_empty() {
-        *slot = Vec::new();
+impl RibInRow {
+    #[inline]
+    fn as_slice(&self) -> &[RibInEntry] {
+        match self {
+            RibInRow::Empty => &[],
+            RibInRow::One(e) => std::slice::from_ref(e),
+            RibInRow::Two(es) => es,
+            RibInRow::Spilled(es) => es,
+        }
     }
+
+    /// The entries, moved out in order.
+    fn into_entries(self) -> impl Iterator<Item = RibInEntry> {
+        let (inline, spilled) = match self {
+            RibInRow::Empty => ([None, None], Vec::new()),
+            RibInRow::One(a) => ([Some(a), None], Vec::new()),
+            RibInRow::Two([a, b]) => ([Some(a), Some(b)], Vec::new()),
+            RibInRow::Spilled(es) => ([None, None], es),
+        };
+        inline.into_iter().flatten().chain(spilled)
+    }
+
+    /// Appends `e`; a full inline row spills.
+    fn push(&mut self, e: RibInEntry) {
+        *self = match std::mem::take(self) {
+            RibInRow::Empty => RibInRow::One(e),
+            RibInRow::One(a) => RibInRow::Two([a, e]),
+            RibInRow::Two([a, b]) => RibInRow::Spilled(vec![a, b, e]),
+            RibInRow::Spilled(mut es) => {
+                es.push(e);
+                RibInRow::Spilled(es)
+            }
+        };
+    }
+
+    /// Heap bytes of a spilled row's entries, at capacity.
+    fn spilled_bytes(&self) -> usize {
+        match self {
+            RibInRow::Spilled(es) => es.capacity() * size_of::<RibInEntry>(),
+            _ => 0,
+        }
+    }
+
+    /// Replaces the entries at `run` with `new`. A spilled row that stays
+    /// longer than [`INLINE`] is spliced in place under the growth rule
+    /// ([`EXACT_FIT_MAX`]); any other row is rebuilt in the form its new
+    /// length takes — inline, empty, or a `Vec` of exactly that length —
+    /// moving each kept entry once, with no temporary.
+    fn replace(&mut self, run: Range<usize>, new: impl ExactSizeIterator<Item = RibInEntry>) {
+        let len = self.as_slice().len() - run.len() + new.len();
+        if let RibInRow::Spilled(es) = self {
+            if len > INLINE {
+                let extra = new.len().saturating_sub(run.len());
+                if len <= EXACT_FIT_MAX {
+                    es.reserve_exact(extra);
+                } else {
+                    es.reserve(extra);
+                }
+                // `splice` overwrites the old run in place and moves the
+                // tail once for the difference in length.
+                es.splice(run, new);
+                return;
+            }
+        }
+        let mut old = std::mem::take(self).into_entries();
+        if len > INLINE {
+            *self = RibInRow::Spilled(Vec::with_capacity(len));
+        }
+        for e in old.by_ref().take(run.start) {
+            self.push(e);
+        }
+        old.by_ref().take(run.len()).for_each(drop);
+        for e in new.chain(old) {
+            self.push(e);
+        }
+    }
+}
+
+/// Where `peer`'s entries sit in a row (sorted by peer, so contiguous).
+fn run_of(row: &[RibInEntry], peer: RouterId) -> Range<usize> {
+    let lo = row.partition_point(|e| e.0 < peer);
+    let hi = lo + row[lo..].partition_point(|e| e.0 == peer);
+    lo..hi
 }
 
 /// One Adj-RIB-In as a column over a router's [`PrefixIndex`]: row
@@ -106,13 +193,15 @@ fn remove_run(slot: &mut Vec<RibInEntry>, run: Range<usize>) {
 /// A row is one flat run of [`RibInEntry`]s sorted by (peer id, path
 /// id): a peer's set is a contiguous sub-run, [`RibInColumn::all_paths`]
 /// is a slice walk in candidate order, and one update is an array index
-/// plus an in-place splice. There is no per-peer container and no
-/// stored prefix: a route costs its 16 bytes, a row its `Vec` header.
-/// The column grows to the highest id written; a prefix it holds
-/// nothing for is an empty row or none at all — both read as empty.
+/// plus an in-place replace. There is no per-peer container and no
+/// stored prefix: a row of up to two routes is its 40 bytes, a longer
+/// one adds 16 bytes a route on the heap. Rows sit in fixed pages of
+/// 256 that are never reallocated; the column grows to the highest id
+/// written, and a prefix it holds nothing for is an empty row or none
+/// at all — both read as empty.
 #[derive(Clone, Debug, Default)]
 pub struct RibInColumn {
-    rows: Vec<Vec<RibInEntry>>,
+    rows: Pages<RibInRow>,
     /// Sessions that ever spoke (no-op withdrawals included) and were
     /// not dropped, sorted: a handful per router, and every update
     /// looks its sender up here.
@@ -130,7 +219,7 @@ impl RibInColumn {
     /// row itself, for callers that index back into it.
     #[inline]
     pub fn row(&self, id: PrefixId) -> &[RibInEntry] {
-        self.rows.get(id as usize).map_or(&[], |slot| slot)
+        self.rows.get(id).map_or(&[], RibInRow::as_slice)
     }
 
     /// Replaces the path set for `(peer, id)`. An empty `paths` is a
@@ -147,43 +236,31 @@ impl RibInColumn {
         if let Err(at) = self.peers.binary_search(&peer) {
             self.peers.insert(at, peer);
         }
-        let i = id as usize;
         if paths.is_empty() {
-            let Some(slot) = self.rows.get_mut(i) else {
+            let Some(row) = self.rows.get_mut(id) else {
                 return false;
             };
-            let run = run_of(slot, peer);
+            let run = run_of(row.as_slice(), peer);
             if run.is_empty() {
                 return false;
             }
             self.entries -= run.len();
-            remove_run(slot, run);
+            row.replace(run, std::iter::empty());
             return true;
         }
-        if i >= self.rows.len() {
-            self.rows.resize_with(i + 1, Vec::new);
-        }
-        let slot = &mut self.rows[i];
-        let run = run_of(slot, peer);
-        let stored = slot[run.clone()].iter().map(|(_, id, a)| (id, a));
+        let row = self.rows.grow_to(id);
+        let run = run_of(row.as_slice(), peer);
+        let stored = row.as_slice()[run.clone()].iter().map(|(_, id, a)| (id, a));
         if stored.eq(paths.iter().map(|(id, a)| (id, a))) {
             return false;
         }
-        let extra = paths.len().saturating_sub(run.len());
-        if slot.len() + extra <= EXACT_FIT_MAX {
-            slot.reserve_exact(extra);
-        } else {
-            slot.reserve(extra);
-        }
         self.entries = self.entries - run.len() + paths.len();
-        // `splice` overwrites the old run in place and moves the tail
-        // once for the difference in length.
         match paths {
             Cow::Borrowed(set) => {
-                slot.splice(run, set.iter().map(|(id, a)| (peer, *id, a.clone())));
+                row.replace(run, set.iter().map(|(id, a)| (peer, *id, a.clone())));
             }
             Cow::Owned(set) => {
-                slot.splice(run, set.into_iter().map(|(id, a)| (peer, id, a)));
+                row.replace(run, set.into_iter().map(|(id, a)| (peer, id, a)));
             }
         }
         true
@@ -208,11 +285,11 @@ impl RibInColumn {
         };
         self.peers.remove(at);
         let mut dropped = Vec::new();
-        for (id, slot) in self.rows.iter_mut().enumerate() {
-            let run = run_of(slot, peer);
+        for (id, row) in self.rows.iter_mut().enumerate() {
+            let run = run_of(row.as_slice(), peer);
             if !run.is_empty() {
                 self.entries -= run.len();
-                remove_run(slot, run);
+                row.replace(run, std::iter::empty());
                 dropped.push((*index.prefix(id as PrefixId), id as PrefixId));
             }
         }
@@ -224,8 +301,8 @@ impl RibInColumn {
     /// peer's sub-run of the row — empty slice if none.
     #[inline]
     pub fn paths(&self, peer: RouterId, id: PrefixId) -> &[RibInEntry] {
-        let slot = self.row(id);
-        &slot[run_of(slot, peer)]
+        let row = self.row(id);
+        &row[run_of(row, peer)]
     }
 
     /// Iterates every `(peer, path id, attrs)` stored for `id`, in
@@ -274,15 +351,14 @@ impl RibInColumn {
         self.rows.len()
     }
 
-    /// Heap bytes of the row array plus every row's run of entries, at
+    /// Heap bytes of the pages plus every spilled row's entries, at
     /// capacity (see [`HeapBytes`]); the index is not the column's to
     /// count. Walks the rows: for reports, not the hot path.
     pub fn heap_bytes(&self) -> HeapBytes {
-        let runs = self.rows.iter().map(Vec::capacity);
         HeapBytes {
             index: 0,
-            slots: self.rows.capacity() * size_of::<Vec<RibInEntry>>(),
-            paths: runs.sum::<usize>() * size_of::<RibInEntry>(),
+            slots: self.rows.heap_bytes(),
+            paths: self.rows.iter().map(RibInRow::spilled_bytes).sum(),
         }
     }
 
@@ -297,15 +373,15 @@ impl RibInColumn {
 /// changed (the oscillation-diagnostic signal: a converged network's
 /// counts stop growing).
 ///
-/// A row is `(selection, changes)`. A withdrawn prefix keeps its row,
-/// with no selection, because its count must survive: the row is a
-/// tombstone that [`LocColumn::len`], [`LocColumn::get`],
-/// [`LocColumn::iter`] and [`LocColumn::lookup`] do not
-/// see. A row the column merely grew past — never selected — has count
-/// zero and is seen by nothing at all.
+/// A row is `(selection, changes)`, in the same fixed pages as a
+/// [`RibInColumn`]'s. A withdrawn prefix keeps its row, with no
+/// selection, because its count must survive: the row is a tombstone
+/// that [`LocColumn::len`], [`LocColumn::get`], [`LocColumn::iter`] and
+/// [`LocColumn::lookup`] do not see. A row the column merely grew past —
+/// never selected — has count zero and is seen by nothing at all.
 #[derive(Clone, Debug)]
 pub struct LocColumn<T> {
-    rows: Vec<(Option<T>, u32)>,
+    rows: Pages<(Option<T>, u32)>,
     /// Rows holding a selection.
     live: usize,
 }
@@ -313,7 +389,7 @@ pub struct LocColumn<T> {
 impl<T> Default for LocColumn<T> {
     fn default() -> Self {
         LocColumn {
-            rows: Vec::new(),
+            rows: Pages::default(),
             live: 0,
         }
     }
@@ -329,15 +405,11 @@ impl<T: Clone + PartialEq> LocColumn<T> {
     /// when the stored value changed, which is also when the prefix's
     /// change count goes up.
     pub fn set(&mut self, id: PrefixId, value: Option<T>) -> bool {
-        let i = id as usize;
-        if i >= self.rows.len() {
-            // Withdrawing what was never selected leaves no trace.
-            if value.is_none() {
-                return false;
-            }
-            self.rows.resize_with(i + 1, || (None, 0));
+        // Withdrawing what was never selected leaves no trace.
+        if id as usize >= self.rows.len() && value.is_none() {
+            return false;
         }
-        let slot = &mut self.rows[i];
+        let slot = self.rows.grow_to(id);
         if slot.0 == value {
             return false;
         }
@@ -348,13 +420,13 @@ impl<T: Clone + PartialEq> LocColumn<T> {
 
     /// The current selection for `id`.
     pub fn get(&self, id: PrefixId) -> Option<&T> {
-        self.rows.get(id as usize)?.0.as_ref()
+        self.rows.get(id)?.0.as_ref()
     }
 
     /// How many times the selection for `id` has changed, withdrawals
     /// included.
     pub fn changes(&self, id: PrefixId) -> u32 {
-        self.rows.get(id as usize).map_or(0, |slot| slot.1)
+        self.rows.get(id).map_or(0, |slot| slot.1)
     }
 
     /// Iterates `(prefix, change count)` over every prefix ever
@@ -405,11 +477,11 @@ impl<T: Clone + PartialEq> LocColumn<T> {
         self.rows.len()
     }
 
-    /// Heap bytes of the row array; a selection is taken to own nothing
+    /// Heap bytes of the pages; a selection is taken to own nothing
     /// beyond its row (see [`HeapBytes`]).
     pub fn heap_bytes(&self) -> HeapBytes {
         HeapBytes {
-            slots: self.rows.capacity() * size_of::<(Option<T>, u32)>(),
+            slots: self.rows.heap_bytes(),
             ..HeapBytes::default()
         }
     }
@@ -589,6 +661,7 @@ impl AdjRibOut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::PAGE_ROWS;
     use bgp_types::{AsPath, Asn, NextHop};
 
     fn pfx(s: &str) -> Ipv4Prefix {
@@ -629,6 +702,26 @@ mod tests {
         assert!(rib.withdraw(peer, p));
         assert!(!rib.withdraw(peer, p));
         assert_eq!(rib.num_entries(), 0);
+    }
+
+    /// A row is two routes inline or a spilled `Vec`, in 40 bytes; a
+    /// page is 256 rows, allocated whole when an id first reaches it.
+    #[test]
+    fn rib_in_row_is_40_bytes_and_a_page_holds_256_rows() {
+        assert_eq!(size_of::<RibInRow>(), 40);
+        assert_eq!(PAGE_ROWS, 256);
+        let page = PAGE_ROWS * size_of::<RibInRow>();
+        let mut rib = RibInColumn::new();
+        assert_eq!(rib.heap_bytes(), HeapBytes::default(), "no row, no page");
+        rib.set_paths(RouterId(1), 255, single(attrs(1)));
+        let one = rib.heap_bytes().slots;
+        assert!(one >= page && one < 2 * page);
+        rib.set_paths(RouterId(1), 0, single(attrs(1)));
+        assert_eq!(rib.heap_bytes().slots, one, "same page");
+        rib.set_paths(RouterId(1), 256, single(attrs(1)));
+        assert_eq!(rib.heap_bytes().slots, one + page, "the next page");
+        assert_eq!((rib.slots(), rib.heap_bytes().paths), (257, 0));
+        assert!(rib.row(300).is_empty() && rib.row(100_000).is_empty());
     }
 
     #[test]

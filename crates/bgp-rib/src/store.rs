@@ -4,8 +4,8 @@
 //! * A [`PrefixIndex`] maps prefix → dense [`PrefixId`] and back: a
 //!   `PrefixTable<PrefixId>` plus the id → prefix `Vec`. A router keeps
 //!   *one*, and its full tables (every Adj-RIB-In, the Loc-RIB) are
-//!   plain `Vec` columns indexed by that id
-//!   ([`crate::rib::RibInColumn`], [`crate::rib::LocColumn`]): one
+//!   paged columns indexed by that id ([`crate::rib::RibInColumn`],
+//!   [`crate::rib::LocColumn`], each over a `Pages`): one
 //!   hashed probe per received update, array reads after it, and no
 //!   table carries an index or a stored prefix of its own. Ids are
 //!   handed out on first sight and never recycled; index and columns
@@ -51,7 +51,8 @@ pub struct HeapBytes {
     /// Hashed tables — a sparse table's buckets hold its values
     /// inline — and the index's id → prefix `Vec`.
     pub index: usize,
-    /// Column row arrays.
+    /// Column rows: every allocated page at its full size, plus the
+    /// column's list of pages.
     pub slots: usize,
     /// What the rows and table values own: an Adj-RIB-In row's run of
     /// entries, a RIB-Out `PathSet`, the border's routes for a prefix.
@@ -89,6 +90,83 @@ impl Sum for HeapBytes {
 /// A prefix's dense id in one [`PrefixIndex`]: the row number in every
 /// column over that index. Arrival-order dependent — never output.
 pub type PrefixId = u32;
+
+/// Rows per column page. A page is allocated whole when an id first
+/// reaches it and never reallocated, so a column's slack is at most one
+/// page (DESIGN.md §13).
+pub(crate) const PAGE_ROWS: usize = 256;
+
+/// A column's rows, in fixed pages of [`PAGE_ROWS`]: row `id` is
+/// `pages[id / PAGE_ROWS][id % PAGE_ROWS]`. The column is as long as the
+/// highest id written; the rest of its last page holds default rows,
+/// which read like absent ones. A column never written has no page.
+#[derive(Clone, Debug)]
+pub(crate) struct Pages<T> {
+    pages: Vec<Box<[T; PAGE_ROWS]>>,
+    len: usize,
+}
+
+impl<T> Default for Pages<T> {
+    fn default() -> Self {
+        Pages {
+            pages: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Default> Pages<T> {
+    /// Row `id`, if a page holds it (past the length: a default row).
+    #[inline]
+    pub(crate) fn get(&self, id: PrefixId) -> Option<&T> {
+        let i = id as usize;
+        Some(&self.pages.get(i / PAGE_ROWS)?[i % PAGE_ROWS])
+    }
+
+    /// Row `id` for writing, if a page holds it; the length stays.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: PrefixId) -> Option<&mut T> {
+        let i = id as usize;
+        Some(&mut self.pages.get_mut(i / PAGE_ROWS)?[i % PAGE_ROWS])
+    }
+
+    /// Row `id` for writing, the column grown to hold it: pages are
+    /// allocated up to its own.
+    pub(crate) fn grow_to(&mut self, id: PrefixId) -> &mut T {
+        let i = id as usize;
+        while self.pages.len() <= i / PAGE_ROWS {
+            self.pages
+                .push(Box::new(std::array::from_fn(|_| T::default())));
+        }
+        self.len = self.len.max(i + 1);
+        &mut self.pages[i / PAGE_ROWS][i % PAGE_ROWS]
+    }
+
+    /// Rows up to the highest id written.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The rows in id order, up to the highest id written.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.pages.iter().flat_map(|p| p.iter()).take(self.len)
+    }
+
+    /// [`Pages::iter`], for writing.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.pages
+            .iter_mut()
+            .flat_map(|p| p.iter_mut())
+            .take(self.len)
+    }
+
+    /// Heap bytes of the pages, each at its full size, and of the list
+    /// of pages at its capacity — all of it [`HeapBytes::slots`].
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.pages.capacity() * size_of::<Box<[T; PAGE_ROWS]>>()
+            + self.pages.len() * size_of::<[T; PAGE_ROWS]>()
+    }
+}
 
 /// One router's prefix index: a [`PrefixTable`] from prefix to dense
 /// [`PrefixId`] and the `Vec` that maps back. Grow-only: an id, once

@@ -541,6 +541,64 @@ fn adj_rib_in_entry_is_16_bytes() {
     );
 }
 
+/// One row across the inline/spill boundary and back — 0 → 1 → 2 → 3 →
+/// 2 → 0 entries, then again by other routes — through `set_paths`,
+/// `withdraw` and `drop_peer`, the whole table checked against the model
+/// after every step. The row sits on the column's second page, behind
+/// 300 prefixes the column never stores, beside a two-route row on the
+/// first.
+#[test]
+fn adj_rib_in_row_crosses_the_inline_spill_boundary() {
+    let (mut index, mut column) = (PrefixIndex::new(), RibInColumn::new());
+    let mut reference = RefRibIn::default();
+    let neighbour = RibOp::Set {
+        peer: 4,
+        addr: 7 << 26,
+        len: 8,
+        ids: vec![(1, 0), (2, 0)],
+        borrowed: false,
+    };
+    apply_rib_op(&mut (&mut index, &mut column), &mut reference, &neighbour);
+    for x in 0..300u32 {
+        index.resolve(Ipv4Prefix::new(0xC000_0000 + (x << 8), 24));
+    }
+    let (addr, len) = (5 << 26, 16);
+    let set = |peer: u8, ids: &[(u8, u8)], borrowed: bool| RibOp::Set {
+        peer,
+        addr,
+        len,
+        ids: ids.to_vec(),
+        borrowed,
+    };
+    let withdraw = |peer: u8| RibOp::Withdraw { peer, addr, len };
+    let steps = [
+        (set(2, &[(1, 0)], false), 1),
+        (set(0, &[(1, 0)], true), 2),
+        (set(2, &[(2, 0), (1, 0)], false), 3),
+        (withdraw(0), 2),
+        (RibOp::DropPeer { peer: 2 }, 0),
+        (set(1, &[(1, 0), (2, 0), (3, 0)], true), 3),
+        (set(1, &[(2, 1)], false), 1),
+        (set(3, &[(1, 0), (2, 0)], true), 3),
+        (set(0, &[(4, 0)], false), 4),
+        (RibOp::DropPeer { peer: 3 }, 2),
+        (set(1, &[(2, 1)], true), 2),
+        (withdraw(1), 1),
+        (withdraw(1), 1),
+        (withdraw(0), 0),
+    ];
+    let p = Ipv4Prefix::new(addr, len);
+    for (op, entries) in &steps {
+        let mut real = (&mut index, &mut column);
+        apply_rib_op(&mut real, &mut reference, op);
+        assert_rib_in_matches(&real, &reference);
+        let id = index.id(&p).expect("resolved by the first step");
+        assert_eq!(id, 301, "on the second page");
+        assert_eq!(column.row(id).len(), *entries, "after {op:?}");
+        assert_eq!(column.num_entries(), *entries + 2);
+    }
+}
+
 proptest! {
     #[test]
     fn adj_rib_in_equivalent_to_per_peer_btreemaps(ops in prop::collection::vec(rib_op(), 1..80)) {

@@ -94,26 +94,18 @@ impl ArrRole {
         // Decided where the routes lie: no candidate list.
         let row = self.arr_in.row(id);
         let surv = best_as_level_of(ibgp_routes(row), &ch.spec.decision);
+        // What this ARR last advertised for the prefix: every group
+        // that covers it was handed the same set.
+        let covering = self.arr_aps.iter().find(|ap| ch.ap_covers(**ap, &prefix));
+        let known = covering.map_or(&[][..], |ap| {
+            ch.out.paths(group::ARR_TO_CLIENTS + ap.0 as u32, &prefix)
+        });
+        let mode = ch.spec.abrr_loop_prevention;
         let set: Arc<PathSet> = surv
             .iter()
             .map(|&i| {
                 let (peer, _, attrs) = &row[i];
-                // Stamp provenance so clients can tie-break by true
-                // originator and so the sender-exclusion works.
-                let originator = attrs.originator_id.unwrap_or(OriginatorId(peer.0));
-                let mut a = PathAttributes::clone(attrs);
-                a.originator_id = Some(originator);
-                match ch.spec.abrr_loop_prevention {
-                    AbrrLoopPrevention::ReflectedBit => {
-                        a = a.with_abrr_reflected();
-                    }
-                    AbrrLoopPrevention::ClusterList => {
-                        // RFC 4456 default: cluster id = router id.
-                        a.cluster_list.insert(0, ClusterId(ch.id.0));
-                    }
-                    AbrrLoopPrevention::None => {}
-                }
-                (PathId(originator.0), intern(a))
+                reflected(mode, ch.id, *peer, attrs, known)
             })
             .collect::<PathSet>()
             .into();
@@ -235,6 +227,103 @@ impl ArrRole {
     }
 }
 
+/// The ARR's reflected version of `attrs`, learned from `peer`: with
+/// ORIGINATOR_ID stamped (so clients can tie-break by true originator
+/// and so the sender exclusion works) and the §2.3.2 mark of `mode`,
+/// under the originator's path id. A reflection this ARR already
+/// advertised is reused from `known`: the set there under the same path
+/// id, if [`is_arr_reflection`] accepts it. Only an unmatched route is
+/// cloned and interned. Either way the result is the interner's shared
+/// `Arc` for the reflection's content, since every stored reflection
+/// came from [`intern`] and stays its canonical copy while it lives.
+fn reflected(
+    mode: AbrrLoopPrevention,
+    me: RouterId,
+    peer: RouterId,
+    attrs: &PathAttributes,
+    known: &[(PathId, Arc<PathAttributes>)],
+) -> (PathId, Arc<PathAttributes>) {
+    let originator = attrs.originator_id.unwrap_or(OriginatorId(peer.0));
+    let id = PathId(originator.0);
+    let reused = known
+        .iter()
+        .find(|(p, stored)| *p == id && is_arr_reflection(stored, attrs, originator, mode, me));
+    if let Some((_, stored)) = reused {
+        return (id, stored.clone());
+    }
+    let mut a = attrs.clone();
+    a.originator_id = Some(originator);
+    match mode {
+        AbrrLoopPrevention::ReflectedBit => {
+            a = a.with_abrr_reflected();
+        }
+        AbrrLoopPrevention::ClusterList => {
+            // RFC 4456 default: cluster id = router id.
+            a.cluster_list.insert(0, ClusterId(me.0));
+        }
+        AbrrLoopPrevention::None => {}
+    }
+    (id, intern(a))
+}
+
+/// Whether `stored` is exactly the reflection of `input` that ARR `me`
+/// builds under `originator` in loop-prevention `mode`: every attribute
+/// as in `input`, but ORIGINATOR_ID `originator`, and the reflected
+/// marker appended unless present (`ReflectedBit`) or `me` prepended to
+/// the CLUSTER_LIST (`ClusterList`). `stored` is destructured, so a new
+/// attribute fails to compile here until it is compared.
+fn is_arr_reflection(
+    stored: &PathAttributes,
+    input: &PathAttributes,
+    originator: OriginatorId,
+    mode: AbrrLoopPrevention,
+    me: RouterId,
+) -> bool {
+    let PathAttributes {
+        origin,
+        as_path,
+        next_hop,
+        med,
+        local_pref,
+        communities,
+        ext_communities,
+        originator_id,
+        cluster_list,
+    } = stored;
+    let (marks_ok, clusters_ok) = match mode {
+        AbrrLoopPrevention::ReflectedBit => {
+            let n = input.ext_communities.len();
+            let marked = if input.is_abrr_reflected() {
+                *ext_communities == input.ext_communities
+            } else {
+                ext_communities.len() == n + 1
+                    && ext_communities[..n] == input.ext_communities[..]
+                    && ext_communities[n].is_abrr_reflected()
+            };
+            (marked, *cluster_list == input.cluster_list)
+        }
+        AbrrLoopPrevention::ClusterList => {
+            let prepended = cluster_list.split_first().is_some_and(|(first, rest)| {
+                *first == ClusterId(me.0) && *rest == input.cluster_list[..]
+            });
+            (*ext_communities == input.ext_communities, prepended)
+        }
+        AbrrLoopPrevention::None => (
+            *ext_communities == input.ext_communities,
+            *cluster_list == input.cluster_list,
+        ),
+    };
+    *originator_id == Some(originator)
+        && marks_ok
+        && clusters_ok
+        && *next_hop == input.next_hop
+        && *origin == input.origin
+        && *med == input.med
+        && *local_pref == input.local_pref
+        && *as_path == input.as_path
+        && *communities == input.communities
+}
+
 impl Role for ArrRole {
     fn rib_in_entries(&self) -> usize {
         self.arr_in.num_entries()
@@ -256,5 +345,129 @@ impl Role for ArrRole {
 
     fn heap_bytes(&self) -> HeapBytes {
         self.arr_in.heap_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::roles::strategies::arb_attrs;
+    use bgp_types::ExtCommunity;
+    use proptest::prelude::*;
+
+    /// An ARR's reflection as §2.3.2 defines it, written apart from
+    /// [`reflected`]: ORIGINATOR_ID the injecting neighbor unless
+    /// already set, then the reflected marker appended unless present,
+    /// or the ARR's id prepended to the CLUSTER_LIST, or nothing.
+    fn reference(
+        input: &PathAttributes,
+        neighbor: u32,
+        mode: AbrrLoopPrevention,
+        me: u32,
+    ) -> PathAttributes {
+        let mut out = input.clone();
+        out.originator_id = Some(input.originator_id.unwrap_or(OriginatorId(neighbor)));
+        match mode {
+            AbrrLoopPrevention::ReflectedBit => {
+                if !out.ext_communities.contains(&ExtCommunity::ABRR_REFLECTED) {
+                    out.ext_communities.push(ExtCommunity::ABRR_REFLECTED);
+                }
+            }
+            AbrrLoopPrevention::ClusterList => out.cluster_list.insert(0, ClusterId(me)),
+            AbrrLoopPrevention::None => {}
+        }
+        out
+    }
+
+    const MODES: [AbrrLoopPrevention; 3] = [
+        AbrrLoopPrevention::ReflectedBit,
+        AbrrLoopPrevention::ClusterList,
+        AbrrLoopPrevention::None,
+    ];
+
+    /// The stored sets a lookup may meet for `input`: its own
+    /// reflection, the near misses (another originator, another ARR's
+    /// reflection, the marker appended twice, another community appended
+    /// in its place, the other modes' reflections, one attribute from
+    /// another route's reflection), another route's reflection, and sets
+    /// no ARR built.
+    fn candidates(
+        input: &PathAttributes,
+        neighbor: u32,
+        mode: AbrrLoopPrevention,
+        me: u32,
+        other: &PathAttributes,
+    ) -> Vec<PathAttributes> {
+        let fresh = reference(input, neighbor, mode, me);
+        let mut originator_off = fresh.clone();
+        originator_off.originator_id = fresh.originator_id.map(|o| OriginatorId(o.0 + 1));
+        let mut marked_twice = fresh.clone();
+        marked_twice
+            .ext_communities
+            .push(ExtCommunity::ABRR_REFLECTED);
+        let mut foreign_mark = reference(input, neighbor, AbrrLoopPrevention::None, me);
+        foreign_mark.ext_communities.push(ExtCommunity([0; 8]));
+        // One attribute at a time taken from another route's reflection.
+        let theirs = reference(other, neighbor, mode, me);
+        let one_off: [fn(&mut PathAttributes, &PathAttributes); 9] = [
+            |a, b| a.origin = b.origin,
+            |a, b| a.as_path = b.as_path.clone(),
+            |a, b| a.next_hop = b.next_hop,
+            |a, b| a.med = b.med,
+            |a, b| a.local_pref = b.local_pref,
+            |a, b| a.communities = b.communities.clone(),
+            |a, b| a.ext_communities = b.ext_communities.clone(),
+            |a, b| a.originator_id = b.originator_id,
+            |a, b| a.cluster_list = b.cluster_list.clone(),
+        ];
+        let one_off = one_off.map(|take| {
+            let mut a = fresh.clone();
+            take(&mut a, &theirs);
+            a
+        });
+        let mut out = vec![
+            fresh,
+            originator_off,
+            reference(input, neighbor, mode, me + 1),
+            marked_twice,
+            foreign_mark,
+            theirs,
+            input.clone(),
+            other.clone(),
+        ];
+        out.extend(MODES.iter().map(|m| reference(input, neighbor, *m, me)));
+        out.extend(one_off);
+        out
+    }
+
+    proptest! {
+        /// The reuse check accepts a stored set exactly when it equals a
+        /// fresh reflection, in every loop-prevention mode; and whatever
+        /// `reflected` returns, reused or built, is the interner's `Arc`
+        /// for the fresh reflection.
+        #[test]
+        fn reuse_accepts_exactly_the_fresh_reflection(
+            input in arb_attrs(),
+            other in arb_attrs(),
+            neighbor in 1u32..4,
+            me in 1u32..4,
+            mode in prop::sample::select(MODES.to_vec()),
+        ) {
+            let fresh = reference(&input, neighbor, mode, me);
+            let originator = input.originator_id.unwrap_or(OriginatorId(neighbor));
+            let id = PathId(originator.0);
+            let (me_id, peer) = (RouterId(me), RouterId(neighbor));
+            for stored in candidates(&input, neighbor, mode, me, &other) {
+                let accepted = is_arr_reflection(&stored, &input, originator, mode, me_id);
+                prop_assert_eq!(accepted, stored == fresh, "stored {:?}", stored);
+                // Filed under the fresh reflection's path id, so the
+                // lookup reaches the check.
+                let stored = intern(stored);
+                let (got_id, got) = reflected(mode, me_id, peer, &input, &[(id, stored.clone())]);
+                prop_assert_eq!(got_id, id);
+                prop_assert!(Arc::ptr_eq(&got, &intern(fresh.clone())));
+                prop_assert_eq!(Arc::ptr_eq(&got, &stored), accepted);
+            }
+        }
     }
 }

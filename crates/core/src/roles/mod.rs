@@ -599,3 +599,57 @@ pub(crate) fn with_default_local_pref(attrs: &Arc<PathAttributes>) -> Arc<PathAt
     a.local_pref = Some(bgp_types::LocalPref::DEFAULT);
     bgp_types::intern(a)
 }
+
+/// Strategies shared by the roles' property tests.
+#[cfg(test)]
+pub(crate) mod strategies {
+    use bgp_types::{
+        AsPath, AsSegment, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop,
+        Origin, OriginatorId, PathAttributes,
+    };
+    use proptest::prelude::*;
+
+    /// Attribute sets over small domains, so two draws often agree on
+    /// most fields: AS_SET and AS_SEQUENCE segments, LOCAL_PREF, MED and
+    /// ORIGINATOR_ID each present or absent, empty and non-empty
+    /// communities, ext communities and CLUSTER_LISTs.
+    pub(crate) fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
+        let segment = (any::<bool>(), prop::collection::vec(1u32..4, 0..3));
+        let ext = prop::sample::select(vec![ExtCommunity([0; 8]), ExtCommunity::ABRR_REFLECTED]);
+        (
+            prop::collection::vec(segment, 0..3),
+            prop::sample::select(vec![Origin::Igp, Origin::Egp, Origin::Incomplete]),
+            1u32..3,
+            prop::option::of(0u32..2),
+            prop::option::of(prop::sample::select(vec![LocalPref::DEFAULT.0, 200])),
+            prop::collection::vec(0u32..2, 0..2),
+            prop::collection::vec(ext, 0..2),
+            prop::option::of(1u32..4),
+            prop::collection::vec(1u32..4, 0..3),
+        )
+            .prop_map(|(segs, origin, nh, med, lp, comms, ext, oid, clist)| {
+                let segments = segs
+                    .into_iter()
+                    .map(|(is_set, asns)| {
+                        let asns = asns.into_iter().map(Asn).collect();
+                        if is_set {
+                            AsSegment::Set(asns)
+                        } else {
+                            AsSegment::Sequence(asns)
+                        }
+                    })
+                    .collect();
+                PathAttributes {
+                    origin,
+                    as_path: AsPath { segments },
+                    next_hop: NextHop(nh),
+                    med: med.map(Med),
+                    local_pref: lp.map(LocalPref),
+                    communities: comms.into_iter().map(Community).collect(),
+                    ext_communities: ext,
+                    originator_id: oid.map(OriginatorId),
+                    cluster_list: clist.into_iter().map(ClusterId).collect(),
+                }
+            })
+    }
+}

@@ -310,52 +310,8 @@ impl Role for TrrRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::{AsPath, AsSegment, Asn, Community, ExtCommunity, Med, NextHop, Origin};
+    use crate::roles::strategies::arb_attrs;
     use proptest::prelude::*;
-
-    /// Attribute sets over small domains, so two draws often agree on
-    /// most fields: AS_SET and AS_SEQUENCE segments, LOCAL_PREF, MED and
-    /// ORIGINATOR_ID each present or absent, empty and non-empty
-    /// communities, ext communities and CLUSTER_LISTs.
-    fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
-        let segment = (any::<bool>(), prop::collection::vec(1u32..4, 0..3));
-        let ext = prop::sample::select(vec![ExtCommunity([0; 8]), ExtCommunity::ABRR_REFLECTED]);
-        (
-            prop::collection::vec(segment, 0..3),
-            prop::sample::select(vec![Origin::Igp, Origin::Egp, Origin::Incomplete]),
-            1u32..3,
-            prop::option::of(0u32..2),
-            prop::option::of(prop::sample::select(vec![LocalPref::DEFAULT.0, 200])),
-            prop::collection::vec(0u32..2, 0..2),
-            prop::collection::vec(ext, 0..2),
-            prop::option::of(1u32..4),
-            prop::collection::vec(1u32..4, 0..3),
-        )
-            .prop_map(|(segs, origin, nh, med, lp, comms, ext, oid, clist)| {
-                let segments = segs
-                    .into_iter()
-                    .map(|(is_set, asns)| {
-                        let asns = asns.into_iter().map(Asn).collect();
-                        if is_set {
-                            AsSegment::Set(asns)
-                        } else {
-                            AsSegment::Sequence(asns)
-                        }
-                    })
-                    .collect();
-                PathAttributes {
-                    origin,
-                    as_path: AsPath { segments },
-                    next_hop: NextHop(nh),
-                    med: med.map(Med),
-                    local_pref: lp.map(LocalPref),
-                    communities: comms.into_iter().map(Community).collect(),
-                    ext_communities: ext,
-                    originator_id: oid.map(OriginatorId),
-                    cluster_list: clist.into_iter().map(ClusterId).collect(),
-                }
-            })
-    }
 
     /// A TRR's reflection as RFC 4456 defines it, written apart from
     /// [`TrrRole::reflected`]: LOCAL_PREF defaulted, ORIGINATOR_ID the

@@ -1,5 +1,13 @@
 //! The seeded Tier-1 ISP model: topology, peering layout, and
 //! per-prefix route plans calibrated to the paper's statistics.
+//!
+//! NEXT_HOP is not modelled. Peer and customer routes carry 0.0.0.0:
+//! the border router that receives one rewrites it to itself
+//! (next-hop-self), and the model's own #BAL counts never depend on it:
+//! Figure 3's stops at the AS-level steps, and the iBGP-visible count
+//! gives every next hop IGP cost 0. An MRT export of the model's eBGP
+//! routes therefore writes 0.0.0.0 as their next hop. This lets the
+//! peering points of one peer AS share one attribute set per prefix.
 
 use bgp_rib::{best_as_level, Candidate, DecisionConfig};
 use bgp_types::{AsPath, Asn, Ipv4Prefix, NextHop, PathAttributes, RouteSource, RouterId};
@@ -72,7 +80,10 @@ pub struct RoutePlan {
     pub peer_as: Asn,
     /// The eBGP session address (unique per session).
     pub peer_addr: u32,
-    /// Full attributes (LOCAL_PREF models ingress policy).
+    /// Full attributes (LOCAL_PREF models ingress policy; NEXT_HOP is
+    /// 0.0.0.0 on peer and customer routes — not modelled, see the
+    /// module docs). The peering points of one peer AS share one set for
+    /// a prefix whose MEDs do not differ.
     pub attrs: Arc<PathAttributes>,
 }
 
@@ -189,22 +200,26 @@ impl Tier1Model {
                             asns.push(Asn(40_000 + (ai * 10 + e) as u32));
                         }
                         asns.push(origin_as);
-                        for (pi, (router, addr)) in peering_points[ai].iter().enumerate() {
-                            let mut attrs = PathAttributes::ebgp(
-                                AsPath::sequence(asns.clone()),
-                                NextHop(addr & 0xFFFF),
-                            );
+                        let with_med = |med: u32| {
+                            let path = AsPath::sequence(asns.iter().copied());
+                            let mut attrs = PathAttributes::ebgp(path, NextHop(0));
                             attrs.local_pref = Some(bgp_types::LocalPref(100));
-                            attrs.med = Some(bgp_types::Med(if med_diverse {
-                                (pi as u32) * 10
-                            } else {
-                                0
-                            }));
+                            attrs.med = Some(bgp_types::Med(med));
+                            Arc::new(attrs)
+                        };
+                        // Without MED diversity every peering point of
+                        // the AS carries the same attributes: one set.
+                        let shared = (!med_diverse).then(|| with_med(0));
+                        for (pi, (router, addr)) in peering_points[ai].iter().enumerate() {
+                            let attrs = match &shared {
+                                Some(attrs) => attrs.clone(),
+                                None => with_med(pi as u32 * 10),
+                            };
                             routes.push(RoutePlan {
                                 router: *router,
                                 peer_as: peer_ases[ai],
                                 peer_addr: *addr,
-                                attrs: Arc::new(attrs),
+                                attrs,
                             });
                         }
                     }
@@ -509,5 +524,61 @@ mod tests {
                 assert_eq!(m.bal_count(plan, &[], false), 1);
             }
         }
+    }
+
+    /// FNV-1a over everything a plan fixes but NEXT_HOP, route by route
+    /// in plan order: prefix, kind, router, `peer_as`, `peer_addr`,
+    /// AS_PATH, LOCAL_PREF and MED.
+    fn plan_fingerprint(m: &Tier1Model) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for plan in &m.prefixes {
+            let mut line = format!("{} {:?}", plan.prefix, plan.kind);
+            for r in &plan.routes {
+                let a = &r.attrs;
+                line += &format!(
+                    "|{} {} {} {:?} {:?} {:?}",
+                    r.router.0, r.peer_as.0, r.peer_addr, a.as_path, a.local_pref, a.med
+                );
+            }
+            for b in line.bytes().chain([b'\n']) {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The peering points of one peer AS share one attribute set for a
+    /// prefix without MED diversity, and carry distinct ones with it;
+    /// and sharing changed no plan: the fingerprints are the models'
+    /// from before it, when each point had its own set and a NEXT_HOP
+    /// from its session address.
+    #[test]
+    fn peering_points_share_one_set_and_plans_are_unchanged() {
+        let m = Tier1Model::generate(Tier1Config::default());
+        let (mut shared, mut diverse) = (0, 0);
+        for plan in m.prefixes.iter().filter(|p| p.kind == PrefixKind::Peer) {
+            for asn in &m.peer_ases {
+                let points: Vec<&RoutePlan> =
+                    plan.routes.iter().filter(|r| r.peer_as == *asn).collect();
+                let Some((first, rest)) = points.split_first() else {
+                    continue;
+                };
+                let med_diverse = points.iter().any(|r| r.attrs.med != first.attrs.med);
+                if med_diverse {
+                    diverse += 1;
+                    assert!(rest.iter().all(|r| !Arc::ptr_eq(&r.attrs, &first.attrs)));
+                } else {
+                    shared += 1;
+                    assert!(rest.iter().all(|r| Arc::ptr_eq(&r.attrs, &first.attrs)));
+                }
+                assert!(points.iter().all(|r| r.attrs.next_hop == NextHop(0)));
+            }
+        }
+        assert!(
+            shared > 1000 && diverse > 100,
+            "{shared} shared, {diverse} diverse"
+        );
+        assert_eq!(plan_fingerprint(&small()), 0xd6de_4178_06cf_bf18);
+        assert_eq!(plan_fingerprint(&m), 0x8db3_d89f_bb03_aa52);
     }
 }
