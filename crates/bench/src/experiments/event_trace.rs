@@ -97,10 +97,11 @@ fn run(exp: &Experiment) {
                 .enumerate()
             {
                 // Path change deeper in the Internet: alternate prepends.
-                let mut attrs = (*route.attrs).clone();
-                if e % 2 == 0 {
-                    attrs.as_path = attrs.as_path.prepend(peer_as);
-                }
+                let mut attrs = if e % 2 == 0 {
+                    route.attrs.with_as_prepended(peer_as)
+                } else {
+                    (*route.attrs).clone()
+                };
                 attrs.med = Some(Med((e % 2) as u32));
                 run.sim.schedule_external(
                     t0 + (i as u64) * 30_000,

@@ -115,7 +115,7 @@ fn show_prefix(
             backup
                 .map(|s| format!("{:?}", s.exit_router()))
                 .unwrap_or("-".into()),
-            sel.map(|s| format!("{}", s.attrs.as_path))
+            sel.map(|s| format!("{}", s.attrs.as_path()))
                 .unwrap_or_default()
         );
         if verbose {
@@ -146,7 +146,7 @@ fn show_router(sim: &Sim<BgpNode>, r: RouterId, verbose: bool) {
     if verbose {
         println!("\nselections:");
         for (p, sel) in node.selections().take(50) {
-            println!("  {p} -> {:?} {}", sel.exit_router(), sel.attrs.as_path);
+            println!("  {p} -> {:?} {}", sel.exit_router(), sel.attrs.as_path());
         }
     }
 }

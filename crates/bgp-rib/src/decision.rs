@@ -1,6 +1,6 @@
 //! The BGP best-path decision process (RFC 4271 §9.1.2.2; paper Table 2).
 
-use bgp_types::{AsPath, Asn, NextHop, PathAttributes, RouteSource, RouterId};
+use bgp_types::{Asn, NextHop, PathAttributes, RouteSource, RouterId};
 use std::sync::Arc;
 
 /// MED comparison scope.
@@ -109,7 +109,7 @@ impl<'a> RouteRef<'a> {
     }
 
     fn med_group(&self) -> Option<Asn> {
-        self.attrs.as_path.first_as()
+        self.attrs.as_path().first_as()
     }
 
     fn effective_router_id(&self) -> u32 {
@@ -168,9 +168,9 @@ struct Key<'a> {
     /// Steps 7–8: router id (ORIGINATOR_ID substitutes) in the top 32
     /// bits, peer address in the low 32.
     tie: u64,
-    /// Where step 4 finds the MED group, if it needs one (`None` only
-    /// in an unwritten buffer slot).
-    as_path: Option<&'a AsPath>,
+    /// Where step 4 finds the MED group (the AS_PATH), if it needs one
+    /// (`None` only in an unwritten buffer slot).
+    attrs: Option<&'a PathAttributes>,
     /// The neighbouring AS whose MEDs this one is comparable with
     /// (`None` for an empty path), filled in by step 4 only when MEDs
     /// differ: the leftmost AS is one more pointer away than anything
@@ -186,9 +186,9 @@ struct Key<'a> {
 impl<'a> Key<'a> {
     fn new(route: &RouteRef<'a>, igp_metric: u32, cfg: &DecisionConfig, index: usize) -> Key<'a> {
         let a: &'a PathAttributes = route.attrs;
-        let path_len = a.as_path.path_len().min((1 << 24) - 1) as u64;
+        let path_len = a.as_path_len().min((1 << 24) - 1) as u64;
         let cluster_len = if cfg.use_cluster_list_len {
-            a.cluster_list.len().min((1 << 31) - 1) as u64
+            a.cluster_list().len().min((1 << 31) - 1) as u64
         } else {
             0
         };
@@ -199,7 +199,7 @@ impl<'a> Key<'a> {
                 | a.origin.code() as u64,
             exit: ibgp << 63 | (igp_metric as u64) << 31 | cluster_len,
             tie: (route.effective_router_id() as u64) << 32 | route.peer_addr() as u64,
-            as_path: Some(&a.as_path),
+            attrs: Some(a),
             med_group: None,
             med: a.effective_med().0,
             index: index as u32,
@@ -287,7 +287,7 @@ fn as_level_steps<'k, 'a>(keys: &'k mut [Key<'a>], cfg: &DecisionConfig) -> &'k 
                 return keys;
             }
             for k in keys.iter_mut() {
-                k.med_group = k.as_path.and_then(AsPath::first_as);
+                k.med_group = k.attrs.and_then(|a| a.as_path().first_as());
             }
             for i in 0..keys.len() {
                 let (Some(group), None) = (keys[i].med_group, keys[i].med_keep) else {
@@ -547,11 +547,13 @@ mod tests {
     #[test]
     fn cluster_list_tiebreak() {
         let mut a = ibgp(AsPath::sequence([Asn(1)]), 5, 5);
-        Arc::make_mut(&mut a.attrs).cluster_list =
-            vec![bgp_types::ClusterId(1), bgp_types::ClusterId(2)];
+        a.attrs = Arc::new(
+            a.attrs
+                .with_clusters_prepended([bgp_types::ClusterId(1), bgp_types::ClusterId(2)]),
+        );
         Arc::make_mut(&mut a.attrs).originator_id = Some(bgp_types::OriginatorId(1));
         let mut b = ibgp(AsPath::sequence([Asn(2)]), 5, 9);
-        Arc::make_mut(&mut b.attrs).cluster_list = vec![bgp_types::ClusterId(1)];
+        b.attrs = Arc::new(b.attrs.with_clusters_prepended([bgp_types::ClusterId(1)]));
         Arc::make_mut(&mut b.attrs).originator_id = Some(bgp_types::OriginatorId(1));
         let cands = vec![a.clone(), b.clone()];
         let cfg = DecisionConfig::default();

@@ -29,7 +29,7 @@ fn arb_candidate(index: u32) -> impl Strategy<Value = Candidate> {
             attrs.local_pref = lp.map(LocalPref);
             let source = match kind {
                 0 => RouteSource::Ebgp {
-                    peer_as: Asn(attrs.as_path.first_as().map(|a| a.0).unwrap_or(1)),
+                    peer_as: Asn(attrs.as_path().first_as().map(|a| a.0).unwrap_or(1)),
                     peer_addr: nid,
                 },
                 _ => RouteSource::Ibgp {
@@ -140,8 +140,8 @@ proptest! {
                 first.attrs.effective_local_pref()
             );
             prop_assert_eq!(
-                cands[i].attrs.as_path.path_len(),
-                first.attrs.as_path.path_len()
+                cands[i].attrs.as_path().path_len(),
+                first.attrs.as_path().path_len()
             );
             prop_assert_eq!(cands[i].attrs.origin, first.attrs.origin);
         }

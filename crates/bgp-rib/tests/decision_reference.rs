@@ -33,10 +33,10 @@ mod reference {
         // Step 2: shortest AS path.
         let best_len = survivors
             .iter()
-            .map(|&i| cands[i].attrs.as_path.path_len())
+            .map(|&i| cands[i].attrs.as_path().path_len())
             .min()
             .expect("non-empty");
-        survivors.retain(|&i| cands[i].attrs.as_path.path_len() == best_len);
+        survivors.retain(|&i| cands[i].attrs.as_path().path_len() == best_len);
         // Step 3: lowest origin.
         let best_origin = survivors
             .iter()
@@ -140,10 +140,10 @@ mod reference {
         if cfg.use_cluster_list_len {
             let best_cl = survivors
                 .iter()
-                .map(|&i| cands[i].attrs.cluster_list.len())
+                .map(|&i| cands[i].attrs.cluster_list().len())
                 .min()
                 .expect("non-empty");
-            survivors.retain(|&i| cands[i].attrs.cluster_list.len() == best_cl);
+            survivors.retain(|&i| cands[i].attrs.cluster_list().len() == best_cl);
         }
         // Step 7: lowest router id (ORIGINATOR_ID substitutes).
         let best_id = survivors
@@ -181,10 +181,11 @@ fn arb_candidate() -> impl Strategy<Value = Candidate> {
                 attrs.med = med.map(Med);
                 attrs.local_pref = lp.map(LocalPref);
                 attrs.originator_id = originator.map(OriginatorId);
-                attrs.cluster_list = (0..clusters as u32).map(ClusterId).collect();
+                let attrs =
+                    attrs.with_lists(attrs.as_path(), [], [], (0..clusters as u32).map(ClusterId));
                 let source = match kind {
                     0 => RouteSource::Ebgp {
-                        peer_as: Asn(attrs.as_path.first_as().map_or(1, |a| a.0)),
+                        peer_as: Asn(attrs.as_path().first_as().map_or(1, |a| a.0)),
                         peer_addr: 10 + nid,
                     },
                     _ => RouteSource::Ibgp {

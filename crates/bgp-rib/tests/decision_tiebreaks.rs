@@ -9,7 +9,7 @@
 
 use bgp_rib::{best_as_level, best_path, Candidate, DecisionConfig, MedMode};
 use bgp_types::{
-    AsPath, AsSegment, Asn, LocalPref, Med, NextHop, Origin, PathAttributes, RouteSource,
+    AsPath, Asn, LocalPref, Med, NextHop, Origin, PathAttributes, RouteSource, SegmentKind,
 };
 use std::sync::Arc;
 
@@ -70,12 +70,9 @@ fn step1_survivors_are_exactly_the_top_local_pref() {
 #[test]
 fn step2_as_set_counts_as_one_hop() {
     let mut set_path = route(&[1], 1);
-    Arc::make_mut(&mut set_path.attrs).as_path = AsPath {
-        segments: vec![
-            AsSegment::Sequence(vec![Asn(1)]),
-            AsSegment::Set(vec![Asn(2), Asn(3), Asn(4)]),
-        ],
-    };
+    let mut path = AsPath::sequence([Asn(1)]);
+    path.push_segment(SegmentKind::Set, [Asn(2), Asn(3), Asn(4)]);
+    set_path.attrs = Arc::new(set_path.attrs.with_lists(path.borrowed(), [], [], []));
     let cands = vec![
         set_path,             // 4 ASes but path_len 2
         route(&[5, 6], 2),    // path_len 2

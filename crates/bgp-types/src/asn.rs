@@ -1,4 +1,10 @@
 //! Autonomous-system numbers and AS_PATH values.
+//!
+//! An AS_PATH is one run of 32-bit words: each segment is a header word
+//! (its kind in the top bit, its AS count below) followed by its ASNs.
+//! [`AsPath`] owns such a run while a path is being built; a set of
+//! [`PathAttributes`](crate::PathAttributes) keeps it at the front of its
+//! one word tail, and lends it out as an [`AsPathRef`].
 
 use std::fmt;
 
@@ -18,61 +24,189 @@ impl fmt::Debug for Asn {
     }
 }
 
-/// One segment of an AS_PATH (RFC 4271 §4.3 / §5.1.2).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub enum AsSegment {
-    /// An ordered sequence of ASes (`AS_SEQUENCE`).
-    Sequence(Vec<Asn>),
+/// The kind of an AS_PATH segment (RFC 4271 §4.3 / §5.1.2).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SegmentKind {
     /// An unordered set of ASes (`AS_SET`), produced by aggregation.
-    Set(Vec<Asn>),
+    Set,
+    /// An ordered sequence of ASes (`AS_SEQUENCE`).
+    Sequence,
 }
 
-impl AsSegment {
+/// A header word's kind bit; the bits below it count the segment's ASes.
+const SET_BIT: u32 = 1 << 31;
+
+fn header(kind: SegmentKind, asns: usize) -> u32 {
+    let n = u32::try_from(asns).ok().filter(|n| n & SET_BIT == 0);
+    // Invariant: a segment holds fewer than 2^31 ASes; a set's lists
+    // are bounded far below that, under 2^16 words each.
+    let n = n.expect("AS_PATH segment of 2^31 ASes or more");
+    match kind {
+        SegmentKind::Set => n | SET_BIT,
+        SegmentKind::Sequence => n,
+    }
+}
+
+/// One segment of an AS_PATH, borrowed from its words.
+#[derive(Clone, Copy)]
+pub struct AsSegment<'a> {
+    kind: SegmentKind,
+    asns: &'a [u32],
+}
+
+impl<'a> AsSegment<'a> {
+    /// Whether the segment is an `AS_SET` or an `AS_SEQUENCE`.
+    pub fn kind(&self) -> SegmentKind {
+        self.kind
+    }
+
+    /// The ASes contained in the segment, in stored order.
+    pub fn asns(&self) -> impl ExactSizeIterator<Item = Asn> + Clone + 'a {
+        self.asns.iter().map(|&a| Asn(a))
+    }
+
     /// Contribution of this segment to AS_PATH length for the decision
     /// process: a sequence counts each AS, a set counts as one
     /// (RFC 4271 §9.1.2.2(a)).
     pub fn path_len(&self) -> usize {
-        match self {
-            AsSegment::Sequence(v) => v.len(),
-            AsSegment::Set(_) => 1,
-        }
-    }
-
-    /// The ASes contained in the segment, in stored order.
-    pub fn asns(&self) -> &[Asn] {
-        match self {
-            AsSegment::Sequence(v) | AsSegment::Set(v) => v,
+        match self.kind {
+            SegmentKind::Sequence => self.asns.len(),
+            SegmentKind::Set => 1,
         }
     }
 }
 
-impl fmt::Debug for AsSegment {
+impl fmt::Debug for AsSegment<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AsSegment::Sequence(v) => {
-                let parts: Vec<String> = v.iter().map(|a| a.0.to_string()).collect();
-                write!(f, "{}", parts.join(" "))
-            }
-            AsSegment::Set(v) => {
-                let parts: Vec<String> = v.iter().map(|a| a.0.to_string()).collect();
-                write!(f, "{{{}}}", parts.join(","))
-            }
+        let parts: Vec<String> = self.asns.iter().map(u32::to_string).collect();
+        match self.kind {
+            SegmentKind::Sequence => write!(f, "{}", parts.join(" ")),
+            SegmentKind::Set => write!(f, "{{{}}}", parts.join(",")),
         }
     }
 }
 
-/// An AS_PATH attribute value: a list of segments.
+/// The segments of an AS_PATH, first segment nearest to the receiver.
+#[derive(Clone)]
+struct Segments<'a> {
+    words: &'a [u32],
+}
+
+impl<'a> Iterator for Segments<'a> {
+    type Item = AsSegment<'a>;
+
+    fn next(&mut self) -> Option<AsSegment<'a>> {
+        let (&head, rest) = self.words.split_first()?;
+        let kind = if head & SET_BIT == 0 {
+            SegmentKind::Sequence
+        } else {
+            SegmentKind::Set
+        };
+        // Words are written only by `AsPath::push_segment`, so a header
+        // never counts past the end; if one did, the path would end here.
+        let (asns, rest) = rest.split_at_checked((head & !SET_BIT) as usize)?;
+        self.words = rest;
+        Some(AsSegment { kind, asns })
+    }
+}
+
+/// An AS_PATH attribute value, borrowed: from an [`AsPath`] or from a
+/// set of path attributes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct AsPathRef<'a> {
+    words: &'a [u32],
+}
+
+impl<'a> AsPathRef<'a> {
+    /// The path whose words are `words`, as [`AsPath`] writes them.
+    pub(crate) fn from_words(words: &'a [u32]) -> Self {
+        AsPathRef { words }
+    }
+
+    /// The path's words: segment headers and ASNs.
+    pub(crate) fn words(self) -> &'a [u32] {
+        self.words
+    }
+
+    /// The path segments, first segment nearest to the receiver.
+    pub fn segments(self) -> impl Iterator<Item = AsSegment<'a>> + Clone + 'a {
+        Segments { words: self.words }
+    }
+
+    /// AS_PATH length for the decision process (AS_SET counts one).
+    pub fn path_len(self) -> usize {
+        self.segments().map(|s| s.path_len()).sum()
+    }
+
+    /// The neighbouring AS, i.e. the leftmost AS of the first
+    /// segment. This is the AS whose MEDs are comparable
+    /// (RFC 4271 §9.1.2.2(c)).
+    pub fn first_as(self) -> Option<Asn> {
+        self.segments().next()?.asns().next()
+    }
+
+    /// The origin AS (rightmost AS of the last segment), if any.
+    pub fn origin_as(self) -> Option<Asn> {
+        self.segments().last()?.asns().last()
+    }
+
+    /// Whether the path holds no AS (locally originated).
+    pub fn is_empty(self) -> bool {
+        self.segments().all(|s| s.asns.is_empty())
+    }
+
+    /// Whether `asn` appears anywhere in the path (eBGP loop detection).
+    pub fn contains(self, asn: Asn) -> bool {
+        self.segments().any(|s| s.asns.contains(&asn.0))
+    }
+
+    /// Returns a new path with `asn` prepended, as done when a route is
+    /// advertised over an eBGP session: into the first segment if it is
+    /// an AS_SEQUENCE, else as a new one-AS sequence in front.
+    pub fn prepend(self, asn: Asn) -> AsPath {
+        let mut words = Vec::with_capacity(self.words.len() + 2);
+        match self.segments().next() {
+            Some(first) if first.kind == SegmentKind::Sequence => {
+                words.extend([header(SegmentKind::Sequence, first.asns.len() + 1), asn.0]);
+                words.extend_from_slice(&self.words[1..]);
+            }
+            _ => {
+                words.extend([header(SegmentKind::Sequence, 1), asn.0]);
+                words.extend_from_slice(self.words);
+            }
+        }
+        AsPath { words }
+    }
+}
+
+impl fmt::Debug for AsPathRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.words.is_empty() {
+            return write!(f, "<empty>");
+        }
+        let parts: Vec<String> = self.segments().map(|s| format!("{s:?}")).collect();
+        write!(f, "{}", parts.join(" "))
+    }
+}
+
+impl fmt::Display for AsPathRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self, f)
+    }
+}
+
+/// An AS_PATH attribute value, owned: one run of words, segment by
+/// segment. Read it through [`AsPath::borrowed`].
 ///
 /// ```
 /// use bgp_types::{AsPath, Asn};
 /// let p = AsPath::sequence([Asn(7018), Asn(3356), Asn(15169)]);
-/// assert_eq!(p.path_len(), 3);
-/// assert_eq!(p.first_as(), Some(Asn(7018)));
+/// assert_eq!(p.borrowed().path_len(), 3);
+/// assert_eq!(p.borrowed().first_as(), Some(Asn(7018)));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath {
-    /// The path segments, first segment nearest to the receiver.
-    pub segments: Vec<AsSegment>,
+    words: Vec<u32>,
 }
 
 impl AsPath {
@@ -83,65 +217,36 @@ impl AsPath {
 
     /// Builds a path consisting of a single AS_SEQUENCE.
     pub fn sequence(asns: impl IntoIterator<Item = Asn>) -> Self {
-        AsPath {
-            segments: vec![AsSegment::Sequence(asns.into_iter().collect())],
-        }
+        let mut path = AsPath::empty();
+        path.push_segment(SegmentKind::Sequence, asns);
+        path
     }
 
-    /// AS_PATH length for the decision process (AS_SET counts one).
-    pub fn path_len(&self) -> usize {
-        self.segments.iter().map(|s| s.path_len()).sum()
+    /// Appends a segment of `kind` holding `asns`, after the others.
+    /// The words are reserved exactly when `asns` knows its length.
+    pub fn push_segment(&mut self, kind: SegmentKind, asns: impl IntoIterator<Item = Asn>) {
+        let asns = asns.into_iter();
+        self.words.reserve_exact(1 + asns.size_hint().0);
+        let at = self.words.len();
+        self.words.push(0);
+        self.words.extend(asns.into_iter().map(|a| a.0));
+        self.words[at] = header(kind, self.words.len() - at - 1);
     }
 
-    /// The neighbouring AS, i.e. the leftmost AS of the first
-    /// AS_SEQUENCE segment. This is the AS whose MEDs are comparable
-    /// (RFC 4271 §9.1.2.2(c)).
-    pub fn first_as(&self) -> Option<Asn> {
-        match self.segments.first() {
-            Some(AsSegment::Sequence(v)) => v.first().copied(),
-            Some(AsSegment::Set(v)) => v.first().copied(),
-            None => None,
-        }
+    /// The path, borrowed.
+    pub fn borrowed(&self) -> AsPathRef<'_> {
+        AsPathRef { words: &self.words }
     }
 
-    /// The origin AS (rightmost AS of the last segment), if any.
-    pub fn origin_as(&self) -> Option<Asn> {
-        match self.segments.last() {
-            Some(AsSegment::Sequence(v)) => v.last().copied(),
-            Some(AsSegment::Set(v)) => v.last().copied(),
-            None => None,
-        }
-    }
-
-    /// Whether the path is empty (locally originated).
-    pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(|s| s.asns().is_empty())
-    }
-
-    /// Whether `asn` appears anywhere in the path (eBGP loop detection).
-    pub fn contains(&self, asn: Asn) -> bool {
-        self.segments.iter().any(|s| s.asns().contains(&asn))
-    }
-
-    /// Returns a new path with `asn` prepended, as done when a route is
-    /// advertised over an eBGP session.
-    pub fn prepend(&self, asn: Asn) -> AsPath {
-        let mut segments = self.segments.clone();
-        match segments.first_mut() {
-            Some(AsSegment::Sequence(v)) => v.insert(0, asn),
-            _ => segments.insert(0, AsSegment::Sequence(vec![asn])),
-        }
-        AsPath { segments }
+    /// The path's words, for a set's tail.
+    pub(crate) fn into_words(self) -> Vec<u32> {
+        self.words
     }
 }
 
 impl fmt::Debug for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.segments.is_empty() {
-            return write!(f, "<empty>");
-        }
-        let parts: Vec<String> = self.segments.iter().map(|s| format!("{s:?}")).collect();
-        write!(f, "{}", parts.join(" "))
+        fmt::Debug::fmt(&self.borrowed(), f)
     }
 }
 
@@ -155,49 +260,80 @@ impl fmt::Display for AsPath {
 mod tests {
     use super::*;
 
+    fn path(segments: &[(SegmentKind, &[u32])]) -> AsPath {
+        let mut p = AsPath::empty();
+        for (kind, asns) in segments {
+            p.push_segment(*kind, asns.iter().map(|&a| Asn(a)));
+        }
+        p
+    }
+
     #[test]
     fn path_len_counts_set_as_one() {
-        let p = AsPath {
-            segments: vec![
-                AsSegment::Sequence(vec![Asn(1), Asn(2)]),
-                AsSegment::Set(vec![Asn(3), Asn(4), Asn(5)]),
-            ],
-        };
-        assert_eq!(p.path_len(), 3);
+        let p = path(&[
+            (SegmentKind::Sequence, &[1, 2]),
+            (SegmentKind::Set, &[3, 4, 5]),
+        ]);
+        assert_eq!(p.borrowed().path_len(), 3);
+        // An empty set still counts one, as a segment.
+        assert_eq!(path(&[(SegmentKind::Set, &[])]).borrowed().path_len(), 1);
     }
 
     #[test]
     fn first_and_origin_as() {
         let p = AsPath::sequence([Asn(10), Asn(20), Asn(30)]);
-        assert_eq!(p.first_as(), Some(Asn(10)));
-        assert_eq!(p.origin_as(), Some(Asn(30)));
-        assert_eq!(AsPath::empty().first_as(), None);
+        assert_eq!(p.borrowed().first_as(), Some(Asn(10)));
+        assert_eq!(p.borrowed().origin_as(), Some(Asn(30)));
+        assert_eq!(AsPath::empty().borrowed().first_as(), None);
+        // Only the first and the last segment are looked at.
+        let q = path(&[(SegmentKind::Sequence, &[]), (SegmentKind::Set, &[7])]);
+        assert_eq!(q.borrowed().first_as(), None);
+        assert_eq!(q.borrowed().origin_as(), Some(Asn(7)));
     }
 
     #[test]
     fn prepend_extends_first_sequence() {
-        let p = AsPath::sequence([Asn(20)]).prepend(Asn(10));
+        let p = AsPath::sequence([Asn(20)]).borrowed().prepend(Asn(10));
         assert_eq!(p, AsPath::sequence([Asn(10), Asn(20)]));
         // Prepending onto a set-first path creates a new sequence segment.
-        let q = AsPath {
-            segments: vec![AsSegment::Set(vec![Asn(5)])],
-        }
-        .prepend(Asn(10));
-        assert_eq!(q.segments.len(), 2);
-        assert_eq!(q.first_as(), Some(Asn(10)));
-        assert_eq!(q.path_len(), 2);
+        let q = path(&[(SegmentKind::Set, &[5])])
+            .borrowed()
+            .prepend(Asn(10));
+        assert_eq!(q.borrowed().segments().count(), 2);
+        assert_eq!(q.borrowed().first_as(), Some(Asn(10)));
+        assert_eq!(q.borrowed().path_len(), 2);
+        // And onto an empty path, the first segment.
+        assert_eq!(
+            AsPath::empty().borrowed().prepend(Asn(3)),
+            AsPath::sequence([Asn(3)])
+        );
     }
 
     #[test]
     fn loop_detection() {
         let p = AsPath::sequence([Asn(1), Asn(2), Asn(3)]);
-        assert!(p.contains(Asn(2)));
-        assert!(!p.contains(Asn(4)));
+        assert!(p.borrowed().contains(Asn(2)));
+        assert!(!p.borrowed().contains(Asn(4)));
+        // A segment header (here 1, one AS) is not an AS.
+        assert!(!AsPath::sequence([Asn(9)]).borrowed().contains(Asn(1)));
     }
 
     #[test]
     fn empty_path_is_local() {
-        assert!(AsPath::empty().is_empty());
-        assert_eq!(AsPath::empty().path_len(), 0);
+        assert!(AsPath::empty().borrowed().is_empty());
+        assert_eq!(AsPath::empty().borrowed().path_len(), 0);
+        assert!(path(&[(SegmentKind::Sequence, &[])]).borrowed().is_empty());
+    }
+
+    #[test]
+    fn debug_renders_segments() {
+        let p = path(&[
+            (SegmentKind::Sequence, &[1, 2]),
+            (SegmentKind::Set, &[3, 4]),
+        ]);
+        assert_eq!(format!("{p:?}"), "1 2 {3,4}");
+        assert_eq!(format!("{}", p.borrowed()), "1 2 {3,4}");
+        assert_eq!(format!("{:?}", AsPath::empty()), "<empty>");
+        assert_eq!(format!("{:?}", path(&[(SegmentKind::Set, &[])])), "{}");
     }
 }

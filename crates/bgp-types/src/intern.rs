@@ -137,14 +137,17 @@ impl Registry {
             + self.collided.iter().filter(|(_, w)| live(w)).count()
     }
 
-    /// The table and the collision list at capacity, plus the
-    /// `ArcInner` each slot's `Weak` keeps allocated — a dead slot's
-    /// too, until the sweep drops it.
+    /// The table and the collision list at capacity, the `ArcInner`
+    /// each slot's `Weak` keeps allocated — a dead slot's too, until the
+    /// sweep drops it — and each live set's tail.
     fn heap_bytes(&self) -> usize {
         const ARC_INNER: usize = 2 * size_of::<usize>() + size_of::<PathAttributes>();
+        let tail = |w: &Weak<PathAttributes>| w.upgrade().map_or(0, |a| a.tail_bytes());
         table_bytes(&self.slots)
             + self.collided.capacity() * size_of::<(u64, Weak<PathAttributes>)>()
             + self.slot_count() * ARC_INNER
+            + self.slots.values().map(tail).sum::<usize>()
+            + self.collided.iter().map(|(_, w)| tail(w)).sum::<usize>()
     }
 }
 
@@ -203,11 +206,10 @@ pub struct InternStats {
     /// Registry slots, live plus dead: `entries` plus what the next
     /// sweep drops.
     pub slots: usize,
-    /// Bytes the registry keeps allocated: its table and collision list
-    /// at capacity, plus one `ArcInner<PathAttributes>` per slot (a dead
-    /// slot's `Weak` keeps that allocation). The vectors a live set's
-    /// attributes own (AS_PATH, communities, CLUSTER_LIST) are not
-    /// counted.
+    /// Bytes the registry and the sets in it keep allocated: its table
+    /// and collision list at capacity, one `ArcInner<PathAttributes>`
+    /// per slot (a dead slot's `Weak` keeps that allocation), and each
+    /// live set's tail — its list attributes, the only heap a set owns.
     pub heap_bytes: usize,
 }
 

@@ -33,7 +33,7 @@ pub mod prefix;
 pub mod route;
 pub mod trie;
 
-pub use asn::{AsPath, AsSegment, Asn};
+pub use asn::{AsPath, AsPathRef, AsSegment, Asn, SegmentKind};
 pub use attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
@@ -41,5 +41,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PrefixHasher, Pr
 pub use intern::{intern, intern_arc, InternStats};
 pub use partition::{ApId, ApMap, Partition};
 pub use prefix::{AddressRange, Ipv4Prefix, PrefixParseError};
-pub use route::{PathAttributes, PathId, RouteSource, RouterId};
+pub use route::{
+    AttrList, Parts, PathAttributes, PathId, RouteSource, RouterId, TailValue, Values,
+};
 pub use trie::{PrefixTable, PrefixTrie};

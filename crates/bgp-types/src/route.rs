@@ -1,10 +1,12 @@
 //! Routes: path attributes plus provenance.
 
-use crate::asn::{AsPath, Asn};
+use crate::asn::{AsPath, AsPathRef, Asn};
 use crate::attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
 use std::fmt;
+use std::marker::PhantomData;
+use std::slice::ChunksExact;
 
 /// A router identity — the 32-bit BGP Identifier from the OPEN message.
 /// In this reproduction a router's ID doubles as its loopback address,
@@ -29,59 +31,370 @@ impl fmt::Display for RouterId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PathId(pub u32);
 
+/// A list attribute's value as a set's tail keeps it: `WORDS` 32-bit
+/// words.
+pub trait TailValue: Copy {
+    /// Words per value.
+    const WORDS: usize;
+    /// The value that `words` (`WORDS` long) hold.
+    fn from_words(words: &[u32]) -> Self;
+    /// Appends the value's words to `tail`.
+    fn push_words(self, tail: &mut Vec<u32>);
+}
+
+impl TailValue for Community {
+    const WORDS: usize = 1;
+    fn from_words(words: &[u32]) -> Self {
+        Community(words[0])
+    }
+    fn push_words(self, tail: &mut Vec<u32>) {
+        tail.push(self.0);
+    }
+}
+
+impl TailValue for ClusterId {
+    const WORDS: usize = 1;
+    fn from_words(words: &[u32]) -> Self {
+        ClusterId(words[0])
+    }
+    fn push_words(self, tail: &mut Vec<u32>) {
+        tail.push(self.0);
+    }
+}
+
+/// The eight octets as two big-endian words, first octets first.
+impl TailValue for ExtCommunity {
+    const WORDS: usize = 2;
+    fn from_words(words: &[u32]) -> Self {
+        let mut octets = [0; 8];
+        octets[..4].copy_from_slice(&words[0].to_be_bytes());
+        octets[4..].copy_from_slice(&words[1].to_be_bytes());
+        ExtCommunity(octets)
+    }
+    fn push_words(self, tail: &mut Vec<u32>) {
+        let o = self.0;
+        tail.push(u32::from_be_bytes([o[0], o[1], o[2], o[3]]));
+        tail.push(u32::from_be_bytes([o[4], o[5], o[6], o[7]]));
+    }
+}
+
+/// The values of an [`AttrList`], in order.
+pub type Values<'a, T> = std::iter::Map<ChunksExact<'a, u32>, fn(&[u32]) -> T>;
+
+/// A list attribute of a set (communities, ext communities or the
+/// CLUSTER_LIST), borrowed from its tail. Two lists are equal when
+/// their values are.
+pub struct AttrList<'a, T> {
+    words: &'a [u32],
+    of: PhantomData<T>,
+}
+
+impl<T> Clone for AttrList<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for AttrList<'_, T> {}
+
+impl<T> PartialEq for AttrList<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
+impl<T> Eq for AttrList<'_, T> {}
+
+impl<'a, T: TailValue> AttrList<'a, T> {
+    fn new(words: &'a [u32]) -> Self {
+        AttrList {
+            words,
+            of: PhantomData,
+        }
+    }
+
+    /// Number of values.
+    pub fn len(self) -> usize {
+        self.words.len() / T::WORDS
+    }
+
+    /// Whether the list holds no value.
+    pub fn is_empty(self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The values, in order.
+    pub fn iter(self) -> Values<'a, T> {
+        self.words.chunks_exact(T::WORDS).map(T::from_words)
+    }
+
+    /// Whether `value` is in the list.
+    pub fn contains(self, value: T) -> bool
+    where
+        T: PartialEq,
+    {
+        self.iter().any(|v| v == value)
+    }
+
+    /// The first `n` values and the rest, or `None` past the end.
+    pub fn split_at(self, n: usize) -> Option<(Self, Self)> {
+        let (head, rest) = self.words.split_at_checked(n.checked_mul(T::WORDS)?)?;
+        Some((AttrList::new(head), AttrList::new(rest)))
+    }
+}
+
+impl<'a, T: TailValue> IntoIterator for AttrList<'a, T> {
+    type Item = T;
+    type IntoIter = Values<'a, T>;
+
+    fn into_iter(self) -> Values<'a, T> {
+        self.iter()
+    }
+}
+
+impl<T: TailValue + fmt::Debug> fmt::Debug for AttrList<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The set of path attributes attached to a route. Only the attributes
 /// the paper's protocols manipulate are modelled.
+///
+/// The scalar attributes are public fields. The four list attributes
+/// share one exact-size word slice, the *tail*, in this order: the
+/// AS_PATH's words (see [`crate::asn`]), the communities (one word
+/// each), the ext communities (two each) and the CLUSTER_LIST (one
+/// each). The head counts the words of every list but the ext
+/// communities, which are the rest, and caches the AS_PATH's decision
+/// length, so the decision process reads no tail word; a count is 16
+/// bits, so a list holds fewer than 2^16 words. A set without lists
+/// allocates no tail. Lists are read through accessors and set through
+/// builders, each of which writes a new tail once.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PathAttributes {
     /// ORIGIN (mandatory).
     pub origin: Origin,
-    /// AS_PATH (mandatory; empty for locally-originated routes).
-    pub as_path: AsPath,
     /// NEXT_HOP (mandatory).
     pub next_hop: NextHop,
     /// MULTI_EXIT_DISC (optional non-transitive).
     pub med: Option<Med>,
     /// LOCAL_PREF (present on iBGP sessions).
     pub local_pref: Option<LocalPref>,
-    /// Standard communities.
-    pub communities: Vec<Community>,
-    /// Extended communities (carries the ABRR reflected marker).
-    pub ext_communities: Vec<ExtCommunity>,
     /// ORIGINATOR_ID (set by route reflectors, RFC 4456).
     pub originator_id: Option<OriginatorId>,
-    /// CLUSTER_LIST (prepended to by route reflectors, RFC 4456).
-    pub cluster_list: Vec<ClusterId>,
+    /// The AS_PATH's length for the decision process.
+    path_len: u16,
+    /// Tail words of the AS_PATH, the communities and the CLUSTER_LIST.
+    path_words: u16,
+    communities: u16,
+    clusters: u16,
+    tail: Box<[u32]>,
+}
+
+/// A list's word count as the head keeps it.
+fn head_count(words: usize) -> u16 {
+    let count = u16::try_from(words).ok();
+    // Invariant: every list is under 2^16 words. A decoded set
+    // comes from an attribute block under 2^16 bytes, two or more bytes
+    // a word; the model's paths hold a few ASes; and a reflector or an
+    // eBGP hop adds a word or two, once per hop of a loop-free route.
+    count.expect("attribute list of 2^16 words or more")
+}
+
+/// Every attribute of a set, borrowed. Code that must handle each
+/// attribute (a reflection check, the encoder) destructures it, so a
+/// new attribute fails to compile there until it is handled.
+#[derive(Clone, Copy)]
+pub struct Parts<'a> {
+    /// ORIGIN.
+    pub origin: Origin,
+    /// AS_PATH.
+    pub as_path: AsPathRef<'a>,
+    /// NEXT_HOP.
+    pub next_hop: NextHop,
+    /// MULTI_EXIT_DISC.
+    pub med: Option<Med>,
+    /// LOCAL_PREF.
+    pub local_pref: Option<LocalPref>,
+    /// Standard communities.
+    pub communities: AttrList<'a, Community>,
+    /// Extended communities.
+    pub ext_communities: AttrList<'a, ExtCommunity>,
+    /// ORIGINATOR_ID.
+    pub originator_id: Option<OriginatorId>,
+    /// CLUSTER_LIST.
+    pub cluster_list: AttrList<'a, ClusterId>,
 }
 
 impl PathAttributes {
     /// Attributes for a locally-originated route with sensible defaults.
     pub fn local(next_hop: NextHop) -> Self {
         PathAttributes {
-            origin: Origin::Igp,
-            as_path: AsPath::empty(),
-            next_hop,
-            med: None,
             local_pref: Some(LocalPref::DEFAULT),
-            communities: Vec::new(),
-            ext_communities: Vec::new(),
-            originator_id: None,
-            cluster_list: Vec::new(),
+            ..PathAttributes::ebgp(AsPath::empty(), next_hop)
         }
     }
 
-    /// Attributes for an eBGP-learned route.
+    /// Attributes for an eBGP-learned route. The path's words become
+    /// the tail as they are.
     pub fn ebgp(as_path: AsPath, next_hop: NextHop) -> Self {
+        let path_len = head_count(as_path.borrowed().path_len());
+        let words = as_path.into_words();
         PathAttributes {
             origin: Origin::Igp,
-            as_path,
             next_hop,
             med: None,
             local_pref: None,
-            communities: Vec::new(),
-            ext_communities: Vec::new(),
             originator_id: None,
-            cluster_list: Vec::new(),
+            path_len,
+            path_words: head_count(words.len()),
+            communities: 0,
+            clusters: 0,
+            tail: words.into_boxed_slice(),
         }
+    }
+
+    /// This set's scalar attributes with the given lists, written into
+    /// one new tail.
+    pub fn with_lists<C, E, K>(
+        &self,
+        as_path: AsPathRef<'_>,
+        communities: C,
+        ext_communities: E,
+        cluster_list: K,
+    ) -> Self
+    where
+        C: IntoIterator<Item = Community>,
+        E: IntoIterator<Item = ExtCommunity>,
+        K: IntoIterator<Item = ClusterId>,
+    {
+        let (c, e, k) = (
+            communities.into_iter(),
+            ext_communities.into_iter(),
+            cluster_list.into_iter(),
+        );
+        // The lists and chains the builders pass give their lengths as
+        // lower bounds, so the tail is allocated once, exactly.
+        let path = as_path.words();
+        let mut tail = Vec::with_capacity(
+            path.len() + c.size_hint().0 + 2 * e.size_hint().0 + k.size_hint().0,
+        );
+        tail.extend_from_slice(path);
+        c.for_each(|v| v.push_words(&mut tail));
+        let communities = tail.len() - path.len();
+        e.for_each(|v| v.push_words(&mut tail));
+        let ext_end = tail.len();
+        k.for_each(|v| v.push_words(&mut tail));
+        PathAttributes {
+            path_len: head_count(as_path.path_len()),
+            path_words: head_count(path.len()),
+            communities: head_count(communities),
+            clusters: head_count(tail.len() - ext_end),
+            tail: tail.into_boxed_slice(),
+            ..*self
+        }
+    }
+
+    /// A copy with `asn` prepended to the AS_PATH (an eBGP hop).
+    pub fn with_as_prepended(&self, asn: Asn) -> Self {
+        self.with_lists(
+            self.as_path().prepend(asn).borrowed(),
+            self.communities(),
+            self.ext_communities(),
+            self.cluster_list(),
+        )
+    }
+
+    /// A copy with `clusters` prepended to the CLUSTER_LIST, in order
+    /// (RFC 4456 reflection).
+    pub fn with_clusters_prepended(&self, clusters: impl IntoIterator<Item = ClusterId>) -> Self {
+        let cluster_list = clusters.into_iter().chain(self.cluster_list());
+        self.with_lists(
+            self.as_path(),
+            self.communities(),
+            self.ext_communities(),
+            cluster_list,
+        )
+    }
+
+    /// A copy as it was before any reflector handled it: no
+    /// ORIGINATOR_ID, no CLUSTER_LIST and no ABRR reflected marker —
+    /// the iBGP-internal attributes a border strips from a route learned
+    /// over eBGP.
+    pub fn without_reflection(&self) -> Self {
+        let ext = self.ext_communities().iter();
+        let mut out = self.with_lists(
+            self.as_path(),
+            self.communities(),
+            ext.filter(|c| !c.is_abrr_reflected()),
+            [],
+        );
+        out.originator_id = None;
+        out
+    }
+
+    /// The AS_PATH.
+    pub fn as_path(&self) -> AsPathRef<'_> {
+        AsPathRef::from_words(&self.tail[..self.path_words as usize])
+    }
+
+    /// The AS_PATH's length for the decision process (AS_SET counts
+    /// one), kept in the head.
+    pub fn as_path_len(&self) -> usize {
+        usize::from(self.path_len)
+    }
+
+    /// Standard communities.
+    pub fn communities(&self) -> AttrList<'_, Community> {
+        let start = usize::from(self.path_words);
+        AttrList::new(&self.tail[start..start + usize::from(self.communities)])
+    }
+
+    /// Extended communities (carries the ABRR reflected marker).
+    pub fn ext_communities(&self) -> AttrList<'_, ExtCommunity> {
+        let start = usize::from(self.path_words) + usize::from(self.communities);
+        AttrList::new(&self.tail[start..self.tail.len() - usize::from(self.clusters)])
+    }
+
+    /// CLUSTER_LIST (prepended to by route reflectors, RFC 4456). Its
+    /// length is known from the head alone.
+    pub fn cluster_list(&self) -> AttrList<'_, ClusterId> {
+        AttrList::new(&self.tail[self.tail.len() - usize::from(self.clusters)..])
+    }
+
+    /// Every attribute, borrowed.
+    pub fn parts(&self) -> Parts<'_> {
+        // Destructured, so a new field fails to compile here until
+        // `Parts` carries it.
+        let PathAttributes {
+            origin,
+            next_hop,
+            med,
+            local_pref,
+            originator_id,
+            path_len: _,
+            path_words: _,
+            communities: _,
+            clusters: _,
+            tail: _,
+        } = *self;
+        Parts {
+            origin,
+            as_path: self.as_path(),
+            next_hop,
+            med,
+            local_pref,
+            communities: self.communities(),
+            ext_communities: self.ext_communities(),
+            originator_id,
+            cluster_list: self.cluster_list(),
+        }
+    }
+
+    /// Bytes the tail takes on the heap.
+    pub(crate) fn tail_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.tail)
     }
 
     /// Effective LOCAL_PREF for the decision process.
@@ -97,16 +410,22 @@ impl PathAttributes {
 
     /// Whether the ABRR reflected marker is present (paper §2.3.2).
     pub fn is_abrr_reflected(&self) -> bool {
-        self.ext_communities.iter().any(|c| c.is_abrr_reflected())
+        self.ext_communities()
+            .contains(ExtCommunity::ABRR_REFLECTED)
     }
 
     /// Returns a copy with the ABRR reflected marker added (idempotent).
     pub fn with_abrr_reflected(&self) -> PathAttributes {
-        let mut out = self.clone();
-        if !out.is_abrr_reflected() {
-            out.ext_communities.push(ExtCommunity::ABRR_REFLECTED);
+        if self.is_abrr_reflected() {
+            return self.clone();
         }
-        out
+        let ext = self.ext_communities().iter();
+        self.with_lists(
+            self.as_path(),
+            self.communities(),
+            ext.chain([ExtCommunity::ABRR_REFLECTED]),
+            self.cluster_list(),
+        )
     }
 
     /// Builder-style MED setter.
@@ -122,12 +441,15 @@ impl PathAttributes {
     }
 }
 
+/// `[path nh=… lp=… med=…]`, then ` orig=…` and ` clist=[…]` when
+/// present and ` reflected` when marked. Communities are not shown.
+/// Fingerprints and golden files hold this text: it must not change.
 impl fmt::Debug for PathAttributes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "[{:?} nh={:?} lp={:?} med={:?}",
-            self.as_path,
+            self.as_path(),
             self.next_hop,
             self.local_pref.map(|l| l.0),
             self.med.map(|m| m.0),
@@ -135,12 +457,10 @@ impl fmt::Debug for PathAttributes {
         if let Some(oid) = self.originator_id {
             write!(f, " orig={}", oid.0)?;
         }
-        if !self.cluster_list.is_empty() {
-            write!(
-                f,
-                " clist={:?}",
-                self.cluster_list.iter().map(|c| c.0).collect::<Vec<_>>()
-            )?;
+        let clusters = self.cluster_list();
+        if !clusters.is_empty() {
+            let ids: Vec<u32> = clusters.iter().map(|c| c.0).collect();
+            write!(f, " clist={ids:?}")?;
         }
         if self.is_abrr_reflected() {
             write!(f, " reflected")?;
@@ -186,7 +506,7 @@ mod tests {
     fn local_attrs_have_default_local_pref() {
         let a = PathAttributes::local(NextHop(1));
         assert_eq!(a.effective_local_pref(), LocalPref::DEFAULT);
-        assert!(a.as_path.is_empty());
+        assert!(a.as_path().is_empty());
     }
 
     #[test]
@@ -211,7 +531,7 @@ mod tests {
         assert!(b.is_abrr_reflected());
         let c = b.with_abrr_reflected();
         assert_eq!(b, c);
-        assert_eq!(c.ext_communities.len(), 1);
+        assert_eq!(c.ext_communities().len(), 1);
     }
 
     #[test]

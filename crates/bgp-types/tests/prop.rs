@@ -165,8 +165,9 @@ proptest! {
         } else {
             AsPath::sequence(asns.iter().map(|a| Asn(*a)))
         };
-        let p = base.prepend(Asn(new_as));
-        prop_assert_eq!(p.path_len(), base.path_len() + 1);
+        let p = base.borrowed().prepend(Asn(new_as));
+        let p = p.borrowed();
+        prop_assert_eq!(p.path_len(), base.borrowed().path_len() + 1);
         prop_assert_eq!(p.first_as(), Some(Asn(new_as)));
         prop_assert!(p.contains(Asn(new_as)));
     }

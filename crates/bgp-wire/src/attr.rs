@@ -6,8 +6,8 @@
 use crate::error::WireError;
 use crate::read::{take, take_array, take_u16};
 use bgp_types::{
-    AsPath, AsSegment, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin,
-    OriginatorId, PathAttributes,
+    AsPath, AsPathRef, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin,
+    OriginatorId, Parts, PathAttributes, SegmentKind,
 };
 
 /// Attribute type codes used by this codec.
@@ -72,9 +72,8 @@ fn put_attr(out: &mut Vec<u8>, flag: u8, code: u8, body: &[u8]) {
 /// Encoded size of an AS_PATH attribute body. RFC 4271 limits a
 /// segment to 255 ASes, so longer ones are split; an empty segment
 /// still costs its two header octets.
-fn as_path_len(path: &AsPath) -> usize {
-    path.segments
-        .iter()
+fn as_path_len(path: AsPathRef<'_>) -> usize {
+    path.segments()
         .map(|seg| {
             let n = seg.asns().len();
             2 * n.div_ceil(255).max(1) + 4 * n
@@ -82,19 +81,20 @@ fn as_path_len(path: &AsPath) -> usize {
         .sum()
 }
 
-fn put_as_path(out: &mut Vec<u8>, path: &AsPath) {
-    for seg in &path.segments {
-        let (ty, asns) = match seg {
-            AsSegment::Set(v) => (1u8, v),
-            AsSegment::Sequence(v) => (2u8, v),
+fn put_as_path(out: &mut Vec<u8>, path: AsPathRef<'_>) {
+    for seg in path.segments() {
+        let ty = match seg.kind() {
+            SegmentKind::Set => 1u8,
+            SegmentKind::Sequence => 2u8,
         };
-        for chunk in asns.chunks(255) {
-            out.extend_from_slice(&[ty, chunk.len() as u8]);
-            for a in chunk {
-                out.extend_from_slice(&a.0.to_be_bytes());
+        let n = seg.asns().len();
+        for (i, a) in seg.asns().enumerate() {
+            if i % 255 == 0 {
+                out.extend_from_slice(&[ty, (n - i).min(255) as u8]);
             }
+            out.extend_from_slice(&a.0.to_be_bytes());
         }
-        if asns.is_empty() {
+        if n == 0 {
             out.extend_from_slice(&[ty, 0]);
         }
     }
@@ -120,24 +120,19 @@ fn four_octets(body: &[u8], what: &'static str) -> Result<u32, WireError> {
 }
 
 fn decode_as_path(mut body: &[u8]) -> Result<AsPath, WireError> {
-    let mut segments = Vec::new();
+    let mut path = AsPath::empty();
     while !body.is_empty() {
         let [ty, count] = take_array(&mut body, "as-path segment header")?;
         let raw = take(&mut body, count as usize * 4, "as-path segment body")?;
-        let asns = raw
-            .as_chunks::<4>()
-            .0
-            .iter()
-            .map(|a| Asn(u32::from_be_bytes(*a)))
-            .collect();
-        let seg = match ty {
-            1 => AsSegment::Set(asns),
-            2 => AsSegment::Sequence(asns),
+        let kind = match ty {
+            1 => SegmentKind::Set,
+            2 => SegmentKind::Sequence,
             _ => return Err(WireError::MalformedAttributes("bad AS_PATH segment type")),
         };
-        segments.push(seg);
+        let asns = raw.as_chunks::<4>().0.iter();
+        path.push_segment(kind, asns.map(|a| Asn(u32::from_be_bytes(*a))));
     }
-    Ok(AsPath { segments })
+    Ok(path)
 }
 
 /// RFC 4271 §6.3 (Attribute Flags Error): for recognized attributes,
@@ -163,38 +158,46 @@ fn category_bits(ty: u8) -> Option<u8> {
 /// field, which belongs to the UPDATE message) straight into `out`:
 /// every body length is arithmetic, so nothing is staged.
 pub fn encode_attrs(attrs: &PathAttributes, out: &mut Vec<u8>) {
-    put_attr(out, flags::TRANSITIVE, code::ORIGIN, &[attrs.origin.code()]);
-    put_attr_header(
-        out,
-        flags::TRANSITIVE,
-        code::AS_PATH,
-        as_path_len(&attrs.as_path),
-    );
-    put_as_path(out, &attrs.as_path);
+    // Destructured, so a new attribute fails to compile here until it
+    // is encoded.
+    let Parts {
+        origin,
+        as_path,
+        next_hop,
+        med,
+        local_pref,
+        communities,
+        ext_communities,
+        originator_id,
+        cluster_list,
+    } = attrs.parts();
+    put_attr(out, flags::TRANSITIVE, code::ORIGIN, &[origin.code()]);
+    put_attr_header(out, flags::TRANSITIVE, code::AS_PATH, as_path_len(as_path));
+    put_as_path(out, as_path);
     put_attr(
         out,
         flags::TRANSITIVE,
         code::NEXT_HOP,
-        &attrs.next_hop.0.to_be_bytes(),
+        &next_hop.0.to_be_bytes(),
     );
-    if let Some(Med(m)) = attrs.med {
+    if let Some(Med(m)) = med {
         put_attr(out, flags::OPTIONAL, code::MED, &m.to_be_bytes());
     }
-    if let Some(LocalPref(lp)) = attrs.local_pref {
+    if let Some(LocalPref(lp)) = local_pref {
         put_attr(out, flags::TRANSITIVE, code::LOCAL_PREF, &lp.to_be_bytes());
     }
-    if !attrs.communities.is_empty() {
+    if !communities.is_empty() {
         put_attr_header(
             out,
             flags::OPTIONAL | flags::TRANSITIVE,
             code::COMMUNITIES,
-            attrs.communities.len() * 4,
+            communities.len() * 4,
         );
-        for c in &attrs.communities {
+        for c in communities {
             out.extend_from_slice(&c.0.to_be_bytes());
         }
     }
-    if let Some(OriginatorId(oid)) = attrs.originator_id {
+    if let Some(OriginatorId(oid)) = originator_id {
         put_attr(
             out,
             flags::OPTIONAL,
@@ -202,25 +205,25 @@ pub fn encode_attrs(attrs: &PathAttributes, out: &mut Vec<u8>) {
             &oid.to_be_bytes(),
         );
     }
-    if !attrs.cluster_list.is_empty() {
+    if !cluster_list.is_empty() {
         put_attr_header(
             out,
             flags::OPTIONAL,
             code::CLUSTER_LIST,
-            attrs.cluster_list.len() * 4,
+            cluster_list.len() * 4,
         );
-        for c in &attrs.cluster_list {
+        for c in cluster_list {
             out.extend_from_slice(&c.0.to_be_bytes());
         }
     }
-    if !attrs.ext_communities.is_empty() {
+    if !ext_communities.is_empty() {
         put_attr_header(
             out,
             flags::OPTIONAL | flags::TRANSITIVE,
             code::EXT_COMMUNITIES,
-            attrs.ext_communities.len() * 8,
+            ext_communities.len() * 8,
         );
-        for c in &attrs.ext_communities {
+        for c in ext_communities {
             out.extend_from_slice(&c.0);
         }
     }
@@ -232,21 +235,26 @@ pub fn encoded_attrs_len(attrs: &PathAttributes) -> usize {
     let fixed4 = |present: bool| if present { attr_len(4) } else { 0 };
     let list = |n: usize, width: usize| if n == 0 { 0 } else { attr_len(n * width) };
     attr_len(1)
-        + attr_len(as_path_len(&attrs.as_path))
+        + attr_len(as_path_len(attrs.as_path()))
         + attr_len(4)
         + fixed4(attrs.med.is_some())
         + fixed4(attrs.local_pref.is_some())
-        + list(attrs.communities.len(), 4)
+        + list(attrs.communities().len(), 4)
         + fixed4(attrs.originator_id.is_some())
-        + list(attrs.cluster_list.len(), 4)
-        + list(attrs.ext_communities.len(), 8)
+        + list(attrs.cluster_list().len(), 4)
+        + list(attrs.ext_communities().len(), 8)
 }
 
 /// Decodes an attribute block into [`PathAttributes`].
 ///
 /// Unknown optional attributes are skipped; unknown well-known
-/// attributes are an error, per RFC 4271 §6.3.
+/// attributes are an error, per RFC 4271 §6.3. A block is at most
+/// 65 535 octets (the UPDATE's two-octet length), which keeps every
+/// list under the 65 536 words a set can hold.
 pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
+    if buf.len() > usize::from(u16::MAX) {
+        return Err(WireError::MalformedAttributes("attribute block length"));
+    }
     let mut origin = None;
     let mut as_path = None;
     let mut next_hop = None;
@@ -320,17 +328,20 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
         }
     }
 
-    Ok(PathAttributes {
-        origin: origin.ok_or(WireError::MalformedAttributes("missing ORIGIN"))?,
-        as_path: as_path.ok_or(WireError::MalformedAttributes("missing AS_PATH"))?,
-        next_hop: next_hop.ok_or(WireError::MalformedAttributes("missing NEXT_HOP"))?,
-        med,
-        local_pref,
-        communities,
-        ext_communities,
-        originator_id,
-        cluster_list,
-    })
+    let origin = origin.ok_or(WireError::MalformedAttributes("missing ORIGIN"))?;
+    let as_path = as_path.ok_or(WireError::MalformedAttributes("missing AS_PATH"))?;
+    let next_hop = next_hop.ok_or(WireError::MalformedAttributes("missing NEXT_HOP"))?;
+    // The path's words become the tail as they are, unless there are
+    // lists to write after them.
+    let mut a = PathAttributes::ebgp(as_path, next_hop);
+    a.origin = origin;
+    a.med = med;
+    a.local_pref = local_pref;
+    a.originator_id = originator_id;
+    if communities.is_empty() && ext_communities.is_empty() && cluster_list.is_empty() {
+        return Ok(a);
+    }
+    Ok(a.with_lists(a.as_path(), communities, ext_communities, cluster_list))
 }
 
 #[cfg(test)]
@@ -345,11 +356,13 @@ mod tests {
         );
         a.med = Some(Med(50));
         a.local_pref = Some(LocalPref(200));
-        a.communities = vec![Community::new(7018, 100)];
-        a.ext_communities = vec![ExtCommunity::ABRR_REFLECTED];
         a.originator_id = Some(OriginatorId(0x0A0000FF));
-        a.cluster_list = vec![ClusterId(1), ClusterId(2)];
-        a
+        a.with_lists(
+            a.as_path(),
+            [Community::new(7018, 100)],
+            [ExtCommunity::ABRR_REFLECTED],
+            [ClusterId(1), ClusterId(2)],
+        )
     }
 
     #[test]
@@ -413,13 +426,11 @@ mod tests {
         encode_attrs(&a, &mut b);
         let d = decode_attrs(&b).unwrap();
         // Segment was chunked at 255 but total content is preserved.
-        assert_eq!(d.as_path.path_len(), 300);
-        let all: Vec<Asn> = d
-            .as_path
-            .segments
-            .iter()
-            .flat_map(|s| s.asns().iter().copied())
-            .collect();
+        assert_eq!(d.as_path().path_len(), 300);
+        assert_eq!(d.as_path_len(), 300);
+        let lens: Vec<usize> = d.as_path().segments().map(|s| s.asns().len()).collect();
+        assert_eq!(lens, [255, 45]);
+        let all: Vec<Asn> = d.as_path().segments().flat_map(|s| s.asns()).collect();
         assert_eq!(all, (0..300).map(Asn).collect::<Vec<_>>());
     }
 

@@ -18,12 +18,13 @@
 //!   burst, at every framing-error boundary, and on arbitrary bytes.
 
 use bgp_types::{
-    AsPath, AsSegment, Asn, ClusterId, Community, Ipv4Prefix, LocalPref, Med, NextHop, Origin,
-    OriginatorId, PathAttributes, PathId,
+    intern, AsPath, Asn, ClusterId, Community, ExtCommunity, Ipv4Prefix, LocalPref, Med, NextHop,
+    Origin, OriginatorId, PathAttributes, PathId, SegmentKind,
 };
 use bgp_wire::attr::{self, code, flags};
 use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage, WireError, MAX_MESSAGE_LEN};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn pfx(s: &str) -> Ipv4Prefix {
     s.parse().unwrap()
@@ -248,17 +249,17 @@ fn arb_wide_as_path() -> impl Strategy<Value = AsPath> {
         ),
         1..4,
     )
-    .prop_map(|segs| AsPath {
-        segments: segs
-            .into_iter()
-            .map(|(is_set, asns)| {
-                if is_set {
-                    AsSegment::Set(asns)
-                } else {
-                    AsSegment::Sequence(asns)
-                }
-            })
-            .collect(),
+    .prop_map(|segs| {
+        let mut path = AsPath::empty();
+        for (is_set, asns) in segs {
+            let kind = if is_set {
+                SegmentKind::Set
+            } else {
+                SegmentKind::Sequence
+            };
+            path.push_segment(kind, asns);
+        }
+        path
     })
 }
 
@@ -278,9 +279,13 @@ proptest! {
         attrs.origin = Origin::Incomplete;
         attrs.med = med;
         attrs.local_pref = lp;
-        attrs.communities = vec![Community::new(65_001, 9)];
         attrs.originator_id = Some(OriginatorId(0x0A0000FF));
-        attrs.cluster_list = vec![ClusterId(1), ClusterId(2)];
+        let attrs = attrs.with_lists(
+            attrs.as_path(),
+            [Community::new(65_001, 9)],
+            [],
+            [ClusterId(1), ClusterId(2)],
+        );
         for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
             let tag = |i: usize, p: Ipv4Prefix| {
                 if cfg.add_paths {
@@ -311,12 +316,75 @@ proptest! {
         let mut b = Vec::new();
         attr::encode_attrs(&attrs, &mut b);
         let d = attr::decode_attrs(&b).unwrap();
-        prop_assert_eq!(&d.as_path, &as_path);
-        let n_asns: usize = as_path.segments.iter().map(|s| s.asns().len()).sum();
+        prop_assert_eq!(d.as_path(), as_path.borrowed());
+        let segments = as_path.borrowed().segments();
+        let n_asns: usize = segments.clone().map(|s| s.asns().len()).sum();
         // ORIGIN (4) + AS_PATH header (3) + segment headers (2 each)
         // + NEXT_HOP (7) + 4 bytes per ASN.
-        let expect = 4 + 3 + 2 * as_path.segments.len() + 4 * n_asns + 7;
+        let expect = 4 + 3 + 2 * segments.count() + 4 * n_asns + 7;
         prop_assert_eq!(b.len(), expect);
+    }
+
+    /// Sets with AS_SET segments, empty paths and segments, segments past
+    /// 255 ASes and all four lists round-trip through the attribute
+    /// codec: as built when no segment is over 255 ASes, else as the set
+    /// built with each such segment split as the encoder splits it. A
+    /// decoded set interns to the same `Arc` as its struct-built twin.
+    #[test]
+    fn decoded_sets_are_the_sets_built_in_struct_mode(
+        segs in prop::collection::vec(
+            (
+                any::<bool>(),
+                prop::sample::select(vec![0usize, 1, 3, 255, 256, 300]),
+                any::<u32>(),
+            ),
+            0..4,
+        ),
+        comms in prop::collection::vec(any::<u32>(), 0..4),
+        ext in prop::collection::vec(any::<[u8; 8]>(), 0..3),
+        clist in prop::collection::vec(any::<u32>(), 0..4),
+        marked in any::<bool>(),
+        med in prop::option::of(any::<u32>()),
+    ) {
+        let build = |split: bool| {
+            let mut path = AsPath::empty();
+            for &(is_set, n, base) in &segs {
+                let kind = if is_set {
+                    SegmentKind::Set
+                } else {
+                    SegmentKind::Sequence
+                };
+                let asns: Vec<Asn> = (0..n as u32).map(|i| Asn(base.wrapping_add(i))).collect();
+                if split && !asns.is_empty() {
+                    for chunk in asns.chunks(255) {
+                        path.push_segment(kind, chunk.iter().copied());
+                    }
+                } else {
+                    path.push_segment(kind, asns);
+                }
+            }
+            let mut a = PathAttributes::ebgp(path, NextHop(7));
+            a.med = med.map(Med);
+            a.originator_id = Some(OriginatorId(3));
+            let ext = ext.iter().map(|&e| ExtCommunity(e));
+            a.with_lists(
+                a.as_path(),
+                comms.iter().map(|&c| Community(c)),
+                ext.chain(marked.then_some(ExtCommunity::ABRR_REFLECTED)),
+                clist.iter().map(|&c| ClusterId(c)),
+            )
+        };
+        let (built, wire_shaped) = (build(false), build(true));
+        let mut b = Vec::new();
+        attr::encode_attrs(&built, &mut b);
+        prop_assert_eq!(b.len(), attr::encoded_attrs_len(&built));
+        let decoded = attr::decode_attrs(&b).unwrap();
+        prop_assert_eq!(&decoded, &wire_shaped);
+        if segs.iter().all(|&(_, n, _)| n <= 255) {
+            prop_assert_eq!(&decoded, &built);
+        }
+        let held = intern(wire_shaped);
+        prop_assert!(Arc::ptr_eq(&held, &intern(decoded)));
     }
 }
 
@@ -436,9 +504,13 @@ fn rich_update(cfg: CodecConfig) -> UpdateMessage {
     let mut attrs = base_attrs();
     attrs.med = Some(Med(50));
     attrs.local_pref = Some(LocalPref(200));
-    attrs.communities = vec![Community::new(7018, 100)];
     attrs.originator_id = Some(OriginatorId(0x0A0000FF));
-    attrs.cluster_list = vec![ClusterId(1)];
+    let attrs = attrs.with_lists(
+        attrs.as_path(),
+        [Community::new(7018, 100)],
+        [],
+        [ClusterId(1)],
+    );
     let tag = |i: u32, p: Ipv4Prefix| {
         if cfg.add_paths {
             Nlri::with_path_id(p, PathId(i))

@@ -156,8 +156,8 @@ proptest! {
             &comm.to_be_bytes(),
         ));
         let d = attr::decode_attrs(&b).unwrap();
-        prop_assert_eq!(d.communities, vec![bgp_types::Community(comm)]);
-        prop_assert_eq!(d.as_path, a.as_path);
+        prop_assert!(d.communities().iter().eq([bgp_types::Community(comm)]));
+        prop_assert_eq!(d.as_path(), a.as_path());
     }
 
     /// EXT_LEN with a two-byte length field is accepted even for
@@ -185,7 +185,7 @@ proptest! {
         ));
         let d = attr::decode_attrs(&block).unwrap();
         prop_assert_eq!(d.origin.code(), origin_code);
-        prop_assert_eq!(d.as_path, a.as_path);
+        prop_assert_eq!(d.as_path(), a.as_path());
         prop_assert_eq!(d.next_hop, a.next_hop);
     }
 

@@ -2,8 +2,8 @@
 //! wire codec byte-exactly.
 
 use bgp_types::{
-    AsPath, AsSegment, Asn, ClusterId, Community, ExtCommunity, Ipv4Prefix, LocalPref, Med,
-    NextHop, Origin, OriginatorId, PathAttributes, PathId,
+    AsPath, Asn, ClusterId, Community, ExtCommunity, Ipv4Prefix, LocalPref, Med, NextHop, Origin,
+    OriginatorId, PathAttributes, PathId, SegmentKind,
 };
 use bgp_wire::update::body_len;
 use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage};
@@ -13,23 +13,30 @@ fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Ipv4Prefix::new(a, l))
 }
 
+/// The path of `segments`, each an AS_SET when its flag is set.
+fn path_of(segments: impl IntoIterator<Item = (bool, Vec<Asn>)>) -> AsPath {
+    let mut path = AsPath::empty();
+    for (is_set, asns) in segments {
+        let kind = if is_set {
+            SegmentKind::Set
+        } else {
+            SegmentKind::Sequence
+        };
+        path.push_segment(kind, asns);
+    }
+    path
+}
+
 fn arb_as_path() -> impl Strategy<Value = AsPath> {
     prop::collection::vec(
         (any::<bool>(), prop::collection::vec(1u32..1_000_000, 1..8)),
         0..4,
     )
-    .prop_map(|segs| AsPath {
-        segments: segs
-            .into_iter()
-            .map(|(is_set, asns)| {
-                let asns = asns.into_iter().map(Asn).collect();
-                if is_set {
-                    AsSegment::Set(asns)
-                } else {
-                    AsSegment::Sequence(asns)
-                }
-            })
-            .collect(),
+    .prop_map(|segs| {
+        path_of(
+            segs.into_iter()
+                .map(|(is_set, asns)| (is_set, asns.into_iter().map(Asn).collect())),
+        )
     })
 }
 
@@ -46,18 +53,11 @@ fn arb_extreme_as_path() -> impl Strategy<Value = AsPath> {
         ),
         0..4,
     )
-    .prop_map(|segs| AsPath {
-        segments: segs
-            .into_iter()
-            .map(|(is_set, n, base)| {
-                let asns = (0..n as u32).map(|i| Asn(base.wrapping_add(i))).collect();
-                if is_set {
-                    AsSegment::Set(asns)
-                } else {
-                    AsSegment::Sequence(asns)
-                }
-            })
-            .collect(),
+    .prop_map(|segs| {
+        path_of(segs.into_iter().map(|(is_set, n, base)| {
+            let asns = (0..n as u32).map(|i| Asn(base.wrapping_add(i))).collect();
+            (is_set, asns)
+        }))
     })
 }
 
@@ -82,19 +82,19 @@ fn arb_attrs_with(
         prop::option::of(any::<u32>()),
         prop::collection::vec(any::<u32>(), 0..max_list),
     )
-        .prop_map(
-            |(origin, as_path, nh, med, lp, comms, ext, oid, clist)| PathAttributes {
-                origin: Origin::from_code(origin).unwrap(),
-                as_path,
-                next_hop: NextHop(nh),
-                med: med.map(Med),
-                local_pref: lp.map(LocalPref),
-                communities: comms.into_iter().map(Community).collect(),
-                ext_communities: ext.into_iter().map(ExtCommunity).collect(),
-                originator_id: oid.map(OriginatorId),
-                cluster_list: clist.into_iter().map(ClusterId).collect(),
-            },
-        )
+        .prop_map(|(origin, as_path, nh, med, lp, comms, ext, oid, clist)| {
+            let mut a = PathAttributes::ebgp(as_path, NextHop(nh));
+            a.origin = Origin::from_code(origin).unwrap();
+            a.med = med.map(Med);
+            a.local_pref = lp.map(LocalPref);
+            a.originator_id = oid.map(OriginatorId);
+            a.with_lists(
+                a.as_path(),
+                comms.into_iter().map(Community),
+                ext.into_iter().map(ExtCommunity),
+                clist.into_iter().map(ClusterId),
+            )
+        })
 }
 
 fn arb_nlri(add_paths: bool) -> impl Strategy<Value = Nlri> {

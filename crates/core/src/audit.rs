@@ -247,11 +247,11 @@ pub fn selections_equal(
             let sa = a
                 .node(*r)
                 .selected(p)
-                .map(|s| (&s.attrs.as_path, s.exit_router()));
+                .map(|s| (s.attrs.as_path(), s.exit_router()));
             let sb = b
                 .node(*r)
                 .selected(p)
-                .map(|s| (&s.attrs.as_path, s.exit_router()));
+                .map(|s| (s.attrs.as_path(), s.exit_router()));
             sa == sb
         })
     })

@@ -12,7 +12,8 @@ use bgp_rib::{
     best_as_level_of, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry, RouteRef,
 };
 use bgp_types::{
-    intern, ApId, ClusterId, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouterId,
+    intern, ApId, ClusterId, ExtCommunity, Ipv4Prefix, OriginatorId, Parts, PathAttributes, PathId,
+    RouterId,
 };
 use netsim::Ctx;
 use std::sync::Arc;
@@ -178,7 +179,7 @@ impl ArrRole {
             AbrrLoopPrevention::ReflectedBit => paths.iter().any(|(_, a)| a.is_abrr_reflected()),
             AbrrLoopPrevention::ClusterList => paths
                 .iter()
-                .any(|(_, a)| a.cluster_list.contains(&ClusterId(ch.id.0))),
+                .any(|(_, a)| a.cluster_list().contains(ClusterId(ch.id.0))),
             AbrrLoopPrevention::None => false,
         };
         if looped {
@@ -251,18 +252,13 @@ fn reflected(
     if let Some((_, stored)) = reused {
         return (id, stored.clone());
     }
-    let mut a = attrs.clone();
+    let mut a = match mode {
+        AbrrLoopPrevention::ReflectedBit => attrs.with_abrr_reflected(),
+        // RFC 4456 default: cluster id = router id.
+        AbrrLoopPrevention::ClusterList => attrs.with_clusters_prepended([ClusterId(me.0)]),
+        AbrrLoopPrevention::None => attrs.clone(),
+    };
     a.originator_id = Some(originator);
-    match mode {
-        AbrrLoopPrevention::ReflectedBit => {
-            a = a.with_abrr_reflected();
-        }
-        AbrrLoopPrevention::ClusterList => {
-            // RFC 4456 default: cluster id = router id.
-            a.cluster_list.insert(0, ClusterId(me.0));
-        }
-        AbrrLoopPrevention::None => {}
-    }
     (id, intern(a))
 }
 
@@ -270,8 +266,9 @@ fn reflected(
 /// builds under `originator` in loop-prevention `mode`: every attribute
 /// as in `input`, but ORIGINATOR_ID `originator`, and the reflected
 /// marker appended unless present (`ReflectedBit`) or `me` prepended to
-/// the CLUSTER_LIST (`ClusterList`). `stored` is destructured, so a new
-/// attribute fails to compile here until it is compared.
+/// the CLUSTER_LIST (`ClusterList`): the head fields compared, and each
+/// list's words against `input`'s. `stored`'s parts are destructured,
+/// so a new attribute fails to compile here until it is compared.
 fn is_arr_reflection(
     stored: &PathAttributes,
     input: &PathAttributes,
@@ -279,7 +276,7 @@ fn is_arr_reflection(
     mode: AbrrLoopPrevention,
     me: RouterId,
 ) -> bool {
-    let PathAttributes {
+    let Parts {
         origin,
         as_path,
         next_hop,
@@ -289,39 +286,41 @@ fn is_arr_reflection(
         ext_communities,
         originator_id,
         cluster_list,
-    } = stored;
+    } = stored.parts();
     let (marks_ok, clusters_ok) = match mode {
         AbrrLoopPrevention::ReflectedBit => {
-            let n = input.ext_communities.len();
+            let theirs = input.ext_communities();
             let marked = if input.is_abrr_reflected() {
-                *ext_communities == input.ext_communities
+                ext_communities == theirs
             } else {
-                ext_communities.len() == n + 1
-                    && ext_communities[..n] == input.ext_communities[..]
-                    && ext_communities[n].is_abrr_reflected()
+                ext_communities
+                    .split_at(theirs.len())
+                    .is_some_and(|(head, mark)| {
+                        head == theirs && mark.iter().eq([ExtCommunity::ABRR_REFLECTED])
+                    })
             };
-            (marked, *cluster_list == input.cluster_list)
+            (marked, cluster_list == input.cluster_list())
         }
         AbrrLoopPrevention::ClusterList => {
-            let prepended = cluster_list.split_first().is_some_and(|(first, rest)| {
-                *first == ClusterId(me.0) && *rest == input.cluster_list[..]
+            let prepended = cluster_list.split_at(1).is_some_and(|(first, rest)| {
+                first.iter().eq([ClusterId(me.0)]) && rest == input.cluster_list()
             });
-            (*ext_communities == input.ext_communities, prepended)
+            (ext_communities == input.ext_communities(), prepended)
         }
         AbrrLoopPrevention::None => (
-            *ext_communities == input.ext_communities,
-            *cluster_list == input.cluster_list,
+            ext_communities == input.ext_communities(),
+            cluster_list == input.cluster_list(),
         ),
     };
-    *originator_id == Some(originator)
+    originator_id == Some(originator)
         && marks_ok
         && clusters_ok
-        && *next_hop == input.next_hop
-        && *origin == input.origin
-        && *med == input.med
-        && *local_pref == input.local_pref
-        && *as_path == input.as_path
-        && *communities == input.communities
+        && next_hop == input.next_hop
+        && origin == input.origin
+        && med == input.med
+        && local_pref == input.local_pref
+        && as_path == input.as_path()
+        && communities == input.communities()
 }
 
 impl Role for ArrRole {
@@ -351,8 +350,7 @@ impl Role for ArrRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roles::strategies::arb_attrs;
-    use bgp_types::ExtCommunity;
+    use crate::roles::strategies::{arb_attrs, boundary_moved};
     use proptest::prelude::*;
 
     /// An ARR's reflection as §2.3.2 defines it, written apart from
@@ -365,17 +363,19 @@ mod tests {
         mode: AbrrLoopPrevention,
         me: u32,
     ) -> PathAttributes {
-        let mut out = input.clone();
-        out.originator_id = Some(input.originator_id.unwrap_or(OriginatorId(neighbor)));
+        let mut ext: Vec<ExtCommunity> = input.ext_communities().iter().collect();
+        let mut clusters: Vec<ClusterId> = input.cluster_list().iter().collect();
         match mode {
             AbrrLoopPrevention::ReflectedBit => {
-                if !out.ext_communities.contains(&ExtCommunity::ABRR_REFLECTED) {
-                    out.ext_communities.push(ExtCommunity::ABRR_REFLECTED);
+                if !ext.contains(&ExtCommunity::ABRR_REFLECTED) {
+                    ext.push(ExtCommunity::ABRR_REFLECTED);
                 }
             }
-            AbrrLoopPrevention::ClusterList => out.cluster_list.insert(0, ClusterId(me)),
+            AbrrLoopPrevention::ClusterList => clusters.insert(0, ClusterId(me)),
             AbrrLoopPrevention::None => {}
         }
+        let mut out = input.with_lists(input.as_path(), input.communities(), ext, clusters);
+        out.originator_id = Some(input.originator_id.unwrap_or(OriginatorId(neighbor)));
         out
     }
 
@@ -389,8 +389,9 @@ mod tests {
     /// reflection, the near misses (another originator, another ARR's
     /// reflection, the marker appended twice, another community appended
     /// in its place, the other modes' reflections, one attribute from
-    /// another route's reflection), another route's reflection, and sets
-    /// no ARR built.
+    /// another route's reflection, the fresh reflection's words with a
+    /// list boundary moved), another route's reflection, and sets no ARR
+    /// built.
     fn candidates(
         input: &PathAttributes,
         neighbor: u32,
@@ -401,30 +402,62 @@ mod tests {
         let fresh = reference(input, neighbor, mode, me);
         let mut originator_off = fresh.clone();
         originator_off.originator_id = fresh.originator_id.map(|o| OriginatorId(o.0 + 1));
-        let mut marked_twice = fresh.clone();
-        marked_twice
-            .ext_communities
-            .push(ExtCommunity::ABRR_REFLECTED);
-        let mut foreign_mark = reference(input, neighbor, AbrrLoopPrevention::None, me);
-        foreign_mark.ext_communities.push(ExtCommunity([0; 8]));
+        let ext_plus = |a: &PathAttributes, e: ExtCommunity| {
+            let ext = a.ext_communities().iter().chain([e]);
+            a.with_lists(a.as_path(), a.communities(), ext, a.cluster_list())
+        };
+        let marked_twice = ext_plus(&fresh, ExtCommunity::ABRR_REFLECTED);
+        let foreign_mark = ext_plus(
+            &reference(input, neighbor, AbrrLoopPrevention::None, me),
+            ExtCommunity([0; 8]),
+        );
         // One attribute at a time taken from another route's reflection.
         let theirs = reference(other, neighbor, mode, me);
         let one_off: [fn(&mut PathAttributes, &PathAttributes); 9] = [
             |a, b| a.origin = b.origin,
-            |a, b| a.as_path = b.as_path.clone(),
+            |a, b| {
+                *a = a.with_lists(
+                    b.as_path(),
+                    a.communities(),
+                    a.ext_communities(),
+                    a.cluster_list(),
+                )
+            },
             |a, b| a.next_hop = b.next_hop,
             |a, b| a.med = b.med,
             |a, b| a.local_pref = b.local_pref,
-            |a, b| a.communities = b.communities.clone(),
-            |a, b| a.ext_communities = b.ext_communities.clone(),
+            |a, b| {
+                *a = a.with_lists(
+                    a.as_path(),
+                    b.communities(),
+                    a.ext_communities(),
+                    a.cluster_list(),
+                )
+            },
+            |a, b| {
+                *a = a.with_lists(
+                    a.as_path(),
+                    a.communities(),
+                    b.ext_communities(),
+                    a.cluster_list(),
+                )
+            },
             |a, b| a.originator_id = b.originator_id,
-            |a, b| a.cluster_list = b.cluster_list.clone(),
+            |a, b| {
+                *a = a.with_lists(
+                    a.as_path(),
+                    a.communities(),
+                    a.ext_communities(),
+                    b.cluster_list(),
+                )
+            },
         ];
         let one_off = one_off.map(|take| {
             let mut a = fresh.clone();
             take(&mut a, &theirs);
             a
         });
+        let moved = boundary_moved(&fresh);
         let mut out = vec![
             fresh,
             originator_off,
@@ -437,6 +470,7 @@ mod tests {
         ];
         out.extend(MODES.iter().map(|m| reference(input, neighbor, *m, me)));
         out.extend(one_off);
+        out.extend(moved);
         out
     }
 

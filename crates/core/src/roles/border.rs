@@ -92,11 +92,8 @@ impl BorderRole {
         attrs: Arc<PathAttributes>,
     ) {
         ch.counters.ebgp_events += 1;
-        let mut a = (*attrs).clone();
+        let mut a = attrs.without_reflection();
         a.next_hop = NextHop(ch.id.0);
-        a.originator_id = None;
-        a.cluster_list.clear();
-        a.ext_communities.retain(|c| !c.is_abrr_reflected());
         self.own_ever.insert(prefix, ());
         self.ebgp_sessions.insert(peer_addr);
         let routes = self.ebgp_in.get_or_insert_with(prefix, Vec::new);

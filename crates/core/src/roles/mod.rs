@@ -604,8 +604,8 @@ pub(crate) fn with_default_local_pref(attrs: &Arc<PathAttributes>) -> Arc<PathAt
 #[cfg(test)]
 pub(crate) mod strategies {
     use bgp_types::{
-        AsPath, AsSegment, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop,
-        Origin, OriginatorId, PathAttributes,
+        AsPath, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin,
+        OriginatorId, PathAttributes, SegmentKind, TailValue,
     };
     use proptest::prelude::*;
 
@@ -628,28 +628,68 @@ pub(crate) mod strategies {
             prop::collection::vec(1u32..4, 0..3),
         )
             .prop_map(|(segs, origin, nh, med, lp, comms, ext, oid, clist)| {
-                let segments = segs
-                    .into_iter()
-                    .map(|(is_set, asns)| {
-                        let asns = asns.into_iter().map(Asn).collect();
-                        if is_set {
-                            AsSegment::Set(asns)
-                        } else {
-                            AsSegment::Sequence(asns)
-                        }
-                    })
-                    .collect();
-                PathAttributes {
-                    origin,
-                    as_path: AsPath { segments },
-                    next_hop: NextHop(nh),
-                    med: med.map(Med),
-                    local_pref: lp.map(LocalPref),
-                    communities: comms.into_iter().map(Community).collect(),
-                    ext_communities: ext,
-                    originator_id: oid.map(OriginatorId),
-                    cluster_list: clist.into_iter().map(ClusterId).collect(),
+                let mut path = AsPath::empty();
+                for (is_set, asns) in segs {
+                    let kind = if is_set {
+                        SegmentKind::Set
+                    } else {
+                        SegmentKind::Sequence
+                    };
+                    path.push_segment(kind, asns.into_iter().map(Asn));
                 }
+                let mut a = PathAttributes::ebgp(path, NextHop(nh));
+                a.origin = origin;
+                a.med = med.map(Med);
+                a.local_pref = lp.map(LocalPref);
+                a.originator_id = oid.map(OriginatorId);
+                a.with_lists(
+                    a.as_path(),
+                    comms.into_iter().map(Community),
+                    ext,
+                    clist.into_iter().map(ClusterId),
+                )
             })
+    }
+
+    /// Sets whose tail words are `a`'s, word for word, but with the
+    /// boundary between the ext communities and the CLUSTER_LIST moved:
+    /// one cluster id, with the last community's word in front of the
+    /// ext words to keep them paired, moved into the ext communities;
+    /// two cluster ids moved into one ext community; and the last ext
+    /// community moved into the CLUSTER_LIST as two ids. Each that `a`'s
+    /// lists are long enough for. A check that compared the tail without
+    /// the list boundaries would take any of them for `a`.
+    pub(crate) fn boundary_moved(a: &PathAttributes) -> Vec<PathAttributes> {
+        let comms: Vec<u32> = a.communities().iter().map(|c| c.0).collect();
+        let mut ext = Vec::new();
+        a.ext_communities()
+            .iter()
+            .for_each(|e| e.push_words(&mut ext));
+        let clusters: Vec<u32> = a.cluster_list().iter().map(|c| c.0).collect();
+        let build = |comms: &[u32], ext: &[u32], clusters: &[u32]| {
+            a.with_lists(
+                a.as_path(),
+                comms.iter().map(|&c| Community(c)),
+                ext.chunks_exact(2).map(ExtCommunity::from_words),
+                clusters.iter().map(|&c| ClusterId(c)),
+            )
+        };
+        let mut out = Vec::new();
+        if let (Some((last, rest)), Some((first, tail))) =
+            (comms.split_last(), clusters.split_first())
+        {
+            let moved: Vec<u32> = [*last].iter().chain(&ext).chain([first]).copied().collect();
+            out.push(build(rest, &moved, tail));
+        }
+        if clusters.len() >= 2 {
+            let moved: Vec<u32> = ext.iter().chain(&clusters[..2]).copied().collect();
+            out.push(build(&comms, &moved, &clusters[2..]));
+        }
+        if ext.len() >= 2 {
+            let (kept, last) = ext.split_at(ext.len() - 2);
+            let moved: Vec<u32> = last.iter().chain(&clusters).copied().collect();
+            out.push(build(&comms, kept, &moved));
+        }
+        out
     }
 }

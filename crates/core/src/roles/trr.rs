@@ -11,7 +11,7 @@ use bgp_rib::{
     RibInColumn, RouteRef,
 };
 use bgp_types::{
-    intern, ClusterId, Ipv4Prefix, LocalPref, OriginatorId, PathAttributes, PathId, RouteSource,
+    intern, ClusterId, Ipv4Prefix, OriginatorId, Parts, PathAttributes, PathId, RouteSource,
     RouterId,
 };
 use netsim::Ctx;
@@ -81,14 +81,11 @@ impl TrrRole {
         if let Some((_, stored)) = reused {
             return (id, stored.clone());
         }
-        let mut a = PathAttributes::clone(r.attrs);
-        if a.local_pref.is_none() {
-            a.local_pref = Some(LocalPref::DEFAULT);
-        }
+        let mut a = r
+            .attrs
+            .with_clusters_prepended(self.trr_clusters.iter().map(|&c| ClusterId(c)));
+        a.local_pref = Some(a.effective_local_pref());
         a.originator_id = Some(originator);
-        for cid in self.trr_clusters.iter().rev() {
-            a.cluster_list.insert(0, ClusterId(*cid));
-        }
         (id, intern(a))
     }
 
@@ -195,7 +192,7 @@ impl TrrRole {
         } = rx;
         let kept = without(&paths, |a| {
             let cluster_loop = a
-                .cluster_list
+                .cluster_list()
                 .iter()
                 .any(|c| self.trr_clusters.contains(&c.0));
             cluster_loop || originated_by(a, ch.id)
@@ -251,15 +248,17 @@ impl TrrRole {
 /// Whether `stored` is exactly the reflection of `input` that a TRR
 /// serving `clusters` builds under `originator`: every attribute as in
 /// `input`, but LOCAL_PREF defaulted, ORIGINATOR_ID `originator` and
-/// `clusters` prepended to the CLUSTER_LIST. `stored` is destructured,
-/// so a new attribute fails to compile here until it is compared.
+/// `clusters` prepended to the CLUSTER_LIST: the head fields compared,
+/// and each list's words against `input`'s. `stored`'s parts are
+/// destructured, so a new attribute fails to compile here until it is
+/// compared.
 fn is_reflection(
     stored: &PathAttributes,
     input: &PathAttributes,
     originator: OriginatorId,
     clusters: &[u32],
 ) -> bool {
-    let PathAttributes {
+    let Parts {
         origin,
         as_path,
         next_hop,
@@ -269,18 +268,21 @@ fn is_reflection(
         ext_communities,
         originator_id,
         cluster_list,
-    } = stored;
-    let (ours, theirs) = cluster_list.split_at(clusters.len().min(cluster_list.len()));
-    *originator_id == Some(originator)
-        && *next_hop == input.next_hop
-        && *origin == input.origin
-        && *med == input.med
-        && *local_pref == Some(input.local_pref.unwrap_or(LocalPref::DEFAULT))
-        && ours.iter().map(|c| c.0).eq(clusters.iter().copied())
-        && *theirs == input.cluster_list[..]
-        && *as_path == input.as_path
-        && *communities == input.communities
-        && *ext_communities == input.ext_communities
+    } = stored.parts();
+    let prepended = cluster_list
+        .split_at(clusters.len())
+        .is_some_and(|(ours, theirs)| {
+            ours.iter().map(|c| c.0).eq(clusters.iter().copied()) && theirs == input.cluster_list()
+        });
+    originator_id == Some(originator)
+        && next_hop == input.next_hop
+        && origin == input.origin
+        && med == input.med
+        && local_pref == Some(input.effective_local_pref())
+        && prepended
+        && as_path == input.as_path()
+        && communities == input.communities()
+        && ext_communities == input.ext_communities()
 }
 
 impl Role for TrrRole {
@@ -310,7 +312,8 @@ impl Role for TrrRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roles::strategies::arb_attrs;
+    use crate::roles::strategies::{arb_attrs, boundary_moved};
+    use bgp_types::LocalPref;
     use proptest::prelude::*;
 
     /// A TRR's reflection as RFC 4456 defines it, written apart from
@@ -318,19 +321,23 @@ mod tests {
     /// injecting neighbor unless already set, `clusters` prepended.
     fn reference(input: &PathAttributes, neighbor: u32, clusters: &[u32]) -> PathAttributes {
         let mut cluster_list: Vec<ClusterId> = clusters.iter().map(|&c| ClusterId(c)).collect();
-        cluster_list.extend_from_slice(&input.cluster_list);
-        PathAttributes {
-            local_pref: Some(input.local_pref.unwrap_or(LocalPref::DEFAULT)),
-            originator_id: Some(input.originator_id.unwrap_or(OriginatorId(neighbor))),
+        cluster_list.extend(input.cluster_list());
+        let mut out = input.with_lists(
+            input.as_path(),
+            input.communities(),
+            input.ext_communities(),
             cluster_list,
-            ..input.clone()
-        }
+        );
+        out.local_pref = Some(input.local_pref.unwrap_or(LocalPref::DEFAULT));
+        out.originator_id = Some(input.originator_id.unwrap_or(OriginatorId(neighbor)));
+        out
     }
 
     /// The stored sets a lookup may meet for `input`: its own reflection,
     /// the near misses (one cluster id off, another originator, LOCAL_PREF
-    /// explicit where it was defaulted and back), another route's
-    /// reflection, another TRR's, and a set no TRR built.
+    /// explicit where it was defaulted and back, the fresh reflection's
+    /// words with a list boundary moved), another route's reflection,
+    /// another TRR's, and a set no TRR built.
     fn candidates(
         input: &PathAttributes,
         neighbor: u32,
@@ -349,7 +356,8 @@ mod tests {
             None => Some(LocalPref::DEFAULT),
             Some(_) => None,
         };
-        vec![
+        let moved = boundary_moved(&fresh);
+        let mut out = vec![
             fresh,
             reference(input, neighbor, &cluster_off),
             originator_off,
@@ -357,7 +365,9 @@ mod tests {
             reference(other, neighbor, clusters),
             reference(input, neighbor, other_clusters),
             other.clone(),
-        ]
+        ];
+        out.extend(moved);
+        out
     }
 
     proptest! {

@@ -314,7 +314,7 @@ mod tests {
     /// optional attribute present or absent), small enough that an
     /// UPDATE still fits.
     fn arb_attrs() -> impl proptest::Strategy<Value = Arc<PathAttributes>> {
-        use bgp_types::{AsSegment, ClusterId, Community, ExtCommunity, LocalPref, Med};
+        use bgp_types::{ClusterId, Community, ExtCommunity, LocalPref, Med, SegmentKind};
         use proptest::prelude::*;
         (
             prop::collection::vec(
@@ -334,24 +334,25 @@ mod tests {
             prop::collection::vec(any::<[u8; 8]>(), 0..40),
         )
             .prop_map(|(segs, nh, med, lp, oid, comms, clist, ext)| {
-                let segments = segs
-                    .into_iter()
-                    .map(|(is_set, n, base)| {
-                        let asns = (0..n as u32).map(|i| Asn(base.wrapping_add(i))).collect();
-                        if is_set {
-                            AsSegment::Set(asns)
-                        } else {
-                            AsSegment::Sequence(asns)
-                        }
-                    })
-                    .collect();
-                let mut a = PathAttributes::ebgp(AsPath { segments }, NextHop(nh));
+                let mut path = AsPath::empty();
+                for (is_set, n, base) in segs {
+                    let kind = if is_set {
+                        SegmentKind::Set
+                    } else {
+                        SegmentKind::Sequence
+                    };
+                    path.push_segment(kind, (0..n as u32).map(|i| Asn(base.wrapping_add(i))));
+                }
+                let mut a = PathAttributes::ebgp(path, NextHop(nh));
                 a.med = med.map(Med);
                 a.local_pref = lp.map(LocalPref);
                 a.originator_id = oid.map(bgp_types::OriginatorId);
-                a.communities = comms.into_iter().map(Community).collect();
-                a.cluster_list = clist.into_iter().map(ClusterId).collect();
-                a.ext_communities = ext.into_iter().map(ExtCommunity).collect();
+                let a = a.with_lists(
+                    a.as_path(),
+                    comms.into_iter().map(Community),
+                    ext.into_iter().map(ExtCommunity),
+                    clist.into_iter().map(ClusterId),
+                );
                 Arc::new(a)
             })
     }

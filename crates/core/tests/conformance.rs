@@ -205,7 +205,7 @@ fn worse_as_level_route_is_not_reflected() {
     // Client 2 (= ARR of AP1, client of AP0) sees only the short route.
     let paths = sim.node(RouterId(2)).client_paths_from(RouterId(1), &p);
     assert_eq!(paths.len(), 1);
-    assert_eq!(paths[0].2.as_path.path_len(), 1);
+    assert_eq!(paths[0].2.as_path().path_len(), 1);
     // Router 4's own eBGP route loses step 2 (longer AS path) before
     // the eBGP-over-iBGP step is ever reached: it exits via router 3.
     assert_eq!(
@@ -234,7 +234,7 @@ fn tbrr_single_path_reflection_rules() {
     let attrs = &paths[0].2;
     assert_eq!(attrs.originator_id.map(|o| o.0), Some(3));
     assert_eq!(
-        attrs.cluster_list.iter().map(|c| c.0).collect::<Vec<_>>(),
+        attrs.cluster_list().iter().map(|c| c.0).collect::<Vec<_>>(),
         vec![2, 1],
         "TRR2's cluster id prepended after TRR1's"
     );
@@ -380,8 +380,12 @@ fn ebgp_ingress_scrubs_internal_attributes() {
     let p = pfx("10.0.0.0/8");
     let mut attrs = PathAttributes::ebgp(AsPath::sequence([Asn(7018)]), NextHop(9001));
     attrs.originator_id = Some(bgp_types::OriginatorId(99));
-    attrs.cluster_list = vec![bgp_types::ClusterId(7)];
-    attrs.ext_communities = vec![bgp_types::ExtCommunity::ABRR_REFLECTED];
+    let attrs = attrs.with_lists(
+        attrs.as_path(),
+        [],
+        [bgp_types::ExtCommunity::ABRR_REFLECTED],
+        [bgp_types::ClusterId(7)],
+    );
     sim.schedule_external(
         0,
         RouterId(3),
@@ -397,6 +401,7 @@ fn ebgp_ingress_scrubs_internal_attributes() {
     // the ARR otherwise).
     assert!(sim.node(RouterId(4)).selected(&p).is_some());
     let sel = sim.node(RouterId(3)).selected(&p).unwrap();
-    assert!(sel.attrs.cluster_list.is_empty());
+    assert!(sel.attrs.cluster_list().is_empty());
+    assert!(!sel.attrs.is_abrr_reflected());
     assert_eq!(sel.attrs.next_hop, NextHop(3), "next-hop-self applied");
 }

@@ -146,7 +146,8 @@ fn abrr_matches_full_mesh_on_random_networks() {
                             "seed {seed}: router {r:?} prefix {p} exit mismatch"
                         );
                         assert_eq!(
-                            ms.attrs.as_path, as_.attrs.as_path,
+                            ms.attrs.as_path(),
+                            as_.attrs.as_path(),
                             "seed {seed}: router {r:?} prefix {p} path mismatch"
                         );
                     }

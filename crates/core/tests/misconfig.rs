@@ -209,9 +209,9 @@ fn cluster_list_prevention_converges_and_fires() {
     let via_2 = sim.node(RouterId(3)).arr_paths_from(RouterId(2), &p);
     assert_eq!(via_2.len(), 1);
     assert!(
-        via_2[0].2.cluster_list.iter().any(|c| c.0 == 2),
+        via_2[0].2.cluster_list().iter().any(|c| c.0 == 2),
         "reflected route must carry the reflector's cluster id: {:?}",
-        via_2[0].2.cluster_list
+        via_2[0].2.cluster_list()
     );
     // In this gadget the replace-set path-id deduplication contains the
     // chain before any stamper sees its own id again — the prevention

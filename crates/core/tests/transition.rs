@@ -59,7 +59,7 @@ fn pre_cutover_uses_tbrr_routes() {
     let sel = sim.node(victim).selected(&p).expect("route via TBRR");
     assert_eq!(sel.exit_router(), routers[1]);
     // It must be the TRR-learned copy: cluster list non-empty.
-    assert!(!sel.attrs.cluster_list.is_empty());
+    assert!(!sel.attrs.cluster_list().is_empty());
 }
 
 #[test]

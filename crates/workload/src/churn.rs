@@ -166,10 +166,11 @@ fn push_event(
             // the paper's TRRs re-generate updates at *every*
             // cluster as such changes ripple through (§4.2), while
             // only the prefix's two ARRs do in ABRR.
-            let mut attrs = (*route.attrs).clone();
-            if prepend {
-                attrs.as_path = attrs.as_path.prepend(peer_as);
-            }
+            let mut attrs = if prepend {
+                route.attrs.with_as_prepended(peer_as)
+            } else {
+                (*route.attrs).clone()
+            };
             attrs.med = Some(bgp_types::Med(med_phase));
             records.push(TraceRecord {
                 t_us: t + jitter,

@@ -537,7 +537,12 @@ mod tests {
                 let a = &r.attrs;
                 line += &format!(
                     "|{} {} {} {:?} {:?} {:?}",
-                    r.router.0, r.peer_as.0, r.peer_addr, a.as_path, a.local_pref, a.med
+                    r.router.0,
+                    r.peer_as.0,
+                    r.peer_addr,
+                    a.as_path(),
+                    a.local_pref,
+                    a.med
                 );
             }
             for b in line.bytes().chain([b'\n']) {

@@ -65,7 +65,7 @@ fn main() {
                 .map(|s| {
                     if s.attrs.is_abrr_reflected() {
                         "ABRR"
-                    } else if !s.attrs.cluster_list.is_empty() {
+                    } else if !s.attrs.cluster_list().is_empty() {
                         "TBRR"
                     } else {
                         "local"

@@ -222,7 +222,7 @@ fn per_event_generation_asymmetry() {
     let peer_as = plan
         .routes
         .iter()
-        .min_by_key(|r| r.attrs.as_path.path_len())
+        .min_by_key(|r| r.attrs.as_path_len())
         .expect("peer route")
         .peer_as;
     let opts = SpecOptions {
@@ -239,8 +239,7 @@ fn per_event_generation_asymmetry() {
             .filter(|r| r.peer_as == peer_as)
             .enumerate()
         {
-            let mut attrs = (*route.attrs).clone();
-            attrs.as_path = attrs.as_path.prepend(peer_as);
+            let attrs = route.attrs.with_as_prepended(peer_as);
             sim.schedule_external(
                 t0 + (i as u64) * 30_000,
                 route.router,
