@@ -21,9 +21,15 @@
 //! [`BalRegression::PAPER`] ships a default calibrated to the paper's
 //! reported operating point (10.2 best AS-level routes at 25 peer
 //! ASes, approaching 1 with no peers).
+//!
+//! [`full_mesh`] is the other closed form: full-mesh iBGP's selections
+//! for a prefix, computed from its eBGP routes and the IGP distances
+//! alone — the reference that ABRR's selections are audited against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod full_mesh;
 
 /// Input parameters of the Appendix A analysis.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -142,7 +142,7 @@ fn tier1_reference(name: &str, mode: Mode, cfg: RunConfig) -> String {
         // corpus stage loads and validates every file.
         .unwrap_or_else(|e| panic!("tier1_reference.json failed to load: {e:?}"));
     let run = loaded
-        .run(mode, true, cfg)
+        .run(mode, cfg)
         // Invariant: a Tier-1 corpus file has no fault schedule, the
         // only thing a run can fail on.
         .unwrap_or_else(|e| panic!("tier1_reference failed to run: {e}"));

@@ -426,7 +426,7 @@ fn check_loaded(name: &str, loaded: &scenario::Loaded, wire: WireMode) {
     let name = format!("{name} in {} wire mode", wire.name());
     check_engines(&name, &[2], false, |engine| {
         let (spec, mut sim) = loaded
-            .build(Mode::Abrr, true, wire)
+            .build(Mode::Abrr, wire)
             .unwrap_or_else(|e| panic!("{name}: does not build: {e}"));
         let outcome = sim.run_engine(engine, limits);
         (spec, sim, outcome)

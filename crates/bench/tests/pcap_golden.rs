@@ -37,7 +37,7 @@ fn capture() -> Vec<u8> {
     };
     let run = scenario::load_corpus("small_reference")
         .expect("small_reference.json loads")
-        .run(Mode::Abrr, true, cfg)
+        .run(Mode::Abrr, cfg)
         .expect("small_reference runs");
     assert!(run.outcome.quiesced, "small_reference did not quiesce");
     obs::trace::flush_local();

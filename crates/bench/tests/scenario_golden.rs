@@ -32,7 +32,7 @@ fn dsl_fingerprint(stem: &str, name: &str, mode: Mode) -> String {
     let loaded =
         scenario::load_corpus(stem).unwrap_or_else(|e| panic!("{stem}.json failed to load: {e:?}"));
     let run = loaded
-        .run(mode.clone(), true, Default::default())
+        .run(mode.clone(), Default::default())
         .unwrap_or_else(|e| panic!("{stem} failed to run: {e}"));
     assert!(
         run.outcome.quiesced,

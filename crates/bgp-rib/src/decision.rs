@@ -45,15 +45,6 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// A route learned over iBGP from `peer`.
-    pub fn ibgp(peer: RouterId, attrs: &Arc<PathAttributes>) -> Candidate {
-        Candidate {
-            attrs: attrs.clone(),
-            source: RouteSource::Ibgp { peer },
-            neighbor_id: peer.0,
-        }
-    }
-
     /// This candidate as the decision process reads it.
     pub fn route(&self) -> RouteRef<'_> {
         RouteRef {

@@ -27,7 +27,7 @@
 //!   tie-breaking and is part of the determinism contract);
 //! * RIB-Out path sets stay sorted by [`PathId`] via `normalize`.
 
-use crate::decision::Candidate;
+use crate::decision::RouteRef;
 use crate::store::{HeapBytes, Pages, PrefixId, PrefixIndex};
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, PrefixTable, RouterId};
 use std::borrow::Cow;
@@ -318,9 +318,9 @@ impl RibInColumn {
     /// Every route stored for `id` as an iBGP decision candidate, in
     /// (peer id, path id) order.
     #[inline]
-    pub fn candidates(&self, id: PrefixId) -> impl Iterator<Item = Candidate> + '_ {
-        self.all_paths(id)
-            .map(|(peer, _, attrs)| Candidate::ibgp(peer, attrs))
+    pub fn candidates(&self, id: PrefixId) -> impl Iterator<Item = RouteRef<'_>> + Clone {
+        let row = self.row(id).iter();
+        row.map(|(peer, _, attrs)| RouteRef::ibgp(*peer, attrs))
     }
 
     /// Prefixes known from any peer that overlap the inclusive address

@@ -20,10 +20,10 @@
 //! wrap.
 
 use bgp_rib::{
-    best_as_level, AdjRibIn, AdjRibOut, CandidateBatch, DecisionConfig, LocColumn, LocRib, PathSet,
-    PrefixId, PrefixIndex, RibInColumn,
+    best_as_level_of, AdjRibIn, AdjRibOut, Candidate, CandidateBatch, DecisionConfig, LocColumn,
+    LocRib, PathSet, PrefixId, PrefixIndex, RibInColumn,
 };
-use bgp_types::{intern, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
+use bgp_types::{intern, Ipv4Prefix, NextHop, PathAttributes, PathId, RouteSource, RouterId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -810,7 +810,7 @@ proptest! {
     /// through an index with its columns; after each op `set_paths`,
     /// `num_entries`, `all_paths`, `set` and `lookup` must answer alike,
     /// and a `CandidateBatch` loaded with the prefix's candidates must
-    /// keep what `best_as_level` keeps.
+    /// keep what `best_as_level_of` keeps of the column's candidates.
     #[test]
     fn compat_agrees_with_index_and_columns(ops in prop::collection::vec(
         (rib_op(), loc_op()),
@@ -832,9 +832,16 @@ proptest! {
                 prop_assert_eq!(rib.set_paths(peer, p, set.clone()), column.set_paths(peer, id, set));
                 prop_assert_eq!(rib.num_entries(), column.num_entries());
                 prop_assert_eq!(routes(rib.all_paths(&p)), routes(column.all_paths(id)));
-                let cands: Vec<_> = column.candidates(id).collect();
+                let cands: Vec<_> = column
+                    .all_paths(id)
+                    .map(|(peer, _, attrs)| Candidate {
+                        attrs: attrs.clone(),
+                        source: RouteSource::Ibgp { peer },
+                        neighbor_id: peer.0,
+                    })
+                    .collect();
                 batch.load(&cands);
-                prop_assert_eq!(batch.survivors(&cfg), best_as_level(&cands, &cfg));
+                prop_assert_eq!(batch.survivors(&cfg), best_as_level_of(column.candidates(id), &cfg));
             }
             let id = index.resolve(*lp);
             prop_assert_eq!(loc.set(*lp, *lv), loc_column.set(id, *lv));

@@ -36,14 +36,17 @@ pub enum SegmentKind {
 /// A header word's kind bit; the bits below it count the segment's ASes.
 const SET_BIT: u32 = 1 << 31;
 
+/// The most ASes one segment holds: RFC 4271 §4.3 counts a segment's
+/// ASes in one octet. [`AsPath::push_segment`] and
+/// [`AsPathRef::prepend`] start a new segment rather than grow one past
+/// it, so a path has one shape, in struct mode and on the wire alike.
+pub const MAX_SEGMENT_ASNS: usize = 255;
+
 fn header(kind: SegmentKind, asns: usize) -> u32 {
-    let n = u32::try_from(asns).ok().filter(|n| n & SET_BIT == 0);
-    // Invariant: a segment holds fewer than 2^31 ASes; a set's lists
-    // are bounded far below that, under 2^16 words each.
-    let n = n.expect("AS_PATH segment of 2^31 ASes or more");
+    debug_assert!(asns <= MAX_SEGMENT_ASNS);
     match kind {
-        SegmentKind::Set => n | SET_BIT,
-        SegmentKind::Sequence => n,
+        SegmentKind::Set => asns as u32 | SET_BIT,
+        SegmentKind::Sequence => asns as u32,
     }
 }
 
@@ -145,28 +148,16 @@ impl<'a> AsPathRef<'a> {
         self.segments().next()?.asns().next()
     }
 
-    /// The origin AS (rightmost AS of the last segment), if any.
-    pub fn origin_as(self) -> Option<Asn> {
-        self.segments().last()?.asns().last()
-    }
-
-    /// Whether the path holds no AS (locally originated).
-    pub fn is_empty(self) -> bool {
-        self.segments().all(|s| s.asns.is_empty())
-    }
-
-    /// Whether `asn` appears anywhere in the path (eBGP loop detection).
-    pub fn contains(self, asn: Asn) -> bool {
-        self.segments().any(|s| s.asns.contains(&asn.0))
-    }
-
     /// Returns a new path with `asn` prepended, as done when a route is
     /// advertised over an eBGP session: into the first segment if it is
-    /// an AS_SEQUENCE, else as a new one-AS sequence in front.
+    /// an AS_SEQUENCE with room ([`MAX_SEGMENT_ASNS`]), else as a new
+    /// one-AS sequence in front.
     pub fn prepend(self, asn: Asn) -> AsPath {
         let mut words = Vec::with_capacity(self.words.len() + 2);
         match self.segments().next() {
-            Some(first) if first.kind == SegmentKind::Sequence => {
+            Some(first)
+                if first.kind == SegmentKind::Sequence && first.asns.len() < MAX_SEGMENT_ASNS =>
+            {
                 words.extend([header(SegmentKind::Sequence, first.asns.len() + 1), asn.0]);
                 words.extend_from_slice(&self.words[1..]);
             }
@@ -222,15 +213,29 @@ impl AsPath {
         path
     }
 
-    /// Appends a segment of `kind` holding `asns`, after the others.
-    /// The words are reserved exactly when `asns` knows its length.
+    /// Appends `asns` as a segment of `kind`, after the others: as
+    /// several segments of `kind` of at most [`MAX_SEGMENT_ASNS`] each
+    /// when there are more, as the wire carries them. So an AS_SET of
+    /// 300 ASes is two sets and counts 2 in the decision's path length.
+    /// The words are reserved exactly when `asns` knows its length and
+    /// fits one segment.
     pub fn push_segment(&mut self, kind: SegmentKind, asns: impl IntoIterator<Item = Asn>) {
         let asns = asns.into_iter();
         self.words.reserve_exact(1 + asns.size_hint().0);
         let at = self.words.len();
         self.words.push(0);
-        self.words.extend(asns.into_iter().map(|a| a.0));
-        self.words[at] = header(kind, self.words.len() - at - 1);
+        self.words.extend(asns.map(|a| a.0));
+        let n = self.words.len() - at - 1;
+        if n <= MAX_SEGMENT_ASNS {
+            self.words[at] = header(kind, n);
+            return;
+        }
+        // Past the cap: one segment per run of at most the cap.
+        let run = self.words.split_off(at);
+        for asns in run[1..].chunks(MAX_SEGMENT_ASNS) {
+            self.words.push(header(kind, asns.len()));
+            self.words.extend_from_slice(asns);
+        }
     }
 
     /// The path, borrowed.
@@ -280,15 +285,35 @@ mod tests {
     }
 
     #[test]
-    fn first_and_origin_as() {
+    fn first_as_is_the_first_segments_first() {
         let p = AsPath::sequence([Asn(10), Asn(20), Asn(30)]);
         assert_eq!(p.borrowed().first_as(), Some(Asn(10)));
-        assert_eq!(p.borrowed().origin_as(), Some(Asn(30)));
         assert_eq!(AsPath::empty().borrowed().first_as(), None);
-        // Only the first and the last segment are looked at.
+        // Only the first segment is looked at.
         let q = path(&[(SegmentKind::Sequence, &[]), (SegmentKind::Set, &[7])]);
         assert_eq!(q.borrowed().first_as(), None);
-        assert_eq!(q.borrowed().origin_as(), Some(Asn(7)));
+    }
+
+    /// A run past 255 ASes is held as the wire carries it: segments of
+    /// 255 and the rest, of its kind, whatever builds it.
+    #[test]
+    fn long_segments_are_held_as_the_wire_carries_them() {
+        let shape = |p: &AsPath| -> Vec<(SegmentKind, usize)> {
+            let segments = p.borrowed().segments();
+            segments.map(|s| (s.kind(), s.asns().len())).collect()
+        };
+        let set = path(&[(SegmentKind::Set, &(0..300).collect::<Vec<_>>())]);
+        assert_eq!(
+            shape(&set),
+            [(SegmentKind::Set, 255), (SegmentKind::Set, 45)]
+        );
+        assert_eq!(set.borrowed().path_len(), 2);
+        let full = AsPath::sequence((0..255).map(Asn));
+        assert_eq!(shape(&full), [(SegmentKind::Sequence, 255)]);
+        let longer = full.borrowed().prepend(Asn(7));
+        let want = [(SegmentKind::Sequence, 1), (SegmentKind::Sequence, 255)];
+        assert_eq!(shape(&longer), want);
+        assert_eq!(longer.borrowed().path_len(), 256);
     }
 
     #[test]
@@ -310,19 +335,13 @@ mod tests {
     }
 
     #[test]
-    fn loop_detection() {
-        let p = AsPath::sequence([Asn(1), Asn(2), Asn(3)]);
-        assert!(p.borrowed().contains(Asn(2)));
-        assert!(!p.borrowed().contains(Asn(4)));
-        // A segment header (here 1, one AS) is not an AS.
-        assert!(!AsPath::sequence([Asn(9)]).borrowed().contains(Asn(1)));
-    }
-
-    #[test]
     fn empty_path_is_local() {
-        assert!(AsPath::empty().borrowed().is_empty());
+        assert_eq!(AsPath::empty().borrowed().segments().count(), 0);
         assert_eq!(AsPath::empty().borrowed().path_len(), 0);
-        assert!(path(&[(SegmentKind::Sequence, &[])]).borrowed().is_empty());
+        assert_eq!(
+            path(&[(SegmentKind::Sequence, &[])]).borrowed().path_len(),
+            0
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod prefix;
 pub mod route;
 pub mod trie;
 
-pub use asn::{AsPath, AsPathRef, AsSegment, Asn, SegmentKind};
+pub use asn::{AsPath, AsPathRef, AsSegment, Asn, SegmentKind, MAX_SEGMENT_ASNS};
 pub use attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };

@@ -89,14 +89,6 @@ impl Ipv4Prefix {
         self.contains(other) || other.contains(self)
     }
 
-    /// The value of the `i`-th bit of the network address (0 = most
-    /// significant).
-    #[inline]
-    pub fn bit(&self, i: u8) -> bool {
-        debug_assert!(i < 32);
-        self.addr & (0x8000_0000 >> i) != 0
-    }
-
     /// The covered address range.
     pub fn range(&self) -> AddressRange {
         AddressRange::new(self.first_addr(), self.last_addr())
@@ -316,15 +308,6 @@ mod tests {
         assert_eq!(d.first_addr(), 0);
         assert_eq!(d.last_addr(), u32::MAX);
         assert_eq!(d.num_addrs(), 1 << 32);
-    }
-
-    #[test]
-    fn bit_access() {
-        let p: Ipv4Prefix = "128.0.0.0/1".parse().unwrap();
-        assert!(p.bit(0));
-        let q: Ipv4Prefix = "64.0.0.0/2".parse().unwrap();
-        assert!(!q.bit(0));
-        assert!(q.bit(1));
     }
 
     #[test]

@@ -506,7 +506,7 @@ mod tests {
     fn local_attrs_have_default_local_pref() {
         let a = PathAttributes::local(NextHop(1));
         assert_eq!(a.effective_local_pref(), LocalPref::DEFAULT);
-        assert!(a.as_path().is_empty());
+        assert_eq!(a.as_path().path_len(), 0);
     }
 
     #[test]

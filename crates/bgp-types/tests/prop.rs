@@ -157,7 +157,8 @@ proptest! {
         prop_assert!(!m.aps_for_prefix(&probe_pfx).is_empty());
     }
 
-    /// AS-path prepend increases path length by one and sets first_as.
+    /// AS-path prepend increases path length by one, sets first_as and
+    /// keeps every AS behind it.
     #[test]
     fn prepend_properties(asns in prop::collection::vec(1u32..65536, 0..6), new_as in 1u32..65536) {
         let base = if asns.is_empty() {
@@ -169,7 +170,8 @@ proptest! {
         let p = p.borrowed();
         prop_assert_eq!(p.path_len(), base.borrowed().path_len() + 1);
         prop_assert_eq!(p.first_as(), Some(Asn(new_as)));
-        prop_assert!(p.contains(Asn(new_as)));
+        let all: Vec<u32> = p.segments().flat_map(|s| s.asns()).map(|a| a.0).collect();
+        prop_assert_eq!(all, [&[new_as][..], &asns].concat());
     }
 
     /// Uniform range splitting is a partition of the address space.

@@ -11,7 +11,7 @@
 
 use bgp_types::{
     AsPath, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
-    PathAttributes, SegmentKind,
+    PathAttributes, SegmentKind, MAX_SEGMENT_ASNS,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -165,13 +165,24 @@ impl Drawn {
 }
 
 fn arb_drawn() -> impl Strategy<Value = Drawn> {
-    // Empty, short and long segments (past the wire's 255 ASes).
+    // Empty, short and long segments: a run past 255 ASes is drawn as
+    // the segments of 255 and fewer a path holds it in.
     let segment = (
         prop::sample::select(vec![SegmentKind::Set, SegmentKind::Sequence]),
         prop::sample::select(vec![0u32, 1, 2, 3, 255, 300]),
         any::<u32>(),
     )
-        .prop_map(|(kind, n, base)| (kind, (0..n).map(|i| base.wrapping_add(i)).collect()));
+        .prop_map(|(kind, n, base)| {
+            let asns: Vec<u32> = (0..n).map(|i| base.wrapping_add(i)).collect();
+            let runs: Vec<&[u32]> = if asns.is_empty() {
+                vec![&[]]
+            } else {
+                asns.chunks(MAX_SEGMENT_ASNS).collect()
+            };
+            runs.into_iter()
+                .map(|r| (kind, r.to_vec()))
+                .collect::<Vec<_>>()
+        });
     let ext = (any::<bool>(), any::<[u8; 8]>()).prop_map(|(mark, e)| {
         if mark {
             ExtCommunity::ABRR_REFLECTED.0
@@ -181,7 +192,7 @@ fn arb_drawn() -> impl Strategy<Value = Drawn> {
     });
     (
         prop::sample::select(vec![Origin::Igp, Origin::Egp, Origin::Incomplete]),
-        prop::collection::vec(segment, 0..4),
+        prop::collection::vec(segment, 0..4).prop_map(|s| s.concat()),
         any::<u32>(),
         prop::option::of(any::<u32>()),
         prop::option::of(any::<u32>()),
@@ -294,7 +305,9 @@ proptest! {
 
         let mut prepended = d.clone();
         match prepended.segments.first_mut() {
-            Some((SegmentKind::Sequence, asns)) => asns.insert(0, asn),
+            Some((SegmentKind::Sequence, asns)) if asns.len() < MAX_SEGMENT_ASNS => {
+                asns.insert(0, asn)
+            }
             _ => prepended.segments.insert(0, (SegmentKind::Sequence, vec![asn])),
         }
         reads_back(&a.with_as_prepended(Asn(asn)), &prepended);

@@ -7,7 +7,7 @@ use crate::error::WireError;
 use crate::read::{take, take_array, take_u16};
 use bgp_types::{
     AsPath, AsPathRef, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin,
-    OriginatorId, Parts, PathAttributes, SegmentKind,
+    OriginatorId, Parts, PathAttributes, SegmentKind, MAX_SEGMENT_ASNS,
 };
 
 /// Attribute type codes used by this codec.
@@ -69,33 +69,25 @@ fn put_attr(out: &mut Vec<u8>, flag: u8, code: u8, body: &[u8]) {
     out.extend_from_slice(body);
 }
 
-/// Encoded size of an AS_PATH attribute body. RFC 4271 limits a
-/// segment to 255 ASes, so longer ones are split; an empty segment
-/// still costs its two header octets.
+/// Encoded size of an AS_PATH attribute body: per segment a two-octet
+/// header, even when it is empty, and four octets per AS.
 fn as_path_len(path: AsPathRef<'_>) -> usize {
-    path.segments()
-        .map(|seg| {
-            let n = seg.asns().len();
-            2 * n.div_ceil(255).max(1) + 4 * n
-        })
-        .sum()
+    path.segments().map(|seg| 2 + 4 * seg.asns().len()).sum()
 }
 
+/// Writes each segment as it is held: `AsPath` already caps a segment
+/// at the 255 ASes its one-octet count can carry
+/// ([`bgp_types::MAX_SEGMENT_ASNS`]).
 fn put_as_path(out: &mut Vec<u8>, path: AsPathRef<'_>) {
     for seg in path.segments() {
         let ty = match seg.kind() {
             SegmentKind::Set => 1u8,
             SegmentKind::Sequence => 2u8,
         };
-        let n = seg.asns().len();
-        for (i, a) in seg.asns().enumerate() {
-            if i % 255 == 0 {
-                out.extend_from_slice(&[ty, (n - i).min(255) as u8]);
-            }
+        debug_assert!(seg.asns().len() <= MAX_SEGMENT_ASNS);
+        out.extend_from_slice(&[ty, seg.asns().len() as u8]);
+        for a in seg.asns() {
             out.extend_from_slice(&a.0.to_be_bytes());
-        }
-        if n == 0 {
-            out.extend_from_slice(&[ty, 0]);
         }
     }
 }
@@ -264,6 +256,8 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
     let mut ext_communities = Vec::new();
     let mut originator_id = None;
     let mut cluster_list = Vec::new();
+    // The known codes already read: every known code is below 64.
+    let mut seen = 0u64;
 
     while !buf.is_empty() {
         let [flag, code] = take_array(&mut buf, "attribute header")?;
@@ -279,6 +273,14 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
             len as usize
         };
         let body = take(&mut buf, len, "attribute body")?;
+        // RFC 7606 §3(g): a repeated attribute keeps its first
+        // occurrence; the others are discarded unread.
+        if category_bits(code).is_some() {
+            if seen & 1 << code != 0 {
+                continue;
+            }
+            seen |= 1 << code;
+        }
 
         match code {
             code::ORIGIN => {
@@ -425,13 +427,32 @@ mod tests {
         let mut b = Vec::new();
         encode_attrs(&a, &mut b);
         let d = decode_attrs(&b).unwrap();
-        // Segment was chunked at 255 but total content is preserved.
+        // The path is held as segments of 255 and 45 ASes, and decodes
+        // as it was built.
+        assert_eq!(d, a);
         assert_eq!(d.as_path().path_len(), 300);
         assert_eq!(d.as_path_len(), 300);
         let lens: Vec<usize> = d.as_path().segments().map(|s| s.asns().len()).collect();
         assert_eq!(lens, [255, 45]);
         let all: Vec<Asn> = d.as_path().segments().flat_map(|s| s.asns()).collect();
         assert_eq!(all, (0..300).map(Asn).collect::<Vec<_>>());
+    }
+
+    /// RFC 7606 §3(g): a second AS_PATH, COMMUNITIES, CLUSTER_LIST or
+    /// EXT_COMMUNITIES is discarded; the first of each is kept whole.
+    #[test]
+    fn repeated_attributes_keep_the_first() {
+        let a = sample_attrs();
+        let mut b = Vec::new();
+        encode_attrs(&a, &mut b);
+        let mut path = Vec::new();
+        put_as_path(&mut path, AsPath::sequence([Asn(9), Asn(9)]).borrowed());
+        put_attr(&mut b, flags::TRANSITIVE, code::AS_PATH, &path);
+        let both = flags::OPTIONAL | flags::TRANSITIVE;
+        put_attr(&mut b, both, code::COMMUNITIES, &[0, 9, 0, 9]);
+        put_attr(&mut b, flags::OPTIONAL, code::CLUSTER_LIST, &[0, 0, 0, 9]);
+        put_attr(&mut b, both, code::EXT_COMMUNITIES, &[9; 8]);
+        assert_eq!(decode_attrs(&b).unwrap(), a);
     }
 
     #[test]

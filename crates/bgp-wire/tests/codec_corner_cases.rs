@@ -327,9 +327,9 @@ proptest! {
 
     /// Sets with AS_SET segments, empty paths and segments, segments past
     /// 255 ASes and all four lists round-trip through the attribute
-    /// codec: as built when no segment is over 255 ASes, else as the set
-    /// built with each such segment split as the encoder splits it. A
-    /// decoded set interns to the same `Arc` as its struct-built twin.
+    /// codec as built: a path holds a segment past 255 ASes as the wire
+    /// carries it, so there is one shape. A decoded set interns to the
+    /// same `Arc` as its struct-built twin.
     #[test]
     fn decoded_sets_are_the_sets_built_in_struct_mode(
         segs in prop::collection::vec(
@@ -346,7 +346,7 @@ proptest! {
         marked in any::<bool>(),
         med in prop::option::of(any::<u32>()),
     ) {
-        let build = |split: bool| {
+        let built = {
             let mut path = AsPath::empty();
             for &(is_set, n, base) in &segs {
                 let kind = if is_set {
@@ -354,14 +354,7 @@ proptest! {
                 } else {
                     SegmentKind::Sequence
                 };
-                let asns: Vec<Asn> = (0..n as u32).map(|i| Asn(base.wrapping_add(i))).collect();
-                if split && !asns.is_empty() {
-                    for chunk in asns.chunks(255) {
-                        path.push_segment(kind, chunk.iter().copied());
-                    }
-                } else {
-                    path.push_segment(kind, asns);
-                }
+                path.push_segment(kind, (0..n as u32).map(|i| Asn(base.wrapping_add(i))));
             }
             let mut a = PathAttributes::ebgp(path, NextHop(7));
             a.med = med.map(Med);
@@ -374,16 +367,12 @@ proptest! {
                 clist.iter().map(|&c| ClusterId(c)),
             )
         };
-        let (built, wire_shaped) = (build(false), build(true));
         let mut b = Vec::new();
         attr::encode_attrs(&built, &mut b);
         prop_assert_eq!(b.len(), attr::encoded_attrs_len(&built));
         let decoded = attr::decode_attrs(&b).unwrap();
-        prop_assert_eq!(&decoded, &wire_shaped);
-        if segs.iter().all(|&(_, n, _)| n <= 255) {
-            prop_assert_eq!(&decoded, &built);
-        }
-        let held = intern(wire_shaped);
+        prop_assert_eq!(&decoded, &built);
+        let held = intern(built);
         prop_assert!(Arc::ptr_eq(&held, &intern(decoded)));
     }
 }

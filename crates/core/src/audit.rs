@@ -5,13 +5,15 @@
 //!   plane — at every hop the packet is re-routed by that router's own
 //!   Loc-RIB selection and the IGP next hop towards its chosen exit.
 //! * **No path inefficiencies** (§2.3.3): every router's chosen exit
-//!   equals what it would have chosen under full-mesh iBGP.
+//!   equals what it would have chosen under full-mesh iBGP, computed in
+//!   closed form from the run's own eBGP routes (no second simulation).
 //! * **Oscillation** is detected by the simulator itself (an event
 //!   budget that a converging network never approaches), since a
 //!   quiescent event queue implies a globally consistent stable state.
 
-use crate::node::BgpNode;
+use crate::node::{BgpNode, Selected};
 use crate::spec::NetworkSpec;
+use analysis::full_mesh::{full_mesh, BorderRoute};
 use bgp_types::{Ipv4Prefix, RouterId};
 use netsim::Sim;
 use std::collections::BTreeMap;
@@ -114,8 +116,7 @@ pub fn count_loops(sim: &Sim<BgpNode>, spec: &NetworkSpec, prefixes: &[Ipv4Prefi
         .sum()
 }
 
-/// One exit disagreement between a scheme under test and the full-mesh
-/// oracle.
+/// One exit disagreement between a scheme under test and full mesh.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExitMismatch {
     /// The disagreeing router.
@@ -144,42 +145,65 @@ impl EfficiencyReport {
     }
 }
 
-/// Compares every router's chosen exit under `sim` against the
-/// full-mesh oracle `oracle_sim`, over `prefixes` and the routers
-/// shared by both specs (paper §2.3.3: "ABRR has no iBGP-induced path
-/// inefficiencies" because it emulates full-mesh).
+/// Every live data-plane router's selection for `prefix` under full-mesh
+/// iBGP, in closed form ([`analysis::full_mesh`]). The input is what the
+/// finished run's live routers hold: each one's eBGP routes, read from
+/// its border function in peer-address order, routers in id order. A
+/// router that is down holds nothing, so under faults the oracle sees
+/// only the exits that survived.
+pub fn full_mesh_selections(
+    sim: &Sim<BgpNode>,
+    spec: &NetworkSpec,
+    prefix: &Ipv4Prefix,
+) -> Vec<(RouterId, Option<Selected>)> {
+    let live = |r: &RouterId| sim.contains_node(*r) && sim.is_node_up(*r);
+    let routes: Vec<BorderRoute<'_>> = sim
+        .nodes()
+        .filter(|(id, _)| live(id))
+        .flat_map(|(border, node)| {
+            let routes = node.border.exits(prefix).routes();
+            routes.map(move |route| BorderRoute { border, route })
+        })
+        .collect();
+    let routers = spec.routers.iter().copied().filter(live);
+    let winners = full_mesh(&routes, routers, &spec.decision, |r, b| {
+        spec.oracle.distance(r, b)
+    });
+    let seen_at = |(r, w): (RouterId, Option<BorderRoute<'_>>)| (r, w.map(|w| w.at(r).into()));
+    winners.into_iter().map(seen_at).collect()
+}
+
+/// Compares every live data-plane router's chosen exit under `sim`
+/// against [`full_mesh_selections`] over `prefixes` (paper §2.3.3:
+/// "ABRR has no iBGP-induced path inefficiencies" because it emulates
+/// full-mesh).
 ///
 /// A router is *inefficient* for a prefix when it picked a different
 /// exit than it would have under full-mesh **and** that exit is
 /// IGP-farther from it (equal-cost exits are not inefficiencies —
 /// decision steps 7–8 may legitimately tie-break differently when
 /// candidate sets differ).
-pub fn compare_exits(
+pub fn full_mesh_exits(
     sim: &Sim<BgpNode>,
     spec: &NetworkSpec,
-    oracle_sim: &Sim<BgpNode>,
-    routers: &[RouterId],
     prefixes: &[Ipv4Prefix],
 ) -> EfficiencyReport {
     let mut report = EfficiencyReport::default();
     for prefix in prefixes {
-        for r in routers {
+        for (r, oracle) in full_mesh_selections(sim, spec, prefix) {
             report.compared += 1;
-            let got = sim.node(*r).selected(prefix).map(|s| s.exit_router());
-            let expected = oracle_sim
-                .node(*r)
-                .selected(prefix)
-                .map(|s| s.exit_router());
+            let got = sim.node(r).selected(prefix).map(|s| s.exit_router());
+            let expected = oracle.map(|s| s.exit_router());
             let equivalent = match (got, expected) {
                 (Some(g), Some(e)) => {
-                    g == e || spec.oracle.distance(*r, g) == spec.oracle.distance(*r, e)
+                    g == e || spec.oracle.distance(r, g) == spec.oracle.distance(r, e)
                 }
                 (None, None) => true,
                 _ => false,
             };
             if !equivalent {
                 report.mismatches.push(ExitMismatch {
-                    router: *r,
+                    router: r,
                     prefix: *prefix,
                     got,
                     expected,

@@ -18,11 +18,13 @@
 //!    and the §2.2 AP-reassignment choreography across roles.
 
 use crate::msg::{BgpMsg, ExternalEvent, Plane, SessionMsg};
-use crate::roles::{AdvertiseEnv, ArrRole, BorderRole, Chassis, ClientRole, Role, Rx, TrrRole};
+use crate::roles::{
+    route_at, AdvertiseEnv, ArrRole, BorderRole, Chassis, ClientRole, Role, Rx, TrrRole,
+};
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path, Candidate, HeapBytes, PrefixId, RibInEntry};
+use bgp_rib::{best_path_of, HeapBytes, PrefixId, RibInEntry, RouteRef};
 use bgp_types::{ApId, Ipv4Prefix, PathAttributes, RouteSource, RouterId};
 use netsim::{Ctx, Protocol};
 use std::collections::BTreeSet;
@@ -71,6 +73,17 @@ pub struct Selected {
     pub source: RouteSource,
     /// The advertising neighbor's id.
     pub neighbor_id: u32,
+}
+
+impl From<RouteRef<'_>> for Selected {
+    /// The decision's winner, its attributes cloned out.
+    fn from(route: RouteRef<'_>) -> Selected {
+        Selected {
+            attrs: route.attrs.clone(),
+            source: route.source,
+            neighbor_id: route.neighbor_id,
+        }
+    }
 }
 
 impl Selected {
@@ -125,7 +138,7 @@ pub struct BgpNode {
     /// Shared infrastructure: spec, RIB-Out, Loc-RIB, counters, MRAI.
     ch: Chassis,
     /// eBGP ingestion, own-route stickiness.
-    border: BorderRole,
+    pub(crate) border: BorderRole,
     /// Per-plane client Adj-RIB-Ins + §3.4 storage policy.
     client: ClientRole,
     /// AP-managed routes, best-AS-level reflection.
@@ -138,10 +151,6 @@ pub struct BgpNode {
     inbox: Vec<(RouterId, BgpMsg)>,
     /// Dirty-prefix worklist (see [`Worklist`]); empty between drains.
     dirty: Worklist,
-    /// The buffer every [`BgpNode::recompute`] gathers the border's
-    /// exit candidates into; empty between decisions, its capacity
-    /// kept.
-    exits: Vec<Candidate>,
 }
 
 impl BgpNode {
@@ -164,7 +173,6 @@ impl BgpNode {
             trr,
             inbox: Vec::new(),
             dirty: Worklist::default(),
-            exits: Vec::new(),
         }
     }
 
@@ -299,15 +307,10 @@ impl BgpNode {
     pub fn backup_route(&self, prefix: &Ipv4Prefix) -> Option<Selected> {
         let id = self.ch.index.id(prefix)?;
         let primary = self.ch.loc_rib.get(id)?.exit_router();
-        let cands = self.client.backup_candidates(id, primary);
+        let routes = self.client.backup_candidates(id, primary);
         let igp = self.ch.igp_metric_fn();
-        let best = best_path(&cands, &self.ch.spec.decision, &igp)?;
-        drop(igp);
-        Some(Selected {
-            attrs: cands[best].attrs.clone(),
-            source: cands[best].source,
-            neighbor_id: cands[best].neighbor_id,
-        })
+        let best = best_path_of(routes.clone(), &self.ch.spec.decision, &igp)?;
+        Some(route_at(&routes, best).into())
     }
 
     /// Publishes this node's per-role Adj-RIB-In occupancy (plus
@@ -448,13 +451,11 @@ impl BgpNode {
 
     fn recompute(&mut self, ctx: &mut Ctx<SessionMsg>, prefix: Ipv4Prefix, id: PrefixId) {
         // Candidate gather, fixed order: border exits, client planes,
-        // ARR managed view, TRR table. Order reaches tie-breaking. Only
-        // the exits are collected; the rest are decided where they lie.
-        let mut exits = std::mem::take(&mut self.exits);
-        self.border.reselect(&prefix, &mut exits);
+        // ARR managed view, TRR table. Order reaches tie-breaking. Every
+        // route is decided where it lies.
+        let exits = self.border.exits(&prefix);
         let routes = exits
-            .iter()
-            .map(Candidate::route)
+            .routes()
             .chain(self.client.routes(&self.ch, &prefix, id))
             .chain(self.arr.routes(&self.ch, &prefix, id))
             .chain(self.trr.routes(&self.ch, &prefix, id));
@@ -466,7 +467,7 @@ impl BgpNode {
             id,
             sel: sel.as_ref(),
             sel_changed,
-            exit_cands: &exits,
+            exits,
             arr: Some(&mut self.arr),
         };
         // Border first (eBGP export accounting), then the client
@@ -483,8 +484,6 @@ impl BgpNode {
         if is_pure_trr_plane {
             self.trr.advertise(&mut self.ch, ctx, prefix, &mut env);
         }
-        exits.clear();
-        self.exits = exits;
     }
 
     /// RFC 4271 §6 session teardown: flush pacing state and queued input

@@ -2,17 +2,17 @@
 //!
 //! This role has no iBGP plane of its own — its inputs are the eBGP
 //! events delivered by the shell — but it seeds every other role's
-//! view: the exit candidates (eBGP routes) it contributes via
-//! `BorderRole::reselect` are what the client, ARR, and TRR functions
-//! redistribute. Its eBGP Adj-RIB-In is a private [`PrefixTable`]:
-//! point lookups per event, range queries sorted by the table. Each
-//! prefix's routes are one flat `Vec`, sorted by session address and
-//! sized exactly. The sticky own-route prefix set is a
-//! [`PrefixTable`] too, so every per-prefix table here is in the
-//! `core.store.index_bytes` gauge.
+//! view: the exit candidates (eBGP routes) it lends via
+//! `BorderRole::exits` are what the client, ARR, and TRR functions
+//! redistribute, and what the full-mesh audit reads. Its eBGP
+//! Adj-RIB-In is a private [`PrefixTable`]: point lookups per event,
+//! range queries sorted by the table. Each prefix's routes are one flat
+//! `Vec`, sorted by session address and sized exactly. The sticky
+//! own-route prefix set is a [`PrefixTable`] too, so every per-prefix
+//! table here is in the `core.store.index_bytes` gauge.
 
 use super::{AdvertiseEnv, Chassis, Role};
-use bgp_rib::{Candidate, HeapBytes, PrefixIndex};
+use bgp_rib::{HeapBytes, PrefixIndex, RouteRef};
 use bgp_types::{intern, Asn, Ipv4Prefix, NextHop, PathAttributes, PrefixTable, RouteSource};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -26,13 +26,32 @@ struct EbgpRoute {
     attrs: Arc<PathAttributes>,
 }
 
+/// One prefix's eBGP routes at a border, in peer-address order: what
+/// the decision gathers first and the TRR function reflects from.
+#[derive(Clone, Copy)]
+pub(crate) struct Exits<'a>(&'a [EbgpRoute]);
+
+impl<'a> Exits<'a> {
+    /// The routes as the decision process reads them.
+    pub(crate) fn routes(self) -> impl Iterator<Item = RouteRef<'a>> + Clone {
+        self.0.iter().map(|r| RouteRef {
+            attrs: &r.attrs,
+            source: RouteSource::Ebgp {
+                peer_as: r.peer_as,
+                peer_addr: r.peer_addr,
+            },
+            neighbor_id: r.peer_addr,
+        })
+    }
+}
+
 /// The border function of a router (paper Table 1, "Client ↔ eBGP
 /// Neighbor" rows): eBGP Adj-RIB-In and the sticky own-route set the
 /// client role's §3.4 storage policy consults.
 pub struct BorderRole {
     /// eBGP Adj-RIB-In: prefix → its routes. The outer table is a
     /// private hashed table holding each prefix's `Vec` header in its
-    /// buckets — every `reselect` probes it, and only range queries,
+    /// buckets — every `exits` probes it, and only range queries,
     /// which it sorts, need order — not a column over the router's
     /// index: a border router learns a small share of the prefixes it
     /// routes over eBGP, and a dense 24-byte row for each of them would
@@ -135,19 +154,10 @@ impl BorderRole {
         true
     }
 
-    /// Contributes the exit candidates for `prefix`: the eBGP routes in
-    /// peer-address order.
-    pub(crate) fn reselect(&self, prefix: &Ipv4Prefix, cands: &mut Vec<Candidate>) {
-        for r in self.ebgp_in.get(prefix).into_iter().flatten() {
-            cands.push(Candidate {
-                attrs: r.attrs.clone(),
-                source: RouteSource::Ebgp {
-                    peer_as: r.peer_as,
-                    peer_addr: r.peer_addr,
-                },
-                neighbor_id: r.peer_addr,
-            });
-        }
+    /// The exit candidates for `prefix`: its eBGP routes, looked up
+    /// once and lent in peer-address order.
+    pub(crate) fn exits(&self, prefix: &Ipv4Prefix) -> Exits<'_> {
+        Exits(self.ebgp_in.get(prefix).map_or(&[], Vec::as_slice))
     }
 
     /// Counts the eBGP exports a changed selection causes.
@@ -237,8 +247,7 @@ mod tests {
         assert!(border.ebgp_withdraw(&mut ch, p, 10));
         // Session 20 re-announces with other attributes: a replacement.
         border.ebgp_announce(&mut ch, p, Asn(20), 20, ebgp(20, 5));
-        let mut cands = Vec::new();
-        border.reselect(&p, &mut cands);
+        let cands: Vec<_> = border.exits(&p).routes().collect();
         let sources: Vec<_> = cands.iter().map(|c| (c.neighbor_id, c.source)).collect();
         let ebgp_from = |addr: u32| RouteSource::Ebgp {
             peer_as: Asn(addr),

@@ -11,8 +11,7 @@ use crate::msg::{BgpMsg, Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
 use bgp_rib::{
-    best_path_of, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry,
-    RouteRef,
+    best_path_of, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry, RouteRef,
 };
 use bgp_types::{Ipv4Prefix, PathAttributes, PathId, RouterId};
 use netsim::Ctx;
@@ -99,12 +98,15 @@ impl ClientRole {
 
     /// Candidates for a pre-installed backup exit: every stored route
     /// whose exit differs from `primary` (§3.2/§3.4 extension).
-    pub(crate) fn backup_candidates(&self, id: PrefixId, primary: RouterId) -> Vec<Candidate> {
+    pub(crate) fn backup_candidates(
+        &self,
+        id: PrefixId,
+        primary: RouterId,
+    ) -> impl Iterator<Item = RouteRef<'_>> + Clone {
         [&self.client_in, &self.client_in_tbrr]
             .into_iter()
-            .flat_map(|rib| rib.candidates(id))
-            .filter(|c| RouterId(c.attrs.next_hop.0) != primary)
-            .collect()
+            .flat_map(move |rib| rib.candidates(id))
+            .filter(move |c| RouterId(c.attrs.next_hop.0) != primary)
     }
 
     /// Drops reflected routes learned from `arr` for prefixes covered by

@@ -36,6 +36,7 @@ mod trr;
 
 pub use arr::ArrRole;
 pub use border::BorderRole;
+pub(crate) use border::Exits;
 pub use client::ClientRole;
 pub use trr::TrrRole;
 
@@ -45,8 +46,8 @@ use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
 use bgp_rib::{
-    best_path_of, AdjRibOut, Candidate, HeapBytes, LocColumn, PathSet, PrefixId, PrefixIndex,
-    RibInEntry, RouteRef,
+    best_path_of, AdjRibOut, HeapBytes, LocColumn, PathSet, PrefixId, PrefixIndex, RibInEntry,
+    RouteRef,
 };
 use bgp_types::{ApId, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use netsim::{Ctx, Mrai, MraiVerdict};
@@ -271,14 +272,7 @@ impl Chassis {
         let igp = self.igp_metric_fn();
         let best = best_path_of(routes.clone(), &self.spec.decision, &igp);
         drop(igp);
-        let selected = best.map(|i| {
-            let r = route_at(&routes, i);
-            Selected {
-                attrs: r.attrs.clone(),
-                source: r.source,
-                neighbor_id: r.neighbor_id,
-            }
-        });
+        let selected = best.map(|i| Selected::from(route_at(&routes, i)));
         let changed = self.loc_rib.set(id, selected.clone());
         if changed {
             obs::event!(Core, Debug, "core.select", node = self.id.0,
@@ -523,10 +517,10 @@ pub struct AdvertiseEnv<'a> {
     pub(crate) sel: Option<&'a Selected>,
     /// Whether the selection changed in this recompute.
     pub(crate) sel_changed: bool,
-    /// Border-role exit candidates (local + eBGP, decision order) — the
-    /// seed of every role's plane view; lets the TRR rebuild its
-    /// TBRR-plane candidate set without touching border state.
-    pub(crate) exit_cands: &'a [Candidate],
+    /// The prefix's eBGP routes at this router, the seed of every
+    /// role's plane view; the TRR rebuilds its TBRR-plane candidate set
+    /// from them.
+    pub(crate) exits: Exits<'a>,
     /// The router's own ARR function, when the advertising role may
     /// hand routes to it internally (§2.1's "logical pass"). `None`
     /// when the ARR itself (or a role with no hand-off) advertises.
@@ -539,7 +533,7 @@ pub struct AdvertiseEnv<'a> {
 ///
 /// Input, decision and advertisement are not here. Each role has the
 /// ones it takes part in as inherent methods — `absorb`, `routes` (the
-/// border's `reselect`), `advertise`, `drop_peer`, `on_restart` — and
+/// border's `exits`), `advertise`, `drop_peer`, `on_restart` — and
 /// the shell calls them role by role, in the fixed order that reaches
 /// tie-breaking and MRAI pacing.
 pub trait Role {

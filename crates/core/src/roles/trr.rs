@@ -7,8 +7,8 @@ use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
 use crate::spec::{Mode, NetworkSpec};
 use bgp_rib::{
-    best_as_level_of, best_path_of, Candidate, HeapBytes, PathSet, PrefixId, PrefixIndex,
-    RibInColumn, RouteRef,
+    best_as_level_of, best_path_of, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn,
+    RouteRef,
 };
 use bgp_types::{
     intern, ClusterId, Ipv4Prefix, OriginatorId, Parts, PathAttributes, PathId, RouteSource,
@@ -224,8 +224,10 @@ impl TrrRole {
         prefix: Ipv4Prefix,
         env: &mut AdvertiseEnv<'_>,
     ) {
-        let exits = env.exit_cands.iter().map(Candidate::route);
-        let routes = exits.chain(ibgp_routes(self.trr_in.row(env.id)));
+        let routes = env
+            .exits
+            .routes()
+            .chain(ibgp_routes(self.trr_in.row(env.id)));
         self.reflect(ch, ctx, prefix, routes);
     }
 

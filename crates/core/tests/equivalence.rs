@@ -1,8 +1,10 @@
 //! The paper's central semantic claim (§2.2): ABRR emulates full-mesh
 //! iBGP. We verify it empirically on randomized networks: same
 //! topology, same eBGP feeds — every router's steady-state selection
-//! must match full-mesh exactly, and the data plane must be loop-free
-//! and exit-efficient.
+//! must equal full mesh's in closed form (`audit::full_mesh_selections`)
+//! exactly, exit and AS path, and so must the full-mesh simulation's,
+//! which checks the closed form itself; the data plane must be
+//! loop-free.
 
 use abrr::prelude::*;
 use rand::rngs::StdRng;
@@ -97,14 +99,18 @@ fn random_net(seed: u64) -> RandomNet {
     }
 }
 
-fn run_mode(net: &RandomNet, mode: Mode) -> Sim<BgpNode> {
+/// A timed eBGP script: `(at, border, event)`.
+type Script = Vec<(u64, RouterId, ExternalEvent)>;
+
+/// The net's spec under `mode`: under ABRR, its ARRs round-robin over
+/// the APs, every AP served by one or two of them.
+fn spec_for(net: &RandomNet, mode: Mode) -> Arc<NetworkSpec> {
     let mut spec = net.spec_base.clone();
     spec.mode = mode.clone();
     spec.routers = net.routers.clone();
     if mode.has_abrr() {
         spec.ap_map = Some(ApMap::uniform(net.n_aps));
         for (i, part) in ApMap::uniform(net.n_aps).partitions().iter().enumerate() {
-            // Round-robin ARRs over APs; every AP gets 1-2 ARRs.
             let mut arrs = vec![net.rrs[i % net.rrs.len()]];
             if net.rrs.len() > 1 {
                 arrs.push(net.rrs[(i + 1) % net.rrs.len()]);
@@ -114,46 +120,67 @@ fn run_mode(net: &RandomNet, mode: Mode) -> Sim<BgpNode> {
             spec.arrs.insert(part.id, arrs);
         }
     }
-    let spec = Arc::new(spec);
-    let mut sim = build_sim(spec);
-    for (r, ev) in &net.feeds {
-        sim.schedule_external(0, *r, ev.clone());
+    Arc::new(spec)
+}
+
+/// Runs `script` on the net under `mode` to quiescence.
+fn run_script(net: &RandomNet, mode: Mode, script: &Script) -> (Arc<NetworkSpec>, Sim<BgpNode>) {
+    let spec = spec_for(net, mode.clone());
+    let mut sim = build_sim(spec.clone());
+    for (at, r, ev) in script {
+        sim.schedule_external(*at, *r, ev.clone());
     }
     let out = sim.run(RunLimits {
         max_events: 2_000_000,
         max_time: u64::MAX,
     });
     assert!(out.quiesced, "{mode:?} did not converge");
-    sim
+    (spec, sim)
 }
 
+/// Runs the net's feeds, all at time 0, under `mode` to quiescence.
+fn run_mode(net: &RandomNet, mode: Mode) -> (Arc<NetworkSpec>, Sim<BgpNode>) {
+    let script: Script = net
+        .feeds
+        .iter()
+        .map(|(r, ev)| (0, *r, ev.clone()))
+        .collect();
+    run_script(net, mode, &script)
+}
+
+/// Asserts that every router's selection in `sim` has the exit and the
+/// AS path full mesh selects in closed form over `sim`'s own borders'
+/// routes, exactly: no equal-distance tolerance.
+fn assert_matches_oracle(what: &str, spec: &NetworkSpec, sim: &Sim<BgpNode>, net: &RandomNet) {
+    fn view(s: Option<&Selected>) -> Option<(RouterId, bgp_types::AsPathRef<'_>)> {
+        s.map(|s| (s.exit_router(), s.attrs.as_path()))
+    }
+    for p in &net.prefixes {
+        let oracle = audit::full_mesh_selections(sim, spec, p);
+        assert_eq!(
+            oracle.len(),
+            net.routers.len(),
+            "{what}: every router is live"
+        );
+        for (r, want) in &oracle {
+            assert_eq!(
+                view(sim.node(*r).selected(p)),
+                view(want.as_ref()),
+                "{what}: router {r:?} prefix {p}"
+            );
+        }
+    }
+}
+
+/// ABRR and the full-mesh simulation both select exactly what full
+/// mesh selects in closed form: exit and AS path, at every router.
 #[test]
 fn abrr_matches_full_mesh_on_random_networks() {
     for seed in 0..25u64 {
         let net = random_net(seed);
-        let mesh = run_mode(&net, Mode::FullMesh);
-        let ab = run_mode(&net, Mode::Abrr);
-        for r in &net.routers {
-            for p in &net.prefixes {
-                let m = mesh.node(*r).selected(p);
-                let a = ab.node(*r).selected(p);
-                match (m, a) {
-                    (None, None) => {}
-                    (Some(ms), Some(as_)) => {
-                        assert_eq!(
-                            ms.exit_router(),
-                            as_.exit_router(),
-                            "seed {seed}: router {r:?} prefix {p} exit mismatch"
-                        );
-                        assert_eq!(
-                            ms.attrs.as_path(),
-                            as_.attrs.as_path(),
-                            "seed {seed}: router {r:?} prefix {p} path mismatch"
-                        );
-                    }
-                    (m, a) => panic!("seed {seed}: router {r:?} prefix {p}: mesh={m:?} abrr={a:?}"),
-                }
-            }
+        for mode in [Mode::FullMesh, Mode::Abrr] {
+            let (spec, sim) = run_mode(&net, mode.clone());
+            assert_matches_oracle(&format!("seed {seed} {mode:?}"), &spec, &sim, &net);
         }
     }
 }
@@ -162,10 +189,7 @@ fn abrr_matches_full_mesh_on_random_networks() {
 fn abrr_is_loop_free_on_random_networks() {
     for seed in 0..25u64 {
         let net = random_net(seed);
-        let mut spec = net.spec_base.clone();
-        spec.mode = Mode::Abrr;
-        let ab = run_mode(&net, Mode::Abrr);
-        spec.routers = net.routers.clone();
+        let (spec, ab) = run_mode(&net, Mode::Abrr);
         assert_eq!(
             audit::count_loops(&ab, &spec, &net.prefixes),
             0,
@@ -222,7 +246,7 @@ fn abrr_matches_full_mesh_after_withdrawals_and_flaps() {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E3779B9) ^ 0x71D);
         // Build a timed script: initial feeds at t=0, then a shuffle of
         // withdrawals and re-announcements.
-        let mut script: Vec<(u64, RouterId, ExternalEvent)> = net
+        let mut script: Script = net
             .feeds
             .iter()
             .map(|(r, ev)| (0u64, *r, ev.clone()))
@@ -250,44 +274,10 @@ fn abrr_matches_full_mesh_after_withdrawals_and_flaps() {
                 }
             }
         }
-        let run = |mode: Mode| -> Sim<BgpNode> {
-            let mut spec = net.spec_base.clone();
-            spec.mode = mode.clone();
-            spec.routers = net.routers.clone();
-            if mode.has_abrr() {
-                spec.ap_map = Some(ApMap::uniform(net.n_aps));
-                for (i, part) in ApMap::uniform(net.n_aps).partitions().iter().enumerate() {
-                    let mut arrs = vec![net.rrs[i % net.rrs.len()]];
-                    if net.rrs.len() > 1 {
-                        arrs.push(net.rrs[(i + 1) % net.rrs.len()]);
-                    }
-                    arrs.sort();
-                    arrs.dedup();
-                    spec.arrs.insert(part.id, arrs);
-                }
-            }
-            let spec = Arc::new(spec);
-            let mut sim = build_sim(spec);
-            for (at, r, ev) in &script {
-                sim.schedule_external(*at, *r, ev.clone());
-            }
-            let out = sim.run(RunLimits {
-                max_events: 2_000_000,
-                max_time: u64::MAX,
-            });
-            assert!(out.quiesced, "seed {seed} {mode:?} did not converge");
-            sim
-        };
-        let mesh = run(Mode::FullMesh);
-        let ab = run(Mode::Abrr);
-        for r in &net.routers {
-            for p in &net.prefixes {
-                assert_eq!(
-                    mesh.node(*r).selected(p).map(|s| s.exit_router()),
-                    ab.node(*r).selected(p).map(|s| s.exit_router()),
-                    "seed {seed}: router {r:?} prefix {p} after withdrawals"
-                );
-            }
+        for mode in [Mode::FullMesh, Mode::Abrr] {
+            let (spec, sim) = run_script(&net, mode.clone(), &script);
+            let what = format!("seed {seed} {mode:?} after withdrawals");
+            assert_matches_oracle(&what, &spec, &sim, &net);
         }
     }
 }
@@ -295,8 +285,8 @@ fn abrr_matches_full_mesh_after_withdrawals_and_flaps() {
 #[test]
 fn determinism_across_runs() {
     let net = random_net(42);
-    let a = run_mode(&net, Mode::Abrr);
-    let b = run_mode(&net, Mode::Abrr);
+    let (_, a) = run_mode(&net, Mode::Abrr);
+    let (_, b) = run_mode(&net, Mode::Abrr);
     for r in &net.routers {
         assert_eq!(a.node(*r).counters(), b.node(*r).counters());
         for p in &net.prefixes {

@@ -16,8 +16,9 @@
 //! * [`resilience`] — auditors measuring what a fault costs the data
 //!   plane: per-router×prefix blackhole windows against a live
 //!   full-mesh-style reachability oracle, and transient forwarding-loop
-//!   observations. Post-fault selections are compared against a
-//!   reference run with `abrr::audit::compare_exits`.
+//!   observations. A scenario's `matches_full_mesh` check audits the
+//!   post-fault exits against full mesh in closed form
+//!   (`abrr::audit::full_mesh_exits`).
 //!
 //! The capstone experiment lives in `abrr-bench` (`repro resilience`):
 //! kill one ARR (redundancy 2) vs one TRR vs one mesh router under

@@ -12,15 +12,14 @@ use bgp_types::RouterId;
 
 /// Builder for a PoP-structured topology.
 ///
-/// Router ids are assigned densely: PoP `p`'s routers are
-/// `base + p * routers_per_pop .. base + (p+1) * routers_per_pop`.
+/// Router ids are assigned densely from 1: PoP `p`'s routers are
+/// `1 + p * routers_per_pop .. 1 + (p+1) * routers_per_pop`.
 #[derive(Clone, Debug)]
 pub struct PopTopologyBuilder {
     num_pops: usize,
     routers_per_pop: usize,
     intra_metric: u32,
     inter_metric: u32,
-    base_id: u32,
 }
 
 impl PopTopologyBuilder {
@@ -33,7 +32,6 @@ impl PopTopologyBuilder {
             routers_per_pop,
             intra_metric: 1,
             inter_metric: 100,
-            base_id: 1,
         }
     }
 
@@ -51,12 +49,6 @@ impl PopTopologyBuilder {
         self
     }
 
-    /// First router id to assign.
-    pub fn base_id(mut self, id: u32) -> Self {
-        self.base_id = id;
-        self
-    }
-
     /// Builds the topology: each PoP is a full mesh internally; PoPs are
     /// connected in a ring through their first
     /// router ("gateway").
@@ -64,7 +56,7 @@ impl PopTopologyBuilder {
         let mut topo = Topology::new();
         let mut pops: Vec<Vec<RouterId>> = Vec::with_capacity(self.num_pops);
         for p in 0..self.num_pops {
-            let start = self.base_id + (p * self.routers_per_pop) as u32;
+            let start = 1 + (p * self.routers_per_pop) as u32;
             let members: Vec<RouterId> = (0..self.routers_per_pop as u32)
                 .map(|i| RouterId(start + i))
                 .collect();
@@ -157,9 +149,9 @@ mod tests {
 
     #[test]
     fn pop_of_lookup() {
-        let v = PopTopologyBuilder::new(2, 2).base_id(10).build();
-        assert_eq!(v.pop_of(RouterId(10)), Some(0));
-        assert_eq!(v.pop_of(RouterId(13)), Some(1));
+        let v = PopTopologyBuilder::new(2, 2).build();
+        assert_eq!(v.pop_of(RouterId(1)), Some(0));
+        assert_eq!(v.pop_of(RouterId(4)), Some(1));
         assert_eq!(v.pop_of(RouterId(99)), None);
         assert_eq!(v.routers().len(), 4);
     }

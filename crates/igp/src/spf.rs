@@ -14,7 +14,6 @@ use std::collections::BinaryHeap;
 /// from map iteration order.
 #[derive(Clone, Debug)]
 pub struct SpfResult {
-    root: RouterId,
     /// distance and the first hop on the (deterministically chosen)
     /// shortest path from `root`.
     reach: FxHashMap<RouterId, (u32, RouterId)>,
@@ -47,12 +46,7 @@ impl SpfResult {
                 }
             }
         }
-        SpfResult { root, reach }
-    }
-
-    /// The root of this tree.
-    pub fn root(&self) -> RouterId {
-        self.root
+        SpfResult { reach }
     }
 
     /// IGP distance from the root to `dst` (0 for the root itself);
@@ -65,13 +59,6 @@ impl SpfResult {
     /// `Some(root)` only for `dst == root`.
     pub fn next_hop(&self, dst: RouterId) -> Option<RouterId> {
         self.reach.get(&dst).map(|(_, f)| *f)
-    }
-
-    /// All reachable routers, in id order.
-    pub fn reachable(&self) -> impl Iterator<Item = RouterId> + '_ {
-        let mut v: Vec<RouterId> = self.reach.keys().copied().collect();
-        v.sort();
-        v.into_iter()
     }
 }
 

@@ -322,15 +322,13 @@ impl Loaded {
     }
 
     /// Builds one mode's sim without running it: the spec (sessions in
-    /// `wire` mode), the scheduled workload and, with `with_faults`,
-    /// the compiled fault schedule. `with_faults: false` builds the
-    /// fault-free twin (the full-mesh equivalence oracle).
-    /// [`Loaded::run`] is this followed by [`Sim::run`]; the engine
-    /// equivalence suite drives the same sim under the window engine.
+    /// `wire` mode), the scheduled workload and the compiled fault
+    /// schedule. [`Loaded::run`] is this followed by [`Sim::run`]; the
+    /// engine equivalence suite drives the same sim under the window
+    /// engine.
     pub fn build(
         &self,
         mode: Mode,
-        with_faults: bool,
         wire: WireMode,
     ) -> Result<(Arc<NetworkSpec>, Sim<BgpNode>), String> {
         let transition = mode == Mode::Transition;
@@ -356,7 +354,7 @@ impl Loaded {
                         }
                     }
                 }
-                if with_faults && !g.schedule.faults.is_empty() {
+                if !g.schedule.faults.is_empty() {
                     faults::compile(&g.schedule, &spec, &mut sim)
                         .map_err(|e| format!("fault schedule failed to compile: {e:?}"))?;
                 }
@@ -379,8 +377,8 @@ impl Loaded {
 
     /// Runs one mode: [`Loaded::build`] in `cfg.wire` mode, then
     /// [`Sim::run`] to the file's budget, capped by `cfg.limits`.
-    pub fn run(&self, mode: Mode, with_faults: bool, cfg: RunConfig) -> Result<RunReport, String> {
-        let (spec, mut sim) = self.build(mode, with_faults, cfg.wire)?;
+    pub fn run(&self, mode: Mode, cfg: RunConfig) -> Result<RunReport, String> {
+        let (spec, mut sim) = self.build(mode, cfg.wire)?;
         let outcome = sim.run(self.limits(cfg.limits));
         Ok(RunReport { spec, sim, outcome })
     }

@@ -3,8 +3,9 @@
 //! Every generated scenario encodes a *true* claim of the paper: ABRR
 //! on an arbitrary connected topology, with arbitrary MED/LOCAL_PREF
 //! policy mixes and a survivable fault schedule, must quiesce, stay
-//! loop- and blackhole-free, match a fault-free full-mesh twin's exits
-//! after recovery, and be unchanged by routing every session message
+//! loop- and blackhole-free, match full mesh's exits after recovery
+//! (in closed form, over the routes the live borders hold), and be
+//! unchanged by routing every session message
 //! through the BGP byte codec (the `wire` differential oracle). The
 //! generator therefore
 //! only emits *recovery-guaranteed* faults:
@@ -177,14 +178,14 @@ pub fn generate(seed: u64) -> ScenarioFile {
         wire: true,
         exits: Vec::new(),
     };
-    // No separate full-mesh check: the fault schedule references RRs,
-    // which do not exist in the mesh plane — the fault-free mesh twin
-    // inside `matches_full_mesh` covers that mode instead.
+    // No full-mesh check: the fault schedule references RRs, which do
+    // not exist in the mesh plane. `matches_full_mesh` holds the ABRR
+    // run to full mesh in closed form instead.
     ScenarioFile {
         name: format!("fuzz-{seed}"),
         comment: Some(
-            "generated scenario: ABRR must converge, audit clean, match a fault-free \
-             full-mesh twin, and be unchanged by the wire codec"
+            "generated scenario: ABRR must converge, audit clean, match full mesh \
+             over the live borders' routes, and be unchanged by the wire codec"
                 .to_string(),
         ),
         network: Network::Gadget(GadgetNetwork {

@@ -411,7 +411,8 @@ record! {
         pub no_loops: bool = opt(false),
         /// Assert no live router blackholes a live prefix.
         pub no_blackholes: bool = opt(false),
-        /// Assert exits equal a fault-free full-mesh twin's.
+        /// Assert every live router's exit equals full mesh's, in closed
+        /// form over the routes the live borders hold.
         pub matches_full_mesh: bool = opt(false),
         /// Assert bytes wire mode (every session message carried as RFC
         /// 4271 bytes and decoded by its receiver) is behaviorally

@@ -50,7 +50,7 @@ fn suspect(prefix: &str, total_changes: u64, hottest: u32) -> OscillationSuspect
 #[test]
 fn small_reference_counts_match_the_parent() {
     let s = load("small_reference");
-    let run = s.run(Mode::Abrr, true, RunConfig::default()).unwrap();
+    let run = s.run(Mode::Abrr, RunConfig::default()).unwrap();
     assert!(run.outcome.quiesced);
     let sim = run.sim;
     assert_eq!(
@@ -84,7 +84,7 @@ fn small_reference_withdrawn_prefix_keeps_its_counts() {
     // (routers that hunted through the other ARR's copy lost it twice).
     let s = load("small_reference");
     let p2: Ipv4Prefix = "192.168.0.0/16".parse().unwrap();
-    let (_, mut sim) = s.build(Mode::Abrr, true, WireMode::Off).unwrap();
+    let (_, mut sim) = s.build(Mode::Abrr, WireMode::Off).unwrap();
     sim.schedule_external(
         10_000_000,
         RouterId(9),
@@ -121,7 +121,7 @@ fn small_reference_withdrawn_prefix_keeps_its_counts() {
 #[test]
 fn med_gadget_counts_match_the_parent() {
     let s = load("med_gadget");
-    let run = s.run(Mode::Abrr, true, RunConfig::default()).unwrap();
+    let run = s.run(Mode::Abrr, RunConfig::default()).unwrap();
     assert!(run.outcome.quiesced);
     assert_eq!(
         counts(&run.sim, &s.prefixes()),
@@ -147,9 +147,7 @@ fn med_gadget_counts_match_the_parent() {
         },
         ..Default::default()
     };
-    let run = s
-        .run(Mode::Tbrr { multipath: false }, true, budget)
-        .unwrap();
+    let run = s.run(Mode::Tbrr { multipath: false }, budget).unwrap();
     assert!(!run.outcome.quiesced);
     assert_eq!(
         counts(&run.sim, &s.prefixes()),
