@@ -53,24 +53,6 @@ impl Candidate {
             neighbor_id: self.neighbor_id,
         }
     }
-
-    /// The neighbouring AS for MED grouping: the leftmost AS of AS_PATH.
-    /// `None` for an empty path ([`PathAttributes::local`]), which is
-    /// never MED-compared against anything.
-    pub fn med_group(&self) -> Option<Asn> {
-        self.route().med_group()
-    }
-
-    /// Effective router id for step 7: ORIGINATOR_ID if present
-    /// (RFC 4456 §9), else the advertising neighbor's BGP Identifier.
-    pub fn effective_router_id(&self) -> u32 {
-        self.route().effective_router_id()
-    }
-
-    /// Peer address for step 8.
-    pub fn peer_addr(&self) -> u32 {
-        self.route().peer_addr()
-    }
 }
 
 /// A route as the decision process reads it, borrowed from wherever it
@@ -97,10 +79,6 @@ impl<'a> RouteRef<'a> {
             source: RouteSource::Ibgp { peer },
             neighbor_id: peer.0,
         }
-    }
-
-    fn med_group(&self) -> Option<Asn> {
-        self.attrs.as_path().first_as()
     }
 
     fn effective_router_id(&self) -> u32 {

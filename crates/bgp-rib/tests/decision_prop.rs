@@ -156,9 +156,9 @@ proptest! {
         let cfg = DecisionConfig::default();
         let bal = best_as_level(&cands, &cfg);
         for &i in &bal {
-            if let Some(g) = cands[i].med_group() {
+            if let Some(g) = cands[i].attrs.as_path().first_as() {
                 for &j in &bal {
-                    if cands[j].med_group() == Some(g) {
+                    if cands[j].attrs.as_path().first_as() == Some(g) {
                         prop_assert_eq!(
                             cands[i].attrs.effective_med(),
                             cands[j].attrs.effective_med()

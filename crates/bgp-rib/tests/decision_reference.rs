@@ -20,6 +20,26 @@ use std::sync::Arc;
 mod reference {
     use super::*;
 
+    /// The neighbouring AS for MED grouping: the leftmost AS of AS_PATH,
+    /// `None` for an empty path.
+    fn med_group(c: &Candidate) -> Option<Asn> {
+        c.attrs.as_path().first_as()
+    }
+
+    /// Step 7's router id: ORIGINATOR_ID if present (RFC 4456 §9), else
+    /// the advertising neighbour's BGP Identifier.
+    fn effective_router_id(c: &Candidate) -> u32 {
+        c.attrs.originator_id.map_or(c.neighbor_id, |o| o.0)
+    }
+
+    /// Step 8's peer address: the eBGP session's, or the iBGP peer's id.
+    fn peer_addr(c: &Candidate) -> u32 {
+        match c.source {
+            RouteSource::Ebgp { peer_addr, .. } => peer_addr,
+            RouteSource::Ibgp { peer } => peer.0,
+        }
+    }
+
     /// Applies decision steps 1–3 (highest LOCAL_PREF, shortest AS_PATH,
     /// lowest ORIGIN), returning surviving indices into `cands`.
     fn as_level_steps_1_to_3(cands: &[Candidate], survivors: &mut Vec<usize>) {
@@ -67,7 +87,7 @@ mod reference {
                 let mut min_by_group: std::collections::BTreeMap<Asn, Med> =
                     std::collections::BTreeMap::new();
                 for &i in survivors.iter() {
-                    if let Some(g) = cands[i].med_group() {
+                    if let Some(g) = med_group(&cands[i]) {
                         let med = cands[i].attrs.effective_med();
                         min_by_group
                             .entry(g)
@@ -79,7 +99,7 @@ mod reference {
                             .or_insert(med);
                     }
                 }
-                survivors.retain(|&i| match cands[i].med_group() {
+                survivors.retain(|&i| match med_group(&cands[i]) {
                     None => true,
                     Some(g) => cands[i].attrs.effective_med() == min_by_group[&g],
                 });
@@ -148,12 +168,12 @@ mod reference {
         // Step 7: lowest router id (ORIGINATOR_ID substitutes).
         let best_id = survivors
             .iter()
-            .map(|&i| cands[i].effective_router_id())
+            .map(|&i| effective_router_id(&cands[i]))
             .min()
             .expect("non-empty");
-        survivors.retain(|&i| cands[i].effective_router_id() == best_id);
+        survivors.retain(|&i| effective_router_id(&cands[i]) == best_id);
         // Step 8: lowest peer address.
-        survivors.into_iter().min_by_key(|&i| cands[i].peer_addr())
+        survivors.into_iter().min_by_key(|&i| peer_addr(&cands[i]))
     }
 }
 

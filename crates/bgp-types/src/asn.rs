@@ -238,6 +238,11 @@ impl AsPath {
         }
     }
 
+    /// Empties the path, keeping its buffer for the next one.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
     /// The path, borrowed.
     pub fn borrowed(&self) -> AsPathRef<'_> {
         AsPathRef { words: &self.words }

@@ -33,8 +33,7 @@
 //! count and peak RSS.
 
 use crate::fxhash::{table_bytes, FxHasher, PrefixHasher};
-use crate::route::PathAttributes;
-use std::borrow::Borrow;
+use crate::route::{AttrsView, PathAttributes};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -61,10 +60,45 @@ struct Registry {
     misses: u64,
 }
 
-fn hash_of(attrs: &PathAttributes) -> u64 {
+fn hash_of(attrs: AttrsView<'_>) -> u64 {
     let mut h = FxHasher::default();
     attrs.hash(&mut h);
     h.finish()
+}
+
+/// What a set is looked up by: an owned set, an `Arc`ed one or a view.
+/// Each is hashed and compared through its view, and becomes the
+/// registered `Arc` only on a miss, so a view that hits owns nothing.
+trait Key {
+    fn view(&self) -> AttrsView<'_>;
+    fn into_arc(self) -> Arc<PathAttributes>;
+}
+
+impl Key for PathAttributes {
+    fn view(&self) -> AttrsView<'_> {
+        PathAttributes::view(self)
+    }
+    fn into_arc(self) -> Arc<PathAttributes> {
+        Arc::new(self)
+    }
+}
+
+impl Key for Arc<PathAttributes> {
+    fn view(&self) -> AttrsView<'_> {
+        PathAttributes::view(self)
+    }
+    fn into_arc(self) -> Arc<PathAttributes> {
+        self
+    }
+}
+
+impl Key for AttrsView<'_> {
+    fn view(&self) -> AttrsView<'_> {
+        *self
+    }
+    fn into_arc(self) -> Arc<PathAttributes> {
+        Arc::new(self.into())
+    }
 }
 
 impl Registry {
@@ -93,24 +127,23 @@ impl Registry {
     }
 
     /// The shared `Arc` for the live set equal to `attrs`, hashed to
-    /// `h`; or, on a miss, `attrs` itself, registered in `h`'s slot when
-    /// that slot is free or dead, and in the collision list otherwise.
-    fn lookup_or_insert<A>(&mut self, h: u64, attrs: A) -> Arc<PathAttributes>
-    where
-        A: Borrow<PathAttributes> + Into<Arc<PathAttributes>>,
-    {
+    /// `h`; or, on a miss, `attrs` as an `Arc`, registered in `h`'s slot
+    /// when that slot is free or dead, and in the collision list
+    /// otherwise.
+    fn lookup_or_insert(&mut self, h: u64, attrs: impl Key) -> Arc<PathAttributes> {
         self.until_sweep -= 1;
         if self.until_sweep == 0 {
             self.sweep();
         }
-        let equal = |w: &Weak<PathAttributes>| w.upgrade().filter(|a| **a == *attrs.borrow());
+        let key = attrs.view();
+        let equal = |w: &Weak<PathAttributes>| w.upgrade().filter(|a| a.view() == key);
         let slot = self.slots.entry(h);
         let held = match &slot {
             Entry::Occupied(s) => s.get().upgrade(),
             Entry::Vacant(_) => None,
         };
         let held_live = held.is_some();
-        let found = held.filter(|a| **a == *attrs.borrow()).or_else(|| {
+        let found = held.filter(|a| a.view() == key).or_else(|| {
             self.collided
                 .iter()
                 .filter(|(ch, _)| *ch == h)
@@ -121,7 +154,7 @@ impl Registry {
             return shared;
         }
         self.misses += 1;
-        let arc = attrs.into();
+        let arc = attrs.into_arc();
         let weak = Arc::downgrade(&arc);
         if held_live {
             self.collided.push((h, weak));
@@ -161,13 +194,10 @@ fn registry() -> MutexGuard<'static, Registry> {
         .expect("attr interner poisoned")
 }
 
-/// The one lookup-or-insert path behind [`intern`] and [`intern_arc`].
-/// The hash is taken before the lock.
-fn canonical<A>(attrs: A) -> Arc<PathAttributes>
-where
-    A: Borrow<PathAttributes> + Into<Arc<PathAttributes>>,
-{
-    let h = hash_of(attrs.borrow());
+/// The one lookup-or-insert path behind [`intern`], [`intern_arc`] and
+/// [`intern_view`]. The hash is taken before the lock.
+fn canonical(attrs: impl Key) -> Arc<PathAttributes> {
+    let h = hash_of(attrs.view());
     let mut reg = registry();
     reg.lookup_or_insert(h, attrs)
 }
@@ -184,6 +214,14 @@ pub fn intern(attrs: PathAttributes) -> Arc<PathAttributes> {
 /// shared `Arc` if one exists, otherwise registers this one.
 pub fn intern_arc(attrs: Arc<PathAttributes>) -> Arc<PathAttributes> {
     canonical(attrs)
+}
+
+/// Returns the shared `Arc` for the set `view` shows, as [`intern`] does
+/// for an owned set; the owned set is built only on a miss. A parser
+/// that reads a set into a reusable buffer interns it from there, so a
+/// set already live costs no allocation.
+pub fn intern_view(view: AttrsView<'_>) -> Arc<PathAttributes> {
+    canonical(view)
 }
 
 /// Eagerly drops registry entries whose attribute sets are no longer
@@ -354,7 +392,7 @@ mod tests {
         let long = SWEEP_EVERY;
         let bound = long + SWEEP_EVERY.max(2 * long);
         let step = |reg: &mut Registry, a: PathAttributes| {
-            let arc = reg.lookup_or_insert(hash_of(&a), a);
+            let arc = reg.lookup_or_insert(hash_of(a.view()), a);
             assert!(reg.slot_count() <= bound, "{} slots", reg.slot_count());
             arc
         };
@@ -401,7 +439,7 @@ mod tests {
                 match op {
                     0..=5 => {
                         let a = attrs(key);
-                        let arc = reg.lookup_or_insert(hash_of(&a) % 4, a.clone());
+                        let arc = reg.lookup_or_insert(hash_of(a.view()) % 4, a.clone());
                         prop_assert_eq!(&*arc, &a);
                         if let Some((_, same)) = held.iter().find(|(k, _)| *k == key) {
                             prop_assert!(Arc::ptr_eq(same, &arc));

@@ -38,10 +38,10 @@ pub use attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PrefixHasher, PrefixMap};
-pub use intern::{intern, intern_arc, InternStats};
+pub use intern::{intern, intern_arc, intern_view, InternStats};
 pub use partition::{ApId, ApMap, Partition};
 pub use prefix::{AddressRange, Ipv4Prefix, PrefixParseError};
 pub use route::{
-    AttrList, Parts, PathAttributes, PathId, RouteSource, RouterId, TailValue, Values,
+    AttrList, AttrsView, Parts, PathAttributes, PathId, RouteSource, RouterId, TailValue, Values,
 };
 pub use trie::{PrefixTable, PrefixTrie};

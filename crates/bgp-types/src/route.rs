@@ -5,6 +5,7 @@ use crate::attrs::{
     ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin, OriginatorId,
 };
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::slice::ChunksExact;
 
@@ -171,7 +172,10 @@ impl<T: TailValue + fmt::Debug> fmt::Debug for AttrList<'_, T> {
 /// bits, so a list holds fewer than 2^16 words. A set without lists
 /// allocates no tail. Lists are read through accessors and set through
 /// builders, each of which writes a new tail once.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// `Eq` and `Hash` are those of the set's [`AttrsView`], so a set and
+/// a view of equal content hash and compare alike.
+#[derive(Clone)]
 pub struct PathAttributes {
     /// ORIGIN (mandatory).
     pub origin: Origin,
@@ -183,13 +187,96 @@ pub struct PathAttributes {
     pub local_pref: Option<LocalPref>,
     /// ORIGINATOR_ID (set by route reflectors, RFC 4456).
     pub originator_id: Option<OriginatorId>,
-    /// The AS_PATH's length for the decision process.
+    counts: Counts,
+    tail: Box<[u32]>,
+}
+
+/// What a set's head keeps of its tail: the AS_PATH's decision length
+/// and the words of the AS_PATH, the communities and the CLUSTER_LIST.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Counts {
     path_len: u16,
-    /// Tail words of the AS_PATH, the communities and the CLUSTER_LIST.
     path_words: u16,
     communities: u16,
     clusters: u16,
-    tail: Box<[u32]>,
+}
+
+/// A set of path attributes, borrowed: the head by value and the tail
+/// by reference, laid out as [`PathAttributes`] lays them out. A set
+/// hashes and compares through its view ([`PathAttributes::view`]), so
+/// a view hashes and compares exactly as the owned set of equal
+/// content, and the interner can look a set up by view
+/// ([`crate::intern::intern_view`]) before anything is owned. A parser
+/// writes one into a buffer it reuses ([`PathAttributes::view_in`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AttrsView<'a> {
+    origin: Origin,
+    next_hop: NextHop,
+    med: Option<Med>,
+    local_pref: Option<LocalPref>,
+    originator_id: Option<OriginatorId>,
+    counts: Counts,
+    tail: &'a [u32],
+}
+
+/// The owned set: the view's tail copied into one exact-size slice.
+impl From<AttrsView<'_>> for PathAttributes {
+    fn from(v: AttrsView<'_>) -> Self {
+        PathAttributes {
+            origin: v.origin,
+            next_hop: v.next_hop,
+            med: v.med,
+            local_pref: v.local_pref,
+            originator_id: v.originator_id,
+            counts: v.counts,
+            tail: v.tail.into(),
+        }
+    }
+}
+
+impl fmt::Debug for AttrsView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&PathAttributes::from(*self), f)
+    }
+}
+
+impl PartialEq for PathAttributes {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for PathAttributes {}
+
+impl Hash for PathAttributes {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state)
+    }
+}
+
+/// Writes a set's lists into `tail`, which is empty, in tail order, and
+/// returns the head's counts of them.
+fn write_tail<C, E, K>(tail: &mut Vec<u32>, as_path: AsPathRef<'_>, c: C, e: E, k: K) -> Counts
+where
+    C: Iterator<Item = Community>,
+    E: Iterator<Item = ExtCommunity>,
+    K: Iterator<Item = ClusterId>,
+{
+    let path = as_path.words();
+    tail.extend_from_slice(path);
+    c.for_each(|v| v.push_words(tail));
+    let communities = tail.len() - path.len();
+    e.for_each(|v| v.push_words(tail));
+    let ext_end = tail.len();
+    k.for_each(|v| v.push_words(tail));
+    Counts {
+        path_len: head_count(as_path.path_len()),
+        path_words: head_count(path.len()),
+        communities: head_count(communities),
+        clusters: head_count(tail.len() - ext_end),
+    }
 }
 
 /// A list's word count as the head keeps it.
@@ -247,10 +334,12 @@ impl PathAttributes {
             med: None,
             local_pref: None,
             originator_id: None,
-            path_len,
-            path_words: head_count(words.len()),
-            communities: 0,
-            clusters: 0,
+            counts: Counts {
+                path_len,
+                path_words: head_count(words.len()),
+                communities: 0,
+                clusters: 0,
+            },
             tail: words.into_boxed_slice(),
         }
     }
@@ -276,23 +365,61 @@ impl PathAttributes {
         );
         // The lists and chains the builders pass give their lengths as
         // lower bounds, so the tail is allocated once, exactly.
-        let path = as_path.words();
         let mut tail = Vec::with_capacity(
-            path.len() + c.size_hint().0 + 2 * e.size_hint().0 + k.size_hint().0,
+            as_path.words().len() + c.size_hint().0 + 2 * e.size_hint().0 + k.size_hint().0,
         );
-        tail.extend_from_slice(path);
-        c.for_each(|v| v.push_words(&mut tail));
-        let communities = tail.len() - path.len();
-        e.for_each(|v| v.push_words(&mut tail));
-        let ext_end = tail.len();
-        k.for_each(|v| v.push_words(&mut tail));
+        let counts = write_tail(&mut tail, as_path, c, e, k);
         PathAttributes {
-            path_len: head_count(as_path.path_len()),
-            path_words: head_count(path.len()),
-            communities: head_count(communities),
-            clusters: head_count(tail.len() - ext_end),
+            counts,
             tail: tail.into_boxed_slice(),
             ..*self
+        }
+    }
+
+    /// This set's scalar attributes with the given lists, as a view
+    /// whose tail is written into `buf` (cleared first): what
+    /// [`PathAttributes::with_lists`] builds, with no allocation once
+    /// `buf` has grown to the set's size. A parser reuses one `buf`
+    /// for every set it reads.
+    pub fn view_in<'b, C, E, K>(
+        &self,
+        buf: &'b mut Vec<u32>,
+        as_path: AsPathRef<'_>,
+        communities: C,
+        ext_communities: E,
+        cluster_list: K,
+    ) -> AttrsView<'b>
+    where
+        C: IntoIterator<Item = Community>,
+        E: IntoIterator<Item = ExtCommunity>,
+        K: IntoIterator<Item = ClusterId>,
+    {
+        buf.clear();
+        let counts = write_tail(
+            buf,
+            as_path,
+            communities.into_iter(),
+            ext_communities.into_iter(),
+            cluster_list.into_iter(),
+        );
+        AttrsView {
+            counts,
+            tail: buf,
+            ..self.view()
+        }
+    }
+
+    /// The set, borrowed.
+    #[inline]
+    pub fn view(&self) -> AttrsView<'_> {
+        AttrsView {
+            origin: self.origin,
+            next_hop: self.next_hop,
+            med: self.med,
+            local_pref: self.local_pref,
+            originator_id: self.originator_id,
+            counts: self.counts,
+            tail: &self.tail,
         }
     }
 
@@ -336,31 +463,31 @@ impl PathAttributes {
 
     /// The AS_PATH.
     pub fn as_path(&self) -> AsPathRef<'_> {
-        AsPathRef::from_words(&self.tail[..self.path_words as usize])
+        AsPathRef::from_words(&self.tail[..usize::from(self.counts.path_words)])
     }
 
     /// The AS_PATH's length for the decision process (AS_SET counts
     /// one), kept in the head.
     pub fn as_path_len(&self) -> usize {
-        usize::from(self.path_len)
+        usize::from(self.counts.path_len)
     }
 
     /// Standard communities.
     pub fn communities(&self) -> AttrList<'_, Community> {
-        let start = usize::from(self.path_words);
-        AttrList::new(&self.tail[start..start + usize::from(self.communities)])
+        let start = usize::from(self.counts.path_words);
+        AttrList::new(&self.tail[start..start + usize::from(self.counts.communities)])
     }
 
     /// Extended communities (carries the ABRR reflected marker).
     pub fn ext_communities(&self) -> AttrList<'_, ExtCommunity> {
-        let start = usize::from(self.path_words) + usize::from(self.communities);
-        AttrList::new(&self.tail[start..self.tail.len() - usize::from(self.clusters)])
+        let start = usize::from(self.counts.path_words) + usize::from(self.counts.communities);
+        AttrList::new(&self.tail[start..self.tail.len() - usize::from(self.counts.clusters)])
     }
 
     /// CLUSTER_LIST (prepended to by route reflectors, RFC 4456). Its
     /// length is known from the head alone.
     pub fn cluster_list(&self) -> AttrList<'_, ClusterId> {
-        AttrList::new(&self.tail[self.tail.len() - usize::from(self.clusters)..])
+        AttrList::new(&self.tail[self.tail.len() - usize::from(self.counts.clusters)..])
     }
 
     /// Every attribute, borrowed.
@@ -373,10 +500,7 @@ impl PathAttributes {
             med,
             local_pref,
             originator_id,
-            path_len: _,
-            path_words: _,
-            communities: _,
-            clusters: _,
+            counts: _,
             tail: _,
         } = *self;
         Parts {

@@ -6,8 +6,8 @@
 use crate::error::WireError;
 use crate::read::{take, take_array, take_u16};
 use bgp_types::{
-    AsPath, AsPathRef, Asn, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop, Origin,
-    OriginatorId, Parts, PathAttributes, SegmentKind, MAX_SEGMENT_ASNS,
+    AsPath, AsPathRef, Asn, AttrsView, ClusterId, Community, ExtCommunity, LocalPref, Med, NextHop,
+    Origin, OriginatorId, Parts, PathAttributes, SegmentKind, MAX_SEGMENT_ASNS,
 };
 
 /// Attribute type codes used by this codec.
@@ -111,8 +111,9 @@ fn four_octets(body: &[u8], what: &'static str) -> Result<u32, WireError> {
         .map_err(|_| WireError::MalformedAttributes(what))
 }
 
-fn decode_as_path(mut body: &[u8]) -> Result<AsPath, WireError> {
-    let mut path = AsPath::empty();
+/// Reads an AS_PATH body into `path`, which it clears first.
+fn decode_as_path(mut body: &[u8], path: &mut AsPath) -> Result<(), WireError> {
+    path.clear();
     while !body.is_empty() {
         let [ty, count] = take_array(&mut body, "as-path segment header")?;
         let raw = take(&mut body, count as usize * 4, "as-path segment body")?;
@@ -124,7 +125,7 @@ fn decode_as_path(mut body: &[u8]) -> Result<AsPath, WireError> {
         let asns = raw.as_chunks::<4>().0.iter();
         path.push_segment(kind, asns.map(|a| Asn(u32::from_be_bytes(*a))));
     }
-    Ok(path)
+    Ok(())
 }
 
 /// RFC 4271 §6.3 (Attribute Flags Error): for recognized attributes,
@@ -237,25 +238,49 @@ pub fn encoded_attrs_len(attrs: &PathAttributes) -> usize {
         + list(attrs.ext_communities().len(), 8)
 }
 
-/// Decodes an attribute block into [`PathAttributes`].
+/// The buffers the attribute parser reads a set into, kept by a
+/// receiver and reused for every set it reads: the AS_PATH as it is
+/// read, and the set's tail, laid out as [`PathAttributes`] lays it out.
+/// Once they have grown to a session's largest set, a parse allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    path: AsPath,
+    tail: Vec<u32>,
+}
+
+/// Decodes an attribute block into an owned [`PathAttributes`]: the
+/// view [`decode_attrs_view`] reads, copied out.
+pub fn decode_attrs(buf: &[u8]) -> Result<PathAttributes, WireError> {
+    decode_attrs_view(buf, &mut Scratch::default()).map(PathAttributes::from)
+}
+
+/// The attribute parser: decodes an attribute block into `scratch` and
+/// returns the set as a view of it, which hashes and compares exactly
+/// as the owned set ([`bgp_types::intern_view`] interns it as it is).
 ///
 /// Unknown optional attributes are skipped; unknown well-known
 /// attributes are an error, per RFC 4271 §6.3. A block is at most
 /// 65 535 octets (the UPDATE's two-octet length), which keeps every
 /// list under the 65 536 words a set can hold.
-pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
+pub fn decode_attrs_view<'s>(
+    mut buf: &[u8],
+    scratch: &'s mut Scratch,
+) -> Result<AttrsView<'s>, WireError> {
     if buf.len() > usize::from(u16::MAX) {
         return Err(WireError::MalformedAttributes("attribute block length"));
     }
     let mut origin = None;
-    let mut as_path = None;
+    let mut as_path = false;
     let mut next_hop = None;
     let mut med = None;
     let mut local_pref = None;
-    let mut communities = Vec::new();
-    let mut ext_communities = Vec::new();
+    // The list attributes' elements, borrowed from the block until the
+    // tail is written.
+    let mut communities: &[[u8; 4]] = &[];
+    let mut ext_communities: &[[u8; 8]] = &[];
     let mut originator_id = None;
-    let mut cluster_list = Vec::new();
+    let mut cluster_list: &[[u8; 4]] = &[];
     // The known codes already read: every known code is below 64.
     let mut seen = 0u64;
 
@@ -293,7 +318,8 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
                 );
             }
             code::AS_PATH => {
-                as_path = Some(decode_as_path(body)?);
+                decode_as_path(body, &mut scratch.path)?;
+                as_path = true;
             }
             code::NEXT_HOP => next_hop = Some(NextHop(four_octets(body, "NEXT_HOP length")?)),
             code::MED => med = Some(Med(four_octets(body, "MED length")?)),
@@ -303,24 +329,14 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
             code::ATOMIC_AGGREGATE | code::AGGREGATOR => {
                 // Parsed and ignored: not used by any engine in this repo.
             }
-            code::COMMUNITIES => communities.extend(
-                elements(body, "COMMUNITIES length")?
-                    .iter()
-                    .map(|c| Community(u32::from_be_bytes(*c))),
-            ),
+            code::COMMUNITIES => communities = elements(body, "COMMUNITIES length")?,
             code::ORIGINATOR_ID => {
                 originator_id = Some(OriginatorId(four_octets(body, "ORIGINATOR_ID length")?));
             }
-            code::CLUSTER_LIST => cluster_list.extend(
-                elements(body, "CLUSTER_LIST length")?
-                    .iter()
-                    .map(|c| ClusterId(u32::from_be_bytes(*c))),
-            ),
-            code::EXT_COMMUNITIES => ext_communities.extend(
-                elements(body, "EXT_COMMUNITIES length")?
-                    .iter()
-                    .map(|c| ExtCommunity(*c)),
-            ),
+            code::CLUSTER_LIST => cluster_list = elements(body, "CLUSTER_LIST length")?,
+            code::EXT_COMMUNITIES => {
+                ext_communities = elements(body, "EXT_COMMUNITIES length")?;
+            }
             other => {
                 if flag & flags::OPTIONAL == 0 {
                     return Err(WireError::UnrecognizedWellKnown(other));
@@ -331,19 +347,28 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, WireError> {
     }
 
     let origin = origin.ok_or(WireError::MalformedAttributes("missing ORIGIN"))?;
-    let as_path = as_path.ok_or(WireError::MalformedAttributes("missing AS_PATH"))?;
-    let next_hop = next_hop.ok_or(WireError::MalformedAttributes("missing NEXT_HOP"))?;
-    // The path's words become the tail as they are, unless there are
-    // lists to write after them.
-    let mut a = PathAttributes::ebgp(as_path, next_hop);
-    a.origin = origin;
-    a.med = med;
-    a.local_pref = local_pref;
-    a.originator_id = originator_id;
-    if communities.is_empty() && ext_communities.is_empty() && cluster_list.is_empty() {
-        return Ok(a);
+    if !as_path {
+        return Err(WireError::MalformedAttributes("missing AS_PATH"));
     }
-    Ok(a.with_lists(a.as_path(), communities, ext_communities, cluster_list))
+    let next_hop = next_hop.ok_or(WireError::MalformedAttributes("missing NEXT_HOP"))?;
+    // The scalars, with no tail: an empty path allocates nothing.
+    let mut head = PathAttributes::ebgp(AsPath::empty(), next_hop);
+    head.origin = origin;
+    head.med = med;
+    head.local_pref = local_pref;
+    head.originator_id = originator_id;
+    let Scratch { path, tail } = scratch;
+    Ok(head.view_in(
+        tail,
+        path.borrowed(),
+        communities
+            .iter()
+            .map(|c| Community(u32::from_be_bytes(*c))),
+        ext_communities.iter().map(|c| ExtCommunity(*c)),
+        cluster_list
+            .iter()
+            .map(|c| ClusterId(u32::from_be_bytes(*c))),
+    ))
 }
 
 #[cfg(test)]

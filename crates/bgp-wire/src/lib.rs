@@ -30,7 +30,7 @@ pub use error::WireError;
 pub use message::{Message, MessageType, HEADER_LEN, MARKER, MAX_MESSAGE_LEN};
 pub use nlri::Nlri;
 pub use open::{AddPathMode, Capability, OpenMessage};
-pub use update::UpdateMessage;
+pub use update::{UpdateMessage, UpdateView};
 
 /// Session-level codec options negotiated via OPEN capabilities.
 ///

@@ -103,12 +103,24 @@ impl Message {
         })
     }
 
-    /// The message parser: decodes one message from the front of `buf`.
-    /// Returns `Ok(None)` when `buf` holds less than a full message
-    /// (stream framing), leaving it untouched. Nothing is copied; `buf`
-    /// is advanced past a message as soon as its header checks out, so
-    /// it is consumed even when its body is malformed.
+    /// Decodes one message from the front of `buf` into owned parts:
+    /// [`Message::split`], then [`Message::decode_body`]. Returns
+    /// `Ok(None)` when `buf` holds less than a full message (stream
+    /// framing), leaving it untouched.
     pub fn decode(buf: &mut &[u8], cfg: CodecConfig) -> Result<Option<Message>, WireError> {
+        match Message::split(buf)? {
+            Some((ty, body)) => Message::decode_body(ty, body, cfg).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The framing parser: splits one message off the front of `buf`
+    /// and returns its type and body, borrowed. Returns `Ok(None)` when
+    /// `buf` holds less than a full message, leaving it untouched.
+    /// Nothing is copied; `buf` is advanced past a message as soon as
+    /// its header checks out, so it is consumed even when its body is
+    /// malformed.
+    pub fn split<'a>(buf: &mut &'a [u8]) -> Result<Option<(MessageType, &'a [u8])>, WireError> {
         let Some(&[marker @ .., l0, l1, type_code]) = buf.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
         };
@@ -124,8 +136,17 @@ impl Message {
         };
         let ty = MessageType::from_code(type_code).ok_or(WireError::BadMessageType(type_code))?;
         *buf = rest;
-        let body = &msg[HEADER_LEN..];
-        let msg = match ty {
+        Ok(Some((ty, &msg[HEADER_LEN..])))
+    }
+
+    /// Decodes the body of a message of type `ty` that
+    /// [`Message::split`] framed.
+    pub fn decode_body(
+        ty: MessageType,
+        body: &[u8],
+        cfg: CodecConfig,
+    ) -> Result<Message, WireError> {
+        Ok(match ty {
             MessageType::Open => Message::Open(OpenMessage::decode_body(body)?),
             MessageType::Update => Message::Update(UpdateMessage::decode_body(body, cfg)?),
             MessageType::Notification => {
@@ -139,12 +160,11 @@ impl Message {
             }
             MessageType::Keepalive => {
                 if !body.is_empty() {
-                    return Err(WireError::BadLength(total as u16));
+                    return Err(WireError::BadLength((HEADER_LEN + body.len()) as u16));
                 }
                 Message::Keepalive
             }
-        };
-        Ok(Some(msg))
+        })
     }
 }
 

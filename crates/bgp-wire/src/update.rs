@@ -1,12 +1,13 @@
 //! UPDATE message (RFC 4271 §4.3), add-paths aware.
 
-use crate::attr;
+use crate::attr::{self, Scratch};
 use crate::error::WireError;
 use crate::message::{frame, MessageType};
-use crate::nlri::Nlri;
+use crate::nlri::{Nlri, NlriIter};
 use crate::read::{take, take_u16};
 use crate::CodecConfig;
-use bgp_types::PathAttributes;
+use bgp_types::{AttrsView, PathAttributes};
+use std::borrow::Borrow;
 
 /// A BGP UPDATE: withdrawn routes, attributes, and announced NLRI.
 ///
@@ -50,24 +51,13 @@ impl UpdateMessage {
         encode_body(out, &self.withdrawn, self.attrs.as_ref(), &self.nlri, cfg)
     }
 
-    /// Decodes an UPDATE body.
-    pub fn decode_body(mut buf: &[u8], cfg: CodecConfig) -> Result<UpdateMessage, WireError> {
-        let wlen = take_u16(&mut buf, "withdrawn length")?;
-        let wblock = take(&mut buf, wlen as usize, "withdrawn block")?;
-        let withdrawn = Nlri::iter(wblock, cfg.add_paths).collect::<Result<Vec<_>, _>>()?;
-
-        let alen = take_u16(&mut buf, "attributes length")?;
-        let ablock = take(&mut buf, alen as usize, "attributes block")?;
-
-        let nlri = Nlri::iter(buf, cfg.add_paths).collect::<Result<Vec<_>, _>>()?;
-        let attrs = if alen > 0 {
-            Some(attr::decode_attrs(ablock)?)
-        } else {
-            if !nlri.is_empty() {
-                return Err(WireError::MalformedAttributes("NLRI without attributes"));
-            }
-            None
-        };
+    /// Decodes an UPDATE body into owned parts: [`UpdateView::parse`],
+    /// then each block read out in [`UpdateView`]'s order.
+    pub fn decode_body(buf: &[u8], cfg: CodecConfig) -> Result<UpdateMessage, WireError> {
+        let u = UpdateView::parse(buf, cfg)?;
+        let withdrawn = u.withdrawn().collect::<Result<_, _>>()?;
+        let nlri = u.nlri().collect::<Result<_, _>>()?;
+        let attrs = u.attrs(&mut Scratch::default())?.map(PathAttributes::from);
         Ok(UpdateMessage {
             withdrawn,
             attrs,
@@ -76,14 +66,70 @@ impl UpdateMessage {
     }
 }
 
+/// An UPDATE body split into its three blocks, borrowed from the
+/// message: the one UPDATE parser, which [`UpdateMessage::decode_body`]
+/// reads out into owned parts and a receiver reads in place. Splitting
+/// checks the block lengths; each block is read when it is walked or
+/// asked for, and reports its own errors then. A reader that must fail
+/// as RFC 4271's field order does — and as the owned parser does —
+/// reads the withdrawn routes, then the announced ones, then the
+/// attributes.
+#[derive(Clone, Copy, Debug)]
+pub struct UpdateView<'a> {
+    withdrawn: &'a [u8],
+    attrs: &'a [u8],
+    nlri: &'a [u8],
+    add_paths: bool,
+}
+
+impl<'a> UpdateView<'a> {
+    /// Splits an UPDATE body into its blocks.
+    pub fn parse(mut body: &'a [u8], cfg: CodecConfig) -> Result<Self, WireError> {
+        let wlen = take_u16(&mut body, "withdrawn length")?;
+        let withdrawn = take(&mut body, wlen as usize, "withdrawn block")?;
+        let alen = take_u16(&mut body, "attributes length")?;
+        let attrs = take(&mut body, alen as usize, "attributes block")?;
+        // The NLRI block runs to the end of the message.
+        Ok(UpdateView {
+            withdrawn,
+            attrs,
+            nlri: body,
+            add_paths: cfg.add_paths,
+        })
+    }
+
+    /// The withdrawn routes, read lazily ([`Nlri::iter`]).
+    pub fn withdrawn(&self) -> NlriIter<'a> {
+        Nlri::iter(self.withdrawn, self.add_paths)
+    }
+
+    /// The announced routes, read lazily ([`Nlri::iter`]).
+    pub fn nlri(&self) -> NlriIter<'a> {
+        Nlri::iter(self.nlri, self.add_paths)
+    }
+
+    /// The path attributes, decoded into `scratch`; `None` when the
+    /// UPDATE carries none, which is an error when it announces routes.
+    pub fn attrs<'s>(&self, scratch: &'s mut Scratch) -> Result<Option<AttrsView<'s>>, WireError> {
+        if !self.attrs.is_empty() {
+            return attr::decode_attrs_view(self.attrs, scratch).map(Some);
+        }
+        if !self.nlri.is_empty() {
+            return Err(WireError::MalformedAttributes("NLRI without attributes"));
+        }
+        Ok(None)
+    }
+}
+
 /// The UPDATE encoder: one whole message (header included) appended to
-/// `out` from borrowed parts, in a single pass. `out` is left as it was
-/// on error.
+/// `out` from borrowed parts, in a single pass. The NLRI blocks are
+/// read from iterators, so a caller that derives them from its own
+/// state builds no list. `out` is left as it was on error.
 pub fn encode(
     out: &mut Vec<u8>,
-    withdrawn: &[Nlri],
+    withdrawn: impl IntoIterator<Item = impl Borrow<Nlri>>,
     attrs: Option<&PathAttributes>,
-    nlri: &[Nlri],
+    nlri: impl IntoIterator<Item = impl Borrow<Nlri>>,
     cfg: CodecConfig,
 ) -> Result<(), WireError> {
     frame(out, MessageType::Update, |out| {
@@ -108,17 +154,18 @@ fn length_prefixed(
 
 fn encode_body(
     out: &mut Vec<u8>,
-    withdrawn: &[Nlri],
+    withdrawn: impl IntoIterator<Item = impl Borrow<Nlri>>,
     attrs: Option<&PathAttributes>,
-    nlri: &[Nlri],
+    nlri: impl IntoIterator<Item = impl Borrow<Nlri>>,
     cfg: CodecConfig,
 ) -> Result<(), WireError> {
-    if attrs.is_none() && !nlri.is_empty() {
+    let mut nlri = nlri.into_iter().peekable();
+    if attrs.is_none() && nlri.peek().is_some() {
         return Err(WireError::MalformedAttributes("NLRI without attributes"));
     }
     length_prefixed(out, "withdrawn routes", |out| {
         for n in withdrawn {
-            n.encode(out, cfg.add_paths);
+            n.borrow().encode(out, cfg.add_paths);
         }
     })?;
     length_prefixed(out, "path attributes", |out| {
@@ -128,7 +175,7 @@ fn encode_body(
     })?;
     // NLRI block runs to end of message.
     for n in nlri {
-        n.encode(out, cfg.add_paths);
+        n.borrow().encode(out, cfg.add_paths);
     }
     Ok(())
 }
@@ -137,14 +184,20 @@ fn encode_body(
 /// the paper's §4.2 transmission-bandwidth accounting. Pure arithmetic:
 /// nothing is encoded.
 pub fn body_len(
-    withdrawn: &[Nlri],
+    withdrawn: impl IntoIterator<Item = impl Borrow<Nlri>>,
     attrs: Option<&PathAttributes>,
-    nlri: &[Nlri],
+    nlri: impl IntoIterator<Item = impl Borrow<Nlri>>,
     cfg: CodecConfig,
 ) -> usize {
-    let block = |ns: &[Nlri]| -> usize { ns.iter().map(|n| n.encoded_len(cfg.add_paths)).sum() };
     let alen = attrs.map(attr::encoded_attrs_len).unwrap_or(0);
-    2 + block(withdrawn) + 2 + alen + block(nlri)
+    2 + block_len(withdrawn, cfg) + 2 + alen + block_len(nlri, cfg)
+}
+
+/// Encoded size of an NLRI block.
+fn block_len(ns: impl IntoIterator<Item = impl Borrow<Nlri>>, cfg: CodecConfig) -> usize {
+    ns.into_iter()
+        .map(|n| n.borrow().encoded_len(cfg.add_paths))
+        .sum()
 }
 
 #[cfg(test)]

@@ -15,14 +15,18 @@
 //!   mutation of valid framed messages: typed errors, never panics;
 //! * the message parser's result and the bytes it consumes — a whole
 //!   message or nothing — at every truncation point of a multi-UPDATE
-//!   burst, at every framing-error boundary, and on arbitrary bytes.
+//!   burst, at every framing-error boundary, and on arbitrary bytes;
+//! * the in-place parse (`Message::split`, `UpdateView`) against the
+//!   owned one at every truncation point of each message of a burst.
 
 use bgp_types::{
     intern, AsPath, Asn, ClusterId, Community, ExtCommunity, Ipv4Prefix, LocalPref, Med, NextHop,
     Origin, OriginatorId, PathAttributes, PathId, SegmentKind,
 };
 use bgp_wire::attr::{self, code, flags};
-use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage, WireError, MAX_MESSAGE_LEN};
+use bgp_wire::{
+    CodecConfig, Message, MessageType, Nlri, UpdateMessage, UpdateView, WireError, MAX_MESSAGE_LEN,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -436,6 +440,43 @@ fn burst_truncated_at_every_point_frames_identically() {
                 data = &data[used..];
             }
             assert_eq!(decode_one(data, cfg), (Ok(None), 0), "cut at {cut}");
+        }
+    }
+}
+
+/// The borrowed parse is the owned one at every truncation point of a
+/// multi-UPDATE burst: splitting off each message and parsing its body
+/// in place, into one attribute scratch reused across every parse as a
+/// receiver reuses it, gives the message the owned parser decodes, or
+/// the same typed error, cut by cut and message by message.
+#[test]
+fn burst_parsed_in_place_equals_the_owned_parse_at_every_cut() {
+    let in_place = |body: &[u8], cfg, scratch: &mut attr::Scratch| {
+        let u = UpdateView::parse(body, cfg)?;
+        let withdrawn = u.withdrawn().collect::<Result<_, _>>()?;
+        let nlri = u.nlri().collect::<Result<_, _>>()?;
+        let attrs = u.attrs(scratch)?.map(PathAttributes::from);
+        Ok(UpdateMessage {
+            withdrawn,
+            attrs,
+            nlri,
+        })
+    };
+    let mut scratch = attr::Scratch::default();
+    for cfg in [CodecConfig::plain(), CodecConfig::with_add_paths()] {
+        let (msgs, bytes, _) = burst(cfg);
+        let mut rest = &bytes[..];
+        for m in &msgs {
+            let mut framed = rest;
+            let (ty, body) = Message::split(&mut framed).unwrap().unwrap();
+            assert_eq!(ty, MessageType::Update);
+            assert_eq!(Message::decode(&mut rest, cfg), Ok(Some(m.clone())));
+            assert_eq!(framed.len(), rest.len(), "split consumes what decode does");
+            for cut in 0..=body.len() {
+                let owned = UpdateMessage::decode_body(&body[..cut], cfg);
+                let borrowed = in_place(&body[..cut], cfg, &mut scratch);
+                assert_eq!(borrowed, owned, "cut at {cut} of {m:?}");
+            }
         }
     }
 }

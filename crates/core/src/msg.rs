@@ -62,72 +62,90 @@ impl BgpMsg {
     /// one withdrawn NLRI.
     pub fn wire_bytes(&self, add_paths: bool) -> usize {
         let cfg = CodecConfig { add_paths };
-        self.updates(add_paths)
-            .iter()
-            .map(|u| u.encoded_len(cfg))
-            .sum()
+        self.updates(add_paths).map(|u| u.encoded_len(cfg)).sum()
     }
 
     /// The UPDATEs this logical update becomes on the wire — the one
     /// walk both the accounting above and [`crate::wire::encode_frame`]
     /// take. A withdrawal is one UPDATE with one withdrawn NLRI (path
     /// id 0 under add-paths); an announcement is one UPDATE per
-    /// distinct attribute object, in first-occurrence order.
-    pub(crate) fn updates(&self, add_paths: bool) -> Vec<UpdateParts<'_>> {
-        let nlri = |id: PathId| {
-            if add_paths {
-                Nlri::with_path_id(self.prefix, id)
-            } else {
-                Nlri::plain(self.prefix)
-            }
-        };
-        if self.paths.is_empty() {
-            return vec![UpdateParts {
-                attrs: None,
-                nlri: vec![nlri(PathId(0))],
-            }];
-        }
-        let mut groups: Vec<UpdateParts<'_>> = Vec::new();
-        for (id, attrs) in self.paths.iter() {
-            match groups.iter_mut().find(|g| g.attrs == Some(attrs)) {
-                Some(g) => g.nlri.push(nlri(*id)),
-                None => groups.push(UpdateParts {
-                    attrs: Some(attrs),
-                    nlri: vec![nlri(*id)],
-                }),
-            }
-        }
-        groups
+    /// distinct attribute set, in first-occurrence order. Each UPDATE
+    /// borrows the message and walks its NLRI on demand, so nothing is
+    /// built.
+    pub(crate) fn updates(&self, add_paths: bool) -> impl Iterator<Item = UpdateParts<'_>> {
+        let withdrawal = self.paths.is_empty().then_some(UpdateParts {
+            msg: self,
+            add_paths,
+            first: None,
+        });
+        let announcements = self
+            .paths
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, (_, a))| {
+                let seen = self.paths[..i].iter().any(|(_, b)| b == a);
+                (!seen).then_some(UpdateParts {
+                    msg: self,
+                    add_paths,
+                    first: Some(i),
+                })
+            });
+        withdrawal.into_iter().chain(announcements)
     }
 }
 
-/// One UPDATE of a [`BgpMsg`]'s wire image, still borrowing the
-/// message's attributes: `attrs` is `None` for the withdrawal UPDATE,
-/// whose `nlri` is then the withdrawn-routes block.
+/// An empty NLRI block.
+const NO_NLRI: [Nlri; 0] = [];
+
+/// One UPDATE of a [`BgpMsg`]'s wire image, borrowing the message:
+/// `first` is the index of the first path with the UPDATE's attribute
+/// set, whose NLRI are that path and every later one with an equal
+/// set; `None` is the withdrawal UPDATE.
 pub(crate) struct UpdateParts<'a> {
-    attrs: Option<&'a Arc<PathAttributes>>,
-    nlri: Vec<Nlri>,
+    msg: &'a BgpMsg,
+    add_paths: bool,
+    first: Option<usize>,
 }
 
-impl UpdateParts<'_> {
-    /// The UPDATE's (withdrawn, attributes, announced) blocks.
-    fn blocks(&self) -> (&[Nlri], Option<&PathAttributes>, &[Nlri]) {
-        match self.attrs {
-            Some(a) => (&[], Some(a), &self.nlri),
-            None => (&self.nlri, None, &[]),
+impl<'a> UpdateParts<'a> {
+    fn nlri(&self, id: PathId) -> Nlri {
+        if self.add_paths {
+            Nlri::with_path_id(self.msg.prefix, id)
+        } else {
+            Nlri::plain(self.msg.prefix)
         }
+    }
+
+    /// The attribute set and the NLRI announced with it.
+    fn announced(&self, first: usize) -> (&'a PathAttributes, impl Iterator<Item = Nlri> + '_) {
+        let (_, attrs) = &self.msg.paths[first];
+        let ids = self.msg.paths[first..]
+            .iter()
+            .filter(move |(_, a)| a == attrs);
+        (attrs, ids.map(|(id, _)| self.nlri(*id)))
     }
 
     /// Encoded length, header included, without building the message.
     pub(crate) fn encoded_len(&self, cfg: CodecConfig) -> usize {
-        let (withdrawn, attrs, nlri) = self.blocks();
-        bgp_wire::HEADER_LEN + bgp_wire::update::body_len(withdrawn, attrs, nlri, cfg)
+        let body = match self.first {
+            None => bgp_wire::update::body_len([self.nlri(PathId(0))], None, NO_NLRI, cfg),
+            Some(first) => {
+                let (attrs, nlri) = self.announced(first);
+                bgp_wire::update::body_len(NO_NLRI, Some(attrs), nlri, cfg)
+            }
+        };
+        bgp_wire::HEADER_LEN + body
     }
 
     /// Appends the encoded UPDATE (header included) to `out`.
     pub(crate) fn encode(&self, out: &mut Vec<u8>, cfg: CodecConfig) -> Result<(), WireError> {
-        let (withdrawn, attrs, nlri) = self.blocks();
-        bgp_wire::update::encode(out, withdrawn, attrs, nlri, cfg)
+        match self.first {
+            None => bgp_wire::update::encode(out, [self.nlri(PathId(0))], None, NO_NLRI, cfg),
+            Some(first) => {
+                let (attrs, nlri) = self.announced(first);
+                bgp_wire::update::encode(out, NO_NLRI, Some(attrs), nlri, cfg)
+            }
+        }
     }
 }
 

@@ -151,6 +151,9 @@ pub struct BgpNode {
     inbox: Vec<(RouterId, BgpMsg)>,
     /// Dirty-prefix worklist (see [`Worklist`]); empty between drains.
     dirty: Worklist,
+    /// Bytes-mode ingress: the buffers this router parses every burst
+    /// it receives into (unused with structs).
+    ingress: wire::Decoder,
 }
 
 impl BgpNode {
@@ -173,6 +176,7 @@ impl BgpNode {
             trr,
             inbox: Vec::new(),
             dirty: Worklist::default(),
+            ingress: wire::Decoder::default(),
         }
     }
 
@@ -667,7 +671,7 @@ impl Protocol for BgpNode {
         // speaker parses off the TCP stream as bytes arrive.
         let msg = match msg {
             SessionMsg::Struct(m) => m,
-            SessionMsg::Wire(frame) => match wire::decode_frame(&frame) {
+            SessionMsg::Wire(frame) => match self.ingress.decode(&frame) {
                 Ok(m) => {
                     if let Some(h) = self.ch.obs() {
                         h.wire_decoded.inc();

@@ -24,7 +24,9 @@
 use crate::msg::{BgpMsg, WireFrame};
 use bgp_rib::PathSet;
 use bgp_types::RouterId;
-use bgp_wire::{AddPathMode, CodecConfig, Message, OpenMessage, WireError};
+use bgp_wire::{
+    AddPathMode, CodecConfig, Message, MessageType, Nlri, OpenMessage, UpdateView, WireError,
+};
 use std::sync::Arc;
 
 /// Why a frame could not be encoded, or a received frame was rejected.
@@ -68,10 +70,9 @@ pub fn session_codec() -> CodecConfig {
 /// contract fault.
 pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
     let cfg = session_codec();
-    let updates = msg.updates(cfg.add_paths);
-    let len = updates.iter().map(|u| u.encoded_len(cfg)).sum();
+    let len = msg.wire_bytes(cfg.add_paths);
     let mut out = Vec::with_capacity(len);
-    for u in &updates {
+    for u in msg.updates(cfg.add_paths) {
         u.encode(&mut out, cfg)?;
     }
     if out.len() != len {
@@ -86,67 +87,117 @@ pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
     })
 }
 
-/// Decodes a wire frame back into a logical update. Attributes are
-/// re-interned ([`bgp_types::intern()`]) so byte-mode runs share
-/// attribute storage exactly like struct-mode runs, and the resulting
-/// path set is sorted by path id (canonical form — see module docs).
+/// Decodes a wire frame with a decoder of its own: [`Decoder::decode`]
+/// for a caller that keeps none.
 pub fn decode_frame(frame: &WireFrame) -> Result<BgpMsg, WireFault> {
-    let cfg = session_codec();
-    let mut buf: &[u8] = &frame.bytes;
-    let mut paths: PathSet = Vec::new();
-    let mut withdrawn = false;
-    let mut saw_update = false;
-    while let Some(m) = Message::decode(&mut buf, cfg)? {
-        let u = match m {
-            Message::Update(u) => u,
-            _ => return Err(WireFault::Contract("non-UPDATE message in session burst")),
-        };
-        saw_update = true;
-        if !u.withdrawn.is_empty() {
-            if !u.nlri.is_empty() || u.withdrawn.len() != 1 {
-                return Err(WireFault::Contract("withdraw burst must be a single NLRI"));
+    Decoder::default().decode(frame)
+}
+
+/// A receiver's byte ingress: the buffers it parses every burst into,
+/// kept across bursts so that a parse allocates only what it returns.
+#[derive(Debug, Default)]
+pub struct Decoder {
+    /// The attribute parser's buffers.
+    attrs: bgp_wire::attr::Scratch,
+    /// The UPDATE's announced routes, read before its attributes.
+    nlri: Vec<Nlri>,
+    /// The paths read so far, before they move into the returned set.
+    paths: PathSet,
+}
+
+impl Decoder {
+    /// Decodes a wire frame back into a logical update, parsing each
+    /// UPDATE in place. An attribute set is interned from its view
+    /// ([`bgp_types::intern_view`]), so byte-mode runs share attribute
+    /// storage exactly like struct-mode runs and a set already live
+    /// costs no allocation. The path set is sorted by path id (canonical
+    /// form — see module docs) and built at its final size: a decode
+    /// allocates the set and its `Arc`, plus each set the interner
+    /// did not hold.
+    pub fn decode(&mut self, frame: &WireFrame) -> Result<BgpMsg, WireFault> {
+        let cfg = session_codec();
+        let Decoder {
+            attrs: scratch,
+            nlri,
+            paths,
+        } = self;
+        paths.clear();
+        let mut buf: &[u8] = &frame.bytes;
+        let mut withdrawn = false;
+        let mut saw_update = false;
+        while let Some((ty, body)) = Message::split(&mut buf)? {
+            if ty != MessageType::Update {
+                // Decoded all the same, so a malformed one is a codec fault.
+                Message::decode_body(ty, body, cfg)?;
+                return Err(WireFault::Contract("non-UPDATE message in session burst"));
             }
-            if u.withdrawn[0].prefix != frame.prefix {
-                return Err(WireFault::Contract("withdrawn NLRI prefix != frame prefix"));
+            let u = UpdateView::parse(body, cfg)?;
+            // The blocks in the owned parser's order, so that a burst
+            // fails with the error it always has: the withdrawn routes,
+            // the announced ones, then the attributes.
+            let (mut gone, mut first_gone) = (0, None);
+            for w in u.withdrawn() {
+                first_gone.get_or_insert(w?);
+                gone += 1;
             }
-            withdrawn = true;
-            continue;
-        }
-        let attrs = match u.attrs {
-            Some(a) => bgp_types::intern(a),
-            None => return Err(WireFault::Contract("announce UPDATE without attributes")),
-        };
-        if u.nlri.is_empty() {
-            return Err(WireFault::Contract("announce UPDATE without NLRI"));
-        }
-        for n in u.nlri {
-            if n.prefix != frame.prefix {
-                return Err(WireFault::Contract("announced NLRI prefix != frame prefix"));
+            nlri.clear();
+            for n in u.nlri() {
+                nlri.push(n?);
             }
-            let id = n
-                .path_id
-                .ok_or(WireFault::Contract("missing add-paths path id"))?;
-            paths.push((id, attrs.clone()));
+            let attrs = u.attrs(scratch)?;
+            saw_update = true;
+            if let Some(w) = first_gone {
+                if !nlri.is_empty() || gone != 1 {
+                    return Err(WireFault::Contract("withdraw burst must be a single NLRI"));
+                }
+                if w.prefix != frame.prefix {
+                    return Err(WireFault::Contract("withdrawn NLRI prefix != frame prefix"));
+                }
+                withdrawn = true;
+                continue;
+            }
+            let attrs = match attrs {
+                Some(a) => bgp_types::intern_view(a),
+                None => return Err(WireFault::Contract("announce UPDATE without attributes")),
+            };
+            let Some((last, rest)) = nlri.split_last() else {
+                return Err(WireFault::Contract("announce UPDATE without NLRI"));
+            };
+            let path_id = |n: &Nlri| {
+                if n.prefix != frame.prefix {
+                    return Err(WireFault::Contract("announced NLRI prefix != frame prefix"));
+                }
+                n.path_id
+                    .ok_or(WireFault::Contract("missing add-paths path id"))
+            };
+            for n in rest {
+                paths.push((path_id(n)?, attrs.clone()));
+            }
+            // The last path takes the interner's reference itself.
+            paths.push((path_id(last)?, attrs));
         }
+        if !buf.is_empty() {
+            return Err(WireFault::Codec(WireError::Truncated {
+                what: "trailing partial message",
+                needed: bgp_wire::HEADER_LEN,
+                have: buf.len(),
+            }));
+        }
+        if !saw_update {
+            return Err(WireFault::Contract("empty session burst"));
+        }
+        if withdrawn && !paths.is_empty() {
+            return Err(WireFault::Contract("withdraw mixed with announce in burst"));
+        }
+        *paths = bgp_rib::normalize(std::mem::take(paths));
+        let mut set = Vec::with_capacity(paths.len());
+        set.append(paths);
+        Ok(BgpMsg {
+            prefix: frame.prefix,
+            paths: Arc::new(set),
+            plane: frame.plane,
+        })
     }
-    if !buf.is_empty() {
-        return Err(WireFault::Codec(WireError::Truncated {
-            what: "trailing partial message",
-            needed: bgp_wire::HEADER_LEN,
-            have: buf.len(),
-        }));
-    }
-    if !saw_update {
-        return Err(WireFault::Contract("empty session burst"));
-    }
-    if withdrawn && !paths.is_empty() {
-        return Err(WireFault::Contract("withdraw mixed with announce in burst"));
-    }
-    Ok(BgpMsg {
-        prefix: frame.prefix,
-        paths: Arc::new(bgp_rib::normalize(paths)),
-        plane: frame.plane,
-    })
 }
 
 /// OPEN-message oracle, run once per session endpoint when wire mode
@@ -375,6 +426,71 @@ mod tests {
             let frame = encode_frame(&m).unwrap();
             assert_eq!(m.wire_bytes(true), frame.bytes.len());
             assert_eq!(decode_frame(&frame).unwrap().paths.len(), m.paths.len());
+        }
+    }
+
+    proptest::proptest! {
+        /// The borrowed parser is the owned one: for every set, the
+        /// owned decode of its encoding is the set, the set hashes as
+        /// its view does, and interning the view the parser reads
+        /// returns the set's own interned `Arc`.
+        #[test]
+        fn the_parsed_view_is_the_owned_set(a in arb_attrs()) {
+            use bgp_types::FxHasher;
+            use std::hash::{Hash, Hasher};
+            let mut block = Vec::new();
+            bgp_wire::attr::encode_attrs(&a, &mut block);
+            proptest::prop_assert_eq!(&bgp_wire::attr::decode_attrs(&block).unwrap(), &*a);
+            let fx = |x: &dyn Fn(&mut FxHasher)| {
+                let mut h = FxHasher::default();
+                x(&mut h);
+                h.finish()
+            };
+            proptest::prop_assert_eq!(fx(&|h| a.hash(h)), fx(&|h| a.view().hash(h)));
+            let canonical = bgp_types::intern((*a).clone());
+            let mut scratch = bgp_wire::attr::Scratch::default();
+            let view = bgp_wire::attr::decode_attrs_view(&block, &mut scratch).unwrap();
+            proptest::prop_assert_eq!(view, a.view());
+            proptest::prop_assert!(Arc::ptr_eq(&bgp_types::intern_view(view), &canonical));
+        }
+    }
+
+    /// A multi-UPDATE burst cut at every point: a cut inside a message
+    /// is a typed codec error, a cut between messages decodes the
+    /// UPDATEs before it, and nothing panics.
+    #[test]
+    fn a_burst_truncated_at_every_point_is_a_typed_error() {
+        let m = msg(vec![
+            (PathId(1), attrs(1)),
+            (PathId(2), attrs(2)),
+            (PathId(3), attrs(1)),
+            (PathId(4), attrs(3)),
+        ]);
+        let frame = encode_frame(&m).unwrap();
+        let mut ends = Vec::new();
+        let mut rest = &frame.bytes[..];
+        while Message::split(&mut rest).unwrap().is_some() {
+            ends.push(frame.bytes.len() - rest.len());
+        }
+        assert_eq!(ends.len(), 3, "one UPDATE per distinct set");
+        let mut decoder = Decoder::default();
+        for cut in 0..frame.bytes.len() {
+            let cut_frame = WireFrame {
+                bytes: Arc::new(frame.bytes[..cut].to_vec()),
+                ..frame.clone()
+            };
+            match decoder.decode(&cut_frame) {
+                Ok(d) => {
+                    let whole = ends.iter().filter(|&&e| e <= cut).count();
+                    assert!(ends.contains(&cut), "cut at {cut} decoded");
+                    assert_eq!(d.paths.len(), [2, 3, 4][whole - 1], "cut at {cut}");
+                }
+                Err(WireFault::Codec(WireError::Truncated { .. })) => {
+                    assert!(!ends.contains(&cut), "cut at {cut}");
+                }
+                Err(WireFault::Contract("empty session burst")) => assert_eq!(cut, 0),
+                Err(e) => panic!("cut at {cut}: {e}"),
+            }
         }
     }
 

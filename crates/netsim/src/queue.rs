@@ -98,6 +98,9 @@ impl<E> EventQueue<E> {
         };
         let n = if self.free == NIL {
             self.nodes.push(cell);
+            // Invariant: the slab is as long as the run's peak queue
+            // length; 2^32 queued events would hold over 64 GiB of
+            // nodes, so memory runs out long before the index does.
             u32::try_from(self.nodes.len() - 1).expect("event queue outgrew u32 indices")
         } else {
             let n = self.free;
@@ -145,6 +148,8 @@ impl<E> EventQueue<E> {
             _ => self.lists[&at].head,
         };
         let ev = self.nodes[head as usize].ev.as_ref();
+        // Invariant: a list's nodes hold events; only a pop or a
+        // `retain` frees a node, and both unlink it first.
         Some((at, ev.expect("queued node is free")))
     }
 
@@ -156,6 +161,9 @@ impl<E> EventQueue<E> {
             // front that still holds events goes back first — it can
             // trail only after a push earlier than the last pop.
             let Reverse(at) = self.times.pop()?;
+            // Invariant: `times` holds exactly the keys of `lists`:
+            // every insert into one pushes to the other, and `retain`
+            // drops from `times` what it drops from `lists`.
             let list = self.lists.remove(&at).expect("pending time has no list");
             let (t, old) = std::mem::replace(&mut self.front, (at, list));
             if old.head != NIL {
@@ -167,6 +175,8 @@ impl<E> EventQueue<E> {
         let head = list.head;
         let node = &mut self.nodes[head as usize];
         list.head = node.next;
+        // Invariant: the front's head is a queued node (the front
+        // holds events here), and only a pop or a `retain` frees one.
         let ev = node.ev.take().expect("queued node is free");
         node.next = std::mem::replace(&mut self.free, head);
         self.len -= 1;
@@ -192,6 +202,8 @@ impl<E> EventQueue<E> {
             while cur != NIL {
                 let node = &mut nodes[cur as usize];
                 let next = node.next;
+                // Invariant: every node reachable from a list holds an
+                // event; freed nodes are unlinked before `ev` is cleared.
                 if keep(node.ev.as_ref().expect("queued node is free")) {
                     match last {
                         NIL => list.head = cur,

@@ -112,7 +112,9 @@ AUDITED="crates/bgp-wire/src/*.rs crates/core/src/wire.rs crates/core/src/msg.rs
   crates/core/src/spec.rs crates/core/src/node.rs
   crates/core/src/roles/border.rs crates/scenario/src/check.rs crates/bench/src/cli.rs
   crates/obs/src/trace.rs crates/obs/src/pcap.rs crates/obs/src/profile.rs
-  crates/bgp-rib/src/rib.rs crates/bgp-rib/src/store.rs crates/workload/src/tier1.rs"
+  crates/bgp-rib/src/rib.rs crates/bgp-rib/src/store.rs crates/workload/src/tier1.rs
+  crates/netsim/src/queue.rs crates/bgp-types/src/trie.rs crates/bgp-types/src/prefix.rs
+  crates/bgp-types/src/partition.rs"
 # shellcheck disable=SC2086 # $AUDITED is a list of files and globs
 UNSTATED=$(awk '
   FNR == 1 { done = 0; incomment = 0 }
