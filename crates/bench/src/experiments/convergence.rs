@@ -82,25 +82,24 @@ fn probe_latency(
             },
         );
         // Step-run in 100 ms slices until every router knows the probe.
-        let mut t_done = None;
         let slice = 100_000u64;
         let mut horizon = t_probe;
-        while t_done.is_none() {
+        loop {
             horizon += slice;
             run.advance_to(horizon);
             let all_know = model
                 .routers
                 .iter()
                 .all(|r| run.sim.node(*r).selected(&prefix).is_some());
-            if all_know {
-                t_done = Some(horizon);
-            }
             assert!(
                 horizon < t_probe + 600_000_000,
                 "probe did not propagate within 600 s"
             );
+            if all_know {
+                break;
+            }
         }
-        total += (t_done.unwrap() - t_probe) as f64 / 1e6;
+        total += (horizon - t_probe) as f64 / 1e6;
     }
     total / n_probes as f64
 }

@@ -30,9 +30,10 @@ const OSC_BUDGET: RunLimits = RunLimits {
 /// the experiment's own budget, not the file's — and prints its
 /// verdict. Returns the run when it converged.
 fn verdict(s: &Loaded, mode: Mode, wire: WireMode) -> Option<(Arc<NetworkSpec>, Sim<BgpNode>)> {
-    let (spec, mut sim) = s
-        .build(mode.clone(), wire)
-        .unwrap_or_else(|e| panic!("{}: {e}", s.name()));
+    let (spec, mut sim) = s.build(mode.clone(), wire).unwrap_or_else(|e| {
+        eprintln!("correctness: {}: {e}", s.name());
+        std::process::exit(1)
+    });
     let out = sim.run(OSC_BUDGET);
     let label = format!("{mode:?}");
     if !out.quiesced {
@@ -50,7 +51,10 @@ fn verdict(s: &Loaded, mode: Mode, wire: WireMode) -> Option<(Arc<NetworkSpec>, 
 fn run(exp: &Experiment) {
     exp.header("gadgets: RFC3345-style MED oscillation; cyclic-IGP topology oscillation");
     for stem in ["med_gadget", "topology_gadget"] {
-        let s = scenario::load_corpus(stem).unwrap_or_else(|e| panic!("{stem}: {e:?}"));
+        let s = scenario::load_corpus(stem).unwrap_or_else(|e| {
+            eprintln!("correctness: {stem}: {e:?}");
+            std::process::exit(1)
+        });
         println!("\n## {}", s.name());
         let mut abrr = None;
         for mode in [

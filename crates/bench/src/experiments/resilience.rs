@@ -87,6 +87,8 @@ struct Report {
 fn schedule_kill(scn: &Scenario, seed: u64, at: netsim::Time, sim: &mut netsim::Sim<BgpNode>) {
     let mut sched = FaultSchedule::new(seed);
     sched.push(at, scn.kill.clone());
+    // Invariant: each kill names a router (an ARR for `ArrFailure`) of
+    // the spec the sim was built from.
     compile(&sched, &scn.spec, sim).expect("schedule compiles");
 }
 

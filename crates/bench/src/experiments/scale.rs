@@ -81,6 +81,7 @@ fn run(exp: &Experiment) {
                 arr: spec.all_arrs()[0],
             },
         );
+        // Invariant: the one fault names an ARR of the spec the sim hosts.
         compile(&sched, &spec, &mut run.sim).expect("schedule compiles");
         run.advance_to(t0 + churn_cfg.duration_us + SETTLE_BUDGET_US);
     }

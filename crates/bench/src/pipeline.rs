@@ -123,7 +123,6 @@ impl Drop for Experiment {
 /// profiles, and — when `ABRR_TRACE_FILE` names a path and tracing
 /// was enabled via `ABRR_TRACE` — the drained event trace as JSONL.
 fn obs_report() -> String {
-    use std::fmt::Write as _;
     let mut out = String::from("\n## obs_report\n");
     let snap = obs::metrics::snapshot();
     if snap.is_empty() {
@@ -140,12 +139,11 @@ fn obs_report() -> String {
         if !path.is_empty() {
             let jsonl = obs::trace::drain_jsonl();
             let n = jsonl.lines().count();
-            match std::fs::write(&path, jsonl) {
-                Ok(()) => writeln!(out, "trace: {n} events -> {path}").expect("write to String"),
-                Err(e) => {
-                    writeln!(out, "trace: failed to write {path}: {e}").expect("write to String")
-                }
-            }
+            let line = match std::fs::write(&path, jsonl) {
+                Ok(()) => format!("trace: {n} events -> {path}\n"),
+                Err(e) => format!("trace: failed to write {path}: {e}\n"),
+            };
+            out.push_str(&line);
         }
     }
     out

@@ -516,13 +516,14 @@ mod tests {
     #[test]
     fn cluster_list_tiebreak() {
         let mut a = ibgp(AsPath::sequence([Asn(1)]), 5, 5);
-        a.attrs = Arc::new(
-            a.attrs
-                .with_clusters_prepended([bgp_types::ClusterId(1), bgp_types::ClusterId(2)]),
-        );
+        let clustered = |a: &PathAttributes, ids: &[u32]| {
+            let ids = ids.iter().map(|&c| bgp_types::ClusterId(c));
+            Arc::new(a.with_lists(a.as_path(), a.communities(), a.ext_communities(), ids))
+        };
+        a.attrs = clustered(&a.attrs, &[1, 2]);
         Arc::make_mut(&mut a.attrs).originator_id = Some(bgp_types::OriginatorId(1));
         let mut b = ibgp(AsPath::sequence([Asn(2)]), 5, 9);
-        b.attrs = Arc::new(b.attrs.with_clusters_prepended([bgp_types::ClusterId(1)]));
+        b.attrs = clustered(&b.attrs, &[1]);
         Arc::make_mut(&mut b.attrs).originator_id = Some(bgp_types::OriginatorId(1));
         let cands = vec![a.clone(), b.clone()];
         let cfg = DecisionConfig::default();

@@ -433,18 +433,6 @@ impl PathAttributes {
         )
     }
 
-    /// A copy with `clusters` prepended to the CLUSTER_LIST, in order
-    /// (RFC 4456 reflection).
-    pub fn with_clusters_prepended(&self, clusters: impl IntoIterator<Item = ClusterId>) -> Self {
-        let cluster_list = clusters.into_iter().chain(self.cluster_list());
-        self.with_lists(
-            self.as_path(),
-            self.communities(),
-            self.ext_communities(),
-            cluster_list,
-        )
-    }
-
     /// A copy as it was before any reflector handled it: no
     /// ORIGINATOR_ID, no CLUSTER_LIST and no ABRR reflected marker —
     /// the iBGP-internal attributes a border strips from a route learned

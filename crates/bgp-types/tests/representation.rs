@@ -110,7 +110,10 @@ fn a_builder_allocates_one_exact_tail() {
         )
     });
     assert_eq!(allocs, (1, 4 * 7));
-    let (_, allocs) = allocations(|| b.with_clusters_prepended([ClusterId(9)]));
+    let (_, allocs) = allocations(|| {
+        let clusters = [ClusterId(9)].into_iter().chain(b.cluster_list());
+        b.with_lists(b.as_path(), b.communities(), b.ext_communities(), clusters)
+    });
     assert_eq!(allocs, (1, 4 * 8));
     let (_, allocs) = allocations(|| b.without_reflection());
     assert!(allocs.0 <= 2, "{allocs:?}");
@@ -314,7 +317,8 @@ proptest! {
 
         let mut reflected = d.clone();
         reflected.cluster_list.splice(0..0, ids.iter().copied());
-        reads_back(&a.with_clusters_prepended(ids.iter().map(|&c| ClusterId(c))), &reflected);
+        let clusters = ids.iter().map(|&c| ClusterId(c)).chain(a.cluster_list());
+        reads_back(&a.with_lists(a.as_path(), a.communities(), a.ext_communities(), clusters), &reflected);
 
         let mut marked = d.clone();
         if !marked.ext_communities.contains(&ExtCommunity::ABRR_REFLECTED.0) {
@@ -391,8 +395,9 @@ fn debug_of_a_typical_reflection() {
     path.push_segment(SegmentKind::Set, [Asn(1), Asn(2)]);
     let mut a = PathAttributes::ebgp(path, NextHop(0x0A00_0001)).with_local_pref(200);
     a.originator_id = Some(OriginatorId(4));
+    let clusters = [ClusterId(1), ClusterId(2)];
     let a = a
-        .with_clusters_prepended([ClusterId(1), ClusterId(2)])
+        .with_lists(a.as_path(), a.communities(), a.ext_communities(), clusters)
         .with_abrr_reflected();
     assert_eq!(
         format!("{a:?}"),

@@ -4,6 +4,7 @@
 //! clients, with the §2.3.2 reflected-bit / cluster-list loop
 //! prevention.
 
+use super::reflection::Reflection;
 use super::{ibgp_routes, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
@@ -12,8 +13,7 @@ use bgp_rib::{
     best_as_level_of, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn, RibInEntry, RouteRef,
 };
 use bgp_types::{
-    intern, ApId, ClusterId, ExtCommunity, Ipv4Prefix, OriginatorId, Parts, PathAttributes, PathId,
-    RouterId,
+    ApId, ClusterId, ExtCommunity, Ipv4Prefix, OriginatorId, PathAttributes, PathId, RouterId,
 };
 use netsim::Ctx;
 use std::sync::Arc;
@@ -106,7 +106,7 @@ impl ArrRole {
             .iter()
             .map(|&i| {
                 let (peer, _, attrs) = &row[i];
-                reflected(mode, ch.id, *peer, attrs, known)
+                reflection(mode, &ch.id, *peer, attrs).interned(&[known])
             })
             .collect::<PathSet>()
             .into();
@@ -228,99 +228,32 @@ impl ArrRole {
     }
 }
 
-/// The ARR's reflected version of `attrs`, learned from `peer`: with
-/// ORIGINATOR_ID stamped (so clients can tie-break by true originator
-/// and so the sender exclusion works) and the §2.3.2 mark of `mode`,
-/// under the originator's path id. A reflection this ARR already
-/// advertised is reused from `known`: the set there under the same path
-/// id, if [`is_arr_reflection`] accepts it. Only an unmatched route is
-/// cloned and interned. Either way the result is the interner's shared
-/// `Arc` for the reflection's content, since every stored reflection
-/// came from [`intern`] and stays its canonical copy while it lives.
-fn reflected(
+/// ARR `me`'s reflection of `attrs`, learned from `peer` (§2.3.2):
+/// ORIGINATOR_ID stamped (clients tie-break on it, and it drives the
+/// sender exclusion), and the mark of `mode` — the reflected marker
+/// appended unless present, or `me` (RFC 4456's default cluster id)
+/// prepended to the CLUSTER_LIST, or nothing.
+fn reflection<'a>(
     mode: AbrrLoopPrevention,
-    me: RouterId,
+    me: &'a RouterId,
     peer: RouterId,
-    attrs: &PathAttributes,
-    known: &[(PathId, Arc<PathAttributes>)],
-) -> (PathId, Arc<PathAttributes>) {
-    let originator = attrs.originator_id.unwrap_or(OriginatorId(peer.0));
-    let id = PathId(originator.0);
-    let reused = known
-        .iter()
-        .find(|(p, stored)| *p == id && is_arr_reflection(stored, attrs, originator, mode, me));
-    if let Some((_, stored)) = reused {
-        return (id, stored.clone());
-    }
-    let mut a = match mode {
-        AbrrLoopPrevention::ReflectedBit => attrs.with_abrr_reflected(),
-        // RFC 4456 default: cluster id = router id.
-        AbrrLoopPrevention::ClusterList => attrs.with_clusters_prepended([ClusterId(me.0)]),
-        AbrrLoopPrevention::None => attrs.clone(),
-    };
-    a.originator_id = Some(originator);
-    (id, intern(a))
-}
-
-/// Whether `stored` is exactly the reflection of `input` that ARR `me`
-/// builds under `originator` in loop-prevention `mode`: every attribute
-/// as in `input`, but ORIGINATOR_ID `originator`, and the reflected
-/// marker appended unless present (`ReflectedBit`) or `me` prepended to
-/// the CLUSTER_LIST (`ClusterList`): the head fields compared, and each
-/// list's words against `input`'s. `stored`'s parts are destructured,
-/// so a new attribute fails to compile here until it is compared.
-fn is_arr_reflection(
-    stored: &PathAttributes,
-    input: &PathAttributes,
-    originator: OriginatorId,
-    mode: AbrrLoopPrevention,
-    me: RouterId,
-) -> bool {
-    let Parts {
-        origin,
-        as_path,
-        next_hop,
-        med,
-        local_pref,
-        communities,
-        ext_communities,
-        originator_id,
-        cluster_list,
-    } = stored.parts();
-    let (marks_ok, clusters_ok) = match mode {
+    attrs: &'a PathAttributes,
+) -> Reflection<'a> {
+    let (clusters, marker) = match mode {
         AbrrLoopPrevention::ReflectedBit => {
-            let theirs = input.ext_communities();
-            let marked = if input.is_abrr_reflected() {
-                ext_communities == theirs
-            } else {
-                ext_communities
-                    .split_at(theirs.len())
-                    .is_some_and(|(head, mark)| {
-                        head == theirs && mark.iter().eq([ExtCommunity::ABRR_REFLECTED])
-                    })
-            };
-            (marked, cluster_list == input.cluster_list())
+            let unmarked = !attrs.is_abrr_reflected();
+            (&[][..], unmarked.then_some(ExtCommunity::ABRR_REFLECTED))
         }
-        AbrrLoopPrevention::ClusterList => {
-            let prepended = cluster_list.split_at(1).is_some_and(|(first, rest)| {
-                first.iter().eq([ClusterId(me.0)]) && rest == input.cluster_list()
-            });
-            (ext_communities == input.ext_communities(), prepended)
-        }
-        AbrrLoopPrevention::None => (
-            ext_communities == input.ext_communities(),
-            cluster_list == input.cluster_list(),
-        ),
+        AbrrLoopPrevention::ClusterList => (std::slice::from_ref(&me.0), None),
+        AbrrLoopPrevention::None => (&[][..], None),
     };
-    originator_id == Some(originator)
-        && marks_ok
-        && clusters_ok
-        && next_hop == input.next_hop
-        && origin == input.origin
-        && med == input.med
-        && local_pref == input.local_pref
-        && as_path == input.as_path()
-        && communities == input.communities()
+    Reflection {
+        base: attrs,
+        local_pref: attrs.local_pref,
+        originator: attrs.originator_id.unwrap_or(OriginatorId(peer.0)),
+        clusters,
+        marker,
+    }
 }
 
 impl Role for ArrRole {
@@ -351,10 +284,11 @@ impl Role for ArrRole {
 mod tests {
     use super::*;
     use crate::roles::strategies::{arb_attrs, boundary_moved};
+    use bgp_types::intern;
     use proptest::prelude::*;
 
     /// An ARR's reflection as §2.3.2 defines it, written apart from
-    /// [`reflected`]: ORIGINATOR_ID the injecting neighbor unless
+    /// [`reflection`]: ORIGINATOR_ID the injecting neighbor unless
     /// already set, then the reflected marker appended unless present,
     /// or the ARR's id prepended to the CLUSTER_LIST, or nothing.
     fn reference(
@@ -475,10 +409,10 @@ mod tests {
     }
 
     proptest! {
-        /// The reuse check accepts a stored set exactly when it equals a
-        /// fresh reflection, in every loop-prevention mode; and whatever
-        /// `reflected` returns, reused or built, is the interner's `Arc`
-        /// for the fresh reflection.
+        /// The description accepts a stored set exactly when it equals
+        /// the reference reflection, in every loop-prevention mode; and
+        /// whatever `interned` returns is the stored `Arc` exactly then,
+        /// else the interner's `Arc` for the reference.
         #[test]
         fn reuse_accepts_exactly_the_fresh_reflection(
             input in arb_attrs(),
@@ -492,12 +426,12 @@ mod tests {
             let id = PathId(originator.0);
             let (me_id, peer) = (RouterId(me), RouterId(neighbor));
             for stored in candidates(&input, neighbor, mode, me, &other) {
-                let accepted = is_arr_reflection(&stored, &input, originator, mode, me_id);
+                let accepted = reflection(mode, &me_id, peer, &input).matches(&stored);
                 prop_assert_eq!(accepted, stored == fresh, "stored {:?}", stored);
                 // Filed under the fresh reflection's path id, so the
                 // lookup reaches the check.
                 let stored = intern(stored);
-                let (got_id, got) = reflected(mode, me_id, peer, &input, &[(id, stored.clone())]);
+                let (got_id, got) = reflection(mode, &me_id, peer, &input).interned(&[&[(id, stored.clone())]]);
                 prop_assert_eq!(got_id, id);
                 prop_assert!(Arc::ptr_eq(&got, &intern(fresh.clone())));
                 prop_assert_eq!(Arc::ptr_eq(&got, &stored), accepted);

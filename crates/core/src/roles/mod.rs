@@ -32,6 +32,7 @@
 mod arr;
 mod border;
 mod client;
+mod reflection;
 mod trr;
 
 pub use arr::ArrRole;

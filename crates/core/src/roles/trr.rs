@@ -2,6 +2,7 @@
 //! route reflection with cluster-list/originator-id loop prevention, in
 //! single-path and multi-path (Appendix A.3) variants.
 
+use super::reflection::Reflection;
 use super::{ibgp_routes, originated_by, route_at, without, AdvertiseEnv, Chassis, Role, Rx};
 use crate::msg::{Plane, SessionMsg};
 use crate::node::group;
@@ -10,10 +11,7 @@ use bgp_rib::{
     best_as_level_of, best_path_of, HeapBytes, PathSet, PrefixId, PrefixIndex, RibInColumn,
     RouteRef,
 };
-use bgp_types::{
-    intern, ClusterId, Ipv4Prefix, OriginatorId, Parts, PathAttributes, PathId, RouteSource,
-    RouterId,
-};
+use bgp_types::{Ipv4Prefix, OriginatorId, RouteSource, RouterId};
 use netsim::Ctx;
 use std::sync::Arc;
 
@@ -58,35 +56,16 @@ impl TrrRole {
         &self.trr_clusters
     }
 
-    /// The TRR's reflected version of a route — LOCAL_PREF defaulted,
-    /// ORIGINATOR_ID set to the injecting router, our cluster id(s)
-    /// prepended — under the originator's path id. A reflection this
-    /// TRR has already built is reused from `known` (what it last
-    /// advertised, or built earlier in the same call): the set there
-    /// under the same path id, if [`is_reflection`] accepts it. Only an
-    /// unmatched route is cloned and interned. Either way the result is
-    /// the interner's shared `Arc` for the reflection's content, since
-    /// every stored reflection came from [`intern`] and stays its
-    /// canonical copy while it lives.
-    fn reflected(
-        &self,
-        r: RouteRef<'_>,
-        known: &[&[(PathId, Arc<PathAttributes>)]],
-    ) -> (PathId, Arc<PathAttributes>) {
-        let originator = r.attrs.originator_id.unwrap_or(OriginatorId(r.neighbor_id));
-        let id = PathId(originator.0);
-        let reused = known.iter().flat_map(|set| set.iter()).find(|(p, stored)| {
-            *p == id && is_reflection(stored, r.attrs, originator, &self.trr_clusters)
-        });
-        if let Some((_, stored)) = reused {
-            return (id, stored.clone());
+    /// The TRR's reflection of a route (RFC 4456): LOCAL_PREF defaulted,
+    /// ORIGINATOR_ID the injecting router, our cluster ids prepended.
+    fn reflection<'a>(&'a self, r: RouteRef<'a>) -> Reflection<'a> {
+        Reflection {
+            base: r.attrs,
+            local_pref: Some(r.attrs.effective_local_pref()),
+            originator: r.attrs.originator_id.unwrap_or(OriginatorId(r.neighbor_id)),
+            clusters: &self.trr_clusters,
+            marker: None,
         }
-        let mut a = r
-            .attrs
-            .with_clusters_prepended(self.trr_clusters.iter().map(|&c| ClusterId(c)));
-        a.local_pref = Some(a.effective_local_pref());
-        a.originator_id = Some(originator);
-        (id, intern(a))
     }
 
     /// TRR advertisement per Table 1 (single-path) or Appendix A.3
@@ -111,14 +90,20 @@ impl TrrRole {
             let clients_out = ch.out.paths(group::TRR_TO_CLIENTS, &prefix);
             let to_clients: PathSet = surv
                 .iter()
-                .map(|&i| self.reflected(route_at(&routes, i), &[clients_out]))
+                .map(|&i| {
+                    self.reflection(route_at(&routes, i))
+                        .interned(&[clients_out])
+                })
                 .collect();
             let client_side = routes.filter(|r| from_client_side(r));
             let surv_cs = best_as_level_of(client_side.clone(), &ch.spec.decision);
             let peers_out = ch.out.paths(group::TRR_TO_PEERS, &prefix);
             let to_peers: PathSet = surv_cs
                 .iter()
-                .map(|&i| self.reflected(route_at(&client_side, i), &[&to_clients, peers_out]))
+                .map(|&i| {
+                    self.reflection(route_at(&client_side, i))
+                        .interned(&[&to_clients, peers_out])
+                })
                 .collect();
             ch.advertise_group(
                 ctx,
@@ -147,7 +132,7 @@ impl TrrRole {
                 Some(i) => {
                     let r = route_at(&routes, i);
                     let clients_out = ch.out.paths(group::TRR_TO_CLIENTS, &prefix);
-                    let entry = Arc::new(vec![self.reflected(r, &[clients_out])]);
+                    let entry = Arc::new(vec![self.reflection(r).interned(&[clients_out])]);
                     let sender = match r.source {
                         RouteSource::Ibgp { peer } => Some(peer),
                         _ => None,
@@ -247,46 +232,6 @@ impl TrrRole {
     }
 }
 
-/// Whether `stored` is exactly the reflection of `input` that a TRR
-/// serving `clusters` builds under `originator`: every attribute as in
-/// `input`, but LOCAL_PREF defaulted, ORIGINATOR_ID `originator` and
-/// `clusters` prepended to the CLUSTER_LIST: the head fields compared,
-/// and each list's words against `input`'s. `stored`'s parts are
-/// destructured, so a new attribute fails to compile here until it is
-/// compared.
-fn is_reflection(
-    stored: &PathAttributes,
-    input: &PathAttributes,
-    originator: OriginatorId,
-    clusters: &[u32],
-) -> bool {
-    let Parts {
-        origin,
-        as_path,
-        next_hop,
-        med,
-        local_pref,
-        communities,
-        ext_communities,
-        originator_id,
-        cluster_list,
-    } = stored.parts();
-    let prepended = cluster_list
-        .split_at(clusters.len())
-        .is_some_and(|(ours, theirs)| {
-            ours.iter().map(|c| c.0).eq(clusters.iter().copied()) && theirs == input.cluster_list()
-        });
-    originator_id == Some(originator)
-        && next_hop == input.next_hop
-        && origin == input.origin
-        && med == input.med
-        && local_pref == Some(input.effective_local_pref())
-        && prepended
-        && as_path == input.as_path()
-        && communities == input.communities()
-        && ext_communities == input.ext_communities()
-}
-
 impl Role for TrrRole {
     fn rib_in_entries(&self) -> usize {
         self.trr_in.num_entries()
@@ -315,11 +260,11 @@ impl Role for TrrRole {
 mod tests {
     use super::*;
     use crate::roles::strategies::{arb_attrs, boundary_moved};
-    use bgp_types::LocalPref;
+    use bgp_types::{intern, ClusterId, LocalPref, PathAttributes, PathId};
     use proptest::prelude::*;
 
     /// A TRR's reflection as RFC 4456 defines it, written apart from
-    /// [`TrrRole::reflected`]: LOCAL_PREF defaulted, ORIGINATOR_ID the
+    /// [`TrrRole::reflection`]: LOCAL_PREF defaulted, ORIGINATOR_ID the
     /// injecting neighbor unless already set, `clusters` prepended.
     fn reference(input: &PathAttributes, neighbor: u32, clusters: &[u32]) -> PathAttributes {
         let mut cluster_list: Vec<ClusterId> = clusters.iter().map(|&c| ClusterId(c)).collect();
@@ -373,9 +318,10 @@ mod tests {
     }
 
     proptest! {
-        /// The reuse check accepts a stored set exactly when it equals a
-        /// fresh reflection; and whatever `reflected` returns, reused or
-        /// built, is the interner's `Arc` for the fresh reflection.
+        /// The description accepts a stored set exactly when it equals
+        /// the reference reflection; and whatever `interned` returns is
+        /// the stored `Arc` exactly then, else the interner's `Arc` for
+        /// the reference.
         #[test]
         fn reuse_accepts_exactly_the_fresh_reflection(
             input in arb_attrs(),
@@ -395,12 +341,12 @@ mod tests {
             let input_arc = Arc::new(input.clone());
             let route = RouteRef::ibgp(RouterId(neighbor), &input_arc);
             for stored in candidates(&input, neighbor, &clusters, &other, &other_clusters, pick) {
-                let accepted = is_reflection(&stored, &input, originator, &clusters);
+                let accepted = role.reflection(route).matches(&stored);
                 prop_assert_eq!(accepted, stored == fresh, "stored {:?}", stored);
                 // Filed under the fresh reflection's path id, so the
                 // lookup reaches the check.
                 let stored = intern(stored);
-                let (got_id, got) = role.reflected(route, &[&[(id, stored.clone())]]);
+                let (got_id, got) = role.reflection(route).interned(&[&[(id, stored.clone())]]);
                 prop_assert_eq!(got_id, id);
                 prop_assert!(Arc::ptr_eq(&got, &intern(fresh.clone())));
                 prop_assert_eq!(Arc::ptr_eq(&got, &stored), accepted);

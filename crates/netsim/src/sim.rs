@@ -360,10 +360,12 @@ impl<P> Slot<P> {
 
     /// The node, which is home whenever the sequential path runs.
     pub(crate) fn node(&self) -> &P {
+        // Invariant: a window hands back every node it took out.
         self.node.as_ref().expect("node is out on a window worker")
     }
 
     fn node_mut(&mut self) -> &mut P {
+        // Invariant: as in `node`.
         self.node.as_mut().expect("node is out on a window worker")
     }
 }
@@ -409,6 +411,7 @@ impl<P: Protocol> Sim<P> {
     /// Adds a node. Panics on duplicate ids.
     pub fn add_node(&mut self, id: RouterId, node: P) {
         let Err(at) = self.ids.binary_search(&id) else {
+            // Invariant: callers add each id once (`build_sim` dedups).
             panic!("duplicate node {id:?}");
         };
         self.ids.insert(at, id);
@@ -435,6 +438,7 @@ impl<P: Protocol> Sim<P> {
         assert!(self.contains_node(a), "unknown node {a:?}");
         assert!(self.contains_node(b), "unknown node {b:?}");
         for (me, peer) in [(a, b), (b, a)] {
+            // Invariant: both ends were asserted present above.
             let i = self.slot_of(me).expect("checked above");
             self.slots[i].connect(peer, latency);
         }
@@ -588,6 +592,7 @@ impl<P: Protocol> Sim<P> {
             if profiling {
                 max_queue = max_queue.max(self.queue.len());
             }
+            // Invariant: `peek_time` just found this event.
             let (at, id, ev) = self.queue.pop().expect("peeked event vanished");
             self.now = at;
             events += 1;
@@ -791,6 +796,7 @@ impl<P: Protocol> Sim<P> {
     /// # Panics
     /// Panics for unknown ids; see [`Sim::contains_node`].
     pub fn node(&self, id: RouterId) -> &P {
+        // Invariant: callers name a node they added, as documented.
         let i = self.slot_of(id).expect("unknown node");
         self.slots[i].node()
     }

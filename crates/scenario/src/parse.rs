@@ -53,6 +53,16 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+/// The path of `key` in the record at `path`.
+pub(crate) fn key_path(path: &str, key: &str) -> String {
+    format!("{path}.{key}")
+}
+
+/// The path of item `i` in the array at `path`.
+pub(crate) fn item_path(path: &str, i: usize) -> String {
+    format!("{path}[{i}]")
+}
+
 /// Parses scenario JSON text into the model. Syntax errors carry the
 /// byte offset; structural errors carry the JSON path.
 pub fn parse_str(text: &str) -> Result<ScenarioFile, ScenarioError> {
@@ -73,6 +83,7 @@ impl ScenarioFile {
 /// The value a record takes when every key is absent: its declared
 /// defaults. Only records whose keys are all optional have one.
 pub fn defaults<T: Record>() -> T {
+    // Invariant: only all-optional records call it (`SpecKnobs`, `Budget`).
     T::read(&Value::Map(Vec::new()), "$").expect("every key of the record is optional")
 }
 
@@ -251,7 +262,7 @@ impl<'a> Obj<'a> {
     }
 
     fn read_into<T: Field>(&mut self, key: &str, v: &Value, into: &mut T) {
-        match T::read(v, &format!("{}.{key}", self.path)) {
+        match T::read(v, &key_path(&self.path, key)) {
             Ok(x) => *into = x,
             Err(e) => self.err = Some(e),
         }
@@ -379,7 +390,7 @@ impl<'a> Obj<'a> {
                 self.put(key, w);
             }
             Slot::Read(Some(x)) => {
-                if let Err(e) = Obj::visit(x, &format!("{}.{key}", self.path), fields) {
+                if let Err(e) = Obj::visit(x, &key_path(&self.path, key), fields) {
                     self.err = Some(e);
                 }
             }
@@ -483,7 +494,7 @@ impl<T: Field> Field for Vec<T> {
         items
             .iter()
             .enumerate()
-            .map(|(i, item)| T::read(item, &format!("{path}[{i}]")))
+            .map(|(i, item)| T::read(item, &item_path(path, i)))
             .collect()
     }
 
@@ -525,11 +536,10 @@ impl Field for Link {
         let [a, b, metric] = parts else {
             return Err(expected(path, "a [a, b, metric] triple"));
         };
-        let at = |i: usize| format!("{path}[{i}]");
         Ok(Link {
-            a: RouterId::read(a, &at(0))?,
-            b: RouterId::read(b, &at(1))?,
-            metric: u32::read(metric, &at(2))?,
+            a: RouterId::read(a, &item_path(path, 0))?,
+            b: RouterId::read(b, &item_path(path, 1))?,
+            metric: u32::read(metric, &item_path(path, 2))?,
         })
     }
 
@@ -573,5 +583,6 @@ pub fn keyword<'t, T: PartialEq>(value: &T, table: &[(&'t str, T)]) -> &'t str {
         .iter()
         .find(|(_, v)| v == value)
         .map(|(name, _)| *name)
+        // Invariant: `MODES` and `VERDICTS` list every value of their type.
         .expect("the keyword table names every value")
 }

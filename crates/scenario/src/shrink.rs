@@ -80,7 +80,7 @@ fn candidates(file: &ScenarioFile) -> Vec<ScenarioFile> {
 
     // Drop a whole router (and everything referencing it).
     for r in g.routers.iter().chain(g.rrs.iter()) {
-        out.push(drop_router(file, *r));
+        out.extend(drop_router(file, *r));
     }
     // Drop one check (narrows multi-mode scenarios to the failing run).
     if file.checks.len() > 1 {
@@ -141,11 +141,12 @@ fn candidates(file: &ScenarioFile) -> Vec<ScenarioFile> {
     out
 }
 
-/// Removes router `r` and every structure that references it.
-fn drop_router(file: &ScenarioFile, r: RouterId) -> ScenarioFile {
+/// Removes router `r` and every structure that references it; `None`
+/// for a Tier-1 file, which has no router list.
+fn drop_router(file: &ScenarioFile, r: RouterId) -> Option<ScenarioFile> {
     let mut f = file.clone();
     let Network::Gadget(g2) = &mut f.network else {
-        unreachable!();
+        return None;
     };
     g2.routers.retain(|x| *x != r);
     g2.rrs.retain(|x| *x != r);
@@ -166,7 +167,7 @@ fn drop_router(file: &ScenarioFile, r: RouterId) -> ScenarioFile {
     for c in &mut f.checks {
         c.exits.retain(|x| x.router != r && x.exit != Some(r));
     }
-    f
+    Some(f)
 }
 
 fn fault_touches(kind: &faults::FaultKind, r: RouterId) -> bool {

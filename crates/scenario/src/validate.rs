@@ -19,7 +19,7 @@
 //! * size: networks too large to build ([`MAX_ROUTERS`],
 //!   [`MAX_TIER1_PREFIXES`]) are rejected before anything is built.
 
-use crate::parse::ScenarioError;
+use crate::parse::{item_path, key_path, ScenarioError};
 use crate::schema::*;
 use abrr::spec::Mode;
 use bgp_types::{AddressRange, ApId, ApMap, Partition, RouterId};
@@ -115,13 +115,13 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             for (i, l) in links.iter().enumerate() {
                 if l.a == l.b {
                     errs.push(ScenarioError::at(
-                        format!("$.network.links[{i}]"),
+                        item_path("$.network.links", i),
                         format!("self-link at router {}", l.a.0),
                     ));
                 }
                 if l.metric == 0 {
                     errs.push(ScenarioError::at(
-                        format!("$.network.links[{i}]"),
+                        item_path("$.network.links", i),
                         "IGP metric must be >= 1",
                     ));
                 }
@@ -190,7 +190,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             for end in [l.a, l.b] {
                 if !nodes.contains(&end) {
                     errs.push(ScenarioError::at(
-                        format!("$.network.links[{i}]"),
+                        item_path("$.network.links", i),
                         format!("dangling link endpoint: router {} is neither a data-plane router nor an RR", end.0),
                     ));
                 }
@@ -201,7 +201,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     // --- clusters ----------------------------------------------------
     let mut ids = BTreeSet::new();
     for (i, c) in g.clusters.iter().enumerate() {
-        let path = format!("$.network.clusters[{i}]");
+        let path = item_path("$.network.clusters", i);
         if !ids.insert(c.id) {
             errs.push(ScenarioError::at(
                 &path,
@@ -255,7 +255,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     if let Some(ApScheme::Explicit(ranges)) = &g.aps {
         let mut ids = BTreeSet::new();
         for (i, r) in ranges.iter().enumerate() {
-            let path = format!("$.network.aps.explicit[{i}]");
+            let path = item_path("$.network.aps.explicit", i);
             if !ids.insert(r.id) {
                 errs.push(ScenarioError::at(
                     &path,
@@ -264,7 +264,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             }
             if u32::from(r.id.0) >= ap_id_bound {
                 errs.push(ScenarioError::at(
-                    format!("{path}.id"),
+                    key_path(&path, "id"),
                     format!(
                         "AP id {} is outside the peer-group id space (must be below {ap_id_bound})",
                         r.id.0
@@ -282,7 +282,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
             for (j, b) in ranges.iter().enumerate().skip(i + 1) {
                 if a.first <= b.last && b.first <= a.last {
                     errs.push(ScenarioError::at(
-                        format!("$.network.aps.explicit[{j}]"),
+                        item_path("$.network.aps.explicit", j),
                         format!(
                             "overlapping AP assignment: AP {} and AP {} both cover addresses {}..={}",
                             a.id.0,
@@ -298,7 +298,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     let known_aps = ap_ids(g);
     let mut seen_aps = BTreeSet::new();
     for (i, a) in g.arrs.iter().enumerate() {
-        let path = format!("$.network.arrs[{i}]");
+        let path = item_path("$.network.arrs", i);
         if !known_aps.contains(&a.ap) {
             errs.push(ScenarioError::at(&path, format!("unknown AP {}", a.ap.0)));
         }
@@ -338,7 +338,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     for (i, f) in file.workload.feeds.iter().enumerate() {
         if !routers.contains(&f.router) {
             errs.push(ScenarioError::at(
-                format!("$.workload.feeds[{i}].router"),
+                key_path(&item_path("$.workload.feeds", i), "router"),
                 format!("feed router {} is not a data-plane router", f.router.0),
             ));
         }
@@ -352,7 +352,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
         });
         if !announced {
             errs.push(ScenarioError::at(
-                format!("$.workload.withdraws[{i}]"),
+                item_path("$.workload.withdraws", i),
                 format!(
                     "withdraws {} at router {} from peer {} but no earlier feed announced it",
                     w.prefix, w.router.0, w.peer_addr.0
@@ -363,7 +363,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
     for (i, c) in file.workload.cutovers.iter().enumerate() {
         if !known_aps.contains(&c.ap) {
             errs.push(ScenarioError::at(
-                format!("$.workload.cutovers[{i}].ap"),
+                key_path(&item_path("$.workload.cutovers", i), "ap"),
                 format!("unknown AP {}", c.ap.0),
             ));
         }
@@ -387,7 +387,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
                 let cut_covering: BTreeSet<u16> = covering.intersection(&cut).copied().collect();
                 if !cut_covering.is_empty() && cut_covering.len() < covering.len() {
                     errs.push(ScenarioError::at(
-                        format!("$.workload.feeds[{i}]"),
+                        item_path("$.workload.feeds", i),
                         format!(
                             "spanning-prefix accept-set violation (§2.4): {} is covered by APs {covering:?} but the schedule only cuts over {cut_covering:?}; cut over all covering APs or none",
                             f.prefix
@@ -400,7 +400,7 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
 
     // --- faults ------------------------------------------------------
     for (i, f) in file.faults.iter().enumerate() {
-        let path = format!("$.faults[{i}]");
+        let path = item_path("$.faults", i);
         let check_node = |id: RouterId, what: &str, errs: &mut Vec<ScenarioError>| {
             if !nodes.contains(&id) {
                 errs.push(ScenarioError::at(
@@ -449,18 +449,18 @@ fn validate_gadget(file: &ScenarioFile, g: &GadgetNetwork, errs: &mut Vec<Scenar
 
     // --- checks ------------------------------------------------------
     for (i, c) in file.checks.iter().enumerate() {
-        let path = format!("$.checks[{i}]");
+        let path = item_path("$.checks", i);
         for (j, x) in c.exits.iter().enumerate() {
             if !nodes.contains(&x.router) {
                 errs.push(ScenarioError::at(
-                    format!("{path}.exits[{j}]"),
+                    item_path(&key_path(&path, "exits"), j),
                     format!("unknown router {}", x.router.0),
                 ));
             }
             if let Some(e) = x.exit {
                 if !nodes.contains(&e) {
                     errs.push(ScenarioError::at(
-                        format!("{path}.exits[{j}]"),
+                        item_path(&key_path(&path, "exits"), j),
                         format!("unknown exit router {}", e.0),
                     ));
                 }
@@ -500,13 +500,13 @@ fn validate_tier1(file: &ScenarioFile, t: &Tier1Network, errs: &mut Vec<Scenario
     for (i, c) in file.checks.iter().enumerate() {
         if c.mode == Mode::Transition {
             errs.push(ScenarioError::at(
-                format!("$.checks[{i}].mode"),
+                key_path(&item_path("$.checks", i), "mode"),
                 "transition mode is not supported on tier1 networks",
             ));
         }
         if !c.exits.is_empty() {
             errs.push(ScenarioError::at(
-                format!("$.checks[{i}].exits"),
+                key_path(&item_path("$.checks", i), "exits"),
                 "pinned exits are not supported on tier1 networks",
             ));
         }

@@ -65,7 +65,10 @@ fn heap_bytes_match_what_the_interned_sets_hold() {
     let mut sets: HashSet<PathAttributes> = HashSet::new();
     for route in model.prefixes.iter().flat_map(|p| &p.routes) {
         let a = &*route.attrs;
-        let mut trr = a.with_clusters_prepended([ClusterId(route.router.0 % 13 + 1)]);
+        let clusters = [ClusterId(route.router.0 % 13 + 1)]
+            .into_iter()
+            .chain(a.cluster_list());
+        let mut trr = a.with_lists(a.as_path(), a.communities(), a.ext_communities(), clusters);
         trr.originator_id = Some(OriginatorId(route.router.0));
         let mut arr = a.with_abrr_reflected();
         arr.originator_id = Some(OriginatorId(route.router.0));
