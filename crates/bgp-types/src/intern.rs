@@ -27,6 +27,13 @@
 //! lookup's result depends only on the live entries, never on when the
 //! last sweep ran.
 //!
+//! A second table indexes sets by the attribute block a codec decoded
+//! them from ([`find_encoded`], [`intern_view`]): one `Weak` per
+//! block hash, under the same lock and swept by the same sweep. An entry
+//! is only a candidate. The codec's check, that the set encodes to the
+//! block byte for byte, decides whether it is returned, so the module
+//! stays codec-agnostic and never trusts a hash.
+//!
 //! Determinism: interning is content-addressed and nothing in the
 //! simulator observes pointer identity, so replacing `Arc::new(a)` with
 //! `intern(a)` cannot change any computed result — only the allocation
@@ -54,6 +61,9 @@ struct Registry {
     slots: HashMap<u64, Weak<PathAttributes>, BuildHasherDefault<PrefixHasher>>,
     /// Sets whose hash's slot already held a different live set.
     collided: Vec<(u64, Weak<PathAttributes>)>,
+    /// Sets by the [`encoded_hash`] of an attribute block they were
+    /// interned from: the last one registered under each hash.
+    encoded: HashMap<u64, Weak<PathAttributes>, BuildHasherDefault<PrefixHasher>>,
     /// Calls left until the next sweep.
     until_sweep: usize,
     hits: u64,
@@ -106,6 +116,7 @@ impl Registry {
         Registry {
             slots: HashMap::default(),
             collided: Vec::new(),
+            encoded: HashMap::default(),
             until_sweep: SWEEP_EVERY,
             hits: 0,
             misses: 0,
@@ -117,13 +128,23 @@ impl Registry {
         self.slots.len() + self.collided.len()
     }
 
-    /// Drops the dead entries, then waits as many calls as there are
-    /// slots left (at least [`SWEEP_EVERY`]) before sweeping again, so a
-    /// call pays for about one slot visit however many sets are live.
+    /// Drops the dead entries of both tables, then waits as many calls
+    /// as there are slots left (at least [`SWEEP_EVERY`]) before
+    /// sweeping again, so a call pays for about one slot visit however
+    /// many sets are live (a decoded set has about one block entry).
     fn sweep(&mut self) {
         self.slots.retain(|_, w| w.strong_count() > 0);
         self.collided.retain(|(_, w)| w.strong_count() > 0);
+        self.encoded.retain(|_, w| w.strong_count() > 0);
         self.until_sweep = SWEEP_EVERY.max(self.slot_count());
+    }
+
+    /// Counts one call toward the next sweep, and sweeps when it is due.
+    fn tick(&mut self) {
+        self.until_sweep -= 1;
+        if self.until_sweep == 0 {
+            self.sweep();
+        }
     }
 
     /// The shared `Arc` for the live set equal to `attrs`, hashed to
@@ -131,10 +152,7 @@ impl Registry {
     /// when that slot is free or dead, and in the collision list
     /// otherwise.
     fn lookup_or_insert(&mut self, h: u64, attrs: impl Key) -> Arc<PathAttributes> {
-        self.until_sweep -= 1;
-        if self.until_sweep == 0 {
-            self.sweep();
-        }
+        self.tick();
         let key = attrs.view();
         let equal = |w: &Weak<PathAttributes>| w.upgrade().filter(|a| a.view() == key);
         let slot = self.slots.entry(h);
@@ -164,19 +182,41 @@ impl Registry {
         arc
     }
 
+    /// The live set registered under the block hash `h`, if `encodes`
+    /// accepts it, counted as one hit; `None` counts only the call.
+    fn find_encoded(
+        &mut self,
+        h: u64,
+        encodes: impl FnOnce(&PathAttributes) -> bool,
+    ) -> Option<Arc<PathAttributes>> {
+        self.tick();
+        let found = self.encoded.get(&h)?.upgrade().filter(|a| encodes(a))?;
+        self.hits += 1;
+        Some(found)
+    }
+
+    /// Registers `set` under the block hash `h`, in place of whatever
+    /// was registered there.
+    fn register_encoded(&mut self, h: u64, set: &Arc<PathAttributes>) {
+        self.encoded.insert(h, Arc::downgrade(set));
+    }
+
     fn live_entries(&self) -> usize {
         let live = |w: &Weak<PathAttributes>| w.strong_count() > 0;
         self.slots.values().filter(|w| live(w)).count()
             + self.collided.iter().filter(|(_, w)| live(w)).count()
     }
 
-    /// The table and the collision list at capacity, the `ArcInner`
+    /// The tables and the collision list at capacity, the `ArcInner`
     /// each slot's `Weak` keeps allocated — a dead slot's too, until the
-    /// sweep drops it — and each live set's tail.
+    /// sweep drops it — and each live set's tail. A block entry's `Weak`
+    /// shares a slot's `ArcInner` (unless a miss reused that slot while
+    /// it was dead), so it adds only its table.
     fn heap_bytes(&self) -> usize {
         const ARC_INNER: usize = 2 * size_of::<usize>() + size_of::<PathAttributes>();
         let tail = |w: &Weak<PathAttributes>| w.upgrade().map_or(0, |a| a.tail_bytes());
         table_bytes(&self.slots)
+            + table_bytes(&self.encoded)
             + self.collided.capacity() * size_of::<(u64, Weak<PathAttributes>)>()
             + self.slot_count() * ARC_INNER
             + self.slots.values().map(tail).sum::<usize>()
@@ -190,12 +230,14 @@ fn registry() -> MutexGuard<'static, Registry> {
         .get_or_init(|| Mutex::new(Registry::new()))
         .lock()
         // Invariant: nothing panics while the guard is held (the code
-        // under it compares, hashes and allocates), so it never poisons.
+        // under it compares, hashes and allocates, and `find_encoded`'s
+        // check encodes and compares), so it never poisons.
         .expect("attr interner poisoned")
 }
 
-/// The one lookup-or-insert path behind [`intern`], [`intern_arc`] and
-/// [`intern_view`]. The hash is taken before the lock.
+/// The lookup-or-insert path behind [`intern`] and [`intern_arc`], which
+/// [`intern_view`] takes too under the lock it registers in. The hash is
+/// taken before the lock.
 fn canonical(attrs: impl Key) -> Arc<PathAttributes> {
     let h = hash_of(attrs.view());
     let mut reg = registry();
@@ -219,9 +261,56 @@ pub fn intern_arc(attrs: Arc<PathAttributes>) -> Arc<PathAttributes> {
 /// Returns the shared `Arc` for the set `view` shows, as [`intern`] does
 /// for an owned set; the owned set is built only on a miss. A parser
 /// that reads a set into a reusable buffer interns it from there, so a
-/// set already live costs no allocation.
-pub fn intern_view(view: AttrsView<'_>) -> Arc<PathAttributes> {
-    canonical(view)
+/// set already live costs no allocation. Under the same lock, the set
+/// is registered for [`find_encoded`] under `block_hash`, the
+/// [`encoded_hash`] of the attribute block the view was parsed from.
+pub fn intern_view(view: AttrsView<'_>, block_hash: u64) -> Arc<PathAttributes> {
+    let h = hash_of(view);
+    let mut reg = registry();
+    let set = reg.lookup_or_insert(h, view);
+    reg.register_encoded(block_hash, &set);
+    set
+}
+
+/// The hash [`find_encoded`] and [`intern_view`] key an
+/// attribute block by: its length, then each eight-octet word (the last
+/// one zero-padded), folded in by a 64 × 64 → 128-bit multiply whose two
+/// halves are xored. Fx, which the content table uses, is too weak
+/// for raw octets: a word's top octet reaches the low bits only five
+/// bits a step, so a change there cancels against one in the next
+/// word's bottom octet. Blocks that differed only in the two octets
+/// either side of a word boundary collided so: 466 pairs among the
+/// 90 502 sets of a 3 000-prefix model, where this hash has none.
+pub fn encoded_hash(block: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let fold = |h: u64, word: u64| {
+        let p = u128::from(h ^ word) * u128::from(K);
+        (p as u64) ^ (p >> 64) as u64
+    };
+    let (words, rest) = block.as_chunks::<8>();
+    let mut last = [0; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    let h = fold(K, block.len() as u64);
+    let h = words.iter().fold(h, |h, w| fold(h, u64::from_le_bytes(*w)));
+    fold(h, u64::from_le_bytes(last))
+}
+
+/// The live set last interned from an attribute block of hash `hash`
+/// ([`intern_view`]), if `encodes` accepts it. A codec passes a
+/// check that the set encodes to that block byte for byte, so that a
+/// colliding hash or a block that merely decodes to the set is never
+/// answered from here. A set returned counts as one hit, as interning
+/// the block's parse would; `None` counts neither a hit nor a miss, and
+/// the caller parses the block and interns it with [`intern_view`].
+/// Either way the call counts toward the next sweep.
+///
+/// `encodes` runs under the registry's lock: it must not panic, and
+/// must not call back into this module.
+pub fn find_encoded(
+    hash: u64,
+    encodes: impl FnOnce(&PathAttributes) -> bool,
+) -> Option<Arc<PathAttributes>> {
+    registry().find_encoded(hash, encodes)
 }
 
 /// Eagerly drops registry entries whose attribute sets are no longer
@@ -244,10 +333,11 @@ pub struct InternStats {
     /// Registry slots, live plus dead: `entries` plus what the next
     /// sweep drops.
     pub slots: usize,
-    /// Bytes the registry and the sets in it keep allocated: its table
-    /// and collision list at capacity, one `ArcInner<PathAttributes>`
-    /// per slot (a dead slot's `Weak` keeps that allocation), and each
-    /// live set's tail — its list attributes, the only heap a set owns.
+    /// Bytes the registry and the sets in it keep allocated: its two
+    /// tables (by content and by attribute block) and collision list at
+    /// capacity, one `ArcInner<PathAttributes>` per slot (a dead slot's
+    /// `Weak` keeps that allocation), and each live set's tail — its
+    /// list attributes, the only heap a set owns.
     pub heap_bytes: usize,
 }
 
@@ -420,6 +510,61 @@ mod tests {
             assert!(bytes >= n as usize * size_of::<PathAttributes>());
             last = bytes;
         }
+    }
+
+    #[test]
+    fn a_block_lookup_returns_only_a_set_its_check_accepts() {
+        let mut reg = Registry::new();
+        let a = reg.lookup_or_insert(1, attrs(1));
+        let b = reg.lookup_or_insert(2, attrs(2));
+        // Two blocks that hash alike: the later registration holds it.
+        reg.register_encoded(7, &a);
+        reg.register_encoded(7, &b);
+        let is = |want: &Arc<PathAttributes>| {
+            let want = Arc::clone(want);
+            move |s: &PathAttributes| std::ptr::eq(s, &*want)
+        };
+        let hits = reg.hits;
+        let found = reg.find_encoded(7, is(&a));
+        assert!(
+            found.as_ref().is_none_or(|s| Arc::ptr_eq(s, &a)),
+            "{found:?}"
+        );
+        assert!(reg.find_encoded(7, |_| false).is_none());
+        assert!(reg.find_encoded(8, |_| true).is_none());
+        assert!(Arc::ptr_eq(&reg.find_encoded(7, is(&b)).unwrap(), &b));
+        assert_eq!(reg.hits, hits + u64::from(found.is_some()) + 1);
+        assert_eq!(reg.misses, 2, "a block lookup never counts a miss");
+    }
+
+    #[test]
+    fn a_dead_sets_block_misses_after_a_purge() {
+        let unique = attrs(0xB10C_0001).with_med(515_151);
+        let block = [0xB1, 0x0C, 0x00, 0x01];
+        let h = encoded_hash(&block);
+        let a = intern_view(unique.view(), h);
+        let found = find_encoded(h, |s| *s == unique).expect("registered");
+        assert!(Arc::ptr_eq(&found, &a));
+        drop((a, found));
+        purge();
+        assert!(find_encoded(h, |_| true).is_none());
+    }
+
+    #[test]
+    fn heap_bytes_count_the_block_table() {
+        let mut reg = Registry::new();
+        let kept: Vec<_> = (0..100u32)
+            .map(|i| reg.lookup_or_insert(u64::from(i), attrs(i)))
+            .collect();
+        let unindexed = reg.heap_bytes();
+        for (i, a) in kept.iter().enumerate() {
+            reg.register_encoded(1_000 + i as u64, a);
+        }
+        assert_eq!(reg.heap_bytes(), unindexed + table_bytes(&reg.encoded));
+        assert!(table_bytes(&reg.encoded) >= 100 * size_of::<(u64, Weak<PathAttributes>)>());
+        drop(kept);
+        reg.sweep();
+        assert!(reg.encoded.is_empty());
     }
 
     use proptest::prelude::*;

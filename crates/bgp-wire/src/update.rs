@@ -108,6 +108,12 @@ impl<'a> UpdateView<'a> {
         Nlri::iter(self.nlri, self.add_paths)
     }
 
+    /// The path-attribute block as received, unparsed: what a receiver
+    /// that recognises a block it has already decoded looks up.
+    pub fn attr_block(&self) -> &'a [u8] {
+        self.attrs
+    }
+
     /// The path attributes, decoded into `scratch`; `None` when the
     /// UPDATE carries none, which is an error when it announces routes.
     pub fn attrs<'s>(&self, scratch: &'s mut Scratch) -> Result<Option<AttrsView<'s>>, WireError> {

@@ -59,10 +59,15 @@ impl BgpMsg {
     /// Paths sharing an attribute object are coalesced into one UPDATE
     /// (multiple add-paths NLRI); distinct attribute sets need separate
     /// UPDATEs, as on a real wire. A withdrawal is a single UPDATE with
-    /// one withdrawn NLRI.
+    /// one withdrawn NLRI. A message carries one prefix, so every
+    /// announced NLRI has one length, and the image is its UPDATEs
+    /// without their NLRI plus one NLRI per path: no UPDATE's NLRI group
+    /// is walked.
     pub fn wire_bytes(&self, add_paths: bool) -> usize {
         let cfg = CodecConfig { add_paths };
-        self.updates(add_paths).map(|u| u.encoded_len(cfg)).sum()
+        let nlri = Nlri::plain(self.prefix).encoded_len(add_paths);
+        let heads: usize = self.updates(add_paths).map(|u| u.head_len(cfg)).sum();
+        heads + self.paths.len() * nlri
     }
 
     /// The UPDATEs this logical update becomes on the wire — the one
@@ -125,13 +130,14 @@ impl<'a> UpdateParts<'a> {
         (attrs, ids.map(|(id, _)| self.nlri(*id)))
     }
 
-    /// Encoded length, header included, without building the message.
-    pub(crate) fn encoded_len(&self, cfg: CodecConfig) -> usize {
+    /// Encoded length, header included, of all but the announced NLRI,
+    /// without building the message.
+    fn head_len(&self, cfg: CodecConfig) -> usize {
         let body = match self.first {
             None => bgp_wire::update::body_len([self.nlri(PathId(0))], None, NO_NLRI, cfg),
             Some(first) => {
-                let (attrs, nlri) = self.announced(first);
-                bgp_wire::update::body_len(NO_NLRI, Some(attrs), nlri, cfg)
+                let (_, attrs) = &self.msg.paths[first];
+                bgp_wire::update::body_len(NO_NLRI, Some(&**attrs), NO_NLRI, cfg)
             }
         };
         bgp_wire::HEADER_LEN + body

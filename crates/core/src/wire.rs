@@ -65,9 +65,8 @@ pub fn session_codec() -> CodecConfig {
 /// Encodes one logical update into its wire image: the concatenated
 /// RFC 4271 UPDATE burst described in [`WireFrame`] — the UPDATEs
 /// [`BgpMsg::wire_bytes`] measures, encoded. The image must be as long
-/// as that accounting (the sum of the UPDATEs' `encoded_len`, which
-/// sizes the buffer); an encoder that writes another length is a
-/// contract fault.
+/// as that accounting, which sizes the buffer; an encoder that writes
+/// another length is a contract fault.
 pub fn encode_frame(msg: &BgpMsg) -> Result<WireFrame, WireFault> {
     let cfg = session_codec();
     let len = msg.wire_bytes(cfg.add_paths);
@@ -103,23 +102,39 @@ pub struct Decoder {
     nlri: Vec<Nlri>,
     /// The paths read so far, before they move into the returned set.
     paths: PathSet,
+    /// A registered set re-encoded, to compare with a received block.
+    reencoded: Vec<u8>,
+    /// The set every decoded withdrawal shares.
+    empty: Arc<PathSet>,
 }
 
 impl Decoder {
     /// Decodes a wire frame back into a logical update, parsing each
-    /// UPDATE in place. An attribute set is interned from its view
-    /// ([`bgp_types::intern_view`]), so byte-mode runs share attribute
-    /// storage exactly like struct-mode runs and a set already live
-    /// costs no allocation. The path set is sorted by path id (canonical
-    /// form — see module docs) and built at its final size: a decode
-    /// allocates the set and its `Arc`, plus each set the interner
-    /// did not hold.
+    /// UPDATE in place. An announcement's attribute block that encodes
+    /// a live set byte for byte is that set, found by the block's hash
+    /// without a parse ([`bgp_types::intern::find_encoded`]); any other
+    /// block is parsed and its set interned from its view
+    /// ([`bgp_types::intern_view`]), so byte-mode runs
+    /// share attribute storage exactly like struct-mode runs and a set
+    /// already live costs no allocation. The path set is sorted by path
+    /// id (canonical form — see module docs) and built at its final
+    /// size: a decode allocates the set and its `Arc`, plus each set the
+    /// interner did not hold; a withdrawal allocates nothing.
     pub fn decode(&mut self, frame: &WireFrame) -> Result<BgpMsg, WireFault> {
+        self.decode_in(frame, true)
+    }
+
+    /// [`Decoder::decode`], looking attribute blocks up by their bytes
+    /// when `by_bytes` holds and parsing every one when it does not
+    /// (a cold index, for the tests).
+    fn decode_in(&mut self, frame: &WireFrame, by_bytes: bool) -> Result<BgpMsg, WireFault> {
         let cfg = session_codec();
         let Decoder {
             attrs: scratch,
             nlri,
             paths,
+            reencoded,
+            empty,
         } = self;
         paths.clear();
         let mut buf: &[u8] = &frame.bytes;
@@ -144,7 +159,24 @@ impl Decoder {
             for n in u.nlri() {
                 nlri.push(n?);
             }
-            let attrs = u.attrs(scratch)?;
+            // A block that re-encodes the set found under its hash is
+            // that set's encoding, which parses without error to the
+            // set: skipping its parse changes no result.
+            let block = u.attr_block();
+            let hash = bgp_types::intern::encoded_hash(block);
+            let known = (by_bytes && first_gone.is_none())
+                .then(|| {
+                    bgp_types::intern::find_encoded(hash, |set| {
+                        reencoded.clear();
+                        bgp_wire::attr::encode_attrs(set, reencoded);
+                        reencoded[..] == *block
+                    })
+                })
+                .flatten();
+            let parsed = match known {
+                Some(_) => None,
+                None => u.attrs(scratch)?,
+            };
             saw_update = true;
             if let Some(w) = first_gone {
                 if !nlri.is_empty() || gone != 1 {
@@ -156,9 +188,12 @@ impl Decoder {
                 withdrawn = true;
                 continue;
             }
-            let attrs = match attrs {
-                Some(a) => bgp_types::intern_view(a),
-                None => return Err(WireFault::Contract("announce UPDATE without attributes")),
+            let attrs = match (known, parsed) {
+                (Some(set), _) => set,
+                (None, Some(a)) => bgp_types::intern_view(a, hash),
+                (None, None) => {
+                    return Err(WireFault::Contract("announce UPDATE without attributes"))
+                }
             };
             let Some((last, rest)) = nlri.split_last() else {
                 return Err(WireFault::Contract("announce UPDATE without NLRI"));
@@ -189,12 +224,17 @@ impl Decoder {
         if withdrawn && !paths.is_empty() {
             return Err(WireFault::Contract("withdraw mixed with announce in burst"));
         }
-        *paths = bgp_rib::normalize(std::mem::take(paths));
-        let mut set = Vec::with_capacity(paths.len());
-        set.append(paths);
+        let paths = if withdrawn {
+            Arc::clone(empty)
+        } else {
+            *paths = bgp_rib::normalize(std::mem::take(paths));
+            let mut set = Vec::with_capacity(paths.len());
+            set.append(paths);
+            Arc::new(set)
+        };
         Ok(BgpMsg {
             prefix: frame.prefix,
-            paths: Arc::new(set),
+            paths,
             plane: frame.plane,
         })
     }
@@ -451,7 +491,87 @@ mod tests {
             let mut scratch = bgp_wire::attr::Scratch::default();
             let view = bgp_wire::attr::decode_attrs_view(&block, &mut scratch).unwrap();
             proptest::prop_assert_eq!(view, a.view());
-            proptest::prop_assert!(Arc::ptr_eq(&bgp_types::intern_view(view), &canonical));
+            let hash = bgp_types::intern::encoded_hash(&block);
+            proptest::prop_assert!(Arc::ptr_eq(&bgp_types::intern_view(view, hash), &canonical));
+        }
+    }
+
+    /// What a cold index — every block parsed — makes of `frame`.
+    fn cold(frame: &WireFrame) -> Result<BgpMsg, WireFault> {
+        Decoder::default().decode_in(frame, false)
+    }
+
+    /// The attribute blocks of the UPDATEs a burst frames, as far as it
+    /// frames.
+    fn blocks(mut bytes: &[u8]) -> Vec<&[u8]> {
+        let mut out = Vec::new();
+        while let Ok(Some((MessageType::Update, body))) = Message::split(&mut bytes) {
+            if let Ok(u) = UpdateView::parse(body, session_codec()) {
+                out.push(u.attr_block());
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Every cut and every single-byte flip of a burst decodes with
+        /// a warm index exactly as with a cold one: to the same paths,
+        /// each sharing the interned set, or to the same typed error.
+        /// Before each decode, every block the variant frames is
+        /// registered to a live set it is not the encoding of, so only
+        /// the byte-for-byte check stands between a stale entry and
+        /// the result.
+        #[test]
+        fn a_warm_index_decodes_every_cut_and_flip_as_a_cold_one(
+            pool in proptest::collection::vec(arb_attrs(), 1..3),
+            picks in proptest::collection::vec(proptest::any::<u32>(), 1..4),
+            flip in 1u8..=255,
+        ) {
+            let paths: PathSet = picks
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (PathId(i as u32), pool[*k as usize % pool.len()].clone()))
+                .collect();
+            let sent = msg(paths);
+            let frame = encode_frame(&sent).unwrap();
+            let mut warm = Decoder::default();
+            let whole = warm.decode(&frame).unwrap();
+            proptest::prop_assert_eq!(&whole, &canonical(&sent));
+            for (_, a) in whole.paths.iter() {
+                proptest::prop_assert!(Arc::ptr_eq(a, &bgp_types::intern((**a).clone())));
+            }
+            // Something live that no variant's block encodes, unless the
+            // block is that set's own encoding.
+            let stale = bgp_types::intern(PathAttributes::ebgp(
+                AsPath::sequence([Asn(64_512)]),
+                NextHop(0x0A0B_0C0D),
+            ));
+            let len = frame.bytes.len();
+            let variants = (0..len)
+                .map(|cut| frame.bytes[..cut].to_vec())
+                .chain((0..len).map(|at| {
+                    let mut b = frame.bytes.to_vec();
+                    b[at] ^= flip;
+                    b
+                }));
+            for bytes in variants {
+                let variant = WireFrame {
+                    bytes: Arc::new(bytes),
+                    ..frame.clone()
+                };
+                let expected = cold(&variant);
+                for block in blocks(&variant.bytes) {
+                    let h = bgp_types::intern::encoded_hash(block);
+                    drop(bgp_types::intern_view(stale.view(), h));
+                }
+                let got = warm.decode(&variant);
+                proptest::prop_assert_eq!(&got, &expected);
+                if let (Ok(got), Ok(expected)) = (&got, &expected) {
+                    for ((_, g), (_, e)) in got.paths.iter().zip(expected.paths.iter()) {
+                        proptest::prop_assert!(Arc::ptr_eq(g, e));
+                    }
+                }
+            }
         }
     }
 

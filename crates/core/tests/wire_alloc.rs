@@ -2,10 +2,10 @@
 //! allocator of this test's own (an integration test is its own crate,
 //! so `abrr` itself stays free of `unsafe`):
 //!
-//! * a warm [`wire::Decoder`] decodes a burst whose attribute sets the
-//!   interner holds with exactly two allocations, the path set and its
-//!   `Arc`, and each set the interner does not hold adds the owned set,
-//!   its `Arc` and its one tail;
+//! * a warm [`wire::Decoder`] decodes a burst whose attribute blocks it
+//!   recognises by their bytes with exactly two allocations, the path
+//!   set and its `Arc`; each set the interner does not hold adds the
+//!   owned set's `Arc` and its one tail; a withdrawal allocates nothing;
 //! * `encode_frame` allocates the image and its `Arc`, and
 //!   `wire_bytes` nothing.
 //!
@@ -111,8 +111,11 @@ fn the_byte_transport_allocates_only_what_it_returns() {
     assert_eq!(counted(|| withdrawal.wire_bytes(true)).1, 0);
 
     let mut ingress = Decoder::default();
-    // The first decode grows the decoder's buffers; later ones reuse them.
+    // The first decode parses the blocks and registers them, the second
+    // finds them by their bytes; each grows the buffers it uses, and
+    // later decodes reuse them.
     let first = ingress.decode(&frame).unwrap();
+    assert_eq!(ingress.decode(&frame).unwrap(), first);
     let (decoded, allocs) = counted(|| ingress.decode(&frame).unwrap());
     assert_eq!(
         allocs, 2,
@@ -132,15 +135,17 @@ fn the_byte_transport_allocates_only_what_it_returns() {
     let (gone, allocs) = counted(|| ingress.decode(&wire::encode_frame(&withdrawal).unwrap()));
     assert!(gone.unwrap().paths.is_empty());
     assert_eq!(
-        allocs,
-        2 + 1,
-        "the withdrawal's image and Arc, then the empty set's Arc"
+        allocs, 2,
+        "the withdrawal's image and Arc, and no set: the empty set is shared"
     );
 
-    // A set the interner no longer holds: its slot is dead, so the miss
-    // reuses it and the registry allocates nothing of its own.
+    // A set the interner no longer holds: its slot and its block's entry
+    // are dead, so the miss reuses both and the registry allocates
+    // nothing of its own.
     let fourth = bgp_types::intern(set(4));
-    let lonely = wire::encode_frame(&msg(vec![(PathId(9), fourth)])).unwrap();
+    let lonely = wire::encode_frame(&msg(vec![(PathId(9), fourth.clone())])).unwrap();
+    drop(ingress.decode(&lonely).unwrap());
+    drop(fourth);
     let before = bgp_types::intern::stats();
     let (decoded, allocs) = counted(|| ingress.decode(&lonely).unwrap());
     assert_eq!(bgp_types::intern::stats().misses, before.misses + 1);
@@ -150,4 +155,9 @@ fn the_byte_transport_allocates_only_what_it_returns() {
         "a miss adds the owned set: its Arc and its one tail"
     );
     assert_eq!(*decoded.paths[0].1, set(4));
+    // Its block is now known again, and a hit allocates no set.
+    let (again, allocs) = counted(|| ingress.decode(&lonely).unwrap());
+    assert_eq!(bgp_types::intern::stats().misses, before.misses + 1);
+    assert_eq!(allocs, 2, "a hit: the path set and its Arc");
+    assert!(Arc::ptr_eq(&again.paths[0].1, &decoded.paths[0].1));
 }

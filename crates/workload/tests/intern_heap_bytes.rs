@@ -1,6 +1,8 @@
 //! `bgp_types::intern::stats().heap_bytes` against a counting allocator:
 //! the interner's gauge must account for the attribute sets it holds —
-//! each `ArcInner` and each tail — and its table, to within 2 %.
+//! each `ArcInner` and each tail — and its table, to within 2 %, and,
+//! once the sets' attribute blocks are decoded as a receiver decodes
+//! them, for the table that indexes the sets by those blocks.
 //!
 //! The sets are a generated Tier-1 model's, each with the reflections a
 //! run makes of it (a TRR's: ORIGINATOR_ID and a cluster id prepended;
@@ -8,7 +10,9 @@
 //! list occur. This file holds one test: the interner is process-wide,
 //! and no other test may intern while it measures.
 
+use bgp_types::intern::{encoded_hash, find_encoded, intern_view};
 use bgp_types::{intern, ClusterId, OriginatorId, PathAttributes};
+use bgp_wire::attr::{decode_attrs_view, encode_attrs, Scratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -91,4 +95,42 @@ fn heap_bytes_match_what_the_interned_sets_hold() {
         "gauge {gauged} B against {counted} B allocated for {} sets",
         held.len()
     );
+
+    // A run that decodes: each set's attribute block, looked up by its
+    // bytes, parsed and interned as a receiver's decoder does. The sets
+    // are live, so all that grows is the table of blocks.
+    let blocks: Vec<Vec<u8>> = sets
+        .iter()
+        .map(|a| {
+            let mut block = Vec::new();
+            encode_attrs(a, &mut block);
+            block
+        })
+        .collect();
+    let mut scratch = Scratch::default();
+    for block in &blocks {
+        decode_attrs_view(block, &mut scratch).unwrap();
+    }
+    let (live0, gauge0) = (live(), bgp_types::intern::stats().heap_bytes);
+    for block in &blocks {
+        let h = encoded_hash(block);
+        assert!(find_encoded(h, |_| true).is_none(), "a block never seen");
+        drop(intern_view(
+            decode_attrs_view(block, &mut scratch).unwrap(),
+            h,
+        ));
+    }
+    let counted = (live() - live0) as f64;
+    let gauged = bgp_types::intern::stats().heap_bytes as f64 - gauge0 as f64;
+    assert!(counted > 0.0);
+    assert!(
+        (gauged - counted).abs() <= 0.02 * counted,
+        "gauge {gauged} B against {counted} B allocated to index {} blocks",
+        blocks.len()
+    );
+    assert_eq!(bgp_types::intern::stats().entries, sets.len());
+    for (block, set) in blocks.iter().zip(&held) {
+        let found = find_encoded(encoded_hash(block), |s| s == &**set);
+        assert!(found.is_some_and(|f| std::sync::Arc::ptr_eq(&f, set)));
+    }
 }

@@ -265,6 +265,36 @@ if [ -z "$TIER1_RSS_KB" ] || [ "$TIER1_RSS_KB" -gt "$TIER1_RSS_BUDGET_KB" ]; the
 fi
 echo "tier1-scale smoke OK: peak RSS ${TIER1_RSS_KB} kB (budget ${TIER1_RSS_BUDGET_KB} kB)"
 
+echo "== bytes-mode smoke (2K prefixes): the same live attribute sets as structs (~6 s)"
+# A byte-mode receiver finds an attribute set by its block's bytes
+# (DESIGN.md §14, "Interning by bytes"). The same churn run must
+# quiesce in both wire modes and end with the same live interned sets:
+# an index that kept a dead set alive, or made a second copy of a live
+# one, moves intern_entries here, at a scale no unit test reaches. Both
+# modes read 42 903.
+
+# Prints a run's intern_entries, failing when the run did not quiesce.
+smoke_entries() {
+  local out
+  out=$(mktemp)
+  ./target/release/repro scale --workload churn --prefixes 2000 --minutes 1 \
+    --wire "$1" --out "$out" >/dev/null
+  if ! grep -q '"quiesced":true' "$out"; then
+    echo "bytes-mode smoke: --wire $1 did not quiesce" >&2
+    rm -f "$out"
+    return 1
+  fi
+  sed -n 's/.*"intern_entries":\([0-9]*\).*/\1/p' "$out"
+  rm -f "$out"
+}
+ENTRIES_OFF=$(smoke_entries off)
+ENTRIES_BYTES=$(smoke_entries bytes)
+if [ -z "$ENTRIES_OFF" ] || [ "$ENTRIES_OFF" != "$ENTRIES_BYTES" ]; then
+  echo "bytes-mode smoke: intern_entries ${ENTRIES_BYTES:-unknown} in bytes mode, ${ENTRIES_OFF:-unknown} with structs" >&2
+  exit 1
+fi
+echo "bytes-mode smoke OK: intern_entries ${ENTRIES_BYTES} in both wire modes"
+
 echo "== examples on the codec, the MRT trace format and the gadgets (~5 s)"
 # wire_session asserts the OPEN capabilities and add-paths UPDATEs
 # survive the codec; tier1_replay asserts its churn trace survives
