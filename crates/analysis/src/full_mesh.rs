@@ -75,6 +75,7 @@ pub fn full_mesh<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_rib::MedMode;
     use bgp_types::{AsPath, Asn, Med, PathAttributes};
     use std::sync::Arc;
 
@@ -130,6 +131,25 @@ mod tests {
         assert_eq!(exits(&routes, &cfg), [Some(1), Some(1), Some(3)]);
         let winners = full_mesh(&routes, [RouterId(3)], &cfg, line);
         assert_eq!(winners[0].1.unwrap().route.attrs.med, Some(Med(9)));
+    }
+
+    /// MEDs compare within one neighbour AS only (RFC 4271
+    /// §9.1.2.2 (c)): AS 200's route keeps its place beside AS 100's
+    /// lower-MED route, and router 3, its border, exits there. Compared
+    /// across ASes (`always-compare-med`), the higher MED drops it and
+    /// every router exits at router 1.
+    #[test]
+    fn med_is_compared_within_a_neighbour_as_only() {
+        let (low, high) = (attrs(1, &[100], 1), attrs(3, &[200], 50));
+        let routes = [at(1, 9001, &low), at(3, 9003, &high)];
+        let per_as = DecisionConfig::default();
+        assert_eq!(per_as.med, MedMode::SameNeighborAs);
+        assert_eq!(exits(&routes, &per_as), [Some(1), Some(1), Some(3)]);
+        let global = DecisionConfig {
+            med: MedMode::AlwaysCompare,
+            ..per_as
+        };
+        assert_eq!(exits(&routes, &global), [Some(1); 3]);
     }
 
     /// An unreachable border's routes leave the decision at routers

@@ -37,7 +37,7 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 /// attributes, source, and advertising neighbor, in prefix order.
 pub fn loc_rib_hash(node: &BgpNode) -> u64 {
     let mut sels: Vec<_> = node.selections().collect();
-    sels.sort_by_key(|(p, _)| **p);
+    sels.sort_by_key(|(p, _)| *p);
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for (prefix, sel) in sels {
         fnv1a(

@@ -14,7 +14,7 @@
 //!
 //! The RIB structures ([`RibInColumn`], [`LocColumn`], [`AdjRibOut`])
 //! follow the conceptual RIBs of RFC 4271 §3.2: the first two are
-//! columns over a router's one [`PrefixIndex`], and [`AdjRibOut`] is
+//! columns over a network's one [`PrefixIndex`], and [`AdjRibOut`] is
 //! organized into *peer groups* because the paper's RIB-Out accounting
 //! (Appendix A) assumes one RIB-Out copy per peer group. [`compat`]
 //! holds what only the benchmark package still names.

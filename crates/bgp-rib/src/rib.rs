@@ -11,9 +11,10 @@
 //!
 //! Storage (see [`crate::store`] for the layouts and the single
 //! key-ordering policy): a router's full tables are id-keyed columns —
-//! [`RibInColumn`], [`LocColumn`] — over the one [`PrefixIndex`] it
-//! owns; each sparse [`AdjRibOut`] group is a private [`PrefixTable`]
-//! holding its path sets. *One* invariant covers everything:
+//! [`RibInColumn`], [`LocColumn`] — over the one [`PrefixIndex`] its
+//! network shares; each sparse [`AdjRibOut`] group is a private
+//! [`PrefixTable`] holding its path sets. *One* invariant covers
+//! everything:
 //!
 //! * prefixes iterate in lexicographic `(addr, len)` order, sorted by
 //!   [`PrefixTable`] — the index's for
@@ -181,7 +182,7 @@ fn run_of(row: &[RibInEntry], peer: RouterId) -> Range<usize> {
     lo..hi
 }
 
-/// One Adj-RIB-In as a column over a router's [`PrefixIndex`]: row
+/// One Adj-RIB-In as a column over a [`PrefixIndex`]: row
 /// `id` holds every peer's routes for that prefix.
 ///
 /// Replace-set semantics per (peer, prefix): each update carries the
@@ -368,7 +369,7 @@ impl RibInColumn {
     }
 }
 
-/// The Loc-RIB as a column over a router's [`PrefixIndex`]: the
+/// The Loc-RIB as a column over a [`PrefixIndex`]: the
 /// selected route per prefix, and how many times that selection has
 /// changed (the oscillation-diagnostic signal: a converged network's
 /// counts stop growing).
@@ -461,11 +462,12 @@ impl<T: Clone + PartialEq> LocColumn<T> {
     }
 
     /// Iterates `(prefix, selection)` in prefix order, as `index` sorts
-    /// it.
-    pub fn iter<'a>(
+    /// it. The selections borrow the column alone, so they may outlive
+    /// a borrow of the index.
+    pub fn iter<'a, 'i>(
         &'a self,
-        index: &'a PrefixIndex,
-    ) -> impl Iterator<Item = (&'a Ipv4Prefix, &'a T)> {
+        index: &'i PrefixIndex,
+    ) -> impl Iterator<Item = (&'i Ipv4Prefix, &'a T)> + use<'a, 'i, T> {
         index
             .iter()
             .filter_map(|(p, id)| self.get(id).map(|v| (p, v)))

@@ -2,14 +2,16 @@
 //! roles, and order from its sort wherever order is observed.
 //!
 //! * A [`PrefixIndex`] maps prefix → dense [`PrefixId`] and back: a
-//!   `PrefixTable<PrefixId>` plus the id → prefix `Vec`. A router keeps
-//!   *one*, and its full tables (every Adj-RIB-In, the Loc-RIB) are
-//!   paged columns indexed by that id ([`crate::rib::RibInColumn`],
-//!   [`crate::rib::LocColumn`], each over a `Pages`): one
-//!   hashed probe per received update, array reads after it, and no
-//!   table carries an index or a stored prefix of its own. Ids are
-//!   handed out on first sight and never recycled; index and columns
-//!   are dropped together (a router restart).
+//!   `PrefixTable<PrefixId>` plus the id → prefix `Vec`. A simulated
+//!   network keeps *one*, shared by all its routers, and each router's
+//!   full tables (every Adj-RIB-In, the Loc-RIB) are paged columns
+//!   indexed by that id ([`crate::rib::RibInColumn`],
+//!   [`crate::rib::LocColumn`], each over a `Pages`): one hashed probe
+//!   per received update, array reads after it, and no table carries an
+//!   index or a stored prefix of its own. Ids are handed out on first
+//!   sight and never recycled; a router restart clears its columns and
+//!   keeps the ids. This module knows nothing of the sharing: the
+//!   columns take the index as a `&PrefixIndex`.
 //! * A *sparse* table — the per-group Adj-RIB-Out, the eBGP Adj-RIB-In —
 //!   is a private `PrefixTable<T>` holding its values in its buckets:
 //!   it covers a small share of a router's prefixes, where a dense
@@ -168,9 +170,10 @@ impl<T: Default> Pages<T> {
     }
 }
 
-/// One router's prefix index: a [`PrefixTable`] from prefix to dense
-/// [`PrefixId`] and the `Vec` that maps back. Grow-only: an id, once
-/// handed out, names its prefix until the whole index is dropped.
+/// A prefix index: a [`PrefixTable`] from prefix to dense
+/// [`PrefixId`] and the `Vec` that maps back, one per simulated network.
+/// Grow-only: an id, once handed out, names its prefix until the whole
+/// index is dropped.
 #[derive(Clone, Default)]
 pub struct PrefixIndex {
     ids: PrefixTable<PrefixId>,

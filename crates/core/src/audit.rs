@@ -234,7 +234,7 @@ pub fn oscillation_suspects(sim: &Sim<BgpNode>, top: usize) -> Vec<OscillationSu
     let mut per_prefix: BTreeMap<Ipv4Prefix, (u64, RouterId, u64)> = BTreeMap::new();
     for (id, node) in sim.nodes() {
         for (p, c) in node.all_selection_changes() {
-            let e = per_prefix.entry(*p).or_insert((0, id, 0));
+            let e = per_prefix.entry(p).or_insert((0, id, 0));
             e.0 += c;
             if c > e.2 {
                 e.1 = id;

@@ -59,12 +59,14 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod index;
 pub mod msg;
 pub mod node;
 pub mod roles;
 pub mod spec;
 pub mod wire;
 
+pub use index::SharedIndex;
 pub use msg::{BgpMsg, ExternalEvent, SessionMsg, WireFrame};
 pub use node::{BgpNode, Selected};
 pub use obs::counters::UpdateCounters;

@@ -17,6 +17,7 @@
 //! 3. **Lifecycle**: input batching, session up/down/restart fan-out,
 //!    and the §2.2 AP-reassignment choreography across roles.
 
+use crate::index::SharedIndex;
 use crate::msg::{BgpMsg, ExternalEvent, Plane, SessionMsg};
 use crate::roles::{
     route_at, AdvertiseEnv, ArrRole, BorderRole, Chassis, ClientRole, Role, Rx, TrrRole,
@@ -24,7 +25,7 @@ use crate::roles::{
 use crate::spec::{Mode, NetworkSpec};
 use crate::wire;
 use crate::UpdateCounters;
-use bgp_rib::{best_path_of, HeapBytes, PrefixId, RibInEntry, RouteRef};
+use bgp_rib::{best_path_of, HeapBytes, PrefixId, PrefixIndex, RibInEntry, RouteRef};
 use bgp_types::{ApId, Ipv4Prefix, PathAttributes, RouteSource, RouterId};
 use netsim::{Ctx, Protocol};
 use std::collections::BTreeSet;
@@ -108,7 +109,7 @@ impl Selected {
 /// seeds the worklist from range queries over the index
 /// ([`Role::known_prefixes_in`]), re-deciding only the covered prefixes.
 ///
-/// An entry carries the prefix's id in the router's index beside it, so
+/// An entry carries the prefix's id in the network's index beside it, so
 /// the drain makes no index probe; the prefix comes first, which keeps
 /// the drain in prefix order whatever order the ids were handed out in.
 #[derive(Default)]
@@ -157,10 +158,11 @@ pub struct BgpNode {
 }
 
 impl BgpNode {
-    /// Creates a node and materializes its peer groups from the spec.
-    pub fn new(id: RouterId, spec: Arc<NetworkSpec>) -> Self {
+    /// Creates a node over its network's prefix index and materializes
+    /// its peer groups from the spec.
+    pub fn new(id: RouterId, spec: Arc<NetworkSpec>, index: SharedIndex) -> Self {
         check_open(&spec, id);
-        let mut ch = Chassis::new(id, spec.clone());
+        let mut ch = Chassis::new(id, spec.clone(), index);
         let border = BorderRole::new();
         let client = ClientRole::new(id, &spec);
         let arr = ArrRole::new(id, &spec);
@@ -248,9 +250,11 @@ impl BgpNode {
         self.ch.loc_rib.get(self.ch.index.id(prefix)?)
     }
 
-    /// Iterates all selections.
-    pub fn selections(&self) -> impl Iterator<Item = (&Ipv4Prefix, &Selected)> {
-        self.ch.loc_rib.iter(&self.ch.index)
+    /// Iterates all selections, in prefix order.
+    pub fn selections(&self) -> impl Iterator<Item = (Ipv4Prefix, &Selected)> {
+        let walk = |ix: &_| self.ch.loc_rib.iter(ix).map(|(p, s)| (*p, s)).collect();
+        let selections: Vec<_> = self.ch.index.read(walk);
+        selections.into_iter()
     }
 
     /// Number of selected prefixes.
@@ -296,10 +300,14 @@ impl BgpNode {
     }
 
     /// Iterates per-prefix selection-change counts, in prefix order
-    /// (streamed off the router's prefix index; no snapshot sort).
-    pub fn all_selection_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u64)> {
-        let counts = self.ch.loc_rib.iter_changes(&self.ch.index);
-        counts.map(|(p, c)| (p, c as u64))
+    /// (one sorted walk of the network's prefix index).
+    pub fn all_selection_changes(&self) -> impl Iterator<Item = (Ipv4Prefix, u64)> {
+        let walk = |ix: &_| {
+            let counts = self.ch.loc_rib.iter_changes(ix);
+            counts.map(|(p, c)| (*p, c as u64)).collect()
+        };
+        let counts: Vec<_> = self.ch.index.read(walk);
+        counts.into_iter()
     }
 
     /// §3.2/§3.4 extension accessor: the best pre-installed backup exit
@@ -356,20 +364,27 @@ impl BgpNode {
     /// slots, which are column rows plus the entries of the private
     /// tables; and the heap bytes of the hashed tables (a private
     /// table's values inline), the column row arrays and the path sets
-    /// both own. Summed over *everything* this node keeps:
-    /// its one prefix index (counted here, once — the columns over it
-    /// report slots and paths only), each role's tables, the Loc-RIB
-    /// column (whose rows also hold the selection-change counts) and
-    /// the per-group RIB-Out.
+    /// both own. Summed over *everything* this node keeps: each role's
+    /// tables, the Loc-RIB column (whose rows also hold the
+    /// selection-change counts) and the per-group RIB-Out. The
+    /// network's one prefix index is counted at the network's lowest
+    /// node id and nowhere else, so the fleet's sum (the report's
+    /// `(all)` row) counts it exactly once; the columns over it report
+    /// slots and paths only.
     /// Makes the memory story auditable, not just entry counts.
     fn store_gauges(&self) -> [(&'static str, usize); 4] {
         let ch = &self.ch;
+        let index = if ch.spec.all_nodes().first() == Some(&ch.id) {
+            ch.index.read(PrefixIndex::heap_bytes)
+        } else {
+            HeapBytes::default()
+        };
         let tables = self
             .roles()
             .map(|role| (role.slots(), role.heap_bytes()))
             .into_iter()
             .chain([
-                (0, ch.index.heap_bytes()),
+                (0, index),
                 (ch.loc_rib.slots(), ch.loc_rib.heap_bytes()),
                 (ch.out.slots(), ch.out.heap_bytes()),
             ]);
@@ -445,7 +460,7 @@ impl BgpNode {
     // Unified recompute: decision + role advertisements
     // ------------------------------------------------------------------
 
-    /// Resolves `prefix` in the router's index and recomputes it: the
+    /// Resolves `prefix` in the network's index and recomputes it: the
     /// entry for an event that names a prefix and did not arrive through
     /// [`BgpNode::process_batch`].
     fn recompute_prefix(&mut self, ctx: &mut Ctx<SessionMsg>, prefix: Ipv4Prefix) {
@@ -497,10 +512,11 @@ impl BgpNode {
     fn purge_peer(&mut self, ctx: &mut Ctx<SessionMsg>, peer: RouterId) {
         self.ch.mrai.remove(&peer);
         self.inbox.retain(|(from, _)| *from != peer);
-        let index = &self.ch.index;
-        self.dirty.other.extend(self.client.drop_peer(index, peer));
-        self.dirty.other.extend(self.trr.drop_peer(index, peer));
-        self.dirty.arr.extend(self.arr.drop_peer(index, peer));
+        self.ch.index.read(|ix| {
+            self.dirty.other.extend(self.client.drop_peer(ix, peer));
+            self.dirty.other.extend(self.trr.drop_peer(ix, peer));
+            self.dirty.arr.extend(self.arr.drop_peer(ix, peer));
+        });
         self.drain_dirty(ctx);
     }
 
@@ -581,11 +597,13 @@ impl BgpNode {
     /// the union of the per-range overlap queries.
     fn prefixes_covered_by(&self, ap: ApId) -> BTreeSet<Ipv4Prefix> {
         let mut out: BTreeSet<Ipv4Prefix> = BTreeSet::new();
-        for r in self.ch.ap_ranges(ap) {
-            for role in self.roles() {
-                out.extend(role.known_prefixes_in(&self.ch.index, r.start(), r.end()));
+        self.ch.index.read(|ix| {
+            for r in self.ch.ap_ranges(ap) {
+                for role in self.roles() {
+                    out.extend(role.known_prefixes_in(ix, r.start(), r.end()));
+                }
             }
-        }
+        });
         out
     }
 }
@@ -751,11 +769,13 @@ impl Protocol for BgpNode {
         // groups, AP reassignments)
         // survives; everything learned at runtime is gone. Counters are
         // cumulative device statistics and deliberately survive too.
-        // The prefix index goes with the columns over it (`ch` and the
-        // roles each drop theirs here, in one step): no id handed out
-        // before the restart can address a row filled after it. Ids
-        // live nowhere else between events — queued input and paced
-        // output name prefixes.
+        // The columns go (`ch` and the roles each clear theirs here, in
+        // one step); the network's prefix index and its ids stay, as
+        // every other router still uses them. An id handed out before
+        // the restart names the same prefix after it and addresses an
+        // empty row until the prefix is heard of again. Ids live nowhere
+        // else between events — queued input and paced output name
+        // prefixes.
         self.border.on_restart();
         self.client.on_restart();
         self.arr.on_restart();
@@ -893,22 +913,32 @@ mod tests {
     }
 
     /// The `core.store.*` gauges must cover everything a node owns, and
-    /// the one index it shares between its columns exactly once.
+    /// the network's one index exactly once: at the lowest node id.
     #[test]
     fn store_gauges_sum_every_table_the_node_owns() {
         let sim = small_reference(&[]);
-        for (_, node) in sim.nodes() {
+        let lowest = sim.nodes().map(|(id, _)| id).min();
+        let index_bytes = sim.node(RouterId(1)).ch.index.read(PrefixIndex::heap_bytes);
+        assert!(index_bytes.index > 0 && index_bytes.total() == index_bytes.index);
+        let mut private_index_bytes = 0;
+        for (id, node) in sim.nodes() {
             let ch = &node.ch;
             assert!(!ch.loc_rib.is_empty(), "every router selected something");
-            // The index (bytes, no slots), the columns over it (rows),
-            // then the two private tables (entries).
+            // The index (bytes, no slots) at the lowest id alone, the
+            // columns over it (rows), then the two private tables
+            // (entries).
             let columns = [&node.client as &dyn Role, &node.arr, &node.trr];
             let rows = ch.loc_rib.slots() + columns.map(|role| role.slots()).iter().sum::<usize>();
             let sparse = [node.border.slots(), ch.out.slots()];
-            let bytes = ch.index.heap_bytes()
-                + ch.loc_rib.heap_bytes()
+            let owned = ch.loc_rib.heap_bytes()
                 + ch.out.heap_bytes()
                 + node.roles().map(|role| role.heap_bytes()).into_iter().sum();
+            let index = if Some(id) == lowest {
+                index_bytes
+            } else {
+                HeapBytes::default()
+            };
+            let bytes = index + owned;
             let want = [
                 ("core.store.slots", rows + sparse[0] + sparse[1]),
                 ("core.store.index_bytes", bytes.index),
@@ -916,17 +946,19 @@ mod tests {
                 ("core.store.path_bytes", bytes.paths),
             ];
             assert_eq!(node.store_gauges(), want);
+            private_index_bytes += owned.index;
             // Only the index and the private tables say where index bytes
             // are; the index owns nothing else.
             let column_bytes: HeapBytes = columns.map(|role| role.heap_bytes()).into_iter().sum();
             assert_eq!((column_bytes + ch.loc_rib.heap_bytes()).index, 0);
-            let index_bytes = ch.index.heap_bytes();
-            assert!(index_bytes.index > 0 && index_bytes.total() == index_bytes.index);
-            assert!(ch.loc_rib.slots() <= ch.index.len(), "no row without an id");
+            let indexed = ch.index.read(PrefixIndex::len);
+            assert!(ch.loc_rib.slots() <= indexed, "no row without an id");
             // A private table's slots are its prefixes.
             let out_prefixes = ch.out.group_ids().map(|g| ch.out.iter_group(g).count());
             assert_eq!(sparse[1], out_prefixes.sum::<usize>(), "slots are entries");
-            let ebgp = node.border.known_prefixes_in(&ch.index, 0, u32::MAX);
+            let ebgp = ch
+                .index
+                .read(|ix| node.border.known_prefixes_in(ix, 0, u32::MAX));
             assert!(sparse[0] <= ebgp.len(), "{sparse:?}");
             // A private table has no row array: its buckets are index bytes.
             let sparse_bytes = node.border.heap_bytes() + ch.out.heap_bytes();
@@ -938,6 +970,10 @@ mod tests {
             assert_eq!(node.border.heap_bytes().paths, 16 * ebgp);
             assert_eq!(ebgp > 0, [3, 6, 9].contains(&node.ch.id.0));
         }
+        // The fleet's sum — the report's `(all)` row — counts the shared
+        // index once, beside every router's private tables.
+        let fleet: usize = sim.nodes().map(|(_, n)| n.store_gauges()[1].1).sum();
+        assert_eq!(fleet, index_bytes.index + private_index_bytes);
     }
 
     /// `core.mrai.pending_bytes` counts what the pacers hold: buffers
@@ -974,19 +1010,33 @@ mod tests {
         assert_eq!(Pacer::ENTRY_BYTES, 24);
     }
 
-    /// Crash-restart drops the prefix index together with every column
-    /// over it: a restarted router re-converges to what a router that
-    /// never crashed holds, except for what the restart is documented
-    /// to lose — a prefix it has not heard of since is in no table and
-    /// not in its index, and its change counts start again.
-    #[test]
-    fn restart_drops_the_index_with_every_column_over_it() {
-        let (border, victim) = (RouterId(9), RouterId(5));
-        let live: Vec<Ipv4Prefix> = ["10.0.0.0/8", "192.168.0.0/16"]
-            .map(|p| p.parse().unwrap())
-            .to_vec();
-        // A third prefix, withdrawn again before the crash: afterwards
-        // only the victim's pre-crash index could still name it.
+    /// Crashes `victim` one microsecond after `sim`'s last event, brings
+    /// it and its sessions back a millisecond later, and runs to
+    /// quiescence.
+    fn crash_and_restart(sim: &mut netsim::Sim<BgpNode>, victim: RouterId) {
+        let at = sim.now() + 1;
+        let sessions: Vec<_> = sim
+            .sessions()
+            .filter(|((a, b), _)| *a == victim || *b == victim)
+            .collect();
+        sim.schedule_node_down(at, victim);
+        sim.schedule_node_up(at + 1_000, victim);
+        for ((a, b), latency) in sessions {
+            sim.schedule_session_up(at + 1_000, a, b, latency);
+        }
+        assert!(sim.run_to_quiescence().quiesced);
+    }
+
+    /// The small reference network with a third prefix, `gone`,
+    /// announced at router 9 and withdrawn again before a crash: the
+    /// live prefixes, `gone`, and the events.
+    fn with_a_withdrawn_prefix() -> (
+        [Ipv4Prefix; 2],
+        Ipv4Prefix,
+        [(netsim::Time, RouterId, ExternalEvent); 2],
+    ) {
+        let border = RouterId(9);
+        let live = ["10.0.0.0/8", "192.168.0.0/16"].map(|p| p.parse().unwrap());
         let gone: Ipv4Prefix = "172.16.0.0/12".parse().unwrap();
         let announce = ExternalEvent::EbgpAnnounce {
             prefix: gone,
@@ -1001,9 +1051,28 @@ mod tests {
             prefix: gone,
             peer_addr: 9003,
         };
-        let events = [(0, border, announce), (50_000, border, withdraw)];
+        (
+            live,
+            gone,
+            [(0, border, announce), (50_000, border, withdraw)],
+        )
+    }
+
+    /// Crash-restart clears every column of the router and keeps the
+    /// network's ids: a restarted router re-converges to what a router
+    /// that never crashed holds, except for what the restart is
+    /// documented to lose — a prefix it has not heard of since has no
+    /// count, no selection and an empty row in every table, and its
+    /// change counts start again.
+    #[test]
+    fn restart_clears_every_column_and_keeps_the_ids() {
+        let victim = RouterId(5);
+        let (live, gone, events) = with_a_withdrawn_prefix();
         let run = || small_reference(&events);
-        let prefixes_of = |n: &BgpNode| n.ch.index.iter().map(|(p, _)| *p).collect::<Vec<_>>();
+        let prefixes_of = |n: &BgpNode| {
+            n.ch.index
+                .read(|ix| ix.iter().map(|(p, _)| *p).collect::<Vec<_>>())
+        };
         let control = run();
         let mut sim = run();
         let before = sim.node(victim);
@@ -1013,17 +1082,7 @@ mod tests {
             "selected, then withdrawn"
         );
 
-        let at = sim.now() + 1;
-        let sessions: Vec<_> = sim
-            .sessions()
-            .filter(|((a, b), _)| *a == victim || *b == victim)
-            .collect();
-        sim.schedule_node_down(at, victim);
-        sim.schedule_node_up(at + 1_000, victim);
-        for ((a, b), latency) in sessions {
-            sim.schedule_session_up(at + 1_000, a, b, latency);
-        }
-        assert!(sim.run_to_quiescence().quiesced);
+        crash_and_restart(&mut sim, victim);
 
         // The fleet is where it was, the victim included.
         for (id, node) in sim.nodes() {
@@ -1035,13 +1094,29 @@ mod tests {
                 "node {id:?}"
             );
         }
-        // What the restart loses: `gone` left no trace — no count, no
-        // row, no id — and the live prefixes count from the restart.
+        // What the restart loses: at the victim, `gone` has no count,
+        // no selection and no row in any table, and the live prefixes
+        // count from the restart. The network's index still names it.
         let after = sim.node(victim);
-        assert_eq!(prefixes_of(after), live, "exactly the prefixes seen since");
+        assert_eq!(prefixes_of(after), [live[0], gone, live[1]], "ids are kept");
         assert_eq!(after.selection_changes(&gone), 0);
+        assert_eq!(after.selected(&gone), None);
         assert!(control.node(victim).selection_changes(&gone) >= 2);
-        let counted: Vec<_> = after.all_selection_changes().map(|(p, _)| *p).collect();
+        let held = after.ch.index.read(|ix| {
+            let roles = after
+                .roles()
+                .map(|role| role.known_prefixes_in(ix, 0, u32::MAX));
+            roles.concat()
+        });
+        assert!(!held.contains(&gone) && live.iter().all(|p| held.contains(p)));
+        assert!(after
+            .ch
+            .out
+            .group_ids()
+            .all(|g| after.ch.out.paths(g, &gone).is_empty()));
+        let selected: Vec<_> = after.selections().map(|(p, _)| p).collect();
+        assert_eq!(selected, live);
+        let counted: Vec<_> = after.all_selection_changes().map(|(p, _)| p).collect();
         assert_eq!(counted, live);
         for p in &live {
             let (now, uncrashed) = (
@@ -1051,9 +1126,52 @@ mod tests {
             assert!((1..=uncrashed).contains(&now), "{p}: {now} vs {uncrashed}");
         }
         // No stale id can address a fresh column: none has a row beyond
-        // the new index.
+        // the index.
         let rows = after.roles().map(|role| role.slots());
-        let n = after.ch.index.len();
+        let n = after.ch.index.read(PrefixIndex::len);
         assert!(after.ch.loc_rib.slots() <= n && rows[1..].iter().all(|r| *r <= 2 * n));
+    }
+
+    /// Every node of one `build_sim` holds the same index, so a prefix
+    /// has one id at every router and rows line up across the fleet;
+    /// two sims never share one.
+    #[test]
+    fn the_routers_of_a_network_share_one_index() {
+        let (a, b) = (small_reference(&[]), small_reference(&[]));
+        let first = &a.node(RouterId(1)).ch.index;
+        assert!(a.nodes().all(|(_, n)| n.ch.index.same(first)));
+        assert!(b.nodes().all(|(_, n)| !n.ch.index.same(first)));
+        for p in ["10.0.0.0/8", "192.168.0.0/16"].map(|p| p.parse::<Ipv4Prefix>().unwrap()) {
+            let id = first.id(&p).expect("every router selected it");
+            for (r, node) in a.nodes() {
+                assert_eq!(node.ch.index.id(&p), Some(id), "{p} at {r:?}");
+                assert_eq!(node.ch.index.resolve(p), id, "seen before");
+                assert_eq!(node.ch.loc_rib.get(id), node.selected(&p), "{p} at {r:?}");
+            }
+        }
+    }
+
+    /// An id handed out before a router restarts names the same prefix
+    /// after it, at the restarted router and at every other.
+    #[test]
+    fn an_id_outlives_a_restart() {
+        let victim = RouterId(5);
+        let (live, gone, events) = with_a_withdrawn_prefix();
+        let mut sim = small_reference(&events);
+        let prefixes = [live[0], live[1], gone];
+        let ids = prefixes.map(|p| sim.node(victim).ch.index.id(&p));
+        assert!(ids.iter().all(Option::is_some));
+
+        crash_and_restart(&mut sim, victim);
+
+        for (r, node) in sim.nodes() {
+            assert_eq!(prefixes.map(|p| node.ch.index.id(&p)), ids, "at {r:?}");
+        }
+        let named = sim
+            .node(victim)
+            .ch
+            .index
+            .read(|ix| ids.map(|id| *ix.prefix(id.unwrap())));
+        assert_eq!(named, prefixes);
     }
 }

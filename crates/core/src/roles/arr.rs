@@ -137,10 +137,11 @@ impl ArrRole {
         // lost AP's prefixes by range query (range overlap is exactly
         // `Partition::covers`).
         let mut covered = std::collections::BTreeSet::new();
-        for r in ch.ap_ranges(ap) {
-            let known = self.arr_in.known_prefixes_in(&ch.index, r.start(), r.end());
-            covered.extend(known);
-        }
+        ch.index.read(|ix| {
+            for r in ch.ap_ranges(ap) {
+                covered.extend(self.arr_in.known_prefixes_in(ix, r.start(), r.end()));
+            }
+        });
         for (p, id) in covered {
             let still_served = self.arr_aps.iter().any(|a2| ch.ap_covers(*a2, &p));
             if !still_served {

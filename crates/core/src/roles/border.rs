@@ -225,6 +225,7 @@ impl Role for BorderRole {
 mod tests {
     use super::*;
     use crate::spec::NetworkSpec;
+    use crate::SharedIndex;
     use bgp_types::{AsPath, Med, RouterId};
 
     fn ebgp(peer_as: u32, med: u32) -> Arc<PathAttributes> {
@@ -238,7 +239,7 @@ mod tests {
     fn ebgp_routes_stay_sorted_by_session() {
         let view = igp::PopTopologyBuilder::new(1, 1).build();
         let spec = Arc::new(NetworkSpec::full_mesh(&view.topo, Asn(65000)));
-        let mut ch = Chassis::new(RouterId(1), spec);
+        let mut ch = Chassis::new(RouterId(1), spec, SharedIndex::new());
         let mut border = BorderRole::new();
         let p: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
         for addr in [30, 10, 20] {
@@ -281,7 +282,7 @@ mod tests {
     fn known_prefixes_come_sorted_and_once() {
         let view = igp::PopTopologyBuilder::new(1, 1).build();
         let spec = Arc::new(NetworkSpec::full_mesh(&view.topo, Asn(65000)));
-        let mut ch = Chassis::new(RouterId(1), spec);
+        let mut ch = Chassis::new(RouterId(1), spec, SharedIndex::new());
         let mut border = BorderRole::new();
         let pfx = |s: &str| -> Ipv4Prefix { s.parse().unwrap() };
         let [a, b, c] = [pfx("10.0.0.0/8"), pfx("10.1.0.0/16"), pfx("192.168.0.0/16")];

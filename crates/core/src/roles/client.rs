@@ -122,12 +122,11 @@ impl ClientRole {
         // Gather the AP's covered prefixes by range query (range
         // overlap is exactly `Partition::covers`).
         let mut covered = std::collections::BTreeSet::new();
-        for r in ch.ap_ranges(ap) {
-            let known = self
-                .client_in
-                .known_prefixes_in(&ch.index, r.start(), r.end());
-            covered.extend(known);
-        }
+        ch.index.read(|ix| {
+            for r in ch.ap_ranges(ap) {
+                covered.extend(self.client_in.known_prefixes_in(ix, r.start(), r.end()));
+            }
+        });
         // Probe first: a withdrawal registers the session, even a no-op.
         let rib = &mut self.client_in;
         covered.retain(|&(_, id)| !rib.paths(arr, id).is_empty() && rib.withdraw(arr, id));

@@ -41,6 +41,7 @@ pub(crate) use border::Exits;
 pub use client::ClientRole;
 pub use trr::TrrRole;
 
+use crate::index::SharedIndex;
 use crate::msg::{BgpMsg, Plane, SessionMsg, WireFrame};
 use crate::node::Selected;
 use crate::spec::{Mode, NetworkSpec};
@@ -121,10 +122,10 @@ pub(crate) type Images = Vec<(Arc<PathSet>, WireFrame)>;
 pub(crate) type Pacer = Mrai<(Plane, Ipv4Prefix), Arc<PathSet>>;
 
 /// The infrastructure shared by every role of one router: identity and
-/// spec, the prefix index every full table is a column over, the
-/// per-peer-group Adj-RIB-Out, the Loc-RIB, update accounting, MRAI
-/// pacing, and the configuration that survives a crash-restart
-/// (transition accept-set, runtime AP reassignments).
+/// spec, a handle to the network's prefix index every full table is a
+/// column over, the per-peer-group Adj-RIB-Out, the Loc-RIB, update
+/// accounting, MRAI pacing, and the configuration that survives a
+/// crash-restart (transition accept-set, runtime AP reassignments).
 ///
 /// Roles receive `&mut Chassis` in every call that mutates; it is the
 /// only mutable state they share.
@@ -134,11 +135,12 @@ pub struct Chassis {
     /// Adj-RIB-Out, one copy per peer group (paper Appendix A
     /// accounting). Shared: each role writes its own group ids.
     pub(crate) out: AdjRibOut,
-    /// The router's one prefix index: prefix → dense id, resolved once
-    /// per received update. The Loc-RIB below and every role's
-    /// Adj-RIB-In are columns over it. Grow-only; dropped, with every
-    /// column, on restart.
-    pub(crate) index: PrefixIndex,
+    /// The network's one prefix index, shared by every router of the
+    /// run ([`SharedIndex`]): prefix → dense id, resolved once per
+    /// received update. The Loc-RIB below and every role's Adj-RIB-In
+    /// are columns over it. Grow-only; a restart clears the columns and
+    /// keeps the ids.
+    pub(crate) index: SharedIndex,
     /// Selected routes, each with the count of times the selection
     /// changed (oscillation diagnostics).
     pub(crate) loc_rib: LocColumn<Selected>,
@@ -163,7 +165,7 @@ pub struct Chassis {
 }
 
 impl Chassis {
-    pub(crate) fn new(id: RouterId, spec: Arc<NetworkSpec>) -> Chassis {
+    pub(crate) fn new(id: RouterId, spec: Arc<NetworkSpec>, index: SharedIndex) -> Chassis {
         let accept_abrr = match spec.mode {
             Mode::Abrr => spec
                 .ap_map
@@ -177,7 +179,7 @@ impl Chassis {
             proc_delay: spec.proc_delay(id),
             spec,
             out: AdjRibOut::new(),
-            index: PrefixIndex::new(),
+            index,
             loc_rib: LocColumn::new(),
             no_paths: Arc::default(),
             counters: UpdateCounters::default(),
@@ -463,7 +465,6 @@ impl Chassis {
     /// counters survive.
     pub(crate) fn on_restart(&mut self) {
         self.out.clear_routes();
-        self.index = PrefixIndex::new();
         self.loc_rib = LocColumn::new();
         self.mrai.clear();
     }
@@ -476,7 +477,7 @@ pub struct Rx {
     pub(crate) from: RouterId,
     /// The session plane the update arrived on.
     pub(crate) plane: Plane,
-    /// The destination prefix, as its id in the router's index
+    /// The destination prefix, as its id in the network's index
     /// (`Chassis::index`): the row of every column this update touches.
     pub(crate) id: PrefixId,
     /// The complete new path set (empty = withdraw), shared with every
@@ -512,7 +513,7 @@ pub(crate) fn ibgp_routes(entries: &[RibInEntry]) -> impl Iterator<Item = RouteR
 /// The per-recompute context a role advertises from. Built once by the
 /// shell after the decision, then handed to each advertising role.
 pub struct AdvertiseEnv<'a> {
-    /// The prefix's id in the router's index.
+    /// The prefix's id in the network's index.
     pub(crate) id: PrefixId,
     /// The shell's new selection for the prefix (post-decision).
     pub(crate) sel: Option<&'a Selected>,
@@ -545,7 +546,7 @@ pub trait Role {
     /// The prefixes this role holds state for that overlap the
     /// inclusive address range `[range_start, range_end]`, in prefix
     /// order. The incremental path for Address-Partition choreography:
-    /// `index`'s (the router's) sorted overlap, filtered on the role's
+    /// `index`'s (the network's) sorted overlap, filtered on the role's
     /// columns — one scan of the index, a sort of the overlap.
     fn known_prefixes_in(
         &self,

@@ -1,6 +1,7 @@
 //! Network specification: who plays which role, how sessions are laid
 //! out, and construction of a ready-to-run simulator.
 
+use crate::index::SharedIndex;
 use crate::node::{group, BgpNode};
 use bgp_rib::DecisionConfig;
 use bgp_types::{ApId, ApMap, Asn, RouterId};
@@ -368,17 +369,19 @@ impl NetworkSpec {
 }
 
 /// Builds a ready-to-run simulator from a spec: creates one
-/// [`BgpNode`] per AS node and the session set implied by the mode
-/// (full mesh; ARR↔everyone; client↔its TRRs + TRR mesh; or the union
-/// for transition).
+/// [`BgpNode`] per AS node, all over one [`SharedIndex`], and the
+/// session set implied by the mode (full mesh; ARR↔everyone;
+/// client↔its TRRs + TRR mesh; or the union for transition).
 pub fn build_sim(spec: Arc<NetworkSpec>) -> Sim<BgpNode> {
     let problems = spec.validate();
     // Invariant: specs are built in code (`workload::specs`) or compiled
     // from an already validated scenario file, so a problem here is a bug.
     assert!(problems.is_empty(), "invalid spec: {problems:?}");
     let mut sim: Sim<BgpNode> = Sim::new();
+    // One prefix index for the whole network (`crate::index`).
+    let index = SharedIndex::new();
     for id in spec.all_nodes() {
-        sim.add_node(id, BgpNode::new(id, spec.clone()));
+        sim.add_node(id, BgpNode::new(id, spec.clone(), index.clone()));
     }
     let add = |sim: &mut Sim<BgpNode>, a: RouterId, b: RouterId| {
         if a != b && !sim.has_session(a, b) {

@@ -4,6 +4,7 @@
 //! from being re-reflected.
 
 use abrr::prelude::*;
+use abrr::SharedIndex;
 use netsim::Sim;
 use std::sync::Arc;
 
@@ -20,13 +21,14 @@ fn misconfigured_trio_with(prevention: AbrrLoopPrevention) -> Sim<BgpNode> {
     topo.add_link(b, c, 1);
     topo.add_link(a, c, 1);
     let mut sim: Sim<BgpNode> = Sim::new();
+    let index = SharedIndex::new();
     for me in [a, b, c] {
         let mut spec = NetworkSpec::full_mesh(&topo, Asn(65000));
         spec.mode = Mode::Abrr;
         spec.ap_map = Some(ApMap::uniform(1));
         spec.arrs.insert(ApId(0), vec![me]); // "I am the ARR"
         spec.abrr_loop_prevention = prevention;
-        sim.add_node(me, BgpNode::new(me, Arc::new(spec)));
+        sim.add_node(me, BgpNode::new(me, Arc::new(spec), index.clone()));
     }
     sim.add_session(a, b, 1_000);
     sim.add_session(b, c, 1_000);

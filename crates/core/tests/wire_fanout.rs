@@ -12,7 +12,7 @@
 
 use abrr::prelude::*;
 use abrr::wire;
-use abrr::ClusterSpec;
+use abrr::{ClusterSpec, SharedIndex};
 use netsim::{Ctx, ExternalClass, Protocol, Time, WireMode};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -109,8 +109,9 @@ fn run_tapped(
     spec.wire_mode = WireMode::Bytes;
     let spec = Arc::new(spec);
     let mut sim: Sim<Tap> = Sim::new();
+    let index = SharedIndex::new();
     for (id, _) in plain.nodes() {
-        let node = BgpNode::new(id, spec.clone());
+        let node = BgpNode::new(id, spec.clone(), index.clone());
         sim.add_node(
             id,
             Tap {

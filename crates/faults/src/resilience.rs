@@ -71,7 +71,7 @@ impl ResilienceProbe {
                 continue;
             }
             for (p, _) in sim.node(*r).selections() {
-                candidates.insert(*p);
+                candidates.insert(p);
             }
         }
         // Ground-truth reachability: a surviving border router still

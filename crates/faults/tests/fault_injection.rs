@@ -44,7 +44,7 @@ fn arr_failure_fails_over_without_blackholes() {
         .flat_map(|r| {
             sim.node(*r)
                 .selections()
-                .map(|(p, _)| (*r, *p))
+                .map(|(p, _)| (*r, p))
                 .collect::<Vec<_>>()
         })
         .collect();

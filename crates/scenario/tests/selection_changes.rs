@@ -24,8 +24,7 @@ fn counts(sim: &Sim<BgpNode>, prefixes: &[Ipv4Prefix]) -> Vec<(u32, Vec<u64>)> {
             let per_prefix: Vec<u64> = prefixes.iter().map(|p| node.selection_changes(p)).collect();
             // The iterator and the point lookup are two views of one
             // table; prefixes never selected appear in neither.
-            let listed: Vec<(Ipv4Prefix, u64)> =
-                node.all_selection_changes().map(|(p, c)| (*p, c)).collect();
+            let listed: Vec<(Ipv4Prefix, u64)> = node.all_selection_changes().collect();
             let mut want: Vec<(Ipv4Prefix, u64)> = prefixes
                 .iter()
                 .copied()
