@@ -144,7 +144,7 @@ fn run(exp: &Experiment) {
     println!("{:<8} {:>14.3} {:>16.2}", "ABRR", ab0, ab5);
     println!("{:<8} {:>14.3} {:>16.2}", "TBRR", tb0, tb5);
     println!(
-        "\npaced TBRR/ABRR mean probe latency ratio: {:.2}   [paper §3.5: 3 hops vs 2 => ~1.5]",
+        "\npaced TBRR/ABRR mean probe latency ratio: {:.2}",
         tb5 / ab5
     );
 }

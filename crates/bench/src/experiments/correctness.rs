@@ -21,7 +21,9 @@ pub const DEF: Def = Def {
     run,
 };
 
-const OSC_BUDGET: RunLimits = RunLimits {
+/// The event budget each gadget run gets: a run that reaches it
+/// oscillates.
+pub(super) const OSC_BUDGET: RunLimits = RunLimits {
     max_events: 100_000,
     max_time: Time::MAX,
 };
@@ -80,6 +82,4 @@ fn run(exp: &Experiment) {
             );
         }
     }
-    println!("\n# Expected: TBRR single-path oscillates on both gadgets; full-mesh, ABRR");
-    println!("# (and usually TBRR-multi on the MED gadget) converge; ABRR exits == full-mesh.");
 }

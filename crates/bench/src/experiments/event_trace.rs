@@ -129,7 +129,4 @@ fn run(exp: &Experiment) {
             f(cl_d.received as f64 / k / model.routers.len() as f64, 2),
         ]);
     }
-    println!("\n# Paper mechanisms shown: ARR generations per event ≈ 2 (one per owning ARR,");
-    println!("# batched); TRR generations per event ≈ 10-40 (every affected cluster re-decides);");
-    println!("# ABRR pays more bytes per transmission (add-paths sets).");
 }

@@ -53,10 +53,7 @@ fn run(exp: &Experiment) {
         fit.slope,
         fit.r_squared(&points)
     );
-    println!(
-        "F(25) = {:.2}   [paper's measured Tier-1 average: 10.2]",
-        fit.eval(25.0)
-    );
+    println!("F(25) = {:.2}", fit.eval(25.0));
     println!(
         "measured avg #BAL over peer prefixes with all peers: {:.2}",
         model.avg_bal_all_peers()

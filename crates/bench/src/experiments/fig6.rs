@@ -160,8 +160,4 @@ fn run(exp: &Experiment) {
         );
         report(name, &run, &trrs, theory, wall);
     }
-    println!(
-        "\n# Paper checks: ARR avg ≈ theory; TRR experimental < theory (uniformity assumptions);"
-    );
-    println!("# ARR RIBs ≪ TRR RIBs; uniform-AP min/max spread shrinks with --balanced.");
 }

@@ -123,7 +123,4 @@ fn run(exp: &Experiment) {
         }
         report(format!("TBRR #C={n_clusters}"), trrs, run, wall);
     }
-
-    println!("\n# Paper checks: ARR received grows then flattens with #APs; ARR generated");
-    println!("# shrinks sharply with #APs and is a small fraction of TRR generated.");
 }

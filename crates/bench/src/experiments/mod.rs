@@ -12,6 +12,7 @@ mod panels;
 mod resilience;
 mod scale;
 mod scenario;
+mod scorecard;
 mod sessions;
 mod show_rib;
 mod table_updates;
@@ -56,4 +57,6 @@ pub const ALL: &[Def] = &[
     scale::DEF,
     scenario::DEF,
     mrt_replay::DEF,
+    // Last: it reads the artefacts every row above writes.
+    scorecard::DEF,
 ];

@@ -23,12 +23,7 @@ pub const FIG4: Def = Def {
     flags: &[],
     base: Tier1Config::default,
     artefacts: &[("fig4.txt", "")],
-    run: |exp| {
-        sweep(exp, Metric::RibIn, None);
-        println!(
-            "\nTakeaway check: ABRR < TBRR for all panels above — the paper's §3.2 primary takeaway."
-        );
-    },
+    run: |exp| sweep(exp, Metric::RibIn, None),
 };
 
 pub const FIG5: Def = Def {
@@ -37,10 +32,7 @@ pub const FIG5: Def = Def {
     flags: &[],
     base: Tier1Config::default,
     artefacts: &[("fig5.txt", "")],
-    run: |exp| {
-        sweep(exp, Metric::RibOut, Some(100.0));
-        println!("\nTakeaway check: ARR RIB-Out shrinks ~1/#APs (panel b) and stays ~an order of magnitude below TRR's.");
-    },
+    run: |exp| sweep(exp, Metric::RibOut, Some(100.0)),
 };
 
 /// The paper's four panels for `metric`, one table each. With

@@ -62,8 +62,6 @@ fn run(exp: &Experiment) {
             f(s.per_tbrr_client, 0),
         ]);
     }
-    println!("\n# paper: TRR max ~200 / avg ~100 sessions; \"Each ARR in this network");
-    println!("# would require over 1000 sessions\"; clients 20-30 (ABRR) vs 2 (TBRR).");
 
     // Simulator cross-check at model scale.
     let model = Tier1Model::generate(cfg);

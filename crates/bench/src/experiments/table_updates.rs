@@ -133,15 +133,15 @@ fn run(exp: &Experiment) {
     ]);
     println!();
     println!(
-        "TRR/ARR transmitted-update ratio : {:.2}x   [paper: ~2.5x]",
+        "TRR/ARR transmitted-update ratio : {:.2}x",
         trr_tx_per_s / arr_tx_per_s
     );
     println!(
-        "ARR/TRR transmitted-bytes ratio  : {:.2}x   [paper: ~4x]",
+        "ARR/TRR transmitted-bytes ratio  : {:.2}x",
         arr_bytes_per_s / trr_bytes_per_s
     );
     println!(
-        "ABRR client received updates     : {:.1}% of TBRR's   [paper: ~70% (30% fewer)]",
+        "ABRR client received updates     : {:.1}% of TBRR's",
         100.0 * ab_cl_rx / tb_cl_rx
     );
 }

@@ -72,6 +72,21 @@ if [ -n "$DERIVES" ]; then
   exit 1
 fi
 
+echo "== paper values live in scorecard rows"
+# Each paper value is written once, in a row of crates/bench/src/
+# experiments/scorecard.rs, beside the artefact number it is compared
+# with; the other experiments print measurements only. A paper value or
+# a claim an experiment prints beside its numbers would be a second,
+# unchecked copy, one that goes stale or false when the numbers move.
+PAPER_COPIES=$(grep -nE '\[paper|# paper:|Paper checks|Paper mechanisms|Takeaway check|# Expected:' \
+  crates/bench/src/experiments/*.rs |
+  grep -vE '^crates/bench/src/experiments/scorecard\.rs:' || true)
+if [ -n "$PAPER_COPIES" ]; then
+  echo "$PAPER_COPIES" >&2
+  echo "paper values or claims printed outside scorecard.rs (see above)" >&2
+  exit 1
+fi
+
 echo "== every declared dependency is used"
 # Each [dependencies] and [dev-dependencies] entry of a
 # crates/*/Cargo.toml must be named as a path (`bgp_types::`,
