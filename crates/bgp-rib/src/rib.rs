@@ -196,10 +196,11 @@ fn run_of(row: &[RibInEntry], peer: RouterId) -> Range<usize> {
 /// is a slice walk in candidate order, and one update is an array index
 /// plus an in-place replace. There is no per-peer container and no
 /// stored prefix: a row of up to two routes is its 40 bytes, a longer
-/// one adds 16 bytes a route on the heap. Rows sit in fixed pages of
-/// 256 that are never reallocated; the column grows to the highest id
-/// written, and a prefix it holds nothing for is an empty row or none
-/// at all — both read as empty.
+/// one adds 16 bytes a route on the heap. Rows sit in pages of 256
+/// that hold the rows written to them — in chunks never reallocated,
+/// sparse until half full and dense after — and a prefix the column
+/// holds nothing for is an empty row or none at all: both read as
+/// empty.
 #[derive(Clone, Debug, Default)]
 pub struct RibInColumn {
     rows: Pages<RibInRow>,
@@ -286,12 +287,12 @@ impl RibInColumn {
         };
         self.peers.remove(at);
         let mut dropped = Vec::new();
-        for (id, row) in self.rows.iter_mut().enumerate() {
+        for (id, row) in self.rows.iter_mut() {
             let run = run_of(row.as_slice(), peer);
             if !run.is_empty() {
                 self.entries -= run.len();
                 row.replace(run, std::iter::empty());
-                dropped.push((*index.prefix(id as PrefixId), id as PrefixId));
+                dropped.push((*index.prefix(id), id));
             }
         }
         dropped.sort_unstable();
@@ -346,10 +347,10 @@ impl RibInColumn {
         self.entries
     }
 
-    /// Rows the column has grown to, empty ones included (occupancy
-    /// gauge).
+    /// Rows the column holds, empty ones included: those written to a
+    /// sparse page and every row of a dense one (occupancy gauge).
     pub fn slots(&self) -> usize {
-        self.rows.len()
+        self.rows.rows()
     }
 
     /// Heap bytes of the pages plus every spilled row's entries, at
@@ -359,7 +360,7 @@ impl RibInColumn {
         HeapBytes {
             index: 0,
             slots: self.rows.heap_bytes(),
-            paths: self.rows.iter().map(RibInRow::spilled_bytes).sum(),
+            paths: self.rows.iter().map(|(_, row)| row.spilled_bytes()).sum(),
         }
     }
 
@@ -378,8 +379,8 @@ impl RibInColumn {
 /// [`RibInColumn`]'s. A withdrawn prefix keeps its row, with no
 /// selection, because its count must survive: the row is a tombstone
 /// that [`LocColumn::len`], [`LocColumn::get`], [`LocColumn::iter`] and
-/// [`LocColumn::lookup`] do not see. A row the column merely grew past —
-/// never selected — has count zero and is seen by nothing at all.
+/// [`LocColumn::lookup`] do not see. A row a dense page holds but that
+/// was never selected has count zero and is seen by nothing at all.
 #[derive(Clone, Debug)]
 pub struct LocColumn<T> {
     rows: Pages<(Option<T>, u32)>,
@@ -407,7 +408,7 @@ impl<T: Clone + PartialEq> LocColumn<T> {
     /// change count goes up.
     pub fn set(&mut self, id: PrefixId, value: Option<T>) -> bool {
         // Withdrawing what was never selected leaves no trace.
-        if id as usize >= self.rows.len() && value.is_none() {
+        if value.is_none() && self.rows.get(id).is_none() {
             return false;
         }
         let slot = self.rows.grow_to(id);
@@ -473,10 +474,10 @@ impl<T: Clone + PartialEq> LocColumn<T> {
             .filter_map(|(p, id)| self.get(id).map(|v| (p, v)))
     }
 
-    /// Rows the column has grown to, tombstones included (occupancy
-    /// gauge).
+    /// Rows the column holds, tombstones included: those written to a
+    /// sparse page and every row of a dense one (occupancy gauge).
     pub fn slots(&self) -> usize {
-        self.rows.len()
+        self.rows.rows()
     }
 
     /// Heap bytes of the pages; a selection is taken to own nothing
@@ -663,7 +664,7 @@ impl AdjRibOut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::PAGE_ROWS;
+    use crate::store::{CHUNK_ROWS, DENSE_AT, PAGE_ROWS};
     use bgp_types::{AsPath, Asn, NextHop};
 
     fn pfx(s: &str) -> Ipv4Prefix {
@@ -706,23 +707,77 @@ mod tests {
         assert_eq!(rib.num_entries(), 0);
     }
 
-    /// A row is two routes inline or a spilled `Vec`, in 40 bytes; a
-    /// page is 256 rows, allocated whole when an id first reaches it.
+    /// A row is two routes inline or a spilled `Vec`, in 40 bytes. A
+    /// page of 256 rows pays for the rows written to it: a slot map and
+    /// chunks of 32 rows while sparse, and from its 128th row all eight
+    /// chunks in row order.
     #[test]
     fn rib_in_row_is_40_bytes_and_a_page_holds_256_rows() {
         assert_eq!(size_of::<RibInRow>(), 40);
-        assert_eq!(PAGE_ROWS, 256);
-        let page = PAGE_ROWS * size_of::<RibInRow>();
+        assert_eq!((PAGE_ROWS, DENSE_AT, CHUNK_ROWS), (256, 128, 32));
+        let (page, chunk) = (PAGE_ROWS * 40, CHUNK_ROWS * 40);
+        // The list of pages at `Vec`'s least capacity, four entries of a
+        // tag and a dense page's eight chunk pointers.
+        let list = 4 * (8 + 8 * 8);
+        // A sparse page's own allocation: the slot map, its count and
+        // four chunk pointers.
+        let slot_map = 256 + 8 + 4 * 8;
         let mut rib = RibInColumn::new();
         assert_eq!(rib.heap_bytes(), HeapBytes::default(), "no row, no page");
-        rib.set_paths(RouterId(1), 255, single(attrs(1)));
+        // Rows scattered over page 0, as network ids reach a router: 167
+        // is odd, so `k * 167 % 256` visits every row once.
+        let fill = |rib: &mut RibInColumn, from: u32, to: u32| {
+            for k in from..to {
+                rib.set_paths(RouterId(1), k * 167 % 256, single(attrs(1)));
+            }
+        };
+        fill(&mut rib, 0, 1);
         let one = rib.heap_bytes().slots;
-        assert!(one >= page && one < 2 * page);
-        rib.set_paths(RouterId(1), 0, single(attrs(1)));
-        assert_eq!(rib.heap_bytes().slots, one, "same page");
+        assert_eq!(
+            one,
+            list + slot_map + chunk,
+            "one scattered row: a slot map and a chunk"
+        );
+        assert!(one < page / 4);
+        fill(&mut rib, 1, 32);
+        assert_eq!(
+            (rib.slots(), rib.heap_bytes().slots),
+            (32, one),
+            "a chunk holds 32"
+        );
+        fill(&mut rib, 32, 33);
+        assert_eq!(
+            rib.heap_bytes().slots,
+            one + chunk,
+            "the 33rd row takes a chunk"
+        );
+        fill(&mut rib, 33, 127);
+        assert_eq!(
+            (rib.slots(), rib.heap_bytes().slots),
+            (127, one + 3 * chunk)
+        );
+        fill(&mut rib, 0, 127);
+        assert_eq!(
+            rib.heap_bytes().slots,
+            one + 3 * chunk,
+            "rewriting holds no more"
+        );
+        fill(&mut rib, 127, 128);
+        assert_eq!(
+            (rib.slots(), rib.heap_bytes().slots),
+            (256, list + page),
+            "dense at 128"
+        );
+        fill(&mut rib, 128, 256);
+        assert_eq!((rib.slots(), rib.heap_bytes().slots), (256, list + page));
         rib.set_paths(RouterId(1), 256, single(attrs(1)));
-        assert_eq!(rib.heap_bytes().slots, one + page, "the next page");
-        assert_eq!((rib.slots(), rib.heap_bytes().paths), (257, 0));
+        let two_pages = list + page + slot_map + chunk;
+        assert_eq!(
+            (rib.slots(), rib.heap_bytes().slots),
+            (257, two_pages),
+            "the next page"
+        );
+        assert_eq!((rib.num_entries(), rib.heap_bytes().paths), (257, 0));
         assert!(rib.row(300).is_empty() && rib.row(100_000).is_empty());
     }
 

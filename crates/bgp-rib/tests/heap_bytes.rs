@@ -13,7 +13,9 @@
 //! measures the parts a router holds — one `PrefixIndex`, an Adj-RIB-In
 //! column and a Loc-RIB column over it — each against its own bytes, so
 //! a gauge that counted the shared index in a column (or not at all)
-//! would show.
+//! would show. One more writes the shape of a reflector's managed table
+//! under network-wide ids — one id in eight, scattered, so every page
+//! stays sparse — and measures each column against its own bytes.
 
 use bgp_rib::{AdjRibOut, HeapBytes, LocColumn, PathSet, PrefixId, PrefixIndex, RibInColumn};
 use bgp_types::{Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
@@ -188,6 +190,60 @@ fn adj_rib_out_accounts_for_its_heap() {
         }
     }
     assert_accounts_for(rib.heap_bytes(), live() - before, "churned");
+}
+
+/// The shape of an ARR's managed table under network-wide ids: one id
+/// in eight of each of eight pages, written in scattered order, so every
+/// page stays sparse. Each column's bytes — the list of pages, the slot
+/// maps, the chunks and the spilled rows — must be what the allocator
+/// holds for it.
+#[test]
+fn scattered_columns_account_for_their_heap() {
+    let prefixes = scattered_slash24s(2048);
+    let attrs = attrs(16);
+    let peers = [RouterId(7), RouterId(3), RouterId(11)];
+    let mut index = PrefixIndex::new();
+    let ids: Vec<PrefixId> = prefixes.iter().map(|p| index.resolve(*p)).collect();
+    // 167 is odd, so `k * 167 % 2048` visits every id once, out of order.
+    let managed: Vec<PrefixId> = (0..2048u32)
+        .map(|k| ids[(k * 167 % 2048) as usize])
+        .filter(|id| id % 8 == 5)
+        .collect();
+    assert_eq!(managed.len(), 256);
+
+    let before = live();
+    let mut rib = RibInColumn::new();
+    for (i, id) in managed.iter().enumerate() {
+        for (k, peer) in peers.iter().enumerate() {
+            rib.set_paths(*peer, *id, paths(&attrs, i, 1 + (i + k) % 3));
+        }
+    }
+    assert_eq!(rib.slots(), 256, "rows held are rows written");
+    assert_accounts_for(rib.heap_bytes(), live() - before, "rib-in built");
+    for round in 0..3 {
+        for (i, id) in managed.iter().enumerate() {
+            for (k, peer) in peers.iter().enumerate() {
+                match (i + round) % 3 {
+                    0 => rib.withdraw(*peer, *id),
+                    _ => rib.set_paths(
+                        *peer,
+                        *id,
+                        paths(&attrs, i + round, 1 + (i + k + round) % 4),
+                    ),
+                };
+            }
+        }
+    }
+    assert_eq!(rib.slots(), 256, "a withdrawn row stays held");
+    assert_accounts_for(rib.heap_bytes(), live() - before, "rib-in churned");
+
+    let before = live();
+    let mut loc: LocColumn<Arc<PathAttributes>> = LocColumn::new();
+    for (i, id) in managed.iter().enumerate() {
+        loc.set(*id, Some(attrs[i % 16].clone()));
+    }
+    assert_eq!((loc.slots(), loc.len()), (256, 256));
+    assert_accounts_for(loc.heap_bytes(), live() - before, "loc built");
 }
 
 #[test]

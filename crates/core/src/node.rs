@@ -361,7 +361,8 @@ impl BgpNode {
     }
 
     /// The `core.store.*` gauges — storage internals of the tables:
-    /// slots, which are column rows plus the entries of the private
+    /// slots, which are the rows the columns hold (written to a sparse
+    /// page, or any row of a dense one) plus the entries of the private
     /// tables; and the heap bytes of the hashed tables (a private
     /// table's values inline), the column row arrays and the path sets
     /// both own. Summed over *everything* this node keeps: each role's
@@ -910,6 +911,54 @@ mod tests {
             sim.schedule_external(*at, *router, ev.clone());
         }
         sim
+    }
+
+    /// Under network-wide ids a router pays for the rows it holds, not
+    /// for the ids the network has handed out: with 2 048 ids over eight
+    /// pages and 32 of them learned, scattered one per 64, each column
+    /// holds its `k` rows, and its slot bytes stay within 40 bytes a row
+    /// (the widest row) plus, per page it writes, a slot map and a
+    /// chunk of slack (296 + 32 × 40 bytes, rounded up to 2 048) plus
+    /// the list of pages (72 bytes an entry, at most twice the pages).
+    /// A column as wide as the ids would take 80 KB.
+    #[test]
+    fn a_router_pays_for_its_rows_not_for_the_networks_ids() {
+        let mut sim = small_reference_sim(0, &[]);
+        let index = sim.node(RouterId(1)).ch.index.clone();
+        let filler: Vec<Ipv4Prefix> = (0..2048u32)
+            .map(|i| Ipv4Prefix::new(0x1400_0000 + (i << 8), 24))
+            .collect();
+        for p in &filler {
+            index.resolve(*p);
+        }
+        for p in filler.iter().step_by(64) {
+            sim.schedule_external(0, RouterId(9), feed(*p, 7018, 9003));
+        }
+        assert!(sim.run_to_quiescence().quiesced);
+        let ids = index.read(PrefixIndex::len);
+        let spanned = ids.div_ceil(256);
+        assert_eq!(
+            (ids, spanned),
+            (2050, 9),
+            "the filler, then the two reference prefixes"
+        );
+        for (id, node) in sim.nodes() {
+            let roles = [&node.client as &dyn Role, &node.arr, &node.trr];
+            let columns = roles
+                .map(|role| (role.slots(), role.heap_bytes().slots))
+                .into_iter()
+                .chain([(node.ch.loc_rib.slots(), node.ch.loc_rib.heap_bytes().slots)]);
+            for (rows, bytes) in columns {
+                let bound = 40 * rows + 2048 * rows.min(spanned) + 72 * 2 * spanned;
+                assert!(rows <= 34, "{id:?}: {rows} rows, 34 prefixes");
+                assert!(bytes <= bound, "{id:?}: {bytes} slot bytes for {rows} rows");
+                assert!(bytes < 40 * ids / 4, "{id:?}: {bytes} slot bytes");
+            }
+            assert!(
+                node.ch.loc_rib.len() >= 32,
+                "{id:?} selected the scattered prefixes"
+            );
+        }
     }
 
     /// The `core.store.*` gauges must cover everything a node owns, and

@@ -138,8 +138,9 @@ pub struct Chassis {
     /// The network's one prefix index, shared by every router of the
     /// run ([`SharedIndex`]): prefix → dense id, resolved once per
     /// received update. The Loc-RIB below and every role's Adj-RIB-In
-    /// are columns over it. Grow-only; a restart clears the columns and
-    /// keeps the ids.
+    /// are columns over it, each paying for the rows this router writes
+    /// rather than for the ids the network hands out. Grow-only; a
+    /// restart clears the columns and keeps the ids.
     pub(crate) index: SharedIndex,
     /// Selected routes, each with the count of times the selection
     /// changed (oscillation diagnostics).
@@ -556,7 +557,9 @@ pub trait Role {
     ) -> Vec<Ipv4Prefix>;
 
     /// Slots across this role's storage — the `core.store.slots`
-    /// gauge. A column counts its rows; a private table, its entries.
+    /// gauge. A column counts the rows it holds (those written to a
+    /// sparse page, every row of a dense one); a private table, its
+    /// entries.
     fn slots(&self) -> usize;
 
     /// Heap bytes across this role's storage — the
